@@ -70,13 +70,8 @@ from repro.capstore import (
     read_header,
     sidecar_path,
 )
-from repro.capstore.build import default_acknowledged, default_asdb
-from repro.core.packet_mix import TABLE3_ROWS, packet_mix, top_length_signatures
+from repro.core.render import VALID_TABLES, render_analysis
 from repro.core.report import render_histogram, render_table
-from repro.core.scid_stats import table4
-from repro.core.summary import HYPERGIANT_COLUMNS, summarize
-from repro.core.timing import timing_profiles
-from repro.core.versions import TABLE2_ROWS, table2
 from repro.obs import (
     JsonlTracer,
     MetricsRegistry,
@@ -105,12 +100,6 @@ from repro.workloads.scenario import (
     april_2021_config,
     build_scenario,
 )
-
-ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
-
-#: Table selectors understood by ``repro analyze --tables``.
-VALID_TABLES = ("1", "2", "3", "4", "rto", "lengths")
-
 
 # ---------------------------------------------------------------------------
 # Observability plumbing
@@ -312,13 +301,6 @@ def _render_prof_summary(prof: Profiler, top: int = 12) -> str:
     )
 
 
-# The CLI's AS database / acknowledged-scanner registry now live in
-# ``repro.capstore.build`` so index-build worker processes can construct
-# them by (picklable) reference; these aliases keep old import paths alive.
-_default_asdb = default_asdb
-_default_acknowledged = default_acknowledged
-
-
 def _load_capture(
     args: argparse.Namespace,
     obs: Observability | None = None,
@@ -407,12 +389,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stop_prom = lambda: None  # noqa: E731 - trivial default finisher
     try:
         heartbeat.update("build")
-        with obs.span("simulate.build", local=True):
-            if obs.metrics is not None:
-                with obs.metrics.time_block("build_scenario"):
-                    scenario = build_scenario(config, obs=obs)
-            else:
-                scenario = build_scenario(config, obs=obs)
+        with obs.span("simulate.build", local=True), obs.timed("build_scenario"):
+            scenario = build_scenario(config, obs=obs)
         stop_prom = _start_prom(args, obs, loop=scenario.loop)
         loop = scenario.loop
         telescope = scenario.telescope
@@ -429,19 +407,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         loop.on_progress = on_progress
         heartbeat.update("run")
-        with obs.span("simulate.run", local=True):
-            if obs.metrics is not None:
-                with obs.metrics.time_block("simulate"):
-                    scenario.run()
-            else:
-                scenario.run()
-        if obs.metrics is not None:
-            with obs.metrics.time_block("write_pcap"):
-                with open(args.output, "wb") as fileobj:
-                    telescope.write_pcap(fileobj)
-        else:
-            with open(args.output, "wb") as fileobj:
-                telescope.write_pcap(fileobj)
+        with obs.span("simulate.run", local=True), obs.timed("simulate"):
+            scenario.run()
+        with obs.timed("write_pcap"), open(args.output, "wb") as fileobj:
+            telescope.write_pcap(fileobj)
         heartbeat.update(
             "done",
             done=loop.events_processed,
@@ -490,10 +459,7 @@ def _simulate_sharded(args: argparse.Namespace, config: ScenarioConfig) -> int:
         merge=not args.no_merge,
     )
     try:
-        if obs.metrics is not None:
-            with obs.metrics.time_block("simulate"):
-                result = simulate_sharded(config, args.workers, args.output, **kwargs)
-        else:
+        with obs.timed("simulate"):
             result = simulate_sharded(config, args.workers, args.output, **kwargs)
     finally:
         stop_prom()
@@ -519,10 +485,7 @@ def _simulate_sharded(args: argparse.Namespace, config: ScenarioConfig) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     obs = _make_obs(args, force_metrics=args.json)
     try:
-        if obs.metrics is not None:
-            with obs.metrics.time_block("classify"):
-                capture = _load_capture(args, obs=obs)
-        else:
+        with obs.timed("classify"):
             capture = _load_capture(args, obs=obs)
     finally:
         _finish_obs(args, obs)
@@ -594,118 +557,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             capture = _load_shard_capture(args.pcap, args, obs)
         else:
             capture = _load_capture(args, obs=obs, pcap=args.pcap[0])
-        if obs.metrics is not None:
-            with obs.metrics.time_block("analyze"):
-                with obs.span("analyze.render", local=True):
-                    print(render_analysis(capture, wanted))
-        else:
-            with obs.span("analyze.render", local=True):
-                print(render_analysis(capture, wanted))
+        with obs.timed("analyze"), obs.span("analyze.render", local=True):
+            print(render_analysis(capture, wanted))
         return 0
     finally:
         _finish_obs(args, obs)
-
-
-def render_analysis(capture, wanted: set) -> str:
-    """Render the selected paper tables for a classified capture.
-
-    ``capture`` is anything with ``backscatter``/``scans`` lists of
-    CapturedPacket-shaped objects — the legacy
-    :class:`~repro.telescope.classify.ClassifiedCapture` and the columnar
-    :class:`~repro.capstore.ClassifiedView` render byte-identically,
-    which the equivalence tests and ``bench_analyze`` assert.
-    """
-    parts: list[str] = []
-
-    if "1" in wanted:
-        summary = summarize(capture.backscatter)
-        parts.append(
-            render_table(
-                ["Feature"] + list(HYPERGIANT_COLUMNS),
-                [
-                    ["Coalescence"]
-                    + [summary[h].coalescence for h in HYPERGIANT_COLUMNS],
-                    ["Server-chosen IDs"]
-                    + [summary[h].server_chosen_ids for h in HYPERGIANT_COLUMNS],
-                    ["Structured SCIDs"]
-                    + [summary[h].structured_scids for h in HYPERGIANT_COLUMNS],
-                    ["Initial RTO"]
-                    + [summary[h].rto_label() for h in HYPERGIANT_COLUMNS],
-                    ["# re-transmissions"]
-                    + [summary[h].resend_label() for h in HYPERGIANT_COLUMNS],
-                ],
-                title="Table 1 — deployment configurations",
-            )
-        )
-        parts.append("")
-    if "2" in wanted:
-        shares = table2(capture)
-        parts.append(
-            render_table(
-                ["QUIC version", "Clients [%]", "Servers [%]"],
-                [
-                    [
-                        bucket,
-                        "%.1f" % shares["clients"].share(bucket),
-                        "%.1f" % shares["servers"].share(bucket),
-                    ]
-                    for bucket in TABLE2_ROWS
-                ],
-                title="Table 2 — version adoption",
-            )
-        )
-        parts.append("")
-    if "3" in wanted:
-        mix = packet_mix(capture.backscatter + capture.scans)
-        parts.append(
-            render_table(
-                ["Packet type"] + list(ORIGINS),
-                [
-                    [cat] + ["%.2f" % mix.share(o, cat) for o in ORIGINS]
-                    for cat in TABLE3_ROWS
-                ],
-                title="Table 3 — packet types per source network [%]",
-            )
-        )
-        parts.append("")
-    if "4" in wanted:
-        stats = table4(capture.backscatter)
-        parts.append(
-            render_table(
-                ["Origin AS", "SCID length", "Unique SCIDs"],
-                [
-                    [o, stats[o].length_summary(), stats[o].unique_count]
-                    for o in ORIGINS
-                    if o in stats
-                ],
-                title="Table 4 — SCID statistics",
-            )
-        )
-        parts.append("")
-    if "rto" in wanted:
-        profiles = timing_profiles(capture.backscatter)
-        parts.append(
-            render_table(
-                ["Origin", "sessions", "initial RTO [s]", "resends"],
-                [
-                    [
-                        o,
-                        profiles[o].sessions,
-                        "%.2f" % (profiles[o].initial_rto or 0),
-                        str(profiles[o].resend_range),
-                    ]
-                    for o in ORIGINS
-                    if o in profiles
-                ],
-                title="Figure 3/4 — retransmission behaviour",
-            )
-        )
-        parts.append("")
-    if "lengths" in wanted:
-        for origin, entries in top_length_signatures(capture.backscatter).items():
-            parts.append(render_histogram(entries, width=30, title=origin))
-            parts.append("")
-    return "\n".join(parts)
 
 
 def cmd_live(args: argparse.Namespace) -> int:
@@ -713,7 +569,7 @@ def cmd_live(args: argparse.Namespace) -> int:
 
     Each ``--interval`` seconds every capture is polled: newly completed
     records are dissected and appended to the follower's table, the new
-    rows are fed to the :class:`~repro.stream.StreamAnalyses` reducers,
+    rows are fed to the :class:`~repro.stream.StreamAnalyses` accumulators,
     the ``stream.*`` gauges are (re)published, and the dashboard is
     reprinted.  When no capture has produced a new record for
     ``--exit-idle`` consecutive polls (or on Ctrl-C), the loop ends and
@@ -876,10 +732,8 @@ def cmd_index(args: argparse.Namespace) -> int:
         )
         return 0 if valid else 1
     if args.force:
-        import os as _os
-
         try:
-            _os.unlink(index_path)
+            os.unlink(index_path)
         except FileNotFoundError:
             pass
     obs = _make_obs(args, force_metrics=True)
@@ -918,10 +772,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
     prober = Prober(lab.loop, lab.network)
     stop_prom = _start_prom(args, obs, loop=lab.loop)
     try:
-        if obs.metrics is not None:
-            with obs.metrics.time_block("probe.%s" % args.experiment):
-                return _run_probe(args, lab, prober)
-        return _run_probe(args, lab, prober)
+        with obs.timed("probe.%s" % args.experiment):
+            return _run_probe(args, lab, prober)
     finally:
         stop_prom()
         _finish_obs(args, obs)
@@ -1420,11 +1272,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
             )
 
     try:
-        with (
-            obs.metrics.time_block("sweep")
-            if obs.metrics is not None
-            else _null_context()
-        ):
+        with obs.timed("sweep"):
             result = run_sweep(
                 spec,
                 outdir,
@@ -1452,12 +1300,6 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def _null_context():
-    import contextlib
-
-    return contextlib.nullcontext()
 
 
 def cmd_sweep_status(args: argparse.Namespace) -> int:

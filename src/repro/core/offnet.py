@@ -19,6 +19,7 @@ from repro.core.timing import session_gaps
 from repro.inetdata.certs import CertificateStore
 from repro.inetdata.hypergiants import FACEBOOK, Hypergiant
 from repro.quic.cid import mvfst
+from repro.quic.packet import PacketType
 from repro.telescope.classify import CapturedPacket
 
 #: Facebook's characteristic first-resend gap and tolerance (seconds).
@@ -31,6 +32,10 @@ FACEBOOK_LENGTHS = frozenset({1200, 1232})
 #: The improved predictor: off-net caches use low host IDs — the paper
 #: keys on the first 9 bits of the 16-bit host ID being zero.
 LOW_HOST_ID_LIMIT = 1 << 7
+
+#: Hypergiant origins excluded from off-net detection (they are the
+#: on-net deployments the off-net caches are measured against).
+ON_NET_ORIGINS = ("Facebook", "Google", "Cloudflare")
 
 
 @dataclass
@@ -143,33 +148,53 @@ class ClassifierMetrics:
         return self.tpr
 
 
-def extract_features(
-    packets: Sequence[CapturedPacket],
-    exclude_origins: tuple[str, ...] = ("Facebook", "Google", "Cloudflare"),
-) -> dict[int, ServerFeatures]:
-    """Per-server features from backscatter outside hypergiant ASes."""
-    from repro.quic.packet import PacketType
+class OffnetServers:
+    """:class:`ServerFeatures` per backscatter source outside ``exclude_origins``.
 
-    features: dict[int, ServerFeatures] = {}
-    store = SessionStore.from_packets(packets)
-    for packet in packets:
-        if packet.origin in exclude_origins:
-            continue
+    Accumulates every feature a single datagram carries; the resend-gap
+    feature needs whole sessions and is added by :func:`extract_features`.
+    """
+
+    __slots__ = ("exclude_origins", "features")
+
+    def __init__(self, exclude_origins: tuple[str, ...] = ON_NET_ORIGINS) -> None:
+        self.exclude_origins = exclude_origins
+        self.features: dict[int, ServerFeatures] = {}
+
+    def add(self, packet: CapturedPacket) -> None:
+        if packet.origin in self.exclude_origins:
+            return
         if packet.packets[0].packet_type is PacketType.VERSION_NEGOTIATION:
             # VN SCIDs echo the *client's* DCID — they say nothing about the
             # server's CID scheme, so they must not pollute the features.
-            continue
-        record = features.get(packet.src_ip)
+            return
+        record = self.features.get(packet.src_ip)
         if record is None:
             record = ServerFeatures(address=packet.src_ip, origin=packet.origin)
-            features[packet.src_ip] = record
+            self.features[packet.src_ip] = record
         for parsed in packet.packets:
             if parsed.scid:
                 record.scids.add(parsed.scid)
         if packet.coalesced:
             record.coalesced_seen = True
         record.datagram_lengths.add(packet.udp_payload_length)
-    for session in store.sessions():
+
+    def counts(self) -> tuple[int, int]:
+        """(candidate servers, servers passing the low-host-ID test)."""
+        low = sum(1 for record in self.features.values() if record.low_host_id())
+        return len(self.features), low
+
+
+def extract_features(
+    packets: Sequence[CapturedPacket],
+    exclude_origins: tuple[str, ...] = ON_NET_ORIGINS,
+) -> dict[int, ServerFeatures]:
+    """Per-server features from backscatter outside hypergiant ASes."""
+    servers = OffnetServers(exclude_origins)
+    for packet in packets:
+        servers.add(packet)
+    features = servers.features
+    for session in SessionStore.from_packets(packets).sessions():
         if session.origin in exclude_origins:
             continue
         record = features.get(session.src_ip)

@@ -53,6 +53,16 @@ class PacketMix:
 
     counts: dict[str, Counter] = field(default_factory=dict)
 
+    def add(self, packet: CapturedPacket) -> None:
+        """Count one datagram under its origin (Version Negotiation excluded)."""
+        category = datagram_category(packet)
+        if category == "Version Negotiation":
+            return  # the paper's table covers the four flight types
+        counter = self.counts.get(packet.origin)
+        if counter is None:
+            counter = self.counts[packet.origin] = Counter()
+        counter[category] += 1
+
     def origins(self) -> list[str]:
         return sorted(self.counts)
 
@@ -73,13 +83,10 @@ class PacketMix:
 
 def packet_mix(packets: Sequence[CapturedPacket]) -> PacketMix:
     """Compute Table 3 from classified backscatter."""
-    counts: dict[str, Counter] = defaultdict(Counter)
+    mix = PacketMix()
     for packet in packets:
-        category = datagram_category(packet)
-        if category == "Version Negotiation":
-            continue  # the paper's table covers the four flight types
-        counts[packet.origin][category] += 1
-    return PacketMix(counts=dict(counts))
+        mix.add(packet)
+    return mix
 
 
 def length_signature(packet: CapturedPacket) -> str:

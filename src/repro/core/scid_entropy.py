@@ -11,11 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
 UNIFORM = 1.0 / 16.0
 
 
@@ -64,6 +59,43 @@ class NybbleMatrix:
         return out
 
 
+class NybbleCounts:
+    """Per-position nybble value counts over the SCIDs added so far.
+
+    Positions beyond a shorter SCID's length simply accumulate fewer
+    samples; :meth:`matrix` normalizes each row by its own sample count.
+    """
+
+    __slots__ = ("sample_size", "_counts", "_totals")
+
+    def __init__(self) -> None:
+        self.sample_size = 0
+        self._counts: list[list[int]] = []
+        self._totals: list[int] = []
+
+    def add(self, scid: bytes) -> None:
+        self.sample_size += 1
+        positions = len(scid) * 2
+        while len(self._counts) < positions:
+            self._counts.append([0] * 16)
+            self._totals.append(0)
+        for position, value in enumerate(nybbles(scid)):
+            self._counts[position][value] += 1
+            self._totals[position] += 1
+
+    def matrix(self) -> NybbleMatrix:
+        """The Figure 5 frequency matrix of the SCIDs seen so far."""
+        freq = [
+            [c / total if total else 0.0 for c in row]
+            for row, total in zip(self._counts, self._totals)
+        ]
+        return NybbleMatrix(
+            freq=freq,
+            sample_size=self.sample_size,
+            position_totals=list(self._totals),
+        )
+
+
 def nybbles(scid: bytes) -> list[int]:
     """Split a connection ID into its nybble sequence (high nybble first)."""
     out = []
@@ -74,28 +106,11 @@ def nybbles(scid: bytes) -> list[int]:
 
 
 def nybble_matrix(scids: set[bytes] | list[bytes]) -> NybbleMatrix:
-    """Frequency matrix over a population of equal-or-mixed-length SCIDs.
-
-    Positions beyond a shorter SCID's length simply accumulate fewer
-    samples; each row is normalized by its own sample count.
-    """
-    scid_list = list(scids)
-    if not scid_list:
-        return NybbleMatrix(freq=[], sample_size=0)
-    max_positions = max(len(s) for s in scid_list) * 2
-    counts = [[0] * 16 for _ in range(max_positions)]
-    totals = [0] * max_positions
-    for scid in scid_list:
-        for position, value in enumerate(nybbles(scid)):
-            counts[position][value] += 1
-            totals[position] += 1
-    freq = [
-        [c / totals[pos] if totals[pos] else 0.0 for c in counts[pos]]
-        for pos in range(max_positions)
-    ]
-    return NybbleMatrix(
-        freq=freq, sample_size=len(scid_list), position_totals=totals
-    )
+    """Frequency matrix over a population of equal-or-mixed-length SCIDs."""
+    counts = NybbleCounts()
+    for scid in scids:
+        counts.add(scid)
+    return counts.matrix()
 
 
 def is_structured(matrix: NybbleMatrix, chi_threshold: float = 60.0) -> bool:

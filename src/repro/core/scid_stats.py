@@ -2,28 +2,54 @@
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Sequence
-from dataclasses import dataclass
+from collections import Counter
+from typing import Iterable, Sequence
 
+from repro.core.scid_entropy import NybbleCounts, NybbleMatrix
 from repro.quic.packet import PacketType
 from repro.telescope.classify import CapturedPacket
 
+#: Packet types whose SCID is the server's own connection ID.
+_SERVER_CID_TYPES = (PacketType.INITIAL, PacketType.HANDSHAKE, PacketType.RETRY)
 
-@dataclass
+
 class ScidStats:
-    """SCID observations for one origin network."""
+    """Unique SCIDs of one origin network, absorbed one at a time.
 
-    origin: str
-    unique_scids: set[bytes]
+    Length and nybble counts are bumped only when a SCID is first seen,
+    so the Table 4 cell and the Figure 5 matrix are O(1) / O(positions)
+    to read at any prefix of the capture.
+    """
+
+    def __init__(self, origin: str, unique_scids: Iterable[bytes] = ()) -> None:
+        self.origin = origin
+        self.unique_scids: set[bytes] = set()
+        #: Unique SCIDs per length, keyed in first-seen order — which is
+        #: what breaks a tie for the dominant length.
+        self.length_counts: Counter = Counter()
+        self._nybbles = NybbleCounts()
+        if isinstance(unique_scids, (set, frozenset)):
+            # A set has no first-seen order; its hash order must not leak.
+            unique_scids = sorted(unique_scids)
+        for scid in unique_scids:
+            self.add(scid)
+
+    #: Short alias, the name :class:`~repro.core.offnet.ServerFeatures`
+    #: gives its set and ``StreamAnalyses.scids[origin]`` readers expect.
+    scids = property(lambda self: self.unique_scids)
+
+    def add(self, scid: bytes) -> bool:
+        """Absorb one SCID; returns True when it was new."""
+        if scid in self.unique_scids:
+            return False
+        self.unique_scids.add(scid)
+        self.length_counts[len(scid)] += 1
+        self._nybbles.add(scid)
+        return True
 
     @property
     def unique_count(self) -> int:
         return len(self.unique_scids)
-
-    @property
-    def length_counts(self) -> Counter:
-        return Counter(len(s) for s in self.unique_scids)
 
     @property
     def dominant_length(self) -> int | None:
@@ -32,33 +58,45 @@ class ScidStats:
 
     def length_summary(self) -> str:
         """Paper-style cell: dominant length, rare others in parentheses."""
-        counts = self.length_counts
-        if not counts:
+        dominant = self.dominant_length
+        if dominant is None:
             return "-"
-        dominant, _n = counts.most_common(1)[0]
-        others = sorted(l for l in counts if l != dominant)
+        others = sorted(l for l in self.length_counts if l != dominant)
         if not others:
             return str(dominant)
         return "%d (%s)" % (dominant, ", ".join(str(l) for l in others))
 
+    def matrix(self) -> NybbleMatrix:
+        """The Figure 5 frequency matrix of the SCIDs seen so far."""
+        return self._nybbles.matrix()
 
-def scids_by_origin(packets: Sequence[CapturedPacket]) -> dict[str, set[bytes]]:
-    """Unique server connection IDs per origin, from backscatter."""
-    out: dict[str, set[bytes]] = defaultdict(set)
-    for packet in packets:
+
+class ScidTable:
+    """Per-origin :class:`ScidStats` over backscatter (Table 4 / Figure 5)."""
+
+    __slots__ = ("stats",)
+
+    def __init__(self) -> None:
+        self.stats: dict[str, ScidStats] = {}
+
+    def add(self, packet: CapturedPacket) -> None:
         for parsed in packet.packets:
-            if parsed.packet_type in (
-                PacketType.INITIAL,
-                PacketType.HANDSHAKE,
-                PacketType.RETRY,
-            ):
-                if parsed.scid:
-                    out[packet.origin].add(parsed.scid)
-    return dict(out)
+            if parsed.scid and parsed.packet_type in _SERVER_CID_TYPES:
+                stats = self.stats.get(packet.origin)
+                if stats is None:
+                    stats = self.stats[packet.origin] = ScidStats(packet.origin)
+                stats.add(parsed.scid)
 
 
 def table4(packets: Sequence[CapturedPacket]) -> dict[str, ScidStats]:
+    table = ScidTable()
+    for packet in packets:
+        table.add(packet)
+    return table.stats
+
+
+def scids_by_origin(packets: Sequence[CapturedPacket]) -> dict[str, set[bytes]]:
+    """Unique server connection IDs per origin, from backscatter."""
     return {
-        origin: ScidStats(origin=origin, unique_scids=scids)
-        for origin, scids in scids_by_origin(packets).items()
+        origin: stats.unique_scids for origin, stats in table4(packets).items()
     }

@@ -9,10 +9,11 @@ paper's headline table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.packet_mix import PacketMix, packet_mix
-from repro.core.scid_entropy import is_structured, nybble_matrix
-from repro.core.scid_stats import scids_by_origin
+from repro.core.scid_entropy import is_structured
+from repro.core.scid_stats import table4
 from repro.core.l7lb import host_ids_from_scids
 from repro.core.timing import TimingProfile, timing_profiles
 from repro.telescope.classify import CapturedPacket
@@ -55,13 +56,13 @@ def summarize(
     """
     mix = packet_mix(backscatter)
     timings = timing_profiles(backscatter)
-    scids = scids_by_origin(backscatter)
+    scids = table4(backscatter)
 
     out: dict[str, DeploymentSummary] = {}
     for origin in HYPERGIANT_COLUMNS:
-        origin_scids = scids.get(origin, set())
-        matrix = nybble_matrix(origin_scids)
-        structured = bool(origin_scids) and is_structured(matrix)
+        stats = scids.get(origin)
+        origin_scids = stats.unique_scids if stats else set()
+        structured = stats is not None and is_structured(stats.matrix())
         host_ids = host_ids_from_scids(origin_scids)
         timing: TimingProfile | None = timings.get(origin)
         out[origin] = DeploymentSummary(

@@ -35,13 +35,35 @@ class VersionShares:
         return {bucket: self.share(bucket) for bucket in TABLE2_ROWS}
 
 
+class VersionMix:
+    """Incremental Table 2 for one side: each session counted once.
+
+    A session is bucketed by the version of its first observed datagram;
+    later datagrams of the same (src, dst, SCID, DCID) change nothing.
+    """
+
+    __slots__ = ("keys", "counts")
+
+    def __init__(self) -> None:
+        self.keys: set[tuple] = set()
+        self.counts: Counter = Counter()
+
+    def add(self, packet) -> None:
+        key = SessionStore.key_of(packet)
+        if key not in self.keys:
+            self.keys.add(key)
+            self.counts[table2_bucket(packet.packets[0].version)] += 1
+
+    def shares(self) -> VersionShares:
+        return VersionShares(counts=self.counts, total=len(self.keys))
+
+
 def version_shares(packets) -> VersionShares:
     """Bucket one packet population (scans or backscatter) by session."""
-    store = SessionStore.from_packets(packets)
-    counts: Counter = Counter()
-    for session in store.sessions():
-        counts[table2_bucket(session.version)] += 1
-    return VersionShares(counts=counts, total=len(store))
+    mix = VersionMix()
+    for packet in packets:
+        mix.add(packet)
+    return mix.shares()
 
 
 def table2(capture: ClassifiedCapture) -> dict[str, VersionShares]:

@@ -1,41 +1,28 @@
-"""RFC 1071 Internet checksum (ones-complement sum of 16-bit words).
-
-The capture path serializes every telescope packet, so the word sum runs
-on numpy when available; the pure-Python fallback keeps the module
-dependency-free for small inputs.
-"""
+"""RFC 1071 Internet checksum (ones-complement sum of 16-bit words)."""
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
 
+def _folded_sum(data: bytes, initial: int = 0) -> int:
+    """End-around-carry sum of ``initial`` and the big-endian 16-bit words.
 
-def _word_sum(data: bytes) -> int:
-    """Sum of big-endian 16-bit words, trailing odd byte padded with zero."""
+    2**16 ≡ 1 (mod 0xFFFF), so the whole buffer read as one big-endian
+    integer is congruent to the sum of its words, and the remainder *is*
+    the carry-folded sum — except that folding a non-zero total never
+    yields 0 (it stops at 0xFFFF, ones-complement's other zero).
+    """
     if len(data) % 2:
         data = data + b"\x00"
-    if _np is not None and len(data) >= 64:
-        return int(_np.frombuffer(data, dtype=">u2").sum(dtype=_np.uint64))
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    return total
+    total = initial + int.from_bytes(data, "big")
+    folded = total % 0xFFFF
+    return 0xFFFF if total and not folded else folded
 
 
 def internet_checksum(data: bytes, initial: int = 0) -> int:
     """Compute the 16-bit Internet checksum over ``data``."""
-    total = initial + _word_sum(data)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    return ~_folded_sum(data, initial) & 0xFFFF
 
 
 def verify_checksum(data: bytes) -> bool:
     """True if ``data`` (checksum field included) sums to 0xFFFF."""
-    total = _word_sum(data)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total == 0xFFFF
+    return _folded_sum(data) == 0xFFFF

@@ -17,6 +17,7 @@ The bundle's three planes:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional
 
 from repro.obs.export import (
@@ -135,6 +136,16 @@ class Observability:
         if self.prof is None:
             return NULL_SPAN
         return Span(self, name, fields)
+
+    def timed(self, stage: str):
+        """Context manager booking the block's wall time to ``stage``.
+
+        The registry's :meth:`~MetricsRegistry.time_block` when metrics
+        are attached, otherwise an inert context.
+        """
+        if self.metrics is None:
+            return nullcontext()
+        return self.metrics.time_block(stage)
 
     def close(self) -> None:
         self.tracer.close()

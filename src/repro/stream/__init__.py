@@ -1,16 +1,19 @@
 """Streaming analysis plane: watch a measurement while it runs.
 
 The batch plane (``repro.capstore`` → ``repro analyze``) dissects a
-finished pcap once and renders the paper's tables; this package is its
-live twin.  ``live`` follows a *growing* capture — polling the file,
-dissecting only newly completed records, appending into the same
-columnar :class:`~repro.capstore.CaptureTable` a batch pass would build
-— and ``reducers`` keeps windowed online versions of the core analyses
-(version mix, packet-class mix, SCID structure, off-net share, rates)
-up to date per row batch, publishing them into a
-:class:`~repro.obs.MetricsRegistry` so ``--prom-file``/``--prom-port``
-export them while the run is still in flight.  ``tail`` holds the
-generic follow-a-file primitives (JSONL traces, snapshot files).
+finished pcap once and renders the paper's tables.  This package drops
+the "finished" assumption with two pieces and no analysis code of its
+own.  ``live`` is a *follower*: it polls a growing capture, dissects
+only newly completed records, and appends into the same columnar
+:class:`~repro.capstore.CaptureTable` a batch pass would build.
+``reducers`` is a *composition*: :class:`StreamAnalyses` holds the
+``repro.core`` accumulators (version mix, packet mix, SCID structure,
+off-net servers) — the very objects the batch functions fold a whole
+capture into — feeds them each appended row, and publishes their state
+into a :class:`~repro.obs.MetricsRegistry` so ``--prom-file`` /
+``--prom-port`` export it while the run is still in flight.  ``tail``
+holds the generic follow-a-file primitives (JSONL traces, snapshot
+files).
 
 Because the follower appends into a real ``CaptureTable``, a live run
 that reaches the end of its input holds *exactly* the table a batch run

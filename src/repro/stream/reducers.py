@@ -1,21 +1,20 @@
-"""Windowed online versions of the core analyses.
+"""The paper's headline numbers, kept up to date while a capture grows.
 
-:class:`StreamAnalyses` consumes :class:`~repro.capstore.CaptureTable`
-row batches as they are appended by a live follower and keeps the
-paper's headline numbers continuously up to date:
+:class:`StreamAnalyses` holds one ``repro.core`` accumulator per table —
+the same objects the batch functions fold a whole capture into — and
+feeds each newly appended :class:`~repro.capstore.CaptureTable` row to
+all of them as a ``row_view``:
 
-* session-deduplicated version mix per side (Table 2),
-* datagram-category mix per origin (Table 3),
-* unique SCIDs, length distribution and nybble structure per origin
-  (Table 4 / Figure 5),
-* off-net candidate servers and the low-host-ID share (Table 6),
-* per-origin row rates over the observed capture span.
+* :class:`~repro.core.versions.VersionMix` per side (Table 2),
+* :class:`~repro.core.packet_mix.PacketMix` (Table 3),
+* :class:`~repro.core.scid_stats.ScidTable` (Table 4 / Figure 5),
+* :class:`~repro.core.offnet.OffnetServers` (Table 6),
 
-Each reducer is *incremental over the raw columns* — no
-``CapturedPacket`` materialization, no re-scan of already-fed rows —
-and is defined to agree exactly with its batch counterpart in
-``repro.core`` when fed the rows of one table in order (asserted by
-``tests/stream/test_reducers.py``).  :meth:`StreamAnalyses.publish`
+plus per-class / per-origin row counts over the observed capture span,
+which have no batch form.  Because the batch functions *are* the fold
+over these accumulators, the state after any prefix, fed in any
+batching, equals the batch result over that prefix
+(``tests/stream/test_reducers.py``).  :meth:`StreamAnalyses.publish`
 mirrors the state into ``stream.*`` gauges so ``--prom-file`` /
 ``--prom-port`` export the live numbers.
 """
@@ -23,128 +22,41 @@ mirrors the state into ``stream.*`` gauges so ``--prom-file`` /
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from repro.capstore.table import CaptureTable
-from repro.core.offnet import LOW_HOST_ID_LIMIT
+from repro.core.offnet import OffnetServers
+from repro.core.packet_mix import PacketMix
 from repro.core.scid_entropy import (
     NybbleMatrix,
     chi_square_uniformity,
     is_structured,
 )
-from repro.core.versions import TABLE2_ROWS
-from repro.quic.cid import mvfst
-from repro.quic.packet import PacketType
-from repro.quic.version import table2_bucket
-
-_INITIAL = PacketType.INITIAL.value
-_HANDSHAKE = PacketType.HANDSHAKE.value
-_RETRY = PacketType.RETRY.value
-_VN = PacketType.VERSION_NEGOTIATION.value
-
-#: Single-packet datagram categories by packet-type code (Table 3).
-_SINGLE_CATEGORY = {
-    _INITIAL: "Initial",
-    _HANDSHAKE: "Handshake",
-    PacketType.ZERO_RTT.value: "0-RTT",
-    _RETRY: "Retry",
-    _VN: "Version Negotiation",
-}
-_COALESCABLE = frozenset((_INITIAL, _HANDSHAKE))
-
-#: Hypergiant origins excluded from off-net detection (they are the
-#: on-net deployments the off-net caches are measured against).
-OFFNET_EXCLUDED = frozenset(("Facebook", "Google", "Cloudflare"))
-
-
-class ScidAccumulator:
-    """Unique SCIDs of one origin with incremental nybble statistics.
-
-    Mirrors :func:`repro.core.scid_entropy.nybble_matrix` over the
-    running set: per-position value counts are bumped only when a SCID
-    is seen for the first time, so :meth:`matrix` is O(positions) to
-    render instead of O(unique SCIDs) to recompute.
-    """
-
-    __slots__ = ("scids", "lengths", "_counts", "_totals")
-
-    def __init__(self) -> None:
-        self.scids: Set[bytes] = set()
-        self.lengths: Counter = Counter()
-        self._counts: List[List[int]] = []
-        self._totals: List[int] = []
-
-    def add(self, scid: bytes) -> bool:
-        """Absorb one SCID; returns True when it was new."""
-        if scid in self.scids:
-            return False
-        self.scids.add(scid)
-        self.lengths[len(scid)] += 1
-        positions = len(scid) * 2
-        while len(self._counts) < positions:
-            self._counts.append([0] * 16)
-            self._totals.append(0)
-        position = 0
-        for byte in scid:
-            self._counts[position][byte >> 4] += 1
-            self._totals[position] += 1
-            position += 1
-            self._counts[position][byte & 0x0F] += 1
-            self._totals[position] += 1
-            position += 1
-        return True
-
-    @property
-    def unique_count(self) -> int:
-        return len(self.scids)
-
-    @property
-    def dominant_length(self) -> Optional[int]:
-        if not self.lengths:
-            return None
-        return self.lengths.most_common(1)[0][0]
-
-    def matrix(self) -> NybbleMatrix:
-        """The Figure 5 frequency matrix of the SCIDs seen so far."""
-        freq = [
-            [c / total if total else 0.0 for c in row]
-            for row, total in zip(self._counts, self._totals)
-        ]
-        return NybbleMatrix(
-            freq=freq,
-            sample_size=len(self.scids),
-            position_totals=list(self._totals),
-        )
-
-
-class _OffnetServer:
-    """Minimal per-source-IP state for the low-host-ID off-net test."""
-
-    __slots__ = ("has_scid", "ok")
-
-    def __init__(self) -> None:
-        self.has_scid = False
-        self.ok = True  # AND over per-SCID verdicts; vacuous until has_scid
+from repro.core.scid_stats import ScidTable
+from repro.core.versions import TABLE2_ROWS, VersionMix
+from repro.telescope.classify import PacketClass
 
 
 class StreamAnalyses:
-    """Online reducers over capture rows; feed batches, read anytime."""
+    """The core accumulators side by side; feed row batches, read anytime."""
 
     def __init__(self) -> None:
         #: Rows per packet class ("backscatter" / "scan").
         self.rows: Counter = Counter()
         self.rows_by_origin: Counter = Counter()
         self.rows_fed = 0
-        # Session version mix, indexed by klass code (0=backscatter →
-        # servers side, 1=scan → clients side).
-        self._session_keys: Tuple[set, set] = (set(), set())
-        self.session_buckets: Tuple[Counter, Counter] = (Counter(), Counter())
+        # Indexed by klass code: 0 = backscatter (servers side),
+        # 1 = scan (clients side).
+        self._versions = (VersionMix(), VersionMix())
+        self._session_keys = tuple(mix.keys for mix in self._versions)
+        self.session_buckets = tuple(mix.counts for mix in self._versions)
+        self._mix = PacketMix()
         #: origin → Counter(datagram category), VN excluded (Table 3).
-        self.packet_mix: Dict[str, Counter] = {}
-        #: origin → ScidAccumulator (backscatter SCIDs, Table 4).
-        self.scids: Dict[str, ScidAccumulator] = {}
-        self._offnet: Dict[int, _OffnetServer] = {}
-        self._scid_verdict: Dict[bytes, bool] = {}
+        self.packet_mix = self._mix.counts
+        self._scid_table = ScidTable()
+        #: origin → ScidStats (backscatter SCIDs, Table 4).
+        self.scids = self._scid_table.stats
+        self._offnet = OffnetServers()
         self.ts_min: Optional[float] = None
         self.ts_max: Optional[float] = None
 
@@ -154,126 +66,40 @@ class StreamAnalyses:
         """Absorb rows ``[start, end)`` of ``table``; returns rows fed.
 
         Rows must be fed exactly once and in table order (the follower's
-        append-only cursor guarantees both); the reducers then agree
-        with their batch counterparts at every prefix.
+        append-only cursor guarantees both).
         """
-        pkt_start = table.pkt_start
-        bytes_start = table.bytes_start
-        dcid_len = table.dcid_len
-        scid_len = table.scid_len
-        pkt_type = table.pkt_type
-        pkt_version = table.pkt_version
-        blob = table.blob
-        klass = table.klass
-        origin_id = table.origin_id
-        origins = table.origins
-        ts = table.ts
-        src_ip = table.src_ip
-        dst_ip = table.dst_ip
-
         for row in range(start, end):
-            k = klass[row]
-            origin = origins[origin_id[row]]
-            j0 = pkt_start[row]
-            j1 = pkt_start[row + 1]
-            stamp = ts[row]
-            if self.ts_min is None or stamp < self.ts_min:
-                self.ts_min = stamp
-            if self.ts_max is None or stamp > self.ts_max:
-                self.ts_max = stamp
-            self.rows["backscatter" if k == 0 else "scan"] += 1
-            self.rows_by_origin[origin] += 1
-
-            # First packet's connection IDs (the session identity).
-            cursor = bytes_start[j0]
-            dcid_end = cursor + dcid_len[j0]
-            scid_end = dcid_end + scid_len[j0]
-            first_dcid = bytes(blob[cursor:dcid_end])
-            first_scid = bytes(blob[dcid_end:scid_end])
-
-            # Table 2: one session per (src, dst, SCID, DCID), bucketed
-            # by the version of its first observed datagram.
-            key = (src_ip[row], dst_ip[row], first_scid, first_dcid)
-            keys = self._session_keys[k]
-            if key not in keys:
-                keys.add(key)
-                self.session_buckets[k][table2_bucket(pkt_version[j0])] += 1
-
-            # Table 3 datagram category (VN excluded, like packet_mix).
-            if j1 - j0 > 1:
-                kinds = {pkt_type[j] for j in range(j0, j1)}
-                category = (
-                    "Coalesced Initial & Handshake"
-                    if kinds <= _COALESCABLE
-                    else "Coalesced other"
-                )
-            else:
-                category = _SINGLE_CATEGORY.get(pkt_type[j0], "1-RTT")
-            if category != "Version Negotiation":
-                mix = self.packet_mix.get(origin)
-                if mix is None:
-                    mix = self.packet_mix[origin] = Counter()
-                mix[category] += 1
-
-            if k != 0:
-                continue  # SCID/off-net features come from backscatter only
-
-            # Table 4: unique server CIDs from Initial/Handshake/Retry.
-            accumulator = None
-            for j in range(j0, j1):
-                if scid_len[j] and pkt_type[j] in (_INITIAL, _HANDSHAKE, _RETRY):
-                    if accumulator is None:
-                        accumulator = self.scids.get(origin)
-                        if accumulator is None:
-                            accumulator = self.scids[origin] = ScidAccumulator()
-                    cj = bytes_start[j] + dcid_len[j]
-                    accumulator.add(bytes(blob[cj : cj + scid_len[j]]))
-
-            # Table 6: off-net candidates outside the hypergiants.  VN
-            # SCIDs echo the client's DCID, so VN-first rows are skipped
-            # (mirrors ``offnet.extract_features``).
-            if origin in OFFNET_EXCLUDED or pkt_type[j0] == _VN:
-                continue
-            server = self._offnet.get(src_ip[row])
-            if server is None:
-                server = self._offnet[src_ip[row]] = _OffnetServer()
-            for j in range(j0, j1):
-                if scid_len[j]:
-                    cj = bytes_start[j] + dcid_len[j]
-                    scid = bytes(blob[cj : cj + scid_len[j]])
-                    server.has_scid = True
-                    if server.ok:
-                        server.ok = self._low_host_verdict(scid)
-        self.rows_fed += end - start
+            self.add(table.row_view(row))
         return end - start
 
-    def _low_host_verdict(self, scid: bytes) -> bool:
-        """Does one SCID pass the mvfst-v1 low-host-ID test?  (Cached.)"""
-        verdict = self._scid_verdict.get(scid)
-        if verdict is None:
-            decoded = mvfst.try_decode(scid)
-            verdict = (
-                decoded is not None
-                and decoded.version == 1
-                and decoded.host_id < LOW_HOST_ID_LIMIT
-            )
-            self._scid_verdict[scid] = verdict
-        return verdict
+    def add(self, packet) -> None:
+        """Absorb one ``CapturedPacket``-shaped datagram."""
+        stamp = packet.timestamp
+        if self.ts_min is None or stamp < self.ts_min:
+            self.ts_min = stamp
+        if self.ts_max is None or stamp > self.ts_max:
+            self.ts_max = stamp
+        backscatter = packet.klass is PacketClass.BACKSCATTER
+        self.rows[packet.klass.value] += 1
+        self.rows_by_origin[packet.origin] += 1
+        self.rows_fed += 1
+        self._versions[0 if backscatter else 1].add(packet)
+        self._mix.add(packet)
+        if backscatter:  # SCID/off-net features come from backscatter only
+            self._scid_table.add(packet)
+            self._offnet.add(packet)
 
     # -- reading ---------------------------------------------------------
 
     def matrix(self, origin: str) -> NybbleMatrix:
-        accumulator = self.scids.get(origin)
-        if accumulator is None:
+        stats = self.scids.get(origin)
+        if stats is None:
             return NybbleMatrix(freq=[], sample_size=0)
-        return accumulator.matrix()
+        return stats.matrix()
 
     def offnet_counts(self) -> Tuple[int, int]:
         """(candidate servers, servers passing the low-host-ID test)."""
-        low = sum(
-            1 for server in self._offnet.values() if server.has_scid and server.ok
-        )
-        return len(self._offnet), low
+        return self._offnet.counts()
 
     @property
     def span_seconds(self) -> float:
@@ -295,7 +121,7 @@ class StreamAnalyses:
             matrix = accumulator.matrix()
             scids[origin] = {
                 "unique": accumulator.unique_count,
-                "lengths": dict(accumulator.lengths),
+                "lengths": dict(accumulator.length_counts),
                 "dominant_length": accumulator.dominant_length,
                 "structured": is_structured(matrix),
                 "max_chi2": max(chi_square_uniformity(matrix), default=0.0),
@@ -326,38 +152,35 @@ class StreamAnalyses:
         """
         if metrics is None:
             return
+        snap = self.snapshot()
         rows = metrics.gauge("stream.rows", ("klass",))
-        for name, value in self.rows.items():
+        for name, value in snap["rows"].items():
             rows.set_key((name,), value)
-        metrics.gauge("stream.rows_fed").set_key((), self.rows_fed)
+        metrics.gauge("stream.rows_fed").set_key((), snap["rows_fed"])
         sessions = metrics.gauge("stream.sessions", ("side", "bucket"))
-        for code, side in ((1, "clients"), (0, "servers")):
-            sessions.set_key((side, "total"), len(self._session_keys[code]))
+        for side, entry in snap["sessions"].items():
+            sessions.set_key((side, "total"), entry["total"])
             for bucket in TABLE2_ROWS:
-                count = self.session_buckets[code].get(bucket, 0)
-                if count:
-                    sessions.set_key((side, bucket), count)
+                if bucket in entry["buckets"]:
+                    sessions.set_key((side, bucket), entry["buckets"][bucket])
         mix = metrics.gauge("stream.packet_mix", ("origin", "category"))
-        for origin, counter in self.packet_mix.items():
+        for origin, counter in snap["packet_mix"].items():
             for category, count in counter.items():
                 mix.set_key((origin, category), count)
         unique = metrics.gauge("stream.scid_unique", ("origin",))
         dominant = metrics.gauge("stream.scid_dominant_len", ("origin",))
         structured = metrics.gauge("stream.scid_structured", ("origin",))
         chi2 = metrics.gauge("stream.scid_max_chi2", ("origin",))
-        for origin, accumulator in self.scids.items():
-            unique.set_key((origin,), accumulator.unique_count)
-            dominant.set_key((origin,), accumulator.dominant_length or 0)
-            matrix = accumulator.matrix()
-            structured.set_key((origin,), 1 if is_structured(matrix) else 0)
-            chi2.set_key(
-                (origin,), max(chi_square_uniformity(matrix), default=0.0)
-            )
-        servers, low = self.offnet_counts()
-        metrics.gauge("stream.offnet_servers").set_key((), servers)
-        metrics.gauge("stream.offnet_low_host_id").set_key((), low)
-        span = self.span_seconds
-        metrics.gauge("stream.span_seconds").set_key((), span)
+        for origin, entry in snap["scids"].items():
+            unique.set_key((origin,), entry["unique"])
+            dominant.set_key((origin,), entry["dominant_length"] or 0)
+            structured.set_key((origin,), 1 if entry["structured"] else 0)
+            chi2.set_key((origin,), entry["max_chi2"])
+        metrics.gauge("stream.offnet_servers").set_key((), snap["offnet"]["servers"])
+        metrics.gauge("stream.offnet_low_host_id").set_key(
+            (), snap["offnet"]["low_host_id"]
+        )
+        metrics.gauge("stream.span_seconds").set_key((), snap["span_seconds"])
         rate = metrics.gauge("stream.rows_per_sec", ("origin",))
-        for origin, count in self.rows_by_origin.items():
-            rate.set_key((origin,), count / span if span > 0 else 0.0)
+        for origin, value in snap["rows_per_sec"].items():
+            rate.set_key((origin,), value)

@@ -46,11 +46,9 @@ from typing import Dict, Iterable
 
 from repro.core.offnet import extract_features
 from repro.core.packet_mix import TABLE3_ROWS, packet_mix
+from repro.core.render import ORIGINS
 from repro.core.scid_stats import table4
 from repro.core.versions import TABLE2_ROWS, table2
-
-#: The paper's source-network columns (Tables 3/4 and the timing figures).
-ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
 
 SIDES = ("clients", "servers")
 

@@ -1,6 +1,9 @@
 """Table 4 (SCID lengths), Figure 5 (nybble entropy), Table 1 (summary)."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +13,7 @@ from repro.core.scid_entropy import (
     nybble_matrix,
     nybbles,
 )
-from repro.core.scid_stats import table4
+from repro.core.scid_stats import ScidStats, table4
 from repro.core.summary import summarize
 
 
@@ -33,9 +36,55 @@ class TestTable4:
         assert summary.startswith("8")
 
     def test_length_summary_empty(self):
-        from repro.core.scid_stats import ScidStats
-
         assert ScidStats(origin="x", unique_scids=set()).length_summary() == "-"
+
+    def test_length_tie_resolves_to_first_seen(self):
+        eights, fours = [b"\x01" * 8, b"\x02" * 8], [b"\x03" * 4, b"\x04" * 4]
+        assert ScidStats("x", eights + fours).length_summary() == "8 (4)"
+        assert ScidStats("x", fours + eights).length_summary() == "4 (8)"
+
+    def test_length_tie_does_not_depend_on_hash_seed(self):
+        """At the parent this printed ``8 (4)`` or ``4 (8)`` by hash seed."""
+        expression = (
+            "from repro.core.scid_stats import ScidStats; print(ScidStats('x', "
+            "{b'\\x01'*8, b'\\x02'*8, b'\\x03'*4, b'\\x04'*4}).length_summary())"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        for seed in ("1", "4"):  # the parent flipped between these two
+            result = subprocess.run(
+                [sys.executable, "-c", expression],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            assert result.stdout.strip() == "8 (4)", seed
+
+
+class TestScidAccumulator:
+    def test_matrix_matches_batch_nybble_matrix(self):
+        scids = [b"\x12\x34", b"\xab\xcd", b"\x12\x34", b"\x00\xff\x10"]
+        accumulator = ScidStats("x")
+        added = [accumulator.add(s) for s in scids]
+        assert added == [True, True, False, True]
+        batch = nybble_matrix(set(scids))
+        online = accumulator.matrix()
+        assert online.freq == batch.freq
+        assert online.sample_size == batch.sample_size
+        assert online.position_totals == batch.position_totals
+        # Hand-counted: three unique IDs, only the 3-byte one reaches
+        # positions 4-5; position 0 sees nybbles 1, a and 0 once each.
+        assert online.sample_size == 3
+        assert online.position_totals == [3, 3, 3, 3, 1, 1]
+        assert online.freq[0][0x1] == online.freq[0][0xA] == online.freq[0][0] == 1 / 3
+        assert online.freq[4][0x1] == 1.0 and online.freq[5][0] == 1.0
+
+    def test_dominant_length(self):
+        accumulator = ScidStats("x")
+        assert accumulator.dominant_length is None
+        for scid in (b"\x01" * 8, b"\x02" * 8, b"\x03" * 4):
+            accumulator.add(scid)
+        assert accumulator.dominant_length == 8
 
 
 class TestNybbles:

@@ -29,11 +29,34 @@ class TestChecksum:
     def test_odd_length(self):
         assert internet_checksum(b"\x01") == internet_checksum(b"\x01\x00")
 
-    def test_large_buffer_numpy_path(self):
+    def test_large_buffer(self):
         data = bytes(range(256)) * 8
         small_sum = internet_checksum(data[:50])
         assert 0 <= small_sum <= 0xFFFF
         assert 0 <= internet_checksum(data) <= 0xFFFF
+
+    @given(
+        data=st.one_of(
+            st.binary(max_size=1500),
+            st.builds(
+                lambda byte, n: bytes([byte]) * n,
+                st.sampled_from([0x00, 0xFF]),
+                st.integers(0, 1500),
+            ),
+        ),
+        initial=st.integers(0, 1 << 20),
+    )
+    def test_matches_word_loop_reference(self, data, initial):
+        """The one-shot modular sum equals RFC 1071's add-and-fold loop."""
+        padded = data + b"\x00" * (len(data) % 2)
+        total = initial
+        for i in range(0, len(padded), 2):
+            total += (padded[i] << 8) | padded[i + 1]
+        while total >> 16:
+            total = (total & 0xFFFF) + (total >> 16)
+        assert internet_checksum(data, initial) == ~total & 0xFFFF
+        if not initial:
+            assert verify_checksum(data) == (total == 0xFFFF)
 
 
 class TestIPv4:

@@ -1,8 +1,10 @@
-"""Online reducers agree exactly with their batch counterparts.
+"""The batch analyses are folds: any batching of rows equals one pass.
 
-Every test feeds the same columnar table the batch plane analyzes —
-in deliberately uneven batches — and asserts the reducer state equals
-the ``repro.core`` function computed over the whole capture at once.
+``StreamAnalyses`` holds the same ``repro.core`` accumulators the batch
+functions fold a capture into.  Every test feeds the columnar table the
+batch plane analyzes — in deliberately uneven batches, or only a prefix
+of it — and asserts the state equals the ``repro.core`` function
+computed over the same rows at once.
 """
 
 import pytest
@@ -14,7 +16,7 @@ from repro.core.scid_stats import scids_by_origin
 from repro.core.versions import table2
 from repro.obs.metrics import MetricsRegistry
 from repro.stream import StreamAnalyses
-from repro.stream.reducers import ScidAccumulator
+from repro.telescope.classify import PacketClass
 
 
 def feed_unevenly(table):
@@ -34,26 +36,6 @@ def feed_unevenly(table):
 @pytest.fixture(scope="module")
 def analyses(batch_view):
     return feed_unevenly(batch_view.table)
-
-
-class TestScidAccumulator:
-    def test_matrix_matches_batch_nybble_matrix(self):
-        scids = [b"\x12\x34", b"\xab\xcd", b"\x12\x34", b"\x00\xff\x10"]
-        accumulator = ScidAccumulator()
-        added = [accumulator.add(s) for s in scids]
-        assert added == [True, True, False, True]
-        batch = nybble_matrix(set(scids))
-        online = accumulator.matrix()
-        assert online.freq == batch.freq
-        assert online.sample_size == batch.sample_size
-        assert online.position_totals == batch.position_totals
-
-    def test_dominant_length(self):
-        accumulator = ScidAccumulator()
-        assert accumulator.dominant_length is None
-        for scid in (b"\x01" * 8, b"\x02" * 8, b"\x03" * 4):
-            accumulator.add(scid)
-        assert accumulator.dominant_length == 8
 
 
 class TestBatchParity:
@@ -99,6 +81,32 @@ class TestBatchParity:
     def test_span_covers_the_capture(self, analyses, batch_view):
         ts = batch_view.table.ts
         assert analyses.span_seconds == pytest.approx(max(ts) - min(ts))
+
+
+class TestPrefixParity:
+    """Fed only the first half, the state is the batch result over that half."""
+
+    @pytest.fixture(scope="class")
+    def half(self, batch_view):
+        table = batch_view.table
+        rows = table.num_rows // 2
+        analyses = StreamAnalyses()
+        analyses.feed(table, 0, rows)
+        return analyses, [table.row_view(row) for row in range(rows)]
+
+    def test_offnet_counts(self, half):
+        analyses, packets = half
+        features = extract_features(
+            [p for p in packets if p.klass is PacketClass.BACKSCATTER]
+        )
+        servers, low = analyses.offnet_counts()
+        assert servers == len(features) > 0
+        assert low == sum(1 for f in features.values() if f.low_host_id())
+
+    def test_span_seconds(self, half):
+        analyses, packets = half
+        stamps = [p.timestamp for p in packets]
+        assert analyses.span_seconds == max(stamps) - min(stamps)
 
 
 class TestSnapshotAndPublish:
