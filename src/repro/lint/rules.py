@@ -36,7 +36,10 @@ rule id     invariant
             ``bytes +=`` or construct AES/GHASH schedules
             (``AesGcm``/``AES128``/``derive_initial_keys``) inside loop
             bodies — both are quadratic/per-packet costs the template
-            and memo planes exist to amortize
+            and memo planes exist to amortize — nor chain
+            ``hmac.new(...).digest()`` anywhere (one-shot
+            ``hmac.digest`` computes the same MAC without building an
+            ``HMAC`` object per call)
 ==========  =============================================================
 
 Rules are small classes with an ``interests`` tuple of AST node types
@@ -364,11 +367,11 @@ class MultiprocessingTargetRule(Rule):
 
 
 class PacketHotLoopRule(Rule):
-    """PERF001: no per-packet rebuild work inside hot write-side loops."""
+    """PERF001: no per-packet rebuild work on the hot write-side path."""
 
     id = "PERF001"
-    title = "per-packet rebuild inside hot-path loop"
-    interests = (ast.For, ast.While, ast.AsyncFor)
+    title = "per-packet rebuild on the hot path"
+    interests = (ast.For, ast.While, ast.AsyncFor, ast.Call)
 
     #: Constructors whose work the memo plane (repro.quic.crypto.memo)
     #: amortizes; building one per loop iteration re-expands the key
@@ -426,6 +429,22 @@ class PacketHotLoopRule(Rule):
 
     def visit(self, node, ctx):
         if not self._hot(ctx):
+            return
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "digest"
+                and isinstance(func.value, ast.Call)
+                and ctx.resolve(func.value.func) == "hmac.new"
+            ):
+                yield self.finding(
+                    node,
+                    ctx,
+                    "hmac.new(…).digest() builds an HMAC object per call on "
+                    "a per-packet path; use one-shot hmac.digest(key, msg, "
+                    "digest)",
+                )
             return
         accumulators = self._bytes_accumulators(ctx)
         for child in self._loop_body(node):

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
-from repro.buffer import Reader, Writer
+from repro.buffer import Writer
 from repro.netstack.checksum import internet_checksum
 
 PROTO_ICMP = 1
@@ -13,6 +14,8 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 HEADER_LENGTH = 20
+#: The options-free header: every field sits at a fixed offset.
+_FIXED_HEADER = struct.Struct("!BBHHHBBHII")
 
 
 class IpParseError(ValueError):
@@ -57,24 +60,25 @@ def decode_ipv4(data: bytes) -> tuple[IPv4Header, bytes]:
     """Parse an IPv4 packet; returns (header, payload)."""
     if len(data) < HEADER_LENGTH:
         raise IpParseError("packet shorter than IPv4 header")
-    reader = Reader(data)
-    version_ihl = reader.read_u8()
+    (
+        version_ihl,
+        dscp_ecn,
+        total_length,
+        identification,
+        flags_fragment,
+        ttl,
+        protocol,
+        _checksum,  # validity is the caller's concern
+        src,
+        dst,
+    ) = _FIXED_HEADER.unpack_from(data)
     if version_ihl >> 4 != 4:
         raise IpParseError("not IPv4 (version %d)" % (version_ihl >> 4))
     ihl = (version_ihl & 0x0F) * 4
     if ihl < HEADER_LENGTH or ihl > len(data):
         raise IpParseError("bad IHL %d" % ihl)
-    dscp_ecn = reader.read_u8()
-    total_length = reader.read_u16()
     if total_length > len(data) or total_length < ihl:
         raise IpParseError("bad total length %d" % total_length)
-    identification = reader.read_u16()
-    flags_fragment = reader.read_u16()
-    ttl = reader.read_u8()
-    protocol = reader.read_u8()
-    reader.read_u16()  # checksum; validity is the caller's concern
-    src = reader.read_u32()
-    dst = reader.read_u32()
     header = IPv4Header(
         src=src,
         dst=dst,

@@ -6,10 +6,11 @@ routes, so it carries the IP addresses alongside the UDP fields.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 
 from repro import hotpath
-from repro.buffer import Reader, Writer
+from repro.buffer import Writer
 from repro.hotpath import LruCache
 from repro.netstack.checksum import internet_checksum
 from repro.netstack.ip import (
@@ -22,6 +23,9 @@ from repro.netstack.ip import (
 )
 
 HEADER_LENGTH = 8
+#: Source port, destination port, length; the checksum that follows is
+#: not validated on decode.
+_PORTS_LENGTH = struct.Struct("!HHH")
 
 #: The UDP port QUIC servers listen on; the telescope classifies by it.
 QUIC_PORT = 443
@@ -213,13 +217,9 @@ def decode_udp(packet: bytes) -> UdpDatagram:
         raise UdpParseError("IP protocol %d is not UDP" % ip_header.protocol)
     if len(ip_payload) < HEADER_LENGTH:
         raise UdpParseError("payload shorter than UDP header")
-    reader = Reader(ip_payload)
-    src_port = reader.read_u16()
-    dst_port = reader.read_u16()
-    udp_length = reader.read_u16()
+    src_port, dst_port, udp_length = _PORTS_LENGTH.unpack_from(ip_payload)
     if udp_length < HEADER_LENGTH or udp_length > len(ip_payload):
         raise UdpParseError("bad UDP length %d" % udp_length)
-    reader.read_u16()  # checksum
     payload = ip_payload[HEADER_LENGTH:udp_length]
     return UdpDatagram(
         src_ip=ip_header.src,

@@ -5,14 +5,25 @@ first Destination Connection ID and a version-specific salt.  Any observer
 of the first flight — which includes a network telescope — can therefore
 decrypt Initial packets; this is exactly what Wireshark's dissector does and
 what our sanitization pipeline relies on.
+
+The schedule is HKDF-Extract plus, per direction, four single-block
+HKDF-Expand-Labels ("client in"/"server in", then key, iv, hp).  Almost
+every caller reads one direction only — a dissector opens client
+Initials, a spoofing client seals them — so :func:`derive_initial_keys`
+runs the Extract alone and :class:`InitialKeys` expands a direction the
+first time it is read: 5 HMACs for a one-sided user, 9 for the server
+engine, which needs both.
 """
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from repro.quic import version as quic_version
-from repro.quic.crypto.hkdf import hkdf_expand_label, hkdf_extract
+from repro.quic.crypto.hkdf import expand_label_info, hkdf_extract
 
 #: Version-specific Initial salts (RFC 9001 §5.2 and predecessors).
 INITIAL_SALTS: dict[int, bytes] = {
@@ -73,31 +84,79 @@ class DirectionKeys:
         return (self.iv_int ^ packet_number).to_bytes(12, "big")
 
 
+class _InitialLabels(NamedTuple):
+    """The five HKDF-Expand messages (``HkdfLabel || 0x01``) of a label set.
+
+    No Initial output exceeds one SHA-256 block, so each Expand-Label is
+    ``HMAC(secret, info || 0x01)`` truncated — and ``info`` depends on
+    nothing but the label and the output length.
+    """
+
+    client_in: bytes
+    server_in: bytes
+    key: bytes
+    iv: bytes
+    hp: bytes
+
+
+def _initial_labels(prefix: str) -> _InitialLabels:
+    def message(label: str, length: int) -> bytes:
+        return expand_label_info(label, b"", length) + b"\x01"
+
+    return _InitialLabels(
+        client_in=message("client in", 32),
+        server_in=message("server in", 32),
+        key=message(prefix + " key", 16),
+        iv=message(prefix + " iv", 12),
+        hp=message(prefix + " hp", 16),
+    )
+
+
+_V1_LABELS = _initial_labels("quic")
+#: RFC 9369 §3.3.2: QUIC v2 changes the salt *and* the key/iv/hp labels.
+_V2_LABELS = _initial_labels("quicv2")
+
+
 @dataclass(frozen=True)
 class InitialKeys:
-    """Both directions of Initial key material for one connection."""
+    """Both directions of Initial key material for one connection.
 
-    client: DirectionKeys
-    server: DirectionKeys
+    Holds the Initial secret; ``client`` and ``server`` are each expanded
+    on first access and then kept (``cached_property`` stores into the
+    instance ``__dict__``, which a frozen dataclass still has).
+    """
+
+    initial_secret: bytes
+    labels: _InitialLabels = _V1_LABELS
+
+    def _direction(self, secret_label: bytes) -> DirectionKeys:
+        labels = self.labels
+        secret = hmac.digest(self.initial_secret, secret_label, "sha256")
+        return DirectionKeys(
+            key=hmac.digest(secret, labels.key, "sha256")[:16],
+            iv=hmac.digest(secret, labels.iv, "sha256")[:12],
+            hp=hmac.digest(secret, labels.hp, "sha256")[:16],
+        )
+
+    @cached_property
+    def client(self) -> DirectionKeys:
+        return self._direction(self.labels.client_in)
+
+    @cached_property
+    def server(self) -> DirectionKeys:
+        return self._direction(self.labels.server_in)
 
     def for_sender(self, is_server: bool) -> DirectionKeys:
         return self.server if is_server else self.client
 
 
-def _derive_direction(secret: bytes) -> DirectionKeys:
-    return DirectionKeys(
-        key=hkdf_expand_label(secret, "quic key", b"", 16),
-        iv=hkdf_expand_label(secret, "quic iv", b"", 12),
-        hp=hkdf_expand_label(secret, "quic hp", b"", 16),
-    )
-
-
 def derive_initial_keys(version: int, client_dcid: bytes) -> InitialKeys:
-    """Derive client and server Initial keys per RFC 9001 §5.2."""
-    initial_secret = hkdf_extract(initial_salt(version), client_dcid)
-    client_secret = hkdf_expand_label(initial_secret, "client in", b"", 32)
-    server_secret = hkdf_expand_label(initial_secret, "server in", b"", 32)
+    """Start the RFC 9001 §5.2 schedule: HKDF-Extract of the Initial secret.
+
+    The per-direction Expand-Labels run when :attr:`InitialKeys.client`
+    or :attr:`InitialKeys.server` is first read.
+    """
     return InitialKeys(
-        client=_derive_direction(client_secret),
-        server=_derive_direction(server_secret),
+        hkdf_extract(initial_salt(version), client_dcid),
+        _V2_LABELS if version == quic_version.QUIC_V2.value else _V1_LABELS,
     )

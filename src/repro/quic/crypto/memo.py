@@ -8,14 +8,18 @@ pure functions of small byte keys, so they sit behind module-level
 :class:`~repro.hotpath.LruCache` instances shared by every suite
 instance in the process:
 
-* ``cached_initial_keys(version, dcid)`` — the full RFC 9001 Initial
-  key schedule (HKDF-Extract + 8 Expand-Labels).
+* ``cached_initial_keys(version, dcid)`` — the RFC 9001 Initial key
+  schedule.  The cached :class:`InitialKeys` holds the HKDF-Extract
+  output and expands each direction (4 Expand-Labels) the first time it
+  is read, so a hit also returns whatever directions earlier users of
+  the same ``(version, DCID)`` already paid for.
 * ``cached_aes(key)`` — an :class:`AES128` with its round keys expanded
   (header protection, and the GCM block cipher).
 * ``cached_gcm(key)`` — an :class:`AesGcm` with its GHASH byte tables
   built (the expensive one: 16×256 field multiplications per key).
 
-The cached objects are safe to share: ``InitialKeys`` is frozen, and
+The cached objects are safe to share: ``InitialKeys`` is frozen (its two
+lazily filled directions are pure functions of its fields), and
 ``AES128``/``AesGcm`` carry no per-call state.  When the hot path is
 disabled (:mod:`repro.hotpath`), every helper falls through to a fresh
 derivation so the memo-vs-cold bench arm measures honestly.

@@ -210,7 +210,7 @@ class FastProtection(PacketProtection):
     def _seal(self, keys: DirectionKeys, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
         stream = self._keystream(keys.key, nonce, len(plaintext))
         ciphertext = self._xor(plaintext, stream)
-        tag = hmac.new(keys.key, nonce + aad + ciphertext, hashlib.sha256).digest()
+        tag = hmac.digest(keys.key, nonce + aad + ciphertext, "sha256")
         return ciphertext + tag[:TAG_LENGTH]
 
     def protect(
@@ -223,13 +223,12 @@ class FastProtection(PacketProtection):
         """Fused seal + header protection for the template hot path.
 
         Byte-identical to the base driver (the parity tests and the
-        bench gate hold it to that); it exists to collapse the six
+        bench gate hold it to that); it exists to collapse the five
         Python-level calls per packet — for_sender, _seal, _keystream,
-        _xor, _hp_mask, hmac.new().digest() — into straight-line code
-        with one-shot :func:`hmac.digest`.  Falls back to the driver
-        when profiling (the engine.aead / engine.hp leaves live there)
-        or when the hot path is disabled (the rebuild baseline must pay
-        pre-refactor costs).
+        _xor, _hp_mask — into straight-line code.  Falls back to the
+        driver when profiling (the engine.aead / engine.hp leaves live
+        there) or when the hot path is disabled (the rebuild baseline
+        must pay pre-refactor costs).
         """
         if self.prof is not None or not hotpath.enabled:
             return PacketProtection.protect(
@@ -261,9 +260,9 @@ class FastProtection(PacketProtection):
         if len(sealed) < TAG_LENGTH:
             raise AuthenticationError("ciphertext shorter than tag")
         ciphertext, tag = sealed[:-TAG_LENGTH], sealed[-TAG_LENGTH:]
-        expected = hmac.new(
-            keys.key, nonce + aad + ciphertext, hashlib.sha256
-        ).digest()[:TAG_LENGTH]
+        expected = hmac.digest(keys.key, nonce + aad + ciphertext, "sha256")[
+            :TAG_LENGTH
+        ]
         if not hmac.compare_digest(tag, expected):
             raise AuthenticationError("tag mismatch")
         stream = self._keystream(keys.key, nonce, len(ciphertext))
@@ -284,16 +283,14 @@ class NullProtection(PacketProtection):
 
     name = "null"
 
-    _ZERO_KEYS = InitialKeys(
-        client=DirectionKeys(key=b"\x00" * 16, iv=b"\x00" * 12, hp=b"\x00" * 16),
-        server=DirectionKeys(key=b"\x00" * 16, iv=b"\x00" * 12, hp=b"\x00" * 16),
-    )
+    #: Never read (no primitive below takes key material), so its lazy
+    #: directions are never expanded: no HKDF runs for this suite.
+    _UNUSED_KEYS = InitialKeys(b"\x00" * 32)
 
     def __init__(self, version: int, client_dcid: bytes) -> None:
-        # Skip HKDF entirely: keys are never used.
         self.version = version
         self.client_dcid = bytes(client_dcid)
-        self.keys = self._ZERO_KEYS
+        self.keys = self._UNUSED_KEYS
 
     def _seal(self, keys: DirectionKeys, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
         return plaintext + b"\x00" * TAG_LENGTH

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import struct
 from dataclasses import dataclass, field
 
 from repro import hotpath
-from repro.buffer import BufferError_, Reader, Writer
+from repro.buffer import Writer
 from repro.hotpath import LruCache
 from repro.quic.crypto.suites import PacketProtection, ProtectionError, TAG_LENGTH
-from repro.quic.varint import encode_varint, read_varint, varint_length
+from repro.quic.varint import VALUE_MASK, encode_varint, varint_length
 from repro.quic.version import VERSION_NEGOTIATION
 
 #: RFC 9000 §14.1: a client Initial must be carried in a datagram of at
@@ -56,6 +57,17 @@ class PacketType(enum.Enum):
 
 class PacketParseError(ValueError):
     """Raised when bytes cannot be parsed as a QUIC packet."""
+
+
+#: Indexed by the two long-packet-type bits of the first byte.
+_LONG_PACKET_TYPES = (
+    PacketType.INITIAL,
+    PacketType.ZERO_RTT,
+    PacketType.HANDSHAKE,
+    PacketType.RETRY,
+)
+#: First byte, version, DCID length: the fixed start of every long header.
+_FIXED_PREFIX = struct.Struct("!BIB")
 
 
 @dataclass
@@ -568,87 +580,116 @@ def unprotect_short_packet(
 # ---------------------------------------------------------------------------
 
 
+def _truncated(data: bytes, pos: int) -> PacketParseError:
+    return PacketParseError(
+        "long header overruns buffer of %d bytes at offset %d" % (len(data), pos)
+    )
+
+
 def parse_long_header(data: bytes, offset: int = 0) -> ParsedLongHeader:
     """Parse the cleartext fields of the long-header packet at ``offset``.
 
     Works on protected packets: every returned field is transmitted in the
     clear.  ``packet_length`` tells callers where the next coalesced packet
     begins.
+
+    The invariant header (RFC 8999 §5.1) is read at fixed offsets from
+    ``offset`` rather than through a cursor; each length is bounds-checked
+    before the bytes it covers are touched.
     """
-    reader = Reader(data, offset)
-    try:
-        first = reader.read_u8()
-        if not first & FORM_BIT:
-            raise PacketParseError("not a long-header packet")
-        version = reader.read_u32()
-        dcid_len = reader.read_u8()
-        if dcid_len > 20:
-            raise PacketParseError("DCID length %d exceeds 20" % dcid_len)
-        dcid = reader.read(dcid_len)
-        scid_len = reader.read_u8()
-        if scid_len > 20:
-            raise PacketParseError("SCID length %d exceeds 20" % scid_len)
-        scid = reader.read(scid_len)
+    size = len(data)
+    if offset >= size:
+        raise _truncated(data, offset)
+    first = data[offset]
+    if not first & FORM_BIT:
+        raise PacketParseError("not a long-header packet")
+    if offset + _FIXED_PREFIX.size > size:
+        raise _truncated(data, offset)
+    _, version, dcid_len = _FIXED_PREFIX.unpack_from(data, offset)
+    if dcid_len > 20:
+        raise PacketParseError("DCID length %d exceeds 20" % dcid_len)
+    pos = offset + _FIXED_PREFIX.size
+    scid_len_at = pos + dcid_len
+    if scid_len_at >= size:
+        raise _truncated(data, pos)
+    dcid = data[pos:scid_len_at]
+    scid_len = data[scid_len_at]
+    if scid_len > 20:
+        raise PacketParseError("SCID length %d exceeds 20" % scid_len)
+    pos = scid_len_at + 1 + scid_len
+    if pos > size:
+        raise _truncated(data, scid_len_at + 1)
+    scid = data[scid_len_at + 1 : pos]
 
-        if version == VERSION_NEGOTIATION:
-            versions = []
-            while reader.remaining >= 4:
-                versions.append(reader.read_u32())
-            return ParsedLongHeader(
-                packet_type=PacketType.VERSION_NEGOTIATION,
-                version=version,
-                dcid=dcid,
-                scid=scid,
-                token=b"",
-                pn_offset=reader.pos - offset,
-                packet_length=reader.pos - offset,
-                payload_length=0,
-                supported_versions=tuple(versions),
-            )
+    if version == VERSION_NEGOTIATION:
+        count = (size - pos) // 4
+        length = pos + 4 * count - offset
+        return ParsedLongHeader(
+            packet_type=PacketType.VERSION_NEGOTIATION,
+            version=version,
+            dcid=dcid,
+            scid=scid,
+            token=b"",
+            pn_offset=length,
+            packet_length=length,
+            payload_length=0,
+            supported_versions=struct.unpack_from("!%dI" % count, data, pos),
+        )
 
-        if not first & FIXED_BIT:
-            raise PacketParseError("fixed bit is zero")
+    if not first & FIXED_BIT:
+        raise PacketParseError("fixed bit is zero")
 
-        packet_type = PacketType((first >> 4) & 0x03)
-        if packet_type is PacketType.RETRY:
-            retry_token = reader.read_rest()
-            if len(retry_token) < 16:
-                raise PacketParseError("Retry packet shorter than integrity tag")
-            return ParsedLongHeader(
-                packet_type=packet_type,
-                version=version,
-                dcid=dcid,
-                scid=scid,
-                token=b"",
-                pn_offset=len(data) - offset,
-                packet_length=len(data) - offset,
-                payload_length=0,
-                retry_token=retry_token[:-16],
-            )
-
-        token = b""
-        if packet_type is PacketType.INITIAL:
-            token_length = read_varint(reader)
-            token = reader.read(token_length)
-        payload_length = read_varint(reader)
-        pn_offset = reader.pos - offset
-        packet_length = pn_offset + payload_length
-        if offset + packet_length > len(data):
-            raise PacketParseError(
-                "declared length %d overruns datagram" % payload_length
-            )
+    packet_type = _LONG_PACKET_TYPES[(first >> 4) & 0x03]
+    if packet_type is PacketType.RETRY:
+        if size - pos < 16:
+            raise PacketParseError("Retry packet shorter than integrity tag")
         return ParsedLongHeader(
             packet_type=packet_type,
             version=version,
             dcid=dcid,
             scid=scid,
-            token=token,
-            pn_offset=pn_offset,
-            packet_length=packet_length,
-            payload_length=payload_length,
+            token=b"",
+            pn_offset=size - offset,
+            packet_length=size - offset,
+            payload_length=0,
+            retry_token=data[pos : size - 16],
         )
-    except BufferError_ as exc:
-        raise PacketParseError(str(exc)) from exc
+
+    # The two varints (RFC 9000 §16) are decoded in place: the two high
+    # bits of the first byte give the width, the rest is the value.
+    token = b""
+    if packet_type is PacketType.INITIAL:
+        if pos >= size:
+            raise _truncated(data, pos)
+        width = 1 << (data[pos] >> 6)
+        token_at = pos + width
+        token_length = int.from_bytes(data[pos:token_at], "big") & VALUE_MASK[width]
+        pos = token_at + token_length
+        if pos > size:
+            raise _truncated(data, token_at)
+        token = data[token_at:pos]
+    if pos >= size:
+        raise _truncated(data, pos)
+    width = 1 << (data[pos] >> 6)
+    pn_offset = pos + width - offset
+    if offset + pn_offset > size:
+        raise _truncated(data, pos)
+    payload_length = int.from_bytes(data[pos : pos + width], "big") & VALUE_MASK[width]
+    packet_length = pn_offset + payload_length
+    if offset + packet_length > size:
+        raise PacketParseError(
+            "declared length %d overruns datagram" % payload_length
+        )
+    return ParsedLongHeader(
+        packet_type=packet_type,
+        version=version,
+        dcid=dcid,
+        scid=scid,
+        token=token,
+        pn_offset=pn_offset,
+        packet_length=packet_length,
+        payload_length=payload_length,
+    )
 
 
 def decode_datagram(data: bytes) -> list[tuple[ParsedLongHeader, bytes]]:

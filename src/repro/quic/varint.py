@@ -13,6 +13,8 @@ from repro.buffer import Reader, Writer
 VARINT_MAX = (1 << 62) - 1
 
 _PREFIX_TO_LENGTH = {0: 1, 1: 2, 2: 4, 3: 8}
+#: Value bits of an encoding, by its total length in bytes.
+VALUE_MASK = {1: 0x3F, 2: 0x3FFF, 4: 0x3FFFFFFF, 8: 0x3FFFFFFFFFFFFFFF}
 
 
 def varint_length(value: int) -> int:
@@ -51,8 +53,7 @@ def read_varint(reader: Reader) -> int:
     """Read one varint from ``reader``, advancing its cursor."""
     first = reader.peek(1)[0]
     length = _PREFIX_TO_LENGTH[first >> 6]
-    raw = int.from_bytes(reader.read(length), "big")
-    return raw & ((1 << (8 * length - 2)) - 1)
+    return int.from_bytes(reader.read(length), "big") & VALUE_MASK[length]
 
 
 def decode_varint(data: bytes) -> tuple[int, int]:

@@ -82,6 +82,9 @@ from repro.tls.handshake import ServerHello, encode_handshake
 #: Marker introducing the certificate blob inside Handshake CRYPTO data.
 CERT_MAGIC = b"CRT1"
 
+#: Every stateless reset is 6 unpredictable bytes plus the 16-byte token.
+_STATELESS_RESET_LENGTH = 22
+
 #: ``transport.datagram_bytes`` buckets.  The inner bounds sit exactly on
 #: the profiles' characteristic padded sizes (1052/1200/1232/1242/1252),
 #: so Figure 7's length signatures can be read straight off the metrics
@@ -564,10 +567,13 @@ class QuicServerEngine:
         if prof is None:
             protection = self._suite(parsed.version, parsed.dcid)
         else:
-            # Suite construction is where Initial key derivation (HKDF)
-            # happens — the "engine.keys" stage of the packet lifecycle.
+            # The "engine.keys" stage of the packet lifecycle: suite
+            # construction runs HKDF-Extract, and reading both directions
+            # here (the engine seals with one and opens 1-RTT packets with
+            # the other) books their lazy expansion to this stage too.
             node, start = prof.leaf_begin("engine.keys", self.profile.name)
             protection = self._suite(parsed.version, parsed.dcid)
+            protection.keys.client, protection.keys.server
             prof.leaf_end(node, start, packets=1)
             protection.prof = prof
             protection.prof_profile = self.profile.name
@@ -714,9 +720,16 @@ class QuicServerEngine:
         )
 
     def _send_stateless_reset(self, request: UdpDatagram, dcid: bytes) -> None:
-        """RFC 9000 §10.3: unpredictable bytes ending in a reset token."""
+        """RFC 9000 §10.3: unpredictable bytes ending in a reset token.
+
+        §10.3.3: a reset must be smaller than the packet that triggered
+        it, or two endpoints without connection state (a spoofed source
+        that is itself a server) answer each other's resets for ever.
+        """
+        if len(request.payload) <= _STATELESS_RESET_LENGTH:
+            return
         rng = self._derive_rng(request.src_ip, request.src_port, dcid)
-        filler_len = max(5, 22 - 16)
+        filler_len = _STATELESS_RESET_LENGTH - 16
         filler = bytearray(rng.getrandbits(8 * filler_len).to_bytes(filler_len, "big"))
         filler[0] = 0x40 | (filler[0] & 0x3F)  # looks like a short header
         token = rng.getrandbits(128).to_bytes(16, "big")

@@ -44,17 +44,15 @@ def queue_depth_bounds(expected_events: Optional[int] = None) -> tuple:
 class Event:
     """Handle for a scheduled callback; cancellable until it fires."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "periodic")
+    __slots__ = ("time", "callback", "cancelled", "periodic")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[[], None],
         periodic: bool = False,
     ) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.periodic = periodic
@@ -62,12 +60,14 @@ class Event:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class EventLoop:
-    """Min-heap scheduler; ties broken by insertion order (deterministic)."""
+    """Min-heap scheduler; ties broken by insertion order (deterministic).
+
+    The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so
+    ``heapq`` orders entries by comparing a float and an int in C and
+    never reaches the :class:`Event`.
+    """
 
     def __init__(
         self,
@@ -80,7 +80,7 @@ class EventLoop:
                 "queue_depth_sample_shift must be >= 0 (got %r)"
                 % queue_depth_sample_shift
             )
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self.now = 0.0
         self.events_processed = 0
@@ -108,7 +108,7 @@ class EventLoop:
         shipping their capture: a worker that exits with events queued
         would silently under-produce its slice of the merged pcap.
         """
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def schedule(
         self, delay: float, callback: Callable[[], None], periodic: bool = False
@@ -116,8 +116,9 @@ class EventLoop:
         """Run ``callback`` ``delay`` seconds from the current time."""
         if delay < 0:
             raise ValueError("cannot schedule into the past (delay=%r)" % delay)
-        event = Event(self.now + delay, next(self._seq), callback, periodic=periodic)
-        heapq.heappush(self._heap, event)
+        time = self.now + delay
+        event = Event(time, callback, periodic=periodic)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
         if not periodic:
             self._live_normal += 1
         return event
@@ -147,16 +148,16 @@ class EventLoop:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, skipping cancelled ones."""
-        while self._heap and self._heap[0].cancelled:
-            popped = heapq.heappop(self._heap)
+        while self._heap and self._heap[0][2].cancelled:
+            popped = heapq.heappop(self._heap)[2]
             if not popped.periodic:
                 self._live_normal -= 1
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Execute the next event; returns False if the queue is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.periodic:
                 self._live_normal -= 1
             if event.cancelled:

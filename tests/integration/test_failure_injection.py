@@ -123,3 +123,15 @@ class TestTinyScenarios:
         assert capture.stats.backscatter > 0
         profiles = timing_profiles(capture.backscatter)
         assert profiles  # analyses cope with single-session populations
+
+
+class TestSpoofedServerSource:
+    def test_seed_whose_spoofed_source_is_a_server_drains(self):
+        """`simulate --scale 0.25 --seed 109`: a spoofed source address
+        equals a server's, so a victim's flight lands on a second server
+        and the two used to answer each other's stateless resets for ever."""
+        scenario = build_scenario(ScenarioConfig(seed=109).scaled(0.25))
+        # A finished run needs 2-2.5 events per unit of planned weight.
+        scenario.loop.run(max_events=8 * scenario.loop.expected_events)
+        assert scenario.loop.pending == 0
+        assert len(scenario.telescope.records) == 19035

@@ -434,6 +434,42 @@ class TestPERF001PacketHotLoop:
             == []
         )
 
+    def test_hmac_new_digest_chain_fires(self):
+        findings = findings_for(
+            """
+            import hashlib
+            import hmac
+
+            def tag(key, message):
+                return hmac.new(key, message, hashlib.sha256).digest()[:16]
+            """,
+            path=self.HOT,
+        )
+        assert [f.rule for f in findings] == ["PERF001"]
+        assert findings[0].line == 6
+        assert "hmac.digest" in findings[0].message
+
+    def test_one_shot_and_incremental_hmac_are_silent(self):
+        assert (
+            rules_hit(
+                """
+                import hmac
+                from hmac import new
+
+                def tag(key, message):
+                    return hmac.digest(key, message, "sha256")[:16]
+
+                def streamed(key, chunks):
+                    mac = new(key, digestmod="sha256")
+                    for chunk in chunks:
+                        mac.update(chunk)
+                    return mac.digest()
+                """,
+                path=self.HOT,
+            )
+            == []
+        )
+
     def test_pragma_suppresses(self):
         assert (
             rules_hit(

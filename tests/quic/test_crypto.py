@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.quic.crypto.aes import AES128, SBOX
 from repro.quic.crypto.gcm import AesGcm, AuthenticationError, _gf_mult
 from repro.quic.crypto.hkdf import hkdf_expand, hkdf_expand_label, hkdf_extract
+from repro.quic.crypto import initial
 from repro.quic.crypto.initial import derive_initial_keys, initial_salt
 
 
@@ -154,6 +155,47 @@ class TestInitialKeys:
         assert keys.server.key.hex() == "cf3a5331653c364c88f0f379b6067e37"
         assert keys.server.iv.hex() == "0ac1493ca1905853b0bba03e"
         assert keys.server.hp.hex() == "c206b8d9b9f0f37644430b490eeaa314"
+
+    def test_rfc9369_appendix_a1(self):
+        """QUIC v2 changes the salt and the key/iv/hp labels ("quicv2 …")."""
+        keys = derive_initial_keys(0x6B3343CF, self.DCID)
+        assert hkdf_expand_label(keys.initial_secret, "client in", b"", 32).hex() == (
+            "14ec9d6eb9fd7af83bf5a668bc17a7e283766aade7ecd0891f70f9ff7f4bf47b"
+        )
+        assert keys.client.key.hex() == "8b1a0bc121284290a29e0971b5cd045d"
+        assert keys.client.iv.hex() == "91f73e2351d8fa91660e909f"
+        assert keys.client.hp.hex() == "45b95e15235d6f45a6b19cbcb0294ba9"
+        assert keys.server.key.hex() == "82db637861d55e1d011f19ea71d5d2a7"
+        assert keys.server.iv.hex() == "dd13c276499c0249d3310652"
+        assert keys.server.hp.hex() == "edf6d05c83121201b436e16877593c3a"
+
+    @pytest.mark.parametrize("first", ["client", "server"])
+    def test_rfc9001_appendix_a1_in_either_access_order(self, first):
+        keys = derive_initial_keys(1, self.DCID)
+        getattr(keys, first)
+        assert keys.client.key.hex() == "1f369613dd76d5467730efcbe3b1a22d"
+        assert keys.server.key.hex() == "cf3a5331653c364c88f0f379b6067e37"
+
+    def test_each_direction_expanded_at_most_once(self, monkeypatch):
+        """5 HMACs for a one-sided user, 9 for both, none on re-reads."""
+        calls = []
+
+        def counting_digest(key, msg, digest):
+            calls.append(msg)
+            return real_digest(key, msg, digest)
+
+        real_digest = initial.hmac.digest
+        monkeypatch.setattr(initial.hmac, "digest", counting_digest)
+        keys = derive_initial_keys(1, self.DCID)
+        assert len(calls) == 1  # HKDF-Extract only
+        client = keys.client
+        assert len(calls) == 5
+        assert keys.client is client and keys.for_sender(False) is client
+        assert len(calls) == 5
+        server = keys.server
+        assert len(calls) == 9
+        assert keys.server is server and keys.for_sender(True) is server
+        assert len(calls) == 9
 
     def test_nonce_xor(self):
         keys = derive_initial_keys(1, self.DCID)

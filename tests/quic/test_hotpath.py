@@ -90,7 +90,12 @@ class TestCryptoMemoParity:
 
     def test_initial_keys_cache_hit_returns_same_object(self):
         dcid = b"\x42" * 8
-        assert cached_initial_keys(1, dcid) is cached_initial_keys(1, dcid)
+        first = cached_initial_keys(1, dcid)
+        client = first.client
+        hit = cached_initial_keys(1, dcid)
+        assert hit is first
+        # A hit hands back the directions earlier users already expanded.
+        assert hit.client is client
 
     def test_initial_keys_keyed_by_version(self):
         dcid = b"\x42" * 8

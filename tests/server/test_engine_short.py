@@ -123,6 +123,49 @@ class TestResets:
         assert len(sent) == before
         assert engine.stats.discarded_inconsistent == 1
 
+    def test_no_reset_for_datagram_no_larger_than_a_reset(self):
+        """RFC 9000 §10.3.3: a reset must be smaller than its trigger."""
+        engine, loop, sent, connection = establish()
+        before = len(sent)
+        template = connection.migration_datagram(6333, dcid=b"\x13" * 8)
+        engine.on_datagram(template.with_payload(template.payload[:22]), 1.0)
+        assert len(sent) == before
+        assert engine.stats.stateless_resets_sent == 0
+        engine.on_datagram(template.with_payload(template.payload[:23]), 1.0)
+        assert len(sent) == before + 1
+        assert len(sent[-1].payload) == 22
+
+    def test_two_stateless_servers_do_not_ping_pong(self):
+        """A spoofed source that is itself a server: each would answer the
+        other's reset with a reset for ever without the §10.3.3 guard."""
+        loop = EventLoop()
+        other_vip = parse_ip("157.240.1.11")
+        engines = {}
+
+        def deliver(datagram):
+            target = engines[datagram.dst_ip]
+            loop.schedule(0.01, lambda: target.on_datagram(datagram, loop.now))
+
+        for vip, seed in ((VIP, 1), (other_vip, 2)):
+            engines[vip] = QuicServerEngine(
+                profile=facebook_profile(),
+                loop=loop,
+                rng=random.Random(seed),
+                send=deliver,
+            )
+        probe = UdpDatagram(
+            src_ip=other_vip,
+            dst_ip=VIP,
+            src_port=443,
+            dst_port=443,
+            payload=b"\x40" + b"\x13" * 40,
+        )
+        deliver(probe)
+        loop.run(max_events=20)  # raises if events remain past the budget
+        assert engines[VIP].stats.stateless_resets_sent == 1
+        assert engines[other_vip].stats.stateless_resets_sent == 0
+        assert engines[other_vip].stats.short_packets_received == 1
+
 
 class TestRotationBookkeeping:
     def test_rotated_cid_removed_with_connection(self):

@@ -24,6 +24,24 @@ class TestScheduling:
         loop.run()
         assert fired == ["a", "b", "c"]
 
+    def test_ordering_never_compares_event_handles(self):
+        """Heap entries are (time, seq, event): ties resolve on the unique
+        seq in C, so the handle itself needs (and has) no ordering."""
+        loop = EventLoop()
+        first = loop.schedule(1.0, lambda: None)
+        second = loop.schedule(1.0, lambda: None)
+        with pytest.raises(TypeError):
+            first < second
+        assert loop.peek_time() == 1.0
+
+    def test_pending_counts_live_events_only(self):
+        loop = EventLoop()
+        keep = loop.schedule(1.0, lambda: None)
+        loop.schedule(2.0, lambda: None).cancel()
+        assert loop.pending == 1
+        keep.cancel()
+        assert loop.pending == 0
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             EventLoop().schedule(-0.1, lambda: None)
