@@ -48,30 +48,30 @@ class RadixTree(Generic[V]):
         node.value = value
         node.has_value = True
 
+    def _longest(self, address: int) -> tuple[int, Optional[_Node[V]]]:
+        """(prefix length, node) of the longest match; ``(-1, None)`` if none."""
+        node = self._root
+        best, length = (node, 0) if node.has_value else (None, -1)
+        for depth in range(32):
+            node = node.children[(address >> (31 - depth)) & 1]
+            if node is None:
+                break
+            if node.has_value:
+                best, length = node, depth + 1
+        return length, best
+
     def lookup(self, address: int) -> Optional[V]:
         """Longest-prefix match for ``address``; None if nothing matches."""
-        match = self.lookup_with_prefix(address)
-        return match[1] if match else None
+        node = self._longest(address)[1]
+        return None if node is None else node.value
 
     def lookup_with_prefix(self, address: int) -> Optional[tuple[Prefix, V]]:
         """Longest-prefix match returning the matched prefix as well."""
-        node = self._root
-        best: Optional[tuple[int, V]] = None
-        if node.has_value:
-            best = (0, node.value)  # type: ignore[assignment]
-        for depth in range(32):
-            bit = (address >> (31 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.has_value:
-                best = (depth + 1, node.value)  # type: ignore[assignment]
-        if best is None:
+        length, node = self._longest(address)
+        if node is None:
             return None
-        length, value = best
         mask = ((1 << length) - 1) << (32 - length) if length else 0
-        return Prefix(address & mask, length), value
+        return Prefix(address & mask, length), node.value  # type: ignore[return-value]
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
         """Yield all (prefix, value) pairs in preorder."""

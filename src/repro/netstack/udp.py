@@ -7,7 +7,8 @@ routes, so it carries the IP addresses alongside the UDP fields.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 from repro import hotpath
 from repro.buffer import Writer
@@ -63,7 +64,65 @@ class UdpDatagram:
         )
 
     def with_payload(self, payload: bytes) -> "UdpDatagram":
-        return replace(self, payload=payload)
+        return UdpDatagram(
+            self.src_ip, self.dst_ip, self.src_port, self.dst_port, payload, self.ttl
+        )
+
+    @property
+    def payload_length(self) -> int:
+        """``len(payload)``; a :class:`DeferredDatagram` knows it unbuilt."""
+        return len(self.payload)
+
+
+class DeferredDatagram(UdpDatagram):
+    """A :class:`UdpDatagram` whose payload is built on its first read.
+
+    The sender states ``payload_length`` and hands over ``build``, a
+    closure holding everything the bytes depend on (packet numbers, rng
+    draws — captured when the datagram was sent, not when it is read).
+    Whoever first reads ``.payload`` runs ``build`` exactly once and the
+    result is stored like any other field, so every later read, ``hash``
+    and ``repr`` see an ordinary datagram's fields (``==`` stays
+    class-strict, as for any dataclass).  One that is dropped
+    before anybody looks — :class:`~repro.simnet.network.Network` routes
+    on ``dst_ip`` and accounts an unrouted drop by ``payload_length`` —
+    never pays for its payload; for server flights that is two AEAD seals.
+    """
+
+    def __init__(
+        self,
+        src_ip: int,
+        dst_ip: int,
+        src_port: int,
+        dst_port: int,
+        payload_length: int,
+        build: Callable[[], bytes],
+        ttl: int = 64,
+    ) -> None:
+        # The dataclass is frozen; its fields go straight into the
+        # instance dict, and ``payload`` is left out until first read.
+        fields = self.__dict__
+        fields["src_ip"] = src_ip
+        fields["dst_ip"] = dst_ip
+        fields["src_port"] = src_port
+        fields["dst_port"] = dst_port
+        fields["ttl"] = ttl
+        fields["_payload_length"] = payload_length
+        fields["_build"] = build
+
+    def __getattr__(self, name: str):
+        # Only reached for names missing from the instance dict, i.e. for
+        # ``payload`` until the first read has stored it.
+        if name != "payload":
+            raise AttributeError(name)
+        fields = self.__dict__
+        payload = fields["payload"] = fields["_build"]()
+        del fields["_build"]  # the closure's captures die with it
+        return payload
+
+    @property
+    def payload_length(self) -> int:
+        return self._payload_length
 
 
 class FlowTemplate:

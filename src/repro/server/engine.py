@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro import hotpath
-from repro.netstack.udp import UdpDatagram
+from repro.netstack.udp import QUIC_PORT, DeferredDatagram, UdpDatagram
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import (
     CAT_CONNECTIVITY,
@@ -111,6 +111,16 @@ def datagram_length_bounds(expected_events: Optional[int] = None) -> tuple:
     return tuple(sorted(bounds))
 
 
+#: What the engine hands to :meth:`QuicServerEngine._reply`: a datagram's
+#: payload length and the builder that produces those bytes on first read.
+_Planned = tuple[int, Callable[[], bytes]]
+
+
+def _ready(data: bytes) -> _Planned:
+    """Already-built bytes, in the shape a planned datagram takes."""
+    return len(data), lambda: data
+
+
 class ConnState(enum.Enum):
     AWAIT_CLIENT = 1  # flight sent, waiting for client Handshake/ACK
     ESTABLISHED = 2
@@ -188,8 +198,10 @@ class _FlightLayout:
     keeps one layout per shape; :meth:`bind` splices a connection's CIDs
     into the shared skeletons once, after which every flight — and the
     retransmissions that dominate emission, per Figure 3/4 — reduces to:
-    one rng draw, a three-way payload join, a header copy with a
-    one-byte PN patch, and one AEAD seal per packet.
+    one rng draw at send time and, if anybody ever reads the datagram, a
+    three-way payload join, a header copy with a one-byte PN patch, and
+    one AEAD seal per packet.  The datagram lengths follow from the
+    shape too, so a flight can be counted and traced without being built.
 
     The scid's offset inside the encrypted payload (it rides in the
     INITIAL_SOURCE_CONNECTION_ID transport parameter) is located by
@@ -323,6 +335,8 @@ class _ConnFlight:
         "handshake_payload",
         "initial_header",
         "handshake_header",
+        "initial_length",
+        "handshake_length",
         "coalesced",
     )
 
@@ -340,25 +354,49 @@ class _ConnFlight:
         self.handshake_payload = handshake_payload
         self.initial_header = initial_header
         self.handshake_header = handshake_header
+        # Sealed sizes, known without sealing: header + payload + tag.
+        self.initial_length = (
+            len(initial_header) + len(prefix) + 32 + len(suffix) + TAG_LENGTH
+        )
+        self.handshake_length = (
+            len(handshake_header) + len(handshake_payload) + TAG_LENGTH
+        )
         self.coalesced = coalesced
 
-    def datagrams(self, conn: ServerConnection, rng: random.Random) -> list[bytes]:
-        """Emit one flight's datagrams (rng draw order matches rebuild)."""
+    def datagrams(self, conn: ServerConnection, rng: random.Random) -> list[_Planned]:
+        """Plan one flight's datagrams (rng draw order matches rebuild).
+
+        Everything that makes this flight differ from the connection's
+        next one — the ServerHello random and the packet numbers — is
+        fixed here, at send time; the builders only render and seal, so
+        they give the same bytes whenever, and in whatever order, the
+        datagrams are read.
+        """
         random32 = rng.getrandbits(256).to_bytes(32, "big")
         pn = conn.next_packet_number
         conn.next_packet_number += 2
         protection = conn.protection
-        header = self.initial_header.copy()
-        header[-1] = pn & 0xFF  # pn_length is 1 in every flight
-        initial = protection.protect(
-            True, header, pn, b"".join((self.prefix, random32, self.suffix))
-        )
-        header = self.handshake_header.copy()
-        header[-1] = (pn + 1) & 0xFF
-        handshake = protection.protect(True, header, pn + 1, self.handshake_payload)
+
+        def initial() -> bytes:
+            header = self.initial_header.copy()
+            header[-1] = pn & 0xFF  # pn_length is 1 in every flight
+            return protection.protect(
+                True, header, pn, b"".join((self.prefix, random32, self.suffix))
+            )
+
+        def handshake() -> bytes:
+            header = self.handshake_header.copy()
+            header[-1] = (pn + 1) & 0xFF
+            return protection.protect(True, header, pn + 1, self.handshake_payload)
+
         if self.coalesced:
-            return [initial + handshake]
-        return [initial, handshake]
+            return [
+                (
+                    self.initial_length + self.handshake_length,
+                    lambda: initial() + handshake(),
+                )
+            ]
+        return [(self.initial_length, initial), (self.handshake_length, handshake)]
 
 
 class QuicServerEngine:
@@ -657,7 +695,7 @@ class QuicServerEngine:
                     new_ip=datagram.src_ip,
                 )
         conn.last_active = now
-        self._send_short(conn, [PingFrame()], datagram)
+        self._send_short(conn, [PingFrame()])
 
     def _issue_new_cid(self, conn: ServerConnection) -> None:
         """Send NEW_CONNECTION_ID with a spare CID after establishment."""
@@ -689,14 +727,9 @@ class QuicServerEngine:
             connection_id=new_cid,
             stateless_reset_token=rng.getrandbits(128).to_bytes(16, "big"),
         )
-        self._send_short(conn, [frame], None)
+        self._send_short(conn, [frame])
 
-    def _send_short(
-        self,
-        conn: ServerConnection,
-        frames: list,
-        request: UdpDatagram | None,
-    ) -> None:
+    def _send_short(self, conn: ServerConnection, frames: list) -> None:
         payload = encode_frames(frames)
         if len(payload) < 24:
             # Keep the packet long enough for the header-protection sample
@@ -709,14 +742,8 @@ class QuicServerEngine:
         )
         conn.short_packet_number += 1
         data = encode_short_packet(packet, conn.protection, is_server=True)
-        self._send(
-            UdpDatagram(
-                src_ip=conn.vip,
-                dst_ip=request.src_ip if request else conn.client_ip,
-                src_port=443,
-                dst_port=request.src_port if request else conn.client_port,
-                payload=data,
-            )
+        self._reply(
+            conn.vip, QUIC_PORT, conn.client_ip, conn.client_port, *_ready(data)
         )
 
     def _send_stateless_reset(self, request: UdpDatagram, dcid: bytes) -> None:
@@ -733,7 +760,7 @@ class QuicServerEngine:
         filler = bytearray(rng.getrandbits(8 * filler_len).to_bytes(filler_len, "big"))
         filler[0] = 0x40 | (filler[0] & 0x3F)  # looks like a short header
         token = rng.getrandbits(128).to_bytes(16, "big")
-        self._reply(request, request.dst_ip, bytes(filler) + token)
+        self._reply_to(request, request.dst_ip, *_ready(bytes(filler) + token))
         self.stats.stateless_resets_sent += 1
         self._count("stateless_resets_sent")
         if self._tracer.enabled:
@@ -845,11 +872,11 @@ class QuicServerEngine:
             rng = conn.rng if conn.rng is not None else self.rng
             datagrams = flight.datagrams(conn, rng)
         else:
-            datagrams = self._flight_datagrams_rebuild(conn)
+            datagrams = [_ready(data) for data in self._flight_datagrams_rebuild(conn)]
         profile = self.profile
-        lengths = [len(data) for data in datagrams]
-        for data in datagrams:
-            self._reply(request, conn.vip, data)
+        lengths = [length for length, _build in datagrams]
+        for length, build in datagrams:
+            self._reply_to(request, conn.vip, length, build)
         if span is not None:
             span.note(packets=len(lengths), bytes=sum(lengths))
         self.stats.flights_sent += 1
@@ -942,7 +969,9 @@ class QuicServerEngine:
             scid=parsed.dcid,
             supported_versions=self.profile.supported_versions,
         )
-        self._reply(request, request.dst_ip, encode_version_negotiation(packet))
+        self._reply_to(
+            request, request.dst_ip, *_ready(encode_version_negotiation(packet))
+        )
         self.stats.version_negotiations += 1
         self._count("version_negotiations")
         if self._tracer.enabled:
@@ -970,7 +999,7 @@ class QuicServerEngine:
         packet = RetryPacket(
             version=parsed.version, dcid=parsed.scid, scid=scid, retry_token=token
         )
-        self._reply(request, request.dst_ip, encode_retry(packet))
+        self._reply_to(request, request.dst_ip, *_ready(encode_retry(packet)))
         self.stats.retries_sent += 1
         self._count("retries_sent")
         if self._tracer.enabled:
@@ -982,13 +1011,40 @@ class QuicServerEngine:
                 dst_ip=request.src_ip,
             )
 
-    def _reply(self, request: UdpDatagram, vip: int, payload: bytes) -> None:
+    def _reply_to(
+        self,
+        request: UdpDatagram,
+        vip: int,
+        payload_length: int,
+        build: Callable[[], bytes],
+    ) -> None:
+        """Answer ``request`` from ``vip``, ports mirrored."""
+        self._reply(
+            vip,
+            request.dst_port,
+            request.src_ip,
+            request.src_port,
+            payload_length,
+            build,
+        )
+
+    def _reply(
+        self,
+        src_ip: int,
+        src_port: int,
+        dst_ip: int,
+        dst_port: int,
+        payload_length: int,
+        build: Callable[[], bytes],
+    ) -> None:
+        """Everything this engine sends leaves here, payload unbuilt.
+
+        ``build`` runs when the datagram's ``.payload`` is first read —
+        for a routed datagram inside ``Network.transmit``, in this same
+        call stack; for one aimed at space nobody announces, never.
+        """
         self._send(
-            UdpDatagram(
-                src_ip=vip,
-                dst_ip=request.src_ip,
-                src_port=request.dst_port,
-                dst_port=request.src_port,
-                payload=payload,
+            DeferredDatagram(
+                src_ip, dst_ip, src_port, dst_port, payload_length, build
             )
         )

@@ -176,22 +176,32 @@ class Network:
 
     def transmit(self, sender: Device, datagram: UdpDatagram) -> None:
         """Route ``datagram`` to the owner of its destination address."""
+        # The route comes first: a datagram nobody will receive is dropped
+        # without its payload ever being read, so a deferred one (a server
+        # flight, see DeferredDatagram) is never sealed.
+        target = self._routes.lookup(datagram.dst_ip)
         prof = self.obs.prof
         if prof is None:
-            self._transmit(sender, datagram)
+            self._transmit(sender, datagram, target)
             return
+        if target is not None:
+            # Build a deferred payload before the leaf opens: its seal is
+            # booked to engine.aead/engine.hp, which are leaves themselves
+            # and must not be counted a second time under net.transmit.
+            datagram.payload
         # Leaf stage, not a span: transmit fires per packet and a full
         # span push/pop (plus a trace event) would dominate the thing it
         # measures.  try/finally covers all three outcome returns.
         node, start = prof.leaf_begin("net.transmit")
         try:
-            self._transmit(sender, datagram)
+            self._transmit(sender, datagram, target)
         finally:
             prof.leaf_end(node, start, packets=1)
 
-    def _transmit(self, sender: Device, datagram: UdpDatagram) -> None:
+    def _transmit(
+        self, sender: Device, datagram: UdpDatagram, target: Device | None
+    ) -> None:
         tracer = self.obs.tracer
-        target = self._routes.lookup(datagram.dst_ip)
         if target is None:
             self._m_dropped.inc_key((DROP_NO_ROUTE, sender.name))
             if tracer.enabled:
@@ -202,7 +212,7 @@ class Network:
                     reason=DROP_NO_ROUTE,
                     src_device=sender.name,
                     dst_ip=datagram.dst_ip,
-                    bytes=len(datagram.payload),
+                    bytes=datagram.payload_length,
                 )
             return
         loss_fraction, jitter_fraction = self._path_fractions(datagram)

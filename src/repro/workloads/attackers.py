@@ -7,7 +7,10 @@ source falls inside the telescope prefix, the telescope captures the
 backscatter.  Real floods spoof uniformly over IPv4; to keep simulations
 small we bias the spoofed-address distribution toward the telescope
 (``telescope_bias``), which scales volume without changing any per-flow
-behaviour (DESIGN.md §5).
+behaviour (DESIGN.md §5).  Flights aimed outside the telescope are
+counted and dropped without being sealed (the engine's replies are
+:class:`~repro.netstack.udp.DeferredDatagram`), so simulate cost follows
+captured + delivered datagrams and a lower bias adds no sealing work.
 """
 
 from __future__ import annotations

@@ -93,3 +93,31 @@ def test_matches_brute_force(entries, probes):
 
     for addr in probes:
         assert tree.lookup(addr) == brute(addr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=(1 << 32) - 1),
+            st.integers(min_value=0, max_value=32),
+        ),
+        max_size=24,
+    ),
+    probes=st.lists(
+        st.integers(min_value=0, max_value=(1 << 32) - 1), min_size=1, max_size=24
+    ),
+)
+def test_value_lookup_agrees_with_prefix_lookup(entries, probes):
+    """``lookup`` walks without building a Prefix; ``lookup_with_prefix``
+    names the same match, and the prefix it names covers the address."""
+    tree = RadixTree()
+    for address, length in entries:
+        mask = ((1 << length) - 1) << (32 - length) if length else 0
+        tree.insert(Prefix(address & mask, length), (address & mask, length))
+    for addr in probes + [address for address, _length in entries]:
+        prefix, value = tree.lookup_with_prefix(addr) or (None, None)
+        assert tree.lookup(addr) == value
+        if prefix is not None:
+            assert (prefix.network, prefix.length) == value
+            assert addr in prefix

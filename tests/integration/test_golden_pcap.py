@@ -1,0 +1,114 @@
+"""Golden digests: the bytes `simulate` writes and the tables `analyze` prints.
+
+Byte parity used to be proven by running a change beside a checkout of
+its parent.  These constants are that proof in committed form: for three
+small scenarios, the blake2b-128 of the pcap and of the stdout of
+``analyze --tables 1 2 3 4 rto lengths``.  A change that means to keep
+the output (a performance change, a refactor) leaves them alone; one
+that means to alter it updates them and says why.
+
+The month cases go through the documented command; the attack-only case
+(every scan and noise knob zero, so nearly all of it is server flights
+and their RTO ladders) has no command-line spelling and uses the README
+API, which writes what the command writes.  One case is repeated in a
+child process under a different ``PYTHONHASHSEED``: no digest may depend
+on set or dict iteration order.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
+import pytest
+
+import repro
+from repro.cli import main
+from repro.workloads.scenario import ScenarioConfig, build_scenario
+
+ANALYZE = ("--tables", "1", "2", "3", "4", "rto", "lengths")
+
+#: case -> (pcap digest, analyze stdout digest)
+GOLDEN = {
+    "month-20220101-x0.02": (
+        "3fa4f2999e72c6a35a154c6c93b6fab8",
+        "e618249077cd9732edcb8f3dd18cf5e1",
+    ),
+    "month-109-x0.05": (
+        "301b452db77b416fcd038b356eaa8657",
+        "f433244725906950c18604ef83c4e038",
+    ),
+    "attacks-only-20220101-x0.05": (
+        "e37739422d1dfa03b3a63c966eb9b3c9",
+        "972cc6d9d1c3802e960b1de1374807da",
+    ),
+}
+
+MONTHS = {
+    "month-20220101-x0.02": ("--scale", "0.02", "--seed", "20220101"),
+    "month-109-x0.05": ("--scale", "0.05", "--seed", "109"),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _file_digest(path) -> str:
+    with open(path, "rb") as fileobj:
+        return _digest(fileobj.read())
+
+
+def _analyze_digest(pcap, capsys) -> str:
+    capsys.readouterr()
+    assert main(["analyze", str(pcap), *ANALYZE]) == 0
+    return _digest(capsys.readouterr().out.encode())
+
+
+@pytest.mark.parametrize("case", sorted(MONTHS))
+def test_month_matches_golden(case, tmp_path, capsys):
+    pcap = tmp_path / "m.pcap"
+    assert main(["simulate", str(pcap), *MONTHS[case]]) == 0
+    assert (_file_digest(pcap), _analyze_digest(pcap, capsys)) == GOLDEN[case]
+
+
+def test_attacks_only_matches_golden(tmp_path, capsys):
+    config = replace(
+        ScenarioConfig(seed=20220101).scaled(0.05),
+        research_scan_packets=0,
+        unknown_scan_packets=0,
+        zero_rtt_scan_packets=0,
+        noise_packets=0,
+    )
+    scenario = build_scenario(config)
+    scenario.run()
+    pcap = tmp_path / "attacks.pcap"
+    with open(pcap, "wb") as fileobj:
+        scenario.telescope.write_pcap(fileobj)
+    assert (_file_digest(pcap), _analyze_digest(pcap, capsys)) == GOLDEN[
+        "attacks-only-20220101-x0.05"
+    ]
+
+
+def test_golden_holds_under_another_hash_seed(tmp_path):
+    case = "month-20220101-x0.02"
+    other = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=other, PYTHONPATH=src)
+    pcap = tmp_path / "m.pcap"
+    subprocess.run(
+        [sys.executable, "-m", "repro", "simulate", str(pcap), *MONTHS[case]],
+        env=env,
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+    analyzed = subprocess.run(
+        [sys.executable, "-m", "repro", "analyze", str(pcap), *ANALYZE],
+        env=env,
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+    assert (_file_digest(pcap), _digest(analyzed.stdout)) == GOLDEN[case]

@@ -13,7 +13,13 @@ from repro.netstack.ip import (
     decode_ipv4,
     encode_ipv4,
 )
-from repro.netstack.udp import UdpDatagram, UdpParseError, decode_udp, encode_udp
+from repro.netstack.udp import (
+    DeferredDatagram,
+    UdpDatagram,
+    UdpParseError,
+    decode_udp,
+    encode_udp,
+)
 
 
 class TestChecksum:
@@ -142,6 +148,72 @@ class TestUdp:
         raw[24:26] = (4).to_bytes(2, "big")  # UDP length below header size
         with pytest.raises(UdpParseError):
             decode_udp(bytes(raw))
+
+
+class TestDeferredDatagram:
+    def deferred(self, payload=b"quic bytes"):
+        builds = []
+
+        def build():
+            builds.append(payload)
+            return payload
+
+        datagram = DeferredDatagram(
+            parse_ip("10.0.0.1"), parse_ip("10.0.0.2"), 5555, 443, len(payload), build
+        )
+        return datagram, builds
+
+    def test_length_and_endpoints_need_no_build(self):
+        datagram, builds = self.deferred()
+        assert datagram.payload_length == 10
+        src, dst = parse_ip("10.0.0.1"), parse_ip("10.0.0.2")
+        assert datagram.flow == (src, 5555, dst, 443, 17)
+        assert datagram.ttl == 64
+        assert builds == []
+
+    def test_first_read_builds_later_reads_do_not(self):
+        datagram, builds = self.deferred()
+        assert datagram.payload == datagram.payload == b"quic bytes"
+        assert builds == [b"quic bytes"]
+        assert datagram.payload_length == len(datagram.payload)
+
+    def test_encodes_like_the_eager_datagram(self):
+        datagram, _builds = self.deferred()
+        eager = UdpDatagram(
+            datagram.src_ip, datagram.dst_ip, 5555, 443, b"quic bytes"
+        )
+        assert encode_udp(datagram) == encode_udp(eager)
+        assert decode_udp(encode_udp(datagram)) == eager
+        assert eager.payload_length == 10
+
+    def test_with_payload_and_reply_give_plain_datagrams(self):
+        datagram, builds = self.deferred()
+        swapped = datagram.with_payload(b"other")
+        assert type(swapped) is UdpDatagram and swapped.payload == b"other"
+        assert swapped.flow == datagram.flow
+        assert datagram.reply(b"resp").dst_port == 5555
+        assert builds == []
+
+    def test_stays_frozen_and_has_no_stray_attributes(self):
+        datagram, _builds = self.deferred()
+        with pytest.raises(AttributeError):
+            datagram.payload = b"x"
+        with pytest.raises(AttributeError):
+            datagram.no_such_field
+
+    def test_a_failed_build_can_be_read_again(self):
+        attempts = []
+
+        def build():
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise RuntimeError("first try")
+            return b"ok"
+
+        datagram = DeferredDatagram(1, 2, 3, 4, 2, build)
+        with pytest.raises(RuntimeError):
+            datagram.payload
+        assert datagram.payload == b"ok"
 
 
 class TestEncap:

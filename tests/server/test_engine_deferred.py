@@ -1,0 +1,263 @@
+"""Seal on delivery: an engine reply is planned at send, built at first read.
+
+``_ConnFlight.datagrams`` fixes everything a flight depends on — the
+ServerHello random, the packet numbers, the lengths — when the flight is
+sent, and hands ``_reply`` a builder.  These tests hold the builder to
+the eager reference (``_flight_datagrams_rebuild``), to read-order
+independence and to running at most once, and hold an engine whose
+replies nobody can receive to sealing nothing while every counter, timer
+and trace field stays what it is for a routed twin.
+"""
+
+import io
+import json
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import hotpath
+from repro.netstack.addr import Prefix, parse_ip
+from repro.obs import JsonlTracer, MetricsRegistry, Observability
+from repro.quic.crypto.memo import clear_crypto_memos
+from repro.quic.crypto.suites import FastProtection
+from repro.server.engine import QuicServerEngine
+from repro.server.profiles import (
+    cloudflare_profile,
+    facebook_profile,
+    generic_profile,
+    google_profile,
+    quic_lb_profile,
+)
+from repro.server.simple import SimpleQuicServer
+from repro.simnet.eventloop import EventLoop
+from repro.simnet.network import Device, Network, PathModel
+from repro.workloads.clients import ClientConnection
+
+VIP = parse_ip("157.240.1.10")
+CLIENT = parse_ip("44.1.2.3")
+
+PROFILES = {
+    "cloudflare": lambda: cloudflare_profile(colo_id=3),
+    "facebook": lambda: facebook_profile(),
+    "google": lambda: google_profile(),
+    "quic_lb": lambda: quic_lb_profile(),
+    "generic": lambda: generic_profile("generic-1234", random.Random(1234)),
+}
+
+
+@pytest.fixture(autouse=True)
+def _hotpath_reset():
+    clear_crypto_memos()
+    hotpath.set_enabled(True)
+    yield
+    clear_crypto_memos()
+    hotpath.set_enabled(True)
+
+
+@pytest.fixture
+def protect_calls(monkeypatch):
+    """Packet numbers of the server-side ``FastProtection.protect`` calls
+    made while the test runs (the client seals its own Initial)."""
+    calls = []
+    original = FastProtection.protect
+
+    def counting(self, is_server, header, packet_number, payload):
+        if is_server:
+            calls.append(packet_number)
+        return original(self, is_server, header, packet_number, payload)
+
+    monkeypatch.setattr(FastProtection, "protect", counting)
+    return calls
+
+
+def _profile(name, coalesced):
+    return replace(PROFILES[name](), coalesce_probability=1.0 if coalesced else 0.0)
+
+
+def _engine(profile, sent):
+    return QuicServerEngine(
+        profile=profile,
+        loop=EventLoop(),
+        rng=random.Random(5),
+        send=sent.append,
+        host_id=7,
+        worker_id=3,
+    )
+
+
+def _initial(profile, port=4242, dcid=None, scid=None):
+    return ClientConnection(
+        rng=random.Random(77),
+        src_ip=CLIENT,
+        src_port=port,
+        dst_ip=VIP,
+        version=profile.supported_versions[0],
+        dcid=dcid,
+        scid=scid,
+    ).initial_datagram()
+
+
+def _whole_ladder(profile, **client):
+    """Every flight one handshake attempt emits, retransmissions included."""
+    sent = []
+    engine = _engine(profile, sent)
+    engine.on_datagram(_initial(profile, **client), 0.0)
+    engine.loop.run()
+    return sent
+
+
+@pytest.mark.parametrize("coalesced", (False, True), ids=("split", "coalesced"))
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_deferred_flight_equals_the_eager_rebuild(name, coalesced):
+    profile = _profile(name, coalesced)
+    deferred = _whole_ladder(profile)
+    with hotpath.disabled():
+        eager = _whole_ladder(profile)
+    assert len(deferred) == len(eager) > (1 if coalesced else 2)
+    # The lengths are read first: they must not come from building.
+    lengths = [datagram.payload_length for datagram in deferred]
+    assert all("payload" not in vars(datagram) for datagram in deferred)
+    assert lengths == [len(datagram.payload) for datagram in eager]
+    assert [d.payload for d in deferred] == [d.payload for d in eager]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROFILES)),
+    coalesced=st.booleans(),
+    dcid=st.binary(min_size=8, max_size=20),
+    scid=st.binary(min_size=0, max_size=20),
+)
+def test_payload_length_is_the_built_length(name, coalesced, dcid, scid):
+    profile = _profile(name, coalesced)
+    for datagram in _whole_ladder(profile, dcid=dcid, scid=scid):
+        assert datagram.payload_length == len(datagram.payload)
+
+
+def test_flights_read_in_reverse_give_in_order_bytes():
+    """pn and the ServerHello random are captured at send, not at read."""
+    profile = _profile("facebook", False)
+    in_order = []
+    engine = _engine(profile, in_order)
+    engine._send = lambda datagram: in_order.append(datagram.payload)
+    engine.on_datagram(_initial(profile), 0.0)
+    engine.loop.run()
+
+    late = _whole_ladder(profile)
+    assert len(late) == len(in_order) >= 4
+    reversed_reads = [datagram.payload for datagram in reversed(late)]
+    assert reversed_reads[::-1] == in_order
+    assert len(set(in_order)) == len(in_order)  # every flight differs
+
+
+def test_payload_read_three_times_seals_once(protect_calls):
+    profile = _profile("google", True)
+    sent = []
+    engine = _engine(profile, sent)
+    engine.on_datagram(_initial(profile), 0.0)
+    (datagram,) = sent
+    assert protect_calls == []
+    reads = {datagram.payload, datagram.payload, datagram.payload}
+    assert len(reads) == 1
+    assert protect_calls == [0, 1]  # Initial pn 0 + Handshake pn 1, once each
+
+
+# ---------------------------------------------------------------- behind a net
+class _Client(Device):
+    """Owns the client's prefix, so replies to it are routed."""
+
+    def __init__(self):
+        super().__init__("client")
+        self.received = []
+
+    def prefixes(self):
+        return [Prefix.parse("44.0.0.0/9")]
+
+    def handle_datagram(self, datagram, now):
+        self.received.append((now, datagram.payload))
+
+
+def _served(profile, routed, loss_rate=0.0):
+    """One handshake attempt against a server on a network; the client's
+    prefix is announced only when ``routed``."""
+    sink = io.StringIO()
+    obs = Observability(tracer=JsonlTracer(sink), metrics=MetricsRegistry())
+    loop = EventLoop(obs)
+    net = Network(loop, random.Random(1), PathModel(loss_rate=loss_rate), obs=obs)
+    server = SimpleQuicServer(
+        "server", VIP, profile, loop, random.Random(5), host_id=7, obs=obs
+    )
+    client = _Client()
+    net.add_device(server)
+    if routed:
+        net.add_device(client)
+    server.handle_datagram(_initial(profile), 0.0)
+    (engine,) = server.host.workers.values()
+    (conn,) = engine._by_origin.values()
+    loop.run()
+    events = [json.loads(line) for line in sink.getvalue().splitlines()]
+    return engine, conn, net, client, obs.metrics.snapshot()["counters"], events
+
+
+def _named(events, name):
+    return [
+        (event["time"], event["data"]) for event in events if event["name"] == name
+    ]
+
+
+@pytest.mark.parametrize("coalesced", (False, True), ids=("split", "coalesced"))
+def test_unrouted_replies_are_never_sealed(protect_calls, coalesced):
+    profile = _profile("facebook", coalesced)
+    engine, conn, net, _client, counters, events = _served(profile, routed=False)
+    assert protect_calls == []
+    unrouted_state = (
+        conn.next_packet_number,
+        vars(engine.stats),
+        counters["transport.flight_bytes"],
+        counters["transport.datagrams_sent"],
+        _named(events, "rto_fired"),
+        _named(events, "datagrams_sent"),
+    )
+    dropped = [data["bytes"] for _t, data in _named(events, "packet_dropped")]
+    assert net.stats.dropped_unrouted == len(dropped) > 0
+    assert protect_calls == []  # the tracer and the metrics read lengths only
+
+    engine, conn, net, client, counters, events = _served(profile, routed=True)
+    assert len(protect_calls) == 2 * engine.stats.flights_sent > 0
+    assert unrouted_state == (
+        conn.next_packet_number,
+        vars(engine.stats),
+        counters["transport.flight_bytes"],
+        counters["transport.datagrams_sent"],
+        _named(events, "rto_fired"),
+        _named(events, "datagrams_sent"),
+    )
+    assert conn.next_packet_number == 2 * engine.stats.flights_sent
+    # What the drop events reported is what the routed twin delivered and
+    # what the engine's own flight events listed.
+    delivered = [data["bytes"] for _t, data in _named(events, "packet_delivered")]
+    assert dropped == delivered
+    # (jitter reorders arrivals, so the receiver's view is compared unordered)
+    assert sorted(delivered) == sorted(len(payload) for _t, payload in client.received)
+    listed = [
+        length
+        for _t, data in _named(events, "datagrams_sent")
+        for length in data["lengths"]
+    ]
+    assert listed == delivered
+    assert sum(listed) == counters["transport.flight_bytes"]["values"][profile.name]
+
+
+def test_lossy_path_drops_by_the_sealed_bytes():
+    """The loss hash covers the payload, so a deferred flight must be lost
+    or delivered exactly as the same bytes sent eagerly are."""
+    profile = _profile("cloudflare", False)
+    _e, _c, net, client, _m, _ev = _served(profile, routed=True, loss_rate=0.5)
+    with hotpath.disabled():
+        _e, _c, eager_net, eager_client, _m, _ev = _served(
+            profile, routed=True, loss_rate=0.5
+        )
+    assert net.stats.dropped_loss == eager_net.stats.dropped_loss > 0
+    assert client.received == eager_client.received != []

@@ -3,7 +3,9 @@
 import random
 
 from repro.netstack.addr import Prefix, parse_ip
-from repro.netstack.udp import UdpDatagram
+from repro.netstack.udp import DeferredDatagram, UdpDatagram
+from repro.obs import JsonlTracer, Observability
+from repro.obs.prof import Profiler
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device, Network, PathModel
 
@@ -158,6 +160,98 @@ class TestLoss:
             sender.send(dgram("192.0.2.1", "10.0.0.1"))
         loop.run()
         assert len(receiver.received) in (0, 20)
+
+
+class TestDeferredPayload:
+    """The route is resolved before anything reads the payload."""
+
+    @staticmethod
+    def deferred(dst, payload, builds):
+        def build():
+            builds.append(payload)
+            return payload
+
+        return DeferredDatagram(
+            parse_ip("192.0.2.1"), parse_ip(dst), 1000, 443, len(payload), build
+        )
+
+    def test_unrouted_datagram_is_dropped_unbuilt(self):
+        import io
+        import json
+
+        sink = io.StringIO()
+        loop = EventLoop()
+        net = Network(
+            loop, random.Random(1), obs=Observability(tracer=JsonlTracer(sink))
+        )
+        sender = Sink("s", "192.0.2.0/24")
+        net.add_device(sender)
+        builds = []
+        sender.send(self.deferred("203.0.113.9", b"never built", builds))
+        loop.run()
+        assert builds == []
+        assert net.stats.dropped_unrouted == 1
+        (event,) = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert event["name"] == "packet_dropped"
+        assert event["data"]["bytes"] == len(b"never built")
+
+    def test_routed_datagram_is_built_once_and_delivered(self):
+        loop, net = make_net(jitter=0.001)
+        receiver = Sink("r", "10.0.0.0/8")
+        sender = Sink("s", "192.0.2.0/24")
+        net.add_device(receiver)
+        net.add_device(sender)
+        builds = []
+        sender.send(self.deferred("10.0.0.1", b"sealed", builds))
+        assert builds == [b"sealed"]  # in transmit's own call stack
+        loop.run()
+        ((_, delivered),) = receiver.received
+        assert delivered.payload == b"sealed"
+        assert builds == [b"sealed"]
+
+    def test_loss_and_jitter_are_those_of_the_built_bytes(self):
+        arrivals = []
+        for deferred in (True, False):
+            loop, net = make_net(loss=0.5, jitter=0.001)
+            receiver = Sink("r", "10.0.0.0/8")
+            sender = Sink("s", "192.0.2.0/24")
+            net.add_device(receiver)
+            net.add_device(sender)
+            for i in range(200):
+                payload = b"pkt-%d" % i
+                if deferred:
+                    sender.send(self.deferred("10.0.0.1", payload, []))
+                else:
+                    sender.send(dgram("192.0.2.1", "10.0.0.1", payload=payload))
+            loop.run()
+            arrivals.append([(now, d.payload) for now, d in receiver.received])
+            assert 50 < len(receiver.received) < 150
+        assert arrivals[0] == arrivals[1]
+
+    def test_profiled_transmit_builds_outside_its_leaf(self):
+        """A build books its own profiler leaves (engine.aead/engine.hp);
+        run inside the net.transmit leaf it would be counted twice."""
+        prof = Profiler(every=1)
+        loop = EventLoop()
+        net = Network(loop, random.Random(1), obs=Observability(prof=prof))
+        receiver = Sink("r", "10.0.0.0/8")
+        sender = Sink("s", "192.0.2.0/24")
+        net.add_device(receiver)
+        net.add_device(sender)
+        open_leaves = []
+
+        def build():
+            # leaf_begin counts the call before the stage body runs.
+            open_leaves.append(prof.stage_totals().get("net.transmit", {"calls": 0}))
+            return b"sealed"
+
+        sender.send(
+            DeferredDatagram(
+                parse_ip("192.0.2.1"), parse_ip("10.0.0.1"), 1000, 443, 6, build
+            )
+        )
+        assert [leaf["calls"] for leaf in open_leaves] == [0]
+        assert prof.stage_totals()["net.transmit"]["calls"] == 1
 
 
 class TestDeviceErrors:
