@@ -1,9 +1,9 @@
 """Write-side hot-path switch and the deterministic LRU behind it.
 
 The template-and-memo refactor (crypto memoization, packet/header
-templates, flow-encapsulation templates, the engine's per-connection
-flight layouts) is byte-identical to the rebuild-everything path it
-replaced — every cached object is a pure function of its key.  The
+templates, the engine's per-connection flight layouts) is
+byte-identical to the rebuild-everything path it replaced — every
+cached object is a pure function of its key.  The
 rebuild paths are kept permanently as the *reference implementation*:
 ``benchmarks/bench_hotpath.py`` flips this switch to measure the
 speedup and to re-assert pcap byte-parity against the non-template
@@ -16,6 +16,7 @@ both paths produce identical bytes).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Callable, Iterator, TypeVar
 
@@ -46,12 +47,15 @@ def disabled() -> Iterator[None]:
 
 
 class LruCache:
-    """Small deterministic LRU: insertion-ordered dict, oldest-out.
+    """Small deterministic LRU: an ``OrderedDict``, oldest-out.
 
     Eviction order is a pure function of the get/put sequence (no
     clocks, no hashing randomness — keys are bytes/int tuples), so two
     processes replaying the same packet stream hold identical caches.
-    Hit/miss counters feed the hot-path bench.
+    Hit/miss counters feed the hot-path bench.  Eviction is
+    ``popitem(last=False)``: the Initial-keys memo misses on every fresh
+    DCID, and deleting the front of a plain ``dict`` makes each later
+    ``next(iter(...))`` walk the dead slots left behind.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "_data")
@@ -62,7 +66,7 @@ class LruCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._data: dict = {}
+        self._data: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -70,16 +74,16 @@ class LruCache:
     def get_or_build(self, key, factory: Callable[[], _T]) -> _T:
         """Return the cached value for ``key``, building it on a miss."""
         data = self._data
-        value = data.pop(key, _MISSING)
+        value = data.get(key, _MISSING)
         if value is not _MISSING:
             self.hits += 1
-            data[key] = value  # re-insert: most recently used sits last
+            data.move_to_end(key)  # most recently used sits last
             return value
         self.misses += 1
         value = factory()
         data[key] = value
         if len(data) > self.maxsize:
-            del data[next(iter(data))]
+            data.popitem(last=False)
         return value
 
     def clear(self) -> None:

@@ -6,8 +6,8 @@ month of backscatter is hundreds of thousands of small heap objects.
 :class:`CaptureBuffer` stores the same information as parallel ``array``
 columns — timestamp / offset / length — over one contiguous
 ``bytearray``, so appending a packet is two array appends plus a
-``bytearray`` extend (which flow templates write into directly, see
-:func:`repro.netstack.udp.encode_udp_into`), and writing the pcap
+``bytearray`` extend (which the IPv4/UDP encoder writes into directly,
+see :func:`repro.netstack.udp.encode_udp_into`), and writing the pcap
 streams ``memoryview`` slices without materializing records.
 
 :attr:`CaptureBuffer.records` is a read-only sequence view that yields
@@ -20,7 +20,12 @@ from __future__ import annotations
 from array import array
 from typing import Iterator, List, Union
 
-from repro.netstack.pcap import PcapRecord, PcapWriter, record_sort_key
+from repro.netstack.pcap import (
+    PcapRecord,
+    PcapWriter,
+    record_sort_key,
+    split_timestamp,
+)
 
 
 class CaptureRecords:
@@ -77,7 +82,7 @@ class CaptureBuffer:
     def commit(self, timestamp: float, start: int) -> None:
         """Record a packet whose bytes were just written to ``data``.
 
-        Callers that encode in place (flow templates) extend ``data``
+        Callers that encode in place (``encode_udp_into``) extend ``data``
         themselves and commit the region ``[start:len(data))``.
         """
         self.times.append(timestamp)
@@ -108,11 +113,8 @@ class CaptureBuffer:
         """Stream every packet to ``writer`` as memoryview slices."""
         view = memoryview(self.data)
         for index in range(len(self.times)):
-            timestamp = self.times[index]
             offset = self.offsets[index]
-            ts_sec = int(timestamp)
             writer.write_raw(
-                ts_sec,
-                int(round((timestamp - ts_sec) * 1_000_000)),
+                *split_timestamp(self.times[index]),
                 view[offset : offset + self.lengths[index]],
             )

@@ -32,6 +32,20 @@ class PcapError(ValueError):
     """Raised on malformed pcap files."""
 
 
+def split_timestamp(timestamp: float) -> tuple[int, int]:
+    """``timestamp`` as a record header's ``(ts_sec, ts_usec)`` pair.
+
+    Rounding the fraction to microseconds can reach a whole second
+    (``1.9999996``); it carries, because ``ts_usec = 1000000`` is a
+    malformed record to every other pcap reader.
+    """
+    ts_sec = int(timestamp)
+    ts_usec = int(round((timestamp - ts_sec) * 1_000_000))
+    if ts_usec == 1_000_000:
+        return ts_sec + 1, 0
+    return ts_sec, ts_usec
+
+
 @dataclass(frozen=True)
 class PcapRecord:
     """One captured packet: timestamp (float seconds) and raw bytes."""
@@ -41,11 +55,11 @@ class PcapRecord:
 
     @property
     def ts_sec(self) -> int:
-        return int(self.timestamp)
+        return split_timestamp(self.timestamp)[0]
 
     @property
     def ts_usec(self) -> int:
-        return int(round((self.timestamp - int(self.timestamp)) * 1_000_000))
+        return split_timestamp(self.timestamp)[1]
 
 
 class PcapWriter:
@@ -61,13 +75,7 @@ class PcapWriter:
         self._snaplen = snaplen
 
     def write(self, record: PcapRecord) -> None:
-        data = record.data[: self._snaplen]
-        self._file.write(
-            _RECORD_HEADER.pack(
-                record.ts_sec, record.ts_usec, len(data), len(record.data)
-            )
-        )
-        self._file.write(data)
+        self.write_raw(*split_timestamp(record.timestamp), record.data)
 
     def write_all(self, records: Iterable[PcapRecord]) -> None:
         for record in records:
@@ -261,7 +269,7 @@ def record_sort_key(record: PcapRecord) -> tuple:
     property of the record multiset alone — independent of how records
     were partitioned across shard files.
     """
-    return (record.ts_sec, record.ts_usec, record.data)
+    return (*split_timestamp(record.timestamp), record.data)
 
 
 def merge_pcap_files(

@@ -10,17 +10,11 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
-from repro import hotpath
-from repro.buffer import Writer
-from repro.hotpath import LruCache
-from repro.netstack.checksum import internet_checksum
 from repro.netstack.ip import (
     HEADER_LENGTH as IP_HEADER_LENGTH,
-    IPv4Header,
     IpParseError,
     PROTO_UDP,
     decode_ipv4,
-    encode_ipv4,
 )
 
 HEADER_LENGTH = 8
@@ -125,148 +119,98 @@ class DeferredDatagram(UdpDatagram):
         return self._payload_length
 
 
+#: IPv4 header (RFC 791, no options) followed by the UDP header (RFC 768).
+_IP_UDP_HEADER = struct.Struct("!BBHHHBBHIIHHHH")
+
+
+def _header(flow, payload: bytes) -> bytes:
+    """The 28 IPv4+UDP header bytes in front of ``payload``, one ``pack``.
+
+    ``flow`` is anything with a datagram's address, port and TTL fields.
+    Both RFC 1071 checksums come from the fields: 2**16 ≡ 1 (mod 0xFFFF),
+    so a ones-complement word sum is the plain sum reduced mod 0xFFFF and
+    the payload's words are the payload read as one big-endian integer
+    (see :mod:`repro.netstack.checksum`).  The field-by-field encoder
+    this replaced is the reference in ``tests/netstack/test_capbuf.py``.
+    """
+    length = len(payload)
+    udp_length = HEADER_LENGTH + length
+    if udp_length > 0xFFFF:
+        raise UdpParseError("UDP datagram too large: %d" % udp_length)
+    total_length = IP_HEADER_LENGTH + udp_length
+    if total_length > 0xFFFF:
+        raise IpParseError("IPv4 packet too large: %d bytes" % total_length)
+    src_ip, dst_ip, ttl = flow.src_ip, flow.dst_ip, flow.ttl
+    src_port, dst_port = flow.src_port, flow.dst_port
+    addresses = (src_ip >> 16) + (src_ip & 0xFFFF) + (dst_ip >> 16) + (dst_ip & 0xFFFF)
+    # Neither sum can be zero, so its fold is the remainder with 0 read
+    # as 0xFFFF (ones-complement's other zero).
+    ip_sum = 0x4500 + total_length + 0x4000 + ((ttl << 8) | PROTO_UDP) + addresses
+    words = int.from_bytes(payload, "big")
+    if length & 1:
+        words <<= 8  # the checksum pads an odd payload with a zero byte
+    # UDP Length is summed twice: in the pseudo-header and in the header.
+    udp_sum = addresses + PROTO_UDP + src_port + dst_port + 2 * udp_length + words
+    return _IP_UDP_HEADER.pack(
+        0x45,  # version 4, IHL 5
+        0,  # DSCP/ECN
+        total_length,
+        0,  # identification
+        0x4000,  # don't-fragment, offset 0
+        ttl,
+        PROTO_UDP,
+        0xFFFF - (ip_sum % 0xFFFF or 0xFFFF),
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
+        udp_length,
+        # Never 0, which on the wire means "no checksum": a remainder of 0
+        # gives 0xFFFF, RFC 768's spelling of a computed zero.
+        0xFFFF - udp_sum % 0xFFFF,
+    )
+
+
 class FlowTemplate:
-    """Precomputed IPv4+UDP encapsulation for one flow 5-tuple.
+    """One flow's endpoints and TTL, for encapsulating payload after payload.
 
-    The 28-byte header skeleton carries every constant field (addresses,
-    ports, TTL, flags) and the RFC 1071 checksum's commutativity lets the
-    constant terms be summed once:
-
-    * ``ip_partial`` — the word sum of the IPv4 header with Total Length
-      and Checksum zeroed; per packet only the length term is added.
-    * ``udp_partial`` — the pseudo-header constants plus the UDP ports.
-      The UDP Length field appears twice in the checksummed stream (once
-      in the pseudo-header, once in the real header), hence the
-      ``2 * udp_length`` term per packet.
-
-    Per-packet work is then: splice two length fields, fold two partial
-    sums (the payload word sum is the only data-dependent part), splice
-    two checksums.  Byte-identical to the Writer-based reference path.
+    A thin holder over the flat encoder.  It precomputes nothing: one
+    ``pack`` is cheaper than patching a per-flow header skeleton even on
+    a repeated 5-tuple, and every scan record is a fresh one.
     """
 
-    __slots__ = ("skeleton", "ip_partial", "udp_partial")
+    __slots__ = ("src_ip", "dst_ip", "src_port", "dst_port", "ttl")
 
     def __init__(
         self, src_ip: int, dst_ip: int, src_port: int, dst_port: int, ttl: int
     ) -> None:
-        skeleton = bytearray(IP_HEADER_LENGTH + HEADER_LENGTH)
-        skeleton[0] = 0x45  # version 4, IHL 5; DSCP/ECN zero
-        skeleton[6:8] = (0x4000).to_bytes(2, "big")  # don't-fragment
-        skeleton[8] = ttl
-        skeleton[9] = PROTO_UDP
-        skeleton[12:16] = src_ip.to_bytes(4, "big")
-        skeleton[16:20] = dst_ip.to_bytes(4, "big")
-        skeleton[20:22] = src_port.to_bytes(2, "big")
-        skeleton[22:24] = dst_port.to_bytes(2, "big")
-        self.skeleton = skeleton
-        self.ip_partial = (
-            0x4500
-            + 0x4000
-            + ((ttl << 8) | PROTO_UDP)
-            + (src_ip >> 16)
-            + (src_ip & 0xFFFF)
-            + (dst_ip >> 16)
-            + (dst_ip & 0xFFFF)
-        )
-        self.udp_partial = (
-            (src_ip >> 16)
-            + (src_ip & 0xFFFF)
-            + (dst_ip >> 16)
-            + (dst_ip & 0xFFFF)
-            + PROTO_UDP
-            + src_port
-            + dst_port
-        )
-
-    def _header(self, payload: bytes) -> bytearray:
-        udp_length = HEADER_LENGTH + len(payload)
-        if udp_length > 0xFFFF:
-            raise UdpParseError("UDP datagram too large: %d" % udp_length)
-        total_length = IP_HEADER_LENGTH + udp_length
-        if total_length > 0xFFFF:
-            raise IpParseError("IPv4 packet too large: %d bytes" % total_length)
-        header = self.skeleton.copy()
-        header[2:4] = total_length.to_bytes(2, "big")
-        ip_checksum = internet_checksum(b"", initial=self.ip_partial + total_length)
-        header[10:12] = ip_checksum.to_bytes(2, "big")
-        header[24:26] = udp_length.to_bytes(2, "big")
-        udp_checksum = internet_checksum(
-            payload, initial=self.udp_partial + 2 * udp_length
-        )
-        if udp_checksum == 0:
-            udp_checksum = 0xFFFF  # RFC 768: zero means "no checksum"
-        header[26:28] = udp_checksum.to_bytes(2, "big")
-        return header
+        self.src_ip = src_ip
+        self.dst_ip = dst_ip
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.ttl = ttl
 
     def encode(self, payload: bytes) -> bytes:
         """Serialize one packet of this flow."""
-        return bytes(self._header(payload)) + payload
+        return _header(self, payload) + payload
 
     def encode_into(self, out: bytearray, payload: bytes) -> None:
         """Append one packet of this flow to ``out`` (no final copy)."""
-        out += self._header(payload)
+        out += _header(self, payload)
         out += payload
-
-
-_FLOW_TEMPLATES = LruCache(4096)
-
-
-def flow_template(datagram: UdpDatagram) -> FlowTemplate:
-    """Fetch (or build) the cached encapsulation template for a flow."""
-    key = (
-        datagram.src_ip,
-        datagram.dst_ip,
-        datagram.src_port,
-        datagram.dst_port,
-        datagram.ttl,
-    )
-    return _FLOW_TEMPLATES.get_or_build(key, lambda: FlowTemplate(*key))
 
 
 def encode_udp(datagram: UdpDatagram) -> bytes:
     """Serialize the full IPv4+UDP packet with both checksums."""
-    if hotpath.enabled:
-        return flow_template(datagram).encode(datagram.payload)
-    return _encode_udp_rebuild(datagram)
+    payload = datagram.payload
+    return _header(datagram, payload) + payload
 
 
 def encode_udp_into(out: bytearray, datagram: UdpDatagram) -> None:
-    """Append the serialized packet to ``out`` (capture-buffer fast path)."""
-    if hotpath.enabled:
-        flow_template(datagram).encode_into(out, datagram.payload)
-    else:
-        out += _encode_udp_rebuild(datagram)
-
-
-def _encode_udp_rebuild(datagram: UdpDatagram) -> bytes:
-    """Writer-based reference encoder (parity baseline for templates)."""
-    udp_length = HEADER_LENGTH + len(datagram.payload)
-    if udp_length > 0xFFFF:
-        raise UdpParseError("UDP datagram too large: %d" % udp_length)
-    writer = Writer()
-    writer.write_u16(datagram.src_port)
-    writer.write_u16(datagram.dst_port)
-    writer.write_u16(udp_length)
-    writer.write_u16(0)  # checksum placeholder
-    writer.write(datagram.payload)
-    udp_bytes = bytearray(writer.getvalue())
-    pseudo = Writer()
-    pseudo.write_u32(datagram.src_ip)
-    pseudo.write_u32(datagram.dst_ip)
-    pseudo.write_u8(0)
-    pseudo.write_u8(PROTO_UDP)
-    pseudo.write_u16(udp_length)
-    checksum = internet_checksum(pseudo.getvalue() + bytes(udp_bytes))
-    if checksum == 0:
-        checksum = 0xFFFF  # RFC 768: zero means "no checksum"
-    udp_bytes[6:8] = checksum.to_bytes(2, "big")
-    ip_header = IPv4Header(
-        src=datagram.src_ip,
-        dst=datagram.dst_ip,
-        protocol=PROTO_UDP,
-        ttl=datagram.ttl,
-    )
-    return encode_ipv4(ip_header, bytes(udp_bytes))
+    """Append the serialized packet to ``out`` (the capture buffer's path)."""
+    payload = datagram.payload
+    out += _header(datagram, payload)
+    out += payload
 
 
 def decode_udp(packet: bytes) -> UdpDatagram:

@@ -60,7 +60,7 @@ class Telescope(Device):
 
     def handle_datagram(self, datagram: UdpDatagram, now: float) -> None:
         # Encapsulate straight into the contiguous capture buffer (the
-        # flow template appends header + payload with no whole-packet
+        # encoder appends header + payload with no whole-packet
         # intermediate), then commit the ts/offset/length columns.
         capture = self.capture
         start = len(capture.data)

@@ -1,8 +1,9 @@
 """Client-side QUIC: connection objects and a host device.
 
-:class:`ClientConnection` drives one handshake: it builds the padded client
-Initial, unprotects the server's flight (possible because Initial keys
-derive from the client's own DCID), extracts the server's SCID, transport
+:class:`ClientConnection` drives one handshake: it emits the padded client
+Initial (a splice into the :class:`_InitialLayout` of its shape),
+unprotects the server's flight (possible because Initial keys derive
+from the client's own DCID), extracts the server's SCID, transport
 parameters and certificate, and produces the confirmation flight that
 completes the handshake on the server.  The active prober (paper §3.2,
 Appendix D) is built on top of it.
@@ -14,8 +15,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.hotpath import LruCache
 from repro.netstack.udp import QUIC_PORT, UdpDatagram
-from repro.quic.crypto.suites import ProtectionError, suite_by_name
+from repro.quic.crypto.suites import TAG_LENGTH, ProtectionError, suite_by_name
 from repro.quic.frames import (
     AckFrame,
     AckRange,
@@ -32,9 +34,14 @@ from repro.quic.packet import (
     PacketType,
     decode_datagram,
     encode_datagram,
+    header_length,
+    packet_template,
     unprotect_packet,
 )
-from repro.quic.transport_params import TransportParameters
+from repro.quic.transport_params import (
+    INITIAL_SOURCE_CONNECTION_ID,
+    TransportParameters,
+)
 from repro.quic.version import QUIC_V1
 from repro.server.engine import CERT_MAGIC
 from repro.tls.certs import Certificate, CertificateError
@@ -49,6 +56,73 @@ _CONFIRM_ACK_PAYLOAD = encode_frames(
     [AckFrame(largest_acked=0, ranges=(AckRange(0, 0),))]
 )
 _CONFIRM_FINISHED_PAYLOAD = encode_frames([CryptoFrame(offset=0, data=b"finished")])
+
+
+class _InitialLayout:
+    """The client Initial of one probe *shape*, encoded once.
+
+    A stateless sender's Initials differ only in the 32-byte ClientHello
+    ``random``, the SCID (in the header and in the
+    ``initial_source_connection_id`` transport parameter) and the DCID;
+    everything else — ClientHello, CRYPTO framing, PADDING, the header
+    skeleton — follows from ``(version, DCID length, SCID length,
+    server_name, pad_to)``.  The client-side twin of the engine's
+    ``_FlightLayout``: the payload is kept as the three constant pieces
+    around the two spliced fields, whose offsets are found by encoding
+    with two distinct sentinels and diffing (``server_name`` is the
+    caller's, so a substring search could match inside it), and the
+    padding is the deficit :func:`~repro.quic.packet.encode_datagram`
+    computes from :func:`~repro.quic.packet.header_length`.
+    """
+
+    __slots__ = ("prefix", "mid", "suffix", "template")
+
+    def __init__(
+        self, version: int, dcid_len: int, scid_len: int, server_name: str, pad_to: int
+    ) -> None:
+        payload = self._payload(bytes(32), bytes(scid_len), server_name)
+        other = self._payload(b"\xff" * 32, b"\xff" * scid_len, server_name)
+        differing = [
+            i for i, (a, b) in enumerate(zip(payload, other, strict=True)) if a != b
+        ]
+        random_offset = differing[0]
+        scid_offset = differing[32] if scid_len else len(payload)
+        if scid_offset <= random_offset + 32 or differing != [
+            *range(random_offset, random_offset + 32),
+            *range(scid_offset, scid_offset + scid_len),
+        ]:
+            raise AssertionError("random and scid are not two separate runs")
+        self.prefix = payload[:random_offset]
+        self.mid = payload[random_offset + 32 : scid_offset]
+        suffix = payload[scid_offset + scid_len :]
+        length = len(payload)
+        natural = (
+            header_length(PacketType.INITIAL, dcid_len, scid_len, 0, length, 1)
+            + length
+            + TAG_LENGTH
+        )
+        if natural < pad_to:
+            suffix += b"\x00" * (pad_to - natural)
+            length += pad_to - natural
+        self.suffix = suffix
+        self.template = packet_template(
+            PacketType.INITIAL, version, dcid_len, scid_len, 0, length, 1
+        )
+
+    @staticmethod
+    def _payload(random32: bytes, scid: bytes, server_name: str) -> bytes:
+        hello = ClientHello(
+            random=random32,
+            server_name=server_name,
+            quic_transport_parameters=TransportParameters()
+            .set(INITIAL_SOURCE_CONNECTION_ID, scid)
+            .encode(),
+        )
+        return encode_frames([CryptoFrame(offset=0, data=encode_handshake(hello))])
+
+
+#: Bounded: ``server_name`` is whatever the active prober is pointed at.
+_INITIAL_LAYOUTS = LruCache(256)
 
 
 @dataclass
@@ -108,36 +182,32 @@ class ClientConnection:
 
     # -- outbound ----------------------------------------------------------
     def initial_datagram(self, now: float = 0.0) -> UdpDatagram:
-        """The first flight: a padded Initial carrying the ClientHello."""
-        hello = ClientHello(
-            random=self.rng.getrandbits(256).to_bytes(32, "big"),
-            server_name=self.server_name,
-            quic_transport_parameters=TransportParameters()
-            .set(0x0F, self.scid)
-            .encode(),
+        """The first flight: a padded Initial carrying the ClientHello.
+
+        Draw, splice, derive, seal: the only rng draw is the ClientHello
+        random, and the only per-probe bytes are it, the two CIDs and
+        what the seal makes of them.
+        """
+        random32 = self.rng.getrandbits(256).to_bytes(32, "big")
+        shape = (
+            self.version,
+            len(self.dcid),
+            len(self.scid),
+            self.server_name,
+            self.pad_to,
         )
-        payload = encode_frames(
-            [CryptoFrame(offset=0, data=encode_handshake(hello))]
+        layout = _INITIAL_LAYOUTS.get_or_build(shape, lambda: _InitialLayout(*shape))
+        payload = b"".join(
+            (layout.prefix, random32, layout.mid, self.scid, layout.suffix)
         )
-        packet = LongHeaderPacket(
-            packet_type=PacketType.INITIAL,
-            version=self.version,
-            dcid=self.dcid,
-            scid=self.scid,
-            packet_number=0,
-            payload=payload,
-            pn_length=1,
-        )
+        header = layout.template.render(self.dcid, self.scid, 0)
         self.sent_at = now
-        data = encode_datagram(
-            [packet], self.protection, is_server=False, pad_to=self.pad_to
-        )
         return UdpDatagram(
             src_ip=self.src_ip,
             dst_ip=self.dst_ip,
             src_port=self.src_port,
             dst_port=self.dst_port,
-            payload=data,
+            payload=self.protection.protect(False, header, 0, payload),
         )
 
     # -- inbound -----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Golden digests: the bytes `simulate` writes and the tables `analyze` prints.
 
 Byte parity used to be proven by running a change beside a checkout of
-its parent.  These constants are that proof in committed form: for three
+its parent.  These constants are that proof in committed form: for four
 small scenarios, the blake2b-128 of the pcap and of the stdout of
 ``analyze --tables 1 2 3 4 rto lengths``.  A change that means to keep
 the output (a performance change, a refactor) leaves them alone; one
@@ -9,10 +9,12 @@ that means to alter it updates them and says why.
 
 The month cases go through the documented command; the attack-only case
 (every scan and noise knob zero, so nearly all of it is server flights
-and their RTO ladders) has no command-line spelling and uses the README
-API, which writes what the command writes.  One case is repeated in a
-child process under a different ``PYTHONHASHSEED``: no digest may depend
-on set or dict iteration order.
+and their RTO ladders) and its mirror, the scans-only case (every
+``attacks_*`` knob zero: stateless senders, no server), have no
+command-line spelling and use the README API, which writes what the
+command writes.  One case is repeated in a child process under a
+different ``PYTHONHASHSEED``: no digest may depend on set or dict
+iteration order.
 """
 
 import hashlib
@@ -42,6 +44,27 @@ GOLDEN = {
     "attacks-only-20220101-x0.05": (
         "e37739422d1dfa03b3a63c966eb9b3c9",
         "972cc6d9d1c3802e960b1de1374807da",
+    ),
+    "scans-only-20220101-x0.05": (
+        "84471ed24092f73f611bb7397ed6ebd5",
+        "787e970360e1fbd6ed2148f1e4a50496",
+    ),
+}
+
+#: case -> the ScenarioConfig knobs it zeroes.
+ONE_SIDED = {
+    "attacks-only-20220101-x0.05": (
+        "research_scan_packets",
+        "unknown_scan_packets",
+        "zero_rtt_scan_packets",
+        "noise_packets",
+    ),
+    "scans-only-20220101-x0.05": (
+        "attacks_facebook",
+        "attacks_google",
+        "attacks_cloudflare",
+        "attacks_offnet",
+        "attacks_remaining",
     ),
 }
 
@@ -73,22 +96,25 @@ def test_month_matches_golden(case, tmp_path, capsys):
     assert (_file_digest(pcap), _analyze_digest(pcap, capsys)) == GOLDEN[case]
 
 
-def test_attacks_only_matches_golden(tmp_path, capsys):
+def _one_sided_matches_golden(case, tmp_path, capsys):
     config = replace(
         ScenarioConfig(seed=20220101).scaled(0.05),
-        research_scan_packets=0,
-        unknown_scan_packets=0,
-        zero_rtt_scan_packets=0,
-        noise_packets=0,
+        **{knob: 0 for knob in ONE_SIDED[case]},
     )
     scenario = build_scenario(config)
     scenario.run()
-    pcap = tmp_path / "attacks.pcap"
+    pcap = tmp_path / "one_sided.pcap"
     with open(pcap, "wb") as fileobj:
         scenario.telescope.write_pcap(fileobj)
-    assert (_file_digest(pcap), _analyze_digest(pcap, capsys)) == GOLDEN[
-        "attacks-only-20220101-x0.05"
-    ]
+    assert (_file_digest(pcap), _analyze_digest(pcap, capsys)) == GOLDEN[case]
+
+
+def test_attacks_only_matches_golden(tmp_path, capsys):
+    _one_sided_matches_golden("attacks-only-20220101-x0.05", tmp_path, capsys)
+
+
+def test_scans_only_matches_golden(tmp_path, capsys):
+    _one_sided_matches_golden("scans-only-20220101-x0.05", tmp_path, capsys)
 
 
 def test_golden_holds_under_another_hash_seed(tmp_path):

@@ -1,20 +1,63 @@
-"""Flow-template encapsulation parity and the columnar capture buffer."""
+"""Flat IPv4/UDP encapsulation parity and the columnar capture buffer.
+
+``repro.netstack.udp`` encapsulates with one ``struct.pack``.  The
+Writer-based encoder it replaced survives here, and only here, as
+``_encode_udp_rebuild``: the reference every encoder entry point is held
+to byte for byte.
+"""
 
 import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import hotpath
+from repro.buffer import Writer
 from repro.netstack.capbuf import CaptureBuffer
+from repro.netstack.checksum import internet_checksum, verify_checksum
+from repro.netstack.ip import PROTO_UDP, IPv4Header, IpParseError, encode_ipv4
 from repro.netstack.pcap import PcapRecord, PcapWriter, read_pcap
 from repro.netstack.udp import (
+    HEADER_LENGTH,
     FlowTemplate,
     UdpDatagram,
-    _encode_udp_rebuild,
+    UdpParseError,
+    decode_udp,
     encode_udp,
     encode_udp_into,
 )
+
+
+def _encode_udp_rebuild(datagram: UdpDatagram) -> bytes:
+    """The Writer-based encoder as it stood before the flat one."""
+    udp_length = HEADER_LENGTH + len(datagram.payload)
+    if udp_length > 0xFFFF:
+        raise UdpParseError("UDP datagram too large: %d" % udp_length)
+    writer = Writer()
+    writer.write_u16(datagram.src_port)
+    writer.write_u16(datagram.dst_port)
+    writer.write_u16(udp_length)
+    writer.write_u16(0)  # checksum placeholder
+    writer.write(datagram.payload)
+    udp_bytes = bytearray(writer.getvalue())
+    pseudo = Writer()
+    pseudo.write_u32(datagram.src_ip)
+    pseudo.write_u32(datagram.dst_ip)
+    pseudo.write_u8(0)
+    pseudo.write_u8(PROTO_UDP)
+    pseudo.write_u16(udp_length)
+    checksum = internet_checksum(pseudo.getvalue() + bytes(udp_bytes))
+    if checksum == 0:
+        checksum = 0xFFFF  # RFC 768: zero means "no checksum"
+    udp_bytes[6:8] = checksum.to_bytes(2, "big")
+    ip_header = IPv4Header(
+        src=datagram.src_ip,
+        dst=datagram.dst_ip,
+        protocol=PROTO_UDP,
+        ttl=datagram.ttl,
+    )
+    return encode_ipv4(ip_header, bytes(udp_bytes))
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +78,64 @@ def _datagram(payload, ttl=64, src_port=4242):
     )
 
 
+@st.composite
+def _payloads(draw):
+    """0-1472 bytes, odd and even; all-zero and all-0xFF ones included, so
+    both ones-complement zeros and the UDP ``0 -> 0xFFFF`` rule are hit."""
+    size = draw(st.integers(0, 1472))
+    fill = draw(st.sampled_from((None, b"\x00", b"\xff")))
+    return fill * size if fill else draw(st.binary(min_size=size, max_size=size))
+
+
 class TestFlowTemplateParity:
+    """``encode_udp`` / ``encode_udp_into`` / :class:`FlowTemplate` are one
+    flat encoder, held to the Writer-based reference above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        src_ip=st.integers(0, 2**32 - 1),
+        dst_ip=st.integers(0, 2**32 - 1),
+        src_port=st.integers(0, 65535),
+        dst_port=st.integers(0, 65535),
+        ttl=st.integers(0, 255),
+        payload=_payloads(),
+    )
+    def test_flat_encoder_matches_writer_reference(
+        self, src_ip, dst_ip, src_port, dst_port, ttl, payload
+    ):
+        datagram = UdpDatagram(src_ip, dst_ip, src_port, dst_port, payload, ttl)
+        encoded = encode_udp(datagram)
+        assert encoded == _encode_udp_rebuild(datagram)
+        appended = bytearray(b"prefix")
+        encode_udp_into(appended, datagram)
+        assert appended == b"prefix" + encoded
+        template = FlowTemplate(src_ip, dst_ip, src_port, dst_port, ttl)
+        assert template.encode(payload) == encoded
+        template.encode_into(appended, payload)
+        assert appended == b"prefix" + encoded + encoded
+        assert decode_udp(encoded) == datagram
+        assert verify_checksum(encoded[:20])
+        pseudo = encoded[12:20] + b"\x00\x11" + encoded[24:26]
+        assert verify_checksum(pseudo + encoded[20:])
+        assert encoded[26:28] != b"\x00\x00"
+
+    @pytest.mark.parametrize(
+        "size, error", ((65535 - 28 + 1, IpParseError), (65535 - 8 + 1, UdpParseError))
+    )
+    def test_oversize_errors_keep_their_types(self, size, error):
+        datagram = _datagram(b"\x00" * size)
+        template = FlowTemplate(1, 2, 3, 4, 64)
+        for encode in (
+            lambda: encode_udp(datagram),
+            lambda: encode_udp_into(bytearray(), datagram),
+            lambda: template.encode(datagram.payload),
+            lambda: template.encode_into(bytearray(), datagram.payload),
+            lambda: _encode_udp_rebuild(datagram),
+        ):
+            with pytest.raises(error) as caught:
+                encode()
+            assert type(caught.value) is error
+
     @pytest.mark.parametrize("size", (0, 1, 2, 63, 64, 65, 1199, 1200, 1472))
     def test_encode_matches_rebuild(self, size):
         """Odd and even payload lengths exercise checksum padding."""

@@ -6,6 +6,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.netstack.capbuf import CaptureBuffer
 from repro.netstack.pcap import (
     GLOBAL_HEADER_SIZE,
     LINKTYPE_RAW,
@@ -19,6 +20,7 @@ from repro.netstack.pcap import (
     record_sort_key,
     scan_pcap_offsets,
     scan_pcap_tail,
+    split_timestamp,
     write_pcap,
 )
 
@@ -64,6 +66,42 @@ class TestRoundtrip:
         records = read_pcap(path)
         assert records[0].data == b"abc"
         assert abs(records[0].timestamp - 3.25) < 1e-6
+
+
+class TestTimestampSplit:
+    """Rounding to microseconds carries into the second (both writers)."""
+
+    CASES = (
+        (1.9999996, (2, 0)),  # rounds up to a whole second: was (1, 1000000)
+        (2.0000004, (2, 0)),
+        (2.0, (2, 0)),
+        (1.5, (1, 500000)),
+    )
+
+    @staticmethod
+    def header_fields(buf):
+        return struct.unpack_from("<IIII", buf.getvalue(), GLOBAL_HEADER_SIZE)
+
+    @pytest.mark.parametrize("timestamp, expected", CASES)
+    def test_record_writer(self, timestamp, expected):
+        record = PcapRecord(timestamp, b"x" * 30)
+        assert (record.ts_sec, record.ts_usec) == split_timestamp(timestamp) == expected
+        assert record_sort_key(record) == (*expected, record.data)
+        buf = io.BytesIO()
+        PcapWriter(buf).write(record)
+        assert self.header_fields(buf) == (*expected, 30, 30)
+
+    @pytest.mark.parametrize("timestamp, expected", CASES)
+    def test_capture_buffer_writer(self, timestamp, expected):
+        capture = CaptureBuffer()
+        capture.append(timestamp, b"x" * 30)
+        buf = io.BytesIO()
+        capture.write_to(PcapWriter(buf))
+        assert self.header_fields(buf) == (*expected, 30, 30)
+
+    def test_carried_record_sorts_with_its_second(self):
+        carried, exact = PcapRecord(1.9999996, b"b"), PcapRecord(2.0, b"a")
+        assert sorted([carried, exact], key=record_sort_key) == [exact, carried]
 
 
 class TestBigEndianFiles:

@@ -10,6 +10,7 @@ drift the simulation's output.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import hotpath
 from repro.quic.crypto.aes import AES128
@@ -70,6 +71,33 @@ class TestLruCache:
         rebuilt = []
         cache.get_or_build("b", lambda: rebuilt.append(1) or "B2")
         assert rebuilt == [1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maxsize=st.integers(1, 6),
+        keys=st.lists(st.integers(0, 9), max_size=80),
+    )
+    def test_replays_like_a_list_based_lru(self, maxsize, keys):
+        """Contents, recency order and counters against the obvious LRU."""
+        from repro.hotpath import LruCache
+
+        cache = LruCache(maxsize)
+        order, hits, misses = [], 0, 0  # least recently used first
+        for step, key in enumerate(keys):
+            value = cache.get_or_build(key, lambda: (key, step))
+            cached = [entry for entry in order if entry[0] == key]
+            if cached:
+                hits += 1
+                order.remove(cached[0])
+                order.append(cached[0])
+            else:
+                misses += 1
+                order.append((key, step))
+                if len(order) > maxsize:
+                    order.pop(0)
+            assert value == order[-1]
+            assert list(cache._data.values()) == order
+            assert (cache.hits, cache.misses, len(cache)) == (hits, misses, len(order))
 
     def test_disabled_context_bypasses(self):
         assert hotpath.enabled
