@@ -1,49 +1,19 @@
-"""Write-side hot-path switch and the deterministic LRU behind it.
+"""A small deterministic LRU cache.
 
-The template-and-memo refactor (crypto memoization, packet/header
-templates, the engine's per-connection flight layouts) is
-byte-identical to the rebuild-everything path it replaced — every
-cached object is a pure function of its key.  The
-rebuild paths are kept permanently as the *reference implementation*:
-``benchmarks/bench_hotpath.py`` flips this switch to measure the
-speedup and to re-assert pcap byte-parity against the non-template
-path, and the parity tests under ``tests/`` do the same per packet.
-
-``enabled`` is a module-level bool read once per packet; flipping it is
-process-local (worker processes inherit the default, which is fine —
-both paths produce identical bytes).
+Every cached object on the write side — crypto schedules
+(:mod:`repro.quic.crypto.memo`), header templates
+(:mod:`repro.quic.packet`), client Initial layouts
+(:mod:`repro.workloads.clients`) — is a pure function of its key, so a
+hit and a rebuild give the same bytes and the cache only bounds memory.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Callable, Iterator, TypeVar
-
-#: Fast paths are on by default; the rebuild reference paths exist for
-#: parity benching, not as a supported production mode.
-enabled = True
+from typing import Callable, TypeVar
 
 _T = TypeVar("_T")
 _MISSING = object()
-
-
-def set_enabled(flag: bool) -> None:
-    """Switch every template/memo fast path on or off process-wide."""
-    global enabled
-    enabled = bool(flag)
-
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Run a block on the rebuild reference paths (bench/parity use)."""
-    global enabled
-    previous = enabled
-    enabled = False
-    try:
-        yield
-    finally:
-        enabled = previous
 
 
 class LruCache:
@@ -52,7 +22,7 @@ class LruCache:
     Eviction order is a pure function of the get/put sequence (no
     clocks, no hashing randomness — keys are bytes/int tuples), so two
     processes replaying the same packet stream hold identical caches.
-    Hit/miss counters feed the hot-path bench.  Eviction is
+    Hit/miss counters feed ``memo_stats``.  Eviction is
     ``popitem(last=False)``: the Initial-keys memo misses on every fresh
     DCID, and deleting the front of a plain ``dict`` makes each later
     ``next(iter(...))`` walk the dead slots left behind.

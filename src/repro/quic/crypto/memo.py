@@ -1,12 +1,13 @@
 """Deterministic memoization of the pure crypto derivations.
 
-BENCH_prof.json showed 15k ``engine.aead`` calls against only 579
-``engine.keys`` derivations — key material is reused almost totally,
-yet every connection used to re-run HKDF, re-expand AES round keys and
-re-build GHASH Shoup tables from scratch.  All three derivations are
-pure functions of small byte keys, so they sit behind module-level
-:class:`~repro.hotpath.LruCache` instances shared by every suite
-instance in the process:
+Key material is reused far more often than it is derived: a server
+seals every flight of a handshake ladder under one Initial secret, a
+scanner re-presents its DCID, and a dissector re-derives the schedule
+the engine just used (``sim.quic.crypto.memo.hit_ratio`` in
+``BENCHMARK.json`` is the measured reuse).  HKDF, AES round keys and
+GHASH Shoup tables are pure functions of small byte keys, so they sit
+behind module-level :class:`~repro.lru.LruCache` instances shared by
+every suite instance in the process:
 
 * ``cached_initial_keys(version, dcid)`` — the RFC 9001 Initial key
   schedule.  The cached :class:`InitialKeys` holds the HKDF-Extract
@@ -20,15 +21,12 @@ instance in the process:
 
 The cached objects are safe to share: ``InitialKeys`` is frozen (its two
 lazily filled directions are pure functions of its fields), and
-``AES128``/``AesGcm`` carry no per-call state.  When the hot path is
-disabled (:mod:`repro.hotpath`), every helper falls through to a fresh
-derivation so the memo-vs-cold bench arm measures honestly.
+``AES128``/``AesGcm`` carry no per-call state.
 """
 
 from __future__ import annotations
 
-from repro import hotpath
-from repro.hotpath import LruCache
+from repro.lru import LruCache
 from repro.quic.crypto.aes import AES128
 from repro.quic.crypto.gcm import AesGcm
 from repro.quic.crypto.initial import InitialKeys, derive_initial_keys
@@ -45,8 +43,6 @@ _GCM_CACHE = LruCache(1024)
 
 def cached_initial_keys(version: int, dcid: bytes) -> InitialKeys:
     """Memoized :func:`derive_initial_keys` per ``(version, DCID)``."""
-    if not hotpath.enabled:
-        return derive_initial_keys(version, dcid)
     return _INITIAL_KEYS_CACHE.get_or_build(
         (version, dcid), lambda: derive_initial_keys(version, dcid)
     )
@@ -54,27 +50,23 @@ def cached_initial_keys(version: int, dcid: bytes) -> InitialKeys:
 
 def cached_aes(key: bytes) -> AES128:
     """Memoized AES-128 key-schedule expansion per 16-byte key."""
-    if not hotpath.enabled:
-        return AES128(key)
     return _AES_CACHE.get_or_build(key, lambda: AES128(key))
 
 
 def cached_gcm(key: bytes) -> AesGcm:
     """Memoized AES-GCM instance (round keys + GHASH tables) per key."""
-    if not hotpath.enabled:
-        return AesGcm(key)
     return _GCM_CACHE.get_or_build(key, lambda: AesGcm(key))
 
 
 def clear_crypto_memos() -> None:
-    """Drop all cached schedules (bench cold arms, test isolation)."""
+    """Drop all cached schedules (test isolation)."""
     _INITIAL_KEYS_CACHE.clear()
     _AES_CACHE.clear()
     _GCM_CACHE.clear()
 
 
 def memo_stats() -> dict:
-    """Hit/miss counters for the bench report."""
+    """Hit/miss counters (the benchmark's ``memo.hit_ratio``)."""
     return {
         "initial_keys": {
             "hits": _INITIAL_KEYS_CACHE.hits,

@@ -21,8 +21,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from repro import hotpath
-from repro.quic.crypto.gcm import AesGcm, AuthenticationError
+from repro.quic.crypto.gcm import AuthenticationError
 from repro.quic.crypto.initial import DirectionKeys, InitialKeys
 from repro.quic.crypto.memo import cached_aes, cached_gcm, cached_initial_keys
 
@@ -220,20 +219,18 @@ class FastProtection(PacketProtection):
         packet_number: int,
         payload: bytes,
     ) -> bytes:
-        """Fused seal + header protection for the template hot path.
+        """Fused seal + header protection.
 
-        Byte-identical to the base driver (the parity tests and the
-        bench gate hold it to that); it exists to collapse the five
+        Byte-identical to the base driver (the suite tests hold it to
+        ``PacketProtection.protect``); it exists to collapse the five
         Python-level calls per packet — for_sender, _seal, _keystream,
-        _xor, _hp_mask — into straight-line code.  Falls back to the
-        driver when profiling (the engine.aead / engine.hp leaves live
-        there) or when the hot path is disabled (the rebuild baseline
-        must pay pre-refactor costs).
+        _xor, _hp_mask — into straight-line code.  A profiled run
+        executes the same body and books seal and mask together as one
+        ``engine.aead`` leaf.
         """
-        if self.prof is not None or not hotpath.enabled:
-            return PacketProtection.protect(
-                self, is_server, header, packet_number, payload
-            )
+        prof = self.prof
+        if prof is not None:
+            node, start = prof.leaf_begin("engine.aead", self.prof_profile)
         keys = self.keys.server if is_server else self.keys.client
         key = keys.key
         nonce = (keys.iv_int ^ packet_number).to_bytes(12, "big")
@@ -254,6 +251,8 @@ class FastProtection(PacketProtection):
         packet[0] ^= mask[0] & (0x0F if header[0] & 0x80 else 0x1F)
         for i in range(pn_length):
             packet[pn_offset + i] ^= mask[1 + i]
+        if prof is not None:
+            prof.leaf_end(node, start, packets=1)
         return bytes(packet)
 
     def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:

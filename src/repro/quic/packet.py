@@ -18,9 +18,8 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 
-from repro import hotpath
 from repro.buffer import Writer
-from repro.hotpath import LruCache
+from repro.lru import LruCache
 from repro.quic.crypto.suites import PacketProtection, ProtectionError, TAG_LENGTH
 from repro.quic.varint import VALUE_MASK, encode_varint, varint_length
 from repro.quic.version import VERSION_NEGOTIATION
@@ -153,7 +152,7 @@ class ParsedLongHeader:
 
 
 # ---------------------------------------------------------------------------
-# Encoding — template fast path and the rebuild reference path
+# Encoding — header templates
 # ---------------------------------------------------------------------------
 
 
@@ -165,9 +164,10 @@ class PacketTemplate:
     skeleton is built once per shape (engine flights reuse a handful of
     shapes per profile for a whole month) and rendering reduces to a
     ``bytearray`` copy plus three or four slice splices — no
-    :class:`~repro.buffer.Writer`, no varint re-encoding.
-    Byte-parity with the rebuild path is asserted per server profile in
-    the template tests and re-checked by ``bench_hotpath.py``.
+    :class:`~repro.buffer.Writer`, no varint re-encoding.  The bytes are
+    pinned by RFC 9001 Appendix A.3, by the recorded flights in
+    ``tests/server/flight_vectors.json`` and by the field-by-field
+    encoder kept in ``tests/quic/reference.py``.
     """
 
     __slots__ = (
@@ -211,7 +211,8 @@ class PacketTemplate:
         else:
             self.token_off = len(skeleton)
         length = pn_length + payload_len + TAG_LENGTH
-        # Stable 2-byte-minimum Length varint, same as the rebuild path.
+        # Always at least a 2-byte Length varint, so headers have a stable
+        # size (common stack behaviour, and it keeps padding math simple).
         skeleton += encode_varint(length, width=max(2, varint_length(length)))
         self.pn_off = len(skeleton)
         skeleton += bytes(pn_length)
@@ -316,61 +317,35 @@ def encoded_packet_length(packet: LongHeaderPacket) -> int:
     )
 
 
+def _encode(
+    packet: LongHeaderPacket,
+    payload: bytes,
+    protection: PacketProtection,
+    is_server: bool,
+) -> bytes:
+    """Template fetch, render, protect: ``packet`` carrying ``payload``."""
+    template = packet_template(
+        packet.packet_type,
+        packet.version,
+        len(packet.dcid),
+        len(packet.scid),
+        len(packet.token),
+        len(payload),
+        packet.pn_length,
+    )
+    header = template.render(
+        packet.dcid, packet.scid, packet.packet_number, packet.token
+    )
+    return protection.protect(is_server, header, packet.packet_number, payload)
+
+
 def encode_packet(
     packet: LongHeaderPacket,
     protection: PacketProtection,
     is_server: bool,
 ) -> bytes:
     """Serialize and protect one long-header packet."""
-    if hotpath.enabled:
-        template = packet_template(
-            packet.packet_type,
-            packet.version,
-            len(packet.dcid),
-            len(packet.scid),
-            len(packet.token),
-            len(packet.payload),
-            packet.pn_length,
-        )
-        header = template.render(
-            packet.dcid, packet.scid, packet.packet_number, packet.token
-        )
-        return protection.protect(
-            is_server, header, packet.packet_number, packet.payload
-        )
-    return _encode_packet_rebuild(packet, protection, is_server)
-
-
-def _encode_packet_rebuild(
-    packet: LongHeaderPacket,
-    protection: PacketProtection,
-    is_server: bool,
-) -> bytes:
-    """Field-by-field reference encoder (parity baseline for templates)."""
-    writer = Writer()
-    first = (
-        FORM_BIT
-        | FIXED_BIT
-        | (packet.packet_type.value << 4)
-        | (packet.pn_length - 1)
-    )
-    writer.write_u8(first)
-    writer.write_u32(packet.version)
-    _write_cid(writer, packet.dcid)
-    _write_cid(writer, packet.scid)
-    if packet.packet_type is PacketType.INITIAL:
-        writer.write(encode_varint(len(packet.token)))
-        writer.write(packet.token)
-    length = packet.pn_length + len(packet.payload) + TAG_LENGTH
-    # Always use a 2-byte varint for Length so headers have a stable size,
-    # matching common stack behaviour (and simplifying padding math).
-    writer.write(encode_varint(length, width=max(2, varint_length(length))))
-    pn_encoded = (packet.packet_number & ((1 << (8 * packet.pn_length)) - 1)).to_bytes(
-        packet.pn_length, "big"
-    )
-    writer.write(pn_encoded)
-    header = writer.getvalue()
-    return protection.protect(is_server, header, packet.packet_number, packet.payload)
+    return _encode(packet, packet.payload, protection, is_server)
 
 
 def encode_retry(packet: RetryPacket) -> bytes:
@@ -437,60 +412,22 @@ def encode_datagram(
     datagram reaches the target size — the standard way stacks satisfy the
     1200-byte Initial minimum.
 
-    On the template fast path the padding deficit is computed analytically
-    from :func:`encoded_packet_length`, so every packet — padded last one
-    included — is sealed exactly once.  The reference path below measures
-    by encoding and then re-encodes the padded tail packet, i.e. seals it
-    twice; both produce identical bytes.
+    The padding deficit is computed analytically from
+    :func:`encoded_packet_length`, so every packet — padded last one
+    included — is sealed exactly once.
     """
     if not packets:
         raise PacketParseError("cannot encode an empty datagram")
-    if hotpath.enabled:
-        pad = 0
-        if pad_to:
-            total = sum(encoded_packet_length(p) for p in packets)
-            if total < pad_to:
-                pad = pad_to - total
-        parts = []
-        tail = len(packets) - 1
-        for index, packet in enumerate(packets):
-            payload = packet.payload
-            if pad and index == tail:
-                # One-shot pad of the tail packet, not an accumulation.
-                payload = payload + b"\x00" * pad
-            template = packet_template(
-                packet.packet_type,
-                packet.version,
-                len(packet.dcid),
-                len(packet.scid),
-                len(packet.token),
-                len(payload),
-                packet.pn_length,
-            )
-            header = template.render(
-                packet.dcid, packet.scid, packet.packet_number, packet.token
-            )
-            parts.append(
-                protection.protect(is_server, header, packet.packet_number, payload)
-            )
-        return b"".join(parts)
-    encoded = [_encode_packet_rebuild(p, protection, is_server) for p in packets]
-    total = sum(len(e) for e in encoded)
-    if pad_to and total < pad_to:
-        deficit = pad_to - total
-        last = packets[-1]
-        padded = LongHeaderPacket(
-            packet_type=last.packet_type,
-            version=last.version,
-            dcid=last.dcid,
-            scid=last.scid,
-            packet_number=last.packet_number,
-            payload=last.payload + b"\x00" * deficit,
-            token=last.token,
-            pn_length=last.pn_length,
-        )
-        encoded[-1] = _encode_packet_rebuild(padded, protection, is_server)
-    return b"".join(encoded)
+    pad = 0
+    if pad_to:
+        total = sum(encoded_packet_length(p) for p in packets)
+        if total < pad_to:
+            pad = pad_to - total
+    parts = [_encode(p, p.payload, protection, is_server) for p in packets[:-1]]
+    last = packets[-1]
+    # One-shot pad of the tail packet, not an accumulation.
+    parts.append(_encode(last, last.payload + b"\x00" * pad, protection, is_server))
+    return b"".join(parts)
 
 
 @dataclass
@@ -515,24 +452,9 @@ def encode_short_packet(
     """
     if not 1 <= packet.pn_length <= 4:
         raise PacketParseError("packet number length must be 1..4")
-    if hotpath.enabled:
-        header = short_packet_template(packet.pn_length, packet.spin_bit).render(
-            packet.dcid, packet.packet_number
-        )
-        return protection.protect(
-            is_server, header, packet.packet_number, packet.payload
-        )
-    writer = Writer()
-    first = FIXED_BIT | (packet.pn_length - 1)
-    if packet.spin_bit:
-        first |= 0x20
-    writer.write_u8(first)
-    writer.write(packet.dcid)
-    pn_encoded = (
-        packet.packet_number & ((1 << (8 * packet.pn_length)) - 1)
-    ).to_bytes(packet.pn_length, "big")
-    writer.write(pn_encoded)
-    header = writer.getvalue()
+    header = short_packet_template(packet.pn_length, packet.spin_bit).render(
+        packet.dcid, packet.packet_number
+    )
     return protection.protect(is_server, header, packet.packet_number, packet.payload)
 
 

@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro import hotpath
 from repro.netstack.udp import QUIC_PORT, DeferredDatagram, UdpDatagram
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import (
@@ -51,14 +50,12 @@ from repro.quic.frames import (
 )
 from repro.quic.packet import (
     FORM_BIT,
-    LongHeaderPacket,
     PacketParseError,
     PacketType,
     RetryPacket,
     ShortHeaderPacket,
     VersionNegotiationPacket,
     decode_datagram,
-    encode_datagram,
     encode_retry,
     encode_short_packet,
     encode_version_negotiation,
@@ -153,7 +150,7 @@ class ServerConnection:
     #: Private rng derived from the engine seed and the client's
     #: (address, port, DCID) — see :meth:`QuicServerEngine._derive_rng`.
     rng: Optional[random.Random] = None
-    #: Lazily built :class:`_FlightLayout` (template fast path only).
+    #: This connection's bound flight, built when it first sends one.
     flight_layout: Optional["_ConnFlight"] = None
 
     def consistent_with(self, datagram: UdpDatagram, client_scid: bytes) -> bool:
@@ -193,8 +190,7 @@ class _FlightLayout:
     framing, padding, both header skeletons (via
     :func:`~repro.quic.packet.packet_template`) and the padding deficits
     (computed analytically from
-    :func:`~repro.quic.packet.header_length`, matching the reference
-    path's measure-then-pad arithmetic) are all shared.  The engine
+    :func:`~repro.quic.packet.header_length`) are all shared.  The engine
     keeps one layout per shape; :meth:`bind` splices a connection's CIDs
     into the shared skeletons once, after which every flight — and the
     retransmissions that dominate emission, per Figure 3/4 — reduces to:
@@ -364,7 +360,7 @@ class _ConnFlight:
         self.coalesced = coalesced
 
     def datagrams(self, conn: ServerConnection, rng: random.Random) -> list[_Planned]:
-        """Plan one flight's datagrams (rng draw order matches rebuild).
+        """Plan one flight's datagrams (one 256-bit rng draw per flight).
 
         Everything that makes this flight differ from the connection's
         next one — the ServerHello random and the packet numbers — is
@@ -818,19 +814,6 @@ class QuicServerEngine:
             conn.retransmit_event = None
 
     # --------------------------------------------------------- flight build
-    def _server_hello_bytes(self, conn: ServerConnection) -> bytes:
-        params = TransportParameters()
-        params.set(INITIAL_SOURCE_CONNECTION_ID, conn.scid)
-        params.set(MAX_IDLE_TIMEOUT, int(self.profile.idle_timeout * 1000))
-        params.set(MAX_UDP_PAYLOAD_SIZE, 1472)
-        params.set(ACTIVE_CONNECTION_ID_LIMIT, 4)
-        rng = conn.rng if conn.rng is not None else self.rng
-        hello = ServerHello(
-            random=rng.getrandbits(256).to_bytes(32, "big"),
-            quic_transport_parameters=params.encode(),
-        )
-        return encode_handshake(hello)
-
     def _handshake_crypto(self) -> bytes:
         if self.certificate is None:
             return CERT_MAGIC + (0).to_bytes(2, "big")
@@ -861,18 +844,15 @@ class QuicServerEngine:
     def _send_flight_inner(
         self, conn: ServerConnection, request: UdpDatagram, span=None
     ) -> None:
-        if hotpath.enabled:
-            flight = conn.flight_layout
-            if flight is None:
-                key = (conn.version, len(conn.client_cid), len(conn.scid), conn.coalesced)
-                layout = self._flight_layouts.get(key)
-                if layout is None:
-                    layout = self._flight_layouts[key] = _FlightLayout(self, *key)
-                flight = conn.flight_layout = layout.bind(conn)
-            rng = conn.rng if conn.rng is not None else self.rng
-            datagrams = flight.datagrams(conn, rng)
-        else:
-            datagrams = [_ready(data) for data in self._flight_datagrams_rebuild(conn)]
+        flight = conn.flight_layout
+        if flight is None:
+            key = (conn.version, len(conn.client_cid), len(conn.scid), conn.coalesced)
+            layout = self._flight_layouts.get(key)
+            if layout is None:
+                layout = self._flight_layouts[key] = _FlightLayout(self, *key)
+            flight = conn.flight_layout = layout.bind(conn)
+        rng = conn.rng if conn.rng is not None else self.rng
+        datagrams = flight.datagrams(conn, rng)
         profile = self.profile
         lengths = [length for length, _build in datagrams]
         for length, build in datagrams:
@@ -907,61 +887,6 @@ class QuicServerEngine:
                 bytes=sum(lengths),
                 packets=2,
             )
-
-    def _flight_datagrams_rebuild(self, conn: ServerConnection) -> list[bytes]:
-        """Frame-by-frame reference flight (parity baseline for layouts)."""
-        initial_payload = encode_frames(
-            [
-                AckFrame(largest_acked=0, ranges=(AckRange(0, 0),)),
-                CryptoFrame(offset=0, data=self._server_hello_bytes(conn)),
-            ]
-        )
-        handshake_payload = encode_frames(
-            [CryptoFrame(offset=0, data=self._handshake_crypto())]
-        )
-        initial_pkt = LongHeaderPacket(
-            packet_type=PacketType.INITIAL,
-            version=conn.version,
-            dcid=conn.client_cid,
-            scid=conn.scid,
-            packet_number=conn.next_packet_number,
-            payload=initial_payload,
-            pn_length=1,
-        )
-        handshake_pkt = LongHeaderPacket(
-            packet_type=PacketType.HANDSHAKE,
-            version=conn.version,
-            dcid=conn.client_cid,
-            scid=conn.scid,
-            packet_number=conn.next_packet_number + 1,
-            payload=handshake_payload,
-            pn_length=1,
-        )
-        conn.next_packet_number += 2
-        profile = self.profile
-        if conn.coalesced:
-            return [
-                encode_datagram(
-                    [initial_pkt, handshake_pkt],
-                    conn.protection,
-                    is_server=True,
-                    pad_to=profile.coalesced_datagram_size,
-                )
-            ]
-        return [
-            encode_datagram(
-                [initial_pkt],
-                conn.protection,
-                is_server=True,
-                pad_to=profile.initial_datagram_size,
-            ),
-            encode_datagram(
-                [handshake_pkt],
-                conn.protection,
-                is_server=True,
-                pad_to=profile.handshake_datagram_size,
-            ),
-        ]
 
     def _send_version_negotiation(self, request: UdpDatagram, parsed) -> None:
         packet = VersionNegotiationPacket(

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.hotpath import LruCache
+from repro.lru import LruCache
 from repro.netstack.udp import QUIC_PORT, UdpDatagram
 from repro.quic.crypto.suites import TAG_LENGTH, ProtectionError, suite_by_name
 from repro.quic.frames import (

@@ -83,6 +83,20 @@ class TestSimulateWorkers:
         with open(a, "rb") as x, open(b, "rb") as y:
             assert x.read() == y.read()
 
+    def test_workers_auto_matches_serial(self, tmp_path):
+        auto = str(tmp_path / "auto.pcap")
+        serial = str(tmp_path / "serial.pcap")
+        assert main(
+            ["simulate", auto, "--scale", "0.02", "--seed", "42", "--workers", "auto"]
+        ) == 0
+        assert main(["simulate", serial, "--scale", "0.02", "--seed", "42"]) == 0
+        with open(auto, "rb") as x, open(serial, "rb") as y:
+            assert x.read() == y.read()
+
+    def test_workers_rejects_garbage(self):
+        with pytest.raises(SystemExit):
+            main(["simulate", "/tmp/x.pcap", "--workers", "many"])
+
     def test_sharded_metrics_and_worker_traces(self, tmp_path):
         from repro.obs import load_snapshot
         from repro.obs.trace import read_trace

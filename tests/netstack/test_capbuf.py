@@ -12,7 +12,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import hotpath
 from repro.buffer import Writer
 from repro.netstack.capbuf import CaptureBuffer
 from repro.netstack.checksum import internet_checksum, verify_checksum
@@ -58,13 +57,6 @@ def _encode_udp_rebuild(datagram: UdpDatagram) -> bytes:
         ttl=datagram.ttl,
     )
     return encode_ipv4(ip_header, bytes(udp_bytes))
-
-
-@pytest.fixture(autouse=True)
-def _hotpath_on():
-    hotpath.set_enabled(True)
-    yield
-    hotpath.set_enabled(True)
 
 
 def _datagram(payload, ttl=64, src_port=4242):
@@ -155,11 +147,6 @@ class TestFlowTemplateParity:
                 payload=rng.randbytes(rng.randrange(0, 300)),
                 ttl=rng.choice([1, 32, 64, 128, 255]),
             )
-            assert encode_udp(datagram) == _encode_udp_rebuild(datagram)
-
-    def test_disabled_hotpath_uses_rebuild(self):
-        datagram = _datagram(b"hello")
-        with hotpath.disabled():
             assert encode_udp(datagram) == _encode_udp_rebuild(datagram)
 
     def test_encode_into_appends_identical_bytes(self):

@@ -1,10 +1,11 @@
-"""Write-side template/memo plane: byte parity against the rebuild paths.
+"""Write-side caches and templates: LRU, crypto memos, header skeletons.
 
-Every fast path introduced by the hot-path refactor (crypto memoization,
-packet templates, flow templates, the engine's flight layouts) keeps its
-pre-refactor implementation alive as the reference; these tests pin the
-contract that both produce identical bytes, so the speedup can never
-drift the simulation's output.
+Every cached object is a pure function of its key.  The memo tests hold
+``cached_*`` to the cold constructors; the template tests hold
+``encode_packet`` / ``encode_datagram`` / ``encode_short_packet`` to the
+field-by-field encoders in :mod:`tests.quic.reference`, and the fused
+``FastProtection.protect`` to the generic ``PacketProtection.protect``
+driver it overrides.
 """
 
 import random
@@ -12,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import hotpath
+from repro.lru import LruCache
 from repro.quic.crypto.aes import AES128
 from repro.quic.crypto.gcm import AesGcm
 from repro.quic.crypto.initial import derive_initial_keys
@@ -23,7 +24,12 @@ from repro.quic.crypto.memo import (
     clear_crypto_memos,
     memo_stats,
 )
-from repro.quic.crypto.suites import FastProtection, NullProtection, Rfc9001Protection
+from repro.quic.crypto.suites import (
+    FastProtection,
+    NullProtection,
+    PacketProtection,
+    Rfc9001Protection,
+)
 from repro.quic.packet import (
     LongHeaderPacket,
     PacketType,
@@ -32,21 +38,18 @@ from repro.quic.packet import (
     encode_packet,
     encode_short_packet,
 )
+from tests.quic import reference
 
 
 @pytest.fixture(autouse=True)
 def _fresh_memos():
     clear_crypto_memos()
-    hotpath.set_enabled(True)
     yield
     clear_crypto_memos()
-    hotpath.set_enabled(True)
 
 
 class TestLruCache:
     def test_get_or_build_caches(self):
-        from repro.hotpath import LruCache
-
         cache = LruCache(4)
         built = []
 
@@ -61,8 +64,6 @@ class TestLruCache:
         assert cache.misses == 1
 
     def test_evicts_least_recently_used(self):
-        from repro.hotpath import LruCache
-
         cache = LruCache(2)
         cache.get_or_build("a", lambda: "A")
         cache.get_or_build("b", lambda: "B")
@@ -79,8 +80,6 @@ class TestLruCache:
     )
     def test_replays_like_a_list_based_lru(self, maxsize, keys):
         """Contents, recency order and counters against the obvious LRU."""
-        from repro.hotpath import LruCache
-
         cache = LruCache(maxsize)
         order, hits, misses = [], 0, 0  # least recently used first
         for step, key in enumerate(keys):
@@ -98,12 +97,6 @@ class TestLruCache:
             assert value == order[-1]
             assert list(cache._data.values()) == order
             assert (cache.hits, cache.misses, len(cache)) == (hits, misses, len(order))
-
-    def test_disabled_context_bypasses(self):
-        assert hotpath.enabled
-        with hotpath.disabled():
-            assert not hotpath.enabled
-        assert hotpath.enabled
 
 
 class TestCryptoMemoParity:
@@ -148,12 +141,6 @@ class TestCryptoMemoParity:
             sealed = cached_gcm(key).seal(nonce, b"payload", b"aad")
             assert sealed == AesGcm(key).seal(nonce, b"payload", b"aad")
 
-    def test_disabled_hotpath_skips_cache(self):
-        with hotpath.disabled():
-            cached_initial_keys(1, b"\x01" * 8)
-        stats = memo_stats()
-        assert stats["initial_keys"] == {"hits": 0, "misses": 0}
-
     def test_memo_stats_counts(self):
         cached_initial_keys(1, b"\x02" * 8)
         cached_initial_keys(1, b"\x02" * 8)
@@ -187,40 +174,58 @@ def _flight_packets(version=1, pn=3, token=b""):
 SUITES = (FastProtection, NullProtection, Rfc9001Protection)
 
 
+_CIDS = st.binary(max_size=20)
+_LONG_PACKETS = st.builds(
+    LongHeaderPacket,
+    packet_type=st.sampled_from(
+        (PacketType.INITIAL, PacketType.ZERO_RTT, PacketType.HANDSHAKE)
+    ),
+    version=st.sampled_from((1, 0x6B3343CF, 0xFF00001D, 0xFACEB002, 0x1A2A3A4A)),
+    dcid=_CIDS,
+    scid=_CIDS,
+    packet_number=st.integers(0, 2**32 - 1),
+    # 4 bytes keep the header-protection sample inside the packet.
+    payload=st.binary(min_size=4, max_size=96),
+    # 63 -> 64 is where the token-length varint widens.
+    token=st.one_of(st.just(b""), st.binary(min_size=60, max_size=70)),
+    pn_length=st.integers(1, 4),
+)
+
+
+def _without_token_unless_initial(packet):
+    if packet.packet_type is not PacketType.INITIAL:
+        packet.token = b""
+    return packet
+
+
 class TestTemplateParity:
     @pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.name)
     def test_encode_packet_matches_rebuild(self, suite):
         protection = suite(1, b"\x11" * 8)
-        initial, handshake = _flight_packets()
-        for packet in (initial, handshake):
-            fast = encode_packet(packet, protection, is_server=True)
-            with hotpath.disabled():
-                slow = encode_packet(packet, protection, is_server=True)
-            assert fast == slow
+        for packet in _flight_packets():
+            assert encode_packet(
+                packet, protection, is_server=True
+            ) == reference.encode_packet(packet, protection, is_server=True)
 
     @pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.name)
     @pytest.mark.parametrize("pad_to", (0, 1200, 1357))
     def test_encode_datagram_matches_rebuild(self, suite, pad_to):
         protection = suite(1, b"\x11" * 8)
-        initial, handshake = _flight_packets()
-        fast = encode_datagram(
-            [initial, handshake], protection, is_server=True, pad_to=pad_to
+        packets = list(_flight_packets())
+        assert encode_datagram(
+            packets, protection, is_server=True, pad_to=pad_to
+        ) == reference.encode_datagram(
+            packets, protection, is_server=True, pad_to=pad_to
         )
-        with hotpath.disabled():
-            slow = encode_datagram(
-                [initial, handshake], protection, is_server=True, pad_to=pad_to
-            )
-        assert fast == slow
 
     def test_encode_datagram_with_token_matches_rebuild(self):
         protection = FastProtection(1, b"\x11" * 8)
         initial, _ = _flight_packets(token=b"\xf0\x0d" * 8)
-        fast = encode_datagram([initial], protection, is_server=False, pad_to=1200)
-        with hotpath.disabled():
-            slow = encode_datagram(
-                [initial], protection, is_server=False, pad_to=1200
-            )
-        assert fast == slow
+        assert encode_datagram(
+            [initial], protection, is_server=False, pad_to=1200
+        ) == reference.encode_datagram(
+            [initial], protection, is_server=False, pad_to=1200
+        )
 
     @pytest.mark.parametrize("pn_length", (1, 2, 3, 4))
     def test_short_packet_matches_rebuild(self, pn_length):
@@ -232,15 +237,55 @@ class TestTemplateParity:
             pn_length=pn_length,
             spin_bit=bool(pn_length % 2),
         )
-        fast = encode_short_packet(packet, protection, is_server=True)
-        with hotpath.disabled():
-            slow = encode_short_packet(packet, protection, is_server=True)
-        assert fast == slow
+        assert encode_short_packet(
+            packet, protection, is_server=True
+        ) == reference.encode_short_packet(packet, protection, is_server=True)
 
-    def test_fused_fast_protect_matches_driver(self):
+    @settings(max_examples=150, deadline=None)
+    @given(
+        packets=st.lists(
+            _LONG_PACKETS.map(_without_token_unless_initial), min_size=1, max_size=3
+        ),
+        pad_to=st.sampled_from((0, 300, 1200, 1357)),
+        is_server=st.booleans(),
+        suite=st.sampled_from((FastProtection, NullProtection)),
+    )
+    def test_any_shape_matches_the_field_by_field_encoder(
+        self, packets, pad_to, is_server, suite
+    ):
+        protection = suite(1, b"\x11" * 8)
+        assert encode_packet(
+            packets[0], protection, is_server
+        ) == reference.encode_packet(packets[0], protection, is_server)
+        assert encode_datagram(
+            packets, protection, is_server, pad_to=pad_to
+        ) == reference.encode_datagram(packets, protection, is_server, pad_to=pad_to)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        long_form=st.booleans(),
+        pn_length=st.integers(1, 4),
+        packet_number=st.integers(0, 2**32 - 1),
+        payload=st.binary(min_size=4, max_size=1300),
+        is_server=st.booleans(),
+    )
+    def test_fused_fast_protect_matches_driver(
+        self, long_form, pn_length, packet_number, payload, is_server
+    ):
+        """The override against the generic driver, called explicitly."""
         protection = FastProtection(1, b"\x77" * 8)
-        header = b"\xc0\x00\x00\x00\x01\x08" + b"\x11" * 8 + b"\x00\x41\x00\x07"
-        fast = protection.protect(True, header, 7, b"\x55" * 200)
-        with hotpath.disabled():
-            slow = protection.protect(True, header, 7, b"\x55" * 200)
-        assert fast == slow
+        first = (0xC0 if long_form else 0x40) | (pn_length - 1)
+        header = (
+            bytes([first])
+            + b"\x00\x00\x00\x01\x08"
+            + b"\x11" * 8
+            + b"\x00\x41\x00"
+            + (packet_number & ((1 << (8 * pn_length)) - 1)).to_bytes(pn_length, "big")
+        )
+        fused = protection.protect(is_server, header, packet_number, payload)
+        assert fused == PacketProtection.protect(
+            protection, is_server, header, packet_number, payload
+        )
+        assert protection.unprotect(
+            is_server, fused, len(header) - pn_length, packet_number - 1
+        ) == (payload, packet_number, pn_length)

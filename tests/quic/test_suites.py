@@ -113,6 +113,59 @@ class TestHeaderProtectionBits:
         assert differs
 
 
+class TestRfc9001AppendixA3:
+    """The RFC's server Initial, through the shipped encoder and back.
+
+    One outside vector for the whole long-header write path: the header
+    template (empty DCID, 8-byte SCID, 2-byte Length varint ``4075``,
+    2-byte packet number), the generic protection driver, and the
+    memoized AES-GCM / AES-ECB schedules under the A.1 server keys.
+    """
+
+    SCID = bytes.fromhex("f067a5502a4262b5")
+    #: ACK of packet 0, then CRYPTO carrying the ServerHello; no PADDING.
+    PAYLOAD = bytes.fromhex(
+        "02000000000600405a020000560303eefce7f7b37ba1d1632e96677825ddf739"
+        "88cfc79825df566dc5430b9a045a1200130100002e00330024001d00209d3c94"
+        "0d89690b84d08a60993c144eca684d1081287c834d5311bcf32bb9da1a002b00"
+        "020304"
+    )
+    PROTECTED = bytes.fromhex(
+        "cf000000010008f067a5502a4262b5004075c0d95a482cd0991cd25b0aac406a"
+        "5816b6394100f37a1c69797554780bb38cc5a99f5ede4cf73c3ec2493a1839b3"
+        "dbcba3f6ea46c5b7684df3548e7ddeb9c3bf9c73cc3f3bded74b562bfb19fb84"
+        "022f8ef4cdd93795d77d06edbb7aaf2f58891850abbdca3d20398c276456cbc4"
+        "2158407dd074ee"
+    )
+
+    def packet(self):
+        return LongHeaderPacket(
+            packet_type=PacketType.INITIAL,
+            version=1,
+            dcid=b"",
+            scid=self.SCID,
+            packet_number=1,
+            payload=self.PAYLOAD,
+            pn_length=2,
+        )
+
+    def test_server_initial_encodes_to_the_rfc_bytes(self):
+        suite = Rfc9001Protection(1, DCID)
+        wire = encode_packet(self.packet(), suite, is_server=True)
+        assert len(wire) == 135
+        assert wire.hex() == self.PROTECTED.hex()
+
+    def test_rfc_bytes_parse_and_open(self):
+        parsed = parse_long_header(self.PROTECTED)
+        assert (parsed.dcid, parsed.scid, parsed.token) == (b"", self.SCID, b"")
+        assert (parsed.pn_offset, parsed.payload_length) == (18, 0x75)
+        suite = Rfc9001Protection(1, DCID)
+        assert (
+            unprotect_packet(parsed, self.PROTECTED, suite, from_server=True)
+            == self.packet()
+        )
+
+
 class TestPacketNumberDecoding:
     """RFC 9000 Appendix A.3 example and edge cases."""
 

@@ -11,11 +11,13 @@ the byte that moved; the rest as blake2b-128.
 
 The drives below are the only description of what was recorded; the
 tests replay them and hand the payloads to :func:`assert_recorded`.  A
-change that means to move these bytes re-records and says why::
+change that means to move these bytes re-records, naming the commit and
+the reason in the fixture header::
 
-    PYTHONPATH=src python -m tests.server.flight_vectors
+    PYTHONPATH=src python -m tests.server.flight_vectors "<commit>: <why>"
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -59,7 +61,7 @@ def shaped(name, coalesced):
     return replace(PROFILES[name](), coalesce_probability=1.0 if coalesced else 0.0)
 
 
-def engine_for(profile, sent, certificate=None):
+def engine_for(profile, sent, certificate=None, obs=None):
     return QuicServerEngine(
         profile=profile,
         loop=EventLoop(),
@@ -68,6 +70,7 @@ def engine_for(profile, sent, certificate=None):
         host_id=7,
         worker_id=3,
         certificate=certificate,
+        obs=obs,
     )
 
 
@@ -110,11 +113,11 @@ def exchange(name, coalesced, certificate=None):
     return steps
 
 
-def handshakes(name, certificate=None, clients=12):
+def handshakes(name, certificate=None, clients=12, obs=None):
     """Fresh handshakes from ``clients`` ports at the profile's own
     coalescing mix: one layout per shape, spliced per connection."""
     sent = []
-    engine = engine_for(PROFILES[name](), sent, certificate)
+    engine = engine_for(PROFILES[name](), sent, certificate, obs)
     version = engine.profile.supported_versions[0]
     client_rng = random.Random(77)
     for port in range(4242, 4242 + clients):
@@ -204,14 +207,15 @@ def _entry(call, steps):
     }
 
 
+@functools.lru_cache(maxsize=None)
 def load():
     with open(FIXTURE, encoding="utf-8") as fileobj:
         return json.load(fileobj)["cases"]
 
 
-def assert_recorded(case, built, recorded=None):
+def assert_recorded(case, built):
     """``built`` (payload bytes, emission order) is what ``case`` recorded."""
-    want = (recorded or load())[case]
+    want = load()[case]
     assert [len(payload) for payload in built] == want["lengths"]
     assert built[0].hex() == want["first"]
     assert [_digest(payload) for payload in built[1:]] == want["rest"]
@@ -236,15 +240,7 @@ def record(recorded_from):
 
 
 if __name__ == "__main__":
-    from repro import hotpath
-    from repro.quic.crypto.memo import clear_crypto_memos
+    import sys
 
-    clear_crypto_memos()
-    with hotpath.disabled():
-        doc = record(
-            "commit d8941abec3e1c29524b0e5796c8f85e890203f05, the rebuild arm: "
-            "every drive ran inside `with repro.hotpath.disabled():` "
-            "(_flight_datagrams_rebuild -> _encode_packet_rebuild -> "
-            "PacketProtection.protect)"
-        )
+    doc = record(" ".join(sys.argv[1:]) or "an unnamed working tree")
     print("recorded %d cases into %s" % (len(doc["cases"]), FIXTURE))

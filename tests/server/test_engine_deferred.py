@@ -3,57 +3,37 @@
 ``_ConnFlight.datagrams`` fixes everything a flight depends on — the
 ServerHello random, the packet numbers, the lengths — when the flight is
 sent, and hands ``_reply`` a builder.  These tests hold the builder to
-the eager reference (``_flight_datagrams_rebuild``), to read-order
-independence and to running at most once, and hold an engine whose
-replies nobody can receive to sealing nothing while every counter, timer
-and trace field stays what it is for a routed twin.
+the recorded flights (``flight_vectors.json``) and, over arbitrary CID
+shapes, to the eager frame-by-frame build in :mod:`tests.server.reference`;
+to read-order independence and to running at most once; and hold an
+engine whose replies nobody can receive to sealing nothing while every
+counter, timer and trace field stays what it is for a routed twin.
 """
 
 import io
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import hotpath
-from repro.netstack.addr import Prefix, parse_ip
+from repro.netstack.addr import Prefix
 from repro.obs import JsonlTracer, MetricsRegistry, Observability
-from repro.quic.crypto.memo import clear_crypto_memos
 from repro.quic.crypto.suites import FastProtection
-from repro.server.engine import QuicServerEngine
-from repro.server.profiles import (
-    cloudflare_profile,
-    facebook_profile,
-    generic_profile,
-    google_profile,
-    quic_lb_profile,
-)
 from repro.server.simple import SimpleQuicServer
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device, Network, PathModel
-from repro.workloads.clients import ClientConnection
-
-VIP = parse_ip("157.240.1.10")
-CLIENT = parse_ip("44.1.2.3")
-
-PROFILES = {
-    "cloudflare": lambda: cloudflare_profile(colo_id=3),
-    "facebook": lambda: facebook_profile(),
-    "google": lambda: google_profile(),
-    "quic_lb": lambda: quic_lb_profile(),
-    "generic": lambda: generic_profile("generic-1234", random.Random(1234)),
-}
-
-
-@pytest.fixture(autouse=True)
-def _hotpath_reset():
-    clear_crypto_memos()
-    hotpath.set_enabled(True)
-    yield
-    clear_crypto_memos()
-    hotpath.set_enabled(True)
+from tests.server.flight_vectors import (
+    CERT,
+    PROFILES,
+    VIP,
+    assert_recorded,
+    client_initial,
+    engine_for as _engine,
+    exchange,
+    shaped as _profile,
+)
+from tests.server.reference import frame_by_frame_flights
 
 
 @pytest.fixture
@@ -72,37 +52,14 @@ def protect_calls(monkeypatch):
     return calls
 
 
-def _profile(name, coalesced):
-    return replace(PROFILES[name](), coalesce_probability=1.0 if coalesced else 0.0)
+def _initial(profile, **client):
+    return client_initial(profile.supported_versions[0], **client)
 
 
-def _engine(profile, sent):
-    return QuicServerEngine(
-        profile=profile,
-        loop=EventLoop(),
-        rng=random.Random(5),
-        send=sent.append,
-        host_id=7,
-        worker_id=3,
-    )
-
-
-def _initial(profile, port=4242, dcid=None, scid=None):
-    return ClientConnection(
-        rng=random.Random(77),
-        src_ip=CLIENT,
-        src_port=port,
-        dst_ip=VIP,
-        version=profile.supported_versions[0],
-        dcid=dcid,
-        scid=scid,
-    ).initial_datagram()
-
-
-def _whole_ladder(profile, **client):
+def _whole_ladder(profile, certificate=None, **client):
     """Every flight one handshake attempt emits, retransmissions included."""
     sent = []
-    engine = _engine(profile, sent)
+    engine = _engine(profile, sent, certificate)
     engine.on_datagram(_initial(profile, **client), 0.0)
     engine.loop.run()
     return sent
@@ -111,15 +68,33 @@ def _whole_ladder(profile, **client):
 @pytest.mark.parametrize("coalesced", (False, True), ids=("split", "coalesced"))
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_deferred_flight_equals_the_eager_rebuild(name, coalesced):
-    profile = _profile(name, coalesced)
-    deferred = _whole_ladder(profile)
-    with hotpath.disabled():
-        eager = _whole_ladder(profile)
-    assert len(deferred) == len(eager) > (1 if coalesced else 2)
+    case = "exchange/%s/%s" % (name, "coalesced" if coalesced else "split")
+    deferred = [d for _step, datagrams in exchange(name, coalesced) for d in datagrams]
+    assert len(deferred) > (1 if coalesced else 2)
     # The lengths are read first: they must not come from building.
     lengths = [datagram.payload_length for datagram in deferred]
     assert all("payload" not in vars(datagram) for datagram in deferred)
-    assert lengths == [len(datagram.payload) for datagram in eager]
+    built = [datagram.payload for datagram in deferred]
+    assert lengths == [len(payload) for payload in built]
+    assert_recorded(case, built)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROFILES)),
+    coalesced=st.booleans(),
+    certificate=st.sampled_from((None, CERT)),
+    dcid=st.binary(min_size=8, max_size=20),
+    scid=st.binary(min_size=0, max_size=20),
+)
+def test_any_shape_equals_the_frame_by_frame_flight(
+    name, coalesced, certificate, dcid, scid
+):
+    profile = _profile(name, coalesced)
+    deferred = _whole_ladder(profile, certificate, dcid=dcid, scid=scid)
+    with frame_by_frame_flights(profile, certificate):
+        eager = _whole_ladder(profile, certificate, dcid=dcid, scid=scid)
+    assert len(deferred) == len(eager) > 1
     assert [d.payload for d in deferred] == [d.payload for d in eager]
 
 
@@ -255,7 +230,7 @@ def test_lossy_path_drops_by_the_sealed_bytes():
     or delivered exactly as the same bytes sent eagerly are."""
     profile = _profile("cloudflare", False)
     _e, _c, net, client, _m, _ev = _served(profile, routed=True, loss_rate=0.5)
-    with hotpath.disabled():
+    with frame_by_frame_flights(profile):
         _e, _c, eager_net, eager_client, _m, _ev = _served(
             profile, routed=True, loss_rate=0.5
         )

@@ -1,154 +1,98 @@
-"""Flight-template parity: template-spliced vs. freshly-built server flights.
+"""Flight layouts: what the engine sends is what was recorded.
 
-The engine's ``_send_flight_inner`` has two arms — the shape-keyed flight
-layout (fast) and the per-flight frame/packet rebuild (reference).  For
-every server profile, driving identical client Initials through both arms
-must yield byte-identical datagrams; the rng draw order is part of the
-contract (one 256-bit draw per flight, before the packet numbers advance).
+``_send_flight_inner`` sends from a shape-keyed flight layout: frames
+encoded once per shape, each connection's CIDs spliced in, one 256-bit
+rng draw per flight before the packet numbers advance.  For every server
+profile the bytes are held to ``flight_vectors.json``, recorded from the
+frame-by-frame build the layouts replaced (see
+:mod:`tests.server.flight_vectors`).
 """
 
 import random
 
 import pytest
 
-from repro import hotpath
-from repro.netstack.addr import parse_ip
-from repro.quic.crypto.memo import clear_crypto_memos
-from repro.server.engine import QuicServerEngine
-from repro.server.profiles import (
-    cloudflare_profile,
-    facebook_profile,
-    generic_profile,
-    google_profile,
-    quic_lb_profile,
+from repro.obs import Observability, Profiler
+from repro.quic.crypto.suites import PacketProtection
+from repro.server.profiles import facebook_profile
+from tests.server.flight_vectors import (
+    CASES,
+    CERT,
+    PROFILES,
+    assert_recorded,
+    client_initial,
+    engine_for,
+    exchange,
+    handshakes,
+    payloads,
 )
-from repro.simnet.eventloop import EventLoop
-from repro.tls.certs import Certificate
-from repro.workloads.clients import ClientConnection
-
-VIP = parse_ip("157.240.1.10")
-CLIENT = parse_ip("44.1.2.3")
-
-CERT = Certificate(
-    subject="*.example.com", subject_alt_names=("*.example.com", "*.example.net")
-)
-
-PROFILES = {
-    "cloudflare": lambda: cloudflare_profile(colo_id=3),
-    "facebook": lambda: facebook_profile(),
-    "google": lambda: google_profile(),
-    "quic_lb": lambda: quic_lb_profile(),
-    "generic": lambda: generic_profile("generic-1234", random.Random(1234)),
-}
-
-
-@pytest.fixture(autouse=True)
-def _hotpath_reset():
-    clear_crypto_memos()
-    hotpath.set_enabled(True)
-    yield
-    clear_crypto_memos()
-    hotpath.set_enabled(True)
-
-
-def _run_flights(profile_factory, certificate, enabled, clients=12):
-    """Drive ``clients`` fresh handshakes through one engine arm."""
-    hotpath.set_enabled(enabled)
-    sent = []
-    engine = QuicServerEngine(
-        profile=profile_factory(),
-        loop=EventLoop(),
-        rng=random.Random(5),
-        send=sent.append,
-        host_id=7,
-        worker_id=3,
-        certificate=certificate,
-    )
-    version = engine.profile.supported_versions[0]
-    client_rng = random.Random(77)
-    for port in range(4242, 4242 + clients):
-        connection = ClientConnection(
-            rng=client_rng,
-            src_ip=CLIENT,
-            src_port=port,
-            dst_ip=VIP,
-            version=version,
-        )
-        engine.on_datagram(connection.initial_datagram(), 0.0)
-    return [d.payload for d in sent]
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_flights_byte_identical_per_profile(name):
-    factory = PROFILES[name]
-    fast = _run_flights(factory, None, enabled=True)
-    slow = _run_flights(factory, None, enabled=False)
-    assert fast, "no flights were emitted"
-    assert fast == slow
+    assert_recorded("handshakes/%s" % name, payloads(handshakes(name)))
 
 
 @pytest.mark.parametrize("name", ("cloudflare", "google"))
 def test_flights_byte_identical_with_certificate(name):
-    factory = PROFILES[name]
-    fast = _run_flights(factory, CERT, enabled=True)
-    slow = _run_flights(factory, CERT, enabled=False)
-    assert fast == slow
+    with_certificate = payloads(handshakes(name, CERT))
+    assert_recorded("handshakes/%s/cert" % name, with_certificate)
     # The certificate actually changes the flight (it rides in the
     # Handshake CRYPTO stream), so parity above is not vacuous.
-    assert fast != _run_flights(factory, None, enabled=True)
+    assert with_certificate != payloads(handshakes(name))
 
 
 def test_retransmitted_flights_stay_identical():
-    """The second flight of a connection reuses its bound layout."""
+    """Later flights of a connection reuse its bound layout; a duplicate
+    Initial is deduplicated by origin and answers nothing."""
+    steps = exchange("facebook", coalesced=False)
+    emitted = {label: len(datagrams) for label, datagrams in steps}
+    assert emitted["rto_retransmit"] == 2 and emitted["rest_of_ladder"] > 2
+    assert emitted["duplicate_initial"] == 0
+    assert_recorded("exchange/facebook/split", payloads(steps))
 
-    def run(enabled):
-        hotpath.set_enabled(enabled)
-        sent = []
-        engine = QuicServerEngine(
-            profile=facebook_profile(),
-            loop=EventLoop(),
-            rng=random.Random(5),
-            send=sent.append,
-            host_id=7,
-            worker_id=3,
-        )
-        connection = ClientConnection(
-            rng=random.Random(77),
-            src_ip=CLIENT,
-            src_port=4242,
-            dst_ip=VIP,
-            version=engine.profile.supported_versions[0],
-        )
-        datagram = connection.initial_datagram()
-        engine.on_datagram(datagram, 0.0)
-        engine.on_datagram(datagram, 0.5)  # duplicate triggers a re-flight
-        return [d.payload for d in sent]
 
-    assert run(True) == run(False)
+@pytest.mark.parametrize(
+    "case",
+    [
+        case
+        for case in CASES
+        if case.endswith("/cert") and case.startswith("exchange/")
+    ]
+    + ["retry", "version_negotiation", "stateless_reset"],
+)
+def test_recorded_case_replays(case):
+    """Certificate-bearing ladders and the three stateless replies."""
+    _call, drive = CASES[case]
+    assert_recorded(case, payloads(drive()))
 
 
 def test_layouts_shared_across_connections():
     """Same flight shape → one `_FlightLayout`, per-connection binds."""
-    hotpath.set_enabled(True)
     sent = []
-    engine = QuicServerEngine(
-        profile=facebook_profile(),
-        loop=EventLoop(),
-        rng=random.Random(5),
-        send=sent.append,
-        host_id=7,
-        worker_id=3,
-    )
+    engine = engine_for(facebook_profile(), sent)
     version = engine.profile.supported_versions[0]
     client_rng = random.Random(77)
     for port in (4242, 4243, 4244):
-        connection = ClientConnection(
-            rng=client_rng,
-            src_ip=CLIENT,
-            src_port=port,
-            dst_ip=VIP,
-            version=version,
-        )
-        engine.on_datagram(connection.initial_datagram(), 0.0)
+        engine.on_datagram(client_initial(version, port, client_rng), 0.0)
     assert len(engine._flight_layouts) == 1
     assert sent
+
+
+def test_profiler_times_the_fused_seal(monkeypatch):
+    """A profiled engine runs the code an unprofiled one does: the fast
+    suite's fused ``protect``, booked whole as one ``engine.aead`` leaf."""
+
+    def generic_driver(*_args, **_kwargs):
+        raise AssertionError("the generic driver ran for the fast suite")
+
+    monkeypatch.setattr(PacketProtection, "protect", generic_driver)
+    prof = Profiler(every=1)
+    profiled = payloads(handshakes("facebook", obs=Observability(prof=prof)))
+    assert len(profiled) == 24  # 12 split flights, one packet per datagram
+    totals = prof.stage_totals()
+    assert totals["engine.aead"]["packets"] == totals["engine.aead"]["calls"] == 24
+    assert totals["engine.aead"]["self_seconds"] > 0
+    assert "engine.hp" not in totals
+    assert totals["engine.keys"]["packets"] == 12
+    assert profiled == payloads(handshakes("facebook"))
