@@ -3,9 +3,13 @@
 Byte parity used to be proven by running a change beside a checkout of
 its parent.  These constants are that proof in committed form: for four
 small scenarios, the blake2b-128 of the pcap and of the stdout of
-``analyze --tables 1 2 3 4 rto lengths``.  A change that means to keep
-the output (a performance change, a refactor) leaves them alone; one
-that means to alter it updates them and says why.
+``analyze --tables 1 2 3 4 rto lengths``, and what that ``analyze`` left
+in the ``.capidx`` sidecar — the payload checksum over every column,
+the row/packet counts, the origin table in first-seen order and the
+seven sanitisation counters, as ``read_header`` returns them (the
+source fingerprint is left out: it holds the pcap's mtime).  A change
+that means to keep the output (a performance change, a refactor) leaves
+them alone; one that means to alter it updates them and says why.
 
 The month cases go through the documented command; the attack-only case
 (every scan and noise knob zero, so nearly all of it is server flights
@@ -26,28 +30,73 @@ from dataclasses import replace
 import pytest
 
 import repro
+from repro.capstore import read_header, sidecar_path
 from repro.cli import main
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 ANALYZE = ("--tables", "1", "2", "3", "4", "rto", "lengths")
 
-#: case -> (pcap digest, analyze stdout digest)
+#: The sidecar header fields pinned per case.
+SIDECAR_FIELDS = ("payload_blake2b", "rows", "packets", "origins", "stats")
+
+
+def _stats(total, non_udp, non_port_443, failed, acknowledged, backscatter, scans):
+    return {
+        "total_records": total,
+        "non_udp": non_udp,
+        "non_port_443": non_port_443,
+        "failed_dissection": failed,
+        "acknowledged_scanner": acknowledged,
+        "backscatter": backscatter,
+        "scans": scans,
+    }
+
+
+#: case -> (pcap digest, analyze stdout digest, sidecar header fields)
 GOLDEN = {
     "month-20220101-x0.02": (
         "3fa4f2999e72c6a35a154c6c93b6fab8",
         "e618249077cd9732edcb8f3dd18cf5e1",
+        {
+            "payload_blake2b": "a93a4756935f2bea9b71d026307f4ded",
+            "rows": 873,
+            "packets": 999,
+            "origins": ["Remaining", "Google", "Facebook"],
+            "stats": _stats(1523, 0, 0, 50, 600, 751, 122),
+        },
     ),
     "month-109-x0.05": (
         "301b452db77b416fcd038b356eaa8657",
         "f433244725906950c18604ef83c4e038",
+        {
+            "payload_blake2b": "5ee561e711e31553c67838a3c554f897",
+            "rows": 2254,
+            "packets": 2560,
+            "origins": ["Remaining", "Google", "Facebook", "Cloudflare"],
+            "stats": _stats(3879, 0, 0, 125, 1500, 1948, 306),
+        },
     ),
     "attacks-only-20220101-x0.05": (
         "e37739422d1dfa03b3a63c966eb9b3c9",
         "972cc6d9d1c3802e960b1de1374807da",
+        {
+            "payload_blake2b": "98511eb6bb301620b6629139ca296b2e",
+            "rows": 1921,
+            "packets": 2257,
+            "origins": ["Remaining", "Facebook", "Google", "Cloudflare"],
+            "stats": _stats(1924, 0, 0, 0, 3, 1915, 6),
+        },
     ),
     "scans-only-20220101-x0.05": (
         "84471ed24092f73f611bb7397ed6ebd5",
         "787e970360e1fbd6ed2148f1e4a50496",
+        {
+            "payload_blake2b": "2c2e7d31465e33700b10089aaf3b7eac",
+            "rows": 306,
+            "packets": 306,
+            "origins": ["Remaining", "Google"],
+            "stats": _stats(1931, 0, 0, 125, 1500, 0, 306),
+        },
     ),
 }
 
@@ -89,11 +138,21 @@ def _analyze_digest(pcap, capsys) -> str:
     return _digest(capsys.readouterr().out.encode())
 
 
+def _sidecar_fields(pcap) -> dict:
+    """What the ``analyze`` of ``pcap`` wrote into its sidecar header."""
+    header = read_header(sidecar_path(str(pcap)))
+    return {name: header[name] for name in SIDECAR_FIELDS}
+
+
+def _observed(pcap, capsys) -> tuple:
+    return _file_digest(pcap), _analyze_digest(pcap, capsys), _sidecar_fields(pcap)
+
+
 @pytest.mark.parametrize("case", sorted(MONTHS))
 def test_month_matches_golden(case, tmp_path, capsys):
     pcap = tmp_path / "m.pcap"
     assert main(["simulate", str(pcap), *MONTHS[case]]) == 0
-    assert (_file_digest(pcap), _analyze_digest(pcap, capsys)) == GOLDEN[case]
+    assert _observed(pcap, capsys) == GOLDEN[case]
 
 
 def _one_sided_matches_golden(case, tmp_path, capsys):
@@ -106,7 +165,7 @@ def _one_sided_matches_golden(case, tmp_path, capsys):
     pcap = tmp_path / "one_sided.pcap"
     with open(pcap, "wb") as fileobj:
         scenario.telescope.write_pcap(fileobj)
-    assert (_file_digest(pcap), _analyze_digest(pcap, capsys)) == GOLDEN[case]
+    assert _observed(pcap, capsys) == GOLDEN[case]
 
 
 def test_attacks_only_matches_golden(tmp_path, capsys):
@@ -137,4 +196,8 @@ def test_golden_holds_under_another_hash_seed(tmp_path):
         capture_output=True,
         timeout=120,
     )
-    assert (_file_digest(pcap), _digest(analyzed.stdout)) == GOLDEN[case]
+    assert (
+        _file_digest(pcap),
+        _digest(analyzed.stdout),
+        _sidecar_fields(pcap),
+    ) == GOLDEN[case]
