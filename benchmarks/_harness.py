@@ -1,0 +1,50 @@
+"""What the ``bench_*.py`` scripts share: the stamp on a recorded result.
+
+A ``BENCH_*.json`` is read long after the box that produced it is gone;
+the stamp says which interpreter, how many CPUs, which commit and how
+busy the machine was, so a number is never compared with one from a
+different machine without noticing.
+"""
+
+import os
+import platform
+import subprocess
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def _git(*args):
+    try:
+        return subprocess.run(
+            ["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=10
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return ""
+
+
+def environment_stamp():
+    """Python, CPUs, commit, platform and load average, as JSON-ready dict.
+
+    ``commit`` ends in ``+dirty`` when tracked files other than the
+    recorded results differ from it: the numbers then belong to the
+    working tree, not to that commit.
+    """
+    commit = _git("rev-parse", "HEAD")
+    if commit and _git(
+        "status", "--porcelain", "--untracked-files=no", "--", ".", ":!BENCH_*.json"
+    ):
+        commit += "+dirty"
+    return {
+        "python": platform.python_version(),
+        "cpus": cpus(),
+        "commit": commit or "unknown",
+        "platform": platform.platform(),
+        "loadavg": [round(value, 2) for value in os.getloadavg()],
+    }

@@ -33,6 +33,8 @@ import sys
 import tempfile
 import time
 
+from _harness import cpus as _cpus, environment_stamp
+
 from repro.capstore import load_or_build, sidecar_path
 from repro.cli import VALID_TABLES, main as cli_main, render_analysis
 
@@ -46,17 +48,11 @@ MIN_SCALE_FOR_SPEEDUP = 0.5
 ALL_TABLES = set(VALID_TABLES)
 
 
-def _cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def run_bench(scale=DEFAULT_SCALE):
     """Measure cold/warm/parallel analyze arms, persist ``BENCH_analyze.json``."""
     cpus = _cpus()
     results = {
+        "environment": environment_stamp(),
         "scale": scale,
         "seed": SEED,
         "cpus": cpus,

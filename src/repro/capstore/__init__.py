@@ -1,8 +1,10 @@
 """Columnar capture store: dissect once, analyze many times (paper §3.2).
 
-The analysis plane of the toolchain.  ``build`` turns a pcap into a
-:class:`~repro.capstore.table.CaptureTable` (streaming, optionally over a
-worker pool), ``format`` persists it as a versioned ``.capidx`` sidecar,
+The analysis plane of the toolchain.  ``dissect`` decides keep or drop
+for one record's bytes and appends the kept row's columns, ``build``
+runs it over a pcap into a :class:`~repro.capstore.table.CaptureTable`
+(one pass, optionally split over a worker pool), ``format`` persists the
+table as a versioned ``.capidx`` sidecar,
 and ``cache`` makes the whole thing transparent to ``repro
 classify``/``analyze``: build on miss, validate by source fingerprint,
 load columns straight from disk on hit.
@@ -14,6 +16,7 @@ from repro.capstore.build import (
     build_from_shards,
     default_acknowledged,
     default_asdb,
+    dissect_pcap,
     emit_stats_counters,
 )
 from repro.capstore.cache import (
@@ -26,6 +29,7 @@ from repro.capstore.cache import (
     prefix_matches,
     sidecar_path,
 )
+from repro.capstore.dissect import record_verdict
 from repro.capstore.format import (
     MAGIC,
     SCHEMA_VERSION,
@@ -49,6 +53,8 @@ __all__ = [
     "build_capture_table",
     "build_from_records",
     "build_from_shards",
+    "dissect_pcap",
+    "record_verdict",
     "default_asdb",
     "default_acknowledged",
     "emit_stats_counters",

@@ -1,22 +1,25 @@
 """Build :class:`CaptureTable` from pcaps: streaming, parallel, sharded.
 
-Three entry points, all producing bit-identical tables for the same
-record multiset:
+Every build is :func:`dissect_pcap` — one pass of
+:class:`~repro.netstack.pcap.PcapWalk` over the file, each record's bytes
+handed in place to the keep/drop verdict of :mod:`repro.capstore.dissect`,
+which appends the kept rows' columns.  Around it, all producing
+bit-identical tables for the same record multiset:
 
-* :func:`build_from_records` — one streaming dissection pass over any
-  record iterable (the serial path, and the per-worker inner loop);
-* :func:`build_capture_table` — row-group parallelism over one pcap: a
-  cheap header-only offset scan splits the file into contiguous groups,
-  a worker pool dissects each group, and the parent concatenates the
-  partial tables in file order.  Classification is stateless per record
-  (:func:`~repro.telescope.classify.classify_record`), so concatenation
-  *is* the serial result;
+* :func:`build_capture_table` — one pcap, serially or with row-group
+  parallelism: the parent walks the file once for the record offsets
+  (and the content digest), splits them into contiguous groups, a worker
+  pool dissects each group, and the parent concatenates the partial
+  tables in file order.  The verdict is stateless per record, so
+  concatenation *is* the serial result;
 * :func:`build_from_shards` — per-shard pcaps (as written by
   ``repro simulate --workers N`` before its merge): each shard is
   dissected in parallel, then rows are interleaved by streaming a k-way
   merge over the shard *record* streams with the same
   :func:`~repro.netstack.pcap.record_sort_key` discipline the simulator
-  uses, so the result equals indexing the merged pcap.
+  uses, so the result equals indexing the merged pcap;
+* :func:`build_from_records` — the same verdict over records already in
+  memory (a scenario's telescope, a test's list).
 
 Workers are handed *factory* callables for the AS database and the
 acknowledged-scanner registry (must be module-level, hence picklable);
@@ -27,27 +30,25 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
+import os
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.capstore.dissect import record_verdict
+from repro.capstore.table import CaptureTable
 from repro.inetdata.asdb import AsDatabase, AsEntry
 from repro.netstack.pcap import (
+    PcapCursor,
+    PcapError,
     PcapRecord,
+    PcapWalk,
     iter_pcap,
-    iter_pcap_range,
     record_sort_key,
-    scan_pcap_offsets,
 )
 from repro.obs import NULL_OBS, Observability
 from repro.obs.progress import HeartbeatWriter
-from repro.capstore.table import CaptureTable
+from repro.obs.trace import CAT_SANITIZE
 from repro.telescope.acknowledged import AcknowledgedScanners
-from repro.telescope.classify import (
-    DROP_REASONS,
-    PacketClass,
-    SanitizationStats,
-    SanitizeEmitter,
-    classify_record,
-)
+from repro.telescope.classify import DROP_REASONS, SanitizationStats
 
 
 def default_asdb() -> AsDatabase:
@@ -70,95 +71,145 @@ def default_acknowledged() -> AcknowledgedScanners:
     return scanners
 
 
+def _dissection(
+    table: CaptureTable,
+    asdb: Optional[AsDatabase],
+    acknowledged: Optional[AcknowledgedScanners],
+    validate_crypto_scans: bool,
+    obs: Optional[Observability],
+    kept_flags: Optional[bytearray] = None,
+    progress: Optional[Callable[[int], None]] = None,
+) -> Tuple[Callable[[float, bytes, int, int], None], Callable[[], SanitizationStats]]:
+    """One dissection pass into ``table``: the verdict plus its bookkeeping.
+
+    Returns ``(on_record, finish)``.  ``on_record(timestamp, buf, start,
+    end)`` takes each record; ``finish()`` returns the pass's own
+    :class:`SanitizationStats` and emits them as ``sanitize.packets``
+    counters, once (the values are a pure function of the stats).  Each
+    drop is a ``sanitize:drop`` trace event while a tracer is listening.
+    ``kept_flags`` receives one byte per record (1 = kept as a row) — the
+    alignment data :func:`build_from_shards` needs to interleave rows
+    during its record-stream merge; ``progress`` is called with the
+    running record count every 2048 records (heartbeat writers hook in
+    here).
+    """
+    verdict = record_verdict(table, asdb, acknowledged, validate_crypto_scans)
+    tracer = (obs or NULL_OBS).tracer
+    rows_before = table.num_rows
+    drops = dict.fromkeys(DROP_REASONS, 0)
+    seen = 0
+
+    def on_record(timestamp: float, buf: bytes, start: int, end: int) -> None:
+        nonlocal seen
+        seen += 1
+        if progress is not None and not seen & 2047:
+            progress(seen)
+        reason = verdict(timestamp, buf, start, end)
+        if reason is not None:
+            drops[reason] += 1
+            if tracer.enabled:
+                tracer.emit(
+                    CAT_SANITIZE,
+                    "drop",
+                    time=timestamp,
+                    reason=reason,
+                    bytes=end - start,
+                )
+        if kept_flags is not None:
+            kept_flags.append(reason is None)
+
+    def finish() -> SanitizationStats:
+        kept = table.klass[rows_before:]
+        scans = sum(kept)  # the klass codes are 0 (backscatter) and 1 (scan)
+        stats = SanitizationStats(
+            total_records=seen, backscatter=len(kept) - scans, scans=scans, **drops
+        )
+        emit_stats_counters(stats, obs)
+        return stats
+
+    return on_record, finish
+
+
+def dissect_pcap(
+    path: str,
+    cursor: PcapCursor,
+    table: CaptureTable,
+    asdb: Optional[AsDatabase] = None,
+    acknowledged: Optional[AcknowledgedScanners] = None,
+    validate_crypto_scans: bool = True,
+    obs: Optional[Observability] = None,
+    limit: Optional[int] = None,
+    kept_flags: Optional[bytearray] = None,
+    progress: Optional[Callable[[int], None]] = None,
+) -> SanitizationStats:
+    """Dissect the complete records after ``cursor`` into ``table``.
+
+    The one file pass every build, extension and live poll is: the pcap
+    is read once, in chunks, and each record goes from the chunk's bytes
+    to column appends.  ``cursor`` ends one past the last record
+    consumed — short of the file's end while a writer is mid-append, or
+    where a record header stops making sense — with its digest, if it
+    has one, fed exactly the bytes passed over.  Appending the records
+    of a grown pcap's tail to the table built from its prefix yields
+    exactly the table a full pass would build, because rows are
+    append-only and the verdict is stateless per record.
+
+    Returns the stats of this pass alone (``limit`` caps its records);
+    see :func:`_dissection` for ``kept_flags``/``progress`` and what
+    ``obs`` receives.  With a profiler attached, each chunk is one
+    ``index.records`` leaf stage.
+    """
+    on_record, finish = _dissection(
+        table, asdb, acknowledged, validate_crypto_scans, obs, kept_flags, progress
+    )
+    prof = (obs or NULL_OBS).prof
+    with PcapWalk(path, cursor, limit) as walk:
+        if prof is None:
+            walk.run(on_record)
+        else:
+            while not walk.done:
+                node, began = prof.leaf_begin("index.records")
+                prof.leaf_end(node, began, packets=walk.step(on_record))
+    return finish()
+
+
 def build_from_records(
     records: Iterable[PcapRecord],
     asdb: Optional[AsDatabase] = None,
     acknowledged: Optional[AcknowledgedScanners] = None,
     validate_crypto_scans: bool = True,
     obs: Optional[Observability] = None,
-    kept_flags: Optional[bytearray] = None,
-    progress: Optional[Callable[[int], None]] = None,
-    table: Optional[CaptureTable] = None,
-    stats: Optional[SanitizationStats] = None,
 ) -> Tuple[CaptureTable, SanitizationStats]:
-    """One streaming dissection pass: records in, columnar table out.
+    """Dissect records already in memory: records in, columnar table out.
 
-    Emits the same ``sanitize.packets`` counters and ``sanitize:drop``
-    trace events as :func:`~repro.telescope.classify.classify_capture`.
-    ``kept_flags``, if given, receives one byte per input record (1 =
-    kept as a row) — the alignment data :func:`build_from_shards` needs
-    to interleave rows during its record-stream merge.  ``progress`` is
-    called with the running record count every ~2048 records (heartbeat
-    writers hook in here); with a profiler attached, each dissection is
-    an ``index.record`` leaf stage.
-
-    ``table``/``stats`` make the pass *append into* existing state
-    instead of starting fresh — the streaming plane's extension path:
-    feeding the tail records of a grown pcap into the table built from
-    its prefix yields exactly the table a full pass would build, because
-    rows are append-only and classification is stateless per record.
+    The same verdict, counters and trace events as :func:`dissect_pcap`,
+    for callers that hold :class:`PcapRecord` objects instead of a file.
     """
-    emitter = SanitizeEmitter(obs)
-    prof = obs.prof if obs is not None else None
-    if table is None:
-        table = CaptureTable()
-    if stats is None:
-        stats = SanitizationStats()
+    table = CaptureTable()
+    on_record, finish = _dissection(
+        table, asdb, acknowledged, validate_crypto_scans, obs
+    )
     for record in records:
-        stats.total_records += 1
-        if progress is not None and not stats.total_records & 2047:
-            progress(stats.total_records)
-        if prof is None:
-            captured, reason = classify_record(
-                record,
-                asdb=asdb,
-                acknowledged=acknowledged,
-                validate_crypto_scans=validate_crypto_scans,
-            )
-        else:
-            node, start = prof.leaf_begin("index.record")
-            captured, reason = classify_record(
-                record,
-                asdb=asdb,
-                acknowledged=acknowledged,
-                validate_crypto_scans=validate_crypto_scans,
-            )
-            prof.leaf_end(node, start, packets=1)
-        if captured is None:
-            setattr(stats, reason, getattr(stats, reason) + 1)
-            emitter.drop(record, reason)
-            if kept_flags is not None:
-                kept_flags.append(0)
-            continue
-        table.append(captured)
-        if captured.klass is PacketClass.BACKSCATTER:
-            stats.backscatter += 1
-        else:
-            stats.scans += 1
-        emitter.kept(captured.klass)
-        if kept_flags is not None:
-            kept_flags.append(1)
-    return table, stats
+        data = record.data
+        on_record(record.timestamp, data, 0, len(data))
+    return table, finish()
 
 
-def _merge_stats(parts: Sequence[SanitizationStats]) -> SanitizationStats:
+def _merge_stats(parts: Iterable[SanitizationStats]) -> SanitizationStats:
     total = SanitizationStats()
     for part in parts:
-        total.total_records += part.total_records
-        for reason in DROP_REASONS:
-            setattr(total, reason, getattr(total, reason) + getattr(part, reason))
-        total.backscatter += part.backscatter
-        total.scans += part.scans
+        total.add(part)
     return total
 
 
 def emit_stats_counters(stats: SanitizationStats, obs: Optional[Observability]) -> None:
-    """Re-emit ``sanitize.packets`` counter values from stored stats.
+    """Emit ``sanitize.packets`` counter values from a pass's stats.
 
-    Parallel workers and cache hits skip the per-record pipeline, but the
-    counter values are a pure function of the stats, so observability
-    output stays identical to a serial in-process run (per-drop trace
-    events are the one thing only the serial path produces).
+    The counter values are a pure function of the stats, so a dissection
+    pass emits them once when it ends, and cache hits and the parent of
+    parallel workers emit the same values from stored or merged stats
+    (per-drop trace events are the one thing only an in-process pass
+    produces).
     """
     obs = obs or NULL_OBS
     if obs.metrics is None:
@@ -185,9 +236,12 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 def _worker_build(payload: tuple):
     """Pool target: dissect one row group of one pcap into a partial table.
 
-    With a ``progress_dir`` in the payload, the worker heartbeats its
-    dissection progress there (stage ``index``) exactly like simulate's
-    shard workers, so ``repro progress`` covers index builds too.
+    ``count`` records from byte ``offset`` — or, with ``count`` None, the
+    whole of a finished file (a shard), which must then end on a record
+    boundary and comes back with its per-record kept flags.  With a
+    ``progress_dir`` in the payload, the worker heartbeats its dissection
+    progress there (stage ``index``) exactly like simulate's shard
+    workers, so ``repro progress`` covers index builds too.
     """
     (
         path,
@@ -196,13 +250,12 @@ def _worker_build(payload: tuple):
         validate_crypto_scans,
         asdb_factory,
         ack_factory,
-        want_flags,
         progress_dir,
         group_index,
     ) = payload
-    kept_flags = bytearray() if want_flags else None
+    kept_flags = bytearray() if count is None else None
     heartbeat = (
-        HeartbeatWriter(progress_dir, worker=group_index, total=count)
+        HeartbeatWriter(progress_dir, worker=group_index, total=count or 0)
         if progress_dir
         else None
     )
@@ -210,15 +263,29 @@ def _worker_build(payload: tuple):
     if heartbeat is not None:
         progress = lambda done: heartbeat.update("index", done=done, records=done)
         heartbeat.update("index")
+    table = CaptureTable()
+    cursor = PcapCursor(offset)
     try:
-        table, stats = build_from_records(
-            iter_pcap_range(path, offset, count),
+        stats = dissect_pcap(
+            path,
+            cursor,
+            table,
             asdb=asdb_factory() if asdb_factory else None,
             acknowledged=ack_factory() if ack_factory else None,
             validate_crypto_scans=validate_crypto_scans,
+            limit=count,
             kept_flags=kept_flags,
             progress=progress,
         )
+        if count is None:
+            if cursor.offset != os.path.getsize(path):
+                raise PcapError(
+                    "%s: truncated pcap record at byte %d" % (path, cursor.offset)
+                )
+        elif stats.total_records < count:
+            raise PcapError(
+                "row group at offset %d ends before %d records" % (offset, count)
+            )
         if heartbeat is not None:
             heartbeat.update(
                 "done",
@@ -230,6 +297,14 @@ def _worker_build(payload: tuple):
         if heartbeat is not None:
             heartbeat.close()
     return table, stats, kept_flags
+
+
+def _run_workers(payloads: list) -> list:
+    """One :func:`_worker_build` per payload; a lone one runs in process."""
+    if len(payloads) == 1:
+        return [_worker_build(payloads[0])]
+    with _pool_context().Pool(processes=len(payloads)) as pool:
+        return pool.map(_worker_build, payloads)
 
 
 def _row_groups(offsets: Sequence[int], workers: int) -> List[Tuple[int, int]]:
@@ -256,71 +331,66 @@ def build_capture_table(
     asdb_factory: Callable[[], AsDatabase] = default_asdb,
     ack_factory: Callable[[], AcknowledgedScanners] = default_acknowledged,
     progress_dir: Optional[str] = None,
-    offsets: Optional[Sequence[int]] = None,
+    cursor: Optional[PcapCursor] = None,
 ) -> Tuple[CaptureTable, SanitizationStats]:
     """Build the columnar table for one pcap, optionally in parallel.
+
+    The table covers the pcap's complete-record prefix — all of a
+    finished capture, everything in front of the torn record of one still
+    being appended to.  ``cursor``, if given, starts at 0 and ends where
+    that prefix does, its digest fed exactly those bytes: what the
+    sidecar's source fingerprint is made of.
 
     ``workers > 1`` splits the file into contiguous row groups and
     dissects them in a process pool; the concatenated result is exactly
     the serial table.  Factories must be module-level callables so they
     pickle into workers by reference.  ``progress_dir`` makes each
     row-group worker write live heartbeats there.
-
-    ``offsets``, if given, is a precomputed record-offset list (e.g. the
-    complete-record prefix of a still-growing capture from
-    :func:`~repro.netstack.pcap.scan_pcap_tail`); only those records are
-    dissected, and the strict whole-file scan is skipped.
     """
     obs = obs or NULL_OBS
-    if workers <= 1:
-        if offsets is None:
-            records = iter_pcap(pcap_path)
-        elif offsets:
-            records = iter_pcap_range(pcap_path, offsets[0], len(offsets))
-        else:
-            records = iter(())
-        return build_from_records(
-            records,
-            asdb=asdb_factory() if asdb_factory else None,
-            acknowledged=ack_factory() if ack_factory else None,
-            validate_crypto_scans=validate_crypto_scans,
-            obs=obs,
-        )
-    if offsets is None:
-        offsets = scan_pcap_offsets(pcap_path)
-    groups = _row_groups(offsets, workers)
-    if len(groups) <= 1:
-        return build_capture_table(
-            pcap_path,
-            workers=1,
-            validate_crypto_scans=validate_crypto_scans,
-            obs=obs,
-            asdb_factory=asdb_factory,
-            ack_factory=ack_factory,
-            offsets=offsets,
-        )
-    payloads = [
-        (
-            pcap_path,
-            offset,
-            count,
-            validate_crypto_scans,
-            asdb_factory,
-            ack_factory,
-            False,
-            progress_dir,
-            group_index,
-        )
-        for group_index, (offset, count) in enumerate(groups)
-    ]
-    ctx = _pool_context()
-    with ctx.Pool(processes=len(groups)) as pool:
-        parts = pool.map(_worker_build, payloads)
+    if cursor is None:
+        cursor = PcapCursor()
+    limit = None
+    if workers > 1:
+        # The planning pass: where each record starts (and the digest).
+        with PcapWalk(pcap_path, cursor) as walk:
+            offsets = walk.record_offsets()
+        groups = _row_groups(offsets, workers)
+        if len(groups) > 1:
+            parts = _run_workers(
+                [
+                    (
+                        pcap_path,
+                        offset,
+                        count,
+                        validate_crypto_scans,
+                        asdb_factory,
+                        ack_factory,
+                        progress_dir,
+                        group_index,
+                    )
+                    for group_index, (offset, count) in enumerate(groups)
+                ]
+            )
+            table = CaptureTable()
+            for part_table, _stats, _flags in parts:
+                table.extend(part_table)
+            stats = _merge_stats(part_stats for _t, part_stats, _f in parts)
+            emit_stats_counters(stats, obs)
+            return table, stats
+        # Too few records to split: dissect the ones the plan saw, here.
+        cursor, limit = PcapCursor(), len(offsets)
     table = CaptureTable()
-    for part_table, _stats, _flags in parts:
-        table.extend(part_table)
-    stats = _merge_stats([part_stats for _t, part_stats, _f in parts])
-    emit_stats_counters(stats, obs)
+    stats = dissect_pcap(
+        pcap_path,
+        cursor,
+        table,
+        asdb=asdb_factory() if asdb_factory else None,
+        acknowledged=ack_factory() if ack_factory else None,
+        validate_crypto_scans=validate_crypto_scans,
+        obs=obs,
+        limit=limit,
+    )
     return table, stats
 
 
@@ -342,28 +412,21 @@ def build_from_shards(
     the row cursors aligned with the record cursors.
     """
     obs = obs or NULL_OBS
-    payloads = []
-    for shard_index, path in enumerate(shard_paths):
-        offsets = scan_pcap_offsets(path)
-        payloads.append(
+    parts = _run_workers(
+        [
             (
                 path,
-                offsets[0] if offsets else 0,
-                len(offsets),
+                0,
+                None,
                 validate_crypto_scans,
                 asdb_factory,
                 ack_factory,
-                True,
                 progress_dir,
                 shard_index,
             )
-        )
-    if len(payloads) == 1:
-        parts = [_worker_build(payloads[0])]
-    else:
-        ctx = _pool_context()
-        with ctx.Pool(processes=len(payloads)) as pool:
-            parts = pool.map(_worker_build, payloads)
+            for shard_index, path in enumerate(shard_paths)
+        ]
+    )
 
     def shard_stream(shard_index: int):
         for record_index, record in enumerate(iter_pcap(shard_paths[shard_index])):
@@ -376,6 +439,6 @@ def build_from_shards(
         if parts[shard_index][2][record_index]:
             table.append_row_from(parts[shard_index][0], row_cursors[shard_index])
             row_cursors[shard_index] += 1
-    stats = _merge_stats([part_stats for _t, part_stats, _f in parts])
+    stats = _merge_stats(part_stats for _t, part_stats, _f in parts)
     emit_stats_counters(stats, obs)
     return table, stats

@@ -20,7 +20,11 @@ the live-telescope case: a pcap being appended to while analyses run —
 revalidates against the prefix hash and only the appended tail is
 dissected (result ``extended``), instead of the former full rebuild on
 any size change.  A rewritten or truncated pcap still fails the prefix
-check and rebuilds from scratch.
+check and rebuilds from scratch.  The hash is a by-product of the
+dissection pass, not a pass of its own: the build feeds one running
+digest the bytes it walks over, an extension continues the digest the
+prefix check just computed, and the whole-file hash is that digest
+carried on through whatever the index does not cover.
 
 Everything is wired through ``repro.obs``: ``index.load``/``index.build``
 /``index.extend`` stage timers, a ``capstore.cache``
@@ -38,9 +42,9 @@ from typing import Optional, Tuple
 
 from repro.capstore.build import (
     build_capture_table,
-    build_from_records,
     default_acknowledged,
     default_asdb,
+    dissect_pcap,
     emit_stats_counters,
 )
 from repro.capstore.format import (
@@ -50,7 +54,7 @@ from repro.capstore.format import (
     load_index,
 )
 from repro.capstore.table import ClassifiedView
-from repro.netstack.pcap import PcapError, iter_pcap_range, scan_pcap_tail
+from repro.netstack.pcap import GLOBAL_HEADER_SIZE, PcapCursor
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_CAPSTORE
 
@@ -63,46 +67,70 @@ def sidecar_path(pcap_path: str) -> str:
     return pcap_path + ".capidx"
 
 
+def _new_digest():
+    return hashlib.blake2b(digest_size=16)
+
+
+def _hash_range(pcap_path: str, digest, start: int, end: Optional[int] = None) -> bool:
+    """Feed ``digest`` the file's bytes ``start..end`` (``None``: to EOF).
+
+    False if the file ends before ``end``.
+    """
+    remaining = float("inf") if end is None else end - start
+    with open(pcap_path, "rb") as fileobj:
+        fileobj.seek(start)
+        while remaining > 0:
+            chunk = fileobj.read(min(1 << 20, remaining))
+            if not chunk:
+                break
+            digest.update(chunk)
+            remaining -= len(chunk)
+    return end is None or remaining == 0
+
+
 def pcap_fingerprint(pcap_path: str, with_hash: bool = True) -> dict:
     """Identity of the source pcap: size, mtime_ns, blake2b content hash."""
     stat = os.stat(pcap_path)
     fingerprint = {"size": stat.st_size, "mtime_ns": stat.st_mtime_ns}
     if with_hash:
-        digest = hashlib.blake2b(digest_size=16)
-        with open(pcap_path, "rb") as fileobj:
-            for chunk in iter(lambda: fileobj.read(1 << 20), b""):
-                digest.update(chunk)
+        digest = _new_digest()
+        _hash_range(pcap_path, digest, 0)
         fingerprint["blake2b"] = digest.hexdigest()
     return fingerprint
 
 
 def prefix_fingerprint(
-    pcap_path: str, indexed_bytes: int, records: Optional[int] = None
+    pcap_path: str,
+    indexed_bytes: int,
+    records: Optional[int] = None,
+    digest=None,
 ) -> dict:
-    """Source fingerprint extended with prefix coverage, in one read pass.
+    """Source fingerprint extended with prefix coverage.
 
     Adds to :func:`pcap_fingerprint`'s size/mtime/full-hash triple:
     ``indexed_bytes`` (the byte offset the dissection covered — one past
     the last complete record at build time), ``prefix_blake2b`` (hash of
     exactly those bytes), and ``records`` (record count in the prefix).
-    Both digests come from a single sequential read of the file.
+    ``digest`` is the running hash of those ``indexed_bytes`` bytes when
+    the caller's dissection pass kept one (a
+    :class:`~repro.netstack.pcap.PcapCursor`'s); without it the prefix is
+    read here.  Either way the whole-file hash is the same digest carried
+    on through the bytes the index does not cover — none, for a finished
+    capture.
     """
+    if digest is None:
+        digest = _new_digest()
+        _hash_range(pcap_path, digest, 0, indexed_bytes)
     stat = os.stat(pcap_path)
-    prefix_digest = hashlib.blake2b(digest_size=16)
-    full_digest = hashlib.blake2b(digest_size=16)
-    remaining = indexed_bytes
-    with open(pcap_path, "rb") as fileobj:
-        for chunk in iter(lambda: fileobj.read(1 << 20), b""):
-            full_digest.update(chunk)
-            if remaining > 0:
-                prefix_digest.update(chunk[:remaining])
-                remaining -= min(remaining, len(chunk))
+    full_digest = digest.copy()
+    if stat.st_size > indexed_bytes:
+        _hash_range(pcap_path, full_digest, indexed_bytes)
     fingerprint = {
         "size": stat.st_size,
         "mtime_ns": stat.st_mtime_ns,
         "blake2b": full_digest.hexdigest(),
         "indexed_bytes": indexed_bytes,
-        "prefix_blake2b": prefix_digest.hexdigest(),
+        "prefix_blake2b": digest.hexdigest(),
     }
     if records is not None:
         fingerprint["records"] = records
@@ -121,40 +149,42 @@ def fingerprint_matches(stored: dict, pcap_path: str) -> bool:
     return stored.get("blake2b") == pcap_fingerprint(pcap_path)["blake2b"]
 
 
+def _indexed_prefix(stored: dict) -> Tuple[Optional[int], Optional[str]]:
+    """``(indexed_bytes, prefix hash)`` of a stored fingerprint.
+
+    Sidecars written before the prefix fields existed fall back to their
+    whole-file values — the stored size and the full-content hash, which
+    is exactly the prefix hash when the index covered the whole file.
+    """
+    return (
+        stored.get("indexed_bytes", stored.get("size")),
+        stored.get("prefix_blake2b", stored.get("blake2b")),
+    )
+
+
+def _matching_prefix_digest(stored: dict, pcap_path: str):
+    """The running hash of the indexed prefix, if the pcap still starts with it.
+
+    ``None`` when it does not (rewritten, truncated, or nothing stored);
+    otherwise the digest of exactly the first ``indexed_bytes`` bytes,
+    ready to be continued through whatever was appended since.
+    """
+    indexed, prefix_hash = _indexed_prefix(stored)
+    if indexed is None or prefix_hash is None or indexed < GLOBAL_HEADER_SIZE:
+        return None  # nothing stored, or not a record boundary to resume at
+    digest = _new_digest()
+    if not _hash_range(pcap_path, digest, 0, indexed):
+        return None  # truncated below the indexed prefix
+    return digest if digest.hexdigest() == prefix_hash else None
+
+
 def prefix_matches(stored: dict, pcap_path: str) -> bool:
     """Does the pcap on disk still start with the indexed prefix?
 
     A *grown* capture passes (only the tail needs dissection); a
-    rewritten or truncated one fails.  Sidecars written before the
-    prefix fields existed fall back to their whole-file values —
-    ``indexed_bytes`` defaults to the stored size and ``prefix_blake2b``
-    to the full-content hash, which is exactly the prefix hash when the
-    index covered the whole file.
+    rewritten or truncated one fails.
     """
-    if not stored:
-        return False
-    indexed = stored.get("indexed_bytes", stored.get("size"))
-    prefix_hash = stored.get("prefix_blake2b", stored.get("blake2b"))
-    if indexed is None or prefix_hash is None:
-        return False
-    stat = os.stat(pcap_path)
-    if stat.st_size < indexed:
-        return False  # truncated below the indexed prefix
-    if (
-        stat.st_size == stored.get("size")
-        and stat.st_mtime_ns == stored.get("mtime_ns")
-    ):
-        return True  # unchanged inode metadata: the prefix is untouched
-    digest = hashlib.blake2b(digest_size=16)
-    remaining = indexed
-    with open(pcap_path, "rb") as fileobj:
-        while remaining > 0:
-            chunk = fileobj.read(min(1 << 20, remaining))
-            if not chunk:
-                return False
-            digest.update(chunk)
-            remaining -= len(chunk)
-    return digest.hexdigest() == prefix_hash
+    return _matching_prefix_digest(stored, pcap_path) is not None
 
 
 @dataclass
@@ -164,14 +194,21 @@ class CacheResult:
     ``status`` is ``"hit"`` (sidecar covered the file as-is),
     ``"extended"`` (valid prefix; only the grown tail was dissected), or
     ``"miss"`` (full build — including after a stale sidecar).
-    ``indexed_bytes`` is how far into the pcap the returned view covers:
-    the end of the last complete record, which trails the file size while
-    a writer is mid-append.
+    ``dissected`` counts the records this call ran through the
+    dissector: none on a hit, the appended tail on an extension, all of
+    them on a miss.
     """
 
     view: ClassifiedView
     status: str
-    indexed_bytes: int
+    dissected: int = 0
+
+    @property
+    def indexed_bytes(self) -> int:
+        """How far into the pcap the view covers: the end of the last
+        complete record, which trails the file size while a writer is
+        mid-append."""
+        return self.view.indexed_bytes
 
 
 def load_or_build(
@@ -229,25 +266,17 @@ def load_or_build_ex(
         payload = _load_payload(index_path, pipeline, obs)
         if payload is not None:
             stored = payload.source
-            indexed = stored.get("indexed_bytes", stored.get("size"))
+            indexed = _indexed_prefix(stored)[0]
             covers_whole_file = indexed == stored.get("size")
             if covers_whole_file and fingerprint_matches(stored, pcap_path):
                 return _finish_hit(payload, index_path, indexed, obs, cache_counter)
-            if prefix_matches(stored, pcap_path):
-                tail_offsets, end = scan_pcap_tail(pcap_path, start=indexed)
-                if not tail_offsets:
-                    # Grown, but no *complete* new record yet (a writer is
-                    # mid-append): the prefix view is still the full truth.
-                    return _finish_hit(
-                        payload, index_path, indexed, obs, cache_counter
-                    )
+            digest = _matching_prefix_digest(stored, pcap_path)
+            if digest is not None:
                 return _extend(
                     payload,
                     pcap_path,
                     index_path,
-                    tail_offsets,
-                    end,
-                    pipeline,
+                    PcapCursor(indexed, digest),
                     validate_crypto_scans,
                     obs,
                     cache_counter,
@@ -257,29 +286,18 @@ def load_or_build_ex(
 
     if cache_counter is not None:
         cache_counter.inc_key(("miss",))
-    # Snapshot the complete-record prefix *before* dissecting, so the
-    # stored fingerprint describes exactly the bytes that were indexed
-    # even if a writer appends concurrently.
-    offsets, end = scan_pcap_tail(pcap_path)
-    if not offsets and end > os.path.getsize(pcap_path):
-        raise PcapError("truncated pcap global header")
+    # The digest is fed exactly the bytes the build walks over, so the
+    # stored fingerprint describes what was indexed even if a writer
+    # appends concurrently.
+    cursor = PcapCursor(digest=_new_digest())
     with obs.span("index.build", local=True, path=pcap_path, workers=workers):
-        if metrics is not None:
-            with metrics.time_block("index.build"):
-                table, stats = build_capture_table(
-                    pcap_path,
-                    workers=workers,
-                    validate_crypto_scans=validate_crypto_scans,
-                    obs=obs,
-                    offsets=offsets,
-                )
-        else:
+        with obs.timed("index.build"):
             table, stats = build_capture_table(
                 pcap_path,
                 workers=workers,
                 validate_crypto_scans=validate_crypto_scans,
                 obs=obs,
-                offsets=offsets,
+                cursor=cursor,
             )
     payload = IndexPayload(table=table, stats=stats, source={}, pipeline=pipeline)
     _count_rows(payload, metrics)
@@ -292,12 +310,10 @@ def load_or_build_ex(
             workers=workers,
         )
     if use_cache:
-        _write_sidecar(
-            index_path,
-            payload,
-            prefix_fingerprint(pcap_path, end, records=stats.total_records),
-        )
-    return CacheResult(ClassifiedView(table, stats), "miss", end)
+        write_sidecar(pcap_path, payload, cursor)
+    return CacheResult(
+        ClassifiedView(table, stats, cursor.offset), "miss", stats.total_records
+    )
 
 
 def _finish_hit(
@@ -318,56 +334,48 @@ def _finish_hit(
             path=index_path,
             rows=payload.table.num_rows,
         )
-    return CacheResult(
-        ClassifiedView(payload.table, payload.stats), "hit", indexed
-    )
+    return CacheResult(ClassifiedView(payload.table, payload.stats, indexed), "hit")
 
 
 def _extend(
     payload: IndexPayload,
     pcap_path: str,
     index_path: str,
-    tail_offsets: list,
-    end: int,
-    pipeline: dict,
+    cursor: PcapCursor,
     validate_crypto_scans: bool,
     obs: Observability,
     cache_counter,
 ) -> CacheResult:
-    """Dissect only the grown tail, appending into the cached table."""
-    metrics = obs.metrics
-    if cache_counter is not None:
-        cache_counter.inc_key(("extended",))
+    """Dissect whatever completed after the indexed prefix into its table.
+
+    ``cursor`` stands at the end of the prefix with the digest the prefix
+    check computed, so the grown file is read once from there.  Nothing
+    complete there yet (a writer is mid-append, or the next record header
+    is corrupt) is a plain hit: the prefix view is still the full truth.
+    """
+    indexed = cursor.offset
     prefix_rows = payload.table.num_rows
-    # Counter parity with a full run: re-emit the prefix totals now, then
-    # let the per-record pipeline add the tail increments.
-    emit_stats_counters(payload.stats, obs)
-    tail_records = iter_pcap_range(pcap_path, tail_offsets[0], len(tail_offsets))
-    with obs.span(
-        "index.extend", local=True, path=pcap_path, records=len(tail_offsets)
-    ):
-        if metrics is not None:
-            with metrics.time_block("index.extend"):
-                build_from_records(
-                    tail_records,
-                    asdb=default_asdb(),
-                    acknowledged=default_acknowledged(),
-                    validate_crypto_scans=validate_crypto_scans,
-                    obs=obs,
-                    table=payload.table,
-                    stats=payload.stats,
-                )
-        else:
-            build_from_records(
-                tail_records,
+    with obs.span("index.extend", local=True, path=pcap_path) as span:
+        with obs.timed("index.extend"):
+            tail_stats = dissect_pcap(
+                pcap_path,
+                cursor,
+                payload.table,
                 asdb=default_asdb(),
                 acknowledged=default_acknowledged(),
                 validate_crypto_scans=validate_crypto_scans,
                 obs=obs,
-                table=payload.table,
-                stats=payload.stats,
             )
-    _count_rows(payload, metrics)
+        span.note(records=tail_stats.total_records)
+    if cursor.offset == indexed:
+        return _finish_hit(payload, index_path, indexed, obs, cache_counter)
+    if cache_counter is not None:
+        cache_counter.inc_key(("extended",))
+    # Counter parity with a full run: the tail pass emitted its own
+    # counts, the prefix totals come from the stored stats.
+    emit_stats_counters(payload.stats, obs)
+    payload.stats.add(tail_stats)
+    _count_rows(payload, obs.metrics)
     if obs.tracer.enabled:
         obs.tracer.emit(
             CAT_CAPSTORE,
@@ -376,18 +384,28 @@ def _extend(
             rows=payload.table.num_rows,
             new_rows=payload.table.num_rows - prefix_rows,
         )
-    _write_sidecar(
-        index_path,
-        payload,
-        prefix_fingerprint(pcap_path, end, records=payload.stats.total_records),
-    )
+    write_sidecar(pcap_path, payload, cursor)
     return CacheResult(
-        ClassifiedView(payload.table, payload.stats), "extended", end
+        ClassifiedView(payload.table, payload.stats, cursor.offset),
+        "extended",
+        tail_stats.total_records,
     )
 
 
-def _write_sidecar(index_path: str, payload: IndexPayload, source: dict) -> None:
-    payload.source = source
+def write_sidecar(pcap_path: str, payload: IndexPayload, cursor: PcapCursor) -> None:
+    """Persist ``payload`` next to the pcap, fingerprinted up to ``cursor``.
+
+    The stored fingerprint covers exactly the prefix the cursor passed
+    (its digest, if it kept one, saves reading those bytes again).
+    Failure to write (read-only directory) downgrades to a warning.
+    """
+    index_path = sidecar_path(pcap_path)
+    payload.source = source = prefix_fingerprint(
+        pcap_path,
+        cursor.offset,
+        records=payload.stats.total_records,
+        digest=cursor.digest,
+    )
     try:
         dump_index(
             index_path,
@@ -412,13 +430,9 @@ def _load_payload(
     the caller, which needs the distinction; this helper only guarantees
     the payload is intact and was built by the same pipeline.
     """
-    metrics = obs.metrics
     try:
         with obs.span("index.load", local=True, path=index_path):
-            if metrics is not None:
-                with metrics.time_block("index.load"):
-                    payload = load_index(index_path)
-            else:
+            with obs.timed("index.load"):
                 payload = load_index(index_path)
     except (CapIndexError, OSError):
         return None

@@ -1,0 +1,185 @@
+"""Record bytes → column appends: the sanitisation verdict (paper §3.2).
+
+The paper's pipeline — UDP/443, then the QUIC dissector, then removal of
+acknowledged scanners — decided here for one capture record at a time,
+straight from the bytes of the pcap chunk the record sits in:
+
+1. IPv4+UDP headers (:func:`~repro.netstack.udp.scan_udp`); everything
+   else is non-QUIC noise;
+2. source port 443 → candidate *backscatter* (server responses to
+   spoofed traffic), destination port 443 → candidate *scan* (client
+   requests);
+3. false-positive removal with the QUIC dissector
+   (:func:`~repro.core.dissector.dissect_at`, Wireshark-equivalent;
+   scans are AEAD-validated, their Initial keys derive from the DCID);
+4. removal of acknowledged research scanners (requests only — their
+   documented behaviour would bias version statistics);
+5. origin of the remote side (hypergiant name or "Remaining").
+
+A kept record becomes one row of a :class:`CaptureTable`, its long
+headers that row's packet entries, copied field by field from the
+offsets the scanners returned.  No record, datagram, header or packet
+object exists in between; callers that want one ask the table
+(:meth:`CaptureTable.materialize`, :class:`CapturedRowView`).
+"""
+
+from __future__ import annotations
+
+import struct
+from bisect import bisect_right
+from typing import Callable, Optional
+
+from repro.capstore.table import KLASS_CODES, CaptureTable
+from repro.core.dissector import DissectError, dissect_at
+from repro.inetdata.asdb import AsDatabase
+from repro.netstack.udp import QUIC_PORT, scan_udp
+from repro.quic.packet import DCID_AT, PacketType
+from repro.telescope.acknowledged import AcknowledgedScanners
+from repro.telescope.classify import PacketClass
+
+_BACKSCATTER = KLASS_CODES[PacketClass.BACKSCATTER]
+_SCAN = KLASS_CODES[PacketClass.SCAN]
+_RETRY = PacketType.RETRY.value
+_VERSION_NEGOTIATION = PacketType.VERSION_NEGOTIATION.value
+
+#: ``verdict(timestamp, buf, start, end)`` → ``None`` (kept, row appended)
+#: or the :data:`~repro.telescope.classify.DROP_REASONS` name.
+Verdict = Callable[[float, bytes, int, int], Optional[str]]
+
+
+def record_verdict(
+    table: CaptureTable,
+    asdb: Optional[AsDatabase] = None,
+    acknowledged: Optional[AcknowledgedScanners] = None,
+    validate_crypto_scans: bool = True,
+) -> Verdict:
+    """The keep/drop decision for one record, appending kept rows to ``table``.
+
+    Returns ``verdict(timestamp, buf, start, end)`` for the record whose
+    bytes are ``buf[start:end]``: it either appends one complete row
+    (row and packet columns alike only once the whole datagram passed)
+    and returns ``None``, or appends nothing and returns the drop reason.
+    The decision is stateless per record, which is what makes row-group
+    parallel index builds exactly equivalent to a serial pass.
+
+    Origin and acknowledged-scanner lookups go through the two tries
+    flattened once, here: build a new verdict after registering prefixes.
+    ``validate_crypto_scans`` additionally AEAD-validates client Initials
+    in scan traffic; backscatter is validated structurally, as in
+    Wireshark.
+    """
+    origin_starts, origin_labels = (
+        asdb.origin_intervals() if asdb is not None else ([0], ["Remaining"])
+    )
+    #: Interval → id in ``table.origins``, filled in as origins are seen so
+    #: the origin table keeps its first-seen order.
+    origin_ids: list = [None] * len(origin_labels)
+    scanner_starts, scanner_flags = (
+        acknowledged.intervals() if acknowledged is not None else ([0], [False])
+    )
+
+    add_ts = table.ts.append
+    add_src_ip = table.src_ip.append
+    add_dst_ip = table.dst_ip.append
+    add_src_port = table.src_port.append
+    add_dst_port = table.dst_port.append
+    add_payload_len = table.payload_len.append
+    add_klass = table.klass.append
+    add_origin_id = table.origin_id.append
+    add_pkt_start = table.pkt_start.append
+    pkt_type = table.pkt_type
+    add_pkt_type = pkt_type.append
+    add_pkt_version = table.pkt_version.append
+    add_pkt_pn_offset = table.pkt_pn_offset.append
+    add_pkt_length = table.pkt_length.append
+    add_pkt_payload_length = table.pkt_payload_length.append
+    add_dcid_len = table.dcid_len.append
+    add_scid_len = table.scid_len.append
+    add_token_len = table.token_len.append
+    add_retry_token_len = table.retry_token_len.append
+    add_bytes_start = table.bytes_start.append
+    add_sv_start = table.sv_start.append
+    sv_values = table.sv_values
+    blob = table.blob
+    add_bytes = blob.extend
+
+    def verdict(timestamp: float, buf: bytes, start: int, end: int) -> Optional[str]:
+        try:
+            src_ip, dst_ip, src_port, dst_port, _ttl, payload_start, payload_end = (
+                scan_udp(buf, start, end)
+            )
+        except ValueError:  # IpParseError or UdpParseError
+            return "non_udp"
+        if src_port == QUIC_PORT:
+            klass = _BACKSCATTER
+        elif dst_port == QUIC_PORT:
+            klass = _SCAN
+        else:
+            return "non_port_443"
+        try:
+            packets = dissect_at(
+                buf,
+                payload_start,
+                payload_end,
+                validate_crypto_scans and klass == _SCAN,
+            )
+        except DissectError:
+            return "failed_dissection"
+        if klass == _SCAN and scanner_flags[bisect_right(scanner_starts, src_ip) - 1]:
+            return "acknowledged_scanner"
+        interval = bisect_right(origin_starts, src_ip) - 1
+        origin_id = origin_ids[interval]
+        if origin_id is None:
+            origin_id = origin_ids[interval] = table.origin_index(
+                origin_labels[interval]
+            )
+
+        add_ts(timestamp)
+        add_src_ip(src_ip)
+        add_dst_ip(dst_ip)
+        add_src_port(src_port)
+        add_dst_port(dst_port)
+        add_payload_len(payload_end - payload_start)
+        add_klass(klass)
+        add_origin_id(origin_id)
+        for (
+            at,
+            kind,
+            version,
+            dcid_len,
+            scid_len,
+            token_at,
+            token_len,
+            pn_offset,
+            packet_length,
+            payload_length,
+        ) in packets:
+            add_pkt_type(kind)
+            add_pkt_version(version)
+            add_pkt_pn_offset(pn_offset)
+            add_pkt_length(packet_length)
+            add_pkt_payload_length(payload_length)
+            add_dcid_len(dcid_len)
+            add_scid_len(scid_len)
+            add_token_len(token_len)
+            # The blob holds DCID, SCID, token, Retry token back to back.
+            dcid_at = at + DCID_AT
+            scid_at = dcid_at + dcid_len + 1
+            add_bytes(buf[dcid_at : dcid_at + dcid_len])
+            add_bytes(buf[scid_at : scid_at + scid_len])
+            retry_token_len = 0
+            if token_len:
+                add_bytes(buf[token_at : token_at + token_len])
+            elif kind == _RETRY:
+                retry_token_len = at + packet_length - 16 - token_at
+                add_bytes(buf[token_at : token_at + retry_token_len])
+            elif kind == _VERSION_NEGOTIATION:
+                count = (at + packet_length - token_at) // 4
+                sv_values.extend(struct.unpack_from("!%dI" % count, buf, token_at))
+            add_retry_token_len(retry_token_len)
+            add_bytes_start(len(blob))
+            add_sv_start(len(sv_values))
+        add_pkt_start(len(pkt_type))
+        return None
+
+    return verdict

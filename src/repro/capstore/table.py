@@ -9,11 +9,13 @@ of one shared byte blob — the layout the paper's "dissect once, analyze
 many times" pipeline wants: dense, order-preserving, and cheap to
 concatenate across row groups built by parallel workers.
 
-Analyses never touch the arrays directly: :class:`CapturedRowView` lazily
-re-materializes :class:`~repro.telescope.classify.CapturedPacket`-shaped
-objects (real :class:`~repro.quic.packet.ParsedLongHeader` instances
-included), so every existing `core.*` consumer sees the exact API it was
-written against.
+Rows are written by :func:`repro.capstore.dissect.record_verdict`, straight
+from record bytes.  Analyses never touch the arrays directly:
+:class:`CapturedRowView` lazily re-materializes
+:class:`~repro.telescope.classify.CapturedPacket`-shaped objects (real
+:class:`~repro.quic.packet.ParsedLongHeader` instances included), so
+every existing `core.*` consumer sees the exact API it was written
+against.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ OFFSET_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("sv_start", "I"),  # packet -> first supported-version entry
 )
 
-_KLASS_CODES = {PacketClass.BACKSCATTER: 0, PacketClass.SCAN: 1}
+#: The ``klass`` column's codes (``_KLASS_VALUES`` is the way back).
+KLASS_CODES = {PacketClass.BACKSCATTER: 0, PacketClass.SCAN: 1}
 _KLASS_VALUES = (PacketClass.BACKSCATTER, PacketClass.SCAN)
 
 
@@ -102,42 +105,14 @@ class CaptureTable:
 
     # -- building --------------------------------------------------------
 
-    def _origin_index(self, origin: str) -> int:
+    def origin_index(self, origin: str) -> int:
+        """Id of ``origin`` in the origin table, added on first sight."""
         index = self._origin_ids.get(origin)
         if index is None:
             index = len(self.origins)
             self.origins.append(origin)
             self._origin_ids[origin] = index
         return index
-
-    def append(self, packet: CapturedPacket) -> None:
-        """Append one sanitized datagram (row + its parsed packets)."""
-        self.ts.append(packet.timestamp)
-        self.src_ip.append(packet.src_ip)
-        self.dst_ip.append(packet.dst_ip)
-        self.src_port.append(packet.src_port)
-        self.dst_port.append(packet.dst_port)
-        self.payload_len.append(packet.udp_payload_length)
-        self.klass.append(_KLASS_CODES[packet.klass])
-        self.origin_id.append(self._origin_index(packet.origin))
-        for parsed in packet.packets:
-            self.pkt_type.append(parsed.packet_type.value)
-            self.pkt_version.append(parsed.version)
-            self.pkt_pn_offset.append(parsed.pn_offset)
-            self.pkt_length.append(parsed.packet_length)
-            self.pkt_payload_length.append(parsed.payload_length)
-            self.dcid_len.append(len(parsed.dcid))
-            self.scid_len.append(len(parsed.scid))
-            self.token_len.append(len(parsed.token))
-            self.retry_token_len.append(len(parsed.retry_token))
-            self.blob += parsed.dcid
-            self.blob += parsed.scid
-            self.blob += parsed.token
-            self.blob += parsed.retry_token
-            self.bytes_start.append(len(self.blob))
-            self.sv_values.extend(parsed.supported_versions)
-            self.sv_start.append(len(self.sv_values))
-        self.pkt_start.append(self.num_packets)
 
     def extend(self, other: "CaptureTable") -> None:
         """Append all rows of ``other``, remapping its origin table.
@@ -147,7 +122,7 @@ class CaptureTable:
         offsets shift by this table's totals, and the merged origin table
         is still in global first-seen order.
         """
-        origin_map = [self._origin_index(name) for name in other.origins]
+        origin_map = [self.origin_index(name) for name in other.origins]
         for name, _ in ROW_COLUMNS:
             if name == "origin_id":
                 continue
@@ -173,7 +148,7 @@ class CaptureTable:
         self.dst_port.append(other.dst_port[row])
         self.payload_len.append(other.payload_len[row])
         self.klass.append(other.klass[row])
-        self.origin_id.append(self._origin_index(other.origins[other.origin_id[row]]))
+        self.origin_id.append(self.origin_index(other.origins[other.origin_id[row]]))
         for j in range(other.pkt_start[row], other.pkt_start[row + 1]):
             for name, _ in PACKET_COLUMNS:
                 getattr(self, name).append(getattr(other, name)[j])
@@ -328,12 +303,19 @@ class ClassifiedView:
     Exposes ``backscatter`` / ``scans`` / ``stats`` / ``__len__`` exactly
     like the object pipeline's output, with rows wrapped in
     :class:`CapturedRowView`; the split lists are built lazily on first
-    access.
+    access.  ``indexed_bytes``, when the table was built from a pcap, is
+    how far into that file it covers (one past the last complete record).
     """
 
-    def __init__(self, table: CaptureTable, stats: SanitizationStats) -> None:
+    def __init__(
+        self,
+        table: CaptureTable,
+        stats: SanitizationStats,
+        indexed_bytes: Optional[int] = None,
+    ) -> None:
         self.table = table
         self.stats = stats
+        self.indexed_bytes = indexed_bytes
         self._backscatter: Optional[List[CapturedRowView]] = None
         self._scans: Optional[List[CapturedRowView]] = None
 

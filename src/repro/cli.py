@@ -315,13 +315,33 @@ def _load_capture(
     the sidecar unless ``--no-cache``.
     """
     obs = obs or Observability()
+    pcap = pcap if pcap is not None else args.pcap
     view, _cache_hit = load_or_build(
-        pcap if pcap is not None else args.pcap,
+        pcap,
         workers=getattr(args, "workers", 1),
         use_cache=not getattr(args, "no_cache", False),
         obs=obs,
     )
+    _note_unindexed(args.command, pcap, view)
     return view
+
+
+def _note_unindexed(command: str, pcap: str, view) -> None:
+    """Say so, on stderr, when the index stops short of the pcap's end.
+
+    The dissection covers the complete records in front of the first one
+    that is not — a record still being written, or a corrupt header —
+    and every number printed afterwards describes only that prefix.
+    (``repro live`` expects a growing capture and stays silent.)
+    """
+    size = os.path.getsize(pcap)
+    if view.indexed_bytes is not None and view.indexed_bytes < size:
+        print(
+            "repro %s: note: %s is indexed up to byte %d of %d; the %d bytes "
+            "after it are not (an incomplete or corrupt record starts there)"
+            % (command, pcap, view.indexed_bytes, size, size - view.indexed_bytes),
+            file=sys.stderr,
+        )
 
 
 def _load_shard_capture(paths: list[str], args: argparse.Namespace, obs: Observability):
@@ -712,7 +732,8 @@ def cmd_index(args: argparse.Namespace) -> int:
             print("%s: unreadable index: %s" % (index_path, exc))
             return 1
         stats = header.get("stats", {})
-        valid = fingerprint_matches(header.get("source", {}), args.pcap)
+        source = header.get("source", {})
+        valid = fingerprint_matches(source, args.pcap)
         print(
             render_table(
                 ["field", "value"],
@@ -724,7 +745,11 @@ def cmd_index(args: argparse.Namespace) -> int:
                     ["backscatter", stats.get("backscatter", "?")],
                     ["scans", stats.get("scans", "?")],
                     ["source records", stats.get("total_records", "?")],
-                    ["source size", header.get("source", {}).get("size", "?")],
+                    ["source size", source.get("size", "?")],
+                    [
+                        "indexed bytes",
+                        source.get("indexed_bytes", source.get("size", "?")),
+                    ],
                     ["valid for pcap", "yes" if valid else "STALE"],
                 ],
                 title="Capture index %s" % index_path,
@@ -741,6 +766,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         view, cache_hit = load_or_build(args.pcap, workers=args.workers, obs=obs)
     finally:
         _finish_obs(args, obs)
+    _note_unindexed(args.command, args.pcap, view)
     stats = view.stats
     print(
         "%s %s: %d rows (%d backscatter, %d scans) from %d records%s"

@@ -25,11 +25,12 @@ from repro.quic.crypto.suites import (
     Rfc9001Protection,
 )
 from repro.quic.packet import (
+    DCID_AT,
     PacketParseError,
     PacketType,
     ParsedLongHeader,
-    decode_datagram,
-    unprotect_packet,
+    parsed_header,
+    scan_datagram,
 )
 from repro.quic.version import lookup as lookup_version
 
@@ -39,6 +40,10 @@ _KNOWN_FAMILIES = {"v1", "v2", "draft", "mvfst", "gquic", "reserved"}
 #: Suites tried (in order) when cryptographically validating a client
 #: Initial.  FastProtection first: it is the bulk-simulation default.
 VALIDATION_SUITES = (FastProtection, Rfc9001Protection)
+
+_INITIAL = PacketType.INITIAL.value
+_HANDSHAKE = PacketType.HANDSHAKE.value
+_VERSION_NEGOTIATION = PacketType.VERSION_NEGOTIATION.value
 
 
 class DissectError(ValueError):
@@ -62,54 +67,71 @@ class DissectedDatagram:
         return len(self.packets) > 1
 
 
-def dissect_datagram(payload: bytes, validate_crypto: bool = False) -> DissectedDatagram:
-    """Dissect a UDP payload; raise :class:`DissectError` if it is not QUIC."""
-    if len(payload) < 7:  # smallest conceivable long header
+def dissect_at(
+    data: bytes, start: int, end: int, validate_crypto: bool = False
+) -> list[tuple]:
+    """Dissect the UDP payload ``data[start:end]`` in place.
+
+    Returns the long-header chain as :func:`~repro.quic.packet.scan_datagram`
+    located it (one :data:`~repro.quic.packet.SCANNED_FIELDS` tuple per
+    packet) once every packet passed the checks above; raises
+    :class:`DissectError` if the payload is not QUIC.
+    """
+    if end - start < 7:  # smallest conceivable long header
         raise DissectError("payload too short for a QUIC long header")
     try:
-        packets = decode_datagram(payload)
+        packets = scan_datagram(data, start, end)
     except PacketParseError as exc:
         raise DissectError(str(exc)) from exc
 
-    for parsed, _raw in packets:
-        version = lookup_version(parsed.version)
-        if parsed.packet_type is PacketType.VERSION_NEGOTIATION:
-            if not parsed.supported_versions:
+    for scanned in packets:
+        at, kind, version, _, _, body_at, _, _, packet_length, payload_length = scanned
+        if kind == _VERSION_NEGOTIATION:
+            if at + packet_length - body_at < 4:
                 raise DissectError("version negotiation without versions")
             continue
-        if version.family not in _KNOWN_FAMILIES:
-            raise DissectError("unknown QUIC version 0x%08x" % parsed.version)
-        if parsed.packet_type in (PacketType.INITIAL, PacketType.HANDSHAKE):
+        if lookup_version(version).family not in _KNOWN_FAMILIES:
+            raise DissectError("unknown QUIC version 0x%08x" % version)
+        if kind == _INITIAL or kind == _HANDSHAKE:
             # The protected payload must hold a packet number sample and tag.
-            if parsed.payload_length < 1 + 4 + 16:
+            if payload_length < 1 + 4 + 16:
                 raise DissectError("protected payload implausibly short")
 
-    crypto_ok = False
-    if validate_crypto:
-        crypto_ok = _validate_client_initial(packets)
-        if not crypto_ok:
-            raise DissectError("Initial payload fails AEAD validation")
+    if validate_crypto and not _validate_client_initial(data, packets):
+        raise DissectError("Initial payload fails AEAD validation")
+    return packets
+
+
+def dissect_datagram(payload: bytes, validate_crypto: bool = False) -> DissectedDatagram:
+    """Dissect a UDP payload; raise :class:`DissectError` if it is not QUIC.
+
+    The object-building form of :func:`dissect_at`.
+    """
+    packets = dissect_at(payload, 0, len(payload), validate_crypto)
     return DissectedDatagram(
-        packets=[p for p, _raw in packets], crypto_validated=crypto_ok
+        packets=[parsed_header(payload, scanned) for scanned in packets],
+        crypto_validated=validate_crypto,
     )
 
 
-def _validate_client_initial(packets) -> bool:
+def _validate_client_initial(data: bytes, packets: list[tuple]) -> bool:
     """Try to unprotect the first client Initial with the known suites.
 
     Datagrams without an Initial (e.g. replayed 0-RTT) cannot be validated
     cryptographically — their keys are not derivable — so they pass on the
     structural checks alone, as in Wireshark.
     """
-    for parsed, raw in packets:
-        if parsed.packet_type is not PacketType.INITIAL:
+    for scanned in packets:
+        at, kind, version, dcid_len, _, _, _, pn_offset, packet_length, _ = scanned
+        if kind != _INITIAL:
             continue
+        dcid = data[at + DCID_AT : at + DCID_AT + dcid_len]
+        packet = data[at : at + packet_length]
         for suite_cls in VALIDATION_SUITES:
             try:
-                suite = suite_cls(parsed.version, parsed.dcid)
-                unprotect_packet(parsed, raw, suite, from_server=False)
+                suite_cls(version, dcid).unprotect(False, packet, pn_offset)
                 return True
-            except (ProtectionError, PacketParseError):
+            except ProtectionError:
                 continue
         return False
     return True

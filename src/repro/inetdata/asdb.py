@@ -25,6 +25,12 @@ class AsEntry:
     category: str = "other"
 
 
+def _origin_label(entry: AsEntry | None) -> str:
+    if entry is not None and entry.name in HYPERGIANTS:
+        return entry.name
+    return "Remaining"
+
+
 class AsDatabase:
     """Prefix → origin-AS mapping."""
 
@@ -49,10 +55,17 @@ class AsDatabase:
 
     def origin_name(self, address: int) -> str:
         """Paper-style origin label: hypergiant name or "Remaining"."""
-        entry = self.lookup(address)
-        if entry is not None and entry.name in HYPERGIANTS:
-            return entry.name
-        return "Remaining"
+        return _origin_label(self.lookup(address))
+
+    def origin_intervals(self) -> tuple[list[int], list[str]]:
+        """:meth:`origin_name` for the whole address space at once.
+
+        The trie flattened (:meth:`RadixTree.flatten`) into ``(starts,
+        labels)``; ``labels[bisect_right(starts, address) - 1]`` equals
+        ``origin_name(address)`` for the prefixes registered so far.
+        """
+        starts, entries = self._trie.flatten()
+        return starts, [_origin_label(entry) for entry in entries]
 
     def asn_of(self, address: int) -> int | None:
         entry = self.lookup(address)

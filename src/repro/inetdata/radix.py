@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Generic, Iterator, Optional, TypeVar
 
-from repro.netstack.addr import Prefix
+from repro.netstack.addr import IPV4_MAX, Prefix
 
 V = TypeVar("V")
 
@@ -72,6 +72,26 @@ class RadixTree(Generic[V]):
             return None
         mask = ((1 << length) - 1) << (32 - length) if length else 0
         return Prefix(address & mask, length), node.value  # type: ignore[return-value]
+
+    def flatten(self) -> tuple[list[int], list[Optional[V]]]:
+        """The trie as disjoint address intervals, for :func:`bisect.bisect_right`.
+
+        Returns ``(starts, values)``: ``starts`` ascends from 0 and
+        ``values[i]`` is what :meth:`lookup` answers for every address in
+        ``starts[i] .. starts[i + 1] - 1`` (the last interval runs to the
+        top of the address space), so
+        ``values[bisect_right(starts, address) - 1]`` *is* the
+        longest-prefix match.  The answer can only change at the first
+        address of a prefix or just past its last one, so those are the
+        boundaries and each interval's value is asked of the trie itself.
+        A snapshot: prefixes inserted later are not in it.
+        """
+        bounds = {0}
+        for prefix, _value in self.items():
+            bounds.add(prefix.first)
+            bounds.add(prefix.last + 1)
+        starts = sorted(bound for bound in bounds if bound <= IPV4_MAX)
+        return starts, [self.lookup(start) for start in starts]
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
         """Yield all (prefix, value) pairs in preorder."""

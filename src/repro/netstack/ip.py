@@ -56,9 +56,16 @@ def encode_ipv4(header: IPv4Header, payload: bytes) -> bytes:
     return bytes(raw) + payload
 
 
-def decode_ipv4(data: bytes) -> tuple[IPv4Header, bytes]:
-    """Parse an IPv4 packet; returns (header, payload)."""
-    if len(data) < HEADER_LENGTH:
+def scan_ipv4(data: bytes, start: int, end: int) -> tuple:
+    """Read the IPv4 header of ``data[start:end]`` in place.
+
+    Returns ``(src, dst, protocol, ttl, identification, dscp_ecn,
+    flags_fragment, total_length, payload_start, payload_end)`` with the
+    payload as offsets into ``data`` — nothing is sliced or built.  The
+    header's bounds checks live here and nowhere else; ``end`` may lie
+    inside a larger buffer (a pcap chunk), no byte at or past it is read.
+    """
+    if end - start < HEADER_LENGTH:
         raise IpParseError("packet shorter than IPv4 header")
     (
         version_ihl,
@@ -71,22 +78,30 @@ def decode_ipv4(data: bytes) -> tuple[IPv4Header, bytes]:
         _checksum,  # validity is the caller's concern
         src,
         dst,
-    ) = _FIXED_HEADER.unpack_from(data)
+    ) = _FIXED_HEADER.unpack_from(data, start)
     if version_ihl >> 4 != 4:
         raise IpParseError("not IPv4 (version %d)" % (version_ihl >> 4))
     ihl = (version_ihl & 0x0F) * 4
-    if ihl < HEADER_LENGTH or ihl > len(data):
+    if ihl < HEADER_LENGTH or ihl > end - start:
         raise IpParseError("bad IHL %d" % ihl)
-    if total_length > len(data) or total_length < ihl:
+    if total_length > end - start or total_length < ihl:
         raise IpParseError("bad total length %d" % total_length)
-    header = IPv4Header(
-        src=src,
-        dst=dst,
-        protocol=protocol,
-        ttl=ttl,
-        identification=identification,
-        dscp_ecn=dscp_ecn,
-        flags_fragment=flags_fragment,
-        total_length=total_length,
+    return (
+        src,
+        dst,
+        protocol,
+        ttl,
+        identification,
+        dscp_ecn,
+        flags_fragment,
+        total_length,
+        start + ihl,
+        start + total_length,
     )
-    return header, data[ihl:total_length]
+
+
+def decode_ipv4(data: bytes) -> tuple[IPv4Header, bytes]:
+    """Parse an IPv4 packet; returns (header, payload)."""
+    fields = scan_ipv4(data, 0, len(data))
+    # The eight leading fields are IPv4Header's, in its field order.
+    return IPv4Header(*fields[:8]), data[fields[8] : fields[9]]

@@ -5,14 +5,17 @@ with external tooling, and so the analysis pipeline can equally consume
 real-world raw-IP captures.  :func:`merge_pcap_files` k-way-merges
 time-sorted per-worker captures (``repro simulate --workers N``) into one
 time-ordered file while holding only one record per input in memory.
+:class:`PcapWalk` is the index builder's reader: fixed-size chunks, the
+records of each handed over in place, no object per record.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 MAGIC = 0xA1B2C3D4
 MAGIC_SWAPPED = 0xD4C3B2A1
@@ -30,6 +33,18 @@ GLOBAL_HEADER_SIZE = _GLOBAL_HEADER.size
 
 class PcapError(ValueError):
     """Raised on malformed pcap files."""
+
+
+def _byte_order(head: bytes) -> str:
+    """The ``struct`` byte-order prefix a global header's magic announces."""
+    if len(head) < _GLOBAL_HEADER.size:
+        raise PcapError("truncated pcap global header")
+    magic = struct.unpack("<I", head[:4])[0]
+    if magic == MAGIC:
+        return "<"
+    if magic == MAGIC_SWAPPED:
+        return ">"
+    raise PcapError("bad pcap magic 0x%08x" % magic)
 
 
 def split_timestamp(timestamp: float) -> tuple[int, int]:
@@ -107,15 +122,7 @@ class PcapReader:
     def __init__(self, fileobj: BinaryIO) -> None:
         self._file = fileobj
         header = fileobj.read(_GLOBAL_HEADER.size)
-        if len(header) < _GLOBAL_HEADER.size:
-            raise PcapError("truncated pcap global header")
-        magic = struct.unpack("<I", header[:4])[0]
-        if magic == MAGIC:
-            self._endian = "<"
-        elif magic == MAGIC_SWAPPED:
-            self._endian = ">"
-        else:
-            raise PcapError("bad pcap magic 0x%08x" % magic)
+        self._endian = _byte_order(header)
         fields = struct.unpack(self._endian + "IHHiIII", header)
         self.linktype = fields[6]
         self.snaplen = fields[5]
@@ -156,8 +163,7 @@ def iter_pcap_range(path: str, offset: int, count: int) -> Iterator[PcapRecord]:
     """Stream ``count`` records starting at byte ``offset``.
 
     ``offset`` must point at a record header (use
-    :func:`scan_pcap_offsets`); this is how parallel index builders hand
-    each worker its own contiguous row group of one pcap.
+    :func:`scan_pcap_offsets`).
     """
     with open(path, "rb") as fileobj:
         reader = PcapReader(fileobj)  # validates magic, fixes endianness
@@ -181,83 +187,153 @@ def read_pcap(path: str) -> list[PcapRecord]:
     return list(iter_pcap(path))
 
 
-def scan_pcap_offsets(path: str) -> list[int]:
-    """Byte offset of every record header in ``path``.
+#: Bytes :class:`PcapWalk` asks the file for per step.
+WALK_CHUNK = 1 << 18
 
-    Seeks over the payloads, so the scan costs one header read per record
-    — cheap enough to plan row-group splits before a parallel dissection
-    pass.  Raises :class:`PcapError` on truncated files.
+
+class PcapCursor:
+    """How far into a pcap a reader has got.
+
+    ``offset`` is one past the last complete record consumed (0: nothing
+    yet, not even the global header).  ``digest``, for a reader that
+    wants one, is any ``hashlib`` object: it has been fed exactly the
+    ``offset`` bytes in front of the cursor, so a later pass over the
+    grown file continues it instead of hashing the prefix again.
     """
-    offsets: list[int] = []
-    with open(path, "rb") as fileobj:
-        head = fileobj.read(_GLOBAL_HEADER.size)
-        if len(head) < _GLOBAL_HEADER.size:
-            raise PcapError("truncated pcap global header")
-        magic = struct.unpack("<I", head[:4])[0]
-        if magic == MAGIC:
-            endian = "<"
-        elif magic == MAGIC_SWAPPED:
-            endian = ">"
+
+    __slots__ = ("offset", "digest")
+
+    def __init__(self, offset: int = 0, digest=None) -> None:
+        self.offset = offset
+        self.digest = digest
+
+
+class PcapWalk:
+    """One forward pass over a pcap's complete records, a chunk at a time.
+
+    Each :meth:`step` reads :data:`WALK_CHUNK` bytes and hands every
+    record that is complete in them to ``on_record(timestamp, buf, start,
+    end)`` — the record's bytes are ``buf[start:end]``, in place — then
+    advances ``cursor`` past them (feeding its digest those bytes).  A
+    record torn by the chunk boundary is carried into the next step.
+
+    The file may still be growing.  The pass covers what was there when
+    it was opened (``size``) and ends (``done``) in front of the first
+    record that is not complete within that: a header cut short, or one
+    whose ``incl_len`` runs past ``size`` — which is never buffered on
+    the header's say-so, so a corrupt length cannot make the walk hold
+    more than one chunk plus one record that really is in the file.
+    ``limit`` ends the pass after that many records.
+    """
+
+    def __init__(
+        self, path: str, cursor: PcapCursor, limit: Optional[int] = None
+    ) -> None:
+        self.cursor = cursor
+        self.limit = limit
+        #: Records handed over so far.
+        self.records = 0
+        self.done = False
+        self._base = cursor.offset  # file offset of the current chunk
+        self._carry = b""
+        self._short = 0  # bytes the carried record still lacks
+        self._file = open(path, "rb")
+        try:
+            self.size = os.fstat(self._file.fileno()).st_size
+            head = self._file.read(_GLOBAL_HEADER.size)
+            self._unpack = struct.Struct(_byte_order(head) + "IIII").unpack_from
+        except BaseException:
+            self._file.close()
+            raise
+        if cursor.offset:
+            self._file.seek(cursor.offset)
         else:
-            raise PcapError("bad pcap magic 0x%08x" % magic)
-        record_struct = struct.Struct(endian + "IIII")
-        fileobj.seek(0, 2)
-        end = fileobj.tell()
-        pos = _GLOBAL_HEADER.size
-        while pos < end:
-            fileobj.seek(pos)
-            header = fileobj.read(record_struct.size)
-            if len(header) < record_struct.size:
-                raise PcapError("truncated pcap record header")
-            _sec, _usec, incl_len, _orig = record_struct.unpack(header)
-            if pos + record_struct.size + incl_len > end:
-                raise PcapError("truncated pcap record body")
-            offsets.append(pos)
-            pos += record_struct.size + incl_len
-    return offsets
+            cursor.offset = len(head)
+            if cursor.digest is not None:
+                cursor.digest.update(head)
+        self._read_to = cursor.offset
+
+    def __enter__(self) -> "PcapWalk":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
+
+    def step(self, on_record: Callable[[float, bytes, int, int], object]) -> int:
+        """Walk one chunk; returns how many records it handed over."""
+        want = max(0, min(max(WALK_CHUNK, self._short), self.size - self._read_to))
+        data = self._file.read(want)
+        self._read_to += len(data)
+        buf = self._carry + data
+        filled = len(buf)
+        self._base = self._read_to - filled
+        unpack = self._unpack
+        budget = -1 if self.limit is None else self.limit - self.records
+        pos = count = short = 0
+        while filled - pos >= 16 and count != budget:
+            ts_sec, ts_usec, incl_len, _orig_len = unpack(buf, pos)
+            stop = pos + 16 + incl_len
+            if stop > filled:
+                short = stop - filled
+                break
+            on_record(ts_sec + ts_usec / 1_000_000, buf, pos + 16, stop)
+            pos = stop
+            count += 1
+        self.records += count
+        cursor = self.cursor
+        cursor.offset = self._base + pos
+        if cursor.digest is not None:
+            cursor.digest.update(memoryview(buf)[:pos])
+        self.done = (
+            count == budget
+            or len(data) < want  # the file shrank under the walk
+            or self._read_to >= self.size  # nothing left to complete a record
+            or self._read_to + short > self.size  # the record runs past size
+        )
+        self._carry = buf[pos:]
+        self._short = short
+        return count
+
+    def run(self, on_record: Callable[[float, bytes, int, int], object]) -> None:
+        """Every remaining step."""
+        while not self.done:
+            self.step(on_record)
+
+    def record_offsets(self) -> list[int]:
+        """Walk to the end, looking only at where each record starts."""
+        offsets: list[int] = []
+        self.run(lambda _ts, _buf, start, _end: offsets.append(self._base + start - 16))
+        return offsets
 
 
 def scan_pcap_tail(path: str, start: int = _GLOBAL_HEADER.size) -> tuple[list[int], int]:
     """Offsets of the *complete* records from byte ``start`` to EOF.
 
-    The streaming twin of :func:`scan_pcap_offsets`: instead of raising on
-    a truncated record it stops in front of it, returning ``(offsets,
-    end)`` where ``end`` is the byte offset one past the last complete
-    record.  A live capture being appended to by another process always
-    has a well-defined complete prefix — a reader that only consumes up to
-    ``end`` can never observe a torn packet record, and the next poll
-    resumes at ``end`` once the writer has finished the record.
-
-    ``start`` must point at a record boundary (typically the ``end`` of a
-    previous scan, or the position after the global header).
+    Returns ``(offsets, end)`` where ``end`` is the byte offset one past
+    the last complete record — :class:`PcapWalk`'s rule, so a live capture
+    being appended to by another process always has a well-defined
+    complete prefix and the next scan resumes at ``end`` once the writer
+    has finished the record.  ``start`` must point at a record boundary
+    (typically the ``end`` of a previous scan, or the position after the
+    global header).
     """
-    offsets: list[int] = []
-    with open(path, "rb") as fileobj:
-        head = fileobj.read(_GLOBAL_HEADER.size)
-        if len(head) < _GLOBAL_HEADER.size:
-            return [], start  # global header itself still being written
-        magic = struct.unpack("<I", head[:4])[0]
-        if magic == MAGIC:
-            endian = "<"
-        elif magic == MAGIC_SWAPPED:
-            endian = ">"
-        else:
-            raise PcapError("bad pcap magic 0x%08x" % magic)
-        record_struct = struct.Struct(endian + "IIII")
-        fileobj.seek(0, 2)
-        file_end = fileobj.tell()
-        pos = max(start, _GLOBAL_HEADER.size)
-        while pos < file_end:
-            fileobj.seek(pos)
-            header = fileobj.read(record_struct.size)
-            if len(header) < record_struct.size:
-                break  # torn record header: the writer is mid-append
-            _sec, _usec, incl_len, _orig = record_struct.unpack(header)
-            if pos + record_struct.size + incl_len > file_end:
-                break  # torn record body
-            offsets.append(pos)
-            pos += record_struct.size + incl_len
-    return offsets, pos
+    if os.path.getsize(path) < _GLOBAL_HEADER.size:
+        return [], start  # global header itself still being written
+    cursor = PcapCursor(max(start, _GLOBAL_HEADER.size))
+    with PcapWalk(path, cursor) as walk:
+        return walk.record_offsets(), cursor.offset
+
+
+def scan_pcap_offsets(path: str) -> list[int]:
+    """Byte offset of every record header in a finished ``path``.
+
+    The strict form of :func:`scan_pcap_tail`: raises :class:`PcapError`
+    unless the file ends on a record boundary.
+    """
+    offsets, end = scan_pcap_tail(path)
+    if end != os.path.getsize(path):
+        raise PcapError("truncated pcap: no complete record at byte %d" % end)
+    return offsets
 
 
 def record_sort_key(record: PcapRecord) -> tuple:

@@ -14,7 +14,7 @@ from repro.netstack.ip import (
     HEADER_LENGTH as IP_HEADER_LENGTH,
     IpParseError,
     PROTO_UDP,
-    decode_ipv4,
+    scan_ipv4,
 )
 
 HEADER_LENGTH = 8
@@ -213,22 +213,53 @@ def encode_udp_into(out: bytearray, datagram: UdpDatagram) -> None:
     out += payload
 
 
+def scan_udp(data: bytes, start: int, end: int) -> tuple:
+    """Read the IPv4+UDP headers of ``data[start:end]`` in place.
+
+    Returns ``(src_ip, dst_ip, src_port, dst_port, ttl, payload_start,
+    payload_end)`` with the UDP payload as offsets into ``data``.  The
+    one copy of the UDP bounds checks, on top of :func:`scan_ipv4`'s.
+    """
+    (
+        src_ip,
+        dst_ip,
+        protocol,
+        ttl,
+        _identification,
+        _dscp_ecn,
+        _flags_fragment,
+        _total_length,
+        udp_start,
+        ip_end,
+    ) = scan_ipv4(data, start, end)
+    if protocol != PROTO_UDP:
+        raise UdpParseError("IP protocol %d is not UDP" % protocol)
+    if ip_end - udp_start < HEADER_LENGTH:
+        raise UdpParseError("payload shorter than UDP header")
+    src_port, dst_port, udp_length = _PORTS_LENGTH.unpack_from(data, udp_start)
+    if udp_length < HEADER_LENGTH or udp_length > ip_end - udp_start:
+        raise UdpParseError("bad UDP length %d" % udp_length)
+    return (
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
+        ttl,
+        udp_start + HEADER_LENGTH,
+        udp_start + udp_length,
+    )
+
+
 def decode_udp(packet: bytes) -> UdpDatagram:
     """Parse a full IPv4+UDP packet back into a :class:`UdpDatagram`."""
-    ip_header, ip_payload = decode_ipv4(packet)
-    if ip_header.protocol != PROTO_UDP:
-        raise UdpParseError("IP protocol %d is not UDP" % ip_header.protocol)
-    if len(ip_payload) < HEADER_LENGTH:
-        raise UdpParseError("payload shorter than UDP header")
-    src_port, dst_port, udp_length = _PORTS_LENGTH.unpack_from(ip_payload)
-    if udp_length < HEADER_LENGTH or udp_length > len(ip_payload):
-        raise UdpParseError("bad UDP length %d" % udp_length)
-    payload = ip_payload[HEADER_LENGTH:udp_length]
+    src_ip, dst_ip, src_port, dst_port, ttl, payload_start, payload_end = scan_udp(
+        packet, 0, len(packet)
+    )
     return UdpDatagram(
-        src_ip=ip_header.src,
-        dst_ip=ip_header.dst,
+        src_ip=src_ip,
+        dst_ip=dst_ip,
         src_port=src_port,
         dst_port=dst_port,
-        payload=payload,
-        ttl=ip_header.ttl,
+        payload=packet[payload_start:payload_end],
+        ttl=ttl,
     )

@@ -58,15 +58,13 @@ class PacketParseError(ValueError):
     """Raised when bytes cannot be parsed as a QUIC packet."""
 
 
-#: Indexed by the two long-packet-type bits of the first byte.
-_LONG_PACKET_TYPES = (
-    PacketType.INITIAL,
-    PacketType.ZERO_RTT,
-    PacketType.HANDSHAKE,
-    PacketType.RETRY,
-)
+#: Indexed by :class:`PacketType` value; the first four are also the
+#: two long-packet-type bits of the first byte.
+_PACKET_TYPES = tuple(PacketType)
 #: First byte, version, DCID length: the fixed start of every long header.
 _FIXED_PREFIX = struct.Struct("!BIB")
+#: Where the DCID starts, counted from a long header's first byte.
+DCID_AT = _FIXED_PREFIX.size
 
 
 @dataclass
@@ -502,9 +500,183 @@ def unprotect_short_packet(
 # ---------------------------------------------------------------------------
 
 
-def _truncated(data: bytes, pos: int) -> PacketParseError:
+#: Field order of the tuples :func:`scan_long_header` returns.  Offsets
+#: are absolute positions in the scanned buffer; ``pn_offset`` and
+#: ``packet_length`` are relative to the packet's first byte, as in
+#: :class:`ParsedLongHeader`.  ``kind`` is the :class:`PacketType` value.
+#: The DCID starts at ``at + DCID_AT``, the SCID one length byte after it ends;
+#: ``token_at`` is where the Initial token starts and, for every other
+#: kind, the first byte after the SCID (Retry token, supported versions).
+SCANNED_FIELDS = (
+    "at",
+    "kind",
+    "version",
+    "dcid_len",
+    "scid_len",
+    "token_at",
+    "token_len",
+    "pn_offset",
+    "packet_length",
+    "payload_length",
+)
+_KIND = SCANNED_FIELDS.index("kind")
+_PACKET_LENGTH = SCANNED_FIELDS.index("packet_length")
+_RETRY = PacketType.RETRY.value
+_VERSION_NEGOTIATION = PacketType.VERSION_NEGOTIATION.value
+_RETRY_TAG_LENGTH = 16
+
+
+def _truncated(size: int, pos: int) -> PacketParseError:
     return PacketParseError(
-        "long header overruns buffer of %d bytes at offset %d" % (len(data), pos)
+        "long header overruns buffer of %d bytes at offset %d" % (size, pos)
+    )
+
+
+def scan_long_header(data: bytes, start: int, end: int, at: int) -> tuple:
+    """Locate the cleartext fields of the long-header packet at ``at``.
+
+    ``data[start:end]`` is the datagram (possibly a window of a larger
+    buffer: nothing at or past ``end`` decides anything) and ``at`` an
+    absolute offset inside it.  Returns one :data:`SCANNED_FIELDS` tuple
+    — offsets and lengths only, no bytes are copied.
+
+    The invariant header (RFC 8999 §5.1) is read at fixed offsets from
+    ``at`` rather than through a cursor; each length is bounds-checked
+    before the bytes it covers are touched, here and nowhere else.
+    """
+    if at >= end:
+        raise _truncated(end - start, at - start)
+    first = data[at]
+    if not first & FORM_BIT:
+        raise PacketParseError("not a long-header packet")
+    if at + DCID_AT > end:
+        raise _truncated(end - start, at - start)
+    _, version, dcid_len = _FIXED_PREFIX.unpack_from(data, at)
+    if dcid_len > 20:
+        raise PacketParseError("DCID length %d exceeds 20" % dcid_len)
+    pos = at + DCID_AT
+    scid_len_at = pos + dcid_len
+    if scid_len_at >= end:
+        raise _truncated(end - start, pos - start)
+    scid_len = data[scid_len_at]
+    if scid_len > 20:
+        raise PacketParseError("SCID length %d exceeds 20" % scid_len)
+    pos = scid_len_at + 1 + scid_len
+    if pos > end:
+        raise _truncated(end - start, scid_len_at + 1 - start)
+
+    if version == VERSION_NEGOTIATION:
+        length = pos + (end - pos) // 4 * 4 - at
+        kind = _VERSION_NEGOTIATION
+        return at, kind, version, dcid_len, scid_len, pos, 0, length, length, 0
+
+    if not first & FIXED_BIT:
+        raise PacketParseError("fixed bit is zero")
+
+    kind = (first >> 4) & 0x03
+    if kind == _RETRY:
+        if end - pos < _RETRY_TAG_LENGTH:
+            raise PacketParseError("Retry packet shorter than integrity tag")
+        length = end - at
+        return at, kind, version, dcid_len, scid_len, pos, 0, length, length, 0
+
+    # The two varints (RFC 9000 §16) are decoded in place: the two high
+    # bits of the first byte give the width, the rest is the value.  A
+    # varint cut short by ``end`` decodes to garbage that the bounds
+    # check right after it rejects.
+    token_at, token_len = pos, 0
+    if kind == 0:  # Initial: the only kind with a token
+        if pos >= end:
+            raise _truncated(end - start, pos - start)
+        width = 1 << (data[pos] >> 6)
+        token_at = pos + width
+        token_len = int.from_bytes(data[pos:token_at], "big") & VALUE_MASK[width]
+        pos = token_at + token_len
+        if pos > end:
+            raise _truncated(end - start, token_at - start)
+    if pos >= end:
+        raise _truncated(end - start, pos - start)
+    width = 1 << (data[pos] >> 6)
+    pn_offset = pos + width - at
+    if at + pn_offset > end:
+        raise _truncated(end - start, pos - start)
+    payload_length = int.from_bytes(data[pos : pos + width], "big") & VALUE_MASK[width]
+    packet_length = pn_offset + payload_length
+    if at + packet_length > end:
+        raise PacketParseError(
+            "declared length %d overruns datagram" % payload_length
+        )
+    return (
+        at,
+        kind,
+        version,
+        dcid_len,
+        scid_len,
+        token_at,
+        token_len,
+        pn_offset,
+        packet_length,
+        payload_length,
+    )
+
+
+def scan_datagram(data: bytes, start: int, end: int) -> list[tuple]:
+    """Locate the coalesced long-header packets of ``data[start:end]``.
+
+    One :data:`SCANNED_FIELDS` tuple per packet.  A trailing short-header
+    packet (first byte without the form bit) terminates the scan and is
+    not returned — telescope analyses only use long headers.  Raises
+    :class:`PacketParseError` if the datagram starts with bytes that are
+    not a QUIC long header.
+    """
+    out: list[tuple] = []
+    at = start
+    while at < end:
+        if not data[at] & FORM_BIT:
+            break  # short-header packet or padding: end of long-header chain
+        scanned = scan_long_header(data, start, end, at)
+        out.append(scanned)
+        if scanned[_KIND] >= _RETRY:
+            break  # Retry and Version Negotiation run to the datagram's end
+        at += scanned[_PACKET_LENGTH]
+    if not out:
+        raise PacketParseError("datagram does not start with a long-header packet")
+    return out
+
+
+def parsed_header(data: bytes, scanned: tuple) -> ParsedLongHeader:
+    """Build the :class:`ParsedLongHeader` a scanned tuple describes."""
+    (
+        at,
+        kind,
+        version,
+        dcid_len,
+        scid_len,
+        token_at,
+        token_len,
+        pn_offset,
+        packet_length,
+        payload_length,
+    ) = scanned
+    scid_at = at + DCID_AT + dcid_len + 1
+    versions: tuple[int, ...] = ()
+    retry_token = b""
+    if kind == _VERSION_NEGOTIATION:
+        count = (at + packet_length - token_at) // 4
+        versions = struct.unpack_from("!%dI" % count, data, token_at)
+    elif kind == _RETRY:
+        retry_token = data[token_at : at + packet_length - _RETRY_TAG_LENGTH]
+    return ParsedLongHeader(
+        packet_type=_PACKET_TYPES[kind],
+        version=version,
+        dcid=data[at + DCID_AT : scid_at - 1],
+        scid=data[scid_at : scid_at + scid_len],
+        token=data[token_at : token_at + token_len],
+        pn_offset=pn_offset,
+        packet_length=packet_length,
+        payload_length=payload_length,
+        supported_versions=versions,
+        retry_token=retry_token,
     )
 
 
@@ -513,133 +685,25 @@ def parse_long_header(data: bytes, offset: int = 0) -> ParsedLongHeader:
 
     Works on protected packets: every returned field is transmitted in the
     clear.  ``packet_length`` tells callers where the next coalesced packet
-    begins.
-
-    The invariant header (RFC 8999 §5.1) is read at fixed offsets from
-    ``offset`` rather than through a cursor; each length is bounds-checked
-    before the bytes it covers are touched.
+    begins.  The object-building form of :func:`scan_long_header`.
     """
-    size = len(data)
-    if offset >= size:
-        raise _truncated(data, offset)
-    first = data[offset]
-    if not first & FORM_BIT:
-        raise PacketParseError("not a long-header packet")
-    if offset + _FIXED_PREFIX.size > size:
-        raise _truncated(data, offset)
-    _, version, dcid_len = _FIXED_PREFIX.unpack_from(data, offset)
-    if dcid_len > 20:
-        raise PacketParseError("DCID length %d exceeds 20" % dcid_len)
-    pos = offset + _FIXED_PREFIX.size
-    scid_len_at = pos + dcid_len
-    if scid_len_at >= size:
-        raise _truncated(data, pos)
-    dcid = data[pos:scid_len_at]
-    scid_len = data[scid_len_at]
-    if scid_len > 20:
-        raise PacketParseError("SCID length %d exceeds 20" % scid_len)
-    pos = scid_len_at + 1 + scid_len
-    if pos > size:
-        raise _truncated(data, scid_len_at + 1)
-    scid = data[scid_len_at + 1 : pos]
-
-    if version == VERSION_NEGOTIATION:
-        count = (size - pos) // 4
-        length = pos + 4 * count - offset
-        return ParsedLongHeader(
-            packet_type=PacketType.VERSION_NEGOTIATION,
-            version=version,
-            dcid=dcid,
-            scid=scid,
-            token=b"",
-            pn_offset=length,
-            packet_length=length,
-            payload_length=0,
-            supported_versions=struct.unpack_from("!%dI" % count, data, pos),
-        )
-
-    if not first & FIXED_BIT:
-        raise PacketParseError("fixed bit is zero")
-
-    packet_type = _LONG_PACKET_TYPES[(first >> 4) & 0x03]
-    if packet_type is PacketType.RETRY:
-        if size - pos < 16:
-            raise PacketParseError("Retry packet shorter than integrity tag")
-        return ParsedLongHeader(
-            packet_type=packet_type,
-            version=version,
-            dcid=dcid,
-            scid=scid,
-            token=b"",
-            pn_offset=size - offset,
-            packet_length=size - offset,
-            payload_length=0,
-            retry_token=data[pos : size - 16],
-        )
-
-    # The two varints (RFC 9000 §16) are decoded in place: the two high
-    # bits of the first byte give the width, the rest is the value.
-    token = b""
-    if packet_type is PacketType.INITIAL:
-        if pos >= size:
-            raise _truncated(data, pos)
-        width = 1 << (data[pos] >> 6)
-        token_at = pos + width
-        token_length = int.from_bytes(data[pos:token_at], "big") & VALUE_MASK[width]
-        pos = token_at + token_length
-        if pos > size:
-            raise _truncated(data, token_at)
-        token = data[token_at:pos]
-    if pos >= size:
-        raise _truncated(data, pos)
-    width = 1 << (data[pos] >> 6)
-    pn_offset = pos + width - offset
-    if offset + pn_offset > size:
-        raise _truncated(data, pos)
-    payload_length = int.from_bytes(data[pos : pos + width], "big") & VALUE_MASK[width]
-    packet_length = pn_offset + payload_length
-    if offset + packet_length > size:
-        raise PacketParseError(
-            "declared length %d overruns datagram" % payload_length
-        )
-    return ParsedLongHeader(
-        packet_type=packet_type,
-        version=version,
-        dcid=dcid,
-        scid=scid,
-        token=token,
-        pn_offset=pn_offset,
-        packet_length=packet_length,
-        payload_length=payload_length,
-    )
+    return parsed_header(data, scan_long_header(data, 0, len(data), offset))
 
 
 def decode_datagram(data: bytes) -> list[tuple[ParsedLongHeader, bytes]]:
     """Split a datagram into its coalesced packets (keyless).
 
-    Returns a list of ``(parsed_header, packet_bytes)`` pairs.  A trailing
-    short-header packet (first byte without the form bit) terminates the
-    scan and is not returned — telescope analyses only use long headers.
-    Raises :class:`PacketParseError` if the datagram starts with bytes that
-    are not a QUIC long header.
+    Returns a list of ``(parsed_header, packet_bytes)`` pairs: the
+    object-building form of :func:`scan_datagram`, with its rules for
+    where the long-header chain ends.
     """
-    out: list[tuple[ParsedLongHeader, bytes]] = []
-    offset = 0
-    while offset < len(data):
-        first = data[offset]
-        if not first & FORM_BIT:
-            break  # short-header packet or padding: end of long-header chain
-        parsed = parse_long_header(data, offset)
-        out.append((parsed, data[offset : offset + parsed.packet_length]))
-        if parsed.packet_type in (
-            PacketType.VERSION_NEGOTIATION,
-            PacketType.RETRY,
-        ):
-            break
-        offset += parsed.packet_length
-    if not out:
-        raise PacketParseError("datagram does not start with a long-header packet")
-    return out
+    return [
+        (
+            parsed_header(data, scanned),
+            data[scanned[0] : scanned[0] + scanned[_PACKET_LENGTH]],
+        )
+        for scanned in scan_datagram(data, 0, len(data))
+    ]
 
 
 def unprotect_packet(

@@ -3,9 +3,9 @@
 :class:`PcapFollower` is the live twin of
 :func:`repro.capstore.load_or_build`: it polls a capture that another
 process is still appending to, dissects only the records completed
-since the previous poll (``scan_pcap_tail`` finds the torn-record
-boundary, so a mid-append writer is never misread), and appends the
-rows into one persistent :class:`~repro.capstore.CaptureTable`.  The
+since the previous poll (the walk stops in front of a torn record, so a
+mid-append writer is never misread), and appends the rows into one
+persistent :class:`~repro.capstore.CaptureTable`.  The
 first poll seeds from the ``.capidx`` sidecar when one covers a valid
 prefix — a ``repro live`` attached to an already-indexed capture starts
 where the index ends instead of re-dissecting from byte zero — and
@@ -21,29 +21,19 @@ record, the table a follower holds after consuming the whole file is
 from __future__ import annotations
 
 import os
-import sys
 from typing import List, Optional
 
 from repro.capstore.build import (
-    build_from_records,
     default_acknowledged,
     default_asdb,
+    dissect_pcap,
 )
-from repro.capstore.cache import (
-    DEFAULT_PIPELINE,
-    load_or_build_ex,
-    prefix_fingerprint,
-    sidecar_path,
-)
-from repro.capstore.format import dump_index
+from repro.capstore.cache import DEFAULT_PIPELINE, load_or_build_ex, write_sidecar
+from repro.capstore.format import IndexPayload
 from repro.capstore.table import CaptureTable, ClassifiedView
 from repro.core.report import render_table
 from repro.core.versions import TABLE2_ROWS
-from repro.netstack.pcap import (
-    GLOBAL_HEADER_SIZE,
-    iter_pcap_range,
-    scan_pcap_tail,
-)
+from repro.netstack.pcap import GLOBAL_HEADER_SIZE, PcapCursor
 from repro.obs import NULL_OBS, Observability
 from repro.telescope.classify import SanitizationStats
 
@@ -107,20 +97,24 @@ class PcapFollower:
             return self._seed(size)
         if size <= self.offset:
             return 0
-        tail_offsets, end = scan_pcap_tail(self.path, start=self.offset)
-        if not tail_offsets:
-            return 0  # grew, but no record completed yet
+        return self._absorb()
+
+    def _absorb(self) -> int:
+        """Dissect what completed after :attr:`offset` into the table."""
         before = self.table.num_rows
-        build_from_records(
-            iter_pcap_range(self.path, tail_offsets[0], len(tail_offsets)),
-            asdb=self._asdb,
-            acknowledged=self._acknowledged,
-            validate_crypto_scans=self.validate_crypto_scans,
-            obs=self.obs,
-            table=self.table,
-            stats=self.stats,
+        cursor = PcapCursor(self.offset)
+        self.stats.add(
+            dissect_pcap(
+                self.path,
+                cursor,
+                self.table,
+                asdb=self._asdb,
+                acknowledged=self._acknowledged,
+                validate_crypto_scans=self.validate_crypto_scans,
+                obs=self.obs,
+            )
         )
-        self.offset = end
+        self.offset = cursor.offset
         return self.table.num_rows - before
 
     def _seed(self, size: int) -> int:
@@ -136,21 +130,9 @@ class PcapFollower:
             self.stats = result.view.stats
             self.offset = result.indexed_bytes
             return self.table.num_rows
-        offsets, end = scan_pcap_tail(self.path)
         self.table = CaptureTable()
         self.stats = SanitizationStats()
-        if offsets:
-            build_from_records(
-                iter_pcap_range(self.path, offsets[0], len(offsets)),
-                asdb=self._asdb,
-                acknowledged=self._acknowledged,
-                validate_crypto_scans=self.validate_crypto_scans,
-                obs=self.obs,
-                table=self.table,
-                stats=self.stats,
-            )
-        self.offset = end
-        return self.table.num_rows
+        return self._absorb()
 
     def _reset(self) -> None:
         self.table = None
@@ -170,22 +152,11 @@ class PcapFollower:
             return
         pipeline = dict(DEFAULT_PIPELINE)
         pipeline["validate_crypto_scans"] = self.validate_crypto_scans
-        index_path = sidecar_path(self.path)
-        try:
-            dump_index(
-                index_path,
-                self.table,
-                self.stats,
-                source=prefix_fingerprint(
-                    self.path, self.offset, records=self.stats.total_records
-                ),
-                pipeline=pipeline,
-            )
-        except OSError as exc:
-            print(
-                "warning: could not write %s: %s" % (index_path, exc),
-                file=sys.stderr,
-            )
+        write_sidecar(
+            self.path,
+            IndexPayload(self.table, self.stats, source={}, pipeline=pipeline),
+            PcapCursor(self.offset),
+        )
 
 
 def render_dashboard(

@@ -40,6 +40,16 @@ class AcknowledgedScanners:
     def is_acknowledged(self, address: int) -> bool:
         return self._trie.lookup(address) is not None
 
+    def intervals(self) -> tuple[list[int], list[bool]]:
+        """:meth:`is_acknowledged` for the whole address space at once.
+
+        The trie flattened (:meth:`RadixTree.flatten`) into ``(starts,
+        flags)``; ``flags[bisect_right(starts, address) - 1]`` equals
+        ``is_acknowledged(address)`` for the prefixes registered so far.
+        """
+        starts, entries = self._trie.flatten()
+        return starts, [entry is not None for entry in entries]
+
     @property
     def names(self) -> set[str]:
         return set(self._names)

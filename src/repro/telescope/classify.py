@@ -1,13 +1,14 @@
 """Classification and sanitization of raw telescope captures (paper §3.2).
 
-Pipeline, mirroring the paper:
-
-1. decode IPv4+UDP; everything else is non-QUIC noise;
-2. source port 443 → candidate *backscatter* (server responses to spoofed
-   traffic), destination port 443 → candidate *scan* (client requests);
-3. false-positive removal with the QUIC dissector (Wireshark-equivalent);
-4. removal of acknowledged research scanners (requests only — their
-   documented behaviour would bias version statistics).
+The vocabulary of the sanitised capture — :class:`CapturedPacket`,
+:class:`PacketClass`, :class:`SanitizationStats`, :data:`DROP_REASONS` —
+and the object-shaped entry points over it.  The pipeline itself
+(UDP/443 → QUIC dissector → acknowledged-scanner removal → origin) is
+decided in one place, :func:`repro.capstore.dissect.record_verdict`,
+which turns record bytes into rows of a columnar
+:class:`~repro.capstore.CaptureTable`; :func:`classify_capture` and
+:func:`classify_record` dissect into such a table and hand back its
+materialised view.
 """
 
 from __future__ import annotations
@@ -16,12 +17,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.dissector import DissectError, dissect_datagram
 from repro.inetdata.asdb import AsDatabase
 from repro.netstack.pcap import PcapRecord
-from repro.netstack.udp import QUIC_PORT, UdpParseError, decode_udp
-from repro.obs import NULL_OBS, Observability
-from repro.obs.trace import CAT_SANITIZE
+from repro.obs import Observability
 from repro.quic.packet import ParsedLongHeader
 from repro.telescope.acknowledged import AcknowledgedScanners
 
@@ -80,6 +78,11 @@ class SanitizationStats:
     def removed_share(self) -> float:
         return self.removed / self.total_records if self.total_records else 0.0
 
+    def add(self, other: "SanitizationStats") -> None:
+        """Fold another pass's counts into these (every field is a count)."""
+        for name in vars(other):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
 
 @dataclass
 class ClassifiedCapture:
@@ -105,46 +108,6 @@ DROP_REASONS = (
 )
 
 
-class SanitizeEmitter:
-    """Shared obs emission for both sanitization paths.
-
-    :func:`classify_capture` (object path) and the columnar builder in
-    ``repro.capstore`` make identical per-record decisions; routing their
-    counter increments and ``sanitize:drop`` trace events through one
-    emitter keeps the observable surface identical too.
-    """
-
-    def __init__(self, obs: Observability | None) -> None:
-        obs = obs or NULL_OBS
-        self._tracer = obs.tracer
-        self._counter = (
-            obs.metrics.counter("sanitize.packets", ("stage",))
-            if obs.metrics is not None
-            else None
-        )
-
-    def drop(self, record: PcapRecord, reason: str) -> None:
-        if self._counter is not None:
-            self._counter.inc_key((reason,))
-        if self._tracer.enabled:
-            self._tracer.emit(
-                CAT_SANITIZE,
-                "drop",
-                time=record.timestamp,
-                reason=reason,
-                bytes=len(record.data),
-            )
-
-    def kept(self, klass: PacketClass) -> None:
-        if self._counter is not None:
-            label = (
-                "kept_backscatter"
-                if klass is PacketClass.BACKSCATTER
-                else "kept_scan"
-            )
-            self._counter.inc_key((label,))
-
-
 def classify_record(
     record: PcapRecord,
     asdb: AsDatabase | None = None,
@@ -154,47 +117,20 @@ def classify_record(
     """Classify a single capture record.
 
     Returns ``(captured, None)`` for kept records and ``(None, reason)``
-    for dropped ones, with ``reason`` one of :data:`DROP_REASONS`.  The
-    pipeline is stateless per record, which is what makes row-group
-    parallel index builds exactly equivalent to a serial pass.
+    for dropped ones, with ``reason`` one of :data:`DROP_REASONS`.  A
+    one-row table is built for the call; anything classifying more than
+    a handful of records wants :func:`classify_capture`.
     """
-    try:
-        datagram = decode_udp(record.data)
-    except (UdpParseError, ValueError):
-        return None, "non_udp"
-    if datagram.src_port == QUIC_PORT:
-        klass = PacketClass.BACKSCATTER
-    elif datagram.dst_port == QUIC_PORT:
-        klass = PacketClass.SCAN
-    else:
-        return None, "non_port_443"
-    try:
-        dissected = dissect_datagram(
-            datagram.payload,
-            validate_crypto=(validate_crypto_scans and klass is PacketClass.SCAN),
-        )
-    except DissectError:
-        return None, "failed_dissection"
-    if (
-        klass is PacketClass.SCAN
-        and acknowledged is not None
-        and acknowledged.is_acknowledged(datagram.src_ip)
-    ):
-        return None, "acknowledged_scanner"
-    return (
-        CapturedPacket(
-            timestamp=record.timestamp,
-            src_ip=datagram.src_ip,
-            dst_ip=datagram.dst_ip,
-            src_port=datagram.src_port,
-            dst_port=datagram.dst_port,
-            udp_payload_length=len(datagram.payload),
-            packets=dissected.packets,
-            klass=klass,
-            origin=asdb.origin_name(datagram.src_ip) if asdb else "Remaining",
-        ),
-        None,
-    )
+    # capstore sits above this module (its table stores these classes).
+    from repro.capstore.dissect import record_verdict
+    from repro.capstore.table import CaptureTable
+
+    table = CaptureTable()
+    verdict = record_verdict(table, asdb, acknowledged, validate_crypto_scans)
+    reason = verdict(record.timestamp, record.data, 0, len(record.data))
+    if reason is not None:
+        return None, reason
+    return table.materialize(0), None
 
 
 def classify_capture(
@@ -214,30 +150,19 @@ def classify_capture(
     DCID); backscatter is validated structurally, as in Wireshark.
 
     With ``obs`` attached, every removed record emits a ``sanitize:drop``
-    trace event and increments the ``sanitize.packets`` counter under its
-    drop-stage label; kept records count under ``kept_backscatter`` /
+    trace event, and the ``sanitize.packets`` counter receives each
+    drop-stage total and the kept rows under ``kept_backscatter`` /
     ``kept_scan``.
     """
-    emitter = SanitizeEmitter(obs)
-    out = ClassifiedCapture()
-    stats = out.stats
-    for record in records:
-        stats.total_records += 1
-        captured, reason = classify_record(
-            record,
-            asdb=asdb,
-            acknowledged=acknowledged,
-            validate_crypto_scans=validate_crypto_scans,
-        )
-        if captured is None:
-            setattr(stats, reason, getattr(stats, reason) + 1)
-            emitter.drop(record, reason)
-            continue
-        if captured.klass is PacketClass.BACKSCATTER:
-            out.backscatter.append(captured)
-            stats.backscatter += 1
-        else:
-            out.scans.append(captured)
-            stats.scans += 1
-        emitter.kept(captured.klass)
-    return out
+    # capstore sits above this module (its table stores these classes).
+    from repro.capstore.build import build_from_records
+    from repro.capstore.table import ClassifiedView
+
+    table, stats = build_from_records(
+        records,
+        asdb=asdb,
+        acknowledged=acknowledged,
+        validate_crypto_scans=validate_crypto_scans,
+        obs=obs,
+    )
+    return ClassifiedView(table, stats).to_classified_capture()

@@ -2,11 +2,13 @@
 
 import json
 import os
+import struct
 
 import pytest
 
 from repro.capstore import sidecar_path
 from repro.cli import main
+from repro.netstack.pcap import scan_pcap_offsets
 from repro.obs import load_snapshot
 
 
@@ -114,3 +116,68 @@ class TestIndexCommand:
         capsys.readouterr()
         assert main(["index", pcap_copy, "--force"]) == 0
         assert "Indexed" in capsys.readouterr().out
+
+
+class TestUnindexedNote:
+    """A walk that stops before EOF is said out loud, once, on stderr."""
+
+    @pytest.fixture
+    def corrupt_pcap(self, pcap_copy):
+        """The month with its 101st record header claiming 2 GiB."""
+        cut = scan_pcap_offsets(pcap_copy)[100]
+        with open(pcap_copy, "r+b") as fileobj:
+            fileobj.seek(cut + 8)  # ts_sec, ts_usec, then incl_len
+            fileobj.write(struct.pack("<I", 0x7FFFFFFF))
+        return pcap_copy, cut, os.path.getsize(pcap_copy)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["index"], ["classify"], ["analyze", "--tables", "2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_stop_offset_size_and_remainder_are_named(
+        self, corrupt_pcap, argv, capsys
+    ):
+        pcap, cut, size = corrupt_pcap
+        assert main([argv[0], pcap, *argv[1:]]) == 0
+        captured = capsys.readouterr()
+        notes = [line for line in captured.err.splitlines() if "note:" in line]
+        assert len(notes) == 1
+        assert notes[0].startswith("repro %s: note: %s" % (argv[0], pcap))
+        for number in (cut, size, size - cut):
+            assert " %d" % number in notes[0]
+        assert "note:" not in captured.out
+        # the warm run reports on the same prefix, so it says so again
+        assert main([argv[0], pcap, *argv[1:]]) == 0
+        assert capsys.readouterr().err.count("note:") == 1
+
+    def test_index_counts_only_the_prefix(self, corrupt_pcap, capsys):
+        pcap, _cut, _size = corrupt_pcap
+        assert main(["index", pcap]) == 0
+        assert "from 100 records" in capsys.readouterr().out
+
+    def test_info_shows_indexed_bytes(self, corrupt_pcap, capsys):
+        pcap, cut, size = corrupt_pcap
+        assert main(["index", pcap]) == 0
+        capsys.readouterr()
+        assert main(["index", pcap, "--info"]) == 0
+        rows = dict(
+            line.split(None, 2)[::2]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("indexed bytes", "source size"))
+        )
+        assert rows == {"indexed": str(cut), "source": str(size)}
+
+    def test_complete_capture_gets_no_note(self, pcap_copy, capsys):
+        for argv in (["index", pcap_copy], ["analyze", pcap_copy, "--tables", "2"]):
+            assert main(argv) == 0
+            assert "note:" not in capsys.readouterr().err
+        assert main(["index", pcap_copy, "--info"]) == 0
+        size = os.path.getsize(pcap_copy)
+        assert "indexed bytes   %d" % size in capsys.readouterr().out
+
+    def test_live_stays_silent_about_a_torn_tail(self, corrupt_pcap, capsys):
+        pcap, _cut, _size = corrupt_pcap
+        argv = ["live", pcap, "--quiet", "--interval", "0", "--exit-idle", "1"]
+        assert main(argv) == 0
+        assert "note:" not in capsys.readouterr().err

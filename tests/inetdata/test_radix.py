@@ -1,5 +1,8 @@
 """Radix trie longest-prefix matching."""
 
+import random
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,3 +124,95 @@ def test_value_lookup_agrees_with_prefix_lookup(entries, probes):
         if prefix is not None:
             assert (prefix.network, prefix.length) == value
             assert addr in prefix
+
+
+def _flat_lookup(flat, address):
+    starts, values = flat
+    return values[bisect_right(starts, address) - 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=(1 << 32) - 1),
+            st.integers(min_value=0, max_value=32),
+        ),
+        max_size=24,
+    ),
+    probes=st.lists(
+        st.integers(min_value=0, max_value=(1 << 32) - 1), min_size=1, max_size=24
+    ),
+)
+def test_flattened_intervals_agree_with_the_trie(entries, probes):
+    """One bisect over ``flatten()`` answers what the trie walk answers —
+    on random addresses and on both sides of every prefix boundary."""
+    tree = RadixTree()
+    boundaries = [0, (1 << 32) - 1]
+    for address, length in entries:
+        mask = ((1 << length) - 1) << (32 - length) if length else 0
+        prefix = Prefix(address & mask, length)
+        tree.insert(prefix, (prefix.network, prefix.length))
+        boundaries += [prefix.first - 1, prefix.first, prefix.last, prefix.last + 1]
+    flat = tree.flatten()
+    starts = flat[0]
+    assert starts[0] == 0 and starts == sorted(set(starts))
+    assert len(starts) <= 2 * len(tree) + 1
+    for addr in probes + [a for a in boundaries if 0 <= a < 1 << 32]:
+        assert _flat_lookup(flat, addr) == tree.lookup(addr)
+
+
+class TestFlatten:
+    def test_empty_trie_is_one_unmatched_interval(self):
+        assert RadixTree().flatten() == ([0], [None])
+
+    def test_nested_prefixes_resume_the_outer_value(self):
+        tree = RadixTree()
+        tree.insert(Prefix.parse("10.0.0.0/8"), "eight")
+        tree.insert(Prefix.parse("10.1.0.0/16"), "sixteen")
+        tree.insert(Prefix.parse("10.1.255.0/24"), "last-24")  # ends with its parent
+        flat = tree.flatten()
+        for text, value in [
+            ("9.255.255.255", None),
+            ("10.0.0.0", "eight"),
+            ("10.0.255.255", "eight"),
+            ("10.1.0.0", "sixteen"),
+            ("10.1.254.255", "sixteen"),
+            ("10.1.255.0", "last-24"),
+            ("10.1.255.255", "last-24"),
+            ("10.2.0.0", "eight"),
+            ("10.255.255.255", "eight"),
+            ("11.0.0.0", None),
+        ]:
+            assert _flat_lookup(flat, parse_ip(text)) == value, text
+
+    def test_prefix_reaching_the_top_of_the_address_space(self):
+        tree = RadixTree()
+        tree.insert(Prefix.parse("255.255.255.0/24"), "top")
+        tree.insert(Prefix.parse("0.0.0.0/32"), "zero")
+        flat = tree.flatten()
+        assert max(flat[0]) < 1 << 32
+        assert _flat_lookup(flat, (1 << 32) - 1) == "top"
+        assert _flat_lookup(flat, 0) == "zero"
+        assert _flat_lookup(flat, 1) is None
+
+    def test_snapshot_does_not_follow_later_inserts(self):
+        tree = RadixTree()
+        tree.insert(Prefix.parse("10.0.0.0/8"), "a")
+        flat = tree.flatten()
+        tree.insert(Prefix.parse("10.0.0.0/8"), "b")
+        assert _flat_lookup(flat, parse_ip("10.0.0.1")) == "a"
+        assert _flat_lookup(tree.flatten(), parse_ip("10.0.0.1")) == "b"
+
+    def test_scenario_databases_flatten_to_their_lookups(self):
+        from repro.capstore import default_acknowledged, default_asdb
+
+        asdb, scanners = default_asdb(), default_acknowledged()
+        origins, flags = asdb.origin_intervals(), scanners.intervals()
+        rng = random.Random(5)
+        probes = [rng.getrandbits(32) for _ in range(2000)]
+        for start in origins[0] + flags[0]:
+            probes += [max(start - 1, 0), start]
+        for addr in probes:
+            assert _flat_lookup(origins, addr) == asdb.origin_name(addr)
+            assert _flat_lookup(flags, addr) == scanners.is_acknowledged(addr)

@@ -7,13 +7,26 @@ of them, and bit-flipped or length-lying mutants, the shipped parser and
 its reference must agree on accept/reject, on the exception *type*, and
 on every returned field.  Any exception is caught on the shipped side, so
 a ``struct.error`` or ``IndexError`` escaping it fails the comparison.
+
+The second half holds whole *records* to the same standard.  The
+references compose into the object pipeline the index builder used to
+run (``decode_udp`` → ``decode_datagram`` → dissector rules → AEAD →
+acknowledged scanners → origin, one object per step); the shipped
+:func:`repro.capstore.dissect.record_verdict` reads the same bytes at
+offsets inside a larger buffer and must reach the same verdict, append
+the same row, and append nothing at all for a record it drops.
 """
 
 import random
+import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.buffer import BufferError_, Reader
+from repro.capstore import CaptureTable, default_acknowledged, default_asdb, record_verdict
+from repro.capstore.table import OFFSET_COLUMNS, PACKET_COLUMNS, ROW_COLUMNS
+from repro.netstack.addr import parse_ip
 from repro.netstack.ip import (
     HEADER_LENGTH as IP_HEADER_LENGTH,
     IPv4Header,
@@ -28,7 +41,12 @@ from repro.netstack.udp import (
     decode_udp,
     encode_udp,
 )
-from repro.quic.crypto.suites import NullProtection
+from repro.quic.crypto.suites import (
+    FastProtection,
+    NullProtection,
+    ProtectionError,
+    Rfc9001Protection,
+)
 from repro.quic.packet import (
     FIXED_BIT,
     FORM_BIT,
@@ -42,9 +60,11 @@ from repro.quic.packet import (
     encode_retry,
     encode_version_negotiation,
     parse_long_header,
+    unprotect_packet,
 )
 from repro.quic.varint import read_varint
-from repro.quic.version import VERSION_NEGOTIATION
+from repro.quic.version import VERSION_NEGOTIATION, lookup as lookup_version
+from repro.telescope.classify import DROP_REASONS, CapturedPacket, PacketClass
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +356,317 @@ def test_long_header_parser_matches_reference_on_noise(data, offset):
     packet = b"\xc3" + data
     assert_same(parse_long_header, reference_parse_long_header, packet, offset)
     assert_same(parse_long_header, reference_parse_long_header, data, offset)
+
+
+# ---------------------------------------------------------------------------
+# Whole records: the object pipeline as reference for the record verdict
+# ---------------------------------------------------------------------------
+
+KNOWN_FAMILIES = {"v1", "v2", "draft", "mvfst", "gquic", "reserved"}
+
+
+class ReferenceDrop(Exception):
+    """The reference pipeline removed the record, for ``args[0]``."""
+
+
+def reference_decode_datagram(data):
+    out = []
+    offset = 0
+    while offset < len(data):
+        if not data[offset] & FORM_BIT:
+            break
+        parsed = reference_parse_long_header(data, offset)
+        out.append((parsed, data[offset : offset + parsed.packet_length]))
+        if parsed.packet_type in (PacketType.VERSION_NEGOTIATION, PacketType.RETRY):
+            break
+        offset += parsed.packet_length
+    if not out:
+        raise PacketParseError("datagram does not start with a long-header packet")
+    return out
+
+
+def reference_dissect(payload, validate_crypto):
+    """The dissector's rules over reference-parsed packets; True = QUIC."""
+    if len(payload) < 7:
+        return None
+    try:
+        packets = reference_decode_datagram(payload)
+    except PacketParseError:
+        return None
+    for parsed, _raw in packets:
+        if parsed.packet_type is PacketType.VERSION_NEGOTIATION:
+            if not parsed.supported_versions:
+                return None
+            continue
+        if lookup_version(parsed.version).family not in KNOWN_FAMILIES:
+            return None
+        if parsed.packet_type in (PacketType.INITIAL, PacketType.HANDSHAKE):
+            if parsed.payload_length < 1 + 4 + 16:
+                return None
+    if validate_crypto:
+        for parsed, raw in packets:
+            if parsed.packet_type is not PacketType.INITIAL:
+                continue
+            for suite_cls in (FastProtection, Rfc9001Protection):
+                try:
+                    suite = suite_cls(parsed.version, parsed.dcid)
+                    unprotect_packet(parsed, raw, suite, from_server=False)
+                    break
+                except (ProtectionError, PacketParseError):
+                    continue
+            else:
+                return None
+            break
+    return [parsed for parsed, _raw in packets]
+
+
+def reference_classify(timestamp, data, asdb, acknowledged):
+    """(CapturedPacket, None) or (None, drop reason), one object per step."""
+    try:
+        datagram = reference_decode_udp(data)
+    except (UdpParseError, ValueError):
+        return None, "non_udp"
+    if datagram.src_port == 443:
+        klass = PacketClass.BACKSCATTER
+    elif datagram.dst_port == 443:
+        klass = PacketClass.SCAN
+    else:
+        return None, "non_port_443"
+    packets = reference_dissect(datagram.payload, klass is PacketClass.SCAN)
+    if packets is None:
+        return None, "failed_dissection"
+    if klass is PacketClass.SCAN and acknowledged.is_acknowledged(datagram.src_ip):
+        return None, "acknowledged_scanner"
+    return (
+        CapturedPacket(
+            timestamp=timestamp,
+            src_ip=datagram.src_ip,
+            dst_ip=datagram.dst_ip,
+            src_port=datagram.src_port,
+            dst_port=datagram.dst_port,
+            udp_payload_length=len(datagram.payload),
+            packets=packets,
+            klass=klass,
+            origin=asdb.origin_name(datagram.src_ip),
+        ),
+        None,
+    )
+
+
+TELESCOPE = parse_ip("44.1.2.3")
+GOOGLE = parse_ip("142.250.3.4")
+BOT = parse_ip("24.48.7.7")  # an ISP address: origin "Remaining"
+ACKNOWLEDGED = parse_ip("141.212.9.9")  # scanner-umich
+DCID = bytes(range(0x10, 0x18))
+SCID = bytes(range(0x20, 0x2C))
+
+
+def _long(packet_type, version=1, token=b"", payload=b"\x06\x00" + b"\x00" * 30):
+    return LongHeaderPacket(
+        packet_type=packet_type,
+        version=version,
+        dcid=DCID,
+        scid=SCID,
+        packet_number=7,
+        payload=payload,
+        token=token,
+        pn_length=2,
+    )
+
+
+def _scan(packets, suite=FastProtection, src_ip=BOT, version=1):
+    """A client datagram to the telescope's port 443, really sealed."""
+    payload = encode_datagram(packets, suite(version, DCID), is_server=False)
+    return encode_udp(UdpDatagram(src_ip, TELESCOPE, 50123, 443, payload, ttl=51))
+
+
+def _backscatter(payload, src_ip=GOOGLE):
+    return encode_udp(UdpDatagram(src_ip, TELESCOPE, 443, 40000, payload, ttl=57))
+
+
+def _server(packets):
+    return encode_datagram(packets, FastProtection(1, DCID), is_server=True)
+
+
+def _with_ip_options(packet, options=b"\x01\x01\x01\x00"):
+    """Re-head ``packet`` with IHL 6 (checksums are not validated on read)."""
+    total_length = struct.unpack_from("!H", packet, 2)[0] + len(options)
+    head = bytearray(packet[:20])
+    head[0] = 0x40 | (5 + len(options) // 4)
+    struct.pack_into("!H", head, 2, total_length)
+    return bytes(head) + options + packet[20:]
+
+
+#: shape -> (record bytes, expected verdict of the unmutated record)
+RECORD_SHAPES = {
+    "initial": (_scan([_long(PacketType.INITIAL)]), None),
+    "initial-with-token": (
+        _scan([_long(PacketType.INITIAL, token=bytes(range(70)))]),
+        None,
+    ),
+    "initial-rfc9001-v2": (
+        _scan([_long(PacketType.INITIAL, version=0x6B3343CF)], Rfc9001Protection,
+              version=0x6B3343CF),
+        None,
+    ),
+    "zero-rtt": (_scan([_long(PacketType.ZERO_RTT)]), None),
+    "initial+zero-rtt": (
+        _scan([_long(PacketType.INITIAL), _long(PacketType.ZERO_RTT)]),
+        None,
+    ),
+    "acknowledged-scanner": (
+        _scan([_long(PacketType.INITIAL)], src_ip=ACKNOWLEDGED),
+        "acknowledged_scanner",
+    ),
+    "handshake": (_backscatter(_server([_long(PacketType.HANDSHAKE)])), None),
+    "initial+handshake": (
+        _backscatter(
+            _server([_long(PacketType.INITIAL), _long(PacketType.HANDSHAKE)])
+        ),
+        None,
+    ),
+    "retry": (
+        _backscatter(encode_retry(RetryPacket(1, DCID, SCID, bytes(range(40))))),
+        None,
+    ),
+    "version-negotiation": (
+        _backscatter(
+            encode_version_negotiation(
+                VersionNegotiationPacket(DCID, SCID, (1, 0xFF00001D, 0x1A2A3A4A))
+            )
+            + b"\x00\x01",  # not a whole version: ignored
+            src_ip=BOT,
+        ),
+        None,
+    ),
+    "trailing-short-header": (
+        _backscatter(_server([_long(PacketType.INITIAL)]) + b"\x41" + bytes(30)),
+        None,
+    ),
+    "ihl-6": (
+        _with_ip_options(_backscatter(_server([_long(PacketType.HANDSHAKE)]))),
+        None,
+    ),
+    "unknown-version": (
+        _backscatter(_server([_long(PacketType.HANDSHAKE, version=0x12345678)])),
+        "failed_dissection",
+    ),
+    "port-53": (
+        encode_udp(UdpDatagram(BOT, TELESCOPE, 53, 53, b"\xc3" + bytes(40))),
+        "non_port_443",
+    ),
+}
+
+
+def _length_liars(packet):
+    """Mutants whose IPv4 total-length, UDP length, CID-length, token-length
+    or Length fields lie, found from a parse of the honest packet."""
+    ihl = (packet[0] & 0x0F) * 4
+    spots = [(2, 2), (ihl + 4, 2)]  # IPv4 total length, UDP length
+    quic = ihl + 8
+    if len(packet) > quic + 6 and packet[quic] & FORM_BIT:
+        dcid_len_at = quic + 5
+        scid_len_at = dcid_len_at + 1 + packet[dcid_len_at]
+        spots += [(dcid_len_at, 1), (scid_len_at, 1)]
+        try:
+            parsed = reference_parse_long_header(packet[quic:])
+        except PacketParseError:
+            parsed = None
+        if parsed is not None and parsed.packet_type not in (
+            PacketType.RETRY,
+            PacketType.VERSION_NEGOTIATION,
+        ):
+            # Both varints sit between the SCID and the packet number.
+            after_scid = scid_len_at + 1 + packet[scid_len_at]
+            spots += [(at, 1) for at in range(after_scid, quic + parsed.pn_offset)][:4]
+            spots.append((quic + parsed.pn_offset - 2, 2))
+    for at, width in spots:
+        honest = int.from_bytes(packet[at : at + width], "big")
+        top = (1 << (8 * width)) - 1
+        for lie in {0, 1, 7, 8, 20, 21, honest - 1, honest + 1, 0x3F, 0x40, 0x7F,
+                    0x80, 0xBF, 0xC0, top - 1, top}:
+            if 0 <= lie <= top and lie != honest:
+                mutant = bytearray(packet)
+                mutant[at : at + width] = lie.to_bytes(width, "big")
+                yield bytes(mutant)
+
+
+def _table_shape(table):
+    columns = [name for name, _ in ROW_COLUMNS + PACKET_COLUMNS + OFFSET_COLUMNS]
+    return (
+        [len(getattr(table, name)) for name in columns],
+        len(table.sv_values),
+        len(table.blob),
+        list(table.origins),
+    )
+
+
+class _RecordJudge:
+    """The shipped verdict and the reference pipeline, side by side."""
+
+    def __init__(self):
+        self.asdb = default_asdb()
+        self.acknowledged = default_acknowledged()
+        self.table = CaptureTable()
+        self.verdict = record_verdict(self.table, self.asdb, self.acknowledged)
+        self.timestamp = 1000.0
+        self.reasons = dict.fromkeys((None,) + DROP_REASONS, 0)
+
+    def check(self, record, after=b""):
+        """``record`` sits mid-buffer; ``after`` is what follows it there."""
+        self.timestamp += 0.25
+        before = b"\xc3\xff\x45" * 3
+        buf = before + record + after + b"\xff" * 8
+        expected, reason = reference_classify(
+            self.timestamp, record, self.asdb, self.acknowledged
+        )
+        shape = _table_shape(self.table)
+        rows = self.table.num_rows
+        # Whatever escapes here — struct.error, IndexError — fails the test.
+        shipped = self.verdict(
+            self.timestamp, buf, len(before), len(before) + len(record)
+        )
+        assert shipped == reason, record.hex()
+        self.reasons[reason] += 1
+        if reason is None:
+            assert self.table.num_rows == rows + 1
+            assert self.table.materialize(rows) == expected, record.hex()
+        else:
+            assert _table_shape(self.table) == shape, record.hex()
+        return reason
+
+
+@pytest.mark.parametrize("shape", sorted(RECORD_SHAPES))
+def test_record_verdict_matches_object_pipeline(shape):
+    record, expected_reason = RECORD_SHAPES[shape]
+    judge = _RecordJudge()
+    assert judge.check(record) == expected_reason
+    for cut in range(len(record)):
+        # The bytes that were cut off follow the record in the buffer: a
+        # scanner that reads past ``end`` would see a valid continuation.
+        judge.check(record[:cut], after=record[cut:])
+    for mutant in mutants(record, seed=len(record)):
+        judge.check(mutant)
+    for mutant in _length_liars(record):
+        judge.check(mutant)
+    # The mutants did reach more than one verdict.
+    assert sum(1 for count in judge.reasons.values() if count) >= 2
+
+
+def test_record_verdict_keeps_first_seen_origin_order():
+    judge = _RecordJudge()
+    for shape in ("version-negotiation", "handshake", "initial", "retry"):
+        judge.check(RECORD_SHAPES[shape][0])
+    assert judge.table.origins == ["Remaining", "Google"]
+    assert list(judge.table.origin_id) == [0, 1, 0, 1]
+    assert list(judge.table.klass) == [0, 0, 1, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=120), sport=st.sampled_from([443, 53]))
+def test_record_verdict_matches_object_pipeline_on_noise(data, sport):
+    judge = _RecordJudge()
+    judge.check(b"\x45\x00" + data)
+    judge.check(
+        encode_udp(UdpDatagram(GOOGLE, TELESCOPE, sport, 443, b"\xc3" + data))
+    )
