@@ -7,10 +7,14 @@ the results in ``BENCH_analyze.json`` at the repo root:
   writing the ``.capidx`` sidecar;
 * **warm** — deserializing the sidecar instead of dissecting (the state
   every ``analyze`` after the first runs in);
-* **parallel** — a cold row-group build across 4 worker processes.
+* **parallel** — a cold row-group build across ``min(4, cpus)`` worker
+  processes (workers beyond the cores add scheduling noise, not speed).
 
-Two classes of assertion, deliberately separated (mirroring
-``bench_shard_scaling``):
+Cold and parallel builds alternate for ``ROUNDS`` rounds and each arm
+reports its fastest: the work is deterministic, so the minimum is the
+build and everything above it is the box.
+
+Two classes of assertion, deliberately separated:
 
 * **Parity** — always checked, on any machine: every arm must render the
   complete set of analysis tables byte-identically, and the warm load
@@ -41,7 +45,8 @@ from repro.cli import VALID_TABLES, main as cli_main, render_analysis
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_analyze.json")
 DEFAULT_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 SEED = 20220101
-PARALLEL_WORKERS = 4
+PARALLEL_WORKERS = min(4, _cpus())
+ROUNDS = 3
 MIN_PARALLEL_SPEEDUP = 1.3
 #: Parallel speedup is only asserted at or above this scale on multi-core.
 MIN_SCALE_FOR_SPEEDUP = 0.5
@@ -57,6 +62,7 @@ def run_bench(scale=DEFAULT_SCALE):
         "seed": SEED,
         "cpus": cpus,
         "parallel_workers": PARALLEL_WORKERS,
+        "rounds": ROUNDS,
         "arms": {},
         "parity": {},
     }
@@ -67,21 +73,26 @@ def run_bench(scale=DEFAULT_SCALE):
         )
         assert code == 0, "simulate failed"
 
-        start = time.perf_counter()
-        cold_view, cold_hit = load_or_build(pcap, workers=1)
-        cold_seconds = time.perf_counter() - start
+        # One sample of either arm is mostly the neighbours' load (five
+        # single-shot runs clocked the same cold build at 0.93-1.68 s).
+        cold_seconds = parallel_seconds = float("inf")
+        for _ in range(ROUNDS):
+            if os.path.exists(sidecar_path(pcap)):
+                os.unlink(sidecar_path(pcap))
+            start = time.perf_counter()
+            cold_view, cold_hit = load_or_build(pcap, workers=1)
+            cold_seconds = min(cold_seconds, time.perf_counter() - start)
+
+            start = time.perf_counter()
+            parallel_view, parallel_hit = load_or_build(
+                pcap, workers=PARALLEL_WORKERS, use_cache=False
+            )
+            parallel_seconds = min(parallel_seconds, time.perf_counter() - start)
         cold_render = render_analysis(cold_view, ALL_TABLES)
 
         start = time.perf_counter()
         warm_view, warm_hit = load_or_build(pcap, workers=1)
         warm_seconds = time.perf_counter() - start
-
-        os.unlink(sidecar_path(pcap))
-        start = time.perf_counter()
-        parallel_view, parallel_hit = load_or_build(
-            pcap, workers=PARALLEL_WORKERS, use_cache=False
-        )
-        parallel_seconds = time.perf_counter() - start
 
         rows = cold_view.table.num_rows
         results["arms"] = {

@@ -30,6 +30,8 @@ import os
 import sys
 import time
 
+from _harness import environment_stamp
+
 from repro.obs import (
     JsonlTracer,
     MetricsRegistry,
@@ -147,6 +149,7 @@ def run_bench():
         return round(min(ratios) - 1.0, 4)
 
     results = {
+        "environment": environment_stamp(),
         "scale": SIM_SCALE,
         "rounds": ROUNDS,
         "overhead_disabled": overhead("obs_disabled"),

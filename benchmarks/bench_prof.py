@@ -29,6 +29,8 @@ import os
 import sys
 import time
 
+from _harness import environment_stamp
+
 from repro.obs import MetricsRegistry, Observability, Profiler, validate_speedscope
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
@@ -66,6 +68,7 @@ def run_bench():
     totals = prof.stage_totals()
     shares = prof.stage_shares()
     results = {
+        "environment": environment_stamp(),
         "scale": SIM_SCALE,
         "prof_every": PROF_EVERY,
         "wall_seconds": round(wall, 4),

@@ -55,7 +55,8 @@ from repro.core.offnet import extract_features
 from repro.core.versions import table2
 from repro.netstack.pcap import scan_pcap_offsets, write_pcap
 from repro.simnet.shard import plan_shards, run_shard
-from repro.stream import PcapFollower, StreamAnalyses
+from repro.stream.live import PcapFollower
+from repro.stream.reducers import StreamAnalyses
 from repro.workloads.scenario import ScenarioConfig
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_stream.json")

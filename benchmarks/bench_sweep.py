@@ -30,6 +30,8 @@ import sys
 import tempfile
 import time
 
+from _harness import environment_stamp
+
 from repro.obs import MetricsRegistry, Observability
 from repro.sweep import run_sweep, spec_from_dict
 
@@ -60,7 +62,12 @@ def run_bench(spec_path=SPEC_PATH):
     """Measure all three arms, persist ``BENCH_sweep.json``."""
     with open(spec_path) as fileobj:
         doc = json.load(fileobj)
-    results = {"spec": os.path.basename(spec_path), "arms": {}, "parity": {}}
+    results = {
+        "environment": environment_stamp(),
+        "spec": os.path.basename(spec_path),
+        "arms": {},
+        "parity": {},
+    }
     with tempfile.TemporaryDirectory() as tmp:
         outdir = os.path.join(tmp, "demo.sweep")
 

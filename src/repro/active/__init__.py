@@ -5,12 +5,3 @@ SCID semantics (echo vs. chosen), enumerating L7LB host IDs per VIP, and
 running the Appendix-D follow-up-handshake experiment that distinguishes
 5-tuple from CID-aware load balancing.
 """
-
-from repro.active.prober import Prober
-from repro.active.lb_inference import (
-    classify_lb,
-    follow_up_delay,
-    same_instance_probe,
-)
-
-__all__ = ["Prober", "follow_up_delay", "classify_lb", "same_instance_probe"]

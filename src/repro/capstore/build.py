@@ -35,7 +35,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.capstore.dissect import record_verdict
 from repro.capstore.table import CaptureTable
-from repro.inetdata.asdb import AsDatabase, AsEntry
+from repro.inetdata.asdb import ISP_NETWORKS, AsDatabase, AsEntry
 from repro.netstack.pcap import (
     PcapCursor,
     PcapError,
@@ -47,14 +47,12 @@ from repro.netstack.pcap import (
 from repro.obs import NULL_OBS, Observability
 from repro.obs.progress import HeartbeatWriter
 from repro.obs.trace import CAT_SANITIZE
-from repro.telescope.acknowledged import AcknowledgedScanners
+from repro.telescope.acknowledged import RESEARCH_NETWORKS, AcknowledgedScanners
 from repro.telescope.classify import DROP_REASONS, SanitizationStats
 
 
 def default_asdb() -> AsDatabase:
     """The CLI's AS database: hypergiants plus the scenario ISP networks."""
-    from repro.workloads.scenario import ISP_NETWORKS
-
     asdb = AsDatabase.with_hypergiants()
     for asn, name, prefix in ISP_NETWORKS:
         asdb.register(prefix, AsEntry(asn, name, category="isp"))
@@ -63,8 +61,6 @@ def default_asdb() -> AsDatabase:
 
 def default_acknowledged() -> AcknowledgedScanners:
     """The CLI's acknowledged-scanner registry (paper's research scanners)."""
-    from repro.workloads.scenario import RESEARCH_NETWORKS
-
     scanners = AcknowledgedScanners()
     for prefix, name in RESEARCH_NETWORKS:
         scanners.register(prefix, name)

@@ -37,6 +37,7 @@ from repro.capstore.table import (
     ROW_COLUMNS,
     CaptureTable,
 )
+from repro.errors import InputFileError
 from repro.telescope.classify import SanitizationStats
 
 MAGIC = b"RQCAPIDX"
@@ -55,7 +56,7 @@ STATS_FIELDS = (
 )
 
 
-class CapIndexError(ValueError):
+class CapIndexError(InputFileError):
     """Raised on malformed, truncated, or checksum-failing .capidx files."""
 
 
@@ -133,50 +134,39 @@ def dump_index(
     os.replace(tmp_path, path)
 
 
+def _read_header(fileobj, path: str) -> dict:
+    """The JSON header at the front of an open sidecar, fully checked."""
+    prefix = fileobj.read(16)
+    if len(prefix) < 16 or prefix[:8] != MAGIC:
+        raise CapIndexError("%s: not a .capidx file (bad magic)" % path)
+    schema = int.from_bytes(prefix[8:12], "little")
+    if schema != SCHEMA_VERSION:
+        raise CapIndexError(
+            "%s: unsupported schema version %d (expected %d)"
+            % (path, schema, SCHEMA_VERSION)
+        )
+    header_len = int.from_bytes(prefix[12:16], "little")
+    header_bytes = fileobj.read(header_len)
+    if len(header_bytes) < header_len:
+        raise CapIndexError("%s: truncated header" % path)
+    try:
+        header = json.loads(header_bytes)
+    except ValueError as exc:
+        raise CapIndexError("%s: corrupt header (%s)" % (path, exc)) from exc
+    header["_schema_version"] = schema
+    return header
+
+
 def read_header(path: str) -> dict:
     """Parse only the JSON header (cheap inspection, no payload read)."""
     with open(path, "rb") as fileobj:
-        prefix = fileobj.read(16)
-        if len(prefix) < 16 or prefix[:8] != MAGIC:
-            raise CapIndexError("%s: not a .capidx file (bad magic)" % path)
-        schema = int.from_bytes(prefix[8:12], "little")
-        if schema != SCHEMA_VERSION:
-            raise CapIndexError(
-                "%s: unsupported schema version %d (expected %d)"
-                % (path, schema, SCHEMA_VERSION)
-            )
-        header_len = int.from_bytes(prefix[12:16], "little")
-        header_bytes = fileobj.read(header_len)
-        if len(header_bytes) < header_len:
-            raise CapIndexError("%s: truncated header" % path)
-        try:
-            header = json.loads(header_bytes)
-        except ValueError as exc:
-            raise CapIndexError("%s: corrupt header (%s)" % (path, exc)) from exc
-    header["_schema_version"] = schema
-    return header
+        return _read_header(fileobj, path)
 
 
 def load_index(path: str) -> IndexPayload:
     """Read, checksum-verify, and deserialize a sidecar."""
     with open(path, "rb") as fileobj:
-        prefix = fileobj.read(16)
-        if len(prefix) < 16 or prefix[:8] != MAGIC:
-            raise CapIndexError("%s: not a .capidx file (bad magic)" % path)
-        schema = int.from_bytes(prefix[8:12], "little")
-        if schema != SCHEMA_VERSION:
-            raise CapIndexError(
-                "%s: unsupported schema version %d (expected %d)"
-                % (path, schema, SCHEMA_VERSION)
-            )
-        header_len = int.from_bytes(prefix[12:16], "little")
-        header_bytes = fileobj.read(header_len)
-        if len(header_bytes) < header_len:
-            raise CapIndexError("%s: truncated header" % path)
-        try:
-            header = json.loads(header_bytes)
-        except ValueError as exc:
-            raise CapIndexError("%s: corrupt header (%s)" % (path, exc)) from exc
+        header = _read_header(fileobj, path)
         payload = fileobj.read()
     digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
     if digest != header.get("payload_blake2b"):
@@ -211,5 +201,5 @@ def load_index(path: str) -> IndexPayload:
         stats=stats,
         source=header.get("source", {}),
         pipeline=header.get("pipeline", {}),
-        schema_version=schema,
+        schema_version=header["_schema_version"],
     )

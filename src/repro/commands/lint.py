@@ -1,0 +1,50 @@
+"""``repro lint``: the static determinism/invariant analyzer."""
+
+from __future__ import annotations
+
+import argparse
+import os
+
+from repro.lint import (
+    Baseline,
+    BaselineError,
+    lint_paths,
+    render_json,
+    render_rules,
+    render_text,
+)
+
+
+def cmd_lint(args: argparse.Namespace) -> int:
+    """Run the static determinism/invariant analyzer over Python sources.
+
+    Exit status is the number of *new* (unbaselined, unsuppressed)
+    findings — 0 means the tree honours the determinism contract.  The
+    committed baseline (``lint_baseline.json``, empty in this repo)
+    exists so a fork can adopt the linter before paying down debt;
+    ``--update-baseline`` regenerates it from the current findings.
+    """
+    if args.rules:
+        print(render_rules())
+        return 0
+    paths = args.paths or ["src"]
+    missing = [path for path in paths if not os.path.exists(path)]
+    if missing:
+        raise SystemExit("repro lint: no such path: %s" % ", ".join(missing))
+    try:
+        baseline = Baseline.load(args.baseline)
+    except BaselineError as exc:
+        raise SystemExit("repro lint: %s" % exc)
+    result = lint_paths(paths, baseline=baseline)
+    if args.update_baseline:
+        Baseline.write(args.baseline, result.findings + result.baselined)
+        print(
+            "Wrote %d finding(s) to %s"
+            % (len(result.findings) + len(result.baselined), args.baseline)
+        )
+        return 0
+    if args.json:
+        print(render_json(result))
+    else:
+        print(render_text(result, verbose_baseline=args.show_baselined))
+    return len(result.findings)

@@ -5,14 +5,3 @@ active-probe logs) and produces the statistics behind the paper's tables
 and figures: version adoption, packet-type mixes, retransmission timing,
 SCID structure, off-net classification, and L7LB enumeration.
 """
-
-from repro.core.dissector import DissectError, dissect_datagram, is_quic_datagram
-from repro.core.session import Session, SessionStore
-
-__all__ = [
-    "DissectError",
-    "dissect_datagram",
-    "is_quic_datagram",
-    "Session",
-    "SessionStore",
-]

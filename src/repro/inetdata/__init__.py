@@ -4,29 +4,3 @@ and the synthetic certificate/PTR store used for off-net verification.
 These stand in for CAIDA prefix-to-AS data, MaxMind GeoLite, and live
 TLS/DNS lookups (see DESIGN.md substitution table).
 """
-
-from repro.inetdata.radix import RadixTree
-from repro.inetdata.asdb import AsDatabase, AsEntry
-from repro.inetdata.geodb import GeoDatabase, GeoEntry
-from repro.inetdata.hypergiants import (
-    CLOUDFLARE,
-    FACEBOOK,
-    GOOGLE,
-    Hypergiant,
-    HYPERGIANTS,
-)
-from repro.inetdata.certs import CertificateStore
-
-__all__ = [
-    "RadixTree",
-    "AsDatabase",
-    "AsEntry",
-    "GeoDatabase",
-    "GeoEntry",
-    "Hypergiant",
-    "HYPERGIANTS",
-    "CLOUDFLARE",
-    "FACEBOOK",
-    "GOOGLE",
-    "CertificateStore",
-]

@@ -14,6 +14,22 @@ from repro.inetdata.hypergiants import HYPERGIANTS, Hypergiant
 from repro.inetdata.radix import RadixTree
 from repro.netstack.addr import Prefix, format_ip
 
+#: Eyeball/ISP networks hosting off-net caches, bots, and other servers.
+ISP_NETWORKS: tuple[tuple[int, str, str], ...] = (
+    (7018, "ISP-US-East", "24.48.0.0/16"),
+    (209, "ISP-US-West", "65.100.0.0/16"),
+    (3320, "ISP-DE", "87.128.0.0/16"),
+    (3215, "ISP-FR", "90.0.0.0/16"),
+    (2856, "ISP-GB", "81.128.0.0/16"),
+    (9121, "ISP-TR", "85.96.0.0/16"),
+    (4766, "ISP-KR", "112.160.0.0/16"),
+    (9829, "ISP-IN", "117.192.0.0/16"),
+    (4134, "ISP-CN", "58.32.0.0/16"),
+    (7738, "ISP-BR", "189.32.0.0/16"),
+    (36992, "ISP-EG", "41.32.0.0/16"),
+    (1221, "ISP-AU", "139.130.0.0/16"),
+)
+
 
 @dataclass(frozen=True)
 class AsEntry:

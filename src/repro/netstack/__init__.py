@@ -6,23 +6,3 @@ writing captures, and the analysis pipeline parses those bytes back — so
 the passive toolchain works equally on simulated captures and on real
 raw-IP pcaps.
 """
-
-from repro.netstack.addr import format_ip, parse_ip, Prefix
-from repro.netstack.ip import IPv4Header, decode_ipv4, encode_ipv4
-from repro.netstack.udp import UdpDatagram, decode_udp, encode_udp
-from repro.netstack.pcap import PcapReader, PcapWriter, PcapRecord
-
-__all__ = [
-    "parse_ip",
-    "format_ip",
-    "Prefix",
-    "IPv4Header",
-    "encode_ipv4",
-    "decode_ipv4",
-    "UdpDatagram",
-    "encode_udp",
-    "decode_udp",
-    "PcapReader",
-    "PcapWriter",
-    "PcapRecord",
-]

@@ -17,6 +17,8 @@ import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
+from repro.errors import InputFileError
+
 MAGIC = 0xA1B2C3D4
 MAGIC_SWAPPED = 0xD4C3B2A1
 VERSION_MAJOR = 2
@@ -31,20 +33,25 @@ _RECORD_HEADER = struct.Struct("<IIII")
 GLOBAL_HEADER_SIZE = _GLOBAL_HEADER.size
 
 
-class PcapError(ValueError):
+class PcapError(InputFileError):
     """Raised on malformed pcap files."""
 
 
-def _byte_order(head: bytes) -> str:
-    """The ``struct`` byte-order prefix a global header's magic announces."""
+def _byte_order(head: bytes, path: str = "") -> str:
+    """The ``struct`` byte-order prefix a global header's magic announces.
+
+    A caller that knows which file ``head`` came from passes ``path``:
+    the error then starts with it.
+    """
+    where = path and path + ": "
     if len(head) < _GLOBAL_HEADER.size:
-        raise PcapError("truncated pcap global header")
+        raise PcapError(where + "truncated pcap global header")
     magic = struct.unpack("<I", head[:4])[0]
     if magic == MAGIC:
         return "<"
     if magic == MAGIC_SWAPPED:
         return ">"
-    raise PcapError("bad pcap magic 0x%08x" % magic)
+    raise PcapError(where + "bad pcap magic 0x%08x" % magic)
 
 
 def split_timestamp(timestamp: float) -> tuple[int, int]:
@@ -241,7 +248,7 @@ class PcapWalk:
         try:
             self.size = os.fstat(self._file.fileno()).st_size
             head = self._file.read(_GLOBAL_HEADER.size)
-            self._unpack = struct.Struct(_byte_order(head) + "IIII").unpack_from
+            self._unpack = struct.Struct(_byte_order(head, path) + "IIII").unpack_from
         except BaseException:
             self._file.close()
             raise

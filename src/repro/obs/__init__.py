@@ -13,6 +13,10 @@ The bundle's three planes:
 * ``prof`` — the hierarchical stage profiler (:mod:`repro.obs.prof`);
   :meth:`Observability.span` opens a stage on it and, when the tracer is
   live too, emits a ``span:*`` event with ``span``/``parent`` ids.
+
+The Prometheus publishers (:mod:`repro.obs.export`, which brings in
+``http.server``) are not re-exported here: whoever publishes imports
+that module, so that emitting into the bundle costs nobody the exporter.
 """
 
 from __future__ import annotations
@@ -20,12 +24,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Optional
 
-from repro.obs.export import (
-    MetricsHttpExporter,
-    PromFileWriter,
-    render_prometheus,
-    start_http_exporter,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -74,10 +72,6 @@ __all__ = [
     "DEFAULT_ALWAYS_KEEP",
     "NULL_TRACER",
     "read_trace",
-    "render_prometheus",
-    "PromFileWriter",
-    "MetricsHttpExporter",
-    "start_http_exporter",
     "Counter",
     "Gauge",
     "Histogram",

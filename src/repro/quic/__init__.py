@@ -5,29 +5,3 @@ dissect, and unprotect the long-header packets that appear in Internet
 background radiation: Initial, Handshake, 0-RTT, Retry, and Version
 Negotiation, plus packet coalescence and the frames those packets carry.
 """
-
-from repro.quic.varint import decode_varint, encode_varint
-from repro.quic.version import QuicVersion, VERSIONS
-from repro.quic.packet import (
-    CoalescedDatagram,
-    LongHeaderPacket,
-    PacketType,
-    ShortHeaderPacket,
-    VersionNegotiationPacket,
-    decode_datagram,
-    encode_datagram,
-)
-
-__all__ = [
-    "decode_varint",
-    "encode_varint",
-    "QuicVersion",
-    "VERSIONS",
-    "PacketType",
-    "LongHeaderPacket",
-    "ShortHeaderPacket",
-    "VersionNegotiationPacket",
-    "CoalescedDatagram",
-    "decode_datagram",
-    "encode_datagram",
-]

@@ -7,25 +7,3 @@ routing — are configured per deployment through
 :class:`~repro.server.engine.QuicServerEngine` instances running behind the
 load-balancer fabric in :mod:`repro.server.lb`.
 """
-
-from repro.server.profiles import (
-    CLOUDFLARE_PROFILE,
-    FACEBOOK_PROFILE,
-    GOOGLE_PROFILE,
-    ServerProfile,
-    generic_profile,
-)
-from repro.server.engine import QuicServerEngine
-from repro.server.lb.cluster import FrontendCluster
-from repro.server.simple import SimpleQuicServer
-
-__all__ = [
-    "ServerProfile",
-    "CLOUDFLARE_PROFILE",
-    "FACEBOOK_PROFILE",
-    "GOOGLE_PROFILE",
-    "generic_profile",
-    "QuicServerEngine",
-    "FrontendCluster",
-    "SimpleQuicServer",
-]

@@ -7,8 +7,3 @@ match, with per-device latency and optional loss.  Spoofed traffic is
 first-class: replies to spoofed sources are routed to whichever device owns
 the spoofed prefix — which is how backscatter reaches the telescope.
 """
-
-from repro.simnet.eventloop import Event, EventLoop
-from repro.simnet.network import Device, Network, PathModel
-
-__all__ = ["Event", "EventLoop", "Device", "Network", "PathModel"]

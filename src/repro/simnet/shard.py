@@ -30,22 +30,24 @@ on which process simulated it or on event interleaving, and for a fixed
 ``(seed, scale)`` the merged capture is identical for any worker count
 ``N >= 2`` and record-identical to the serial run (same multiset of
 records; the serial file orders same-microsecond ties by arrival
-instead of the canonical key).  ``--workers 1`` bypasses this module
-entirely and is byte-identical to the serial path by construction.
+instead of the canonical key).  ``--workers 1`` *is* the serial path:
+:func:`run_scenario` in the command's own process, no pool, no merge.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.netstack.pcap import merge_pcap_files, write_pcap
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, JsonlTracer, MetricsRegistry, Observability, Profiler
 from repro.obs.progress import HeartbeatWriter, clean_progress_dir, expected_events
 from repro.obs.trace import CAT_SIM
 from repro.workloads.scenario import (
+    Scenario,
     ScenarioConfig,
     TrafficUnit,
     build_scenario,
@@ -133,8 +135,9 @@ def resolve_workers(workers, config: ScenarioConfig) -> int:
     ``auto`` picks ``min(os.cpu_count(), planned shards)`` — more workers
     than shards would sit idle, and :func:`plan_shards` drops empty
     buckets anyway.  On a 1-CPU box it falls back to the serial path (1):
-    BENCH_shard.json measured the fork-pool at 0.77–0.88× of serial
-    there, so parallelism is only worth its overhead with ≥2 CPUs.
+    there the workers time-slice one core and the pool, the per-shard
+    pcaps and the merge are pure overhead (measured 0.77–0.88× of serial
+    when the runner landed; 1.2× with two workers on two cores since).
     """
     if workers != "auto":
         return int(workers)
@@ -145,42 +148,50 @@ def resolve_workers(workers, config: ScenarioConfig) -> int:
     return max(1, min(cpus, planned))
 
 
-def run_shard(
+def run_scenario(
     config: ScenarioConfig,
-    unit_names: Optional[Sequence[str]] = None,
+    units: Optional[Sequence[TrafficUnit]] = None,
     obs: Optional[Observability] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
-):
-    """Build the full deployment, run only the named traffic units.
+    on_built: Optional[Callable[[Scenario], None]] = None,
+    stage_timers: bool = False,
+) -> Scenario:
+    """Build the full deployment, run ``units`` (None: all) to the end.
 
-    Returns the telescope's records sorted by the canonical
-    :func:`~repro.netstack.pcap.record_sort_key`.  Used in-process by
-    tests and from worker processes by :func:`simulate_sharded`;
-    ``unit_names=None`` runs everything (a serial run in merge order).
+    The one build → heartbeat → run routine: serial ``repro simulate``,
+    shard workers, sweep cells and the tests all simulate through here
+    and differ only in what they do with the finished scenario's
+    capture (arrival order for the serial pcap, the canonical order for
+    a shard).
 
-    When profiling, the build and run phases open ``simulate.build`` /
+    When profiling, the two phases open ``simulate.build`` /
     ``simulate.run`` spans marked ``local`` — they describe this
     *process*, so they are excluded from the canonical merged timeline
     (see :mod:`repro.obs.spans`).  When a ``heartbeat`` writer is given,
     it is updated through the build, every ~4096 loop events during the
-    run, and once more (``final``) on completion.
+    run, and once more (``final``) when the loop has drained.
+    ``on_built`` sees the scenario between the phases (the serial
+    command hangs its Prometheus file writer on the loop there).
+    ``stage_timers`` also books the phases as the ``build_scenario`` and
+    ``simulate`` stage timers — for a registry that is the run's own; a
+    shard worker's is merged into a parent that times the whole pool.
     """
     obs = obs or NULL_OBS
-    units = plan_traffic_units(config)
-    if unit_names is not None:
-        wanted = set(unit_names)
-        unknown = wanted - {unit.name for unit in units}
-        if unknown:
-            raise ValueError("unknown traffic units: %s" % ", ".join(sorted(unknown)))
-        units = tuple(unit for unit in units if unit.name in wanted)
+    if units is None:
+        units = plan_traffic_units(config)
+    timed = obs.timed if stage_timers else (lambda _stage: nullcontext())
     if heartbeat is not None:
         heartbeat.total = expected_events(sum(unit.weight for unit in units))
         heartbeat.update("build")
-    with obs.span("simulate.build", local=True, units=len(units)):
+    with obs.span("simulate.build", local=True, units=len(units)), timed(
+        "build_scenario"
+    ):
         scenario = build_scenario(config, obs=obs, units=units)
+    if on_built is not None:
+        on_built(scenario)
     loop = scenario.loop
+    telescope = scenario.telescope
     if heartbeat is not None:
-        telescope = scenario.telescope
         prof = obs.prof
 
         def on_progress(count: int) -> None:
@@ -194,22 +205,45 @@ def run_shard(
 
         loop.on_progress = on_progress
         heartbeat.update("run")
-    with obs.span("simulate.run", local=True):
+    with obs.span("simulate.run", local=True), timed("simulate"):
         scenario.run()
     if loop.pending:
         raise RuntimeError(
-            "shard finished with %d events still queued" % loop.pending
+            "scenario finished with %d events still queued" % loop.pending
         )
-    records = scenario.telescope.capture.sorted_records()
     if heartbeat is not None:
         heartbeat.update(
             "done",
             done=loop.events_processed,
-            records=len(records),
+            records=len(telescope.records),
             sim_time=loop.now,
             final=True,
         )
-    return records
+    return scenario
+
+
+def run_shard(
+    config: ScenarioConfig,
+    unit_names: Optional[Sequence[str]] = None,
+    obs: Optional[Observability] = None,
+    heartbeat: Optional[HeartbeatWriter] = None,
+):
+    """:func:`run_scenario` over the named traffic units.
+
+    Returns the telescope's records sorted by the canonical
+    :func:`~repro.netstack.pcap.record_sort_key`.  Used in-process by
+    tests and from worker processes by :func:`simulate_sharded`;
+    ``unit_names=None`` runs everything (a serial run in merge order).
+    """
+    units = plan_traffic_units(config)
+    if unit_names is not None:
+        wanted = set(unit_names)
+        unknown = wanted - {unit.name for unit in units}
+        if unknown:
+            raise ValueError("unknown traffic units: %s" % ", ".join(sorted(unknown)))
+        units = tuple(unit for unit in units if unit.name in wanted)
+    scenario = run_scenario(config, units, obs=obs, heartbeat=heartbeat)
+    return scenario.telescope.capture.sorted_records()
 
 
 def run_to_pcap(
@@ -255,8 +289,6 @@ def _worker_main(payload: tuple):
         progress_dir,
         shard_index,
     ) = payload
-    from repro.obs import JsonlTracer, MetricsRegistry, Profiler
-
     tracer = JsonlTracer.to_path(trace_path) if trace_path else None
     metrics = MetricsRegistry() if want_metrics else None
     prof = Profiler(prof_every, metrics=metrics) if prof_every else None

@@ -20,15 +20,3 @@ that reaches the end of its input holds *exactly* the table a batch run
 would have built — so the final ``repro live`` render is byte-for-byte
 the ``repro analyze`` output.
 """
-
-from repro.stream.live import PcapFollower, render_dashboard
-from repro.stream.reducers import StreamAnalyses
-from repro.stream.tail import JsonlTail, SnapshotTail
-
-__all__ = [
-    "JsonlTail",
-    "PcapFollower",
-    "SnapshotTail",
-    "StreamAnalyses",
-    "render_dashboard",
-]

@@ -1,19 +1,3 @@
 """The network telescope: a darknet device, capture store, and the
 classification/sanitization pipeline the paper runs on raw telescope data.
 """
-
-from repro.telescope.darknet import Telescope
-from repro.telescope.acknowledged import AcknowledgedScanners
-from repro.telescope.classify import (
-    ClassifiedCapture,
-    PacketClass,
-    classify_capture,
-)
-
-__all__ = [
-    "Telescope",
-    "AcknowledgedScanners",
-    "PacketClass",
-    "ClassifiedCapture",
-    "classify_capture",
-]

@@ -14,6 +14,13 @@ from dataclasses import dataclass, field
 from repro.inetdata.radix import RadixTree
 from repro.netstack.addr import Prefix
 
+#: Research scanner source networks (stand-in for the acknowledged list).
+RESEARCH_NETWORKS: tuple[tuple[str, str], ...] = (
+    ("141.212.0.0/16", "scanner-umich"),
+    ("198.108.66.0/24", "scanner-censys"),
+    ("74.120.14.0/24", "scanner-shadowserver"),
+)
+
 
 @dataclass(frozen=True)
 class ScannerEntry:

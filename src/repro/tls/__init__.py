@@ -6,19 +6,3 @@ flights realistic sizes and contents, (ii) let active probes read SNI/ALPN
 and certificate subjectAltNames, and (iii) transport QUIC transport
 parameters.
 """
-
-from repro.tls.handshake import (
-    ClientHello,
-    ServerHello,
-    decode_handshake,
-    encode_handshake,
-)
-from repro.tls.certs import Certificate
-
-__all__ = [
-    "ClientHello",
-    "ServerHello",
-    "encode_handshake",
-    "decode_handshake",
-    "Certificate",
-]

@@ -1,21 +1,3 @@
 """Traffic generation: attackers, scanners, benign clients, and the
 scenario builders that assemble full measurement months.
 """
-
-from repro.workloads.clients import ClientConnection, ClientHost
-from repro.workloads.attackers import SpoofingAttacker, AttackPlan
-from repro.workloads.scanners import ResearchScanner, UnknownScanner, NoiseSource
-from repro.workloads.scenario import Scenario, ScenarioConfig, build_scenario
-
-__all__ = [
-    "ClientConnection",
-    "ClientHost",
-    "SpoofingAttacker",
-    "AttackPlan",
-    "ResearchScanner",
-    "UnknownScanner",
-    "NoiseSource",
-    "Scenario",
-    "ScenarioConfig",
-    "build_scenario",
-]

@@ -25,7 +25,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field, replace
 
-from repro.inetdata.asdb import AsDatabase, AsEntry
+from repro.inetdata.asdb import ISP_NETWORKS, AsDatabase, AsEntry
 from repro.inetdata.certs import CertificateStore
 from repro.inetdata.geodb import GeoDatabase
 from repro.inetdata.hypergiants import CLOUDFLARE, FACEBOOK, GOOGLE
@@ -52,35 +52,12 @@ from repro.server.profiles import (
 from repro.server.simple import SimpleQuicServer
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Network, PathModel
-from repro.telescope.acknowledged import AcknowledgedScanners
+from repro.telescope.acknowledged import RESEARCH_NETWORKS, AcknowledgedScanners
 from repro.telescope.classify import ClassifiedCapture, classify_capture
 from repro.telescope.darknet import Telescope
 from repro.tls.certs import Certificate
 from repro.workloads.attackers import AttackPlan, SpoofingAttacker
 from repro.workloads.scanners import NoiseSource, ResearchScanner, UnknownScanner
-
-#: Eyeball/ISP networks hosting off-net caches, bots, and other servers.
-ISP_NETWORKS: tuple[tuple[int, str, str], ...] = (
-    (7018, "ISP-US-East", "24.48.0.0/16"),
-    (209, "ISP-US-West", "65.100.0.0/16"),
-    (3320, "ISP-DE", "87.128.0.0/16"),
-    (3215, "ISP-FR", "90.0.0.0/16"),
-    (2856, "ISP-GB", "81.128.0.0/16"),
-    (9121, "ISP-TR", "85.96.0.0/16"),
-    (4766, "ISP-KR", "112.160.0.0/16"),
-    (9829, "ISP-IN", "117.192.0.0/16"),
-    (4134, "ISP-CN", "58.32.0.0/16"),
-    (7738, "ISP-BR", "189.32.0.0/16"),
-    (36992, "ISP-EG", "41.32.0.0/16"),
-    (1221, "ISP-AU", "139.130.0.0/16"),
-)
-
-#: Research scanner source networks (stand-in for the acknowledged list).
-RESEARCH_NETWORKS: tuple[tuple[str, str], ...] = (
-    ("141.212.0.0/16", "scanner-umich"),
-    ("198.108.66.0/24", "scanner-censys"),
-    ("74.120.14.0/24", "scanner-shadowserver"),
-)
 
 _COUNTRY_CYCLE = ("US", "DE", "IN", "GB", "SG", "CA", "JP", "FR", "BR", "KR")
 

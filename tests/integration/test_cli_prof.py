@@ -176,11 +176,14 @@ class TestShardConsumers:
             main(["index", "--info"] + shards)
         assert "single pcap" in str(excinfo.value)
 
-    def test_missing_shard_is_a_one_line_error(self, unmerged_run, tmp_path):
+    def test_missing_shard_is_a_one_line_error(self, unmerged_run, tmp_path, capsys):
+        # Since the error boundary in ``repro.cli.main``: the same line and
+        # exit status as a missing single pcap, not a SystemExit of its own.
         _pcap, shards = unmerged_run
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", shards[0], str(tmp_path / "gone.shard1")])
-        assert "no such pcap" in str(excinfo.value)
+        gone = str(tmp_path / "gone.shard1")
+        assert main(["analyze", shards[0], gone]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro analyze: %s: No such file or directory\n" % gone
 
     def test_keep_shards_leaves_both_merged_and_shards(self, tmp_path):
         pcap = str(tmp_path / "kept.pcap")

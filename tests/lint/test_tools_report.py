@@ -88,7 +88,7 @@ class TestCheckersJsonMode:
         assert result.returncode == 0, result.stderr
         doc = json.loads(result.stdout)
         assert doc["tool"] == "check-bench-json"
-        assert doc["ok"] is True and doc["checked"] >= 6
+        assert doc["ok"] is True and doc["checked"] >= 5
 
     def test_bench_json_flags_non_finite_numbers(self, tmp_path):
         bad = tmp_path / "BENCH_bad.json"
@@ -98,6 +98,18 @@ class TestCheckersJsonMode:
         doc = json.loads(result.stdout)
         assert doc["ok"] is False
         assert any("non-finite" in f["message"] for f in doc["findings"])
+
+    def test_bench_json_requires_the_environment_stamp(self, tmp_path):
+        bare = tmp_path / "BENCH_bare.json"
+        bare.write_text('{"seconds": 1.5}')
+        partial = tmp_path / "BENCH_partial.json"
+        partial.write_text('{"seconds": 1.5, "environment": {"python": "3.11.7"}}')
+        result = self.run_checker("check_bench_json.py", str(bare), str(partial))
+        assert result.returncode == 2
+        messages = [f["message"] for f in json.loads(result.stdout)["findings"]]
+        assert "no environment stamp (benchmarks/_harness.py)" in messages
+        assert "environment stamp lacks 'cpus'" in messages
+        assert "environment stamp lacks 'python'" not in messages
 
     def test_bench_json_rejects_empty_object(self, tmp_path):
         empty = tmp_path / "BENCH_empty.json"

@@ -6,12 +6,8 @@ import urllib.request
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    PromFileWriter,
-    render_prometheus,
-    start_http_exporter,
-)
+from repro.obs import MetricsRegistry
+from repro.obs.export import PromFileWriter, render_prometheus, start_http_exporter
 
 
 @pytest.fixture

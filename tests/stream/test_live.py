@@ -8,7 +8,8 @@ from repro.capstore import build_capture_table
 from repro.capstore.cache import load_or_build, load_or_build_ex
 from repro.netstack.pcap import GLOBAL_HEADER_SIZE, scan_pcap_offsets
 from repro.obs.metrics import MetricsRegistry
-from repro.stream import PcapFollower, StreamAnalyses, render_dashboard
+from repro.stream.live import PcapFollower, render_dashboard
+from repro.stream.reducers import StreamAnalyses
 
 
 def grow_in_steps(source, dest, cuts):

@@ -15,7 +15,7 @@ from repro.core.scid_entropy import nybble_matrix
 from repro.core.scid_stats import scids_by_origin
 from repro.core.versions import table2
 from repro.obs.metrics import MetricsRegistry
-from repro.stream import StreamAnalyses
+from repro.stream.reducers import StreamAnalyses
 from repro.telescope.classify import PacketClass
 
 

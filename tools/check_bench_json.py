@@ -5,8 +5,10 @@ Every benchmark under ``benchmarks/`` persists its measurements as a
 ``BENCH_<name>.json`` next to the README; dashboards and the docs quote
 those numbers, so a truncated write or a NaN smuggled through
 ``json.dump`` would silently poison them.  This checker asserts the
-shared contract: each file parses as a non-empty JSON object and every
-number reachable in it is finite:
+shared contract: each file parses as a non-empty JSON object, every
+number reachable in it is finite, and it carries the ``environment``
+stamp of ``benchmarks/_harness.py`` (interpreter, CPUs, commit, platform,
+load) — a number without its machine is not comparable with anything:
 
     python tools/check_bench_json.py BENCH_*.json
 
@@ -28,6 +30,8 @@ from typing import List
 from _report import Report, split_json_flag  # noqa: E402
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+#: What ``benchmarks/_harness.py::environment_stamp`` records.
+STAMP_FIELDS = ("python", "cpus", "commit", "platform", "loadavg")
 
 
 def _non_finite_paths(value, prefix="$") -> List[str]:
@@ -57,10 +61,20 @@ def check_file(path: str) -> List[str]:
         return ["top-level value is %s, expected an object" % type(doc).__name__]
     if not doc:
         return ["top-level object is empty"]
-    return [
+    problems = [
         "non-finite number at %s" % location
         for location in _non_finite_paths(doc)
     ]
+    stamp = doc.get("environment")
+    if not isinstance(stamp, dict):
+        problems.append("no environment stamp (benchmarks/_harness.py)")
+    else:
+        problems.extend(
+            "environment stamp lacks %r" % field
+            for field in STAMP_FIELDS
+            if field not in stamp
+        )
+    return problems
 
 
 def main(argv: List[str]) -> int:
