@@ -7,19 +7,24 @@ the results in ``BENCH_analyze.json`` at the repo root:
   writing the ``.capidx`` sidecar;
 * **warm** — deserializing the sidecar instead of dissecting (the state
   every ``analyze`` after the first runs in);
+* **render** — folding the warm view into every analysis table, which
+  is the rest of what a warm ``analyze`` waits for;
 * **parallel** — a cold row-group build across ``min(4, cpus)`` worker
   processes (workers beyond the cores add scheduling noise, not speed).
 
-Cold and parallel builds alternate for ``ROUNDS`` rounds and each arm
-reports its fastest: the work is deterministic, so the minimum is the
-build and everything above it is the box.
+Cold and parallel builds alternate for ``ROUNDS`` rounds, as do warm
+loads and renders, and each arm reports its fastest: the work is
+deterministic, so the minimum is the work and everything above it is
+the box.
 
 Two classes of assertion, deliberately separated:
 
 * **Parity** — always checked, on any machine: every arm must render the
-  complete set of analysis tables byte-identically, and the warm load
-  must be faster than the cold build (it skips UDP decode, QUIC
-  dissection, and AEAD validation entirely).
+  complete set of analysis tables byte-identically, and a warm
+  ``analyze`` — sidecar load *plus* render — must be faster than the
+  cold build alone (it skips UDP decode, QUIC dissection, and AEAD
+  validation entirely; a load by itself is a file read and would beat
+  any dissection).
 * **Speedup** — the parallel arm must beat serial only where the machine
   can physically deliver it (``cpus >= 2`` and scale >= 0.5); on a
   single-core container the honest ~1x number is recorded, not asserted.
@@ -90,9 +95,15 @@ def run_bench(scale=DEFAULT_SCALE):
             parallel_seconds = min(parallel_seconds, time.perf_counter() - start)
         cold_render = render_analysis(cold_view, ALL_TABLES)
 
-        start = time.perf_counter()
-        warm_view, warm_hit = load_or_build(pcap, workers=1)
-        warm_seconds = time.perf_counter() - start
+        warm_seconds = render_seconds = float("inf")
+        for _ in range(ROUNDS):
+            start = time.perf_counter()
+            warm_view, warm_hit = load_or_build(pcap, workers=1)
+            warm_seconds = min(warm_seconds, time.perf_counter() - start)
+
+            start = time.perf_counter()
+            warm_render = render_analysis(warm_view, ALL_TABLES)
+            render_seconds = min(render_seconds, time.perf_counter() - start)
 
         rows = cold_view.table.num_rows
         results["arms"] = {
@@ -101,6 +112,10 @@ def run_bench(scale=DEFAULT_SCALE):
                 "seconds": round(warm_seconds, 3),
                 "cache_hit": warm_hit,
                 "speedup_vs_cold": round(cold_seconds / max(warm_seconds, 1e-9), 3),
+            },
+            "render": {
+                "seconds": round(render_seconds, 3),
+                "rows_per_s": round(rows / max(render_seconds, 1e-9)),
             },
             "parallel": {
                 "seconds": round(parallel_seconds, 3),
@@ -115,11 +130,10 @@ def run_bench(scale=DEFAULT_SCALE):
             "cold_cache_was_miss": not cold_hit,
             "warm_cache_was_hit": warm_hit,
             "parallel_cache_was_miss": not parallel_hit,
-            "warm_tables_identical": render_analysis(warm_view, ALL_TABLES)
-            == cold_render,
+            "warm_tables_identical": warm_render == cold_render,
             "parallel_tables_identical": render_analysis(parallel_view, ALL_TABLES)
             == cold_render,
-            "warm_faster_than_cold": warm_seconds < cold_seconds,
+            "warm_faster_than_cold": warm_seconds + render_seconds < cold_seconds,
         }
 
     with open(BENCH_PATH, "w") as fileobj:
@@ -144,6 +158,14 @@ def _render(results):
             "warm .capidx load",
             arms["warm"]["seconds"],
             arms["warm"]["speedup_vs_cold"],
+        ),
+        "  %-22s %8.3fs  (%d rows/s; load + render %.2fx)"
+        % (
+            "render, all tables",
+            arms["render"]["seconds"],
+            arms["render"]["rows_per_s"],
+            arms["cold"]["seconds"]
+            / max(arms["warm"]["seconds"] + arms["render"]["seconds"], 1e-9),
         ),
         "  %-22s %8.3fs  (%.2fx)"
         % (

@@ -32,13 +32,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.capstore.table import (
+    KLASS_CODES,
+    KLASS_VALUES,
     OFFSET_COLUMNS,
     PACKET_COLUMNS,
     ROW_COLUMNS,
     CaptureTable,
 )
 from repro.errors import InputFileError
-from repro.telescope.classify import SanitizationStats
+from repro.quic.packet import PacketType
+from repro.telescope.classify import PacketClass, SanitizationStats
 
 MAGIC = b"RQCAPIDX"
 SCHEMA_VERSION = 1
@@ -146,13 +149,15 @@ def _read_header(fileobj, path: str) -> dict:
             % (path, schema, SCHEMA_VERSION)
         )
     header_len = int.from_bytes(prefix[12:16], "little")
-    header_bytes = fileobj.read(header_len)
-    if len(header_bytes) < header_len:
+    # Asked of the file, not of ``read``: a lying length must not size a buffer.
+    if header_len > os.fstat(fileobj.fileno()).st_size - len(prefix):
         raise CapIndexError("%s: truncated header" % path)
     try:
-        header = json.loads(header_bytes)
+        header = json.loads(fileobj.read(header_len))
     except ValueError as exc:
         raise CapIndexError("%s: corrupt header (%s)" % (path, exc)) from exc
+    if type(header) is not dict:
+        raise CapIndexError("%s: corrupt header (not an object)" % path)
     header["_schema_version"] = schema
     return header
 
@@ -164,42 +169,135 @@ def read_header(path: str) -> dict:
 
 
 def load_index(path: str) -> IndexPayload:
-    """Read, checksum-verify, and deserialize a sidecar."""
+    """Read, checksum-verify, and deserialize a sidecar.
+
+    The checksum covers the payload, not the header that says how to cut
+    it, so the header is held to the schema it declares before a column
+    is trusted: a sidecar that does not describe a table this version
+    can have written raises :class:`CapIndexError` like a torn one.
+    """
     with open(path, "rb") as fileobj:
         header = _read_header(fileobj, path)
         payload = fileobj.read()
     digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
     if digest != header.get("payload_blake2b"):
         raise CapIndexError("%s: payload checksum mismatch" % path)
+    try:
+        return _deserialize(header, payload)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        # Whatever a wrong-shaped header throws on the way is the same
+        # answer as a check it fails: not a sidecar to trust.
+        raise CapIndexError(
+            "%s: malformed header (%s: %s)" % (path, type(exc).__name__, exc)
+        ) from exc
+
+
+def _require(held: bool, what: str) -> None:
+    if not held:
+        raise ValueError(what)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # JSON ``true`` is not a count
+
+
+def _deserialize(header: dict, payload: bytes) -> IndexPayload:
+    """Cut ``payload`` into the table ``header`` describes.
+
+    Raises ``ValueError`` for a header outside the schema; one of the
+    wrong shape altogether may raise anything :func:`load_index` catches.
+    The value checks run as C-level passes over whole columns, so
+    readers can index ``origins``, the packet-type tables and the offset
+    columns without a bounds check per row.
+    """
+    rows, packets = header["rows"], header["packets"]
+    origins, stats = header["origins"], header["stats"]
+    source, pipeline = header.get("source", {}), header.get("pipeline", {})
+    _require(_is_count(rows) and _is_count(packets), "rows/packets are not counts")
+    _require(header["byteorder"] in ("little", "big"), "unknown byteorder")
+    _require(
+        type(origins) is list and all(type(name) is str for name in origins),
+        "origins is not a list of names",
+    )
+    _require(
+        sorted(stats) == sorted(STATS_FIELDS) and all(map(_is_count, stats.values())),
+        "stats are not the %d sanitisation counts" % len(STATS_FIELDS),
+    )
+    _require(
+        stats["backscatter"] + stats["scans"] == rows, "stats disagree with rows"
+    )
+    _require(
+        type(source) is dict and type(pipeline) is dict,
+        "source/pipeline are not objects",
+    )
+
+    # Names, typecodes and order are the schema's; so is every length
+    # but the last two, which the offset columns are checked against.
+    described = [(d["name"], d["typecode"], d["count"]) for d in header["columns"]]
+    sv_count, blob_count = described[-2][2], described[-1][2]
+    schema = (
+        [(name, typecode, rows) for name, typecode in ROW_COLUMNS]
+        + [(name, typecode, packets) for name, typecode in PACKET_COLUMNS]
+        + [
+            (name, typecode, parent + 1)
+            for (name, typecode), parent in zip(OFFSET_COLUMNS, (rows, packets, packets))
+        ]
+        + [("sv_values", "I", sv_count), ("blob", "B", blob_count)]
+    )
+    _require(
+        described == schema and _is_count(sv_count) and _is_count(blob_count),
+        "columns are not the schema's",
+    )
 
     table = CaptureTable()
-    swap = header.get("byteorder", sys.byteorder) != sys.byteorder
+    swap = header["byteorder"] != sys.byteorder
     cursor = 0
-    for descriptor in header["columns"]:
-        name = descriptor["name"]
-        count = descriptor["count"]
+    for name, typecode, count in schema:
         if name == "blob":
             table.blob = bytearray(payload[cursor : cursor + count])
             cursor += count
             continue
-        column = array(descriptor["typecode"])
+        column = array(typecode)
         nbytes = count * column.itemsize
-        if cursor + nbytes > len(payload):
-            raise CapIndexError("%s: truncated column %s" % (path, name))
         column.frombytes(payload[cursor : cursor + nbytes])
         if swap:
             column.byteswap()
         cursor += nbytes
         setattr(table, name, column)
-    table.origins = list(header["origins"])
+    _require(cursor == len(payload), "columns do not add up to the payload")
+
+    # A row has at least one packet; a packet may own no bytes.
+    for name, child, strictly in (
+        ("pkt_start", packets, True),
+        ("bytes_start", len(table.blob), False),
+        ("sv_start", len(table.sv_values), False),
+    ):
+        offsets = getattr(table, name).tolist()
+        _require(
+            offsets[0] == 0
+            and offsets[-1] == child
+            and sorted(set(offsets) if strictly else offsets) == offsets,
+            "%s does not partition its %d entries" % (name, child),
+        )
+    # One-byte codes: delete the valid ones and nothing may be left.
+    klass, pkt_type = table.klass.tobytes(), table.pkt_type.tobytes()
+    _require(
+        max(table.origin_id, default=-1) < len(origins)
+        and not klass.translate(None, bytes(range(len(KLASS_VALUES))))
+        and not pkt_type.translate(None, bytes(range(len(PacketType)))),
+        "a code column points outside its table",
+    )
+    _require(
+        klass.count(KLASS_CODES[PacketClass.SCAN]) == stats["scans"],
+        "stats disagree with klass",
+    )
+
+    table.origins = list(origins)
     table.rebuild_origin_index()
-    if table.num_rows != header["rows"] or table.num_packets != header["packets"]:
-        raise CapIndexError("%s: column counts disagree with header" % path)
-    stats = SanitizationStats(**header["stats"])
     return IndexPayload(
         table=table,
-        stats=stats,
-        source=header.get("source", {}),
-        pipeline=header.get("pipeline", {}),
+        stats=SanitizationStats(**stats),
+        source=source,
+        pipeline=pipeline,
         schema_version=header["_schema_version"],
     )

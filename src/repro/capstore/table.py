@@ -10,17 +10,18 @@ many times" pipeline wants: dense, order-preserving, and cheap to
 concatenate across row groups built by parallel workers.
 
 Rows are written by :func:`repro.capstore.dissect.record_verdict`, straight
-from record bytes.  Analyses never touch the arrays directly:
-:class:`CapturedRowView` lazily re-materializes
-:class:`~repro.telescope.classify.CapturedPacket`-shaped objects (real
-:class:`~repro.quic.packet.ParsedLongHeader` instances included), so
-every existing `core.*` consumer sees the exact API it was written
-against.
+from record bytes, and read back two ways.  The analyses fold over
+:meth:`CaptureTable.datagrams`, which cuts the columns into one tuple of
+plain values per row and builds no object; a caller that asks for
+objects gets :class:`CapturedRowView`, which lazily re-materializes
+:class:`~repro.telescope.classify.CapturedPacket`-shaped rows (real
+:class:`~repro.quic.packet.ParsedLongHeader` instances included).
 """
 
 from __future__ import annotations
 
 from array import array
+from operator import add
 from typing import Iterator, List, Optional, Tuple
 
 from repro.quic.packet import PacketType, ParsedLongHeader
@@ -29,6 +30,7 @@ from repro.telescope.classify import (
     ClassifiedCapture,
     PacketClass,
     SanitizationStats,
+    type_codes,
 )
 
 #: Row-level columns, in serialization order: (attribute, array typecode).
@@ -63,9 +65,45 @@ OFFSET_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("sv_start", "I"),  # packet -> first supported-version entry
 )
 
-#: The ``klass`` column's codes (``_KLASS_VALUES`` is the way back).
+#: The ``klass`` column's codes (``KLASS_VALUES`` is the way back).
 KLASS_CODES = {PacketClass.BACKSCATTER: 0, PacketClass.SCAN: 1}
-_KLASS_VALUES = (PacketClass.BACKSCATTER, PacketClass.SCAN)
+KLASS_VALUES = (PacketClass.BACKSCATTER, PacketClass.SCAN)
+
+#: One sanitized datagram as the analyses read it: a tuple of plain
+#: values, the last five parallel over its coalesced packets.  Both row
+#: sources yield this shape — :meth:`CaptureTable.datagrams` from the
+#: columns, :func:`datagram_values` from a ``CapturedPacket``.
+DATAGRAM_FIELDS = (
+    "timestamp",
+    "src_ip",
+    "dst_ip",
+    "klass",  # KLASS_CODES: 0 backscatter, 1 scan
+    "origin",
+    "udp_payload_length",
+    "types",  # bytes: one PacketType value per packet
+    "versions",
+    "dcids",
+    "scids",
+    "packet_lengths",
+)
+
+
+def datagram_values(packet) -> tuple:
+    """A ``CapturedPacket``-shaped object in :data:`DATAGRAM_FIELDS` order."""
+    packets = packet.packets
+    return (
+        packet.timestamp,
+        packet.src_ip,
+        packet.dst_ip,
+        KLASS_CODES[packet.klass],
+        packet.origin,
+        packet.udp_payload_length,
+        type_codes(packet),
+        tuple(p.version for p in packets),
+        tuple(p.dcid for p in packets),
+        tuple(p.scid for p in packets),
+        tuple(p.packet_length for p in packets),
+    )
 
 
 class CaptureTable:
@@ -166,6 +204,41 @@ class CaptureTable:
 
     # -- reading ---------------------------------------------------------
 
+    def datagrams(self, start: int = 0, end: Optional[int] = None) -> Iterator[tuple]:
+        """Rows ``[start, end)`` as plain values, in :data:`DATAGRAM_FIELDS` order.
+
+        The per-packet fields are parallel sequences, one entry per
+        coalesced packet: ``types`` is a ``bytes`` of type codes, the
+        others are tuples, each DCID/SCID one slice of the blob.  The
+        columns are cut with C-level passes and the rows come out of a
+        ``zip``, so nothing runs per row but the consumer.
+        """
+        end = self.num_rows if end is None else end
+        first, last = self.pkt_start[start], self.pkt_start[end]
+        base = self.bytes_start[first]
+        blob = bytes(memoryview(self.blob)[base : self.bytes_start[last]])
+        dcid_at = [at - base for at in self.bytes_start[first:last]]
+        scid_at = list(map(add, dcid_at, self.dcid_len[first:last]))
+        scid_end = map(add, scid_at, self.scid_len[first:last])
+        bounds = [at - first for at in self.pkt_start[start : end + 1]]
+        of_row = list(map(slice, bounds, bounds[1:]))
+        per_packet = (
+            self.pkt_type[first:last].tobytes(),
+            tuple(self.pkt_version[first:last]),
+            tuple(map(blob.__getitem__, map(slice, dcid_at, scid_at))),
+            tuple(map(blob.__getitem__, map(slice, scid_at, scid_end))),
+            tuple(self.pkt_length[first:last]),
+        )
+        return zip(
+            self.ts[start:end],
+            self.src_ip[start:end],
+            self.dst_ip[start:end],
+            self.klass[start:end],
+            map(self.origins.__getitem__, self.origin_id[start:end]),
+            self.payload_len[start:end],
+            *(map(column.__getitem__, of_row) for column in per_packet),
+        )
+
     def packets_of(self, row: int) -> List[ParsedLongHeader]:
         """Materialize the parsed long headers of one row."""
         out: List[ParsedLongHeader] = []
@@ -206,7 +279,7 @@ class CaptureTable:
             dst_port=self.dst_port[row],
             udp_payload_length=self.payload_len[row],
             packets=self.packets_of(row),
-            klass=_KLASS_VALUES[self.klass[row]],
+            klass=KLASS_VALUES[self.klass[row]],
             origin=self.origins[self.origin_id[row]],
         )
 
@@ -272,7 +345,7 @@ class CapturedRowView:
 
     @property
     def klass(self) -> PacketClass:
-        return _KLASS_VALUES[self._table.klass[self._row]]
+        return KLASS_VALUES[self._table.klass[self._row]]
 
     @property
     def origin(self) -> str:
@@ -300,11 +373,13 @@ class CapturedRowView:
 class ClassifiedView:
     """:class:`ClassifiedCapture`-compatible facade over a CaptureTable.
 
-    Exposes ``backscatter`` / ``scans`` / ``stats`` / ``__len__`` exactly
-    like the object pipeline's output, with rows wrapped in
-    :class:`CapturedRowView`; the split lists are built lazily on first
-    access.  ``indexed_bytes``, when the table was built from a pcap, is
-    how far into that file it covers (one past the last complete record).
+    Exposes ``backscatter`` / ``scans`` / ``stats`` / ``__len__`` /
+    ``datagrams()`` exactly like the object pipeline's output.  The
+    analyses read ``datagrams()``, which builds no object; the split
+    lists wrap rows in :class:`CapturedRowView` and are built only when
+    a caller first asks for them.  ``indexed_bytes``, when the table was
+    built from a pcap, is how far into that file it covers (one past the
+    last complete record).
     """
 
     def __init__(
@@ -345,9 +420,9 @@ class ClassifiedView:
     def __len__(self) -> int:
         return self.table.num_rows
 
-    def iter_rows(self) -> Iterator[CapturedRowView]:
-        for row in range(self.table.num_rows):
-            yield CapturedRowView(self.table, row)
+    def datagrams(self) -> Iterator[tuple]:
+        """Every row as plain values (:data:`DATAGRAM_FIELDS`), in table order."""
+        return self.table.datagrams()
 
     def to_classified_capture(self) -> ClassifiedCapture:
         """Fully materialize into the legacy object representation."""

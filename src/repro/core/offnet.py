@@ -20,7 +20,7 @@ from repro.inetdata.certs import CertificateStore
 from repro.inetdata.hypergiants import FACEBOOK, Hypergiant
 from repro.quic.cid import mvfst
 from repro.quic.packet import PacketType
-from repro.telescope.classify import CapturedPacket
+from repro.telescope.classify import CapturedPacket, type_codes
 
 #: Facebook's characteristic first-resend gap and tolerance (seconds).
 FACEBOOK_RTO = 0.4
@@ -32,6 +32,8 @@ FACEBOOK_LENGTHS = frozenset({1200, 1232})
 #: The improved predictor: off-net caches use low host IDs — the paper
 #: keys on the first 9 bits of the 16-bit host ID being zero.
 LOW_HOST_ID_LIMIT = 1 << 7
+
+_VERSION_NEGOTIATION = PacketType.VERSION_NEGOTIATION.value
 
 #: Hypergiant origins excluded from off-net detection (they are the
 #: on-net deployments the off-net caches are measured against).
@@ -161,23 +163,39 @@ class OffnetServers:
         self.exclude_origins = exclude_origins
         self.features: dict[int, ServerFeatures] = {}
 
-    def add(self, packet: CapturedPacket) -> None:
-        if packet.origin in self.exclude_origins:
+    def add_values(
+        self,
+        origin: str,
+        src_ip: int,
+        types: bytes,
+        scids: Sequence[bytes],
+        payload_length: int,
+    ) -> None:
+        """Absorb one backscatter datagram (parallel type codes / SCIDs)."""
+        if origin in self.exclude_origins:
             return
-        if packet.packets[0].packet_type is PacketType.VERSION_NEGOTIATION:
+        if types[0] == _VERSION_NEGOTIATION:
             # VN SCIDs echo the *client's* DCID — they say nothing about the
             # server's CID scheme, so they must not pollute the features.
             return
-        record = self.features.get(packet.src_ip)
+        record = self.features.get(src_ip)
         if record is None:
-            record = ServerFeatures(address=packet.src_ip, origin=packet.origin)
-            self.features[packet.src_ip] = record
-        for parsed in packet.packets:
-            if parsed.scid:
-                record.scids.add(parsed.scid)
-        if packet.coalesced:
+            record = self.features[src_ip] = ServerFeatures(
+                address=src_ip, origin=origin
+            )
+        record.scids.update(filter(None, scids))
+        if len(types) > 1:
             record.coalesced_seen = True
-        record.datagram_lengths.add(packet.udp_payload_length)
+        record.datagram_lengths.add(payload_length)
+
+    def add(self, packet: CapturedPacket) -> None:
+        self.add_values(
+            packet.origin,
+            packet.src_ip,
+            type_codes(packet),
+            [p.scid for p in packet.packets],
+            packet.udp_payload_length,
+        )
 
     def counts(self) -> tuple[int, int]:
         """(candidate servers, servers passing the low-host-ID test)."""

@@ -9,12 +9,13 @@ from distinct padding policies.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Sequence
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from repro.quic.packet import PacketType
-from repro.telescope.classify import CapturedPacket
+from repro.telescope.classify import CapturedPacket, type_codes
 
 TABLE3_ROWS = (
     "Initial",
@@ -25,26 +26,36 @@ TABLE3_ROWS = (
 )
 
 
-def datagram_category(packet: CapturedPacket) -> str:
-    """The Table 3 row a captured datagram falls into."""
-    types = [p.packet_type for p in packet.packets]
+#: Table 3 row of a lone packet, indexed by :class:`PacketType` value.
+_SINGLE_CATEGORY = (
+    "Initial",
+    "0-RTT",
+    "Handshake",
+    "Retry",
+    "Version Negotiation",
+    "1-RTT",
+)
+_INITIAL_AND_HANDSHAKE = {PacketType.INITIAL.value, PacketType.HANDSHAKE.value}
+_VERSION_NEGOTIATION = PacketType.VERSION_NEGOTIATION.value
+
+
+@lru_cache(maxsize=256)
+def category_of(types: bytes) -> str:
+    """The Table 3 row for a datagram's packet type codes.
+
+    A capture has a handful of distinct type combinations; each is
+    classified once.
+    """
     if len(types) > 1:
-        kinds = set(types)
-        if kinds <= {PacketType.INITIAL, PacketType.HANDSHAKE}:
+        if _INITIAL_AND_HANDSHAKE.issuperset(types):
             return "Coalesced Initial & Handshake"
         return "Coalesced other"
-    only = types[0]
-    if only is PacketType.INITIAL:
-        return "Initial"
-    if only is PacketType.HANDSHAKE:
-        return "Handshake"
-    if only is PacketType.ZERO_RTT:
-        return "0-RTT"
-    if only is PacketType.RETRY:
-        return "Retry"
-    if only is PacketType.VERSION_NEGOTIATION:
-        return "Version Negotiation"
-    return "1-RTT"
+    return _SINGLE_CATEGORY[types[0]]
+
+
+def datagram_category(packet: CapturedPacket) -> str:
+    """The Table 3 row a captured datagram falls into."""
+    return category_of(type_codes(packet))
 
 
 @dataclass
@@ -53,15 +64,25 @@ class PacketMix:
 
     counts: dict[str, Counter] = field(default_factory=dict)
 
-    def add(self, packet: CapturedPacket) -> None:
+    def add_values(self, origin: str, types: bytes) -> None:
         """Count one datagram under its origin (Version Negotiation excluded)."""
-        category = datagram_category(packet)
+        category = category_of(types)
         if category == "Version Negotiation":
             return  # the paper's table covers the four flight types
-        counter = self.counts.get(packet.origin)
+        counter = self.counts.get(origin)
         if counter is None:
-            counter = self.counts[packet.origin] = Counter()
+            counter = self.counts[origin] = Counter()
         counter[category] += 1
+
+    def add(self, packet: CapturedPacket) -> None:
+        self.add_values(packet.origin, type_codes(packet))
+
+    def __add__(self, other: "PacketMix") -> "PacketMix":
+        """The mix over both populations (Table 3: backscatter + scans)."""
+        counts = {origin: Counter(counter) for origin, counter in self.counts.items()}
+        for origin, counter in other.counts.items():
+            counts.setdefault(origin, Counter()).update(counter)
+        return PacketMix(counts)
 
     def origins(self) -> list[str]:
         return sorted(self.counts)
@@ -89,20 +110,59 @@ def packet_mix(packets: Sequence[CapturedPacket]) -> PacketMix:
     return mix
 
 
+def _signature(lengths: Iterable[int]) -> str:
+    return ",".join(map(str, lengths))
+
+
 def length_signature(packet: CapturedPacket) -> str:
     """Figure 7 label: comma-joined QUIC packet lengths inside the datagram."""
-    return ",".join(str(p.packet_length) for p in packet.packets)
+    return _signature(p.packet_length for p in packet.packets)
+
+
+class LengthSignatures:
+    """Per-origin counts of packet-length combinations (Figure 7).
+
+    Keyed by the tuple of lengths and spelled as a label only for the
+    few that are read; origins and combinations keep first-seen order,
+    which is what breaks a tie in :meth:`top`.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self) -> None:
+        self.counts: dict[str, Counter] = {}
+
+    def add_values(self, origin: str, types: bytes, lengths: tuple) -> None:
+        """Count one datagram's packet lengths (Version Negotiation excluded)."""
+        if types[0] == _VERSION_NEGOTIATION:
+            return
+        counter = self.counts.get(origin)
+        if counter is None:
+            counter = self.counts[origin] = Counter()
+        counter[lengths] += 1
+
+    def add(self, packet: CapturedPacket) -> None:
+        self.add_values(
+            packet.origin,
+            type_codes(packet),
+            tuple(p.packet_length for p in packet.packets),
+        )
+
+    def top(self, top: int = 7) -> dict[str, list[tuple[str, int]]]:
+        return {
+            origin: [
+                (_signature(lengths), count)
+                for lengths, count in counter.most_common(top)
+            ]
+            for origin, counter in self.counts.items()
+        }
 
 
 def top_length_signatures(
     packets: Sequence[CapturedPacket], top: int = 7
 ) -> dict[str, list[tuple[str, int]]]:
     """Per-origin top-N packet-length combinations (Figure 7)."""
-    per_origin: dict[str, Counter] = defaultdict(Counter)
+    signatures = LengthSignatures()
     for packet in packets:
-        if packet.packets[0].packet_type is PacketType.VERSION_NEGOTIATION:
-            continue
-        per_origin[packet.origin][length_signature(packet)] += 1
-    return {
-        origin: counter.most_common(top) for origin, counter in per_origin.items()
-    }
+        signatures.add(packet)
+    return signatures.top(top)

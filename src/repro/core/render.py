@@ -7,12 +7,13 @@ benches and tests need not import the CLI to get at it.
 
 from __future__ import annotations
 
-from repro.core.packet_mix import TABLE3_ROWS, packet_mix, top_length_signatures
+from repro.core.packet_mix import TABLE3_ROWS, LengthSignatures, PacketMix
 from repro.core.report import render_histogram, render_table
-from repro.core.scid_stats import table4
-from repro.core.summary import HYPERGIANT_COLUMNS, summarize
-from repro.core.timing import timing_profiles
-from repro.core.versions import TABLE2_ROWS, table2
+from repro.core.scid_stats import ScidTable
+from repro.core.session import SessionStore
+from repro.core.summary import HYPERGIANT_COLUMNS, summarize_from
+from repro.core.timing import profiles_of
+from repro.core.versions import TABLE2_ROWS, VersionMix
 
 #: The paper's source-network columns (Tables 3/4 and the timing figures).
 ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
@@ -21,20 +22,89 @@ ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
 VALID_TABLES = ("1", "2", "3", "4", "rto", "lengths")
 
 
+class CaptureFold:
+    """The accumulators a set of table selectors reads; ``None`` if unread.
+
+    Table 1 is assembled from what Tables 3, 4 and ``rto`` print, so a
+    render groups sessions once and counts every table once, however
+    many selectors share an accumulator.  :meth:`feed` may be called
+    again as a capture grows: the state after any prefix, in any
+    batching, is the state of one pass over that prefix.
+    """
+
+    def __init__(self, wanted: set) -> None:
+        self.clients = self.servers = None
+        if "2" in wanted:
+            self.clients, self.servers = VersionMix(), VersionMix()
+        #: Backscatter only: Table 1's coalescence mark reads this one alone.
+        self.mix = PacketMix() if wanted & {"1", "3"} else None
+        self.scan_mix = PacketMix() if "3" in wanted else None
+        self.scids = ScidTable() if wanted & {"1", "4"} else None
+        self.sessions = SessionStore() if wanted & {"1", "rto"} else None
+        self.signatures = LengthSignatures() if "lengths" in wanted else None
+
+    def feed(self, datagrams) -> None:
+        """Hand each datagram (a ``DATAGRAM_FIELDS`` tuple) to each
+        accumulator that counts it, once."""
+        clients, servers = self.clients, self.servers
+        mix, scan_mix = self.mix, self.scan_mix
+        scid_table, sessions, signatures = self.scids, self.sessions, self.signatures
+        keyed = servers is not None or sessions is not None
+        key = None
+        for (
+            timestamp,
+            src_ip,
+            dst_ip,
+            klass,
+            origin,
+            payload_length,
+            types,
+            versions,
+            dcids,
+            scids,
+            lengths,
+        ) in datagrams:
+            if keyed:
+                key = (src_ip, dst_ip, scids[0], dcids[0])  # SessionStore.key_of
+            if klass:  # a scan: the client side of Table 2, and Table 3
+                if clients is not None:
+                    clients.add_values(key, versions[0])
+                if scan_mix is not None:
+                    scan_mix.add_values(origin, types)
+                continue
+            if servers is not None:
+                servers.add_values(key, versions[0])
+            if mix is not None:
+                mix.add_values(origin, types)
+            if scid_table is not None:
+                scid_table.add_values(origin, types, scids)
+            if sessions is not None:
+                sessions.add_values(
+                    key, origin, versions[0], timestamp, types, payload_length
+                )
+            if signatures is not None:
+                signatures.add_values(origin, types, lengths)
+
+
 def render_analysis(capture, wanted: set) -> str:
     """Render the selected paper tables for a classified capture.
 
-    ``capture`` is anything with ``backscatter``/``scans`` lists of
-    CapturedPacket-shaped objects: the columnar
+    ``capture`` is anything whose ``datagrams()`` yields the plain-value
+    rows of :data:`repro.capstore.table.DATAGRAM_FIELDS`: the columnar
     :class:`~repro.capstore.ClassifiedView` that ``analyze`` and ``live``
-    hand in, or a :class:`~repro.telescope.classify.ClassifiedCapture`
-    of materialized packets — both render byte-identically, which the
-    equivalence tests and ``bench_analyze`` assert.
+    hand in (cut straight from the columns, no object per row), or a
+    :class:`~repro.telescope.classify.ClassifiedCapture` of materialized
+    packets — both render byte-identically, which the equivalence tests
+    and ``bench_analyze`` assert.  The capture is read in one pass.
     """
+    wanted = set(wanted)
+    found = CaptureFold(wanted)
+    found.feed(capture.datagrams())
+    profiles = profiles_of(found.sessions) if found.sessions is not None else None
     parts: list[str] = []
 
     if "1" in wanted:
-        summary = summarize(capture.backscatter)
+        summary = summarize_from(found.mix, profiles, found.scids.stats)
         parts.append(
             render_table(
                 ["Feature"] + list(HYPERGIANT_COLUMNS),
@@ -55,15 +125,15 @@ def render_analysis(capture, wanted: set) -> str:
         )
         parts.append("")
     if "2" in wanted:
-        shares = table2(capture)
+        clients, servers = found.clients.shares(), found.servers.shares()
         parts.append(
             render_table(
                 ["QUIC version", "Clients [%]", "Servers [%]"],
                 [
                     [
                         bucket,
-                        "%.1f" % shares["clients"].share(bucket),
-                        "%.1f" % shares["servers"].share(bucket),
+                        "%.1f" % clients.share(bucket),
+                        "%.1f" % servers.share(bucket),
                     ]
                     for bucket in TABLE2_ROWS
                 ],
@@ -72,7 +142,7 @@ def render_analysis(capture, wanted: set) -> str:
         )
         parts.append("")
     if "3" in wanted:
-        mix = packet_mix(capture.backscatter + capture.scans)
+        mix = found.mix + found.scan_mix
         parts.append(
             render_table(
                 ["Packet type"] + list(ORIGINS),
@@ -85,7 +155,7 @@ def render_analysis(capture, wanted: set) -> str:
         )
         parts.append("")
     if "4" in wanted:
-        stats = table4(capture.backscatter)
+        stats = found.scids.stats
         parts.append(
             render_table(
                 ["Origin AS", "SCID length", "Unique SCIDs"],
@@ -99,7 +169,6 @@ def render_analysis(capture, wanted: set) -> str:
         )
         parts.append("")
     if "rto" in wanted:
-        profiles = timing_profiles(capture.backscatter)
         parts.append(
             render_table(
                 ["Origin", "sessions", "initial RTO [s]", "resends"],
@@ -118,7 +187,7 @@ def render_analysis(capture, wanted: set) -> str:
         )
         parts.append("")
     if "lengths" in wanted:
-        for origin, entries in top_length_signatures(capture.backscatter).items():
+        for origin, entries in found.signatures.top().items():
             parts.append(render_histogram(entries, width=30, title=origin))
             parts.append("")
     return "\n".join(parts)

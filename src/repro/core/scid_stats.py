@@ -7,10 +7,13 @@ from typing import Iterable, Sequence
 
 from repro.core.scid_entropy import NybbleCounts, NybbleMatrix
 from repro.quic.packet import PacketType
-from repro.telescope.classify import CapturedPacket
+from repro.telescope.classify import CapturedPacket, type_codes
 
-#: Packet types whose SCID is the server's own connection ID.
-_SERVER_CID_TYPES = (PacketType.INITIAL, PacketType.HANDSHAKE, PacketType.RETRY)
+#: Packet types (by value) whose SCID is the server's own connection ID.
+_SERVER_CID_TYPES = frozenset(
+    kind.value
+    for kind in (PacketType.INITIAL, PacketType.HANDSHAKE, PacketType.RETRY)
+)
 
 
 class ScidStats:
@@ -79,13 +82,19 @@ class ScidTable:
     def __init__(self) -> None:
         self.stats: dict[str, ScidStats] = {}
 
-    def add(self, packet: CapturedPacket) -> None:
-        for parsed in packet.packets:
-            if parsed.scid and parsed.packet_type in _SERVER_CID_TYPES:
-                stats = self.stats.get(packet.origin)
+    def add_values(self, origin: str, types: bytes, scids: Sequence[bytes]) -> None:
+        """Absorb a datagram's server-chosen SCIDs (parallel type codes / SCIDs)."""
+        stats = self.stats.get(origin)
+        for code, scid in zip(types, scids):
+            if scid and code in _SERVER_CID_TYPES:
                 if stats is None:
-                    stats = self.stats[packet.origin] = ScidStats(packet.origin)
-                stats.add(parsed.scid)
+                    stats = self.stats[origin] = ScidStats(origin)
+                stats.add(scid)
+
+    def add(self, packet: CapturedPacket) -> None:
+        self.add_values(
+            packet.origin, type_codes(packet), [p.scid for p in packet.packets]
+        )
 
 
 def table4(packets: Sequence[CapturedPacket]) -> dict[str, ScidStats]:

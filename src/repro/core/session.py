@@ -9,10 +9,11 @@ retransmission timing by grouping backscatter on the SCID (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from functools import lru_cache
+from typing import Iterable
 
-if TYPE_CHECKING:  # imported lazily to avoid a telescope<->core import cycle
-    from repro.telescope.classify import CapturedPacket
+from repro.quic.packet import PACKET_LABELS
+from repro.telescope.classify import CapturedPacket, type_codes
 
 
 @dataclass
@@ -58,6 +59,16 @@ class Session:
         return max(0, initials - 1)
 
 
+@lru_cache(maxsize=256)
+def type_labels(types: bytes) -> tuple[str, ...]:
+    """``Session.datagram_types`` entry for a datagram's packet type codes.
+
+    A capture has a handful of distinct type combinations; each is
+    spelled out once.
+    """
+    return tuple(map(PACKET_LABELS.__getitem__, types))
+
+
 class SessionStore:
     """Groups captured packets into sessions."""
 
@@ -69,35 +80,52 @@ class SessionStore:
         first = packet.packets[0]
         return (packet.src_ip, packet.dst_ip, first.scid, first.dcid)
 
-    def add(self, packet: CapturedPacket) -> Session:
-        key = self.key_of(packet)
+    def add_values(
+        self,
+        key: tuple,
+        origin: str,
+        version: int,
+        timestamp: float,
+        types: bytes,
+        payload_length: int,
+    ) -> Session:
+        """Append one datagram to the session ``key`` (:meth:`key_of`) names.
+
+        ``version`` is the first packet's; ``types`` the packet type codes
+        of the datagram (:func:`~repro.telescope.classify.type_codes`).
+        """
         session = self._sessions.get(key)
-        first = packet.packets[0]
         if session is None:
-            session = Session(
-                src_ip=packet.src_ip,
-                dst_ip=packet.dst_ip,
-                scid=first.scid,
-                dcid=first.dcid,
-                origin=packet.origin,
-                version=first.version,
+            src_ip, dst_ip, scid, dcid = key
+            session = self._sessions[key] = Session(
+                src_ip=src_ip,
+                dst_ip=dst_ip,
+                scid=scid,
+                dcid=dcid,
+                origin=origin,
+                version=version,
             )
-            self._sessions[key] = session
-        session.timestamps.append(packet.timestamp)
-        session.datagram_types.append(
-            tuple(p.packet_type.label for p in packet.packets)
-        )
-        session.datagram_lengths.append(packet.udp_payload_length)
+        session.timestamps.append(timestamp)
+        session.datagram_types.append(type_labels(types))
+        session.datagram_lengths.append(payload_length)
         return session
+
+    def add(self, packet: CapturedPacket) -> Session:
+        return self.add_values(
+            self.key_of(packet),
+            packet.origin,
+            packet.packets[0].version,
+            packet.timestamp,
+            type_codes(packet),
+            packet.udp_payload_length,
+        )
 
     @classmethod
     def from_packets(cls, packets: Iterable[CapturedPacket]) -> "SessionStore":
         """Group packets into sessions.
 
-        Accepts any iterable of CapturedPacket-shaped rows — including
-        :class:`repro.capstore.CapturedRowView` adapters, whose cached
-        ``packets`` materialization keeps the repeated ``key_of`` /
-        ``add`` accesses cheap.
+        Accepts any iterable of CapturedPacket-shaped rows, including
+        :class:`repro.capstore.CapturedRowView` adapters.
         """
         store = cls()
         for packet in packets:

@@ -13,12 +13,14 @@ from typing import Sequence
 
 from repro.core.packet_mix import PacketMix, packet_mix
 from repro.core.scid_entropy import is_structured
-from repro.core.scid_stats import table4
+from repro.core.scid_stats import ScidStats, table4
 from repro.core.l7lb import host_ids_from_scids
 from repro.core.timing import TimingProfile, timing_profiles
 from repro.telescope.classify import CapturedPacket
 
 HYPERGIANT_COLUMNS = ("Cloudflare", "Facebook", "Google")
+#: Providers the paper's active probes found echoing the client's DCID.
+ECHO_DETECTED_ORIGINS = frozenset({"Google"})
 
 
 @dataclass
@@ -45,7 +47,7 @@ class DeploymentSummary:
 
 def summarize(
     backscatter: Sequence[CapturedPacket],
-    echo_detected_origins: frozenset[str] = frozenset({"Google"}),
+    echo_detected_origins: frozenset[str] = ECHO_DETECTED_ORIGINS,
 ) -> dict[str, DeploymentSummary]:
     """Build Table 1 from classified backscatter.
 
@@ -54,10 +56,25 @@ def summarize(
     their own SCIDs.  The paper establishes this with active probes
     (:func:`repro.active.prober.detect_echo_behaviour`); pass the result in.
     """
-    mix = packet_mix(backscatter)
-    timings = timing_profiles(backscatter)
-    scids = table4(backscatter)
+    return summarize_from(
+        packet_mix(backscatter),
+        timing_profiles(backscatter),
+        table4(backscatter),
+        echo_detected_origins,
+    )
 
+
+def summarize_from(
+    mix: PacketMix,
+    timings: dict[str, TimingProfile],
+    scids: dict[str, ScidStats],
+    echo_detected_origins: frozenset[str] = ECHO_DETECTED_ORIGINS,
+) -> dict[str, DeploymentSummary]:
+    """Table 1 from the backscatter analyses Tables 3, 4 and Fig. 3/4 print.
+
+    ``mix`` must count backscatter only: a scanner inside a hypergiant's
+    AS says nothing about how its servers coalesce.
+    """
     out: dict[str, DeploymentSummary] = {}
     for origin in HYPERGIANT_COLUMNS:
         stats = scids.get(origin)

@@ -35,7 +35,9 @@ class TimingProfile:
     @property
     def resend_range(self) -> tuple[int, int] | None:
         """Observed (min, max) resends among sessions that resent at all."""
-        observed = [n for n in self.resend_counts.elements() if n > 0]
+        observed = [
+            n for n, count in self.resend_counts.items() if n > 0 and count > 0
+        ]
         if not observed:
             return None
         return (min(observed), max(observed))
@@ -51,10 +53,13 @@ def flight_times(session: Session) -> list[float]:
     return times
 
 
+def _gaps(times: list[float]) -> list[float]:
+    return [b - a for a, b in zip(times, times[1:])]
+
+
 def session_gaps(session: Session) -> list[float]:
     """Gaps between consecutive flights of one session."""
-    times = flight_times(session)
-    return [b - a for a, b in zip(times, times[1:])]
+    return _gaps(flight_times(session))
 
 
 def estimate_rto(first_gaps: list[float]) -> float | None:
@@ -71,18 +76,20 @@ def estimate_rto(first_gaps: list[float]) -> float | None:
     return statistics.median(in_bin)
 
 
-def estimate_backoff(session: Session) -> float | None:
-    """Ratio between consecutive gaps (2.0 for exponential doubling)."""
-    gaps = session_gaps(session)
+def _backoff(gaps: list[float]) -> float | None:
     if len(gaps) < 2:
         return None
     ratios = [b / a for a, b in zip(gaps, gaps[1:]) if a > 0]
     return statistics.median(ratios) if ratios else None
 
 
-def timing_profiles(packets: Sequence[CapturedPacket]) -> dict[str, TimingProfile]:
-    """Per-origin timing profiles from classified backscatter."""
-    store = SessionStore.from_packets(packets)
+def estimate_backoff(session: Session) -> float | None:
+    """Ratio between consecutive gaps (2.0 for exponential doubling)."""
+    return _backoff(session_gaps(session))
+
+
+def profiles_of(store: SessionStore) -> dict[str, TimingProfile]:
+    """Per-origin timing profiles of already grouped backscatter sessions."""
     by_origin: dict[str, list[Session]] = defaultdict(list)
     for session in store.sessions():
         by_origin[session.origin].append(session)
@@ -93,13 +100,14 @@ def timing_profiles(packets: Sequence[CapturedPacket]) -> dict[str, TimingProfil
         backoffs: list[float] = []
         resend_counts: Counter = Counter()
         for session in sessions:
-            gaps = session_gaps(session)
+            times = flight_times(session)
+            gaps = _gaps(times)
             if gaps:
                 first_gaps.append(gaps[0])
-            backoff = estimate_backoff(session)
+            backoff = _backoff(gaps)
             if backoff is not None:
                 backoffs.append(backoff)
-            resend_counts[len(flight_times(session)) - 1] += 1
+            resend_counts[len(times) - 1] += 1
         profiles[origin] = TimingProfile(
             origin=origin,
             sessions=len(sessions),
@@ -108,6 +116,11 @@ def timing_profiles(packets: Sequence[CapturedPacket]) -> dict[str, TimingProfil
             resend_counts=resend_counts,
         )
     return profiles
+
+
+def timing_profiles(packets: Sequence[CapturedPacket]) -> dict[str, TimingProfile]:
+    """Per-origin timing profiles from classified backscatter."""
+    return profiles_of(SessionStore.from_packets(packets))
 
 
 def gap_histogram(

@@ -48,11 +48,15 @@ class VersionMix:
         self.keys: set[tuple] = set()
         self.counts: Counter = Counter()
 
-    def add(self, packet) -> None:
-        key = SessionStore.key_of(packet)
+    def add_values(self, key: tuple, version: int) -> None:
+        """Count the session ``key`` (``SessionStore.key_of``) on first sight,
+        under the version of the datagram's first packet."""
         if key not in self.keys:
             self.keys.add(key)
-            self.counts[table2_bucket(packet.packets[0].version)] += 1
+            self.counts[table2_bucket(version)] += 1
+
+    def add(self, packet) -> None:
+        self.add_values(SessionStore.key_of(packet), packet.packets[0].version)
 
     def shares(self) -> VersionShares:
         return VersionShares(counts=self.counts, total=len(self.keys))

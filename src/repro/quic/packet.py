@@ -44,14 +44,7 @@ class PacketType(enum.Enum):
 
     @property
     def label(self) -> str:
-        return {
-            PacketType.INITIAL: "Initial",
-            PacketType.ZERO_RTT: "0-RTT",
-            PacketType.HANDSHAKE: "Handshake",
-            PacketType.RETRY: "Retry",
-            PacketType.VERSION_NEGOTIATION: "VersionNegotiation",
-            PacketType.ONE_RTT: "1-RTT",
-        }[self]
+        return PACKET_LABELS[self._value_]
 
 
 class PacketParseError(ValueError):
@@ -61,6 +54,15 @@ class PacketParseError(ValueError):
 #: Indexed by :class:`PacketType` value; the first four are also the
 #: two long-packet-type bits of the first byte.
 _PACKET_TYPES = tuple(PacketType)
+#: Display label per :class:`PacketType` value (same indexing).
+PACKET_LABELS = (
+    "Initial",
+    "0-RTT",
+    "Handshake",
+    "Retry",
+    "VersionNegotiation",
+    "1-RTT",
+)
 #: First byte, version, DCID length: the fixed start of every long header.
 _FIXED_PREFIX = struct.Struct("!BIB")
 #: Where the DCID starts, counted from a long header's first byte.

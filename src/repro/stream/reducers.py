@@ -3,7 +3,8 @@
 :class:`StreamAnalyses` holds one ``repro.core`` accumulator per table —
 the same objects the batch functions fold a whole capture into — and
 feeds each newly appended :class:`~repro.capstore.CaptureTable` row to
-all of them as a ``row_view``:
+all of them as the plain values ``CaptureTable.datagrams`` cuts from the
+columns:
 
 * :class:`~repro.core.versions.VersionMix` per side (Table 2),
 * :class:`~repro.core.packet_mix.PacketMix` (Table 3),
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional, Tuple
 
-from repro.capstore.table import CaptureTable
+from repro.capstore.table import KLASS_VALUES, CaptureTable, datagram_values
 from repro.core.offnet import OffnetServers
 from repro.core.packet_mix import PacketMix
 from repro.core.scid_entropy import (
@@ -34,7 +35,9 @@ from repro.core.scid_entropy import (
 )
 from repro.core.scid_stats import ScidTable
 from repro.core.versions import TABLE2_ROWS, VersionMix
-from repro.telescope.classify import PacketClass
+
+#: ``rows`` key per klass code.
+_KLASS_NAMES = tuple(klass.value for klass in KLASS_VALUES)
 
 
 class StreamAnalyses:
@@ -68,26 +71,43 @@ class StreamAnalyses:
         Rows must be fed exactly once and in table order (the follower's
         append-only cursor guarantees both).
         """
-        for row in range(start, end):
-            self.add(table.row_view(row))
+        self._absorb(table.datagrams(start, end))
         return end - start
 
     def add(self, packet) -> None:
         """Absorb one ``CapturedPacket``-shaped datagram."""
-        stamp = packet.timestamp
-        if self.ts_min is None or stamp < self.ts_min:
-            self.ts_min = stamp
-        if self.ts_max is None or stamp > self.ts_max:
-            self.ts_max = stamp
-        backscatter = packet.klass is PacketClass.BACKSCATTER
-        self.rows[packet.klass.value] += 1
-        self.rows_by_origin[packet.origin] += 1
-        self.rows_fed += 1
-        self._versions[0 if backscatter else 1].add(packet)
-        self._mix.add(packet)
-        if backscatter:  # SCID/off-net features come from backscatter only
-            self._scid_table.add(packet)
-            self._offnet.add(packet)
+        self._absorb((datagram_values(packet),))
+
+    def _absorb(self, datagrams) -> None:
+        """Count each datagram, given as its ``DATAGRAM_FIELDS`` values."""
+        for (
+            timestamp,
+            src_ip,
+            dst_ip,
+            klass,
+            origin,
+            payload_length,
+            types,
+            versions,
+            dcids,
+            scids,
+            _lengths,
+        ) in datagrams:
+            if self.ts_min is None or timestamp < self.ts_min:
+                self.ts_min = timestamp
+            if self.ts_max is None or timestamp > self.ts_max:
+                self.ts_max = timestamp
+            self.rows[_KLASS_NAMES[klass]] += 1
+            self.rows_by_origin[origin] += 1
+            self.rows_fed += 1
+            self._versions[klass].add_values(
+                (src_ip, dst_ip, scids[0], dcids[0]),  # SessionStore.key_of
+                versions[0],
+            )
+            self._mix.add_values(origin, types)
+            if not klass:  # SCID/off-net features come from backscatter only
+                self._scid_table.add_values(origin, types, scids)
+                self._offnet.add_values(origin, src_ip, types, scids, payload_length)
 
     # -- reading ---------------------------------------------------------
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from repro.inetdata.asdb import AsDatabase
@@ -53,6 +54,16 @@ class CapturedPacket:
     def remote_ip(self) -> int:
         """The non-telescope endpoint (source for backscatter and scans)."""
         return self.src_ip
+
+
+def type_codes(packet) -> bytes:
+    """The packet type of each coalesced packet, one code byte apiece.
+
+    The plain-value spelling of ``[p.packet_type for p in packet.packets]``
+    that the analyses count by: hashable, and what the ``pkt_type`` column
+    of a :class:`~repro.capstore.CaptureTable` already holds.
+    """
+    return bytes(p.packet_type.value for p in packet.packets)
 
 
 @dataclass
@@ -94,6 +105,17 @@ class ClassifiedCapture:
 
     def __len__(self) -> int:
         return len(self.backscatter) + len(self.scans)
+
+    def datagrams(self):
+        """Every kept datagram as plain values, backscatter first.
+
+        The row shape the analyses fold over; see
+        :data:`repro.capstore.table.DATAGRAM_FIELDS`.
+        """
+        # capstore sits above this module (its table stores these classes).
+        from repro.capstore.table import datagram_values
+
+        return map(datagram_values, chain(self.backscatter, self.scans))
 
 
 #: Drop reasons in pipeline order.  Each name doubles as the matching

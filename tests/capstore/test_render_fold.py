@@ -1,0 +1,138 @@
+"""One fold per render: tables compose, share nothing they should not,
+and are read from the columns without an object per row."""
+
+from itertools import combinations
+
+import pytest
+
+from repro.capstore import (
+    CapturedRowView,
+    CaptureTable,
+    ClassifiedView,
+    load_or_build,
+)
+from repro.core.render import VALID_TABLES, render_analysis
+from repro.quic.packet import PacketType, ParsedLongHeader
+from repro.quic.version import QUIC_V1
+from repro.stream.reducers import StreamAnalyses
+from repro.telescope.classify import CapturedPacket, ClassifiedCapture, PacketClass
+
+ALL_TABLES = set(VALID_TABLES)
+
+
+@pytest.fixture(scope="module")
+def columnar(month_pcap):
+    view, _hit = load_or_build(month_pcap, use_cache=False)
+    return view
+
+
+class TestComposition:
+    """Sharing accumulators between selectors must not be observable."""
+
+    @pytest.fixture(scope="class")
+    def single(self, columnar):
+        return {name: render_analysis(columnar, {name}) for name in VALID_TABLES}
+
+    def test_every_selector_renders_something(self, single):
+        assert all(single.values())
+
+    @pytest.mark.parametrize("size", range(2, len(VALID_TABLES) + 1))
+    def test_a_subset_is_its_selectors_joined_in_order(self, columnar, single, size):
+        for subset in combinations(VALID_TABLES, size):
+            assert render_analysis(columnar, set(subset)) == "\n".join(
+                single[name] for name in subset
+            ), subset
+
+
+def _header(kind, scid=b"\x11" * 8):
+    return ParsedLongHeader(
+        packet_type=kind,
+        version=QUIC_V1.value,
+        dcid=b"\x22" * 8,
+        scid=scid,
+        token=b"",
+        pn_offset=26,
+        packet_length=600,
+        payload_length=570,
+    )
+
+
+def _datagram(index, klass, kinds):
+    return CapturedPacket(
+        timestamp=1000.0 + index,
+        src_ip=0x8EFA0000 + index,
+        dst_ip=0x2C000001,
+        src_port=443 if klass is PacketClass.BACKSCATTER else 50000,
+        dst_port=50000 if klass is PacketClass.BACKSCATTER else 443,
+        udp_payload_length=600 * len(kinds),
+        packets=[_header(kind) for kind in kinds],
+        klass=klass,
+        origin="Google",
+    )
+
+
+class TestScansStayOutOfTable1:
+    """Table 1's coalescence mark reads backscatter alone; Table 3 counts
+    backscatter + scans.  A scanner inside Google's AS that coalesces
+    Initial & Handshake must show in Table 3 and not flip Table 1."""
+
+    @pytest.fixture(scope="class")
+    def capture(self):
+        coalesced = (PacketType.INITIAL, PacketType.HANDSHAKE)
+        return ClassifiedCapture(
+            backscatter=[
+                _datagram(i, PacketClass.BACKSCATTER, (PacketType.INITIAL,))
+                for i in range(10)
+            ],
+            scans=[_datagram(100 + i, PacketClass.SCAN, coalesced) for i in range(10)],
+        )
+
+    @staticmethod
+    def _cell(render, row, column=-1):
+        (line,) = [l for l in render.splitlines() if l.startswith(row)]
+        return line.split()[column]
+
+    @pytest.mark.parametrize(
+        "wanted", [{"1"}, {"1", "3"}, ALL_TABLES], ids=["1", "1+3", "all"]
+    )
+    def test_table1_ignores_the_scan(self, capture, wanted):
+        assert self._cell(render_analysis(capture, wanted), "Coalescence") == "no"
+
+    def test_table3_counts_it(self, capture):
+        render = render_analysis(capture, {"1", "3"})
+        assert self._cell(render, "Coalesced Initial & Handshake", -2) == "50.00"
+
+    def test_the_mark_flips_once_the_backscatter_coalesces(self, capture):
+        coalesced = (PacketType.INITIAL, PacketType.HANDSHAKE)
+        capture = ClassifiedCapture(
+            backscatter=capture.backscatter
+            + [_datagram(200, PacketClass.BACKSCATTER, coalesced)],
+            scans=capture.scans,
+        )
+        assert self._cell(render_analysis(capture, {"1"}), "Coalescence") == "yes"
+
+
+class TestNothingMaterialised:
+    """``analyze`` and ``live`` read plain values cut from the columns:
+    no row view, no ``ParsedLongHeader`` list, no ``CapturedPacket``."""
+
+    @pytest.fixture
+    def no_objects(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a row was materialised")
+
+        monkeypatch.setattr(CaptureTable, "packets_of", refuse)
+        monkeypatch.setattr(CaptureTable, "materialize", refuse)
+        monkeypatch.setattr(CapturedRowView, "__init__", refuse)
+
+    def test_render_analysis_builds_no_row_object(self, columnar, no_objects):
+        # A view of its own: nothing another test split or cached.
+        view = ClassifiedView(columnar.table, columnar.stats)
+        assert render_analysis(view, ALL_TABLES).startswith("Table 1")
+
+    def test_stream_feed_builds_no_row_object(self, columnar, no_objects):
+        analyses = StreamAnalyses()
+        rows = columnar.table.num_rows
+        assert analyses.feed(columnar.table, 0, rows // 2) == rows // 2
+        analyses.feed(columnar.table, rows // 2, rows)
+        assert analyses.rows_fed == rows

@@ -169,7 +169,13 @@ class TestOutsideInTracerStillSeesTheHandlers:
         assert ana["cli.render"] == 1
         assert ana["capstore.cache"] == 1
         assert ana["capstore.format.load"] == 1
-        assert ana["core.summary"] == 1 and ana["core.timing"] >= 1
+        # The render is one fold over the columns: the batch entry points
+        # and the row materialisers still resolve (``missing == []`` above)
+        # but are no longer on the path of ``analyze``.
+        off_path = [name for name in ana if name.startswith("core.")]
+        assert len(off_path) == 7
+        for name in off_path + ["capstore.table.materialize"]:
+            assert ana[name] == 0, name
 
 
 def _leaf_parsers(parser, path=()):
