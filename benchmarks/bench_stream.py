@@ -103,14 +103,15 @@ def _reducers_match_batch(analyses, view):
     """Do the online reducers agree with the batch analyses of ``view``?"""
     shares = table2(view)
     features = extract_features(view.backscatter)
-    servers, low = analyses.offnet_counts()
+    snap = analyses.snapshot()
     return (
-        analyses.rows["backscatter"] == len(view.backscatter)
-        and analyses.rows["scan"] == len(view.scans)
-        and analyses.session_buckets[1] == shares["clients"].counts
-        and analyses.session_buckets[0] == shares["servers"].counts
-        and servers == len(features)
-        and low == sum(1 for f in features.values() if f.low_host_id())
+        snap["rows"].get("backscatter", 0) == len(view.backscatter)
+        and snap["rows"].get("scan", 0) == len(view.scans)
+        and snap["sessions"]["clients"]["buckets"] == shares["clients"].counts
+        and snap["sessions"]["servers"]["buckets"] == shares["servers"].counts
+        and snap["offnet"]["servers"] == len(features)
+        and snap["offnet"]["low_host_id"]
+        == sum(1 for f in features.values() if f.low_host_id())
     )
 
 

@@ -40,15 +40,10 @@ from repro.capstore.format import (
     load_index,
     read_header,
 )
-from repro.capstore.table import (
-    CapturedRowView,
-    CaptureTable,
-    ClassifiedView,
-)
+from repro.capstore.table import CaptureTable, ClassifiedView
 
 __all__ = [
     "CaptureTable",
-    "CapturedRowView",
     "ClassifiedView",
     "build_capture_table",
     "build_from_records",

@@ -20,7 +20,7 @@ A kept record becomes one row of a :class:`CaptureTable`, its long
 headers that row's packet entries, copied field by field from the
 offsets the scanners returned.  No record, datagram, header or packet
 object exists in between; callers that want one ask the table
-(:meth:`CaptureTable.materialize`, :class:`CapturedRowView`).
+(:meth:`CaptureTable.materialize`).
 """
 
 from __future__ import annotations

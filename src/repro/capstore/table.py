@@ -12,10 +12,10 @@ concatenate across row groups built by parallel workers.
 Rows are written by :func:`repro.capstore.dissect.record_verdict`, straight
 from record bytes, and read back two ways.  The analyses fold over
 :meth:`CaptureTable.datagrams`, which cuts the columns into one tuple of
-plain values per row and builds no object; a caller that asks for
-objects gets :class:`CapturedRowView`, which lazily re-materializes
-:class:`~repro.telescope.classify.CapturedPacket`-shaped rows (real
-:class:`~repro.quic.packet.ParsedLongHeader` instances included).
+plain values per row and builds no object; a test, bench or example
+that asks for objects gets real
+:class:`~repro.telescope.classify.CapturedPacket` instances from
+:meth:`CaptureTable.materialize`.  There is no shape in between.
 """
 
 from __future__ import annotations
@@ -266,9 +266,6 @@ class CaptureTable:
             )
         return out
 
-    def row_view(self, row: int) -> "CapturedRowView":
-        return CapturedRowView(self, row)
-
     def materialize(self, row: int) -> CapturedPacket:
         """Build a real :class:`CapturedPacket` for one row."""
         return CapturedPacket(
@@ -296,87 +293,13 @@ class CaptureTable:
     __hash__ = None  # mutable container
 
 
-class CapturedRowView:
-    """A ``CapturedPacket``-shaped window onto one table row.
-
-    Attribute-compatible with :class:`CapturedPacket` (including the
-    ``coalesced`` / ``remote_ip`` properties), so analyses accept views
-    and materialized packets interchangeably.  Parsed packet headers are
-    materialized on first access and cached — session grouping touches
-    ``packets`` repeatedly for the same row.
-    """
-
-    __slots__ = ("_table", "_row", "_packets")
-
-    def __init__(self, table: CaptureTable, row: int) -> None:
-        self._table = table
-        self._row = row
-        self._packets: Optional[List[ParsedLongHeader]] = None
-
-    @property
-    def timestamp(self) -> float:
-        return self._table.ts[self._row]
-
-    @property
-    def src_ip(self) -> int:
-        return self._table.src_ip[self._row]
-
-    @property
-    def dst_ip(self) -> int:
-        return self._table.dst_ip[self._row]
-
-    @property
-    def src_port(self) -> int:
-        return self._table.src_port[self._row]
-
-    @property
-    def dst_port(self) -> int:
-        return self._table.dst_port[self._row]
-
-    @property
-    def udp_payload_length(self) -> int:
-        return self._table.payload_len[self._row]
-
-    @property
-    def packets(self) -> List[ParsedLongHeader]:
-        if self._packets is None:
-            self._packets = self._table.packets_of(self._row)
-        return self._packets
-
-    @property
-    def klass(self) -> PacketClass:
-        return KLASS_VALUES[self._table.klass[self._row]]
-
-    @property
-    def origin(self) -> str:
-        return self._table.origins[self._table.origin_id[self._row]]
-
-    @property
-    def coalesced(self) -> bool:
-        return self._table.pkt_start[self._row + 1] - self._table.pkt_start[self._row] > 1
-
-    @property
-    def remote_ip(self) -> int:
-        return self.src_ip
-
-    def to_packet(self) -> CapturedPacket:
-        return self._table.materialize(self._row)
-
-    def __repr__(self) -> str:
-        return "CapturedRowView(row=%d, klass=%s, origin=%s)" % (
-            self._row,
-            self.klass.value,
-            self.origin,
-        )
-
-
 class ClassifiedView:
     """:class:`ClassifiedCapture`-compatible facade over a CaptureTable.
 
     Exposes ``backscatter`` / ``scans`` / ``stats`` / ``__len__`` /
     ``datagrams()`` exactly like the object pipeline's output.  The
     analyses read ``datagrams()``, which builds no object; the split
-    lists wrap rows in :class:`CapturedRowView` and are built only when
+    lists are those of :meth:`to_classified_capture`, materialized when
     a caller first asks for them.  ``indexed_bytes``, when the table was
     built from a pcap, is how far into that file it covers (one past the
     last complete record).
@@ -391,31 +314,23 @@ class ClassifiedView:
         self.table = table
         self.stats = stats
         self.indexed_bytes = indexed_bytes
-        self._backscatter: Optional[List[CapturedRowView]] = None
-        self._scans: Optional[List[CapturedRowView]] = None
+        self._capture: Optional[ClassifiedCapture] = None
 
     def _split(self) -> None:
-        backscatter: List[CapturedRowView] = []
-        scans: List[CapturedRowView] = []
-        klass = self.table.klass
-        for row in range(self.table.num_rows):
-            (backscatter if klass[row] == 0 else scans).append(
-                CapturedRowView(self.table, row)
-            )
-        self._backscatter = backscatter
-        self._scans = scans
+        capture = ClassifiedCapture(stats=self.stats)
+        sides = (capture.backscatter, capture.scans)  # by KLASS_CODES
+        materialize = self.table.materialize
+        for row, klass in enumerate(self.table.klass):
+            sides[klass].append(materialize(row))
+        self._capture = capture
 
     @property
-    def backscatter(self) -> List[CapturedRowView]:
-        if self._backscatter is None:
-            self._split()
-        return self._backscatter
+    def backscatter(self) -> List[CapturedPacket]:
+        return self.to_classified_capture().backscatter
 
     @property
-    def scans(self) -> List[CapturedRowView]:
-        if self._scans is None:
-            self._split()
-        return self._scans
+    def scans(self) -> List[CapturedPacket]:
+        return self.to_classified_capture().scans
 
     def __len__(self) -> int:
         return self.table.num_rows
@@ -425,13 +340,7 @@ class ClassifiedView:
         return self.table.datagrams()
 
     def to_classified_capture(self) -> ClassifiedCapture:
-        """Fully materialize into the legacy object representation."""
-        out = ClassifiedCapture(stats=self.stats)
-        for row in range(self.table.num_rows):
-            packet = self.table.materialize(row)
-            (
-                out.backscatter
-                if packet.klass is PacketClass.BACKSCATTER
-                else out.scans
-            ).append(packet)
-        return out
+        """The legacy object representation, every row materialized (once)."""
+        if self._capture is None:
+            self._split()
+        return self._capture

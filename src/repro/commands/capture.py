@@ -71,20 +71,23 @@ def load_shard_capture(paths: list[str], obs: Observability) -> ClassifiedView:
         return ClassifiedView(*build_from_shards(paths, obs=obs))
 
 
-def validate_tables(tables) -> set:
+def validate_tables(args: argparse.Namespace) -> set:
     """Resolve ``--tables`` before anything touches the pcap.
 
     Unknown names abort with the list of valid selectors — previously
     they were silently intersected away, so a typo like ``--tables rt0``
-    cost a full dissection pass just to print nothing.
+    cost a full dissection pass just to print nothing.  The error names
+    the command that ran (``analyze`` or ``live``).
     """
+    tables = args.tables
     if not tables:
         return {"1", "2", "3", "4"}
     unknown = sorted(set(tables) - set(VALID_TABLES))
     if unknown:
         raise SystemExit(
-            "repro analyze: unknown table name%s %s (valid names: %s)"
+            "%s: unknown table name%s %s (valid names: %s)"
             % (
+                args.prog,
                 "s" if len(unknown) > 1 else "",
                 ", ".join(unknown),
                 ", ".join(VALID_TABLES),
@@ -139,7 +142,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    wanted = validate_tables(args.tables)
+    wanted = validate_tables(args)
     obs = make_obs(args)
     try:
         if len(args.pcap) > 1:

@@ -29,7 +29,7 @@ def cmd_live(args: argparse.Namespace) -> int:
     prints, because the table is the same; for a shard set a fresh
     ``build_from_shards`` pass reproduces the merged-order table first.
     """
-    wanted = validate_tables(args.tables)
+    wanted = validate_tables(args)
     obs = make_obs(args, force_metrics=True)
     followers = [
         PcapFollower(path, obs=obs, use_cache=not args.no_cache)

@@ -53,11 +53,6 @@ def category_of(types: bytes) -> str:
     return _SINGLE_CATEGORY[types[0]]
 
 
-def datagram_category(packet: CapturedPacket) -> str:
-    """The Table 3 row a captured datagram falls into."""
-    return category_of(type_codes(packet))
-
-
 @dataclass
 class PacketMix:
     """Per-origin datagram category shares."""

@@ -30,6 +30,12 @@ class CaptureFold:
     many selectors share an accumulator.  :meth:`feed` may be called
     again as a capture grows: the state after any prefix, in any
     batching, is the state of one pass over that prefix.
+
+    :func:`render_analysis` formats the accumulators,
+    :class:`~repro.stream.reducers.StreamAnalyses` snapshots them while a
+    capture grows and :func:`~repro.sweep.metrics.evaluate_metrics` reads
+    single numbers off them; the latter two also ask for ``"offnet"``, a
+    selector that is not a ``--tables`` name because no table prints it.
     """
 
     def __init__(self, wanted: set) -> None:
@@ -42,6 +48,14 @@ class CaptureFold:
         self.scids = ScidTable() if wanted & {"1", "4"} else None
         self.sessions = SessionStore() if wanted & {"1", "rto"} else None
         self.signatures = LengthSignatures() if "lengths" in wanted else None
+        #: Table 6's per-datagram features, backscatter outside the hypergiants.
+        self.offnet = None
+        if "offnet" in wanted:
+            # On demand: the module scores against certificates and loads
+            # ``repro.tls`` for them, which no ``--tables`` selector needs.
+            from repro.core.offnet import OffnetServers
+
+            self.offnet = OffnetServers()
 
     def feed(self, datagrams) -> None:
         """Hand each datagram (a ``DATAGRAM_FIELDS`` tuple) to each
@@ -49,6 +63,7 @@ class CaptureFold:
         clients, servers = self.clients, self.servers
         mix, scan_mix = self.mix, self.scan_mix
         scid_table, sessions, signatures = self.scids, self.sessions, self.signatures
+        offnet = self.offnet
         keyed = servers is not None or sessions is not None
         key = None
         for (
@@ -84,6 +99,8 @@ class CaptureFold:
                 )
             if signatures is not None:
                 signatures.add_values(origin, types, lengths)
+            if offnet is not None:
+                offnet.add_values(origin, src_ip, types, scids, payload_length)
 
 
 def render_analysis(capture, wanted: set) -> str:

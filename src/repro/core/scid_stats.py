@@ -37,10 +37,6 @@ class ScidStats:
         for scid in unique_scids:
             self.add(scid)
 
-    #: Short alias, the name :class:`~repro.core.offnet.ServerFeatures`
-    #: gives its set and ``StreamAnalyses.scids[origin]`` readers expect.
-    scids = property(lambda self: self.unique_scids)
-
     def add(self, scid: bytes) -> bool:
         """Absorb one SCID; returns True when it was new."""
         if scid in self.unique_scids:

@@ -122,11 +122,7 @@ class SessionStore:
 
     @classmethod
     def from_packets(cls, packets: Iterable[CapturedPacket]) -> "SessionStore":
-        """Group packets into sessions.
-
-        Accepts any iterable of CapturedPacket-shaped rows, including
-        :class:`repro.capstore.CapturedRowView` adapters.
-        """
+        """Group packets into sessions (the batch form of :meth:`add`)."""
         store = cls()
         for packet in packets:
             store.add(packet)

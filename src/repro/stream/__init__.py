@@ -6,12 +6,13 @@ the "finished" assumption with two pieces and no analysis code of its
 own.  ``live`` is a *follower*: it polls a growing capture, dissects
 only newly completed records, and appends into the same columnar
 :class:`~repro.capstore.CaptureTable` a batch pass would build.
-``reducers`` is a *composition*: :class:`StreamAnalyses` holds the
-``repro.core`` accumulators (version mix, packet mix, SCID structure,
-off-net servers) — the very objects the batch functions fold a whole
-capture into — feeds them each appended row, and publishes their state
-into a :class:`~repro.obs.MetricsRegistry` so ``--prom-file`` /
-``--prom-port`` export it while the run is still in flight.  ``tail``
+``reducers`` is a *reader*: :class:`StreamAnalyses` hands each appended
+row range to the :class:`~repro.core.render.CaptureFold` that ``repro
+analyze`` renders from (version mix, packet mix, SCID structure, off-net
+servers — the very accumulators the batch functions fold a whole capture
+into), counts rows and the capture span off the columns, and publishes
+the state into a :class:`~repro.obs.MetricsRegistry` so ``--prom-file``
+/ ``--prom-port`` export it while the run is still in flight.  ``tail``
 holds the generic follow-a-file primitives (JSONL traces, snapshot
 files).
 

@@ -1,20 +1,16 @@
 """The paper's headline numbers, kept up to date while a capture grows.
 
-:class:`StreamAnalyses` holds one ``repro.core`` accumulator per table —
-the same objects the batch functions fold a whole capture into — and
-feeds each newly appended :class:`~repro.capstore.CaptureTable` row to
-all of them as the plain values ``CaptureTable.datagrams`` cuts from the
-columns:
-
-* :class:`~repro.core.versions.VersionMix` per side (Table 2),
-* :class:`~repro.core.packet_mix.PacketMix` (Table 3),
-* :class:`~repro.core.scid_stats.ScidTable` (Table 4 / Figure 5),
-* :class:`~repro.core.offnet.OffnetServers` (Table 6),
-
-plus per-class / per-origin row counts over the observed capture span,
-which have no batch form.  Because the batch functions *are* the fold
-over these accumulators, the state after any prefix, fed in any
-batching, equals the batch result over that prefix
+:class:`StreamAnalyses` is one reader of
+:class:`~repro.core.render.CaptureFold` — the loop that hands each row
+to each ``repro.core`` accumulator, the same one ``repro analyze``
+renders from — over the selectors the dashboard shows: Table 2's version
+mix per side, Table 3's packet mix, Table 4 / Figure 5's SCIDs and
+Table 6's off-net servers.  It feeds the fold each newly appended
+:class:`~repro.capstore.CaptureTable` range and adds the only thing with
+no batch form, per-class / per-origin row counts over the observed
+capture span, counted off the row columns.  Because the batch functions
+*are* folds over these accumulators, the state after any prefix, fed in
+any batching, equals the batch result over that prefix
 (``tests/stream/test_reducers.py``).  :meth:`StreamAnalyses.publish`
 mirrors the state into ``stream.*`` gauges so ``--prom-file`` /
 ``--prom-port`` export the live numbers.
@@ -23,43 +19,26 @@ mirrors the state into ``stream.*`` gauges so ``--prom-file`` /
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.capstore.table import KLASS_VALUES, CaptureTable, datagram_values
-from repro.core.offnet import OffnetServers
-from repro.core.packet_mix import PacketMix
-from repro.core.scid_entropy import (
-    NybbleMatrix,
-    chi_square_uniformity,
-    is_structured,
-)
-from repro.core.scid_stats import ScidTable
-from repro.core.versions import TABLE2_ROWS, VersionMix
+from repro.capstore.table import KLASS_VALUES, CaptureTable
+from repro.core.render import CaptureFold
+from repro.core.scid_entropy import chi_square_uniformity, is_structured
+from repro.core.versions import TABLE2_ROWS
 
-#: ``rows`` key per klass code.
-_KLASS_NAMES = tuple(klass.value for klass in KLASS_VALUES)
+#: What the dashboard shows, as :class:`CaptureFold` selectors.
+DASHBOARD_SELECTORS = frozenset({"2", "3", "4", "offnet"})
 
 
 class StreamAnalyses:
-    """The core accumulators side by side; feed row batches, read anytime."""
+    """A :class:`CaptureFold` plus span counters; feed row ranges, read anytime."""
 
     def __init__(self) -> None:
+        self.fold = CaptureFold(DASHBOARD_SELECTORS)
         #: Rows per packet class ("backscatter" / "scan").
         self.rows: Counter = Counter()
         self.rows_by_origin: Counter = Counter()
         self.rows_fed = 0
-        # Indexed by klass code: 0 = backscatter (servers side),
-        # 1 = scan (clients side).
-        self._versions = (VersionMix(), VersionMix())
-        self._session_keys = tuple(mix.keys for mix in self._versions)
-        self.session_buckets = tuple(mix.counts for mix in self._versions)
-        self._mix = PacketMix()
-        #: origin → Counter(datagram category), VN excluded (Table 3).
-        self.packet_mix = self._mix.counts
-        self._scid_table = ScidTable()
-        #: origin → ScidStats (backscatter SCIDs, Table 4).
-        self.scids = self._scid_table.stats
-        self._offnet = OffnetServers()
         self.ts_min: Optional[float] = None
         self.ts_max: Optional[float] = None
 
@@ -71,55 +50,21 @@ class StreamAnalyses:
         Rows must be fed exactly once and in table order (the follower's
         append-only cursor guarantees both).
         """
-        self._absorb(table.datagrams(start, end))
+        if end <= start:
+            return 0
+        self.fold.feed(table.datagrams(start, end))
+        for code, count in Counter(table.klass[start:end]).items():
+            self.rows[KLASS_VALUES[code].value] += count
+        for origin_id, count in Counter(table.origin_id[start:end]).items():
+            self.rows_by_origin[table.origins[origin_id]] += count
+        self.rows_fed += end - start
+        stamps = table.ts[start:end]
+        low, high = min(stamps), max(stamps)
+        self.ts_min = low if self.ts_min is None else min(low, self.ts_min)
+        self.ts_max = high if self.ts_max is None else max(high, self.ts_max)
         return end - start
 
-    def add(self, packet) -> None:
-        """Absorb one ``CapturedPacket``-shaped datagram."""
-        self._absorb((datagram_values(packet),))
-
-    def _absorb(self, datagrams) -> None:
-        """Count each datagram, given as its ``DATAGRAM_FIELDS`` values."""
-        for (
-            timestamp,
-            src_ip,
-            dst_ip,
-            klass,
-            origin,
-            payload_length,
-            types,
-            versions,
-            dcids,
-            scids,
-            _lengths,
-        ) in datagrams:
-            if self.ts_min is None or timestamp < self.ts_min:
-                self.ts_min = timestamp
-            if self.ts_max is None or timestamp > self.ts_max:
-                self.ts_max = timestamp
-            self.rows[_KLASS_NAMES[klass]] += 1
-            self.rows_by_origin[origin] += 1
-            self.rows_fed += 1
-            self._versions[klass].add_values(
-                (src_ip, dst_ip, scids[0], dcids[0]),  # SessionStore.key_of
-                versions[0],
-            )
-            self._mix.add_values(origin, types)
-            if not klass:  # SCID/off-net features come from backscatter only
-                self._scid_table.add_values(origin, types, scids)
-                self._offnet.add_values(origin, src_ip, types, scids, payload_length)
-
     # -- reading ---------------------------------------------------------
-
-    def matrix(self, origin: str) -> NybbleMatrix:
-        stats = self.scids.get(origin)
-        if stats is None:
-            return NybbleMatrix(freq=[], sample_size=0)
-        return stats.matrix()
-
-    def offnet_counts(self) -> Tuple[int, int]:
-        """(candidate servers, servers passing the low-host-ID test)."""
-        return self._offnet.counts()
 
     @property
     def span_seconds(self) -> float:
@@ -129,15 +74,13 @@ class StreamAnalyses:
 
     def snapshot(self) -> dict:
         """Plain-data view of every reducer (dashboard and test surface)."""
+        fold = self.fold
         span = self.span_seconds
         sessions = {}
-        for code, side in ((1, "clients"), (0, "servers")):
-            sessions[side] = {
-                "total": len(self._session_keys[code]),
-                "buckets": dict(self.session_buckets[code]),
-            }
+        for side, mix in (("clients", fold.clients), ("servers", fold.servers)):
+            sessions[side] = {"total": len(mix.keys), "buckets": dict(mix.counts)}
         scids = {}
-        for origin, accumulator in self.scids.items():
+        for origin, accumulator in fold.scids.stats.items():
             matrix = accumulator.matrix()
             scids[origin] = {
                 "unique": accumulator.unique_count,
@@ -146,13 +89,14 @@ class StreamAnalyses:
                 "structured": is_structured(matrix),
                 "max_chi2": max(chi_square_uniformity(matrix), default=0.0),
             }
-        servers, low = self.offnet_counts()
+        servers, low = fold.offnet.counts()
         return {
             "rows": dict(self.rows),
             "rows_fed": self.rows_fed,
             "sessions": sessions,
-            "packet_mix": {
-                origin: dict(counter) for origin, counter in self.packet_mix.items()
+            "packet_mix": {  # Table 3 counts backscatter + scans
+                origin: dict(counter)
+                for origin, counter in (fold.mix + fold.scan_mix).counts.items()
             },
             "scids": scids,
             "offnet": {"servers": servers, "low_host_id": low},

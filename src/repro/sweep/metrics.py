@@ -4,8 +4,11 @@ A sweep spec names the metrics to record per grid cell.  Three sources
 feed them:
 
 * the classified capture itself (row counts, removal share);
-* the ``repro.core`` analyses over the capture (version shares, packet
-  mixes, SCID uniqueness, off-net counts);
+* the ``repro.core`` accumulators (version shares, packet mixes, SCID
+  uniqueness, off-net counts), filled by one
+  :class:`~repro.core.render.CaptureFold` pass over the capture's rows —
+  the loop ``repro analyze`` renders from, asked only for what the
+  spec's names read;
 * the *simulation-time* metrics registry snapshot, persisted per cell as
   ``sim_metrics.json`` so a cache-warm re-run can evaluate registry
   metrics without re-simulating.
@@ -44,11 +47,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.core.offnet import extract_features
-from repro.core.packet_mix import TABLE3_ROWS, packet_mix
-from repro.core.render import ORIGINS
-from repro.core.scid_stats import table4
-from repro.core.versions import TABLE2_ROWS, table2
+from repro.core.packet_mix import TABLE3_ROWS
+from repro.core.render import ORIGINS, CaptureFold
+from repro.core.versions import TABLE2_ROWS
 
 SIDES = ("clients", "servers")
 
@@ -71,6 +72,15 @@ _FIXED = {
 
 #: Registry-snapshot prefixes: the name after the colon is free-form.
 _REGISTRY_PREFIXES = ("counter:", "gauge:", "timer:")
+
+#: First component of an analysis metric → the :class:`CaptureFold`
+#: selector whose accumulators it is read from.
+_SELECTORS = {
+    "version_share": "2",
+    "packet_share": "3",
+    "scid_unique": "4",
+    "offnet": "offnet",
+}
 
 
 def validate_metric(name: str) -> None:
@@ -135,16 +145,17 @@ def evaluate_metrics(
     ``view`` is the cell's classified capture (a
     :class:`~repro.capstore.table.ClassifiedView`); ``sim_snapshot`` the
     simulation-time registry snapshot (``{}`` when the cell ran without
-    metrics).  Expensive analyses run at most once per cell, lazily —
-    a spec recording only row counts never touches the dissected packets.
+    metrics).  The capture's rows are read at most once per cell, into
+    the accumulators the requested names need — a spec recording only
+    row counts never touches the dissected packets.
     """
-    cache: dict = {}
-
-    def analysis(key, thunk):
-        if key not in cache:
-            cache[key] = thunk()
-        return cache[key]
-
+    metrics = list(metrics)
+    wanted = {_SELECTORS.get(name.partition(".")[0]) for name in metrics} - {None}
+    fold = CaptureFold(wanted)
+    if wanted:
+        fold.feed(view.datagrams())
+    sides = {"clients": fold.clients, "servers": fold.servers}
+    mix = fold.mix + fold.scan_mix if "3" in wanted else None  # Table 3: both
     out: Dict[str, float] = {}
     for name in metrics:
         if name == "rows.total":
@@ -161,24 +172,18 @@ def evaluate_metrics(
             value = _from_snapshot(name, sim_snapshot)
         elif name.startswith("version_share."):
             _, side, bucket = name.split(".", 2)
-            value = float(analysis("table2", lambda: table2(view))[side].share(bucket))
+            value = float(sides[side].shares().share(bucket))
         elif name.startswith("packet_share."):
             _, origin, category = name.split(".", 2)
-            mix = analysis(
-                "packet_mix", lambda: packet_mix(view.backscatter + view.scans)
-            )
             value = float(mix.share(origin, category))
         elif name.startswith("scid_unique."):
             _, origin = name.split(".", 1)
-            stats = analysis("table4", lambda: table4(view.backscatter))
+            stats = fold.scids.stats
             value = float(stats[origin].unique_count) if origin in stats else 0.0
         elif name == "offnet.servers":
-            value = float(
-                len(analysis("offnet", lambda: extract_features(view.backscatter)))
-            )
+            value = float(len(fold.offnet.features))
         elif name == "offnet.low_host_id":
-            features = analysis("offnet", lambda: extract_features(view.backscatter))
-            value = float(sum(1 for f in features.values() if f.low_host_id()))
+            value = float(fold.offnet.counts()[1])
         else:  # pragma: no cover - validate_metric guards the spec
             raise ValueError("unknown metric %r" % name)
         out[name] = value

@@ -67,6 +67,15 @@ class TestTablesValidation:
         message = str(excinfo.value)
         assert "unknown table names bogus, rt0" in message
 
+    @pytest.mark.parametrize("command", ["analyze", "live"])
+    def test_the_error_names_the_command_that_ran(self, tmp_path, command):
+        missing = str(tmp_path / "never-written.pcap")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, missing, "--tables", "rt0"])
+        assert str(excinfo.value).startswith(
+            "repro %s: unknown table name rt0 (valid names: " % command
+        )
+
     def test_valid_selection_passes_validation(self, month_pcap, capsys):
         assert main(["analyze", month_pcap, "--no-cache", "--tables", "2"]) == 0
         out = capsys.readouterr().out

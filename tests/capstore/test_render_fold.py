@@ -1,23 +1,30 @@
 """One fold per render: tables compose, share nothing they should not,
-and are read from the columns without an object per row."""
+and are read from the columns — once, by all three readers of the fold —
+without an object per row."""
 
 from itertools import combinations
 
 import pytest
 
-from repro.capstore import (
-    CapturedRowView,
-    CaptureTable,
-    ClassifiedView,
-    load_or_build,
-)
-from repro.core.render import VALID_TABLES, render_analysis
+from repro.capstore import CaptureTable, ClassifiedView, load_or_build
+from repro.core.packet_mix import TABLE3_ROWS
+from repro.core.render import ORIGINS, VALID_TABLES, render_analysis
+from repro.core.versions import TABLE2_ROWS
 from repro.quic.packet import PacketType, ParsedLongHeader
 from repro.quic.version import QUIC_V1
 from repro.stream.reducers import StreamAnalyses
+from repro.sweep.metrics import DEFAULT_METRICS, SIDES, evaluate_metrics
 from repro.telescope.classify import CapturedPacket, ClassifiedCapture, PacketClass
 
 ALL_TABLES = set(VALID_TABLES)
+
+#: Every sweep metric that is read off an analysis: 34 names.
+ANALYSIS_METRICS = (
+    ["version_share.%s.%s" % (s, b) for s in SIDES for b in TABLE2_ROWS]
+    + ["packet_share.%s.%s" % (o, c) for o in ORIGINS for c in TABLE3_ROWS]
+    + ["scid_unique." + o for o in ORIGINS]
+    + ["offnet.servers", "offnet.low_host_id"]
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +120,8 @@ class TestScansStayOutOfTable1:
 
 
 class TestNothingMaterialised:
-    """``analyze`` and ``live`` read plain values cut from the columns:
-    no row view, no ``ParsedLongHeader`` list, no ``CapturedPacket``."""
+    """``analyze``, ``live`` and ``sweep`` read plain values cut from the
+    columns: no ``ParsedLongHeader`` list, no ``CapturedPacket``."""
 
     @pytest.fixture
     def no_objects(self, monkeypatch):
@@ -123,7 +130,6 @@ class TestNothingMaterialised:
 
         monkeypatch.setattr(CaptureTable, "packets_of", refuse)
         monkeypatch.setattr(CaptureTable, "materialize", refuse)
-        monkeypatch.setattr(CapturedRowView, "__init__", refuse)
 
     def test_render_analysis_builds_no_row_object(self, columnar, no_objects):
         # A view of its own: nothing another test split or cached.
@@ -136,3 +142,47 @@ class TestNothingMaterialised:
         assert analyses.feed(columnar.table, 0, rows // 2) == rows // 2
         analyses.feed(columnar.table, rows // 2, rows)
         assert analyses.rows_fed == rows
+
+    def test_evaluate_metrics_builds_no_row_object(self, columnar, no_objects):
+        view = ClassifiedView(columnar.table, columnar.stats)
+        values = evaluate_metrics(ANALYSIS_METRICS, view, {})
+        assert len(values) == 34 and values["offnet.servers"] > 0
+
+
+class TestOneReadOfTheColumns:
+    """Each reader of the fold cuts the columns once, however many tables,
+    gauges or metric names it then serves."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        datagrams = CaptureTable.datagrams
+
+        def counted(table, *bounds):
+            calls.append(bounds)
+            return datagrams(table, *bounds)
+
+        monkeypatch.setattr(CaptureTable, "datagrams", counted)
+        return calls
+
+    def test_once_per_reader(self, columnar, reads):
+        view = ClassifiedView(columnar.table, columnar.stats)
+        rows = columnar.table.num_rows
+        render_analysis(view, ALL_TABLES)
+        assert reads == [()]
+        analyses = StreamAnalyses()
+        analyses.feed(columnar.table, 0, rows // 2)
+        analyses.feed(columnar.table, rows // 2, rows)
+        analyses.snapshot()
+        assert reads[1:] == [(0, rows // 2), (rows // 2, rows)]
+        del reads[:]
+        evaluate_metrics(list(DEFAULT_METRICS) + ANALYSIS_METRICS, view, {})
+        assert reads == [()]
+        evaluate_metrics(["scid_unique.Google"], view, {})
+        assert reads == [(), ()]
+
+    def test_row_counts_and_registry_metrics_read_nothing(self, columnar, reads):
+        view = ClassifiedView(columnar.table, columnar.stats)
+        names = list(DEFAULT_METRICS) + ["records.total", "counter:net.dropped"]
+        assert evaluate_metrics(names, view, {})["rows.total"] == len(view)
+        assert reads == []

@@ -6,34 +6,44 @@ The analyses fold plain values that come either straight from a
 functions are a third spelling.  For the four golden scenarios and the
 hostile-pcap corpus, the three must agree accumulator by accumulator —
 ``tests/stream/test_reducers.py``'s fold property, extended to
-``SessionStore``, timing and Fig. 7 — at every checkpoint of a capture
-fed in two different batchings: the columns in ragged ranges, the
-objects one at a time.
+``SessionStore``, timing, Fig. 7 and the off-net servers — at every
+checkpoint of a capture fed in two different batchings: the columns in
+ragged ranges, the objects one at a time.  The fold's other two readers
+are then held to the same references from outside: ``StreamAnalyses``
+for what it counts itself, ``evaluate_metrics`` name by name.
 """
 
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.capstore import build_capture_table
+from repro.capstore import CaptureTable, ClassifiedView, build_capture_table
 from repro.capstore.table import DATAGRAM_FIELDS, datagram_values
 from repro.cli import main
-from repro.core.offnet import OffnetServers
-from repro.core.packet_mix import packet_mix, top_length_signatures
-from repro.core.render import VALID_TABLES, CaptureFold
+from repro.core.offnet import OffnetServers, extract_features
+from repro.core.packet_mix import TABLE3_ROWS, packet_mix, top_length_signatures
+from repro.core.render import ORIGINS, VALID_TABLES, CaptureFold
 from repro.core.scid_stats import table4
 from repro.core.session import SessionStore
 from repro.core.timing import profiles_of, timing_profiles
-from repro.core.versions import table2
+from repro.core.versions import TABLE2_ROWS, table2
 from repro.stream.reducers import StreamAnalyses
-from repro.telescope.classify import ClassifiedCapture, PacketClass
+from repro.sweep.metrics import SIDES, evaluate_metrics, validate_metric
+from repro.telescope.classify import (
+    ClassifiedCapture,
+    PacketClass,
+    SanitizationStats,
+)
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 from tests.integration.test_fuzz import _capture_records, _pcap_bytes
 from tests.integration.test_golden_pcap import MONTHS, ONE_SIDED
 
-ALL_TABLES = set(VALID_TABLES)
+#: Every selector the fold knows: the ``--tables`` names plus the one
+#: only ``StreamAnalyses`` and ``evaluate_metrics`` ask for.
+ALL_SELECTORS = set(VALID_TABLES) | {"offnet"}
 RAGGED = (1, 7, 50, 3, 211, 19)
 
 
@@ -55,14 +65,21 @@ def _write_case(case, path):
 
 
 @pytest.fixture(scope="module", params=sorted(MONTHS) + sorted(ONE_SIDED) + ["hostile"])
-def sources(request, tmp_path_factory):
-    """``(table, packets)``: the columns, and one object per row in row order."""
+def capture(request, tmp_path_factory):
+    """``(view, packets)``: the columns, and one object per row in row order."""
     path = str(tmp_path_factory.mktemp("fold") / "case.pcap")
     _write_case(request.param, path)
-    table, _stats = build_capture_table(path, workers=1)
+    table, stats = build_capture_table(path, workers=1)
     assert table.num_rows > 0
     os.unlink(path)
-    return table, [table.materialize(row) for row in range(table.num_rows)]
+    packets = [table.materialize(row) for row in range(table.num_rows)]
+    return ClassifiedView(table, stats), packets
+
+
+@pytest.fixture(scope="module")
+def sources(capture):
+    view, packets = capture
+    return view.table, packets
 
 
 def _checkpoints(rows, every_prefix):
@@ -96,6 +113,7 @@ def _fold_state(fold):
         "sessions": fold.sessions.sessions(),
         "timing": list(profiles_of(fold.sessions).items()),
         "lengths": [(o, e) for o, e in fold.signatures.top().items()],
+        "offnet": fold.offnet.features,
     }
 
 
@@ -104,6 +122,9 @@ def _batch_state(packets):
     backscatter = [p for p in packets if p.klass is PacketClass.BACKSCATTER]
     scans = [p for p in packets if p.klass is PacketClass.SCAN]
     shares = table2(ClassifiedCapture(backscatter=backscatter, scans=scans))
+    offnet = OffnetServers()
+    for packet in backscatter:
+        offnet.add(packet)
     return {
         "clients": shares["clients"].counts,
         "servers": shares["servers"].counts,
@@ -120,6 +141,7 @@ def _batch_state(packets):
         "sessions": SessionStore.from_packets(backscatter).sessions(),
         "timing": list(timing_profiles(backscatter).items()),
         "lengths": list(top_length_signatures(backscatter).items()),
+        "offnet": offnet.features,
     }
 
 
@@ -135,7 +157,7 @@ def test_reader_yields_what_the_objects_hold(sources):
 
 def test_render_fold_agrees_at_every_checkpoint(sources):
     table, packets = sources
-    from_columns, from_objects = CaptureFold(ALL_TABLES), CaptureFold(ALL_TABLES)
+    from_columns, from_objects = CaptureFold(ALL_SELECTORS), CaptureFold(ALL_SELECTORS)
     fed = 0
     for upto in _checkpoints(len(packets), every_prefix=len(packets) <= 32):
         from_columns.feed(table.datagrams(fed, upto))
@@ -151,25 +173,93 @@ def test_render_fold_agrees_at_every_checkpoint(sources):
         assert state == batch
 
 
+def _as_two_shards(table, cut):
+    """Rows ``[0, cut)`` and ``[cut, rows)`` as tables of their own, the
+    second numbering its origins backwards — what the followers of a
+    ``--no-merge`` shard set hold."""
+    first, second = CaptureTable(), CaptureTable()
+    for name in reversed(table.origins):
+        second.origin_index(name)
+    for row in range(table.num_rows):
+        (first if row < cut else second).append_row_from(table, row)
+    return first, second
+
+
 def test_stream_fold_agrees_at_every_checkpoint(sources):
+    """What only ``StreamAnalyses`` counts — rows, span, rates — against the
+    objects; the accumulators are the fold's, held above."""
     table, packets = sources
-    from_columns, from_objects = StreamAnalyses(), StreamAnalyses()
+    ragged = StreamAnalyses()
     fed = 0
     for upto in _checkpoints(len(packets), every_prefix=len(packets) <= 32):
-        from_columns.feed(table, fed, upto)
-        for packet in packets[fed:upto]:
-            from_objects.add(packet)
+        ragged.feed(table, fed, upto)
         fed = upto
-        assert from_columns.snapshot() == from_objects.snapshot()
-        assert from_columns._offnet.features == from_objects._offnet.features
-        backscatter = [
-            p for p in packets[:upto] if p.klass is PacketClass.BACKSCATTER
-        ]
-        batch = OffnetServers()
-        for packet in backscatter:
-            batch.add(packet)
-        assert from_columns._offnet.features == batch.features
-        assert {o: s.scids for o, s in from_columns.scids.items()} == {
-            o: s.unique_scids for o, s in table4(backscatter).items()
+        at_once = StreamAnalyses()
+        at_once.feed(table, 0, upto)
+        snap = ragged.snapshot()
+        assert snap == at_once.snapshot()
+        seen = packets[:upto]
+        stamps = [packet.timestamp for packet in seen]
+        span = max(stamps) - min(stamps)
+        assert snap["span_seconds"] == ragged.span_seconds == span
+        assert snap["rows_fed"] == upto
+        assert snap["rows"] == Counter(packet.klass.value for packet in seen)
+        assert snap["rows_per_sec"] == {
+            origin: count / span if span > 0 else 0.0
+            for origin, count in Counter(packet.origin for packet in seen).items()
         }
-        assert from_columns.packet_mix == packet_mix(packets[:upto]).counts
+    sharded = StreamAnalyses()
+    for shard in _as_two_shards(table, len(packets) // 3):
+        sharded.feed(shard, 0, shard.num_rows)
+    assert sharded.snapshot() == ragged.snapshot()
+
+
+def _batch_metrics(stats, packets):
+    """Every name ``repro.sweep.metrics``' grammar admits over a capture,
+    valued by the standalone batch functions over the objects."""
+    backscatter = [p for p in packets if p.klass is PacketClass.BACKSCATTER]
+    scans = [p for p in packets if p.klass is PacketClass.SCAN]
+    shares = table2(ClassifiedCapture(backscatter=backscatter, scans=scans))
+    mix = packet_mix(backscatter + scans)
+    scid_stats = table4(backscatter)
+    features = extract_features(backscatter)
+    expected = {
+        "rows.total": len(packets),
+        "rows.backscatter": len(backscatter),
+        "rows.scans": len(scans),
+        "records.total": stats.total_records,
+        "removed_share": stats.removed_share,
+        "offnet.servers": len(features),
+        "offnet.low_host_id": sum(1 for f in features.values() if f.low_host_id()),
+    }
+    for side in SIDES:
+        for bucket in TABLE2_ROWS:
+            expected["version_share.%s.%s" % (side, bucket)] = shares[side].share(bucket)
+    for origin in ORIGINS:
+        for category in TABLE3_ROWS:
+            expected["packet_share.%s.%s" % (origin, category)] = mix.share(
+                origin, category
+            )
+        expected["scid_unique." + origin] = (
+            scid_stats[origin].unique_count if origin in scid_stats else 0
+        )
+    for name in expected:
+        validate_metric(name)
+    assert len(expected) == 2 * len(TABLE2_ROWS) + 4 * len(TABLE3_ROWS) + 4 + 2 + 5
+    return expected
+
+
+def test_sweep_metrics_equal_the_batch_functions(capture):
+    view, packets = capture
+    expected = _batch_metrics(view.stats, packets)
+    assert evaluate_metrics(list(expected), view, {}) == expected
+    # Asking for one name is asking for the same number.
+    for name in ("version_share.servers.QUICv1", "offnet.low_host_id"):
+        assert evaluate_metrics([name], view, {}) == {name: expected[name]}
+
+
+def test_sweep_metrics_of_an_empty_table():
+    view = ClassifiedView(CaptureTable(), SanitizationStats())
+    expected = _batch_metrics(view.stats, [])
+    assert set(expected.values()) == {0}
+    assert evaluate_metrics(list(expected), view, {}) == expected

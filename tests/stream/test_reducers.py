@@ -1,10 +1,10 @@
 """The batch analyses are folds: any batching of rows equals one pass.
 
-``StreamAnalyses`` holds the same ``repro.core`` accumulators the batch
-functions fold a capture into.  Every test feeds the columnar table the
-batch plane analyzes — in deliberately uneven batches, or only a prefix
-of it — and asserts the state equals the ``repro.core`` function
-computed over the same rows at once.
+``StreamAnalyses`` feeds a ``CaptureFold`` — the same ``repro.core``
+accumulators the batch functions fold a capture into.  Every test feeds
+the columnar table the batch plane analyzes — in deliberately uneven
+batches, or only a prefix of it — and asserts the state equals the
+``repro.core`` function computed over the same rows at once.
 """
 
 import pytest
@@ -46,21 +46,23 @@ class TestBatchParity:
 
     def test_version_mix_equals_table2(self, analyses, batch_view):
         shares = table2(batch_view)
-        for code, side in ((1, "clients"), (0, "servers")):
-            assert analyses.session_buckets[code] == shares[side].counts
-            assert len(analyses._session_keys[code]) == shares[side].total
+        sessions = analyses.snapshot()["sessions"]
+        for side in ("clients", "servers"):
+            assert sessions[side]["buckets"] == shares[side].counts
+            assert sessions[side]["total"] == shares[side].total
 
     def test_packet_mix_equals_table3(self, analyses, batch_view):
         batch = packet_mix(batch_view.backscatter + batch_view.scans)
-        assert {o: dict(c) for o, c in analyses.packet_mix.items()} == {
+        assert analyses.snapshot()["packet_mix"] == {
             o: dict(c) for o, c in batch.counts.items()
         }
 
     def test_scids_equal_table4_populations(self, analyses, batch_view):
         batch = scids_by_origin(batch_view.backscatter)
-        assert {o: a.scids for o, a in analyses.scids.items()} == batch
+        online_stats = analyses.fold.scids.stats
+        assert {o: a.unique_scids for o, a in online_stats.items()} == batch
         for origin, scids in batch.items():
-            online = analyses.matrix(origin)
+            online = online_stats[origin].matrix()
             reference = nybble_matrix(scids)
             assert online.freq == reference.freq
             assert online.sample_size == reference.sample_size
@@ -68,10 +70,10 @@ class TestBatchParity:
 
     def test_offnet_counts_equal_extract_features(self, analyses, batch_view):
         features = extract_features(batch_view.backscatter)
-        servers, low = analyses.offnet_counts()
-        assert servers == len(features)
-        assert low == sum(1 for f in features.values() if f.low_host_id())
-        assert low > 0  # the scenario plants off-net caches; keep it honest
+        offnet = analyses.snapshot()["offnet"]
+        assert offnet["servers"] == len(features)
+        low = sum(1 for f in features.values() if f.low_host_id())
+        assert offnet["low_host_id"] == low > 0  # the scenario plants off-net caches
 
     def test_batching_is_irrelevant(self, analyses, batch_view):
         whole = StreamAnalyses()
@@ -92,16 +94,18 @@ class TestPrefixParity:
         rows = table.num_rows // 2
         analyses = StreamAnalyses()
         analyses.feed(table, 0, rows)
-        return analyses, [table.row_view(row) for row in range(rows)]
+        return analyses, [table.materialize(row) for row in range(rows)]
 
     def test_offnet_counts(self, half):
         analyses, packets = half
         features = extract_features(
             [p for p in packets if p.klass is PacketClass.BACKSCATTER]
         )
-        servers, low = analyses.offnet_counts()
-        assert servers == len(features) > 0
-        assert low == sum(1 for f in features.values() if f.low_host_id())
+        offnet = analyses.snapshot()["offnet"]
+        assert offnet["servers"] == len(features) > 0
+        assert offnet["low_host_id"] == sum(
+            1 for f in features.values() if f.low_host_id()
+        )
 
     def test_span_seconds(self, half):
         analyses, packets = half
@@ -155,7 +159,7 @@ class TestSnapshotAndPublish:
         assert sessions.value(side="servers", bucket="QUICv1") == (
             shares["servers"].counts.get("QUICv1", 0)
         )
-        servers, low = analyses.offnet_counts()
+        servers, low = analyses.fold.offnet.counts()
         assert registry.gauge("stream.offnet_servers").value() == servers
         assert registry.gauge("stream.offnet_low_host_id").value() == low
         assert registry.gauge("stream.rows_fed").value() == analyses.rows_fed
