@@ -1,5 +1,6 @@
 """Darknet capture, acknowledged scanners, and the sanitization pipeline."""
 
+import hashlib
 import io
 import random
 
@@ -10,6 +11,8 @@ from repro.inetdata.asdb import AsDatabase, AsEntry
 from repro.netstack.addr import Prefix, parse_ip
 from repro.netstack.pcap import PcapRecord
 from repro.netstack.udp import UdpDatagram, encode_udp
+from repro.simnet.eventloop import EventLoop
+from repro.simnet.network import Device, Network, PathModel
 from repro.telescope.acknowledged import AcknowledgedScanners
 from repro.telescope.classify import PacketClass, classify_capture
 from repro.telescope.darknet import Telescope
@@ -71,6 +74,70 @@ class TestTelescopeDevice:
     def test_owns_prefix(self):
         telescope = Telescope()
         assert telescope.prefixes() == [Prefix.parse("44.0.0.0/9")]
+
+
+class TestArrivalOrder:
+    """The serial pcap is in arrival order; equal arrivals in transmit order.
+
+    The golden captures cannot hold this: their jitter makes two equal
+    arrival times vanishingly rare.  Here there is no jitter and every
+    delay is a power of two, so arrival times tie exactly.
+    """
+
+    #: blake2b-128 of the pcap below, recorded at 7984300 — when every
+    #: delivery to the telescope was still an event-loop event and the
+    #: loop's (time, seq) heap did the ordering.
+    PCAP_DIGEST = "3d77b1a6c77dffd73c132a0cf8107ae8"
+
+    def test_ties_in_transmit_order_and_a_later_send_can_arrive_first(self):
+        loop = EventLoop()
+        net = Network(loop, random.Random(1), PathModel(base_delay=0.125, jitter=0.0))
+        telescope = Telescope()
+        telescope.access_delay = 0.125
+        senders = {}
+        for name, access_delay in (("a", 0.5), ("b", 0.5), ("near", 0.25), ("nearer", 0.0625)):
+            senders[name] = sender = Device(name)
+            sender.access_delay = access_delay
+        for device in (telescope, *senders.values()):
+            net.add_device(device)
+
+        def send(name, i):
+            senders[name].send(
+                UdpDatagram(
+                    src_ip=parse_ip("198.51.100.%d" % (1 + ord(name[0]) % 200)),
+                    dst_ip=parse_ip("44.0.0.%d" % i),
+                    src_port=40000 + len(name),
+                    dst_port=443,
+                    payload=b"%s-%d" % (name.encode(), i),
+                )
+            )
+
+        for i in range(6):
+            at = float(i)
+            # a and b transmit at the same instant over equal paths ...
+            loop.schedule_at(at, lambda i=i: send("a", i))
+            loop.schedule_at(at, lambda i=i: send("b", i))
+            # ... "near" leaves 0.25 later over a path 0.25 shorter (same
+            # arrival time, transmitted last) and "nearer" leaves 0.125
+            # later over a path 0.4375 shorter (arrives before all three).
+            loop.schedule_at(at + 0.25, lambda i=i: send("near", i))
+            loop.schedule_at(at + 0.125, lambda i=i: send("nearer", i))
+        loop.run()
+
+        assert [
+            bytes(record.data[28:]).decode() for record in telescope.records
+        ] == [
+            "%s-%d" % (name, i) for i in range(6) for name in ("nearer", "a", "b", "near")
+        ]
+        times = [record.timestamp for record in telescope.records]
+        assert times == sorted(times)
+        assert times[1] == times[2] == times[3]
+        buf = io.BytesIO()
+        telescope.write_pcap(buf)
+        assert (
+            hashlib.blake2b(buf.getvalue(), digest_size=16).hexdigest()
+            == self.PCAP_DIGEST
+        )
 
 
 class TestAcknowledgedScanners:
