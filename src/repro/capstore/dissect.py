@@ -10,11 +10,19 @@ straight from the bytes of the pcap chunk the record sits in:
    spoofed traffic), destination port 443 → candidate *scan* (client
    requests);
 3. false-positive removal with the QUIC dissector
-   (:func:`~repro.core.dissector.dissect_at`, Wireshark-equivalent;
-   scans are AEAD-validated, their Initial keys derive from the DCID);
+   (:func:`~repro.core.dissector.dissect_at`, Wireshark-equivalent);
 4. removal of acknowledged research scanners (requests only — their
    documented behaviour would bias version statistics);
 5. origin of the remote side (hypergiant name or "Remaining").
+
+The paper's order holds for everything Wireshark's dissector decides:
+the structural dissection runs first for every record, so a non-QUIC
+payload from an acknowledged prefix is still ``failed_dissection``.  The
+AEAD open of a scan's client Initial (its keys derive from the DCID) is
+this repository's addition to step 3 — Wireshark labels a packet QUIC
+whether or not it decrypts — and authenticates only what survives: the
+scanner lookup of step 4 is made before the dissection, and a scan that
+step removes anyway is not opened.  Kept rows are the same either way.
 
 A kept record becomes one row of a :class:`CaptureTable`, its long
 headers that row's packet entries, copied field by field from the
@@ -65,8 +73,8 @@ def record_verdict(
     Origin and acknowledged-scanner lookups go through the two tries
     flattened once, here: build a new verdict after registering prefixes.
     ``validate_crypto_scans`` additionally AEAD-validates client Initials
-    in scan traffic; backscatter is validated structurally, as in
-    Wireshark.
+    in the scan traffic step 4 keeps; the rest is validated structurally,
+    as in Wireshark.
     """
     origin_starts, origin_labels = (
         asdb.origin_intervals() if asdb is not None else ([0], ["Remaining"])
@@ -116,16 +124,20 @@ def record_verdict(
             klass = _SCAN
         else:
             return "non_port_443"
+        acknowledged_scan = (
+            klass == _SCAN
+            and scanner_flags[bisect_right(scanner_starts, src_ip) - 1]
+        )
         try:
             packets = dissect_at(
                 buf,
                 payload_start,
                 payload_end,
-                validate_crypto_scans and klass == _SCAN,
+                validate_crypto_scans and klass == _SCAN and not acknowledged_scan,
             )
         except DissectError:
             return "failed_dissection"
-        if klass == _SCAN and scanner_flags[bisect_right(scanner_starts, src_ip) - 1]:
+        if acknowledged_scan:
             return "acknowledged_scanner"
         interval = bisect_right(origin_starts, src_ip) - 1
         origin_id = origin_ids[interval]

@@ -6,9 +6,13 @@ using Wireshark dissectors".  This module reimplements that decision:
 * structural validation of the long header chain (form/fixed bits, a
   version from a known family, sane CID lengths, a Length field consistent
   with the datagram), and
-* for client Initials, *cryptographic* validation: Initial keys are
-  derivable from the DCID alone (RFC 9001 §5.2), so a dissector can attempt
-  to unprotect the payload exactly like Wireshark does.
+* for client Initials, on request, *cryptographic* validation: Initial
+  keys are derivable from the DCID alone (RFC 9001 §5.2), so a dissector
+  can attempt to unprotect the payload.  Wireshark attempts it too but
+  labels the packet QUIC whether or not it decrypts; rejecting on a
+  failed open is this repository's addition, and the sanitisation
+  verdict asks for it only for records its next step keeps
+  (:func:`repro.capstore.dissect.record_verdict`).
 
 Server Initials cannot be decrypted passively (their keys derive from the
 *client's* original DCID, which backscatter does not contain), so for

@@ -83,11 +83,19 @@ class CaptureBuffer:
         """Record a packet whose bytes were just written to ``data``.
 
         Callers that encode in place (``encode_udp_into``) extend ``data``
-        themselves and commit the region ``[start:len(data))``.
+        themselves and commit the region ``[start:len(data))``.  The
+        columns stay in timestamp order, equal timestamps in commit order:
+        a packet committed ahead of an earlier-stamped one (the telescope
+        is handed arrivals at transmit time) is inserted from the tail, a
+        few places back at most; ``data`` itself is in commit order.
         """
-        self.times.append(timestamp)
-        self.offsets.append(start)
-        self.lengths.append(len(self.data) - start)
+        times = self.times
+        at = len(times)
+        while at and times[at - 1] > timestamp:
+            at -= 1
+        times.insert(at, timestamp)
+        self.offsets.insert(at, start)
+        self.lengths.insert(at, len(self.data) - start)
 
     def record(self, index: int) -> PcapRecord:
         """Materialize one packet as a :class:`PcapRecord`."""

@@ -15,10 +15,13 @@ for an ETA: events done vs. expected, a rolling rate, the stage and the
 last span the worker passed through.
 
 ETA calibration: a traffic unit's ``weight`` counts its *packets*, but
-the loop processes more events than packets (timers, deliveries,
-flushes).  Measured on the standard scenario, the ratio is ~2.3 events
-per unit of weight (:data:`EVENTS_PER_WEIGHT`); shard totals are scaled
-by it so the ETA denominator is in the same currency as the numerator.
+the loop processes more events than packets sent: one per sent packet,
+plus a delivery to every device that can react (the servers) and their
+timers.  A delivery to the telescope is not an event — it is handed each
+datagram at transmit time — so a scan costs exactly one event per unit of
+weight and an attack about 1.5.  Measured on the standard scenario, the
+ratio is ~1.2 (:data:`EVENTS_PER_WEIGHT`); shard totals are scaled by it
+so the ETA denominator is in the same currency as the numerator.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from typing import List, Optional
 
 from repro.core.report import render_table
 
-#: Event-loop events per unit of traffic-unit weight (measured ~2.28 on
-#: the standard scenario; see ``benchmarks/bench_prof.py``).  Used only
-#: for ETA display, never in any simulated decision.
-EVENTS_PER_WEIGHT = 2.3
+#: Event-loop events per unit of traffic-unit weight (measured 1.23 on
+#: the standard scenario: ``events`` over ``simulate.unit`` packets in
+#: ``benchmarks/bench_prof.py``'s output).  Used only for ETA display,
+#: never in any simulated decision.
+EVENTS_PER_WEIGHT = 1.2
 
 #: Heartbeat filename suffix; ``read_heartbeats`` globs for it, so the
 #: pid-unique ``.tmp`` staging files are invisible to readers.

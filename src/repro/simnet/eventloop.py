@@ -116,7 +116,9 @@ class EventLoop:
         """Run ``callback`` ``delay`` seconds from the current time."""
         if delay < 0:
             raise ValueError("cannot schedule into the past (delay=%r)" % delay)
-        time = self.now + delay
+        return self._push(self.now + delay, callback, periodic)
+
+    def _push(self, time: float, callback: Callable[[], None], periodic: bool) -> Event:
         event = Event(time, callback, periodic=periodic)
         heapq.heappush(self._heap, (time, next(self._seq), event))
         if not periodic:
@@ -143,8 +145,13 @@ class EventLoop:
         return self.schedule(interval, fire, periodic=True)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` at absolute simulated ``time``."""
-        return self.schedule(max(0.0, time - self.now), callback)
+        """Run ``callback`` at absolute simulated ``time`` (a past one: now).
+
+        The heap gets the float it was given, not ``now + (time - now)``,
+        so a callback that re-arms itself from a non-zero ``now`` fires at
+        exactly the instant a caller scheduling from time 0 would name.
+        """
+        return self._push(max(time, self.now), callback, False)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, skipping cancelled ones."""

@@ -19,12 +19,23 @@ in which packets happen to be transmitted; the keyed hash makes each
 packet's fate a pure function of the packet, so a scenario sharded
 across worker processes (``repro.simnet.shard``) reproduces the serial
 run's capture exactly.
+
+Delivery has two modes, chosen by a property of the target.  A device
+that may react to what it receives gets an event-loop event at the
+arrival time.  A :attr:`Device.passive` one — the telescope — is handed
+the datagram at transmit time, with the arrival time as ``now``: its
+delay is already known (the keyed hash again: nothing that happens in
+between can change it), it may not send, so the early hand-over is
+invisible to the rest of the simulation, and half the events of a month
+go away.  The sink sees arrivals in transmit order and sorts them back
+(:meth:`repro.netstack.capbuf.CaptureBuffer.commit`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.inetdata.radix import RadixTree
@@ -47,9 +58,6 @@ class PathModel:
     jitter: float = 0.001  # uniform jitter added per packet
     loss_rate: float = 0.0  # independent drop probability per packet
 
-    def one_way_delay(self, rng: random.Random, src_access: float, dst_access: float) -> float:
-        return self.base_delay + src_access + dst_access + rng.uniform(0.0, self.jitter)
-
     def delay_for(
         self, jitter_fraction: float, src_access: float, dst_access: float
     ) -> float:
@@ -62,6 +70,9 @@ class Device:
 
     #: Access delay from this device to the network core, in seconds.
     access_delay = 0.005
+    #: True for a device that never sends: the network hands it each
+    #: datagram at transmit time and queues no event (module docstring).
+    passive = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -82,6 +93,8 @@ class Device:
     def send(self, datagram: UdpDatagram) -> None:
         if self.network is None:
             raise RuntimeError("device %s is not attached to a network" % self.name)
+        if self.passive:
+            raise RuntimeError("passive device %s cannot send" % self.name)
         self.network.transmit(self, datagram)
 
 
@@ -137,23 +150,25 @@ class Network:
         # draw salts a per-packet hash (see module docstring).
         self._path_salt = rng.getrandbits(64).to_bytes(8, "big")
         self._routes: RadixTree[Device] = RadixTree()
+        #: ``_routes`` flattened for :meth:`route`; None after a change.
+        self._intervals: tuple[list[int], list[Device | None]] | None = None
         self._devices: list[Device] = []
 
     def _path_fractions(self, datagram: UdpDatagram) -> tuple[float, float]:
         """(loss, jitter) fractions in [0, 1), a pure function of the packet."""
-        digest = hashlib.blake2b(
-            self._path_salt
-            + b"%d|%d|%d|%d|" % (
+        hasher = hashlib.blake2b(
+            b"%b%d|%d|%d|%d|%b|" % (
+                self._path_salt,
                 datagram.src_ip,
                 datagram.dst_ip,
                 datagram.src_port,
                 datagram.dst_port,
-            )
-            + repr(self.loop.now).encode()
-            + b"|"
-            + datagram.payload,
+                repr(self.loop.now).encode(),
+            ),
             digest_size=16,
-        ).digest()
+        )
+        hasher.update(datagram.payload)
+        digest = hasher.digest()
         return (
             int.from_bytes(digest[:8], "big") / 2**64,
             int.from_bytes(digest[8:], "big") / 2**64,
@@ -163,23 +178,28 @@ class Network:
         device.attach(self)
         self._devices.append(device)
         for prefix in device.prefixes():
-            self._routes.insert(prefix, device)
+            self.add_route(prefix, device)
 
     def add_route(self, prefix: Prefix | str, device: Device) -> None:
         """Announce an extra prefix for an already-attached device."""
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
         self._routes.insert(prefix, device)
+        self._intervals = None
 
     def route(self, address: int) -> Device | None:
-        return self._routes.lookup(address)
+        """Longest-prefix match, as a ``bisect`` over the flattened table."""
+        if self._intervals is None:
+            self._intervals = self._routes.flatten()
+        starts, devices = self._intervals
+        return devices[bisect_right(starts, address) - 1]
 
     def transmit(self, sender: Device, datagram: UdpDatagram) -> None:
         """Route ``datagram`` to the owner of its destination address."""
         # The route comes first: a datagram nobody will receive is dropped
         # without its payload ever being read, so a deferred one (a server
         # flight, see DeferredDatagram) is never sealed.
-        target = self._routes.lookup(datagram.dst_ip)
+        target = self.route(datagram.dst_ip)
         prof = self.obs.prof
         if prof is None:
             self._transmit(sender, datagram, target)
@@ -243,9 +263,12 @@ class Network:
                 delay=round(delay, 6),
                 bytes=len(datagram.payload),
             )
-        self.loop.schedule(
-            delay, lambda: target.handle_datagram(datagram, self.loop.now)
-        )
+        if target.passive:
+            target.handle_datagram(datagram, self.loop.now + delay)
+        else:
+            self.loop.schedule(
+                delay, lambda: target.handle_datagram(datagram, self.loop.now)
+            )
 
     @property
     def devices(self) -> list[Device]:

@@ -3,12 +3,13 @@
 The vocabulary of the sanitised capture — :class:`CapturedPacket`,
 :class:`PacketClass`, :class:`SanitizationStats`, :data:`DROP_REASONS` —
 and the object-shaped entry points over it.  The pipeline itself
-(UDP/443 → QUIC dissector → acknowledged-scanner removal → origin) is
-decided in one place, :func:`repro.capstore.dissect.record_verdict`,
-which turns record bytes into rows of a columnar
-:class:`~repro.capstore.CaptureTable`; :func:`classify_capture` and
-:func:`classify_record` dissect into such a table and hand back its
-materialised view.
+(UDP/443 → QUIC dissector → acknowledged-scanner removal → origin; the
+AEAD open this repository adds to the dissector runs for the scans the
+removal keeps) is decided in one place,
+:func:`repro.capstore.dissect.record_verdict`, which turns record bytes
+into rows of a columnar :class:`~repro.capstore.CaptureTable`;
+:func:`classify_capture` and :func:`classify_record` dissect into such a
+table and hand back its materialised view.
 """
 
 from __future__ import annotations
@@ -168,8 +169,9 @@ def classify_capture(
     :func:`repro.netstack.pcap.iter_pcap` generator.
 
     ``validate_crypto_scans`` additionally AEAD-validates client Initials in
-    scan traffic (possible passively because Initial keys derive from the
-    DCID); backscatter is validated structurally, as in Wireshark.
+    scan traffic that is not from an acknowledged scanner (possible
+    passively because Initial keys derive from the DCID); everything else
+    is validated structurally, as in Wireshark.
 
     With ``obs`` attached, every removed record emits a ``sanitize:drop``
     trace event, and the ``sanitize.packets`` counter receives each

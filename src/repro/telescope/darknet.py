@@ -28,7 +28,12 @@ CAPTURE_SIZE_BOUNDS = (64, 128, 256, 512, 1024, 1200, 1280, 1357, 1472)
 
 
 class Telescope(Device):
-    """Records all traffic to its prefix; never responds to anything."""
+    """Records all traffic to its prefix."""
+
+    #: Never responds to anything, so the network delivers to it at
+    #: transmit time: ``now`` below is the arrival time, and arrivals may
+    #: come slightly out of order (the capture buffer keeps them sorted).
+    passive = True
 
     def __init__(
         self,

@@ -16,14 +16,15 @@ captured + delivered datagrams and a lower bias adds no sealing work.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from repro.netstack.addr import Prefix
 from repro.netstack.udp import QUIC_PORT, UdpDatagram
 from repro.quic.version import QUIC_V1
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device
-from repro.workloads.clients import ClientConnection
+from repro.workloads.clients import stateless_initial, weighted_versions
 
 
 @dataclass
@@ -83,46 +84,28 @@ class SpoofingAttacker(Device):
         if plan.packet_count <= 0:
             raise ValueError("attack needs at least one packet")
         step = plan.duration / plan.packet_count
+        fire = partial(self._fire, plan, *weighted_versions(plan.versions))
         for i in range(plan.packet_count):
             when = plan.start_time + i * step + self.rng.uniform(0, step / 2)
-            self.loop.schedule_at(when, self._make_sender(plan))
-
-    def _make_sender(self, plan: AttackPlan):
-        def fire() -> None:
-            self.send(self._craft_packet(plan))
-            self.packets_sent += 1
-
-        return fire
+            self.loop.schedule_at(when, fire)
 
     def _spoofed_source(self) -> int:
         if self.rng.random() < self.telescope_bias or not self.spoof_pool:
             return self.telescope_prefix.random_host(self.rng)
         return self.rng.choice(self.spoof_pool).random_host(self.rng)
 
-    def _pick_version(self, plan: AttackPlan) -> int:
-        if (
-            plan.bogus_version_probability
-            and self.rng.random() < plan.bogus_version_probability
-        ):
-            return self.BOGUS_VERSION
-        versions = [v for v, _w in plan.versions]
-        weights = [w for _v, w in plan.versions]
-        return self.rng.choices(versions, weights=weights)[0]
-
-    def _craft_packet(self, plan: AttackPlan) -> UdpDatagram:
-        connection = ClientConnection(
-            rng=self.rng,
-            src_ip=self._spoofed_source(),
-            src_port=self.rng.randint(1024, 65535),
-            dst_ip=self.rng.choice(plan.targets),
-            dst_port=QUIC_PORT,
-            version=self._pick_version(plan),
-            server_name=plan.server_name,
-            dcid=None
-            if plan.dcid_length == 8
-            else self.rng.getrandbits(8 * plan.dcid_length).to_bytes(
-                plan.dcid_length, "big"
-            ),
-            suite=self.suite,
+    def _fire(self, plan: AttackPlan, versions: list, cum_weights: list) -> None:
+        """One spoofed Initial: a fresh connection attempt nobody follows up."""
+        rng = self.rng
+        src_ip = self._spoofed_source()
+        src_port = rng.randint(1024, 65535)
+        dst_ip = rng.choice(plan.targets)
+        if plan.bogus_version_probability and rng.random() < plan.bogus_version_probability:
+            version = self.BOGUS_VERSION
+        else:
+            version = rng.choices(versions, cum_weights=cum_weights)[0]
+        payload = stateless_initial(
+            rng, self.suite, version, plan.server_name, dcid_length=plan.dcid_length
         )
-        return connection.initial_datagram(self.loop.now)
+        self.send(UdpDatagram(src_ip, dst_ip, src_port, QUIC_PORT, payload))
+        self.packets_sent += 1

@@ -1,7 +1,10 @@
-"""Client-side QUIC: connection objects and a host device.
+"""Client-side QUIC: the client Initial, connection objects, a host device.
 
-:class:`ClientConnection` drives one handshake: it emits the padded client
-Initial (a splice into the :class:`_InitialLayout` of its shape),
+The client Initial has one implementation, :func:`_sealed_initial` (a
+splice into the :class:`_InitialLayout` of its shape, then the seal), and
+two callers.  :func:`stateless_initial` is for senders that never read a
+reply — the scanners and the spoofing attacker — and keeps nothing.
+:class:`ClientConnection` drives one handshake: it emits that Initial,
 unprotects the server's flight (possible because Initial keys derive
 from the client's own DCID), extracts the server's SCID, transport
 parameters and certificate, and produces the confirmation flight that
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional
 
 from repro.lru import LruCache
@@ -125,6 +129,43 @@ class _InitialLayout:
 _INITIAL_LAYOUTS = LruCache(256)
 
 
+def _sealed_initial(
+    protection, rng: random.Random, version: int, dcid: bytes, scid: bytes,
+    server_name: str, pad_to: int,
+) -> bytes:
+    """The client Initial: draw the ClientHello random, splice the shape's layout, seal."""
+    random32 = rng.getrandbits(256).to_bytes(32, "big")
+    shape = (version, len(dcid), len(scid), server_name, pad_to)
+    layout = _INITIAL_LAYOUTS.get_or_build(shape, lambda: _InitialLayout(*shape))
+    payload = b"".join((layout.prefix, random32, layout.mid, scid, layout.suffix))
+    return protection.protect(False, layout.template.render(dcid, scid, 0), 0, payload)
+
+
+def weighted_versions(pairs: tuple[tuple[int, float], ...]) -> tuple[list[int], list[float]]:
+    """``(versions, cum_weights)`` for ``rng.choices``: summed once per sender,
+    and drawn exactly as ``choices(versions, weights=...)`` draws."""
+    return [v for v, _w in pairs], list(accumulate(w for _v, w in pairs))
+
+
+def stateless_initial(
+    rng: random.Random,
+    suite: str,
+    version: int,
+    server_name: str = "",
+    pad_to: int = MIN_INITIAL_DATAGRAM,
+    dcid_length: int = 8,
+) -> bytes:
+    """A fresh client Initial from a sender that will never read a reply.
+
+    Draws DCID, SCID and random in the order a :class:`ClientConnection`
+    does, derives the keys, seals, and keeps nothing.
+    """
+    dcid = rng.getrandbits(8 * dcid_length).to_bytes(dcid_length, "big")
+    scid = rng.getrandbits(64).to_bytes(8, "big")
+    protection = suite_by_name(suite)(version, dcid)
+    return _sealed_initial(protection, rng, version, dcid, scid, server_name, pad_to)
+
+
 @dataclass
 class HandshakeResult:
     """What a completed (or failed) handshake attempt yields."""
@@ -182,33 +223,13 @@ class ClientConnection:
 
     # -- outbound ----------------------------------------------------------
     def initial_datagram(self, now: float = 0.0) -> UdpDatagram:
-        """The first flight: a padded Initial carrying the ClientHello.
-
-        Draw, splice, derive, seal: the only rng draw is the ClientHello
-        random, and the only per-probe bytes are it, the two CIDs and
-        what the seal makes of them.
-        """
-        random32 = self.rng.getrandbits(256).to_bytes(32, "big")
-        shape = (
-            self.version,
-            len(self.dcid),
-            len(self.scid),
-            self.server_name,
-            self.pad_to,
-        )
-        layout = _INITIAL_LAYOUTS.get_or_build(shape, lambda: _InitialLayout(*shape))
-        payload = b"".join(
-            (layout.prefix, random32, layout.mid, self.scid, layout.suffix)
-        )
-        header = layout.template.render(self.dcid, self.scid, 0)
+        """The first flight: a padded Initial carrying the ClientHello."""
         self.sent_at = now
-        return UdpDatagram(
-            src_ip=self.src_ip,
-            dst_ip=self.dst_ip,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            payload=self.protection.protect(False, header, 0, payload),
+        payload = _sealed_initial(
+            self.protection, self.rng, self.version, self.dcid, self.scid,
+            self.server_name, self.pad_to,
         )
+        return UdpDatagram(self.src_ip, self.dst_ip, self.src_port, self.dst_port, payload)
 
     # -- inbound -----------------------------------------------------------
     def on_datagram(self, datagram: UdpDatagram, now: float = 0.0) -> Optional[UdpDatagram]:

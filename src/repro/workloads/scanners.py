@@ -9,12 +9,17 @@ Three populations, per the paper:
   survive sanitization and define the paper's client-side version mix.
 * :class:`NoiseSource` — non-QUIC UDP/443 traffic (both directions), the
   false positives the dissector removes.
+
+All three are ZMap-style stateless senders (:class:`StatelessSender`):
+nothing waits for a reply from dark space, so a probe is an rng draw, a
+:func:`~repro.workloads.clients.stateless_initial` and a ``send`` — no
+connection object — and a sweep is one pending event that re-arms itself,
+each probe still fired at its own ``loop.now``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.netstack.addr import Prefix
 from repro.netstack.udp import QUIC_PORT, UdpDatagram
@@ -28,10 +33,56 @@ from repro.quic.frames import CryptoFrame, encode_frames
 from repro.quic.version import QUIC_V1
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device
-from repro.workloads.clients import ClientConnection
+from repro.workloads.clients import stateless_initial, weighted_versions
 
 
-class ResearchScanner(Device):
+class StatelessSender(Device):
+    """A send-only device at one address, probing a prefix on a fixed schedule."""
+
+    def __init__(
+        self,
+        name: str,
+        address: int,
+        loop: EventLoop,
+        rng: random.Random,
+        target_prefix: Prefix,
+    ) -> None:
+        super().__init__(name)
+        self.address = address
+        self.loop = loop
+        self.rng = rng
+        self.target_prefix = target_prefix
+        self.packets_sent = 0
+
+    def prefixes(self) -> list[Prefix]:
+        return [Prefix(self.address, 32)]
+
+    def sweep(self, packet_count: int, start_time: float = 0.0, duration: float = 600.0) -> None:
+        """Send ``packet_count`` probes, evenly spaced over ``duration``.
+
+        One event is pending at a time: firing probe ``i`` arms probe
+        ``i + 1`` at ``start_time + (i + 1) * step`` — the time itself, not
+        a running sum, so the schedule is the one a loop over ``i`` gives.
+        """
+        step = duration / max(packet_count, 1)
+        armed = 0
+
+        def fire() -> None:
+            nonlocal armed
+            armed += 1
+            if armed < packet_count:
+                self.loop.schedule_at(start_time + armed * step, fire)
+            self.send(self._probe())
+            self.packets_sent += 1
+
+        if packet_count > 0:
+            self.loop.schedule_at(start_time, fire)
+
+    def _probe(self) -> UdpDatagram:
+        raise NotImplementedError
+
+
+class ResearchScanner(StatelessSender):
     """An acknowledged scanner sweeping dark space with greased versions."""
 
     GREASE_VERSION = 0x1A2A3A4A  # matches RFC 9000's 0x?a?a?a?a pattern
@@ -45,40 +96,23 @@ class ResearchScanner(Device):
         target_prefix: Prefix,
         suite: str = "fast",
     ) -> None:
-        super().__init__(name)
-        self.address = address
-        self.loop = loop
-        self.rng = rng
-        self.target_prefix = target_prefix
+        super().__init__(name, address, loop, rng, target_prefix)
         self.suite = suite
-        self.packets_sent = 0
 
-    def prefixes(self) -> list[Prefix]:
-        return [Prefix(self.address, 32)]
-
-    def sweep(self, packet_count: int, start_time: float = 0.0, duration: float = 600.0) -> None:
-        """Probe ``packet_count`` random telescope addresses."""
-        step = duration / max(packet_count, 1)
-        for i in range(packet_count):
-            self.loop.schedule_at(start_time + i * step, self._probe)
-
-    def _probe(self) -> None:
+    def _probe(self) -> UdpDatagram:
         # Stateless enumeration probes: unpadded Initials with a greased
         # version — small, cheap, and designed to trigger VN on real servers.
-        connection = ClientConnection(
-            rng=self.rng,
-            src_ip=self.address,
-            src_port=self.rng.randint(30000, 60000),
-            dst_ip=self.target_prefix.random_host(self.rng),
-            version=self.GREASE_VERSION,
-            suite=self.suite,
-            pad_to=0,
+        src_port = self.rng.randint(30000, 60000)
+        return UdpDatagram(
+            self.address,
+            self.target_prefix.random_host(self.rng),
+            src_port,
+            QUIC_PORT,
+            stateless_initial(self.rng, self.suite, self.GREASE_VERSION, pad_to=0),
         )
-        self.send(connection.initial_datagram(self.loop.now))
-        self.packets_sent += 1
 
 
-class UnknownScanner(Device):
+class UnknownScanner(StatelessSender):
     """An undocumented scanner/bot probing dark space with real versions."""
 
     def __init__(
@@ -93,47 +127,27 @@ class UnknownScanner(Device):
         pad_probability: float = 0.6,
         suite: str = "fast",
     ) -> None:
-        super().__init__(name)
-        self.address = address
-        self.loop = loop
-        self.rng = rng
-        self.target_prefix = target_prefix
-        self.versions = versions
+        super().__init__(name, address, loop, rng, target_prefix)
+        self._versions, self._cum_weights = weighted_versions(versions)
         self.zero_rtt_probability = zero_rtt_probability
         self.pad_probability = pad_probability
         self.suite = suite
-        self.packets_sent = 0
 
-    def prefixes(self) -> list[Prefix]:
-        return [Prefix(self.address, 32)]
-
-    def sweep(self, packet_count: int, start_time: float = 0.0, duration: float = 600.0) -> None:
-        step = duration / max(packet_count, 1)
-        for i in range(packet_count):
-            self.loop.schedule_at(start_time + i * step, self._probe)
-
-    def _pick_version(self) -> int:
-        versions = [v for v, _w in self.versions]
-        weights = [w for _v, w in self.versions]
-        return self.rng.choices(versions, weights=weights)[0]
-
-    def _probe(self) -> None:
-        target = self.target_prefix.random_host(self.rng)
-        if self.rng.random() < self.zero_rtt_probability:
-            self.send(self._zero_rtt_packet(target))
-        else:
-            pad = 1200 if self.rng.random() < self.pad_probability else 0
-            connection = ClientConnection(
-                rng=self.rng,
-                src_ip=self.address,
-                src_port=self.rng.randint(1024, 65535),
-                dst_ip=target,
-                version=self._pick_version(),
-                suite=self.suite,
-                pad_to=pad,
-            )
-            self.send(connection.initial_datagram(self.loop.now))
-        self.packets_sent += 1
+    def _probe(self) -> UdpDatagram:
+        rng = self.rng
+        target = self.target_prefix.random_host(rng)
+        if rng.random() < self.zero_rtt_probability:
+            return self._zero_rtt_packet(target)
+        pad = 1200 if rng.random() < self.pad_probability else 0
+        src_port = rng.randint(1024, 65535)
+        version = rng.choices(self._versions, cum_weights=self._cum_weights)[0]
+        return UdpDatagram(
+            self.address,
+            target,
+            src_port,
+            QUIC_PORT,
+            stateless_initial(rng, self.suite, version, pad_to=pad),
+        )
 
     def _zero_rtt_packet(self, target: int) -> UdpDatagram:
         """A 0-RTT packet replayed at dark space (session-resumption abuse)."""
@@ -160,33 +174,10 @@ class UnknownScanner(Device):
         )
 
 
-class NoiseSource(Device):
+class NoiseSource(StatelessSender):
     """Non-QUIC UDP/443 traffic: the dissector's false-positive input."""
 
-    def __init__(
-        self,
-        name: str,
-        address: int,
-        loop: EventLoop,
-        rng: random.Random,
-        target_prefix: Prefix,
-    ) -> None:
-        super().__init__(name)
-        self.address = address
-        self.loop = loop
-        self.rng = rng
-        self.target_prefix = target_prefix
-        self.packets_sent = 0
-
-    def prefixes(self) -> list[Prefix]:
-        return [Prefix(self.address, 32)]
-
-    def emit(self, packet_count: int, start_time: float = 0.0, duration: float = 600.0) -> None:
-        step = duration / max(packet_count, 1)
-        for i in range(packet_count):
-            self.loop.schedule_at(start_time + i * step, self._one)
-
-    def _one(self) -> None:
+    def _probe(self) -> UdpDatagram:
         target = self.target_prefix.random_host(self.rng)
         kind = self.rng.random()
         if kind < 0.4:
@@ -199,13 +190,10 @@ class NoiseSource(Device):
             # Small unparseable blobs (misdirected media / probes).
             payload = self.rng.randbytes(self.rng.randint(1, 24))
         backscatter_like = self.rng.random() < 0.5
-        self.send(
-            UdpDatagram(
-                src_ip=self.address,
-                dst_ip=target,
-                src_port=QUIC_PORT if backscatter_like else self.rng.randint(1024, 65000),
-                dst_port=self.rng.randint(1024, 65000) if backscatter_like else QUIC_PORT,
-                payload=payload,
-            )
+        return UdpDatagram(
+            src_ip=self.address,
+            dst_ip=target,
+            src_port=QUIC_PORT if backscatter_like else self.rng.randint(1024, 65000),
+            dst_port=self.rng.randint(1024, 65000) if backscatter_like else QUIC_PORT,
+            payload=payload,
         )
-        self.packets_sent += 1

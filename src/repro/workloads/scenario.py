@@ -822,7 +822,7 @@ def _install_noise(
             packets=unit.count,
             duration=cfg.window,
         )
-    noise.emit(unit.count, start_time=0.0, duration=cfg.window)
+    noise.sweep(unit.count, start_time=0.0, duration=cfg.window)
 
 
 # ---------------------------------------------------------------------------

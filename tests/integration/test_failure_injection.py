@@ -131,7 +131,7 @@ class TestSpoofedServerSource:
         equals a server's, so a victim's flight lands on a second server
         and the two used to answer each other's stateless resets for ever."""
         scenario = build_scenario(ScenarioConfig(seed=109).scaled(0.25))
-        # A finished run needs 2-2.5 events per unit of planned weight.
+        # A finished run needs 1-1.5 events per unit of planned weight.
         scenario.loop.run(max_events=8 * scenario.loop.expected_events)
         assert scenario.loop.pending == 0
         assert len(scenario.telescope.records) == 19035

@@ -19,6 +19,7 @@ the same row, and append nothing at all for a record it drops.
 
 import random
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.buffer import BufferError_, Reader
 from repro.capstore import CaptureTable, default_acknowledged, default_asdb, record_verdict
 from repro.capstore.table import OFFSET_COLUMNS, PACKET_COLUMNS, ROW_COLUMNS
+from repro.cli import main
 from repro.netstack.addr import parse_ip
 from repro.netstack.ip import (
     HEADER_LENGTH as IP_HEADER_LENGTH,
@@ -34,6 +36,7 @@ from repro.netstack.ip import (
     PROTO_UDP,
     decode_ipv4,
 )
+from repro.netstack.pcap import PcapRecord, read_pcap
 from repro.netstack.udp import (
     HEADER_LENGTH as UDP_HEADER_LENGTH,
     UdpDatagram,
@@ -65,6 +68,8 @@ from repro.quic.packet import (
 from repro.quic.varint import read_varint
 from repro.quic.version import VERSION_NEGOTIATION, lookup as lookup_version
 from repro.telescope.classify import DROP_REASONS, CapturedPacket, PacketClass
+from tests.integration.test_fuzz import _capture_records
+from tests.integration.test_golden_pcap import MONTHS
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +425,13 @@ def reference_dissect(payload, validate_crypto):
     return [parsed for parsed, _raw in packets]
 
 
-def reference_classify(timestamp, data, asdb, acknowledged):
-    """(CapturedPacket, None) or (None, drop reason), one object per step."""
+def reference_classify(timestamp, data, asdb, acknowledged, parent_rule=False):
+    """(CapturedPacket, None) or (None, drop reason), one object per step.
+
+    ``parent_rule`` is the decision as it stood before ISSUE 22: every
+    scan was AEAD-opened, also the ones from an acknowledged prefix that
+    the next step removes whatever the open says.
+    """
     try:
         datagram = reference_decode_udp(data)
     except (UdpParseError, ValueError):
@@ -432,10 +442,12 @@ def reference_classify(timestamp, data, asdb, acknowledged):
         klass = PacketClass.SCAN
     else:
         return None, "non_port_443"
-    packets = reference_dissect(datagram.payload, klass is PacketClass.SCAN)
+    is_scan = klass is PacketClass.SCAN
+    removed = is_scan and acknowledged.is_acknowledged(datagram.src_ip)
+    packets = reference_dissect(datagram.payload, is_scan and (parent_rule or not removed))
     if packets is None:
         return None, "failed_dissection"
-    if klass is PacketClass.SCAN and acknowledged.is_acknowledged(datagram.src_ip):
+    if removed:
         return None, "acknowledged_scanner"
     return (
         CapturedPacket(
@@ -497,6 +509,10 @@ def _with_ip_options(packet, options=b"\x01\x01\x01\x00"):
     return bytes(head) + options + packet[20:]
 
 
+def _flip_last_byte(packet):
+    return packet[:-1] + bytes([packet[-1] ^ 0x01])
+
+
 #: shape -> (record bytes, expected verdict of the unmutated record)
 RECORD_SHAPES = {
     "initial": (_scan([_long(PacketType.INITIAL)]), None),
@@ -517,6 +533,18 @@ RECORD_SHAPES = {
     "acknowledged-scanner": (
         _scan([_long(PacketType.INITIAL)], src_ip=ACKNOWLEDGED),
         "acknowledged_scanner",
+    ),
+    # Structurally an Initial, but its AEAD tag does not verify.  The
+    # parent commit opened it and answered "failed_dissection"; the open is
+    # now kept for the records step 4 keeps, and this one it removes.
+    "acknowledged-scanner-bad-tag": (
+        _flip_last_byte(_scan([_long(PacketType.INITIAL)], src_ip=ACKNOWLEDGED)),
+        "acknowledged_scanner",
+    ),
+    # Wireshark's part of step 3 still runs first for everybody.
+    "acknowledged-scanner-not-quic": (
+        encode_udp(UdpDatagram(ACKNOWLEDGED, TELESCOPE, 50123, 443, b"\x16\xfe\xfd" + bytes(40))),
+        "failed_dissection",
     ),
     "handshake": (_backscatter(_server([_long(PacketType.HANDSHAKE)])), None),
     "initial+handshake": (
@@ -651,6 +679,49 @@ def test_record_verdict_matches_object_pipeline(shape):
         judge.check(mutant)
     # The mutants did reach more than one verdict.
     assert sum(1 for count in judge.reasons.values() if count) >= 2
+
+
+def _hostile_records():
+    """The hostile pcap's records, every shape above, and what the mutator
+    makes of the three shapes from an acknowledged prefix."""
+    yield from _capture_records()
+    for shape, (record, _reason) in sorted(RECORD_SHAPES.items()):
+        yield PcapRecord(1.0, record)
+        if shape.startswith("acknowledged-scanner"):
+            for mutant in mutants(record, seed=len(record)):
+                yield PcapRecord(1.0, mutant)
+
+
+@pytest.mark.parametrize("case", sorted(MONTHS) + ["hostile"])
+def test_opening_only_what_step_4_keeps_changes_no_kept_row(case, tmp_path):
+    """Parent rule vs shipped rule: same kept rows, column for column, on
+    every input; same drop counters on every capture the simulator wrote.
+    (On hostile input a record can move between the two drop reasons of an
+    acknowledged prefix — never into or out of the kept rows.)"""
+    if case == "hostile":
+        records = list(_hostile_records())
+    else:
+        pcap = str(tmp_path / "month.pcap")
+        assert main(["simulate", pcap, *MONTHS[case]]) == 0
+        records = read_pcap(pcap)
+    judge = _RecordJudge()
+    parent_kept, parent_reasons, reasons = [], Counter(), Counter()
+    for record in records:
+        packet, reason = reference_classify(
+            record.timestamp, record.data, judge.asdb, judge.acknowledged, parent_rule=True
+        )
+        parent_reasons[reason] += 1
+        if packet is not None:
+            parent_kept.append(packet)
+        reasons[judge.verdict(record.timestamp, record.data, 0, len(record.data))] += 1
+    table = judge.table
+    assert [table.materialize(row) for row in range(table.num_rows)] == parent_kept
+    assert parent_kept
+    if case == "hostile":
+        assert reasons != parent_reasons  # the flipped tag, at least
+        for counter in (reasons, parent_reasons):
+            counter["removed"] = counter.pop("failed_dissection") + counter.pop("acknowledged_scanner")
+    assert reasons == parent_reasons
 
 
 def test_record_verdict_keeps_first_seen_origin_order():

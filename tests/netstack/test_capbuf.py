@@ -204,6 +204,34 @@ class TestCaptureBuffer:
         assert len(buffer) == 6
         assert buffer.record(5).data == b"late"
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        commits=st.lists(
+            st.tuples(
+                st.integers(0, 40),  # send slot: duplicates are common
+                st.sampled_from([0.0, 0.0, 0.25, 0.5, 2.75]),  # bounded lateness
+                st.binary(min_size=1, max_size=6),
+            ),
+            max_size=60,
+        )
+    )
+    def test_commits_keep_the_columns_in_arrival_order(self, commits):
+        # Commit order is transmit order: slots ascend, arrivals need not.
+        commits = sorted(commits, key=lambda commit: commit[0])
+        buffer = CaptureBuffer()
+        for slot, lateness, data in commits:
+            buffer.append(slot + lateness, data)
+        stamped = [(slot + lateness, data) for slot, lateness, data in commits]
+        # sorted() is stable: equal timestamps stay in commit order.
+        expected = [pair for _i, pair in sorted(enumerate(stamped), key=lambda e: e[1][0])]
+        assert list(buffer.times) == [ts for ts, _data in expected]
+        assert [(r.timestamp, r.data) for r in buffer.records] == expected
+        written = io.BytesIO()
+        buffer.write_to(PcapWriter(written))
+        reference = io.BytesIO()
+        PcapWriter(reference).write_all(PcapRecord(ts, data) for ts, data in expected)
+        assert written.getvalue() == reference.getvalue()
+
     def test_sorted_records_orders_by_time(self):
         buffer = CaptureBuffer()
         buffer.append(2.0, b"second")

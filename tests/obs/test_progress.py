@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,9 @@ from repro.obs.progress import (
     render_progress,
     resolve_progress_dir,
 )
+from repro.simnet.shard import run_scenario
+from repro.workloads.scenario import ScenarioConfig
+from tests.integration.test_golden_pcap import ONE_SIDED
 
 
 class TestHeartbeatWriter:
@@ -195,3 +199,16 @@ class TestAggregateRender:
 
     def test_expected_events_calibration(self):
         assert expected_events(100) == pytest.approx(100 * EVENTS_PER_WEIGHT)
+
+    @pytest.mark.parametrize("scans_only", [False, True], ids=["month", "scans-only"])
+    def test_a_finished_run_ends_near_its_expected_total(self, scans_only, tmp_path):
+        """``repro progress`` must neither stall at 50% nor pass 130%: the
+        calibration has to follow what the loop counts as an event."""
+        config = ScenarioConfig(seed=5).scaled(0.02)
+        if scans_only:
+            knobs = ONE_SIDED["scans-only-20220101-x0.05"]
+            config = replace(config, **{knob: 0 for knob in knobs})
+        run_scenario(config, heartbeat=HeartbeatWriter(str(tmp_path), worker=0))
+        (beat,) = read_heartbeats(str(tmp_path))
+        assert beat["status"] == "done"
+        assert 0.75 <= beat["done"] / beat["total"] <= 1.33

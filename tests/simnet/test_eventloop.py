@@ -1,5 +1,7 @@
 """Discrete-event loop semantics."""
 
+import random
+
 import pytest
 
 from repro.simnet.eventloop import EventLoop
@@ -55,6 +57,23 @@ class TestScheduling:
         loop.run()
         assert fired == [True]
         assert loop.now == 1.0
+
+    def test_schedule_at_fires_at_the_float_it_was_given(self):
+        # ``now + (t - now)`` happens to round back to ``t`` for every
+        # 0 <= now <= t we have tried; byte-identical captures should not
+        # rest on that, so the heap holds ``t`` itself.
+        rng = random.Random(22)
+        loop = EventLoop()
+        for _ in range(10_000):
+            now = loop.now + rng.uniform(0.0, 3.0)
+            loop.schedule_at(now, lambda: None)
+            loop.run()
+            assert loop.now == now
+            when = now + rng.choice((rng.random() * 1e-9, rng.random(), rng.uniform(0, 2_600_000)))
+            fired = []
+            loop.schedule_at(when, lambda: fired.append(loop.now))
+            loop.run()
+            assert fired == [when]
 
     def test_nested_scheduling(self):
         loop = EventLoop()

@@ -2,12 +2,15 @@
 
 import random
 
+import pytest
+
 from repro.netstack.addr import Prefix, parse_ip
 from repro.netstack.udp import DeferredDatagram, UdpDatagram
 from repro.obs import JsonlTracer, Observability
 from repro.obs.prof import Profiler
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device, Network, PathModel
+from repro.telescope.darknet import Telescope
 
 
 class Sink(Device):
@@ -256,8 +259,42 @@ class TestDeferredPayload:
 
 class TestDeviceErrors:
     def test_unattached_send_raises(self):
-        import pytest
-
         device = Sink("lonely", "10.0.0.0/8")
         with pytest.raises(RuntimeError):
             device.send(dgram("10.0.0.1", "10.0.0.2"))
+
+    def test_a_passive_device_that_answers_raises(self):
+        # A passive device is handed datagrams ahead of their arrival time;
+        # one that sent from there would act before the packet reached it.
+        class AnsweringTelescope(Telescope):
+            def handle_datagram(self, datagram, now):
+                super().handle_datagram(datagram, now)
+                self.send(datagram.reply(b"nobody home"))
+
+        loop, net = make_net()
+        telescope = AnsweringTelescope(prefix="44.0.0.0/9")
+        sender = Sink("sender", "192.0.2.0/24")
+        net.add_device(telescope)
+        net.add_device(sender)
+        with pytest.raises(RuntimeError, match="passive device telescope cannot send"):
+            sender.send(dgram("192.0.2.1", "44.1.2.3"))
+
+
+class TestDeliveryModes:
+    def test_passive_sink_gets_the_arrival_time_and_no_event(self):
+        loop, net = make_net(jitter=0.001)
+        telescope = Telescope(prefix="44.0.0.0/9")
+        reactive = Sink("reactive", "10.0.0.0/8")
+        sender = Sink("sender", "192.0.2.0/24")
+        for device in (telescope, reactive, sender):
+            net.add_device(device)
+        loop.schedule_at(2.5, lambda: sender.send(dgram("192.0.2.1", "44.1.2.3")))
+        loop.schedule_at(2.5, lambda: sender.send(dgram("192.0.2.1", "10.1.2.3")))
+        loop.run()
+        # Two sends; one delivery event, for the device that could react.
+        assert loop.events_processed == 3
+        assert len(telescope) == len(reactive.received) == 1
+        # base 2 ms + two 5 ms access delays + up to 1 ms of jitter.
+        assert 2.5 + 0.012 <= telescope.records[0].timestamp < 2.5 + 0.013
+        assert loop.now == reactive.received[0][0]
+        assert net.stats.delivered == 2

@@ -1,6 +1,7 @@
 """Traffic generators: clients, attackers, scanners, scenario wiring."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,10 +9,17 @@ from repro.netstack.addr import Prefix, parse_ip
 from repro.quic.packet import PacketType, decode_datagram, parse_long_header
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device, Network, PathModel
+from repro.telescope.darknet import Telescope
 from repro.workloads.attackers import AttackPlan, SpoofingAttacker
-from repro.workloads.clients import ClientConnection
+from repro.workloads.clients import ClientConnection, stateless_initial
 from repro.workloads.scanners import NoiseSource, ResearchScanner, UnknownScanner
-from repro.workloads.scenario import ScenarioConfig, april_2021_config, build_scenario
+from repro.workloads.scenario import (
+    ScenarioConfig,
+    april_2021_config,
+    build_scenario,
+    plan_traffic_units,
+)
+from tests.integration.test_golden_pcap import ONE_SIDED
 
 
 class Recorder(Device):
@@ -90,6 +98,31 @@ class TestClientConnection:
             )
             is None
         )
+
+
+class TestStatelessInitial:
+    @pytest.mark.parametrize("dcid_length", [8, 12])
+    def test_draws_and_seals_what_a_connection_would(self, dcid_length):
+        """Same seed, same bytes: DCID, SCID, random drawn in one order."""
+        rng = random.Random(77)
+        connection = ClientConnection(
+            rng=rng,
+            src_ip=1,
+            src_port=2,
+            dst_ip=3,
+            version=0xFACEB002,
+            server_name="example.org",
+            dcid=None
+            if dcid_length == 8
+            else rng.getrandbits(8 * dcid_length).to_bytes(dcid_length, "big"),
+        )
+        assert stateless_initial(
+            random.Random(77),
+            "fast",
+            0xFACEB002,
+            "example.org",
+            dcid_length=dcid_length,
+        ) == connection.initial_datagram().payload
 
 
 class TestAttacker:
@@ -224,6 +257,30 @@ class TestScanners:
         }
         assert types == {PacketType.ZERO_RTT}
 
+    def test_a_sweep_is_one_pending_event_per_probe(self):
+        loop = EventLoop()
+        net = Network(loop, random.Random(5))
+        net.add_device(Telescope())
+        scanner = ResearchScanner(
+            name="umich",
+            address=parse_ip("141.212.0.7"),
+            loop=loop,
+            rng=random.Random(1),
+            target_prefix=Prefix.parse("44.0.0.0/9"),
+        )
+        net.add_device(scanner)
+        scanner.sweep(7, start_time=1.0, duration=3.5)
+        sent_at = []
+        while loop.pending:
+            assert loop.pending == 1
+            loop.step()
+            sent_at.append(loop.now)
+        # The times a loop over i would have pushed, not a running sum.
+        assert sent_at == [1.0 + i * (3.5 / 7) for i in range(7)]
+        assert scanner.packets_sent == 7
+        scanner.sweep(0)
+        assert loop.pending == 0
+
     def test_noise_is_not_quic(self):
         from repro.core.dissector import is_quic_datagram
 
@@ -236,7 +293,7 @@ class TestScanners:
             target_prefix=Prefix.parse("44.0.0.0/9"),
         )
         net.add_device(noise)
-        noise.emit(50, duration=5.0)
+        noise.sweep(50, duration=5.0)
         loop.run()
         assert len(telescope.received) == 50
         assert not any(is_quic_datagram(d.payload) for d in telescope.received)
@@ -253,6 +310,21 @@ class TestScenarioBuilder:
     def test_scaled_helper(self):
         cfg = ScenarioConfig().scaled(0.1)
         assert cfg.attacks_facebook == ScenarioConfig().attacks_facebook // 10
+
+    def test_a_scan_only_scenario_is_one_event_per_record(self):
+        """Nobody answers a stateless probe and the telescope is handed its
+        arrivals at transmit time: N probes, N events, N records."""
+        config = replace(
+            ScenarioConfig(seed=3).scaled(0.02),
+            **{knob: 0 for knob in ONE_SIDED["scans-only-20220101-x0.05"]},
+        )
+        probes = sum(unit.count for unit in plan_traffic_units(config))
+        scenario = build_scenario(config)
+        scenario.run()
+        assert probes == 772
+        assert scenario.loop.events_processed == probes
+        assert len(scenario.telescope.records) == probes
+        assert scenario.network.stats.delivered == probes
 
     def test_small_scenario_wiring(self, small_scenario):
         scenario = small_scenario
