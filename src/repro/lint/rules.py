@@ -37,9 +37,9 @@ rule id     invariant
             (``AesGcm``/``AES128``/``derive_initial_keys``) inside loop
             bodies — both are quadratic/per-packet costs the template
             and memo planes exist to amortize — nor chain
-            ``hmac.new(...).digest()`` anywhere (one-shot
-            ``hmac.digest`` computes the same MAC without building an
-            ``HMAC`` object per call)
+            ``hmac.new(...).digest()`` anywhere, nor call ``hmac.digest``
+            / ``hmac.new`` under ``quic/crypto/``, where ``hkdf.py``'s
+            ``hmac_sha256`` / ``HmacSha256`` is the one HMAC-SHA256
 ==========  =============================================================
 
 Rules are small classes with an ``interests`` tuple of AST node types
@@ -432,18 +432,26 @@ class PacketHotLoopRule(Rule):
             return
         if isinstance(node, ast.Call):
             func = node.func
-            if (
+            in_crypto = ctx.parts[-3:-1] == ("quic", "crypto")
+            if in_crypto and ctx.resolve(func) in ("hmac.digest", "hmac.new"):
+                yield self.finding(
+                    node,
+                    ctx,
+                    "stdlib hmac under quic/crypto/: hkdf.py's hmac_sha256 (key "
+                    "used once) / HmacSha256 (reused) is the one HMAC-SHA256 there",
+                )
+            elif (
                 isinstance(func, ast.Attribute)
                 and func.attr == "digest"
                 and isinstance(func.value, ast.Call)
                 and ctx.resolve(func.value.func) == "hmac.new"
+                and not in_crypto  # flagged above, at the new()
             ):
                 yield self.finding(
                     node,
                     ctx,
-                    "hmac.new(…).digest() builds an HMAC object per call on "
-                    "a per-packet path; use one-shot hmac.digest(key, msg, "
-                    "digest)",
+                    "hmac.new(…).digest() builds an HMAC object per packet; use "
+                    "repro.quic.crypto.hkdf's hmac_sha256 (or HmacSha256, keyed once)",
                 )
             return
         accumulators = self._bytes_accumulators(ctx)

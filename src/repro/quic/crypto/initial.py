@@ -17,13 +17,10 @@ engine, which needs both.
 
 from __future__ import annotations
 
-import hmac
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from repro.quic import version as quic_version
-from repro.quic.crypto.hkdf import expand_label_info, hkdf_extract
+from repro.quic.crypto.hkdf import HmacSha256, expand_label_info, hkdf_extract, hmac_sha256
 
 #: Version-specific Initial salts (RFC 9001 §5.2 and predecessors).
 INITIAL_SALTS: dict[int, bytes] = {
@@ -59,20 +56,26 @@ def initial_salt(version: int) -> bytes:
     return INITIAL_SALTS[quic_version.QUIC_V1.value]
 
 
-@dataclass(frozen=True)
 class DirectionKeys:
-    """AEAD key material for one direction of an Initial exchange."""
+    """AEAD key material for one direction of an Initial exchange.
 
-    key: bytes  # 16 bytes (AES-128)
-    iv: bytes  # 12 bytes
-    hp: bytes  # 16 bytes, header protection key
+    Compares by value and is not hashable: the memos key on ``(version,
+    DCID)`` and on key bytes, never on this object.
+    """
 
-    def __post_init__(self) -> None:
-        # The IV as a 96-bit integer; derived state on a frozen dataclass
-        # needs object.__setattr__.  Memoized key objects are shared
-        # across every packet of a connection, so the conversion happens
-        # once per key instead of once per nonce.
-        object.__setattr__(self, "iv_int", int.from_bytes(self.iv, "big"))
+    __slots__ = ("key", "iv", "hp", "iv_int")
+
+    def __init__(self, key: bytes, iv: bytes, hp: bytes) -> None:
+        self.key = key  # 16 bytes (AES-128)
+        self.iv = iv  # 12 bytes
+        self.hp = hp  # 16 bytes, header protection key
+        # The IV as a 96-bit integer, converted once per key, not per nonce.
+        self.iv_int = int.from_bytes(iv, "big")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DirectionKeys) and (
+            (self.key, self.iv, self.hp) == (other.key, other.iv, other.hp)
+        )
 
     def nonce(self, packet_number: int) -> bytes:
         """Per-packet nonce: IV XORed with the packet number (RFC 9001 §5.3).
@@ -117,34 +120,39 @@ _V1_LABELS = _initial_labels("quic")
 _V2_LABELS = _initial_labels("quicv2")
 
 
-@dataclass(frozen=True)
 class InitialKeys:
     """Both directions of Initial key material for one connection.
 
-    Holds the Initial secret; ``client`` and ``server`` are each expanded
-    on first access and then kept (``cached_property`` stores into the
-    instance ``__dict__``, which a frozen dataclass still has).
+    Holds the Initial secret.  The ``client`` and ``server`` slots start
+    empty; reading an empty slot lands in :meth:`__getattr__`, which
+    expands that direction and fills it, so every later read is a plain
+    slot load.  Compares by value, is not hashable, and is shared by every
+    user of its ``(version, DCID)`` through ``cached_initial_keys``.
     """
 
-    initial_secret: bytes
-    labels: _InitialLabels = _V1_LABELS
+    __slots__ = ("initial_secret", "labels", "client", "server")
 
-    def _direction(self, secret_label: bytes) -> DirectionKeys:
-        labels = self.labels
-        secret = hmac.digest(self.initial_secret, secret_label, "sha256")
-        return DirectionKeys(
-            key=hmac.digest(secret, labels.key, "sha256")[:16],
-            iv=hmac.digest(secret, labels.iv, "sha256")[:12],
-            hp=hmac.digest(secret, labels.hp, "sha256")[:16],
+    def __init__(self, initial_secret: bytes, labels: _InitialLabels = _V1_LABELS) -> None:
+        self.initial_secret = initial_secret
+        self.labels = labels
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, InitialKeys) and (
+            (self.initial_secret, self.labels) == (other.initial_secret, other.labels)
         )
 
-    @cached_property
-    def client(self) -> DirectionKeys:
-        return self._direction(self.labels.client_in)
-
-    @cached_property
-    def server(self) -> DirectionKeys:
-        return self._direction(self.labels.server_in)
+    def __getattr__(self, name: str) -> DirectionKeys:
+        # Reached only while the slot ``name`` is empty: expand it, once.
+        if name not in ("client", "server"):
+            raise AttributeError(name)
+        labels = self.labels
+        secret = hmac_sha256(self.initial_secret, getattr(labels, name + "_in"))
+        expand = HmacSha256(secret).digest
+        keys = DirectionKeys(
+            expand(labels.key)[:16], expand(labels.iv)[:12], expand(labels.hp)[:16]
+        )
+        setattr(self, name, keys)
+        return keys
 
     def for_sender(self, is_server: bool) -> DirectionKeys:
         return self.server if is_server else self.client

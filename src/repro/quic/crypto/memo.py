@@ -19,9 +19,9 @@ every suite instance in the process:
 * ``cached_gcm(key)`` — an :class:`AesGcm` with its GHASH byte tables
   built (the expensive one: 16×256 field multiplications per key).
 
-The cached objects are safe to share: ``InitialKeys`` is frozen (its two
-lazily filled directions are pure functions of its fields), and
-``AES128``/``AesGcm`` carry no per-call state.
+The cached objects are safe to share: an ``InitialKeys`` is written only
+to fill its two direction slots (pure functions of its secret and labels),
+and ``AES128``/``AesGcm`` carry no per-call state.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.lru import LruCache
 from repro.netstack.udp import QUIC_PORT, DeferredDatagram, UdpDatagram
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import (
@@ -108,8 +109,8 @@ def datagram_length_bounds(expected_events: Optional[int] = None) -> tuple:
     return tuple(sorted(bounds))
 
 
-#: What the engine hands to :meth:`QuicServerEngine._reply`: a datagram's
-#: payload length and the builder that produces those bytes on first read.
+#: What the engine puts into a :class:`DeferredDatagram`: the payload
+#: length and the builder that produces those bytes on first read.
 _Planned = tuple[int, Callable[[], bytes]]
 
 
@@ -190,10 +191,14 @@ class _FlightLayout:
     framing, padding, both header skeletons (via
     :func:`~repro.quic.packet.packet_template`) and the padding deficits
     (computed analytically from
-    :func:`~repro.quic.packet.header_length`) are all shared.  The engine
-    keeps one layout per shape; :meth:`bind` splices a connection's CIDs
-    into the shared skeletons once, after which every flight — and the
-    retransmissions that dominate emission, per Figure 3/4 — reduces to:
+    :func:`~repro.quic.packet.header_length`) are all shared.  A layout
+    is a function of its constructor arguments alone — four profile
+    fields, the Handshake CRYPTO payload (the certificate), the shape —
+    and never written after ``__init__``, so one is built per *deployment*
+    shape and shared by every worker that serves it (:data:`_LAYOUTS`, an
+    engine's own dict being the first lookup).  :meth:`bind` splices a
+    connection's CIDs into copies of the skeletons once, after which every
+    flight — and the retransmissions that dominate emission — reduces to:
     one rng draw at send time and, if anybody ever reads the datagram, a
     three-way payload join, a header copy with a one-byte PN patch, and
     one AEAD seal per packet.  The datagram lengths follow from the
@@ -220,15 +225,18 @@ class _FlightLayout:
 
     def __init__(
         self,
-        engine: "QuicServerEngine",
+        idle_timeout: float,
+        initial_datagram_size: int,
+        handshake_datagram_size: int,
+        coalesced_datagram_size: int,
+        handshake_payload: bytes,
         version: int,
         dcid_len: int,
         scid_len: int,
         coalesced: bool,
     ) -> None:
-        profile = engine.profile
-        payload_a = self._initial_payload(profile, b"\x00" * scid_len)
-        payload_b = self._initial_payload(profile, b"\xff" * scid_len)
+        payload_a = self._initial_payload(idle_timeout, b"\x00" * scid_len)
+        payload_b = self._initial_payload(idle_timeout, b"\xff" * scid_len)
         diff = [i for i in range(len(payload_a)) if payload_a[i] != payload_b[i]]
         if scid_len:
             scid_offset = diff[0]
@@ -242,7 +250,6 @@ class _FlightLayout:
         prefix = payload_a[:random_offset]
         mid = payload_a[random_offset + 32 : scid_offset]
         suffix = payload_a[scid_offset + scid_len :]
-        handshake_payload = engine._handshake_payload_bytes()
 
         def encoded_length(packet_type: PacketType, payload_len: int) -> int:
             return (
@@ -257,16 +264,16 @@ class _FlightLayout:
             total = encoded_length(PacketType.INITIAL, initial_len) + encoded_length(
                 PacketType.HANDSHAKE, handshake_len
             )
-            handshake_pad = max(0, profile.coalesced_datagram_size - total)
+            handshake_pad = max(0, coalesced_datagram_size - total)
         else:
             initial_pad = max(
                 0,
-                profile.initial_datagram_size
+                initial_datagram_size
                 - encoded_length(PacketType.INITIAL, initial_len),
             )
             handshake_pad = max(
                 0,
-                profile.handshake_datagram_size
+                handshake_datagram_size
                 - encoded_length(PacketType.HANDSHAKE, handshake_len),
             )
             suffix += b"\x00" * initial_pad
@@ -287,10 +294,10 @@ class _FlightLayout:
         self.coalesced = coalesced
 
     @staticmethod
-    def _initial_payload(profile, scid: bytes) -> bytes:
+    def _initial_payload(idle_timeout: float, scid: bytes) -> bytes:
         params = TransportParameters()
         params.set(INITIAL_SOURCE_CONNECTION_ID, scid)
-        params.set(MAX_IDLE_TIMEOUT, int(profile.idle_timeout * 1000))
+        params.set(MAX_IDLE_TIMEOUT, int(idle_timeout * 1000))
         params.set(MAX_UDP_PAYLOAD_SIZE, 1472)
         params.set(ACTIVE_CONNECTION_ID_LIMIT, 4)
         hello = encode_handshake(
@@ -320,6 +327,11 @@ class _FlightLayout:
             ),
             coalesced=self.coalesced,
         )
+
+
+#: The process's flight layouts by ``_FlightLayout``'s arguments: ≈150 in a
+#: month with thousands of workers; past the bound one is rebuilt, same bytes.
+_LAYOUTS = LruCache(512)
 
 
 class _ConnFlight:
@@ -738,8 +750,10 @@ class QuicServerEngine:
         )
         conn.short_packet_number += 1
         data = encode_short_packet(packet, conn.protection, is_server=True)
-        self._reply(
-            conn.vip, QUIC_PORT, conn.client_ip, conn.client_port, *_ready(data)
+        self._send(
+            DeferredDatagram(
+                conn.vip, conn.client_ip, QUIC_PORT, conn.client_port, *_ready(data)
+            )
         )
 
     def _send_stateless_reset(self, request: UdpDatagram, dcid: bytes) -> None:
@@ -814,18 +828,12 @@ class QuicServerEngine:
             conn.retransmit_event = None
 
     # --------------------------------------------------------- flight build
-    def _handshake_crypto(self) -> bytes:
-        if self.certificate is None:
-            return CERT_MAGIC + (0).to_bytes(2, "big")
-        raw = self.certificate.encode()
-        return CERT_MAGIC + len(raw).to_bytes(2, "big") + raw
-
     def _handshake_payload_bytes(self) -> bytes:
         """The (engine-constant) Handshake CRYPTO payload, encoded once."""
         if self._handshake_payload is None:
-            self._handshake_payload = encode_frames(
-                [CryptoFrame(offset=0, data=self._handshake_crypto())]
-            )
+            raw = self.certificate.encode() if self.certificate is not None else b""
+            data = CERT_MAGIC + len(raw).to_bytes(2, "big") + raw
+            self._handshake_payload = encode_frames([CryptoFrame(offset=0, data=data)])
         return self._handshake_payload
 
     def _send_flight(self, conn: ServerConnection, request: UdpDatagram) -> None:
@@ -846,10 +854,16 @@ class QuicServerEngine:
     ) -> None:
         flight = conn.flight_layout
         if flight is None:
-            key = (conn.version, len(conn.client_cid), len(conn.scid), conn.coalesced)
-            layout = self._flight_layouts.get(key)
+            shape = (conn.version, len(conn.client_cid), len(conn.scid), conn.coalesced)
+            layout = self._flight_layouts.get(shape)
             if layout is None:
-                layout = self._flight_layouts[key] = _FlightLayout(self, *key)
+                p = self.profile
+                key = (p.idle_timeout, p.initial_datagram_size,
+                       p.handshake_datagram_size, p.coalesced_datagram_size,
+                       self._handshake_payload_bytes(), *shape)
+                layout = self._flight_layouts[shape] = _LAYOUTS.get_or_build(
+                    key, lambda: _FlightLayout(*key)
+                )
             flight = conn.flight_layout = layout.bind(conn)
         rng = conn.rng if conn.rng is not None else self.rng
         datagrams = flight.datagrams(conn, rng)
@@ -943,26 +957,7 @@ class QuicServerEngine:
         payload_length: int,
         build: Callable[[], bytes],
     ) -> None:
-        """Answer ``request`` from ``vip``, ports mirrored."""
-        self._reply(
-            vip,
-            request.dst_port,
-            request.src_ip,
-            request.src_port,
-            payload_length,
-            build,
-        )
-
-    def _reply(
-        self,
-        src_ip: int,
-        src_port: int,
-        dst_ip: int,
-        dst_port: int,
-        payload_length: int,
-        build: Callable[[], bytes],
-    ) -> None:
-        """Everything this engine sends leaves here, payload unbuilt.
+        """Answer ``request`` from ``vip``, ports mirrored, payload unbuilt.
 
         ``build`` runs when the datagram's ``.payload`` is first read —
         for a routed datagram inside ``Network.transmit``, in this same
@@ -970,6 +965,11 @@ class QuicServerEngine:
         """
         self._send(
             DeferredDatagram(
-                src_ip, dst_ip, src_port, dst_port, payload_length, build
+                vip,
+                request.src_ip,
+                request.dst_port,
+                request.src_port,
+                payload_length,
+                build,
             )
         )

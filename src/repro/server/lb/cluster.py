@@ -74,7 +74,7 @@ class FrontendCluster(Device):
                 profile=profile,
                 loop=loop,
                 rng=rng,
-                send=self._send_reply,
+                send=self.send,  # direct server return: straight to the network
                 certificate=certificate,
                 address=prefix.host(prefix.size - 2) ,  # shared DSR address
                 obs=obs,
@@ -118,10 +118,6 @@ class FrontendCluster(Device):
         )
         digest = hashlib.sha256(b"ecmp" + key).digest()
         return self.l4lbs[digest[0] % len(self.l4lbs)]
-
-    def _send_reply(self, datagram: UdpDatagram) -> None:
-        """Direct server return: L7 hosts reply straight to the network."""
-        self.send(datagram)
 
     # -- introspection ---------------------------------------------------------
     @property

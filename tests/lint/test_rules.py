@@ -447,7 +447,40 @@ class TestPERF001PacketHotLoop:
         )
         assert [f.rule for f in findings] == ["PERF001"]
         assert findings[0].line == 6
-        assert "hmac.digest" in findings[0].message
+        assert "hmac_sha256" in findings[0].message
+
+    def test_stdlib_hmac_under_quic_crypto_fires(self):
+        """One implementation per behaviour: ``hkdf.py`` is the HMAC there."""
+        findings = findings_for(
+            """
+            import hmac
+            from hmac import new
+
+            def tag(key, message):
+                return hmac.digest(key, message, "sha256")[:16]
+
+            def chained(key, message):
+                return new(key, message, "sha256").digest()
+            """,
+            path="src/repro/quic/crypto/fake.py",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("PERF001", 6), ("PERF001", 9)]
+        assert all("HmacSha256" in f.message for f in findings)
+
+    def test_compare_digest_under_quic_crypto_is_silent(self):
+        assert (
+            rules_hit(
+                """
+                import hmac
+                from repro.quic.crypto.hkdf import hmac_sha256
+
+                def verify(key, message, tag):
+                    return hmac.compare_digest(hmac_sha256(key, message)[:16], tag)
+                """,
+                path="src/repro/quic/crypto/fake.py",
+            )
+            == []
+        )
 
     def test_one_shot_and_incremental_hmac_are_silent(self):
         assert (

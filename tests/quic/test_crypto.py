@@ -1,11 +1,19 @@
 """Cryptographic primitives against published test vectors."""
 
+import hmac
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.quic.crypto.aes import AES128, SBOX
 from repro.quic.crypto.gcm import AesGcm, AuthenticationError, _gf_mult
-from repro.quic.crypto.hkdf import hkdf_expand, hkdf_expand_label, hkdf_extract
+from repro.quic.crypto.hkdf import (
+    HmacSha256,
+    hkdf_expand,
+    hkdf_expand_label,
+    hkdf_extract,
+    hmac_sha256,
+)
 from repro.quic.crypto import initial
 from repro.quic.crypto.initial import derive_initial_keys, initial_salt
 
@@ -113,7 +121,120 @@ class TestGcm:
         assert gcm.open(b"\x11" * 12, sealed, aad) == plaintext
 
 
+class TestHmacSha256:
+    """The one MAC under ``quic/crypto``, judged by RFC 4231 and ``hmac``."""
+
+    LONG_KEY = b"\xaa" * 131  # longer than a SHA-256 block: hashed first
+
+    @pytest.mark.parametrize(
+        "key, message, expected",
+        [
+            (
+                b"\x0b" * 20,
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                b"\xaa" * 20,
+                b"\xdd" * 50,
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                bytes(range(1, 26)),
+                b"\xcd" * 50,
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            (
+                LONG_KEY,
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                LONG_KEY,
+                b"This is a test using a larger than block-size key and a larger "
+                b"than block-size data. The key needs to be hashed before being "
+                b"used by the HMAC algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ],
+        ids=["case1", "case2", "case3", "case4", "case6", "case7"],
+    )
+    def test_rfc4231(self, key, message, expected):
+        assert hmac_sha256(key, message).hex() == expected
+        assert HmacSha256(key).digest(message).hex() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.binary(max_size=200),
+        messages=st.lists(st.binary(max_size=2000), min_size=1, max_size=8),
+    )
+    def test_equals_the_stdlib_in_both_forms(self, key, messages):
+        keyed = HmacSha256(key)  # one state, reused across every message
+        for message in messages:
+            expected = hmac.digest(key, message, "sha256")
+            assert hmac_sha256(key, message) == expected
+            assert keyed.digest(message) == expected
+
+    def test_against_cryptography_on_the_sizes_the_stack_emits(self):
+        pytest.importorskip("cryptography")
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.hmac import HMAC
+        from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
+
+        # 20-byte salts, 32-byte secrets, 16-byte AEAD keys.
+        for size in (16, 20, 32):
+            key = bytes(range(size))
+            keyed = HmacSha256(key)
+            for message in (b"", b"\x83\x94\xc8\xf0\x3e\x51\x57\x08", b"\x5a" * 1231):
+                judge = HMAC(key, hashes.SHA256())
+                judge.update(message)
+                expected = judge.finalize()
+                assert keyed.digest(message) == hmac_sha256(key, message) == expected
+        secret = bytes(range(32))
+        for label, length in (
+            ("client in", 32),
+            ("server in", 32),
+            ("quic key", 16),
+            ("quic iv", 12),
+            ("quic hp", 16),
+            ("quicv2 key", 16),
+        ):
+            full = b"tls13 " + label.encode()
+            info = length.to_bytes(2, "big") + bytes([len(full)]) + full + b"\x00"
+            assert hkdf_expand_label(secret, label, b"", length) == HKDFExpand(
+                hashes.SHA256(), length, info
+            ).derive(secret)
+
+
 class TestHkdf:
+    def test_rfc5869_case_2(self):
+        """A.2: 80-byte salt (hashed first as an HMAC key), three blocks out."""
+        prk = hkdf_extract(bytes(range(0x60, 0xB0)), bytes(range(0x50)))
+        assert prk.hex() == (
+            "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244"
+        )
+        assert hkdf_expand(prk, bytes(range(0xB0, 0x100)), 82).hex() == (
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+            "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+            "cc30c58179ec3e87c14c01d5c1f3434f1d87"
+        )
+
+    def test_rfc5869_case_3(self):
+        """A.3: zero-length salt and info."""
+        prk = hkdf_extract(b"", b"\x0b" * 22)
+        assert prk.hex() == (
+            "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04"
+        )
+        assert hkdf_expand(prk, b"", 42).hex() == (
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+            "9d201395faa4b61a96c8"
+        )
+
     def test_rfc5869_case_1(self):
         ikm = b"\x0b" * 22
         salt = bytes.fromhex("000102030405060708090a0b0c")
@@ -180,12 +301,18 @@ class TestInitialKeys:
         """5 HMACs for a one-sided user, 9 for both, none on re-reads."""
         calls = []
 
-        def counting_digest(key, msg, digest):
-            calls.append(msg)
-            return real_digest(key, msg, digest)
+        def one_shot(key, message):
+            calls.append(message)
+            return hmac_sha256(key, message)
 
-        real_digest = initial.hmac.digest
-        monkeypatch.setattr(initial.hmac, "digest", counting_digest)
+        def keyed_digest(self, message):
+            calls.append(message)
+            return real_digest(self, message)
+
+        # Every MAC of the schedule is one of the primitive's two forms.
+        real_digest = HmacSha256.digest
+        monkeypatch.setattr(initial, "hmac_sha256", one_shot)
+        monkeypatch.setattr(HmacSha256, "digest", keyed_digest)
         keys = derive_initial_keys(1, self.DCID)
         assert len(calls) == 1  # HKDF-Extract only
         client = keys.client

@@ -11,7 +11,7 @@ driver it overrides.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.lru import LruCache
 from repro.quic.crypto.aes import AES128
@@ -28,6 +28,7 @@ from repro.quic.crypto.suites import (
     FastProtection,
     NullProtection,
     PacketProtection,
+    ProtectionError,
     Rfc9001Protection,
 )
 from repro.quic.packet import (
@@ -192,6 +193,21 @@ _LONG_PACKETS = st.builds(
 )
 
 
+#: Payloads shaped like what the stack seals: frames with zero runs
+#: inside them (offsets, empty fields), then 0 … 1,200 bytes of PADDING —
+#: all-zero when no chunk is drawn, unpadded when the draw is 0.
+_PADDED_PAYLOADS = st.builds(
+    lambda chunks, padding: b"".join(chunks) + b"\x00" * padding,
+    st.lists(
+        st.one_of(
+            st.binary(max_size=60), st.integers(0, 40).map(lambda n: b"\x00" * n)
+        ),
+        max_size=6,
+    ),
+    st.integers(0, 1200),
+)
+
+
 def _without_token_unless_initial(packet):
     if packet.packet_type is not PacketType.INITIAL:
         packet.token = b""
@@ -266,13 +282,26 @@ class TestTemplateParity:
         long_form=st.booleans(),
         pn_length=st.integers(1, 4),
         packet_number=st.integers(0, 2**32 - 1),
-        payload=st.binary(min_size=4, max_size=1300),
+        payload=st.one_of(st.binary(max_size=1300), _PADDED_PAYLOADS),
         is_server=st.booleans(),
     )
+    @example(True, 1, 7, b"\x00" * 1200, True)  # nothing but PADDING
+    @example(True, 1, 7, b"\x06\x00\x40\x5a" + b"\xa5" * 90, False)  # none
+    @example(True, 2, 7, b"\x00" * 1199 + b"\x01", True)  # non-zero last byte
+    @example(True, 1, 7, b"\x01" + b"\x00" * 30 + b"\x02\x00\x03" + b"\x00" * 900, False)  # runs
+    @example(True, 1, 7, b"\x00" * 3, True)  # the sample ends on the tag's last byte
+    @example(True, 1, 7, b"\x00\x01", True)  # one byte shorter: no sample
+    @example(False, 3, 7, b"", False)
     def test_fused_fast_protect_matches_driver(
         self, long_form, pn_length, packet_number, payload, is_server
     ):
-        """The override against the generic driver, called explicitly."""
+        """The override against the generic driver, called explicitly.
+
+        The driver's ``_seal`` / ``_xor`` XOR every byte of the payload;
+        the override stops at the last non-zero one and takes the sample
+        from the ciphertext, reaching into the tag only for a packet
+        shorter than the sample window.
+        """
         protection = FastProtection(1, b"\x77" * 8)
         first = (0xC0 if long_form else 0x40) | (pn_length - 1)
         header = (
@@ -282,6 +311,15 @@ class TestTemplateParity:
             + b"\x00\x41\x00"
             + (packet_number & ((1 << (8 * pn_length)) - 1)).to_bytes(pn_length, "big")
         )
+        if len(payload) + pn_length < 4:  # too short to sample: same refusal
+            with pytest.raises(ProtectionError) as driver:
+                PacketProtection.protect(
+                    protection, is_server, header, packet_number, payload
+                )
+            with pytest.raises(ProtectionError) as override:
+                protection.protect(is_server, header, packet_number, payload)
+            assert str(override.value) == str(driver.value)
+            return
         fused = protection.protect(is_server, header, packet_number, payload)
         assert fused == PacketProtection.protect(
             protection, is_server, header, packet_number, payload
