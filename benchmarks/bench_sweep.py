@@ -33,7 +33,8 @@ import time
 from _harness import environment_stamp
 
 from repro.obs import MetricsRegistry, Observability
-from repro.sweep import run_sweep, spec_from_dict
+from repro.sweep.runner import run_sweep
+from repro.sweep.spec import spec_from_dict
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_sweep.json")
 SPEC_PATH = os.path.join(

@@ -29,7 +29,6 @@ each worker builds its own instances instead of serializing them.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -45,8 +44,8 @@ from repro.netstack.pcap import (
     record_sort_key,
 )
 from repro.obs import NULL_OBS, Observability
-from repro.obs.progress import HeartbeatWriter
 from repro.obs.trace import CAT_SANITIZE
+from repro.pool import run_pool
 from repro.telescope.acknowledged import RESEARCH_NETWORKS, AcknowledgedScanners
 from repro.telescope.classify import DROP_REASONS, SanitizationStats
 
@@ -74,7 +73,6 @@ def _dissection(
     validate_crypto_scans: bool,
     obs: Optional[Observability],
     kept_flags: Optional[bytearray] = None,
-    progress: Optional[Callable[[int], None]] = None,
 ) -> Tuple[Callable[[float, bytes, int, int], None], Callable[[], SanitizationStats]]:
     """One dissection pass into ``table``: the verdict plus its bookkeeping.
 
@@ -85,9 +83,7 @@ def _dissection(
     drop is a ``sanitize:drop`` trace event while a tracer is listening.
     ``kept_flags`` receives one byte per record (1 = kept as a row) — the
     alignment data :func:`build_from_shards` needs to interleave rows
-    during its record-stream merge; ``progress`` is called with the
-    running record count every 2048 records (heartbeat writers hook in
-    here).
+    during its record-stream merge.
     """
     verdict = record_verdict(table, asdb, acknowledged, validate_crypto_scans)
     tracer = (obs or NULL_OBS).tracer
@@ -98,8 +94,6 @@ def _dissection(
     def on_record(timestamp: float, buf: bytes, start: int, end: int) -> None:
         nonlocal seen
         seen += 1
-        if progress is not None and not seen & 2047:
-            progress(seen)
         reason = verdict(timestamp, buf, start, end)
         if reason is not None:
             drops[reason] += 1
@@ -136,7 +130,6 @@ def dissect_pcap(
     obs: Optional[Observability] = None,
     limit: Optional[int] = None,
     kept_flags: Optional[bytearray] = None,
-    progress: Optional[Callable[[int], None]] = None,
 ) -> SanitizationStats:
     """Dissect the complete records after ``cursor`` into ``table``.
 
@@ -151,12 +144,11 @@ def dissect_pcap(
     append-only and the verdict is stateless per record.
 
     Returns the stats of this pass alone (``limit`` caps its records);
-    see :func:`_dissection` for ``kept_flags``/``progress`` and what
-    ``obs`` receives.  With a profiler attached, each chunk is one
-    ``index.records`` leaf stage.
+    see :func:`_dissection` for ``kept_flags`` and what ``obs`` receives.
+    With a profiler attached, each chunk is one ``index.records`` leaf stage.
     """
     on_record, finish = _dissection(
-        table, asdb, acknowledged, validate_crypto_scans, obs, kept_flags, progress
+        table, asdb, acknowledged, validate_crypto_scans, obs, kept_flags
     )
     prof = (obs or NULL_OBS).prof
     with PcapWalk(path, cursor, limit) as walk:
@@ -221,86 +213,42 @@ def emit_stats_counters(stats: SanitizationStats, obs: Optional[Observability]) 
         counter.inc_key(("kept_scan",), stats.scans)
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap, inherits the loaded modules); fall back to spawn."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform without fork
-        return multiprocessing.get_context("spawn")
-
-
 def _worker_build(payload: tuple):
     """Pool target: dissect one row group of one pcap into a partial table.
 
     ``count`` records from byte ``offset`` — or, with ``count`` None, the
     whole of a finished file (a shard), which must then end on a record
-    boundary and comes back with its per-record kept flags.  With a
-    ``progress_dir`` in the payload, the worker heartbeats its dissection
-    progress there (stage ``index``) exactly like simulate's shard
-    workers, so ``repro progress`` covers index builds too.
+    boundary and comes back with its per-record kept flags.  The partial
+    table travels back over the pool's pipe: a worker writes no file.
     """
-    (
-        path,
-        offset,
-        count,
-        validate_crypto_scans,
-        asdb_factory,
-        ack_factory,
-        progress_dir,
-        group_index,
-    ) = payload
+    path, offset, count, validate_crypto_scans, asdb_factory, ack_factory = payload
     kept_flags = bytearray() if count is None else None
-    heartbeat = (
-        HeartbeatWriter(progress_dir, worker=group_index, total=count or 0)
-        if progress_dir
-        else None
-    )
-    progress = None
-    if heartbeat is not None:
-        progress = lambda done: heartbeat.update("index", done=done, records=done)
-        heartbeat.update("index")
     table = CaptureTable()
     cursor = PcapCursor(offset)
-    try:
-        stats = dissect_pcap(
-            path,
-            cursor,
-            table,
-            asdb=asdb_factory() if asdb_factory else None,
-            acknowledged=ack_factory() if ack_factory else None,
-            validate_crypto_scans=validate_crypto_scans,
-            limit=count,
-            kept_flags=kept_flags,
-            progress=progress,
-        )
-        if count is None:
-            if cursor.offset != os.path.getsize(path):
-                raise PcapError(
-                    "%s: truncated pcap record at byte %d" % (path, cursor.offset)
-                )
-        elif stats.total_records < count:
+    stats = dissect_pcap(
+        path,
+        cursor,
+        table,
+        asdb=asdb_factory() if asdb_factory else None,
+        acknowledged=ack_factory() if ack_factory else None,
+        validate_crypto_scans=validate_crypto_scans,
+        limit=count,
+        kept_flags=kept_flags,
+    )
+    if count is None:
+        if cursor.offset != os.path.getsize(path):
             raise PcapError(
-                "row group at offset %d ends before %d records" % (offset, count)
+                "%s: truncated pcap record at byte %d" % (path, cursor.offset)
             )
-        if heartbeat is not None:
-            heartbeat.update(
-                "done",
-                done=stats.total_records,
-                records=stats.total_records,
-                final=True,
-            )
-    finally:
-        if heartbeat is not None:
-            heartbeat.close()
+    elif stats.total_records < count:
+        raise PcapError(
+            "row group at offset %d ends before %d records" % (offset, count)
+        )
     return table, stats, kept_flags
 
 
-def _run_workers(payloads: list) -> list:
-    """One :func:`_worker_build` per payload; a lone one runs in process."""
-    if len(payloads) == 1:
-        return [_worker_build(payloads[0])]
-    with _pool_context().Pool(processes=len(payloads)) as pool:
-        return pool.map(_worker_build, payloads)
+def _run_workers(payloads: list, unit: str) -> list:
+    return [part for _index, part in sorted(run_pool(_worker_build, payloads, unit))]
 
 
 def _row_groups(offsets: Sequence[int], workers: int) -> List[Tuple[int, int]]:
@@ -326,7 +274,6 @@ def build_capture_table(
     obs: Optional[Observability] = None,
     asdb_factory: Callable[[], AsDatabase] = default_asdb,
     ack_factory: Callable[[], AcknowledgedScanners] = default_acknowledged,
-    progress_dir: Optional[str] = None,
     cursor: Optional[PcapCursor] = None,
 ) -> Tuple[CaptureTable, SanitizationStats]:
     """Build the columnar table for one pcap, optionally in parallel.
@@ -340,8 +287,7 @@ def build_capture_table(
     ``workers > 1`` splits the file into contiguous row groups and
     dissects them in a process pool; the concatenated result is exactly
     the serial table.  Factories must be module-level callables so they
-    pickle into workers by reference.  ``progress_dir`` makes each
-    row-group worker write live heartbeats there.
+    pickle into workers by reference.
     """
     obs = obs or NULL_OBS
     if cursor is None:
@@ -353,20 +299,10 @@ def build_capture_table(
             offsets = walk.record_offsets()
         groups = _row_groups(offsets, workers)
         if len(groups) > 1:
+            how = (validate_crypto_scans, asdb_factory, ack_factory)
             parts = _run_workers(
-                [
-                    (
-                        pcap_path,
-                        offset,
-                        count,
-                        validate_crypto_scans,
-                        asdb_factory,
-                        ack_factory,
-                        progress_dir,
-                        group_index,
-                    )
-                    for group_index, (offset, count) in enumerate(groups)
-                ]
+                [(pcap_path, offset, count, *how) for offset, count in groups],
+                "row group",
             )
             table = CaptureTable()
             for part_table, _stats, _flags in parts:
@@ -396,7 +332,6 @@ def build_from_shards(
     obs: Optional[Observability] = None,
     asdb_factory: Callable[[], AsDatabase] = default_asdb,
     ack_factory: Callable[[], AcknowledgedScanners] = default_acknowledged,
-    progress_dir: Optional[str] = None,
 ) -> Tuple[CaptureTable, SanitizationStats]:
     """Index per-shard pcaps in parallel; equals indexing their merge.
 
@@ -408,21 +343,8 @@ def build_from_shards(
     the row cursors aligned with the record cursors.
     """
     obs = obs or NULL_OBS
-    parts = _run_workers(
-        [
-            (
-                path,
-                0,
-                None,
-                validate_crypto_scans,
-                asdb_factory,
-                ack_factory,
-                progress_dir,
-                shard_index,
-            )
-            for shard_index, path in enumerate(shard_paths)
-        ]
-    )
+    how = (validate_crypto_scans, asdb_factory, ack_factory)
+    parts = _run_workers([(path, 0, None, *how) for path in shard_paths], "shard")
 
     def shard_stream(shard_index: int):
         for record_index, record in enumerate(iter_pcap(shard_paths[shard_index])):

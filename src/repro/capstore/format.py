@@ -17,8 +17,8 @@ The header carries everything needed to validate before touching the
 payload: a schema version for forward evolution, the source pcap
 fingerprint (size + mtime_ns + content hash) for cache invalidation, and
 a blake2b checksum of the payload against torn writes.  Writes go
-through a temp file + ``os.replace`` so a crashed build never leaves a
-half-written sidecar that a later run would trust.
+through :func:`repro.atomic.atomic_output` so a crashed build never
+leaves a half-written sidecar that a later run would trust.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.atomic import atomic_output
 from repro.capstore.table import (
     KLASS_CODES,
     KLASS_VALUES,
@@ -129,12 +130,10 @@ def dump_index(
     source: Optional[dict] = None,
     pipeline: Optional[dict] = None,
 ) -> None:
-    """Atomically write the sidecar: temp file in the same dir + rename."""
+    """Write the sidecar whole or not at all (:func:`atomic_output`)."""
     blob = dumps_index(table, stats, source=source, pipeline=pipeline)
-    tmp_path = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp_path, "wb") as fileobj:
+    with atomic_output(path, "wb") as fileobj:
         fileobj.write(blob)
-    os.replace(tmp_path, path)
 
 
 def _read_header(fileobj, path: str) -> dict:

@@ -8,9 +8,10 @@ families), so ``repro analyze`` never loads the simulator and ``repro
 lint`` never loads the dissector.  README § CLI lists what each command
 does; ``repro <command> --help`` is the reference for its flags.
 
-``main`` is also the one error boundary: a command pointed at a file
-that is missing, unreadable or not what it has to be answers ``repro
-<command>: <path>: <reason>`` on stderr and exits 2.
+``main`` is also the one error boundary: every failure — a file that is
+missing, unreadable or not what it has to be, flags that contradict each
+other, a dead worker, SIGTERM — answers ``repro <command>: <reason>`` on
+stderr and exits 2 (:mod:`repro.errors`).
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
+import signal
 import sys
 
 from repro.core.render import VALID_TABLES, render_analysis  # noqa: F401
-from repro.errors import InputFileError
+from repro.errors import CommandError, Terminated
 
 # ---------------------------------------------------------------------------
 # Argument types and the flags commands share
@@ -604,10 +606,19 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _raise_terminated(_signum, _frame):
+    raise Terminated("terminated (SIGTERM)")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     module, _, function = args.handler.partition(":")
     handler = getattr(importlib.import_module(module), function)
+    try:
+        # SIGTERM unwinds like Ctrl-C does: temp files go, workers are killed.
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    except ValueError:  # not the main thread: the embedding program's business
+        previous = None
     try:
         status = handler(args)
         sys.stdout.flush()  # a reader that left must fail here, not at exit
@@ -622,8 +633,11 @@ def main(argv: list[str] | None = None) -> int:
         if exc.filename is None:
             raise
         reason = "%s: %s" % (exc.filename, exc.strerror)
-    except InputFileError as exc:
+    except (CommandError, Terminated) as exc:
         reason = str(exc)
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     print("%s: %s" % (args.prog, reason), file=sys.stderr)
     return 2
 

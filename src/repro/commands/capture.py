@@ -28,6 +28,7 @@ from repro.capstore import (
 from repro.commands.common import finish_obs, make_obs
 from repro.core.render import VALID_TABLES, render_analysis
 from repro.core.report import render_table
+from repro.errors import UsageError
 from repro.obs import Observability
 
 
@@ -84,10 +85,9 @@ def validate_tables(args: argparse.Namespace) -> set:
         return {"1", "2", "3", "4"}
     unknown = sorted(set(tables) - set(VALID_TABLES))
     if unknown:
-        raise SystemExit(
-            "%s: unknown table name%s %s (valid names: %s)"
+        raise UsageError(
+            "unknown table name%s %s (valid names: %s)"
             % (
-                args.prog,
                 "s" if len(unknown) > 1 else "",
                 ", ".join(unknown),
                 ", ".join(VALID_TABLES),
@@ -164,9 +164,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         # source pcap, so none is persisted; merge the shards (or pass a
         # single pcap) to build a durable index.
         if args.info or args.force:
-            raise SystemExit(
-                "repro index: --info/--force apply to a single pcap, not shards"
-            )
+            raise UsageError("--info/--force apply to a single pcap, not shards")
         obs = make_obs(args, force_metrics=True)
         try:
             view = load_shard_capture(args.pcap, obs)

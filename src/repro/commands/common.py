@@ -7,6 +7,7 @@ import time as _wall
 from typing import Callable
 
 from repro.core.report import render_table
+from repro.errors import UsageError
 from repro.obs import (
     JsonlTracer,
     MetricsRegistry,
@@ -26,7 +27,7 @@ def make_obs(args: argparse.Namespace, force_metrics: bool = False) -> Observabi
     Prometheus publishers, which render it live).
     """
     if args.trace_ring and not args.trace:
-        raise SystemExit("--trace-ring needs --trace FILE to dump into")
+        raise UsageError("--trace-ring needs --trace FILE to dump into")
     tracer = None
     if args.trace_ring:
         tracer = RingBufferTracer(capacity=args.trace_ring, dump_path=args.trace)

@@ -5,21 +5,16 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.lint import (
-    Baseline,
-    BaselineError,
-    lint_paths,
-    render_json,
-    render_rules,
-    render_text,
-)
+from repro.errors import InputFileError
+from repro.lint.engine import Baseline, lint_paths
+from repro.lint.report import render_json, render_rules, render_text
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static determinism/invariant analyzer over Python sources.
 
-    Exit status is the number of *new* (unbaselined, unsuppressed)
-    findings — 0 means the tree honours the determinism contract.  The
+    Exit status 1 says there are *new* (unbaselined, unsuppressed)
+    findings, 0 that the tree honours the determinism contract.  The
     committed baseline (``lint_baseline.json``, empty in this repo)
     exists so a fork can adopt the linter before paying down debt;
     ``--update-baseline`` regenerates it from the current findings.
@@ -30,11 +25,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     paths = args.paths or ["src"]
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
-        raise SystemExit("repro lint: no such path: %s" % ", ".join(missing))
-    try:
-        baseline = Baseline.load(args.baseline)
-    except BaselineError as exc:
-        raise SystemExit("repro lint: %s" % exc)
+        raise InputFileError("no such path: %s" % ", ".join(missing))
+    baseline = Baseline.load(args.baseline)
     result = lint_paths(paths, baseline=baseline)
     if args.update_baseline:
         Baseline.write(args.baseline, result.findings + result.baselined)
@@ -47,4 +39,4 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(render_json(result))
     else:
         print(render_text(result, verbose_baseline=args.show_baselined))
-    return len(result.findings)
+    return 1 if result.findings else 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
@@ -52,25 +51,6 @@ def _format_delta_value(value: float) -> str:
     if value == int(value):
         return "%+d" % value if value else "0"
     return "%+.3f" % value
-
-
-def _load_snapshot_or_exit(path: str) -> dict:
-    """``load_snapshot`` with one-line CLI errors instead of tracebacks.
-
-    Missing and truncated snapshot files are routine operator input (a
-    crashed run, a typo'd path) and must not dump a stack.
-    """
-    try:
-        return load_snapshot(path)
-    except FileNotFoundError:
-        raise SystemExit("repro stats: %s: no such snapshot file" % path)
-    except json.JSONDecodeError as exc:
-        raise SystemExit(
-            "repro stats: %s: invalid snapshot JSON at line %d (truncated "
-            "write?)" % (path, exc.lineno)
-        )
-    except OSError as exc:
-        raise SystemExit("repro stats: %s: %s" % (path, exc.strerror or exc))
 
 
 def _diff_rows(flat_a: dict, flat_b: dict) -> tuple[list, int]:
@@ -123,8 +103,8 @@ def _print_diff(flat_a: dict, flat_b: dict, title: str) -> None:
 
 def cmd_stats_diff(path_a: str, path_b: str) -> int:
     """Per-metric deltas between two ``--metrics`` snapshots (B minus A)."""
-    flat_a = _flatten_snapshot(_load_snapshot_or_exit(path_a))
-    flat_b = _flatten_snapshot(_load_snapshot_or_exit(path_b))
+    flat_a = _flatten_snapshot(load_snapshot(path_a))
+    flat_b = _flatten_snapshot(load_snapshot(path_b))
     if not flat_a and not flat_b:
         print("neither file contains metrics sections (not --metrics snapshots?)")
         return 1
@@ -141,7 +121,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return 2
     if args.follow:
         return _stats_follow(args)
-    snapshot = _load_snapshot_or_exit(args.metrics_file)
+    snapshot = load_snapshot(args.metrics_file)
     if not any(
         snapshot.get(section)
         for section in ("timers", "counters", "gauges", "histograms")
@@ -251,15 +231,6 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     # by -W ignore / PYTHONWARNINGS and captured wholesale under test
     # runners; catching and re-printing makes the notice reach stderr
     # unconditionally while keeping stdout parseable.
-    # ``read_trace`` is a generator, so a missing file would only surface
-    # (as a traceback) on first iteration; probe now for a one-line error.
-    try:
-        open(args.trace_file).close()
-    except OSError as exc:
-        raise SystemExit(
-            "repro trace summarize: %s: %s"
-            % (args.trace_file, exc.strerror or exc)
-        )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for event in read_trace(args.trace_file):
@@ -322,9 +293,6 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 def cmd_trace_merge(args: argparse.Namespace) -> int:
     """K-way-merge per-worker span streams into one canonical timeline."""
-    for path in args.inputs:
-        if not os.path.exists(path):
-            raise SystemExit("repro trace merge: %s: no such trace file" % path)
     count = merge_span_timelines(args.inputs, args.output)
     print(
         "Merged %d spans from %d traces into %s"

@@ -11,6 +11,7 @@ from repro.active.prober import Prober
 from repro.commands.common import finish_obs, make_obs
 from repro.commands.prom import PromPublishers, wants_prom
 from repro.core.l7lb import convergence_curve
+from repro.errors import UsageError
 from repro.obs.progress import HeartbeatWriter, clean_progress_dir
 from repro.simnet.shard import resolve_workers, run_scenario, simulate_sharded
 from repro.workloads.scenario import (
@@ -32,9 +33,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.workers > 1:
         return _simulate_sharded(args, config)
     if args.keep_shards or args.no_merge:
-        raise SystemExit(
-            "repro simulate: --keep-shards/--no-merge need --workers N >= 2"
-        )
+        raise UsageError("--keep-shards/--no-merge need --workers N >= 2")
     print("Simulating %d (scale %.2f, seed %d)…" % (args.year, args.scale, args.seed))
     obs = make_obs(args, force_metrics=wants_prom(args))
     progress_dir = args.output + ".progress"
@@ -42,7 +41,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     heartbeat = HeartbeatWriter(progress_dir, worker=0)
     with ExitStack() as cleanup:  # runs last-in first-out
         cleanup.callback(finish_obs, args, obs)
-        cleanup.callback(heartbeat.close)
         scenario = run_scenario(
             config,
             obs=obs,
@@ -54,6 +52,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             stage_timers=True,
         )
         # In arrival order: the serial capture is not re-sorted.
+        # repro: allow(IO001) -- append log: read while it grows, up to a torn tail
         with obs.timed("write_pcap"), open(args.output, "wb") as fileobj:
             scenario.telescope.write_pcap(fileobj)
     print(

@@ -1,12 +1,36 @@
-"""The error a command answers in one line instead of a traceback."""
+"""The errors a command answers in one line instead of a traceback.
+
+``repro.cli.main`` is the one boundary: ``repro <command>: <reason>`` on
+stderr and exit 2 for every :class:`CommandError` — and for an ``OSError``
+that names a file, so a loader may simply let ``open`` fail.  Nothing
+under ``src/repro`` raises ``SystemExit``.
+"""
 
 
-class InputFileError(ValueError):
+class CommandError(Exception):
+    """A command cannot do what it was asked; ``str()`` is the reason."""
+
+
+class InputFileError(CommandError, ValueError):
     """A file a command was pointed at is not what it has to be.
 
-    Base of :class:`repro.netstack.pcap.PcapError` and
-    :class:`repro.capstore.format.CapIndexError`.  Raised where the path
-    is known, the message starts with it (``<path>: <reason>``), which
-    is what ``repro.cli.main`` prints after ``repro <command>:`` before
-    exiting 2 — as it does for an ``OSError`` that names a file.
+    Base of ``PcapError``, ``CapIndexError``, ``SweepSpecError``,
+    ``RenderError`` and ``BaselineError``.  Raised where the path is
+    known, the message starts with it (``<path>: <reason>``).
+    """
+
+
+class UsageError(CommandError):
+    """Flags that parse but contradict each other, or name nothing."""
+
+
+class WorkerDied(CommandError):
+    """A pool worker exited without answering (killed, out of memory)."""
+
+
+class Terminated(BaseException):
+    """SIGTERM, raised by ``main``'s handler so ``finally`` blocks run.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: the ``except
+    Exception`` that keeps a sweep's sibling cells going must not eat it.
     """

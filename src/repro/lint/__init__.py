@@ -10,40 +10,11 @@ bisect through a million-packet campaign:
   (``# repro: allow(RULE-ID) -- justification``), committed-baseline
   support, single-pass rule dispatch;
 * :mod:`repro.lint.rules` — the rule pack (DET001–DET005, OBS001,
-  MP001) encoding the repo's real invariants;
+  MP001, PERF001, IO001) encoding the repo's real invariants;
 * :mod:`repro.lint.report` — text and JSON reporters sharing the
   ``tools/_report.py`` JSON shape.
 
 Entry points: ``repro lint [--json] [--rules] [--baseline FILE]
 [--update-baseline] [paths…]`` from the CLI, or
-:func:`repro.lint.lint_paths` from Python.
+:func:`repro.lint.engine.lint_paths` from Python.
 """
-
-from repro.lint.engine import (
-    Baseline,
-    BaselineError,
-    Finding,
-    LintResult,
-    collect_pragmas,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-)
-from repro.lint.report import render_json, render_rules, render_text
-from repro.lint.rules import default_rules, rule_table
-
-__all__ = [
-    "Baseline",
-    "BaselineError",
-    "Finding",
-    "LintResult",
-    "collect_pragmas",
-    "default_rules",
-    "iter_python_files",
-    "lint_file",
-    "lint_paths",
-    "render_json",
-    "render_rules",
-    "render_text",
-    "rule_table",
-]

@@ -32,6 +32,9 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.atomic import atomic_output
+from repro.errors import InputFileError
+
 #: ``# repro: allow(DET001) -- why this is fine`` — one or more comma
 #: separated rule ids, then a mandatory ``--`` justification.  The
 #: justification requirement is deliberate: an unexplained suppression
@@ -225,7 +228,7 @@ class Baseline:
                 for f in sorted(findings)
             ],
         }
-        with open(path, "w", encoding="utf-8") as fileobj:
+        with atomic_output(path) as fileobj:
             json.dump(doc, fileobj, indent=2, sort_keys=True)
             fileobj.write("\n")
 
@@ -233,7 +236,7 @@ class Baseline:
         return finding.key() in self.keys
 
 
-class BaselineError(Exception):
+class BaselineError(InputFileError):
     """An unreadable or wrong-format baseline file."""
 
 

@@ -40,6 +40,12 @@ rule id     invariant
             ``hmac.new(...).digest()`` anywhere, nor call ``hmac.digest``
             / ``hmac.new`` under ``quic/crypto/``, where ``hkdf.py``'s
             ``hmac_sha256`` / ``HmacSha256`` is the one HMAC-SHA256
+``IO001``   under ``src/repro``, one way out: no write-mode ``open()``,
+            ``os.replace``, ``Pool(`` / ``ProcessPoolExecutor(`` /
+            ``Process(`` or ``raise SystemExit`` outside ``atomic.py``
+            (whole documents), ``pool.py`` (fan-out) and ``cli.py`` (the
+            error boundary); the append logs — pcaps, the JSONL trace —
+            carry a pragma saying why they are written in place
 ==========  =============================================================
 
 Rules are small classes with an ``interests`` tuple of AST node types
@@ -482,6 +488,56 @@ class PacketHotLoopRule(Rule):
                     )
 
 
+class OneWayOutRule(Rule):
+    """IO001: documents, fan-out and failure each have one implementation."""
+
+    id = "IO001"
+    title = "output, pool or exit outside its one helper"
+    interests = (ast.Call, ast.Raise)
+
+    #: ``src/repro/<one of these>`` *is* the one implementation.
+    _HELPERS = ("atomic.py", "pool.py", "cli.py", "__main__.py")
+
+    def _construct(self, node: ast.AST, ctx: FileContext) -> str:
+        """What ``node`` does that only a helper may ("" = nothing)."""
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            return "raise SystemExit" if getattr(exc, "id", "") == "SystemExit" else ""
+        func = node.func
+        name = getattr(func, "attr", None) or getattr(func, "id", "")
+        if name in ("Pool", "ProcessPoolExecutor", "Process"):
+            return name + "()"
+        mode = node.args[1] if len(node.args) > 1 else None
+        for keyword in node.keywords:
+            if keyword.arg == "mode":
+                mode = keyword.value
+        writes = mode is not None and not (
+            isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")
+        )
+        name = ctx.resolve(func)
+        if name == "open" and writes:
+            return "open() for writing"
+        return name if name == "os.replace" else ""
+
+    def visit(self, node, ctx):
+        parts = ctx.parts
+        below_src = parts[parts.index("src") + 1 :] if "src" in parts else ()
+        if below_src[:1] != ("repro",) or (
+            len(below_src) == 2 and below_src[1] in self._HELPERS
+        ):
+            return
+        construct = self._construct(node, ctx)
+        if construct:
+            yield self.finding(
+                node,
+                ctx,
+                "%s outside its one helper: whole documents are written through "
+                "repro.atomic.atomic_output (an append log says why not in a "
+                "pragma), processes start in repro.pool.run_pool, and a failure "
+                "is a repro.errors.CommandError for main to report" % construct,
+            )
+
+
 def default_rules() -> List[Rule]:
     """Fresh instances of every shipped rule, in id order."""
     return [
@@ -493,6 +549,7 @@ def default_rules() -> List[Rule]:
         MetricNameRule(),
         MultiprocessingTargetRule(),
         PacketHotLoopRule(),
+        OneWayOutRule(),
     ]
 
 

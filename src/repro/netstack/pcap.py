@@ -15,7 +15,7 @@ import heapq
 import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import InputFileError
 
@@ -85,7 +85,7 @@ class PcapRecord:
 
 
 class PcapWriter:
-    """Writes classic pcap; use as a context manager."""
+    """Writes classic pcap records to an open binary file."""
 
     def __init__(self, fileobj: BinaryIO, linktype: int = LINKTYPE_RAW, snaplen: int = 65535) -> None:
         self._file = fileobj
@@ -116,12 +116,6 @@ class PcapWriter:
         )
         self._file.write(included)
 
-    def __enter__(self) -> "PcapWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._file.flush()
-
 
 class PcapReader:
     """Iterates :class:`PcapRecord` objects from a classic pcap file."""
@@ -151,6 +145,7 @@ class PcapReader:
 
 def write_pcap(path: str, records: Iterable[PcapRecord]) -> None:
     """Convenience: write ``records`` to ``path``."""
+    # repro: allow(IO001) -- append log: read while it grows, up to a torn tail
     with open(path, "wb") as fileobj:
         PcapWriter(fileobj).write_all(records)
 
@@ -355,9 +350,7 @@ def record_sort_key(record: PcapRecord) -> tuple:
     return (*split_timestamp(record.timestamp), record.data)
 
 
-def merge_pcap_files(
-    paths: Sequence[str], output: Union[str, BinaryIO]
-) -> int:
+def merge_pcap_files(paths: Sequence[str], output: str) -> int:
     """K-way merge time-sorted pcap files into one time-ordered pcap.
 
     Each input must already be sorted by :func:`record_sort_key` (shard
@@ -370,14 +363,9 @@ def merge_pcap_files(
         merged = heapq.merge(
             *(iter(PcapReader(fileobj)) for fileobj in files), key=record_sort_key
         )
-        if isinstance(output, str):
-            with open(output, "wb") as fileobj:
-                writer = PcapWriter(fileobj)
-                for record in merged:
-                    writer.write(record)
-                    count += 1
-        else:
-            writer = PcapWriter(output)
+        # repro: allow(IO001) -- append log: `repro live` follows the merge as it lands
+        with open(output, "wb") as fileobj:
+            writer = PcapWriter(fileobj)
             for record in merged:
                 writer.write(record)
                 count += 1

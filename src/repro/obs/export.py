@@ -32,11 +32,12 @@ Key entry points: :func:`render_prometheus`, :class:`PromFileWriter`,
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, List, Sequence, Tuple
+
+from repro.atomic import atomic_output
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.metrics import MetricsRegistry
@@ -147,9 +148,9 @@ def render_prometheus(registry: "MetricsRegistry") -> str:
 class PromFileWriter:
     """Atomically rewrite a textfile-collector ``.prom`` file on demand.
 
-    ``write()`` renders the registry to ``path + ".tmp"`` and renames it
-    over ``path`` — the atomic-replace dance node_exporter's textfile
-    collector expects, so a scrape never sees a torn file.
+    ``write()`` renders the registry through
+    :func:`~repro.atomic.atomic_output` — the atomic replace node_exporter's
+    textfile collector expects, so a scrape never sees a torn file.
     """
 
     def __init__(self, registry: "MetricsRegistry", path: str) -> None:
@@ -158,10 +159,8 @@ class PromFileWriter:
         self.writes = 0
 
     def write(self) -> None:
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "w") as fileobj:
+        with atomic_output(self.path) as fileobj:
             fileobj.write(render_prometheus(self.registry))
-        os.replace(tmp_path, self.path)
         self.writes += 1
 
 

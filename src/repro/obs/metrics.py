@@ -26,6 +26,9 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
+from repro.atomic import atomic_output
+from repro.errors import InputFileError
+
 LabelKey = Tuple[str, ...]
 
 #: Join character for label values in snapshot keys ("delivered|telescope").
@@ -304,11 +307,17 @@ class MetricsRegistry:
         return render_prometheus(self)
 
     def write(self, path: str) -> None:
-        with open(path, "w") as fileobj:
+        with atomic_output(path) as fileobj:
             fileobj.write(self.to_json() + "\n")
 
 
 def load_snapshot(path: str) -> dict:
     """Read back a snapshot written by :meth:`MetricsRegistry.write`."""
     with open(path) as fileobj:
-        return json.load(fileobj)
+        try:
+            return json.load(fileobj)
+        except json.JSONDecodeError as exc:
+            raise InputFileError(
+                "%s: invalid snapshot JSON at line %d (truncated write?)"
+                % (path, exc.lineno)
+            ) from None

@@ -38,6 +38,8 @@ import json
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
+from repro.atomic import atomic_output
+
 #: ``prof.stage_seconds`` histogram bounds: from single AEAD calls (~µs)
 #: up to whole pipeline stages.  Static so shard workers always register
 #: identical buckets (snapshot merging requires it).
@@ -316,7 +318,7 @@ class Profiler:
         }
 
     def write_speedscope(self, path: str, name: str = "repro pipeline") -> None:
-        with open(path, "w") as fileobj:
+        with atomic_output(path) as fileobj:
             json.dump(self.to_speedscope(name), fileobj, indent=1, sort_keys=True)
             fileobj.write("\n")
 

@@ -2,11 +2,11 @@
 
 A month-at-paper-scale sharded run is opaque from the outside: workers
 are separate processes, their traces are per-process files, and the
-parent blocks in ``pool.map``.  This module gives every worker a
-*heartbeat file* — one small JSON document, rewritten atomically (tmp +
-``os.replace``, the node_exporter textfile-collector discipline already
-used by :class:`~repro.obs.export.PromFileWriter`) — in a shared
-progress directory next to the output pcap.  Readers never see a torn
+parent waits on the pool.  This module gives every worker a
+*heartbeat file* — one small JSON document, rewritten atomically
+(:func:`repro.atomic.atomic_output`, the node_exporter textfile-collector
+discipline :class:`~repro.obs.export.PromFileWriter` follows too) — in a
+shared progress directory next to the output pcap.  Readers never see a torn
 write: they either get the previous complete document or the new one.
 
 ``repro progress <target>`` aggregates the directory into a table;
@@ -32,7 +32,9 @@ import os
 import time as _wall
 from typing import List, Optional
 
+from repro.atomic import atomic_output
 from repro.core.report import render_table
+from repro.errors import InputFileError
 
 #: Event-loop events per unit of traffic-unit weight (measured 1.23 on
 #: the standard scenario: ``events`` over ``simulate.unit`` packets in
@@ -60,12 +62,10 @@ class HeartbeatWriter:
         total: float = 0.0,
         min_interval: float = 0.5,
     ) -> None:
-        self.directory = directory
         self.worker = worker
         self.total = total
         self.min_interval = min_interval
         self.path = os.path.join(directory, "worker%d%s" % (worker, HEARTBEAT_SUFFIX))
-        self._tmp = self.path + ".%d.tmp" % os.getpid()
         self._started = _wall.time()
         self._last_write = 0.0
         os.makedirs(directory, exist_ok=True)
@@ -107,17 +107,10 @@ class HeartbeatWriter:
             "eta": round(eta, 3) if eta is not None else None,
             "status": "done" if final else "running",
         }
-        with open(self._tmp, "w") as fileobj:
+        with atomic_output(self.path) as fileobj:
             json.dump(doc, fileobj, separators=(",", ":"))
             fileobj.write("\n")
-        os.replace(self._tmp, self.path)
         return True
-
-    def close(self) -> None:
-        try:
-            os.remove(self._tmp)
-        except OSError:
-            pass
 
 
 def clean_progress_dir(directory: str) -> None:
@@ -165,9 +158,8 @@ def resolve_progress_dir(target: str) -> str:
     Accepts the directory itself, the simulate output path (the run
     writes heartbeats to ``<output>.progress/``), or a sweep output
     directory (``repro sweep run`` writes per-cell heartbeats to
-    ``<outdir>/progress/``).  Exits with a one-line error when none
-    exists — progress inspection must never traceback on a
-    finished/cleaned run.
+    ``<outdir>/progress/``).  A one-line error when none exists —
+    progress inspection must never traceback on a finished/cleaned run.
     """
     if os.path.isdir(target):
         nested = os.path.join(target, "progress")
@@ -179,8 +171,8 @@ def resolve_progress_dir(target: str) -> str:
     candidate = target + ".progress"
     if os.path.isdir(candidate):
         return candidate
-    raise SystemExit(
-        "error: no progress directory at %r or %r (is the run sharded and "
+    raise InputFileError(
+        "no progress directory at %r or %r (is the run sharded and "
         "started, or already cleaned up?)" % (target, candidate)
     )
 

@@ -33,6 +33,7 @@ import time as _wall
 from collections import deque
 from typing import IO, Optional, Union
 
+from repro.atomic import atomic_output
 from repro.obs.trace import (
     CAT_SECURITY,
     CAT_SIM,
@@ -199,7 +200,7 @@ class RingBufferTracer(Tracer):
     def dump(self, sink: Union[str, IO[str]]) -> int:
         """Write the retained events as JSONL (oldest first); returns count."""
         if isinstance(sink, str):
-            with open(sink, "w") as fileobj:
+            with atomic_output(sink) as fileobj:
                 return self.dump(fileobj)
         count = 0
         for entry in self._buffer:

@@ -32,6 +32,7 @@ import heapq
 import json
 from typing import Iterable, List, Optional, Sequence
 
+from repro.atomic import atomic_output
 from repro.obs.trace import CAT_SPAN, read_trace
 
 #: Fields stripped when canonicalizing span events: wall clocks and
@@ -173,7 +174,7 @@ def merge_span_timelines(paths: Sequence[str], output: str) -> int:
     """
     streams: Iterable = [_sorted_span_stream(path) for path in paths]
     count = 0
-    with open(output, "w") as fileobj:
+    with atomic_output(output) as fileobj:
         for _time, line in heapq.merge(*streams):
             fileobj.write(line + "\n")
             count += 1

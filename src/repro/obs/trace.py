@@ -96,6 +96,7 @@ class JsonlTracer(Tracer):
     @classmethod
     def to_path(cls, path: str) -> "JsonlTracer":
         """Open ``path`` for writing; :meth:`close` will close it."""
+        # repro: allow(IO001) -- append log: `trace tail` follows it, torn last line skipped
         return cls(open(path, "w"), _owns_sink=True)
 
     def emit(self, category: str, name: str, time: float = 0.0, **fields) -> None:

@@ -3,8 +3,8 @@
 The paper's telescope dataset is 87.4M packets over a month; a single
 Python process simulating that volume is wall-clock-bound on the CPU.
 This module partitions a :class:`~repro.workloads.scenario.ScenarioConfig`
-into independent sub-scenarios and runs them in ``multiprocessing``
-workers (``repro simulate --workers N``), then reassembles one capture:
+into independent sub-scenarios and runs them in worker processes
+(``repro simulate --workers N``), then reassembles one capture:
 
 1. **Partition** — :func:`plan_shards` groups the scenario's
    :class:`~repro.workloads.scenario.TrafficUnit`\\ s (per-hypergiant
@@ -36,16 +36,17 @@ instead of the canonical key).  ``--workers 1`` *is* the serial path:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.atomic import remove_orphaned_temps
 from repro.netstack.pcap import merge_pcap_files, write_pcap
 from repro.obs import NULL_OBS, JsonlTracer, MetricsRegistry, Observability, Profiler
 from repro.obs.progress import HeartbeatWriter, clean_progress_dir, expected_events
 from repro.obs.trace import CAT_SIM
+from repro.pool import run_pool
 from repro.workloads.scenario import (
     Scenario,
     ScenarioConfig,
@@ -259,10 +260,8 @@ def run_to_pcap(
     :func:`~repro.netstack.pcap.write_pcap` — records land on disk in the
     canonical merge order, so the file is byte-identical to what any
     ``--workers N`` merged run would produce for the same config.  This
-    is the per-cell simulation primitive of ``repro.sweep``, which may
-    itself already be fanning cells across a process pool (daemonic pool
-    workers cannot spawn their own children, so cells simulate
-    in-process).  Returns the number of captured records.
+    is the per-cell simulation primitive of ``repro.sweep`` (the pool of
+    cells is its one process layer).  Returns the number of captured records.
     """
     records = run_shard(config, unit_names, obs=obs, heartbeat=heartbeat)
     write_pcap(output, records)
@@ -301,19 +300,11 @@ def _worker_main(payload: tuple):
         write_pcap(pcap_path, records)
     finally:
         obs.close()
-        if heartbeat is not None:
-            heartbeat.close()
     return (
         len(records),
         metrics.snapshot() if metrics is not None else None,
         prof.snapshot() if prof is not None else None,
     )
-
-
-def _pool_context():
-    """Prefer fork (cheap, COW) where available; fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def simulate_sharded(
@@ -331,10 +322,11 @@ def simulate_sharded(
     Per-shard pcaps are written next to ``output`` (``output.shard<k>``)
     and removed after the merge unless ``keep_shards`` (or ``merge=False``,
     which skips the merge entirely — downstream consumers read the shard
-    files directly via ``build_from_shards``).  When ``obs`` carries a
-    metrics registry, workers snapshot theirs and the parent merges them;
-    when it carries a profiler, workers profile at the same sampling
-    interval and the parent merges their stage trees.  When
+    files directly via ``build_from_shards``); a run that fails — a worker
+    raised or died, the merge was interrupted — removes them regardless.
+    When ``obs`` carries a metrics registry, workers snapshot theirs and
+    the parent merges them; when it carries a profiler, workers profile at
+    the same sampling interval and the parent merges their stage trees.  When
     ``trace_path`` is given, worker *k* writes its own JSONL trace to
     ``trace_path.worker<k>`` (mergeable into one canonical span timeline
     with ``repro trace merge``).  ``progress_dir`` makes every worker
@@ -374,33 +366,32 @@ def simulate_sharded(
             units=[list(shard.unit_names) for shard in shards],
             weights=[shard.weight for shard in shards],
         )
-    ctx = _pool_context()
-    with ctx.Pool(processes=len(shards)) as pool:
-        results = pool.map(_worker_main, payloads)
-    if merge:
-        try:
+    failed = True
+    try:
+        results = [
+            result for _index, result in sorted(run_pool(_worker_main, payloads, "shard"))
+        ]
+        if merge:
             # The parent deliberately opens no ``simulate.run`` span of its
             # own: the merged worker trees already carry the run stages,
             # and a parent duplicate would double-count them.
             with obs.span("simulate.merge", local=True, shards=len(shard_paths)):
                 total = merge_pcap_files(shard_paths, output)
-        finally:
-            if not keep_shards:
-                for path in shard_paths:
-                    try:
-                        os.remove(path)
-                    except OSError:
-                        pass
-    else:
-        total = sum(count for count, _metrics, _prof in results)
-    if want_metrics:
-        for _count, snapshot, _prof_snap in results:
-            if snapshot is not None:
-                obs.metrics.merge_snapshot(snapshot)
-    if obs.prof is not None:
-        for _count, _metrics_snap, prof_snap in results:
-            if prof_snap is not None:
-                obs.prof.merge_snapshot(prof_snap)
+        else:
+            total = sum(count for count, _metrics, _prof in results)
+        failed = False
+    finally:
+        if failed or (merge and not keep_shards):
+            for path in shard_paths:
+                with suppress(OSError):
+                    os.remove(path)
+        if failed and progress_dir is not None:
+            remove_orphaned_temps(progress_dir)
+    for _count, snapshot, prof_snap in results:  # None unless asked for
+        if snapshot is not None:
+            obs.metrics.merge_snapshot(snapshot)
+        if prof_snap is not None:
+            obs.prof.merge_snapshot(prof_snap)
     return ShardRunResult(
         total_records=total,
         shards=shards,

@@ -13,59 +13,3 @@ analysis value into heatmap-ready long-form CSV/JSON
 CLI surface: ``repro sweep run <spec>``, ``repro sweep status <outdir>``,
 ``repro sweep render <outdir> --metric M --x AXIS --y AXIS``.
 """
-
-from repro.sweep.metrics import (
-    DEFAULT_METRICS,
-    evaluate_metrics,
-    validate_metric,
-)
-from repro.sweep.render import (
-    RenderError,
-    heatmap_csv,
-    load_manifest,
-    load_results,
-    render_heatmap,
-    render_status,
-)
-from repro.sweep.runner import (
-    CellOutcome,
-    SweepResult,
-    SweepRunError,
-    cell_dir,
-    run_cell,
-    run_sweep,
-)
-from repro.sweep.spec import (
-    Cell,
-    SweepSpec,
-    SweepSpecError,
-    cell_fingerprint,
-    format_value,
-    load_spec,
-    spec_from_dict,
-)
-
-__all__ = [
-    "Cell",
-    "CellOutcome",
-    "DEFAULT_METRICS",
-    "RenderError",
-    "SweepResult",
-    "SweepRunError",
-    "SweepSpec",
-    "SweepSpecError",
-    "cell_dir",
-    "cell_fingerprint",
-    "evaluate_metrics",
-    "format_value",
-    "heatmap_csv",
-    "load_manifest",
-    "load_results",
-    "load_spec",
-    "render_heatmap",
-    "render_status",
-    "run_cell",
-    "run_sweep",
-    "spec_from_dict",
-    "validate_metric",
-]

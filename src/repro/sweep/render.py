@@ -19,42 +19,52 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.report import render_table
+from repro.errors import InputFileError
 from repro.obs.progress import read_heartbeats, render_progress
-from repro.sweep.runner import MANIFEST_NAME, PROGRESS_DIR, RESULTS_JSON
-from repro.sweep.spec import format_value
+
+#: What a sweep directory's reader opens; the runner writes the same names.
+#: They live here, with :func:`format_value`, so ``sweep status`` / ``sweep
+#: render`` never import the runner and, behind it, the simulator.
+MANIFEST_NAME = "manifest.json"
+RESULTS_JSON = "results.json"
+PROGRESS_DIR = "progress"
 
 #: Shade ramp, lowest to highest value quintile.
 SHADES = "·░▒▓█"
 
 
-class RenderError(ValueError):
+class RenderError(InputFileError):
     """A render request the results file cannot satisfy."""
 
 
-def load_results(outdir: str) -> dict:
-    path = os.path.join(outdir, RESULTS_JSON)
+def format_value(value) -> str:
+    """Canonical text for an axis value or metric value.
+
+    Floats render via ``repr`` (shortest round-tripping form), so the
+    same value always produces the same text — the byte-stability
+    contract of ``results.csv`` leans on this.
+    """
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _load(outdir: str, name: str, hint: str) -> dict:
     try:
-        with open(path) as fileobj:
+        with open(os.path.join(outdir, name)) as fileobj:
             return json.load(fileobj)
     except OSError:
-        raise RenderError(
-            "%s: no results.json (did `repro sweep run` finish?)" % outdir
-        ) from None
+        raise RenderError("%s: no %s (%s)" % (outdir, name, hint)) from None
     except ValueError as exc:
-        raise RenderError("%s: invalid results.json: %s" % (outdir, exc)) from None
+        raise RenderError("%s: invalid %s: %s" % (outdir, name, exc)) from None
+
+
+def load_results(outdir: str) -> dict:
+    return _load(outdir, RESULTS_JSON, "did `repro sweep run` finish?")
 
 
 def load_manifest(outdir: str) -> dict:
-    path = os.path.join(outdir, MANIFEST_NAME)
-    try:
-        with open(path) as fileobj:
-            return json.load(fileobj)
-    except OSError:
-        raise RenderError(
-            "%s: no manifest.json (not a sweep output directory?)" % outdir
-        ) from None
-    except ValueError as exc:
-        raise RenderError("%s: invalid manifest.json: %s" % (outdir, exc)) from None
+    return _load(outdir, MANIFEST_NAME, "not a sweep output directory?")
 
 
 def _format_number(value: float) -> str:

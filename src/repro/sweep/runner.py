@@ -29,10 +29,13 @@ cache statuses, pids) lives in ``manifest.json`` instead.  Cells simulate
 via :func:`~repro.simnet.shard.run_shard`, whose canonical record order
 is already worker-count-independent.
 
-``--workers N`` fans *cells* across a process pool.  Pool workers are
-daemonic and cannot fork their own children, which is fine: one cell is
-one in-process simulation (the same primitive a ``--workers N`` shard
+``--workers N`` fans *cells* across :func:`repro.pool.run_pool`; one cell
+is one in-process simulation (the same primitive a ``--workers N`` shard
 worker runs), so the pool is the only process layer.
+
+A ``cell.json`` exists only beside a complete capture, and a sweep that
+is interrupted or loses a worker removes the cell directories it had not
+finished: the next run resumes from whole cells or from nothing.
 """
 
 from __future__ import annotations
@@ -41,26 +44,29 @@ import csv
 import io
 import json
 import os
+import shutil
 import time
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional
 
+from repro.atomic import atomic_output, remove_orphaned_temps
 from repro.capstore import load_or_build
+from repro.errors import CommandError
 from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.obs.progress import HeartbeatWriter, clean_progress_dir
 from repro.obs.trace import CAT_SWEEP
-from repro.simnet.shard import _pool_context, run_to_pcap
+from repro.pool import run_pool
+from repro.simnet.shard import run_to_pcap
 from repro.sweep.metrics import evaluate_metrics
-from repro.sweep.spec import Cell, SweepSpec, format_value
+from repro.sweep.render import MANIFEST_NAME, PROGRESS_DIR, RESULTS_JSON, format_value
+from repro.sweep.spec import Cell, SweepSpec
 
-MANIFEST_NAME = "manifest.json"
 RESULTS_CSV = "results.csv"
-RESULTS_JSON = "results.json"
-PROGRESS_DIR = "progress"
 CELLS_DIR = "cells"
 
 
-class SweepRunError(RuntimeError):
+class SweepRunError(CommandError):
     """One or more cells failed; the manifest records which."""
 
 
@@ -103,24 +109,6 @@ def cell_dir(outdir: str, cell: Cell) -> str:
     return os.path.join(outdir, CELLS_DIR, cell.cell_id)
 
 
-def _cell_is_cached(celldir: str, pcap: str, cell: Cell) -> bool:
-    """Does ``celldir`` already hold this exact cell's capture?
-
-    The directory name *is* the hash of the resolved config, so a
-    matching ``cell.json`` plus an existing capture means the simulation
-    that produced it is the one this spec asks for.
-    """
-    meta_path = os.path.join(celldir, "cell.json")
-    if not (os.path.exists(meta_path) and os.path.exists(pcap)):
-        return False
-    try:
-        with open(meta_path) as fileobj:
-            stored = json.load(fileobj)
-    except (OSError, ValueError):
-        return False
-    return stored.get("cell_id") == cell.cell_id
-
-
 def run_cell(
     cell: Cell,
     metric_names: tuple,
@@ -145,16 +133,22 @@ def run_cell(
         HeartbeatWriter(progress_dir, worker=cell.index) if progress_dir else None
     )
     pcap = os.path.join(celldir, "capture.pcap")
+    meta_path = os.path.join(celldir, "cell.json")
     try:
         os.makedirs(celldir, exist_ok=True)
-        cached = not force and _cell_is_cached(celldir, pcap, cell)
+        # The directory name *is* the hash of the resolved config, and
+        # cell.json vouches for the capture beside it: written last, gone
+        # before the capture is rewritten (--force).
+        meta = {} if force else _load_json(meta_path)
+        cached = meta.get("cell_id") == cell.cell_id and os.path.exists(pcap)
         if cached:
-            with open(os.path.join(celldir, "cell.json")) as fileobj:
-                records = int(json.load(fileobj).get("records", 0))
+            records = int(meta.get("records", 0))
             sim_snapshot = _load_json(os.path.join(celldir, "sim_metrics.json"))
             if heartbeat is not None:
                 heartbeat.update("cached", records=records, final=True)
         else:
+            with suppress(FileNotFoundError):
+                os.remove(meta_path)
             sim_registry = MetricsRegistry()
             with registry.time_block("sweep.simulate"):
                 records = run_to_pcap(
@@ -166,7 +160,7 @@ def run_cell(
             sim_snapshot = sim_registry.snapshot()
             _dump_json(os.path.join(celldir, "sim_metrics.json"), sim_snapshot)
             _dump_json(
-                os.path.join(celldir, "cell.json"),
+                meta_path,
                 {
                     "cell_id": cell.cell_id,
                     "coords": [list(pair) for pair in cell.coords],
@@ -190,9 +184,6 @@ def run_cell(
             snapshot=registry.snapshot(),
             error="%s: %s" % (type(exc).__name__, exc),
         )
-    finally:
-        if heartbeat is not None:
-            heartbeat.close()
     return CellOutcome(
         index=cell.index,
         cell_id=cell.cell_id,
@@ -220,14 +211,15 @@ def run_sweep(
 ) -> SweepResult:
     """Expand ``spec``, run every cell, write manifest + long-form results.
 
-    ``workers > 1`` fans cells across a fork-preferring process pool;
+    ``workers > 1`` fans cells across :func:`~repro.pool.run_pool`;
     outcomes are reordered by cell index before anything is written, so
     the results files are byte-identical to a serial run.  ``force``
     re-simulates even cached cells.  ``on_cell`` fires as each outcome
     arrives (pool order), for live CLI reporting.  Raises
     :class:`SweepRunError` after writing the manifest when any cell
     failed — the partial sweep state stays inspectable via
-    ``repro sweep status``.
+    ``repro sweep status``.  A run cut short (a dead worker, an
+    interrupt) removes the directories of the cells it had not finished.
     """
     obs = obs or NULL_OBS
     cells = spec.cells()
@@ -281,17 +273,25 @@ def run_sweep(
         if on_cell is not None:
             on_cell(cells_by_index[outcome.index], outcome)
 
-    with obs.span("sweep.run", local=True, cells=len(cells)):
-        if workers > 1 and len(cells) > 1:
-            ctx = _pool_context()
-            with ctx.Pool(processes=min(workers, len(cells))) as pool:
-                for outcome in pool.imap_unordered(_cell_main, payloads):
-                    collect(outcome)
-        else:
-            for payload in payloads:
-                cell = payload[0]
-                with obs.span("sweep.cell", local=True, cell=cell.label):
-                    collect(_cell_main(payload))
+    try:
+        with obs.span("sweep.run", local=True, cells=len(cells)):
+            if workers > 1 and len(cells) > 1:
+                # closing(): the pool's workers die here, not whenever the
+                # generator is collected.
+                with closing(run_pool(_cell_main, payloads, "cell", workers)) as done:
+                    for _index, outcome in done:
+                        collect(outcome)
+            else:
+                for payload in payloads:
+                    cell = payload[0]
+                    with obs.span("sweep.cell", local=True, cell=cell.label):
+                        collect(_cell_main(payload))
+    except BaseException:
+        for celldir in (cell_dir(outdir, cell) for cell in cells):
+            if not os.path.exists(os.path.join(celldir, "cell.json")):
+                shutil.rmtree(celldir, ignore_errors=True)
+        remove_orphaned_temps(outdir)
+        raise
     # repro: allow(DET002) -- closes the operator-facing wall interval
     wall = time.perf_counter() - start
 
@@ -312,7 +312,7 @@ def run_sweep(
     failed = [o for o in outcomes if o.status == "failed"]
     if failed:
         raise SweepRunError(
-            "%d of %d cells failed: %s"
+            "%d of %d cells failed: %s (see `repro sweep status %s`)"
             % (
                 len(failed),
                 len(cells),
@@ -320,6 +320,7 @@ def run_sweep(
                     "%s (%s)" % (cells_by_index[o.index].label, o.error)
                     for o in failed[:5]
                 ),
+                outdir,
             )
         )
     result.csv_path = _write_results(outdir, spec, cells, outcomes)
@@ -417,8 +418,8 @@ def _write_results(
     writer.writerow(header)
     writer.writerows(rows)
     csv_path = os.path.join(outdir, RESULTS_CSV)
-    with open(csv_path, "w", newline="") as fileobj:
-        fileobj.write(buffer.getvalue())
+    with atomic_output(csv_path, "wb") as fileobj:  # "\n" on every platform
+        fileobj.write(buffer.getvalue().encode())
     by_index = {o.index: o for o in outcomes}
     _dump_json(
         os.path.join(outdir, RESULTS_JSON),
@@ -442,11 +443,9 @@ def _write_results(
 def _dump_json(path: str, doc: dict) -> None:
     # Insertion order, not sort_keys: the axes mapping's order is semantic
     # (render defaults lean on it) and construction is already canonical.
-    tmp = path + ".%d.tmp" % os.getpid()
-    with open(tmp, "w") as fileobj:
+    with atomic_output(path) as fileobj:
         json.dump(doc, fileobj, indent=2)
         fileobj.write("\n")
-    os.replace(tmp, path)
 
 
 def _load_json(path: str) -> dict:

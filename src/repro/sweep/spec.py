@@ -50,11 +50,13 @@ import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
+from repro.errors import InputFileError
 from repro.sweep.metrics import DEFAULT_METRICS, validate_metric
+from repro.sweep.render import format_value
 from repro.workloads.scenario import ScenarioConfig, derive_seed
 
 
-class SweepSpecError(ValueError):
+class SweepSpecError(InputFileError):
     """A grid spec that cannot be expanded into cells."""
 
 
@@ -72,18 +74,6 @@ _ATTACK_FIELDS = (
 )
 
 _CONFIG_FIELDS = {f.name for f in fields(ScenarioConfig)}
-
-
-def format_value(value) -> str:
-    """Canonical text for an axis value or metric value.
-
-    Floats render via ``repr`` (shortest round-tripping form), so the
-    same value always produces the same text — the byte-stability
-    contract of ``results.csv`` leans on this.
-    """
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _check_knob(key: str, where: str) -> None:
@@ -239,11 +229,8 @@ def spec_from_dict(doc: dict, default_name: str = "sweep") -> SweepSpec:
 
 def load_spec(path: str) -> SweepSpec:
     """Parse a spec file; JSON always works, TOML needs Python >= 3.11."""
-    try:
-        with open(path, "rb") as fileobj:
-            data = fileobj.read()
-    except OSError as exc:
-        raise SweepSpecError("cannot read spec %s: %s" % (path, exc)) from exc
+    with open(path, "rb") as fileobj:  # a missing spec is main's OSError line
+        data = fileobj.read()
     default_name = os.path.splitext(os.path.basename(path))[0]
     if path.endswith(".toml"):
         try:

@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from tests.sweep.conftest import MICRO
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -26,7 +27,14 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 #: may load: everything that generates traffic, and the planes built on
 #: top of the read side.
 WRITE_SIDE = ("workloads", "server", "simnet", "tls", "active", "sweep", "lint", "stream")
-FORBIDDEN_MODULES = ("repro.telescope.darknet", "repro.obs.export", "http.server")
+FORBIDDEN_MODULES = (
+    "repro.telescope.darknet",
+    "repro.obs.export",
+    "http.server",
+    # ``repro.pool`` imports its executor on the fan-out path only.
+    "multiprocessing",
+    "concurrent.futures.process",
+)
 
 _CHILD = """
 import contextlib, io, json, sys
@@ -98,6 +106,25 @@ class TestReadSideBoundary:
         assert _crossings(modules) == ["repro.stream", "repro.stream.tail"]
         assert not [m for m in modules if m.startswith("repro.capstore")]
         assert "multiprocessing" not in modules
+
+    def test_sweep_status_and_render_load_neither_runner_nor_simulator(self, tmp_path):
+        spec = tmp_path / "grid.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "base": MICRO,
+                    "axes": {"loss_rate": [0.0, 0.1], "attack_scale": [0.5, 1.0]},
+                    "metrics": ["rows.total"],
+                }
+            )
+        )
+        outdir = str(tmp_path / "grid.sweep")
+        assert main(["sweep", "run", str(spec), "--out", outdir, "--quiet"]) == 0
+        for argv in (["sweep", "status", outdir], ["sweep", "render", outdir]):
+            modules = _modules_after(argv)
+            assert "repro.sweep.render" in modules
+            crossings = [m for m in _crossings(modules) if m != "repro.sweep"]
+            assert crossings == ["repro.sweep.render"]
 
     def test_build_parser_alone_imports_no_command_family(self):
         child = subprocess.run(

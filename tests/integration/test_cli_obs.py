@@ -231,10 +231,12 @@ class TestAlwaysOnSinks:
         assert "transport_datagram_bytes_bucket" in content
         assert "net_delivered_total" in content
 
-    def test_ring_without_trace_file_rejected(self, tmp_path):
+    def test_ring_without_trace_file_rejected(self, tmp_path, capsys):
         pcap = str(tmp_path / "x.pcap")
-        with pytest.raises(SystemExit):
-            main(["simulate", pcap, "--scale", "0.02", "--trace-ring", "64"])
+        assert main(["simulate", pcap, "--scale", "0.02", "--trace-ring", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "repro simulate: --trace-ring needs --trace FILE to dump into\n"
+        )
 
     def test_ring_signal_flag_installs_live_dump(self, tmp_path):
         """--trace-ring-signal arms SIGUSR1; a kill mid-process dumps the ring."""

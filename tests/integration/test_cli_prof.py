@@ -103,10 +103,11 @@ class TestProgressCommand:
         out = capsys.readouterr().out
         assert "0/4 workers running" in out
 
-    def test_missing_target_is_a_one_line_error(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["progress", str(tmp_path / "never_ran.pcap")])
-        assert "no progress directory" in str(excinfo.value)
+    def test_missing_target_is_a_one_line_error(self, tmp_path, capsys):
+        assert main(["progress", str(tmp_path / "never_ran.pcap")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro progress: no progress directory at ")
+        assert err.count("\n") == 1
 
 
 class TestTraceMerge:
@@ -129,11 +130,14 @@ class TestTraceMerge:
             assert serial_bytes == b.read()
         assert serial_bytes  # non-trivial timeline
 
-    def test_missing_input_is_a_one_line_error(self, tmp_path):
+    def test_missing_input_is_a_one_line_error(self, tmp_path, capsys):
         out = str(tmp_path / "merged.jsonl")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "merge", out, str(tmp_path / "gone.jsonl")])
-        assert "no such trace file" in str(excinfo.value)
+        gone = str(tmp_path / "gone.jsonl")
+        assert main(["trace", "merge", out, gone]) == 2
+        assert capsys.readouterr().err == (
+            "repro trace merge: %s: No such file or directory\n" % gone
+        )
+        assert os.listdir(str(tmp_path)) == []  # no output, no temp
 
 
 class TestShardConsumers:
@@ -170,15 +174,15 @@ class TestShardConsumers:
         assert "no sidecar written" in out
         assert not any(os.path.exists(path + ".capidx") for path in shards)
 
-    def test_index_shards_reject_single_pcap_flags(self, unmerged_run):
+    def test_index_shards_reject_single_pcap_flags(self, unmerged_run, capsys):
         _pcap, shards = unmerged_run
-        with pytest.raises(SystemExit) as excinfo:
-            main(["index", "--info"] + shards)
-        assert "single pcap" in str(excinfo.value)
+        assert main(["index", "--info"] + shards) == 2
+        assert capsys.readouterr().err == (
+            "repro index: --info/--force apply to a single pcap, not shards\n"
+        )
 
     def test_missing_shard_is_a_one_line_error(self, unmerged_run, tmp_path, capsys):
-        # Since the error boundary in ``repro.cli.main``: the same line and
-        # exit status as a missing single pcap, not a SystemExit of its own.
+        # The same line and exit status as a missing single pcap.
         _pcap, shards = unmerged_run
         gone = str(tmp_path / "gone.shard1")
         assert main(["analyze", shards[0], gone]) == 2
@@ -192,40 +196,41 @@ class TestShardConsumers:
         assert os.path.exists(pcap)
         assert len(glob.glob(pcap + ".shard*")) == 2
 
-    def test_shard_flags_require_workers(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", str(tmp_path / "x.pcap"), "--scale", "0.01",
-                  "--no-merge"])
-        assert "--workers" in str(excinfo.value)
+    def test_shard_flags_require_workers(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path / "x.pcap"), "--scale", "0.01",
+                     "--no-merge"]) == 2
+        assert capsys.readouterr().err == (
+            "repro simulate: --keep-shards/--no-merge need --workers N >= 2\n"
+        )
 
 
 class TestOneLineErrors:
-    def test_stats_diff_missing_snapshot(self, tmp_path):
+    def test_stats_diff_missing_snapshot(self, tmp_path, capsys):
         present = str(tmp_path / "a.json")
         with open(present, "w") as fileobj:
             fileobj.write("{}")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["stats", "--diff", present, str(tmp_path / "b.json")])
-        message = str(excinfo.value)
-        assert "no such snapshot file" in message
-        assert "\n" not in message
+        gone = str(tmp_path / "b.json")
+        assert main(["stats", "--diff", present, gone]) == 2
+        assert capsys.readouterr().err == (
+            "repro stats: %s: No such file or directory\n" % gone
+        )
 
-    def test_stats_diff_truncated_snapshot(self, tmp_path):
+    def test_stats_diff_truncated_snapshot(self, tmp_path, capsys):
         good = str(tmp_path / "a.json")
         bad = str(tmp_path / "b.json")
         with open(good, "w") as fileobj:
             fileobj.write("{}")
         with open(bad, "w") as fileobj:
             fileobj.write('{"counters": {"x"')  # torn mid-write
-        with pytest.raises(SystemExit) as excinfo:
-            main(["stats", "--diff", good, bad])
-        message = str(excinfo.value)
-        assert "invalid snapshot JSON" in message
-        assert "truncated" in message
+        assert main(["stats", "--diff", good, bad]) == 2
+        assert capsys.readouterr().err == (
+            "repro stats: %s: invalid snapshot JSON at line 1 (truncated write?)\n"
+            % bad
+        )
 
-    def test_trace_summarize_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "summarize", str(tmp_path / "gone.jsonl")])
-        message = str(excinfo.value)
-        assert "trace summarize" in message
-        assert "\n" not in message
+    def test_trace_summarize_missing_file(self, tmp_path, capsys):
+        gone = str(tmp_path / "gone.jsonl")
+        assert main(["trace", "summarize", gone]) == 2
+        assert capsys.readouterr().err == (
+            "repro trace summarize: %s: No such file or directory\n" % gone
+        )

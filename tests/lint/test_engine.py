@@ -3,15 +3,15 @@
 import json
 import textwrap
 
-from repro.lint import (
+from repro.lint.engine import (
     Baseline,
     BaselineError,
     collect_pragmas,
-    default_rules,
     iter_python_files,
     lint_file,
     lint_paths,
 )
+from repro.lint.rules import default_rules
 
 VIOLATION = textwrap.dedent(
     """

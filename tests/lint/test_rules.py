@@ -9,7 +9,8 @@ outside the observability layer.
 
 import textwrap
 
-from repro.lint import default_rules, lint_file, rule_table
+from repro.lint.engine import lint_file
+from repro.lint.rules import default_rules, rule_table
 
 
 def findings_for(source, path="src/repro/simnet/fake.py"):
@@ -309,7 +310,8 @@ class TestMP001MultiprocessingTargets:
             def run():
                 worker = multiprocessing.Process(target=lambda: None)
                 worker.start()
-            """
+            """,
+            path="tools/fake.py",  # under src/repro a Process( is IO001's too
         ) == ["MP001"]
 
     def test_toplevel_target_is_clean(self):
@@ -329,7 +331,7 @@ class TestRuleTable:
         rows = rule_table()
         ids = [row[0] for row in rows]
         assert {"DET001", "DET002", "DET003", "DET004", "DET005",
-                "OBS001", "MP001", "PERF001"} == set(ids)
+                "OBS001", "MP001", "PERF001", "IO001"} == set(ids)
         for _id, title, doc in rows:
             assert title and doc
 
@@ -531,3 +533,61 @@ class TestPERF001PacketHotLoop:
             path=self.HOT,
         )
         assert [f.rule for f in findings] == ["PERF001"]
+
+
+class TestIO001OneWayOut:
+    SOURCE = """
+        import os
+        from multiprocessing import Pool
+
+        def write(path, mode, ctx):
+            with open(path, "w") as out, open(path) as a, open(path, "rb") as b:
+                out.write(a.read())
+            open(path, mode=mode)
+            os.replace(path + ".tmp", path)
+            Pool(2)
+            ctx.Pool(processes=2)
+            raise SystemExit("repro x: no")
+        """
+
+    def test_each_construct_fires_under_src_repro(self):
+        findings = findings_for(self.SOURCE)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("IO001", line) for line in (6, 8, 9, 10, 11, 12)
+        ]
+        assert "atomic_output" in findings[0].message
+        assert "run_pool" in findings[3].message
+        assert "CommandError" in findings[5].message
+
+    def test_the_helpers_cli_and_everything_outside_the_package_are_exempt(self):
+        for path in (
+            "src/repro/atomic.py",
+            "src/repro/pool.py",
+            "src/repro/cli.py",
+            "tools/check_md_links.py",
+            "benchmarks/bench_sweep.py",
+        ):
+            assert rules_hit(self.SOURCE, path=path) == [], path
+        # ...by position, not by name
+        assert rules_hit(self.SOURCE, path="src/repro/commands/cli.py") == ["IO001"]
+
+    def test_an_append_log_says_why_in_a_pragma(self):
+        assert (
+            rules_hit(
+                """
+                def write_pcap(path, records):
+                    # repro: allow(IO001) -- a pcap is an append log, read while it grows
+                    with open(path, "wb") as fileobj:
+                        fileobj.write(records)
+                """
+            )
+            == []
+        )
+
+    def test_a_pragma_without_a_reason_suppresses_nothing(self):
+        assert rules_hit(
+            """
+            def write_pcap(path):
+                return open(path, "wb")  # repro: allow(IO001)
+            """
+        ) == ["IO001", "LNT001"]

@@ -8,7 +8,7 @@ the tree carries a justified pragma instead of an unexplained pass.
 import json
 import os
 
-from repro.lint import Baseline, lint_paths
+from repro.lint.engine import Baseline, lint_paths
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 

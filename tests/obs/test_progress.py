@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.errors import InputFileError
 from repro.obs.progress import (
     EVENTS_PER_WEIGHT,
     HeartbeatWriter,
@@ -57,20 +58,12 @@ class TestHeartbeatWriter:
         assert not any(name.endswith(".tmp") for name in os.listdir(directory))
         assert len(read_heartbeats(directory)) == 1
 
-    def test_close_removes_orphaned_tmp(self, tmp_path):
-        writer = HeartbeatWriter(str(tmp_path), worker=0)
-        with open(writer._tmp, "w") as fileobj:
-            fileobj.write("{partial")
-        writer.close()
-        assert not os.path.exists(writer._tmp)
-
 
 def _hammer(directory, worker, rounds):
     writer = HeartbeatWriter(directory, worker=worker, total=rounds, min_interval=0.0)
     for i in range(rounds):
         writer.update("run", done=float(i), records=i, span="engine.flight")
     writer.update("done", done=float(rounds), final=True)
-    writer.close()
 
 
 class TestAtomicity:
@@ -162,7 +155,7 @@ class TestReaders:
         assert resolve_progress_dir(output) == directory
 
     def test_resolve_missing_exits_one_line(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
+        with pytest.raises(InputFileError) as excinfo:  # exit 2 at main's boundary
             resolve_progress_dir(str(tmp_path / "nope.pcap"))
         message = str(excinfo.value)
         assert "no progress directory" in message

@@ -60,8 +60,10 @@ class TestRun:
     def test_bad_spec_exits(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"axes": {"bogus": [1]}}))
-        with pytest.raises(SystemExit, match="unknown knob"):
-            main(["sweep", "run", str(spec_path)])
+        assert main(["sweep", "run", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro sweep run: unknown knob 'bogus'")
+        assert err.count("\n") == 1
 
 
 class TestStatus:
@@ -71,9 +73,12 @@ class TestStatus:
         assert "Sweep cli-grid: 4 cells" in out
         assert "loss_rate=0.2,attack_scale=1.0" in out
 
-    def test_missing_dir_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="no manifest.json"):
-            main(["sweep", "status", str(tmp_path)])
+    def test_missing_dir_exits(self, tmp_path, capsys):
+        assert main(["sweep", "status", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "repro sweep status: %s: no manifest.json (not a sweep output "
+            "directory?)\n" % tmp_path
+        )
 
     def test_progress_resolves_into_sweep_dir(self, sweep_dir, capsys):
         assert main(["progress", sweep_dir]) == 0
@@ -125,10 +130,14 @@ class TestRender:
         out = capsys.readouterr().out
         assert "loss_rate=0.0" in out
 
-    def test_bad_fix_exits(self, sweep_dir):
-        with pytest.raises(SystemExit, match="--fix wants axis=value"):
-            main(["sweep", "render", sweep_dir, "--fix", "loss_rate"])
+    def test_bad_fix_exits(self, sweep_dir, capsys):
+        assert main(["sweep", "render", sweep_dir, "--fix", "loss_rate"]) == 2
+        assert capsys.readouterr().err == (
+            "repro sweep render: --fix wants axis=value (got 'loss_rate')\n"
+        )
 
-    def test_unknown_metric_exits(self, sweep_dir):
-        with pytest.raises(SystemExit, match="was not recorded"):
-            main(["sweep", "render", sweep_dir, "--metric", "rows.scans"])
+    def test_unknown_metric_exits(self, sweep_dir, capsys):
+        assert main(["sweep", "render", sweep_dir, "--metric", "rows.scans"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro sweep render: metric 'rows.scans' was not recorded"
+        )

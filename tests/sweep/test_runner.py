@@ -16,7 +16,8 @@ import pytest
 
 from repro.obs import MetricsRegistry, Observability
 from repro.obs.progress import read_heartbeats, resolve_progress_dir
-from repro.sweep import SweepRunError, run_sweep, spec_from_dict
+from repro.sweep.runner import SweepRunError, run_sweep
+from repro.sweep.spec import spec_from_dict
 from tests.sweep.conftest import MICRO
 
 DOC = {

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repro.cli import main
 from repro.sweep.spec import (
     SweepSpec,
     SweepSpecError,
@@ -168,9 +169,15 @@ class TestLoadSpec:
         assert spec.name == "grid"  # default from the filename
         assert len(spec.cells()) == 2
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(SweepSpecError, match="cannot read spec"):
-            load_spec(str(tmp_path / "nope.json"))
+    def test_missing_file(self, tmp_path, capsys):
+        gone = str(tmp_path / "nope.json")
+        with pytest.raises(FileNotFoundError):
+            load_spec(gone)
+        # ...which main's boundary answers like any other missing input.
+        assert main(["sweep", "run", gone]) == 2
+        assert capsys.readouterr().err == (
+            "repro sweep run: %s: No such file or directory\n" % gone
+        )
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
