@@ -1,13 +1,15 @@
 """Columnar capture store: dissect once, analyze many times (paper §3.2).
 
-The analysis plane of the toolchain.  ``dissect`` decides keep or drop
-for one record's bytes and appends the kept row's columns, ``build``
-runs it over a pcap into a :class:`~repro.capstore.table.CaptureTable`
-(one pass, optionally split over a worker pool), ``format`` persists the
-table as a versioned ``.capidx`` sidecar,
-and ``cache`` makes the whole thing transparent to ``repro
-classify``/``analyze``: build on miss, validate by source fingerprint,
-load columns straight from disk on hit.
+The analysis plane of the toolchain, one pipeline with one way in.
+``dissect`` decides keep or drop for one record's bytes and appends the
+kept row's columns, ``build`` runs it over a record source into a
+:class:`~repro.capstore.table.CaptureTable` — one pcap in one pass,
+optionally split into row groups over a worker pool, or a ``--no-merge``
+shard set as its merged record stream — ``format`` persists the table as
+a versioned ``.capidx`` sidecar, and ``cache`` makes the whole thing
+transparent to ``repro classify``/``analyze``/``live``:
+:func:`load_or_build` builds on miss, extends a grown capture, validates
+by source fingerprint and loads columns straight from disk on hit.
 """
 
 from repro.capstore.build import (
@@ -20,10 +22,8 @@ from repro.capstore.build import (
     emit_stats_counters,
 )
 from repro.capstore.cache import (
-    CacheResult,
     fingerprint_matches,
     load_or_build,
-    load_or_build_ex,
     pcap_fingerprint,
     prefix_fingerprint,
     prefix_matches,
@@ -54,8 +54,6 @@ __all__ = [
     "default_acknowledged",
     "emit_stats_counters",
     "load_or_build",
-    "load_or_build_ex",
-    "CacheResult",
     "sidecar_path",
     "pcap_fingerprint",
     "prefix_fingerprint",

@@ -1,35 +1,33 @@
 """Build :class:`CaptureTable` from pcaps: streaming, parallel, sharded.
 
-Every build is :func:`dissect_pcap` — one pass of
-:class:`~repro.netstack.pcap.PcapWalk` over the file, each record's bytes
-handed in place to the keep/drop verdict of :mod:`repro.capstore.dissect`,
-which appends the kept rows' columns.  Around it, all producing
-bit-identical tables for the same record multiset:
+Every build is one keep/drop verdict of :mod:`repro.capstore.dissect`
+per record, appending the kept rows' columns, over one record source —
+all producing bit-identical tables for the same records in the same
+order:
 
+* :func:`dissect_pcap` — one pass of :class:`~repro.netstack.pcap.PcapWalk`
+  over a file, each record's bytes handed to the verdict in place;
 * :func:`build_capture_table` — one pcap, serially or with row-group
   parallelism: the parent walks the file once for the record offsets
   (and the content digest), splits them into contiguous groups, a worker
   pool dissects each group, and the parent concatenates the partial
   tables in file order.  The verdict is stateless per record, so
   concatenation *is* the serial result;
-* :func:`build_from_shards` — per-shard pcaps (as written by
-  ``repro simulate --workers N`` before its merge): each shard is
-  dissected in parallel, then rows are interleaved by streaming a k-way
-  merge over the shard *record* streams with the same
-  :func:`~repro.netstack.pcap.record_sort_key` discipline the simulator
-  uses, so the result equals indexing the merged pcap;
 * :func:`build_from_records` — the same verdict over records already in
-  memory (a scenario's telescope, a test's list).
+  memory (a scenario's telescope, a test's list) or streamed;
+* :func:`build_from_shards` — per-shard pcaps (as written by ``repro
+  simulate --workers N --no-merge``): :func:`build_from_records` over
+  their :func:`~repro.netstack.pcap.merged_records`, the stream ``simulate``
+  writes when it merges, so the result equals indexing the merged pcap.
 
-Workers are handed *factory* callables for the AS database and the
-acknowledged-scanner registry (must be module-level, hence picklable);
-each worker builds its own instances instead of serializing them.
+The read path has one pipeline: the CLI's AS database and
+acknowledged-scanner registry (:func:`default_asdb`,
+:func:`default_acknowledged`) with AEAD validation of scans.  Only
+:func:`build_from_records` takes another, for the sanitiser ablation.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.capstore.dissect import record_verdict
@@ -40,8 +38,7 @@ from repro.netstack.pcap import (
     PcapError,
     PcapRecord,
     PcapWalk,
-    iter_pcap,
-    record_sort_key,
+    merged_records,
 )
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_SANITIZE
@@ -72,7 +69,6 @@ def _dissection(
     acknowledged: Optional[AcknowledgedScanners],
     validate_crypto_scans: bool,
     obs: Optional[Observability],
-    kept_flags: Optional[bytearray] = None,
 ) -> Tuple[Callable[[float, bytes, int, int], None], Callable[[], SanitizationStats]]:
     """One dissection pass into ``table``: the verdict plus its bookkeeping.
 
@@ -81,9 +77,6 @@ def _dissection(
     :class:`SanitizationStats` and emits them as ``sanitize.packets``
     counters, once (the values are a pure function of the stats).  Each
     drop is a ``sanitize:drop`` trace event while a tracer is listening.
-    ``kept_flags`` receives one byte per record (1 = kept as a row) — the
-    alignment data :func:`build_from_shards` needs to interleave rows
-    during its record-stream merge.
     """
     verdict = record_verdict(table, asdb, acknowledged, validate_crypto_scans)
     tracer = (obs or NULL_OBS).tracer
@@ -105,8 +98,6 @@ def _dissection(
                     reason=reason,
                     bytes=end - start,
                 )
-        if kept_flags is not None:
-            kept_flags.append(reason is None)
 
     def finish() -> SanitizationStats:
         kept = table.klass[rows_before:]
@@ -124,12 +115,8 @@ def dissect_pcap(
     path: str,
     cursor: PcapCursor,
     table: CaptureTable,
-    asdb: Optional[AsDatabase] = None,
-    acknowledged: Optional[AcknowledgedScanners] = None,
-    validate_crypto_scans: bool = True,
     obs: Optional[Observability] = None,
     limit: Optional[int] = None,
-    kept_flags: Optional[bytearray] = None,
 ) -> SanitizationStats:
     """Dissect the complete records after ``cursor`` into ``table``.
 
@@ -144,11 +131,11 @@ def dissect_pcap(
     append-only and the verdict is stateless per record.
 
     Returns the stats of this pass alone (``limit`` caps its records);
-    see :func:`_dissection` for ``kept_flags`` and what ``obs`` receives.
-    With a profiler attached, each chunk is one ``index.records`` leaf stage.
+    see :func:`_dissection` for what ``obs`` receives.  With a profiler
+    attached, each chunk is one ``index.records`` leaf stage.
     """
     on_record, finish = _dissection(
-        table, asdb, acknowledged, validate_crypto_scans, obs, kept_flags
+        table, default_asdb(), default_acknowledged(), True, obs
     )
     prof = (obs or NULL_OBS).prof
     with PcapWalk(path, cursor, limit) as walk:
@@ -181,6 +168,20 @@ def build_from_records(
         data = record.data
         on_record(record.timestamp, data, 0, len(data))
     return table, finish()
+
+
+def build_from_shards(
+    shard_paths: Sequence[str], obs: Optional[Observability] = None
+) -> Tuple[CaptureTable, SanitizationStats]:
+    """Index a ``--no-merge`` shard set: the table of its merged pcap.
+
+    One pass over the shards' :func:`merged_records` — the record stream
+    ``simulate --workers`` writes when it merges — so the rows come out
+    in merged order and a torn shard is a :class:`PcapError` naming it.
+    """
+    return build_from_records(
+        merged_records(shard_paths), default_asdb(), default_acknowledged(), obs=obs
+    )
 
 
 def _merge_stats(parts: Iterable[SanitizationStats]) -> SanitizationStats:
@@ -216,39 +217,17 @@ def emit_stats_counters(stats: SanitizationStats, obs: Optional[Observability]) 
 def _worker_build(payload: tuple):
     """Pool target: dissect one row group of one pcap into a partial table.
 
-    ``count`` records from byte ``offset`` — or, with ``count`` None, the
-    whole of a finished file (a shard), which must then end on a record
-    boundary and comes back with its per-record kept flags.  The partial
-    table travels back over the pool's pipe: a worker writes no file.
+    ``count`` records from byte ``offset``; the partial table travels back
+    over the pool's pipe: a worker writes no file.
     """
-    path, offset, count, validate_crypto_scans, asdb_factory, ack_factory = payload
-    kept_flags = bytearray() if count is None else None
+    path, offset, count = payload
     table = CaptureTable()
-    cursor = PcapCursor(offset)
-    stats = dissect_pcap(
-        path,
-        cursor,
-        table,
-        asdb=asdb_factory() if asdb_factory else None,
-        acknowledged=ack_factory() if ack_factory else None,
-        validate_crypto_scans=validate_crypto_scans,
-        limit=count,
-        kept_flags=kept_flags,
-    )
-    if count is None:
-        if cursor.offset != os.path.getsize(path):
-            raise PcapError(
-                "%s: truncated pcap record at byte %d" % (path, cursor.offset)
-            )
-    elif stats.total_records < count:
+    stats = dissect_pcap(path, PcapCursor(offset), table, limit=count)
+    if stats.total_records < count:
         raise PcapError(
             "row group at offset %d ends before %d records" % (offset, count)
         )
-    return table, stats, kept_flags
-
-
-def _run_workers(payloads: list, unit: str) -> list:
-    return [part for _index, part in sorted(run_pool(_worker_build, payloads, unit))]
+    return table, stats
 
 
 def _row_groups(offsets: Sequence[int], workers: int) -> List[Tuple[int, int]]:
@@ -270,10 +249,7 @@ def _row_groups(offsets: Sequence[int], workers: int) -> List[Tuple[int, int]]:
 def build_capture_table(
     pcap_path: str,
     workers: int = 1,
-    validate_crypto_scans: bool = True,
     obs: Optional[Observability] = None,
-    asdb_factory: Callable[[], AsDatabase] = default_asdb,
-    ack_factory: Callable[[], AcknowledgedScanners] = default_acknowledged,
     cursor: Optional[PcapCursor] = None,
 ) -> Tuple[CaptureTable, SanitizationStats]:
     """Build the columnar table for one pcap, optionally in parallel.
@@ -286,8 +262,7 @@ def build_capture_table(
 
     ``workers > 1`` splits the file into contiguous row groups and
     dissects them in a process pool; the concatenated result is exactly
-    the serial table.  Factories must be module-level callables so they
-    pickle into workers by reference.
+    the serial table.
     """
     obs = obs or NULL_OBS
     if cursor is None:
@@ -299,64 +274,19 @@ def build_capture_table(
             offsets = walk.record_offsets()
         groups = _row_groups(offsets, workers)
         if len(groups) > 1:
-            how = (validate_crypto_scans, asdb_factory, ack_factory)
-            parts = _run_workers(
-                [(pcap_path, offset, count, *how) for offset, count in groups],
-                "row group",
-            )
+            payloads = [(pcap_path, offset, count) for offset, count in groups]
+            parts = [
+                part
+                for _index, part in sorted(run_pool(_worker_build, payloads, "row group"))
+            ]
             table = CaptureTable()
-            for part_table, _stats, _flags in parts:
+            for part_table, _stats in parts:
                 table.extend(part_table)
-            stats = _merge_stats(part_stats for _t, part_stats, _f in parts)
+            stats = _merge_stats(part_stats for _table, part_stats in parts)
             emit_stats_counters(stats, obs)
             return table, stats
         # Too few records to split: dissect the ones the plan saw, here.
         cursor, limit = PcapCursor(), len(offsets)
     table = CaptureTable()
-    stats = dissect_pcap(
-        pcap_path,
-        cursor,
-        table,
-        asdb=asdb_factory() if asdb_factory else None,
-        acknowledged=ack_factory() if ack_factory else None,
-        validate_crypto_scans=validate_crypto_scans,
-        obs=obs,
-        limit=limit,
-    )
-    return table, stats
-
-
-def build_from_shards(
-    shard_paths: Sequence[str],
-    validate_crypto_scans: bool = True,
-    obs: Optional[Observability] = None,
-    asdb_factory: Callable[[], AsDatabase] = default_asdb,
-    ack_factory: Callable[[], AcknowledgedScanners] = default_acknowledged,
-) -> Tuple[CaptureTable, SanitizationStats]:
-    """Index per-shard pcaps in parallel; equals indexing their merge.
-
-    Each shard is dissected by its own worker.  Rows are then interleaved
-    by k-way-merging the shard *record* streams under
-    :func:`record_sort_key` — the identical discipline
-    :func:`repro.netstack.pcap.merge_pcap_files` applies when ``simulate
-    --workers`` merges shard captures — while per-record kept flags keep
-    the row cursors aligned with the record cursors.
-    """
-    obs = obs or NULL_OBS
-    how = (validate_crypto_scans, asdb_factory, ack_factory)
-    parts = _run_workers([(path, 0, None, *how) for path in shard_paths], "shard")
-
-    def shard_stream(shard_index: int):
-        for record_index, record in enumerate(iter_pcap(shard_paths[shard_index])):
-            yield record_sort_key(record), shard_index, record_index
-
-    merged = heapq.merge(*(shard_stream(i) for i in range(len(shard_paths))))
-    table = CaptureTable()
-    row_cursors = [0] * len(shard_paths)
-    for _key, shard_index, record_index in merged:
-        if parts[shard_index][2][record_index]:
-            table.append_row_from(parts[shard_index][0], row_cursors[shard_index])
-            row_cursors[shard_index] += 1
-    stats = _merge_stats(part_stats for _t, part_stats, _f in parts)
-    emit_stats_counters(stats, obs)
+    stats = dissect_pcap(pcap_path, cursor, table, obs=obs, limit=limit)
     return table, stats

@@ -37,16 +37,9 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.capstore.build import (
-    build_capture_table,
-    default_acknowledged,
-    default_asdb,
-    dissect_pcap,
-    emit_stats_counters,
-)
+from repro.capstore.build import build_capture_table, dissect_pcap, emit_stats_counters
 from repro.capstore.format import (
     CapIndexError,
     IndexPayload,
@@ -187,70 +180,28 @@ def prefix_matches(stored: dict, pcap_path: str) -> bool:
     return _matching_prefix_digest(stored, pcap_path) is not None
 
 
-@dataclass
-class CacheResult:
-    """Outcome of :func:`load_or_build_ex`.
-
-    ``status`` is ``"hit"`` (sidecar covered the file as-is),
-    ``"extended"`` (valid prefix; only the grown tail was dissected), or
-    ``"miss"`` (full build — including after a stale sidecar).
-    ``dissected`` counts the records this call ran through the
-    dissector: none on a hit, the appended tail on an extension, all of
-    them on a miss.
-    """
-
-    view: ClassifiedView
-    status: str
-    dissected: int = 0
-
-    @property
-    def indexed_bytes(self) -> int:
-        """How far into the pcap the view covers: the end of the last
-        complete record, which trails the file size while a writer is
-        mid-append."""
-        return self.view.indexed_bytes
-
-
 def load_or_build(
     pcap_path: str,
     workers: int = 1,
     use_cache: bool = True,
     obs: Optional[Observability] = None,
-    validate_crypto_scans: bool = True,
 ) -> Tuple[ClassifiedView, bool]:
-    """Return ``(view, cache_hit)`` for a pcap, building the index if needed.
+    """Return ``(view, cache_hit)`` for a pcap: hit, extend, or rebuild.
 
     With ``use_cache`` (the default) a valid ``.capidx`` sidecar is loaded
     instead of dissecting, and a freshly built index is persisted for the
     next run; ``use_cache=False`` both ignores and skips writing the
     sidecar (the ``--no-cache`` escape hatch).  ``cache_hit`` is True only
-    for a pure hit; see :func:`load_or_build_ex` for the richer status
-    that distinguishes an incremental tail extension.
-    """
-    result = load_or_build_ex(
-        pcap_path,
-        workers=workers,
-        use_cache=use_cache,
-        obs=obs,
-        validate_crypto_scans=validate_crypto_scans,
-    )
-    return result.view, result.status == "hit"
-
-
-def load_or_build_ex(
-    pcap_path: str,
-    workers: int = 1,
-    use_cache: bool = True,
-    obs: Optional[Observability] = None,
-    validate_crypto_scans: bool = True,
-) -> CacheResult:
-    """The streaming-aware cache entry point: hit, extend, or rebuild.
+    for a pure hit; the ``capstore.cache`` counter tells a hit from an
+    ``extended`` index (valid prefix, only the grown tail dissected) and
+    a ``miss`` (full build, after a ``stale`` sidecar or none).
 
     The build (and extension) paths cover exactly the pcap's
     complete-record *prefix* — a capture still being appended to is
-    indexed up to the last complete record, never through a torn tail —
-    and the stored fingerprint records that coverage, so the next call
-    dissects only what arrived since.
+    indexed up to the last complete record, never through a torn tail
+    (``view.indexed_bytes`` says where it ends) — and the stored
+    fingerprint records that coverage, so the next call dissects only
+    what arrived since.
     """
     obs = obs or NULL_OBS
     metrics = obs.metrics
@@ -258,12 +209,10 @@ def load_or_build_ex(
     cache_counter = (
         metrics.counter("capstore.cache", ("result",)) if metrics is not None else None
     )
-    pipeline = dict(DEFAULT_PIPELINE)
-    pipeline["validate_crypto_scans"] = validate_crypto_scans
     index_path = sidecar_path(pcap_path)
 
     if use_cache and os.path.exists(index_path):
-        payload = _load_payload(index_path, pipeline, obs)
+        payload = _load_payload(index_path, obs)
         if payload is not None:
             stored = payload.source
             indexed = _indexed_prefix(stored)[0]
@@ -277,7 +226,6 @@ def load_or_build_ex(
                     pcap_path,
                     index_path,
                     PcapCursor(indexed, digest),
-                    validate_crypto_scans,
                     obs,
                     cache_counter,
                 )
@@ -293,13 +241,11 @@ def load_or_build_ex(
     with obs.span("index.build", local=True, path=pcap_path, workers=workers):
         with obs.timed("index.build"):
             table, stats = build_capture_table(
-                pcap_path,
-                workers=workers,
-                validate_crypto_scans=validate_crypto_scans,
-                obs=obs,
-                cursor=cursor,
+                pcap_path, workers=workers, obs=obs, cursor=cursor
             )
-    payload = IndexPayload(table=table, stats=stats, source={}, pipeline=pipeline)
+    payload = IndexPayload(
+        table=table, stats=stats, source={}, pipeline=dict(DEFAULT_PIPELINE)
+    )
     _count_rows(payload, metrics)
     if tracer.enabled:
         tracer.emit(
@@ -311,9 +257,7 @@ def load_or_build_ex(
         )
     if use_cache:
         write_sidecar(pcap_path, payload, cursor)
-    return CacheResult(
-        ClassifiedView(table, stats, cursor.offset), "miss", stats.total_records
-    )
+    return ClassifiedView(table, stats, cursor.offset), False
 
 
 def _finish_hit(
@@ -322,7 +266,7 @@ def _finish_hit(
     indexed: int,
     obs: Observability,
     cache_counter,
-) -> CacheResult:
+) -> Tuple[ClassifiedView, bool]:
     if cache_counter is not None:
         cache_counter.inc_key(("hit",))
     _count_rows(payload, obs.metrics)
@@ -334,7 +278,7 @@ def _finish_hit(
             path=index_path,
             rows=payload.table.num_rows,
         )
-    return CacheResult(ClassifiedView(payload.table, payload.stats, indexed), "hit")
+    return ClassifiedView(payload.table, payload.stats, indexed), True
 
 
 def _extend(
@@ -342,10 +286,9 @@ def _extend(
     pcap_path: str,
     index_path: str,
     cursor: PcapCursor,
-    validate_crypto_scans: bool,
     obs: Observability,
     cache_counter,
-) -> CacheResult:
+) -> Tuple[ClassifiedView, bool]:
     """Dissect whatever completed after the indexed prefix into its table.
 
     ``cursor`` stands at the end of the prefix with the digest the prefix
@@ -357,15 +300,7 @@ def _extend(
     prefix_rows = payload.table.num_rows
     with obs.span("index.extend", local=True, path=pcap_path) as span:
         with obs.timed("index.extend"):
-            tail_stats = dissect_pcap(
-                pcap_path,
-                cursor,
-                payload.table,
-                asdb=default_asdb(),
-                acknowledged=default_acknowledged(),
-                validate_crypto_scans=validate_crypto_scans,
-                obs=obs,
-            )
+            tail_stats = dissect_pcap(pcap_path, cursor, payload.table, obs=obs)
         span.note(records=tail_stats.total_records)
     if cursor.offset == indexed:
         return _finish_hit(payload, index_path, indexed, obs, cache_counter)
@@ -385,11 +320,7 @@ def _extend(
             new_rows=payload.table.num_rows - prefix_rows,
         )
     write_sidecar(pcap_path, payload, cursor)
-    return CacheResult(
-        ClassifiedView(payload.table, payload.stats, cursor.offset),
-        "extended",
-        tail_stats.total_records,
-    )
+    return ClassifiedView(payload.table, payload.stats, cursor.offset), False
 
 
 def write_sidecar(pcap_path: str, payload: IndexPayload, cursor: PcapCursor) -> None:
@@ -421,9 +352,7 @@ def write_sidecar(pcap_path: str, payload: IndexPayload, cursor: PcapCursor) -> 
         )
 
 
-def _load_payload(
-    index_path: str, pipeline: dict, obs: Observability
-) -> Optional[IndexPayload]:
+def _load_payload(index_path: str, obs: Observability) -> Optional[IndexPayload]:
     """Load a sidecar + check pipeline identity; None on corruption/mismatch.
 
     Source-fingerprint classification (hit / extend / stale) happens in
@@ -436,7 +365,7 @@ def _load_payload(
                 payload = load_index(index_path)
     except (CapIndexError, OSError):
         return None
-    if payload.pipeline != pipeline:
+    if payload.pipeline != DEFAULT_PIPELINE:
         return None
     return payload
 

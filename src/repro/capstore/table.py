@@ -177,27 +177,6 @@ class CaptureTable:
         self.sv_values.extend(other.sv_values)
         self.blob += other.blob
 
-    def append_row_from(self, other: "CaptureTable", row: int) -> None:
-        """Append row ``row`` of ``other`` (used by the k-way shard merge)."""
-        self.ts.append(other.ts[row])
-        self.src_ip.append(other.src_ip[row])
-        self.dst_ip.append(other.dst_ip[row])
-        self.src_port.append(other.src_port[row])
-        self.dst_port.append(other.dst_port[row])
-        self.payload_len.append(other.payload_len[row])
-        self.klass.append(other.klass[row])
-        self.origin_id.append(self.origin_index(other.origins[other.origin_id[row]]))
-        for j in range(other.pkt_start[row], other.pkt_start[row + 1]):
-            for name, _ in PACKET_COLUMNS:
-                getattr(self, name).append(getattr(other, name)[j])
-            self.blob += other.blob[other.bytes_start[j] : other.bytes_start[j + 1]]
-            self.bytes_start.append(len(self.blob))
-            self.sv_values.extend(
-                other.sv_values[other.sv_start[j] : other.sv_start[j + 1]]
-            )
-            self.sv_start.append(len(self.sv_values))
-        self.pkt_start.append(self.num_packets)
-
     def rebuild_origin_index(self) -> None:
         """Recompute the name→id map after deserialization."""
         self._origin_ids = {name: i for i, name in enumerate(self.origins)}

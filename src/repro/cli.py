@@ -22,8 +22,22 @@ import os
 import signal
 import sys
 
-from repro.core.render import VALID_TABLES, render_analysis  # noqa: F401
+from repro.core.selectors import VALID_TABLES
 from repro.errors import CommandError, Terminated
+
+
+def __getattr__(name: str):
+    """``repro.cli.render_analysis``, loaded only when somebody asks for it.
+
+    What ``repro analyze`` prints; benches and the end-to-end benchmark
+    reach it here, and ``import repro.cli`` must not load the analyses.
+    """
+    if name == "render_analysis":
+        from repro.core.render import render_analysis
+
+        return render_analysis
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 # ---------------------------------------------------------------------------
 # Argument types and the flags commands share

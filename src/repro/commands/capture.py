@@ -5,9 +5,9 @@ one dissection pass — parallelizable with ``--workers N`` — builds a
 ``.capidx`` sidecar next to the pcap, and later runs load the columns
 straight from disk (``--no-cache`` opts out).  ``analyze``/``index``
 also accept several pcaps (the per-worker shard files a ``simulate
---workers N --no-merge`` run leaves behind) and index them through
-``build_from_shards`` without a merge step.  Nothing here imports the
-simulator.
+--workers N --no-merge`` run leaves behind) and index their merged record
+stream (``build_from_shards``) without writing a merged pcap.  Nothing
+here imports the simulator.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from repro.capstore import (
     sidecar_path,
 )
 from repro.commands.common import finish_obs, make_obs
-from repro.core.render import VALID_TABLES, render_analysis
+from repro.core.render import render_analysis
 from repro.core.report import render_table
+from repro.core.selectors import VALID_TABLES
 from repro.errors import UsageError
 from repro.obs import Observability
 
@@ -67,7 +68,7 @@ def note_unindexed(command: str, pcap: str, view) -> None:
 
 
 def load_shard_capture(paths: list[str], obs: Observability) -> ClassifiedView:
-    """Index several per-shard pcaps without merging them first."""
+    """Index several per-shard pcaps as their merged record stream, in memory."""
     with obs.span("index.build", local=True, shards=len(paths)):
         return ClassifiedView(*build_from_shards(paths, obs=obs))
 

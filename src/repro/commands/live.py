@@ -11,6 +11,7 @@ from repro.commands.capture import validate_tables
 from repro.commands.common import finish_obs, follow, make_obs
 from repro.commands.prom import PromPublishers
 from repro.core.render import render_analysis
+from repro.errors import InputFileError
 from repro.stream.live import PcapFollower, render_dashboard
 from repro.stream.reducers import StreamAnalyses
 
@@ -81,23 +82,16 @@ def cmd_live(args: argparse.Namespace) -> int:
     if len(args.pcap) > 1:
         missing = [path for path in args.pcap if not os.path.exists(path)]
         if missing:
-            print(
-                "repro live: shard pcap(s) never appeared: %s"
-                % ", ".join(missing),
-                file=sys.stderr,
+            raise InputFileError(
+                "shard pcap(s) never appeared: %s" % ", ".join(missing)
             )
-            return 1
         # Re-index the shard set in merged record order so the final
         # render matches `repro analyze shard1 shard2 …` byte for byte.
         view = ClassifiedView(*build_from_shards(args.pcap))
     else:
         follower = followers[0]
         if not follower.started:
-            print(
-                "repro live: %s: no capture appeared" % args.pcap[0],
-                file=sys.stderr,
-            )
-            return 1
+            raise InputFileError("%s: no capture appeared" % args.pcap[0])
         view = follower.view()
     print(render_analysis(view, wanted))
     return 0

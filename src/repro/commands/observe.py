@@ -15,6 +15,7 @@ import warnings
 
 from repro.commands.common import DONE, follow
 from repro.core.report import render_histogram, render_table
+from repro.errors import UsageError
 from repro.obs import load_snapshot, merge_span_timelines
 from repro.obs.progress import (
     aggregate,
@@ -117,8 +118,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.diff:
         return cmd_stats_diff(args.diff[0], args.diff[1])
     if not args.metrics_file:
-        print("repro stats: give a snapshot file, or --diff A.json B.json")
-        return 2
+        raise UsageError("give a snapshot file, or --diff A.json B.json")
     if args.follow:
         return _stats_follow(args)
     snapshot = load_snapshot(args.metrics_file)

@@ -18,9 +18,6 @@ from repro.core.versions import TABLE2_ROWS, VersionMix
 #: The paper's source-network columns (Tables 3/4 and the timing figures).
 ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
 
-#: Table selectors understood by ``repro analyze --tables``.
-VALID_TABLES = ("1", "2", "3", "4", "rto", "lengths")
-
 
 class CaptureFold:
     """The accumulators a set of table selectors reads; ``None`` if unread.

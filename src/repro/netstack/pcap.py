@@ -2,9 +2,11 @@
 
 Telescope captures are stored as standard pcap so they can be inspected
 with external tooling, and so the analysis pipeline can equally consume
-real-world raw-IP captures.  :func:`merge_pcap_files` k-way-merges
+real-world raw-IP captures.  :func:`merged_records` k-way-merges
 time-sorted per-worker captures (``repro simulate --workers N``) into one
-time-ordered file while holding only one record per input in memory.
+record stream in capture order while holding only one record per input in
+memory; :func:`merge_pcap_files` writes that stream, and the index of a
+shard set is built from it.
 :class:`PcapWalk` is the index builder's reader: fixed-size chunks, the
 records of each handed over in place, no object per record.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import heapq
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -118,7 +121,12 @@ class PcapWriter:
 
 
 class PcapReader:
-    """Iterates :class:`PcapRecord` objects from a classic pcap file."""
+    """Iterates :class:`PcapRecord` objects from a classic pcap file.
+
+    A record whose ``incl_len`` claims more than :data:`WALK_CHUNK` bytes
+    is read only if the file really holds them: a buffered ``read(n)``
+    allocates ``n`` bytes up front, so a corrupt length must not reach it.
+    """
 
     def __init__(self, fileobj: BinaryIO) -> None:
         self._file = fileobj
@@ -137,10 +145,23 @@ class PcapReader:
             if len(header) < self._record_struct.size:
                 raise PcapError("truncated pcap record header")
             ts_sec, ts_usec, incl_len, _orig_len = self._record_struct.unpack(header)
+            if incl_len > WALK_CHUNK and incl_len > self._bytes_left():
+                raise PcapError("truncated pcap record body")
             data = self._file.read(incl_len)
             if len(data) < incl_len:
                 raise PcapError("truncated pcap record body")
             yield PcapRecord(timestamp=ts_sec + ts_usec / 1_000_000, data=data)
+
+    def _bytes_left(self) -> int:
+        """Bytes from the read position to the end of the file as it is now."""
+        fileobj = self._file
+        try:
+            size = os.fstat(fileobj.fileno()).st_size
+        except (AttributeError, OSError, ValueError):
+            # No descriptor (an in-memory buffer): its read(n) allocates
+            # only what is there.
+            return sys.maxsize
+        return size - fileobj.tell()
 
 
 def write_pcap(path: str, records: Iterable[PcapRecord]) -> None:
@@ -153,12 +174,15 @@ def write_pcap(path: str, records: Iterable[PcapRecord]) -> None:
 def iter_pcap(path: str) -> Iterator[PcapRecord]:
     """Stream records from ``path`` without materializing the file.
 
-    This is the hot-path reader: the analysis pipeline dissects records
-    as they stream by (``repro.capstore``), so a multi-GB capture never
-    has to fit in memory as a Python list.
+    Records stream by one at a time, so a multi-GB capture never has to
+    fit in memory as a Python list.  A malformed file raises
+    :class:`PcapError` starting with ``path``.
     """
     with open(path, "rb") as fileobj:
-        yield from PcapReader(fileobj)
+        try:
+            yield from PcapReader(fileobj)
+        except PcapError as exc:
+            raise PcapError("%s: %s" % (path, exc)) from None
 
 
 def iter_pcap_range(path: str, offset: int, count: int) -> Iterator[PcapRecord]:
@@ -350,26 +374,27 @@ def record_sort_key(record: PcapRecord) -> tuple:
     return (*split_timestamp(record.timestamp), record.data)
 
 
-def merge_pcap_files(paths: Sequence[str], output: str) -> int:
-    """K-way merge time-sorted pcap files into one time-ordered pcap.
+def merged_records(paths: Sequence[str]) -> Iterator[PcapRecord]:
+    """The records of time-sorted pcaps as one stream in capture order.
 
     Each input must already be sorted by :func:`record_sort_key` (shard
-    workers sort before writing); the merge then streams with one pending
-    record per input.  Returns the number of records written.
+    workers sort before writing); the k-way merge then holds one pending
+    record per input, and the order is a property of the record multiset
+    alone — the stream of a shard set is the stream of its merged pcap.
     """
-    files = [open(path, "rb") for path in paths]
+    return heapq.merge(*(iter_pcap(path) for path in paths), key=record_sort_key)
+
+
+def merge_pcap_files(paths: Sequence[str], output: str) -> int:
+    """Write :func:`merged_records` of ``paths`` to ``output``.
+
+    Returns the number of records written.
+    """
     count = 0
-    try:
-        merged = heapq.merge(
-            *(iter(PcapReader(fileobj)) for fileobj in files), key=record_sort_key
-        )
-        # repro: allow(IO001) -- append log: `repro live` follows the merge as it lands
-        with open(output, "wb") as fileobj:
-            writer = PcapWriter(fileobj)
-            for record in merged:
-                writer.write(record)
-                count += 1
-    finally:
-        for fileobj in files:
-            fileobj.close()
+    # repro: allow(IO001) -- append log: `repro live` follows the merge as it lands
+    with open(output, "wb") as fileobj:
+        writer = PcapWriter(fileobj)
+        for record in merged_records(paths):
+            writer.write(record)
+            count += 1
     return count

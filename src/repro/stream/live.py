@@ -23,12 +23,8 @@ from __future__ import annotations
 import os
 from typing import List, Optional
 
-from repro.capstore.build import (
-    default_acknowledged,
-    default_asdb,
-    dissect_pcap,
-)
-from repro.capstore.cache import DEFAULT_PIPELINE, load_or_build_ex, write_sidecar
+from repro.capstore.build import dissect_pcap
+from repro.capstore.cache import DEFAULT_PIPELINE, load_or_build, write_sidecar
 from repro.capstore.format import IndexPayload
 from repro.capstore.table import CaptureTable, ClassifiedView
 from repro.core.report import render_table
@@ -55,12 +51,10 @@ class PcapFollower:
     def __init__(
         self,
         path: str,
-        validate_crypto_scans: bool = True,
         obs: Optional[Observability] = None,
         use_cache: bool = True,
     ) -> None:
         self.path = path
-        self.validate_crypto_scans = validate_crypto_scans
         self.obs = obs or NULL_OBS
         self.use_cache = use_cache
         self.table: Optional[CaptureTable] = None
@@ -69,8 +63,6 @@ class PcapFollower:
         self.offset = 0
         self.resets = 0
         self.polls = 0
-        self._asdb = default_asdb()
-        self._acknowledged = default_acknowledged()
 
     @property
     def started(self) -> bool:
@@ -103,17 +95,7 @@ class PcapFollower:
         """Dissect what completed after :attr:`offset` into the table."""
         before = self.table.num_rows
         cursor = PcapCursor(self.offset)
-        self.stats.add(
-            dissect_pcap(
-                self.path,
-                cursor,
-                self.table,
-                asdb=self._asdb,
-                acknowledged=self._acknowledged,
-                validate_crypto_scans=self.validate_crypto_scans,
-                obs=self.obs,
-            )
-        )
+        self.stats.add(dissect_pcap(self.path, cursor, self.table, obs=self.obs))
         self.offset = cursor.offset
         return self.table.num_rows - before
 
@@ -121,14 +103,10 @@ class PcapFollower:
         if size < GLOBAL_HEADER_SIZE:
             return 0  # the global header itself is still being written
         if self.use_cache:
-            result = load_or_build_ex(
-                self.path,
-                obs=self.obs,
-                validate_crypto_scans=self.validate_crypto_scans,
-            )
-            self.table = result.view.table
-            self.stats = result.view.stats
-            self.offset = result.indexed_bytes
+            view, _hit = load_or_build(self.path, obs=self.obs)
+            self.table = view.table
+            self.stats = view.stats
+            self.offset = view.indexed_bytes
             return self.table.num_rows
         self.table = CaptureTable()
         self.stats = SanitizationStats()
@@ -150,13 +128,10 @@ class PcapFollower:
         """
         if not self.use_cache or self.table is None:
             return
-        pipeline = dict(DEFAULT_PIPELINE)
-        pipeline["validate_crypto_scans"] = self.validate_crypto_scans
-        write_sidecar(
-            self.path,
-            IndexPayload(self.table, self.stats, source={}, pipeline=pipeline),
-            PcapCursor(self.offset),
+        payload = IndexPayload(
+            self.table, self.stats, source={}, pipeline=dict(DEFAULT_PIPELINE)
         )
+        write_sidecar(self.path, payload, PcapCursor(self.offset))
 
 
 def render_dashboard(

@@ -299,12 +299,11 @@ class Scenario:
         """Run the event loop to completion (all traffic + retransmissions)."""
         self.loop.run()
 
-    def classify(self, validate_crypto_scans: bool = True) -> ClassifiedCapture:
+    def classify(self) -> ClassifiedCapture:
         return classify_capture(
             self.telescope.records,
             asdb=self.asdb,
             acknowledged=self.acknowledged,
-            validate_crypto_scans=validate_crypto_scans,
             obs=self.obs,
         )
 

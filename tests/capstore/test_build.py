@@ -1,4 +1,4 @@
-"""Build parity: serial == row-group parallel == shard-merge builds.
+"""Build parity: serial == row-group parallel == shard-set builds.
 
 Classification is stateless per record, so every build strategy must
 yield the *same* columnar table — these tests pin that invariant, plus
@@ -87,17 +87,29 @@ class TestParallelBuild:
             cursor += count
 
 
+def _shard_set(tmp_path, config, count):
+    """The pcaps ``simulate --workers <count> --no-merge`` would leave."""
+    shards = plan_shards(config, count)
+    assert len(shards) == count
+    paths = []
+    for shard in shards:
+        records = run_shard(config, [unit.name for unit in shard.units])
+        path = str(tmp_path / ("shard%d.pcap" % shard.index))
+        write_pcap(path, records)
+        paths.append(path)
+    return paths
+
+
 class TestShardBuild:
-    def test_shard_build_equals_merged_pcap_build(self, tmp_path):
+    @pytest.mark.parametrize("count", [2, 3, 4, "2+header-only"])
+    def test_shard_build_equals_merged_pcap_build(self, tmp_path, count):
         config = ScenarioConfig(seed=9).scaled(0.02)
-        shards = plan_shards(config, 3)
-        assert len(shards) > 1
-        shard_paths = []
-        for shard in shards:
-            records = run_shard(config, [unit.name for unit in shard.units])
-            path = str(tmp_path / ("shard%d.pcap" % shard.index))
-            write_pcap(path, records)
-            shard_paths.append(path)
+        if count == "2+header-only":
+            shard_paths = _shard_set(tmp_path, config, 2)
+            shard_paths.insert(1, str(tmp_path / "empty.pcap"))
+            write_pcap(shard_paths[1], [])
+        else:
+            shard_paths = _shard_set(tmp_path, config, count)
         merged = str(tmp_path / "merged.pcap")
         merge_pcap_files(shard_paths, merged)
 

@@ -5,9 +5,10 @@ import os
 import pytest
 
 from repro.capstore import (
+    dump_index,
     fingerprint_matches,
+    load_index,
     load_or_build,
-    load_or_build_ex,
     pcap_fingerprint,
     prefix_fingerprint,
     prefix_matches,
@@ -21,6 +22,16 @@ from repro.obs.metrics import MetricsRegistry
 
 def _obs():
     return Observability(metrics=MetricsRegistry())
+
+
+def _load(path, obs=None, **kwargs):
+    """``(view, status)`` of one :func:`load_or_build`: ``"hit"``,
+    ``"extended"`` or ``"miss"``, read off the ``capstore.cache`` counter."""
+    obs = obs or _obs()
+    view, _hit = load_or_build(path, obs=obs, **kwargs)
+    values = obs.metrics.snapshot()["counters"]["capstore.cache"]["values"]
+    (status,) = set(values) - {"stale"}
+    return view, status
 
 
 def _truncate_at_record(path: str, fraction: float) -> bytes:
@@ -78,10 +89,24 @@ class TestLoadOrBuild:
         assert not hit
         assert rebuilt.table == view.table
 
-    def test_pipeline_mismatch_misses(self, pcap_copy):
-        load_or_build(pcap_copy)
-        _view, hit = load_or_build(pcap_copy, validate_crypto_scans=False)
+    def test_sidecar_dumped_with_another_pipeline_is_stale(self, pcap_copy):
+        view, _ = load_or_build(pcap_copy)
+        index_path = sidecar_path(pcap_copy)
+        payload = load_index(index_path)
+        dump_index(
+            index_path,
+            payload.table,
+            payload.stats,
+            source=payload.source,
+            pipeline=dict(payload.pipeline, validate_crypto_scans=False),
+        )
+        obs = _obs()
+        rebuilt, hit = load_or_build(pcap_copy, obs=obs)
         assert not hit
+        values = obs.metrics.snapshot()["counters"]["capstore.cache"]["values"]
+        assert values == {"stale": 1, "miss": 1}
+        assert rebuilt.table == view.table
+        assert load_index(index_path).pipeline == payload.pipeline
 
     def test_parallel_build_hits_same_cache(self, pcap_copy):
         serial_view, _ = load_or_build(pcap_copy, workers=1)
@@ -139,63 +164,63 @@ class TestIncrementalIndex:
 
     def test_grown_pcap_extends_and_matches_full_build(self, pcap_copy):
         tail = _truncate_at_record(pcap_copy, 0.8)
-        first = load_or_build_ex(pcap_copy)
-        assert first.status == "miss"
-        prefix_rows = first.view.table.num_rows
+        first, status = _load(pcap_copy)
+        assert status == "miss"
+        prefix_rows = first.table.num_rows
         with open(pcap_copy, "ab") as fileobj:
             fileobj.write(tail)
         obs = _obs()
-        extended = load_or_build_ex(pcap_copy, obs=obs)
-        assert extended.status == "extended"
-        assert extended.view.table.num_rows > prefix_rows
+        extended, status = _load(pcap_copy, obs=obs)
+        assert status == "extended"
+        assert extended.table.num_rows > prefix_rows
         values = obs.metrics.snapshot()["counters"]["capstore.cache"]["values"]
         assert values == {"extended": 1}
         assert "index.extend" in obs.metrics.snapshot()["timers"]
         # the extended table is exactly what a cold full build produces
-        full = load_or_build_ex(pcap_copy, use_cache=False)
-        assert extended.view.table == full.view.table
-        assert extended.view.stats == full.view.stats
+        full, _ = load_or_build(pcap_copy, use_cache=False)
+        assert extended.table == full.table
+        assert extended.stats == full.stats
         # and the rewritten sidecar is a plain hit afterwards
-        third = load_or_build_ex(pcap_copy)
-        assert third.status == "hit"
+        third, status = _load(pcap_copy)
+        assert status == "hit"
         assert third.indexed_bytes == os.path.getsize(pcap_copy)
 
     def test_extension_emits_full_run_counters(self, pcap_copy):
         tail = _truncate_at_record(pcap_copy, 0.7)
-        load_or_build_ex(pcap_copy)
+        load_or_build(pcap_copy)
         with open(pcap_copy, "ab") as fileobj:
             fileobj.write(tail)
         warm_obs = _obs()
-        load_or_build_ex(pcap_copy, obs=warm_obs)
+        load_or_build(pcap_copy, obs=warm_obs)
         cold_obs = _obs()
-        load_or_build_ex(pcap_copy, obs=cold_obs, use_cache=False)
+        load_or_build(pcap_copy, obs=cold_obs, use_cache=False)
         warm = warm_obs.metrics.snapshot()["counters"]["sanitize.packets"]["values"]
         cold = cold_obs.metrics.snapshot()["counters"]["sanitize.packets"]["values"]
         assert warm == cold
 
     def test_torn_tail_is_still_a_hit(self, pcap_copy):
-        result = load_or_build_ex(pcap_copy)
+        view, _ = load_or_build(pcap_copy)
         size = os.path.getsize(pcap_copy)
         with open(pcap_copy, "ab") as fileobj:
             fileobj.write(b"\x01\x02\x03\x04\x05\x06\x07\x08\x09")
-        again = load_or_build_ex(pcap_copy)
-        assert again.status == "hit"
+        again, status = _load(pcap_copy)
+        assert status == "hit"
         assert again.indexed_bytes == size
-        assert again.view.table == result.view.table
+        assert again.table == view.table
 
     def test_truncated_below_prefix_rebuilds(self, pcap_copy):
-        load_or_build_ex(pcap_copy)
+        load_or_build(pcap_copy)
         _truncate_at_record(pcap_copy, 0.5)
         obs = _obs()
-        rebuilt = load_or_build_ex(pcap_copy, obs=obs)
-        assert rebuilt.status == "miss"
+        rebuilt, status = _load(pcap_copy, obs=obs)
+        assert status == "miss"
         values = obs.metrics.snapshot()["counters"]["capstore.cache"]["values"]
         assert values == {"stale": 1, "miss": 1}
-        full = load_or_build_ex(pcap_copy, use_cache=False)
-        assert rebuilt.view.table == full.view.table
+        full, _ = load_or_build(pcap_copy, use_cache=False)
+        assert rebuilt.table == full.table
 
     def test_rewritten_prefix_rebuilds(self, pcap_copy):
-        load_or_build_ex(pcap_copy)
+        load_or_build(pcap_copy)
         # flip bytes inside the indexed prefix without changing the size
         with open(pcap_copy, "r+b") as fileobj:
             fileobj.seek(64)
@@ -206,34 +231,37 @@ class TestIncrementalIndex:
         # path cannot mask the content change on coarse-clock filesystems
         stat = os.stat(pcap_copy)
         os.utime(pcap_copy, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
-        result = load_or_build_ex(pcap_copy)
-        assert result.status == "miss"
+        _view, status = _load(pcap_copy)
+        assert status == "miss"
 
     def test_concurrent_writer_extension_reads_no_torn_record(self, pcap_copy):
         """A tail cut mid-record is absorbed only once completed."""
         tail = _truncate_at_record(pcap_copy, 0.8)
-        load_or_build_ex(pcap_copy)
+        prefix_records = len(scan_pcap_offsets(pcap_copy))
+        load_or_build(pcap_copy)
         # the writer lands half a record: grown, but nothing complete
         with open(pcap_copy, "ab") as fileobj:
             fileobj.write(tail[:7])
-        partial = load_or_build_ex(pcap_copy)
-        assert partial.status == "hit"
+        partial, status = _load(pcap_copy)
+        assert status == "hit"
         assert partial.indexed_bytes == os.path.getsize(pcap_copy) - 7
         # the writer finishes: exactly the remaining records are absorbed
         with open(pcap_copy, "ab") as fileobj:
             fileobj.write(tail[7:])
-        extended = load_or_build_ex(pcap_copy)
-        assert extended.status == "extended"
-        full = load_or_build_ex(pcap_copy, use_cache=False)
-        assert extended.view.table == full.view.table
+        extended, status = _load(pcap_copy)
+        assert status == "extended"
+        dissected = extended.stats.total_records - partial.stats.total_records
+        assert dissected == len(scan_pcap_offsets(pcap_copy)) - prefix_records
+        full, _ = load_or_build(pcap_copy, use_cache=False)
+        assert extended.table == full.table
 
     def test_no_cache_ignores_extension_path(self, pcap_copy):
         tail = _truncate_at_record(pcap_copy, 0.8)
-        load_or_build_ex(pcap_copy)
+        load_or_build(pcap_copy)
         with open(pcap_copy, "ab") as fileobj:
             fileobj.write(tail)
-        result = load_or_build_ex(pcap_copy, use_cache=False)
-        assert result.status == "miss"
+        _view, status = _load(pcap_copy, use_cache=False)
+        assert status == "miss"
 
 
 class TestPrefixFingerprint:

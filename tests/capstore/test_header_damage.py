@@ -14,7 +14,8 @@ import pytest
 
 from repro.capstore import CapIndexError, load_index, load_or_build, sidecar_path
 from repro.cli import main
-from repro.core.render import VALID_TABLES, render_analysis
+from repro.core.render import render_analysis
+from repro.core.selectors import VALID_TABLES
 
 ANALYZE = ("--tables", "1", "2", "3", "4", "rto", "lengths")
 

@@ -8,7 +8,8 @@ import pytest
 
 from repro.capstore import CaptureTable, ClassifiedView, load_or_build
 from repro.core.packet_mix import TABLE3_ROWS
-from repro.core.render import ORIGINS, VALID_TABLES, render_analysis
+from repro.core.render import ORIGINS, render_analysis
+from repro.core.selectors import VALID_TABLES
 from repro.core.versions import TABLE2_ROWS
 from repro.quic.packet import PacketType, ParsedLongHeader
 from repro.quic.version import QUIC_V1

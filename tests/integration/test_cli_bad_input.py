@@ -2,8 +2,8 @@
 
 A read-side command pointed at something that is not a readable pcap
 prints ``repro <command>: <path>: <reason>`` on stderr and exits 2 —
-no traceback, nothing left next to the input — whether the file is
-opened in this process or by a shard worker of a pool.
+no traceback, nothing left next to the input — whether the file is one
+pcap or a member of a ``--no-merge`` shard set.
 """
 
 import os
@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.netstack.pcap import read_pcap, write_pcap
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -71,6 +72,27 @@ def test_bad_pcap_is_one_line_and_exit_2(command, kind, good_pcap, tmp_path, cap
     # No sidecar, no .progress directory, next to either input.
     assert sorted(os.listdir(tmp_path)) == before
     assert sorted(os.listdir(os.path.dirname(good_pcap))) == good_siblings
+
+
+@pytest.mark.parametrize("command", ["analyze", "index"])
+def test_a_torn_shard_is_named_in_one_line(command, good_pcap, tmp_path, capsys):
+    """The second of three shards ends mid-record: the one line names it."""
+    records = read_pcap(good_pcap)
+    shards = [str(tmp_path / ("out.pcap.shard%d" % k)) for k in range(3)]
+    for k, path in enumerate(shards):
+        write_pcap(path, records[k::3])
+    with open(shards[1], "r+b") as fileobj:
+        fileobj.truncate(os.path.getsize(shards[1]) - 5)
+
+    status = main([command, *shards])
+
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "repro %s: %s: truncated pcap record body\n" % (
+        command,
+        shards[1],
+    )
 
 
 def test_nested_commands_are_named_in_full(tmp_path, capsys):

@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.netstack.pcap import read_pcap, write_pcap
 from tests.sweep.conftest import MICRO
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -106,6 +107,28 @@ class TestReadSideBoundary:
         assert _crossings(modules) == ["repro.stream", "repro.stream.tail"]
         assert not [m for m in modules if m.startswith("repro.capstore")]
         assert "multiprocessing" not in modules
+
+    def test_a_shard_set_is_indexed_without_a_process_pool(self, tiny_pcap, tmp_path):
+        records = read_pcap(tiny_pcap)
+        shards = [str(tmp_path / ("tiny.pcap.shard%d" % k)) for k in range(2)]
+        for k, path in enumerate(shards):
+            write_pcap(path, records[k::2])
+        for command in ("analyze", "index"):
+            modules = _modules_after([command, *shards])
+            assert "multiprocessing" not in modules
+            assert _crossings(modules) == []
+
+    def test_observability_readers_load_no_analyses(self, tiny_pcap, tmp_path):
+        snapshot = tmp_path / "m.json"
+        snapshot.write_text('{"timers": {"simulate": {"seconds": 1.0, "calls": 1}}}')
+        source = tmp_path / "lintme"
+        source.mkdir()
+        (source / "a.py").write_text("x = 1\n")
+        for argv in (["stats", str(snapshot)], ["lint", str(source)],
+                     ["progress", tiny_pcap]):
+            modules = _modules_after(argv)
+            assert "repro.cli" in modules
+            assert "repro.core.render" not in modules, argv
 
     def test_sweep_status_and_render_load_neither_runner_nor_simulator(self, tmp_path):
         spec = tmp_path / "grid.json"

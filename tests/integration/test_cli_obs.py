@@ -139,7 +139,11 @@ class TestStatsDiff:
 
     def test_stats_without_args_errors(self, capsys):
         assert main(["stats"]) == 2
-        assert "--diff" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro stats: give a snapshot file, or --diff A.json B.json\n"
+        )
 
 
 class TestTraceSummarize:

@@ -19,16 +19,25 @@ from dataclasses import replace
 
 import pytest
 
-from repro.capstore import CaptureTable, ClassifiedView, build_capture_table
+from repro.capstore import (
+    CaptureTable,
+    ClassifiedView,
+    build_capture_table,
+    default_acknowledged,
+    default_asdb,
+    record_verdict,
+)
 from repro.capstore.table import DATAGRAM_FIELDS, datagram_values
 from repro.cli import main
 from repro.core.offnet import OffnetServers, extract_features
 from repro.core.packet_mix import TABLE3_ROWS, packet_mix, top_length_signatures
-from repro.core.render import ORIGINS, VALID_TABLES, CaptureFold
+from repro.core.render import ORIGINS, CaptureFold
 from repro.core.scid_stats import table4
+from repro.core.selectors import VALID_TABLES
 from repro.core.session import SessionStore
 from repro.core.timing import profiles_of, timing_profiles
 from repro.core.versions import TABLE2_ROWS, table2
+from repro.netstack.pcap import read_pcap
 from repro.stream.reducers import StreamAnalyses
 from repro.sweep.metrics import SIDES, evaluate_metrics, validate_metric
 from repro.telescope.classify import (
@@ -66,19 +75,21 @@ def _write_case(case, path):
 
 @pytest.fixture(scope="module", params=sorted(MONTHS) + sorted(ONE_SIDED) + ["hostile"])
 def capture(request, tmp_path_factory):
-    """``(view, packets)``: the columns, and one object per row in row order."""
+    """``(view, packets, records)``: the columns, one object per row in row
+    order, and the pcap records they were dissected from."""
     path = str(tmp_path_factory.mktemp("fold") / "case.pcap")
     _write_case(request.param, path)
     table, stats = build_capture_table(path, workers=1)
     assert table.num_rows > 0
+    records = read_pcap(path)
     os.unlink(path)
     packets = [table.materialize(row) for row in range(table.num_rows)]
-    return ClassifiedView(table, stats), packets
+    return ClassifiedView(table, stats), packets, records
 
 
 @pytest.fixture(scope="module")
 def sources(capture):
-    view, packets = capture
+    view, packets, _records = capture
     return view.table, packets
 
 
@@ -173,22 +184,25 @@ def test_render_fold_agrees_at_every_checkpoint(sources):
         assert state == batch
 
 
-def _as_two_shards(table, cut):
-    """Rows ``[0, cut)`` and ``[cut, rows)`` as tables of their own, the
-    second numbering its origins backwards — what the followers of a
-    ``--no-merge`` shard set hold."""
+def _as_two_shards(records, cut, origins):
+    """The rows of ``records[:cut]`` and of ``records[cut:]`` as tables of
+    their own, the second numbering ``origins`` backwards — what the
+    followers of a ``--no-merge`` shard set hold."""
     first, second = CaptureTable(), CaptureTable()
-    for name in reversed(table.origins):
+    for name in reversed(origins):
         second.origin_index(name)
-    for row in range(table.num_rows):
-        (first if row < cut else second).append_row_from(table, row)
+    for table, part in ((first, records[:cut]), (second, records[cut:])):
+        verdict = record_verdict(table, default_asdb(), default_acknowledged())
+        for record in part:
+            verdict(record.timestamp, record.data, 0, len(record.data))
     return first, second
 
 
-def test_stream_fold_agrees_at_every_checkpoint(sources):
+def test_stream_fold_agrees_at_every_checkpoint(capture):
     """What only ``StreamAnalyses`` counts — rows, span, rates — against the
     objects; the accumulators are the fold's, held above."""
-    table, packets = sources
+    view, packets, records = capture
+    table = view.table
     ragged = StreamAnalyses()
     fed = 0
     for upto in _checkpoints(len(packets), every_prefix=len(packets) <= 32):
@@ -209,7 +223,7 @@ def test_stream_fold_agrees_at_every_checkpoint(sources):
             for origin, count in Counter(packet.origin for packet in seen).items()
         }
     sharded = StreamAnalyses()
-    for shard in _as_two_shards(table, len(packets) // 3):
+    for shard in _as_two_shards(records, len(records) // 3, table.origins):
         sharded.feed(shard, 0, shard.num_rows)
     assert sharded.snapshot() == ragged.snapshot()
 
@@ -250,7 +264,7 @@ def _batch_metrics(stats, packets):
 
 
 def test_sweep_metrics_equal_the_batch_functions(capture):
-    view, packets = capture
+    view, packets, _records = capture
     expected = _batch_metrics(view.stats, packets)
     assert evaluate_metrics(list(expected), view, {}) == expected
     # Asking for one name is asking for the same number.

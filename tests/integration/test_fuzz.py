@@ -24,7 +24,7 @@ from repro.capstore import (
     default_acknowledged,
     default_asdb,
     dissect_pcap,
-    load_or_build_ex,
+    load_or_build,
 )
 from repro.core.dissector import DissectError, dissect_datagram
 from repro.netstack.addr import parse_ip
@@ -36,6 +36,7 @@ from repro.netstack.pcap import (
     split_timestamp,
 )
 from repro.netstack.udp import UdpDatagram, UdpParseError, decode_udp, encode_udp
+from repro.obs import MetricsRegistry, Observability
 from repro.quic.frames import FrameParseError, decode_frames
 from repro.quic.packet import PacketParseError, decode_datagram, parse_long_header
 from repro.quic.transport_params import TransportParamError, TransportParameters
@@ -292,6 +293,15 @@ class _Expected:
         return self._built[count]
 
 
+def _load_status(path):
+    """``(view, status)`` of one uncached :func:`load_or_build`, the status
+    read off the ``capstore.cache`` counter."""
+    obs = Observability(metrics=MetricsRegistry())
+    view, _hit = load_or_build(path, use_cache=False, obs=obs)
+    (status,) = obs.metrics.snapshot()["counters"]["capstore.cache"]["values"]
+    return view, status
+
+
 def _index(path, data):
     """Write ``data`` as the pcap at ``path`` and index it, uncached.
 
@@ -300,7 +310,7 @@ def _index(path, data):
     with open(path, "wb") as fileobj:
         fileobj.write(data)
     try:
-        return load_or_build_ex(path, use_cache=False)
+        return _load_status(path)
     except PcapError:
         return None
 
@@ -308,11 +318,12 @@ def _index(path, data):
 def _assert_indexed(result, expected, count, indexed_bytes):
     table, stats = expected[count]
     assert result is not None
-    assert result.indexed_bytes == indexed_bytes
-    assert result.view.indexed_bytes == indexed_bytes
-    assert result.dissected == count
-    assert result.view.stats == stats
-    assert result.view.table == table
+    view, status = result
+    assert status == "miss"
+    assert view.indexed_bytes == indexed_bytes
+    assert view.stats.total_records == count  # dissected, into an empty table
+    assert view.stats == stats
+    assert view.table == table
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +347,7 @@ def test_walker_indexes_the_whole_capture(hostile_capture, walk_chunk, tmp_path)
     records, data, bounds, expected = hostile_capture
     result = _index(str(tmp_path / "whole.pcap"), data)
     _assert_indexed(result, expected, len(records), len(data))
-    assert 0 < result.view.table.num_rows < len(records)  # kept and dropped both
+    assert 0 < result[0].table.num_rows < len(records)  # kept and dropped both
 
 
 def test_walker_stops_before_a_cut_at_every_byte(hostile_capture, walk_chunk, tmp_path):
@@ -367,7 +378,7 @@ def test_walker_counts_zero_length_records(hostile_capture, walk_chunk, tmp_path
     data = _pcap_bytes(records)
     result = _index(str(tmp_path / "empty-records.pcap"), data)
     _assert_indexed(result, _Expected(records), len(records), len(data))
-    assert result.view.stats.non_udp == hostile_capture[3][12][1].non_udp + 4
+    assert result[0].stats.non_udp == hostile_capture[3][12][1].non_udp + 4
 
 
 def test_walker_reads_the_byte_swapped_magic(hostile_capture, walk_chunk, tmp_path):
@@ -390,9 +401,7 @@ def test_walker_resumes_where_the_cursor_stands(hostile_capture, walk_chunk, tmp
     for end in (30, bounds[2] + 5, bounds[2] + 16, bounds[7] - 1, bounds[7], len(data)):
         with open(path, "wb") as fileobj:
             fileobj.write(data[:end])
-        stats = dissect_pcap(
-            path, cursor, table, asdb=default_asdb(), acknowledged=default_acknowledged()
-        )
+        stats = dissect_pcap(path, cursor, table)
         seen += stats.total_records
         complete = sum(1 for bound in bounds[1:] if bound <= end)
         assert (seen, cursor.offset) == (complete, bounds[complete])
@@ -440,9 +449,43 @@ def test_walker_never_buffers_on_a_headers_say_so(hostile_capture, tmp_path):
         fileobj.truncate(48 << 20)  # sparse: the bytes are never written
     tracemalloc.start()
     try:
-        result = load_or_build_ex(path, use_cache=False)
+        result = _load_status(path)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     _assert_indexed(result, expected, 6, bounds[6])
     assert peak < 8 * pcap_module.WALK_CHUNK
+
+
+def test_shard_reader_never_buffers_on_a_headers_say_so(hostile_capture, tmp_path, capsys):
+    """The same corrupt ``incl_len`` in the second shard of a set: the
+    merged read refuses it without reading the rest of that shard, and
+    ``analyze`` fails in one line naming it."""
+    import tracemalloc
+
+    from repro.capstore import build_from_shards
+    from repro.cli import main
+
+    records = hostile_capture[0]
+    shards = [str(tmp_path / ("s.pcap.shard%d" % k)) for k in range(2)]
+    with open(shards[0], "wb") as fileobj:
+        fileobj.write(_pcap_bytes(records[0::2]))
+    second = records[1::2]
+    mangled = bytearray(_pcap_bytes(second))
+    struct.pack_into("<I", mangled, _boundaries(second)[3] + 8, 0x7FFFFFFF)
+    with open(shards[1], "wb") as fileobj:
+        fileobj.write(mangled)
+        fileobj.truncate(48 << 20)  # sparse: the bytes are never written
+    tracemalloc.start()
+    try:
+        with pytest.raises(PcapError) as excinfo:
+            build_from_shards(shards)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == shards[1] + ": truncated pcap record body"
+    assert peak < 8 * pcap_module.WALK_CHUNK
+    assert main(["analyze", *shards]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "repro analyze: %s: truncated pcap record body\n" % shards[1]

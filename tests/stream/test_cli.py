@@ -60,9 +60,15 @@ class TestLiveParity:
 
     def test_missing_capture_fails_with_one_line(self, tmp_path, capsys):
         path = str(tmp_path / "never.pcap")
-        assert main(live_args([path])) == 1
+        assert main(live_args([path])) == 2
         captured = capsys.readouterr()
-        assert "no capture appeared" in captured.err
+        assert captured.err == "repro live: %s: no capture appeared\n" % path
+
+    def test_missing_shard_fails_with_one_line(self, pcap_copy, tmp_path, capsys):
+        never = str(tmp_path / "never.pcap")
+        assert main(live_args([pcap_copy, never], "--no-cache")) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro live: shard pcap(s) never appeared: %s\n" % never
 
     def test_dashboard_and_prom_file(self, pcap_copy, tmp_path, capsys):
         prom = str(tmp_path / "live.prom")

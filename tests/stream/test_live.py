@@ -5,11 +5,22 @@ import os
 import pytest
 
 from repro.capstore import build_capture_table
-from repro.capstore.cache import load_or_build, load_or_build_ex
+from repro.capstore.cache import load_or_build
 from repro.netstack.pcap import GLOBAL_HEADER_SIZE, scan_pcap_offsets
+from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.live import PcapFollower, render_dashboard
 from repro.stream.reducers import StreamAnalyses
+
+
+def load_with_status(path):
+    """``(view, status)`` of one :func:`load_or_build`, the status read off
+    the ``capstore.cache`` counter."""
+    obs = Observability(metrics=MetricsRegistry())
+    view, _hit = load_or_build(path, obs=obs)
+    values = obs.metrics.snapshot()["counters"]["capstore.cache"]["values"]
+    (status,) = set(values) - {"stale"}
+    return view, status
 
 
 def grow_in_steps(source, dest, cuts):
@@ -91,9 +102,9 @@ class TestFollowerCache:
         follower = PcapFollower(pcap_copy)
         follower.poll()
         follower.finish()
-        result = load_or_build_ex(pcap_copy)
-        assert result.status == "hit"
-        assert result.view.table == follower.table
+        view, status = load_with_status(pcap_copy)
+        assert status == "hit"
+        assert view.table == follower.table
 
     def test_no_cache_never_writes_a_sidecar(self, pcap_copy):
         follower = PcapFollower(pcap_copy, use_cache=False)
