@@ -51,6 +51,7 @@ from _harness import environment_stamp
 from repro.capstore import ClassifiedView, build_from_shards, load_or_build
 from repro.cli import VALID_TABLES, main as cli_main, render_analysis
 from repro.core.offnet import extract_features
+from repro.core.selectors import SIDES, TABLE2_ROWS
 from repro.core.versions import table2
 from repro.netstack.pcap import scan_pcap_offsets, write_pcap
 from repro.obs import MetricsRegistry, Observability
@@ -103,14 +104,19 @@ def _reducers_match_batch(analyses, view):
     """Do the online reducers agree with the batch analyses of ``view``?"""
     shares = table2(view)
     features = extract_features(view.backscatter)
-    snap = analyses.snapshot()
+    values = analyses.snapshot()
+    sessions = {
+        (side, bucket): values["sessions.%s.%s" % (side, bucket)]
+        for side in SIDES
+        for bucket in TABLE2_ROWS
+    }
     return (
-        snap["rows"].get("backscatter", 0) == len(view.backscatter)
-        and snap["rows"].get("scan", 0) == len(view.scans)
-        and snap["sessions"]["clients"]["buckets"] == shares["clients"].counts
-        and snap["sessions"]["servers"]["buckets"] == shares["servers"].counts
-        and snap["offnet"]["servers"] == len(features)
-        and snap["offnet"]["low_host_id"]
+        values["rows.backscatter"] == len(view.backscatter)
+        and values["rows.scans"] == len(view.scans)
+        and sessions
+        == {key: shares[key[0]].counts[key[1]] for key in sessions}
+        and values["offnet.servers"] == len(features)
+        and values["offnet.low_host_id"]
         == sum(1 for f in features.values() if f.low_host_id())
     )
 

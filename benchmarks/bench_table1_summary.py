@@ -14,7 +14,8 @@ Paper values:
 from conftest import report
 
 from repro.core.report import render_table
-from repro.core.summary import HYPERGIANT_COLUMNS, summarize
+from repro.core.selectors import HYPERGIANT_COLUMNS
+from repro.core.summary import summarize
 
 
 def test_table1_summary(benchmark, capture_2022):

@@ -13,7 +13,8 @@ Paper values (sessions, percent):
 from conftest import report
 
 from repro.core.report import render_table
-from repro.core.versions import TABLE2_ROWS, table2, table2_rows
+from repro.core.selectors import TABLE2_ROWS
+from repro.core.versions import table2, table2_rows
 
 
 def test_table2_versions(benchmark, capture_2021, capture_2022):

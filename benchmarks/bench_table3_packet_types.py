@@ -12,10 +12,9 @@ Paper values (percent of packets from each source network):
 
 from conftest import report
 
-from repro.core.packet_mix import TABLE3_ROWS, packet_mix
+from repro.core.packet_mix import packet_mix
 from repro.core.report import render_table
-
-ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
+from repro.core.selectors import ORIGINS, TABLE3_ROWS
 
 
 def test_table3_packet_types(benchmark, capture_2022):

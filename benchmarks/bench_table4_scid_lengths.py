@@ -16,8 +16,7 @@ from conftest import report
 
 from repro.core.report import render_table
 from repro.core.scid_stats import table4
-
-ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
+from repro.core.selectors import ORIGINS
 
 
 def test_table4_scid_lengths(benchmark, capture_2022):

@@ -10,7 +10,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core.report import render_table
-from repro.core.summary import HYPERGIANT_COLUMNS, summarize
+from repro.core.selectors import HYPERGIANT_COLUMNS
+from repro.core.summary import summarize
 from repro.core.timing import timing_profiles
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 

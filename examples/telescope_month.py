@@ -13,15 +13,14 @@ Run:  python examples/telescope_month.py [output.pcap]
 import io
 import sys
 
-from repro.core.packet_mix import TABLE3_ROWS, packet_mix, top_length_signatures
+from repro.core.packet_mix import packet_mix, top_length_signatures
 from repro.core.report import render_histogram, render_table
 from repro.core.scid_stats import table4
-from repro.core.versions import TABLE2_ROWS, table2
+from repro.core.selectors import ORIGINS, TABLE2_ROWS, TABLE3_ROWS
+from repro.core.versions import table2
 from repro.netstack.pcap import PcapReader
 from repro.telescope.classify import classify_capture
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-
-ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
 
 
 def main() -> None:

@@ -454,17 +454,18 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
 
+    progress_target = _arg(  # what resolve_progress_dir accepts
+        "target",
+        help="a progress directory, a simulate output path (heartbeats in "
+        "<output>.progress/) or a sweep output directory (<outdir>/progress/)",
+    )
     _command(
         sub,
         "progress",
         "repro.commands.observe:cmd_progress",
         help="render the heartbeat table of a sharded run",
         arguments=[
-            _arg(
-                "target",
-                help="progress directory, or the simulate/index output path "
-                "(heartbeats live in <output>.progress/)",
-            ),
+            progress_target,
             _arg(
                 "--follow",
                 action="store_true",
@@ -601,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repro.commands.observe:cmd_progress",
         help="live-follow a sharded run's progress (progress --follow)",
         arguments=[
-            _arg("target", help="progress directory or simulate output path"),
+            progress_target,
             _arg(
                 "--interval",
                 type=float,

@@ -17,15 +17,6 @@ from typing import Iterable, Sequence
 from repro.quic.packet import PacketType
 from repro.telescope.classify import CapturedPacket, type_codes
 
-TABLE3_ROWS = (
-    "Initial",
-    "Handshake",
-    "0-RTT",
-    "Retry",
-    "Coalesced Initial & Handshake",
-)
-
-
 #: Table 3 row of a lone packet, indexed by :class:`PacketType` value.
 _SINGLE_CATEGORY = (
     "Initial",

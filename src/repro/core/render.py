@@ -7,16 +7,22 @@ benches and tests need not import the CLI to get at it.
 
 from __future__ import annotations
 
-from repro.core.packet_mix import TABLE3_ROWS, LengthSignatures, PacketMix
+from repro.core.packet_mix import LengthSignatures, PacketMix
 from repro.core.report import render_histogram, render_table
-from repro.core.scid_stats import ScidTable
+from repro.core.scid_entropy import structure_of
+from repro.core.scid_stats import ScidStats, ScidTable
+from repro.core.selectors import (
+    HYPERGIANT_COLUMNS,
+    ORIGINS,
+    PACKET_CATEGORIES,
+    SIDES,
+    TABLE2_ROWS,
+    TABLE3_ROWS,
+)
 from repro.core.session import SessionStore
-from repro.core.summary import HYPERGIANT_COLUMNS, summarize_from
+from repro.core.summary import summarize_from
 from repro.core.timing import profiles_of
-from repro.core.versions import TABLE2_ROWS, VersionMix
-
-#: The paper's source-network columns (Tables 3/4 and the timing figures).
-ORIGINS = ("Cloudflare", "Facebook", "Google", "Remaining")
+from repro.core.versions import VersionMix
 
 
 class CaptureFold:
@@ -28,11 +34,12 @@ class CaptureFold:
     again as a capture grows: the state after any prefix, in any
     batching, is the state of one pass over that prefix.
 
-    :func:`render_analysis` formats the accumulators,
+    :meth:`values` names every number the accumulators hold.
+    :func:`render_analysis` formats them,
     :class:`~repro.stream.reducers.StreamAnalyses` snapshots them while a
-    capture grows and :func:`~repro.sweep.metrics.evaluate_metrics` reads
-    single numbers off them; the latter two also ask for ``"offnet"``, a
-    selector that is not a ``--tables`` name because no table prints it.
+    capture grows and :func:`~repro.sweep.metrics.evaluate_metrics` picks
+    single names; the latter two also ask for ``"offnet"``, a selector
+    that is not a ``--tables`` name because no table prints it.
     """
 
     def __init__(self, wanted: set) -> None:
@@ -99,6 +106,40 @@ class CaptureFold:
             if offnet is not None:
                 offnet.add_values(origin, src_ip, types, scids, payload_length)
 
+    def values(self) -> dict:
+        """``{name: number}`` for every name of :mod:`repro.core.selectors`'
+        grammar the kept accumulators fill, zeros included, in O(names):
+        the accumulators hold the counts, and Fig. 5's chi-square is
+        computed once per origin."""
+        out = {}
+        if self.clients is not None:
+            for side, mix in zip(SIDES, (self.clients, self.servers)):
+                shares = mix.shares()
+                for bucket in TABLE2_ROWS:
+                    key = "%s.%s" % (side, bucket)
+                    out["version_share." + key] = shares.share(bucket)
+                    out["sessions." + key] = shares.counts.get(bucket, 0)
+                out["sessions.%s.total" % side] = shares.total
+        if self.scan_mix is not None:
+            mix = self.mix + self.scan_mix  # Table 3 counts backscatter + scans
+            for origin in ORIGINS:
+                counts = mix.counts.get(origin, {})
+                for cat in TABLE3_ROWS:
+                    out["packet_share.%s.%s" % (origin, cat)] = mix.share(origin, cat)
+                for cat in PACKET_CATEGORIES:
+                    out["packet_mix.%s.%s" % (origin, cat)] = counts.get(cat, 0)
+        if self.scids is not None:
+            for origin in ORIGINS:
+                stats = self.scids.stats.get(origin) or ScidStats(origin)
+                structured, chi2 = structure_of(stats.matrix())
+                out["scid_unique." + origin] = stats.unique_count
+                out["scid_dominant_len." + origin] = stats.dominant_length or 0
+                out["scid_structured." + origin] = int(structured)
+                out["scid_max_chi2." + origin] = chi2
+        if self.offnet is not None:
+            out["offnet.servers"], out["offnet.low_host_id"] = self.offnet.counts()
+        return out
+
 
 def render_analysis(capture, wanted: set) -> str:
     """Render the selected paper tables for a classified capture.
@@ -114,6 +155,7 @@ def render_analysis(capture, wanted: set) -> str:
     wanted = set(wanted)
     found = CaptureFold(wanted)
     found.feed(capture.datagrams())
+    values = found.values()
     profiles = profiles_of(found.sessions) if found.sessions is not None else None
     parts: list[str] = []
 
@@ -139,16 +181,12 @@ def render_analysis(capture, wanted: set) -> str:
         )
         parts.append("")
     if "2" in wanted:
-        clients, servers = found.clients.shares(), found.servers.shares()
+        share = "version_share.%s.%s"
         parts.append(
             render_table(
                 ["QUIC version", "Clients [%]", "Servers [%]"],
                 [
-                    [
-                        bucket,
-                        "%.1f" % clients.share(bucket),
-                        "%.1f" % servers.share(bucket),
-                    ]
+                    [bucket] + ["%.1f" % values[share % (s, bucket)] for s in SIDES]
                     for bucket in TABLE2_ROWS
                 ],
                 title="Table 2 — version adoption",
@@ -156,12 +194,12 @@ def render_analysis(capture, wanted: set) -> str:
         )
         parts.append("")
     if "3" in wanted:
-        mix = found.mix + found.scan_mix
+        share = "packet_share.%s.%s"
         parts.append(
             render_table(
                 ["Packet type"] + list(ORIGINS),
                 [
-                    [cat] + ["%.2f" % mix.share(o, cat) for o in ORIGINS]
+                    [cat] + ["%.2f" % values[share % (o, cat)] for o in ORIGINS]
                     for cat in TABLE3_ROWS
                 ],
                 title="Table 3 — packet types per source network [%]",

@@ -41,9 +41,6 @@ class NybbleMatrix:
         )
         return total / (16 * len(self.freq))
 
-    def max_cell(self) -> float:
-        return max((value for row in self.freq for value in row), default=0.0)
-
     def hot_positions(self, threshold: float = 0.25) -> list[int]:
         """Positions where some value occurs suspiciously often."""
         return [
@@ -124,9 +121,13 @@ def is_structured(matrix: NybbleMatrix, chi_threshold: float = 60.0) -> bool:
     (~8 standard deviations above random).  Works equally for Cloudflare's
     ~170 observed SCIDs and Google's hundred-thousand.
     """
-    if matrix.sample_size < 8 or not matrix.freq:
-        return False
-    return max(chi_square_uniformity(matrix)) > chi_threshold
+    return structure_of(matrix, chi_threshold)[0]
+
+
+def structure_of(matrix: NybbleMatrix, chi_threshold: float = 60.0) -> tuple:
+    """``(is_structured, largest per-position chi-square)``, one pass."""
+    chi2 = max(chi_square_uniformity(matrix), default=0.0)
+    return matrix.sample_size >= 8 and chi2 > chi_threshold, chi2
 
 
 def chi_square_uniformity(matrix: NybbleMatrix) -> list[float]:

@@ -14,11 +14,11 @@ from typing import Sequence
 from repro.core.packet_mix import PacketMix, packet_mix
 from repro.core.scid_entropy import is_structured
 from repro.core.scid_stats import ScidStats, table4
+from repro.core.selectors import HYPERGIANT_COLUMNS
 from repro.core.l7lb import host_ids_from_scids
 from repro.core.timing import TimingProfile, timing_profiles
 from repro.telescope.classify import CapturedPacket
 
-HYPERGIANT_COLUMNS = ("Cloudflare", "Facebook", "Google")
 #: Providers the paper's active probes found echoing the client's DCID.
 ECHO_DETECTED_ORIGINS = frozenset({"Google"})
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from repro.core.selectors import TABLE2_ROWS
 from repro.core.session import SessionStore
 from repro.quic.version import table2_bucket
 from repro.telescope.classify import ClassifiedCapture
-
-TABLE2_ROWS = ("QUICv1", "Facebook mvfst 2", "draft-29", "others")
 
 
 @dataclass
@@ -30,9 +29,6 @@ class VersionShares:
         if not self.total:
             return 0.0
         return 100.0 * self.counts.get(bucket, 0) / self.total
-
-    def as_row(self) -> dict[str, float]:
-        return {bucket: self.share(bucket) for bucket in TABLE2_ROWS}
 
 
 class VersionMix:

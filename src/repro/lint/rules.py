@@ -23,10 +23,11 @@ rule id     invariant
             ``frozenset`` expressions) or unordered filesystem listings
             (``os.listdir``, ``glob.glob``) — wrap in ``sorted()`` before
             the order can leak into output
-``OBS001``  sweep metric-name string literals (``counter:…``,
-            ``gauge:…``, ``timer:…``, ``version_share.…``, …) must pass
-            the grammar :func:`repro.sweep.metrics.validate_metric`
-            enforces at spec-parse time — a typo fails lint, not a sweep
+``OBS001``  metric-name string literals (``counter:…``, ``gauge:…``,
+            ``timer:…``, ``rows.…`` and every family of
+            :mod:`repro.core.selectors`) must pass the grammar
+            :func:`~repro.core.selectors.validate_metric` enforces at
+            spec-parse time — a typo fails lint, not a sweep
 ``MP001``   multiprocessing pool/process targets must be top-level
             (picklable) callables — lambdas and nested functions fail at
             runtime under the spawn start method only, i.e. on someone
@@ -61,6 +62,12 @@ import ast
 import re
 from typing import Iterator, List, Tuple
 
+from repro.core.selectors import (
+    CAPTURE_NAMES,
+    FAMILIES,
+    REGISTRY_PREFIXES,
+    validate_metric,
+)
 from repro.lint.engine import FileContext, Finding
 
 #: DET002 does not apply under these path components: the observability
@@ -116,13 +123,14 @@ _POOL_METHODS = frozenset(
     }
 )
 
-#: Sweep metric-name shapes OBS001 validates (see repro.sweep.metrics).
-#: A literal must carry content *after* the family prefix to count as a
-#: metric name — bare prefixes ("counter:", "version_share.") are the
-#: grammar machinery itself (prefix tables, startswith() tests), and a
-#: name with whitespace is prose, not a metric.
+#: Literals OBS001 validates: a registry prefix or a grammar name's first
+#: component, then more name.  A bare prefix is grammar machinery, and a
+#: space, "%" or "{" after one starts prose or a template.
+_METRIC_PREFIXES = REGISTRY_PREFIXES + tuple(
+    sorted({name.split(".")[0] + "." for name in (*FAMILIES, *CAPTURE_NAMES)})
+)
 _METRIC_LITERAL = re.compile(
-    r"\A(?:(?:counter|gauge|timer):|(?:version_share|packet_share|scid_unique)\.)\S+\Z"
+    r"\A(?:%s)[^\s%%{]" % "|".join(map(re.escape, _METRIC_PREFIXES))
 )
 
 
@@ -303,28 +311,12 @@ class MetricNameRule(Rule):
     title = "invalid sweep metric name literal"
     interests = (ast.Constant,)
 
-    def __init__(self) -> None:
-        self._validate = None
-
-    def _validator(self):
-        if self._validate is None:
-            try:
-                from repro.sweep.metrics import validate_metric
-            except Exception:  # pragma: no cover - broken partial checkouts
-                def validate_metric(name: str) -> None:
-                    kind, _, rest = name.partition(":")
-                    if kind in ("counter", "gauge", "timer") and not rest:
-                        raise ValueError("metric %r names no registry metric" % name)
-
-            self._validate = validate_metric
-        return self._validate
-
     def visit(self, node, ctx):
         value = node.value
         if not isinstance(value, str) or not _METRIC_LITERAL.match(value):
             return
         try:
-            self._validator()(value)
+            validate_metric(value)
         except ValueError as exc:
             yield self.finding(node, ctx, str(exc))
 

@@ -11,8 +11,8 @@ row range to the :class:`~repro.core.render.CaptureFold` that ``repro
 analyze`` renders from (version mix, packet mix, SCID structure, off-net
 servers — the very accumulators the batch functions fold a whole capture
 into), counts rows and the capture span off the columns, and publishes
-the state into a :class:`~repro.obs.MetricsRegistry` so ``--prom-file``
-/ ``--prom-port`` export it while the run is still in flight.  ``tail``
+the numbers as ``stream.*`` gauges of a :class:`~repro.obs.MetricsRegistry`
+so ``--prom-file`` / ``--prom-port`` export them in flight.  ``tail``
 holds the generic follow-a-file primitives (JSONL traces, snapshot
 files).
 

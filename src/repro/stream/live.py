@@ -28,7 +28,7 @@ from repro.capstore.cache import DEFAULT_PIPELINE, load_or_build, write_sidecar
 from repro.capstore.format import IndexPayload
 from repro.capstore.table import CaptureTable, ClassifiedView
 from repro.core.report import render_table
-from repro.core.versions import TABLE2_ROWS
+from repro.core.selectors import ORIGINS, PACKET_CATEGORIES, SESSION_BUCKETS, SIDES
 from repro.netstack.pcap import GLOBAL_HEADER_SIZE, PcapCursor
 from repro.obs import NULL_OBS, Observability
 from repro.telescope.classify import SanitizationStats
@@ -142,7 +142,7 @@ def render_dashboard(
     ``analyses`` is a :class:`~repro.stream.reducers.StreamAnalyses`;
     only its :meth:`snapshot` is used, so tests can pass a stub.
     """
-    snap = analyses.snapshot()
+    values = analyses.snapshot()
     parts: List[str] = []
     parts.append(
         render_table(
@@ -157,50 +157,39 @@ def render_dashboard(
                 ]
                 for follower in followers
             ],
-            title="repro live — poll %d, %d rows fed" % (polls, snap["rows_fed"]),
+            title="repro live — poll %d, %d rows fed" % (polls, values["rows_fed"]),
         )
     )
     parts.append("")
-    sessions = snap["sessions"]
     parts.append(
         render_table(
             ["QUIC version", "client sessions", "server sessions"],
             [
-                [
-                    bucket,
-                    sessions["clients"]["buckets"].get(bucket, 0),
-                    sessions["servers"]["buckets"].get(bucket, 0),
-                ]
-                for bucket in TABLE2_ROWS
-            ]
-            + [
-                [
-                    "total",
-                    sessions["clients"]["total"],
-                    sessions["servers"]["total"],
-                ]
+                [bucket] + [values["sessions.%s.%s" % (side, bucket)] for side in SIDES]
+                for bucket in SESSION_BUCKETS
             ],
             title="Version mix (online)",
         )
     )
     parts.append("")
     origin_rows = []
-    for origin in sorted(
-        set(snap["packet_mix"]) | set(snap["scids"]) | set(snap["rows_per_sec"])
-    ):
-        mix = snap["packet_mix"].get(origin, {})
-        total = sum(mix.values())
-        coalesced = mix.get("Coalesced Initial & Handshake", 0)
-        scids = snap["scids"].get(origin)
+    for origin in ORIGINS:
+        rate = values.get("rows_per_sec." + origin)
+        if rate is None:
+            continue  # no row from this origin yet
+        total = sum(values["packet_mix.%s.%s" % (origin, c)] for c in PACKET_CATEGORIES)
+        coalesced = values["packet_share.%s.Coalesced Initial & Handshake" % origin]
+        unique = values["scid_unique." + origin]
+        structured = "yes" if values["scid_structured." + origin] else "no"
         origin_rows.append(
             [
                 origin,
                 total,
-                "%.1f%%" % (100.0 * coalesced / total) if total else "-",
-                scids["unique"] if scids else 0,
-                scids["dominant_length"] or "-" if scids else "-",
-                ("yes" if scids["structured"] else "no") if scids else "-",
-                "%.1f" % snap["rows_per_sec"].get(origin, 0.0),
+                "%.1f%%" % coalesced if total else "-",
+                unique,
+                values["scid_dominant_len." + origin] or "-",
+                structured if unique else "-",
+                "%.1f" % rate,
             ]
         )
     parts.append(
@@ -219,16 +208,15 @@ def render_dashboard(
         )
     )
     parts.append("")
-    offnet = snap["offnet"]
     parts.append(
         "rows: %d backscatter / %d scans | off-net servers: %d "
         "(low host-ID: %d) | capture span: %.1f s"
         % (
-            snap["rows"].get("backscatter", 0),
-            snap["rows"].get("scan", 0),
-            offnet["servers"],
-            offnet["low_host_id"],
-            snap["span_seconds"],
+            values["rows.backscatter"],
+            values["rows.scans"],
+            values["offnet.servers"],
+            values["offnet.low_host_id"],
+            values["span_seconds"],
         )
     )
     return "\n".join(parts)

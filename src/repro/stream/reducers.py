@@ -11,9 +11,9 @@ no batch form, per-class / per-origin row counts over the observed
 capture span, counted off the row columns.  Because the batch functions
 *are* folds over these accumulators, the state after any prefix, fed in
 any batching, equals the batch result over that prefix
-(``tests/stream/test_reducers.py``).  :meth:`StreamAnalyses.publish`
-mirrors the state into ``stream.*`` gauges so ``--prom-file`` /
-``--prom-port`` export the live numbers.
+(``tests/stream/test_reducers.py``).  :meth:`StreamAnalyses.snapshot`
+names the numbers in :mod:`repro.core.selectors`' grammar and
+:meth:`StreamAnalyses.publish` exports them as ``stream.*`` gauges.
 """
 
 from __future__ import annotations
@@ -23,22 +23,25 @@ from typing import Optional
 
 from repro.capstore.table import KLASS_VALUES, CaptureTable
 from repro.core.render import CaptureFold
-from repro.core.scid_entropy import chi_square_uniformity, is_structured
-from repro.core.versions import TABLE2_ROWS
+from repro.core.selectors import ANALYSIS_NAMES, FAMILIES
 
-#: What the dashboard shows, as :class:`CaptureFold` selectors.
-DASHBOARD_SELECTORS = frozenset({"2", "3", "4", "offnet"})
+#: The grammar's ``rows.*`` names -> the packet class labelling ``stream.rows``.
+_ROW_CLASSES = {"rows.backscatter": "backscatter", "rows.scans": "scan"}
+
+#: ``stream.<family>`` gauge -> its labels: every family's placeholders (the
+#: dashboard shows them all), then the families only a growing capture has.
+_GAUGES = {f: tuple(p for p, _ in places) for f, (_, places) in FAMILIES.items()}
+_GAUGES.update(rows=("klass",), rows_fed=(), span_seconds=(), rows_per_sec=("origin",))
 
 
 class StreamAnalyses:
     """A :class:`CaptureFold` plus span counters; feed row ranges, read anytime."""
 
     def __init__(self) -> None:
-        self.fold = CaptureFold(DASHBOARD_SELECTORS)
+        self.fold = CaptureFold({selector for selector, _ in FAMILIES.values()})
         #: Rows per packet class ("backscatter" / "scan").
         self.rows: Counter = Counter()
         self.rows_by_origin: Counter = Counter()
-        self.rows_fed = 0
         self.ts_min: Optional[float] = None
         self.ts_max: Optional[float] = None
 
@@ -57,7 +60,6 @@ class StreamAnalyses:
             self.rows[KLASS_VALUES[code].value] += count
         for origin_id, count in Counter(table.origin_id[start:end]).items():
             self.rows_by_origin[table.origins[origin_id]] += count
-        self.rows_fed += end - start
         stamps = table.ts[start:end]
         low, high = min(stamps), max(stamps)
         self.ts_min = low if self.ts_min is None else min(low, self.ts_min)
@@ -66,85 +68,42 @@ class StreamAnalyses:
 
     # -- reading ---------------------------------------------------------
 
-    @property
-    def span_seconds(self) -> float:
-        if self.ts_min is None or self.ts_max is None:
-            return 0.0
-        return self.ts_max - self.ts_min
-
     def snapshot(self) -> dict:
-        """Plain-data view of every reducer (dashboard and test surface)."""
-        fold = self.fold
-        span = self.span_seconds
-        sessions = {}
-        for side, mix in (("clients", fold.clients), ("servers", fold.servers)):
-            sessions[side] = {"total": len(mix.keys), "buckets": dict(mix.counts)}
-        scids = {}
-        for origin, accumulator in fold.scids.stats.items():
-            matrix = accumulator.matrix()
-            scids[origin] = {
-                "unique": accumulator.unique_count,
-                "lengths": dict(accumulator.length_counts),
-                "dominant_length": accumulator.dominant_length,
-                "structured": is_structured(matrix),
-                "max_chi2": max(chi_square_uniformity(matrix), default=0.0),
-            }
-        servers, low = fold.offnet.counts()
-        return {
-            "rows": dict(self.rows),
-            "rows_fed": self.rows_fed,
-            "sessions": sessions,
-            "packet_mix": {  # Table 3 counts backscatter + scans
-                origin: dict(counter)
-                for origin, counter in (fold.mix + fold.scan_mix).counts.items()
-            },
-            "scids": scids,
-            "offnet": {"servers": servers, "low_host_id": low},
-            "span_seconds": span,
-            "rows_per_sec": {
-                origin: count / span if span > 0 else 0.0
-                for origin, count in self.rows_by_origin.items()
-            },
-        }
+        """Every number the dashboard shows, as ``{name: number}``: the
+        fold's :meth:`~repro.core.render.CaptureFold.values`, the rows per
+        class under the grammar's ``rows.*`` names, and what only a
+        growing capture has — ``rows_fed``, ``span_seconds`` and
+        ``rows_per_sec.<origin>`` for every origin seen so far."""
+        values = self.fold.values()
+        for name, klass in _ROW_CLASSES.items():
+            values[name] = self.rows[klass]
+        values["rows_fed"] = rows = sum(self.rows.values())
+        span = self.ts_max - self.ts_min if rows else 0.0
+        values["span_seconds"] = span
+        for origin, count in self.rows_by_origin.items():
+            values["rows_per_sec." + origin] = count / span if span > 0 else 0.0
+        return values
 
     def publish(self, metrics) -> None:
-        """Mirror the current state into ``stream.*`` gauges.
+        """Mirror :meth:`snapshot` into one ``stream.<family>`` gauge per family.
 
-        Gauges (not counters) because reducers hold absolute running
-        values; re-publishing after every batch keeps the Prometheus
-        view exactly in step with the dashboard.
+        Gauges, as the state holds absolute running values; a name's
+        placeholder values label its series.  Each gauge's series are
+        replaced whole, so the exposition holds the current names and
+        nothing else — none of a capture since rewritten (``repro live``).
         """
         if metrics is None:
             return
-        snap = self.snapshot()
-        rows = metrics.gauge("stream.rows", ("klass",))
-        for name, value in snap["rows"].items():
-            rows.set_key((name,), value)
-        metrics.gauge("stream.rows_fed").set_key((), snap["rows_fed"])
-        sessions = metrics.gauge("stream.sessions", ("side", "bucket"))
-        for side, entry in snap["sessions"].items():
-            sessions.set_key((side, "total"), entry["total"])
-            for bucket in TABLE2_ROWS:
-                if bucket in entry["buckets"]:
-                    sessions.set_key((side, bucket), entry["buckets"][bucket])
-        mix = metrics.gauge("stream.packet_mix", ("origin", "category"))
-        for origin, counter in snap["packet_mix"].items():
-            for category, count in counter.items():
-                mix.set_key((origin, category), count)
-        unique = metrics.gauge("stream.scid_unique", ("origin",))
-        dominant = metrics.gauge("stream.scid_dominant_len", ("origin",))
-        structured = metrics.gauge("stream.scid_structured", ("origin",))
-        chi2 = metrics.gauge("stream.scid_max_chi2", ("origin",))
-        for origin, entry in snap["scids"].items():
-            unique.set_key((origin,), entry["unique"])
-            dominant.set_key((origin,), entry["dominant_length"] or 0)
-            structured.set_key((origin,), 1 if entry["structured"] else 0)
-            chi2.set_key((origin,), entry["max_chi2"])
-        metrics.gauge("stream.offnet_servers").set_key((), snap["offnet"]["servers"])
-        metrics.gauge("stream.offnet_low_host_id").set_key(
-            (), snap["offnet"]["low_host_id"]
-        )
-        metrics.gauge("stream.span_seconds").set_key((), snap["span_seconds"])
-        rate = metrics.gauge("stream.rows_per_sec", ("origin",))
-        for origin, value in snap["rows_per_sec"].items():
-            rate.set_key((origin,), value)
+        series = {family: {} for family in _GAUGES}
+        for name, value in self.snapshot().items():
+            if name in ANALYSIS_NAMES:
+                _selector, family, key = ANALYSIS_NAMES[name]
+            elif name in _ROW_CLASSES:
+                family, key = "rows", (_ROW_CLASSES[name],)
+            else:  # rows_fed, span_seconds, rows_per_sec.<origin>
+                family, _, rest = name.partition(".")
+                key = (rest,) if rest else ()
+            series[family][key] = value
+        for family, values in series.items():
+            name = "stream." + family.replace(".", "_")
+            metrics.gauge(name, _GAUGES[family]).values = values

@@ -50,8 +50,9 @@ import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
+from repro.core.selectors import validate_metric
 from repro.errors import InputFileError
-from repro.sweep.metrics import DEFAULT_METRICS, validate_metric
+from repro.sweep.metrics import DEFAULT_METRICS
 from repro.sweep.render import format_value
 from repro.workloads.scenario import ScenarioConfig, derive_seed
 

@@ -1,6 +1,7 @@
 """Table 2: version adoption from sessions."""
 
-from repro.core.versions import TABLE2_ROWS, table2, table2_rows, version_shares
+from repro.core.selectors import TABLE2_ROWS
+from repro.core.versions import table2, table2_rows, version_shares
 
 
 class TestVersionShares:

@@ -123,7 +123,9 @@ class TestReadSideBoundary:
         snapshot.write_text('{"timers": {"simulate": {"seconds": 1.0, "calls": 1}}}')
         source = tmp_path / "lintme"
         source.mkdir()
-        (source / "a.py").write_text("x = 1\n")
+        # A metric-name literal makes OBS001 check it against the grammar,
+        # which lives beside the selectors, not beside the analyses.
+        (source / "a.py").write_text('METRIC = "version_share.clients.QUICv1"\n')
         for argv in (["stats", str(snapshot)], ["lint", str(source)],
                      ["progress", tiny_pcap]):
             modules = _modules_after(argv)

@@ -10,7 +10,9 @@ hostile-pcap corpus, the three must agree accumulator by accumulator —
 checkpoint of a capture fed in two different batchings: the columns in
 ragged ranges, the objects one at a time.  The fold's other two readers
 are then held to the same references from outside: ``StreamAnalyses``
-for what it counts itself, ``evaluate_metrics`` name by name.
+for what it counts itself, ``evaluate_metrics`` name by name — every
+name of the grammar ``repro.core.selectors`` declares, which is exactly
+the set ``CaptureFold.values`` fills.
 """
 
 import os
@@ -30,16 +32,28 @@ from repro.capstore import (
 from repro.capstore.table import DATAGRAM_FIELDS, datagram_values
 from repro.cli import main
 from repro.core.offnet import OffnetServers, extract_features
-from repro.core.packet_mix import TABLE3_ROWS, packet_mix, top_length_signatures
-from repro.core.render import ORIGINS, CaptureFold
+from repro.core.packet_mix import packet_mix, top_length_signatures
+from repro.core.render import CaptureFold
+from repro.core.scid_entropy import chi_square_uniformity, is_structured, nybble_matrix
 from repro.core.scid_stats import table4
-from repro.core.selectors import VALID_TABLES
+from repro.core.selectors import (
+    ANALYSIS_NAMES,
+    CAPTURE_NAMES,
+    FAMILIES,
+    ORIGINS,
+    PACKET_CATEGORIES,
+    SIDES,
+    TABLE2_ROWS,
+    TABLE3_ROWS,
+    VALID_TABLES,
+    validate_metric,
+)
 from repro.core.session import SessionStore
 from repro.core.timing import profiles_of, timing_profiles
-from repro.core.versions import TABLE2_ROWS, table2
+from repro.core.versions import table2
 from repro.netstack.pcap import read_pcap
 from repro.stream.reducers import StreamAnalyses
-from repro.sweep.metrics import SIDES, evaluate_metrics, validate_metric
+from repro.sweep.metrics import evaluate_metrics
 from repro.telescope.classify import (
     ClassifiedCapture,
     PacketClass,
@@ -215,10 +229,17 @@ def test_stream_fold_agrees_at_every_checkpoint(capture):
         seen = packets[:upto]
         stamps = [packet.timestamp for packet in seen]
         span = max(stamps) - min(stamps)
-        assert snap["span_seconds"] == ragged.span_seconds == span
+        assert snap["span_seconds"] == span
         assert snap["rows_fed"] == upto
-        assert snap["rows"] == Counter(packet.klass.value for packet in seen)
-        assert snap["rows_per_sec"] == {
+        classes = Counter(packet.klass for packet in seen)
+        assert snap["rows.backscatter"] == classes[PacketClass.BACKSCATTER]
+        assert snap["rows.scans"] == classes[PacketClass.SCAN]
+        rates = {
+            name.partition(".")[2]: value
+            for name, value in snap.items()
+            if name.startswith("rows_per_sec.")
+        }
+        assert rates == {
             origin: count / span if span > 0 else 0.0
             for origin, count in Counter(packet.origin for packet in seen).items()
         }
@@ -228,8 +249,22 @@ def test_stream_fold_agrees_at_every_checkpoint(capture):
     assert sharded.snapshot() == ragged.snapshot()
 
 
+def test_values_names_the_whole_grammar(sources):
+    """A fold's names are its selectors' families, expanded, zeros included."""
+    table, _packets = sources
+    everything = CaptureFold(ALL_SELECTORS)
+    everything.feed(table.datagrams())
+    assert set(everything.values()) == set(ANALYSIS_NAMES)
+    for selector in {selector for selector, _ in FAMILIES.values()}:
+        fold = CaptureFold({selector})
+        fold.feed(table.datagrams())
+        assert set(fold.values()) == {
+            name for name, (of, _, _) in ANALYSIS_NAMES.items() if of == selector
+        }
+
+
 def _batch_metrics(stats, packets):
-    """Every name ``repro.sweep.metrics``' grammar admits over a capture,
+    """Every name ``repro.core.selectors``' grammar admits over a capture,
     valued by the standalone batch functions over the objects."""
     backscatter = [p for p in packets if p.klass is PacketClass.BACKSCATTER]
     scans = [p for p in packets if p.klass is PacketClass.SCAN]
@@ -249,17 +284,28 @@ def _batch_metrics(stats, packets):
     for side in SIDES:
         for bucket in TABLE2_ROWS:
             expected["version_share.%s.%s" % (side, bucket)] = shares[side].share(bucket)
+            expected["sessions.%s.%s" % (side, bucket)] = shares[side].counts[bucket]
+        expected["sessions.%s.total" % side] = shares[side].total
     for origin in ORIGINS:
         for category in TABLE3_ROWS:
             expected["packet_share.%s.%s" % (origin, category)] = mix.share(
                 origin, category
             )
-        expected["scid_unique." + origin] = (
-            scid_stats[origin].unique_count if origin in scid_stats else 0
+        for category in PACKET_CATEGORIES:
+            expected["packet_mix.%s.%s" % (origin, category)] = mix.counts.get(
+                origin, Counter()
+            )[category]
+        found = scid_stats.get(origin)
+        matrix = nybble_matrix(found.unique_scids if found else ())
+        expected["scid_unique." + origin] = found.unique_count if found else 0
+        expected["scid_dominant_len." + origin] = found.dominant_length if found else 0
+        expected["scid_structured." + origin] = int(is_structured(matrix))
+        expected["scid_max_chi2." + origin] = max(
+            chi_square_uniformity(matrix), default=0.0
         )
     for name in expected:
         validate_metric(name)
-    assert len(expected) == 2 * len(TABLE2_ROWS) + 4 * len(TABLE3_ROWS) + 4 + 2 + 5
+    assert set(expected) == set(ANALYSIS_NAMES) | set(CAPTURE_NAMES)
     return expected
 
 

@@ -9,6 +9,8 @@ outside the observability layer.
 
 import textwrap
 
+import pytest
+
 from repro.lint.engine import lint_file
 from repro.lint.rules import default_rules, rule_table
 
@@ -280,6 +282,15 @@ class TestOBS001MetricNames:
 
     def test_bad_scid_origin_fires(self):
         assert rules_hit('METRIC = "scid_unique.Akamai"\n') == ["OBS001"]
+
+    @pytest.mark.parametrize("typo", ["offnet.server", "rows.scan"])
+    def test_every_family_is_checked(self, typo):
+        assert rules_hit('METRIC = "%s"\n' % typo) == ["OBS001"]
+
+    def test_templates_and_prose_are_not_names(self):
+        assert rules_hit(
+            'A = "sessions.%s.total"\nB = "packet_mix.{}.{}"\nC = "rows. of the table"\n'
+        ) == []
 
 
 class TestMP001MultiprocessingTargets:

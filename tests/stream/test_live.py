@@ -48,7 +48,7 @@ class TestFollowerGrowth:
         table, stats = build_capture_table(stream_pcap, workers=1)
         assert follower.table == table
         assert follower.stats == stats
-        assert analyses.rows_fed == table.num_rows
+        assert analyses.snapshot()["rows_fed"] == table.num_rows
 
     def test_torn_tail_bytes_are_left_for_the_next_poll(self, pcap_copy):
         data = open(pcap_copy, "rb").read()

@@ -13,6 +13,13 @@ from repro.core.packet_mix import packet_mix
 from repro.core.offnet import extract_features
 from repro.core.scid_entropy import nybble_matrix
 from repro.core.scid_stats import scids_by_origin
+from repro.core.selectors import (
+    ANALYSIS_NAMES,
+    ORIGINS,
+    PACKET_CATEGORIES,
+    SIDES,
+    TABLE2_ROWS,
+)
 from repro.core.versions import table2
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.reducers import StreamAnalyses
@@ -42,20 +49,28 @@ class TestBatchParity:
     def test_rows_per_class(self, analyses, batch_view):
         assert analyses.rows["backscatter"] == len(batch_view.backscatter)
         assert analyses.rows["scan"] == len(batch_view.scans)
-        assert analyses.rows_fed == batch_view.table.num_rows
+        assert analyses.snapshot()["rows_fed"] == batch_view.table.num_rows
 
     def test_version_mix_equals_table2(self, analyses, batch_view):
         shares = table2(batch_view)
-        sessions = analyses.snapshot()["sessions"]
-        for side in ("clients", "servers"):
-            assert sessions[side]["buckets"] == shares[side].counts
-            assert sessions[side]["total"] == shares[side].total
+        values = analyses.snapshot()
+        for side in SIDES:
+            for bucket in TABLE2_ROWS:
+                count = values["sessions.%s.%s" % (side, bucket)]
+                assert count == shares[side].counts[bucket]
+            assert values["sessions.%s.total" % side] == shares[side].total
 
     def test_packet_mix_equals_table3(self, analyses, batch_view):
         batch = packet_mix(batch_view.backscatter + batch_view.scans)
-        assert analyses.snapshot()["packet_mix"] == {
-            o: dict(c) for o, c in batch.counts.items()
-        }
+        values = analyses.snapshot()
+        assert set(batch.counts) <= set(ORIGINS)
+        for origin in ORIGINS:
+            online = {
+                category: values["packet_mix.%s.%s" % (origin, category)]
+                for category in PACKET_CATEGORIES
+            }
+            counts = batch.counts.get(origin, {})
+            assert {c: n for c, n in online.items() if n} == dict(counts)
 
     def test_scids_equal_table4_populations(self, analyses, batch_view):
         batch = scids_by_origin(batch_view.backscatter)
@@ -70,10 +85,10 @@ class TestBatchParity:
 
     def test_offnet_counts_equal_extract_features(self, analyses, batch_view):
         features = extract_features(batch_view.backscatter)
-        offnet = analyses.snapshot()["offnet"]
-        assert offnet["servers"] == len(features)
+        values = analyses.snapshot()
+        assert values["offnet.servers"] == len(features)
         low = sum(1 for f in features.values() if f.low_host_id())
-        assert offnet["low_host_id"] == low > 0  # the scenario plants off-net caches
+        assert values["offnet.low_host_id"] == low > 0  # the scenario plants off-net caches
 
     def test_batching_is_irrelevant(self, analyses, batch_view):
         whole = StreamAnalyses()
@@ -82,7 +97,7 @@ class TestBatchParity:
 
     def test_span_covers_the_capture(self, analyses, batch_view):
         ts = batch_view.table.ts
-        assert analyses.span_seconds == pytest.approx(max(ts) - min(ts))
+        assert analyses.snapshot()["span_seconds"] == pytest.approx(max(ts) - min(ts))
 
 
 class TestPrefixParity:
@@ -101,16 +116,16 @@ class TestPrefixParity:
         features = extract_features(
             [p for p in packets if p.klass is PacketClass.BACKSCATTER]
         )
-        offnet = analyses.snapshot()["offnet"]
-        assert offnet["servers"] == len(features) > 0
-        assert offnet["low_host_id"] == sum(
+        values = analyses.snapshot()
+        assert values["offnet.servers"] == len(features) > 0
+        assert values["offnet.low_host_id"] == sum(
             1 for f in features.values() if f.low_host_id()
         )
 
     def test_span_seconds(self, half):
         analyses, packets = half
         stamps = [p.timestamp for p in packets]
-        assert analyses.span_seconds == max(stamps) - min(stamps)
+        assert analyses.snapshot()["span_seconds"] == max(stamps) - min(stamps)
 
 
 class TestSnapshotAndPublish:
@@ -118,36 +133,33 @@ class TestSnapshotAndPublish:
         analyses = StreamAnalyses()
         snap = analyses.snapshot()
         assert snap["rows_fed"] == 0
-        assert snap["sessions"]["clients"]["total"] == 0
+        assert snap["sessions.clients.total"] == 0
         assert snap["span_seconds"] == 0.0
         analyses.publish(MetricsRegistry())  # no instruments needed: no-op
         analyses.publish(None)
 
-    def test_snapshot_shape(self, analyses):
+    def test_snapshot_shape(self, analyses, batch_view):
+        """The grammar's every analysis name, the rows per class under its
+        ``rows.*`` names, and the rates of the origins seen."""
         snap = analyses.snapshot()
-        assert set(snap) == {
-            "rows",
+        seen = {batch_view.table.origins[i] for i in set(batch_view.table.origin_id)}
+        assert set(snap) == set(ANALYSIS_NAMES) | {
+            "rows.backscatter",
+            "rows.scans",
             "rows_fed",
-            "sessions",
-            "packet_mix",
-            "scids",
-            "offnet",
             "span_seconds",
-            "rows_per_sec",
-        }
-        for origin, entry in snap["scids"].items():
-            assert set(entry) == {
-                "unique",
-                "lengths",
-                "dominant_length",
-                "structured",
-                "max_chi2",
-            }
-            assert entry["unique"] == sum(entry["lengths"].values())
+        } | {"rows_per_sec." + origin for origin in seen}
+        assert snap["rows.backscatter"] == len(batch_view.backscatter)
+        assert snap["rows.scans"] == len(batch_view.scans)
+        for origin in ORIGINS:
+            assert (snap["scid_unique." + origin] > 0) == (
+                snap["scid_dominant_len." + origin] > 0
+            )
 
     def test_publish_mirrors_state_into_gauges(self, analyses, batch_view):
         registry = MetricsRegistry()
         analyses.publish(registry)
+        snap = analyses.snapshot()
         rows = registry.gauge("stream.rows", ("klass",))
         assert rows.value(klass="backscatter") == len(batch_view.backscatter)
         assert rows.value(klass="scan") == len(batch_view.scans)
@@ -162,7 +174,31 @@ class TestSnapshotAndPublish:
         servers, low = analyses.fold.offnet.counts()
         assert registry.gauge("stream.offnet_servers").value() == servers
         assert registry.gauge("stream.offnet_low_host_id").value() == low
-        assert registry.gauge("stream.rows_fed").value() == analyses.rows_fed
+        assert registry.gauge("stream.rows_fed").value() == snap["rows_fed"]
+        # A family's placeholders label its series, whatever the family.
+        share = registry.gauge("stream.version_share", ("side", "bucket"))
+        assert share.value(side="clients", bucket="QUICv1") == (
+            snap["version_share.clients.QUICv1"]
+        )
+        chi2 = registry.gauge("stream.scid_max_chi2", ("origin",))
+        assert chi2.value(origin="Facebook") == snap["scid_max_chi2.Facebook"] > 0
+        rate = registry.gauge("stream.rows_per_sec", ("origin",))
+        assert rate.value(origin="Google") == snap["rows_per_sec.Google"] > 0
+
+    def test_a_rewrite_leaves_no_stale_series(self, analyses):
+        # `repro live` rebuilds the state when a capture shrinks, and keeps
+        # its registry: nothing the old state published may outlive it.
+        registry = MetricsRegistry()
+        analyses.publish(registry)
+        rows = registry.gauge("stream.rows", ("klass",))
+        rate = registry.gauge("stream.rows_per_sec", ("origin",))
+        assert rows.value(klass="scan") > 0 and rate.value(origin="Google") > 0
+        rebuilt = StreamAnalyses()
+        rebuilt.publish(registry)
+        fresh = MetricsRegistry()
+        rebuilt.publish(fresh)
+        assert registry.to_prometheus() == fresh.to_prometheus()
+        assert 'stream_rows_per_sec{origin="Google"}' not in registry.to_prometheus()
 
     def test_republish_is_idempotent(self, analyses):
         registry = MetricsRegistry()

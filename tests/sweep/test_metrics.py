@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sweep.metrics import _from_snapshot, validate_metric
+from repro.core.selectors import validate_metric
+from repro.sweep.metrics import _from_snapshot
 
 
 class TestValidateMetric:
@@ -20,6 +21,11 @@ class TestValidateMetric:
             "version_share.servers.others",
             "packet_share.Facebook.Initial",
             "scid_unique.Cloudflare",
+            "sessions.servers.total",
+            "packet_mix.Google.Coalesced other",
+            "scid_dominant_len.Facebook",
+            "scid_structured.Remaining",
+            "scid_max_chi2.Google",
             "counter:net.dropped",
             "counter:capstore.cache|hit",
             "gauge:sim.anything",
@@ -40,6 +46,10 @@ class TestValidateMetric:
             ("packet_share.Akamai.Initial", "origin one of"),
             ("scid_unique.everything", "scid_unique"),
             ("rows.bogus", "unknown metric"),
+            ("rows.scan", "unknown metric"),
+            ("offnet.server", "offnet.servers or offnet.low_host_id"),
+            ("sessions.clients", "sessions"),
+            ("packet_share.Google.Coalesced other", "category one of"),
         ],
     )
     def test_rejects(self, name, match):
