@@ -1,7 +1,8 @@
 """Shared state for the benchmark/reproduction harness.
 
-Every bench regenerates one table or figure of the paper.  Simulation is
-done once per session in these fixtures; the ``benchmark`` fixture then
+Every bench regenerates one figure, lab or ablation of the paper (the
+capture numbers of Tables 1-4, 6 and §5 are ``tools/check_paper.py``'s).
+Simulation is done once per session in these fixtures; the ``benchmark`` fixture then
 times the *analysis kernel* for that experiment, and each bench writes its
 reproduced rows/series to ``benchmarks/out/<name>.txt`` (also printed; run
 pytest with ``-s`` to see them inline).
@@ -19,7 +20,6 @@ from repro.active.lb_inference import follow_up_delay
 from repro.active.prober import Prober
 from repro.workloads.scenario import (
     ScenarioConfig,
-    april_2021_config,
     build_facebook_lab,
     build_lb_lab,
     build_scenario,
@@ -52,18 +52,6 @@ def scenario_2022():
 @pytest.fixture(scope="session")
 def capture_2022(scenario_2022):
     return scenario_2022.classify()
-
-
-@pytest.fixture(scope="session")
-def scenario_2021():
-    scenario = build_scenario(april_2021_config().scaled(SCALE))
-    scenario.run()
-    return scenario
-
-
-@pytest.fixture(scope="session")
-def capture_2021(scenario_2021):
-    return scenario_2021.classify()
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.capstore.dissect import record_verdict
 from repro.capstore.table import CaptureTable
+from repro.core.selectors import DROP_REASONS
 from repro.inetdata.asdb import ISP_NETWORKS, AsDatabase, AsEntry
 from repro.netstack.pcap import (
     PcapCursor,
@@ -44,7 +45,7 @@ from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_SANITIZE
 from repro.pool import run_pool
 from repro.telescope.acknowledged import RESEARCH_NETWORKS, AcknowledgedScanners
-from repro.telescope.classify import DROP_REASONS, SanitizationStats
+from repro.telescope.classify import SanitizationStats
 
 
 def default_asdb() -> AsDatabase:

@@ -51,7 +51,7 @@ _RETRY = PacketType.RETRY.value
 _VERSION_NEGOTIATION = PacketType.VERSION_NEGOTIATION.value
 
 #: ``verdict(timestamp, buf, start, end)`` → ``None`` (kept, row appended)
-#: or the :data:`~repro.telescope.classify.DROP_REASONS` name.
+#: or the :data:`~repro.core.selectors.DROP_REASONS` name.
 Verdict = Callable[[float, bytes, int, int], Optional[str]]
 
 

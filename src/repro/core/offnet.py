@@ -154,7 +154,7 @@ class OffnetServers:
     """:class:`ServerFeatures` per backscatter source outside ``exclude_origins``.
 
     Accumulates every feature a single datagram carries; the resend-gap
-    feature needs whole sessions and is added by :func:`extract_features`.
+    feature needs whole sessions and is added by :func:`add_first_gaps`.
     """
 
     __slots__ = ("exclude_origins", "features")
@@ -211,17 +211,19 @@ def extract_features(
     servers = OffnetServers(exclude_origins)
     for packet in packets:
         servers.add(packet)
-    features = servers.features
-    for session in SessionStore.from_packets(packets).sessions():
-        if session.origin in exclude_origins:
-            continue
+    add_first_gaps(servers.features, SessionStore.from_packets(packets))
+    return servers.features
+
+
+def add_first_gaps(features: dict[int, ServerFeatures], store: SessionStore) -> None:
+    """Give each server in ``features`` the first resend gap of each of its
+    sessions in ``store``: the backscatter's, whoever else's it holds."""
+    for session in store.sessions():
         record = features.get(session.src_ip)
-        if record is None:
-            continue
-        gaps = session_gaps(session)
-        if gaps:
-            record.first_gaps.append(gaps[0])
-    return features
+        if record is not None:
+            gaps = session_gaps(session)
+            if gaps:
+                record.first_gaps.append(gaps[0])
 
 
 def evaluate_classifiers(

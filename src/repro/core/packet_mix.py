@@ -100,11 +100,6 @@ def _signature(lengths: Iterable[int]) -> str:
     return ",".join(map(str, lengths))
 
 
-def length_signature(packet: CapturedPacket) -> str:
-    """Figure 7 label: comma-joined QUIC packet lengths inside the datagram."""
-    return _signature(p.packet_length for p in packet.packets)
-
-
 class LengthSignatures:
     """Per-origin counts of packet-length combinations (Figure 7).
 

@@ -16,11 +16,12 @@ from repro.core.selectors import (
     ORIGINS,
     PACKET_CATEGORIES,
     SIDES,
+    SUMMARY_FEATURES,
     TABLE2_ROWS,
     TABLE3_ROWS,
 )
 from repro.core.session import SessionStore
-from repro.core.summary import summarize_from
+from repro.core.summary import resend_label, rto_label, summarize_from
 from repro.core.timing import profiles_of
 from repro.core.versions import VersionMix
 
@@ -43,6 +44,7 @@ class CaptureFold:
     """
 
     def __init__(self, wanted: set) -> None:
+        self.wanted = frozenset(wanted)
         self.clients = self.servers = None
         if "2" in wanted:
             self.clients, self.servers = VersionMix(), VersionMix()
@@ -108,10 +110,10 @@ class CaptureFold:
 
     def values(self) -> dict:
         """``{name: number}`` for every name of :mod:`repro.core.selectors`'
-        grammar the kept accumulators fill, zeros included, in O(names):
-        the accumulators hold the counts, and Fig. 5's chi-square is
-        computed once per origin."""
-        out = {}
+        grammar the wanted selectors name, zeros included: the
+        accumulators hold the counts, Fig. 5's chi-square is computed once
+        per origin and the sessions are profiled once, for Table 1 too."""
+        wanted, out = self.wanted, {}
         if self.clients is not None:
             for side, mix in zip(SIDES, (self.clients, self.servers)):
                 shares = mix.shares()
@@ -128,14 +130,28 @@ class CaptureFold:
                     out["packet_share.%s.%s" % (origin, cat)] = mix.share(origin, cat)
                 for cat in PACKET_CATEGORIES:
                     out["packet_mix.%s.%s" % (origin, cat)] = counts.get(cat, 0)
-        if self.scids is not None:
-            for origin in ORIGINS:
-                stats = self.scids.stats.get(origin) or ScidStats(origin)
-                structured, chi2 = structure_of(stats.matrix())
+        structured = {}
+        for origin in ORIGINS if self.scids is not None else ():
+            stats = self.scids.stats.get(origin) or ScidStats(origin)
+            structured[origin], chi2 = structure_of(stats.matrix())
+            if "4" in wanted:
                 out["scid_unique." + origin] = stats.unique_count
                 out["scid_dominant_len." + origin] = stats.dominant_length or 0
-                out["scid_structured." + origin] = int(structured)
+                out["scid_structured." + origin] = int(structured[origin])
                 out["scid_max_chi2." + origin] = chi2
+        profiles = profiles_of(self.sessions) if self.sessions is not None else {}
+        for origin in ORIGINS if "rto" in wanted else ():
+            profile = profiles.get(origin)
+            low, high = profile and profile.resend_range or (0, 0)
+            out["rto.sessions." + origin] = profile.sessions if profile else 0
+            out["rto.initial." + origin] = profile and profile.initial_rto or 0
+            out["resends.min." + origin], out["resends.max." + origin] = low, high
+        if "1" in wanted:
+            summary = summarize_from(self.mix, profiles, self.scids.stats, structured)
+            for hypergiant, column in summary.items():
+                for feature in SUMMARY_FEATURES:
+                    name = "summary.%s.%s" % (hypergiant, feature)
+                    out[name] = int(getattr(column, feature))
         if self.offnet is not None:
             out["offnet.servers"], out["offnet.low_host_id"] = self.offnet.counts()
         return out
@@ -153,29 +169,30 @@ def render_analysis(capture, wanted: set) -> str:
     and ``bench_analyze`` assert.  The capture is read in one pass.
     """
     wanted = set(wanted)
-    found = CaptureFold(wanted)
+    # Table 1's RTO rows are the rto table's names.
+    found = CaptureFold(wanted | {"rto"} if "1" in wanted else wanted)
     found.feed(capture.datagrams())
     values = found.values()
-    profiles = profiles_of(found.sessions) if found.sessions is not None else None
     parts: list[str] = []
 
+    def resends(origin):  # (0, 0): no session of ``origin`` resent
+        return values["resends.min." + origin], values["resends.max." + origin]
+
     if "1" in wanted:
-        summary = summarize_from(found.mix, profiles, found.scids.stats)
+        columns = HYPERGIANT_COLUMNS
+        labels = ("Coalescence", "Server-chosen IDs", "Structured SCIDs")
+        rows = [
+            [label] + [bool(values["summary.%s.%s" % (h, name)]) for h in columns]
+            for label, name in zip(labels, SUMMARY_FEATURES)
+        ]
+        rows += [
+            ["Initial RTO"] + [rto_label(values["rto.initial." + h]) for h in columns],
+            ["# re-transmissions"] + [resend_label(*resends(h)) for h in columns],
+        ]
         parts.append(
             render_table(
-                ["Feature"] + list(HYPERGIANT_COLUMNS),
-                [
-                    ["Coalescence"]
-                    + [summary[h].coalescence for h in HYPERGIANT_COLUMNS],
-                    ["Server-chosen IDs"]
-                    + [summary[h].server_chosen_ids for h in HYPERGIANT_COLUMNS],
-                    ["Structured SCIDs"]
-                    + [summary[h].structured_scids for h in HYPERGIANT_COLUMNS],
-                    ["Initial RTO"]
-                    + [summary[h].rto_label() for h in HYPERGIANT_COLUMNS],
-                    ["# re-transmissions"]
-                    + [summary[h].resend_label() for h in HYPERGIANT_COLUMNS],
-                ],
+                ["Feature"] + list(columns),
+                rows,
                 title="Table 1 — deployment configurations",
             )
         )
@@ -227,12 +244,12 @@ def render_analysis(capture, wanted: set) -> str:
                 [
                     [
                         o,
-                        profiles[o].sessions,
-                        "%.2f" % (profiles[o].initial_rto or 0),
-                        str(profiles[o].resend_range),
+                        values["rto.sessions." + o],
+                        "%.2f" % values["rto.initial." + o],
+                        str(resends(o)) if resends(o)[1] else "None",
                     ]
                     for o in ORIGINS
-                    if o in profiles
+                    if values["rto.sessions." + o]  # an origin with a profile
                 ],
                 title="Figure 3/4 — retransmission behaviour",
             )

@@ -1,8 +1,9 @@
 """The names the read side answers to, readable without loading the analyses.
 
 Every number the read side names — a sweep metric, a ``repro live`` gauge,
-a Table 2 or 3 cell — belongs to a family of :data:`FAMILIES`;
-:meth:`~repro.core.render.CaptureFold.values` is the one evaluator.
+a cell of Tables 1–3 or of the rto table, a paper target — belongs to a
+family of :data:`FAMILIES`; :meth:`~repro.core.render.CaptureFold.values`
+is the one evaluator.
 """
 
 from itertools import product
@@ -21,6 +22,17 @@ TABLE3_ROWS = (
 )
 #: Every category a packet mix counts, the coalesced ones Table 3 omits too.
 PACKET_CATEGORIES = TABLE3_ROWS + ("Coalesced other",)
+#: Table 1's yes/no rows (``DeploymentSummary`` fields); its RTO rows are ``rto``'s.
+SUMMARY_FEATURES = (
+    "coalescence", "server_chosen_ids", "structured_scids", "l7_load_balancers"
+)
+#: Drop reasons in pipeline order.  Each name doubles as the matching
+#: ``SanitizationStats`` field and the ``sanitize.packets`` counter stage
+#: label, which is what lets the columnar cache rebuild the counter values
+#: from stored stats without replaying the pipeline.
+DROP_REASONS = (
+    "non_udp", "non_port_443", "failed_dissection", "acknowledged_scanner"
+)
 
 #: family -> (the ``CaptureFold`` selector counting it, its ``(placeholder,
 #: domain)`` pairs).  A name is the family and one value per domain, "."-joined.
@@ -33,6 +45,11 @@ FAMILIES = {
     "scid_dominant_len": ("4", (("origin", ORIGINS),)),
     "scid_structured": ("4", (("origin", ORIGINS),)),
     "scid_max_chi2": ("4", (("origin", ORIGINS),)),
+    "summary": (
+        "1", (("hypergiant", HYPERGIANT_COLUMNS), ("feature", SUMMARY_FEATURES))
+    ),
+    "rto": ("rto", (("stat", ("sessions", "initial")), ("origin", ORIGINS))),
+    "resends": ("rto", (("bound", ("min", "max")), ("origin", ORIGINS))),
     "offnet.servers": ("offnet", ()),
     "offnet.low_host_id": ("offnet", ()),
 }
@@ -47,7 +64,7 @@ ANALYSIS_NAMES = {
 #: Names read off the classified capture itself, not off a fold.
 CAPTURE_NAMES = (
     "rows.total", "rows.backscatter", "rows.scans", "records.total", "removed_share"
-)
+) + tuple("dropped." + reason for reason in DROP_REASONS)
 #: Registry-snapshot prefixes: the name after the colon is free-form.
 REGISTRY_PREFIXES = ("counter:", "gauge:", "timer:")
 

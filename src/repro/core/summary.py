@@ -36,13 +36,22 @@ class DeploymentSummary:
     resend_range: tuple[int, int] | None
 
     def rto_label(self) -> str:
-        return "%.1f s" % self.initial_rto if self.initial_rto is not None else "n/a"
+        return rto_label(self.initial_rto)
 
     def resend_label(self) -> str:
-        if self.resend_range is None:
-            return "n/a"
-        low, high = self.resend_range
-        return "%d-%d" % (low, high) if low != high else str(low)
+        return resend_label(*(self.resend_range or (0, 0)))
+
+
+def rto_label(initial_rto: float | None) -> str:
+    """Table 1's RTO cell; a first gap is never 0 (flights are > 50 ms apart)."""
+    return "%.1f s" % initial_rto if initial_rto else "n/a"
+
+
+def resend_label(low: int, high: int) -> str:
+    """Table 1's re-transmissions cell; ``(0, 0)`` when no session resent."""
+    if not high:
+        return "n/a"
+    return "%d-%d" % (low, high) if low != high else str(low)
 
 
 def summarize(
@@ -56,10 +65,12 @@ def summarize(
     their own SCIDs.  The paper establishes this with active probes
     (:func:`repro.active.prober.detect_echo_behaviour`); pass the result in.
     """
+    scids = table4(backscatter)
     return summarize_from(
         packet_mix(backscatter),
         timing_profiles(backscatter),
-        table4(backscatter),
+        scids,
+        {origin: is_structured(stats.matrix()) for origin, stats in scids.items()},
         echo_detected_origins,
     )
 
@@ -68,18 +79,21 @@ def summarize_from(
     mix: PacketMix,
     timings: dict[str, TimingProfile],
     scids: dict[str, ScidStats],
+    structured_by_origin: dict[str, bool],
     echo_detected_origins: frozenset[str] = ECHO_DETECTED_ORIGINS,
 ) -> dict[str, DeploymentSummary]:
     """Table 1 from the backscatter analyses Tables 3, 4 and Fig. 3/4 print.
 
     ``mix`` must count backscatter only: a scanner inside a hypergiant's
     AS says nothing about how its servers coalesce.
+    ``structured_by_origin`` is Fig. 5's verdict on ``scids`` (absent: no
+    SCIDs), which the caller has computed already.
     """
     out: dict[str, DeploymentSummary] = {}
     for origin in HYPERGIANT_COLUMNS:
         stats = scids.get(origin)
         origin_scids = stats.unique_scids if stats else set()
-        structured = stats is not None and is_structured(stats.matrix())
+        structured = structured_by_origin.get(origin, False)
         host_ids = host_ids_from_scids(origin_scids)
         timing: TimingProfile | None = timings.get(origin)
         out[origin] = DeploymentSummary(

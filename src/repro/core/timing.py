@@ -83,11 +83,6 @@ def _backoff(gaps: list[float]) -> float | None:
     return statistics.median(ratios) if ratios else None
 
 
-def estimate_backoff(session: Session) -> float | None:
-    """Ratio between consecutive gaps (2.0 for exponential doubling)."""
-    return _backoff(session_gaps(session))
-
-
 def profiles_of(store: SessionStore) -> dict[str, TimingProfile]:
     """Per-origin timing profiles of already grouped backscatter sessions."""
     by_origin: dict[str, list[Session]] = defaultdict(list)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.core.selectors import TABLE2_ROWS
 from repro.core.session import SessionStore
 from repro.quic.version import table2_bucket
 from repro.telescope.classify import ClassifiedCapture
@@ -72,16 +71,3 @@ def table2(capture: ClassifiedCapture) -> dict[str, VersionShares]:
         "clients": version_shares(capture.scans),
         "servers": version_shares(capture.backscatter),
     }
-
-
-def table2_rows(
-    captures: dict[int, ClassifiedCapture],
-) -> list[tuple[str, dict[int, float], dict[int, float]]]:
-    """Rows of the full Table 2: (bucket, clients-by-year, servers-by-year)."""
-    shares = {year: table2(capture) for year, capture in captures.items()}
-    rows = []
-    for bucket in TABLE2_ROWS:
-        clients = {y: s["clients"].share(bucket) for y, s in shares.items()}
-        servers = {y: s["servers"].share(bucket) for y, s in shares.items()}
-        rows.append((bucket, clients, servers))
-    return rows

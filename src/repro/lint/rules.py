@@ -63,6 +63,7 @@ import re
 from typing import Iterator, List, Tuple
 
 from repro.core.selectors import (
+    ANALYSIS_NAMES,
     CAPTURE_NAMES,
     FAMILIES,
     REGISTRY_PREFIXES,
@@ -132,6 +133,9 @@ _METRIC_PREFIXES = REGISTRY_PREFIXES + tuple(
 _METRIC_LITERAL = re.compile(
     r"\A(?:%s)[^\s%%{]" % "|".join(map(re.escape, _METRIC_PREFIXES))
 )
+#: A grammar name up to its last placeholder: a name being built
+#: (``"rto.sessions." + origin``), not a typo.
+_NAME_STEMS = frozenset(name.rpartition(".")[0] + "." for name in ANALYSIS_NAMES)
 
 
 class Rule:
@@ -313,7 +317,11 @@ class MetricNameRule(Rule):
 
     def visit(self, node, ctx):
         value = node.value
-        if not isinstance(value, str) or not _METRIC_LITERAL.match(value):
+        if (
+            not isinstance(value, str)
+            or not _METRIC_LITERAL.match(value)
+            or value in _NAME_STEMS
+        ):
             return
         try:
             validate_metric(value)

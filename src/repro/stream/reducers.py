@@ -28,9 +28,15 @@ from repro.core.selectors import ANALYSIS_NAMES, FAMILIES
 #: The grammar's ``rows.*`` names -> the packet class labelling ``stream.rows``.
 _ROW_CLASSES = {"rows.backscatter": "backscatter", "rows.scans": "scan"}
 
-#: ``stream.<family>`` gauge -> its labels: every family's placeholders (the
-#: dashboard shows them all), then the families only a growing capture has.
-_GAUGES = {f: tuple(p for p, _ in places) for f, (_, places) in FAMILIES.items()}
+#: The fold selectors the dashboard shows; none of them groups sessions.
+SELECTORS = ("2", "3", "4", "offnet")
+#: ``stream.<family>`` gauge -> its labels: the placeholders of every family
+#: the selectors count, then the families only a growing capture has.
+_GAUGES = {
+    f: tuple(p for p, _ in places)
+    for f, (selector, places) in FAMILIES.items()
+    if selector in SELECTORS
+}
 _GAUGES.update(rows=("klass",), rows_fed=(), span_seconds=(), rows_per_sec=("origin",))
 
 
@@ -38,7 +44,7 @@ class StreamAnalyses:
     """A :class:`CaptureFold` plus span counters; feed row ranges, read anytime."""
 
     def __init__(self) -> None:
-        self.fold = CaptureFold({selector for selector, _ in FAMILIES.values()})
+        self.fold = CaptureFold(set(SELECTORS))
         #: Rows per packet class ("backscatter" / "scan").
         self.rows: Counter = Counter()
         self.rows_by_origin: Counter = Counter()

@@ -3,7 +3,7 @@
 A spec's metric names follow the grammar of :mod:`repro.core.selectors`,
 whose :func:`~repro.core.selectors.validate_metric` checks them when the
 spec is parsed, long before any simulation runs.  Three sources feed
-them: the classified capture itself (row counts, removal share); the
+them: the classified capture itself (row counts, drops, removal share); the
 :meth:`~repro.core.render.CaptureFold.values` of one fold pass over the
 capture's rows, asked only for the selectors the spec's names read; and
 the *simulation-time* registry snapshot, persisted per cell as
@@ -18,7 +18,12 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from repro.core.render import CaptureFold
-from repro.core.selectors import ANALYSIS_NAMES, CAPTURE_NAMES, REGISTRY_PREFIXES
+from repro.core.selectors import (
+    ANALYSIS_NAMES,
+    CAPTURE_NAMES,
+    DROP_REASONS,
+    REGISTRY_PREFIXES,
+)
 
 DEFAULT_METRICS = (
     "rows.total",
@@ -58,7 +63,8 @@ def evaluate_metrics(
     metrics = list(metrics)
     stats = view.stats
     counts = (len(view), stats.backscatter, stats.scans, stats.total_records)
-    values = dict(zip(CAPTURE_NAMES, counts + (stats.removed_share,)))
+    drops = tuple(getattr(stats, reason) for reason in DROP_REASONS)
+    values = dict(zip(CAPTURE_NAMES, counts + (stats.removed_share,) + drops))
     wanted = {ANALYSIS_NAMES[name][0] for name in metrics if name in ANALYSIS_NAMES}
     if wanted:
         fold = CaptureFold(wanted)

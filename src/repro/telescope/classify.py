@@ -1,8 +1,8 @@
 """Classification and sanitization of raw telescope captures (paper §3.2).
 
 The vocabulary of the sanitised capture — :class:`CapturedPacket`,
-:class:`PacketClass`, :class:`SanitizationStats`, :data:`DROP_REASONS` —
-and the object-shaped entry points over it.  The pipeline itself
+:class:`PacketClass`, :class:`SanitizationStats` (its drop reasons are
+:data:`repro.core.selectors.DROP_REASONS`) — and the object-shaped entry points over it.  The pipeline itself
 (UDP/443 → QUIC dissector → acknowledged-scanner removal → origin; the
 AEAD open this repository adds to the dissector runs for the scans the
 removal keeps) is decided in one place,
@@ -50,11 +50,6 @@ class CapturedPacket:
     @property
     def coalesced(self) -> bool:
         return len(self.packets) > 1
-
-    @property
-    def remote_ip(self) -> int:
-        """The non-telescope endpoint (source for backscatter and scans)."""
-        return self.src_ip
 
 
 def type_codes(packet) -> bytes:
@@ -119,17 +114,6 @@ class ClassifiedCapture:
         return map(datagram_values, chain(self.backscatter, self.scans))
 
 
-#: Drop reasons in pipeline order.  Each name doubles as the matching
-#: :class:`SanitizationStats` field and the ``sanitize.packets`` counter
-#: stage label, which is what lets the columnar cache rebuild the counter
-#: values from stored stats without replaying the pipeline.
-DROP_REASONS = (
-    "non_udp",
-    "non_port_443",
-    "failed_dissection",
-    "acknowledged_scanner",
-)
-
 
 def classify_record(
     record: PcapRecord,
@@ -140,7 +124,8 @@ def classify_record(
     """Classify a single capture record.
 
     Returns ``(captured, None)`` for kept records and ``(None, reason)``
-    for dropped ones, with ``reason`` one of :data:`DROP_REASONS`.  A
+    for dropped ones, with ``reason`` one of
+    :data:`~repro.core.selectors.DROP_REASONS`.  A
     one-row table is built for the call; anything classifying more than
     a handful of records wants :func:`classify_capture`.
     """

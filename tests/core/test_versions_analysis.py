@@ -1,7 +1,7 @@
 """Table 2: version adoption from sessions."""
 
 from repro.core.selectors import TABLE2_ROWS
-from repro.core.versions import table2, table2_rows, version_shares
+from repro.core.versions import table2, version_shares
 
 
 class TestVersionShares:
@@ -32,12 +32,6 @@ class TestVersionShares:
         """Retransmissions must not inflate version counts."""
         servers = version_shares(small_capture.backscatter)
         assert servers.total < len(small_capture.backscatter) / 2
-
-    def test_table2_rows_structure(self, small_capture):
-        rows = table2_rows({2022: small_capture})
-        assert [r[0] for r in rows] == list(TABLE2_ROWS)
-        bucket, clients, servers = rows[0]
-        assert 2022 in clients and 2022 in servers
 
     def test_empty_population(self):
         shares = version_shares([])

@@ -28,6 +28,7 @@ from repro.buffer import BufferError_, Reader
 from repro.capstore import CaptureTable, default_acknowledged, default_asdb, record_verdict
 from repro.capstore.table import OFFSET_COLUMNS, PACKET_COLUMNS, ROW_COLUMNS
 from repro.cli import main
+from repro.core.selectors import DROP_REASONS
 from repro.netstack.addr import parse_ip
 from repro.netstack.ip import (
     HEADER_LENGTH as IP_HEADER_LENGTH,
@@ -67,7 +68,7 @@ from repro.quic.packet import (
 )
 from repro.quic.varint import read_varint
 from repro.quic.version import VERSION_NEGOTIATION, lookup as lookup_version
-from repro.telescope.classify import DROP_REASONS, CapturedPacket, PacketClass
+from repro.telescope.classify import CapturedPacket, PacketClass
 from tests.integration.test_fuzz import _capture_records
 from tests.integration.test_golden_pcap import MONTHS
 

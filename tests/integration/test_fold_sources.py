@@ -39,16 +39,19 @@ from repro.core.scid_stats import table4
 from repro.core.selectors import (
     ANALYSIS_NAMES,
     CAPTURE_NAMES,
+    DROP_REASONS,
     FAMILIES,
     ORIGINS,
     PACKET_CATEGORIES,
     SIDES,
+    SUMMARY_FEATURES,
     TABLE2_ROWS,
     TABLE3_ROWS,
     VALID_TABLES,
     validate_metric,
 )
 from repro.core.session import SessionStore
+from repro.core.summary import summarize
 from repro.core.timing import profiles_of, timing_profiles
 from repro.core.versions import table2
 from repro.netstack.pcap import read_pcap
@@ -272,6 +275,7 @@ def _batch_metrics(stats, packets):
     mix = packet_mix(backscatter + scans)
     scid_stats = table4(backscatter)
     features = extract_features(backscatter)
+    profiles = timing_profiles(backscatter)
     expected = {
         "rows.total": len(packets),
         "rows.backscatter": len(backscatter),
@@ -281,6 +285,13 @@ def _batch_metrics(stats, packets):
         "offnet.servers": len(features),
         "offnet.low_host_id": sum(1 for f in features.values() if f.low_host_id()),
     }
+    for reason in DROP_REASONS:
+        expected["dropped." + reason] = getattr(stats, reason)
+    for hypergiant, column in summarize(backscatter).items():
+        for feature in SUMMARY_FEATURES:
+            expected["summary.%s.%s" % (hypergiant, feature)] = int(
+                getattr(column, feature)
+            )
     for side in SIDES:
         for bucket in TABLE2_ROWS:
             expected["version_share.%s.%s" % (side, bucket)] = shares[side].share(bucket)
@@ -303,6 +314,11 @@ def _batch_metrics(stats, packets):
         expected["scid_max_chi2." + origin] = max(
             chi_square_uniformity(matrix), default=0.0
         )
+        profile = profiles.get(origin)
+        expected["rto.sessions." + origin] = profile.sessions if profile else 0
+        expected["rto.initial." + origin] = (profile and profile.initial_rto) or 0
+        low, high = (profile and profile.resend_range) or (0, 0)
+        expected["resends.min." + origin], expected["resends.max." + origin] = low, high
     for name in expected:
         validate_metric(name)
     assert set(expected) == set(ANALYSIS_NAMES) | set(CAPTURE_NAMES)
@@ -321,5 +337,10 @@ def test_sweep_metrics_equal_the_batch_functions(capture):
 def test_sweep_metrics_of_an_empty_table():
     view = ClassifiedView(CaptureTable(), SanitizationStats())
     expected = _batch_metrics(view.stats, [])
-    assert set(expected.values()) == {0}
+    # Server-chosen IDs are the active echo probe's finding, not the capture's.
+    assert {
+        value
+        for name, value in expected.items()
+        if not name.endswith(".server_chosen_ids")
+    } == {0}
     assert evaluate_metrics(list(expected), view, {}) == expected

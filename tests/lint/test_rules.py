@@ -283,9 +283,18 @@ class TestOBS001MetricNames:
     def test_bad_scid_origin_fires(self):
         assert rules_hit('METRIC = "scid_unique.Akamai"\n') == ["OBS001"]
 
-    @pytest.mark.parametrize("typo", ["offnet.server", "rows.scan"])
+    @pytest.mark.parametrize(
+        "typo",
+        ["offnet.server", "rows.scan", "dropped.non_quic", "rto.sesions.", "resends.max"],
+    )
     def test_every_family_is_checked(self, typo):
         assert rules_hit('METRIC = "%s"\n' % typo) == ["OBS001"]
+
+    def test_a_name_built_from_its_stem_is_clean(self):
+        assert rules_hit(
+            'A = "rto.sessions." + origin\nB = "dropped.acknowledged_scanner"\n'
+            'C = "summary.Google.l7_load_balancers"\n'
+        ) == []
 
     def test_templates_and_prose_are_not_names(self):
         assert rules_hit(

@@ -22,7 +22,7 @@ from repro.core.selectors import (
 )
 from repro.core.versions import table2
 from repro.obs.metrics import MetricsRegistry
-from repro.stream.reducers import StreamAnalyses
+from repro.stream.reducers import SELECTORS, StreamAnalyses
 from repro.telescope.classify import PacketClass
 
 
@@ -139,11 +139,14 @@ class TestSnapshotAndPublish:
         analyses.publish(None)
 
     def test_snapshot_shape(self, analyses, batch_view):
-        """The grammar's every analysis name, the rows per class under its
-        ``rows.*`` names, and the rates of the origins seen."""
+        """Every analysis name of the dashboard's selectors, the rows per
+        class under the grammar's ``rows.*`` names, and the rates of the
+        origins seen; no session store is grouped for them."""
         snap = analyses.snapshot()
         seen = {batch_view.table.origins[i] for i in set(batch_view.table.origin_id)}
-        assert set(snap) == set(ANALYSIS_NAMES) | {
+        shown = {n for n, (of, _, _) in ANALYSIS_NAMES.items() if of in SELECTORS}
+        assert analyses.fold.sessions is None
+        assert set(snap) == shown | {
             "rows.backscatter",
             "rows.scans",
             "rows_fed",
