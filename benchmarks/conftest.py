@@ -1,7 +1,7 @@
 """Shared state for the benchmark/reproduction harness.
 
-Every bench regenerates one figure, lab or ablation of the paper (the
-capture numbers of Tables 1-4, 6 and §5 are ``tools/check_paper.py``'s).
+Every bench regenerates one lab (Fig. 6 is one), codec or ablation of the paper (the
+capture numbers of Tables 1-4, 6, Fig. 3-5, 7 and §5 are ``tools/check_paper.py``'s).
 Simulation is done once per session in these fixtures; the ``benchmark`` fixture then
 times the *analysis kernel* for that experiment, and each bench writes its
 reproduced rows/series to ``benchmarks/out/<name>.txt`` (also printed; run
@@ -47,11 +47,6 @@ def scenario_2022():
     scenario = build_scenario(ScenarioConfig().scaled(SCALE))
     scenario.run()
     return scenario
-
-
-@pytest.fixture(scope="session")
-def capture_2022(scenario_2022):
-    return scenario_2022.classify()
 
 
 # ---------------------------------------------------------------------------

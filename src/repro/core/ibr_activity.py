@@ -1,17 +1,15 @@
-"""Internet-background-radiation activity analysis.
+"""Internet-background-radiation activity analysis (the flood-events extension).
 
 The paper builds on the observation (QUICsand, IMC'21) that QUIC IBR
 consists of scans and INITIAL-flood backscatter.  This module recovers the
 *events* behind a capture: per-victim backscatter bursts (one per attack),
-their duration and intensity, and the overall activity time series — the
-groundwork for "will QUIC backscatter persist" style arguments (§5).
+their duration, intensity and spread of spoofed addresses.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from dataclasses import dataclass
 from typing import Sequence
-from dataclasses import dataclass, field
 
 from repro.telescope.classify import CapturedPacket
 
@@ -38,14 +36,57 @@ class FloodEvent:
         return self.packets / self.duration if self.duration > 0 else float(self.packets)
 
 
-def activity_series(
-    packets: Sequence[CapturedPacket], bin_width: float = 60.0
-) -> dict[float, int]:
-    """Packets per time bin — the capture's activity curve."""
-    series: Counter = Counter()
-    for packet in packets:
-        series[round(packet.timestamp // bin_width * bin_width, 6)] += 1
-    return dict(sorted(series.items()))
+class FloodEvents:
+    """Each victim's backscatter split into bursts, one row at a time.
+
+    A victim (backscatter source address) that stays silent for more than
+    ``quiet_gap`` seconds starts a new burst; a burst of fewer than
+    ``min_packets`` datagrams is noise, not an event.  Capture order is
+    timestamp order, so a victim's open burst grows at its end.
+    """
+
+    __slots__ = ("quiet_gap", "min_packets", "closed", "_open")
+
+    def __init__(self, quiet_gap: float = 120.0, min_packets: int = 10) -> None:
+        self.quiet_gap = quiet_gap
+        self.min_packets = min_packets
+        #: Ended bursts of at least ``min_packets``.
+        self.closed: list[FloodEvent] = []
+        #: victim -> its open burst: ``[origin, start, end, packets, {dst_ip}]``.
+        self._open: dict[int, list] = {}
+
+    def add_values(
+        self, src_ip: int, dst_ip: int, origin: str, timestamp: float
+    ) -> None:
+        """Count one backscatter datagram toward its victim's burst."""
+        burst = self._open.get(src_ip)
+        if burst is None or timestamp - burst[2] > self.quiet_gap:
+            if burst is not None and burst[3] >= self.min_packets:
+                self.closed.append(_event(src_ip, burst))
+            self._open[src_ip] = [origin, timestamp, timestamp, 1, {dst_ip}]
+            return
+        burst[2] = timestamp
+        burst[3] += 1
+        burst[4].add(dst_ip)
+
+    def add(self, packet: CapturedPacket) -> None:
+        self.add_values(packet.src_ip, packet.dst_ip, packet.origin, packet.timestamp)
+
+    def events(self) -> list[FloodEvent]:
+        """Every event so far, open bursts of ``min_packets`` included, by
+        start time and then victim."""
+        events = self.closed + [
+            _event(victim, burst)
+            for victim, burst in self._open.items()
+            if burst[3] >= self.min_packets
+        ]
+        events.sort(key=lambda e: (e.start, e.victim))
+        return events
+
+
+def _event(victim: int, burst: list) -> FloodEvent:
+    origin, start, end, packets, targets = burst
+    return FloodEvent(victim, origin, start, end, packets, len(targets))
 
 
 def detect_flood_events(
@@ -53,62 +94,9 @@ def detect_flood_events(
     quiet_gap: float = 120.0,
     min_packets: int = 10,
 ) -> list[FloodEvent]:
-    """Split each victim's backscatter into bursts separated by quiet gaps.
-
-    A victim (backscatter source address) that stays silent for more than
-    ``quiet_gap`` seconds starts a new event; events smaller than
-    ``min_packets`` are discarded as noise.
-    """
-    by_victim: dict[int, list[CapturedPacket]] = defaultdict(list)
+    """Split each victim's backscatter into bursts separated by quiet gaps
+    (:class:`FloodEvents` over ``packets``)."""
+    events = FloodEvents(quiet_gap, min_packets)
     for packet in packets:
-        by_victim[packet.src_ip].append(packet)
-
-    events: list[FloodEvent] = []
-    for victim, victim_packets in by_victim.items():
-        victim_packets.sort(key=lambda p: p.timestamp)
-        bucket: list[CapturedPacket] = []
-        for packet in victim_packets:
-            if bucket and packet.timestamp - bucket[-1].timestamp > quiet_gap:
-                event = _close_event(victim, bucket)
-                if event.packets >= min_packets:
-                    events.append(event)
-                bucket = []
-            bucket.append(packet)
-        if bucket:
-            event = _close_event(victim, bucket)
-            if event.packets >= min_packets:
-                events.append(event)
-    events.sort(key=lambda e: (e.start, e.victim))
-    return events
-
-
-def _close_event(victim: int, bucket: list[CapturedPacket]) -> FloodEvent:
-    return FloodEvent(
-        victim=victim,
-        origin=bucket[0].origin,
-        start=bucket[0].timestamp,
-        end=bucket[-1].timestamp,
-        packets=len(bucket),
-        spoofed_targets=len({p.dst_ip for p in bucket}),
-    )
-
-
-@dataclass
-class IbrSummary:
-    """Aggregate view of one capture's attack landscape."""
-
-    events: list[FloodEvent]
-
-    @property
-    def victims(self) -> int:
-        return len({e.victim for e in self.events})
-
-    def events_per_origin(self) -> Counter:
-        return Counter(e.origin for e in self.events)
-
-    def busiest(self, top: int = 5) -> list[FloodEvent]:
-        return sorted(self.events, key=lambda e: e.packets, reverse=True)[:top]
-
-
-def summarize_ibr(packets: Sequence[CapturedPacket], **kwargs) -> IbrSummary:
-    return IbrSummary(events=detect_flood_events(packets, **kwargs))
+        events.add(packet)
+    return events.events()

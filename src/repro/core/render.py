@@ -7,6 +7,9 @@ benches and tests need not import the CLI to get at it.
 
 from __future__ import annotations
 
+from collections import Counter
+
+from repro.core.ibr_activity import FloodEvents
 from repro.core.packet_mix import LengthSignatures, PacketMix
 from repro.core.report import render_histogram, render_table
 from repro.core.scid_entropy import structure_of
@@ -39,8 +42,8 @@ class CaptureFold:
     :func:`render_analysis` formats them,
     :class:`~repro.stream.reducers.StreamAnalyses` snapshots them while a
     capture grows and :func:`~repro.sweep.metrics.evaluate_metrics` picks
-    single names; the latter two also ask for ``"offnet"``, a selector
-    that is not a ``--tables`` name because no table prints it.
+    single names; the latter two also ask for ``"offnet"``, and the
+    latter for ``"entropy"`` and ``"events"``: selectors no table prints.
     """
 
     def __init__(self, wanted: set) -> None:
@@ -51,9 +54,10 @@ class CaptureFold:
         #: Backscatter only: Table 1's coalescence mark reads this one alone.
         self.mix = PacketMix() if wanted & {"1", "3"} else None
         self.scan_mix = PacketMix() if "3" in wanted else None
-        self.scids = ScidTable() if wanted & {"1", "4"} else None
+        self.scids = ScidTable() if wanted & {"1", "4", "entropy"} else None
         self.sessions = SessionStore() if wanted & {"1", "rto"} else None
         self.signatures = LengthSignatures() if "lengths" in wanted else None
+        self.events = FloodEvents() if "events" in wanted else None
         #: Table 6's per-datagram features, backscatter outside the hypergiants.
         self.offnet = None
         if "offnet" in wanted:
@@ -69,7 +73,7 @@ class CaptureFold:
         clients, servers = self.clients, self.servers
         mix, scan_mix = self.mix, self.scan_mix
         scid_table, sessions, signatures = self.scids, self.sessions, self.signatures
-        offnet = self.offnet
+        offnet, events = self.offnet, self.events
         keyed = servers is not None or sessions is not None
         key = None
         for (
@@ -107,12 +111,14 @@ class CaptureFold:
                 signatures.add_values(origin, types, lengths)
             if offnet is not None:
                 offnet.add_values(origin, src_ip, types, scids, payload_length)
+            if events is not None:
+                events.add_values(src_ip, dst_ip, origin, timestamp)
 
     def values(self) -> dict:
         """``{name: number}`` for every name of :mod:`repro.core.selectors`'
         grammar the wanted selectors name, zeros included: the
-        accumulators hold the counts, Fig. 5's chi-square is computed once
-        per origin and the sessions are profiled once, for Table 1 too."""
+        accumulators hold the counts, Fig. 5's matrix is built once per
+        origin and the sessions are profiled once, for Table 1 too."""
         wanted, out = self.wanted, {}
         if self.clients is not None:
             for side, mix in zip(SIDES, (self.clients, self.servers)):
@@ -133,19 +139,29 @@ class CaptureFold:
         structured = {}
         for origin in ORIGINS if self.scids is not None else ():
             stats = self.scids.stats.get(origin) or ScidStats(origin)
-            structured[origin], chi2 = structure_of(stats.matrix())
+            matrix = stats.matrix()
+            structured[origin], chi2 = structure_of(matrix)
             if "4" in wanted:
                 out["scid_unique." + origin] = stats.unique_count
                 out["scid_dominant_len." + origin] = stats.dominant_length or 0
                 out["scid_structured." + origin] = int(structured[origin])
                 out["scid_max_chi2." + origin] = chi2
+            if "entropy" in wanted:
+                entropy = matrix.entropy_per_position() or [0.0]
+                out["scid_entropy.first." + origin] = entropy[0]
+                out["scid_entropy.min." + origin] = min(entropy)
+                out["scid_entropy.last." + origin] = entropy[-1]
         profiles = profiles_of(self.sessions) if self.sessions is not None else {}
         for origin in ORIGINS if "rto" in wanted else ():
             profile = profiles.get(origin)
             low, high = profile and profile.resend_range or (0, 0)
             out["rto.sessions." + origin] = profile.sessions if profile else 0
             out["rto.initial." + origin] = profile and profile.initial_rto or 0
+            out["rto.backoff." + origin] = profile and profile.backoff_factor or 0
             out["resends.min." + origin], out["resends.max." + origin] = low, high
+        for origin in ORIGINS if self.signatures is not None else ():
+            top = self.signatures.counts.get(origin, Counter()).most_common(1)
+            out["length_top_packets." + origin] = len(top[0][0]) if top else 0
         if "1" in wanted:
             summary = summarize_from(self.mix, profiles, self.scids.stats, structured)
             for hypergiant, column in summary.items():
@@ -154,6 +170,12 @@ class CaptureFold:
                     out[name] = int(getattr(column, feature))
         if self.offnet is not None:
             out["offnet.servers"], out["offnet.low_host_id"] = self.offnet.counts()
+        if self.events is not None:
+            events = self.events.events()
+            per_origin = Counter(event.origin for event in events)
+            for origin in ORIGINS:
+                out["flood_events." + origin] = per_origin[origin]
+            out["flood_victims"] = len({event.victim for event in events})
         return out
 
 

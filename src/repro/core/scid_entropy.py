@@ -32,15 +32,6 @@ class NybbleMatrix:
     def positions(self) -> int:
         return len(self.freq)
 
-    def deviation(self) -> float:
-        """Mean absolute deviation from the uniform 1/16 across all cells."""
-        if not self.freq:
-            return 0.0
-        total = sum(
-            abs(value - UNIFORM) for row in self.freq for value in row
-        )
-        return total / (16 * len(self.freq))
-
     def hot_positions(self, threshold: float = 0.25) -> list[int]:
         """Positions where some value occurs suspiciously often."""
         return [
@@ -48,12 +39,13 @@ class NybbleMatrix:
         ]
 
     def entropy_per_position(self) -> list[float]:
-        """Shannon entropy (bits) of each nybble position; 4.0 = random."""
-        out = []
-        for row in self.freq:
-            h = -sum(p * math.log2(p) for p in row if p > 0)
-            out.append(h)
-        return out
+        """Shannon entropy (bits) of each nybble position; 4.0 = random.
+
+        ``0.0 -`` rather than a unary minus: a constant position sums to
+        ``0.0``, which must read ``0.0``, not ``-0.0``."""
+        return [
+            0.0 - sum(p * math.log2(p) for p in row if p > 0) for row in self.freq
+        ]
 
 
 class NybbleCounts:

@@ -36,6 +36,8 @@ DROP_REASONS = (
 
 #: family -> (the ``CaptureFold`` selector counting it, its ``(placeholder,
 #: domain)`` pairs).  A name is the family and one value per domain, "."-joined.
+#: ``offnet``, ``entropy`` and ``events`` are fold selectors no table prints,
+#: so they are not ``--tables`` names.
 FAMILIES = {
     "version_share": ("2", (("side", SIDES), ("bucket", TABLE2_ROWS))),
     "sessions": ("2", (("side", SIDES), ("bucket", SESSION_BUCKETS))),
@@ -45,13 +47,21 @@ FAMILIES = {
     "scid_dominant_len": ("4", (("origin", ORIGINS),)),
     "scid_structured": ("4", (("origin", ORIGINS),)),
     "scid_max_chi2": ("4", (("origin", ORIGINS),)),
+    "scid_entropy": (
+        "entropy", (("position", ("first", "min", "last")), ("origin", ORIGINS))
+    ),
     "summary": (
         "1", (("hypergiant", HYPERGIANT_COLUMNS), ("feature", SUMMARY_FEATURES))
     ),
-    "rto": ("rto", (("stat", ("sessions", "initial")), ("origin", ORIGINS))),
+    "rto": (
+        "rto", (("stat", ("sessions", "initial", "backoff")), ("origin", ORIGINS))
+    ),
     "resends": ("rto", (("bound", ("min", "max")), ("origin", ORIGINS))),
+    "length_top_packets": ("lengths", (("origin", ORIGINS),)),
     "offnet.servers": ("offnet", ()),
     "offnet.low_host_id": ("offnet", ()),
+    "flood_events": ("events", (("origin", ORIGINS),)),
+    "flood_victims": ("events", ()),
 }
 
 #: Every analysis name -> ``(selector, family, its placeholder values)``.

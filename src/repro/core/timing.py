@@ -116,23 +116,3 @@ def profiles_of(store: SessionStore) -> dict[str, TimingProfile]:
 def timing_profiles(packets: Sequence[CapturedPacket]) -> dict[str, TimingProfile]:
     """Per-origin timing profiles from classified backscatter."""
     return profiles_of(SessionStore.from_packets(packets))
-
-
-def gap_histogram(
-    packets: Sequence[CapturedPacket], bin_width: float = 0.1, max_seconds: float = 60.0
-) -> dict[str, Counter]:
-    """Figure 3's raw series: per-origin histogram of time-since-first-SCID."""
-    store = SessionStore.from_packets(packets)
-    histogram: dict[str, Counter] = defaultdict(Counter)
-    for session in store.sessions():
-        for t in session.relative_times():
-            if 0 < t <= max_seconds:
-                bin_label = round(round(t / bin_width) * bin_width, 6)
-                histogram[session.origin][bin_label] += 1
-    return dict(histogram)
-
-
-def resend_count_distribution(packets: Sequence[CapturedPacket]) -> dict[str, Counter]:
-    """Figure 4's series: per-origin distribution of resent flights."""
-    profiles = timing_profiles(packets)
-    return {origin: profile.resend_counts for origin, profile in profiles.items()}

@@ -1,14 +1,11 @@
 """IBR activity analysis and Cloudflare colo fingerprinting."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.colo import cloudflare_colos
-from repro.core.ibr_activity import (
-    FloodEvent,
-    activity_series,
-    detect_flood_events,
-    summarize_ibr,
-)
+from repro.core.ibr_activity import FloodEvents, detect_flood_events
 from repro.telescope.classify import CapturedPacket, PacketClass
 
 
@@ -37,16 +34,6 @@ def synth_packet(ts, src=1, dst=2):
         klass=PacketClass.BACKSCATTER,
         origin="Facebook",
     )
-
-
-class TestActivitySeries:
-    def test_binning(self):
-        packets = [synth_packet(t) for t in (0.0, 10.0, 61.0, 150.0)]
-        series = activity_series(packets, bin_width=60.0)
-        assert series == {0.0: 2, 60.0: 1, 120.0: 1}
-
-    def test_empty(self):
-        assert activity_series([]) == {}
 
 
 class TestFloodDetection:
@@ -82,13 +69,21 @@ class TestFloodDetection:
         assert events[0].spoofed_targets == 7
 
     def test_on_simulated_month(self, small_capture):
-        summary = summarize_ibr(small_capture.backscatter, min_packets=4)
-        assert summary.victims > 50
-        per_origin = summary.events_per_origin()
+        events = detect_flood_events(small_capture.backscatter, min_packets=4)
+        assert len({e.victim for e in events}) > 50
+        per_origin = Counter(e.origin for e in events)
         assert per_origin["Facebook"] > 0
         assert per_origin["Google"] > 0
-        busiest = summary.busiest(3)
-        assert busiest[0].packets >= busiest[-1].packets
+
+    def test_an_open_burst_counts_once_it_is_big_enough(self):
+        events = FloodEvents(quiet_gap=60, min_packets=3)
+        for t in (0.0, 1.0):
+            events.add(synth_packet(t))
+        assert events.events() == []
+        events.add(synth_packet(2.0))
+        (open_burst,) = events.events()
+        events.add(synth_packet(500.0))  # closes it, opens a burst of one
+        assert events.events() == [open_burst] and open_burst.packets == 3
 
 
 class TestCloudflareColos:

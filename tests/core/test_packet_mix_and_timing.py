@@ -6,12 +6,7 @@ from repro.core.packet_mix import (
     packet_mix,
     top_length_signatures,
 )
-from repro.core.timing import (
-    estimate_rto,
-    gap_histogram,
-    resend_count_distribution,
-    timing_profiles,
-)
+from repro.core.timing import estimate_rto, timing_profiles
 
 
 class TestPacketMix:
@@ -113,17 +108,6 @@ class TestTiming:
         """Figure 4's conclusion: Facebook is the most persistent."""
         profiles = timing_profiles(small_capture.backscatter)
         assert profiles["Facebook"].resend_range[1] > profiles["Google"].resend_range[1]
-
-    def test_gap_histogram_has_rto_peak(self, small_capture):
-        histogram = gap_histogram(small_capture.backscatter, bin_width=0.1)
-        fb = histogram["Facebook"]
-        # The 0.4 s bin must be populated and a clear local peak.
-        assert fb.get(0.4, 0) > 0
-        assert fb.get(0.4, 0) > fb.get(0.6, 0)
-
-    def test_resend_count_distribution_keys(self, small_capture):
-        dist = resend_count_distribution(small_capture.backscatter)
-        assert set(dist) >= {"Facebook", "Google", "Cloudflare"}
 
     def test_estimate_rto_empty(self):
         assert estimate_rto([]) is None

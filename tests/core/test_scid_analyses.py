@@ -1,5 +1,6 @@
 """Table 4 (SCID lengths), Figure 5 (nybble entropy), Table 1 (summary)."""
 
+import math
 import os
 import random
 import subprocess
@@ -145,6 +146,12 @@ class TestStructureDetection:
         # tail of the mvfst CID.
         assert entropy[0] < entropy[-1]
         assert entropy[-1] > 3.5
+
+    def test_a_constant_position_has_positive_zero_entropy(self):
+        """At the parent a constant nybble read ``-0.0`` (printed ``-0``)."""
+        entropy = nybble_matrix({b"\x01\x00", b"\x01\x11"}).entropy_per_position()
+        assert entropy == [0.0, 0.0, 1.0, 1.0]
+        assert math.copysign(1, entropy[0]) == 1
 
     def test_chi_square_flags_fixed_position(self):
         scids = {bytes([0x01]) + bytes([i]) * 7 for i in range(100)}

@@ -6,7 +6,8 @@ The analyses fold plain values that come either straight from a
 functions are a third spelling.  For the four golden scenarios and the
 hostile-pcap corpus, the three must agree accumulator by accumulator —
 ``tests/stream/test_reducers.py``'s fold property, extended to
-``SessionStore``, timing, Fig. 7 and the off-net servers — at every
+``SessionStore``, timing, Fig. 7, the off-net servers and the flood
+events — at every
 checkpoint of a capture fed in two different batchings: the columns in
 ragged ranges, the objects one at a time.  The fold's other two readers
 are then held to the same references from outside: ``StreamAnalyses``
@@ -31,6 +32,7 @@ from repro.capstore import (
 )
 from repro.capstore.table import DATAGRAM_FIELDS, datagram_values
 from repro.cli import main
+from repro.core.ibr_activity import detect_flood_events
 from repro.core.offnet import OffnetServers, extract_features
 from repro.core.packet_mix import packet_mix, top_length_signatures
 from repro.core.render import CaptureFold
@@ -67,9 +69,9 @@ from repro.workloads.scenario import ScenarioConfig, build_scenario
 from tests.integration.test_fuzz import _capture_records, _pcap_bytes
 from tests.integration.test_golden_pcap import MONTHS, ONE_SIDED
 
-#: Every selector the fold knows: the ``--tables`` names plus the one
-#: only ``StreamAnalyses`` and ``evaluate_metrics`` ask for.
-ALL_SELECTORS = set(VALID_TABLES) | {"offnet"}
+#: Every selector the fold knows: the ``--tables`` names plus the ones
+#: no table prints, which ``StreamAnalyses`` or ``evaluate_metrics`` ask for.
+ALL_SELECTORS = set(VALID_TABLES) | {"offnet", "entropy", "events"}
 RAGGED = (1, 7, 50, 3, 211, 19)
 
 
@@ -142,6 +144,7 @@ def _fold_state(fold):
         "timing": list(profiles_of(fold.sessions).items()),
         "lengths": [(o, e) for o, e in fold.signatures.top().items()],
         "offnet": fold.offnet.features,
+        "events": fold.events.events(),
     }
 
 
@@ -170,6 +173,7 @@ def _batch_state(packets):
         "timing": list(timing_profiles(backscatter).items()),
         "lengths": list(top_length_signatures(backscatter).items()),
         "offnet": offnet.features,
+        "events": detect_flood_events(backscatter),
     }
 
 
@@ -276,6 +280,9 @@ def _batch_metrics(stats, packets):
     scid_stats = table4(backscatter)
     features = extract_features(backscatter)
     profiles = timing_profiles(backscatter)
+    tops = top_length_signatures(backscatter)
+    events = detect_flood_events(backscatter)
+    per_origin = Counter(event.origin for event in events)
     expected = {
         "rows.total": len(packets),
         "rows.backscatter": len(backscatter),
@@ -284,6 +291,7 @@ def _batch_metrics(stats, packets):
         "removed_share": stats.removed_share,
         "offnet.servers": len(features),
         "offnet.low_host_id": sum(1 for f in features.values() if f.low_host_id()),
+        "flood_victims": len({event.victim for event in events}),
     }
     for reason in DROP_REASONS:
         expected["dropped." + reason] = getattr(stats, reason)
@@ -314,11 +322,21 @@ def _batch_metrics(stats, packets):
         expected["scid_max_chi2." + origin] = max(
             chi_square_uniformity(matrix), default=0.0
         )
+        entropy = matrix.entropy_per_position() or [0.0]
+        expected["scid_entropy.first." + origin] = entropy[0]
+        expected["scid_entropy.min." + origin] = min(entropy)
+        expected["scid_entropy.last." + origin] = entropy[-1]
         profile = profiles.get(origin)
         expected["rto.sessions." + origin] = profile.sessions if profile else 0
         expected["rto.initial." + origin] = (profile and profile.initial_rto) or 0
+        expected["rto.backoff." + origin] = (profile and profile.backoff_factor) or 0
         low, high = (profile and profile.resend_range) or (0, 0)
         expected["resends.min." + origin], expected["resends.max." + origin] = low, high
+        top = tops.get(origin)
+        expected["length_top_packets." + origin] = (
+            top[0][0].count(",") + 1 if top else 0
+        )
+        expected["flood_events." + origin] = per_origin[origin]
     for name in expected:
         validate_metric(name)
     assert set(expected) == set(ANALYSIS_NAMES) | set(CAPTURE_NAMES)

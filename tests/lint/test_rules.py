@@ -277,7 +277,10 @@ class TestOBS001MetricNames:
         assert rules_hit(
             'METRICS = ("rows.total", "counter:net.dropped",\n'
             '           "version_share.clients.QUICv1",\n'
-            '           "scid_unique.Google", "timer:simulate.run")\n'
+            '           "scid_unique.Google", "timer:simulate.run",\n'
+            '           "rto.backoff.Google", "scid_entropy.min.Google",\n'
+            '           "length_top_packets.Facebook", "flood_events.Remaining",\n'
+            '           "flood_victims")\n'
         ) == []
 
     def test_bad_scid_origin_fires(self):
@@ -285,7 +288,11 @@ class TestOBS001MetricNames:
 
     @pytest.mark.parametrize(
         "typo",
-        ["offnet.server", "rows.scan", "dropped.non_quic", "rto.sesions.", "resends.max"],
+        [
+            "offnet.server", "rows.scan", "dropped.non_quic", "rto.sesions.",
+            "resends.max", "scid_entropy.mid.Google", "length_top_packets.Akamai",
+            "flood_events.Google.total", "flood_victims.Google",
+        ],
     )
     def test_every_family_is_checked(self, typo):
         assert rules_hit('METRIC = "%s"\n' % typo) == ["OBS001"]

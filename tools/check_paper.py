@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Check the paper's capture-derived numbers against one simulated study.
+"""Check the paper's capture-derived numbers against one simulated study:
+Tables 1-4 and 6, Figures 3, 4, 5 and 7, §5, and the flood-events extension.
 
 Simulates the two study months at the experiment book's Setup point (what
 ``repro simulate --scale 0.5 --seed 20220101`` and ``… --seed 20210401
@@ -71,10 +72,13 @@ CLOUDFLARE = "Cloudflare's few SCIDs shrink less with scale than others' thousan
 SANITISED = "the full-/9 research sweeps are scaled down (DESIGN.md §5)"
 ORDER_ONLY = "the paper states the ordering, not the counts"
 NO_V1 = "the paper prints '-': RFC 9000 postdates April 2021"
+PLOTTED = "the paper plots frequencies; at most 2 bits means one value holds >= 1/4"
+EXTENSION = "not in the paper: every attacked network shows, counted at scale 0.5"
 CS = "Coalesced Initial & Handshake"
 ACK, FAILED = "dropped.acknowledged_scanner", "dropped.failed_dissection"
 
-#: Every number the paper publishes for Tables 1-4, 6 and §5:
+#: Every capture number the paper publishes for Tables 1-4, 6, Fig. 3-5, 7
+#: and §5, and the flood-events extension's:
 #: (artefact, month, target, paper, lo, hi[, reason]).  Table 1's yes is 1.
 TARGETS = [Target(*row) for row in (
     ("Table 1", "2022", "summary.Cloudflare.coalescence", 1, 1, 1),
@@ -185,6 +189,29 @@ TARGETS = [Target(*row) for row in (
     ("§5", "2022", "removed_share", 0.92, 0.3, 0.55, SANITISED),
     ("§5", None, _ratio("2022", ACK, "2022", FAILED), None, 2, math.inf, ORDER_ONLY),
     ("§5", None, _ratio("2021", ACK, "2021", FAILED), None, 2, math.inf, ORDER_ONLY),
+    # Fig. 3: the backoff factor of each RTO ladder (2 = exponential).
+    ("Fig. 3", "2022", "rto.backoff.Cloudflare", 2, 1.75, 2.25),
+    ("Fig. 3", "2022", "rto.backoff.Facebook", 2, 1.75, 2.25),
+    ("Fig. 3", "2022", "rto.backoff.Google", 2, 1.75, 2.25),
+    # Fig. 4: Facebook resends the most (its 7-9 and the others' 3-6 are Table 1's).
+    ("Fig. 4", None, _ratio("2022", "resends.max.Facebook",
+                            "2022", "resends.max.Google"), 1.5, 1.01, 3),
+    # Fig. 5: nybble structure, and entropy [bits] per position (4 = uniform).
+    ("Fig. 5", "2022", "scid_structured.Google", 0, 0, 0),
+    ("Fig. 5", "2022", "scid_structured.Facebook", 1, 1, 1),
+    ("Fig. 5", "2022", "scid_structured.Cloudflare", 1, 1, 1),
+    ("Fig. 5", "2022", "scid_entropy.min.Google", 4, 3.5, 4),
+    ("Fig. 5", "2022", "scid_entropy.first.Facebook", None, 0, 2, PLOTTED),
+    ("Fig. 5", "2022", "scid_entropy.last.Facebook", 4, 3.5, 4),
+    # Fig. 7: QUIC packets in the most common length combination.
+    ("Fig. 7", "2022", "length_top_packets.Google", 2, 2, 2),
+    ("Fig. 7", "2022", "length_top_packets.Facebook", 1, 1, 1),
+    # Extension: flood events recovered from backscatter (120 s gap, 10 packets).
+    ("Events", "2022", "flood_victims", None, 300, 550, EXTENSION),
+    ("Events", "2022", "flood_events.Google", None, 150, 350, EXTENSION),
+    ("Events", "2022", "flood_events.Facebook", None, 150, 300, EXTENSION),
+    ("Events", "2022", "flood_events.Remaining", None, 80, 170, EXTENSION),
+    ("Events", "2022", "flood_events.Cloudflare", None, 5, 40, EXTENSION),
 )]
 
 
