@@ -141,7 +141,7 @@ def run_bench(scale=DEFAULT_SCALE):
 
         # -- parity arm: single pcap ------------------------------------
         start = time.perf_counter()
-        batch_view, _hit = load_or_build(pcap, workers=1, use_cache=False)
+        batch_view, _hit = load_or_build(pcap, use_cache=False)
         batch_seconds = time.perf_counter() - start
         batch_render = render_analysis(batch_view, ALL_TABLES)
 
@@ -183,7 +183,7 @@ def run_bench(scale=DEFAULT_SCALE):
         with open(inc, "wb") as fileobj:
             fileobj.write(data[:cut])
         start = time.perf_counter()
-        prefix, _hit = load_or_build(inc, workers=1)  # leaves the prefix sidecar
+        prefix, _hit = load_or_build(inc)  # leaves the prefix sidecar
         prefix_seconds = time.perf_counter() - start
         with open(inc, "ab") as fileobj:
             fileobj.write(data[cut:])
@@ -195,7 +195,7 @@ def run_bench(scale=DEFAULT_SCALE):
         cache = obs.metrics.snapshot()["counters"]["capstore.cache"]["values"]
 
         start = time.perf_counter()
-        rebuilt, _hit = load_or_build(inc, workers=1, use_cache=False)
+        rebuilt, _hit = load_or_build(inc, use_cache=False)
         rebuild_seconds = time.perf_counter() - start
 
         results["parity"]["extension_was_incremental"] = cache == {"extended": 1}

@@ -41,10 +41,6 @@ class FollowUpOutcome:
     attempts: int
 
     @property
-    def initial_host_id(self) -> int | None:
-        return host_id_of(self.initial_scid)
-
-    @property
     def followup_host_id(self) -> int | None:
         return host_id_of(self.followup_scid)
 

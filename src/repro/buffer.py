@@ -108,9 +108,6 @@ class Writer:
     def write_u32(self, value: int) -> "Writer":
         return self.write_uint(value, 4)
 
-    def write_u64(self, value: int) -> "Writer":
-        return self.write_uint(value, 8)
-
     def getvalue(self) -> bytes:
         return bytes(self.buf)
 

@@ -3,9 +3,9 @@
 The analysis plane of the toolchain, one pipeline with one way in.
 ``dissect`` decides keep or drop for one record's bytes and appends the
 kept row's columns, ``build`` runs it over a record source into a
-:class:`~repro.capstore.table.CaptureTable` — one pcap in one pass,
-optionally split into row groups over a worker pool, or a ``--no-merge``
-shard set as its merged record stream — ``format`` persists the table as
+:class:`~repro.capstore.table.CaptureTable` — one pcap in one pass, or a
+``--no-merge`` shard set as its merged record stream, in process —
+``format`` persists the table as
 a versioned ``.capidx`` sidecar, and ``cache`` makes the whole thing
 transparent to ``repro classify``/``analyze``/``live``:
 :func:`load_or_build` builds on miss, extends a grown capture, validates

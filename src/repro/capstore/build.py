@@ -1,18 +1,14 @@
-"""Build :class:`CaptureTable` from pcaps: streaming, parallel, sharded.
+"""Build :class:`CaptureTable` from pcaps: one file or a shard set.
 
 Every build is one keep/drop verdict of :mod:`repro.capstore.dissect`
 per record, appending the kept rows' columns, over one record source —
 all producing bit-identical tables for the same records in the same
-order:
+order, in this process:
 
 * :func:`dissect_pcap` — one pass of :class:`~repro.netstack.pcap.PcapWalk`
   over a file, each record's bytes handed to the verdict in place;
-* :func:`build_capture_table` — one pcap, serially or with row-group
-  parallelism: the parent walks the file once for the record offsets
-  (and the content digest), splits them into contiguous groups, a worker
-  pool dissects each group, and the parent concatenates the partial
-  tables in file order.  The verdict is stateless per record, so
-  concatenation *is* the serial result;
+* :func:`build_capture_table` — one pcap, cold: :func:`dissect_pcap`
+  from its first record into a new table;
 * :func:`build_from_records` — the same verdict over records already in
   memory (a scenario's telescope, a test's list) or streamed;
 * :func:`build_from_shards` — per-shard pcaps (as written by ``repro
@@ -28,22 +24,15 @@ acknowledged-scanner registry (:func:`default_asdb`,
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.capstore.dissect import record_verdict
 from repro.capstore.table import CaptureTable
 from repro.core.selectors import DROP_REASONS
 from repro.inetdata.asdb import ISP_NETWORKS, AsDatabase, AsEntry
-from repro.netstack.pcap import (
-    PcapCursor,
-    PcapError,
-    PcapRecord,
-    PcapWalk,
-    merged_records,
-)
+from repro.netstack.pcap import PcapCursor, PcapRecord, PcapWalk, merged_records
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_SANITIZE
-from repro.pool import run_pool
 from repro.telescope.acknowledged import RESEARCH_NETWORKS, AcknowledgedScanners
 from repro.telescope.classify import SanitizationStats
 
@@ -117,7 +106,6 @@ def dissect_pcap(
     cursor: PcapCursor,
     table: CaptureTable,
     obs: Optional[Observability] = None,
-    limit: Optional[int] = None,
 ) -> SanitizationStats:
     """Dissect the complete records after ``cursor`` into ``table``.
 
@@ -131,15 +119,15 @@ def dissect_pcap(
     exactly the table a full pass would build, because rows are
     append-only and the verdict is stateless per record.
 
-    Returns the stats of this pass alone (``limit`` caps its records);
-    see :func:`_dissection` for what ``obs`` receives.  With a profiler
-    attached, each chunk is one ``index.records`` leaf stage.
+    Returns the stats of this pass alone; see :func:`_dissection` for
+    what ``obs`` receives.  With a profiler attached, each chunk is one
+    ``index.records`` leaf stage.
     """
     on_record, finish = _dissection(
         table, default_asdb(), default_acknowledged(), True, obs
     )
     prof = (obs or NULL_OBS).prof
-    with PcapWalk(path, cursor, limit) as walk:
+    with PcapWalk(path, cursor) as walk:
         if prof is None:
             walk.run(on_record)
         else:
@@ -185,21 +173,13 @@ def build_from_shards(
     )
 
 
-def _merge_stats(parts: Iterable[SanitizationStats]) -> SanitizationStats:
-    total = SanitizationStats()
-    for part in parts:
-        total.add(part)
-    return total
-
-
 def emit_stats_counters(stats: SanitizationStats, obs: Optional[Observability]) -> None:
     """Emit ``sanitize.packets`` counter values from a pass's stats.
 
     The counter values are a pure function of the stats, so a dissection
-    pass emits them once when it ends, and cache hits and the parent of
-    parallel workers emit the same values from stored or merged stats
-    (per-drop trace events are the one thing only an in-process pass
-    produces).
+    pass emits them once when it ends, and cache hits and extensions
+    emit the same values from stored stats (per-drop trace events are the
+    one thing only a dissection pass produces).
     """
     obs = obs or NULL_OBS
     if obs.metrics is None:
@@ -215,79 +195,19 @@ def emit_stats_counters(stats: SanitizationStats, obs: Optional[Observability]) 
         counter.inc_key(("kept_scan",), stats.scans)
 
 
-def _worker_build(payload: tuple):
-    """Pool target: dissect one row group of one pcap into a partial table.
-
-    ``count`` records from byte ``offset``; the partial table travels back
-    over the pool's pipe: a worker writes no file.
-    """
-    path, offset, count = payload
-    table = CaptureTable()
-    stats = dissect_pcap(path, PcapCursor(offset), table, limit=count)
-    if stats.total_records < count:
-        raise PcapError(
-            "row group at offset %d ends before %d records" % (offset, count)
-        )
-    return table, stats
-
-
-def _row_groups(offsets: Sequence[int], workers: int) -> List[Tuple[int, int]]:
-    """Split record offsets into ≤ ``workers`` contiguous (offset, count) groups."""
-    total = len(offsets)
-    groups: List[Tuple[int, int]] = []
-    workers = max(1, min(workers, total))
-    base, extra = divmod(total, workers)
-    start = 0
-    for index in range(workers):
-        count = base + (1 if index < extra else 0)
-        if count == 0:
-            break
-        groups.append((offsets[start], count))
-        start += count
-    return groups
-
-
 def build_capture_table(
     pcap_path: str,
-    workers: int = 1,
     obs: Optional[Observability] = None,
     cursor: Optional[PcapCursor] = None,
 ) -> Tuple[CaptureTable, SanitizationStats]:
-    """Build the columnar table for one pcap, optionally in parallel.
+    """Build the columnar table for one pcap: one :func:`dissect_pcap` pass.
 
     The table covers the pcap's complete-record prefix — all of a
     finished capture, everything in front of the torn record of one still
     being appended to.  ``cursor``, if given, starts at 0 and ends where
     that prefix does, its digest fed exactly those bytes: what the
     sidecar's source fingerprint is made of.
-
-    ``workers > 1`` splits the file into contiguous row groups and
-    dissects them in a process pool; the concatenated result is exactly
-    the serial table.
     """
-    obs = obs or NULL_OBS
-    if cursor is None:
-        cursor = PcapCursor()
-    limit = None
-    if workers > 1:
-        # The planning pass: where each record starts (and the digest).
-        with PcapWalk(pcap_path, cursor) as walk:
-            offsets = walk.record_offsets()
-        groups = _row_groups(offsets, workers)
-        if len(groups) > 1:
-            payloads = [(pcap_path, offset, count) for offset, count in groups]
-            parts = [
-                part
-                for _index, part in sorted(run_pool(_worker_build, payloads, "row group"))
-            ]
-            table = CaptureTable()
-            for part_table, _stats in parts:
-                table.extend(part_table)
-            stats = _merge_stats(part_stats for _table, part_stats in parts)
-            emit_stats_counters(stats, obs)
-            return table, stats
-        # Too few records to split: dissect the ones the plan saw, here.
-        cursor, limit = PcapCursor(), len(offsets)
     table = CaptureTable()
-    stats = dissect_pcap(pcap_path, cursor, table, obs=obs, limit=limit)
+    stats = dissect_pcap(pcap_path, cursor or PcapCursor(), table, obs=obs)
     return table, stats

@@ -1,8 +1,8 @@
 """Transparent sidecar caching: dissect once, analyze many times.
 
 :func:`load_or_build` is the analysis plane's single entry point.  On a
-cache miss it streams the pcap through the dissection pipeline (serial
-or parallel, see ``repro.capstore.build``) and writes the ``.capidx``
+cache miss it streams the pcap once through the dissection pipeline
+(:func:`~repro.capstore.build.build_capture_table`) and writes the ``.capidx``
 sidecar next to the pcap; on a hit it deserializes columns straight from
 disk — no UDP decoding, no QUIC dissection, no AEAD validation.
 
@@ -182,7 +182,6 @@ def prefix_matches(stored: dict, pcap_path: str) -> bool:
 
 def load_or_build(
     pcap_path: str,
-    workers: int = 1,
     use_cache: bool = True,
     obs: Optional[Observability] = None,
 ) -> Tuple[ClassifiedView, bool]:
@@ -238,11 +237,9 @@ def load_or_build(
     # stored fingerprint describes what was indexed even if a writer
     # appends concurrently.
     cursor = PcapCursor(digest=_new_digest())
-    with obs.span("index.build", local=True, path=pcap_path, workers=workers):
+    with obs.span("index.build", local=True, path=pcap_path):
         with obs.timed("index.build"):
-            table, stats = build_capture_table(
-                pcap_path, workers=workers, obs=obs, cursor=cursor
-            )
+            table, stats = build_capture_table(pcap_path, obs=obs, cursor=cursor)
     payload = IndexPayload(
         table=table, stats=stats, source={}, pipeline=dict(DEFAULT_PIPELINE)
     )
@@ -253,7 +250,6 @@ def load_or_build(
             "index_built",
             path=pcap_path,
             rows=table.num_rows,
-            workers=workers,
         )
     if use_cache:
         write_sidecar(pcap_path, payload, cursor)

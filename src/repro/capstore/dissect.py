@@ -67,8 +67,8 @@ def record_verdict(
     bytes are ``buf[start:end]``: it either appends one complete row
     (row and packet columns alike only once the whole datagram passed)
     and returns ``None``, or appends nothing and returns the drop reason.
-    The decision is stateless per record, which is what makes row-group
-    parallel index builds exactly equivalent to a serial pass.
+    The decision is stateless per record, which is what makes extending
+    a grown capture's index exactly equivalent to rebuilding it.
 
     Origin and acknowledged-scanner lookups go through the two tries
     flattened once, here: build a new verdict after registering prefixes.

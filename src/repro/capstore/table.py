@@ -6,8 +6,8 @@ single ``tobytes()`` per column), and one parsed long header per *packet*
 entry.  Rows reference their packets through a prefix-offset array, and
 variable-length packet fields (DCID/SCID/token/retry token) live as slices
 of one shared byte blob — the layout the paper's "dissect once, analyze
-many times" pipeline wants: dense, order-preserving, and cheap to
-concatenate across row groups built by parallel workers.
+many times" pipeline wants: dense, order-preserving, and append-only, so
+a grown capture's tail extends the table its prefix built.
 
 Rows are written by :func:`repro.capstore.dissect.record_verdict`, straight
 from record bytes, and read back two ways.  The analyses fold over
@@ -151,31 +151,6 @@ class CaptureTable:
             self.origins.append(origin)
             self._origin_ids[origin] = index
         return index
-
-    def extend(self, other: "CaptureTable") -> None:
-        """Append all rows of ``other``, remapping its origin table.
-
-        Concatenating row-group tables in record order reproduces exactly
-        the table a serial pass would build: per-row columns concatenate,
-        offsets shift by this table's totals, and the merged origin table
-        is still in global first-seen order.
-        """
-        origin_map = [self.origin_index(name) for name in other.origins]
-        for name, _ in ROW_COLUMNS:
-            if name == "origin_id":
-                continue
-            getattr(self, name).extend(getattr(other, name))
-        self.origin_id.extend(origin_map[i] for i in other.origin_id)
-        packet_base = self.num_packets
-        self.pkt_start.extend(packet_base + v for v in other.pkt_start[1:])
-        for name, _ in PACKET_COLUMNS:
-            getattr(self, name).extend(getattr(other, name))
-        blob_base = self.bytes_start[-1]
-        self.bytes_start.extend(blob_base + v for v in other.bytes_start[1:])
-        sv_base = self.sv_start[-1]
-        self.sv_start.extend(sv_base + v for v in other.sv_start[1:])
-        self.sv_values.extend(other.sv_values)
-        self.blob += other.blob
 
     def rebuild_origin_index(self) -> None:
         """Recompute the name→id map after deserialization."""

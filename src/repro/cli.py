@@ -186,21 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     obs, obs_prom = _observability_flags()
     tables = " ".join(VALID_TABLES)
-    capstore_flags = [
-        _arg(
-            "--workers",
-            type=_positive_int,
-            default=1,
-            metavar="N",
-            help="dissect the pcap over N worker processes on an index "
-            "cache miss (row-group parallel; output identical for any N)",
-        ),
-        _arg(
-            "--no-cache",
-            action="store_true",
-            help="ignore and do not write the .capidx sidecar index",
-        ),
-    ]
+    no_cache = _arg(
+        "--no-cache",
+        action="store_true",
+        help="ignore and do not write the .capidx sidecar index",
+    )
 
     _command(
         sub,
@@ -251,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="emit machine-readable stats (includes the metrics snapshot)",
             ),
-            *capstore_flags,
+            no_cache,
         ],
     )
     _command(
@@ -274,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="which outputs to print: %s (default: 1 2 3 4); unknown "
                 "names abort before the pcap is read" % tables,
             ),
-            *capstore_flags,
+            no_cache,
         ],
     )
     _command(
@@ -347,13 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--force",
                 action="store_true",
                 help="rebuild even when a valid index exists",
-            ),
-            _arg(
-                "--workers",
-                type=_positive_int,
-                default=1,
-                metavar="N",
-                help="dissect over N worker processes when building",
             ),
         ],
     )

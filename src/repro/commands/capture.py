@@ -1,7 +1,7 @@
 """``repro classify``, ``analyze`` and ``index``: the read side.
 
 All three go through the columnar analysis plane (``repro.capstore``):
-one dissection pass — parallelizable with ``--workers N`` — builds a
+one in-process dissection pass builds a
 ``.capidx`` sidecar next to the pcap, and later runs load the columns
 straight from disk (``--no-cache`` opts out).  ``analyze``/``index``
 also accept several pcaps (the per-worker shard files a ``simulate
@@ -39,12 +39,9 @@ def load_capture(args: argparse.Namespace, obs: Observability, pcap: str):
     Delegates to :func:`repro.capstore.load_or_build`: a valid ``.capidx``
     sidecar loads columns straight from disk (``index.load`` timer, cache
     ``hit`` counter); otherwise one streaming dissection pass builds the
-    table — over ``--workers N`` row groups when requested — and persists
-    the sidecar unless ``--no-cache``.
+    table and persists the sidecar unless ``--no-cache``.
     """
-    view, _cache_hit = load_or_build(
-        pcap, workers=args.workers, use_cache=not args.no_cache, obs=obs
-    )
+    view, _cache_hit = load_or_build(pcap, use_cache=not args.no_cache, obs=obs)
     note_unindexed(args.command, pcap, view)
     return view
 
@@ -227,13 +224,13 @@ def cmd_index(args: argparse.Namespace) -> int:
             pass
     obs = make_obs(args, force_metrics=True)
     try:
-        view, cache_hit = load_or_build(pcap, workers=args.workers, obs=obs)
+        view, cache_hit = load_or_build(pcap, obs=obs)
     finally:
         finish_obs(args, obs)
     note_unindexed(args.command, pcap, view)
     stats = view.stats
     print(
-        "%s %s: %d rows (%d backscatter, %d scans) from %d records%s"
+        "%s %s: %d rows (%d backscatter, %d scans) from %d records"
         % (
             "Validated" if cache_hit else "Indexed",
             index_path,
@@ -241,7 +238,6 @@ def cmd_index(args: argparse.Namespace) -> int:
             stats.backscatter,
             stats.scans,
             stats.total_records,
-            "" if cache_hit else " [workers=%d]" % args.workers,
         )
     )
     return 0

@@ -63,10 +63,6 @@ class DissectedDatagram:
     crypto_validated: bool = False
 
     @property
-    def packet_types(self) -> tuple[PacketType, ...]:
-        return tuple(p.packet_type for p in self.packets)
-
-    @property
     def coalesced(self) -> bool:
         return len(self.packets) > 1
 

@@ -188,7 +188,7 @@ def render_analysis(capture, wanted: set) -> str:
     hand in (cut straight from the columns, no object per row), or a
     :class:`~repro.telescope.classify.ClassifiedCapture` of materialized
     packets — both render byte-identically, which the equivalence tests
-    and ``bench_analyze`` assert.  The capture is read in one pass.
+    assert.  The capture is read in one pass.
     """
     wanted = set(wanted)
     # Table 1's RTO rows are the rto table's names.

@@ -18,7 +18,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import InputFileError
 
@@ -200,7 +200,7 @@ def iter_pcap_range(path: str, offset: int, count: int) -> Iterator[PcapRecord]:
                 yield next(records)
             except StopIteration:
                 raise PcapError(
-                    "row group at offset %d ends before %d records" % (offset, count)
+                    "fewer than %d records from offset %d" % (count, offset)
                 ) from None
 
 
@@ -249,16 +249,10 @@ class PcapWalk:
     whose ``incl_len`` runs past ``size`` — which is never buffered on
     the header's say-so, so a corrupt length cannot make the walk hold
     more than one chunk plus one record that really is in the file.
-    ``limit`` ends the pass after that many records.
     """
 
-    def __init__(
-        self, path: str, cursor: PcapCursor, limit: Optional[int] = None
-    ) -> None:
+    def __init__(self, path: str, cursor: PcapCursor) -> None:
         self.cursor = cursor
-        self.limit = limit
-        #: Records handed over so far.
-        self.records = 0
         self.done = False
         self._base = cursor.offset  # file offset of the current chunk
         self._carry = b""
@@ -294,9 +288,8 @@ class PcapWalk:
         filled = len(buf)
         self._base = self._read_to - filled
         unpack = self._unpack
-        budget = -1 if self.limit is None else self.limit - self.records
         pos = count = short = 0
-        while filled - pos >= 16 and count != budget:
+        while filled - pos >= 16:
             ts_sec, ts_usec, incl_len, _orig_len = unpack(buf, pos)
             stop = pos + 16 + incl_len
             if stop > filled:
@@ -305,14 +298,12 @@ class PcapWalk:
             on_record(ts_sec + ts_usec / 1_000_000, buf, pos + 16, stop)
             pos = stop
             count += 1
-        self.records += count
         cursor = self.cursor
         cursor.offset = self._base + pos
         if cursor.digest is not None:
             cursor.digest.update(memoryview(buf)[:pos])
         self.done = (
-            count == budget
-            or len(data) < want  # the file shrank under the walk
+            len(data) < want  # the file shrank under the walk
             or self._read_to >= self.size  # nothing left to complete a record
             or self._read_to + short > self.size  # the record runs past size
         )
@@ -324,12 +315,6 @@ class PcapWalk:
         """Every remaining step."""
         while not self.done:
             self.step(on_record)
-
-    def record_offsets(self) -> list[int]:
-        """Walk to the end, looking only at where each record starts."""
-        offsets: list[int] = []
-        self.run(lambda _ts, _buf, start, _end: offsets.append(self._base + start - 16))
-        return offsets
 
 
 def scan_pcap_tail(path: str, start: int = _GLOBAL_HEADER.size) -> tuple[list[int], int]:
@@ -346,8 +331,10 @@ def scan_pcap_tail(path: str, start: int = _GLOBAL_HEADER.size) -> tuple[list[in
     if os.path.getsize(path) < _GLOBAL_HEADER.size:
         return [], start  # global header itself still being written
     cursor = PcapCursor(max(start, _GLOBAL_HEADER.size))
+    offsets: list[int] = []
     with PcapWalk(path, cursor) as walk:
-        return walk.record_offsets(), cursor.offset
+        walk.run(lambda _ts, _buf, at, _end: offsets.append(walk._base + at - 16))
+    return offsets, cursor.offset
 
 
 def scan_pcap_offsets(path: str) -> list[int]:

@@ -1,4 +1,4 @@
-"""The one supervised process pool: shards, row groups and sweep cells.
+"""The one supervised process pool: simulation shards and sweep cells.
 
 Every payload gets a process and a pipe of its own, so a worker that is
 killed (the OOM-killer does not ask) is end-of-file on *its* pipe — a
@@ -37,7 +37,7 @@ def run_pool(
     (``target`` is module-level: lint rule MP001).  An exception from
     ``target`` is re-raised here, the remote traceback its cause; a worker
     that dies raises :class:`WorkerDied` naming the ``unit`` (``"shard"``,
-    ``"row group"``, ``"cell"``) it ran.  Whatever ends the iteration early
+    ``"cell"``) it ran.  Whatever ends the iteration early
     kills the workers still running first: none outlives the caller's cleanup.
     """
     if len(payloads) == 1:

@@ -7,7 +7,7 @@ network byte order.
 
 from __future__ import annotations
 
-from repro.buffer import Reader, Writer
+from repro.buffer import Reader
 
 #: Largest value representable as a QUIC varint (2^62 - 1).
 VARINT_MAX = (1 << 62) - 1
@@ -64,7 +64,3 @@ def decode_varint(data: bytes) -> tuple[int, int]:
     reader = Reader(data)
     value = read_varint(reader)
     return value, reader.pos
-
-
-def write_varint(writer: Writer, value: int, width: int | None = None) -> None:
-    writer.write(encode_varint(value, width))

@@ -133,16 +133,21 @@ def plan_shards(config: ScenarioConfig, workers: int) -> list[Shard]:
 def resolve_workers(workers, config: ScenarioConfig) -> int:
     """Resolve a ``--workers`` value (an int or ``"auto"``) to a count.
 
-    ``auto`` picks ``min(os.cpu_count(), planned shards)`` — more workers
+    ``auto`` picks ``min(usable CPUs, planned shards)`` — more workers
     than shards would sit idle, and :func:`plan_shards` drops empty
-    buckets anyway.  On a 1-CPU box it falls back to the serial path (1):
+    buckets anyway.  The usable CPUs are the process's affinity mask where
+    the platform has one (``taskset``, a container's cpuset), else
+    ``os.cpu_count()``.  With one CPU it falls back to the serial path (1):
     there the workers time-slice one core and the pool, the per-shard
     pcaps and the merge are pure overhead (measured 0.77–0.88× of serial
     when the runner landed; 1.2× with two workers on two cores since).
     """
     if workers != "auto":
         return int(workers)
-    cpus = os.cpu_count() or 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
     if cpus < 2:
         return 1
     planned = len(plan_shards(config, cpus))

@@ -38,12 +38,6 @@ class TestRenderEquivalence:
             legacy, ALL_TABLES
         )
 
-    def test_parallel_build_renders_identically(self, month_pcap, legacy):
-        view, _hit = load_or_build(month_pcap, workers=4, use_cache=False)
-        assert render_analysis(view, ALL_TABLES) == render_analysis(
-            legacy, ALL_TABLES
-        )
-
 
 class TestRowView:
     def test_views_mirror_captured_packets(self, legacy, columnar):

@@ -1,6 +1,6 @@
-"""Build parity: serial == row-group parallel == shard-set builds.
+"""Build parity: one pcap == its records in memory == its shard set.
 
-Classification is stateless per record, so every build strategy must
+Classification is stateless per record, so every record source must
 yield the *same* columnar table — these tests pin that invariant, plus
 agreement with the legacy object pipeline it replaced.
 """
@@ -13,7 +13,7 @@ from repro.capstore import (
     default_acknowledged,
     default_asdb,
 )
-from repro.capstore.build import _row_groups, build_from_records
+from repro.capstore.build import build_from_records
 from repro.netstack.pcap import (
     iter_pcap,
     merge_pcap_files,
@@ -28,7 +28,7 @@ from repro.workloads.scenario import ScenarioConfig
 
 @pytest.fixture(scope="module")
 def serial_build(month_pcap):
-    return build_capture_table(month_pcap, workers=1)
+    return build_capture_table(month_pcap)
 
 
 class TestSerialBuild:
@@ -61,32 +61,6 @@ class TestSerialBuild:
         assert offsets == sorted(offsets)
 
 
-class TestParallelBuild:
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_row_group_parallel_equals_serial(self, month_pcap, serial_build, workers):
-        serial_table, serial_stats = serial_build
-        table, stats = build_capture_table(month_pcap, workers=workers)
-        assert table == serial_table
-        assert stats == serial_stats
-
-    def test_more_workers_than_records_degrades_gracefully(self, tmp_path, month_pcap):
-        records = read_pcap(month_pcap)[:3]
-        tiny = str(tmp_path / "tiny.pcap")
-        write_pcap(tiny, records)
-        serial = build_capture_table(tiny, workers=1)
-        wide = build_capture_table(tiny, workers=16)
-        assert wide == serial
-
-    def test_row_groups_cover_all_offsets_contiguously(self):
-        offsets = list(range(0, 1000, 10))
-        groups = _row_groups(offsets, 7)
-        assert sum(count for _off, count in groups) == len(offsets)
-        cursor = 0
-        for offset, count in groups:
-            assert offset == offsets[cursor]
-            cursor += count
-
-
 def _shard_set(tmp_path, config, count):
     """The pcaps ``simulate --workers <count> --no-merge`` would leave."""
     shards = plan_shards(config, count)
@@ -114,12 +88,12 @@ class TestShardBuild:
         merge_pcap_files(shard_paths, merged)
 
         from_shards = build_from_shards(shard_paths)
-        from_merged = build_capture_table(merged, workers=1)
+        from_merged = build_capture_table(merged)
         assert from_shards[0] == from_merged[0]
         assert from_shards[1] == from_merged[1]
 
     def test_single_shard_runs_in_process(self, tmp_path, month_pcap):
         single = build_from_shards([month_pcap])
-        serial = build_capture_table(month_pcap, workers=1)
+        serial = build_capture_table(month_pcap)
         assert single[0] == serial[0]
         assert single[1] == serial[1]

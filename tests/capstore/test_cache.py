@@ -108,15 +108,6 @@ class TestLoadOrBuild:
         assert rebuilt.table == view.table
         assert load_index(index_path).pipeline == payload.pipeline
 
-    def test_parallel_build_hits_same_cache(self, pcap_copy):
-        serial_view, _ = load_or_build(pcap_copy, workers=1)
-        _view, hit = load_or_build(pcap_copy, workers=4)
-        assert hit  # workers only matter on a miss
-        os.unlink(sidecar_path(pcap_copy))
-        parallel_view, hit = load_or_build(pcap_copy, workers=4)
-        assert not hit
-        assert parallel_view.table == serial_view.table
-
 
 class TestObservability:
     def test_cold_run_counts_miss_and_build_timer(self, pcap_copy):

@@ -154,7 +154,7 @@ class TestCaptureFamilies:
         assert capsys.readouterr().out.strip()
 
     def test_index_build_and_info(self, env, capsys):
-        assert main(["index", env["pcap"], "--workers", "2"]) == 0
+        assert main(["index", env["pcap"]]) == 0
         assert main(["index", env["pcap"], "--info"]) == 0
         assert "rows" in capsys.readouterr().out
 

@@ -79,7 +79,7 @@ def tiny_pcap(tmp_path_factory):
 class TestReadSideBoundary:
     def test_cold_index_warm_analyze_and_classify_load_no_write_side(self, tiny_pcap):
         assert not os.path.exists(tiny_pcap + ".capidx")
-        cold = _modules_after(["index", tiny_pcap, "--workers", "1"])
+        cold = _modules_after(["index", tiny_pcap])
         assert os.path.exists(tiny_pcap + ".capidx")
         warm = _modules_after(
             ["analyze", tiny_pcap, "--tables", "1", "2", "3", "4", "rto", "lengths"]

@@ -98,7 +98,7 @@ def capture(request, tmp_path_factory):
     order, and the pcap records they were dissected from."""
     path = str(tmp_path_factory.mktemp("fold") / "case.pcap")
     _write_case(request.param, path)
-    table, stats = build_capture_table(path, workers=1)
+    table, stats = build_capture_table(path)
     assert table.num_rows > 0
     records = read_pcap(path)
     os.unlink(path)

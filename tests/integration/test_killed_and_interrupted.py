@@ -18,11 +18,9 @@ import pytest
 
 import repro
 import repro.atomic
-import repro.capstore.build
 import repro.netstack.pcap
 import repro.simnet.shard
 import repro.sweep.runner
-from repro.capstore.build import _worker_build
 from repro.capstore.format import dump_index
 from repro.capstore.table import CaptureTable
 from repro.cli import main
@@ -70,12 +68,6 @@ def _shard_1_dies(payload):
     return _worker_main(payload)
 
 
-def _row_group_1_dies(payload):
-    if payload[1] > 24:  # its byte offset: the first group starts behind the file header
-        os._exit(137)
-    return _worker_build(payload)
-
-
 def _cell_1_dies(payload):
     if payload[0].index == 1:
         os._exit(137)
@@ -101,19 +93,6 @@ class TestWorkerDeath:
         assert capsys.readouterr().err == _died("simulate", "shard")
         assert glob.glob(out + ".shard*") == []  # --keep-shards is for a success
         assert not os.path.exists(out)
-        assert _temps(tmp_path) == []
-
-    def test_index(self, tmp_path, monkeypatch, capsys):
-        pcap = str(tmp_path / "month.pcap")
-        assert main(["simulate", pcap, "--scale", "0.02", "--seed", "3"]) == 0
-        capsys.readouterr()
-        monkeypatch.setattr(repro.capstore.build, "_worker_build", _row_group_1_dies)
-        start = time.monotonic()
-        status = main(["index", pcap, "--workers", "2"])
-        assert time.monotonic() - start < BOUND
-        assert status == 2
-        assert capsys.readouterr().err == _died("index", "row group")
-        assert not os.path.exists(pcap + ".capidx")
         assert _temps(tmp_path) == []
 
     def test_sweep_run(self, tmp_path, monkeypatch, capsys):

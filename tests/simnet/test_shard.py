@@ -182,8 +182,23 @@ class TestShardDataclass:
         assert shard.unit_names == tuple(u.name for u in units)
 
 
+def _cpus(monkeypatch, count, usable=None):
+    """``count`` CPUs in the box, ``usable`` of them (default: all) in the mask.
+
+    ``usable=False``: the platform has no affinity mask at all.
+    """
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    if usable is False:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        mask = set(range(count if usable is None else usable))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: mask, raising=False)
+
+
 class TestResolveWorkers:
-    """`--workers auto` heuristic: min(cpu_count, planned shards), serial on 1 CPU."""
+    """`--workers auto` heuristic: min(usable CPUs, planned shards), serial on 1 CPU."""
 
     def test_explicit_counts_pass_through(self):
         from repro.simnet.shard import resolve_workers
@@ -193,36 +208,34 @@ class TestResolveWorkers:
         assert resolve_workers("8", CONFIG) == 8
 
     def test_auto_serial_on_single_cpu(self, monkeypatch):
-        import os
-
         from repro.simnet import shard
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        _cpus(monkeypatch, 1)
+        assert shard.resolve_workers("auto", CONFIG) == 1
+
+    def test_auto_serial_when_pinned_to_one_cpu(self, monkeypatch):
+        from repro.simnet import shard
+
+        _cpus(monkeypatch, 2, usable=1)  # os.sched_setaffinity(0, {0})
         assert shard.resolve_workers("auto", CONFIG) == 1
 
     def test_auto_serial_when_cpu_count_unknown(self, monkeypatch):
-        import os
-
         from repro.simnet import shard
 
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        _cpus(monkeypatch, None, usable=False)
         assert shard.resolve_workers("auto", CONFIG) == 1
 
     def test_auto_caps_at_cpu_count(self, monkeypatch):
-        import os
-
         from repro.simnet import shard
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _cpus(monkeypatch, 3)
         resolved = shard.resolve_workers("auto", CONFIG)
         assert resolved == min(3, len(plan_shards(CONFIG, 3)))
 
     def test_auto_caps_at_planned_shards(self, monkeypatch):
-        import os
-
         from repro.simnet import shard
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 4096)
+        _cpus(monkeypatch, 4096)
         resolved = shard.resolve_workers("auto", CONFIG)
         assert resolved == len(plan_shards(CONFIG, 4096))
         assert resolved >= 1

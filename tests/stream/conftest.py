@@ -34,5 +34,5 @@ def pcap_copy(stream_pcap, tmp_path):
 @pytest.fixture(scope="session")
 def batch_view(stream_pcap):
     """The batch-plane truth the online reducers must agree with."""
-    table, stats = build_capture_table(stream_pcap, workers=1)
+    table, stats = build_capture_table(stream_pcap)
     return ClassifiedView(table, stats)

@@ -45,7 +45,7 @@ class TestFollowerGrowth:
             follower.poll()
             analyses.feed(follower.table, fed, follower.num_rows)
             fed = follower.num_rows
-        table, stats = build_capture_table(stream_pcap, workers=1)
+        table, stats = build_capture_table(stream_pcap)
         assert follower.table == table
         assert follower.stats == stats
         assert analyses.snapshot()["rows_fed"] == table.num_rows
@@ -94,7 +94,7 @@ class TestFollowerCache:
         follower = PcapFollower(pcap_copy)
         rows = follower.poll()
         assert follower.offset == os.path.getsize(pcap_copy)
-        table, _stats = build_capture_table(pcap_copy, workers=1)
+        table, _stats = build_capture_table(pcap_copy)
         assert rows == table.num_rows
         assert follower.table == table
 
