@@ -8,8 +8,7 @@ the repo root:
   (so the ``repro live`` final render is byte-identical to ``repro
   analyze``), and the online :class:`~repro.stream.StreamAnalyses`
   reducers must land on exactly the batch values for the version mix,
-  packet mix and off-net counts — for a single pcap and for a
-  ``--no-merge`` shard set fed through per-shard followers.
+  packet mix and off-net counts.
 * **incremental** — after a capture grows by ~10%, revalidating the
   ``.capidx`` sidecar against the stored prefix fingerprint and
   dissecting only the appended tail must beat a full no-cache rebuild.
@@ -48,17 +47,15 @@ import time
 
 from _harness import environment_stamp
 
-from repro.capstore import ClassifiedView, build_from_shards, load_or_build
+from repro.capstore import load_or_build
 from repro.cli import VALID_TABLES, main as cli_main, render_analysis
 from repro.core.offnet import extract_features
 from repro.core.selectors import SIDES, TABLE2_ROWS
 from repro.core.versions import table2
-from repro.netstack.pcap import scan_pcap_offsets, write_pcap
+from repro.netstack.pcap import scan_pcap_offsets
 from repro.obs import MetricsRegistry, Observability
-from repro.simnet.shard import plan_shards, run_shard
 from repro.stream.live import PcapFollower
 from repro.stream.reducers import StreamAnalyses
-from repro.workloads.scenario import ScenarioConfig
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_stream.json")
 DEFAULT_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
@@ -153,26 +150,6 @@ def run_bench(scale=DEFAULT_SCALE):
         results["parity"]["live_table_equal"] = follower.table == batch_view.table
         results["parity"]["reducers_match_batch"] = _reducers_match_batch(
             analyses, batch_view
-        )
-
-        # -- parity arm: --no-merge shard set ---------------------------
-        config = ScenarioConfig(seed=SEED).scaled(min(scale, 0.05))
-        shard_paths = []
-        for shard in plan_shards(config, 3):
-            records = run_shard(config, [unit.name for unit in shard.units])
-            path = os.path.join(tmp, "out.pcap.shard%d" % shard.index)
-            write_pcap(path, records)
-            shard_paths.append(path)
-        shard_analyses = StreamAnalyses()
-        for path in shard_paths:
-            shard_follower = PcapFollower(path, use_cache=False)
-            shard_follower.poll()
-            shard_analyses.feed(
-                shard_follower.table, 0, shard_follower.num_rows
-            )
-        shard_view = ClassifiedView(*build_from_shards(shard_paths))
-        results["parity"]["shard_reducers_match_batch"] = _reducers_match_batch(
-            shard_analyses, shard_view
         )
 
         # -- incremental arm: 10% growth vs full rebuild ----------------

@@ -3,19 +3,17 @@
 The analysis plane of the toolchain, one pipeline with one way in.
 ``dissect`` decides keep or drop for one record's bytes and appends the
 kept row's columns, ``build`` runs it over a record source into a
-:class:`~repro.capstore.table.CaptureTable` — one pcap in one pass, or a
-``--no-merge`` shard set as its merged record stream, in process —
-``format`` persists the table as
-a versioned ``.capidx`` sidecar, and ``cache`` makes the whole thing
-transparent to ``repro classify``/``analyze``/``live``:
-:func:`load_or_build` builds on miss, extends a grown capture, validates
-by source fingerprint and loads columns straight from disk on hit.
+:class:`~repro.capstore.table.CaptureTable` — one pcap in one pass, in
+process — ``format`` persists the table as a versioned ``.capidx``
+sidecar, and ``cache`` makes the whole thing transparent to ``repro
+classify``/``analyze``/``live``: :func:`load_or_build` builds on miss,
+extends a grown capture, validates by source fingerprint and loads
+columns straight from disk on hit.
 """
 
 from repro.capstore.build import (
     build_capture_table,
     build_from_records,
-    build_from_shards,
     default_acknowledged,
     default_asdb,
     dissect_pcap,
@@ -47,7 +45,6 @@ __all__ = [
     "ClassifiedView",
     "build_capture_table",
     "build_from_records",
-    "build_from_shards",
     "dissect_pcap",
     "record_verdict",
     "default_asdb",

@@ -1,4 +1,4 @@
-"""Build :class:`CaptureTable` from pcaps: one file or a shard set.
+"""Build :class:`CaptureTable` from a pcap, or from records in memory.
 
 Every build is one keep/drop verdict of :mod:`repro.capstore.dissect`
 per record, appending the kept rows' columns, over one record source —
@@ -10,11 +10,10 @@ order, in this process:
 * :func:`build_capture_table` — one pcap, cold: :func:`dissect_pcap`
   from its first record into a new table;
 * :func:`build_from_records` — the same verdict over records already in
-  memory (a scenario's telescope, a test's list) or streamed;
-* :func:`build_from_shards` — per-shard pcaps (as written by ``repro
-  simulate --workers N --no-merge``): :func:`build_from_records` over
-  their :func:`~repro.netstack.pcap.merged_records`, the stream ``simulate``
-  writes when it merges, so the result equals indexing the merged pcap.
+  memory (a scenario's telescope, a test's list) or streamed.
+
+A sharded ``simulate`` merges its shards into one pcap before anything
+reads them, so a capture on disk is always one file.
 
 The read path has one pipeline: the CLI's AS database and
 acknowledged-scanner registry (:func:`default_asdb`,
@@ -24,13 +23,13 @@ acknowledged-scanner registry (:func:`default_asdb`,
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 from repro.capstore.dissect import record_verdict
 from repro.capstore.table import CaptureTable
 from repro.core.selectors import DROP_REASONS
 from repro.inetdata.asdb import ISP_NETWORKS, AsDatabase, AsEntry
-from repro.netstack.pcap import PcapCursor, PcapRecord, PcapWalk, merged_records
+from repro.netstack.pcap import PcapCursor, PcapRecord, PcapWalk
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_SANITIZE
 from repro.telescope.acknowledged import RESEARCH_NETWORKS, AcknowledgedScanners
@@ -157,20 +156,6 @@ def build_from_records(
         data = record.data
         on_record(record.timestamp, data, 0, len(data))
     return table, finish()
-
-
-def build_from_shards(
-    shard_paths: Sequence[str], obs: Optional[Observability] = None
-) -> Tuple[CaptureTable, SanitizationStats]:
-    """Index a ``--no-merge`` shard set: the table of its merged pcap.
-
-    One pass over the shards' :func:`merged_records` — the record stream
-    ``simulate --workers`` writes when it merges — so the rows come out
-    in merged order and a torn shard is a :class:`PcapError` naming it.
-    """
-    return build_from_records(
-        merged_records(shard_paths), default_asdb(), default_acknowledged(), obs=obs
-    )
 
 
 def emit_stats_counters(stats: SanitizationStats, obs: Optional[Observability]) -> None:

@@ -98,8 +98,8 @@ def _observability_flags() -> tuple[argparse.ArgumentParser, argparse.ArgumentPa
         "--trace-ring-signal",
         action="store_true",
         help="with --trace-ring: also dump the ring to the --trace file on "
-        "SIGUSR1, so long runs can be inspected mid-flight (no-op on "
-        "platforms without SIGUSR1)",
+        "SIGUSR1, so long runs can be inspected mid-flight (this process "
+        "only, not its workers; no-op on platforms without SIGUSR1)",
     )
     obs.add_argument(
         "--metrics",
@@ -214,18 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "'auto' resolves to min(cpu count, planned shards) and falls "
                 "back to serial on 1-CPU boxes",
             ),
-            _arg(
-                "--keep-shards",
-                action="store_true",
-                help="with --workers: leave the per-shard pcaps (<output>.shard<k>) "
-                "on disk after the merge",
-            ),
-            _arg(
-                "--no-merge",
-                action="store_true",
-                help="with --workers: skip the merge step entirely; analyze/index "
-                "consume the shard pcaps directly (repro analyze out.pcap.shard*)",
-            ),
         ],
     )
     _command(
@@ -251,12 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reproduce tables from a pcap",
         inherit=obs,
         arguments=[
-            _arg(
-                "pcap",
-                nargs="+",
-                help="capture to analyze; several paths (e.g. out.pcap.shard*) are "
-                "treated as per-worker shard pcaps and indexed without a merge",
-            ),
+            _arg("pcap", help="capture to analyze"),
             _arg(
                 "--tables",
                 nargs="*",
@@ -275,18 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
         "Prometheus gauges, batch-identical final render",
         inherit=obs_prom,
         arguments=[
-            _arg(
-                "pcap",
-                nargs="+",
-                help="capture(s) to follow; several paths are treated as a "
-                "--no-merge shard set and followed in parallel",
-            ),
+            _arg("pcap", help="capture to follow"),
             _arg(
                 "--interval",
                 type=float,
                 default=1.0,
                 metavar="SECONDS",
-                help="seconds between polls of the capture file(s) (default: 1)",
+                help="seconds between polls of the capture file (default: 1)",
             ),
             _arg(
                 "--exit-idle",
@@ -322,12 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="prebuild or inspect the .capidx analysis index",
         inherit=obs,
         arguments=[
-            _arg(
-                "pcap",
-                nargs="+",
-                help="pcap to index; several paths are treated as per-worker shard "
-                "pcaps and indexed in one in-memory pass (no sidecar written)",
-            ),
+            _arg("pcap", help="pcap to index"),
             _arg(
                 "--info",
                 action="store_true",

@@ -3,11 +3,9 @@
 All three go through the columnar analysis plane (``repro.capstore``):
 one in-process dissection pass builds a
 ``.capidx`` sidecar next to the pcap, and later runs load the columns
-straight from disk (``--no-cache`` opts out).  ``analyze``/``index``
-also accept several pcaps (the per-worker shard files a ``simulate
---workers N --no-merge`` run leaves behind) and index their merged record
-stream (``build_from_shards``) without writing a merged pcap.  Nothing
-here imports the simulator.
+straight from disk (``--no-cache`` opts out).  Each reads exactly one
+pcap — a sharded ``simulate`` leaves one merged capture, so that pcap
+and its sidecar are the only input.  Nothing here imports the simulator.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ import os
 import sys
 
 from repro.capstore import (
-    ClassifiedView,
-    build_from_shards,
     fingerprint_matches,
     load_or_build,
     read_header,
@@ -33,16 +29,16 @@ from repro.errors import UsageError
 from repro.obs import Observability
 
 
-def load_capture(args: argparse.Namespace, obs: Observability, pcap: str):
-    """Load the sanitized capture through the columnar analysis plane.
+def load_capture(args: argparse.Namespace, obs: Observability):
+    """Load the sanitized capture of ``args.pcap`` through the analysis plane.
 
     Delegates to :func:`repro.capstore.load_or_build`: a valid ``.capidx``
     sidecar loads columns straight from disk (``index.load`` timer, cache
     ``hit`` counter); otherwise one streaming dissection pass builds the
     table and persists the sidecar unless ``--no-cache``.
     """
-    view, _cache_hit = load_or_build(pcap, use_cache=not args.no_cache, obs=obs)
-    note_unindexed(args.command, pcap, view)
+    view, _cache_hit = load_or_build(args.pcap, use_cache=not args.no_cache, obs=obs)
+    note_unindexed(args.command, args.pcap, view)
     return view
 
 
@@ -62,12 +58,6 @@ def note_unindexed(command: str, pcap: str, view) -> None:
             % (command, pcap, view.indexed_bytes, size, size - view.indexed_bytes),
             file=sys.stderr,
         )
-
-
-def load_shard_capture(paths: list[str], obs: Observability) -> ClassifiedView:
-    """Index several per-shard pcaps as their merged record stream, in memory."""
-    with obs.span("index.build", local=True, shards=len(paths)):
-        return ClassifiedView(*build_from_shards(paths, obs=obs))
 
 
 def validate_tables(args: argparse.Namespace) -> set:
@@ -98,7 +88,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     obs = make_obs(args, force_metrics=args.json)
     try:
         with obs.timed("classify"):
-            capture = load_capture(args, obs, args.pcap)
+            capture = load_capture(args, obs)
     finally:
         finish_obs(args, obs)
     stats = capture.stats
@@ -143,10 +133,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     wanted = validate_tables(args)
     obs = make_obs(args)
     try:
-        if len(args.pcap) > 1:
-            capture = load_shard_capture(args.pcap, obs)
-        else:
-            capture = load_capture(args, obs, args.pcap[0])
+        capture = load_capture(args, obs)
         with obs.timed("analyze"), obs.span("analyze.render", local=True):
             print(render_analysis(capture, wanted))
         return 0
@@ -156,32 +143,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_index(args: argparse.Namespace) -> int:
     """Prebuild or inspect the ``.capidx`` sidecar for a pcap."""
-    if len(args.pcap) > 1:
-        # Shard mode: index the per-worker pcaps in one pass.  The table
-        # lives in memory only — a .capidx sidecar describes exactly one
-        # source pcap, so none is persisted; merge the shards (or pass a
-        # single pcap) to build a durable index.
-        if args.info or args.force:
-            raise UsageError("--info/--force apply to a single pcap, not shards")
-        obs = make_obs(args, force_metrics=True)
-        try:
-            view = load_shard_capture(args.pcap, obs)
-        finally:
-            finish_obs(args, obs)
-        stats = view.stats
-        print(
-            "Indexed %d shard pcaps in memory: %d rows (%d backscatter, %d "
-            "scans) from %d records (no sidecar written)"
-            % (
-                len(args.pcap),
-                len(view),
-                stats.backscatter,
-                stats.scans,
-                stats.total_records,
-            )
-        )
-        return 0
-    pcap = args.pcap[0]
+    pcap = args.pcap
     index_path = sidecar_path(pcap)
     if args.info:
         try:

@@ -8,15 +8,7 @@ from typing import Callable
 
 from repro.core.report import render_table
 from repro.errors import UsageError
-from repro.obs import (
-    JsonlTracer,
-    MetricsRegistry,
-    Observability,
-    Profiler,
-    RingBufferTracer,
-    SamplingTracer,
-    install_signal_dump,
-)
+from repro.obs import MetricsRegistry, Observability, Profiler, open_tracer
 
 
 def make_obs(args: argparse.Namespace, force_metrics: bool = False) -> Observability:
@@ -28,15 +20,12 @@ def make_obs(args: argparse.Namespace, force_metrics: bool = False) -> Observabi
     """
     if args.trace_ring and not args.trace:
         raise UsageError("--trace-ring needs --trace FILE to dump into")
-    tracer = None
-    if args.trace_ring:
-        tracer = RingBufferTracer(capacity=args.trace_ring, dump_path=args.trace)
-        if args.trace_ring_signal:
-            install_signal_dump(tracer)  # no-op without SIGUSR1
-    elif args.trace:
-        tracer = JsonlTracer.to_path(args.trace)
-    if tracer is not None and args.trace_sample:
-        tracer = SamplingTracer(tracer, every=args.trace_sample)
+    tracer = open_tracer(
+        args.trace,
+        sample=args.trace_sample,
+        ring=args.trace_ring,
+        signal=args.trace_ring_signal,
+    )
     metrics = MetricsRegistry() if force_metrics or args.metrics else None
     prof = Profiler(args.profile_every, metrics=metrics) if args.profile else None
     return Observability(tracer=tracer, metrics=metrics, prof=prof)

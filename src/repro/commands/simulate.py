@@ -11,7 +11,6 @@ from repro.active.prober import Prober
 from repro.commands.common import finish_obs, make_obs
 from repro.commands.prom import PromPublishers, wants_prom
 from repro.core.l7lb import convergence_curve
-from repro.errors import UsageError
 from repro.obs.progress import HeartbeatWriter, clean_progress_dir
 from repro.simnet.shard import resolve_workers, run_scenario, simulate_sharded
 from repro.workloads.scenario import (
@@ -32,8 +31,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     args.workers = resolve_workers(args.workers, config)
     if args.workers > 1:
         return _simulate_sharded(args, config)
-    if args.keep_shards or args.no_merge:
-        raise UsageError("--keep-shards/--no-merge need --workers N >= 2")
     print("Simulating %d (scale %.2f, seed %d)…" % (args.year, args.scale, args.seed))
     obs = make_obs(args, force_metrics=wants_prom(args))
     progress_dir = args.output + ".progress"
@@ -68,12 +65,11 @@ def _simulate_sharded(args: argparse.Namespace, config: ScenarioConfig) -> int:
     The parent's registry receives the merged worker snapshots, so
     ``--metrics``/``--prom-file`` report whole-run numbers (rendered
     after the merge rather than live).  With ``--trace``, worker *k*
-    writes ``FILE.worker<k>`` and the parent trace records the shard
-    plan.  Same seed and scale ⇒ same merged pcap for any worker count.
-    Workers heartbeat into ``<output>.progress/`` (``repro progress``
-    renders it live); ``--keep-shards`` leaves the per-shard pcaps next
-    to the merged file, ``--no-merge`` skips the merge entirely so
-    ``repro analyze <output>.shard*`` can consume the shards directly.
+    writes ``FILE.worker<k>`` (sampled or ring-buffered as the flags say)
+    and the parent trace records the shard plan.  Same seed and scale ⇒
+    same merged pcap for any worker count; the merged pcap is the only
+    capture the run leaves.  Workers heartbeat into
+    ``<output>.progress/`` (``repro progress`` renders it live).
     """
     print(
         "Simulating %d (scale %.2f, seed %d, %d workers)…"
@@ -89,28 +85,17 @@ def _simulate_sharded(args: argparse.Namespace, config: ScenarioConfig) -> int:
                 args.output,
                 obs=obs,
                 trace_path=args.trace,
+                trace_sample=args.trace_sample,
+                trace_ring=args.trace_ring,
                 progress_dir=args.output + ".progress",
-                keep_shards=args.keep_shards,
-                merge=not args.no_merge,
             )
     finally:
         prom.stop()
         finish_obs(args, obs)
-    if args.no_merge:
-        print(
-            "Wrote %d captured packets across %d shard pcaps (%s; not merged)"
-            % (result.total_records, len(result.shards), " ".join(result.shard_paths))
-        )
-    else:
-        print(
-            "Wrote %d captured packets to %s (merged from %d shards%s)"
-            % (
-                result.total_records,
-                args.output,
-                len(result.shards),
-                "; shard pcaps kept" if args.keep_shards else "",
-            )
-        )
+    print(
+        "Wrote %d captured packets to %s (merged from %d shards)"
+        % (result.total_records, args.output, len(result.shards))
+    )
     return 0
 
 

@@ -2,11 +2,10 @@
 
 Telescope captures are stored as standard pcap so they can be inspected
 with external tooling, and so the analysis pipeline can equally consume
-real-world raw-IP captures.  :func:`merged_records` k-way-merges
-time-sorted per-worker captures (``repro simulate --workers N``) into one
-record stream in capture order while holding only one record per input in
-memory; :func:`merge_pcap_files` writes that stream, and the index of a
-shard set is built from it.
+real-world raw-IP captures.  :func:`merge_pcap_files` k-way-merges the
+time-sorted per-worker captures of ``repro simulate --workers N`` into the
+run's one pcap, in capture order, holding only one record per input in
+memory.
 :class:`PcapWalk` is the index builder's reader: fixed-size chunks, the
 records of each handed over in place, no object per record.
 """
@@ -361,27 +360,20 @@ def record_sort_key(record: PcapRecord) -> tuple:
     return (*split_timestamp(record.timestamp), record.data)
 
 
-def merged_records(paths: Sequence[str]) -> Iterator[PcapRecord]:
-    """The records of time-sorted pcaps as one stream in capture order.
+def merge_pcap_files(paths: Sequence[str], output: str) -> int:
+    """K-way-merge time-sorted pcaps into ``output``, in capture order.
 
     Each input must already be sorted by :func:`record_sort_key` (shard
-    workers sort before writing); the k-way merge then holds one pending
-    record per input, and the order is a property of the record multiset
-    alone — the stream of a shard set is the stream of its merged pcap.
-    """
-    return heapq.merge(*(iter_pcap(path) for path in paths), key=record_sort_key)
-
-
-def merge_pcap_files(paths: Sequence[str], output: str) -> int:
-    """Write :func:`merged_records` of ``paths`` to ``output``.
-
+    workers sort before writing); the merge then holds one pending record
+    per input, and the order is a property of the record multiset alone.
     Returns the number of records written.
     """
+    merged = heapq.merge(*(iter_pcap(path) for path in paths), key=record_sort_key)
     count = 0
     # repro: allow(IO001) -- append log: `repro live` follows the merge as it lands
     with open(output, "wb") as fileobj:
         writer = PcapWriter(fileobj)
-        for record in merged_records(paths):
+        for record in merged:
             writer.write(record)
             count += 1
     return count

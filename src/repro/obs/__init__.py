@@ -37,6 +37,7 @@ from repro.obs.sinks import (
     RingBufferTracer,
     SamplingTracer,
     install_signal_dump,
+    open_tracer,
 )
 from repro.obs.spans import NULL_SPAN, Span, merge_span_timelines
 from repro.obs.trace import (
@@ -69,6 +70,7 @@ __all__ = [
     "SamplingTracer",
     "RingBufferTracer",
     "install_signal_dump",
+    "open_tracer",
     "DEFAULT_ALWAYS_KEEP",
     "NULL_TRACER",
     "read_trace",

@@ -38,6 +38,7 @@ from repro.obs.trace import (
     CAT_SECURITY,
     CAT_SIM,
     CAT_WORKLOAD,
+    JsonlTracer,
     Tracer,
 )
 
@@ -238,3 +239,28 @@ def install_signal_dump(tracer: RingBufferTracer, signum: Optional[int] = None) 
     except ValueError:  # not the main thread
         return False
     return True
+
+
+def open_tracer(
+    path: Optional[str], sample: int = 0, ring: int = 0, signal: bool = False
+) -> Optional[Tracer]:
+    """The trace sink ``--trace``/``--trace-sample``/``--trace-ring`` ask for.
+
+    None without a ``path``.  ``ring`` K keeps the last K events and dumps
+    them to ``path`` on close (and on SIGUSR1 too when ``signal``);
+    otherwise every event streams to ``path`` as JSONL.  ``sample`` N then
+    keeps every Nth event per type.  A command's own process and each of
+    its shard workers build their tracer here, so the flags mean the same
+    in both.
+    """
+    if not path:
+        return None
+    if ring:
+        tracer: Tracer = RingBufferTracer(capacity=ring, dump_path=path)
+        if signal:
+            install_signal_dump(tracer)  # no-op without SIGUSR1
+    else:
+        tracer = JsonlTracer.to_path(path)
+    if sample:
+        tracer = SamplingTracer(tracer, every=sample)
+    return tracer

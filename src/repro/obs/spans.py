@@ -20,10 +20,11 @@ names, packet counts, connection ids), so the *canonical* form of a span
 stream — volatile fields like wall clocks and process-local span ids
 stripped — is identical whichever worker emitted it.
 :func:`merge_span_timelines` k-way-merges per-worker span streams into
-one time-ordered timeline exactly the way shard pcaps are merged, and
-the result is byte-identical for any worker count.  Spans marked
-``local=True`` (build/merge/index phases that exist once per *process*,
-not once per simulated event) are excluded from the canonical stream.
+one time-ordered timeline exactly the way ``merge_pcap_files`` merges
+shard captures, and the result is byte-identical for any worker count.
+Spans marked ``local=True`` (build/merge/index phases that exist once per
+*process*, not once per simulated event) are excluded from the canonical
+stream.
 """
 
 from __future__ import annotations

@@ -16,11 +16,12 @@ into independent sub-scenarios and runs them in worker processes
    records — sorted by the canonical
    :func:`~repro.netstack.pcap.record_sort_key` — to a temporary pcap.
 3. **Merge** — the parent k-way-merges the per-worker pcaps into one
-   time-ordered file (:func:`~repro.netstack.pcap.merge_pcap_files`) and
-   folds the workers' metrics snapshots into its registry
-   (:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`),
+   time-ordered file (:func:`~repro.netstack.pcap.merge_pcap_files`),
+   removes them, and folds the workers' metrics snapshots into its
+   registry (:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`),
    pushgateway-style, so the existing Prometheus exporters publish
-   whole-run numbers.
+   whole-run numbers.  The merged pcap is the run's one capture: no
+   shard file is left behind, whether the run succeeds or fails.
 
 Determinism contract: all runtime randomness in the pipeline is *keyed*
 — per-unit seeds (:func:`~repro.workloads.scenario.derive_seed`),
@@ -38,12 +39,12 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.atomic import remove_orphaned_temps
 from repro.netstack.pcap import merge_pcap_files, write_pcap
-from repro.obs import NULL_OBS, JsonlTracer, MetricsRegistry, Observability, Profiler
+from repro.obs import NULL_OBS, MetricsRegistry, Observability, Profiler, open_tracer
 from repro.obs.progress import HeartbeatWriter, clean_progress_dir, expected_events
 from repro.obs.trace import CAT_SIM
 from repro.pool import run_pool
@@ -81,9 +82,6 @@ class ShardRunResult:
     total_records: int
     shards: list[Shard]
     worker_records: list[int]  # records captured per shard, by shard order
-    #: Per-shard pcap paths still on disk (empty unless the caller asked
-    #: to keep them via ``keep_shards``/``merge=False``).
-    shard_paths: list[str] = field(default_factory=list)
 
 
 def partition_units(
@@ -278,10 +276,11 @@ def _worker_main(payload: tuple):
 
     Returns ``(record_count, metrics_snapshot_or_None,
     prof_snapshot_or_None)``; the capture itself travels via the
-    filesystem (a temporary per-shard pcap) to keep the IPC payload
-    small.  ``prof_every`` turns on an in-worker profiler whose snapshot
-    the parent merges; ``progress_dir`` points at the run's heartbeat
-    directory.
+    filesystem (a temporary shard capture) to keep the IPC payload
+    small.  The trace is the command's own ``--trace-sample`` /
+    ``--trace-ring`` sink on this worker's file; ``prof_every`` turns on an
+    in-worker profiler whose snapshot the parent merges; ``progress_dir``
+    points at the run's heartbeat directory.
     """
     (
         config,
@@ -289,11 +288,13 @@ def _worker_main(payload: tuple):
         pcap_path,
         want_metrics,
         trace_path,
+        trace_sample,
+        trace_ring,
         prof_every,
         progress_dir,
         shard_index,
     ) = payload
-    tracer = JsonlTracer.to_path(trace_path) if trace_path else None
+    tracer = open_tracer(trace_path, sample=trace_sample, ring=trace_ring)
     metrics = MetricsRegistry() if want_metrics else None
     prof = Profiler(prof_every, metrics=metrics) if prof_every else None
     obs = Observability(tracer=tracer, metrics=metrics, prof=prof)
@@ -318,25 +319,25 @@ def simulate_sharded(
     output: str,
     obs: Optional[Observability] = None,
     trace_path: Optional[str] = None,
+    trace_sample: int = 0,
+    trace_ring: int = 0,
     progress_dir: Optional[str] = None,
-    keep_shards: bool = False,
-    merge: bool = True,
 ) -> ShardRunResult:
     """Run ``config`` across ``workers`` processes and merge into ``output``.
 
-    Per-shard pcaps are written next to ``output`` (``output.shard<k>``)
-    and removed after the merge unless ``keep_shards`` (or ``merge=False``,
-    which skips the merge entirely — downstream consumers read the shard
-    files directly via ``build_from_shards``); a run that fails — a worker
-    raised or died, the merge was interrupted — removes them regardless.
-    When ``obs`` carries a metrics registry, workers snapshot theirs and
-    the parent merges them; when it carries a profiler, workers profile at
-    the same sampling interval and the parent merges their stage trees.  When
-    ``trace_path`` is given, worker *k* writes its own JSONL trace to
-    ``trace_path.worker<k>`` (mergeable into one canonical span timeline
-    with ``repro trace merge``).  ``progress_dir`` makes every worker
-    write live heartbeats there (stale ones are cleaned first) for
-    ``repro progress`` / ``repro top``.
+    Shard captures are written next to ``output`` (``output.shard<k>``),
+    merged, and removed — on success and on failure alike (a worker raised
+    or died, the merge was interrupted), so no shard file outlives the
+    run.  When ``obs`` carries a metrics registry, workers snapshot theirs
+    and the parent merges them; when it carries a profiler, workers
+    profile at the same sampling interval and the parent merges their
+    stage trees.  When ``trace_path`` is given, worker *k*
+    traces to ``trace_path.worker<k>`` (mergeable into one canonical span
+    timeline with ``repro trace merge``) through the same sink the command
+    uses: every ``trace_sample``-th event per type, or the last
+    ``trace_ring`` events dumped when the worker ends.  ``progress_dir``
+    makes every worker write live heartbeats there (stale ones are
+    cleaned first) for ``repro progress`` / ``repro top``.
     """
     if workers < 2:
         raise ValueError(
@@ -356,6 +357,8 @@ def simulate_sharded(
             path,
             want_metrics,
             "%s.worker%d" % (trace_path, shard.index) if trace_path else None,
+            trace_sample,
+            trace_ring,
             prof_every,
             progress_dir,
             shard.index,
@@ -376,20 +379,16 @@ def simulate_sharded(
         results = [
             result for _index, result in sorted(run_pool(_worker_main, payloads, "shard"))
         ]
-        if merge:
-            # The parent deliberately opens no ``simulate.run`` span of its
-            # own: the merged worker trees already carry the run stages,
-            # and a parent duplicate would double-count them.
-            with obs.span("simulate.merge", local=True, shards=len(shard_paths)):
-                total = merge_pcap_files(shard_paths, output)
-        else:
-            total = sum(count for count, _metrics, _prof in results)
+        # The parent deliberately opens no ``simulate.run`` span of its
+        # own: the merged worker trees already carry the run stages, and a
+        # parent duplicate would double-count them.
+        with obs.span("simulate.merge", local=True, shards=len(shard_paths)):
+            total = merge_pcap_files(shard_paths, output)
         failed = False
     finally:
-        if failed or (merge and not keep_shards):
-            for path in shard_paths:
-                with suppress(OSError):
-                    os.remove(path)
+        for path in shard_paths:
+            with suppress(OSError):
+                os.remove(path)
         if failed and progress_dir is not None:
             remove_orphaned_temps(progress_dir)
     for _count, snapshot, prof_snap in results:  # None unless asked for
@@ -401,5 +400,4 @@ def simulate_sharded(
         total_records=total,
         shards=shards,
         worker_records=[count for count, _metrics_snap, _prof_snap in results],
-        shard_paths=shard_paths if (keep_shards or not merge) else [],
     )

@@ -134,10 +134,8 @@ class PcapFollower:
         write_sidecar(self.path, payload, PcapCursor(self.offset))
 
 
-def render_dashboard(
-    followers: List[PcapFollower], analyses, polls: int
-) -> str:
-    """The ``repro live`` refresh: follower states plus reducer headline.
+def render_dashboard(follower: PcapFollower, analyses, polls: int) -> str:
+    """The ``repro live`` refresh: the follower's state plus reducer headline.
 
     ``analyses`` is a :class:`~repro.stream.reducers.StreamAnalyses`;
     only its :meth:`snapshot` is used, so tests can pass a stub.
@@ -155,7 +153,6 @@ def render_dashboard(
                     follower.offset,
                     follower.resets,
                 ]
-                for follower in followers
             ],
             title="repro live — poll %d, %d rows fed" % (polls, values["rows_fed"]),
         )

@@ -2,8 +2,10 @@
 
 A read-side command pointed at something that is not a readable pcap
 prints ``repro <command>: <path>: <reason>`` on stderr and exits 2 —
-no traceback, nothing left next to the input — whether the file is one
-pcap or a member of a ``--no-merge`` shard set.
+no traceback, nothing left next to the input.  Each takes exactly one
+pcap; a second path is an argparse usage error.  A torn shard stops
+the merge of a sharded ``simulate`` with a ``PcapError`` naming it; a
+read-side command given it alone notes its torn tail in one line.
 """
 
 import os
@@ -14,7 +16,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.netstack.pcap import read_pcap, write_pcap
+from repro.netstack.pcap import PcapError, merge_pcap_files, read_pcap, write_pcap
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -51,7 +53,6 @@ COMMANDS = {
     "analyze": lambda good, bad: ["analyze", bad],
     "classify": lambda good, bad: ["classify", bad],
     "index": lambda good, bad: ["index", bad],
-    "analyze shards": lambda good, bad: ["analyze", good, bad],
 }
 
 
@@ -67,7 +68,7 @@ def test_bad_pcap_is_one_line_and_exit_2(command, kind, good_pcap, tmp_path, cap
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
-    assert captured.err == "repro %s: %s: %s\n" % (command.split()[0], bad, reason)
+    assert captured.err == "repro %s: %s: %s\n" % (command, bad, reason)
     assert "Traceback" not in captured.err
     # No sidecar, no .progress directory, next to either input.
     assert sorted(os.listdir(tmp_path)) == before
@@ -76,23 +77,46 @@ def test_bad_pcap_is_one_line_and_exit_2(command, kind, good_pcap, tmp_path, cap
 
 @pytest.mark.parametrize("command", ["analyze", "index"])
 def test_a_torn_shard_is_named_in_one_line(command, good_pcap, tmp_path, capsys):
-    """The second of three shards ends mid-record: the one line names it."""
+    """The second of three shards ends mid-record: the merge stops on it by
+    name, and a read-side command given it names its torn tail in one note."""
     records = read_pcap(good_pcap)
     shards = [str(tmp_path / ("out.pcap.shard%d" % k)) for k in range(3)]
     for k, path in enumerate(shards):
         write_pcap(path, records[k::3])
+    full = os.path.getsize(shards[1])
+    intact = str(tmp_path / "intact.pcap")
+    write_pcap(intact, records[1::3][:-1])
+    indexed = os.path.getsize(intact)
     with open(shards[1], "r+b") as fileobj:
-        fileobj.truncate(os.path.getsize(shards[1]) - 5)
+        fileobj.truncate(full - 5)
 
-    status = main([command, *shards])
+    with pytest.raises(PcapError) as excinfo:
+        merge_pcap_files(shards, str(tmp_path / "out.pcap"))
+    assert str(excinfo.value) == "%s: truncated pcap record body" % shards[1]
+
+    status = main([command, shards[1]])
 
     captured = capsys.readouterr()
-    assert status == 2
-    assert captured.out == ""
-    assert captured.err == "repro %s: %s: truncated pcap record body\n" % (
-        command,
-        shards[1],
+    assert status == 0
+    assert captured.err == (
+        "repro %s: note: %s is indexed up to byte %d of %d; the %d bytes after it "
+        "are not (an incomplete or corrupt record starts there)\n"
+        % (command, shards[1], indexed, full - 5, full - 5 - indexed)
     )
+
+
+@pytest.mark.parametrize("command", ["analyze", "index", "live"])
+def test_a_second_pcap_is_a_usage_error(command, good_pcap, tmp_path, capsys):
+    """One capture per run: the read side takes one path, never a set."""
+    other = str(tmp_path / "b.pcap")
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, good_pcap, other])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: repro ")
+    assert captured.err.endswith("repro: error: unrecognized arguments: %s\n" % other)
+    assert os.listdir(tmp_path) == []
 
 
 def test_nested_commands_are_named_in_full(tmp_path, capsys):

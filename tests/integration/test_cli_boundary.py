@@ -19,7 +19,6 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
-from repro.netstack.pcap import read_pcap, write_pcap
 from tests.sweep.conftest import MICRO
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -107,16 +106,6 @@ class TestReadSideBoundary:
         assert _crossings(modules) == ["repro.stream", "repro.stream.tail"]
         assert not [m for m in modules if m.startswith("repro.capstore")]
         assert "multiprocessing" not in modules
-
-    def test_a_shard_set_is_indexed_without_a_process_pool(self, tiny_pcap, tmp_path):
-        records = read_pcap(tiny_pcap)
-        shards = [str(tmp_path / ("tiny.pcap.shard%d" % k)) for k in range(2)]
-        for k, path in enumerate(shards):
-            write_pcap(path, records[k::2])
-        for command in ("analyze", "index"):
-            modules = _modules_after([command, *shards])
-            assert "multiprocessing" not in modules
-            assert _crossings(modules) == []
 
     def test_observability_readers_load_no_analyses(self, tiny_pcap, tmp_path):
         snapshot = tmp_path / "m.json"

@@ -118,3 +118,32 @@ class TestSimulateWorkers:
         assert worker_traces
         for worker_trace in worker_traces:
             assert list(read_trace(worker_trace))
+
+    def test_worker_traces_follow_sample_and_ring_flags(self, tmp_path):
+        from repro.obs import DEFAULT_ALWAYS_KEEP
+        from repro.obs.trace import read_trace
+
+        def worker_traces(name, *flags):
+            trace = str(tmp_path / name)
+            assert main(
+                ["simulate", str(tmp_path / (name + ".pcap")), "--scale", "0.02",
+                 "--seed", "9", "--workers", "2", "--trace", trace, *flags]
+            ) == 0
+            return [list(read_trace("%s.worker%d" % (trace, k))) for k in range(2)]
+
+        def always_kept(events):
+            return sorted(
+                (e["time"], e["category"], e["name"])
+                for e in events
+                if e["category"] in DEFAULT_ALWAYS_KEEP
+                or "%s:%s" % (e["category"], e["name"]) in DEFAULT_ALWAYS_KEEP
+            )
+
+        full = worker_traces("full")
+        sampled = worker_traces("sampled", "--trace-sample", "16")
+        ring = worker_traces("ring", "--trace-ring", "64")
+        for whole, thinned, window in zip(full, sampled, ring):
+            assert 4 * len(thinned) < len(whole)
+            assert always_kept(whole)
+            assert always_kept(thinned) == always_kept(whole)
+            assert 0 < len(window) <= 64

@@ -1,4 +1,4 @@
-"""CLI profiling plane: --profile, progress, trace merge, shard analyze."""
+"""CLI profiling plane: --profile, progress, trace merge."""
 
 import glob
 import json
@@ -138,70 +138,6 @@ class TestTraceMerge:
             "repro trace merge: %s: No such file or directory\n" % gone
         )
         assert os.listdir(str(tmp_path)) == []  # no output, no temp
-
-
-class TestShardConsumers:
-    @pytest.fixture(scope="class")
-    def unmerged_run(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("shards")
-        pcap = str(root / "month.pcap")
-        code = main(
-            ["simulate", pcap, "--scale", SCALE, "--seed", SEED,
-             "--workers", "2", "--no-merge"]
-        )
-        assert code == 0
-        shards = sorted(glob.glob(pcap + ".shard*"))
-        assert len(shards) == 2
-        assert not os.path.exists(pcap)  # merge really skipped
-        return pcap, shards
-
-    def test_analyze_from_shards_equals_merged_analyze(
-        self, unmerged_run, sharded_run, capsys
-    ):
-        _pcap, shards = unmerged_run
-        merged_pcap, _trace = sharded_run
-        assert main(["analyze"] + shards) == 0
-        from_shards = capsys.readouterr().out
-        assert main(["analyze", merged_pcap]) == 0
-        from_merged = capsys.readouterr().out
-        assert from_shards == from_merged
-
-    def test_index_from_shards_reports_in_memory(self, unmerged_run, capsys):
-        _pcap, shards = unmerged_run
-        assert main(["index"] + shards) == 0
-        out = capsys.readouterr().out
-        assert "Indexed 2 shard pcaps in memory" in out
-        assert "no sidecar written" in out
-        assert not any(os.path.exists(path + ".capidx") for path in shards)
-
-    def test_index_shards_reject_single_pcap_flags(self, unmerged_run, capsys):
-        _pcap, shards = unmerged_run
-        assert main(["index", "--info"] + shards) == 2
-        assert capsys.readouterr().err == (
-            "repro index: --info/--force apply to a single pcap, not shards\n"
-        )
-
-    def test_missing_shard_is_a_one_line_error(self, unmerged_run, tmp_path, capsys):
-        # The same line and exit status as a missing single pcap.
-        _pcap, shards = unmerged_run
-        gone = str(tmp_path / "gone.shard1")
-        assert main(["analyze", shards[0], gone]) == 2
-        err = capsys.readouterr().err
-        assert err == "repro analyze: %s: No such file or directory\n" % gone
-
-    def test_keep_shards_leaves_both_merged_and_shards(self, tmp_path):
-        pcap = str(tmp_path / "kept.pcap")
-        assert main(["simulate", pcap, "--scale", "0.01", "--seed", "3",
-                     "--workers", "2", "--keep-shards"]) == 0
-        assert os.path.exists(pcap)
-        assert len(glob.glob(pcap + ".shard*")) == 2
-
-    def test_shard_flags_require_workers(self, tmp_path, capsys):
-        assert main(["simulate", str(tmp_path / "x.pcap"), "--scale", "0.01",
-                     "--no-merge"]) == 2
-        assert capsys.readouterr().err == (
-            "repro simulate: --keep-shards/--no-merge need --workers N >= 2\n"
-        )
 
 
 class TestOneLineErrors:

@@ -207,8 +207,8 @@ def test_render_fold_agrees_at_every_checkpoint(sources):
 
 def _as_two_shards(records, cut, origins):
     """The rows of ``records[:cut]`` and of ``records[cut:]`` as tables of
-    their own, the second numbering ``origins`` backwards — what the
-    followers of a ``--no-merge`` shard set hold."""
+    their own, the second numbering ``origins`` backwards — two tables
+    ``StreamAnalyses.feed`` must fold as one."""
     first, second = CaptureTable(), CaptureTable()
     for name in reversed(origins):
         second.origin_index(name)

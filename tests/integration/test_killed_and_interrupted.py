@@ -87,11 +87,11 @@ class TestWorkerDeath:
         out = str(tmp_path / "month.pcap")
         start = time.monotonic()
         status = main(["simulate", out, "--scale", "0.02", "--seed", "3",
-                       "--workers", "2", "--keep-shards"])
+                       "--workers", "2"])
         assert time.monotonic() - start < BOUND
         assert status == 2
         assert capsys.readouterr().err == _died("simulate", "shard")
-        assert glob.glob(out + ".shard*") == []  # --keep-shards is for a success
+        assert glob.glob(out + ".shard*") == []
         assert not os.path.exists(out)
         assert _temps(tmp_path) == []
 

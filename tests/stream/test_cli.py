@@ -2,7 +2,7 @@
 
 The load-bearing assertion is byte parity: a ``repro live`` run driven
 to completion prints exactly what batch ``repro analyze`` prints for the
-same capture — for a single pcap and for a ``--no-merge`` shard set.
+same capture.
 """
 
 import json
@@ -10,10 +10,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.netstack.pcap import write_pcap
 from repro.obs.metrics import MetricsRegistry
-from repro.simnet.shard import plan_shards, run_shard
-from repro.workloads.scenario import ScenarioConfig
 
 
 def live_args(paths, *extra):
@@ -33,21 +30,6 @@ class TestLiveParity:
         live = capsys.readouterr().out
         assert live == batch
 
-    def test_shard_set_matches_analyze_byte_for_byte(self, tmp_path, capsys):
-        config = ScenarioConfig(seed=9).scaled(0.02)
-        shards = plan_shards(config, 3)
-        paths = []
-        for shard in shards:
-            records = run_shard(config, [unit.name for unit in shard.units])
-            path = str(tmp_path / ("out.pcap.shard%d" % shard.index))
-            write_pcap(path, records)
-            paths.append(path)
-        assert main(["analyze"] + paths + ["--no-cache"]) == 0
-        batch = capsys.readouterr().out
-        assert main(live_args(paths, "--no-cache")) == 0
-        live = capsys.readouterr().out
-        assert live == batch
-
     def test_cached_live_matches_uncached(self, pcap_copy, capsys):
         assert main(live_args([pcap_copy], "--no-cache")) == 0
         uncached = capsys.readouterr().out
@@ -63,12 +45,6 @@ class TestLiveParity:
         assert main(live_args([path])) == 2
         captured = capsys.readouterr()
         assert captured.err == "repro live: %s: no capture appeared\n" % path
-
-    def test_missing_shard_fails_with_one_line(self, pcap_copy, tmp_path, capsys):
-        never = str(tmp_path / "never.pcap")
-        assert main(live_args([pcap_copy, never], "--no-cache")) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "repro live: shard pcap(s) never appeared: %s\n" % never
 
     def test_dashboard_and_prom_file(self, pcap_copy, tmp_path, capsys):
         prom = str(tmp_path / "live.prom")

@@ -120,7 +120,7 @@ class TestDashboard:
         follower.poll()
         analyses = StreamAnalyses()
         analyses.feed(follower.table, 0, follower.num_rows)
-        text = render_dashboard([follower], analyses, polls=3)
+        text = render_dashboard(follower, analyses, polls=3)
         assert "repro live — poll 3" in text
         assert "month.pcap" in text and "live" in text
         assert "Version mix (online)" in text
@@ -130,6 +130,6 @@ class TestDashboard:
     def test_render_before_any_capture_appears(self, tmp_path):
         follower = PcapFollower(str(tmp_path / "nope.pcap"), use_cache=False)
         follower.poll()
-        text = render_dashboard([follower], StreamAnalyses(), polls=1)
+        text = render_dashboard(follower, StreamAnalyses(), polls=1)
         assert "waiting" in text
         assert "0 rows fed" in text
