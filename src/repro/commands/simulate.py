@@ -8,11 +8,13 @@ from contextlib import ExitStack
 from repro.active.lb_inference import classify_lb, follow_up_delay
 from repro.active.migration import migration_probe
 from repro.active.prober import Prober
+from repro.atomic import atomic_output
 from repro.commands.common import finish_obs, make_obs
 from repro.commands.prom import PromPublishers, wants_prom
 from repro.core.l7lb import convergence_curve
 from repro.obs.progress import HeartbeatWriter, clean_progress_dir
 from repro.simnet.shard import resolve_workers, run_scenario, simulate_sharded
+from repro.telescope.darknet import Telescope
 from repro.workloads.scenario import (
     ScenarioConfig,
     april_2021_config,
@@ -48,15 +50,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ),
             stage_timers=True,
         )
-        # In arrival order: the serial capture is not re-sorted.
-        # repro: allow(IO001) -- append log: read while it grows, up to a torn tail
-        with obs.timed("write_pcap"), open(args.output, "wb") as fileobj:
-            scenario.telescope.write_pcap(fileobj)
+        with obs.timed("write_pcap"):
+            write_capture(scenario.telescope, args.output)
     print(
         "Wrote %d captured packets to %s"
         % (len(scenario.telescope.records), args.output)
     )
     return 0
+
+
+def write_capture(telescope: Telescope, path: str) -> None:
+    """The serial capture, in arrival order: it is not re-sorted.
+
+    Written in one burst once the run is over, so it is a whole document:
+    a run that fails here leaves ``path`` as it was.
+    """
+    with atomic_output(path, "wb") as fileobj:
+        telescope.write_pcap(fileobj)
 
 
 def _simulate_sharded(args: argparse.Namespace, config: ScenarioConfig) -> int:

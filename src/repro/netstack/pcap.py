@@ -28,7 +28,11 @@ VERSION_MINOR = 4
 LINKTYPE_RAW = 101  # packets start with the IPv4/IPv6 header
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
-_RECORD_HEADER = struct.Struct("<IIII")
+#: A record header as this module writes it: ts_sec, ts_usec, incl_len,
+#: orig_len, little-endian.
+RECORD_HEADER = struct.Struct("<IIII")
+#: The snap length every writer here announces; no record is longer.
+SNAPLEN = 65535
 
 #: Size of the pcap global header — the first record boundary.  Streaming
 #: readers treat a file shorter than this as "not started yet".
@@ -89,7 +93,7 @@ class PcapRecord:
 class PcapWriter:
     """Writes classic pcap records to an open binary file."""
 
-    def __init__(self, fileobj: BinaryIO, linktype: int = LINKTYPE_RAW, snaplen: int = 65535) -> None:
+    def __init__(self, fileobj: BinaryIO, linktype: int = LINKTYPE_RAW, snaplen: int = SNAPLEN) -> None:
         self._file = fileobj
         self._file.write(
             _GLOBAL_HEADER.pack(
@@ -99,24 +103,19 @@ class PcapWriter:
         self._snaplen = snaplen
 
     def write(self, record: PcapRecord) -> None:
-        self.write_raw(*split_timestamp(record.timestamp), record.data)
+        data = record.data
+        length = len(data)
+        included = data[: self._snaplen] if length > self._snaplen else data
+        self._file.write(
+            RECORD_HEADER.pack(
+                *split_timestamp(record.timestamp), len(included), length
+            )
+        )
+        self._file.write(included)
 
     def write_all(self, records: Iterable[PcapRecord]) -> None:
         for record in records:
             self.write(record)
-
-    def write_raw(self, ts_sec: int, ts_usec: int, data) -> None:
-        """Write one record from pre-split timestamp parts and a buffer.
-
-        ``data`` may be any bytes-like object (the columnar capture
-        buffer passes ``memoryview`` slices, avoiding per-record copies).
-        """
-        length = len(data)
-        included = data[: self._snaplen] if length > self._snaplen else data
-        self._file.write(
-            _RECORD_HEADER.pack(ts_sec, ts_usec, len(included), length)
-        )
-        self._file.write(included)
 
 
 class PcapReader:

@@ -58,6 +58,18 @@ class PathModel:
     jitter: float = 0.001  # uniform jitter added per packet
     loss_rate: float = 0.0  # independent drop probability per packet
 
+    def __post_init__(self) -> None:
+        # A negative delay would stamp an arrival before its send: an
+        # active target's event could not be scheduled, and the
+        # telescope's capture could not tell a final record from one
+        # still in flight.
+        if self.base_delay < 0:
+            raise ValueError("path base_delay must be >= 0 (got %r)" % self.base_delay)
+        if self.jitter < 0:
+            raise ValueError("path jitter must be >= 0 (got %r)" % self.jitter)
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise ValueError("path loss_rate must lie in [0, 1] (got %r)" % self.loss_rate)
+
     def delay_for(
         self, jitter_fraction: float, src_access: float, dst_access: float
     ) -> float:
@@ -175,6 +187,11 @@ class Network:
         )
 
     def add_device(self, device: Device) -> None:
+        if device.access_delay < 0:
+            raise ValueError(
+                "device %s: access_delay must be >= 0 (got %r)"
+                % (device.name, device.access_delay)
+            )
         device.attach(self)
         self._devices.append(device)
         for prefix in device.prefixes():

@@ -12,9 +12,10 @@ into independent sub-scenarios and runs them in worker processes
    by greedy LPT on the units' cost weights.
 2. **Run** — each worker builds the *full* deployment (cheap; identical
    construction-time random draws in every process) but installs only
-   its shard's units, runs the event loop, and writes its telescope
+   its shard's units, runs the event loop, and streams its telescope
    records — sorted by the canonical
-   :func:`~repro.netstack.pcap.record_sort_key` — to a temporary pcap.
+   :func:`~repro.netstack.pcap.record_sort_key` — from the capture's
+   spool to a temporary pcap.
 3. **Merge** — the parent k-way-merges the per-worker pcaps into one
    time-ordered file (:func:`~repro.netstack.pcap.merge_pcap_files`),
    removes them, and folds the workers' metrics snapshots into its
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.atomic import remove_orphaned_temps
-from repro.netstack.pcap import merge_pcap_files, write_pcap
+from repro.netstack.pcap import merge_pcap_files
 from repro.obs import NULL_OBS, MetricsRegistry, Observability, Profiler, open_tracer
 from repro.obs.progress import HeartbeatWriter, clean_progress_dir, expected_events
 from repro.obs.trace import CAT_SIM
@@ -226,19 +227,13 @@ def run_scenario(
     return scenario
 
 
-def run_shard(
+def _run_units(
     config: ScenarioConfig,
-    unit_names: Optional[Sequence[str]] = None,
-    obs: Optional[Observability] = None,
-    heartbeat: Optional[HeartbeatWriter] = None,
-):
-    """:func:`run_scenario` over the named traffic units.
-
-    Returns the telescope's records sorted by the canonical
-    :func:`~repro.netstack.pcap.record_sort_key`.  Used in-process by
-    tests and from worker processes by :func:`simulate_sharded`;
-    ``unit_names=None`` runs everything (a serial run in merge order).
-    """
+    unit_names: Optional[Sequence[str]],
+    obs: Optional[Observability],
+    heartbeat: Optional[HeartbeatWriter],
+) -> Scenario:
+    """:func:`run_scenario` over the named traffic units (None: all)."""
     units = plan_traffic_units(config)
     if unit_names is not None:
         wanted = set(unit_names)
@@ -246,7 +241,24 @@ def run_shard(
         if unknown:
             raise ValueError("unknown traffic units: %s" % ", ".join(sorted(unknown)))
         units = tuple(unit for unit in units if unit.name in wanted)
-    scenario = run_scenario(config, units, obs=obs, heartbeat=heartbeat)
+    return run_scenario(config, units, obs=obs, heartbeat=heartbeat)
+
+
+def run_shard(
+    config: ScenarioConfig,
+    unit_names: Optional[Sequence[str]] = None,
+    obs: Optional[Observability] = None,
+    heartbeat: Optional[HeartbeatWriter] = None,
+):
+    """:func:`run_scenario` over the named traffic units, as records.
+
+    Returns the telescope's records sorted by the canonical
+    :func:`~repro.netstack.pcap.record_sort_key` — one object per packet,
+    for tests that compare captures in memory; the pool's workers and
+    :func:`run_to_pcap` stream the same order to a file instead.
+    ``unit_names=None`` runs everything (a serial run in merge order).
+    """
+    scenario = _run_units(config, unit_names, obs, heartbeat)
     return scenario.telescope.capture.sorted_records()
 
 
@@ -259,16 +271,19 @@ def run_to_pcap(
 ) -> int:
     """Run a scenario in-process and persist its capture to ``output``.
 
-    A thin composition of :func:`run_shard` and
-    :func:`~repro.netstack.pcap.write_pcap` — records land on disk in the
-    canonical merge order, so the file is byte-identical to what any
+    Records land on disk in the canonical merge order, streamed from the
+    telescope's spool (:meth:`~repro.netstack.capbuf.CaptureBuffer.
+    write_canonical`), so the file is byte-identical to what any
     ``--workers N`` merged run would produce for the same config.  This
     is the per-cell simulation primitive of ``repro.sweep`` (the pool of
-    cells is its one process layer).  Returns the number of captured records.
+    cells is its one process layer), and what a shard worker runs.
+    Returns the number of captured records.
     """
-    records = run_shard(config, unit_names, obs=obs, heartbeat=heartbeat)
-    write_pcap(output, records)
-    return len(records)
+    scenario = _run_units(config, unit_names, obs, heartbeat)
+    # repro: allow(IO001) -- append log: a shard's is merged, then removed; a
+    # sweep cell's is vouched for by the cell.json written after it
+    with open(output, "wb") as fileobj:
+        return scenario.telescope.capture.write_canonical(fileobj)
 
 
 def _worker_main(payload: tuple):
@@ -302,12 +317,11 @@ def _worker_main(payload: tuple):
         HeartbeatWriter(progress_dir, worker=shard_index) if progress_dir else None
     )
     try:
-        records = run_shard(config, unit_names, obs=obs, heartbeat=heartbeat)
-        write_pcap(pcap_path, records)
+        count = run_to_pcap(config, pcap_path, obs, heartbeat, unit_names)
     finally:
         obs.close()
     return (
-        len(records),
+        count,
         metrics.snapshot() if metrics is not None else None,
         prof.snapshot() if prof is not None else None,
     )

@@ -26,8 +26,8 @@ Determinism contract: ``results.csv``/``results.json`` are byte-identical
 for the same spec regardless of worker count, cache state, or how many
 times the sweep ran before — everything nondeterministic (wall times,
 cache statuses, pids) lives in ``manifest.json`` instead.  Cells simulate
-via :func:`~repro.simnet.shard.run_shard`, whose canonical record order
-is already worker-count-independent.
+via :func:`~repro.simnet.shard.run_to_pcap`, whose canonical record
+order is already worker-count-independent.
 
 ``--workers N`` fans *cells* across :func:`repro.pool.run_pool`; one cell
 is one in-process simulation (the same primitive a ``--workers N`` shard

@@ -5,6 +5,14 @@ packet routed to it — scans addressed directly at dark space, and
 backscatter: server replies to attack traffic whose spoofed sources fell
 inside the prefix.  Captures serialize to standard pcap for external
 tooling and deserialize back for the analysis pipeline.
+
+The capture is not held in memory: each packet is encapsulated straight
+into a :class:`~repro.netstack.capbuf.CaptureBuffer` as a pcap record,
+and once the pending bytes pass :data:`~repro.netstack.capbuf.SPOOL_AFTER`
+the records stamped below the event loop's clock — final, because every
+later arrival is stamped ``now + delay`` with ``delay >= 0`` — go to the
+buffer's anonymous spool.  :meth:`Telescope.write_pcap` then copies the
+spool and the in-flight tail out in arrival order.
 """
 
 from __future__ import annotations
@@ -12,8 +20,8 @@ from __future__ import annotations
 from typing import BinaryIO, Iterable
 
 from repro.netstack.addr import Prefix
-from repro.netstack.capbuf import CaptureBuffer
-from repro.netstack.pcap import PcapReader, PcapRecord, PcapWriter
+from repro.netstack.capbuf import SPOOL_AFTER, CaptureBuffer
+from repro.netstack.pcap import PcapReader, PcapRecord
 from repro.netstack.udp import QUIC_PORT, UdpDatagram, encode_udp_into
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_TELESCOPE
@@ -45,8 +53,9 @@ class Telescope(Device):
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
         self.prefix = prefix
-        #: Columnar packet store; ``self.records`` stays a sequence of
-        #: :class:`PcapRecord` (a lazy view) for every existing consumer.
+        #: In-flight records in memory, final ones spooled; ``self.records``
+        #: stays a sequence of :class:`PcapRecord` (a lazy view) for every
+        #: existing consumer.
         self.capture = CaptureBuffer()
         self.records = self.capture.records
         obs = obs or NULL_OBS
@@ -64,13 +73,18 @@ class Telescope(Device):
         return [self.prefix]
 
     def handle_datagram(self, datagram: UdpDatagram, now: float) -> None:
-        # Encapsulate straight into the contiguous capture buffer (the
-        # encoder appends header + payload with no whole-packet
-        # intermediate), then commit the ts/offset/length columns.
+        # Encapsulate straight into the contiguous capture buffer, behind
+        # room for the pcap record header (the encoder appends IP/UDP
+        # header + payload with no whole-packet intermediate), then commit
+        # the header and the ts/offset columns.
         capture = self.capture
-        start = len(capture.data)
+        start = capture.reserve()
         encode_udp_into(capture.data, datagram)
         capture.commit(now, start)
+        if len(capture.data) > SPOOL_AFTER and self.network is not None:
+            # Arrivals yet to come are stamped at or after the loop's
+            # clock (path delays are >= 0): what lies below it is final.
+            capture.release(self.network.loop.now)
         if self._m_captured is not None or self._tracer.enabled:
             # Candidate class from ports alone (sanitization refines later).
             if datagram.src_port == QUIC_PORT:
@@ -95,7 +109,8 @@ class Telescope(Device):
 
     # -- persistence -----------------------------------------------------------
     def write_pcap(self, fileobj: BinaryIO) -> None:
-        self.capture.write_to(PcapWriter(fileobj))
+        """The capture as a pcap, in arrival order."""
+        self.capture.write_pcap(fileobj)
 
     @classmethod
     def load_records(cls, fileobj: BinaryIO) -> list[PcapRecord]:

@@ -24,8 +24,11 @@ import repro.sweep.runner
 from repro.capstore.format import dump_index
 from repro.capstore.table import CaptureTable
 from repro.cli import main
+from repro.commands.simulate import write_capture
 from repro.lint.engine import Baseline
+from repro.netstack.addr import parse_ip
 from repro.netstack.pcap import scan_pcap_tail
+from repro.netstack.udp import UdpDatagram
 from repro.obs import MetricsRegistry, Profiler, RingBufferTracer
 from repro.obs.export import PromFileWriter
 from repro.obs.progress import HeartbeatWriter
@@ -35,6 +38,7 @@ from repro.simnet.shard import _worker_main
 from repro.sweep.runner import CellOutcome, _cell_main, _dump_json, _write_results
 from repro.sweep.spec import spec_from_dict
 from repro.telescope.classify import SanitizationStats
+from repro.telescope.darknet import Telescope
 from tests.sweep.conftest import MICRO
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -246,6 +250,15 @@ def _write_baseline(path):
     Baseline.write(path, [])
 
 
+def _write_serial_pcap(path):
+    telescope = Telescope()
+    telescope.handle_datagram(
+        UdpDatagram(parse_ip("192.0.2.1"), parse_ip("44.0.0.1"), 4000, 443, b"x" * 64),
+        1.0,
+    )
+    write_capture(telescope, path)
+
+
 def _write_pivot_csv(path):
     outdir = path + ".sweep"
     os.makedirs(outdir)
@@ -282,6 +295,7 @@ DOCUMENT_WRITERS = {
     "results-csv": ("results.csv", _write_results_csv),
     "lint-baseline": ("lint_baseline.json", _write_baseline),
     "pivot-csv": ("pivot.csv", _write_pivot_csv),
+    "serial-pcap": ("month.pcap", _write_serial_pcap),
 }
 
 
@@ -292,7 +306,7 @@ def test_the_table_names_every_caller_of_atomic_output():
             if name.endswith(".py"):
                 with open(os.path.join(folder, name)) as fileobj:
                     callers += fileobj.read().count("with atomic_output(")
-    assert callers == len(DOCUMENT_WRITERS) == 11
+    assert callers == len(DOCUMENT_WRITERS) == 12
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENT_WRITERS))
@@ -315,6 +329,32 @@ def test_ctrl_c_inside_a_document_writer(name, existed, tmp_path, monkeypatch, c
         write(path)
     assert opened == ["%s.%d.tmp" % (path, os.getpid())]  # the body did run
     assert os.listdir(str(tmp_path)) == ([filename] if existed else [])
+    if existed:
+        with open(path, "rb") as fileobj:
+            assert fileobj.read() == previous
+
+
+@pytest.mark.parametrize("existed", [True, False], ids=["existing", "absent"])
+def test_a_failed_serial_simulate_leaves_its_output_as_it_was(
+    existed, tmp_path, monkeypatch, capsys
+):
+    path = str(tmp_path / "month.pcap")
+    previous = b"the previous, complete capture\n"
+    if existed:
+        with open(path, "wb") as fileobj:
+            fileobj.write(previous)
+
+    def failing_write(telescope, fileobj):
+        fileobj.write(b"\xd4\xc3\xb2\xa1 half a capture")
+        raise RuntimeError("disk gave out")
+
+    monkeypatch.setattr(Telescope, "write_pcap", failing_write)
+    with pytest.raises(RuntimeError, match="disk gave out"):
+        main(["simulate", path, "--scale", "0.01"])
+    assert _temps(tmp_path) == []
+    assert sorted(os.listdir(str(tmp_path))) == (
+        ["month.pcap", "month.pcap.progress"] if existed else ["month.pcap.progress"]
+    )
     if existed:
         with open(path, "rb") as fileobj:
             assert fileobj.read() == previous

@@ -16,7 +16,13 @@ from repro.buffer import Writer
 from repro.netstack.capbuf import CaptureBuffer
 from repro.netstack.checksum import internet_checksum, verify_checksum
 from repro.netstack.ip import PROTO_UDP, IPv4Header, IpParseError, encode_ipv4
-from repro.netstack.pcap import PcapRecord, PcapWriter, read_pcap
+from repro.netstack.pcap import (
+    PcapRecord,
+    PcapWriter,
+    read_pcap,
+    record_sort_key,
+    write_pcap,
+)
 from repro.netstack.udp import (
     HEADER_LENGTH,
     FlowTemplate,
@@ -172,6 +178,13 @@ class TestFlowTemplateParity:
         pytest.skip("no zero-checksum payload found for this flow")
 
 
+def _spooled(buffer):
+    """``buffer`` with every record released to its spool."""
+    buffer.release(float("inf"))
+    assert not buffer.data and not buffer.times
+    return buffer
+
+
 class TestCaptureBuffer:
     def test_append_and_materialize(self):
         buffer = CaptureBuffer()
@@ -185,24 +198,35 @@ class TestCaptureBuffer:
 
     def test_commit_after_in_place_encode(self):
         buffer = CaptureBuffer()
-        start = len(buffer.data)
+        start = buffer.reserve()
         encode_udp_into(buffer.data, _datagram(b"direct"))
         buffer.commit(3.0, start)
         assert buffer.record(0).data == encode_udp(_datagram(b"direct"))
         assert buffer.record(0).timestamp == 3.0
 
     def test_records_view_sequence_protocol(self):
-        buffer = CaptureBuffer()
-        for i in range(5):
-            buffer.append(float(i), bytes([i]) * (i + 1))
-        records = buffer.records
-        assert len(records) == 5
-        assert records[1].data == b"\x01\x01"
-        assert [r.timestamp for r in records] == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert [r.data for r in records[1:3]] == [b"\x01\x01", b"\x02\x02\x02"]
-        records.append(PcapRecord(timestamp=9.0, data=b"late"))
-        assert len(buffer) == 6
-        assert buffer.record(5).data == b"late"
+        """Spooled or in memory, the view reads the same records."""
+        for watermark in (None, 2.5, 4.5):
+            buffer = CaptureBuffer()
+            for i in range(5):
+                buffer.append(float(i), bytes([i]) * (i + 1))
+            if watermark is not None:
+                buffer.release(watermark)
+            records = buffer.records
+            assert len(records) == 5
+            assert records[1].data == b"\x01\x01"
+            assert records[-1] == PcapRecord(timestamp=4.0, data=b"\x04" * 5)
+            assert [r.timestamp for r in records] == [0.0, 1.0, 2.0, 3.0, 4.0]
+            assert [r.data for r in records[1:3]] == [b"\x01\x01", b"\x02\x02\x02"]
+            assert records[::-2] == [records[4], records[2], records[0]]
+            assert records[1:4:2] == [records[1], records[3]]
+            assert records[9:] == []
+            with pytest.raises(IndexError):
+                records[5]
+            records.append(PcapRecord(timestamp=9.0, data=b"late"))
+            assert len(buffer) == 6
+            assert buffer.record(5).data == b"late"
+            assert list(records) == [buffer.record(i) for i in range(6)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -211,26 +235,51 @@ class TestCaptureBuffer:
                 st.integers(0, 40),  # send slot: duplicates are common
                 st.sampled_from([0.0, 0.0, 0.25, 0.5, 2.75]),  # bounded lateness
                 st.binary(min_size=1, max_size=6),
+                st.booleans(),  # release at the send slot before this commit
             ),
             max_size=60,
         )
     )
     def test_commits_keep_the_columns_in_arrival_order(self, commits):
         # Commit order is transmit order: slots ascend, arrivals need not.
+        # A release at the slot being sent is legal: nothing committed
+        # from then on is stamped below it (lateness is never negative).
         commits = sorted(commits, key=lambda commit: commit[0])
         buffer = CaptureBuffer()
-        for slot, lateness, data in commits:
+        for slot, lateness, data, release in commits:
+            if release:
+                buffer.release(float(slot))
             buffer.append(slot + lateness, data)
-        stamped = [(slot + lateness, data) for slot, lateness, data in commits]
+        stamped = [(slot + lateness, data) for slot, lateness, data, _r in commits]
         # sorted() is stable: equal timestamps stay in commit order.
         expected = [pair for _i, pair in sorted(enumerate(stamped), key=lambda e: e[1][0])]
-        assert list(buffer.times) == [ts for ts, _data in expected]
+        pending = len(buffer.times)
+        assert len(buffer) == len(expected)
+        assert list(buffer.times) == [ts for ts, _data in expected[len(expected) - pending :]]
         assert [(r.timestamp, r.data) for r in buffer.records] == expected
         written = io.BytesIO()
-        buffer.write_to(PcapWriter(written))
+        buffer.write_pcap(written)
         reference = io.BytesIO()
         PcapWriter(reference).write_all(PcapRecord(ts, data) for ts, data in expected)
         assert written.getvalue() == reference.getvalue()
+
+    def test_a_commit_below_the_released_watermark_raises(self):
+        buffer = CaptureBuffer()
+        buffer.append(1.0, b"early")
+        buffer.append(3.0, b"in flight")
+        buffer.release(2.0)
+        before = io.BytesIO()
+        buffer.write_pcap(before)
+        with pytest.raises(ValueError, match="below the released watermark"):
+            buffer.records.append(PcapRecord(timestamp=1.5, data=b"too late"))
+        with pytest.raises(ValueError):
+            buffer.append(0.5, b"far too late")
+        after = io.BytesIO()
+        buffer.write_pcap(after)
+        assert after.getvalue() == before.getvalue()
+        assert len(buffer) == 2
+        buffer.append(2.0, b"at the watermark")  # not below it: accepted
+        assert [r.data for r in buffer.records] == [b"early", b"at the watermark", b"in flight"]
 
     def test_sorted_records_orders_by_time(self):
         buffer = CaptureBuffer()
@@ -238,27 +287,87 @@ class TestCaptureBuffer:
         buffer.append(1.0, b"first")
         assert [r.data for r in buffer.sorted_records()] == [b"first", b"second"]
 
-    def test_write_to_matches_record_writer(self):
-        buffer = CaptureBuffer()
-        rng = random.Random(3)
-        for i in range(20):
-            buffer.append(i * 0.125, rng.randbytes(rng.randrange(1, 100)))
+    def test_write_pcap_matches_record_writer(self):
+        for watermark in (None, 1.3, float("inf")):  # all in memory .. all spooled
+            buffer = CaptureBuffer()
+            rng = random.Random(3)
+            for i in range(20):
+                buffer.append(i * 0.125, rng.randbytes(rng.randrange(1, 100)))
+            if watermark is not None:
+                buffer.release(watermark)
 
-        columnar = io.BytesIO()
-        buffer.write_to(PcapWriter(columnar))
+            columnar = io.BytesIO()
+            buffer.write_pcap(columnar)
 
-        reference = io.BytesIO()
-        PcapWriter(reference).write_all(iter(buffer))
+            reference = io.BytesIO()
+            PcapWriter(reference).write_all(iter(buffer))
 
-        assert columnar.getvalue() == reference.getvalue()
+            assert columnar.getvalue() == reference.getvalue()
 
-    def test_write_to_roundtrips_through_reader(self, tmp_path):
+    def test_write_pcap_roundtrips_through_reader(self, tmp_path):
         buffer = CaptureBuffer()
         buffer.append(1.000001, b"\x01\x02\x03")
         buffer.append(2.5, b"\x04")
+        buffer.release(2.0)
         path = tmp_path / "capbuf.pcap"
         with open(path, "wb") as fh:
-            buffer.write_to(PcapWriter(fh))
+            buffer.write_pcap(fh)
         records = read_pcap(str(path))
         assert [r.data for r in records] == [b"\x01\x02\x03", b"\x04"]
         assert records[0].ts_usec == 1
+
+    def test_a_record_longer_than_the_snaplen_is_refused(self):
+        buffer = CaptureBuffer()
+        with pytest.raises(ValueError, match="at most 65535 bytes"):
+            buffer.append(1.0, b"\x00" * 65536)
+        assert len(buffer) == 0 and not buffer.data
+
+
+#: Timestamps whose microsecond rounding ties or carries: 1.9999996 and
+#: 2.0000004 both land on (2, 0), beside an exact 2.0.
+_TIE_STAMPS = (1.9999996, 2.0, 2.0000004, 2.0000011, 2.5, 2.5000004, 3.0)
+
+
+class TestCanonicalWrite:
+    """``write_canonical`` streams what sorting every record would write."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        commits=st.lists(
+            st.tuples(
+                st.sampled_from(_TIE_STAMPS),
+                st.sampled_from([0.0, 0.0, 0.0000004, 0.25]),  # lateness
+                st.binary(min_size=0, max_size=3),  # short: equal bytes too
+                st.booleans(),
+            ),
+            max_size=50,
+        )
+    )
+    def test_streamed_bytes_equal_the_sorted_records(self, commits):
+        commits = sorted(commits, key=lambda commit: commit[0])
+        buffer = CaptureBuffer()
+        records = []
+        for sent, lateness, data, release in commits:
+            if release:
+                buffer.release(sent)
+            buffer.append(sent + lateness, data)
+            records.append(PcapRecord(sent + lateness, data))
+        streamed = io.BytesIO()
+        assert buffer.write_canonical(streamed) == len(records)
+        reference = io.BytesIO()
+        PcapWriter(reference).write_all(sorted(records, key=record_sort_key))
+        assert streamed.getvalue() == reference.getvalue()
+
+    def test_carried_record_sorts_with_its_second(self, tmp_path):
+        buffer = CaptureBuffer()
+        buffer.append(1.9999996, b"b")  # carries to (2, 0)
+        buffer.append(2.0, b"a")
+        buffer.release(2.0)
+        path = str(tmp_path / "canonical.pcap")
+        with open(path, "wb") as fileobj:
+            buffer.write_canonical(fileobj)
+        reference = str(tmp_path / "reference.pcap")
+        write_pcap(reference, sorted(buffer.records, key=record_sort_key))
+        with open(path, "rb") as mine, open(reference, "rb") as theirs:
+            assert mine.read() == theirs.read()
+        assert [r.data for r in read_pcap(path)] == [b"a", b"b"]

@@ -96,8 +96,12 @@ class TestTimestampSplit:
         capture = CaptureBuffer()
         capture.append(timestamp, b"x" * 30)
         buf = io.BytesIO()
-        capture.write_to(PcapWriter(buf))
+        capture.write_pcap(buf)
         assert self.header_fields(buf) == (*expected, 30, 30)
+        capture.release(float("inf"))  # the same header, read back from the spool
+        spooled = io.BytesIO()
+        capture.write_pcap(spooled)
+        assert spooled.getvalue() == buf.getvalue()
 
     def test_carried_record_sorts_with_its_second(self):
         carried, exact = PcapRecord(1.9999996, b"b"), PcapRecord(2.0, b"a")

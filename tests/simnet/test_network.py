@@ -280,6 +280,43 @@ class TestDeviceErrors:
             sender.send(dgram("192.0.2.1", "44.1.2.3"))
 
 
+class TestPathValidation:
+    """No delay below zero reaches a device: an arrival would precede its
+    send, and the telescope spools what lies below the loop's clock."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        (
+            {"base_delay": -0.5, "jitter": 0.0},
+            {"jitter": -0.01},
+            {"loss_rate": 1.5},
+            {"loss_rate": -0.1},
+        ),
+    )
+    def test_a_path_model_out_of_range_is_refused(self, kwargs):
+        with pytest.raises(ValueError, match="path "):
+            PathModel(**kwargs)
+
+    def test_the_edges_of_the_ranges_are_accepted(self):
+        PathModel(base_delay=0.0, jitter=0.0, loss_rate=0.0)
+        PathModel(loss_rate=1.0)
+
+    def test_a_negative_access_delay_is_refused(self):
+        loop, net = make_net()
+        telescope = Telescope(prefix="44.0.0.0/9")
+        telescope.access_delay = -0.5
+        with pytest.raises(ValueError, match="telescope: access_delay"):
+            net.add_device(telescope)
+        assert net.route(parse_ip("44.1.2.3")) is None
+        assert telescope.network is None
+
+    def test_a_negative_jitter_scenario_is_refused_when_built(self):
+        from repro.workloads.scenario import ScenarioConfig, build_scenario
+
+        with pytest.raises(ValueError, match="jitter"):
+            build_scenario(ScenarioConfig(jitter=-0.01))
+
+
 class TestDeliveryModes:
     def test_passive_sink_gets_the_arrival_time_and_no_event(self):
         loop, net = make_net(jitter=0.001)

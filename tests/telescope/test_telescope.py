@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.netstack.pcap import PcapRecord
 from repro.netstack.udp import UdpDatagram, encode_udp
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device, Network, PathModel
+from repro.telescope import darknet
 from repro.telescope.acknowledged import AcknowledgedScanners
 from repro.telescope.classify import PacketClass, classify_capture
 from repro.telescope.darknet import Telescope
@@ -138,6 +140,53 @@ class TestArrivalOrder:
             hashlib.blake2b(buf.getvalue(), digest_size=16).hexdigest()
             == self.PCAP_DIGEST
         )
+
+
+class TestSpool:
+    """Final records leave memory; the pcap keeps every byte and its order."""
+
+    SPOOL_AFTER = 1 << 16  # a small run outgrows it more than ten times over
+
+    def _run(self, monkeypatch, spool_after, watch=None):
+        from repro.workloads.scenario import ScenarioConfig, build_scenario
+
+        monkeypatch.setattr(darknet, "SPOOL_AFTER", spool_after)
+        if watch is not None:
+            handle = Telescope.handle_datagram
+
+            def watched(telescope, datagram, now):
+                handle(telescope, datagram, now)
+                watch(telescope)
+
+            monkeypatch.setattr(Telescope, "handle_datagram", watched)
+        scenario = build_scenario(ScenarioConfig(seed=7).scaled(0.02))
+        scenario.run()
+        buf = io.BytesIO()
+        scenario.telescope.write_pcap(buf)
+        monkeypatch.undo()
+        return scenario.telescope, buf.getvalue()
+
+    def test_pending_bytes_stay_below_the_bound_and_the_bytes_stay_put(
+        self, monkeypatch
+    ):
+        def watch(telescope):
+            capture = telescope.capture
+            now = telescope.network.loop.now
+            first = bisect_left(capture.times, now)  # the records in flight
+            in_flight = (
+                len(capture.data) - (capture.offsets[first] - capture.released_bytes)
+                if first < len(capture.times)
+                else 0
+            )
+            assert len(capture.data) <= self.SPOOL_AFTER + in_flight
+
+        spooled, pcap = self._run(monkeypatch, self.SPOOL_AFTER, watch)
+        assert len(pcap) >= 10 * self.SPOOL_AFTER
+        assert spooled.capture.released_bytes >= 9 * self.SPOOL_AFTER
+        in_memory, reference = self._run(monkeypatch, len(pcap) + 1)
+        assert in_memory.capture.released_bytes == 0
+        assert pcap == reference
+        assert list(spooled.records) == list(in_memory.records)
 
 
 class TestAcknowledgedScanners:

@@ -2,9 +2,9 @@
 
 Every checker in this directory (``check_md_links.py``,
 ``check_doc_commands.py``, ``check_speedscope.py``,
-``check_bench_json.py``, ``check_paper.py``) reports the same way:
-problems to stderr, a one-line all-clear to stdout, exit status =
-problem count.  This module centralizes that contract and adds a
+``check_bench_json.py``, ``check_paper.py``, ``check_memory.py``)
+reports the same way: problems to stderr, a one-line all-clear to
+stdout, exit status = problem count.  This module centralizes that contract and adds a
 ``--json`` mode whose document shape matches the ``repro lint``
 reporter (:mod:`repro.lint.report`), so CI and editors can consume
 every correctness gate with one parser::
