@@ -18,10 +18,10 @@ both pumps and asserts:
   the measured 4–6 us is +20–35%: "always on" is a statement about the
   sinks' absolute cost, no longer about their share.)
 
-A live-``JsonlTracer`` arm quantifies what full tracing still costs, and
-an ``obs_prof`` arm measures the opt-in sampling profiler (``--profile``;
-recorded, not gated — it is never on by default).  Every arm must process
-the exact seed event count: observability may cost time but can never
+A live-``JsonlTracer`` arm quantifies what full tracing still costs.
+(``--profile`` has no arm: it attaches a registry, whose stage spans open
+per phase and per traffic unit, never per event, so it adds no code to
+the pump.)  Every arm must process the exact seed event count: observability may cost time but can never
 change the simulation.  Results land in ``BENCH_obs.json`` at the repo
 root (pkts/sec simulated, overhead ratios) as the perf baseline for
 later PRs.
@@ -44,7 +44,6 @@ from repro.obs import (
     JsonlTracer,
     MetricsRegistry,
     Observability,
-    Profiler,
     RingBufferTracer,
     SamplingTracer,
 )
@@ -130,13 +129,6 @@ def _ring_obs():
     )
 
 
-def _prof_obs():
-    metrics = MetricsRegistry()
-    return Observability(
-        metrics=metrics, prof=Profiler(SAMPLE_EVERY, metrics=metrics)
-    )
-
-
 #: Bench arms in measurement order: key -> (pump_via_run, obs factory).
 ARMS = {
     "seed_pump": (False, None),
@@ -144,7 +136,6 @@ ARMS = {
     "obs_traced": (True, _traced_obs),
     "obs_sampled": (True, _sampled_obs),
     "obs_ring": (True, _ring_obs),
-    "obs_prof": (True, _prof_obs),
 }
 
 
@@ -185,7 +176,6 @@ def run_bench():
         "overhead_traced": overhead("obs_traced"),
         "overhead_sampled": overhead("obs_sampled"),
         "overhead_ring": overhead("obs_ring"),
-        "overhead_prof": overhead("obs_prof"),
         "sample_every": SAMPLE_EVERY,
         "ring_capacity": RING_CAPACITY,
         "trace_events_offered": offered,
@@ -213,7 +203,6 @@ def _render(results):
         ("obs traced", "obs_traced", "overhead_traced", None),
         ("obs sampled", "obs_sampled", "overhead_sampled", "us_per_event_sampled"),
         ("obs ring", "obs_ring", "overhead_ring", "us_per_event_ring"),
-        ("obs prof", "obs_prof", "overhead_prof", None),
     ):
         arm = results[arm_key]
         suffix = (
@@ -231,13 +220,7 @@ def _render(results):
 def _check(results):
     """Threshold violations as human-readable strings (empty = pass)."""
     failures = []
-    for arm_key in (
-        "obs_disabled",
-        "obs_traced",
-        "obs_sampled",
-        "obs_ring",
-        "obs_prof",
-    ):
+    for arm_key in ("obs_disabled", "obs_traced", "obs_sampled", "obs_ring"):
         if results[arm_key]["events"] != results["seed_pump"]["events"]:
             failures.append("%s changed the simulation (event count)" % arm_key)
     if results["overhead_disabled"] >= MAX_OVERHEAD:

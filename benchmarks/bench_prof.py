@@ -1,26 +1,27 @@
 """Profiled pipeline baseline — where does simulate wall time go?
 
-The ROADMAP's "vectorize the per-packet hot path" item needs a recorded
-baseline of per-stage time shares before any optimization PR can claim a
-win.  This bench runs the scale-0.1 telescope month exactly the way
-``repro simulate --profile`` does — a :class:`~repro.obs.prof.Profiler`
-threaded through the scenario with ``simulate.build``/``simulate.run``
-spans around the phases — then checks the profiler's own accounting:
+This bench runs the scale-0.1 telescope month the way ``repro simulate
+--profile`` does — :func:`~repro.simnet.shard.run_scenario` with a
+metrics registry attached, so the ``simulate.build`` / ``simulate.unit`` /
+``simulate.run`` spans book their wall time into the registry's stage
+timers — then checks that accounting:
 
-* **attribution** — the stage tree's estimated wall seconds must cover
-  >= 95% of the measured wall time of the profiled run (nothing
-  significant happens outside a named stage);
-* **coverage** — the hot stages the vectorization work will target
-  (``engine.flight``, ``engine.keys``, ``engine.aead``, ``net.transmit``)
-  must all be present with nonzero attributed time;
+* **attribution** — the top-level stages must cover >= 95% of the
+  measured wall time of the run (nothing significant happens outside a
+  named stage);
+* **coverage** — the stages ``repro progress`` and the profile table lean
+  on (:data:`REQUIRED_STAGES`) must all be present with nonzero calls;
 * **export** — the speedscope document passes
   :func:`~repro.obs.prof.validate_speedscope`.
 
-Results land in ``BENCH_prof.json`` at the repo root (per-stage self-time
-shares, attribution ratio) and the flamegraph JSON in
-``benchmarks/out/prof.speedscope.json``.  Run under pytest or as a script
-— ``python benchmarks/bench_prof.py --check`` exits non-zero on any
-violation (the CI gate).
+The stage clock is per stage, not per packet: attribution *inside* the
+run (crypto, network, engine) is ``benchmarks/e2e/run.py --trace 1``.
+Results land in ``BENCH_prof.json`` at the repo root (per-stage self
+times and shares, attribution ratio, and ``events`` / ``unit_weight``,
+the ratio ``repro.obs.progress.EVENTS_PER_WEIGHT`` is calibrated on) and
+the flamegraph JSON in ``benchmarks/out/prof.speedscope.json``.  Run
+under pytest or as a script — ``python benchmarks/bench_prof.py
+--check`` exits non-zero on any violation (the CI gate).
 """
 
 import argparse
@@ -31,64 +32,63 @@ import time
 
 from _harness import environment_stamp
 
-from repro.obs import MetricsRegistry, Observability, Profiler, validate_speedscope
-from repro.workloads.scenario import ScenarioConfig, build_scenario
+from repro.obs import MetricsRegistry, Observability, validate_speedscope
+from repro.obs.prof import stage_rows, to_speedscope
+from repro.obs.spans import PATH_SEP
+from repro.simnet.shard import run_scenario
+from repro.workloads.scenario import ScenarioConfig, plan_traffic_units
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_prof.json")
 SPEEDSCOPE_PATH = os.path.join(
     os.path.dirname(__file__), "out", "prof.speedscope.json"
 )
 SIM_SCALE = 0.1
-PROF_EVERY = 64
 MIN_ATTRIBUTION = 0.95
-#: Stages the vectorization roadmap item targets; all must be attributed.
-REQUIRED_STAGES = ("engine.flight", "engine.keys", "engine.aead", "net.transmit")
+#: Stages every profiled simulate books; all must be present.
+REQUIRED_STAGES = ("simulate.build", "simulate.unit", "simulate.run")
 
 
 def run_bench():
     """One profiled serial run; persists BENCH_prof.json + speedscope."""
     metrics = MetricsRegistry()
-    prof = Profiler(PROF_EVERY, metrics=metrics)
-    obs = Observability(metrics=metrics, prof=prof)
+    obs = Observability(metrics=metrics)
     config = ScenarioConfig(seed=11).scaled(SIM_SCALE)
     start = time.perf_counter()
-    with obs.span("simulate.build", local=True):
-        scenario = build_scenario(config, obs=obs)
-    with obs.span("simulate.run", local=True):
-        scenario.run()
+    scenario = run_scenario(config, obs=obs)
     wall = time.perf_counter() - start
 
-    attributed = prof.total_estimate()
-    doc = prof.to_speedscope("repro simulate (scale %.2f)" % SIM_SCALE)
+    timers = metrics.timers
+    attributed = sum(
+        seconds for path, (seconds, _calls) in timers.items() if PATH_SEP not in path
+    )
+    doc = to_speedscope(timers, "repro simulate (scale %.2f)" % SIM_SCALE)
     os.makedirs(os.path.dirname(SPEEDSCOPE_PATH), exist_ok=True)
     with open(SPEEDSCOPE_PATH, "w") as fileobj:
         json.dump(doc, fileobj, indent=1, sort_keys=True)
         fileobj.write("\n")
 
-    totals = prof.stage_totals()
-    shares = prof.stage_shares()
     results = {
         "environment": environment_stamp(),
         "scale": SIM_SCALE,
-        "prof_every": PROF_EVERY,
         "wall_seconds": round(wall, 4),
         "attributed_seconds": round(attributed, 4),
         "attribution": round(attributed / wall, 4) if wall else 0.0,
         "min_attribution": MIN_ATTRIBUTION,
         "events": scenario.loop.events_processed,
+        "unit_weight": sum(unit.weight for unit in plan_traffic_units(config)),
         "packets_delivered": scenario.network.stats.delivered,
         "speedscope": os.path.relpath(
             SPEEDSCOPE_PATH, os.path.join(os.path.dirname(__file__), os.pardir)
         ),
         "speedscope_problems": validate_speedscope(doc),
         "stages": {
-            name: {
-                "self_seconds": round(entry["self_seconds"], 6),
-                "share": round(shares.get(name, 0.0), 4),
-                "calls": entry["calls"],
-                "packets": entry["packets"],
+            row["stage"]: {
+                "seconds": round(row["seconds"], 6),
+                "self_seconds": round(row["self_seconds"], 6),
+                "share": round(row["share"], 4),
+                "calls": row["calls"],
             }
-            for name, entry in sorted(totals.items())
+            for row in stage_rows(timers)
         },
     }
     with open(BENCH_PATH, "w") as fileobj:
@@ -99,14 +99,15 @@ def run_bench():
 
 def _render(results):
     lines = [
-        "Pipeline profile (scale %.2f, sampled every %d): %.3fs wall, "
-        "%.3fs attributed (%.1f%%)"
+        "Pipeline profile (scale %.2f): %.3fs wall, %.3fs attributed (%.1f%%), "
+        "%d events / %d unit weight"
         % (
             results["scale"],
-            results["prof_every"],
             results["wall_seconds"],
             results["attributed_seconds"],
             100 * results["attribution"],
+            results["events"],
+            results["unit_weight"],
         )
     ]
     ranked = sorted(
@@ -114,14 +115,8 @@ def _render(results):
     )
     for name, entry in ranked:
         lines.append(
-            "  %-18s %8.4fs  %5.1f%%  %8d calls  %8d pkts"
-            % (
-                name,
-                entry["self_seconds"],
-                100 * entry["share"],
-                entry["calls"],
-                entry["packets"],
-            )
+            "  %-30s %8.4fs  %5.1f%%  %8d calls"
+            % (name, entry["self_seconds"], 100 * entry["share"], entry["calls"])
         )
     return "\n".join(lines)
 
@@ -134,9 +129,12 @@ def _check(results):
             "profiler attributes only %.1f%% of wall time (need >= %.0f%%)"
             % (100 * results["attribution"], 100 * MIN_ATTRIBUTION)
         )
+    calls = {}
+    for path, entry in results["stages"].items():
+        stage = path.rsplit(PATH_SEP, 1)[-1]
+        calls[stage] = calls.get(stage, 0) + entry["calls"]
     for stage in REQUIRED_STAGES:
-        entry = results["stages"].get(stage)
-        if entry is None or entry["calls"] == 0:
+        if not calls.get(stage):
             failures.append("required stage %r missing from the profile" % stage)
     for problem in results["speedscope_problems"]:
         failures.append("speedscope export invalid: %s" % problem)

@@ -119,20 +119,13 @@ def dissect_pcap(
     append-only and the verdict is stateless per record.
 
     Returns the stats of this pass alone; see :func:`_dissection` for
-    what ``obs`` receives.  With a profiler attached, each chunk is one
-    ``index.records`` leaf stage.
+    what ``obs`` receives.
     """
     on_record, finish = _dissection(
         table, default_asdb(), default_acknowledged(), True, obs
     )
-    prof = (obs or NULL_OBS).prof
     with PcapWalk(path, cursor) as walk:
-        if prof is None:
-            walk.run(on_record)
-        else:
-            while not walk.done:
-                node, began = prof.leaf_begin("index.records")
-                prof.leaf_end(node, began, packets=walk.step(on_record))
+        walk.run(on_record)
     return finish()
 
 

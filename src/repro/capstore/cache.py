@@ -238,8 +238,7 @@ def load_or_build(
     # appends concurrently.
     cursor = PcapCursor(digest=_new_digest())
     with obs.span("index.build", local=True, path=pcap_path):
-        with obs.timed("index.build"):
-            table, stats = build_capture_table(pcap_path, obs=obs, cursor=cursor)
+        table, stats = build_capture_table(pcap_path, obs=obs, cursor=cursor)
     payload = IndexPayload(
         table=table, stats=stats, source={}, pipeline=dict(DEFAULT_PIPELINE)
     )
@@ -295,8 +294,7 @@ def _extend(
     indexed = cursor.offset
     prefix_rows = payload.table.num_rows
     with obs.span("index.extend", local=True, path=pcap_path) as span:
-        with obs.timed("index.extend"):
-            tail_stats = dissect_pcap(pcap_path, cursor, payload.table, obs=obs)
+        tail_stats = dissect_pcap(pcap_path, cursor, payload.table, obs=obs)
         span.note(records=tail_stats.total_records)
     if cursor.offset == indexed:
         return _finish_hit(payload, index_path, indexed, obs, cache_counter)
@@ -357,8 +355,7 @@ def _load_payload(index_path: str, obs: Observability) -> Optional[IndexPayload]
     """
     try:
         with obs.span("index.load", local=True, path=index_path):
-            with obs.timed("index.load"):
-                payload = load_index(index_path)
+            payload = load_index(index_path)
     except (CapIndexError, OSError):
         return None
     if payload.pipeline != DEFAULT_PIPELINE:

@@ -66,9 +66,9 @@ def _workers_or_auto(value: str):
 
 
 def _observability_flags() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The eleven observability flags, each declared once, as parent parsers.
+    """The ten observability flags, each declared once, as parent parsers.
 
-    ``(obs, obs_prom)``: the eight tracing / metrics / profiling flags,
+    ``(obs, obs_prom)``: the seven tracing / metrics / profiling flags,
     and the same plus the three Prometheus publishers.  A command
     inherits one of the two or neither.
     """
@@ -109,17 +109,8 @@ def _observability_flags() -> tuple[argparse.ArgumentParser, argparse.ArgumentPa
     obs.add_argument(
         "--profile",
         action="store_true",
-        help="attribute wall time per pipeline stage with the deterministic "
-        "sampling profiler (event-count triggered; simulated behaviour is "
-        "unchanged) and print a stage summary on exit",
-    )
-    obs.add_argument(
-        "--profile-every",
-        type=int,
-        default=64,
-        metavar="N",
-        help="profiler sampling interval: time every Nth occurrence of each "
-        "stage, first occurrence always (default: 64)",
+        help="time each pipeline stage (the --metrics stage timers; the run "
+        "executes the same code) and print a stage table on exit",
     )
     obs.add_argument(
         "--speedscope",

@@ -33,7 +33,7 @@ def load_capture(args: argparse.Namespace, obs: Observability):
     """Load the sanitized capture of ``args.pcap`` through the analysis plane.
 
     Delegates to :func:`repro.capstore.load_or_build`: a valid ``.capidx``
-    sidecar loads columns straight from disk (``index.load`` timer, cache
+    sidecar loads columns straight from disk (``index.load`` span, cache
     ``hit`` counter); otherwise one streaming dissection pass builds the
     table and persists the sidecar unless ``--no-cache``.
     """
@@ -87,7 +87,7 @@ def validate_tables(args: argparse.Namespace) -> set:
 def cmd_classify(args: argparse.Namespace) -> int:
     obs = make_obs(args, force_metrics=args.json)
     try:
-        with obs.timed("classify"):
+        with obs.span("classify", local=True):
             capture = load_capture(args, obs)
     finally:
         finish_obs(args, obs)
@@ -134,7 +134,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     obs = make_obs(args)
     try:
         capture = load_capture(args, obs)
-        with obs.timed("analyze"), obs.span("analyze.render", local=True):
+        with obs.span("analyze.render", local=True):
             print(render_analysis(capture, wanted))
         return 0
     finally:
@@ -179,13 +179,13 @@ def cmd_index(args: argparse.Namespace) -> int:
             )
         )
         return 0 if valid else 1
-    if args.force:
-        try:
-            os.unlink(index_path)
-        except FileNotFoundError:
-            pass
     obs = make_obs(args, force_metrics=True)
     try:
+        if args.force:
+            try:
+                os.unlink(index_path)
+            except FileNotFoundError:
+                pass
         view, cache_hit = load_or_build(pcap, obs=obs)
     finally:
         finish_obs(args, obs)

@@ -6,9 +6,9 @@ import argparse
 import time as _wall
 from typing import Callable
 
-from repro.core.report import render_table
 from repro.errors import UsageError
-from repro.obs import MetricsRegistry, Observability, Profiler, open_tracer
+from repro.obs import MetricsRegistry, Observability, open_tracer
+from repro.obs.prof import render_profile, write_speedscope
 
 
 def make_obs(args: argparse.Namespace, force_metrics: bool = False) -> Observability:
@@ -16,19 +16,25 @@ def make_obs(args: argparse.Namespace, force_metrics: bool = False) -> Observabi
 
     ``force_metrics`` attaches a registry even without ``--metrics`` (used
     by ``classify --json``, whose output embeds the snapshot, and by the
-    Prometheus publishers, which render it live).
+    Prometheus publishers, which render it live); ``--profile`` attaches
+    one too, since the profile is read from its stage timers.
     """
     if args.trace_ring and not args.trace:
         raise UsageError("--trace-ring needs --trace FILE to dump into")
+    if args.trace_ring_signal and not args.trace_ring:
+        raise UsageError("--trace-ring-signal needs --trace-ring K")
+    if args.speedscope and not args.profile:
+        raise UsageError("--speedscope needs --profile")
     tracer = open_tracer(
         args.trace,
         sample=args.trace_sample,
         ring=args.trace_ring,
         signal=args.trace_ring_signal,
     )
-    metrics = MetricsRegistry() if force_metrics or args.metrics else None
-    prof = Profiler(args.profile_every, metrics=metrics) if args.profile else None
-    return Observability(tracer=tracer, metrics=metrics, prof=prof)
+    wants_registry = force_metrics or args.metrics or args.profile
+    return Observability(
+        tracer=tracer, metrics=MetricsRegistry() if wants_registry else None
+    )
 
 
 def finish_obs(args: argparse.Namespace, obs: Observability) -> None:
@@ -42,39 +48,16 @@ def finish_obs(args: argparse.Namespace, obs: Observability) -> None:
     obs.close()
     if args.metrics and obs.metrics is not None:
         obs.metrics.write(args.metrics)
-    prof = obs.prof
-    if prof is not None:
+    if args.profile:
+        timers = obs.metrics.timers
         if args.speedscope:
-            prof.write_speedscope(args.speedscope)
-        print(_render_prof_summary(prof))
+            write_speedscope(args.speedscope, timers)
+        print(render_profile(timers))
         if args.speedscope:
             print(
                 "Wrote speedscope profile to %s (open at "
                 "https://www.speedscope.app/)" % args.speedscope
             )
-
-
-def _render_prof_summary(prof: Profiler, top: int = 12) -> str:
-    """The --profile exit table: top stages by estimated self time."""
-    totals = prof.stage_totals()
-    grand = sum(entry["self_seconds"] for entry in totals.values()) or 1.0
-    ranked = sorted(totals.items(), key=lambda item: -item[1]["self_seconds"])
-    rows = [
-        [
-            name,
-            entry["calls"],
-            entry["packets"],
-            "%.3f" % entry["self_seconds"],
-            "%.1f%%" % (100.0 * entry["self_seconds"] / grand),
-        ]
-        for name, entry in ranked[:top]
-    ]
-    return render_table(
-        ["stage", "calls", "packets", "self [s]", "share"],
-        rows,
-        title="Profile (sampled every %d per stage, %.3f s attributed)"
-        % (prof.every, prof.total_estimate()),
-    )
 
 
 #: What a :func:`follow` poll returns to end the loop itself.

@@ -29,7 +29,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         else ScenarioConfig(seed=args.seed)
     )
     config = config.scaled(args.scale)
-    args.speedscope = args.speedscope or args.output + ".speedscope.json"
+    if args.profile:
+        args.speedscope = args.speedscope or args.output + ".speedscope.json"
     args.workers = resolve_workers(args.workers, config)
     if args.workers > 1:
         return _simulate_sharded(args, config)
@@ -48,9 +49,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             on_built=lambda built: cleanup.callback(
                 PromPublishers(args, obs, loop=built.loop).stop
             ),
-            stage_timers=True,
         )
-        with obs.timed("write_pcap"):
+        with obs.span("simulate.write", local=True):
             write_capture(scenario.telescope, args.output)
     print(
         "Wrote %d captured packets to %s"
@@ -88,17 +88,16 @@ def _simulate_sharded(args: argparse.Namespace, config: ScenarioConfig) -> int:
     obs = make_obs(args, force_metrics=wants_prom(args))
     prom = PromPublishers(args, obs)
     try:
-        with obs.timed("simulate"):
-            result = simulate_sharded(
-                config,
-                args.workers,
-                args.output,
-                obs=obs,
-                trace_path=args.trace,
-                trace_sample=args.trace_sample,
-                trace_ring=args.trace_ring,
-                progress_dir=args.output + ".progress",
-            )
+        result = simulate_sharded(
+            config,
+            args.workers,
+            args.output,
+            obs=obs,
+            trace_path=args.trace,
+            trace_sample=args.trace_sample,
+            trace_ring=args.trace_ring,
+            progress_dir=args.output + ".progress",
+        )
     finally:
         prom.stop()
         finish_obs(args, obs)
@@ -121,7 +120,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     prober = Prober(lab.loop, lab.network)
     prom = PromPublishers(args, obs, loop=lab.loop)
     try:
-        with obs.timed("probe.%s" % args.experiment):
+        with obs.span("probe.%s" % args.experiment, local=True):
             return _run_probe(args, lab, prober)
     finally:
         prom.stop()

@@ -63,15 +63,14 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
             )
 
     try:
-        with obs.timed("sweep"):
-            result = run_sweep(
-                spec,
-                outdir,
-                workers=args.workers,
-                force=args.force,
-                obs=obs,
-                on_cell=on_cell,
-            )
+        result = run_sweep(
+            spec,
+            outdir,
+            workers=args.workers,
+            force=args.force,
+            obs=obs,
+            on_cell=on_cell,
+        )
     finally:
         prom.stop()
         finish_obs(args, obs)

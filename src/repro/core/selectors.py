@@ -76,7 +76,9 @@ CAPTURE_NAMES = (
     "rows.total", "rows.backscatter", "rows.scans", "records.total", "removed_share"
 ) + tuple("dropped." + reason for reason in DROP_REASONS)
 #: Registry-snapshot prefixes: the name after the colon is free-form.
-REGISTRY_PREFIXES = ("counter:", "gauge:", "timer:")
+#: Stage timers are wall seconds, so no prefix reads them: results are
+#: deterministic, and a sweep's wall time is in its manifest.
+REGISTRY_PREFIXES = ("counter:", "gauge:")
 
 
 def validate_metric(name: str) -> None:

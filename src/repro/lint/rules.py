@@ -24,7 +24,7 @@ rule id     invariant
             (``os.listdir``, ``glob.glob``) — wrap in ``sorted()`` before
             the order can leak into output
 ``OBS001``  metric-name string literals (``counter:…``, ``gauge:…``,
-            ``timer:…``, ``rows.…`` and every family of
+            ``rows.…`` and every family of
             :mod:`repro.core.selectors`) must pass the grammar
             :func:`~repro.core.selectors.validate_metric` enforces at
             spec-parse time — a typo fails lint, not a sweep

@@ -277,8 +277,8 @@ class PcapWalk:
     def __exit__(self, *exc_info) -> None:
         self._file.close()
 
-    def step(self, on_record: Callable[[float, bytes, int, int], object]) -> int:
-        """Walk one chunk; returns how many records it handed over."""
+    def step(self, on_record: Callable[[float, bytes, int, int], object]) -> None:
+        """Walk one chunk."""
         want = max(0, min(max(WALK_CHUNK, self._short), self.size - self._read_to))
         data = self._file.read(want)
         self._read_to += len(data)
@@ -286,7 +286,7 @@ class PcapWalk:
         filled = len(buf)
         self._base = self._read_to - filled
         unpack = self._unpack
-        pos = count = short = 0
+        pos = short = 0
         while filled - pos >= 16:
             ts_sec, ts_usec, incl_len, _orig_len = unpack(buf, pos)
             stop = pos + 16 + incl_len
@@ -295,7 +295,6 @@ class PcapWalk:
                 break
             on_record(ts_sec + ts_usec / 1_000_000, buf, pos + 16, stop)
             pos = stop
-            count += 1
         cursor = self.cursor
         cursor.offset = self._base + pos
         if cursor.digest is not None:
@@ -307,7 +306,6 @@ class PcapWalk:
         )
         self._carry = buf[pos:]
         self._short = short
-        return count
 
     def run(self, on_record: Callable[[float, bytes, int, int], object]) -> None:
         """Every remaining step."""

@@ -3,16 +3,18 @@
 One :class:`Observability` bundle is threaded through every layer of the
 simulator — event loop, network, load balancers, server engines, the
 telescope, and the sanitization pipeline.  The default :data:`NULL_OBS`
-carries an inert tracer, no registry, and no profiler, so uninstrumented
-runs pay only a falsy attribute check on hot paths.
+carries an inert tracer and no registry, so uninstrumented runs pay only
+a falsy attribute check on hot paths.
 
-The bundle's three planes:
+The bundle's two planes:
 
 * ``tracer`` — flat qlog-style event stream (:mod:`repro.obs.trace`),
-* ``metrics`` — counters/gauges/histograms (:mod:`repro.obs.metrics`),
-* ``prof`` — the hierarchical stage profiler (:mod:`repro.obs.prof`);
-  :meth:`Observability.span` opens a stage on it and, when the tracer is
-  live too, emits a ``span:*`` event with ``span``/``parent`` ids.
+* ``metrics`` — counters/gauges/histograms and stage timers
+  (:mod:`repro.obs.metrics`); :meth:`Observability.span` is the one
+  stage clock, booking each stage's wall time into ``metrics.timers``
+  and, when the tracer is live too, emitting a ``span:*`` event with
+  ``span``/``parent`` ids.  ``--profile`` renders those timers
+  (:mod:`repro.obs.prof`).
 
 The Prometheus publishers (:mod:`repro.obs.export`, which brings in
 ``http.server``) are not re-exported here: whoever publishes imports
@@ -21,8 +23,7 @@ that module, so that emitting into the bundle costs nobody the exporter.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.obs.metrics import (
     Counter,
@@ -31,7 +32,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     load_snapshot,
 )
-from repro.obs.prof import Profiler, validate_speedscope
+from repro.obs.prof import validate_speedscope
 from repro.obs.sinks import (
     DEFAULT_ALWAYS_KEEP,
     RingBufferTracer,
@@ -79,7 +80,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "load_snapshot",
-    "Profiler",
     "validate_speedscope",
     "Span",
     "NULL_SPAN",
@@ -101,51 +101,47 @@ __all__ = [
 
 
 class Observability:
-    """A tracer, optional metrics registry, and optional profiler."""
+    """A tracer and an optional metrics registry, plus the open spans."""
 
-    __slots__ = ("tracer", "metrics", "prof")
+    __slots__ = ("tracer", "metrics", "open_spans", "_span_count")
 
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        prof: Optional[Profiler] = None,
     ) -> None:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = metrics
-        self.prof = prof
+        #: ``(path, span id)`` of every open span, under a root entry.
+        self.open_spans: List[Tuple[str, int]] = [("", 0)]
+        self._span_count = 0
 
     @property
     def enabled(self) -> bool:
-        return (
-            self.tracer.enabled or self.metrics is not None or self.prof is not None
-        )
+        return self.tracer.enabled or self.metrics is not None
 
     def span(self, name: str, **fields):
-        """Open a hierarchical stage span (see :mod:`repro.obs.spans`).
+        """Open a stage span: time it into ``metrics.timers`` (see
+        :mod:`repro.obs.spans`).
 
-        Returns the shared inert :data:`NULL_SPAN` unless a profiler is
-        attached — spans exist to feed the profiler's stage tree; the
-        flat tracer alone keeps its existing event vocabulary, so
-        ``--trace`` output without ``--profile`` is unchanged.
+        Returns the shared inert :data:`NULL_SPAN` unless a registry is
+        attached; the flat tracer alone keeps its event vocabulary, so
+        ``--trace`` output without ``--metrics`` or ``--profile`` holds no
+        span events.
         """
-        if self.prof is None:
+        if self.metrics is None:
             return NULL_SPAN
         return Span(self, name, fields)
 
-    def timed(self, stage: str):
-        """Context manager booking the block's wall time to ``stage``.
-
-        The registry's :meth:`~MetricsRegistry.time_block` when metrics
-        are attached, otherwise an inert context.
-        """
-        if self.metrics is None:
-            return nullcontext()
-        return self.metrics.time_block(stage)
+    def next_span_id(self) -> int:
+        """A fresh span id: a plain per-bundle counter, so a sampling
+        tracer never renumbers the span tree."""
+        self._span_count += 1
+        return self._span_count
 
     def close(self) -> None:
         self.tracer.close()
 
 
-#: Shared inert bundle: falsy tracer, no registry, no profiler.
+#: Shared inert bundle: falsy tracer, no registry.
 NULL_OBS = Observability()

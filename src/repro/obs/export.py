@@ -127,7 +127,7 @@ def render_prometheus(registry: "MetricsRegistry") -> str:
             lines.append("%s_sum%s %s" % (name, labels, _format_value(series.sum)))
             lines.append("%s_count%s %d" % (name, labels, series.count))
 
-    timers = registry._timers
+    timers = registry.timers
     if timers:
         lines.append("# TYPE repro_stage_seconds_total counter")
         for stage, (seconds, _calls) in sorted(timers.items()):

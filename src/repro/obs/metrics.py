@@ -13,18 +13,16 @@ Two APIs coexist:
 
 ``snapshot()`` renders everything to plain dicts (JSON-ready); the CLI's
 ``repro stats`` pretty-prints such snapshots, and benches persist them as
-machine-readable baselines.  :meth:`MetricsRegistry.time_block` is a
-context manager accumulating wall-clock seconds per pipeline stage
-(simulate, classify, analyze), which is how pkts/sec regressions get a
-number attached.
+machine-readable baselines.  ``timers`` holds wall-clock seconds and
+calls per pipeline stage, keyed by the stage's ``/``-joined span path
+(``simulate.build/simulate.unit``); :meth:`Observability.span
+<repro.obs.Observability.span>` is what books them.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.atomic import atomic_output
 from repro.errors import InputFileError
@@ -149,7 +147,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._timers: Dict[str, list] = {}  # stage -> [seconds, calls]
+        self.timers: Dict[str, list] = {}  # stage path -> [seconds, calls]
 
     # -- instrument accessors -------------------------------------------------
     def counter(self, name: str, label_names: Sequence[str] = ()) -> Counter:
@@ -190,20 +188,14 @@ class MetricsRegistry:
         return created
 
     # -- stage timing ----------------------------------------------------------
-    @contextmanager
-    def time_block(self, stage: str) -> Iterator[None]:
-        """Accumulate the wall-clock duration of a pipeline stage."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            entry = self._timers.setdefault(stage, [0.0, 0])
-            entry[0] += elapsed
-            entry[1] += 1
-
-    def timer_seconds(self, stage: str) -> float:
-        return self._timers.get(stage, [0.0, 0])[0]
+    def add_time(self, stage: str, seconds: float, calls: int = 1) -> None:
+        """Book ``seconds`` over ``calls`` runs of the stage at path ``stage``."""
+        entry = self.timers.get(stage)
+        if entry is None:
+            self.timers[stage] = [seconds, calls]
+        else:
+            entry[0] += seconds
+            entry[1] += calls
 
     # -- export ----------------------------------------------------------------
     def snapshot(self) -> dict:
@@ -241,7 +233,7 @@ class MetricsRegistry:
             },
             "timers": {
                 stage: {"seconds": seconds, "calls": calls}
-                for stage, (seconds, calls) in sorted(self._timers.items())
+                for stage, (seconds, calls) in sorted(self.timers.items())
             },
         }
 
@@ -293,9 +285,7 @@ class MetricsRegistry:
                 series.count += series_body["count"]
                 series.sum += series_body["sum"]
         for stage, entry in snapshot.get("timers", {}).items():
-            timer = self._timers.setdefault(stage, [0.0, 0])
-            timer[0] += entry["seconds"]
-            timer[1] += entry["calls"]
+            self.add_time(stage, entry["seconds"], entry["calls"])
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)

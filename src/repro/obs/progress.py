@@ -11,8 +11,8 @@ write: they either get the previous complete document or the new one.
 
 ``repro progress <target>`` aggregates the directory into a table;
 ``repro top <target>`` follows it live.  The heartbeat carries enough
-for an ETA: events done vs. expected, a rolling rate, the stage and the
-last span the worker passed through.
+for an ETA: events done vs. expected, a rolling rate, and the stage the
+worker is in.
 
 ETA calibration: a traffic unit's ``weight`` counts its *packets*, but
 the loop processes more events than packets sent: one per sent packet,
@@ -37,9 +37,9 @@ from repro.core.report import render_table
 from repro.errors import InputFileError
 
 #: Event-loop events per unit of traffic-unit weight (measured 1.23 on
-#: the standard scenario: ``events`` over ``simulate.unit`` packets in
-#: ``benchmarks/bench_prof.py``'s output).  Used only for ETA display,
-#: never in any simulated decision.
+#: the standard scenario: ``events`` over ``unit_weight`` in
+#: ``BENCH_prof.json``, which ``benchmarks/bench_prof.py`` writes).  Used
+#: only for ETA display, never in any simulated decision.
 EVENTS_PER_WEIGHT = 1.2
 
 #: Heartbeat filename suffix; ``read_heartbeats`` globs for it, so the
@@ -75,7 +75,6 @@ class HeartbeatWriter:
         stage: str,
         done: float = 0.0,
         records: int = 0,
-        span: str = "",
         sim_time: float = 0.0,
         final: bool = False,
     ) -> bool:
@@ -99,7 +98,6 @@ class HeartbeatWriter:
             "done": done,
             "total": self.total,
             "records": records,
-            "span": span,
             "sim_time": round(sim_time, 6),
             "started": self._started,
             "updated": now,

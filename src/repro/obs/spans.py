@@ -1,24 +1,25 @@
-"""Hierarchical spans over the flat tracer, and span-timeline merging.
+"""Stage spans: the one stage clock, and span-timeline merging.
 
-qlog's event stream is flat; profiling a pipeline needs *nesting* — an
-``engine.flight`` contains AEAD seals, a ``simulate.unit`` contains
-thousands of flights.  A :class:`Span` is a context manager handed out by
-:meth:`Observability.span <repro.obs.Observability.span>`: it pushes a
-stage onto the profiler's tree (``repro.obs.prof``), and — when a tracer
-is attached — emits a ``span:<name>`` event on exit carrying ``span``
-and ``parent`` ids so flat JSONL traces reconstruct into a tree.  Span
-ids come from the profiler's own counter, assigned before any sampling
-decision, so parent links stay stable however events are thinned.
+A :class:`Span` is a context manager handed out by
+:meth:`Observability.span <repro.obs.Observability.span>`.  It times its
+block once: on exit it adds ``(seconds, 1)`` to the metrics registry's
+``timers`` under its ``/``-joined path (``simulate.build`` opens
+``simulate.build/simulate.unit`` inside it), which is what ``--metrics``
+snapshots, ``repro stats`` renders and ``--profile`` reads back
+(:mod:`repro.obs.prof`).  When a tracer is live too, it emits a
+``span:<name>`` event carrying ``span`` and ``parent`` ids, so flat
+JSONL traces reconstruct into a tree.
 
-Without a profiler attached, ``obs.span(...)`` returns the shared
-:data:`NULL_SPAN` — one attribute check and one identity return, keeping
-the profiler-off hot path inside the existing overhead budget.
+Without a registry attached, ``obs.span(...)`` returns the shared
+:data:`NULL_SPAN` — one attribute check and one identity return.  Spans
+open per stage (a phase, a traffic unit, a sweep cell), never per
+packet, so a profiled run executes the same code as an unprofiled one.
 
 Determinism and the merged timeline: all span payloads are pure
 functions of the scenario's keyed randomness (simulated times, unit
-names, packet counts, connection ids), so the *canonical* form of a span
-stream — volatile fields like wall clocks and process-local span ids
-stripped — is identical whichever worker emitted it.
+names, packet counts), so the *canonical* form of a span stream —
+volatile fields like wall clocks and process-local span ids stripped —
+is identical whichever worker emitted it.
 :func:`merge_span_timelines` k-way-merges per-worker span streams into
 one time-ordered timeline exactly the way ``merge_pcap_files`` merges
 shard captures, and the result is byte-identical for any worker count.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from time import perf_counter
 from typing import Iterable, List, Optional, Sequence
 
 from repro.atomic import atomic_output
@@ -41,24 +43,27 @@ from repro.obs.trace import CAT_SPAN, read_trace
 #: pure function of the scenario's keyed randomness.
 VOLATILE_FIELDS = frozenset({"wall", "span", "parent", "wall_ms", "sampled"})
 
+#: Path separator of nested stages in ``timers`` keys.
+PATH_SEP = "/"
+
 
 class Span:
-    """A live stage: profiler node plus (optionally) a trace event on exit.
+    """A live stage: a timer booked on exit, plus (optionally) a trace event.
 
     Not reentrant and not thread-safe — one span object per ``with``
     block, like a file handle.  Extra keyword fields land in the trace
     event's ``data``; :meth:`note` adds or updates fields after entry
-    (e.g. a flight's packet count, known only once it is built).
+    (e.g. a record count, known only once the stage has run).
     """
 
-    __slots__ = ("_obs", "_name", "_fields", "_node", "_start", "_id", "_parent")
+    __slots__ = ("_obs", "_name", "_fields", "_path", "_start", "_id", "_parent")
 
     def __init__(self, obs, name: str, fields: dict) -> None:
         self._obs = obs
         self._name = name
         self._fields = fields
-        self._node = None
-        self._start = None
+        self._path = name
+        self._start = 0.0
         self._id = 0
         self._parent = 0
 
@@ -66,27 +71,24 @@ class Span:
         """Attach or update payload fields before the span closes."""
         self._fields.update(fields)
 
-    @property
-    def span_id(self) -> int:
-        return self._id
-
-    @property
-    def parent_id(self) -> int:
-        return self._parent
-
     def __enter__(self) -> "Span":
-        prof = self._obs.prof
-        self._node, self._start, self._id, self._parent = prof.push(
-            self._name, self._fields.get("profile")
-        )
+        stack = self._obs.open_spans
+        parent_path, self._parent = stack[-1]
+        if parent_path:
+            self._path = parent_path + PATH_SEP + self._name
+        self._id = self._obs.next_span_id()
+        stack.append((self._path, self._id))
+        self._start = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        fields = self._fields
-        packets = fields.get("packets", 0)
-        self._obs.prof.pop(self._node, self._start, packets)
-        tracer = self._obs.tracer
+        elapsed = perf_counter() - self._start
+        obs = self._obs
+        obs.open_spans.pop()
+        obs.metrics.add_time(self._path, elapsed)
+        tracer = obs.tracer
         if tracer.enabled:
+            fields = self._fields
             time = fields.pop("time", 0.0)
             tracer.emit(
                 CAT_SPAN,
@@ -99,15 +101,12 @@ class Span:
 
 
 class _NullSpan:
-    """Inert span: the profiler-off fast path (shared singleton)."""
+    """Inert span: the no-registry fast path (shared singleton)."""
 
     __slots__ = ()
 
     def note(self, **fields) -> None:
         pass
-
-    span_id = 0
-    parent_id = 0
 
     def __enter__(self) -> "_NullSpan":
         return self

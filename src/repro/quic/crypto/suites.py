@@ -46,14 +46,6 @@ class PacketProtection:
 
     name = "abstract"
 
-    #: Optional :class:`~repro.obs.prof.Profiler` hook (instance attr set
-    #: by the owning engine when profiling).  Class-level None keeps the
-    #: unprofiled hot path to a single attribute load; threading the full
-    #: Observability bundle into the crypto layer would cost more than
-    #: the stages being measured.
-    prof = None
-    prof_profile = None
-
     def __init__(self, version: int, client_dcid: bytes) -> None:
         self.version = version
         self.client_dcid = bytes(client_dcid)
@@ -91,24 +83,13 @@ class PacketProtection:
         pn_length = (header[0] & 0x03) + 1
         pn_offset = len(header) - pn_length
         nonce = keys.nonce(packet_number)
-        prof = self.prof
-        if prof is None:
-            sealed = self._seal(keys, nonce, payload, header)
-        else:
-            node, start = prof.leaf_begin("engine.aead", self.prof_profile)
-            sealed = self._seal(keys, nonce, payload, header)
-            prof.leaf_end(node, start, packets=1)
+        sealed = self._seal(keys, nonce, payload, header)
         packet = bytearray(header + sealed)
         sample_start = pn_offset + SAMPLE_OFFSET
         sample = bytes(packet[sample_start : sample_start + SAMPLE_LENGTH])
         if len(sample) != SAMPLE_LENGTH:
             raise ProtectionError("packet too short to sample for header protection")
-        if prof is None:
-            mask = self._hp_mask(keys, sample)
-        else:
-            node, start = prof.leaf_begin("engine.hp", self.prof_profile)
-            mask = self._hp_mask(keys, sample)
-            prof.leaf_end(node, start, packets=1)
+        mask = self._hp_mask(keys, sample)
         packet[0] ^= mask[0] & (0x0F if packet[0] & 0x80 else 0x1F)
         for i in range(pn_length):
             packet[pn_offset + i] ^= mask[1 + i]
@@ -227,12 +208,8 @@ class FastProtection(PacketProtection):
         the five Python-level calls per packet — for_sender, _seal,
         _keystream, _xor, _hp_mask — into straight-line code, and to XOR
         only up to the payload's last non-zero byte: under the PADDING the
-        ciphertext *is* the keystream.  A profiled run executes the same
-        body and books seal and mask together as one ``engine.aead`` leaf.
+        ciphertext *is* the keystream.
         """
-        prof = self.prof
-        if prof is not None:
-            node, start = prof.leaf_begin("engine.aead", self.prof_profile)
         keys = self.keys.server if is_server else self.keys.client
         key = keys.key
         nonce = (keys.iv_int ^ packet_number).to_bytes(12, "big")
@@ -257,8 +234,6 @@ class FastProtection(PacketProtection):
         masked[0] ^= mask[0] & (0x0F if header[0] & 0x80 else 0x1F)
         for i in range(pn_length):
             masked[pn_offset + i] ^= mask[1 + i]
-        if prof is not None:
-            prof.leaf_end(node, start, packets=1)
         return b"".join((masked, ciphertext, tag))
 
     def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:

@@ -432,8 +432,6 @@ class QuicServerEngine:
         self.certificate = certificate
         self.stats = EngineStats()
         obs = obs or NULL_OBS
-        self._obs = obs
-        self._prof = obs.prof
         # Per-worker scoped tracer: every event carries profile/host/worker.
         self._tracer = (
             obs.tracer.scoped(
@@ -609,20 +607,7 @@ class QuicServerEngine:
             client_dcid=parsed.dcid,
         )
         scid = self.profile.cid_scheme.generate(conn_rng, context)
-        prof = self._prof
-        if prof is None:
-            protection = self._suite(parsed.version, parsed.dcid)
-        else:
-            # The "engine.keys" stage of the packet lifecycle: suite
-            # construction runs HKDF-Extract, and reading both directions
-            # here (the engine seals with one and opens 1-RTT packets with
-            # the other) books their lazy expansion to this stage too.
-            node, start = prof.leaf_begin("engine.keys", self.profile.name)
-            protection = self._suite(parsed.version, parsed.dcid)
-            protection.keys.client, protection.keys.server
-            prof.leaf_end(node, start, packets=1)
-            protection.prof = prof
-            protection.prof_profile = self.profile.name
+        protection = self._suite(parsed.version, parsed.dcid)
         conn = ServerConnection(
             scid=scid,
             original_dcid=parsed.dcid,
@@ -837,21 +822,6 @@ class QuicServerEngine:
         return self._handshake_payload
 
     def _send_flight(self, conn: ServerConnection, request: UdpDatagram) -> None:
-        if self._prof is None:
-            self._send_flight_inner(conn, request)
-            return
-        with self._obs.span(
-            "engine.flight",
-            time=self.loop.now,
-            profile=self.profile.name,
-            cid=conn.scid.hex(),
-            coalesced=conn.coalesced,
-        ) as span:
-            self._send_flight_inner(conn, request, span)
-
-    def _send_flight_inner(
-        self, conn: ServerConnection, request: UdpDatagram, span=None
-    ) -> None:
         flight = conn.flight_layout
         if flight is None:
             shape = (conn.version, len(conn.client_cid), len(conn.scid), conn.coalesced)
@@ -871,8 +841,6 @@ class QuicServerEngine:
         lengths = [length for length, _build in datagrams]
         for length, build in datagrams:
             self._reply_to(request, conn.vip, length, build)
-        if span is not None:
-            span.note(packets=len(lengths), bytes=sum(lengths))
         self.stats.flights_sent += 1
         self._count("flights_sent")
         if self._m_datagrams is not None:

@@ -217,27 +217,6 @@ class Network:
         # without its payload ever being read, so a deferred one (a server
         # flight, see DeferredDatagram) is never sealed.
         target = self.route(datagram.dst_ip)
-        prof = self.obs.prof
-        if prof is None:
-            self._transmit(sender, datagram, target)
-            return
-        if target is not None:
-            # Build a deferred payload before the leaf opens: its seal is
-            # booked to engine.aead/engine.hp, which are leaves themselves
-            # and must not be counted a second time under net.transmit.
-            datagram.payload
-        # Leaf stage, not a span: transmit fires per packet and a full
-        # span push/pop (plus a trace event) would dominate the thing it
-        # measures.  try/finally covers all three outcome returns.
-        node, start = prof.leaf_begin("net.transmit")
-        try:
-            self._transmit(sender, datagram, target)
-        finally:
-            prof.leaf_end(node, start, packets=1)
-
-    def _transmit(
-        self, sender: Device, datagram: UdpDatagram, target: Device | None
-    ) -> None:
         tracer = self.obs.tracer
         if target is None:
             self._m_dropped.inc_key((DROP_NO_ROUTE, sender.name))

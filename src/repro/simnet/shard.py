@@ -39,13 +39,13 @@ instead of the canonical key).  ``--workers 1`` *is* the serial path:
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.atomic import remove_orphaned_temps
 from repro.netstack.pcap import merge_pcap_files
-from repro.obs import NULL_OBS, MetricsRegistry, Observability, Profiler, open_tracer
+from repro.obs import NULL_OBS, MetricsRegistry, Observability, open_tracer
 from repro.obs.progress import HeartbeatWriter, clean_progress_dir, expected_events
 from repro.obs.trace import CAT_SIM
 from repro.pool import run_pool
@@ -159,7 +159,6 @@ def run_scenario(
     obs: Optional[Observability] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
     on_built: Optional[Callable[[Scenario], None]] = None,
-    stage_timers: bool = False,
 ) -> Scenario:
     """Build the full deployment, run ``units`` (None: all) to the end.
 
@@ -169,48 +168,37 @@ def run_scenario(
     capture (arrival order for the serial pcap, the canonical order for
     a shard).
 
-    When profiling, the two phases open ``simulate.build`` /
-    ``simulate.run`` spans marked ``local`` — they describe this
-    *process*, so they are excluded from the canonical merged timeline
-    (see :mod:`repro.obs.spans`).  When a ``heartbeat`` writer is given,
-    it is updated through the build, every ~4096 loop events during the
-    run, and once more (``final``) when the loop has drained.
-    ``on_built`` sees the scenario between the phases (the serial
-    command hangs its Prometheus file writer on the loop there).
-    ``stage_timers`` also books the phases as the ``build_scenario`` and
-    ``simulate`` stage timers — for a registry that is the run's own; a
-    shard worker's is merged into a parent that times the whole pool.
+    The two phases open ``simulate.build`` / ``simulate.run`` spans
+    marked ``local`` — they describe this *process*, so they are excluded
+    from the canonical merged timeline (see :mod:`repro.obs.spans`).
+    When a ``heartbeat`` writer is given, it is updated through the
+    build, every ~4096 loop events during the run, and once more
+    (``final``) when the loop has drained.  ``on_built`` sees the
+    scenario between the phases (the serial command hangs its Prometheus
+    file writer on the loop there).
     """
     obs = obs or NULL_OBS
     if units is None:
         units = plan_traffic_units(config)
-    timed = obs.timed if stage_timers else (lambda _stage: nullcontext())
     if heartbeat is not None:
         heartbeat.total = expected_events(sum(unit.weight for unit in units))
         heartbeat.update("build")
-    with obs.span("simulate.build", local=True, units=len(units)), timed(
-        "build_scenario"
-    ):
+    with obs.span("simulate.build", local=True, units=len(units)):
         scenario = build_scenario(config, obs=obs, units=units)
     if on_built is not None:
         on_built(scenario)
     loop = scenario.loop
     telescope = scenario.telescope
     if heartbeat is not None:
-        prof = obs.prof
 
         def on_progress(count: int) -> None:
             heartbeat.update(
-                "run",
-                done=count,
-                records=len(telescope.records),
-                span=prof.current_path if prof is not None else "",
-                sim_time=loop.now,
+                "run", done=count, records=len(telescope.records), sim_time=loop.now
             )
 
         loop.on_progress = on_progress
         heartbeat.update("run")
-    with obs.span("simulate.run", local=True), timed("simulate"):
+    with obs.span("simulate.run", local=True):
         scenario.run()
     if loop.pending:
         raise RuntimeError(
@@ -279,23 +267,24 @@ def run_to_pcap(
     cells is its one process layer), and what a shard worker runs.
     Returns the number of captured records.
     """
+    obs = obs or NULL_OBS
     scenario = _run_units(config, unit_names, obs, heartbeat)
-    # repro: allow(IO001) -- append log: a shard's is merged, then removed; a
-    # sweep cell's is vouched for by the cell.json written after it
-    with open(output, "wb") as fileobj:
-        return scenario.telescope.capture.write_canonical(fileobj)
+    with obs.span("simulate.write", local=True):
+        # repro: allow(IO001) -- append log: a shard's is merged, then removed;
+        # a sweep cell's is vouched for by the cell.json written after it
+        with open(output, "wb") as fileobj:
+            return scenario.telescope.capture.write_canonical(fileobj)
 
 
 def _worker_main(payload: tuple):
     """Worker-process entry: run one shard, persist its capture.
 
-    Returns ``(record_count, metrics_snapshot_or_None,
-    prof_snapshot_or_None)``; the capture itself travels via the
-    filesystem (a temporary shard capture) to keep the IPC payload
-    small.  The trace is the command's own ``--trace-sample`` /
-    ``--trace-ring`` sink on this worker's file; ``prof_every`` turns on an
-    in-worker profiler whose snapshot the parent merges; ``progress_dir``
-    points at the run's heartbeat directory.
+    Returns ``(record_count, metrics_snapshot_or_None)``; the capture
+    itself travels via the filesystem (a temporary shard capture) to keep
+    the IPC payload small.  The trace is the command's own
+    ``--trace-sample`` / ``--trace-ring`` sink on this worker's file;
+    the metrics snapshot, stage timers included, is what the parent
+    merges; ``progress_dir`` points at the run's heartbeat directory.
     """
     (
         config,
@@ -305,14 +294,12 @@ def _worker_main(payload: tuple):
         trace_path,
         trace_sample,
         trace_ring,
-        prof_every,
         progress_dir,
         shard_index,
     ) = payload
     tracer = open_tracer(trace_path, sample=trace_sample, ring=trace_ring)
     metrics = MetricsRegistry() if want_metrics else None
-    prof = Profiler(prof_every, metrics=metrics) if prof_every else None
-    obs = Observability(tracer=tracer, metrics=metrics, prof=prof)
+    obs = Observability(tracer=tracer, metrics=metrics)
     heartbeat = (
         HeartbeatWriter(progress_dir, worker=shard_index) if progress_dir else None
     )
@@ -320,11 +307,7 @@ def _worker_main(payload: tuple):
         count = run_to_pcap(config, pcap_path, obs, heartbeat, unit_names)
     finally:
         obs.close()
-    return (
-        count,
-        metrics.snapshot() if metrics is not None else None,
-        prof.snapshot() if prof is not None else None,
-    )
+    return count, metrics.snapshot() if metrics is not None else None
 
 
 def simulate_sharded(
@@ -343,9 +326,8 @@ def simulate_sharded(
     merged, and removed — on success and on failure alike (a worker raised
     or died, the merge was interrupted), so no shard file outlives the
     run.  When ``obs`` carries a metrics registry, workers snapshot theirs
-    and the parent merges them; when it carries a profiler, workers
-    profile at the same sampling interval and the parent merges their
-    stage trees.  When ``trace_path`` is given, worker *k*
+    and the parent merges them, stage timers included.  When
+    ``trace_path`` is given, worker *k*
     traces to ``trace_path.worker<k>`` (mergeable into one canonical span
     timeline with ``repro trace merge``) through the same sink the command
     uses: every ``trace_sample``-th event per type, or the last
@@ -360,7 +342,6 @@ def simulate_sharded(
     obs = obs or NULL_OBS
     shards = plan_shards(config, workers)
     want_metrics = obs.metrics is not None
-    prof_every = obs.prof.every if obs.prof is not None else 0
     if progress_dir is not None:
         clean_progress_dir(progress_dir)
     shard_paths = ["%s.shard%d" % (output, shard.index) for shard in shards]
@@ -373,7 +354,6 @@ def simulate_sharded(
             "%s.worker%d" % (trace_path, shard.index) if trace_path else None,
             trace_sample,
             trace_ring,
-            prof_every,
             progress_dir,
             shard.index,
         )
@@ -394,8 +374,8 @@ def simulate_sharded(
             result for _index, result in sorted(run_pool(_worker_main, payloads, "shard"))
         ]
         # The parent deliberately opens no ``simulate.run`` span of its
-        # own: the merged worker trees already carry the run stages, and a
-        # parent duplicate would double-count them.
+        # own: the merged worker timers already carry the run stages, and
+        # a parent duplicate would double-count them.
         with obs.span("simulate.merge", local=True, shards=len(shard_paths)):
             total = merge_pcap_files(shard_paths, output)
         failed = False
@@ -405,13 +385,11 @@ def simulate_sharded(
                 os.remove(path)
         if failed and progress_dir is not None:
             remove_orphaned_temps(progress_dir)
-    for _count, snapshot, prof_snap in results:  # None unless asked for
-        if snapshot is not None:
+    for _count, snapshot in results:
+        if snapshot is not None:  # None unless asked for
             obs.metrics.merge_snapshot(snapshot)
-        if prof_snap is not None:
-            obs.prof.merge_snapshot(prof_snap)
     return ShardRunResult(
         total_records=total,
         shards=shards,
-        worker_records=[count for count, _metrics_snap, _prof_snap in results],
+        worker_records=[count for count, _snapshot in results],
     )

@@ -34,10 +34,8 @@ DEFAULT_METRICS = (
 
 
 def _from_snapshot(name: str, snapshot: dict) -> float:
-    """Resolve a ``counter:``/``gauge:``/``timer:`` metric from a snapshot."""
+    """Resolve a ``counter:``/``gauge:`` metric from a snapshot."""
     kind, _, rest = name.partition(":")
-    if kind == "timer":
-        return float(snapshot.get("timers", {}).get(rest, {}).get("seconds", 0.0))
     metric_name, _, key = rest.partition("|")
     body = snapshot.get(kind + "s", {}).get(metric_name)
     if body is None:

@@ -150,7 +150,7 @@ def run_cell(
             with suppress(FileNotFoundError):
                 os.remove(meta_path)
             sim_registry = MetricsRegistry()
-            with registry.time_block("sweep.simulate"):
+            with obs.span("sweep.simulate"):
                 records = run_to_pcap(
                     cell.config,
                     pcap,
@@ -170,7 +170,7 @@ def run_cell(
                 },
             )
         view, _hit = load_or_build(pcap, obs=obs)
-        with registry.time_block("sweep.evaluate"):
+        with obs.span("sweep.evaluate"):
             values = evaluate_metrics(metric_names, view, sim_snapshot)
     except Exception as exc:  # noqa: BLE001 - reported via the manifest
         return CellOutcome(
@@ -273,19 +273,18 @@ def run_sweep(
         if on_cell is not None:
             on_cell(cells_by_index[outcome.index], outcome)
 
+    # No span of the parent's own: every cell times its stages into its
+    # registry, merged below, and a parent duplicate would double-count.
     try:
-        with obs.span("sweep.run", local=True, cells=len(cells)):
-            if workers > 1 and len(cells) > 1:
-                # closing(): the pool's workers die here, not whenever the
-                # generator is collected.
-                with closing(run_pool(_cell_main, payloads, "cell", workers)) as done:
-                    for _index, outcome in done:
-                        collect(outcome)
-            else:
-                for payload in payloads:
-                    cell = payload[0]
-                    with obs.span("sweep.cell", local=True, cell=cell.label):
-                        collect(_cell_main(payload))
+        if workers > 1 and len(cells) > 1:
+            # closing(): the pool's workers die here, not whenever the
+            # generator is collected.
+            with closing(run_pool(_cell_main, payloads, "cell", workers)) as done:
+                for _index, outcome in done:
+                    collect(outcome)
+        else:
+            for payload in payloads:
+                collect(_cell_main(payload))
     except BaseException:
         for celldir in (cell_dir(outdir, cell) for cell in cells):
             if not os.path.exists(os.path.join(celldir, "cell.json")):

@@ -92,7 +92,7 @@ class TestClassifyCaching:
             warm["metrics"]["counters"][sanitize]["values"]
             == cold["metrics"]["counters"][sanitize]["values"]
         )
-        assert "index.load" in warm["metrics"]["timers"]
+        assert "classify/index.load" in warm["metrics"]["timers"]
 
 
 class TestIndexCommand:

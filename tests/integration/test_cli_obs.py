@@ -47,7 +47,7 @@ class TestSimulateTracing:
         hist = snapshot["histograms"]["telescope.payload_bytes"]
         assert hist["label_names"] == ["kind"]
         assert any(series["count"] for series in hist["values"].values())
-        for stage in ("build_scenario", "simulate", "write_pcap"):
+        for stage in ("simulate.build", "simulate.run", "simulate.write"):
             assert snapshot["timers"][stage]["calls"] == 1
 
     def test_untraced_output_identical(self, traced_run, tmp_path):
@@ -107,7 +107,7 @@ class TestStatsCommand:
         assert main(["analyze", pcap, "--tables", "2", "--metrics", out]) == 0
         snapshot = load_snapshot(out)
         timers = snapshot["timers"]
-        assert "analyze" in timers
+        assert "analyze.render" in timers
         # Cold runs build the columnar index, warm runs load the sidecar —
         # either way the capstore stage shows up in the timings.
         assert "index.build" in timers or "index.load" in timers

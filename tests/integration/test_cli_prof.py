@@ -42,6 +42,18 @@ def sharded_run(tmp_path_factory):
     return pcap, trace
 
 
+def _table_stages(out):
+    """The stage column of the ``--profile`` exit table printed in ``out``."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("-----")) + 1
+    stages = set()
+    for line in lines[start:]:
+        if not line.strip() or line.startswith("Wrote"):
+            break
+        stages.add(line.split()[0])
+    return stages
+
+
 class TestSimulateProfile:
     def test_speedscope_written_next_to_output_and_valid(self, profiled_run):
         pcap, _trace = profiled_run
@@ -51,32 +63,81 @@ class TestSimulateProfile:
             doc = json.load(fileobj)
         assert validate_speedscope(doc) == []
         names = {frame["name"] for frame in doc["shared"]["frames"]}
-        assert any(name.startswith("engine.flight") for name in names)
-        assert "simulate.run" in names
+        assert {"simulate.build", "simulate.unit", "simulate.run"} <= names
+        assert "simulate.write" in names
 
     def test_summary_table_printed(self, tmp_path, capsys):
         pcap = str(tmp_path / "small.pcap")
         assert main(["simulate", pcap, "--scale", "0.01", "--seed", "3",
                      "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "Profile (sampled every" in out
-        assert "engine.flight" in out
+        assert "Profile (" in out
+        assert "simulate.build/simulate.unit" in out
         assert "Wrote speedscope profile" in out
+
+    def test_one_stage_set_in_table_speedscope_and_metrics(self, tmp_path, capsys):
+        """The exit table, the speedscope stacks and the snapshot's timers
+        are three readings of the same stage timers."""
+        pcap = str(tmp_path / "m.pcap")
+        metrics = str(tmp_path / "m.json")
+        assert main(["simulate", pcap, "--scale", SCALE, "--metrics", metrics,
+                     "--profile"]) == 0
+        table = _table_stages(capsys.readouterr().out)
+        with open(pcap + ".speedscope.json") as fileobj:
+            doc = json.load(fileobj)
+        frames = [frame["name"] for frame in doc["shared"]["frames"]]
+        stacks = {
+            "/".join(frames[i] for i in sample)
+            for sample in doc["profiles"][0]["samples"]
+        }
+        with open(metrics) as fileobj:
+            timers = set(json.load(fileobj)["timers"])
+        assert table == stacks == timers == {
+            "simulate.build",
+            "simulate.build/simulate.unit",
+            "simulate.run",
+            "simulate.write",
+        }
+
+    def test_a_sharded_snapshot_holds_every_stage(self, tmp_path):
+        """Worker timers merge into the parent's ``--metrics`` snapshot."""
+        metrics = str(tmp_path / "m.json")
+        assert main(["simulate", str(tmp_path / "m.pcap"), "--scale", SCALE,
+                     "--workers", "2", "--metrics", metrics]) == 0
+        with open(metrics) as fileobj:
+            timers = json.load(fileobj)["timers"]
+        assert set(timers) == {
+            "simulate.build",
+            "simulate.build/simulate.unit",
+            "simulate.run",
+            "simulate.write",
+            "simulate.merge",
+        }
+        assert timers["simulate.run"]["calls"] == 2
+        assert timers["simulate.merge"]["calls"] == 1
 
     def test_span_events_present_in_trace(self, profiled_run):
         _pcap, trace = profiled_run
         spans = [e for e in read_trace(trace) if e["category"] == "span"]
         names = {event["name"] for event in spans}
-        assert {"simulate.unit", "engine.flight", "simulate.run"} <= names
-        flights = [e for e in spans if e["name"] == "engine.flight"]
-        assert all(e["data"]["span"] > e["data"]["parent"] >= 0 for e in flights)
+        assert {"simulate.build", "simulate.unit", "simulate.run"} <= names
+        units = [e for e in spans if e["name"] == "simulate.unit"]
+        assert all(e["data"]["span"] > e["data"]["parent"] > 0 for e in units)
 
     def test_profile_does_not_perturb_the_simulation(self, profiled_run, tmp_path):
+        """Serial and ``--workers 2``: a profiled run writes the bytes an
+        unprofiled one does."""
         pcap, _trace = profiled_run
-        plain = str(tmp_path / "plain.pcap")
-        assert main(["simulate", plain, "--scale", SCALE, "--seed", SEED]) == 0
-        with open(pcap, "rb") as a, open(plain, "rb") as b:
-            assert a.read() == b.read()
+        sharded = str(tmp_path / "sharded.pcap")
+        assert main(["simulate", sharded, "--scale", SCALE, "--seed", SEED,
+                     "--workers", "2", "--profile", "--metrics",
+                     str(tmp_path / "sharded.json")]) == 0
+        for profiled, workers in ((pcap, "1"), (sharded, "2")):
+            plain = str(tmp_path / ("plain%s.pcap" % workers))
+            assert main(["simulate", plain, "--scale", SCALE, "--seed", SEED,
+                         "--workers", workers]) == 0
+            with open(profiled, "rb") as a, open(plain, "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestProgressCommand:
@@ -141,6 +202,27 @@ class TestTraceMerge:
 
 
 class TestOneLineErrors:
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["index", "{pcap}", "--speedscope", "{out}"], "--speedscope needs --profile"),
+            (["simulate", "{out}", "--speedscope", "{out}.json"],
+             "--speedscope needs --profile"),
+            (["simulate", "{out}", "--trace", "{out}.jsonl", "--trace-ring-signal"],
+             "--trace-ring-signal needs --trace-ring K"),
+        ],
+        ids=["index-speedscope", "simulate-speedscope", "ring-signal"],
+    )
+    def test_a_flag_that_would_do_nothing_is_refused(
+        self, argv, reason, profiled_run, tmp_path, capsys
+    ):
+        pcap, _trace = profiled_run
+        out = str(tmp_path / "out")
+        argv = [arg.format(pcap=pcap, out=out) for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "repro %s: %s\n" % (argv[0], reason)
+        assert os.listdir(str(tmp_path)) == []
+
     def test_stats_diff_missing_snapshot(self, tmp_path, capsys):
         present = str(tmp_path / "a.json")
         with open(present, "w") as fileobj:

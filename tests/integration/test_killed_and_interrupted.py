@@ -29,7 +29,8 @@ from repro.lint.engine import Baseline
 from repro.netstack.addr import parse_ip
 from repro.netstack.pcap import scan_pcap_tail
 from repro.netstack.udp import UdpDatagram
-from repro.obs import MetricsRegistry, Profiler, RingBufferTracer
+from repro.obs import MetricsRegistry, RingBufferTracer
+from repro.obs.prof import write_speedscope
 from repro.obs.export import PromFileWriter
 from repro.obs.progress import HeartbeatWriter
 from repro.obs.spans import merge_span_timelines
@@ -213,7 +214,7 @@ def _write_metrics(path):
 
 
 def _write_speedscope(path):
-    Profiler(64).write_speedscope(path)
+    write_speedscope(path, {"simulate.run": [1.0, 1]})
 
 
 def _write_span_timeline(path):

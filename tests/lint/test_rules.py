@@ -277,7 +277,7 @@ class TestOBS001MetricNames:
         assert rules_hit(
             'METRICS = ("rows.total", "counter:net.dropped",\n'
             '           "version_share.clients.QUICv1",\n'
-            '           "scid_unique.Google", "timer:simulate.run",\n'
+            '           "scid_unique.Google",\n'
             '           "rto.backoff.Google", "scid_entropy.min.Google",\n'
             '           "length_top_packets.Facebook", "flood_events.Remaining",\n'
             '           "flood_victims")\n'

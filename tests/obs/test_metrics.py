@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import Observability
 from repro.obs.metrics import (
     Counter,
     Histogram,
@@ -74,20 +75,21 @@ class TestRegistry:
             registry.counter("a", ("y",))
 
     def test_time_block_accumulates(self):
+        """Each span over a block adds its seconds and one call."""
         registry = MetricsRegistry()
-        with registry.time_block("classify"):
+        obs = Observability(metrics=registry)
+        with obs.span("classify"):
             pass
-        with registry.time_block("classify"):
+        with obs.span("classify"):
             pass
         snapshot = registry.snapshot()
         assert snapshot["timers"]["classify"]["calls"] == 2
         assert snapshot["timers"]["classify"]["seconds"] >= 0
-        assert registry.timer_seconds("classify") >= 0
 
     def test_time_block_records_on_exception(self):
         registry = MetricsRegistry()
         with pytest.raises(RuntimeError):
-            with registry.time_block("boom"):
+            with Observability(metrics=registry).span("boom"):
                 raise RuntimeError()
         assert registry.snapshot()["timers"]["boom"]["calls"] == 1
 
@@ -98,8 +100,7 @@ class TestSnapshot:
         registry.counter("net.dropped", ("reason",)).inc(reason="loss")
         registry.gauge("sim.ratio").set_key((), 12.5)
         registry.histogram("bytes", (100, 1000), ("kind",)).observe(42, kind="scan")
-        with registry.time_block("simulate"):
-            pass
+        registry.add_time("simulate", 0.25)
         snapshot = json.loads(registry.to_json())
         assert snapshot["counters"]["net.dropped"]["values"]["loss"] == 1
         assert snapshot["gauges"]["sim.ratio"]["values"][""] == 12.5
@@ -127,8 +128,7 @@ class TestMergeSnapshot:
         hist = registry.histogram("payload", (100, 1000), ("kind",))
         for value in payload_bytes:
             hist.observe(value, kind="scan")
-        with registry.time_block("simulate"):
-            pass
+        registry.add_time("simulate", 0.25)
         return registry
 
     def test_counters_gauges_histograms_timers_sum(self):

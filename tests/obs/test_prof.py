@@ -1,188 +1,158 @@
-"""The event-count-sampled stage profiler."""
+"""The stage clock read back: attribution table and speedscope export."""
+
+import io
+import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, Profiler, validate_speedscope
+from repro.obs import JsonlTracer, MetricsRegistry, Observability, validate_speedscope
+from repro.obs.prof import render_profile, stage_rows, to_speedscope, write_speedscope
+from repro.obs.sinks import SamplingTracer
 
 
-def _run_sequence(prof, flights=10, seals_per_flight=3):
-    """A deterministic push/pop workload: flights containing AEAD leaves."""
-    ids = []
-    for _ in range(flights):
-        node, start, span_id, parent_id = prof.push("engine.flight", "facebook")
-        ids.append((span_id, parent_id))
-        for _ in range(seals_per_flight):
-            leaf, leaf_start = prof.leaf_begin("engine.aead")
-            prof.leaf_end(leaf, leaf_start, packets=1)
-        prof.pop(node, start, packets=seals_per_flight)
-    return ids
+def _run_sequence(obs, cells=10, steps_per_cell=3):
+    """A deterministic workload: cells, each holding a few nested steps."""
+    for _ in range(cells):
+        with obs.span("sweep.cell"):
+            for _ in range(steps_per_cell):
+                with obs.span("sweep.simulate"):
+                    pass
+    return obs.metrics.timers
 
 
-class TestSampling:
-    def test_first_occurrence_always_sampled(self):
-        prof = Profiler(every=1000)
-        _run_sequence(prof, flights=5)
-        flight = prof.root.children[("engine.flight", "facebook")]
-        assert flight.calls == 5
-        assert flight.sampled == 1  # occurrence 1 only; 1001 never reached
-
-    def test_sampling_is_a_pure_function_of_call_counts(self):
-        a, b = Profiler(every=7), Profiler(every=7)
-        _run_sequence(a, flights=30)
-        _run_sequence(b, flights=30)
-        node_a = a.root.children[("engine.flight", "facebook")]
-        node_b = b.root.children[("engine.flight", "facebook")]
-        assert node_a.sampled == node_b.sampled == 5  # occurrences 1,8,15,22,29
-
-    def test_every_one_samples_everything(self):
-        prof = Profiler(every=1)
-        _run_sequence(prof, flights=4, seals_per_flight=2)
-        flight = prof.root.children[("engine.flight", "facebook")]
-        aead = flight.children[("engine.aead", None)]
-        assert (flight.calls, flight.sampled) == (4, 4)
-        assert (aead.calls, aead.sampled) == (8, 8)
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            Profiler(every=0)
-
-    def test_wall_estimate_rescales_by_sampling(self):
-        prof = Profiler(every=4)
-        node = prof.root.child("stage", None)
-        node.calls, node.sampled, node.wall = 8, 2, 0.5
-        assert node.wall_estimate() == pytest.approx(2.0)
-
-    def test_packets_accumulate_on_unsampled_occurrences_too(self):
-        prof = Profiler(every=1000)
-        _run_sequence(prof, flights=6, seals_per_flight=2)
-        flight = prof.root.children[("engine.flight", "facebook")]
-        aead = flight.children[("engine.aead", None)]
-        assert flight.packets == 12
-        assert aead.packets == 12
+def _profiled(tracer=None):
+    return Observability(tracer=tracer, metrics=MetricsRegistry())
 
 
-class TestSpanIds:
-    def test_parent_ids_follow_nesting(self):
-        prof = Profiler(every=64)
-        outer_node, outer_start, outer_id, outer_parent = prof.push("simulate.unit")
-        assert outer_parent == 0  # root
-        inner = prof.push("engine.flight")
-        assert inner[3] == outer_id
-        assert prof.current_span_id == inner[2]
-        prof.pop(inner[0], inner[1])
-        prof.pop(outer_node, outer_start)
-        assert prof.current_span_id == 0
-
-    def test_ids_are_independent_of_sampling_interval(self):
-        """Span ids come from a plain counter — thinning never shifts them."""
-        dense = Profiler(every=1)
-        sparse = Profiler(every=10_000)
-        assert _run_sequence(dense) == _run_sequence(sparse)
-
-    def test_current_path_tracks_the_stack(self):
-        prof = Profiler()
-        unit = prof.push("simulate.unit")
-        flight = prof.push("engine.flight")
-        assert prof.current_path == "simulate.unit/engine.flight"
-        prof.pop(flight[0], flight[1])
-        prof.pop(unit[0], unit[1])
-        assert prof.current_path == ""
+def _rows(timers):
+    return {row["stage"]: row for row in stage_rows(timers)}
 
 
 class TestSnapshotMerge:
+    """Worker registries merge into the parent's, timers included."""
+
     def test_roundtrip_preserves_tree(self):
-        prof = Profiler(every=3)
-        _run_sequence(prof, flights=9)
-        merged = Profiler(every=3)
-        merged.merge_snapshot(prof.snapshot())
-        assert merged.snapshot() == prof.snapshot()
+        worker = _profiled()
+        _run_sequence(worker, cells=9)
+        merged = MetricsRegistry()
+        merged.merge_snapshot(worker.metrics.snapshot())
+        assert merged.snapshot()["timers"] == worker.metrics.snapshot()["timers"]
 
     def test_merge_adds_counters(self):
-        workers = []
+        parent = MetricsRegistry()
         for _ in range(3):
-            prof = Profiler(every=5)
-            _run_sequence(prof, flights=10)
-            workers.append(prof.snapshot())
-        parent = Profiler(every=5)
-        for snap in workers:
-            parent.merge_snapshot(snap)
-        flight = parent.root.children[("engine.flight", "facebook")]
-        aead = flight.children[("engine.aead", None)]
-        assert flight.calls == 30
-        assert aead.calls == 90
-        assert flight.sampled == 6  # 2 sampled per worker (occurrences 1, 6)
+            worker = _profiled()
+            _run_sequence(worker, cells=10)
+            parent.merge_snapshot(worker.metrics.snapshot())
+        assert parent.timers["sweep.cell"][1] == 30
+        assert parent.timers["sweep.cell/sweep.simulate"][1] == 90
 
     def test_merged_estimates_recompute_from_sums(self):
-        a, b = Profiler(every=1), Profiler(every=1)
-        _run_sequence(a, flights=2)
-        _run_sequence(b, flights=2)
-        parent = Profiler(every=1)
-        parent.merge_snapshot(a.snapshot())
-        parent.merge_snapshot(b.snapshot())
-        assert parent.total_estimate() == pytest.approx(
-            a.total_estimate() + b.total_estimate()
-        )
+        a = {"outer": [1.0, 1], "outer/inner": [0.25, 1]}
+        b = {"outer": [2.0, 1], "outer/inner": [1.5, 1]}
+        parent = MetricsRegistry()
+        for timers in (a, b):
+            worker = MetricsRegistry()
+            for stage, (seconds, calls) in timers.items():
+                worker.add_time(stage, seconds, calls)
+            parent.merge_snapshot(worker.snapshot())
+        assert _rows(parent.timers)["outer"]["self_seconds"] == pytest.approx(1.25)
 
 
 class TestAttribution:
     def test_stage_totals_sum_packets_and_calls(self):
-        prof = Profiler(every=1)
-        _run_sequence(prof, flights=4, seals_per_flight=2)
-        totals = prof.stage_totals()
-        assert totals["engine.flight"]["calls"] == 4
-        assert totals["engine.aead"]["packets"] == 8
+        """Calls add per path; a span's ``packets`` stays a trace field."""
+        sink = io.StringIO()
+        obs = _profiled(JsonlTracer(sink))
+        for _ in range(4):
+            with obs.span("sweep.cell", packets=2):
+                pass
+        assert _rows(obs.metrics.timers)["sweep.cell"]["calls"] == 4
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert sum(event["data"]["packets"] for event in events) == 8
 
     def test_stage_shares_sum_to_one(self):
-        prof = Profiler(every=1)
-        _run_sequence(prof, flights=20)
-        shares = prof.stage_shares()
+        timers = _run_sequence(_profiled(), cells=20)
+        shares = [row["share"] for row in stage_rows(timers)]
         assert shares
-        assert sum(shares.values()) == pytest.approx(1.0)
+        assert sum(shares) == pytest.approx(1.0)
 
     def test_self_estimate_subtracts_children(self):
-        prof = Profiler(every=1)
-        parent = prof.root.child("outer", None)
-        child = parent.child("inner", None)
-        parent.calls = parent.sampled = 1
-        child.calls = child.sampled = 1
-        parent.wall, child.wall = 1.0, 0.25
-        assert parent.self_estimate() == pytest.approx(0.75)
-        child.wall = 2.0  # estimates can cross; self time clamps at zero
-        assert parent.self_estimate() == 0.0
+        timers = {"outer": [1.0, 1], "outer/inner": [0.25, 1]}
+        assert _rows(timers)["outer"]["self_seconds"] == pytest.approx(0.75)
+        timers["outer/inner"][0] = 2.0  # merged timers can cross; self clamps at zero
+        assert _rows(timers)["outer"]["self_seconds"] == 0.0
 
 
 class TestExports:
     def test_speedscope_document_is_valid(self):
-        prof = Profiler(every=2)
-        _run_sequence(prof, flights=6)
-        assert validate_speedscope(prof.to_speedscope("test")) == []
+        timers = _run_sequence(_profiled(), cells=6)
+        assert validate_speedscope(to_speedscope(timers, "test")) == []
 
     def test_speedscope_labels_carry_profiles(self):
-        prof = Profiler(every=1)
-        _run_sequence(prof, flights=1)
-        doc = prof.to_speedscope()
-        names = {frame["name"] for frame in doc["shared"]["frames"]}
-        assert "engine.flight [facebook]" in names
-        assert "engine.aead" in names
+        """Frames are stage names; each sample's stack spells its path."""
+        doc = to_speedscope(_run_sequence(_profiled(), cells=1))
+        names = [frame["name"] for frame in doc["shared"]["frames"]]
+        stacks = {
+            "/".join(names[i] for i in stack) for stack in doc["profiles"][0]["samples"]
+        }
+        assert names == ["sweep.cell", "sweep.simulate"]
+        assert stacks == {"sweep.cell", "sweep.cell/sweep.simulate"}
 
     def test_write_speedscope_roundtrip(self, tmp_path):
-        import json
-
-        prof = Profiler(every=1)
-        _run_sequence(prof)
         path = str(tmp_path / "prof.speedscope.json")
-        prof.write_speedscope(path)
+        write_speedscope(path, _run_sequence(_profiled()))
         with open(path) as fileobj:
             assert validate_speedscope(json.load(fileobj)) == []
 
-    def test_metrics_histogram_observes_sampled_occurrences(self):
-        metrics = MetricsRegistry()
-        prof = Profiler(every=2, metrics=metrics)
-        _run_sequence(prof, flights=4)
-        snapshot = metrics.snapshot()
-        hist = snapshot["histograms"]["prof.stage_seconds"]
-        flight = hist["values"]["engine.flight|facebook"]
-        assert flight["count"] == 2  # occurrences 1 and 3
+    def test_table_lists_every_stage(self):
+        table = render_profile(_run_sequence(_profiled()))
+        assert "sweep.cell/sweep.simulate" in table
+        assert "2 stages" in table
+
+
+class TestSpanIds:
+    def _span_events(self, sink):
+        return {
+            event["name"]: event["data"]
+            for event in map(json.loads, sink.getvalue().splitlines())
+        }
+
+    def test_parent_ids_follow_nesting(self):
+        sink = io.StringIO()
+        obs = _profiled(JsonlTracer(sink))
+        with obs.span("simulate.build"):
+            with obs.span("simulate.unit"):
+                pass
+        events = self._span_events(sink)
+        assert events["simulate.build"]["parent"] == 0  # root
+        assert events["simulate.unit"]["parent"] == events["simulate.build"]["span"]
+        assert obs.open_spans == [("", 0)]
+
+    def test_ids_are_independent_of_sampling_interval(self):
+        """Span ids come from a plain counter — a sampling tracer thinning
+        the events never renumbers the ones it keeps."""
+
+        def ids(every):
+            sink = io.StringIO()
+            _run_sequence(_profiled(SamplingTracer(JsonlTracer(sink), every)))
+            return {
+                (event["data"]["span"], event["data"]["parent"])
+                for event in map(json.loads, sink.getvalue().splitlines())
+            }
+
+        dense, sparse = ids(1), ids(7)
+        assert sparse and sparse < dense
+
+    def test_current_path_tracks_the_stack(self):
+        obs = _profiled()
+        with obs.span("simulate.build"):
+            with obs.span("simulate.unit"):
+                assert obs.open_spans[-1][0] == "simulate.build/simulate.unit"
+        assert obs.open_spans[-1][0] == ""
+        assert sorted(obs.metrics.timers) == [
+            "simulate.build", "simulate.build/simulate.unit"
+        ]
 
 
 class TestValidateSpeedscope:

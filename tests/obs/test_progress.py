@@ -28,7 +28,7 @@ class TestHeartbeatWriter:
     def test_document_contents(self, tmp_path):
         directory = str(tmp_path / "progress")
         writer = HeartbeatWriter(directory, worker=3, total=200.0)
-        assert writer.update("run", done=50.0, records=12, span="engine.flight")
+        assert writer.update("run", done=50.0, records=12)
         with open(writer.path) as fileobj:
             doc = json.load(fileobj)
         assert doc["worker"] == 3
@@ -37,7 +37,7 @@ class TestHeartbeatWriter:
         assert doc["done"] == 50.0
         assert doc["total"] == 200.0
         assert doc["records"] == 12
-        assert doc["span"] == "engine.flight"
+        assert "span" not in doc
         assert doc["status"] == "running"
         assert doc["eta"] is None or doc["eta"] >= 0
 
@@ -62,7 +62,7 @@ class TestHeartbeatWriter:
 def _hammer(directory, worker, rounds):
     writer = HeartbeatWriter(directory, worker=worker, total=rounds, min_interval=0.0)
     for i in range(rounds):
-        writer.update("run", done=float(i), records=i, span="engine.flight")
+        writer.update("run", done=float(i), records=i)
     writer.update("done", done=float(rounds), final=True)
 
 

@@ -6,17 +6,20 @@ import json
 from repro.obs import (
     NULL_SPAN,
     JsonlTracer,
+    MetricsRegistry,
     Observability,
-    Profiler,
     merge_span_timelines,
 )
+from repro.obs.sinks import SamplingTracer
 from repro.obs.spans import canonical_span_line, canonical_span_lines
 from repro.obs.trace import CAT_SPAN
 
 
-def _obs(sink=None, every=64):
+def _obs(sink=None, every=1):
     tracer = JsonlTracer(sink) if sink is not None else None
-    return Observability(tracer=tracer, prof=Profiler(every=every))
+    if tracer is not None and every > 1:
+        tracer = SamplingTracer(tracer, every)
+    return Observability(tracer=tracer, metrics=MetricsRegistry())
 
 
 def _events(sink):
@@ -25,7 +28,8 @@ def _events(sink):
 
 class TestSpanContextManager:
     def test_without_profiler_returns_null_span(self):
-        obs = Observability()
+        """No registry, no stage clock: the tracer alone gets no spans."""
+        obs = Observability(tracer=JsonlTracer(io.StringIO()))
         assert obs.span("simulate.unit", unit="x") is NULL_SPAN
         with obs.span("anything") as span:
             span.note(packets=3)  # inert, never raises
@@ -33,32 +37,35 @@ class TestSpanContextManager:
     def test_nesting_links_parent_ids(self):
         sink = io.StringIO()
         obs = _obs(sink)
-        with obs.span("simulate.unit", time=1.0, unit="bots") as outer:
-            with obs.span("engine.flight", time=1.0) as inner:
-                assert inner.parent_id == outer.span_id
+        with obs.span("simulate.build", time=1.0):
+            with obs.span("simulate.unit", time=1.0, unit="bots"):
+                pass
         unit_evt = next(e for e in _events(sink) if e["name"] == "simulate.unit")
-        flight_evt = next(e for e in _events(sink) if e["name"] == "engine.flight")
-        assert flight_evt["data"]["parent"] == unit_evt["data"]["span"]
+        build_evt = next(e for e in _events(sink) if e["name"] == "simulate.build")
+        assert unit_evt["data"]["parent"] == build_evt["data"]["span"]
         assert unit_evt["category"] == CAT_SPAN
 
     def test_parent_ids_stable_across_sampling_intervals(self):
-        """Thinning the profiler must never renumber the span tree."""
+        """Thinning the trace must never renumber the span tree."""
 
         def collect(every):
-            obs = _obs(io.StringIO(), every=every)
-            ids = []
+            sink = io.StringIO()
+            obs = _obs(sink, every=every)
             for _ in range(5):
-                with obs.span("simulate.unit") as outer:
-                    with obs.span("engine.flight") as inner:
-                        ids.append((outer.span_id, inner.span_id, inner.parent_id))
-            return ids
+                with obs.span("simulate.build"):
+                    with obs.span("simulate.unit"):
+                        pass
+            return {
+                (e["name"], e["data"]["span"], e["data"]["parent"])
+                for e in _events(sink)
+            }
 
-        assert collect(1) == collect(10_000)
+        assert collect(3) <= collect(1)
 
     def test_note_fields_land_in_the_event(self):
         sink = io.StringIO()
         obs = _obs(sink)
-        with obs.span("engine.flight", time=2.5) as span:
+        with obs.span("index.extend", time=2.5) as span:
             span.note(packets=4, bytes=4800)
         event = _events(sink)[0]
         assert event["time"] == 2.5
@@ -67,17 +74,24 @@ class TestSpanContextManager:
         assert "time" not in event["data"]
 
     def test_packets_feed_the_profiler(self):
+        """The stage clock books one call per span under its path."""
         obs = _obs()
-        with obs.span("engine.flight") as span:
+        with obs.span("simulate.build") as span:
             span.note(packets=7)
-        node = obs.prof.root.children[("engine.flight", None)]
-        assert node.packets == 7
+            with obs.span("simulate.unit"):
+                pass
+        timers = obs.metrics.snapshot()["timers"]
+        assert timers["simulate.build"]["calls"] == 1
+        assert timers["simulate.build/simulate.unit"]["calls"] == 1
+        assert timers["simulate.build"]["seconds"] >= (
+            timers["simulate.build/simulate.unit"]["seconds"]
+        )
 
     def test_no_tracer_still_profiles(self):
         obs = _obs(sink=None)
         with obs.span("simulate.run"):
             pass
-        assert obs.prof.root.children[("simulate.run", None)].calls == 1
+        assert obs.metrics.timers["simulate.run"][1] == 1
 
 
 class TestCanonicalization:

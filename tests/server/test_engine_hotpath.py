@@ -1,6 +1,6 @@
 """Flight layouts: what the engine sends is what was recorded.
 
-``_send_flight_inner`` sends from a shape-keyed flight layout: frames
+``_send_flight`` sends from a shape-keyed flight layout: frames
 encoded once per shape, each connection's CIDs spliced in, one 256-bit
 rng draw per flight before the packet numbers advance.  For every server
 profile the bytes are held to ``flight_vectors.json``, recorded from the
@@ -12,8 +12,6 @@ import random
 
 import pytest
 
-from repro.obs import Observability, Profiler
-from repro.quic.crypto.suites import PacketProtection
 from repro.server.profiles import facebook_profile
 from tests.server.flight_vectors import (
     CASES,
@@ -77,22 +75,3 @@ def test_layouts_shared_across_connections():
         engine.on_datagram(client_initial(version, port, client_rng), 0.0)
     assert len(engine._flight_layouts) == 1
     assert sent
-
-
-def test_profiler_times_the_fused_seal(monkeypatch):
-    """A profiled engine runs the code an unprofiled one does: the fast
-    suite's fused ``protect``, booked whole as one ``engine.aead`` leaf."""
-
-    def generic_driver(*_args, **_kwargs):
-        raise AssertionError("the generic driver ran for the fast suite")
-
-    monkeypatch.setattr(PacketProtection, "protect", generic_driver)
-    prof = Profiler(every=1)
-    profiled = payloads(handshakes("facebook", obs=Observability(prof=prof)))
-    assert len(profiled) == 24  # 12 split flights, one packet per datagram
-    totals = prof.stage_totals()
-    assert totals["engine.aead"]["packets"] == totals["engine.aead"]["calls"] == 24
-    assert totals["engine.aead"]["self_seconds"] > 0
-    assert "engine.hp" not in totals
-    assert totals["engine.keys"]["packets"] == 12
-    assert profiled == payloads(handshakes("facebook"))

@@ -7,7 +7,6 @@ import pytest
 from repro.netstack.addr import Prefix, parse_ip
 from repro.netstack.udp import DeferredDatagram, UdpDatagram
 from repro.obs import JsonlTracer, Observability
-from repro.obs.prof import Profiler
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device, Network, PathModel
 from repro.telescope.darknet import Telescope
@@ -230,31 +229,6 @@ class TestDeferredPayload:
             arrivals.append([(now, d.payload) for now, d in receiver.received])
             assert 50 < len(receiver.received) < 150
         assert arrivals[0] == arrivals[1]
-
-    def test_profiled_transmit_builds_outside_its_leaf(self):
-        """A build books its own profiler leaves (engine.aead/engine.hp);
-        run inside the net.transmit leaf it would be counted twice."""
-        prof = Profiler(every=1)
-        loop = EventLoop()
-        net = Network(loop, random.Random(1), obs=Observability(prof=prof))
-        receiver = Sink("r", "10.0.0.0/8")
-        sender = Sink("s", "192.0.2.0/24")
-        net.add_device(receiver)
-        net.add_device(sender)
-        open_leaves = []
-
-        def build():
-            # leaf_begin counts the call before the stage body runs.
-            open_leaves.append(prof.stage_totals().get("net.transmit", {"calls": 0}))
-            return b"sealed"
-
-        sender.send(
-            DeferredDatagram(
-                parse_ip("192.0.2.1"), parse_ip("10.0.0.1"), 1000, 443, 6, build
-            )
-        )
-        assert [leaf["calls"] for leaf in open_leaves] == [0]
-        assert prof.stage_totals()["net.transmit"]["calls"] == 1
 
 
 class TestDeviceErrors:

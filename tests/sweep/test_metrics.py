@@ -29,7 +29,6 @@ class TestValidateMetric:
             "counter:net.dropped",
             "counter:capstore.cache|hit",
             "gauge:sim.anything",
-            "timer:simulate.run",
         ],
     )
     def test_accepts(self, name):
@@ -50,6 +49,7 @@ class TestValidateMetric:
             ("offnet.server", "offnet.servers or offnet.low_host_id"),
             ("sessions.clients", "sessions"),
             ("packet_share.Google.Coalesced other", "category one of"),
+            ("timer:simulate.run", "unknown metric"),
         ],
     )
     def test_rejects(self, name, match):
@@ -83,9 +83,10 @@ class TestFromSnapshot:
         assert _from_snapshot("gauge:depth", self.SNAPSHOT) == 7.0
 
     def test_timer(self):
-        assert _from_snapshot("timer:simulate.run", self.SNAPSHOT) == 1.5
+        """Stage timers are wall seconds: no metric name reads them."""
+        with pytest.raises(ValueError, match="unknown metric"):
+            validate_metric("timer:simulate.run")
 
     def test_missing_is_zero(self):
         assert _from_snapshot("counter:never.seen", self.SNAPSHOT) == 0.0
-        assert _from_snapshot("timer:never.seen", self.SNAPSHOT) == 0.0
         assert _from_snapshot("counter:never.seen", {}) == 0.0

@@ -179,6 +179,16 @@ class TestLoadSpec:
             "repro sweep run: %s: No such file or directory\n" % gone
         )
 
+    def test_a_stage_timer_is_not_a_metric(self, tmp_path):
+        """Wall seconds would make results.csv differ run to run: a spec
+        naming one fails before anything simulates."""
+        path = tmp_path / "grid.json"
+        path.write_text(
+            json.dumps({"axes": {"seed": [1]}, "metrics": ["timer:simulate.run"]})
+        )
+        with pytest.raises(SweepSpecError, match="unknown metric 'timer:simulate.run'"):
+            load_spec(str(path))
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
