@@ -66,10 +66,10 @@ def _workers_or_auto(value: str):
 
 
 def _observability_flags() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The ten observability flags, each declared once, as parent parsers.
+    """The nine observability flags, each declared once, as parent parsers.
 
     ``(obs, obs_prom)``: the seven tracing / metrics / profiling flags,
-    and the same plus the three Prometheus publishers.  A command
+    and the same plus the two Prometheus publishers.  A command
     inherits one of the two or neither.
     """
     obs = argparse.ArgumentParser(add_help=False)
@@ -122,8 +122,9 @@ def _observability_flags() -> tuple[argparse.ArgumentParser, argparse.ArgumentPa
     obs_prom.add_argument(
         "--prom-file",
         metavar="PATH",
-        help="atomically rewrite PATH in Prometheus text format every "
-        "--prom-interval simulated seconds (node_exporter textfile collector)",
+        help="atomically rewrite PATH in Prometheus text format as the "
+        "command progresses and once more at exit (node_exporter textfile "
+        "collector)",
     )
     obs_prom.add_argument(
         "--prom-port",
@@ -131,13 +132,6 @@ def _observability_flags() -> tuple[argparse.ArgumentParser, argparse.ArgumentPa
         default=None,
         metavar="PORT",
         help="serve live /metrics on PORT while the command runs (0 = ephemeral)",
-    )
-    obs_prom.add_argument(
-        "--prom-interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="simulated seconds between --prom-file rewrites (default: 5)",
     )
     return obs, obs_prom
 
@@ -330,22 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar=("A.json", "B.json"),
                 help="print per-metric deltas (and %% change) between two snapshots",
             ),
-            _arg(
-                "--follow",
-                type=float,
-                default=None,
-                metavar="SECONDS",
-                help="re-render whenever the snapshot file changes, polling every "
-                "SECONDS; the first load prints the full snapshot, later loads "
-                "print deltas",
-            ),
-            _arg(
-                "--updates",
-                type=int,
-                default=0,
-                metavar="N",
-                help="with --follow: exit after N snapshot loads (0 = until Ctrl-C)",
-            ),
         ],
     )
 
@@ -401,18 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
 
-    progress_target = _arg(  # what resolve_progress_dir accepts
-        "target",
-        help="a progress directory, a simulate output path (heartbeats in "
-        "<output>.progress/) or a sweep output directory (<outdir>/progress/)",
-    )
     _command(
         sub,
         "progress",
         "repro.commands.observe:cmd_progress",
-        help="render the heartbeat table of a sharded run",
+        help="render the heartbeat table of a simulate or sweep run",
         arguments=[
-            progress_target,
+            _arg(  # what resolve_progress_dir accepts
+                "target",
+                help="a progress directory, a simulate output path (heartbeats "
+                "in <output>.progress/) or a sweep output directory "
+                "(<outdir>/progress/)",
+            ),
             _arg(
                 "--follow",
                 action="store_true",
@@ -543,23 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         ],
     )
-    top = _command(
-        sub,
-        "top",
-        "repro.commands.observe:cmd_progress",
-        help="live-follow a sharded run's progress (progress --follow)",
-        arguments=[
-            progress_target,
-            _arg(
-                "--interval",
-                type=float,
-                default=1.0,
-                metavar="SECONDS",
-                help="seconds between refreshes (default: 1)",
-            ),
-        ],
-    )
-    top.set_defaults(follow=True)  # `top` is `progress --follow`
     return parser
 
 

@@ -11,8 +11,8 @@ therefore exactly what its family runs:
   ``repro.capstore`` and the ``repro.core`` analyses, nothing that
   generates traffic);
 * ``live`` — ``live`` (``capture``'s helpers plus ``repro.stream``);
-* ``observe`` — ``stats``, ``trace``, ``progress``, ``top`` (the files
-  a run's observability writes);
+* ``observe`` — ``stats``, ``trace``, ``progress`` (the files a run's
+  observability writes);
 * ``sweep`` — ``sweep run|status|render``;
 * ``lint`` — ``lint``.
 

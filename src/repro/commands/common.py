@@ -67,8 +67,9 @@ DONE = object()
 def follow(poll: Callable[[], object], interval: float, exit_idle: int = 0) -> bool:
     """Call ``poll()`` every ``interval`` wall seconds: the one follow loop.
 
-    ``poll`` returns how much news it saw (rows, events, snapshot loads —
-    anything truthy), or :data:`DONE` when it has seen all it came for.
+    ``poll`` returns how much news it saw (rows, events, heartbeat
+    tables — anything truthy), or :data:`DONE` when it has seen all it
+    came for.
     ``exit_idle`` N also ends the loop after N consecutive polls without
     news (0: never).  Ctrl-C ends it too, quietly; only then is the
     return value False.

@@ -1,9 +1,11 @@
-"""``repro stats``, ``trace``, ``progress`` and ``top``: read what a run wrote.
+"""``repro stats``, ``trace`` and ``progress``: read what a run wrote.
 
 The files are the ones the observability flags leave behind — a
 ``--metrics`` snapshot, a ``--trace`` JSONL stream, the heartbeat
-directory next to a run's output — and each command either renders one
-once or follows it (:func:`repro.commands.common.follow`) as it grows.
+directory next to a run's output.  ``stats`` renders a snapshot, which
+is written once, at exit; ``trace tail`` and ``progress --follow``
+follow files that change while the run goes
+(:func:`repro.commands.common.follow`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.obs.progress import (
     resolve_progress_dir,
 )
 from repro.obs.trace import read_trace
-from repro.stream.tail import JsonlTail, SnapshotTail
+from repro.stream.tail import JsonlTail
 
 
 def _flatten_snapshot(snapshot: dict) -> dict:
@@ -90,18 +92,6 @@ def _diff_rows(flat_a: dict, flat_b: dict) -> tuple[list, int]:
     return rows, unchanged
 
 
-def _print_diff(flat_a: dict, flat_b: dict, title: str) -> None:
-    """The delta table of ``stats --diff`` and of each ``--follow`` update."""
-    rows, unchanged = _diff_rows(flat_a, flat_b)
-    if rows:
-        print(
-            render_table(
-                ["metric", "labels", "A", "B", "delta", "change"], rows, title=title
-            )
-        )
-    print("%d changed, %d unchanged" % (len(rows), unchanged))
-
-
 def cmd_stats_diff(path_a: str, path_b: str) -> int:
     """Per-metric deltas between two ``--metrics`` snapshots (B minus A)."""
     flat_a = _flatten_snapshot(load_snapshot(path_a))
@@ -109,7 +99,16 @@ def cmd_stats_diff(path_a: str, path_b: str) -> int:
     if not flat_a and not flat_b:
         print("neither file contains metrics sections (not --metrics snapshots?)")
         return 1
-    _print_diff(flat_a, flat_b, "Snapshot diff: %s -> %s" % (path_a, path_b))
+    rows, unchanged = _diff_rows(flat_a, flat_b)
+    if rows:
+        print(
+            render_table(
+                ["metric", "labels", "A", "B", "delta", "change"],
+                rows,
+                title="Snapshot diff: %s -> %s" % (path_a, path_b),
+            )
+        )
+    print("%d changed, %d unchanged" % (len(rows), unchanged))
     return 0
 
 
@@ -119,8 +118,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return cmd_stats_diff(args.diff[0], args.diff[1])
     if not args.metrics_file:
         raise UsageError("give a snapshot file, or --diff A.json B.json")
-    if args.follow:
-        return _stats_follow(args)
     snapshot = load_snapshot(args.metrics_file)
     if not any(
         snapshot.get(section)
@@ -130,44 +127,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
               % args.metrics_file)
         return 1
     _print_snapshot(snapshot)
-    return 0
-
-
-def _stats_follow(args: argparse.Namespace) -> int:
-    """``stats --follow``: re-render whenever the snapshot file changes.
-
-    A thin consumer of the streaming plane's tail machinery
-    (:class:`~repro.stream.tail.SnapshotTail`): the first load prints the
-    full snapshot, later loads print only the per-metric deltas against
-    the previous one.  ``--updates N`` bounds the number of loads (for
-    scripting and tests); the default 0 follows until interrupted.
-    """
-    tail = SnapshotTail(args.metrics_file)
-    previous = None
-    shown = 0
-    announced = False
-
-    def poll():
-        nonlocal previous, shown, announced
-        snapshot = tail.poll()
-        if snapshot is None:
-            if previous is None and not announced:
-                print("waiting for %s…" % args.metrics_file, file=sys.stderr)
-                announced = True
-            return 0
-        flat = _flatten_snapshot(snapshot)
-        if previous is None:
-            _print_snapshot(snapshot)
-        else:
-            _print_diff(previous, flat, "Changes in %s" % args.metrics_file)
-        previous = flat
-        shown += 1
-        if args.updates and shown >= args.updates:
-            return DONE
-        print()
-        return 1
-
-    follow(poll, args.follow)
     return 0
 
 
@@ -356,14 +315,14 @@ def cmd_trace_tail(args: argparse.Namespace) -> int:
 
 
 def cmd_progress(args: argparse.Namespace) -> int:
-    """Render (or follow) the heartbeat table of a sharded run.
+    """Render (or follow) the heartbeat table of a simulate or sweep run.
 
-    ``target`` is either the progress directory itself or the simulate
-    output path (heartbeats live in ``<output>.progress/``).  In follow
-    mode the table reprints every ``--interval`` seconds until every
-    worker reports done.  A heartbeat that disappears (or is caught
+    ``target`` is the progress directory itself, a simulate output path
+    (heartbeats live in ``<output>.progress/``) or a sweep directory.  In
+    follow mode the table reprints every ``--interval`` seconds until
+    every worker reports done.  A heartbeat that disappears (or is caught
     mid-write) between the directory listing and the read — routine when
-    a finishing run cleans up under a live ``repro top`` — is skipped
+    a finishing run cleans up under a live ``--follow`` — is skipped
     with a one-line stderr note rather than failing the table.
     """
     directory = resolve_progress_dir(args.target)

@@ -16,19 +16,18 @@ def wants_prom(args: argparse.Namespace) -> bool:
 class PromPublishers:
     """Start the requested Prometheus publishers; :meth:`stop` ends them.
 
-    Given a ``loop``, the file writer ticks on its *simulated* clock
-    (``--prom-interval`` sim-seconds) so snapshots land at deterministic
-    points of the run; a command without one calls :meth:`write` when it
-    has news.  The HTTP endpoint serves the live registry from a daemon
-    thread.  With neither flag given, every method is a no-op.
+    The file writer rewrites ``--prom-file`` whenever the command calls
+    :meth:`write`: a serial ``simulate`` on each heartbeat write, ``live``
+    on each poll, ``sweep run`` after each finished cell, and every
+    command once more at :meth:`stop`.  The HTTP endpoint serves the live
+    registry from a daemon thread.  With neither flag given, every method
+    is a no-op.
     """
 
-    def __init__(self, args: argparse.Namespace, obs: Observability, loop=None):
+    def __init__(self, args: argparse.Namespace, obs: Observability):
         self._writer = (
             PromFileWriter(obs.metrics, args.prom_file) if args.prom_file else None
         )
-        if self._writer is not None and loop is not None:
-            loop.schedule_periodic(args.prom_interval, self._writer.write)
         self._server = None
         if args.prom_port is not None:
             self._server = start_http_exporter(obs.metrics, port=args.prom_port)
@@ -39,6 +38,6 @@ class PromPublishers:
             self._writer.write()
 
     def stop(self) -> None:
-        self.write()  # final state, even if the loop never ticked
+        self.write()  # the final state
         if self._server is not None:
             self._server.close()

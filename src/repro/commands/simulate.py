@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-from contextlib import ExitStack
 
 from repro.active.lb_inference import classify_lb, follow_up_delay
 from repro.active.migration import migration_probe
@@ -38,20 +37,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     obs = make_obs(args, force_metrics=wants_prom(args))
     progress_dir = args.output + ".progress"
     clean_progress_dir(progress_dir)
-    heartbeat = HeartbeatWriter(progress_dir, worker=0)
-    with ExitStack() as cleanup:  # runs last-in first-out
-        cleanup.callback(finish_obs, args, obs)
-        scenario = run_scenario(
-            config,
-            obs=obs,
-            heartbeat=heartbeat,
-            # The file writer ticks on the loop, which exists once built.
-            on_built=lambda built: cleanup.callback(
-                PromPublishers(args, obs, loop=built.loop).stop
-            ),
-        )
+    prom = PromPublishers(args, obs)
+    # The .prom file is rewritten whenever the heartbeat is: a wall-clock
+    # tick outside the event loop, so watching cannot change the run.
+    heartbeat = HeartbeatWriter(progress_dir, worker=0, on_write=prom.write)
+    try:
+        scenario = run_scenario(config, obs=obs, heartbeat=heartbeat)
         with obs.span("simulate.write", local=True):
             write_capture(scenario.telescope, args.output)
+    finally:
+        prom.stop()
+        finish_obs(args, obs)
     print(
         "Wrote %d captured packets to %s"
         % (len(scenario.telescope.records), args.output)
@@ -118,7 +114,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         obs=obs,
     )
     prober = Prober(lab.loop, lab.network)
-    prom = PromPublishers(args, obs, loop=lab.loop)
+    prom = PromPublishers(args, obs)
     try:
         with obs.span("probe.%s" % args.experiment, local=True):
             return _run_probe(args, lab, prober)

@@ -48,6 +48,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
 
     def on_cell(cell, outcome) -> None:
         seen[0] += 1
+        prom.write()
         if not args.quiet:
             print(
                 "  [%*d/%d] %-40s %-9s %6d records  %6.2fs"

@@ -8,7 +8,10 @@ ways:
 * :class:`PromFileWriter` atomically rewrites a ``.prom`` file — the
   node_exporter *textfile collector* contract (write to a temp file in
   the same directory, then rename), so a collector never scrapes a
-  half-written file;
+  half-written file.  It is rewritten on wall-clock ticks the command
+  already has — each heartbeat write of a serial ``simulate`` (at most
+  twice a second), each ``live`` poll, each finished ``sweep run`` cell
+  — and once more at exit, never from inside the event loop;
 * :func:`start_http_exporter` serves ``GET /metrics`` from a stdlib
   ``http.server`` on a daemon thread, scrapeable with curl or a real
   Prometheus while ``repro simulate`` runs.

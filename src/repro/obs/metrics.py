@@ -290,12 +290,6 @@ class MetricsRegistry:
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
-    def to_prometheus(self) -> str:
-        """Everything, in Prometheus text exposition format."""
-        from repro.obs.export import render_prometheus
-
-        return render_prometheus(self)
-
     def write(self, path: str) -> None:
         with atomic_output(path) as fileobj:
             fileobj.write(self.to_json() + "\n")

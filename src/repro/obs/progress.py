@@ -1,16 +1,17 @@
 """Cross-process progress plane: atomic heartbeat files, live rendering.
 
-A month-at-paper-scale sharded run is opaque from the outside: workers
-are separate processes, their traces are per-process files, and the
-parent waits on the pool.  This module gives every worker a
-*heartbeat file* — one small JSON document, rewritten atomically
+A month-at-paper-scale run is opaque from the outside, a sharded one
+more so: workers are separate processes, their traces are per-process
+files, and the parent waits on the pool.  This module gives every
+simulating process (a serial ``simulate``, each shard worker, each
+sweep cell) a *heartbeat file* — one small JSON document, rewritten atomically
 (:func:`repro.atomic.atomic_output`, the node_exporter textfile-collector
 discipline :class:`~repro.obs.export.PromFileWriter` follows too) — in a
 shared progress directory next to the output pcap.  Readers never see a torn
 write: they either get the previous complete document or the new one.
 
 ``repro progress <target>`` aggregates the directory into a table;
-``repro top <target>`` follows it live.  The heartbeat carries enough
+``--follow`` reprints it live.  The heartbeat carries enough
 for an ETA: events done vs. expected, a rolling rate, and the stage the
 worker is in.
 
@@ -30,7 +31,7 @@ import glob
 import json
 import os
 import time as _wall
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.atomic import atomic_output
 from repro.core.report import render_table
@@ -53,6 +54,8 @@ class HeartbeatWriter:
     ``total`` is the worker's expected event count (its shard weight
     times :data:`EVENTS_PER_WEIGHT`); ``update`` calls are cheap when
     rate-limited away, so callers can invoke it from tight loops.
+    ``on_write``, if given, runs after every rewrite: the serial
+    ``simulate`` publishes its ``--prom-file`` on this same tick.
     """
 
     def __init__(
@@ -61,10 +64,12 @@ class HeartbeatWriter:
         worker: int,
         total: float = 0.0,
         min_interval: float = 0.5,
+        on_write: Optional[Callable[[], None]] = None,
     ) -> None:
         self.worker = worker
         self.total = total
         self.min_interval = min_interval
+        self.on_write = on_write
         self.path = os.path.join(directory, "worker%d%s" % (worker, HEARTBEAT_SUFFIX))
         self._started = _wall.time()
         self._last_write = 0.0
@@ -108,6 +113,8 @@ class HeartbeatWriter:
         with atomic_output(self.path) as fileobj:
             json.dump(doc, fileobj, separators=(",", ":"))
             fileobj.write("\n")
+        if self.on_write is not None:
+            self.on_write()
         return True
 
 
@@ -127,9 +134,9 @@ def read_heartbeats(
     """All readable heartbeats in ``directory``, sorted by worker index.
 
     Tolerant by design: a heartbeat deleted between the directory listing
-    and the read (a finishing run cleaning up under a live ``repro top``),
-    mid-replace, or containing garbage bytes is skipped rather than
-    failing the whole table.  ``ValueError`` covers both malformed JSON
+    and the read (a finishing run cleaning up under a live ``repro
+    progress --follow``), mid-replace, or containing garbage bytes is
+    skipped rather than failing the whole table.  ``ValueError`` covers both malformed JSON
     and non-UTF-8 content (``UnicodeDecodeError``), neither of which a
     renderer polling someone else's files can prevent.  ``skipped``, if
     given, collects the basenames of files that were passed over so the
@@ -170,8 +177,8 @@ def resolve_progress_dir(target: str) -> str:
     if os.path.isdir(candidate):
         return candidate
     raise InputFileError(
-        "no progress directory at %r or %r (is the run sharded and "
-        "started, or already cleaned up?)" % (target, candidate)
+        "no progress directory at %r or %r (has a simulate or sweep run "
+        "with that output started yet?)" % (target, candidate)
     )
 
 

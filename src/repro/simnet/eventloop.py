@@ -44,18 +44,12 @@ def queue_depth_bounds(expected_events: Optional[int] = None) -> tuple:
 class Event:
     """Handle for a scheduled callback; cancellable until it fires."""
 
-    __slots__ = ("time", "callback", "cancelled", "periodic")
+    __slots__ = ("time", "callback", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        periodic: bool = False,
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
         self.time = time
         self.callback = callback
         self.cancelled = False
-        self.periodic = periodic
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -91,9 +85,6 @@ class EventLoop:
         #: the ``sim.queue_depth`` and ``transport.datagram_bytes``
         #: histogram buckets.  None keeps the static defaults.
         self.expected_events = expected_events
-        #: Non-periodic events currently in the heap (periodic ticks re-arm
-        #: only while this is non-zero, so ``run()`` still drains).
-        self._live_normal = 0
         #: Optional callable fired with the running event count every
         #: ~4096 processed events (heartbeat writers hook in here).  Wall
         #: clocks live inside the callback, never in event dispatch, so
@@ -110,39 +101,16 @@ class EventLoop:
         """
         return sum(1 for _, _, event in self._heap if not event.cancelled)
 
-    def schedule(
-        self, delay: float, callback: Callable[[], None], periodic: bool = False
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` ``delay`` seconds from the current time."""
         if delay < 0:
             raise ValueError("cannot schedule into the past (delay=%r)" % delay)
-        return self._push(self.now + delay, callback, periodic)
+        return self._push(self.now + delay, callback)
 
-    def _push(self, time: float, callback: Callable[[], None], periodic: bool) -> Event:
-        event = Event(time, callback, periodic=periodic)
+    def _push(self, time: float, callback: Callable[[], None]) -> Event:
+        event = Event(time, callback)
         heapq.heappush(self._heap, (time, next(self._seq), event))
-        if not periodic:
-            self._live_normal += 1
         return event
-
-    def schedule_periodic(
-        self, interval: float, callback: Callable[[], None]
-    ) -> Event:
-        """Run ``callback`` every ``interval`` sim-seconds while work remains.
-
-        Periodic ticks (exporter flushes, watchdogs) re-arm themselves only
-        while non-periodic events are pending, so they observe a running
-        simulation without keeping the queue alive forever.
-        """
-        if interval <= 0:
-            raise ValueError("periodic interval must be > 0 (got %r)" % interval)
-
-        def fire() -> None:
-            callback()
-            if self._live_normal:
-                self.schedule(interval, fire, periodic=True)
-
-        return self.schedule(interval, fire, periodic=True)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` at absolute simulated ``time`` (a past one: now).
@@ -151,22 +119,18 @@ class EventLoop:
         so a callback that re-arms itself from a non-zero ``now`` fires at
         exactly the instant a caller scheduling from time 0 would name.
         """
-        return self._push(max(time, self.now), callback, False)
+        return self._push(max(time, self.now), callback)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, skipping cancelled ones."""
         while self._heap and self._heap[0][2].cancelled:
-            popped = heapq.heappop(self._heap)[2]
-            if not popped.periodic:
-                self._live_normal -= 1
+            heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Execute the next event; returns False if the queue is empty."""
         while self._heap:
             event = heapq.heappop(self._heap)[2]
-            if not event.periodic:
-                self._live_normal -= 1
             if event.cancelled:
                 continue
             self.now = event.time

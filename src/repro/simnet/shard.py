@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.atomic import remove_orphaned_temps
 from repro.netstack.pcap import merge_pcap_files
@@ -158,7 +158,6 @@ def run_scenario(
     units: Optional[Sequence[TrafficUnit]] = None,
     obs: Optional[Observability] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
-    on_built: Optional[Callable[[Scenario], None]] = None,
 ) -> Scenario:
     """Build the full deployment, run ``units`` (None: all) to the end.
 
@@ -173,9 +172,7 @@ def run_scenario(
     from the canonical merged timeline (see :mod:`repro.obs.spans`).
     When a ``heartbeat`` writer is given, it is updated through the
     build, every ~4096 loop events during the run, and once more
-    (``final``) when the loop has drained.  ``on_built`` sees the
-    scenario between the phases (the serial command hangs its Prometheus
-    file writer on the loop there).
+    (``final``) when the loop has drained.
     """
     obs = obs or NULL_OBS
     if units is None:
@@ -185,8 +182,6 @@ def run_scenario(
         heartbeat.update("build")
     with obs.span("simulate.build", local=True, units=len(units)):
         scenario = build_scenario(config, obs=obs, units=units)
-    if on_built is not None:
-        on_built(scenario)
     loop = scenario.loop
     telescope = scenario.telescope
     if heartbeat is not None:
@@ -333,7 +328,7 @@ def simulate_sharded(
     uses: every ``trace_sample``-th event per type, or the last
     ``trace_ring`` events dumped when the worker ends.  ``progress_dir``
     makes every worker write live heartbeats there (stale ones are
-    cleaned first) for ``repro progress`` / ``repro top``.
+    cleaned first) for ``repro progress [--follow]``.
     """
     if workers < 2:
         raise ValueError(

@@ -13,8 +13,7 @@ servers — the very accumulators the batch functions fold a whole capture
 into), counts rows and the capture span off the columns, and publishes
 the numbers as ``stream.*`` gauges of a :class:`~repro.obs.MetricsRegistry`
 so ``--prom-file`` / ``--prom-port`` export them in flight.  ``tail``
-holds the generic follow-a-file primitives (JSONL traces, snapshot
-files).
+holds the follow-a-file primitive for JSONL traces.
 
 Because the follower appends into a real ``CaptureTable``, a live run
 that reaches the end of its input holds *exactly* the table a batch run

@@ -1,28 +1,19 @@
-"""Follow-a-file primitives for the streaming plane.
+"""Follow-a-file primitive for the streaming plane.
 
-Two shapes of growing file appear in this toolchain: append-only JSONL
-streams (``--trace`` event logs, one JSON object per line) and
-atomically-replaced snapshot documents (``--metrics`` JSON, heartbeat
-files).  Both get a small stateful follower here:
-
-* :class:`JsonlTail` — byte-offset tailing with partial-line buffering,
-  so a poll that lands mid-line never yields a torn record; a truncated
-  file (log rotation, a fresh run reusing the path) resets the cursor
-  and keeps following.
-* :class:`SnapshotTail` — change detection by ``(mtime_ns, size)`` stamp
-  plus a whole-document re-read, tolerating the moment between a
-  writer's truncate and its rewrite.
-
-Neither follower ever raises on filesystem races (file missing, shrunk,
-mid-write): the next poll simply returns nothing, exactly like a
-``tail -f`` that outlives its target.
+:class:`JsonlTail` follows an append-only JSONL stream (a ``--trace``
+event log, one JSON object per line): byte-offset tailing with
+partial-line buffering, so a poll that lands mid-line never yields a
+torn record; a truncated file (log rotation, a fresh run reusing the
+path) resets the cursor and keeps following.  It never raises on
+filesystem races (file missing, shrunk, mid-write): the next poll simply
+returns nothing, exactly like a ``tail -f`` that outlives its target.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional
+from typing import List
 
 
 class JsonlTail:
@@ -79,37 +70,3 @@ class JsonlTail:
             else:
                 self.bad_lines += 1
         return events
-
-
-class SnapshotTail:
-    """Re-read a whole JSON document whenever its stat stamp changes.
-
-    The followed file is rewritten as a unit (``--metrics`` snapshots
-    are small and dumped in one call), so content-level incrementality
-    buys nothing; what matters is cheap change detection and surviving
-    the window where the writer has truncated but not yet finished.  A
-    poll that catches a half-written document parses as invalid JSON,
-    returns ``None`` *without* advancing the stamp, and retries on the
-    next poll.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._stamp: Optional[tuple] = None
-
-    def poll(self) -> Optional[dict]:
-        """The new document, or ``None`` when unchanged/missing/mid-write."""
-        try:
-            stat = os.stat(self.path)
-        except OSError:
-            return None
-        stamp = (stat.st_mtime_ns, stat.st_size)
-        if stamp == self._stamp:
-            return None
-        try:
-            with open(self.path) as fileobj:
-                doc = json.load(fileobj)
-        except (OSError, ValueError):
-            return None  # mid-rewrite: stamp not advanced, retried next poll
-        self._stamp = stamp
-        return doc if isinstance(doc, dict) else None

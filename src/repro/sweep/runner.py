@@ -6,7 +6,7 @@ One sweep is a directory::
       manifest.json        # spec echo + per-cell status/wall/records
       results.csv          # long-form: axis columns + metric + value
       results.json         # same data, JSON (axes echoed for `render`)
-      progress/            # per-cell heartbeats (repro progress/top)
+      progress/            # per-cell heartbeats (repro progress)
       cells/<cell_id>/
         capture.pcap       # the cell's simulated month
         capture.pcap.capidx

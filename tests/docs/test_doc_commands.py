@@ -10,6 +10,7 @@ CHECKER = os.path.join(REPO_ROOT, "tools", "check_doc_commands.py")
 sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
 from check_doc_commands import (  # noqa: E402
     check_file,
+    check_spans,
     fenced_commands,
     parses,
     repro_argv,
@@ -97,3 +98,29 @@ class TestParses:
         assert seen == 1
         assert len(errors) == 1
         assert ":2:" in errors[0]
+
+
+class TestInlineSpans:
+    def test_removed_command_and_flag_in_prose(self, tmp_path):
+        doc = tmp_path / "prose.md"
+        doc.write_text(
+            "\n".join(
+                [
+                    "Watch it with `repro progress run.pcap --follow`, or with",
+                    "`repro top run.pcap`; diff snapshots with `repro stats",
+                    "m.json --follow 2`.  Errors read `repro analyze: x.pcap:",
+                    "bad pcap magic` or `repro <command>: <reason>`; every",
+                    "`repro …` command parses.",
+                    "```",
+                    "# `repro top` inside a fence is the fenced checker's business",
+                    "```",
+                ]
+            )
+        )
+        seen, errors = check_spans(str(doc))
+        assert seen == 6
+        assert errors == [
+            "%s:2: `repro top run.pcap` — unknown command 'repro top'" % doc,
+            "%s:2: `repro stats m.json --follow 2` — repro stats has no "
+            "option --follow" % doc,
+        ]

@@ -42,7 +42,6 @@ EXERCISED = {
     ("live",),
     ("stats",),
     ("progress",),
-    ("top",),
     ("probe", "enumerate"),
     ("sweep", "run"),
     ("sweep", "status"),
@@ -209,7 +208,7 @@ class TestSweepFamilies:
         # Both exit immediately on a finished sweep: every cell's final
         # heartbeat reports done, so the follow loop has nothing to wait
         # for — which is exactly why the book can tell readers to point
-        # `repro top` at a sweep output directory.
+        # `repro progress --follow` at a sweep output directory.
         assert main(["progress", env["sweep"]]) == 0
-        assert main(["top", env["sweep"], "--interval", "0.05"]) == 0
+        assert main(["progress", env["sweep"], "--follow", "--interval", "0.05"]) == 0
         assert capsys.readouterr().out.strip()

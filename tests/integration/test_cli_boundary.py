@@ -241,7 +241,7 @@ class TestParserTable:
         assert sorted(_LEAVES) == sorted(
             ["simulate", "classify", "analyze", "live", "index", "probe", "stats",
              "trace summarize", "trace merge", "trace tail", "progress",
-             "sweep run", "sweep status", "sweep render", "lint", "top"]
+             "sweep run", "sweep status", "sweep render", "lint"]
         )
 
     @pytest.mark.parametrize("command", sorted(_LEAVES))

@@ -266,3 +266,51 @@ class TestAlwaysOnSinks:
             assert events[-1]["name"] == "run_end"
         finally:
             signal.signal(signal.SIGUSR1, previous)
+
+
+class TestPromFileTick:
+    def test_prom_file_rides_the_heartbeat(self, tmp_path, monkeypatch):
+        """Watching a serial run rewrites the file on the heartbeat's wall
+        clock tick, so the run itself — its pcap and its event count — is
+        the one an unwatched run produces."""
+        from repro.obs.export import PromFileWriter
+        from repro.obs.progress import HeartbeatWriter
+
+        writes = {"heartbeat": 0, "prom": 0}
+        update = HeartbeatWriter.update
+        prom_write = PromFileWriter.write
+
+        def counting_update(self, *args, **kwargs):
+            wrote = update(self, *args, **kwargs)
+            writes["heartbeat"] += wrote
+            return wrote
+
+        def counting_write(self):
+            prom_write(self)
+            writes["prom"] += 1
+
+        common = ["--scale", "0.05", "--seed", "42"]
+        plain = str(tmp_path / "plain.pcap")
+        assert main(["simulate", plain, *common,
+                     "--metrics", str(tmp_path / "plain.json")]) == 0
+        monkeypatch.setattr(HeartbeatWriter, "update", counting_update)
+        monkeypatch.setattr(PromFileWriter, "write", counting_write)
+        watched = str(tmp_path / "watched.pcap")
+        prom = str(tmp_path / "p.prom")
+        assert main(["simulate", watched, *common,
+                     "--metrics", str(tmp_path / "watched.json"),
+                     "--prom-file", prom]) == 0
+
+        with open(plain, "rb") as a, open(watched, "rb") as b:
+            assert a.read() == b.read()
+        events = [
+            load_snapshot(str(tmp_path / name))["counters"][
+                "sim.events_processed"]["values"][""]
+            for name in ("plain.json", "watched.json")
+        ]
+        assert events[0] == events[1]
+        # One rewrite per heartbeat write, plus the final one at exit.
+        assert writes["heartbeat"] >= 2  # build, done
+        assert writes["prom"] == writes["heartbeat"] + 1
+        with open(prom) as fileobj:
+            assert "sim_events_processed_total " in fileobj.read()

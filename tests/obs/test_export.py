@@ -58,9 +58,6 @@ class TestRenderPrometheus:
     def test_empty_registry_renders_empty(self):
         assert render_prometheus(MetricsRegistry()) == ""
 
-    def test_registry_to_prometheus_method(self, registry):
-        assert registry.to_prometheus() == render_prometheus(registry)
-
     def test_ends_with_newline(self, registry):
         assert render_prometheus(registry).endswith("\n")
 

@@ -159,6 +159,9 @@ class TestReaders:
             resolve_progress_dir(str(tmp_path / "nope.pcap"))
         message = str(excinfo.value)
         assert "no progress directory" in message
+        # Serial simulate and sweep cells heartbeat too, not only sharded runs.
+        assert "simulate or sweep run" in message
+        assert "sharded" not in message
         assert "\n" not in message
 
 

@@ -171,43 +171,6 @@ class TestBudget:
         assert loop.events_processed == 5
 
 
-class TestPeriodic:
-    def test_periodic_fires_while_work_remains_then_drains(self):
-        loop = EventLoop()
-        ticks = []
-        loop.schedule(3.5, lambda: None)  # real work until t=3.5
-        loop.schedule_periodic(1.0, lambda: ticks.append(loop.now))
-        loop.run()  # must terminate: the tick stops re-arming once idle
-        assert ticks == [1.0, 2.0, 3.0, 4.0]
-        assert loop.peek_time() is None
-
-    def test_periodic_alone_fires_once(self):
-        """With no real work pending, a periodic tick does not re-arm."""
-        loop = EventLoop()
-        ticks = []
-        loop.schedule_periodic(0.5, lambda: ticks.append(loop.now))
-        loop.run()
-        assert ticks == [0.5]
-
-    def test_periodic_sees_work_scheduled_by_events(self):
-        loop = EventLoop()
-        ticks = []
-
-        def rearm(depth):
-            if depth:
-                loop.schedule(1.0, lambda: rearm(depth - 1))
-
-        loop.schedule(1.0, lambda: rearm(2))
-        loop.schedule_periodic(0.7, lambda: ticks.append(round(loop.now, 1)))
-        loop.run()
-        assert ticks  # fired during the chain
-        assert loop.peek_time() is None  # and still drained
-
-    def test_rejects_non_positive_interval(self):
-        with pytest.raises(ValueError):
-            EventLoop().schedule_periodic(0.0, lambda: None)
-
-
 class TestQueueDepthSampling:
     def test_shift_is_configurable(self):
         from repro.obs import MetricsRegistry, Observability

@@ -1,4 +1,4 @@
-"""CLI surface of the streaming plane: live parity, trace tail, stats --follow.
+"""CLI surface of the streaming plane: live parity and trace tail.
 
 The load-bearing assertion is byte parity: a ``repro live`` run driven
 to completion prints exactly what batch ``repro analyze`` prints for the
@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.metrics import MetricsRegistry
 
 
 def live_args(paths, *extra):
@@ -113,29 +112,3 @@ class TestTraceTail:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "waiting for" in captured.err
-
-
-class TestStatsFollow:
-    def snapshot_file(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("stream.polls").inc_key((), 4)
-        registry.gauge("stream.rows_fed").set_key((), 123)
-        path = str(tmp_path / "metrics.json")
-        with open(path, "w") as fileobj:
-            json.dump(registry.snapshot(), fileobj)
-        return path
-
-    def test_first_load_prints_the_full_snapshot(self, tmp_path, capsys):
-        path = self.snapshot_file(tmp_path)
-        assert main(["stats", path, "--follow", "0.01", "--updates", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "stream.polls" in out
-        assert "stream.rows_fed" in out
-
-    def test_follow_matches_plain_stats_render(self, tmp_path, capsys):
-        path = self.snapshot_file(tmp_path)
-        assert main(["stats", path]) == 0
-        plain = capsys.readouterr().out
-        assert main(["stats", path, "--follow", "0.01", "--updates", "1"]) == 0
-        followed = capsys.readouterr().out
-        assert followed == plain

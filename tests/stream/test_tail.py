@@ -1,9 +1,9 @@
-"""Follow-a-file primitives: JSONL tailing and snapshot re-reading."""
+"""The follow-a-file primitive: JSONL tailing."""
 
 import json
 import os
 
-from repro.stream.tail import JsonlTail, SnapshotTail
+from repro.stream.tail import JsonlTail
 
 
 def append(path, text):
@@ -52,45 +52,3 @@ class TestJsonlTail:
         assert tail.poll() == [{"run": 2}]
         assert tail.resets == 1
         assert tail.offset == os.path.getsize(path)
-
-
-class TestSnapshotTail:
-    def write(self, path, doc):
-        with open(path, "w") as fileobj:
-            json.dump(doc, fileobj)
-
-    def test_missing_then_first_load(self, tmp_path):
-        path = str(tmp_path / "m.json")
-        tail = SnapshotTail(path)
-        assert tail.poll() is None
-        self.write(path, {"v": 1})
-        assert tail.poll() == {"v": 1}
-
-    def test_unchanged_file_reports_nothing(self, tmp_path):
-        path = str(tmp_path / "m.json")
-        self.write(path, {"v": 1})
-        tail = SnapshotTail(path)
-        assert tail.poll() == {"v": 1}
-        assert tail.poll() is None
-
-    def test_rewrite_is_detected(self, tmp_path):
-        path = str(tmp_path / "m.json")
-        self.write(path, {"v": 1})
-        tail = SnapshotTail(path)
-        assert tail.poll() == {"v": 1}
-        self.write(path, {"v": 2, "extra": True})
-        os.utime(path, ns=(0, os.stat(path).st_mtime_ns + 10**9))
-        assert tail.poll() == {"v": 2, "extra": True}
-
-    def test_mid_rewrite_garbage_retries_without_advancing(self, tmp_path):
-        path = str(tmp_path / "m.json")
-        self.write(path, {"v": 1})
-        tail = SnapshotTail(path)
-        assert tail.poll() == {"v": 1}
-        with open(path, "w") as fileobj:  # writer truncated, not yet done
-            fileobj.write('{"v": 2')
-        os.utime(path, ns=(0, os.stat(path).st_mtime_ns + 10**9))
-        assert tail.poll() is None  # invalid JSON: stamp must NOT advance
-        append(path, "}")
-        os.utime(path, ns=(0, os.stat(path).st_mtime_ns + 2 * 10**9))
-        assert tail.poll() == {"v": 2}

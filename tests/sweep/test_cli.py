@@ -141,3 +141,35 @@ class TestRender:
         assert capsys.readouterr().err.startswith(
             "repro sweep render: metric 'rows.scans' was not recorded"
         )
+
+
+class TestPromFile:
+    def test_rewritten_after_every_cell(self, tmp_path, monkeypatch):
+        """Each finished cell republishes the file, not only the exit."""
+        from repro.obs.export import PromFileWriter
+
+        done_per_write = []
+        write = PromFileWriter.write
+
+        def recording_write(self):
+            write(self)
+            with open(self.path) as fileobj:
+                for line in fileobj:
+                    if line.startswith('sweep_cells{state="done"} '):
+                        done_per_write.append(int(line.split()[1]))
+
+        monkeypatch.setattr(PromFileWriter, "write", recording_write)
+        doc = copy.deepcopy(DOC)
+        doc["axes"] = {"loss_rate": [0.0, 0.2], "attack_scale": [1.0]}
+        spec_path = tmp_path / "two.json"
+        spec_path.write_text(json.dumps(doc))
+        prom = str(tmp_path / "sweep.prom")
+        assert (
+            main(
+                ["sweep", "run", str(spec_path), "--out", str(tmp_path / "two"),
+                 "--quiet", "--prom-file", prom]
+            )
+            == 0
+        )
+        # One rewrite as each cell lands, then the final one at exit.
+        assert done_per_write == [1, 2, 2]

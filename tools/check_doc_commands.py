@@ -22,6 +22,15 @@ Placeholder arguments are deliberately *not* allowed — ``repro analyze
 <pcap>`` fails the numeric/choice checks that real paths pass, which
 keeps the book runnable by copy-paste.
 
+Prose quotes commands too, as inline code spans (`` `repro live …
+--prom-file` ``), and those are rarely whole command lines.  In README,
+ARCHITECTURE and EXPERIMENTS every span that starts with ``repro `` is
+held to a looser rule (:func:`check_spans`): its command path must exist
+in the parser table, and each ``--flag`` it names must be an option of
+that command.  Spans that quote an error line — ``repro <command>:
+<reason>``, a path word ending in ``:`` — and spans whose command is
+elided (`` `repro …` ``) are skipped.
+
 Exit status is the number of broken commands (0 = docs are clean), so
 the CI lint job can simply run ``PYTHONPATH=src python
 tools/check_doc_commands.py``.  Used by
@@ -32,6 +41,7 @@ same document shape as ``repro lint --json``).
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
@@ -52,7 +62,12 @@ DOCS = (
     "CHANGES.md",
 )
 
+#: The documents whose inline ``repro`` code spans we guarantee.
+SPAN_DOCS = ("README.md", "ARCHITECTURE.md", "EXPERIMENTS.md")
+
 _FENCE = re.compile(r"^(```|~~~)")
+#: A CommonMark code span: a backtick run closed by a run of the same length.
+_CODE_SPAN = re.compile(r"(?<!`)(`+)(?!`)(.+?)(?<!`)\1(?!`)", re.DOTALL)
 _ENV_ASSIGNMENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 _SHELL_OPERATORS = {"|", "||", "&&", "&", ";", ">", ">>", "<", "2>", "2>&1"}
 
@@ -153,6 +168,81 @@ def check_file(path: str) -> Tuple[int, List[str]]:
     return len(commands), errors
 
 
+def span_commands(path: str) -> List[Tuple[int, str]]:
+    """Every inline code span starting with ``repro `` outside fences.
+
+    Spans may wrap across lines but not across paragraphs.  Returns
+    ``(lineno, span)`` pairs, the span's whitespace collapsed.
+    """
+    with open(path, encoding="utf-8") as fileobj:
+        raw = fileobj.read().splitlines()
+    paragraphs: List[Tuple[int, List[str]]] = [(1, [])]
+    in_fence = False
+    for lineno, line in enumerate(raw, start=1):
+        if _FENCE.match(line.strip()):
+            in_fence = not in_fence
+        elif not in_fence and line.strip():
+            paragraphs[-1][1].append(line)
+            continue
+        paragraphs.append((lineno + 1, []))
+    spans: List[Tuple[int, str]] = []
+    for first_line, lines in paragraphs:
+        text = "\n".join(lines)
+        for match in _CODE_SPAN.finditer(text):
+            span = " ".join(match.group(2).split())
+            if span.startswith("repro "):
+                spans.append((first_line + text.count("\n", 0, match.start()), span))
+    return spans
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """``{name: parser}`` of the subcommands under ``parser`` (or {})."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def span_error(span: str) -> str:
+    """Why ``span`` names no real command or flag ("" when it is fine)."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    words = span.split()[1:]
+    path = ["repro"]
+    for word in words:
+        if word.endswith(":"):
+            return ""  # an error line: `repro <command>: <reason>`
+        children = _subcommands(parser)
+        if not children:
+            break
+        if word in ("…", "..."):
+            return ""  # `repro …`: the command itself is elided
+        if word not in children:
+            return "unknown command %r" % " ".join(path + [word])
+        parser = children[word]
+        path.append(word)
+    options = parser._option_string_actions
+    for word in words:
+        if word in _SHELL_OPERATORS:
+            break
+        flag = word.split("=", 1)[0]
+        if flag.startswith("--") and len(flag) > 2 and flag not in options:
+            return "%s has no option %s" % (" ".join(path), flag)
+    return ""
+
+
+def check_spans(path: str) -> Tuple[int, List[str]]:
+    """(spans seen, errors) for the inline ``repro`` spans of one document."""
+    errors: List[str] = []
+    spans = span_commands(path)
+    for lineno, span in spans:
+        why = span_error(span)
+        if why:
+            errors.append("%s:%d: `%s` — %s" % (path, lineno, span, why))
+    return len(spans), errors
+
+
 def main(argv: List[str]) -> int:
     json_mode, args = split_json_flag(argv[1:])
     repo_root = os.path.abspath(
@@ -163,8 +253,11 @@ def main(argv: List[str]) -> int:
     report = Report("check-doc-commands")
     for name in DOCS:
         doc = os.path.join(repo_root, name)
-        if os.path.exists(doc):
-            seen, bad = check_file(doc)
+        if not os.path.exists(doc):
+            continue
+        checks = [check_file] + ([check_spans] if name in SPAN_DOCS else [])
+        for check in checks:
+            seen, bad = check(doc)
             total += seen
             for error in bad:
                 report.add_text(error)
