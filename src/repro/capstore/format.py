@@ -19,16 +19,25 @@ fingerprint (size + mtime_ns + content hash) for cache invalidation, and
 a blake2b checksum of the payload against torn writes.  Writes go
 through :func:`repro.atomic.atomic_output` so a crashed build never
 leaves a half-written sidecar that a later run would trust.
+
+Both directions move the payload column by column, so each holds the
+table's bytes once: the writer hashes and writes every column straight
+from its array's buffer, and the loader sizes nothing from the header
+before the columns' sizes add up to what the file holds, then reads each
+column straight into its array and checks the payload's checksum before
+any value in it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import sys
 from array import array
 from dataclasses import dataclass
+from operator import le, lt
 from typing import Optional
 
 from repro.atomic import atomic_output
@@ -85,17 +94,23 @@ def _columns(table: CaptureTable) -> list:
     return named
 
 
-def dumps_index(
+def _write_index(
+    fileobj,
     table: CaptureTable,
     stats: SanitizationStats,
-    source: Optional[dict] = None,
-    pipeline: Optional[dict] = None,
-) -> bytes:
-    """Serialize a table (+stats, +source fingerprint) to .capidx bytes."""
-    columns = _columns(table)
-    payload_parts = [column.tobytes() for _name, column in columns]
-    payload_parts.append(bytes(table.blob))
-    payload = b"".join(payload_parts)
+    source: Optional[dict],
+    pipeline: Optional[dict],
+) -> None:
+    """Serialize a table (+stats, +source fingerprint) into ``fileobj``.
+
+    The columns are hashed and written through ``memoryview``s of their
+    own buffers, so nothing but the header is copied on the way out.
+    """
+    buffers = [(name, memoryview(column)) for name, column in _columns(table)]
+    buffers.append(("blob", memoryview(table.blob)))
+    digest = hashlib.blake2b(digest_size=16)
+    for _name, buffer in buffers:
+        digest.update(buffer)
     header = {
         "byteorder": sys.byteorder,
         "rows": table.num_rows,
@@ -105,22 +120,28 @@ def dumps_index(
         "source": source or {},
         "pipeline": pipeline or {},
         "columns": [
-            {"name": name, "typecode": column.typecode, "count": len(column)}
-            for name, column in columns
-        ]
-        + [{"name": "blob", "typecode": "B", "count": len(table.blob)}],
-        "payload_blake2b": hashlib.blake2b(payload, digest_size=16).hexdigest(),
+            {"name": name, "typecode": buffer.format, "count": len(buffer)}
+            for name, buffer in buffers
+        ],
+        "payload_blake2b": digest.hexdigest(),
     }
     header_bytes = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
-    return b"".join(
-        (
-            MAGIC,
-            SCHEMA_VERSION.to_bytes(4, "little"),
-            len(header_bytes).to_bytes(4, "little"),
-            header_bytes,
-            payload,
-        )
-    )
+    fileobj.write(MAGIC + SCHEMA_VERSION.to_bytes(4, "little"))
+    fileobj.write(len(header_bytes).to_bytes(4, "little") + header_bytes)
+    for _name, buffer in buffers:
+        fileobj.write(buffer)
+
+
+def dumps_index(
+    table: CaptureTable,
+    stats: SanitizationStats,
+    source: Optional[dict] = None,
+    pipeline: Optional[dict] = None,
+) -> bytes:
+    """The .capidx bytes :func:`dump_index` writes, in memory."""
+    out = io.BytesIO()
+    _write_index(out, table, stats, source, pipeline)
+    return out.getvalue()
 
 
 def dump_index(
@@ -131,9 +152,8 @@ def dump_index(
     pipeline: Optional[dict] = None,
 ) -> None:
     """Write the sidecar whole or not at all (:func:`atomic_output`)."""
-    blob = dumps_index(table, stats, source=source, pipeline=pipeline)
     with atomic_output(path, "wb") as fileobj:
-        fileobj.write(blob)
+        _write_index(fileobj, table, stats, source, pipeline)
 
 
 def _read_header(fileobj, path: str) -> dict:
@@ -168,27 +188,55 @@ def read_header(path: str) -> dict:
 
 
 def load_index(path: str) -> IndexPayload:
-    """Read, checksum-verify, and deserialize a sidecar.
+    """Read, checksum-verify, and deserialize a sidecar, column by column.
 
     The checksum covers the payload, not the header that says how to cut
     it, so the header is held to the schema it declares before a column
-    is trusted: a sidecar that does not describe a table this version
-    can have written raises :class:`CapIndexError` like a torn one.
+    is read, and the columns' sizes to what the file holds before a
+    buffer is sized: a sidecar that does not describe a table this
+    version can have written raises :class:`CapIndexError` like a torn
+    one.  Each column is read straight into its own array, feeding the
+    checksum as it goes, so the payload is held once; the checksum is
+    verified before any value in it is checked or returned.
     """
     with open(path, "rb") as fileobj:
         header = _read_header(fileobj, path)
-        payload = fileobj.read()
-    digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
-    if digest != header.get("payload_blake2b"):
+        try:
+            schema = _schema(header)
+        except _MALFORMED as exc:
+            raise _malformed(path, exc) from exc
+        want = sum(count * array(typecode).itemsize for _, typecode, count in schema)
+        held = os.fstat(fileobj.fileno()).st_size - fileobj.tell()
+        if want != held:
+            raise CapIndexError(
+                "%s: the columns take %d bytes, the payload is %d" % (path, want, held)
+            )
+        table = CaptureTable()
+        digest = hashlib.blake2b(digest_size=16)
+        for name, typecode, count in schema:
+            column = bytearray(count) if name == "blob" else array(typecode, [0]) * count
+            with memoryview(column) as view:
+                if fileobj.readinto(view) != view.nbytes:
+                    raise CapIndexError("%s: truncated payload" % path)
+                digest.update(view)
+            setattr(table, name, column)
+    if digest.hexdigest() != header.get("payload_blake2b"):
         raise CapIndexError("%s: payload checksum mismatch" % path)
     try:
-        return _deserialize(header, payload)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        # Whatever a wrong-shaped header throws on the way is the same
-        # answer as a check it fails: not a sidecar to trust.
-        raise CapIndexError(
-            "%s: malformed header (%s: %s)" % (path, type(exc).__name__, exc)
-        ) from exc
+        return _checked(header, table)
+    except _MALFORMED as exc:
+        raise _malformed(path, exc) from exc
+
+
+#: What a wrong-shaped header throws on the way is the same answer as a
+#: check it fails: not a sidecar to trust.
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError)
+
+
+def _malformed(path: str, exc: Exception) -> CapIndexError:
+    return CapIndexError(
+        "%s: malformed header (%s: %s)" % (path, type(exc).__name__, exc)
+    )
 
 
 def _require(held: bool, what: str) -> None:
@@ -200,14 +248,11 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0  # JSON ``true`` is not a count
 
 
-def _deserialize(header: dict, payload: bytes) -> IndexPayload:
-    """Cut ``payload`` into the table ``header`` describes.
+def _schema(header: dict) -> list:
+    """``(name, typecode, count)`` of each column ``header`` describes.
 
     Raises ``ValueError`` for a header outside the schema; one of the
-    wrong shape altogether may raise anything :func:`load_index` catches.
-    The value checks run as C-level passes over whole columns, so
-    readers can index ``origins``, the packet-type tables and the offset
-    columns without a bounds check per row.
+    wrong shape altogether may raise anything :data:`_MALFORMED` names.
     """
     rows, packets = header["rows"], header["packets"]
     origins, stats = header["origins"], header["stats"]
@@ -247,37 +292,37 @@ def _deserialize(header: dict, payload: bytes) -> IndexPayload:
         described == schema and _is_count(sv_count) and _is_count(blob_count),
         "columns are not the schema's",
     )
+    return schema
 
-    table = CaptureTable()
-    swap = header["byteorder"] != sys.byteorder
-    cursor = 0
-    for name, typecode, count in schema:
-        if name == "blob":
-            table.blob = bytearray(payload[cursor : cursor + count])
-            cursor += count
-            continue
-        column = array(typecode)
-        nbytes = count * column.itemsize
-        column.frombytes(payload[cursor : cursor + nbytes])
-        if swap:
-            column.byteswap()
-        cursor += nbytes
-        setattr(table, name, column)
-    _require(cursor == len(payload), "columns do not add up to the payload")
+
+def _checked(header: dict, table: CaptureTable) -> IndexPayload:
+    """The payload of a table read as ``header`` describes, its values held
+    to the schema.
+
+    Raises ``ValueError`` for a value outside it.  The checks run as
+    C-level passes over the columns themselves, copying none, so readers
+    can index ``origins``, the packet-type tables and the offset columns
+    without a bounds check per row.
+    """
+    origins, stats = header["origins"], header["stats"]
+    if header["byteorder"] != sys.byteorder:
+        for name, _ in ROW_COLUMNS + PACKET_COLUMNS + OFFSET_COLUMNS:
+            getattr(table, name).byteswap()
+        table.sv_values.byteswap()
 
     # A row has at least one packet; a packet may own no bytes.
-    for name, child, strictly in (
-        ("pkt_start", packets, True),
-        ("bytes_start", len(table.blob), False),
-        ("sv_start", len(table.sv_values), False),
+    for name, child, follows in (
+        ("pkt_start", table.num_packets, lt),
+        ("bytes_start", len(table.blob), le),
+        ("sv_start", len(table.sv_values), le),
     ):
-        offsets = getattr(table, name).tolist()
-        _require(
-            offsets[0] == 0
-            and offsets[-1] == child
-            and sorted(set(offsets) if strictly else offsets) == offsets,
-            "%s does not partition its %d entries" % (name, child),
-        )
+        with memoryview(getattr(table, name)) as offsets:
+            _require(
+                offsets[0] == 0
+                and offsets[-1] == child
+                and all(map(follows, offsets[:-1], offsets[1:])),
+                "%s does not partition its %d entries" % (name, child),
+            )
     # One-byte codes: delete the valid ones and nothing may be left.
     klass, pkt_type = table.klass.tobytes(), table.pkt_type.tobytes()
     _require(
@@ -296,7 +341,7 @@ def _deserialize(header: dict, payload: bytes) -> IndexPayload:
     return IndexPayload(
         table=table,
         stats=SanitizationStats(**stats),
-        source=source,
-        pipeline=pipeline,
+        source=header.get("source", {}),
+        pipeline=header.get("pipeline", {}),
         schema_version=header["_schema_version"],
     )

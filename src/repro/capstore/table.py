@@ -1,19 +1,20 @@
 """Columnar storage for sanitized telescope captures.
 
 A :class:`CaptureTable` holds one sanitized datagram per *row* in parallel
-typed arrays (``array`` module — compact, picklable, serializable with a
-single ``tobytes()`` per column), and one parsed long header per *packet*
-entry.  Rows reference their packets through a prefix-offset array, and
-variable-length packet fields (DCID/SCID/token/retry token) live as slices
-of one shared byte blob — the layout the paper's "dissect once, analyze
-many times" pipeline wants: dense, order-preserving, and append-only, so
-a grown capture's tail extends the table its prefix built.
+typed arrays (``array`` module — compact, picklable, and written to or
+read from a sidecar straight through each column's buffer), and one
+parsed long header per *packet* entry.  Rows reference their packets
+through a prefix-offset array, and variable-length packet fields
+(DCID/SCID/token/retry token) live as slices of one shared byte blob —
+the layout the paper's "dissect once, analyze many times" pipeline wants:
+dense, order-preserving, and append-only, so a grown capture's tail
+extends the table its prefix built.
 
 Rows are written by :func:`repro.capstore.dissect.record_verdict`, straight
 from record bytes, and read back two ways.  The analyses fold over
 :meth:`CaptureTable.datagrams`, which cuts the columns into one tuple of
-plain values per row and builds no object; a test, bench or example
-that asks for objects gets real
+plain values per row, a window of rows at a time, and builds no object;
+a test, bench or example that asks for objects gets real
 :class:`~repro.telescope.classify.CapturedPacket` instances from
 :meth:`CaptureTable.materialize`.  There is no shape in between.
 """
@@ -21,6 +22,7 @@ that asks for objects gets real
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from operator import add
 from typing import Iterator, List, Optional, Tuple
 
@@ -64,6 +66,11 @@ OFFSET_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("bytes_start", "Q"),  # packet -> first blob byte
     ("sv_start", "I"),  # packet -> first supported-version entry
 )
+
+#: Rows :meth:`CaptureTable.datagrams` cuts at a time.  A fixed constant,
+#: not a knob: large enough that the per-window cost is lost in the rows'
+#: own, small enough that a window's values are small next to the columns.
+DATAGRAM_WINDOW = 4096
 
 #: The ``klass`` column's codes (``KLASS_VALUES`` is the way back).
 KLASS_CODES = {PacketClass.BACKSCATTER: 0, PacketClass.SCAN: 1}
@@ -163,11 +170,20 @@ class CaptureTable:
 
         The per-packet fields are parallel sequences, one entry per
         coalesced packet: ``types`` is a ``bytes`` of type codes, the
-        others are tuples, each DCID/SCID one slice of the blob.  The
-        columns are cut with C-level passes and the rows come out of a
-        ``zip``, so nothing runs per row but the consumer.
+        others are tuples, each DCID/SCID one slice of the blob.  The rows
+        are cut :data:`DATAGRAM_WINDOW` at a time, each window with C-level
+        passes over the columns and its rows out of a ``zip``: nothing runs
+        per row but the consumer, and only one window's values are held
+        however long the range.
         """
         end = self.num_rows if end is None else end
+        window = DATAGRAM_WINDOW
+        return chain.from_iterable(
+            self._window(at, min(at + window, end)) for at in range(start, end, window)
+        )
+
+    def _window(self, start: int, end: int) -> Iterator[tuple]:
+        """Rows ``[start, end)`` of :meth:`datagrams`, cut in one go."""
         first, last = self.pkt_start[start], self.pkt_start[end]
         base = self.bytes_start[first]
         blob = bytes(memoryview(self.blob)[base : self.bytes_start[last]])

@@ -41,6 +41,7 @@ from typing import BinaryIO, Iterator, List, Union
 from repro.netstack.pcap import (
     RECORD_HEADER,
     SNAPLEN,
+    WALK_CHUNK,
     PcapRecord,
     PcapWriter,
     record_sort_key,
@@ -52,22 +53,19 @@ from repro.netstack.pcap import (
 #: is one big ``write`` every ~1,500 packets, small next to the capture.
 SPOOL_AFTER = 1 << 20
 
-#: Bytes read back from the spool per step.
-_SPOOL_CHUNK = 1 << 20
-
 _HEADER_ROOM = bytes(RECORD_HEADER.size)
 _pack_header = RECORD_HEADER.pack_into
 _unpack_length = struct.Struct("<I").unpack_from  # incl_len, at header + 8
 
 
 def _read_spool(spool: BinaryIO | None, size: int) -> Iterator[bytes]:
-    """The first ``size`` bytes of a spool file, a chunk at a time."""
+    """The first ``size`` bytes of a spool file, :data:`WALK_CHUNK` at a time."""
     if spool is None:
         return
     spool.flush()
     fd = spool.fileno()
-    for offset in range(0, size, _SPOOL_CHUNK):
-        yield os.pread(fd, min(_SPOOL_CHUNK, size - offset), offset)
+    for offset in range(0, size, WALK_CHUNK):
+        yield os.pread(fd, min(WALK_CHUNK, size - offset), offset)
 
 
 class CaptureRecords:

@@ -211,7 +211,8 @@ def read_pcap(path: str) -> list[PcapRecord]:
     return list(iter_pcap(path))
 
 
-#: Bytes :class:`PcapWalk` asks the file for per step.
+#: Bytes :class:`PcapWalk` asks the file for per step; the telescope's
+#: capture buffer reads its spool back in pieces of the same size.
 WALK_CHUNK = 1 << 18
 
 

@@ -1,5 +1,10 @@
 """.capidx sidecar format: round-trip fidelity and corruption handling."""
 
+import hashlib
+import json
+import sys
+from array import array
+
 import pytest
 
 from repro.capstore import (
@@ -54,6 +59,27 @@ class TestRoundTrip:
         payload = load_index(path)
         assert payload.table.num_rows == 0
         assert payload.table == CaptureTable()
+
+    def test_other_byteorder_round_trips(self, built, tmp_path):
+        # The checksum covers the bytes as written; columns swap after it.
+        table, stats = built
+        blob = dumps_index(table, stats)
+        header_len = int.from_bytes(blob[12:16], "little")
+        header = json.loads(blob[16 : 16 + header_len])
+        payload = b""
+        for descriptor in header["columns"][:-1]:  # every column but the blob
+            column = array(descriptor["typecode"], getattr(table, descriptor["name"]))
+            column.byteswap()
+            payload += column.tobytes()
+        payload += bytes(table.blob)
+        header["byteorder"] = "big" if sys.byteorder == "little" else "little"
+        header["payload_blake2b"] = hashlib.blake2b(payload, digest_size=16).hexdigest()
+        header_bytes = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+        path = tmp_path / "swapped.capidx"
+        path.write_bytes(
+            blob[:12] + len(header_bytes).to_bytes(4, "little") + header_bytes + payload
+        )
+        assert load_index(str(path)).table == table
 
     def test_serialization_starts_with_magic(self, built):
         table, stats = built

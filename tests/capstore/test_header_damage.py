@@ -86,6 +86,15 @@ DAMAGES = {
     "columns_reordered": _edited(lambda header: header["columns"].reverse()),
     "header_is_a_list": lambda blob: _join(blob, [], _split(blob)[1]),
     "source_is_a_string": _edited(lambda header: header.update(source="pcap")),
+    # Counts the file cannot hold: refused before a buffer is sized from them.
+    "blob_count_past_the_end": _edited(
+        lambda header: _column(header, "blob").update(count=2**40)
+    ),
+    "payload_one_byte_short": _edited(
+        lambda header: _column(header, "blob").update(
+            count=_column(header, "blob")["count"] + 1
+        )
+    ),
 }
 
 
