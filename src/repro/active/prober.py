@@ -3,14 +3,13 @@
 A single probe host (the paper scans "from a single scanning probe within a
 university network") opens connections with successively decreasing source
 ports — the trick that walks a consistent-hashing load balancer across its
-backends — and logs server connection IDs, transport parameters, and
-certificates.
+backends — and returns each handshake's server connection ID, transport
+parameters and certificate.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from repro.core.l7lb import host_id_of
 from repro.netstack.addr import parse_ip
@@ -21,18 +20,6 @@ from repro.simnet.network import Network
 from repro.workloads.clients import ClientConnection, ClientHost, HandshakeResult
 
 DEFAULT_PROBE_ADDRESS = "198.51.100.10"  # TEST-NET-2
-
-
-@dataclass
-class ProbeLog:
-    """One handshake attempt's outcome, as the paper's scan logs record."""
-
-    vip: int
-    src_port: int
-    completed: bool
-    server_scid: bytes
-    host_id: int | None
-    rtt: float
 
 
 class Prober:
@@ -55,7 +42,6 @@ class Prober:
         network.add_device(self.host.device)
         self.suite = suite
         self.timeout = timeout
-        self.logs: list[ProbeLog] = []
         #: The ClientConnection behind the most recent handshake() call.
         self.last_connection: ClientConnection | None = None
         self._next_port = 65000
@@ -72,7 +58,7 @@ class Prober:
     ) -> HandshakeResult:
         """Run one handshake to completion or timeout; returns its result."""
         if src_port is None:
-            src_port = self._take_port()
+            src_port = self.take_port()
         connection = ClientConnection(
             rng=self.rng,
             src_ip=self.host.address,
@@ -86,20 +72,7 @@ class Prober:
         self.host.open(connection, self.loop.now)
         self.last_connection = connection
         self._run_until_complete(connection, timeout or self.timeout)
-        result = connection.result
-        self.logs.append(
-            ProbeLog(
-                vip=vip,
-                src_port=src_port,
-                completed=result.completed,
-                server_scid=result.server_scid,
-                host_id=host_id_of(result.server_scid)
-                if result.server_scid
-                else None,
-                rtt=result.rtt,
-            )
-        )
-        return result
+        return connection.result
 
     def _run_until_complete(self, connection: ClientConnection, timeout: float) -> None:
         deadline = self.loop.now + timeout
@@ -124,8 +97,6 @@ class Prober:
         if self._next_port < 1025:
             self._next_port = 65000
         return port
-
-    _take_port = take_port  # internal alias
 
     def advance(self, seconds: float) -> None:
         """Let simulated time pass (processing due events)."""

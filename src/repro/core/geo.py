@@ -1,8 +1,8 @@
 """Geographic aggregation of frontend clusters (paper Figure 6).
 
 Given per-cluster L7LB counts (from host-ID enumeration) and a geolocation
-database, compute the per-country distributions and per-continent medians
-the paper plots — its headline: Facebook provisions markedly more L7LBs
+database, group the cluster sizes by country and continent and compute the
+per-continent medians the paper plots — its headline: Facebook provisions markedly more L7LBs
 per cluster in Asia than in Europe or North America.
 """
 
@@ -16,55 +16,11 @@ from repro.inetdata.geodb import GeoDatabase
 
 
 @dataclass
-class BoxStats:
-    """Five-number summary for one country's cluster sizes."""
-
-    country: str
-    count: int
-    minimum: int
-    q1: float
-    median: float
-    q3: float
-    maximum: int
-
-    @classmethod
-    def from_values(cls, country: str, values: list[int]) -> "BoxStats":
-        ordered = sorted(values)
-        return cls(
-            country=country,
-            count=len(ordered),
-            minimum=ordered[0],
-            q1=_quantile(ordered, 0.25),
-            median=_quantile(ordered, 0.5),
-            q3=_quantile(ordered, 0.75),
-            maximum=ordered[-1],
-        )
-
-
-def _quantile(ordered: list[int], q: float) -> float:
-    if not ordered:
-        raise ValueError("empty sample")
-    if len(ordered) == 1:
-        return float(ordered[0])
-    position = q * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
-
-
-@dataclass
 class GeoAggregation:
     """Figure 6's data: cluster sizes grouped by country and continent."""
 
     by_country: dict[str, list[int]]
     by_continent: dict[str, list[int]]
-
-    def country_boxes(self) -> list[BoxStats]:
-        return [
-            BoxStats.from_values(country, values)
-            for country, values in sorted(self.by_country.items())
-        ]
 
     def continent_medians(self) -> dict[str, float]:
         return {

@@ -72,10 +72,9 @@ class ConvergenceCurve:
 
     def coverage_at(self, handshakes: int) -> float:
         """Fraction of the final ID set known after ``handshakes``."""
-        if not self.counts or self.total == 0:
+        if handshakes <= 0 or self.total == 0:
             return 0.0
-        index = min(handshakes, len(self.counts)) - 1
-        return self.counts[index] / self.total
+        return self.counts[min(handshakes, len(self.counts)) - 1] / self.total
 
     def handshakes_for_coverage(self, fraction: float) -> int | None:
         """First handshake count reaching ``fraction`` of the final set."""

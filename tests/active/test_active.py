@@ -48,11 +48,9 @@ class TestHandshakes:
         assert not result.completed
 
     def test_probe_log_grows(self, lab, prober):
-        before = len(prober.logs)
-        prober.handshake(lab.vips("Facebook")[0])
-        assert len(prober.logs) == before + 1
-        assert prober.logs[-1].completed
-        assert prober.logs[-1].host_id is not None
+        result = prober.handshake(lab.vips("Facebook")[0])
+        assert result.completed
+        assert host_id_of(result.server_scid) is not None
 
 
 class TestEchoDetection:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.geo import BoxStats, GeoAggregation, aggregate_clusters, _quantile
+from repro.core.geo import aggregate_clusters
 from repro.inetdata.geodb import GeoDatabase
 from repro.netstack.addr import parse_ip
 
@@ -14,32 +14,6 @@ def make_geodb():
     db.register("157.240.3.0/24", "DE")
     db.register("157.240.4.0/24", "US")
     return db
-
-
-class TestQuantile:
-    def test_median_odd(self):
-        assert _quantile([1, 2, 9], 0.5) == 2
-
-    def test_median_even_interpolates(self):
-        assert _quantile([1, 2, 3, 4], 0.5) == pytest.approx(2.5)
-
-    def test_single_value(self):
-        assert _quantile([7], 0.25) == 7.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            _quantile([], 0.5)
-
-
-class TestBoxStats:
-    def test_five_numbers(self):
-        box = BoxStats.from_values("IN", [100, 200, 300, 400, 500])
-        assert box.minimum == 100
-        assert box.median == 300
-        assert box.maximum == 500
-        assert box.q1 == 200
-        assert box.q3 == 400
-        assert box.count == 5
 
 
 class TestAggregation:
@@ -72,11 +46,3 @@ class TestAggregation:
         sizes = {parse_ip("203.0.113.7"): 99}
         agg = aggregate_clusters(sizes, make_geodb())
         assert agg.by_country == {}
-
-    def test_country_boxes_sorted(self):
-        sizes = {
-            parse_ip("157.240.1.1"): 1,
-            parse_ip("157.240.3.1"): 2,
-        }
-        boxes = aggregate_clusters(sizes, make_geodb()).country_boxes()
-        assert [b.country for b in boxes] == ["DE", "IN"]

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.capstore import ClassifiedView, build_from_records
 from repro.core.l7lb import (
     ConvergenceCurve,
     cluster_vips,
     convergence_curve,
     host_id_of,
+    host_ids_from_scids,
     jaccard,
     passive_coverage,
     passive_host_ids,
@@ -17,6 +19,7 @@ from repro.core.offnet import (
     evaluate_classifiers,
     extract_features,
 )
+from repro.core.render import CaptureFold
 from repro.inetdata.hypergiants import FACEBOOK
 from repro.quic.cid.mvfst import MvfstCid
 
@@ -127,6 +130,8 @@ class TestL7lbPrimitives:
         assert curve.counts == [1, 1, 2, 3, 3, 3, 4]
         assert curve.total == 4
         assert curve.coverage_at(3) == pytest.approx(0.5)
+        assert curve.coverage_at(0) == 0.0
+        assert curve.coverage_at(-3) == 0.0
         assert curve.handshakes_for_coverage(0.75) == 4
         assert curve.handshakes_for_coverage(1.01) is None
 
@@ -174,3 +179,21 @@ class TestVipClustering:
         deployed = small_scenario.all_onnet_host_ids("Facebook")
         coverage = passive_coverage(passive, deployed)
         assert 0.05 < coverage <= 1.0
+
+    def test_fold_host_ids_are_the_object_paths(self, small_scenario, small_capture):
+        """§4.2 reads passive host IDs off the columnar fold's Facebook
+        SCIDs; they must be the object path's, although ``ScidTable`` also
+        admits Retry SCIDs and ``passive_host_ids`` does not."""
+        view = ClassifiedView(
+            *build_from_records(
+                small_scenario.telescope.records,
+                small_scenario.asdb,
+                small_scenario.acknowledged,
+            )
+        )
+        fold = CaptureFold({"4"})
+        fold.feed(view.datagrams())
+        per_vip = passive_host_ids(small_capture.backscatter, origin="Facebook")
+        assert host_ids_from_scids(
+            fold.scids.stats["Facebook"].unique_scids
+        ) == set().union(*per_vip.values())

@@ -117,6 +117,37 @@ def test_mvfst_roundtrip_property(version, host_id, worker_id, process_id, rando
     assert mvfst.decode(encoded) == cid
 
 
+def _bit_positions(spans):
+    """``"2-7, 41-63"`` -> {2, ..., 7, 41, ..., 63} (bit 0 = the MSB)."""
+    positions = set()
+    for span in spans.split(","):
+        first, _, last = span.strip().partition("-")
+        positions.update(range(int(first), int(last or first) + 1))
+    return positions
+
+
+@pytest.mark.parametrize(
+    "version, layout",
+    [
+        (1, {"host_id": "2-17", "worker_id": "18-25", "process_id": "26",
+             "random_bits": "27-63"}),
+        (2, {"host_id": "8-31", "worker_id": "32-39", "process_id": "40",
+             "random_bits": "2-7, 41-63"}),
+    ],
+)
+def test_table5_bit_positions(version, layout):
+    """Each field all-ones, the others zero, sets exactly Table 5's bits
+    (bits 0-1 always hold the version)."""
+    for field, spans in layout.items():
+        positions = _bit_positions(spans)
+        fields = dict.fromkeys(layout, 0)
+        fields[field] = (1 << len(positions)) - 1
+        value = int.from_bytes(mvfst.MvfstCid(version, **fields).encode(), "big")
+        assert value >> 62 == version
+        set_bits = {bit for bit in range(2, 64) if value >> (63 - bit) & 1}
+        assert set_bits == positions, field
+
+
 class TestCloudflare:
     def test_shape(self):
         scheme = CloudflareScheme(colo_id=0x0123)
