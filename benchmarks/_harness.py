@@ -1,9 +1,14 @@
-"""What the ``bench_*.py`` scripts share: the stamp on a recorded result.
+"""What the ``bench_*.py`` scripts share: the stamp on a recorded result,
+and :func:`report`, which keeps a bench's reproduced rows.
 
 A ``BENCH_*.json`` is read long after the box that produced it is gone;
 the stamp says which interpreter, how many CPUs, which commit and how
 busy the machine was, so a number is never compared with one from a
 different machine without noticing.
+
+Kept out of ``conftest.py`` on purpose: a session that also collects
+another directory's ``conftest.py`` (``benchmarks/e2e/tests/``) gets
+that one for ``import conftest``, and ``_harness`` has no such twin.
 """
 
 import os
@@ -11,6 +16,17 @@ import platform
 import subprocess
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
+
+
+def report(name: str, text: str) -> str:
+    """Persist one experiment's reproduced output and echo it."""
+    os.makedirs(OUT_DIR, exist_ok=True)
+    path = os.path.join(OUT_DIR, name + ".txt")
+    with open(path, "w") as fileobj:
+        fileobj.write(text + "\n")
+    print("\n" + text)
+    return path
 
 
 def cpus():

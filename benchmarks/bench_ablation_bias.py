@@ -8,7 +8,7 @@ coalescence shares, and version mix are invariant.
 """
 
 import pytest
-from conftest import report
+from _harness import report
 from dataclasses import replace
 
 from repro.core.packet_mix import packet_mix

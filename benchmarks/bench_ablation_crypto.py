@@ -10,7 +10,7 @@ substitution.
 
 import time
 
-from conftest import report
+from _harness import report
 from dataclasses import replace
 
 from repro.core.packet_mix import packet_mix

@@ -7,7 +7,7 @@ higher build cost — and validates that our default is adequate for the
 backend counts the reproduction simulates.
 """
 
-from conftest import report
+from _harness import report
 
 from repro.core.report import render_table
 from repro.server.lb.maglev import MaglevTable, flow_key

@@ -9,7 +9,7 @@ measures migration survival for the three fabrics the paper discusses:
 * IETF QUIC-LB routable CIDs (draft)    → survives both.
 """
 
-from conftest import report
+from _harness import report
 
 from repro.active.migration import migration_matrix
 from repro.active.prober import Prober

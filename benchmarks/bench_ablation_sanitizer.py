@@ -10,7 +10,7 @@ re-runs classification with stages disabled to show what each contributes:
 
 import random
 
-from conftest import report
+from _harness import report
 
 from repro.core.report import render_table
 from repro.core.versions import table2

@@ -38,7 +38,7 @@ import os
 import sys
 import time
 
-from _harness import environment_stamp
+from _harness import environment_stamp, report
 
 from repro.obs import (
     JsonlTracer,
@@ -239,8 +239,6 @@ def _check(results):
 
 
 def test_obs_overhead_within_budgets(benchmark):
-    from conftest import report
-
     results = benchmark.pedantic(run_bench, rounds=1, iterations=1)
     report("obs_overhead", _render(results))
     failures = _check(results)

@@ -30,7 +30,7 @@ import os
 import sys
 import time
 
-from _harness import environment_stamp
+from _harness import environment_stamp, report
 
 from repro.obs import MetricsRegistry, Observability, validate_speedscope
 from repro.obs.prof import stage_rows, to_speedscope
@@ -142,8 +142,6 @@ def _check(results):
 
 
 def test_prof_baseline(benchmark):
-    from conftest import report
-
     results = benchmark.pedantic(run_bench, rounds=1, iterations=1)
     report("prof_baseline", _render(results))
     failures = _check(results)

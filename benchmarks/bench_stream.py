@@ -45,7 +45,7 @@ import sys
 import tempfile
 import time
 
-from _harness import environment_stamp
+from _harness import environment_stamp, report
 
 from repro.capstore import load_or_build
 from repro.cli import VALID_TABLES, main as cli_main, render_analysis
@@ -266,8 +266,6 @@ def _check(results):
 
 
 def test_stream_parity_and_extend(benchmark):
-    from conftest import report
-
     results = benchmark.pedantic(run_bench, rounds=1, iterations=1)
     report("stream_parity", _render(results))
     failures = _check(results)

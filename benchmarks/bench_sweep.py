@@ -30,7 +30,7 @@ import sys
 import tempfile
 import time
 
-from _harness import environment_stamp
+from _harness import environment_stamp, report
 
 from repro.obs import MetricsRegistry, Observability
 from repro.sweep.runner import run_sweep
@@ -161,8 +161,6 @@ def _check(results):
 
 
 def test_sweep_cache(benchmark):
-    from conftest import report
-
     results = benchmark.pedantic(run_bench, rounds=1, iterations=1)
     report("sweep_cache", _render(results))
     failures = _check(results)

@@ -5,8 +5,8 @@ are ``tools/check_paper.py``'s, and Table 5's codec layout is pinned by
 ``tests/quic/test_cid.py``.  Simulation is done once per session in these
 fixtures; the ``benchmark`` fixture then times the *analysis kernel* of an
 ablation, and each bench writes its reproduced rows to
-``benchmarks/out/<name>.txt`` (also printed; run pytest with ``-s`` to see
-them inline).
+``benchmarks/out/<name>.txt`` with ``_harness.report`` (also printed; run
+pytest with ``-s`` to see them inline).
 """
 
 from __future__ import annotations
@@ -17,20 +17,8 @@ import pytest
 
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
-OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
-
 #: Set REPRO_BENCH_SCALE below 1.0 for a quicker, coarser pass.
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
-def report(name: str, text: str) -> str:
-    """Persist one experiment's reproduced output and echo it."""
-    os.makedirs(OUT_DIR, exist_ok=True)
-    path = os.path.join(OUT_DIR, name + ".txt")
-    with open(path, "w") as fileobj:
-        fileobj.write(text + "\n")
-    print("\n" + text)
-    return path
 
 
 @pytest.fixture(scope="session")

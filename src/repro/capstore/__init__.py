@@ -33,6 +33,7 @@ from repro.capstore.format import (
     SCHEMA_VERSION,
     CapIndexError,
     IndexPayload,
+    SidecarCorrupt,
     dump_index,
     dumps_index,
     load_index,
@@ -60,6 +61,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "CapIndexError",
     "IndexPayload",
+    "SidecarCorrupt",
     "dump_index",
     "dumps_index",
     "load_index",

@@ -8,17 +8,29 @@ bytes      contents
 0..7       magic ``b"RQCAPIDX"``
 8..11      schema version (u32)
 12..15     header length (u32)
-16..       header: UTF-8 JSON (source fingerprint, stats, origins,
+16..31     blake2b-128 of the header bytes
+32..       header: UTF-8 JSON (source fingerprint, stats, origins,
            column descriptors, blake2b of the payload)
 ..         payload: column bytes concatenated in descriptor order
 =========  =====================================================
 
+The payload holds, in order, the row columns, the packet columns, the
+two count columns, the supported versions and the blob
+(:func:`_schema`).  It stores nothing a load can recompute: the offset
+columns are rebuilt from the per-row packet counts, the per-packet
+version counts and the four per-packet lengths the blob is cut by
+(:meth:`CaptureTable.restore_offsets`), and every length inside one
+datagram is held in 16 bits.
+
 The header carries everything needed to validate before touching the
 payload: a schema version for forward evolution, the source pcap
 fingerprint (size + mtime_ns + content hash) for cache invalidation, and
-a blake2b checksum of the payload against torn writes.  Writes go
-through :func:`repro.atomic.atomic_output` so a crashed build never
-leaves a half-written sidecar that a later run would trust.
+a blake2b checksum of the payload against torn writes.  The header's own
+checksum sits in front of it, so a flipped byte anywhere past the schema
+version raises :class:`SidecarCorrupt`; a file of another schema raises
+a plain :class:`CapIndexError`, and the cache rebuilds on either.
+Writes go through :func:`repro.atomic.atomic_output` so a crashed build
+never leaves a half-written sidecar that a later run would trust.
 
 Both directions move the payload column by column, so each holds the
 table's bytes once: the writer hashes and writes every column straight
@@ -37,14 +49,13 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
-from operator import le, lt
 from typing import Optional
 
 from repro.atomic import atomic_output
 from repro.capstore.table import (
+    COUNT_COLUMNS,
     KLASS_CODES,
     KLASS_VALUES,
-    OFFSET_COLUMNS,
     PACKET_COLUMNS,
     ROW_COLUMNS,
     CaptureTable,
@@ -54,7 +65,9 @@ from repro.quic.packet import PacketType
 from repro.telescope.classify import PacketClass, SanitizationStats
 
 MAGIC = b"RQCAPIDX"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+#: Magic, schema version, header length and the header's checksum.
+PREFIX_SIZE = 32
 
 #: Fields of SanitizationStats persisted in the header (the derived
 #: ``removed``/``removed_share`` properties are recomputed on load).
@@ -70,7 +83,11 @@ STATS_FIELDS = (
 
 
 class CapIndexError(InputFileError):
-    """Raised on malformed, truncated, or checksum-failing .capidx files."""
+    """Raised on a file that is not a .capidx sidecar this version can load."""
+
+
+class SidecarCorrupt(CapIndexError):
+    """Raised on a sidecar whose bytes fail a checksum or are cut short."""
 
 
 @dataclass
@@ -85,13 +102,11 @@ class IndexPayload:
 
 
 def _columns(table: CaptureTable) -> list:
-    """(name, array) pairs in canonical serialization order."""
-    named = [
-        (name, getattr(table, name))
-        for name, _ in ROW_COLUMNS + PACKET_COLUMNS + OFFSET_COLUMNS
-    ]
-    named.append(("sv_values", table.sv_values))
-    return named
+    """``(name, buffer)`` of each payload column, in the schema's order."""
+    named = [(name, getattr(table, name)) for name, _ in ROW_COLUMNS + PACKET_COLUMNS]
+    named += zip((name for name, _ in COUNT_COLUMNS), table.offset_counts())
+    named += [("sv_values", table.sv_values), ("blob", table.blob)]
+    return [(name, memoryview(column)) for name, column in named]
 
 
 def _write_index(
@@ -104,10 +119,10 @@ def _write_index(
     """Serialize a table (+stats, +source fingerprint) into ``fileobj``.
 
     The columns are hashed and written through ``memoryview``s of their
-    own buffers, so nothing but the header is copied on the way out.
+    own buffers, so nothing but the header and the two count columns is
+    made on the way out.
     """
-    buffers = [(name, memoryview(column)) for name, column in _columns(table)]
-    buffers.append(("blob", memoryview(table.blob)))
+    buffers = _columns(table)
     digest = hashlib.blake2b(digest_size=16)
     for _name, buffer in buffers:
         digest.update(buffer)
@@ -126,8 +141,10 @@ def _write_index(
         "payload_blake2b": digest.hexdigest(),
     }
     header_bytes = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    header_digest = hashlib.blake2b(header_bytes, digest_size=16).digest()
     fileobj.write(MAGIC + SCHEMA_VERSION.to_bytes(4, "little"))
-    fileobj.write(len(header_bytes).to_bytes(4, "little") + header_bytes)
+    fileobj.write(len(header_bytes).to_bytes(4, "little") + header_digest)
+    fileobj.write(header_bytes)
     for _name, buffer in buffers:
         fileobj.write(buffer)
 
@@ -158,8 +175,8 @@ def dump_index(
 
 def _read_header(fileobj, path: str) -> dict:
     """The JSON header at the front of an open sidecar, fully checked."""
-    prefix = fileobj.read(16)
-    if len(prefix) < 16 or prefix[:8] != MAGIC:
+    prefix = fileobj.read(PREFIX_SIZE)
+    if len(prefix) < 12 or prefix[:8] != MAGIC:
         raise CapIndexError("%s: not a .capidx file (bad magic)" % path)
     schema = int.from_bytes(prefix[8:12], "little")
     if schema != SCHEMA_VERSION:
@@ -169,14 +186,20 @@ def _read_header(fileobj, path: str) -> dict:
         )
     header_len = int.from_bytes(prefix[12:16], "little")
     # Asked of the file, not of ``read``: a lying length must not size a buffer.
-    if header_len > os.fstat(fileobj.fileno()).st_size - len(prefix):
-        raise CapIndexError("%s: truncated header" % path)
+    if (
+        len(prefix) < PREFIX_SIZE
+        or header_len > os.fstat(fileobj.fileno()).st_size - PREFIX_SIZE
+    ):
+        raise SidecarCorrupt("%s: truncated header" % path)
+    header_bytes = fileobj.read(header_len)
+    if hashlib.blake2b(header_bytes, digest_size=16).digest() != prefix[16:]:
+        raise SidecarCorrupt("%s: header checksum mismatch" % path)
     try:
-        header = json.loads(fileobj.read(header_len))
+        header = json.loads(header_bytes)
     except ValueError as exc:
-        raise CapIndexError("%s: corrupt header (%s)" % (path, exc)) from exc
+        raise _malformed(path, exc) from exc
     if type(header) is not dict:
-        raise CapIndexError("%s: corrupt header (not an object)" % path)
+        raise CapIndexError("%s: malformed header (not an object)" % path)
     header["_schema_version"] = schema
     return header
 
@@ -190,14 +213,15 @@ def read_header(path: str) -> dict:
 def load_index(path: str) -> IndexPayload:
     """Read, checksum-verify, and deserialize a sidecar, column by column.
 
-    The checksum covers the payload, not the header that says how to cut
-    it, so the header is held to the schema it declares before a column
-    is read, and the columns' sizes to what the file holds before a
-    buffer is sized: a sidecar that does not describe a table this
-    version can have written raises :class:`CapIndexError` like a torn
-    one.  Each column is read straight into its own array, feeding the
-    checksum as it goes, so the payload is held once; the checksum is
-    verified before any value in it is checked or returned.
+    The header's checksum is verified before it is parsed, and the
+    header is held to the schema it declares before a column is read,
+    and the columns' sizes to what the file holds before a buffer is
+    sized: a sidecar that does not describe a table this version can
+    have written raises :class:`CapIndexError`, one whose bytes are torn
+    or flipped :class:`SidecarCorrupt`.  Each column is read straight
+    into its own array, feeding the payload checksum as it goes, so the
+    payload is held once; the checksum is verified before any value in
+    it is checked or returned.
     """
     with open(path, "rb") as fileobj:
         header = _read_header(fileobj, path)
@@ -208,22 +232,22 @@ def load_index(path: str) -> IndexPayload:
         want = sum(count * array(typecode).itemsize for _, typecode, count in schema)
         held = os.fstat(fileobj.fileno()).st_size - fileobj.tell()
         if want != held:
-            raise CapIndexError(
+            raise SidecarCorrupt(
                 "%s: the columns take %d bytes, the payload is %d" % (path, want, held)
             )
-        table = CaptureTable()
+        columns = {}
         digest = hashlib.blake2b(digest_size=16)
         for name, typecode, count in schema:
             column = bytearray(count) if name == "blob" else array(typecode, [0]) * count
             with memoryview(column) as view:
                 if fileobj.readinto(view) != view.nbytes:
-                    raise CapIndexError("%s: truncated payload" % path)
+                    raise SidecarCorrupt("%s: truncated payload" % path)
                 digest.update(view)
-            setattr(table, name, column)
+            columns[name] = column
     if digest.hexdigest() != header.get("payload_blake2b"):
-        raise CapIndexError("%s: payload checksum mismatch" % path)
+        raise SidecarCorrupt("%s: payload checksum mismatch" % path)
     try:
-        return _checked(header, table)
+        return _checked(header, columns)
     except _MALFORMED as exc:
         raise _malformed(path, exc) from exc
 
@@ -276,15 +300,15 @@ def _schema(header: dict) -> list:
     )
 
     # Names, typecodes and order are the schema's; so is every length
-    # but the last two, which the offset columns are checked against.
+    # but the last two, which the count columns are checked against.
     described = [(d["name"], d["typecode"], d["count"]) for d in header["columns"]]
     sv_count, blob_count = described[-2][2], described[-1][2]
     schema = (
         [(name, typecode, rows) for name, typecode in ROW_COLUMNS]
         + [(name, typecode, packets) for name, typecode in PACKET_COLUMNS]
         + [
-            (name, typecode, parent + 1)
-            for (name, typecode), parent in zip(OFFSET_COLUMNS, (rows, packets, packets))
+            (name, typecode, parent)
+            for (name, typecode), parent in zip(COUNT_COLUMNS, (rows, packets))
         ]
         + [("sv_values", "I", sv_count), ("blob", "B", blob_count)]
     )
@@ -295,9 +319,8 @@ def _schema(header: dict) -> list:
     return schema
 
 
-def _checked(header: dict, table: CaptureTable) -> IndexPayload:
-    """The payload of a table read as ``header`` describes, its values held
-    to the schema.
+def _checked(header: dict, columns: dict) -> IndexPayload:
+    """The table ``columns``, read as ``header`` describes, held to the schema.
 
     Raises ``ValueError`` for a value outside it.  The checks run as
     C-level passes over the columns themselves, copying none, so readers
@@ -305,24 +328,28 @@ def _checked(header: dict, table: CaptureTable) -> IndexPayload:
     without a bounds check per row.
     """
     origins, stats = header["origins"], header["stats"]
+    blob = columns.pop("blob")
     if header["byteorder"] != sys.byteorder:
-        for name, _ in ROW_COLUMNS + PACKET_COLUMNS + OFFSET_COLUMNS:
-            getattr(table, name).byteswap()
-        table.sv_values.byteswap()
+        for column in columns.values():
+            column.byteswap()
+    pkt_count, sv_count = (columns.pop(name) for name, _ in COUNT_COLUMNS)
+    table = CaptureTable()
+    for name, column in columns.items():
+        setattr(table, name, column)
+    table.blob = blob
 
     # A row has at least one packet; a packet may own no bytes.
-    for name, child, follows in (
-        ("pkt_start", table.num_packets, lt),
-        ("bytes_start", len(table.blob), le),
-        ("sv_start", len(table.sv_values), le),
+    _require(0 not in pkt_count, "a row without packets")
+    table.restore_offsets(pkt_count, sv_count)
+    for name, child in (
+        ("pkt_start", table.num_packets),
+        ("bytes_start", len(blob)),
+        ("sv_start", len(table.sv_values)),
     ):
-        with memoryview(getattr(table, name)) as offsets:
-            _require(
-                offsets[0] == 0
-                and offsets[-1] == child
-                and all(map(follows, offsets[:-1], offsets[1:])),
-                "%s does not partition its %d entries" % (name, child),
-            )
+        _require(
+            getattr(table, name)[-1] == child,
+            "%s does not partition its %d entries" % (name, child),
+        )
     # One-byte codes: delete the valid ones and nothing may be left.
     klass, pkt_type = table.klass.tobytes(), table.pkt_type.tobytes()
     _require(

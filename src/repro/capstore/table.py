@@ -22,8 +22,8 @@ a test, bench or example that asks for objects gets real
 from __future__ import annotations
 
 from array import array
-from itertools import chain
-from operator import add
+from itertools import accumulate, chain, islice
+from operator import add, sub
 from typing import Iterator, List, Optional, Tuple
 
 from repro.quic.packet import PacketType, ParsedLongHeader
@@ -36,35 +36,47 @@ from repro.telescope.classify import (
 )
 
 #: Row-level columns, in serialization order: (attribute, array typecode).
+#: A length or offset inside one datagram is capped by UDP's 16-bit
+#: length field, so it is held in 16 bits, here and in the packet columns.
 ROW_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("ts", "d"),
     ("src_ip", "I"),
     ("dst_ip", "I"),
     ("src_port", "H"),
     ("dst_port", "H"),
-    ("payload_len", "I"),
+    ("payload_len", "H"),
     ("klass", "B"),
-    ("origin_id", "I"),
+    ("origin_id", "H"),
 )
 
 #: Packet-level columns, in serialization order.
 PACKET_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("pkt_type", "B"),
     ("pkt_version", "I"),
-    ("pkt_pn_offset", "I"),
-    ("pkt_length", "I"),
-    ("pkt_payload_length", "I"),
+    ("pkt_pn_offset", "H"),
+    ("pkt_length", "H"),
+    ("pkt_payload_length", "H"),
     ("dcid_len", "B"),
     ("scid_len", "B"),
-    ("token_len", "I"),
-    ("retry_token_len", "I"),
+    ("token_len", "H"),
+    ("retry_token_len", "H"),
 )
 
 #: Prefix-offset columns: one more entry than their parent dimension.
+#: Held in memory only; a sidecar stores what they are rebuilt from
+#: (:meth:`CaptureTable.offset_counts`).
 OFFSET_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("pkt_start", "I"),  # row -> first packet index
     ("bytes_start", "Q"),  # packet -> first blob byte
     ("sv_start", "I"),  # packet -> first supported-version entry
+)
+
+#: What a sidecar stores instead of ``pkt_start`` and ``sv_start``: the
+#: packets of each row and the supported versions of each packet.  Both
+#: fit 16 bits, as a datagram holds at most 65,527 bytes.
+COUNT_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("pkt_count", "H"),
+    ("sv_count", "H"),
 )
 
 #: Rows :meth:`CaptureTable.datagrams` cuts at a time.  A fixed constant,
@@ -162,6 +174,36 @@ class CaptureTable:
     def rebuild_origin_index(self) -> None:
         """Recompute the name→id map after deserialization."""
         self._origin_ids = {name: i for i, name in enumerate(self.origins)}
+
+    # -- persisting --------------------------------------------------------
+
+    def offset_counts(self) -> Tuple[array, array]:
+        """``(pkt_count, sv_count)``: the :data:`COUNT_COLUMNS` a sidecar stores.
+
+        ``bytes_start`` needs no column of its own: a packet's bytes are
+        its four stored lengths, which :meth:`restore_offsets` adds up.
+        """
+        return tuple(
+            array("H", map(sub, islice(offsets, 1, None), offsets))
+            for offsets in (self.pkt_start, self.sv_start)
+        )
+
+    def restore_offsets(self, pkt_count: array, sv_count: array) -> None:
+        """Rebuild :data:`OFFSET_COLUMNS` from :meth:`offset_counts` at load.
+
+        The blob holds each packet's DCID, SCID, token and Retry token
+        back to back, so ``bytes_start`` is the running sum of their
+        lengths.  The caller checks that each offset column ends where
+        its child dimension does.
+        """
+        packet_bytes = map(
+            add,
+            map(add, self.dcid_len, self.scid_len),
+            map(add, self.token_len, self.retry_token_len),
+        )
+        self.pkt_start = array("I", accumulate(pkt_count, initial=0))
+        self.bytes_start = array("Q", accumulate(packet_bytes, initial=0))
+        self.sv_start = array("I", accumulate(sv_count, initial=0))
 
     # -- reading ---------------------------------------------------------
 

@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
             _arg(
                 "--info",
                 action="store_true",
-                help="inspect the existing index header instead of building",
+                help="check and describe the existing index instead of building",
             ),
             _arg(
                 "--force",

@@ -16,9 +16,10 @@ import os
 import sys
 
 from repro.capstore import (
+    SidecarCorrupt,
     fingerprint_matches,
+    load_index,
     load_or_build,
-    read_header,
     sidecar_path,
 )
 from repro.commands.common import finish_obs, make_obs
@@ -147,27 +148,29 @@ def cmd_index(args: argparse.Namespace) -> int:
     index_path = sidecar_path(pcap)
     if args.info:
         try:
-            header = read_header(index_path)
+            payload = load_index(index_path)
         except FileNotFoundError:
             print("%s: no index (run `repro index %s`)" % (index_path, pcap))
             return 1
-        except Exception as exc:  # CapIndexError and friends
-            print("%s: unreadable index: %s" % (index_path, exc))
+        except SidecarCorrupt as exc:
+            print("corrupt index: %s" % exc)
             return 1
-        stats = header.get("stats", {})
-        source = header.get("source", {})
+        except Exception as exc:  # CapIndexError and friends
+            print("unreadable index: %s" % exc)
+            return 1
+        table, stats, source = payload.table, payload.stats, payload.source
         valid = fingerprint_matches(source, pcap)
         print(
             render_table(
                 ["field", "value"],
                 [
-                    ["schema version", header["_schema_version"]],
-                    ["rows", header["rows"]],
-                    ["packets", header["packets"]],
-                    ["origins", ", ".join(header.get("origins", []))],
-                    ["backscatter", stats.get("backscatter", "?")],
-                    ["scans", stats.get("scans", "?")],
-                    ["source records", stats.get("total_records", "?")],
+                    ["schema version", payload.schema_version],
+                    ["rows", table.num_rows],
+                    ["packets", table.num_packets],
+                    ["origins", ", ".join(table.origins)],
+                    ["backscatter", stats.backscatter],
+                    ["scans", stats.scans],
+                    ["source records", stats.total_records],
                     ["source size", source.get("size", "?")],
                     [
                         "indexed bytes",

@@ -8,8 +8,9 @@ retransmission timing by grouping backscatter on the SCID (Figure 3).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 from repro.quic.packet import PACKET_LABELS
@@ -26,12 +27,14 @@ class Session:
     dcid: bytes
     origin: str
     version: int
-    #: Datagram arrival timestamps, in observation order.
-    timestamps: list[float] = field(default_factory=list)
+    #: Datagram arrival timestamps, in observation order.  Both per-datagram
+    #: numbers are held as typed arrays, not as lists of int and float
+    #: objects: a capture's sessions keep one entry per datagram.
+    timestamps: array = field(default_factory=partial(array, "d"))
     #: Long-header packet-type labels per datagram (tuple per datagram).
     datagram_types: list[tuple[str, ...]] = field(default_factory=list)
-    #: UDP payload length per datagram.
-    datagram_lengths: list[int] = field(default_factory=list)
+    #: UDP payload length per datagram (at most 65,527: 16 bits).
+    datagram_lengths: array = field(default_factory=partial(array, "H"))
 
     @property
     def first_seen(self) -> float:

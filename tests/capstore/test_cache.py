@@ -1,10 +1,16 @@
 """Sidecar cache lifecycle: hit, touch, rewrite, corruption, escape hatch."""
 
+import hashlib
+import json
 import os
+import sys
+from array import array
 
 import pytest
 
 from repro.capstore import (
+    MAGIC,
+    CapIndexError,
     dump_index,
     fingerprint_matches,
     load_index,
@@ -12,8 +18,10 @@ from repro.capstore import (
     pcap_fingerprint,
     prefix_fingerprint,
     prefix_matches,
+    read_header,
     sidecar_path,
 )
+from repro.capstore.format import STATS_FIELDS
 from repro.cli import main
 from repro.netstack.pcap import scan_pcap_offsets
 from repro.obs import Observability
@@ -32,6 +40,67 @@ def _load(path, obs=None, **kwargs):
     values = obs.metrics.snapshot()["counters"]["capstore.cache"]["values"]
     (status,) = set(values) - {"stale"}
     return view, status
+
+
+#: Schema 1's payload columns before the blob: every length in 32 bits,
+#: and the three offset columns stored.
+SCHEMA_1_COLUMNS = (
+    ("ts", "d"),
+    ("src_ip", "I"),
+    ("dst_ip", "I"),
+    ("src_port", "H"),
+    ("dst_port", "H"),
+    ("payload_len", "I"),
+    ("klass", "B"),
+    ("origin_id", "I"),
+    ("pkt_type", "B"),
+    ("pkt_version", "I"),
+    ("pkt_pn_offset", "I"),
+    ("pkt_length", "I"),
+    ("pkt_payload_length", "I"),
+    ("dcid_len", "B"),
+    ("scid_len", "B"),
+    ("token_len", "I"),
+    ("retry_token_len", "I"),
+    ("pkt_start", "I"),
+    ("bytes_start", "Q"),
+    ("sv_start", "I"),
+    ("sv_values", "I"),
+)
+
+
+def _schema_1_sidecar(payload) -> bytes:
+    """The sidecar a schema-1 build wrote for ``payload``, byte for byte."""
+    table = payload.table
+    columns = [
+        array(typecode, getattr(table, name)) for name, typecode in SCHEMA_1_COLUMNS
+    ]
+    body = b"".join(map(bytes, columns)) + bytes(table.blob)
+    header = {
+        "byteorder": sys.byteorder,
+        "rows": table.num_rows,
+        "packets": table.num_packets,
+        "origins": table.origins,
+        "stats": {field: getattr(payload.stats, field) for field in STATS_FIELDS},
+        "source": payload.source,
+        "pipeline": payload.pipeline,
+        "columns": [
+            {"name": name, "typecode": typecode, "count": len(column)}
+            for (name, typecode), column in zip(SCHEMA_1_COLUMNS, columns)
+        ]
+        + [{"name": "blob", "typecode": "B", "count": len(table.blob)}],
+        "payload_blake2b": hashlib.blake2b(body, digest_size=16).hexdigest(),
+    }
+    header_bytes = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    return b"".join(
+        (
+            MAGIC,
+            (1).to_bytes(4, "little"),
+            len(header_bytes).to_bytes(4, "little"),
+            header_bytes,
+            body,
+        )
+    )
 
 
 def _truncate_at_record(path: str, fraction: float) -> bytes:
@@ -88,6 +157,21 @@ class TestLoadOrBuild:
         rebuilt, hit = load_or_build(pcap_copy)
         assert not hit
         assert rebuilt.table == view.table
+
+    def test_schema_1_sidecar_is_rebuilt(self, pcap_copy):
+        view, _ = load_or_build(pcap_copy)
+        index_path = sidecar_path(pcap_copy)
+        old = _schema_1_sidecar(load_index(index_path))
+        with open(index_path, "wb") as fileobj:
+            fileobj.write(old)
+        # It describes this very pcap: only its schema keeps it from a hit.
+        with pytest.raises(CapIndexError, match="schema version 1"):
+            read_header(index_path)
+        rebuilt, status = _load(pcap_copy)
+        assert status == "miss"
+        assert rebuilt.table == view.table
+        assert read_header(index_path)["_schema_version"] == 2
+        assert _load(pcap_copy)[1] == "hit"
 
     def test_sidecar_dumped_with_another_pipeline_is_stale(self, pcap_copy):
         view, _ = load_or_build(pcap_copy)

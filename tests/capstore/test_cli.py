@@ -112,10 +112,26 @@ class TestIndexCommand:
         assert main(["index", pcap_copy, "--info"]) == 0
         out = capsys.readouterr().out
         assert "valid for pcap" in out and "yes" in out
+        assert "schema version  2\n" in out
         assert main(["simulate", pcap_copy, "--scale", "0.05", "--seed", "7"]) == 0
         capsys.readouterr()
         assert main(["index", pcap_copy, "--info"]) == 1
         assert "STALE" in capsys.readouterr().out
+
+    def test_info_names_a_corrupt_index(self, pcap_copy, capsys):
+        assert main(["index", pcap_copy]) == 0
+        index_path = sidecar_path(pcap_copy)
+        with open(index_path, "rb") as fileobj:
+            intact = fileobj.read()
+        for at, what in ((40, "header checksum"), (len(intact) - 1, "payload checksum")):
+            damaged = bytearray(intact)
+            damaged[at] ^= 0x01
+            with open(index_path, "wb") as fileobj:
+                fileobj.write(damaged)
+            capsys.readouterr()
+            assert main(["index", pcap_copy, "--info"]) == 1
+            out = capsys.readouterr().out
+            assert out == "corrupt index: %s: %s mismatch\n" % (index_path, what)
 
     def test_force_rebuilds(self, pcap_copy, capsys):
         assert main(["index", pcap_copy]) == 0

@@ -1,18 +1,27 @@
 """A sidecar whose header was damaged is rebuilt, never trusted.
 
 ``payload_blake2b`` covers the columns, not the JSON header that says
-how to cut them.  Each damage below leaves the payload (and so the
-checksum) intact: ``load_index`` must refuse it with ``CapIndexError``,
-so the cache rebuilds — ``analyze`` prints the right tables with exit 0,
-rewrites the sidecar and shows no traceback.
+how to cut them; the header has a checksum of its own.  Each damage
+below leaves the payload (and so its checksum) intact, and most re-sign
+the header they rewrote, so that what the header *says* is put to the
+test, not just its checksum: ``load_index`` must refuse it with
+``CapIndexError``, so the cache rebuilds — ``analyze`` prints the right
+tables with exit 0, rewrites the sidecar and shows no traceback.
 """
 
+import hashlib
 import json
 import shutil
 
 import pytest
 
-from repro.capstore import CapIndexError, load_index, load_or_build, sidecar_path
+from repro.capstore import (
+    CapIndexError,
+    SidecarCorrupt,
+    load_index,
+    load_or_build,
+    sidecar_path,
+)
 from repro.cli import main
 from repro.core.render import render_analysis
 from repro.core.selectors import VALID_TABLES
@@ -23,13 +32,20 @@ ANALYZE = ("--tables", "1", "2", "3", "4", "rto", "lengths")
 def _split(blob):
     """``(header dict, payload bytes)`` of a serialized sidecar."""
     header_len = int.from_bytes(blob[12:16], "little")
-    return json.loads(blob[16 : 16 + header_len]), blob[16 + header_len :]
+    return json.loads(blob[32 : 32 + header_len]), blob[32 + header_len :]
 
 
 def _join(blob, header, payload):
+    """``blob``'s magic and schema version, ``header`` signed, ``payload``."""
     header_bytes = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
     return b"".join(
-        (blob[:12], len(header_bytes).to_bytes(4, "little"), header_bytes, payload)
+        (
+            blob[:12],
+            len(header_bytes).to_bytes(4, "little"),
+            hashlib.blake2b(header_bytes, digest_size=16).digest(),
+            header_bytes,
+            payload,
+        )
     )
 
 
@@ -63,6 +79,16 @@ def _header_len_past_the_end(blob):
     return blob[:12] + (0xFFFFFFF0).to_bytes(4, "little") + blob[16:]
 
 
+def _unsigned(edit):
+    """A damage that rewrites the header and leaves the old checksum."""
+
+    def damage(blob):
+        signed = _edited(edit)(blob)
+        return signed[:16] + blob[16:32] + signed[32:]
+
+    return damage
+
+
 DAMAGES = {
     "src_ip_retyped": _edited(_retype_src_ip),
     "stats_without_scans": _edited(lambda header: header["stats"].pop("scans")),
@@ -74,6 +100,10 @@ DAMAGES = {
         lambda header: _column(header, "dcid_len").update(name="dcid_length")
     ),
     "cut_mid_json": _cut_mid_json,
+    "header_checksum_flipped": lambda blob: blob[:16] + bytes([blob[16] ^ 1]) + blob[17:],
+    "stats_edited_unsigned": _unsigned(
+        lambda header: header["stats"].update(non_udp=header["stats"]["non_udp"] + 1)
+    ),
     "header_len_past_the_end": _header_len_past_the_end,
     # Not asked for by name, same family: the header's other promises.
     "rows_off_by_one": _edited(lambda header: header.update(rows=header["rows"] + 1)),
@@ -95,6 +125,18 @@ DAMAGES = {
             count=_column(header, "blob")["count"] + 1
         )
     ),
+}
+
+#: The damages a checksum or the file's size catches (``SidecarCorrupt``);
+#: the rest are checksummed headers that describe no table this version
+#: writes (a plain ``CapIndexError``).
+CORRUPT = {
+    "cut_mid_json",
+    "header_len_past_the_end",
+    "header_checksum_flipped",
+    "stats_edited_unsigned",
+    "blob_count_past_the_end",
+    "payload_one_byte_short",
 }
 
 
@@ -125,8 +167,9 @@ def test_damaged_header_is_refused_and_rebuilt(name, indexed, expected_render, c
     with open(sidecar_path(pcap), "wb") as fileobj:
         fileobj.write(damaged)
 
-    with pytest.raises(CapIndexError):
+    with pytest.raises(CapIndexError) as exc:
         load_index(sidecar_path(pcap))
+    assert isinstance(exc.value, SidecarCorrupt) == (name in CORRUPT)
 
     capsys.readouterr()
     assert main(["analyze", pcap, *ANALYZE]) == 0

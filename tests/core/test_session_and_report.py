@@ -10,7 +10,7 @@ class TestSessionStore:
         assert len(store) > 100
         for session in store.sessions()[:50]:
             assert session.datagram_count >= 1
-            assert session.timestamps == sorted(session.timestamps)
+            assert list(session.timestamps) == sorted(session.timestamps)
 
     def test_relative_times_start_at_zero(self, small_capture):
         store = SessionStore.from_packets(small_capture.backscatter)

@@ -58,7 +58,7 @@ GOLDEN = {
         "3fa4f2999e72c6a35a154c6c93b6fab8",
         "e618249077cd9732edcb8f3dd18cf5e1",
         {
-            "payload_blake2b": "a93a4756935f2bea9b71d026307f4ded",
+            "payload_blake2b": "de083f41f454db5c40f06475d7dae401",
             "rows": 873,
             "packets": 999,
             "origins": ["Remaining", "Google", "Facebook"],
@@ -69,7 +69,7 @@ GOLDEN = {
         "301b452db77b416fcd038b356eaa8657",
         "f433244725906950c18604ef83c4e038",
         {
-            "payload_blake2b": "5ee561e711e31553c67838a3c554f897",
+            "payload_blake2b": "067c6088de2538b1a06a05f454e27ea3",
             "rows": 2254,
             "packets": 2560,
             "origins": ["Remaining", "Google", "Facebook", "Cloudflare"],
@@ -80,7 +80,7 @@ GOLDEN = {
         "e37739422d1dfa03b3a63c966eb9b3c9",
         "972cc6d9d1c3802e960b1de1374807da",
         {
-            "payload_blake2b": "98511eb6bb301620b6629139ca296b2e",
+            "payload_blake2b": "e3b53bb99a845625fb47a365ba60bbf5",
             "rows": 1921,
             "packets": 2257,
             "origins": ["Remaining", "Facebook", "Google", "Cloudflare"],
@@ -91,7 +91,7 @@ GOLDEN = {
         "84471ed24092f73f611bb7397ed6ebd5",
         "787e970360e1fbd6ed2148f1e4a50496",
         {
-            "payload_blake2b": "2c2e7d31465e33700b10089aaf3b7eac",
+            "payload_blake2b": "de1ef17685e577a4d14af2f8bbc8a02b",
             "rows": 306,
             "packets": 306,
             "origins": ["Remaining", "Google"],
