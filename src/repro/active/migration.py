@@ -13,7 +13,10 @@ connection survives depends entirely on the load-balancer fabric:
   encodes the backend, so both migrations survive.
 
 ``migration_probe`` measures exactly this, completing the paper's §2.2
-argument for why information encoding in CIDs is unavoidable.
+argument for why information encoding in CIDs is unavoidable.  Each
+outcome also records where the fabric sends the migrated packet: it
+survives exactly when that is the engine holding the connection, which a
+rotated random CID hits only by chance.
 """
 
 from __future__ import annotations
@@ -31,6 +34,25 @@ class MigrationOutcome:
     rotated_cid: bool
     survived: bool
     new_cid_available: bool
+    #: The L4LB's ``select_host`` picks the host holding the connection.
+    same_host: bool = False
+    #: ... and that host's ``select_worker_id`` the engine holding it.
+    same_worker: bool = False
+
+
+def _reaches_holder(cluster, datagram, scid: bytes) -> tuple[bool, bool]:
+    """``(same_host, same_worker)`` for a client datagram to ``cluster``.
+
+    Every L4LB of a cluster shares one Maglev view, so the first one
+    answers for whichever the router's ECMP would pick (its ``stats``
+    count the lookup).
+    """
+    l4lb = cluster.l4lbs[0]
+    dcid = l4lb.extract_dcid(datagram)
+    host = l4lb.select_host(datagram, dcid)
+    engine = host.workers.get(host.select_worker_id(datagram, dcid))
+    same_host = any(worker.holds(scid) for worker in host.workers.values())
+    return same_host, engine is not None and engine.holds(scid)
 
 
 def migration_probe(
@@ -59,34 +81,50 @@ def migration_probe(
     new_port = prober.take_port()
     prober.host.register_alias(new_port, connection)
     pongs_before = connection.result.pongs
-    prober.host.send_raw(connection.migration_datagram(new_port, dcid=dcid))
+    datagram = connection.migration_datagram(new_port, dcid=dcid)
+    same_host, same_worker = _reaches_holder(
+        prober.network.route(vip), datagram, bytes(connection.result.server_scid)
+    )
+    prober.host.send_raw(datagram)
     prober.advance(wait)
     return MigrationOutcome(
         vip=vip,
         rotated_cid=rotate_cid,
         survived=connection.result.pongs > pongs_before,
         new_cid_available=bool(connection.result.new_connection_ids),
+        same_host=same_host,
+        same_worker=same_worker,
     )
 
 
-def migration_matrix(
+def migration_outcomes(
     prober_by_deployment: dict[str, tuple[Prober, list[int]]],
     probes_per_cell: int = 8,
-) -> dict[str, dict[str, float]]:
-    """Survival rates for every (deployment, migration kind) combination.
+) -> dict[str, dict[str, list[MigrationOutcome]]]:
+    """Every probe of every (deployment, migration kind) combination.
 
-    Returns ``{deployment: {"same_cid": rate, "rotated_cid": rate}}``.
+    Returns ``{deployment: {"same_cid": outcomes, "rotated_cid": outcomes}}``.
     """
-    matrix: dict[str, dict[str, float]] = {}
-    for deployment, (prober, vips) in prober_by_deployment.items():
-        cells = {}
-        for label, rotate in (("same_cid", False), ("rotated_cid", True)):
-            survived = 0
-            for i in range(probes_per_cell):
-                outcome = migration_probe(
-                    prober, vips[i % len(vips)], rotate_cid=rotate
-                )
-                survived += outcome.survived
-            cells[label] = survived / probes_per_cell
-        matrix[deployment] = cells
-    return matrix
+    return {
+        deployment: {
+            label: [
+                migration_probe(prober, vips[i % len(vips)], rotate_cid=rotate)
+                for i in range(probes_per_cell)
+            ]
+            for label, rotate in (("same_cid", False), ("rotated_cid", True))
+        }
+        for deployment, (prober, vips) in prober_by_deployment.items()
+    }
+
+
+def survival_rates(
+    outcomes: dict[str, dict[str, list[MigrationOutcome]]],
+) -> dict[str, dict[str, float]]:
+    """``{deployment: {kind: share of probes that survived}}``."""
+    return {
+        deployment: {
+            label: sum(o.survived for o in probes) / len(probes)
+            for label, probes in cells.items()
+        }
+        for deployment, cells in outcomes.items()
+    }

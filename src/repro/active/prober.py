@@ -35,6 +35,7 @@ class Prober:
         timeout: float = 3.0,
     ) -> None:
         self.loop = loop
+        self.network = network
         self.rng = rng or random.Random(0xB0BE)
         if isinstance(address, str):
             address = parse_ip(address)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Tuple
 
+from repro.capstore.cache import emit_stats_counters
 from repro.capstore.dissect import record_verdict
 from repro.capstore.table import CaptureTable
 from repro.core.selectors import DROP_REASONS
@@ -149,28 +150,6 @@ def build_from_records(
         data = record.data
         on_record(record.timestamp, data, 0, len(data))
     return table, finish()
-
-
-def emit_stats_counters(stats: SanitizationStats, obs: Optional[Observability]) -> None:
-    """Emit ``sanitize.packets`` counter values from a pass's stats.
-
-    The counter values are a pure function of the stats, so a dissection
-    pass emits them once when it ends, and cache hits and extensions
-    emit the same values from stored stats (per-drop trace events are the
-    one thing only a dissection pass produces).
-    """
-    obs = obs or NULL_OBS
-    if obs.metrics is None:
-        return
-    counter = obs.metrics.counter("sanitize.packets", ("stage",))
-    for reason in DROP_REASONS:
-        value = getattr(stats, reason)
-        if value:
-            counter.inc_key((reason,), value)
-    if stats.backscatter:
-        counter.inc_key(("kept_backscatter",), stats.backscatter)
-    if stats.scans:
-        counter.inc_key(("kept_scan",), stats.scans)
 
 
 def build_capture_table(

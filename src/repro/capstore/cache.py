@@ -37,9 +37,8 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.capstore.build import build_capture_table, dissect_pcap, emit_stats_counters
 from repro.capstore.format import (
     CapIndexError,
     IndexPayload,
@@ -47,9 +46,13 @@ from repro.capstore.format import (
     load_index,
 )
 from repro.capstore.table import ClassifiedView
-from repro.netstack.pcap import GLOBAL_HEADER_SIZE, PcapCursor
+from repro.core.selectors import DROP_REASONS
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_CAPSTORE
+
+if TYPE_CHECKING:
+    from repro.netstack.pcap import PcapCursor
+    from repro.telescope.classify import SanitizationStats
 
 #: Pipeline identity recorded in the sidecar; a cache entry built with a
 #: different classification setup must not satisfy a default-pipeline read.
@@ -162,6 +165,8 @@ def _matching_prefix_digest(stored: dict, pcap_path: str):
     otherwise the digest of exactly the first ``indexed_bytes`` bytes,
     ready to be continued through whatever was appended since.
     """
+    from repro.netstack.pcap import GLOBAL_HEADER_SIZE
+
     indexed, prefix_hash = _indexed_prefix(stored)
     if indexed is None or prefix_hash is None or indexed < GLOBAL_HEADER_SIZE:
         return None  # nothing stored, or not a record boundary to resume at
@@ -221,18 +226,17 @@ def load_or_build(
             digest = _matching_prefix_digest(stored, pcap_path)
             if digest is not None:
                 return _extend(
-                    payload,
-                    pcap_path,
-                    index_path,
-                    PcapCursor(indexed, digest),
-                    obs,
-                    cache_counter,
+                    payload, pcap_path, index_path, indexed, digest, obs, cache_counter
                 )
         if cache_counter is not None:
             cache_counter.inc_key(("stale",))
 
     if cache_counter is not None:
         cache_counter.inc_key(("miss",))
+    # A hit loads columns only: the dissector is imported by the builds.
+    from repro.capstore.build import build_capture_table
+    from repro.netstack.pcap import PcapCursor
+
     # The digest is fed exactly the bytes the build walks over, so the
     # stored fingerprint describes what was indexed even if a writer
     # appends concurrently.
@@ -280,18 +284,22 @@ def _extend(
     payload: IndexPayload,
     pcap_path: str,
     index_path: str,
-    cursor: PcapCursor,
+    indexed: int,
+    digest,
     obs: Observability,
     cache_counter,
 ) -> Tuple[ClassifiedView, bool]:
     """Dissect whatever completed after the indexed prefix into its table.
 
-    ``cursor`` stands at the end of the prefix with the digest the prefix
+    The walk starts at ``indexed`` with ``digest``, the prefix hash the
     check computed, so the grown file is read once from there.  Nothing
     complete there yet (a writer is mid-append, or the next record header
     is corrupt) is a plain hit: the prefix view is still the full truth.
     """
-    indexed = cursor.offset
+    from repro.capstore.build import dissect_pcap
+    from repro.netstack.pcap import PcapCursor
+
+    cursor = PcapCursor(indexed, digest)
     prefix_rows = payload.table.num_rows
     with obs.span("index.extend", local=True, path=pcap_path) as span:
         tail_stats = dissect_pcap(pcap_path, cursor, payload.table, obs=obs)
@@ -371,3 +379,25 @@ def _count_rows(payload: IndexPayload, metrics) -> None:
         rows.inc_key(("backscatter",), payload.stats.backscatter)
     if payload.stats.scans:
         rows.inc_key(("scan",), payload.stats.scans)
+
+
+def emit_stats_counters(stats: SanitizationStats, obs: Optional[Observability]) -> None:
+    """Emit ``sanitize.packets`` counter values from a pass's stats.
+
+    The counter values are a pure function of the stats, so a dissection
+    pass emits them once when it ends, and cache hits and extensions
+    emit the same values from stored stats (per-drop trace events are the
+    one thing only a dissection pass produces).
+    """
+    obs = obs or NULL_OBS
+    if obs.metrics is None:
+        return
+    counter = obs.metrics.counter("sanitize.packets", ("stage",))
+    for reason in DROP_REASONS:
+        value = getattr(stats, reason)
+        if value:
+            counter.inc_key((reason,), value)
+    if stats.backscatter:
+        counter.inc_key(("kept_backscatter",), stats.backscatter)
+    if stats.scans:
+        counter.inc_key(("kept_scan",), stats.scans)

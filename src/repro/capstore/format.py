@@ -61,7 +61,7 @@ from repro.capstore.table import (
     CaptureTable,
 )
 from repro.errors import InputFileError
-from repro.quic.packet import PacketType
+from repro.quic.packet_type import PacketType
 from repro.telescope.classify import PacketClass, SanitizationStats
 
 MAGIC = b"RQCAPIDX"

@@ -24,9 +24,9 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, chain, islice
 from operator import add, sub
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-from repro.quic.packet import PacketType, ParsedLongHeader
+from repro.quic.packet_type import PacketType
 from repro.telescope.classify import (
     CapturedPacket,
     ClassifiedCapture,
@@ -34,6 +34,9 @@ from repro.telescope.classify import (
     SanitizationStats,
     type_codes,
 )
+
+if TYPE_CHECKING:
+    from repro.quic.packet import ParsedLongHeader
 
 #: Row-level columns, in serialization order: (attribute, array typecode).
 #: A length or offset inside one datagram is capped by UDP's 16-bit
@@ -253,6 +256,9 @@ class CaptureTable:
 
     def packets_of(self, row: int) -> List[ParsedLongHeader]:
         """Materialize the parsed long headers of one row."""
+        # The codec is loaded only by those who ask for packet objects.
+        from repro.quic.packet import ParsedLongHeader
+
         out: List[ParsedLongHeader] = []
         for j in range(self.pkt_start[row], self.pkt_start[row + 1]):
             cursor = self.bytes_start[j]

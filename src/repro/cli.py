@@ -17,6 +17,7 @@ stderr and exits 2 (:mod:`repro.errors`).
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import os
 import signal
@@ -530,7 +531,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _raise_terminated(_signum, _frame):
-    raise Terminated("terminated (SIGTERM)")
+    Terminated.pending = True
+    Terminated.check()
+
+
+def _quiet_terminated(report, unraisable):
+    """The handler's raise landed in a finalizer and Python dropped it: it
+    is pending (:meth:`Terminated.check` raises it again), not news."""
+    if not isinstance(unraisable.exc_value, Terminated):
+        report(unraisable)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -542,8 +551,12 @@ def main(argv: list[str] | None = None) -> int:
         previous = signal.signal(signal.SIGTERM, _raise_terminated)
     except ValueError:  # not the main thread: the embedding program's business
         previous = None
+    report_unraisable = sys.unraisablehook
+    if previous is not None:
+        sys.unraisablehook = functools.partial(_quiet_terminated, report_unraisable)
     try:
         status = handler(args)
+        Terminated.check()
         sys.stdout.flush()  # a reader that left must fail here, not at exit
         return status
     except BrokenPipeError:
@@ -561,6 +574,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
+            sys.unraisablehook = report_unraisable
+        Terminated.pending = False
     print("%s: %s" % (args.prog, reason), file=sys.stderr)
     return 2
 

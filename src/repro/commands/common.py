@@ -8,7 +8,6 @@ from typing import Callable
 
 from repro.errors import UsageError
 from repro.obs import MetricsRegistry, Observability, open_tracer
-from repro.obs.prof import render_profile, write_speedscope
 
 
 def make_obs(args: argparse.Namespace, force_metrics: bool = False) -> Observability:
@@ -49,6 +48,8 @@ def finish_obs(args: argparse.Namespace, obs: Observability) -> None:
     if args.metrics and obs.metrics is not None:
         obs.metrics.write(args.metrics)
     if args.profile:
+        from repro.obs.prof import render_profile, write_speedscope
+
         timers = obs.metrics.timers
         if args.speedscope:
             write_speedscope(args.speedscope, timers)

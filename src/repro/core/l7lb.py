@@ -19,7 +19,7 @@ from typing import Sequence
 from dataclasses import dataclass, field
 
 from repro.quic.cid import mvfst
-from repro.quic.packet import PacketType
+from repro.quic.packet_type import PacketType
 from repro.telescope.classify import CapturedPacket
 
 

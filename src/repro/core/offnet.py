@@ -19,7 +19,7 @@ from repro.core.timing import session_gaps
 from repro.inetdata.certs import CertificateStore
 from repro.inetdata.hypergiants import FACEBOOK, Hypergiant
 from repro.quic.cid import mvfst
-from repro.quic.packet import PacketType
+from repro.quic.packet_type import PacketType
 from repro.telescope.classify import CapturedPacket, type_codes
 
 #: Facebook's characteristic first-resend gap and tolerance (seconds).

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from repro.quic.packet import PacketType
+from repro.quic.packet_type import PacketType
 from repro.telescope.classify import CapturedPacket, type_codes
 
 #: Table 3 row of a lone packet, indexed by :class:`PacketType` value.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.core.ibr_activity import FloodEvents
 from repro.core.packet_mix import LengthSignatures, PacketMix
 from repro.core.report import render_histogram, render_table
 from repro.core.scid_entropy import structure_of
@@ -57,7 +56,12 @@ class CaptureFold:
         self.scids = ScidTable() if wanted & {"1", "4", "entropy"} else None
         self.sessions = SessionStore() if wanted & {"1", "rto"} else None
         self.signatures = LengthSignatures() if "lengths" in wanted else None
-        self.events = FloodEvents() if "events" in wanted else None
+        self.events = None
+        if "events" in wanted:
+            # On demand, like ``offnet``: no ``--tables`` selector reads it.
+            from repro.core.ibr_activity import FloodEvents
+
+            self.events = FloodEvents()
         #: Table 6's per-datagram features, backscatter outside the hypergiants.
         self.offnet = None
         if "offnet" in wanted:

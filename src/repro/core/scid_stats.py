@@ -6,7 +6,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from repro.core.scid_entropy import NybbleCounts, NybbleMatrix
-from repro.quic.packet import PacketType
+from repro.quic.packet_type import PacketType
 from repro.telescope.classify import CapturedPacket, type_codes
 
 #: Packet types (by value) whose SCID is the server's own connection ID.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Iterable
 
-from repro.quic.packet import PACKET_LABELS
+from repro.quic.packet_type import PACKET_LABELS
 from repro.telescope.classify import CapturedPacket, type_codes
 
 

@@ -33,4 +33,16 @@ class Terminated(BaseException):
 
     A ``BaseException``, like ``KeyboardInterrupt``: the ``except
     Exception`` that keeps a sweep's sibling cells going must not eat it.
+    Python drops a raise that lands in a finalizer (an import's
+    module-lock callback, a weakref), so the handler also sets
+    :attr:`pending`, and a loop that outlasts a finalizer calls
+    :meth:`check` to unwind after all.
     """
+
+    #: A SIGTERM arrived while ``main`` ran its command.
+    pending = False
+
+    @classmethod
+    def check(cls) -> None:
+        if cls.pending:
+            raise cls("terminated (SIGTERM)")

@@ -32,7 +32,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     load_snapshot,
 )
-from repro.obs.prof import validate_speedscope
 from repro.obs.sinks import (
     DEFAULT_ALWAYS_KEEP,
     RingBufferTracer,
@@ -98,6 +97,15 @@ __all__ = [
     "CAT_TRANSPORT",
     "CAT_WORKLOAD",
 ]
+
+
+def __getattr__(name: str):
+    """``validate_speedscope``: the profile renderer loads when asked for."""
+    if name == "validate_speedscope":
+        from repro.obs.prof import validate_speedscope
+
+        return validate_speedscope
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class Observability:

@@ -13,13 +13,15 @@ import traceback
 from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from repro.errors import WorkerDied
+from repro.errors import Terminated, WorkerDied
 
 
 def _work(sender, target: Callable, payload) -> None:
     """Child entry: send ``(result, None, "")`` or ``(None, exception, traceback)``."""
-    # A forked child inherits main's SIGTERM handler; a worker just dies.
+    # A forked child inherits main's SIGTERM handler, and the mask its
+    # start ran under; a worker just dies.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     try:
         answer = (target(payload), None, "")
     except Exception as exc:  # noqa: BLE001 - re-raised in the parent
@@ -52,13 +54,20 @@ def run_pool(
     running = {}  # our end of a worker's pipe -> (payload index, process)
     try:
         while True:
+            Terminated.check()  # start nothing more once SIGTERM has come
             room = (workers or len(payloads)) - len(running)
             for index, payload in islice(waiting, room):
                 receiver, sender = ctx.Pipe(duplex=False)
                 process = ctx.Process(target=_work, args=(sender, target, payload))
-                process.start()
+                # SIGTERM waits until the worker is in ``running``: raised
+                # after the fork but before, it would leave a worker no one kills.
+                try:
+                    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+                    process.start()
+                    running[receiver] = (index, process)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
                 sender.close()  # the worker's copy is the only one: its death is EOF
-                running[receiver] = (index, process)
             if not running:
                 return
             for receiver in wait(list(running)):

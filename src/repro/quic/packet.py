@@ -13,14 +13,14 @@ Two representations are used throughout the library:
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.buffer import Writer
 from repro.lru import LruCache
-from repro.quic.crypto.suites import PacketProtection, ProtectionError, TAG_LENGTH
+from repro.quic.packet_type import PACKET_LABELS, PacketType
 from repro.quic.varint import VALUE_MASK, encode_varint, varint_length
 from repro.quic.version import VERSION_NEGOTIATION
 
@@ -31,20 +31,11 @@ MIN_INITIAL_DATAGRAM = 1200
 FORM_BIT = 0x80
 FIXED_BIT = 0x40
 
+#: ``repro.quic.crypto.suites.TAG_LENGTH`` (RFC 9001 §5.3), without loading it.
+TAG_LENGTH = 16
 
-class PacketType(enum.Enum):
-    """Long-header packet types plus the two special on-wire forms."""
-
-    INITIAL = 0
-    ZERO_RTT = 1
-    HANDSHAKE = 2
-    RETRY = 3
-    VERSION_NEGOTIATION = 4
-    ONE_RTT = 5
-
-    @property
-    def label(self) -> str:
-        return PACKET_LABELS[self._value_]
+if TYPE_CHECKING:
+    from repro.quic.crypto.suites import PacketProtection
 
 
 class PacketParseError(ValueError):
@@ -54,15 +45,6 @@ class PacketParseError(ValueError):
 #: Indexed by :class:`PacketType` value; the first four are also the
 #: two long-packet-type bits of the first byte.
 _PACKET_TYPES = tuple(PacketType)
-#: Display label per :class:`PacketType` value (same indexing).
-PACKET_LABELS = (
-    "Initial",
-    "0-RTT",
-    "Handshake",
-    "Retry",
-    "VersionNegotiation",
-    "1-RTT",
-)
 #: First byte, version, DCID length: the fixed start of every long header.
 _FIXED_PREFIX = struct.Struct("!BIB")
 #: Where the DCID starts, counted from a long header's first byte.
@@ -716,6 +698,8 @@ def unprotect_packet(
 ) -> LongHeaderPacket:
     """Remove protection from a parsed Initial/Handshake/0-RTT packet."""
     if parsed.packet_type in (PacketType.RETRY, PacketType.VERSION_NEGOTIATION):
+        from repro.quic.crypto.suites import ProtectionError
+
         raise ProtectionError("%s packets are not protected" % parsed.packet_type.label)
     plaintext, packet_number, pn_length = protection.unprotect(
         from_server, packet_bytes, parsed.pn_offset

@@ -494,6 +494,10 @@ class QuicServerEngine:
         # _by_scid may hold several aliases per connection (rotated CIDs).
         return len(self._by_origin)
 
+    def holds(self, cid: bytes) -> bool:
+        """Does a 1-RTT packet to ``cid`` reach one of this engine's connections?"""
+        return cid in self._by_scid
+
     def _count(self, event: str) -> None:
         if self._m_events is not None:
             self._m_events.inc_key((event, self.profile.name))

@@ -17,13 +17,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.inetdata.asdb import AsDatabase
-from repro.netstack.pcap import PcapRecord
-from repro.obs import Observability
-from repro.quic.packet import ParsedLongHeader
-from repro.telescope.acknowledged import AcknowledgedScanners
+if TYPE_CHECKING:
+    from repro.inetdata.asdb import AsDatabase
+    from repro.netstack.pcap import PcapRecord
+    from repro.obs import Observability
+    from repro.quic.packet import ParsedLongHeader
+    from repro.telescope.acknowledged import AcknowledgedScanners
 
 
 class PacketClass(enum.Enum):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.active.migration import migration_matrix, migration_probe
+from repro.active.migration import migration_outcomes, migration_probe, survival_rates
 from repro.active.prober import Prober
 from repro.workloads.scenario import build_lb_lab
 
@@ -79,16 +79,43 @@ class TestMigrationOutcomes:
             assert all(o.survived for o in outcomes)
 
     def test_matrix_helper(self, lab, prober):
-        matrix = migration_matrix(
-            {
-                "Google": (prober, lab.vips("Google")[:4]),
-                "QuicLB": (prober, lab.vips("QuicLB")[:4]),
-            },
-            probes_per_cell=4,
+        matrix = survival_rates(
+            migration_outcomes(
+                {
+                    "Google": (prober, lab.vips("Google")[:4]),
+                    "QuicLB": (prober, lab.vips("QuicLB")[:4]),
+                },
+                probes_per_cell=4,
+            )
         )
         assert matrix["Google"]["same_cid"] == 1.0
         assert matrix["Google"]["rotated_cid"] == 0.0
         assert matrix["QuicLB"]["rotated_cid"] == 1.0
+
+    def test_survival_is_reaching_the_engine_that_holds_the_connection(self):
+        # Its own lab: the rates above depend on the shared prober's draws.
+        lab = build_lb_lab(google_hosts=12, facebook_hosts=12, quic_lb_hosts=12, seed=909)
+        outcomes = migration_outcomes(
+            {
+                name: (
+                    Prober(lab.loop, lab.network, address="198.51.100.%d" % (10 + i)),
+                    lab.vips(name),
+                )
+                for i, name in enumerate(("Facebook", "Google", "QuicLB"))
+            },
+            probes_per_cell=10,
+        )
+        probes = [o for cells in outcomes.values() for kind in cells.values() for o in kind]
+        assert len(probes) == 60
+        for outcome in probes:
+            assert outcome.survived == outcome.same_worker, outcome
+            assert outcome.same_host or not outcome.same_worker, outcome
+        # A rotated random CID reaches the right host by chance, and that
+        # alone is not enough: the host's worker choice must agree too.
+        google_rotated = outcomes["Google"]["rotated_cid"]
+        assert sum(o.same_host for o in google_rotated) > sum(
+            o.survived for o in google_rotated
+        )
 
 
 class TestStatelessReset:

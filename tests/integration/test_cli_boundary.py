@@ -12,8 +12,10 @@ import argparse
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+from fnmatch import fnmatch
 
 import pytest
 
@@ -34,6 +36,29 @@ FORBIDDEN_MODULES = (
     # ``repro.pool`` imports its executor on the fan-out path only.
     "multiprocessing",
     "concurrent.futures.process",
+)
+
+#: What a warm ``analyze`` reads its sidecar without: the packet codec
+#: and its AEAD, the dissector, the sanitiser's registries, the UDP/IP
+#: codecs and pcap walker, the CID schemes no analysis decodes, the flood
+#: events no ``--tables`` selector prints, and the profile renderer.
+READ_PATH_FORBIDDEN = (
+    "repro.quic.crypto*",
+    "repro.quic.packet",
+    "repro.capstore.build",
+    "repro.capstore.dissect",
+    "repro.core.dissector",
+    "repro.core.ibr_activity",
+    "repro.inetdata*",
+    "repro.netstack.udp",
+    "repro.netstack.ip",
+    "repro.netstack.addr",
+    "repro.netstack.pcap",
+    "repro.telescope.acknowledged",
+    "repro.quic.cid.quic_lb",
+    "repro.quic.cid.cloudflare",
+    "repro.quic.cid.google",
+    "repro.obs.prof",
 )
 
 _CHILD = """
@@ -68,11 +93,31 @@ def _crossings(modules):
     ]
 
 
+def _read_path_crossings(modules):
+    return [
+        name
+        for name in modules
+        if any(fnmatch(name, pattern) for pattern in READ_PATH_FORBIDDEN)
+    ]
+
+
 @pytest.fixture(scope="module")
 def tiny_pcap(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("boundary") / "tiny.pcap")
     assert main(["simulate", path, "--scale", "0.01", "--seed", "5"]) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def cold_then_warm(tiny_pcap, tmp_path_factory):
+    """``sys.modules`` after a cold ``index`` and then a warm ``analyze``."""
+    pcap = str(tmp_path_factory.mktemp("warm") / "tiny.pcap")
+    shutil.copyfile(tiny_pcap, pcap)
+    cold = _modules_after(["index", pcap])
+    warm = _modules_after(
+        ["analyze", pcap, "--tables", "1", "2", "3", "4", "rto", "lengths"]
+    )
+    return cold, warm
 
 
 class TestReadSideBoundary:
@@ -96,6 +141,19 @@ class TestReadSideBoundary:
              "--exit-idle", "1"]
         )
         assert "repro.stream.live" in _crossings(modules)
+
+    def test_warm_analyze_loads_only_the_read_path(self, cold_then_warm):
+        _cold, warm = cold_then_warm
+        assert "repro.capstore.format" in warm
+        assert _read_path_crossings(warm) == []
+
+    def test_the_read_path_check_can_fail(self, cold_then_warm):
+        # A cold `index` dissects, so the same probe must see it load the
+        # dissector and the AEAD.
+        cold, _warm = cold_then_warm
+        crossings = _read_path_crossings(cold)
+        assert "repro.capstore.dissect" in crossings
+        assert "repro.quic.crypto.suites" in crossings
 
     def test_stats_loads_neither_the_simulator_nor_the_capture_store(self, tmp_path):
         snapshot = tmp_path / "m.json"

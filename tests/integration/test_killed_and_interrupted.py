@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -410,6 +411,72 @@ def test_sigterm_mid_sweep_leaves_whole_files_only(tmp_path):
     cells = sorted(glob.glob(str(outdir / "cells" / "*")))
     time.sleep(0.5)
     assert sorted(glob.glob(str(outdir / "cells" / "*"))) == cells
+
+
+def test_a_sigterm_dropped_in_a_finalizer_still_stops_the_sweep(
+    tmp_path, monkeypatch, capsys
+):
+    # A handler that runs inside a finalizer has its raise dropped by Python
+    # ("Exception ignored in ...").  In the wild that finalizer is an
+    # import's module-lock callback just after the manifest is written, and
+    # the sweep used to run to the end and exit 0.
+    real_run_pool = repro.sweep.runner.run_pool
+
+    def run_pool_after_a_dropped_sigterm(*args, **kwargs):
+        doomed = type("Doomed", (), {})()
+        weakref.finalize(doomed, os.kill, os.getpid(), signal.SIGTERM)
+        del doomed
+        return real_run_pool(*args, **kwargs)
+
+    monkeypatch.setattr(repro.sweep.runner, "run_pool", run_pool_after_a_dropped_sigterm)
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps(GRID))
+    outdir = tmp_path / "grid.sweep"
+    assert main(["sweep", "run", str(spec), "--out", str(outdir), "--workers", "2"]) == 2
+    assert capsys.readouterr().err == "repro sweep run: terminated (SIGTERM)\n"
+    _assert_only_whole_cells(outdir)
+    assert not (outdir / "results.csv").exists()
+    assert _temps(tmp_path) == []
+
+
+def _running(pid):
+    """Is ``pid`` alive and not a zombie?"""
+    try:
+        with open("/proc/%d/stat" % pid) as fileobj:
+            return fileobj.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_a_sigterm_right_after_a_fork_leaves_no_worker_behind(
+    tmp_path, monkeypatch, capsys
+):
+    # The handler runs wherever the parent is.  Between a worker's fork and
+    # the pool's note of it, a raise left a worker nobody killed, which
+    # went on writing its cell after the sweep had cleaned up and exited.
+    real_fork = os.fork
+    forked = []
+
+    def fork_then_sigterm():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+            if len(forked) == 3:
+                os.kill(os.getpid(), signal.SIGTERM)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_sigterm)
+    doc = dict(GRID, axes={"loss_rate": [0.0, 0.1, 0.2], "attack_scale": [0.5, 1.0, 1.5]})
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps(doc))
+    outdir = tmp_path / "grid.sweep"
+    assert main(["sweep", "run", str(spec), "--out", str(outdir), "--workers", "2"]) == 2
+    monkeypatch.undo()
+    assert len(forked) == 3
+    assert [pid for pid in forked if _running(pid)] == []
+    assert capsys.readouterr().err == "repro sweep run: terminated (SIGTERM)\n"
+    _assert_only_whole_cells(outdir)
 
 
 # ---------------------------------------------------------------------------
