@@ -33,10 +33,8 @@ _EXPORTS = {
         "emit_stats_counters",
         "load_or_build",
         "sidecar_path",
-        "pcap_fingerprint",
         "prefix_fingerprint",
-        "prefix_matches",
-        "fingerprint_matches",
+        "check_sidecar",
     ),
     "format": (
         "MAGIC",

@@ -7,24 +7,21 @@ sidecar next to the pcap; on a hit it deserializes columns straight from
 disk — no UDP decoding, no QUIC dissection, no AEAD validation.
 
 Validity is judged against a source fingerprint stored in the sidecar
-header: file size first (cheapest), then mtime_ns (a match lets us skip
-hashing the pcap), with a blake2b content hash as the authoritative
-check when the mtime moved — so a rewritten capture invalidates even
-with a back-dated timestamp, and a merely-touched file still hits.
-
-The fingerprint also records the *prefix* the index covers —
-``indexed_bytes`` (how far into the pcap the dissection ran),
-``prefix_blake2b`` (content hash of exactly those bytes), and
-``records`` (how many records they held).  A capture that *grew* —
-the live-telescope case: a pcap being appended to while analyses run —
-revalidates against the prefix hash and only the appended tail is
-dissected (result ``extended``), instead of the former full rebuild on
-any size change.  A rewritten or truncated pcap still fails the prefix
-check and rebuilds from scratch.  The hash is a by-product of the
-dissection pass, not a pass of its own: the build feeds one running
-digest the bytes it walks over, an extension continues the digest the
-prefix check just computed, and the whole-file hash is that digest
-carried on through whatever the index does not cover.
+header: the pcap's size and mtime_ns when the sidecar was written, and
+the *prefix* the index covers — ``indexed_bytes`` (how far into the pcap
+the dissection ran), ``prefix_blake2b`` (content hash of exactly those
+bytes) and ``records`` (how many records they held).  One rule,
+:func:`check_sidecar`, reads it for every caller: an index of the whole
+file hits while size and mtime are unchanged, without hashing; otherwise
+the pcap must still start with the indexed prefix.  A capture that
+*grew* — the live-telescope case: a pcap being appended to while
+analyses run — then has only the appended tail dissected (result
+``extended``); a merely-touched one still hits; a rewritten or truncated
+one (even with a back-dated timestamp) fails the prefix check and
+rebuilds from scratch.  The hash is a by-product of the dissection pass,
+not a pass of its own: the build feeds one running digest the bytes it
+walks over, and an extension continues the digest the prefix check just
+computed.
 
 Everything is wired through ``repro.obs``: ``index.load``/``index.build``
 /``index.extend`` stage timers, a ``capstore.cache``
@@ -37,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from repro.capstore.format import (
     CapIndexError,
@@ -84,47 +81,29 @@ def _hash_range(pcap_path: str, digest, start: int, end: Optional[int] = None) -
     return end is None or remaining == 0
 
 
-def pcap_fingerprint(pcap_path: str, with_hash: bool = True) -> dict:
-    """Identity of the source pcap: size, mtime_ns, blake2b content hash."""
-    stat = os.stat(pcap_path)
-    fingerprint = {"size": stat.st_size, "mtime_ns": stat.st_mtime_ns}
-    if with_hash:
-        digest = _new_digest()
-        _hash_range(pcap_path, digest, 0)
-        fingerprint["blake2b"] = digest.hexdigest()
-    return fingerprint
-
-
 def prefix_fingerprint(
     pcap_path: str,
     indexed_bytes: int,
     records: Optional[int] = None,
     digest=None,
 ) -> dict:
-    """Source fingerprint extended with prefix coverage.
+    """The source fingerprint a sidecar stores: what it indexed, of which file.
 
-    Adds to :func:`pcap_fingerprint`'s size/mtime/full-hash triple:
-    ``indexed_bytes`` (the byte offset the dissection covered — one past
-    the last complete record at build time), ``prefix_blake2b`` (hash of
-    exactly those bytes), and ``records`` (record count in the prefix).
-    ``digest`` is the running hash of those ``indexed_bytes`` bytes when
-    the caller's dissection pass kept one (a
-    :class:`~repro.netstack.pcap.PcapCursor`'s); without it the prefix is
-    read here.  Either way the whole-file hash is the same digest carried
-    on through the bytes the index does not cover — none, for a finished
-    capture.
+    The pcap's ``size`` and ``mtime_ns``; ``indexed_bytes``, the byte
+    offset the dissection covered — one past the last complete record at
+    build time; ``prefix_blake2b``, the hash of exactly those bytes; and
+    ``records``, the record count in the prefix.  ``digest`` is the
+    running hash of those ``indexed_bytes`` bytes when the caller's
+    dissection pass kept one (a :class:`~repro.netstack.pcap.PcapCursor`'s);
+    without it the prefix is read here.
     """
     if digest is None:
         digest = _new_digest()
         _hash_range(pcap_path, digest, 0, indexed_bytes)
     stat = os.stat(pcap_path)
-    full_digest = digest.copy()
-    if stat.st_size > indexed_bytes:
-        _hash_range(pcap_path, full_digest, indexed_bytes)
     fingerprint = {
         "size": stat.st_size,
         "mtime_ns": stat.st_mtime_ns,
-        "blake2b": full_digest.hexdigest(),
         "indexed_bytes": indexed_bytes,
         "prefix_blake2b": digest.hexdigest(),
     }
@@ -133,56 +112,44 @@ def prefix_fingerprint(
     return fingerprint
 
 
-def fingerprint_matches(stored: dict, pcap_path: str) -> bool:
-    """Is a stored fingerprint still valid for the pcap on disk?"""
-    if not stored:
-        return False
-    current = pcap_fingerprint(pcap_path, with_hash=False)
-    if stored.get("size") != current["size"]:
-        return False
-    if stored.get("mtime_ns") == current["mtime_ns"]:
-        return True  # unchanged inode metadata: trust without re-hashing
-    return stored.get("blake2b") == pcap_fingerprint(pcap_path)["blake2b"]
+class SidecarCheck(NamedTuple):
+    """What a stored fingerprint says of the pcap on disk: :func:`check_sidecar`."""
+
+    result: str  # "hit", "extend" or "stale"
+    grown: int = 0  # "extend": the bytes after the indexed prefix
+    digest: object = None  # "extend": the running hash of the indexed prefix
 
 
-def _indexed_prefix(stored: dict) -> Tuple[Optional[int], Optional[str]]:
-    """``(indexed_bytes, prefix hash)`` of a stored fingerprint.
+def check_sidecar(stored: dict, pcap_path: str) -> SidecarCheck:
+    """The one validity rule: is a stored fingerprint a hit, an extension, stale?
 
-    Sidecars written before the prefix fields existed fall back to their
-    whole-file values — the stored size and the full-content hash, which
-    is exactly the prefix hash when the index covered the whole file.
+    An index of the whole file hits while the pcap's size and mtime are
+    the stored ones, without hashing.  Otherwise the pcap must still
+    start with the indexed prefix: then it is a hit if nothing follows
+    it (the file was only touched), else the next build extends the
+    index by the bytes after it, continuing the prefix's hash.  A pcap
+    that does not start with the prefix (rewritten, truncated), or
+    nothing stored, is stale — a file shorter than the prefix without
+    being read.
     """
-    return (
-        stored.get("indexed_bytes", stored.get("size")),
-        stored.get("prefix_blake2b", stored.get("blake2b")),
-    )
-
-
-def _matching_prefix_digest(stored: dict, pcap_path: str):
-    """The running hash of the indexed prefix, if the pcap still starts with it.
-
-    ``None`` when it does not (rewritten, truncated, or nothing stored);
-    otherwise the digest of exactly the first ``indexed_bytes`` bytes,
-    ready to be continued through whatever was appended since.
-    """
+    stat = os.stat(pcap_path)
+    size, indexed = stat.st_size, stored.get("indexed_bytes")
+    if indexed == stored.get("size") == size and (
+        stored.get("mtime_ns") == stat.st_mtime_ns
+    ):
+        return SidecarCheck("hit")
     from repro.netstack.pcap import GLOBAL_HEADER_SIZE
 
-    indexed, prefix_hash = _indexed_prefix(stored)
-    if indexed is None or prefix_hash is None or indexed < GLOBAL_HEADER_SIZE:
-        return None  # nothing stored, or not a record boundary to resume at
+    prefix_hash = stored.get("prefix_blake2b")
+    if prefix_hash is None or not GLOBAL_HEADER_SIZE <= (indexed or 0) <= size:
+        return SidecarCheck("stale")
     digest = _new_digest()
-    if not _hash_range(pcap_path, digest, 0, indexed):
-        return None  # truncated below the indexed prefix
-    return digest if digest.hexdigest() == prefix_hash else None
-
-
-def prefix_matches(stored: dict, pcap_path: str) -> bool:
-    """Does the pcap on disk still start with the indexed prefix?
-
-    A *grown* capture passes (only the tail needs dissection); a
-    rewritten or truncated one fails.
-    """
-    return _matching_prefix_digest(stored, pcap_path) is not None
+    intact = _hash_range(pcap_path, digest, 0, indexed)
+    if not intact or digest.hexdigest() != prefix_hash:
+        return SidecarCheck("stale")
+    if size == indexed:
+        return SidecarCheck("hit")
+    return SidecarCheck("extend", size - indexed, digest)
 
 
 def load_or_build(
@@ -218,15 +185,19 @@ def load_or_build(
     if use_cache and os.path.exists(index_path):
         payload = _load_payload(index_path, obs)
         if payload is not None:
-            stored = payload.source
-            indexed = _indexed_prefix(stored)[0]
-            covers_whole_file = indexed == stored.get("size")
-            if covers_whole_file and fingerprint_matches(stored, pcap_path):
+            check = check_sidecar(payload.source, pcap_path)
+            indexed = payload.source.get("indexed_bytes")
+            if check.result == "hit":
                 return _finish_hit(payload, index_path, indexed, obs, cache_counter)
-            digest = _matching_prefix_digest(stored, pcap_path)
-            if digest is not None:
+            if check.result == "extend":
                 return _extend(
-                    payload, pcap_path, index_path, indexed, digest, obs, cache_counter
+                    payload,
+                    pcap_path,
+                    index_path,
+                    indexed,
+                    check.digest,
+                    obs,
+                    cache_counter,
                 )
         if cache_counter is not None:
             cache_counter.inc_key(("stale",))

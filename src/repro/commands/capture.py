@@ -17,7 +17,7 @@ import sys
 
 from repro.capstore import (
     SidecarCorrupt,
-    fingerprint_matches,
+    check_sidecar,
     load_index,
     load_or_build,
     sidecar_path,
@@ -159,7 +159,10 @@ def cmd_index(args: argparse.Namespace) -> int:
             print("unreadable index: %s" % exc)
             return 1
         table, stats, source = payload.table, payload.stats, payload.source
-        valid = fingerprint_matches(source, pcap)
+        check = check_sidecar(source, pcap)
+        validity = {"hit": "yes", "stale": "STALE"}.get(
+            check.result, "extend by %d bytes" % check.grown
+        )
         print(
             render_table(
                 ["field", "value"],
@@ -172,16 +175,13 @@ def cmd_index(args: argparse.Namespace) -> int:
                     ["scans", stats.scans],
                     ["source records", stats.total_records],
                     ["source size", source.get("size", "?")],
-                    [
-                        "indexed bytes",
-                        source.get("indexed_bytes", source.get("size", "?")),
-                    ],
-                    ["valid for pcap", "yes" if valid else "STALE"],
+                    ["indexed bytes", source.get("indexed_bytes", "?")],
+                    ["valid for pcap", validity],
                 ],
                 title="Capture index %s" % index_path,
             )
         )
-        return 0 if valid else 1
+        return 1 if check.result == "stale" else 0
     obs = make_obs(args, force_metrics=True)
     try:
         if args.force:

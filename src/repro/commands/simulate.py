@@ -56,7 +56,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def write_capture(telescope: Telescope, path: str) -> None:
-    """The serial capture, in arrival order: it is not re-sorted.
+    """The serial capture: the same bytes a ``--workers N`` run merges.
 
     Written in one burst once the run is over, so it is a whole document:
     a run that fails here leaves ``path`` as it was.

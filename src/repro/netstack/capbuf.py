@@ -5,30 +5,33 @@ telescope keeps no object per packet: :class:`CaptureBuffer` holds the
 records still in flight as pcap records in one contiguous ``bytearray``
 — the 16-byte record header is packed at commit, the IPv4/UDP encoder
 writes the packet straight behind it (see
-:func:`repro.netstack.udp.encode_udp_into`) — with parallel timestamp /
-offset columns that keep them in arrival order.
+:func:`repro.netstack.udp.encode_udp_into`) — with parallel key /
+offset columns that keep them in capture order: the canonical
+:func:`~repro.netstack.pcap.record_sort_key`, microsecond timestamp
+then packet bytes.  The order is decided once, at commit, so every
+producer — serial ``simulate``, shard workers, sweep cells — writes the
+same bytes for the same records.
 
-Once a record is *final* — stamped below a watermark its producer
-promises no later arrival will undercut (the telescope's is the event
-loop's clock, see :data:`SPOOL_AFTER`) — :meth:`CaptureBuffer.release`
-writes it to an anonymous spool (``tempfile.TemporaryFile``, unlinked at
-creation, so a killed run leaves nothing behind; its float timestamp goes
-to a second one).  Memory is therefore bounded by the in-flight records,
-not by the capture.  :meth:`CaptureBuffer.write_pcap` is the global
-header, a copy of the spool and the short in-memory tail — the bytes the
-whole capture held in memory would have written, in the same order.
-:meth:`CaptureBuffer.write_canonical` streams the same records in
-:func:`~repro.netstack.pcap.record_sort_key` order (shards and sweep
-cells), holding one tie group at a time.
+Once a record is *final* — stamped in a microsecond below a watermark
+its producer promises no later arrival will undercut (the telescope's is
+the event loop's clock, see :data:`SPOOL_AFTER`) —
+:meth:`CaptureBuffer.release` writes it to an anonymous spool
+(``tempfile.TemporaryFile``, unlinked at creation, so a killed run
+leaves nothing behind).  Memory is therefore bounded by the in-flight
+records, not by the capture.  :meth:`CaptureBuffer.write_pcap` is the
+global header, a copy of the spool and the short in-memory tail.
 
 :attr:`CaptureBuffer.records` is a read-only sequence view that yields
-``PcapRecord`` objects on demand, so every existing consumer (the
-classifier, shard heartbeats, tests) keeps its interface; records that
-were spooled are read back from it.
+``PcapRecord`` objects on demand — exactly what
+:class:`~repro.netstack.pcap.PcapReader` reads back from the written
+pcap, timestamps included — so every existing consumer (the classifier,
+shard heartbeats, tests) keeps its interface; records that were spooled
+are read back from it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -44,7 +47,6 @@ from repro.netstack.pcap import (
     WALK_CHUNK,
     PcapRecord,
     PcapWriter,
-    record_sort_key,
     split_timestamp,
 )
 
@@ -55,7 +57,22 @@ SPOOL_AFTER = 1 << 20
 
 _HEADER_ROOM = bytes(RECORD_HEADER.size)
 _pack_header = RECORD_HEADER.pack_into
-_unpack_length = struct.Struct("<I").unpack_from  # incl_len, at header + 8
+_unpack_header = struct.Struct("<III").unpack_from  # ts_sec, ts_usec, incl_len
+
+
+def _key(timestamp: float) -> int:
+    """``timestamp`` in whole microseconds, as its record header stores it."""
+    ts_sec, ts_usec = split_timestamp(timestamp)
+    return ts_sec * 1_000_000 + ts_usec
+
+
+def _record_at(buf, pos: int) -> PcapRecord:
+    """The record whose header starts at ``buf[pos]``, as a reader sees it."""
+    ts_sec, ts_usec, length = _unpack_header(buf, pos)
+    body = pos + RECORD_HEADER.size
+    return PcapRecord(
+        timestamp=ts_sec + ts_usec / 1_000_000, data=bytes(buf[body : body + length])
+    )
 
 
 def _read_spool(spool: BinaryIO | None, size: int) -> Iterator[bytes]:
@@ -110,13 +127,14 @@ class CaptureBuffer:
     """In-flight pcap records in memory, final ones in an anonymous spool.
 
     ``data`` holds the pending records, header and packet each, in
-    arrival order; ``times`` their timestamps (ascending) and ``offsets``
-    where each starts, counted from the first byte ever captured —
-    ``data[0]`` is byte ``released_bytes`` of the capture.
+    capture order; ``keys`` their timestamps in whole microseconds
+    (``ts_sec * 1_000_000 + ts_usec``, ascending) and ``offsets`` where
+    each starts, counted from the first byte ever captured — ``data[0]``
+    is byte ``released_bytes`` of the capture.
     """
 
     __slots__ = (
-        "times",
+        "keys",
         "offsets",
         "data",
         "records",
@@ -124,23 +142,21 @@ class CaptureBuffer:
         "_released",
         "_spooled",
         "_spool",
-        "_stamps",
         "__weakref__",
     )
 
     def __init__(self) -> None:
-        self.times = array("d")
+        self.keys = array("q")
         self.offsets = array("Q")
         self.data = bytearray()
         self.records = CaptureRecords(self)
         self.released_bytes = 0
         self._released = float("-inf")  # the highest watermark released
         self._spooled = 0  # records in the spool
-        self._spool: BinaryIO | None = None  # pcap records, arrival order
-        self._stamps: BinaryIO | None = None  # their float64 timestamps
+        self._spool: BinaryIO | None = None  # pcap records, capture order
 
     def __len__(self) -> int:
-        return self._spooled + len(self.times)
+        return self._spooled + len(self.keys)
 
     def reserve(self) -> int:
         """Make room for a record header; returns where it starts.
@@ -165,18 +181,25 @@ class CaptureBuffer:
     def commit(self, timestamp: float, start: int) -> None:
         """Record the packet written behind the header :meth:`reserve` made.
 
-        The pending records stay in timestamp order, equal timestamps in
-        commit order: a packet committed ahead of an earlier-stamped one
-        (the telescope is handed arrivals at transmit time) is moved in
-        front of it, a few records back at most.  A timestamp below a
-        watermark already released raises ``ValueError`` and leaves the
-        buffer as it was: it would belong in front of spooled records.
+        The pending records stay in capture order, microsecond key first,
+        packet bytes among equal keys: a packet committed ahead of an
+        earlier-stamped one (the telescope is handed arrivals at transmit
+        time) is moved in front of it, a few records back at most.  A
+        timestamp below a watermark already released raises
+        ``ValueError`` and leaves the buffer as it was: it would belong
+        in front of spooled records.
         """
-        times = self.times
-        at = len(times)
-        while at and times[at - 1] > timestamp:
-            at -= 1
+        ts_sec, ts_usec = split_timestamp(timestamp)
+        key = ts_sec * 1_000_000 + ts_usec
+        keys = self.keys
         data = self.data
+        at = len(keys)
+        while at and keys[at - 1] > key:
+            at -= 1
+        if at and keys[at - 1] == key:
+            packet = data[start + RECORD_HEADER.size :]
+            while at and keys[at - 1] == key and self._packet(at - 1) > packet:
+                at -= 1
         if not at and timestamp < self._released:
             del data[start:]
             raise ValueError(
@@ -184,10 +207,10 @@ class CaptureBuffer:
                 % (timestamp, self._released)
             )
         length = len(data) - start - RECORD_HEADER.size
-        _pack_header(data, start, *split_timestamp(timestamp), length, length)
+        _pack_header(data, start, ts_sec, ts_usec, length, length)
         offsets = self.offsets
-        if at == len(times):
-            times.append(timestamp)
+        if at == len(keys):
+            keys.append(key)
             offsets.append(self.released_bytes + start)
             return
         record = data[start:]
@@ -196,61 +219,46 @@ class CaptureBuffer:
         data[into - self.released_bytes : into - self.released_bytes] = record
         for later in range(at, len(offsets)):
             offsets[later] += len(record)
-        times.insert(at, timestamp)
+        keys.insert(at, key)
         offsets.insert(at, into)
 
     def release(self, watermark: float) -> None:
-        """Spool every pending record stamped below ``watermark``.
+        """Spool every pending record keyed below ``watermark``'s microsecond.
 
         The caller promises that nothing stamped below ``watermark`` will
-        be committed any more (:meth:`commit` enforces it).  The records
-        released are a prefix of ``data``, so this is one ``write``.
+        be committed any more (:meth:`commit` enforces it), and
+        :func:`split_timestamp` never decreases, so no later commit can
+        tie a spooled record's key, let alone sort in front of it.  The
+        records released are a prefix of ``data``, so this is one
+        ``write``.
         """
         if watermark > self._released:
             self._released = watermark
-        times = self.times
-        count = bisect_left(times, watermark)
+        keys = self.keys
+        count = (
+            len(keys) if watermark == math.inf else bisect_left(keys, _key(watermark))
+        )
         if not count:
             return
         data = self.data
-        end = self.offsets[count] - self.released_bytes if count < len(times) else len(data)
+        end = self.offsets[count] - self.released_bytes if count < len(keys) else len(data)
         if self._spool is None:
             self._spool = tempfile.TemporaryFile()
-            self._stamps = tempfile.TemporaryFile()
             # Closed with the buffer, not left to the garbage collector's
             # "unclosed file" warning.
-            for spool in (self._spool, self._stamps):
-                weakref.finalize(self, spool.close)
+            weakref.finalize(self, self._spool.close)
         self._spool.write(memoryview(data)[:end])
-        self._stamps.write(times[:count].tobytes())
         del data[:end]
-        del times[:count]
+        del keys[:count]
         del self.offsets[:count]
         self.released_bytes += end
         self._spooled += count
 
     # -- reading back ----------------------------------------------------------
-    def _raw_records(self) -> Iterator[bytes]:
-        """Every record, header and packet, in arrival order."""
-        carry = b""
-        for chunk in chain(
-            _read_spool(self._spool, self.released_bytes), (bytes(self.data),)
-        ):
-            buf = carry + chunk if carry else chunk
-            pos, filled = 0, len(buf)
-            while filled - pos >= RECORD_HEADER.size:
-                stop = pos + RECORD_HEADER.size + _unpack_length(buf, pos + 8)[0]
-                if stop > filled:
-                    break
-                yield buf[pos:stop]
-                pos = stop
-            carry = buf[pos:]
-
-    def _timestamps(self) -> Iterator[float]:
-        """Every record's timestamp, in arrival order."""
-        for chunk in _read_spool(self._stamps, 8 * self._spooled):
-            yield from array("d", chunk)
-        yield from array("d", self.times)
+    def _packet(self, pending: int) -> bytearray:
+        """The packet bytes of pending record ``pending``."""
+        start = self.offsets[pending] - self.released_bytes + RECORD_HEADER.size
+        return self.data[start : start + _unpack_header(self.data, start - 16)[2]]
 
     def record(self, index: int) -> PcapRecord:
         """Materialize one packet as a :class:`PcapRecord`."""
@@ -261,50 +269,32 @@ class CaptureBuffer:
         pending = index - self._spooled
         if pending < 0:
             return next(islice(self, index, None))
-        start = self.offsets[pending] - self.released_bytes + RECORD_HEADER.size
-        length = _unpack_length(self.data, start - 8)[0]
-        return PcapRecord(
-            timestamp=self.times[pending],
-            data=bytes(self.data[start : start + length]),
-        )
+        return _record_at(self.data, self.offsets[pending] - self.released_bytes)
 
     def __iter__(self) -> Iterator[PcapRecord]:
-        for timestamp, raw in zip(self._timestamps(), self._raw_records()):
-            yield PcapRecord(timestamp=timestamp, data=raw[RECORD_HEADER.size :])
-
-    def sorted_records(self) -> List[PcapRecord]:
-        """All packets in canonical pcap merge order."""
-        return sorted(self, key=record_sort_key)
+        carry = b""
+        for chunk in chain(
+            _read_spool(self._spool, self.released_bytes), (bytes(self.data),)
+        ):
+            buf = carry + chunk if carry else chunk
+            pos, filled = 0, len(buf)
+            while filled - pos >= RECORD_HEADER.size:
+                stop = pos + RECORD_HEADER.size + _unpack_header(buf, pos)[2]
+                if stop > filled:
+                    break
+                yield _record_at(buf, pos)
+                pos = stop
+            carry = buf[pos:]
 
     # -- writing -----------------------------------------------------------------
     def write_pcap(self, fileobj: BinaryIO) -> None:
-        """The capture as a pcap, in arrival order."""
+        """The capture as a pcap, in
+        :func:`~repro.netstack.pcap.record_sort_key` order.
+
+        The order was settled at commit, so this is the global header and
+        a copy of the spool and of the in-memory tail.
+        """
         PcapWriter(fileobj)  # the global header
         for chunk in _read_spool(self._spool, self.released_bytes):
             fileobj.write(chunk)
         fileobj.write(self.data)
-
-    def write_canonical(self, fileobj: BinaryIO) -> int:
-        """The capture as a pcap in :func:`record_sort_key` order.
-
-        :func:`split_timestamp` never decreases as the timestamp grows, so
-        the arrival order already is the canonical one up to runs of equal
-        ``(ts_sec, ts_usec)`` — the first 8 header bytes — each of which
-        is sorted by packet bytes here.  Returns the number of records.
-        """
-        PcapWriter(fileobj)  # the global header
-        out: List[bytes] = []
-        group: List[bytes] = []
-        for raw in chain(self._raw_records(), (b"",)):
-            if group and raw[:8] == group[0][:8]:
-                group.append(raw)
-                continue
-            if len(group) > 1:
-                group.sort(key=lambda tied: tied[RECORD_HEADER.size :])
-            out += group
-            group = [raw]
-            if len(out) >= 4096:
-                fileobj.write(b"".join(out))
-                out.clear()
-        fileobj.write(b"".join(out))
-        return len(self)

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
-from repro.errors import InputFileError
+from repro.errors import InputFileError, Terminated
 
 MAGIC = 0xA1B2C3D4
 MAGIC_SWAPPED = 0xD4C3B2A1
@@ -279,7 +279,8 @@ class PcapWalk:
         self._file.close()
 
     def step(self, on_record: Callable[[float, bytes, int, int], object]) -> None:
-        """Walk one chunk."""
+        """Walk one chunk — unless a SIGTERM is pending: then raise it."""
+        Terminated.check()
         want = max(0, min(max(WALK_CHUNK, self._short), self.size - self._read_to))
         data = self._file.read(want)
         self._read_to += len(data)

@@ -12,10 +12,10 @@ into independent sub-scenarios and runs them in worker processes
    by greedy LPT on the units' cost weights.
 2. **Run** — each worker builds the *full* deployment (cheap; identical
    construction-time random draws in every process) but installs only
-   its shard's units, runs the event loop, and streams its telescope
-   records — sorted by the canonical
-   :func:`~repro.netstack.pcap.record_sort_key` — from the capture's
-   spool to a temporary pcap.
+   its shard's units, runs the event loop, and writes its telescope
+   capture — already in the canonical
+   :func:`~repro.netstack.pcap.record_sort_key` order — to a temporary
+   pcap.
 3. **Merge** — the parent k-way-merges the per-worker pcaps into one
    time-ordered file (:func:`~repro.netstack.pcap.merge_pcap_files`),
    removes them, and folds the workers' metrics snapshots into its
@@ -29,11 +29,10 @@ Determinism contract: all runtime randomness in the pipeline is *keyed*
 per-connection engine rngs, per-packet path hashes — never drawn from a
 stream shared across units.  A packet's fate therefore does not depend
 on which process simulated it or on event interleaving, and for a fixed
-``(seed, scale)`` the merged capture is identical for any worker count
-``N >= 2`` and record-identical to the serial run (same multiset of
-records; the serial file orders same-microsecond ties by arrival
-instead of the canonical key).  ``--workers 1`` *is* the serial path:
-:func:`run_scenario` in the command's own process, no pool, no merge.
+``(seed, scale)`` the capture is byte-identical for every worker count
+``N >= 1``: every producer writes the canonical order.  ``--workers 1``
+*is* the serial path: :func:`run_scenario` in the command's own process,
+no pool, no merge.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.atomic import remove_orphaned_temps
+from repro.errors import Terminated
 from repro.netstack.pcap import merge_pcap_files
 from repro.obs import NULL_OBS, MetricsRegistry, Observability, open_tracer
 from repro.obs.progress import HeartbeatWriter, clean_progress_dir, expected_events
@@ -163,16 +163,15 @@ def run_scenario(
 
     The one build → heartbeat → run routine: serial ``repro simulate``,
     shard workers, sweep cells and the tests all simulate through here
-    and differ only in what they do with the finished scenario's
-    capture (arrival order for the serial pcap, the canonical order for
-    a shard).
+    and differ only in where they write the finished scenario's capture.
 
     The two phases open ``simulate.build`` / ``simulate.run`` spans
     marked ``local`` — they describe this *process*, so they are excluded
     from the canonical merged timeline (see :mod:`repro.obs.spans`).
     When a ``heartbeat`` writer is given, it is updated through the
     build, every ~4096 loop events during the run, and once more
-    (``final``) when the loop has drained.
+    (``final``) when the loop has drained; each of those run ticks also
+    unwinds a pending SIGTERM (:meth:`~repro.errors.Terminated.check`).
     """
     obs = obs or NULL_OBS
     if units is None:
@@ -187,6 +186,7 @@ def run_scenario(
     if heartbeat is not None:
 
         def on_progress(count: int) -> None:
+            Terminated.check()  # a SIGTERM whose raise a finalizer dropped
             heartbeat.update(
                 "run", done=count, records=len(telescope.records), sim_time=loop.now
             )
@@ -210,41 +210,6 @@ def run_scenario(
     return scenario
 
 
-def _run_units(
-    config: ScenarioConfig,
-    unit_names: Optional[Sequence[str]],
-    obs: Optional[Observability],
-    heartbeat: Optional[HeartbeatWriter],
-) -> Scenario:
-    """:func:`run_scenario` over the named traffic units (None: all)."""
-    units = plan_traffic_units(config)
-    if unit_names is not None:
-        wanted = set(unit_names)
-        unknown = wanted - {unit.name for unit in units}
-        if unknown:
-            raise ValueError("unknown traffic units: %s" % ", ".join(sorted(unknown)))
-        units = tuple(unit for unit in units if unit.name in wanted)
-    return run_scenario(config, units, obs=obs, heartbeat=heartbeat)
-
-
-def run_shard(
-    config: ScenarioConfig,
-    unit_names: Optional[Sequence[str]] = None,
-    obs: Optional[Observability] = None,
-    heartbeat: Optional[HeartbeatWriter] = None,
-):
-    """:func:`run_scenario` over the named traffic units, as records.
-
-    Returns the telescope's records sorted by the canonical
-    :func:`~repro.netstack.pcap.record_sort_key` — one object per packet,
-    for tests that compare captures in memory; the pool's workers and
-    :func:`run_to_pcap` stream the same order to a file instead.
-    ``unit_names=None`` runs everything (a serial run in merge order).
-    """
-    scenario = _run_units(config, unit_names, obs, heartbeat)
-    return scenario.telescope.capture.sorted_records()
-
-
 def run_to_pcap(
     config: ScenarioConfig,
     output: str,
@@ -254,21 +219,29 @@ def run_to_pcap(
 ) -> int:
     """Run a scenario in-process and persist its capture to ``output``.
 
-    Records land on disk in the canonical merge order, streamed from the
-    telescope's spool (:meth:`~repro.netstack.capbuf.CaptureBuffer.
-    write_canonical`), so the file is byte-identical to what any
-    ``--workers N`` merged run would produce for the same config.  This
-    is the per-cell simulation primitive of ``repro.sweep`` (the pool of
-    cells is its one process layer), and what a shard worker runs.
-    Returns the number of captured records.
+    The file is the telescope's pcap (:meth:`~repro.telescope.darknet.
+    Telescope.write_pcap`), byte-identical to what any ``--workers N``
+    run writes for the same config.  This is the per-cell simulation
+    primitive of ``repro.sweep`` (the pool of cells is its one process
+    layer), and what a shard worker runs over its ``unit_names`` (None:
+    every unit).  Returns the number of captured records.
     """
     obs = obs or NULL_OBS
-    scenario = _run_units(config, unit_names, obs, heartbeat)
+    units = None
+    if unit_names is not None:
+        wanted = set(unit_names)
+        units = plan_traffic_units(config)
+        unknown = wanted - {unit.name for unit in units}
+        if unknown:
+            raise ValueError("unknown traffic units: %s" % ", ".join(sorted(unknown)))
+        units = tuple(unit for unit in units if unit.name in wanted)
+    scenario = run_scenario(config, units, obs=obs, heartbeat=heartbeat)
     with obs.span("simulate.write", local=True):
         # repro: allow(IO001) -- append log: a shard's is merged, then removed;
         # a sweep cell's is vouched for by the cell.json written after it
         with open(output, "wb") as fileobj:
-            return scenario.telescope.capture.write_canonical(fileobj)
+            scenario.telescope.write_pcap(fileobj)
+    return len(scenario.telescope)
 
 
 def _worker_main(payload: tuple):

@@ -11,17 +11,18 @@ into a :class:`~repro.netstack.capbuf.CaptureBuffer` as a pcap record,
 and once the pending bytes pass :data:`~repro.netstack.capbuf.SPOOL_AFTER`
 the records stamped below the event loop's clock — final, because every
 later arrival is stamped ``now + delay`` with ``delay >= 0`` — go to the
-buffer's anonymous spool.  :meth:`Telescope.write_pcap` then copies the
-spool and the in-flight tail out in arrival order.
+buffer's anonymous spool.  The buffer keeps the canonical capture order
+as it commits, so :meth:`Telescope.write_pcap` is one copy of the spool
+and the in-flight tail, and ``records`` is what a reader of that pcap
+reads back.
 """
 
 from __future__ import annotations
 
-from typing import BinaryIO, Iterable
+from typing import BinaryIO
 
 from repro.netstack.addr import Prefix
 from repro.netstack.capbuf import SPOOL_AFTER, CaptureBuffer
-from repro.netstack.pcap import PcapReader, PcapRecord
 from repro.netstack.udp import QUIC_PORT, UdpDatagram, encode_udp_into
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_TELESCOPE
@@ -40,7 +41,7 @@ class Telescope(Device):
 
     #: Never responds to anything, so the network delivers to it at
     #: transmit time: ``now`` below is the arrival time, and arrivals may
-    #: come slightly out of order (the capture buffer keeps them sorted).
+    #: come slightly out of order (the capture buffer puts them in capture order).
     passive = True
 
     def __init__(
@@ -109,12 +110,8 @@ class Telescope(Device):
 
     # -- persistence -----------------------------------------------------------
     def write_pcap(self, fileobj: BinaryIO) -> None:
-        """The capture as a pcap, in arrival order."""
+        """The capture as a pcap, in the canonical capture order."""
         self.capture.write_pcap(fileobj)
-
-    @classmethod
-    def load_records(cls, fileobj: BinaryIO) -> list[PcapRecord]:
-        return list(PcapReader(fileobj))
 
     def __len__(self) -> int:
         return len(self.records)

@@ -11,16 +11,15 @@ import pytest
 from repro.capstore import (
     MAGIC,
     CapIndexError,
+    check_sidecar,
     dump_index,
-    fingerprint_matches,
     load_index,
     load_or_build,
-    pcap_fingerprint,
     prefix_fingerprint,
-    prefix_matches,
     read_header,
     sidecar_path,
 )
+from repro.capstore import cache
 from repro.capstore.format import STATS_FIELDS
 from repro.cli import main
 from repro.netstack.pcap import scan_pcap_offsets
@@ -346,51 +345,41 @@ class TestPrefixFingerprint:
         assert fingerprint["size"] == size
         assert fingerprint["indexed_bytes"] == size
         assert fingerprint["records"] == 10
-        # covering the whole file, prefix and full hash agree
-        assert fingerprint["prefix_blake2b"] == fingerprint["blake2b"]
-        assert fingerprint["blake2b"] == pcap_fingerprint(pcap_copy)["blake2b"]
+        with open(pcap_copy, "rb") as fileobj:
+            whole = hashlib.blake2b(fileobj.read(), digest_size=16).hexdigest()
+        assert fingerprint["prefix_blake2b"] == whole
 
     def test_prefix_matches_after_growth(self, pcap_copy):
         size = os.path.getsize(pcap_copy)
         stored = prefix_fingerprint(pcap_copy, size)
         with open(pcap_copy, "ab") as fileobj:
             fileobj.write(b"\x00" * 40)
-        assert prefix_matches(stored, pcap_copy)
-        assert not fingerprint_matches(stored, pcap_copy)
+        assert check_sidecar(stored, pcap_copy)[:2] == ("extend", 40)
 
     def test_prefix_rejects_truncation(self, pcap_copy):
         stored = prefix_fingerprint(pcap_copy, os.path.getsize(pcap_copy))
         _truncate_at_record(pcap_copy, 0.5)
-        assert not prefix_matches(stored, pcap_copy)
-
-    def test_legacy_fingerprint_acts_as_whole_file_prefix(self, pcap_copy):
-        cut = scan_pcap_offsets(pcap_copy)[-1]
-        stored = pcap_fingerprint(pcap_copy)  # no prefix fields
-        assert prefix_matches(stored, pcap_copy)
-        data = open(pcap_copy, "rb").read()
-        with open(pcap_copy, "ab") as fileobj:
-            fileobj.write(b"\x00" * 12)
-        assert prefix_matches(stored, pcap_copy)
-        with open(pcap_copy, "wb") as fileobj:
-            fileobj.write(data[:cut])
-        assert not prefix_matches(stored, pcap_copy)
+        assert check_sidecar(stored, pcap_copy).result == "stale"
 
     def test_empty_fingerprint_never_prefix_matches(self, month_pcap):
-        assert not prefix_matches({}, month_pcap)
+        assert check_sidecar({}, month_pcap).result == "stale"
 
 
 class TestFingerprint:
     def test_fingerprint_fields(self, month_pcap):
-        fingerprint = pcap_fingerprint(month_pcap)
+        fingerprint = prefix_fingerprint(month_pcap, os.path.getsize(month_pcap))
         assert fingerprint["size"] == os.path.getsize(month_pcap)
-        assert set(fingerprint) == {"size", "mtime_ns", "blake2b"}
-        assert fingerprint_matches(fingerprint, month_pcap)
+        assert set(fingerprint) == {
+            "size", "mtime_ns", "indexed_bytes", "prefix_blake2b"
+        }
+        assert check_sidecar(fingerprint, month_pcap) == ("hit", 0, None)
 
-    def test_size_change_is_cheapest_rejection(self, pcap_copy):
-        stored = pcap_fingerprint(pcap_copy)
-        with open(pcap_copy, "ab") as fileobj:
-            fileobj.write(b"\x00")
-        assert not fingerprint_matches(stored, pcap_copy)
+    def test_size_change_is_cheapest_rejection(self, pcap_copy, monkeypatch):
+        stored = prefix_fingerprint(pcap_copy, os.path.getsize(pcap_copy))
+        with open(pcap_copy, "r+b") as fileobj:
+            fileobj.truncate(os.path.getsize(pcap_copy) - 1)
+        monkeypatch.setattr(cache, "_hash_range", None)  # not one byte is read
+        assert check_sidecar(stored, pcap_copy).result == "stale"
 
     def test_empty_fingerprint_never_matches(self, month_pcap):
-        assert not fingerprint_matches({}, month_pcap)
+        assert check_sidecar({}, month_pcap) == ("stale", 0, None)

@@ -118,6 +118,27 @@ class TestIndexCommand:
         assert main(["index", pcap_copy, "--info"]) == 1
         assert "STALE" in capsys.readouterr().out
 
+    def test_info_agrees_with_the_next_index_on_a_grown_capture(
+        self, pcap_copy, tmp_path, capsys
+    ):
+        data = open(pcap_copy, "rb").read()
+        offsets = scan_pcap_offsets(pcap_copy)
+        cut = offsets[len(offsets) // 2]
+        with open(pcap_copy, "wb") as fileobj:
+            fileobj.write(data[:cut])
+        assert main(["index", pcap_copy]) == 0
+        with open(pcap_copy, "ab") as fileobj:
+            fileobj.write(data[cut:])
+        capsys.readouterr()
+        assert main(["index", pcap_copy, "--info"]) == 0
+        assert "extend by %d bytes" % (len(data) - cut) in capsys.readouterr().out
+        metrics = str(tmp_path / "m.json")
+        assert main(["index", pcap_copy, "--metrics", metrics]) == 0
+        cache = load_snapshot(metrics)["counters"]["capstore.cache"]["values"]
+        assert cache == {"extended": 1}
+        assert main(["index", pcap_copy, "--info"]) == 0
+        assert "valid for pcap  yes" in capsys.readouterr().out
+
     def test_info_names_a_corrupt_index(self, pcap_copy, capsys):
         assert main(["index", pcap_copy]) == 0
         index_path = sidecar_path(pcap_copy)

@@ -18,7 +18,10 @@ and their RTO ladders) and its mirror, the scans-only case (every
 command-line spelling and use the README API, which writes what the
 command writes.  One case is repeated in a child process under a
 different ``PYTHONHASHSEED``: no digest may depend on set or dict
-iteration order.
+iteration order.  Another is repeated with ``--workers 2``: every
+producer writes records in the one canonical order (microsecond
+timestamp, then packet bytes), so the worker count is invisible in the
+pcap.
 """
 
 import hashlib
@@ -66,7 +69,7 @@ GOLDEN = {
         },
     ),
     "month-109-x0.05": (
-        "301b452db77b416fcd038b356eaa8657",
+        "dff544a50e9f2061c358f44651061c9e",
         "f433244725906950c18604ef83c4e038",
         {
             "payload_blake2b": "067c6088de2538b1a06a05f454e27ea3",
@@ -88,7 +91,7 @@ GOLDEN = {
         },
     ),
     "scans-only-20220101-x0.05": (
-        "84471ed24092f73f611bb7397ed6ebd5",
+        "2c041efd3fdbd917630bc085762b3aa1",
         "787e970360e1fbd6ed2148f1e4a50496",
         {
             "payload_blake2b": "de1ef17685e577a4d14af2f8bbc8a02b",
@@ -153,6 +156,15 @@ def test_month_matches_golden(case, tmp_path, capsys):
     pcap = tmp_path / "m.pcap"
     assert main(["simulate", str(pcap), *MONTHS[case]]) == 0
     assert _observed(pcap, capsys) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_sharded_month_matches_golden(workers, tmp_path):
+    """The workers merge into the bytes the serial run writes."""
+    case = "month-109-x0.05"  # two records share a microsecond with another
+    pcap = tmp_path / "m.pcap"
+    assert main(["simulate", str(pcap), *MONTHS[case], "--workers", workers]) == 0
+    assert _file_digest(pcap) == GOLDEN[case][0]
 
 
 def _one_sided_matches_golden(case, tmp_path, capsys):

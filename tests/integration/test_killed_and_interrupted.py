@@ -22,10 +22,12 @@ import repro.atomic
 import repro.netstack.pcap
 import repro.simnet.shard
 import repro.sweep.runner
+from repro.capstore import sidecar_path
 from repro.capstore.format import dump_index
 from repro.capstore.table import CaptureTable
 from repro.cli import main
 from repro.commands.simulate import write_capture
+from repro.errors import Terminated
 from repro.lint.engine import Baseline
 from repro.netstack.addr import parse_ip
 from repro.netstack.pcap import scan_pcap_tail
@@ -33,7 +35,7 @@ from repro.netstack.udp import UdpDatagram
 from repro.obs import MetricsRegistry, RingBufferTracer
 from repro.obs.prof import write_speedscope
 from repro.obs.export import PromFileWriter
-from repro.obs.progress import HeartbeatWriter
+from repro.obs.progress import HeartbeatWriter, read_heartbeats
 from repro.obs.spans import merge_span_timelines
 from repro.pool import run_pool
 from repro.simnet.shard import _worker_main
@@ -477,6 +479,48 @@ def test_a_sigterm_right_after_a_fork_leaves_no_worker_behind(
     assert [pid for pid in forked if _running(pid)] == []
     assert capsys.readouterr().err == "repro sweep run: terminated (SIGTERM)\n"
     _assert_only_whole_cells(outdir)
+
+
+# A SIGTERM whose raise was dropped leaves Terminated.pending set.  The serial
+# paths check it at ticks they already have — every ~4096 loop events, every
+# chunk a pcap walk reads — and unwind there, not after running to the end.
+
+
+def test_a_pending_sigterm_stops_a_serial_simulate(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(Terminated, "pending", True)
+    out = str(tmp_path / "month.pcap")
+    assert main(["simulate", out, "--scale", "0.05", "--seed", "3"]) == 2
+    assert capsys.readouterr().err == "repro simulate: terminated (SIGTERM)\n"
+    (beat,) = read_heartbeats(out + ".progress")
+    assert beat["stage"] != "done"  # the run itself was cut
+    assert not os.path.exists(out)
+    assert _temps(tmp_path) == []
+
+
+def test_a_pending_sigterm_stops_index(tmp_path, monkeypatch, capsys):
+    pcap = str(tmp_path / "month.pcap")
+    assert main(["simulate", pcap, "--scale", "0.02", "--seed", "3"]) == 0
+    monkeypatch.setattr(Terminated, "pending", True)
+    assert main(["index", pcap]) == 2
+    assert capsys.readouterr().err == "repro index: terminated (SIGTERM)\n"
+    assert not os.path.exists(sidecar_path(pcap))  # the build never finished
+    assert _temps(tmp_path) == []
+
+
+def test_a_pending_sigterm_stops_a_one_worker_sweep(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps(GRID))
+    outdir = tmp_path / "grid.sweep"
+    monkeypatch.setattr(Terminated, "pending", True)
+    argv = ["sweep", "run", str(spec), "--out", str(outdir), "--workers", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "repro sweep run: terminated (SIGTERM)\n"
+    # A micro cell's run is shorter than a tick: the walk that indexes its
+    # capture is the first to see the SIGTERM, so the sweep ends in cell 0.
+    assert len(glob.glob(str(outdir / "cells" / "*"))) <= 1
+    _assert_only_whole_cells(outdir)
+    assert not (outdir / "results.csv").exists()
+    assert _temps(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

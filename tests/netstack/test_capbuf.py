@@ -17,6 +17,7 @@ from repro.netstack.capbuf import CaptureBuffer
 from repro.netstack.checksum import internet_checksum, verify_checksum
 from repro.netstack.ip import PROTO_UDP, IPv4Header, IpParseError, encode_ipv4
 from repro.netstack.pcap import (
+    PcapReader,
     PcapRecord,
     PcapWriter,
     read_pcap,
@@ -181,7 +182,7 @@ class TestFlowTemplateParity:
 def _spooled(buffer):
     """``buffer`` with every record released to its spool."""
     buffer.release(float("inf"))
-    assert not buffer.data and not buffer.times
+    assert not buffer.data and not buffer.keys
     return buffer
 
 
@@ -250,12 +251,16 @@ class TestCaptureBuffer:
             if release:
                 buffer.release(float(slot))
             buffer.append(slot + lateness, data)
-        stamped = [(slot + lateness, data) for slot, lateness, data, _r in commits]
-        # sorted() is stable: equal timestamps stay in commit order.
-        expected = [pair for _i, pair in sorted(enumerate(stamped), key=lambda e: e[1][0])]
-        pending = len(buffer.times)
+        # Arrival order: by timestamp, equal ones by packet bytes.
+        expected = sorted(
+            ((slot + lateness, data) for slot, lateness, data, _r in commits),
+            key=lambda pair: record_sort_key(PcapRecord(*pair)),
+        )
+        pending = len(buffer.keys)
         assert len(buffer) == len(expected)
-        assert list(buffer.times) == [ts for ts, _data in expected[len(expected) - pending :]]
+        assert list(buffer.keys) == [
+            round(ts * 1_000_000) for ts, _data in expected[len(expected) - pending :]
+        ]
         assert [(r.timestamp, r.data) for r in buffer.records] == expected
         written = io.BytesIO()
         buffer.write_pcap(written)
@@ -281,11 +286,13 @@ class TestCaptureBuffer:
         buffer.append(2.0, b"at the watermark")  # not below it: accepted
         assert [r.data for r in buffer.records] == [b"early", b"at the watermark", b"in flight"]
 
-    def test_sorted_records_orders_by_time(self):
+    def test_records_order_by_time_then_bytes(self):
         buffer = CaptureBuffer()
-        buffer.append(2.0, b"second")
-        buffer.append(1.0, b"first")
-        assert [r.data for r in buffer.sorted_records()] == [b"first", b"second"]
+        buffer.append(2.0, b"third")
+        buffer.append(1.0000004, b"second")  # the microsecond of 1.0 ...
+        buffer.append(1.0, b"first")  # ... where bytes break the tie
+        assert [r.data for r in buffer.records] == [b"first", b"second", b"third"]
+        assert [r.timestamp for r in buffer.records] == [1.0, 1.0, 2.0]
 
     def test_write_pcap_matches_record_writer(self):
         for watermark in (None, 1.3, float("inf")):  # all in memory .. all spooled
@@ -329,7 +336,7 @@ _TIE_STAMPS = (1.9999996, 2.0, 2.0000004, 2.0000011, 2.5, 2.5000004, 3.0)
 
 
 class TestCanonicalWrite:
-    """``write_canonical`` streams what sorting every record would write."""
+    """``write_pcap`` copies out what sorting every record would write."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -352,11 +359,15 @@ class TestCanonicalWrite:
                 buffer.release(sent)
             buffer.append(sent + lateness, data)
             records.append(PcapRecord(sent + lateness, data))
+        assert len(buffer) == len(records)
         streamed = io.BytesIO()
-        assert buffer.write_canonical(streamed) == len(records)
+        buffer.write_pcap(streamed)
         reference = io.BytesIO()
         PcapWriter(reference).write_all(sorted(records, key=record_sort_key))
         assert streamed.getvalue() == reference.getvalue()
+        # The records in memory are what a reader of the file sees.
+        streamed.seek(0)
+        assert list(buffer.records) == list(PcapReader(streamed))
 
     def test_carried_record_sorts_with_its_second(self, tmp_path):
         buffer = CaptureBuffer()
@@ -365,7 +376,7 @@ class TestCanonicalWrite:
         buffer.release(2.0)
         path = str(tmp_path / "canonical.pcap")
         with open(path, "wb") as fileobj:
-            buffer.write_canonical(fileobj)
+            buffer.write_pcap(fileobj)
         reference = str(tmp_path / "reference.pcap")
         write_pcap(reference, sorted(buffer.records, key=record_sort_key))
         with open(path, "rb") as mine, open(reference, "rb") as theirs:

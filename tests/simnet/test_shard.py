@@ -1,14 +1,16 @@
 """Sharded simulation: partitioning, determinism, and the merge step."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.netstack.pcap import read_pcap, record_sort_key
+from repro.netstack.pcap import merge_pcap_files, read_pcap, record_sort_key
 from repro.obs import MetricsRegistry, Observability
 from repro.simnet.shard import (
     Shard,
     partition_units,
     plan_shards,
-    run_shard,
+    run_to_pcap,
     simulate_sharded,
 )
 from repro.telescope.classify import classify_capture
@@ -27,9 +29,21 @@ def keys(records):
 
 
 @pytest.fixture(scope="module")
-def serial_records():
-    """One serial reference run, shared by the equivalence tests."""
-    return run_shard(CONFIG)
+def serial_pcap(tmp_path_factory):
+    """One serial reference run's pcap, shared by the equivalence tests."""
+    path = tmp_path_factory.mktemp("serial") / "serial.pcap"
+    run_to_pcap(CONFIG, str(path))
+    return path
+
+
+def merged_pcap(tmp_path, workers):
+    """The pcap of ``workers`` shards run one by one in this process, merged."""
+    paths = []
+    for shard in plan_shards(CONFIG, workers):
+        paths.append(str(tmp_path / ("shard%d.pcap" % shard.index)))
+        run_to_pcap(CONFIG, paths[-1], unit_names=shard.unit_names)
+    merge_pcap_files(paths, str(tmp_path / "merged.pcap"))
+    return tmp_path / "merged.pcap"
 
 
 class TestPartitioning:
@@ -103,31 +117,25 @@ class TestScaledCommutesWithSharding:
 class TestUnitIndependence:
     """The core determinism property: serial == union of any partition."""
 
-    def test_serial_equals_merged_partition(self, serial_records):
-        shards = plan_shards(CONFIG, 3)
-        merged = []
-        for shard in shards:
-            merged.extend(run_shard(CONFIG, shard.unit_names))
-        merged.sort(key=record_sort_key)
-        assert keys(merged) == keys(serial_records)
+    def test_serial_equals_merged_partition(self, serial_pcap, tmp_path):
+        merged = merged_pcap(tmp_path, 3)
+        assert merged.read_bytes() == serial_pcap.read_bytes()
 
-    def test_partition_choice_is_invisible(self, serial_records):
-        shards = plan_shards(CONFIG, 2)
-        merged = []
-        for shard in shards:
-            merged.extend(run_shard(CONFIG, shard.unit_names))
-        merged.sort(key=record_sort_key)
-        assert keys(merged) == keys(serial_records)
+    def test_partition_choice_is_invisible(self, serial_pcap, tmp_path):
+        merged = merged_pcap(tmp_path, 2)
+        assert merged.read_bytes() == serial_pcap.read_bytes()
 
-    def test_single_unit_subset_is_a_subset(self, serial_records):
-        serial = set(keys(serial_records))
-        one_unit = run_shard(CONFIG, ["noise"])
-        assert one_unit  # noise lands on the telescope
-        assert set(keys(one_unit)) <= serial
+    def test_single_unit_subset_is_a_subset(self, serial_pcap, tmp_path):
+        serial = set(keys(read_pcap(str(serial_pcap))))
+        path = str(tmp_path / "noise.pcap")
+        assert run_to_pcap(CONFIG, path, unit_names=["noise"])  # noise lands
+        assert set(keys(read_pcap(path))) <= serial
 
-    def test_unknown_unit_name_rejected(self):
+    def test_unknown_unit_name_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown traffic units"):
-            run_shard(CONFIG, ["attack:nonexistent:0"])
+            run_to_pcap(
+                CONFIG, str(tmp_path / "x.pcap"), unit_names=["attack:nonexistent:0"]
+            )
 
 
 class TestSimulateSharded:
@@ -138,16 +146,15 @@ class TestSimulateSharded:
         result = simulate_sharded(CONFIG, workers=2, output=out, obs=obs)
         return out, obs, result
 
-    def test_merged_capture_matches_serial(self, sharded, serial_records):
+    def test_merged_capture_matches_serial(self, sharded, serial_pcap):
         out, _obs, result = sharded
-        merged = read_pcap(out)
-        assert result.total_records == len(merged) == len(serial_records)
-        assert keys(merged) == keys(serial_records)
+        assert Path(out).read_bytes() == serial_pcap.read_bytes()
+        assert result.total_records == len(read_pcap(out))
 
-    def test_classify_stats_identical_to_serial(self, sharded, serial_records):
+    def test_classify_stats_identical_to_serial(self, sharded, serial_pcap):
         out, _obs, _result = sharded
         merged_stats = classify_capture(read_pcap(out)).stats
-        serial_stats = classify_capture(serial_records).stats
+        serial_stats = classify_capture(read_pcap(str(serial_pcap))).stats
         assert merged_stats == serial_stats
 
     def test_worker_counts_sum_to_total(self, sharded):

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import main
 from repro.obs import MetricsRegistry, Observability
 from repro.obs.progress import read_heartbeats, resolve_progress_dir
 from repro.sweep.runner import SweepRunError, run_sweep
@@ -138,6 +139,21 @@ class TestDeterminism:
         result, _registry = run(tmp_path / "pooled", workers=2)
         assert result.simulated == 4
         assert Path(result.csv_path).read_bytes() == cold.csv_bytes
+
+    def test_a_cell_capture_is_the_simulate_pcap(self, tmp_path, capsys):
+        doc = {
+            "name": "one",
+            "base": {"seed": 109},
+            "axes": {"scale": [0.05]},
+            "seed_mode": "shared",
+            "metrics": ["rows.total"],
+        }
+        result, _registry = run(tmp_path / "grid", doc)
+        (cell,) = result.cells
+        pcap = tmp_path / "m.pcap"
+        assert main(["simulate", str(pcap), "--scale", "0.05", "--seed", "109"]) == 0
+        cell_pcap = tmp_path / "grid" / "cells" / cell.cell_id / "capture.pcap"
+        assert cell_pcap.read_bytes() == pcap.read_bytes()
 
     def test_one_axis_extension_simulates_only_new_cells(self, cold, tmp_path):
         outdir = tmp_path / "extended"
