@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(
         sub,
         "analyze",
-        "repro.commands.capture:cmd_analyze",
+        "repro.commands.analyze:cmd_analyze",
         help="reproduce tables from a pcap",
         inherit=obs,
         arguments=[

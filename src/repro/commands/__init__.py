@@ -7,9 +7,10 @@ therefore exactly what its family runs:
 
 * ``simulate`` — ``simulate``, ``probe`` (the write side: scenario
   builder, servers, event loop, shard runner, active prober);
-* ``capture`` — ``classify``, ``analyze``, ``index`` (the read side:
-  ``repro.capstore`` and the ``repro.core`` analyses, nothing that
-  generates traffic);
+* ``capture`` — ``classify``, ``index`` (the read side:
+  ``repro.capstore``, nothing that generates traffic and no analysis);
+* ``analyze`` — ``analyze`` (``capture``'s helpers plus the
+  ``repro.core`` analyses);
 * ``live`` — ``live`` (``capture``'s helpers plus ``repro.stream``);
 * ``observe`` — ``stats``, ``trace``, ``progress`` (the files a run's
   observability writes);

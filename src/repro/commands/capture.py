@@ -1,9 +1,9 @@
-"""``repro classify``, ``analyze`` and ``index``: the read side.
+"""``repro classify`` and ``index``, and what ``analyze`` shares with them.
 
-All three go through the columnar analysis plane (``repro.capstore``):
-one in-process dissection pass builds a
-``.capidx`` sidecar next to the pcap, and later runs load the columns
-straight from disk (``--no-cache`` opts out).  Each reads exactly one
+The read side's three commands go through the columnar analysis plane
+(``repro.capstore``): one in-process dissection pass builds a ``.capidx``
+sidecar next to the pcap, and later runs load the columns straight from
+disk (``--no-cache`` opts out).  Each reads exactly one
 pcap — a sharded ``simulate`` leaves one merged capture, so that pcap
 and its sidecar are the only input.  Nothing here imports the simulator.
 """
@@ -23,7 +23,6 @@ from repro.capstore import (
     sidecar_path,
 )
 from repro.commands.common import finish_obs, make_obs
-from repro.core.render import render_analysis
 from repro.core.report import render_table
 from repro.core.selectors import VALID_TABLES
 from repro.errors import UsageError
@@ -128,18 +127,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    wanted = validate_tables(args)
-    obs = make_obs(args)
-    try:
-        capture = load_capture(args, obs)
-        with obs.span("analyze.render", local=True):
-            print(render_analysis(capture, wanted))
-        return 0
-    finally:
-        finish_obs(args, obs)
 
 
 def cmd_index(args: argparse.Namespace) -> int:

@@ -34,13 +34,13 @@ rule id     invariant
             else's machine
 ``PERF001`` hot write-side modules (``quic/``, ``netstack/``,
             ``server/engine.py``) must not accumulate packets with
-            ``bytes +=`` or construct AES/GHASH schedules
+            ``bytes +=`` or build key schedules
             (``AesGcm``/``AES128``/``derive_initial_keys``) inside loop
-            bodies — both are quadratic/per-packet costs the template
-            and memo planes exist to amortize — nor chain
+            bodies — per-packet costs the template and memo planes and
+            a per-connection key set amortize — nor chain
             ``hmac.new(...).digest()`` anywhere, nor call ``hmac.digest``
-            / ``hmac.new`` under ``quic/crypto/``, where ``hkdf.py``'s
-            ``hmac_sha256`` / ``HmacSha256`` is the one HMAC-SHA256
+            / ``hmac.new`` under ``quic/crypto/``, where every MAC is
+            RFC 2104 over ``hashlib.sha256`` (as in ``hkdf.py``)
 ``IO001``   under ``src/repro``, one way out: no write-mode ``open()``,
             ``os.replace``, ``Pool(`` / ``ProcessPoolExecutor(`` /
             ``Process(`` or ``raise SystemExit`` outside ``atomic.py``
@@ -379,9 +379,9 @@ class PacketHotLoopRule(Rule):
     title = "per-packet rebuild on the hot path"
     interests = (ast.For, ast.While, ast.AsyncFor, ast.Call)
 
-    #: Constructors whose work the memo plane (repro.quic.crypto.memo)
-    #: amortizes; building one per loop iteration re-expands the key
-    #: schedule / GHASH tables the cache already holds.
+    #: Key-schedule builders: the memo plane (repro.quic.crypto.memo)
+    #: holds AES round keys and GHASH tables per key, and a connection
+    #: derives its Initial keys once; one per loop iteration re-expands them.
     _SCHEDULE_BUILDERS = frozenset({"AesGcm", "AES128", "derive_initial_keys"})
 
     def __init__(self) -> None:
@@ -482,9 +482,9 @@ class PacketHotLoopRule(Rule):
                     yield self.finding(
                         child,
                         ctx,
-                        "%s() inside a loop re-expands a key schedule the "
-                        "memo plane already caches; hoist it out of the loop "
-                        "or go through repro.quic.crypto.memo" % name,
+                        "%s() inside a loop re-expands a key schedule per "
+                        "iteration; hoist it out of the loop (AES and GHASH "
+                        "schedules: go through repro.quic.crypto.memo)" % name,
                     )
 
 

@@ -23,8 +23,8 @@ class LruCache:
     clocks, no hashing randomness — keys are bytes/int tuples), so two
     processes replaying the same packet stream hold identical caches.
     Hit/miss counters feed ``memo_stats``.  Eviction is
-    ``popitem(last=False)``: the Initial-keys memo misses on every fresh
-    DCID, and deleting the front of a plain ``dict`` makes each later
+    ``popitem(last=False)``: a memo that misses on every fresh key would
+    otherwise delete the front of a plain ``dict``, and each later
     ``next(iter(...))`` walk the dead slots left behind.
     """
 

@@ -3,7 +3,8 @@
 Implements AES-128 (encrypt-only, which suffices for CTR/GCM and header
 protection), AES-128-GCM, HKDF-SHA256, and the RFC 9001 Initial secret
 derivation plus header/packet protection.  Verified against the RFC 9001
-Appendix-A test vectors in the test suite.
+Appendix-A test vectors in the test suite.  Each connection derives its
+Initial keys afresh; only AES and GHASH schedules are memoized.
 
 Because pure-Python AES-GCM costs milliseconds per packet, the simulator
 defaults to :class:`repro.quic.crypto.suites.FastProtection`, a stand-in

@@ -6,9 +6,10 @@ through HKDF-Extract with a version-specific salt followed by
 HKDF-Expand-Label with the labels "client in" / "server in" / "quic key" /
 "quic iv" / "quic hp" (RFC 9001 §5).
 
-Every MAC under ``quic/crypto`` is computed here, over ``hashlib.sha256``:
-:class:`HmacSha256` hashes a key's two pads once and copies the states per
-message, :func:`hmac_sha256` is the form for a key used once.  Either costs
+Every MAC under ``quic/crypto`` is RFC 2104 over ``hashlib.sha256``:
+:class:`HmacSha256` hashes a key's pads once and copies the states per
+message, :func:`hmac_sha256` is for a key used once, and the Initial
+schedule writes its MACs out over :data:`IPAD` / :data:`OPAD`.  Each costs
 its SHA-256 blocks; ``hmac.digest`` re-derives the pads and looks the
 digest up by name on every call, a third of a short MAC's time.
 """
@@ -20,8 +21,9 @@ from hashlib import sha256
 
 _HASH_LEN = 32  # SHA-256
 _BLOCK_LEN = 64
-_IPAD = bytes(x ^ 0x36 for x in range(256))
-_OPAD = bytes(x ^ 0x5C for x in range(256))
+#: ``bytes.translate`` tables: ``key.translate(IPAD)`` is the key XOR 0x36.
+IPAD = bytes(x ^ 0x36 for x in range(256))
+OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
@@ -29,8 +31,8 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
     if len(key) > _BLOCK_LEN:
         key = sha256(key).digest()
     key = key.ljust(_BLOCK_LEN, b"\x00")
-    inner = sha256(key.translate(_IPAD) + message).digest()
-    return sha256(key.translate(_OPAD) + inner).digest()
+    inner = sha256(key.translate(IPAD) + message).digest()
+    return sha256(key.translate(OPAD) + inner).digest()
 
 
 class HmacSha256:
@@ -43,8 +45,8 @@ class HmacSha256:
         if len(key) > _BLOCK_LEN:
             key = sha256(key).digest()
         key = key.ljust(_BLOCK_LEN, b"\x00")
-        self._inner = sha256(key.translate(_IPAD))
-        self._outer = sha256(key.translate(_OPAD))
+        self._inner = sha256(key.translate(IPAD))
+        self._outer = sha256(key.translate(OPAD))
 
     def digest(self, message: bytes) -> bytes:
         inner = self._inner.copy()

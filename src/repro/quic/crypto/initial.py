@@ -12,15 +12,17 @@ every caller reads one direction only — a dissector opens client
 Initials, a spoofing client seals them — so :func:`derive_initial_keys`
 runs the Extract alone and :class:`InitialKeys` expands a direction the
 first time it is read: 5 HMACs for a one-sided user, 9 for the server
-engine, which needs both.
+engine, which needs both.  Almost every DCID is seen once (scanners,
+spoofed floods), so nothing caches the schedule; it runs on ``hashlib``.
 """
 
 from __future__ import annotations
 
+from hashlib import sha256
 from typing import NamedTuple
 
 from repro.quic import version as quic_version
-from repro.quic.crypto.hkdf import HmacSha256, expand_label_info, hkdf_extract, hmac_sha256
+from repro.quic.crypto.hkdf import IPAD, OPAD, expand_label_info, hkdf_extract
 
 #: Version-specific Initial salts (RFC 9001 §5.2 and predecessors).
 INITIAL_SALTS: dict[int, bytes] = {
@@ -45,13 +47,16 @@ INITIAL_SALTS: dict[int, bytes] = {
 def initial_salt(version: int) -> bytes:
     """Return the Initial salt for ``version``.
 
-    Unknown versions (including mvfst, which reuses the draft derivation)
-    fall back to the draft-29 salt; this mirrors how dissectors try a small
-    set of salts when classifying traffic.
+    Drafts the table does not list take their range's salt, the ranges
+    Wireshark's QUIC dissector uses: 23–28 draft-27's, 29–32 draft-29's.
+    mvfst reuses the draft-29 derivation; every other version (drafts
+    ≤ 22 and the attackers' bogus 0xff00007f included) gets the v1 salt.
     """
     if version in INITIAL_SALTS:
         return INITIAL_SALTS[version]
-    if (version >> 8) == 0xFACEB0:
+    if 0xFF000017 <= version <= 0xFF00001C:
+        return INITIAL_SALTS[quic_version.DRAFT_27.value]
+    if 0xFF00001D <= version <= 0xFF000020 or (version >> 8) == 0xFACEB0:
         return INITIAL_SALTS[quic_version.DRAFT_29.value]
     return INITIAL_SALTS[quic_version.QUIC_V1.value]
 
@@ -59,8 +64,8 @@ def initial_salt(version: int) -> bytes:
 class DirectionKeys:
     """AEAD key material for one direction of an Initial exchange.
 
-    Compares by value and is not hashable: the memos key on ``(version,
-    DCID)`` and on key bytes, never on this object.
+    Compares by value and is not hashable: the AES and GHASH memos key on
+    key bytes, never on this object.
     """
 
     __slots__ = ("key", "iv", "hp", "iv_int")
@@ -126,8 +131,8 @@ class InitialKeys:
     Holds the Initial secret.  The ``client`` and ``server`` slots start
     empty; reading an empty slot lands in :meth:`__getattr__`, which
     expands that direction and fills it, so every later read is a plain
-    slot load.  Compares by value, is not hashable, and is shared by every
-    user of its ``(version, DCID)`` through ``cached_initial_keys``.
+    slot load.  Compares by value and is not hashable; each
+    :class:`~repro.quic.crypto.suites.PacketProtection` derives its own.
     """
 
     __slots__ = ("initial_secret", "labels", "client", "server")
@@ -143,13 +148,19 @@ class InitialKeys:
 
     def __getattr__(self, name: str) -> DirectionKeys:
         # Reached only while the slot ``name`` is empty: expand it, once.
+        # Each HMAC-SHA256 (RFC 2104) is written out as its two hashes:
+        # a 32-byte secret zero-padded to the block, XORed into the pads.
         if name not in ("client", "server"):
             raise AttributeError(name)
         labels = self.labels
-        secret = hmac_sha256(self.initial_secret, getattr(labels, name + "_in"))
-        expand = HmacSha256(secret).digest
+        key = self.initial_secret.ljust(64, b"\x00")
+        inner = sha256(key.translate(IPAD) + getattr(labels, name + "_in")).digest()
+        key = sha256(key.translate(OPAD) + inner).digest().ljust(64, b"\x00")
+        ipad, opad = key.translate(IPAD), key.translate(OPAD)
         keys = DirectionKeys(
-            expand(labels.key)[:16], expand(labels.iv)[:12], expand(labels.hp)[:16]
+            sha256(opad + sha256(ipad + labels.key).digest()).digest()[:16],
+            sha256(opad + sha256(ipad + labels.iv).digest()).digest()[:12],
+            sha256(opad + sha256(ipad + labels.hp).digest()).digest()[:16],
         )
         setattr(self, name, keys)
         return keys

@@ -23,8 +23,8 @@ import hmac
 
 from repro.quic.crypto.gcm import AuthenticationError
 from repro.quic.crypto.hkdf import hmac_sha256
-from repro.quic.crypto.initial import DirectionKeys, InitialKeys
-from repro.quic.crypto.memo import cached_aes, cached_gcm, cached_initial_keys
+from repro.quic.crypto.initial import DirectionKeys, InitialKeys, derive_initial_keys
+from repro.quic.crypto.memo import cached_aes, cached_gcm
 
 #: RFC 9001 §5.4.2: at least 4 bytes after the packet-number offset must
 #: exist before the 16-byte header-protection sample.
@@ -49,10 +49,7 @@ class PacketProtection:
     def __init__(self, version: int, client_dcid: bytes) -> None:
         self.version = version
         self.client_dcid = bytes(client_dcid)
-        # Memoized per (version, DCID): scanners and retransmitting
-        # clients re-present the same DCID, and dissectors re-derive the
-        # same schedule the engine just used (see repro.quic.crypto.memo).
-        self.keys: InitialKeys = cached_initial_keys(version, self.client_dcid)
+        self.keys: InitialKeys = derive_initial_keys(version, self.client_dcid)
 
     # -- primitives supplied by subclasses ---------------------------------
     def _seal(self, keys: DirectionKeys, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:

@@ -61,6 +61,20 @@ READ_PATH_FORBIDDEN = (
     "repro.obs.prof",
 )
 
+#: What only ``analyze`` runs: the renderer and the accumulators its fold
+#: reads.  ``index`` and ``classify`` build or read the sidecar and stop.
+ANALYSIS_MODULES = (
+    "repro.core.render",
+    "repro.core.summary",
+    "repro.core.session",
+    "repro.core.timing",
+    "repro.core.versions",
+    "repro.core.packet_mix",
+    "repro.core.scid_stats",
+    "repro.core.scid_entropy",
+    "repro.core.l7lb",
+)
+
 _CHILD = """
 import contextlib, io, json, sys
 from repro.cli import main
@@ -154,6 +168,18 @@ class TestReadSideBoundary:
         crossings = _read_path_crossings(cold)
         assert "repro.capstore.dissect" in crossings
         assert "repro.quic.crypto.suites" in crossings
+
+    def test_cold_index_and_classify_load_no_analysis(self, cold_then_warm, tiny_pcap):
+        cold, _warm = cold_then_warm
+        classify = _modules_after(["classify", tiny_pcap])
+        for modules in (cold, classify):
+            assert "repro.commands.capture" in modules
+            assert [m for m in ANALYSIS_MODULES if m in modules] == []
+
+    def test_the_analysis_check_can_fail(self, cold_then_warm):
+        # `analyze` renders: the same probe must see it load every one.
+        _cold, warm = cold_then_warm
+        assert [m for m in ANALYSIS_MODULES if m in warm] == list(ANALYSIS_MODULES)
 
     def test_stats_loads_neither_the_simulator_nor_the_capture_store(self, tmp_path):
         snapshot = tmp_path / "m.json"
@@ -314,10 +340,10 @@ class TestParserTable:
         # benchmarks/e2e wraps `repro.cli:render_analysis` from outside;
         # the handler module must hold the very same function.
         import repro.cli
-        import repro.commands.capture
+        import repro.commands.analyze
         import repro.commands.live
         import repro.core.render
 
         assert repro.cli.render_analysis is repro.core.render.render_analysis
-        assert repro.commands.capture.render_analysis is repro.cli.render_analysis
+        assert repro.commands.analyze.render_analysis is repro.cli.render_analysis
         assert repro.commands.live.render_analysis is repro.cli.render_analysis

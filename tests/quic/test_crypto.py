@@ -1,6 +1,7 @@
 """Cryptographic primitives against published test vectors."""
 
 import hmac
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,26 @@ from repro.quic.crypto.hkdf import (
     hmac_sha256,
 )
 from repro.quic.crypto import initial
-from repro.quic.crypto.initial import derive_initial_keys, initial_salt
+from repro.quic.crypto.initial import INITIAL_SALTS, derive_initial_keys, initial_salt
+from repro.quic.version import QUIC_V2
+
+
+def _reference_initial_keys(version, dcid):
+    """Both directions the long way: Extract, then four HKDF-Expand-Labels."""
+    prefix = "quicv2" if version == QUIC_V2.value else "quic"
+    initial_secret = hkdf_extract(initial_salt(version), dcid)
+    keys = {}
+    for side in ("client", "server"):
+        secret = hkdf_expand_label(initial_secret, side + " in", b"", 32)
+        keys[side] = tuple(
+            hkdf_expand_label(secret, "%s %s" % (prefix, name), b"", length)
+            for name, length in (("key", 16), ("iv", 12), ("hp", 16))
+        )
+    return keys
+
+
+#: Every salted version, mvfst, a GREASE version and the attackers' bogus draft.
+_SCHEDULE_VERSIONS = sorted(INITIAL_SALTS) + [0xFACEB002, 0x1A2A3A4A, 0xFF00007F]
 
 
 class TestAes:
@@ -298,31 +318,72 @@ class TestInitialKeys:
         assert keys.server.key.hex() == "cf3a5331653c364c88f0f379b6067e37"
 
     def test_each_direction_expanded_at_most_once(self, monkeypatch):
-        """5 HMACs for a one-sided user, 9 for both, none on re-reads."""
-        calls = []
+        """1 MAC for the Extract, +4 per direction, none on re-reads."""
+        extracts, hashes = [], []
+        real_digest = HmacSha256.digest
 
-        def one_shot(key, message):
-            calls.append(message)
-            return hmac_sha256(key, message)
-
-        def keyed_digest(self, message):
-            calls.append(message)
+        def keyed_digest(self, message):  # the per-salt extractor
+            extracts.append(message)
             return real_digest(self, message)
 
-        # Every MAC of the schedule is one of the primitive's two forms.
-        real_digest = HmacSha256.digest
-        monkeypatch.setattr(initial, "hmac_sha256", one_shot)
+        def counted_sha256(data):
+            hashes.append(data)
+            return sha256(data)
+
+        def macs():
+            # The schedule writes each HMAC out as its inner and outer hash.
+            assert len(hashes) % 2 == 0
+            return len(extracts) + len(hashes) // 2
+
         monkeypatch.setattr(HmacSha256, "digest", keyed_digest)
+        monkeypatch.setattr(initial, "sha256", counted_sha256)
         keys = derive_initial_keys(1, self.DCID)
-        assert len(calls) == 1  # HKDF-Extract only
+        assert macs() == 1  # HKDF-Extract only
         client = keys.client
-        assert len(calls) == 5
+        assert macs() == 5
         assert keys.client is client and keys.for_sender(False) is client
-        assert len(calls) == 5
+        assert macs() == 5
         server = keys.server
-        assert len(calls) == 9
+        assert macs() == 9
         assert keys.server is server and keys.for_sender(True) is server
-        assert len(calls) == 9
+        assert macs() == 9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        version=st.sampled_from(_SCHEDULE_VERSIONS),
+        dcid=st.binary(max_size=20),
+    )
+    def test_schedule_equals_the_expand_label_chain(self, version, dcid):
+        keys = derive_initial_keys(version, dcid)
+        expected = _reference_initial_keys(version, dcid)
+        for side in ("client", "server"):
+            direction = getattr(keys, side)
+            assert (direction.key, direction.iv, direction.hp) == expected[side]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        version=st.sampled_from(_SCHEDULE_VERSIONS),
+        dcid=st.binary(max_size=20),
+    )
+    def test_schedule_against_cryptography(self, version, dcid):
+        pytest.importorskip("cryptography")
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.kdf.hkdf import HKDF, HKDFExpand
+
+        def info(label, length):
+            full = b"tls13 " + label.encode()
+            return length.to_bytes(2, "big") + bytes([len(full)]) + full + b"\x00"
+
+        prefix = "quicv2" if version == QUIC_V2.value else "quic"
+        keys = derive_initial_keys(version, dcid)
+        for side in ("client", "server"):
+            secret = HKDF(
+                hashes.SHA256(), 32, initial_salt(version), info(side + " in", 32)
+            ).derive(dcid)
+            direction = getattr(keys, side)
+            for name, length in (("key", 16), ("iv", 12), ("hp", 16)):
+                judge = HKDFExpand(hashes.SHA256(), length, info(prefix + " " + name, length))
+                assert getattr(direction, name) == judge.derive(secret)
 
     def test_nonce_xor(self):
         keys = derive_initial_keys(1, self.DCID)
@@ -337,6 +398,30 @@ class TestInitialKeys:
         assert initial_salt(0xFACEB002) == initial_salt(0xFF00001D)
         # Unknown versions fall back to the v1 salt.
         assert initial_salt(0x12345678) == initial_salt(0x00000001)
+        assert initial_salt(0xFF00007F) == initial_salt(0x00000001)
+        assert initial_salt(0xFF000016) == initial_salt(0x00000001)  # draft-22
+        assert initial_salt(0xFF000021) == initial_salt(0x00000001)  # draft-33
+
+    def test_draft_29_appendix_a1(self):
+        """draft-ietf-quic-tls-29 Appendix A.1, same DCID as RFC 9001's."""
+        keys = derive_initial_keys(0xFF00001D, self.DCID)
+        assert keys.client.key.hex() == "175257a31eb09dea9366d8bb79ad80ba"
+        assert keys.client.iv.hex() == "6b26114b9cba2b63a9e8dd4f"
+        assert keys.server.key.hex() == "149d0b1662ab871fbe63c49b5e655a5d"
+        assert keys.server.iv.hex() == "bab2b12a4c76016ace47856d"
+        assert keys.server.hp.hex() == "c0c499a65a60024a18a250974ea01dfa"
+
+    @pytest.mark.parametrize(
+        "drafts, sealed_like",
+        [((30, 31, 32), 29), ((23, 24, 25, 26), 27)],
+        ids=["drafts-30-32", "drafts-23-26"],
+    )
+    def test_unlisted_drafts_take_their_range_salt(self, drafts, sealed_like):
+        expected = derive_initial_keys(0xFF000000 | sealed_like, self.DCID)
+        for draft in drafts:
+            keys = derive_initial_keys(0xFF000000 | draft, self.DCID)
+            assert keys == expected
+            assert keys.client == expected.client and keys.server == expected.server
 
     def test_different_dcid_different_keys(self):
         a = derive_initial_keys(1, b"\x01" * 8)

@@ -16,11 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro.lru import LruCache
 from repro.quic.crypto.aes import AES128
 from repro.quic.crypto.gcm import AesGcm
-from repro.quic.crypto.initial import derive_initial_keys
 from repro.quic.crypto.memo import (
     cached_aes,
     cached_gcm,
-    cached_initial_keys,
     clear_crypto_memos,
     memo_stats,
 )
@@ -101,30 +99,6 @@ class TestLruCache:
 
 
 class TestCryptoMemoParity:
-    def test_initial_keys_identical_across_1000_dcids(self):
-        rng = random.Random(20260807)
-        dcids = [rng.getrandbits(64).to_bytes(8, "big") for _ in range(1000)]
-        for dcid in dcids:
-            cached = cached_initial_keys(1, dcid)
-            fresh = derive_initial_keys(1, dcid)
-            assert cached.client == fresh.client
-            assert cached.server == fresh.server
-
-    def test_initial_keys_cache_hit_returns_same_object(self):
-        dcid = b"\x42" * 8
-        first = cached_initial_keys(1, dcid)
-        client = first.client
-        hit = cached_initial_keys(1, dcid)
-        assert hit is first
-        # A hit hands back the directions earlier users already expanded.
-        assert hit.client is client
-
-    def test_initial_keys_keyed_by_version(self):
-        dcid = b"\x42" * 8
-        v1 = cached_initial_keys(1, dcid)
-        draft = cached_initial_keys(0xFF00001D, dcid)
-        assert v1 != draft
-
     def test_aes_schedule_identical_across_keys(self):
         rng = random.Random(7)
         block = b"\x5a" * 16
@@ -143,10 +117,12 @@ class TestCryptoMemoParity:
             assert sealed == AesGcm(key).seal(nonce, b"payload", b"aad")
 
     def test_memo_stats_counts(self):
-        cached_initial_keys(1, b"\x02" * 8)
-        cached_initial_keys(1, b"\x02" * 8)
+        cached_aes(b"\x02" * 16)
+        cached_aes(b"\x02" * 16)
+        cached_gcm(b"\x03" * 16)
         stats = memo_stats()
-        assert stats["initial_keys"] == {"hits": 1, "misses": 1}
+        assert stats["aes"] == {"hits": 1, "misses": 1}
+        assert stats["gcm"] == {"hits": 0, "misses": 1}
 
 
 def _flight_packets(version=1, pn=3, token=b""):

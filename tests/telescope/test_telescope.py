@@ -279,6 +279,26 @@ class TestDissector:
         assert dissected.crypto_validated
         assert not dissected.coalesced
 
+    @pytest.mark.parametrize("suite", ["fast", "rfc9001"])
+    def test_accepts_a_draft_32_initial_sealed_under_the_draft_29_salt(self, suite):
+        # Drafts 30-32 kept draft-29's salt, as real stacks sealed them.
+        from repro.core.dissector import dissect_at
+        from repro.quic.crypto.suites import suite_by_name
+
+        connection = ClientConnection(
+            rng=random.Random(32),
+            src_ip=parse_ip("5.6.7.8"),
+            src_port=4000,
+            dst_ip=parse_ip("44.1.1.2"),
+            version=0xFF000020,
+            suite=suite,
+        )
+        connection.protection = suite_by_name(suite)(0xFF00001D, connection.dcid)
+        payload = connection.initial_datagram().payload
+        assert payload[1:5] == b"\xff\x00\x00\x20"
+        packets = dissect_at(payload, 0, len(payload), validate_crypto=True)
+        assert [scanned[2] for scanned in packets] == [0xFF000020]
+
     def test_rejects_unknown_version(self):
         from repro.core.dissector import DissectError
 
