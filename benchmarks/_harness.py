@@ -46,11 +46,16 @@ def _git(*args):
 
 
 def environment_stamp():
-    """Python, CPUs, commit, platform and load average, as JSON-ready dict.
+    """Python, CPUs, commit, source trees, platform and load average, as
+    JSON-ready dict.
 
     ``commit`` ends in ``+dirty`` when tracked files other than the
     recorded results differ from it: the numbers then belong to the
-    working tree, not to that commit.
+    working tree, not to that commit.  ``trees`` holds the git tree
+    hashes of ``src/`` and ``benchmarks/`` at that commit, the code the
+    numbers measure: results recorded from a commit that was never
+    published still name trees a reader can check against any commit
+    (``git rev-parse <commit>:src``).
     """
     commit = _git("rev-parse", "HEAD")
     if commit and _git(
@@ -61,6 +66,10 @@ def environment_stamp():
         "python": platform.python_version(),
         "cpus": cpus(),
         "commit": commit or "unknown",
+        "trees": {
+            name: _git("rev-parse", "HEAD:" + name) or "unknown"
+            for name in ("src", "benchmarks")
+        },
         "platform": platform.platform(),
         "loadavg": [round(value, 2) for value in os.getloadavg()],
     }

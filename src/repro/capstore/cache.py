@@ -9,7 +9,7 @@ disk — no UDP decoding, no QUIC dissection, no AEAD validation.
 Validity is judged against a source fingerprint stored in the sidecar
 header: the pcap's size and mtime_ns when the sidecar was written, and
 the *prefix* the index covers — ``indexed_bytes`` (how far into the pcap
-the dissection ran), ``prefix_blake2b`` (content hash of exactly those
+the dissection ran), ``prefix_sha256`` (content hash of exactly those
 bytes) and ``records`` (how many records they held).  One rule,
 :func:`check_sidecar`, reads it for every caller: an index of the whole
 file hits while size and mtime are unchanged, without hashing; otherwise
@@ -21,7 +21,14 @@ one (even with a back-dated timestamp) fails the prefix check and
 rebuilds from scratch.  The hash is a by-product of the dissection pass,
 not a pass of its own: the build feeds one running digest the bytes it
 walks over, and an extension continues the digest the prefix check just
-computed.
+computed.  The digest is SHA-256, truncated to 128 bits: CPUs with SHA
+extensions (x86 ``sha_ni``, ARMv8 SHA2) hash it over twice as fast
+as BLAKE2b — over a 48 MB pcap, 48 ms against 106 ms on a 2-CPU x86 box
+with ``sha_ni`` — and a cold ``index`` reads every byte through it.  The
+gain depends on the CPU: without SHA extensions OpenSSL's SHA-256 is
+usually slower than BLAKE2b, and that case has not been measured.  A
+sidecar stored before carries ``prefix_blake2b`` instead; it still hits
+while the pcap's size and mtime match, and anything else rebuilds it.
 
 Everything is wired through ``repro.obs``: ``index.load``/``index.build``
 /``index.extend`` stage timers, a ``capstore.cache``
@@ -61,7 +68,12 @@ def sidecar_path(pcap_path: str) -> str:
 
 
 def _new_digest():
-    return hashlib.blake2b(digest_size=16)
+    return hashlib.sha256()
+
+
+def _prefix_hash(digest) -> str:
+    """What a fingerprint stores of a prefix digest: 128 bits, in hex."""
+    return digest.hexdigest()[:32]
 
 
 def _hash_range(pcap_path: str, digest, start: int, end: Optional[int] = None) -> bool:
@@ -91,7 +103,7 @@ def prefix_fingerprint(
 
     The pcap's ``size`` and ``mtime_ns``; ``indexed_bytes``, the byte
     offset the dissection covered — one past the last complete record at
-    build time; ``prefix_blake2b``, the hash of exactly those bytes; and
+    build time; ``prefix_sha256``, the hash of exactly those bytes; and
     ``records``, the record count in the prefix.  ``digest`` is the
     running hash of those ``indexed_bytes`` bytes when the caller's
     dissection pass kept one (a :class:`~repro.netstack.pcap.PcapCursor`'s);
@@ -105,7 +117,7 @@ def prefix_fingerprint(
         "size": stat.st_size,
         "mtime_ns": stat.st_mtime_ns,
         "indexed_bytes": indexed_bytes,
-        "prefix_blake2b": digest.hexdigest(),
+        "prefix_sha256": _prefix_hash(digest),
     }
     if records is not None:
         fingerprint["records"] = records
@@ -140,12 +152,12 @@ def check_sidecar(stored: dict, pcap_path: str) -> SidecarCheck:
         return SidecarCheck("hit")
     from repro.netstack.pcap import GLOBAL_HEADER_SIZE
 
-    prefix_hash = stored.get("prefix_blake2b")
+    prefix_hash = stored.get("prefix_sha256")
     if prefix_hash is None or not GLOBAL_HEADER_SIZE <= (indexed or 0) <= size:
         return SidecarCheck("stale")
     digest = _new_digest()
     intact = _hash_range(pcap_path, digest, 0, indexed)
-    if not intact or digest.hexdigest() != prefix_hash:
+    if not intact or _prefix_hash(digest) != prefix_hash:
         return SidecarCheck("stale")
     if size == indexed:
         return SidecarCheck("hit")

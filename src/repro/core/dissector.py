@@ -8,11 +8,12 @@ using Wireshark dissectors".  This module reimplements that decision:
   with the datagram), and
 * for client Initials, on request, *cryptographic* validation: Initial
   keys are derivable from the DCID alone (RFC 9001 §5.2), so a dissector
-  can attempt to unprotect the payload.  Wireshark attempts it too but
-  labels the packet QUIC whether or not it decrypts; rejecting on a
-  failed open is this repository's addition, and the sanitisation
+  can check the payload's AEAD tag.  Wireshark attempts to decrypt too
+  but labels the packet QUIC whether or not it does; rejecting on a
+  failed tag is this repository's addition, and the sanitisation
   verdict asks for it only for records its next step keeps
-  (:func:`repro.capstore.dissect.record_verdict`).
+  (:func:`repro.capstore.dissect.record_verdict`).  The check
+  authenticates and does not decrypt: no verdict reads the plaintext.
 
 Server Initials cannot be decrypted passively (their keys derive from the
 *client's* original DCID, which backscatter does not contain), so for
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.quic.crypto.initial import derive_initial_keys
 from repro.quic.crypto.suites import (
     FastProtection,
     ProtectionError,
@@ -36,7 +38,7 @@ from repro.quic.packet import (
     parsed_header,
     scan_datagram,
 )
-from repro.quic.version import lookup as lookup_version
+from repro.quic.version import family as version_family
 
 #: Families the dissector accepts as "known QUIC".
 _KNOWN_FAMILIES = {"v1", "v2", "draft", "mvfst", "gquic", "reserved"}
@@ -59,7 +61,7 @@ class DissectedDatagram:
     """Dissection result for one UDP payload."""
 
     packets: list[ParsedLongHeader]
-    #: True if a client Initial was decrypted successfully (crypto-validated).
+    #: True if a client Initial's AEAD tag was checked (crypto-validated).
     crypto_validated: bool = False
 
     @property
@@ -90,7 +92,7 @@ def dissect_at(
             if at + packet_length - body_at < 4:
                 raise DissectError("version negotiation without versions")
             continue
-        if lookup_version(version).family not in _KNOWN_FAMILIES:
+        if version_family(version) not in _KNOWN_FAMILIES:
             raise DissectError("unknown QUIC version 0x%08x" % version)
         if kind == _INITIAL or kind == _HANDSHAKE:
             # The protected payload must hold a packet number sample and tag.
@@ -115,11 +117,12 @@ def dissect_datagram(payload: bytes, validate_crypto: bool = False) -> Dissected
 
 
 def _validate_client_initial(data: bytes, packets: list[tuple]) -> bool:
-    """Try to unprotect the first client Initial with the known suites.
+    """Authenticate the first client Initial under any of the known suites.
 
-    Datagrams without an Initial (e.g. replayed 0-RTT) cannot be validated
-    cryptographically — their keys are not derivable — so they pass on the
-    structural checks alone, as in Wireshark.
+    One Initial key schedule serves every suite tried.  Datagrams without
+    an Initial (e.g. replayed 0-RTT) cannot be validated cryptographically
+    — their keys are not derivable — so they pass on the structural checks
+    alone, as in Wireshark.
     """
     for scanned in packets:
         at, kind, version, dcid_len, _, _, _, pn_offset, packet_length, _ = scanned
@@ -127,12 +130,15 @@ def _validate_client_initial(data: bytes, packets: list[tuple]) -> bool:
             continue
         dcid = data[at + DCID_AT : at + DCID_AT + dcid_len]
         packet = data[at : at + packet_length]
+        keys = derive_initial_keys(version, dcid)
         for suite_cls in VALIDATION_SUITES:
             try:
-                suite_cls(version, dcid).unprotect(False, packet, pn_offset)
-                return True
+                suite_cls(version, dcid, keys).unprotect(
+                    False, packet, pn_offset, decrypt=False
+                )
             except ProtectionError:
                 continue
+            return True
         return False
     return True
 

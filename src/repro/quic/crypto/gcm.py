@@ -113,14 +113,19 @@ class AesGcm:
         tag = self._tag(nonce, aad, ciphertext)
         return ciphertext + tag
 
+    def verify(self, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
+        """Whether ``sealed``'s tag authenticates it: :meth:`open`'s check
+        alone, with no CTR pass over the ciphertext."""
+        if len(sealed) < self.TAG_LENGTH:
+            return False
+        ciphertext, tag = sealed[: -self.TAG_LENGTH], sealed[-self.TAG_LENGTH :]
+        return _constant_time_eq(tag, self._tag(nonce, aad, ciphertext))
+
     def open(self, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
         """Verify the tag and decrypt; raises AuthenticationError on mismatch."""
-        if len(sealed) < self.TAG_LENGTH:
-            raise AuthenticationError("ciphertext shorter than the GCM tag")
-        ciphertext, tag = sealed[: -self.TAG_LENGTH], sealed[-self.TAG_LENGTH :]
-        expected = self._tag(nonce, aad, ciphertext)
-        if not _constant_time_eq(tag, expected):
+        if not self.verify(nonce, sealed, aad):
             raise AuthenticationError("GCM tag mismatch")
+        ciphertext = sealed[: -self.TAG_LENGTH]
         keystream = self._aes.ctr_keystream(nonce, len(ciphertext), initial_counter=2)
         return bytes(c ^ k for c, k in zip(ciphertext, keystream))
 

@@ -3,13 +3,13 @@
 Initial packets are protected with keys derived solely from the client's
 first Destination Connection ID and a version-specific salt.  Any observer
 of the first flight — which includes a network telescope — can therefore
-decrypt Initial packets; this is exactly what Wireshark's dissector does and
-what our sanitization pipeline relies on.
+decrypt Initial packets, as Wireshark's dissector does; our sanitization
+pipeline relies on it to check their AEAD tags.
 
 The schedule is HKDF-Extract plus, per direction, four single-block
 HKDF-Expand-Labels ("client in"/"server in", then key, iv, hp).  Almost
-every caller reads one direction only — a dissector opens client
-Initials, a spoofing client seals them — so :func:`derive_initial_keys`
+every caller reads one direction only — a dissector authenticates
+client Initials, a spoofing client seals them — so :func:`derive_initial_keys`
 runs the Extract alone and :class:`InitialKeys` expands a direction the
 first time it is read: 5 HMACs for a one-sided user, 9 for the server
 engine, which needs both.  Almost every DCID is seen once (scanners,

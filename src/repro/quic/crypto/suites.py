@@ -13,7 +13,10 @@ AEAD and the mask primitive:
   bits, same failure modes) at ~100x the speed, used for bulk simulation.
 
 A dissector can tell which suite protected a packet only by attempting to
-unprotect — the same situation a telescope faces with unknown stacks.
+open it — the same situation a telescope faces with unknown stacks.  Its
+attempt is :meth:`PacketProtection.unprotect` with ``decrypt=False``: the
+header-protection removal and the tag check, without the decryption,
+whose plaintext a verdict never reads.
 """
 
 from __future__ import annotations
@@ -40,19 +43,31 @@ class ProtectionError(ValueError):
 class PacketProtection:
     """Base driver for Initial packet protection.
 
-    Subclasses provide ``_seal``, ``_open``, and ``_hp_mask``; the driver
-    implements the byte-level header protection dance shared by all suites.
+    Subclasses provide ``_seal``, ``_verify``, ``_open`` and ``_hp_mask``;
+    the driver implements the byte-level header protection dance shared by
+    all suites.  A suite writes its tag check once, in ``_verify``, and its
+    ``_open`` runs that check before it decrypts.
     """
 
     name = "abstract"
 
-    def __init__(self, version: int, client_dcid: bytes) -> None:
+    def __init__(
+        self, version: int, client_dcid: bytes, keys: InitialKeys | None = None
+    ) -> None:
+        """``keys``, when given, is the schedule of ``(version, client_dcid)``
+        a caller derived already: suites that try one packet in turn share
+        one derivation, and one expansion of the direction they read."""
         self.version = version
         self.client_dcid = bytes(client_dcid)
-        self.keys: InitialKeys = derive_initial_keys(version, self.client_dcid)
+        if keys is None:
+            keys = derive_initial_keys(version, self.client_dcid)
+        self.keys: InitialKeys = keys
 
     # -- primitives supplied by subclasses ---------------------------------
     def _seal(self, keys: DirectionKeys, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+        raise NotImplementedError
+
+    def _verify(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
         raise NotImplementedError
 
     def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
@@ -98,12 +113,41 @@ class PacketProtection:
         packet: bytes,
         pn_offset: int,
         largest_pn: int = 0,
-    ) -> tuple[bytes, int, int]:
+        decrypt: bool = True,
+    ) -> tuple[bytes | None, int, int]:
         """Reverse :meth:`protect`.
 
         ``packet`` must start at the first byte of the QUIC packet and run at
         least to the end of the protected payload (a coalesced datagram tail
-        is fine).  Returns ``(plaintext_payload, packet_number, pn_length)``.
+        is fine).  Returns ``(plaintext_payload, packet_number, pn_length)``;
+        raises :class:`ProtectionError` if the packet does not open.
+
+        With ``decrypt=False`` the tag is checked and the payload is not
+        decrypted: the plaintext returned is ``None``, and a packet raises
+        exactly where it would have raised with ``decrypt=True``.  That is
+        a dissector's check, which asks only "does this open?".
+        """
+        keys, header, sealed, packet_number, pn_length = self._unmask(
+            from_server, packet, pn_offset, largest_pn
+        )
+        nonce = keys.nonce(packet_number)
+        if not decrypt:
+            if not self._verify(keys, nonce, sealed, header):
+                raise ProtectionError("AEAD tag mismatch")
+            return None, packet_number, pn_length
+        try:
+            plaintext = self._open(keys, nonce, sealed, header)
+        except AuthenticationError as exc:
+            raise ProtectionError(str(exc)) from exc
+        return plaintext, packet_number, pn_length
+
+    def _unmask(
+        self, from_server: bool, packet: bytes, pn_offset: int, largest_pn: int
+    ) -> tuple[DirectionKeys, bytes, bytes, int, int]:
+        """Remove header protection: ``(keys, header, sealed, pn, pn_length)``.
+
+        ``header`` is the unprotected header (the AEAD's associated data)
+        and ``sealed`` the ciphertext and tag after it.
         """
         keys = self.keys.for_sender(from_server)
         sample_start = pn_offset + SAMPLE_OFFSET
@@ -120,12 +164,7 @@ class PacketProtection:
         packet_number = decode_packet_number(truncated_pn, pn_length * 8, largest_pn)
         header = bytes([first]) + packet[1:pn_offset] + bytes(pn_bytes)
         sealed = packet[pn_offset + pn_length :]
-        nonce = keys.nonce(packet_number)
-        try:
-            plaintext = self._open(keys, nonce, sealed, header)
-        except AuthenticationError as exc:
-            raise ProtectionError(str(exc)) from exc
-        return plaintext, packet_number, pn_length
+        return keys, header, sealed, packet_number, pn_length
 
 
 def decode_packet_number(truncated: int, bits: int, largest_pn: int) -> int:
@@ -154,6 +193,9 @@ class Rfc9001Protection(PacketProtection):
 
     def _seal(self, keys: DirectionKeys, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
         return cached_gcm(keys.key).seal(nonce, plaintext, aad)
+
+    def _verify(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
+        return cached_gcm(keys.key).verify(nonce, sealed, aad)
 
     def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
         return cached_gcm(keys.key).open(nonce, sealed, aad)
@@ -233,13 +275,17 @@ class FastProtection(PacketProtection):
             masked[pn_offset + i] ^= mask[1 + i]
         return b"".join((masked, ciphertext, tag))
 
-    def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
+    def _verify(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
         if len(sealed) < TAG_LENGTH:
-            raise AuthenticationError("ciphertext shorter than tag")
+            return False
         ciphertext, tag = sealed[:-TAG_LENGTH], sealed[-TAG_LENGTH:]
         expected = hmac_sha256(keys.key, nonce + aad + ciphertext)[:TAG_LENGTH]
-        if not hmac.compare_digest(tag, expected):
+        return hmac.compare_digest(tag, expected)
+
+    def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
+        if not self._verify(keys, nonce, sealed, aad):
             raise AuthenticationError("tag mismatch")
+        ciphertext = sealed[:-TAG_LENGTH]
         stream = self._keystream(keys.key, nonce, len(ciphertext))
         return self._xor(ciphertext, stream)
 
@@ -258,39 +304,44 @@ class NullProtection(PacketProtection):
 
     name = "null"
 
-    #: Never read (no primitive below takes key material), so its lazy
-    #: directions are never expanded: no HKDF runs for this suite.
+    #: Stands in for a derived schedule, which no primitive below reads:
+    #: only :meth:`unprotect` reads a direction of it, for a nonce nothing
+    #: uses, so each direction is expanded once per process.
     _UNUSED_KEYS = InitialKeys(b"\x00" * 32)
 
-    def __init__(self, version: int, client_dcid: bytes) -> None:
-        self.version = version
-        self.client_dcid = bytes(client_dcid)
-        self.keys = self._UNUSED_KEYS
+    def __init__(
+        self, version: int, client_dcid: bytes, keys: InitialKeys | None = None
+    ) -> None:
+        super().__init__(
+            version, client_dcid, self._UNUSED_KEYS if keys is None else keys
+        )
 
     def _seal(self, keys: DirectionKeys, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
         return plaintext + b"\x00" * TAG_LENGTH
 
+    def _verify(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
+        return len(sealed) >= TAG_LENGTH
+
     def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
-        if len(sealed) < TAG_LENGTH:
+        if not self._verify(keys, nonce, sealed, aad):
             raise AuthenticationError("ciphertext shorter than tag")
         return sealed[:-TAG_LENGTH]
-
-    def _hp_mask(self, keys: DirectionKeys, sample: bytes) -> bytes:
-        return b"\x00" * 5
 
     # The all-zero mask leaves the header untouched, so the whole driver
     # dance collapses; overriding it removes the remaining per-packet cost.
     def protect(self, is_server, header, packet_number, payload):  # noqa: D102
         return header + payload + b"\x00" * TAG_LENGTH
 
-    def unprotect(self, from_server, packet, pn_offset, largest_pn=0):  # noqa: D102
+    def _unmask(self, from_server, packet, pn_offset, largest_pn):
+        # No mask to remove: the header is as sent.
         pn_length = (packet[0] & 0x03) + 1
-        if len(packet) < pn_offset + pn_length + TAG_LENGTH:
+        pn_end = pn_offset + pn_length
+        if len(packet) < pn_end + TAG_LENGTH:
             raise ProtectionError("truncated packet")
-        packet_number = int.from_bytes(
-            packet[pn_offset : pn_offset + pn_length], "big"
-        )
-        return packet[pn_offset + pn_length : -TAG_LENGTH], packet_number, pn_length
+        truncated_pn = int.from_bytes(packet[pn_offset:pn_end], "big")
+        packet_number = decode_packet_number(truncated_pn, pn_length * 8, largest_pn)
+        keys = self.keys.for_sender(from_server)
+        return keys, packet[:pn_end], packet[pn_end:], packet_number, pn_length
 
 
 #: Suites a dissector should attempt, in order, when classifying traffic.

@@ -78,28 +78,53 @@ def is_gquic(value: int) -> bool:
     return raw[0:1] == b"Q" and all(0x30 <= b <= 0x39 for b in raw[1:])
 
 
+def family(value: int) -> str:
+    """The family of ``value``: ``lookup(value).family``, building nothing.
+
+    This is what the dissector asks of every packet, and it costs the same
+    however many distinct versions a capture carries (a flood of random
+    versions can carry any of 2**32).
+    """
+    known = VERSIONS.get(value)
+    if known is not None:
+        return known.family
+    if is_reserved_version(value):
+        return "reserved"
+    if is_gquic(value):
+        return "gquic"
+    if 0xFF000000 <= value <= 0xFF0000FF:
+        return "draft"
+    if (value >> 8) == 0xFACEB0:
+        return "mvfst"
+    return "unknown"
+
+
+#: How :func:`lookup` names a version outside :data:`VERSIONS`, per family.
+_UNLISTED_NAMES = {
+    "reserved": "reserved-0x%08x",
+    "gquic": "gQUIC 0x%08x",
+    "mvfst": "mvfst-0x%08x",
+    "unknown": "unknown-0x%08x",
+}
+
+
 def lookup(value: int) -> QuicVersion:
     """Classify ``value``, returning a catch-all entry for unknown versions."""
-    if value in VERSIONS:
-        return VERSIONS[value]
-    if is_reserved_version(value):
-        return QuicVersion(value, "reserved-0x%08x" % value, "reserved")
-    if is_gquic(value):
-        return QuicVersion(value, "gQUIC 0x%08x" % value, "gquic")
-    if 0xFF000000 <= value <= 0xFF0000FF:
-        return QuicVersion(value, "draft-%02d" % (value & 0xFF), "draft")
-    if (value >> 8) == 0xFACEB0:
-        return QuicVersion(value, "mvfst-0x%08x" % value, "mvfst")
-    return QuicVersion(value, "unknown-0x%08x" % value, "unknown")
+    known = VERSIONS.get(value)
+    if known is not None:
+        return known
+    kind = family(value)
+    if kind == "draft":
+        return QuicVersion(value, "draft-%02d" % (value & 0xFF), kind)
+    return QuicVersion(value, _UNLISTED_NAMES[kind] % value, kind)
 
 
 def table2_bucket(value: int) -> str:
     """Map a version to the row label used by the paper's Table 2."""
-    version = lookup(value)
-    if version.value == QUIC_V1.value:
+    if value == QUIC_V1.value:
         return "QUICv1"
-    if version.family == "mvfst":
-        return "Facebook mvfst 2" if version.value == MVFST_2.value else "others"
-    if version.value == DRAFT_29.value:
+    if family(value) == "mvfst":
+        return "Facebook mvfst 2" if value == MVFST_2.value else "others"
+    if value == DRAFT_29.value:
         return "draft-29"
     return "others"

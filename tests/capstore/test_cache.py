@@ -346,8 +346,8 @@ class TestPrefixFingerprint:
         assert fingerprint["indexed_bytes"] == size
         assert fingerprint["records"] == 10
         with open(pcap_copy, "rb") as fileobj:
-            whole = hashlib.blake2b(fileobj.read(), digest_size=16).hexdigest()
-        assert fingerprint["prefix_blake2b"] == whole
+            whole = hashlib.sha256(fileobj.read()).hexdigest()[:32]
+        assert fingerprint["prefix_sha256"] == whole
 
     def test_prefix_matches_after_growth(self, pcap_copy):
         size = os.path.getsize(pcap_copy)
@@ -365,12 +365,65 @@ class TestPrefixFingerprint:
         assert check_sidecar({}, month_pcap).result == "stale"
 
 
+class TestBlake2bFingerprint:
+    """A sidecar stored before the prefix hash moved to SHA-256.
+
+    Its fingerprint carries ``prefix_blake2b`` and no ``prefix_sha256``:
+    the size-and-mtime fast path still trusts it, and any case that needs
+    the prefix hash treats it as stale and rebuilds.
+    """
+
+    @staticmethod
+    def _store(pcap):
+        load_or_build(pcap)
+        index_path = sidecar_path(pcap)
+        payload = load_index(index_path)
+        source = dict(payload.source)
+        with open(pcap, "rb") as fileobj:
+            prefix = fileobj.read(source["indexed_bytes"])
+        del source["prefix_sha256"]
+        source["prefix_blake2b"] = hashlib.blake2b(prefix, digest_size=16).hexdigest()
+        dump_index(
+            index_path, payload.table, payload.stats, source=source,
+            pipeline=payload.pipeline,
+        )
+        return source
+
+    def test_hits_while_size_and_mtime_match(self, pcap_copy):
+        self._store(pcap_copy)
+        _view, status = _load(pcap_copy)
+        assert status == "hit"
+
+    def test_grown_pcap_rebuilds_instead_of_extending(self, pcap_copy):
+        tail = _truncate_at_record(pcap_copy, 0.8)
+        self._store(pcap_copy)
+        with open(pcap_copy, "ab") as fileobj:
+            fileobj.write(tail)
+        view, status = _load(pcap_copy)
+        assert status == "miss"
+        assert "prefix_sha256" in read_header(sidecar_path(pcap_copy))["source"]
+        full, _ = load_or_build(pcap_copy, use_cache=False)
+        assert view.table == full.table
+
+    def test_backdated_rewrite_rebuilds(self, pcap_copy):
+        stored = self._store(pcap_copy)
+        with open(pcap_copy, "r+b") as fileobj:
+            fileobj.seek(64)
+            chunk = fileobj.read(32)
+            fileobj.seek(64)
+            fileobj.write(bytes(byte ^ 0xFF for byte in chunk))
+        stat = os.stat(pcap_copy)
+        os.utime(pcap_copy, ns=(stat.st_atime_ns, stored["mtime_ns"] - 10**9))
+        _view, status = _load(pcap_copy)
+        assert status == "miss"
+
+
 class TestFingerprint:
     def test_fingerprint_fields(self, month_pcap):
         fingerprint = prefix_fingerprint(month_pcap, os.path.getsize(month_pcap))
         assert fingerprint["size"] == os.path.getsize(month_pcap)
         assert set(fingerprint) == {
-            "size", "mtime_ns", "indexed_bytes", "prefix_blake2b"
+            "size", "mtime_ns", "indexed_bytes", "prefix_sha256"
         }
         assert check_sidecar(fingerprint, month_pcap) == ("hit", 0, None)
 

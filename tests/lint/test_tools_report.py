@@ -111,7 +111,28 @@ class TestCheckersJsonMode:
         messages = [f["message"] for f in json.loads(result.stdout)["findings"]]
         assert "no environment stamp (benchmarks/_harness.py)" in messages
         assert "environment stamp lacks 'cpus'" in messages
+        assert "environment stamp lacks 'trees'" in messages
         assert "environment stamp lacks 'python'" not in messages
+
+    def test_bench_json_rejects_a_dirty_commit_stamp(self, tmp_path):
+        stamp = {
+            "python": "3.11.7", "cpus": 2, "platform": "Linux", "loadavg": [0.5],
+            "trees": {"src": "5f1c0e2", "benchmarks": "9a3d771"},
+        }
+        dirty = tmp_path / "BENCH_dirty.json"
+        dirty.write_text(json.dumps(
+            {"seconds": 1.5, "environment": dict(stamp, commit="366ee11+dirty")}
+        ))
+        clean = tmp_path / "BENCH_clean.json"
+        clean.write_text(json.dumps(
+            {"seconds": 1.5, "environment": dict(stamp, commit="366ee11")}
+        ))
+        result = self.run_checker("check_bench_json.py", str(dirty), str(clean))
+        assert result.returncode == 1
+        findings = json.loads(result.stdout)["findings"]
+        assert [f["message"] for f in findings] == [
+            "commit stamp 366ee11+dirty is dirty: re-record from a clean tree"
+        ]
 
     def test_bench_json_rejects_empty_object(self, tmp_path):
         empty = tmp_path / "BENCH_empty.json"

@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.quic.crypto.initial import derive_initial_keys
 from repro.quic.crypto.suites import (
+    SAMPLE_LENGTH,
+    SAMPLE_OFFSET,
+    TAG_LENGTH,
     FastProtection,
     NullProtection,
     ProtectionError,
@@ -62,6 +66,12 @@ class TestRoundtrip:
         parsed = parse_long_header(wire)
         plain = unprotect_packet(parsed, wire, suite, from_server=True)
         assert plain.packet_number == 3
+
+    def test_largest_pn_recovers_a_truncated_number(self, suite_cls):
+        suite = suite_cls(1, DCID)
+        wire = encode_packet(make_packet(pn=301, pn_length=1), suite, True)
+        pn_offset = parse_long_header(wire).pn_offset
+        assert suite.unprotect(True, wire, pn_offset, largest_pn=300)[1:] == (301, 1)
 
     def test_directions_use_distinct_keys(self, suite_cls):
         suite = suite_cls(1, DCID)
@@ -202,3 +212,92 @@ def test_fast_suite_roundtrip_property(payload, pn, pn_length):
     parsed = parse_long_header(wire)
     plain = unprotect_packet(parsed, wire, suite, from_server=True)
     assert plain.payload == payload
+
+
+def _raises(suite, from_server, packet, pn_offset, decrypt):
+    try:
+        suite.unprotect(from_server, packet, pn_offset, decrypt=decrypt)
+    except ProtectionError:
+        return True
+    return False
+
+
+def _opens(suite, from_server, packet, pn_offset):
+    """Whether ``unprotect`` succeeds; the tag-only check must agree."""
+    opened = not _raises(suite, from_server, packet, pn_offset, True)
+    assert _raises(suite, from_server, packet, pn_offset, False) is not opened
+    return opened
+
+
+#: How a sealed packet is damaged before it is checked.
+DAMAGE = ("none", "first", "pn", "payload", "tag", "cut_sample", "cut_tag")
+
+
+def _damage(wire, how, pn_offset, pn_length, where):
+    wire = bytearray(wire)
+    body = len(wire) - TAG_LENGTH - (pn_offset + pn_length)
+    if how == "first":
+        wire[0] ^= 1 << (where % 8)
+    elif how == "pn":
+        wire[pn_offset + where % pn_length] ^= 1 << (where % 8)
+    elif how == "payload" and body:
+        wire[pn_offset + pn_length + where % body] ^= 1 << (where % 8)
+    elif how == "tag":
+        wire[-1 - where % TAG_LENGTH] ^= 1 << (where % 8)
+    elif how == "cut_sample":
+        del wire[pn_offset + SAMPLE_OFFSET + where % SAMPLE_LENGTH :]
+    elif how == "cut_tag":
+        del wire[len(wire) - 1 - where % TAG_LENGTH :]
+    return bytes(wire)
+
+
+@pytest.mark.parametrize("suite_cls", ALL_SUITES)
+@settings(max_examples=80, deadline=None)
+@given(
+    payload=st.integers(min_value=0, max_value=1200).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    ),
+    pn_length=st.sampled_from([1, 2, 3, 4]),
+    is_server=st.booleans(),
+    how=st.sampled_from(DAMAGE),
+    where=st.integers(min_value=0, max_value=1 << 16),
+)
+def test_tag_check_passes_iff_unprotect_opens(
+    suite_cls, payload, pn_length, is_server, how, where
+):
+    """``decrypt=False`` raises exactly where decrypting raises."""
+    suite = suite_cls(1, DCID)
+    try:
+        wire = encode_packet(
+            make_packet(payload=payload, pn=5, pn_length=pn_length), suite, is_server
+        )
+    except ProtectionError:  # too short to sample: no suite seals it
+        assert len(payload) + pn_length < SAMPLE_OFFSET
+        return
+    pn_offset = parse_long_header(wire).pn_offset
+    damaged = _damage(wire, how, pn_offset, pn_length, where)
+    opened = _opens(suite, is_server, damaged, pn_offset)
+    if damaged == wire:
+        assert opened
+    elif suite_cls is not NullProtection:
+        assert not opened
+
+
+@pytest.mark.parametrize("suite_cls", [FastProtection, Rfc9001Protection])
+def test_tag_check_reads_one_direction(suite_cls):
+    suite = suite_cls(1, DCID)
+    wire = encode_packet(make_packet(pn=7), suite, is_server=False)
+    pn_offset = parse_long_header(wire).pn_offset
+    assert suite.unprotect(False, wire, pn_offset, decrypt=False) == (None, 7, 2)
+    with pytest.raises(ProtectionError):
+        suite.unprotect(True, wire, pn_offset, decrypt=False)
+
+
+def test_suites_share_one_key_schedule():
+    keys = derive_initial_keys(1, DCID)
+    wire = encode_packet(make_packet(), Rfc9001Protection(1, DCID), is_server=False)
+    pn_offset = parse_long_header(wire).pn_offset
+    with pytest.raises(ProtectionError):
+        FastProtection(1, DCID, keys).unprotect(False, wire, pn_offset, decrypt=False)
+    assert Rfc9001Protection(1, DCID, keys).unprotect(False, wire, pn_offset)[0]
+    assert Rfc9001Protection(1, DCID, keys).keys is keys

@@ -1,5 +1,7 @@
 """QUIC version registry and the Table 2 bucketing."""
 
+import random
+
 from repro.quic import version as v
 
 
@@ -31,6 +33,23 @@ class TestLookup:
 
     def test_fully_unknown(self):
         assert v.lookup(0x12345678).family == "unknown"
+
+
+class TestFamily:
+    def test_family_agrees_with_lookup(self):
+        rng = random.Random(41)
+        values = [rng.getrandbits(32) for _ in range(5000)] + sorted(v.VERSIONS)
+        values += [0x1A2A3A4A, 0x51303939, 0xFF000022, 0xFACEB0FF, 0x12345678]
+        for value in values:
+            assert v.family(value) == v.lookup(value).family
+
+    def test_every_family_is_reached(self):
+        rng = random.Random(42)
+        values = [rng.getrandbits(32) for _ in range(5000)]
+        values += [0x1A2A3A4A, 0x51303939, 0xFF000022, 0xFACEB0FF] + sorted(v.VERSIONS)
+        assert {v.family(value) for value in values} == {
+            "v1", "v2", "draft", "mvfst", "gquic", "reserved", "unknown"
+        }
 
 
 class TestTable2Bucketing:

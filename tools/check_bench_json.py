@@ -7,8 +7,14 @@ those numbers, so a truncated write or a NaN smuggled through
 ``json.dump`` would silently poison them.  This checker asserts the
 shared contract: each file parses as a non-empty JSON object, every
 number reachable in it is finite, and it carries the ``environment``
-stamp of ``benchmarks/_harness.py`` (interpreter, CPUs, commit, platform,
-load) — a number without its machine is not comparable with anything:
+stamp of ``benchmarks/_harness.py`` (interpreter, CPUs, commit, source
+trees, platform, load) — a number without its machine is not comparable
+with anything — and that stamp names a clean commit: a ``+dirty`` one
+means the numbers came from a working tree nobody can check out again.
+The commit may still be one no reader can resolve (results recorded
+from a commit made only to record them); the ``trees`` it stamps, the
+hashes of ``src/`` and ``benchmarks/``, are what a reader checks:
+``git rev-parse <commit>:src`` of the commit that carries the file:
 
     python tools/check_bench_json.py BENCH_*.json
 
@@ -31,7 +37,7 @@ from _report import Report, split_json_flag  # noqa: E402
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 #: What ``benchmarks/_harness.py::environment_stamp`` records.
-STAMP_FIELDS = ("python", "cpus", "commit", "platform", "loadavg")
+STAMP_FIELDS = ("python", "cpus", "commit", "trees", "platform", "loadavg")
 
 
 def _non_finite_paths(value, prefix="$") -> List[str]:
@@ -74,6 +80,11 @@ def check_file(path: str) -> List[str]:
             for field in STAMP_FIELDS
             if field not in stamp
         )
+        commit = stamp.get("commit")
+        if isinstance(commit, str) and commit.endswith("+dirty"):
+            problems.append(
+                "commit stamp %s is dirty: re-record from a clean tree" % commit
+            )
     return problems
 
 
