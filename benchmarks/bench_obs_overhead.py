@@ -15,7 +15,7 @@ both pumps and asserts:
   tuple append — not of the simulator around it; the 10% budget this
   replaces was set when the pump took 1.87 s and turned red, with the
   sinks unchanged, once the pump took 0.47 s.  (At today's pump speed
-  the measured 4–6 us is +20–35%: "always on" is a statement about the
+  the measured 5–9 us is +25–45%: "always on" is a statement about the
   sinks' absolute cost, no longer about their share.)
 
 A live-``JsonlTracer`` arm quantifies what full tracing still costs.
@@ -35,6 +35,7 @@ import argparse
 import io
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -51,12 +52,17 @@ from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_obs.json")
 SIM_SCALE = 0.1
-ROUNDS = 5
+#: Rounds of paired arms.  Fifteen: the median of five paired ratios still
+#: swung by ±10% for the disabled path on the 2-CPU box (+9.6%, −5.5%,
+#: −0.4% in three runs of the same code).
+ROUNDS = 15
 MAX_OVERHEAD = 0.05
 #: Budget for the always-on sinks (sampled / ring buffer): wall
 #: microseconds added over the seed pump per trace event offered to the
-#: sink.  Measured 3.7–6.1 (sampled) and 2.4–4.5 (ring) over repeated runs
-#: on the 2-CPU reference box, whose run-to-run spread is about that wide.
+#: sink.  As medians of 15 paired differences on the 2-CPU box the sinks
+#: measured 5.4–6.2 (sampled) and 6.5–9.0 (ring) in three runs of the same
+#: code: the ring sits at the budget, and its gate went either way.  (The
+#: best of five pairs, used before, read 2.4–5.8.)
 MAX_US_PER_EVENT = 8.0
 SAMPLE_EVERY = 64
 RING_CAPACITY = 65536
@@ -143,9 +149,12 @@ def run_bench():
     """Measure every arm, persist ``BENCH_obs.json``, return the results.
 
     Rounds are *interleaved* (seed, disabled, traced, … per round) and each
-    overhead is the best seed-paired ratio across rounds, so slow drift in
+    overhead is the median seed-paired ratio across rounds, so slow drift in
     machine load (CPU bursting, noisy neighbours) cancels out instead of
-    penalizing whichever arm happened to run last.
+    penalizing whichever arm happened to run last.  The median, not the
+    best: the smallest of several noisy ratios sits below the true one
+    (earlier recordings read −9.5% to −31.5% for the disabled path), and a
+    gate on it could hardly fail.
     """
     samples = {key: [] for key in ARMS}
     for _ in range(ROUNDS):
@@ -157,7 +166,7 @@ def run_bench():
             arm[0] / seed[0]
             for arm, seed in zip(samples[arm_key], samples["seed_pump"])
         ]
-        return round(min(ratios) - 1.0, 4)
+        return round(statistics.median(ratios) - 1.0, 4)
 
     offered = samples["obs_sampled"][0][3]
 
@@ -166,7 +175,7 @@ def run_bench():
             arm[0] - seed[0]
             for arm, seed in zip(samples[arm_key], samples["seed_pump"])
         ]
-        return round(1e6 * min(added) / offered, 3)
+        return round(1e6 * statistics.median(added) / offered, 3)
 
     results = {
         "environment": environment_stamp(),
@@ -194,7 +203,8 @@ def run_bench():
 
 def _render(results):
     lines = [
-        "Observability overhead (scale %.2f, best of %d, %d trace events offered):"
+        "Observability overhead (scale %.2f, %d rounds: best time per arm, median"
+        " paired overhead; %d trace events offered):"
         % (results["scale"], results["rounds"], results["trace_events_offered"])
     ]
     for label, arm_key, overhead_key, us_key in (

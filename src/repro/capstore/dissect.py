@@ -26,9 +26,10 @@ step removes anyway is not opened.  Kept rows are the same either way.
 
 A kept record becomes one row of a :class:`CaptureTable`, its long
 headers that row's packet entries, copied field by field from the
-offsets the scanners returned.  No record, datagram, header or packet
-object exists in between; callers that want one ask the table
-(:meth:`CaptureTable.materialize`).
+offsets the scanners returned; a packet's (DCID, SCID) pair is interned
+(:meth:`CaptureTable.pair_index`), so a pair seen before adds only its
+id.  No record, datagram, header or packet object exists in between;
+callers that want one ask the table (:meth:`CaptureTable.materialize`).
 """
 
 from __future__ import annotations
@@ -86,11 +87,12 @@ def record_verdict(
         acknowledged.intervals() if acknowledged is not None else ([0], [False])
     )
 
+    # First: on a loaded table this also makes the blobs growable.
+    pair_ids = table.pair_index()
     add_ts = table.ts.append
     add_src_ip = table.src_ip.append
     add_dst_ip = table.dst_ip.append
-    add_src_port = table.src_port.append
-    add_dst_port = table.dst_port.append
+    add_peer_port = table.peer_port.append
     add_payload_len = table.payload_len.append
     add_klass = table.klass.append
     add_origin_id = table.origin_id.append
@@ -100,16 +102,16 @@ def record_verdict(
     add_pkt_version = table.pkt_version.append
     add_pkt_pn_offset = table.pkt_pn_offset.append
     add_pkt_length = table.pkt_length.append
-    add_pkt_payload_length = table.pkt_payload_length.append
+    add_cid = table.cid.append
+    add_token_len = table.token_len.append
     add_dcid_len = table.dcid_len.append
     add_scid_len = table.scid_len.append
-    add_token_len = table.token_len.append
-    add_retry_token_len = table.retry_token_len.append
-    add_bytes_start = table.bytes_start.append
-    add_sv_start = table.sv_start.append
+    add_cid_start = table.cid_start.append
+    add_sv_count = table.sv_count.append
     sv_values = table.sv_values
-    blob = table.blob
-    add_bytes = blob.extend
+    cid_blob = table.cid_blob
+    add_cid_bytes = cid_blob.extend
+    add_token_bytes = table.token_blob.extend
 
     def verdict(timestamp: float, buf: bytes, start: int, end: int) -> Optional[str]:
         try:
@@ -119,9 +121,9 @@ def record_verdict(
         except ValueError:  # IpParseError or UdpParseError
             return "non_udp"
         if src_port == QUIC_PORT:
-            klass = _BACKSCATTER
+            klass, peer_port = _BACKSCATTER, dst_port
         elif dst_port == QUIC_PORT:
-            klass = _SCAN
+            klass, peer_port = _SCAN, src_port
         else:
             return "non_port_443"
         acknowledged_scan = (
@@ -149,8 +151,7 @@ def record_verdict(
         add_ts(timestamp)
         add_src_ip(src_ip)
         add_dst_ip(dst_ip)
-        add_src_port(src_port)
-        add_dst_port(dst_port)
+        add_peer_port(peer_port)
         add_payload_len(payload_end - payload_start)
         add_klass(klass)
         add_origin_id(origin_id)
@@ -164,33 +165,35 @@ def record_verdict(
             token_len,
             pn_offset,
             packet_length,
-            payload_length,
+            _payload_length,
         ) in packets:
             add_pkt_type(kind)
             add_pkt_version(version)
             add_pkt_pn_offset(pn_offset)
             add_pkt_length(packet_length)
-            add_pkt_payload_length(payload_length)
-            add_dcid_len(dcid_len)
-            add_scid_len(scid_len)
-            add_token_len(token_len)
-            # The blob holds DCID, SCID, token, Retry token back to back.
+            # The pair as the header spells it, both length bytes included,
+            # is one slice: a repeated pair costs one dict lookup.
             dcid_at = at + DCID_AT
-            scid_at = dcid_at + dcid_len + 1
-            add_bytes(buf[dcid_at : dcid_at + dcid_len])
-            add_bytes(buf[scid_at : scid_at + scid_len])
-            retry_token_len = 0
-            if token_len:
-                add_bytes(buf[token_at : token_at + token_len])
-            elif kind == _RETRY:
-                retry_token_len = at + packet_length - 16 - token_at
-                add_bytes(buf[token_at : token_at + retry_token_len])
+            scid_end = dcid_at + dcid_len + 1 + scid_len
+            pair = buf[dcid_at - 1 : scid_end]
+            cid = pair_ids.get(pair)
+            if cid is None:
+                cid = pair_ids[pair] = len(pair_ids)
+                add_dcid_len(dcid_len)
+                add_scid_len(scid_len)
+                add_cid_bytes(buf[dcid_at : dcid_at + dcid_len])
+                add_cid_bytes(buf[scid_end - scid_len : scid_end])
+                add_cid_start(len(cid_blob))
+            add_cid(cid)
+            if kind == _RETRY:
+                token_len = at + packet_length - 16 - token_at
             elif kind == _VERSION_NEGOTIATION:
                 count = (at + packet_length - token_at) // 4
                 sv_values.extend(struct.unpack_from("!%dI" % count, buf, token_at))
-            add_retry_token_len(retry_token_len)
-            add_bytes_start(len(blob))
-            add_sv_start(len(sv_values))
+                add_sv_count(count)
+            add_token_len(token_len)
+            if token_len:
+                add_token_bytes(buf[token_at : token_at + token_len])
         add_pkt_start(len(pkt_type))
         return None
 

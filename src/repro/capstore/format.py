@@ -14,13 +14,27 @@ bytes      contents
 ..         payload: column bytes concatenated in descriptor order
 =========  =====================================================
 
-The payload holds, in order, the row columns, the packet columns, the
-two count columns, the supported versions and the blob
-(:func:`_schema`).  It stores nothing a load can recompute: the offset
-columns are rebuilt from the per-row packet counts, the per-packet
-version counts and the four per-packet lengths the blob is cut by
-(:meth:`CaptureTable.restore_offsets`), and every length inside one
-datagram is held in 16 bits.
+The payload holds, in order (:func:`_schema`, schema 3):
+
+* the row columns (``rows`` entries): timestamp, addresses, the port of
+  the side that is not 443, payload length, class and origin ids;
+* the packet columns (``packets``): type, version, packet-number offset,
+  length, the id of the packet's (DCID, SCID) pair and its token length;
+* the pair columns (``pairs``): the two CID lengths of each distinct
+  pair, in first-seen order;
+* the packets of each row (``rows``);
+* the version count of each Version Negotiation packet, the supported
+  versions, the pairs' CID bytes and the tokens (an Initial's or a
+  Retry's; no packet has both), each as long as its own content.
+
+Each fact is stored once and nothing a load can recompute is stored: a
+repeated pair is one id, not its bytes again; the offset columns are
+rebuilt from the packet counts and the pair lengths
+(:meth:`CaptureTable.restore_offsets`), the token and version offsets
+from ``token_len`` and the counts when a reader first asks; a packet's
+payload length is its length less its packet-number offset; and the
+port on the 443 side is the class's.  Every length inside one datagram
+is held in 16 bits.
 
 The header carries everything needed to validate before touching the
 payload: a schema version for forward evolution, the source pcap
@@ -49,15 +63,20 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import gt
 from typing import Optional
 
 from repro.atomic import atomic_output
 from repro.capstore.table import (
+    BLOB_COLUMNS,
     COUNT_COLUMNS,
     KLASS_CODES,
     KLASS_VALUES,
     PACKET_COLUMNS,
+    PAIR_COLUMNS,
     ROW_COLUMNS,
+    VARIABLE_COLUMNS,
     CaptureTable,
 )
 from repro.errors import InputFileError
@@ -65,7 +84,7 @@ from repro.quic.packet_type import PacketType
 from repro.telescope.classify import PacketClass, SanitizationStats
 
 MAGIC = b"RQCAPIDX"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 #: Magic, schema version, header length and the header's checksum.
 PREFIX_SIZE = 32
 
@@ -103,9 +122,12 @@ class IndexPayload:
 
 def _columns(table: CaptureTable) -> list:
     """``(name, buffer)`` of each payload column, in the schema's order."""
-    named = [(name, getattr(table, name)) for name, _ in ROW_COLUMNS + PACKET_COLUMNS]
-    named += zip((name for name, _ in COUNT_COLUMNS), table.offset_counts())
-    named += [("sv_values", table.sv_values), ("blob", table.blob)]
+    named = [
+        (name, getattr(table, name))
+        for name, _ in ROW_COLUMNS + PACKET_COLUMNS + PAIR_COLUMNS
+    ]
+    named.append(("pkt_count", table.packet_counts()))
+    named += [(name, getattr(table, name)) for name, _ in VARIABLE_COLUMNS]
     return [(name, memoryview(column)) for name, column in named]
 
 
@@ -119,7 +141,7 @@ def _write_index(
     """Serialize a table (+stats, +source fingerprint) into ``fileobj``.
 
     The columns are hashed and written through ``memoryview``s of their
-    own buffers, so nothing but the header and the two count columns is
+    own buffers, so nothing but the header and the packet counts is
     made on the way out.
     """
     buffers = _columns(table)
@@ -130,6 +152,7 @@ def _write_index(
         "byteorder": sys.byteorder,
         "rows": table.num_rows,
         "packets": table.num_packets,
+        "pairs": table.num_pairs,
         "origins": table.origins,
         "stats": {field: getattr(stats, field) for field in STATS_FIELDS},
         "source": source or {},
@@ -238,11 +261,17 @@ def load_index(path: str) -> IndexPayload:
         columns = {}
         digest = hashlib.blake2b(digest_size=16)
         for name, typecode, count in schema:
-            column = bytearray(count) if name == "blob" else array(typecode, [0]) * count
-            with memoryview(column) as view:
-                if fileobj.readinto(view) != view.nbytes:
+            if name in BLOB_COLUMNS:  # read-only bytes: see CaptureTable.pair_index
+                column = fileobj.read(count)
+                if len(column) != count:
                     raise SidecarCorrupt("%s: truncated payload" % path)
-                digest.update(view)
+                digest.update(column)
+            else:
+                column = array(typecode, [0]) * count
+                with memoryview(column) as view:
+                    if fileobj.readinto(view) != view.nbytes:
+                        raise SidecarCorrupt("%s: truncated payload" % path)
+                    digest.update(view)
             columns[name] = column
     if digest.hexdigest() != header.get("payload_blake2b"):
         raise SidecarCorrupt("%s: payload checksum mismatch" % path)
@@ -278,10 +307,13 @@ def _schema(header: dict) -> list:
     Raises ``ValueError`` for a header outside the schema; one of the
     wrong shape altogether may raise anything :data:`_MALFORMED` names.
     """
-    rows, packets = header["rows"], header["packets"]
+    rows, packets, pairs = header["rows"], header["packets"], header["pairs"]
     origins, stats = header["origins"], header["stats"]
     source, pipeline = header.get("source", {}), header.get("pipeline", {})
-    _require(_is_count(rows) and _is_count(packets), "rows/packets are not counts")
+    _require(
+        _is_count(rows) and _is_count(packets) and _is_count(pairs),
+        "rows/packets/pairs are not counts",
+    )
     _require(header["byteorder"] in ("little", "big"), "unknown byteorder")
     _require(
         type(origins) is list and all(type(name) is str for name in origins),
@@ -300,20 +332,22 @@ def _schema(header: dict) -> list:
     )
 
     # Names, typecodes and order are the schema's; so is every length
-    # but the last two, which the count columns are checked against.
+    # but those of the variable columns, which the loaded values are
+    # checked against.
     described = [(d["name"], d["typecode"], d["count"]) for d in header["columns"]]
-    sv_count, blob_count = described[-2][2], described[-1][2]
+    variable = [count for _, _, count in described[-len(VARIABLE_COLUMNS) :]]
     schema = (
         [(name, typecode, rows) for name, typecode in ROW_COLUMNS]
         + [(name, typecode, packets) for name, typecode in PACKET_COLUMNS]
+        + [(name, typecode, pairs) for name, typecode in PAIR_COLUMNS]
+        + [(name, typecode, rows) for name, typecode in COUNT_COLUMNS]
         + [
-            (name, typecode, parent)
-            for (name, typecode), parent in zip(COUNT_COLUMNS, (rows, packets))
+            (name, typecode, count)
+            for (name, typecode), count in zip(VARIABLE_COLUMNS, variable)
         ]
-        + [("sv_values", "I", sv_count), ("blob", "B", blob_count)]
     )
     _require(
-        described == schema and _is_count(sv_count) and _is_count(blob_count),
+        described == schema and all(map(_is_count, variable)),
         "columns are not the schema's",
     )
     return schema
@@ -324,32 +358,29 @@ def _checked(header: dict, columns: dict) -> IndexPayload:
 
     Raises ``ValueError`` for a value outside it.  The checks run as
     C-level passes over the columns themselves, copying none, so readers
-    can index ``origins``, the packet-type tables and the offset columns
-    without a bounds check per row.
+    can index ``origins``, the packet-type tables, the pairs and the
+    offset columns without a bounds check per row.
     """
     origins, stats = header["origins"], header["stats"]
-    blob = columns.pop("blob")
+    blobs = [(name, columns.pop(name)) for name in BLOB_COLUMNS]
     if header["byteorder"] != sys.byteorder:
         for column in columns.values():
             column.byteswap()
-    pkt_count, sv_count = (columns.pop(name) for name, _ in COUNT_COLUMNS)
+    pkt_count = columns.pop("pkt_count")
     table = CaptureTable()
-    for name, column in columns.items():
+    for name, column in chain(columns.items(), blobs):
         setattr(table, name, column)
-    table.blob = blob
 
     # A row has at least one packet; a packet may own no bytes.
     _require(0 not in pkt_count, "a row without packets")
-    table.restore_offsets(pkt_count, sv_count)
-    for name, child in (
-        ("pkt_start", table.num_packets),
-        ("bytes_start", len(blob)),
-        ("sv_start", len(table.sv_values)),
+    table.restore_offsets(pkt_count)
+    for name, end, child in (
+        ("pkt_start", table.pkt_start[-1], table.num_packets),
+        ("cid_start", table.cid_start[-1], len(table.cid_blob)),
+        ("token_start", sum(table.token_len), len(table.token_blob)),
+        ("sv_start", sum(table.sv_count), len(table.sv_values)),
     ):
-        _require(
-            getattr(table, name)[-1] == child,
-            "%s does not partition its %d entries" % (name, child),
-        )
+        _require(end == child, "%s does not partition its %d entries" % (name, child))
     # One-byte codes: delete the valid ones and nothing may be left.
     klass, pkt_type = table.klass.tobytes(), table.pkt_type.tobytes()
     _require(
@@ -357,6 +388,18 @@ def _checked(header: dict, columns: dict) -> IndexPayload:
         and not klass.translate(None, bytes(range(len(KLASS_VALUES))))
         and not pkt_type.translate(None, bytes(range(len(PacketType)))),
         "a code column points outside its table",
+    )
+    _require(
+        max(table.cid, default=-1) < table.num_pairs,
+        "a cid points outside the %d pairs" % table.num_pairs,
+    )
+    _require(
+        pkt_type.count(PacketType.VERSION_NEGOTIATION.value) == len(table.sv_count),
+        "sv_count is not one count per Version Negotiation packet",
+    )
+    _require(
+        not any(map(gt, table.pkt_pn_offset, table.pkt_length)),
+        "a packet-number offset lies past its packet's end",
     )
     _require(
         klass.count(KLASS_CODES[PacketClass.SCAN]) == stats["scans"],

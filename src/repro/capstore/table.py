@@ -4,11 +4,16 @@ A :class:`CaptureTable` holds one sanitized datagram per *row* in parallel
 typed arrays (``array`` module — compact, picklable, and written to or
 read from a sidecar straight through each column's buffer), and one
 parsed long header per *packet* entry.  Rows reference their packets
-through a prefix-offset array, and variable-length packet fields
-(DCID/SCID/token/retry token) live as slices of one shared byte blob —
-the layout the paper's "dissect once, analyze many times" pipeline wants:
-dense, order-preserving, and append-only, so a grown capture's tail
-extends the table its prefix built.
+through a prefix-offset array.  Each fact is held once: a packet names
+its (DCID, SCID) pair by an id into the table of distinct *pairs*, kept
+in first-seen order with their bytes in one blob; an Initial's token or
+a Retry's token (no packet has both) is one slice of a second blob; a
+version count is kept only for Version Negotiation packets; and what a
+reader can recompute — a packet's payload length, the 443 side's port,
+every offset — is not kept at all.  That is the layout the paper's
+"dissect once, analyze many times" pipeline wants: dense,
+order-preserving, and append-only, so a grown capture's tail extends the
+table its prefix built.
 
 Rows are written by :func:`repro.capstore.dissect.record_verdict`, straight
 from record bytes, and read back two ways.  The analyses fold over
@@ -41,46 +46,63 @@ if TYPE_CHECKING:
 #: Row-level columns, in serialization order: (attribute, array typecode).
 #: A length or offset inside one datagram is capped by UDP's 16-bit
 #: length field, so it is held in 16 bits, here and in the packet columns.
+#: Every kept row has port 443 on the side its class names (the source
+#: of backscatter, the destination of a scan), so only the other side's
+#: port is held.
 ROW_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("ts", "d"),
     ("src_ip", "I"),
     ("dst_ip", "I"),
-    ("src_port", "H"),
-    ("dst_port", "H"),
+    ("peer_port", "H"),
     ("payload_len", "H"),
     ("klass", "B"),
     ("origin_id", "H"),
 )
 
-#: Packet-level columns, in serialization order.
+#: Packet-level columns, in serialization order.  ``cid`` is the id of
+#: the packet's (DCID, SCID) pair; ``token_len`` the length of its
+#: Initial token or, for a Retry, its retry token.  The payload length is
+#: ``pkt_length - pkt_pn_offset`` for every kind, so it is not held.
 PACKET_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("pkt_type", "B"),
     ("pkt_version", "I"),
     ("pkt_pn_offset", "H"),
     ("pkt_length", "H"),
-    ("pkt_payload_length", "H"),
+    ("cid", "I"),
+    ("token_len", "H"),
+)
+
+#: Pair-level columns: the lengths of each distinct pair's two CIDs,
+#: whose bytes sit back to back in ``cid_blob``.  A CID is at most 20 bytes.
+PAIR_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("dcid_len", "B"),
     ("scid_len", "B"),
-    ("token_len", "H"),
-    ("retry_token_len", "H"),
 )
+
+#: Columns whose length no dimension fixes: one version count per
+#: Version Negotiation packet, the versions they count, and the two byte
+#: blobs — the pairs' CIDs (cut by :data:`PAIR_COLUMNS`) and the tokens
+#: (cut by ``token_len``).  A table a build appends to holds the blobs
+#: as ``bytearray`` s, a loaded one as ``bytes`` (:meth:`CaptureTable.pair_index`).
+VARIABLE_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("sv_count", "H"),
+    ("sv_values", "I"),
+    ("cid_blob", "B"),
+    ("token_blob", "B"),
+)
+BLOB_COLUMNS = ("cid_blob", "token_blob")
 
 #: Prefix-offset columns: one more entry than their parent dimension.
 #: Held in memory only; a sidecar stores what they are rebuilt from
-#: (:meth:`CaptureTable.offset_counts`).
+#: (:meth:`CaptureTable.restore_offsets`).
 OFFSET_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("pkt_start", "I"),  # row -> first packet index
-    ("bytes_start", "Q"),  # packet -> first blob byte
-    ("sv_start", "I"),  # packet -> first supported-version entry
+    ("cid_start", "Q"),  # pair -> first byte of its DCID in cid_blob
 )
 
-#: What a sidecar stores instead of ``pkt_start`` and ``sv_start``: the
-#: packets of each row and the supported versions of each packet.  Both
-#: fit 16 bits, as a datagram holds at most 65,527 bytes.
-COUNT_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("pkt_count", "H"),
-    ("sv_count", "H"),
-)
+#: What a sidecar stores instead of ``pkt_start``: the packets of each
+#: row, in 16 bits, as a datagram holds at most 65,527 bytes.
+COUNT_COLUMNS: Tuple[Tuple[str, str], ...] = (("pkt_count", "H"),)
 
 #: Rows :meth:`CaptureTable.datagrams` cuts at a time.  A fixed constant,
 #: not a knob: large enough that the per-window cost is lost in the rows'
@@ -90,6 +112,9 @@ DATAGRAM_WINDOW = 4096
 #: The ``klass`` column's codes (``KLASS_VALUES`` is the way back).
 KLASS_CODES = {PacketClass.BACKSCATTER: 0, PacketClass.SCAN: 1}
 KLASS_VALUES = (PacketClass.BACKSCATTER, PacketClass.SCAN)
+
+_RETRY = PacketType.RETRY.value
+_VERSION_NEGOTIATION = PacketType.VERSION_NEGOTIATION.value
 
 #: One sanitized datagram as the analyses read it: a tuple of plain
 #: values, the last five parallel over its coalesced packets.  Both row
@@ -131,24 +156,32 @@ def datagram_values(packet) -> tuple:
 class CaptureTable:
     """Sanitized capture as parallel columns; append-only."""
 
-    __slots__ = (
-        [name for name, _ in ROW_COLUMNS]
-        + [name for name, _ in PACKET_COLUMNS]
-        + [name for name, _ in OFFSET_COLUMNS]
-        + ["sv_values", "blob", "origins", "_origin_ids"]
-    )
+    __slots__ = [
+        name
+        for name, _ in ROW_COLUMNS
+        + PACKET_COLUMNS
+        + PAIR_COLUMNS
+        + VARIABLE_COLUMNS
+        + OFFSET_COLUMNS
+    ] + ["origins", "_origin_ids", "_pair_ids", "_token_start", "_sv_start"]
 
     def __init__(self) -> None:
-        for name, typecode in ROW_COLUMNS + PACKET_COLUMNS:
+        for name, typecode in ROW_COLUMNS + PACKET_COLUMNS + PAIR_COLUMNS:
             setattr(self, name, array(typecode))
+        self.sv_count = array("H")
+        self.sv_values = array("I")
+        self.cid_blob = bytearray()
+        self.token_blob = bytearray()
         for name, typecode in OFFSET_COLUMNS:
             setattr(self, name, array(typecode, [0]))
-        self.sv_values = array("I")
-        self.blob = bytearray()
         #: Origin string table, in first-seen order (deterministic for a
         #: fixed row order, which makes serial and parallel builds agree).
         self.origins: List[str] = []
         self._origin_ids: dict = {}
+        #: The intern map; ``None`` in a loaded table, whose blobs are ``bytes``.
+        self._pair_ids: Optional[dict] = {}
+        self._token_start = array("Q")
+        self._sv_start = array("I")
 
     # -- dimensions ------------------------------------------------------
 
@@ -159,6 +192,10 @@ class CaptureTable:
     @property
     def num_packets(self) -> int:
         return len(self.pkt_type)
+
+    @property
+    def num_pairs(self) -> int:
+        return len(self.dcid_len)
 
     def __len__(self) -> int:
         return self.num_rows
@@ -178,35 +215,57 @@ class CaptureTable:
         """Recompute the name→id map after deserialization."""
         self._origin_ids = {name: i for i, name in enumerate(self.origins)}
 
+    def pair_index(self) -> dict:
+        """The intern map a build appends through: pair bytes → pair id.
+
+        A pair's key is its bytes as the long header spells them,
+        ``[dcid_len][dcid][scid_len][scid]``.  Only a build or an extension
+        asks for the map.  A loaded table holds none, and its blobs are
+        read-only ``bytes`` that readers slice straight into values; the
+        first build or extension that asks rebuilds the map from the
+        stored pairs, so the ids of a grown capture's tail continue
+        exactly where a full build's would, and makes the blobs growable.
+        """
+        if self._pair_ids is None:
+            blob, starts = self.cid_blob, self.cid_start
+            self._pair_ids = {
+                b"".join(
+                    (
+                        bytes((dcid_len,)),
+                        blob[at : at + dcid_len],
+                        bytes((scid_len,)),
+                        blob[at + dcid_len : end],
+                    )
+                ): pair
+                for pair, (dcid_len, scid_len, at, end) in enumerate(
+                    zip(self.dcid_len, self.scid_len, starts, islice(starts, 1, None))
+                )
+            }
+            self.cid_blob = bytearray(blob)
+            self.token_blob = bytearray(self.token_blob)
+        return self._pair_ids
+
     # -- persisting --------------------------------------------------------
 
-    def offset_counts(self) -> Tuple[array, array]:
-        """``(pkt_count, sv_count)``: the :data:`COUNT_COLUMNS` a sidecar stores.
+    def packet_counts(self) -> array:
+        """The packets of each row: the :data:`COUNT_COLUMNS` a sidecar stores."""
+        starts = self.pkt_start
+        return array("H", map(sub, islice(starts, 1, None), starts))
 
-        ``bytes_start`` needs no column of its own: a packet's bytes are
-        its four stored lengths, which :meth:`restore_offsets` adds up.
+    def restore_offsets(self, pkt_count: array) -> None:
+        """Rebuild :data:`OFFSET_COLUMNS` at load, from ``pkt_count`` and the pairs.
+
+        The blob holds each pair's DCID and SCID back to back, so
+        ``cid_start`` is the running sum of their lengths.  The caller
+        checks that each offset column ends where its child dimension does.
+        The intern map is not rebuilt: only a build asks for it
+        (:meth:`pair_index`).
         """
-        return tuple(
-            array("H", map(sub, islice(offsets, 1, None), offsets))
-            for offsets in (self.pkt_start, self.sv_start)
-        )
-
-    def restore_offsets(self, pkt_count: array, sv_count: array) -> None:
-        """Rebuild :data:`OFFSET_COLUMNS` from :meth:`offset_counts` at load.
-
-        The blob holds each packet's DCID, SCID, token and Retry token
-        back to back, so ``bytes_start`` is the running sum of their
-        lengths.  The caller checks that each offset column ends where
-        its child dimension does.
-        """
-        packet_bytes = map(
-            add,
-            map(add, self.dcid_len, self.scid_len),
-            map(add, self.token_len, self.retry_token_len),
-        )
+        self._pair_ids = None
         self.pkt_start = array("I", accumulate(pkt_count, initial=0))
-        self.bytes_start = array("Q", accumulate(packet_bytes, initial=0))
-        self.sv_start = array("I", accumulate(sv_count, initial=0))
+        self.cid_start = array(
+            "Q", accumulate(map(add, self.dcid_len, self.scid_len), initial=0)
+        )
 
     # -- reading ---------------------------------------------------------
 
@@ -215,10 +274,10 @@ class CaptureTable:
 
         The per-packet fields are parallel sequences, one entry per
         coalesced packet: ``types`` is a ``bytes`` of type codes, the
-        others are tuples, each DCID/SCID one slice of the blob.  The rows
-        are cut :data:`DATAGRAM_WINDOW` at a time, each window with C-level
-        passes over the columns and its rows out of a ``zip``: nothing runs
-        per row but the consumer, and only one window's values are held
+        others are tuples, each DCID/SCID a ``bytes``.  The rows are cut
+        :data:`DATAGRAM_WINDOW` at a time, each window with C-level passes
+        over the columns and its rows out of a ``zip``: nothing runs per
+        row but the consumer, and only one window's values are held
         however long the range.
         """
         end = self.num_rows if end is None else end
@@ -228,20 +287,32 @@ class CaptureTable:
         )
 
     def _window(self, start: int, end: int) -> Iterator[tuple]:
-        """Rows ``[start, end)`` of :meth:`datagrams`, cut in one go."""
+        """Rows ``[start, end)`` of :meth:`datagrams`, cut in one go.
+
+        A window names few pairs many times over (each retransmission of
+        a flight repeats its pair), so each distinct pair is cut from the
+        blob once, by the one loop here, and its packets share the two
+        ``bytes``.
+        """
         first, last = self.pkt_start[start], self.pkt_start[end]
-        base = self.bytes_start[first]
-        blob = bytes(memoryview(self.blob)[base : self.bytes_start[last]])
-        dcid_at = [at - base for at in self.bytes_start[first:last]]
-        scid_at = list(map(add, dcid_at, self.dcid_len[first:last]))
-        scid_end = map(add, scid_at, self.scid_len[first:last])
+        ids = self.cid[first:last]
+        blob, cid_start, dcid_len = self.cid_blob, self.cid_start, self.dcid_len
+        dcid_of, scid_of = {}, {}
+        for pair in dict.fromkeys(ids):
+            at = cid_start[pair]
+            mid = at + dcid_len[pair]
+            dcid_of[pair] = blob[at:mid]
+            scid_of[pair] = blob[mid : cid_start[pair + 1]]
+        if type(blob) is not bytes:  # a table being built: its blob still grows
+            dcid_of = dict(zip(dcid_of, map(bytes, dcid_of.values())))
+            scid_of = dict(zip(scid_of, map(bytes, scid_of.values())))
         bounds = [at - first for at in self.pkt_start[start : end + 1]]
         of_row = list(map(slice, bounds, bounds[1:]))
         per_packet = (
             self.pkt_type[first:last].tobytes(),
             tuple(self.pkt_version[first:last]),
-            tuple(map(blob.__getitem__, map(slice, dcid_at, scid_at))),
-            tuple(map(blob.__getitem__, map(slice, scid_at, scid_end))),
+            tuple(map(dcid_of.__getitem__, ids)),
+            tuple(map(scid_of.__getitem__, ids)),
             tuple(self.pkt_length[first:last]),
         )
         return zip(
@@ -254,59 +325,84 @@ class CaptureTable:
             *(map(column.__getitem__, of_row) for column in per_packet),
         )
 
+    def _packet_offsets(self) -> Tuple[array, array]:
+        """``(token_start, sv_start)``: where each packet's token and versions start.
+
+        Only :meth:`packets_of` reads them, so a table holds them only
+        once it has been asked, and rebuilds them when it has grown since.
+        """
+        if len(self._token_start) != self.num_packets + 1:
+            self._token_start = array("Q", accumulate(self.token_len, initial=0))
+            # A packet's versions follow those of every VN packet before it.
+            vn_start = array("I", accumulate(self.sv_count, initial=0))
+            vn_before = accumulate(
+                map(_VERSION_NEGOTIATION.__eq__, self.pkt_type), initial=0
+            )
+            self._sv_start = array("I", map(vn_start.__getitem__, vn_before))
+        return self._token_start, self._sv_start
+
     def packets_of(self, row: int) -> List[ParsedLongHeader]:
         """Materialize the parsed long headers of one row."""
         # The codec is loaded only by those who ask for packet objects.
         from repro.quic.packet import ParsedLongHeader
 
+        token_start, sv_start = self._packet_offsets()
+        cid_start, cid_blob = self.cid_start, self.cid_blob
         out: List[ParsedLongHeader] = []
         for j in range(self.pkt_start[row], self.pkt_start[row + 1]):
-            cursor = self.bytes_start[j]
-            dcid_end = cursor + self.dcid_len[j]
-            scid_end = dcid_end + self.scid_len[j]
-            token_end = scid_end + self.token_len[j]
-            retry_end = token_end + self.retry_token_len[j]
+            kind = self.pkt_type[j]
+            pair = self.cid[j]
+            dcid_at = cid_start[pair]
+            scid_at = dcid_at + self.dcid_len[pair]
+            token = bytes(self.token_blob[token_start[j] : token_start[j + 1]])
+            pn_offset, length = self.pkt_pn_offset[j], self.pkt_length[j]
             out.append(
                 ParsedLongHeader(
-                    packet_type=PacketType(self.pkt_type[j]),
+                    packet_type=PacketType(kind),
                     version=self.pkt_version[j],
-                    dcid=bytes(self.blob[cursor:dcid_end]),
-                    scid=bytes(self.blob[dcid_end:scid_end]),
-                    token=bytes(self.blob[scid_end:token_end]),
-                    pn_offset=self.pkt_pn_offset[j],
-                    packet_length=self.pkt_length[j],
-                    payload_length=self.pkt_payload_length[j],
+                    dcid=bytes(cid_blob[dcid_at:scid_at]),
+                    scid=bytes(cid_blob[scid_at : cid_start[pair + 1]]),
+                    token=b"" if kind == _RETRY else token,
+                    pn_offset=pn_offset,
+                    packet_length=length,
+                    payload_length=length - pn_offset,
                     supported_versions=tuple(
-                        self.sv_values[self.sv_start[j] : self.sv_start[j + 1]]
+                        self.sv_values[sv_start[j] : sv_start[j + 1]]
                     ),
-                    retry_token=bytes(self.blob[token_end:retry_end]),
+                    retry_token=token if kind == _RETRY else b"",
                 )
             )
         return out
 
     def materialize(self, row: int) -> CapturedPacket:
         """Build a real :class:`CapturedPacket` for one row."""
+        from repro.netstack.udp import QUIC_PORT
+
+        klass = KLASS_VALUES[self.klass[row]]
+        peer = self.peer_port[row]
         return CapturedPacket(
             timestamp=self.ts[row],
             src_ip=self.src_ip[row],
             dst_ip=self.dst_ip[row],
-            src_port=self.src_port[row],
-            dst_port=self.dst_port[row],
+            src_port=QUIC_PORT if klass is PacketClass.BACKSCATTER else peer,
+            dst_port=peer if klass is PacketClass.BACKSCATTER else QUIC_PORT,
             udp_payload_length=self.payload_len[row],
             packets=self.packets_of(row),
-            klass=KLASS_VALUES[self.klass[row]],
+            klass=klass,
             origin=self.origins[self.origin_id[row]],
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CaptureTable):
             return NotImplemented
-        if self.origins != other.origins or self.blob != other.blob:
-            return False
-        return all(
+        return self.origins == other.origins and all(
             getattr(self, name) == getattr(other, name)
-            for name, _ in ROW_COLUMNS + PACKET_COLUMNS + OFFSET_COLUMNS
-        ) and self.sv_values == other.sv_values
+            for name, _ in ROW_COLUMNS
+            + PACKET_COLUMNS
+            + PAIR_COLUMNS
+            + VARIABLE_COLUMNS
+            + OFFSET_COLUMNS
+        )
 
     __hash__ = None  # mutable container
 

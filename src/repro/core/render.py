@@ -25,7 +25,7 @@ from repro.core.selectors import (
 from repro.core.session import SessionStore
 from repro.core.summary import resend_label, rto_label, summarize_from
 from repro.core.timing import profiles_of
-from repro.core.versions import VersionMix
+from repro.core.versions import VersionMix, session_shares
 
 
 class CaptureFold:
@@ -47,14 +47,16 @@ class CaptureFold:
 
     def __init__(self, wanted: set) -> None:
         self.wanted = frozenset(wanted)
+        self.sessions = SessionStore() if wanted & {"1", "rto"} else None
         self.clients = self.servers = None
         if "2" in wanted:
-            self.clients, self.servers = VersionMix(), VersionMix()
+            self.clients = VersionMix()
+            # The servers' sessions are the store's when it is kept anyway.
+            self.servers = VersionMix() if self.sessions is None else None
         #: Backscatter only: Table 1's coalescence mark reads this one alone.
         self.mix = PacketMix() if wanted & {"1", "3"} else None
         self.scan_mix = PacketMix() if "3" in wanted else None
         self.scids = ScidTable() if wanted & {"1", "4", "entropy"} else None
-        self.sessions = SessionStore() if wanted & {"1", "rto"} else None
         self.signatures = LengthSignatures() if "lengths" in wanted else None
         self.events = None
         if "events" in wanted:
@@ -78,7 +80,7 @@ class CaptureFold:
         mix, scan_mix = self.mix, self.scan_mix
         scid_table, sessions, signatures = self.scids, self.sessions, self.signatures
         offnet, events = self.offnet, self.events
-        keyed = servers is not None or sessions is not None
+        keyed = clients is not None or sessions is not None
         key = None
         for (
             timestamp,
@@ -108,9 +110,7 @@ class CaptureFold:
             if scid_table is not None:
                 scid_table.add_values(origin, types, scids)
             if sessions is not None:
-                sessions.add_values(
-                    key, origin, versions[0], timestamp, types, payload_length
-                )
+                sessions.add_values(key, origin, versions[0], timestamp, types)
             if signatures is not None:
                 signatures.add_values(origin, types, lengths)
             if offnet is not None:
@@ -125,8 +125,12 @@ class CaptureFold:
         origin and the sessions are profiled once, for Table 1 too."""
         wanted, out = self.wanted, {}
         if self.clients is not None:
-            for side, mix in zip(SIDES, (self.clients, self.servers)):
-                shares = mix.shares()
+            servers = (
+                self.servers.shares()
+                if self.servers is not None
+                else session_shares(self.sessions)
+            )
+            for side, shares in zip(SIDES, (self.clients.shares(), servers)):
                 for bucket in TABLE2_ROWS:
                     key = "%s.%s" % (side, bucket)
                     out["version_share." + key] = shares.share(bucket)

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable
 
-from repro.quic.packet_type import PACKET_LABELS
+from repro.quic.packet_type import PacketType
 from repro.telescope.classify import CapturedPacket, type_codes
+
+_INITIAL = PacketType.INITIAL.value
 
 
 @dataclass
@@ -27,14 +29,12 @@ class Session:
     dcid: bytes
     origin: str
     version: int
-    #: Datagram arrival timestamps, in observation order.  Both per-datagram
-    #: numbers are held as typed arrays, not as lists of int and float
-    #: objects: a capture's sessions keep one entry per datagram.
+    #: Datagram arrival timestamps, in observation order, as a typed
+    #: array, not a list of float objects: a capture's sessions keep one
+    #: entry per datagram.  Nothing else is kept per datagram.
     timestamps: array = field(default_factory=partial(array, "d"))
-    #: Long-header packet-type labels per datagram (tuple per datagram).
-    datagram_types: list[tuple[str, ...]] = field(default_factory=list)
-    #: UDP payload length per datagram (at most 65,527: 16 bits).
-    datagram_lengths: array = field(default_factory=partial(array, "H"))
+    #: Datagrams that carried an Initial packet: one per flight.
+    initial_datagrams: int = 0
 
     @property
     def first_seen(self) -> float:
@@ -56,20 +56,7 @@ class Session:
         stacks emit two datagrams per flight, coalescing stacks one.  We
         count flights by Initial packets (every flight leads with one).
         """
-        initials = sum(
-            1 for types in self.datagram_types if "Initial" in types
-        )
-        return max(0, initials - 1)
-
-
-@lru_cache(maxsize=256)
-def type_labels(types: bytes) -> tuple[str, ...]:
-    """``Session.datagram_types`` entry for a datagram's packet type codes.
-
-    A capture has a handful of distinct type combinations; each is
-    spelled out once.
-    """
-    return tuple(map(PACKET_LABELS.__getitem__, types))
+        return max(0, self.initial_datagrams - 1)
 
 
 class SessionStore:
@@ -90,7 +77,6 @@ class SessionStore:
         version: int,
         timestamp: float,
         types: bytes,
-        payload_length: int,
     ) -> Session:
         """Append one datagram to the session ``key`` (:meth:`key_of`) names.
 
@@ -109,8 +95,7 @@ class SessionStore:
                 version=version,
             )
         session.timestamps.append(timestamp)
-        session.datagram_types.append(type_labels(types))
-        session.datagram_lengths.append(payload_length)
+        session.initial_datagrams += _INITIAL in types
         return session
 
     def add(self, packet: CapturedPacket) -> Session:
@@ -120,7 +105,6 @@ class SessionStore:
             packet.packets[0].version,
             packet.timestamp,
             type_codes(packet),
-            packet.udp_payload_length,
         )
 
     @classmethod

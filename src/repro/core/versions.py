@@ -57,6 +57,14 @@ class VersionMix:
         return VersionShares(counts=self.counts, total=len(self.keys))
 
 
+def session_shares(store: SessionStore) -> VersionShares:
+    """What a :class:`VersionMix` fed the same datagrams reports: each of
+    the store's sessions under the version of its first datagram."""
+    sessions = store.sessions()
+    counts = Counter(table2_bucket(session.version) for session in sessions)
+    return VersionShares(counts=counts, total=len(sessions))
+
+
 def version_shares(packets) -> VersionShares:
     """Bucket one packet population (scans or backscatter) by session."""
     mix = VersionMix()

@@ -83,18 +83,23 @@ class PacketProtection:
         header: bytes,
         packet_number: int,
         payload: bytes,
+        padding: int = 0,
     ) -> bytes:
         """Protect one packet.
 
         ``header`` is the complete unprotected header *including* the encoded
         packet-number field as its trailing bytes; the packet-number length is
         taken from the two low bits of the first header byte (RFC 9000 §17.2).
+        The plaintext is ``payload`` followed by ``padding`` zero bytes (PADDING
+        frames), which a caller that knows their count need not build.
         Returns header-protected header || sealed payload.
         """
         keys = self.keys.for_sender(is_server)
         pn_length = (header[0] & 0x03) + 1
         pn_offset = len(header) - pn_length
         nonce = keys.nonce(packet_number)
+        if padding:
+            payload += bytes(padding)
         sealed = self._seal(keys, nonce, payload, header)
         packet = bytearray(header + sealed)
         sample_start = pn_offset + SAMPLE_OFFSET
@@ -239,6 +244,7 @@ class FastProtection(PacketProtection):
         header: bytes,
         packet_number: int,
         payload: bytes,
+        padding: int = 0,
     ) -> bytes:
         """Fused seal + header protection.
 
@@ -246,16 +252,16 @@ class FastProtection(PacketProtection):
         ``PacketProtection.protect``, the reference); it exists to collapse
         the five Python-level calls per packet — for_sender, _seal,
         _keystream, _xor, _hp_mask — into straight-line code, and to XOR
-        only up to the payload's last non-zero byte: under the PADDING the
-        ciphertext *is* the keystream.
+        only ``payload``: under the ``padding`` the ciphertext *is* the
+        keystream.
         """
         keys = self.keys.server if is_server else self.keys.client
         key = keys.key
         nonce = (keys.iv_int ^ packet_number).to_bytes(12, "big")
-        stream = hashlib.shake_256(key + nonce).digest(len(payload))
-        body = len(payload.rstrip(b"\x00"))
+        body = len(payload)
+        stream = hashlib.shake_256(key + nonce).digest(body + padding)
         ciphertext = (
-            int.from_bytes(payload[:body], "big") ^ int.from_bytes(stream[:body], "big")
+            int.from_bytes(payload, "big") ^ int.from_bytes(stream[:body], "big")
         ).to_bytes(body, "big") + stream[body:]
         tag = hmac_sha256(key, nonce + header + ciphertext)[:TAG_LENGTH]
         pn_length = (header[0] & 0x03) + 1
@@ -329,8 +335,8 @@ class NullProtection(PacketProtection):
 
     # The all-zero mask leaves the header untouched, so the whole driver
     # dance collapses; overriding it removes the remaining per-packet cost.
-    def protect(self, is_server, header, packet_number, payload):  # noqa: D102
-        return header + payload + b"\x00" * TAG_LENGTH
+    def protect(self, is_server, header, packet_number, payload, padding=0):  # noqa: D102
+        return header + payload + bytes(padding + TAG_LENGTH)
 
     def _unmask(self, from_server, packet, pn_offset, largest_pn):
         # No mask to remove: the header is as sent.

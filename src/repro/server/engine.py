@@ -215,6 +215,8 @@ class _FlightLayout:
         "mid",
         "suffix",
         "handshake_payload",
+        "initial_padding",
+        "handshake_padding",
         "initial_template",
         "handshake_template",
         "coalesced",
@@ -260,6 +262,7 @@ class _FlightLayout:
 
         initial_len = len(payload_a)
         handshake_len = len(handshake_payload)
+        initial_pad = 0
         if coalesced:
             total = encoded_length(PacketType.INITIAL, initial_len) + encoded_length(
                 PacketType.HANDSHAKE, handshake_len
@@ -276,15 +279,16 @@ class _FlightLayout:
                 handshake_datagram_size
                 - encoded_length(PacketType.HANDSHAKE, handshake_len),
             )
-            suffix += b"\x00" * initial_pad
             initial_len += initial_pad
-        handshake_payload += b"\x00" * handshake_pad
         handshake_len += handshake_pad
 
         self.prefix = prefix
         self.mid = mid
         self.suffix = suffix
         self.handshake_payload = handshake_payload
+        # The PADDING after each payload, counted: the seal writes it.
+        self.initial_padding = initial_pad
+        self.handshake_padding = handshake_pad
         self.initial_template = packet_template(
             PacketType.INITIAL, version, dcid_len, scid_len, 0, initial_len, 1
         )
@@ -319,6 +323,8 @@ class _FlightLayout:
             prefix=self.prefix,
             suffix=b"".join((self.mid, conn.scid, self.suffix)),
             handshake_payload=self.handshake_payload,
+            initial_padding=self.initial_padding,
+            handshake_padding=self.handshake_padding,
             initial_header=bytearray(
                 self.initial_template.render(conn.client_cid, conn.scid, 0)
             ),
@@ -341,6 +347,8 @@ class _ConnFlight:
         "prefix",
         "suffix",
         "handshake_payload",
+        "initial_padding",
+        "handshake_padding",
         "initial_header",
         "handshake_header",
         "initial_length",
@@ -353,6 +361,8 @@ class _ConnFlight:
         prefix: bytes,
         suffix: bytes,
         handshake_payload: bytes,
+        initial_padding: int,
+        handshake_padding: int,
         initial_header: bytearray,
         handshake_header: bytearray,
         coalesced: bool,
@@ -360,14 +370,24 @@ class _ConnFlight:
         self.prefix = prefix
         self.suffix = suffix
         self.handshake_payload = handshake_payload
+        self.initial_padding = initial_padding
+        self.handshake_padding = handshake_padding
         self.initial_header = initial_header
         self.handshake_header = handshake_header
         # Sealed sizes, known without sealing: header + payload + tag.
         self.initial_length = (
-            len(initial_header) + len(prefix) + 32 + len(suffix) + TAG_LENGTH
+            len(initial_header)
+            + len(prefix)
+            + 32
+            + len(suffix)
+            + initial_padding
+            + TAG_LENGTH
         )
         self.handshake_length = (
-            len(handshake_header) + len(handshake_payload) + TAG_LENGTH
+            len(handshake_header)
+            + len(handshake_payload)
+            + handshake_padding
+            + TAG_LENGTH
         )
         self.coalesced = coalesced
 
@@ -389,13 +409,19 @@ class _ConnFlight:
             header = self.initial_header.copy()
             header[-1] = pn & 0xFF  # pn_length is 1 in every flight
             return protection.protect(
-                True, header, pn, b"".join((self.prefix, random32, self.suffix))
+                True,
+                header,
+                pn,
+                b"".join((self.prefix, random32, self.suffix)),
+                self.initial_padding,
             )
 
         def handshake() -> bytes:
             header = self.handshake_header.copy()
             header[-1] = (pn + 1) & 0xFF
-            return protection.protect(True, header, pn + 1, self.handshake_payload)
+            return protection.protect(
+                True, header, pn + 1, self.handshake_payload, self.handshake_padding
+            )
 
         if self.coalesced:
             return [

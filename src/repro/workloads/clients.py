@@ -79,7 +79,7 @@ class _InitialLayout:
     computes from :func:`~repro.quic.packet.header_length`.
     """
 
-    __slots__ = ("prefix", "mid", "suffix", "template")
+    __slots__ = ("prefix", "mid", "suffix", "padding", "template")
 
     def __init__(
         self, version: int, dcid_len: int, scid_len: int, server_name: str, pad_to: int
@@ -105,9 +105,9 @@ class _InitialLayout:
             + length
             + TAG_LENGTH
         )
-        if natural < pad_to:
-            suffix += b"\x00" * (pad_to - natural)
-            length += pad_to - natural
+        #: The PADDING after ``suffix``, counted: the seal writes it.
+        self.padding = max(0, pad_to - natural)
+        length += self.padding
         self.suffix = suffix
         self.template = packet_template(
             PacketType.INITIAL, version, dcid_len, scid_len, 0, length, 1
@@ -138,7 +138,8 @@ def _sealed_initial(
     shape = (version, len(dcid), len(scid), server_name, pad_to)
     layout = _INITIAL_LAYOUTS.get_or_build(shape, lambda: _InitialLayout(*shape))
     payload = b"".join((layout.prefix, random32, layout.mid, scid, layout.suffix))
-    return protection.protect(False, layout.template.render(dcid, scid, 0), 0, payload)
+    header = layout.template.render(dcid, scid, 0)
+    return protection.protect(False, header, 0, payload, layout.padding)
 
 
 def weighted_versions(pairs: tuple[tuple[int, float], ...]) -> tuple[list[int], list[float]]:

@@ -5,6 +5,7 @@ import json
 import os
 import sys
 from array import array
+from itertools import accumulate
 
 import pytest
 
@@ -41,40 +42,104 @@ def _load(path, obs=None, **kwargs):
     return view, status
 
 
-#: Schema 1's payload columns before the blob: every length in 32 bits,
-#: and the three offset columns stored.
-SCHEMA_1_COLUMNS = (
-    ("ts", "d"),
-    ("src_ip", "I"),
-    ("dst_ip", "I"),
-    ("src_port", "H"),
-    ("dst_port", "H"),
-    ("payload_len", "I"),
-    ("klass", "B"),
-    ("origin_id", "I"),
-    ("pkt_type", "B"),
-    ("pkt_version", "I"),
-    ("pkt_pn_offset", "I"),
-    ("pkt_length", "I"),
-    ("pkt_payload_length", "I"),
-    ("dcid_len", "B"),
-    ("scid_len", "B"),
-    ("token_len", "I"),
-    ("retry_token_len", "I"),
-    ("pkt_start", "I"),
-    ("bytes_start", "Q"),
-    ("sv_start", "I"),
-    ("sv_values", "I"),
-)
+#: The payload columns before the blob of the two schemas before this
+#: one.  Schema 1 held every length in 32 bits and stored the three
+#: offset columns; schema 2 held lengths in 16 bits and stored per-row
+#: packet and per-packet version counts instead.  Both held each packet's
+#: ports, CID lengths, token and retry token lengths and payload length,
+#: and its DCID, SCID, token and retry token back to back in the blob.
+LEGACY_COLUMNS = {
+    1: (
+        ("ts", "d"),
+        ("src_ip", "I"),
+        ("dst_ip", "I"),
+        ("src_port", "H"),
+        ("dst_port", "H"),
+        ("payload_len", "I"),
+        ("klass", "B"),
+        ("origin_id", "I"),
+        ("pkt_type", "B"),
+        ("pkt_version", "I"),
+        ("pkt_pn_offset", "I"),
+        ("pkt_length", "I"),
+        ("pkt_payload_length", "I"),
+        ("dcid_len", "B"),
+        ("scid_len", "B"),
+        ("token_len", "I"),
+        ("retry_token_len", "I"),
+        ("pkt_start", "I"),
+        ("bytes_start", "Q"),
+        ("sv_start", "I"),
+        ("sv_values", "I"),
+    ),
+    2: (
+        ("ts", "d"),
+        ("src_ip", "I"),
+        ("dst_ip", "I"),
+        ("src_port", "H"),
+        ("dst_port", "H"),
+        ("payload_len", "H"),
+        ("klass", "B"),
+        ("origin_id", "H"),
+        ("pkt_type", "B"),
+        ("pkt_version", "I"),
+        ("pkt_pn_offset", "H"),
+        ("pkt_length", "H"),
+        ("pkt_payload_length", "H"),
+        ("dcid_len", "B"),
+        ("scid_len", "B"),
+        ("token_len", "H"),
+        ("retry_token_len", "H"),
+        ("pkt_count", "H"),
+        ("sv_count", "H"),
+        ("sv_values", "I"),
+    ),
+}
 
 
-def _schema_1_sidecar(payload) -> bytes:
-    """The sidecar a schema-1 build wrote for ``payload``, byte for byte."""
+def _legacy_values(table):
+    """``(columns by name, blob)`` of ``table`` in the layout schemas 1 and 2 shared."""
+    rows = [table.materialize(row) for row in range(table.num_rows)]
+    packets = [packet for row in rows for packet in row.packets]
+    columns = {
+        "ts": [row.timestamp for row in rows],
+        "src_ip": [row.src_ip for row in rows],
+        "dst_ip": [row.dst_ip for row in rows],
+        "src_port": [row.src_port for row in rows],
+        "dst_port": [row.dst_port for row in rows],
+        "payload_len": [row.udp_payload_length for row in rows],
+        "klass": table.klass,
+        "origin_id": table.origin_id,
+        "pkt_type": [p.packet_type.value for p in packets],
+        "pkt_version": [p.version for p in packets],
+        "pkt_pn_offset": [p.pn_offset for p in packets],
+        "pkt_length": [p.packet_length for p in packets],
+        "pkt_payload_length": [p.payload_length for p in packets],
+        "dcid_len": [len(p.dcid) for p in packets],
+        "scid_len": [len(p.scid) for p in packets],
+        "token_len": [len(p.token) for p in packets],
+        "retry_token_len": [len(p.retry_token) for p in packets],
+        "pkt_count": [len(row.packets) for row in rows],
+        "sv_count": [len(p.supported_versions) for p in packets],
+        "sv_values": [v for p in packets for v in p.supported_versions],
+    }
+    pieces = [(p.dcid, p.scid, p.token, p.retry_token) for p in packets]
+    columns["pkt_start"] = list(accumulate(columns["pkt_count"], initial=0))
+    columns["bytes_start"] = list(
+        accumulate((sum(map(len, piece)) for piece in pieces), initial=0)
+    )
+    columns["sv_start"] = list(accumulate(columns["sv_count"], initial=0))
+    return columns, b"".join(b"".join(piece) for piece in pieces)
+
+
+def _legacy_sidecar(payload, schema: int) -> bytes:
+    """The sidecar a schema-1 or schema-2 build wrote for ``payload``, byte for byte."""
     table = payload.table
+    values, blob = _legacy_values(table)
     columns = [
-        array(typecode, getattr(table, name)) for name, typecode in SCHEMA_1_COLUMNS
+        array(typecode, values[name]) for name, typecode in LEGACY_COLUMNS[schema]
     ]
-    body = b"".join(map(bytes, columns)) + bytes(table.blob)
+    body = b"".join(map(bytes, columns)) + blob
     header = {
         "byteorder": sys.byteorder,
         "rows": table.num_rows,
@@ -85,17 +150,22 @@ def _schema_1_sidecar(payload) -> bytes:
         "pipeline": payload.pipeline,
         "columns": [
             {"name": name, "typecode": typecode, "count": len(column)}
-            for (name, typecode), column in zip(SCHEMA_1_COLUMNS, columns)
+            for (name, typecode), column in zip(LEGACY_COLUMNS[schema], columns)
         ]
-        + [{"name": "blob", "typecode": "B", "count": len(table.blob)}],
+        + [{"name": "blob", "typecode": "B", "count": len(blob)}],
         "payload_blake2b": hashlib.blake2b(body, digest_size=16).hexdigest(),
     }
     header_bytes = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    # Schema 2 put a checksum of the header in front of it; schema 1 did not.
+    header_digest = (
+        hashlib.blake2b(header_bytes, digest_size=16).digest() if schema == 2 else b""
+    )
     return b"".join(
         (
             MAGIC,
-            (1).to_bytes(4, "little"),
+            schema.to_bytes(4, "little"),
             len(header_bytes).to_bytes(4, "little"),
+            header_digest,
             header_bytes,
             body,
         )
@@ -158,18 +228,26 @@ class TestLoadOrBuild:
         assert rebuilt.table == view.table
 
     def test_schema_1_sidecar_is_rebuilt(self, pcap_copy):
+        self._legacy_sidecar_is_rebuilt(pcap_copy, 1)
+
+    def test_schema_2_sidecar_is_rebuilt(self, pcap_copy):
+        self._legacy_sidecar_is_rebuilt(pcap_copy, 2)
+
+    @staticmethod
+    def _legacy_sidecar_is_rebuilt(pcap_copy, schema):
         view, _ = load_or_build(pcap_copy)
         index_path = sidecar_path(pcap_copy)
-        old = _schema_1_sidecar(load_index(index_path))
+        old = _legacy_sidecar(load_index(index_path), schema)
         with open(index_path, "wb") as fileobj:
             fileobj.write(old)
         # It describes this very pcap: only its schema keeps it from a hit.
-        with pytest.raises(CapIndexError, match="schema version 1"):
+        with pytest.raises(CapIndexError, match="schema version %d" % schema) as exc:
             read_header(index_path)
+        assert type(exc.value) is CapIndexError
         rebuilt, status = _load(pcap_copy)
         assert status == "miss"
         assert rebuilt.table == view.table
-        assert read_header(index_path)["_schema_version"] == 2
+        assert read_header(index_path)["_schema_version"] == 3
         assert _load(pcap_copy)[1] == "hit"
 
     def test_sidecar_dumped_with_another_pipeline_is_stale(self, pcap_copy):
@@ -258,6 +336,28 @@ class TestIncrementalIndex:
         third, status = _load(pcap_copy)
         assert status == "hit"
         assert third.indexed_bytes == os.path.getsize(pcap_copy)
+
+    def test_extended_sidecar_is_byte_identical_to_a_full_build(self, pcap_copy):
+        tail = _truncate_at_record(pcap_copy, 0.6)
+        prefix, status = _load(pcap_copy)
+        assert status == "miss"
+        prefix_pairs = prefix.table.num_pairs
+        with open(pcap_copy, "ab") as fileobj:
+            fileobj.write(tail)
+        extended, status = _load(pcap_copy)
+        assert status == "extended"
+        # The tail names pairs the prefix first saw: the extension looked
+        # them up in the intern map it rebuilt from the stored pairs.
+        table = extended.table
+        tail_ids = table.cid[table.pkt_start[prefix.table.num_rows] :]
+        assert min(tail_ids) < prefix_pairs < table.num_pairs
+        index_path = sidecar_path(pcap_copy)
+        with open(index_path, "rb") as fileobj:
+            two_steps = fileobj.read()
+        os.remove(index_path)
+        assert _load(pcap_copy)[1] == "miss"
+        with open(index_path, "rb") as fileobj:
+            assert fileobj.read() == two_steps
 
     def test_extension_emits_full_run_counters(self, pcap_copy):
         tail = _truncate_at_record(pcap_copy, 0.7)

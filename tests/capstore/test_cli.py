@@ -112,7 +112,7 @@ class TestIndexCommand:
         assert main(["index", pcap_copy, "--info"]) == 0
         out = capsys.readouterr().out
         assert "valid for pcap" in out and "yes" in out
-        assert "schema version  2\n" in out
+        assert "schema version  3\n" in out
         assert main(["simulate", pcap_copy, "--scale", "0.05", "--seed", "7"]) == 0
         capsys.readouterr()
         assert main(["index", pcap_copy, "--info"]) == 1

@@ -22,6 +22,7 @@ from repro.capstore import (
     load_index,
     read_header,
 )
+from repro.capstore.table import BLOB_COLUMNS
 from repro.core.render import render_analysis
 from repro.core.selectors import VALID_TABLES
 from repro.netstack.pcap import PcapRecord, iter_pcap
@@ -100,7 +101,7 @@ class TestRoundTrip:
         assert payload.stats == stats
         assert payload.source == {"size": 123}
         assert payload.pipeline == {"asdb": "default"}
-        assert payload.schema_version == SCHEMA_VERSION == 2
+        assert payload.schema_version == SCHEMA_VERSION == 3
         assert _render(payload.table, payload.stats) == _render(table, stats)
 
     def test_rows_materialize_identically(self, built, sidecar):
@@ -112,13 +113,13 @@ class TestRoundTrip:
             assert loaded.materialize(row) == table.materialize(row)
         # The maximal rows reach each 16-bit column's and count's limit.
         assert [loaded.payload_len[row] for row in maximal] == [MAX_PAYLOAD] * 5
-        assert max(loaded.token_len) == 65000
-        assert max(loaded.retry_token_len) == MAX_PAYLOAD - 23 - 16
-        assert max(loaded.pkt_payload_length) == MAX_PAYLOAD - 27
+        assert 65000 in loaded.token_len  # the Initial's token
+        assert max(loaded.token_len) == MAX_PAYLOAD - 23 - 16  # the Retry's
+        handshake = loaded.materialize(maximal[1]).packets[0]
+        assert handshake.payload_length == MAX_PAYLOAD - 27
         assert max(loaded.pkt_length) == max(loaded.pkt_pn_offset) == MAX_PAYLOAD
-        pkt_count, sv_count = loaded.offset_counts()
-        assert max(pkt_count) == MAX_PAYLOAD // 8
-        assert max(sv_count) == (MAX_PAYLOAD - 23) // 4
+        assert max(loaded.packet_counts()) == MAX_PAYLOAD // 8
+        assert max(loaded.sv_count) == (MAX_PAYLOAD - 23) // 4
 
     def test_empty_table_round_trips(self, tmp_path):
         path = str(tmp_path / "empty.capidx")
@@ -137,15 +138,16 @@ class TestRoundTrip:
             column = array(descriptor["typecode"])
             size = descriptor["count"] * column.itemsize
             column.frombytes(payload[at : at + size])
-            if descriptor["name"] != "blob":
+            if descriptor["name"] not in BLOB_COLUMNS:
                 column.byteswap()
             swapped.append(column.tobytes())
             at += size
-        assert [d["name"] for d in header["columns"]][-4:] == [
+        assert [d["name"] for d in header["columns"]][-5:] == [
             "pkt_count",
             "sv_count",
             "sv_values",
-            "blob",
+            "cid_blob",
+            "token_blob",
         ]
         payload = b"".join(swapped)
         header["byteorder"] = "big" if sys.byteorder == "little" else "little"
@@ -185,7 +187,7 @@ class TestCorruption:
         with open(sidecar, "rb") as fileobj:
             blob = fileobj.read()
         bad = str(tmp_path / "future.capidx")
-        for schema in (99, 1):
+        for schema in (99, 1, 2):
             with open(bad, "wb") as fileobj:
                 fileobj.write(blob[:8] + schema.to_bytes(4, "little") + blob[12:])
             with pytest.raises(CapIndexError, match="schema version %d" % schema) as exc:
@@ -222,8 +224,9 @@ class TestCorruption:
         "column, child",
         [
             ("pkt_start", "a row without packets"),
-            ("sv_start", "sv_start does not partition"),
-            ("token_len", "bytes_start does not partition"),
+            ("sv_count", "sv_start does not partition"),
+            ("token_len", "token_start does not partition"),
+            ("scid_len", "cid_start does not partition"),
         ],
     )
     def test_counts_that_do_not_partition_are_refused(self, column, child, tmp_path):

@@ -6,12 +6,15 @@ below leaves the payload (and so its checksum) intact, and most re-sign
 the header they rewrote, so that what the header *says* is put to the
 test, not just its checksum: ``load_index`` must refuse it with
 ``CapIndexError``, so the cache rebuilds — ``analyze`` prints the right
-tables with exit 0, rewrites the sidecar and shows no traceback.
+tables with exit 0, rewrites the sidecar and shows no traceback.  The
+forgeries after them rewrite column values instead and sign the payload
+anew, so that what the columns say is put to the same test.
 """
 
 import hashlib
 import json
 import shutil
+from array import array
 
 import pytest
 
@@ -118,11 +121,11 @@ DAMAGES = {
     "source_is_a_string": _edited(lambda header: header.update(source="pcap")),
     # Counts the file cannot hold: refused before a buffer is sized from them.
     "blob_count_past_the_end": _edited(
-        lambda header: _column(header, "blob").update(count=2**40)
+        lambda header: _column(header, "token_blob").update(count=2**40)
     ),
     "payload_one_byte_short": _edited(
-        lambda header: _column(header, "blob").update(
-            count=_column(header, "blob")["count"] + 1
+        lambda header: _column(header, "token_blob").update(
+            count=_column(header, "token_blob")["count"] + 1
         )
     ),
 }
@@ -159,17 +162,16 @@ def expected_render(indexed):
     return render_analysis(view, set(VALID_TABLES)) + "\n"
 
 
-@pytest.mark.parametrize("name", sorted(DAMAGES))
-def test_damaged_header_is_refused_and_rebuilt(name, indexed, expected_render, capsys):
-    pcap, intact = indexed
-    damaged = DAMAGES[name](intact)
-    assert damaged != intact and damaged.endswith(_split(intact)[1])
+def _refused_then_rebuilt(pcap, damaged, intact, expected_render, capsys):
+    """``damaged`` does not load; ``analyze`` rebuilds the intact sidecar.
+
+    Returns the error ``load_index`` raised.
+    """
     with open(sidecar_path(pcap), "wb") as fileobj:
         fileobj.write(damaged)
 
     with pytest.raises(CapIndexError) as exc:
         load_index(sidecar_path(pcap))
-    assert isinstance(exc.value, SidecarCorrupt) == (name in CORRUPT)
 
     capsys.readouterr()
     assert main(["analyze", pcap, *ANALYZE]) == 0
@@ -180,6 +182,88 @@ def test_damaged_header_is_refused_and_rebuilt(name, indexed, expected_render, c
         assert fileobj.read() == intact  # rebuilt from the pcap, byte for byte
     _view, hit = load_or_build(pcap)
     assert hit
+    return exc.value
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGES))
+def test_damaged_header_is_refused_and_rebuilt(name, indexed, expected_render, capsys):
+    pcap, intact = indexed
+    damaged = DAMAGES[name](intact)
+    assert damaged != intact and damaged.endswith(_split(intact)[1])
+    error = _refused_then_rebuilt(pcap, damaged, intact, expected_render, capsys)
+    assert isinstance(error, SidecarCorrupt) == (name in CORRUPT)
+
+
+def _forged(edit):
+    """A damage that rewrites column values and signs payload and header anew.
+
+    ``edit`` gets the payload's columns by name, each an ``array`` (the
+    blobs too), and may change their values and lengths; the header's
+    counts and checksums follow, so only the values are put to the test.
+    """
+
+    def damage(blob):
+        header, payload = _split(blob)
+        columns, at = {}, 0
+        for descriptor in header["columns"]:
+            column = array(descriptor["typecode"])
+            size = descriptor["count"] * column.itemsize
+            column.frombytes(payload[at : at + size])
+            columns[descriptor["name"]] = column
+            at += size
+        edit(columns)
+        for descriptor in header["columns"]:
+            descriptor["count"] = len(columns[descriptor["name"]])
+        header["pairs"] = len(columns["dcid_len"])
+        payload = b"".join(column.tobytes() for column in columns.values())
+        header["payload_blake2b"] = hashlib.blake2b(payload, digest_size=16).hexdigest()
+        return _join(blob, header, payload)
+
+    return damage
+
+
+def _first_pn_offset_past_its_end(columns):
+    columns["pkt_pn_offset"][0] = columns["pkt_length"][0] + 1
+
+
+def _versions_for_a_packet_that_is_not_vn(columns):
+    columns["sv_count"].append(1)
+    columns["sv_values"].append(1)
+
+
+#: Checksummed sidecars whose *values* describe no table a build writes:
+#: each is refused by the check it names, as a plain ``CapIndexError``.
+FORGERIES = {
+    "cid_past_the_pairs": (
+        _forged(lambda columns: columns["cid"].__setitem__(0, len(columns["dcid_len"]))),
+        "a cid points outside the",
+    ),
+    "pn_offset_past_the_packet": (
+        _forged(_first_pn_offset_past_its_end),
+        "packet-number offset lies past its packet's end",
+    ),
+    "vn_counts_short_of_the_versions": (
+        _forged(lambda columns: columns["sv_values"].append(1)),
+        "sv_start does not partition",
+    ),
+    "vn_count_for_another_kind": (
+        _forged(_versions_for_a_packet_that_is_not_vn),
+        "sv_count is not one count per Version Negotiation packet",
+    ),
+    "pair_lengths_past_the_cid_bytes": (
+        _forged(lambda columns: columns["scid_len"].__setitem__(-1, 21)),
+        "cid_start does not partition",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGERIES))
+def test_forged_column_is_refused_and_rebuilt(name, indexed, expected_render, capsys):
+    pcap, intact = indexed
+    forge, reason = FORGERIES[name]
+    error = _refused_then_rebuilt(pcap, forge(intact), intact, expected_render, capsys)
+    assert type(error) is CapIndexError
+    assert reason in str(error)
 
 
 def test_classify_counts_survive_a_header_without_scans(indexed, capsys):

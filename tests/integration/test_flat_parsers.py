@@ -26,7 +26,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.buffer import BufferError_, Reader
 from repro.capstore import CaptureTable, default_acknowledged, default_asdb, record_verdict
-from repro.capstore.table import OFFSET_COLUMNS, PACKET_COLUMNS, ROW_COLUMNS
+from repro.capstore.table import (
+    OFFSET_COLUMNS,
+    PACKET_COLUMNS,
+    PAIR_COLUMNS,
+    ROW_COLUMNS,
+    VARIABLE_COLUMNS,
+)
 from repro.cli import main
 from repro.core.selectors import DROP_REASONS
 from repro.netstack.addr import parse_ip
@@ -621,13 +627,8 @@ def _length_liars(packet):
 
 
 def _table_shape(table):
-    columns = [name for name, _ in ROW_COLUMNS + PACKET_COLUMNS + OFFSET_COLUMNS]
-    return (
-        [len(getattr(table, name)) for name in columns],
-        len(table.sv_values),
-        len(table.blob),
-        list(table.origins),
-    )
+    columns = ROW_COLUMNS + PACKET_COLUMNS + PAIR_COLUMNS + VARIABLE_COLUMNS + OFFSET_COLUMNS
+    return [len(getattr(table, name)) for name, _ in columns], list(table.origins)
 
 
 class _RecordJudge:

@@ -55,7 +55,7 @@ from repro.core.selectors import (
 from repro.core.session import SessionStore
 from repro.core.summary import summarize
 from repro.core.timing import profiles_of, timing_profiles
-from repro.core.versions import table2
+from repro.core.versions import session_shares, table2
 from repro.netstack.pcap import read_pcap
 from repro.stream.reducers import StreamAnalyses
 from repro.sweep.metrics import evaluate_metrics
@@ -125,11 +125,19 @@ def _checkpoints(rows, every_prefix):
     return out
 
 
+def _servers(fold):
+    """``(sessions, counts)`` of Table 2's server side: from its own
+    ``VersionMix``, or from the session store when the fold keeps one."""
+    if fold.servers is not None:
+        return fold.servers.keys, fold.servers.counts
+    return fold.sessions.sessions(), session_shares(fold.sessions).counts
+
+
 def _fold_state(fold):
     """Everything a CaptureFold holds, as plain comparable data."""
     return {
         "clients": (fold.clients.keys, fold.clients.counts),
-        "servers": (fold.servers.keys, fold.servers.counts),
+        "servers": _servers(fold),
         "mix": fold.mix.counts,
         "scan_mix": fold.scan_mix.counts,
         "scids": {

@@ -61,7 +61,7 @@ GOLDEN = {
         "3fa4f2999e72c6a35a154c6c93b6fab8",
         "e618249077cd9732edcb8f3dd18cf5e1",
         {
-            "payload_blake2b": "de083f41f454db5c40f06475d7dae401",
+            "payload_blake2b": "7813d00281a001eac574b0291a32ca27",
             "rows": 873,
             "packets": 999,
             "origins": ["Remaining", "Google", "Facebook"],
@@ -72,7 +72,7 @@ GOLDEN = {
         "dff544a50e9f2061c358f44651061c9e",
         "f433244725906950c18604ef83c4e038",
         {
-            "payload_blake2b": "067c6088de2538b1a06a05f454e27ea3",
+            "payload_blake2b": "d6d769e281f19c098e3ca54ab0271b21",
             "rows": 2254,
             "packets": 2560,
             "origins": ["Remaining", "Google", "Facebook", "Cloudflare"],
@@ -83,7 +83,7 @@ GOLDEN = {
         "e37739422d1dfa03b3a63c966eb9b3c9",
         "972cc6d9d1c3802e960b1de1374807da",
         {
-            "payload_blake2b": "e3b53bb99a845625fb47a365ba60bbf5",
+            "payload_blake2b": "37e57dd93a5eb4d89ec370402f269d1b",
             "rows": 1921,
             "packets": 2257,
             "origins": ["Remaining", "Facebook", "Google", "Cloudflare"],
@@ -94,7 +94,7 @@ GOLDEN = {
         "2c041efd3fdbd917630bc085762b3aa1",
         "787e970360e1fbd6ed2148f1e4a50496",
         {
-            "payload_blake2b": "de1ef17685e577a4d14af2f8bbc8a02b",
+            "payload_blake2b": "cd760d1c4449daa98b0c9202389e270c",
             "rows": 306,
             "packets": 306,
             "origins": ["Remaining", "Google"],

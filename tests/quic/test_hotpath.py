@@ -260,23 +260,29 @@ class TestTemplateParity:
         packet_number=st.integers(0, 2**32 - 1),
         payload=st.one_of(st.binary(max_size=1300), _PADDED_PAYLOADS),
         is_server=st.booleans(),
+        padding=st.one_of(st.just(0), st.integers(0, 1200)),
     )
-    @example(True, 1, 7, b"\x00" * 1200, True)  # nothing but PADDING
-    @example(True, 1, 7, b"\x06\x00\x40\x5a" + b"\xa5" * 90, False)  # none
-    @example(True, 2, 7, b"\x00" * 1199 + b"\x01", True)  # non-zero last byte
-    @example(True, 1, 7, b"\x01" + b"\x00" * 30 + b"\x02\x00\x03" + b"\x00" * 900, False)  # runs
-    @example(True, 1, 7, b"\x00" * 3, True)  # the sample ends on the tag's last byte
-    @example(True, 1, 7, b"\x00\x01", True)  # one byte shorter: no sample
-    @example(False, 3, 7, b"", False)
+    @example(True, 1, 7, b"\x00" * 1200, True, 0)  # nothing but PADDING
+    @example(True, 1, 7, b"\x06\x00\x40\x5a" + b"\xa5" * 90, False, 0)  # none
+    @example(True, 2, 7, b"\x00" * 1199 + b"\x01", True, 0)  # non-zero last byte
+    @example(True, 1, 7, b"\x01" + b"\x00" * 30 + b"\x02\x00\x03" + b"\x00" * 900, False, 0)  # runs
+    @example(True, 1, 7, b"\x00" * 3, True, 0)  # the sample ends on the tag's last byte
+    @example(True, 1, 7, b"\x00\x01", True, 0)  # one byte shorter: no sample
+    @example(False, 3, 7, b"", False, 0)
+    @example(True, 1, 7, b"\x06\x00\x40\x5a" + b"\xa5" * 90, False, 1106)  # counted
+    @example(True, 1, 7, b"\x00" * 30, True, 900)  # zeros on both sides
+    @example(True, 1, 7, b"", True, 3)  # the sample ends on the tag's last byte
+    @example(True, 1, 7, b"\x01", True, 1)  # one byte shorter: no sample
     def test_fused_fast_protect_matches_driver(
-        self, long_form, pn_length, packet_number, payload, is_server
+        self, long_form, pn_length, packet_number, payload, is_server, padding
     ):
         """The override against the generic driver, called explicitly.
 
-        The driver's ``_seal`` / ``_xor`` XOR every byte of the payload;
-        the override stops at the last non-zero one and takes the sample
-        from the ciphertext, reaching into the tag only for a packet
-        shorter than the sample window.
+        The driver's ``_seal`` / ``_xor`` XOR every byte of the plaintext,
+        ``padding`` zeros appended; the override XORs only ``payload``,
+        takes the rest of the ciphertext straight from the keystream, and
+        takes the sample from the ciphertext, reaching into the tag only
+        for a packet shorter than the sample window.
         """
         protection = FastProtection(1, b"\x77" * 8)
         first = (0xC0 if long_form else 0x40) | (pn_length - 1)
@@ -287,19 +293,23 @@ class TestTemplateParity:
             + b"\x00\x41\x00"
             + (packet_number & ((1 << (8 * pn_length)) - 1)).to_bytes(pn_length, "big")
         )
-        if len(payload) + pn_length < 4:  # too short to sample: same refusal
+        plaintext = payload + bytes(padding)
+        if len(plaintext) + pn_length < 4:  # too short to sample: same refusal
             with pytest.raises(ProtectionError) as driver:
                 PacketProtection.protect(
-                    protection, is_server, header, packet_number, payload
+                    protection, is_server, header, packet_number, plaintext
                 )
             with pytest.raises(ProtectionError) as override:
-                protection.protect(is_server, header, packet_number, payload)
+                protection.protect(is_server, header, packet_number, payload, padding)
             assert str(override.value) == str(driver.value)
             return
-        fused = protection.protect(is_server, header, packet_number, payload)
+        fused = protection.protect(is_server, header, packet_number, payload, padding)
         assert fused == PacketProtection.protect(
-            protection, is_server, header, packet_number, payload
+            protection, is_server, header, packet_number, plaintext
+        )
+        assert fused == PacketProtection.protect(
+            protection, is_server, header, packet_number, payload, padding
         )
         assert protection.unprotect(
             is_server, fused, len(header) - pn_length, packet_number - 1
-        ) == (payload, packet_number, pn_length)
+        ) == (plaintext, packet_number, pn_length)

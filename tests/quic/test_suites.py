@@ -301,3 +301,16 @@ def test_suites_share_one_key_schedule():
         FastProtection(1, DCID, keys).unprotect(False, wire, pn_offset, decrypt=False)
     assert Rfc9001Protection(1, DCID, keys).unprotect(False, wire, pn_offset)[0]
     assert Rfc9001Protection(1, DCID, keys).keys is keys
+
+
+@pytest.mark.parametrize("suite_cls", ALL_SUITES)
+@pytest.mark.parametrize("padding", [0, 1, 900])
+def test_padding_is_that_many_zeros_after_the_payload(suite_cls, padding):
+    suite = suite_cls(1, DCID)
+    header = bytes.fromhex("c300000001088394c8f03e51570808aaaaaaaaaaaaaaaa00449e00000007")
+    payload = b"\x06\x00\x40\x5a" + b"\xa5" * 90
+    counted = suite.protect(True, header, 7, payload, padding)
+    assert counted == suite.protect(True, header, 7, payload + bytes(padding))
+    assert len(counted) == len(header) + len(payload) + padding + TAG_LENGTH
+    pn_offset = len(header) - 4
+    assert suite.unprotect(True, counted, pn_offset, 6)[0] == payload + bytes(padding)

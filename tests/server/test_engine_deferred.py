@@ -44,10 +44,10 @@ def protect_calls(monkeypatch):
     calls = []
     original = FastProtection.protect
 
-    def counting(self, is_server, header, packet_number, payload):
+    def counting(self, is_server, header, packet_number, payload, padding=0):
         if is_server:
             calls.append(packet_number)
-        return original(self, is_server, header, packet_number, payload)
+        return original(self, is_server, header, packet_number, payload, padding)
 
     monkeypatch.setattr(FastProtection, "protect", counting)
     return calls
