@@ -26,9 +26,7 @@ extensions (x86 ``sha_ni``, ARMv8 SHA2) hash it over twice as fast
 as BLAKE2b — over a 48 MB pcap, 48 ms against 106 ms on a 2-CPU x86 box
 with ``sha_ni`` — and a cold ``index`` reads every byte through it.  The
 gain depends on the CPU: without SHA extensions OpenSSL's SHA-256 is
-usually slower than BLAKE2b, and that case has not been measured.  A
-sidecar stored before carries ``prefix_blake2b`` instead; it still hits
-while the pcap's size and mtime match, and anything else rebuilds it.
+usually slower than BLAKE2b, and that case has not been measured.
 
 Everything is wired through ``repro.obs``: ``index.load``/``index.build``
 /``index.extend`` stage timers, a ``capstore.cache``

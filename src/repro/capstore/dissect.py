@@ -38,13 +38,13 @@ import struct
 from bisect import bisect_right
 from typing import Callable, Optional
 
-from repro.capstore.table import KLASS_CODES, CaptureTable
+from repro.capstore.table import CaptureTable
 from repro.core.dissector import DissectError, dissect_at
 from repro.inetdata.asdb import AsDatabase
 from repro.netstack.udp import QUIC_PORT, scan_udp
 from repro.quic.packet import DCID_AT, PacketType
 from repro.telescope.acknowledged import AcknowledgedScanners
-from repro.telescope.classify import PacketClass
+from repro.telescope.classify import KLASS_CODES, PacketClass
 
 _BACKSCATTER = KLASS_CODES[PacketClass.BACKSCATTER]
 _SCAN = KLASS_CODES[PacketClass.SCAN]

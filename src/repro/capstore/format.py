@@ -71,8 +71,6 @@ from repro.atomic import atomic_output
 from repro.capstore.table import (
     BLOB_COLUMNS,
     COUNT_COLUMNS,
-    KLASS_CODES,
-    KLASS_VALUES,
     PACKET_COLUMNS,
     PAIR_COLUMNS,
     ROW_COLUMNS,
@@ -81,7 +79,12 @@ from repro.capstore.table import (
 )
 from repro.errors import InputFileError
 from repro.quic.packet_type import PacketType
-from repro.telescope.classify import PacketClass, SanitizationStats
+from repro.telescope.classify import (
+    KLASS_CODES,
+    KLASS_VALUES,
+    PacketClass,
+    SanitizationStats,
+)
 
 MAGIC = b"RQCAPIDX"
 SCHEMA_VERSION = 3

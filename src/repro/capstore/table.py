@@ -33,11 +33,10 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.quic.packet_type import PacketType
 from repro.telescope.classify import (
+    KLASS_VALUES,
     CapturedPacket,
-    ClassifiedCapture,
     PacketClass,
     SanitizationStats,
-    type_codes,
 )
 
 if TYPE_CHECKING:
@@ -109,49 +108,8 @@ COUNT_COLUMNS: Tuple[Tuple[str, str], ...] = (("pkt_count", "H"),)
 #: own, small enough that a window's values are small next to the columns.
 DATAGRAM_WINDOW = 4096
 
-#: The ``klass`` column's codes (``KLASS_VALUES`` is the way back).
-KLASS_CODES = {PacketClass.BACKSCATTER: 0, PacketClass.SCAN: 1}
-KLASS_VALUES = (PacketClass.BACKSCATTER, PacketClass.SCAN)
-
 _RETRY = PacketType.RETRY.value
 _VERSION_NEGOTIATION = PacketType.VERSION_NEGOTIATION.value
-
-#: One sanitized datagram as the analyses read it: a tuple of plain
-#: values, the last five parallel over its coalesced packets.  Both row
-#: sources yield this shape — :meth:`CaptureTable.datagrams` from the
-#: columns, :func:`datagram_values` from a ``CapturedPacket``.
-DATAGRAM_FIELDS = (
-    "timestamp",
-    "src_ip",
-    "dst_ip",
-    "klass",  # KLASS_CODES: 0 backscatter, 1 scan
-    "origin",
-    "udp_payload_length",
-    "types",  # bytes: one PacketType value per packet
-    "versions",
-    "dcids",
-    "scids",
-    "packet_lengths",
-)
-
-
-def datagram_values(packet) -> tuple:
-    """A ``CapturedPacket``-shaped object in :data:`DATAGRAM_FIELDS` order."""
-    packets = packet.packets
-    return (
-        packet.timestamp,
-        packet.src_ip,
-        packet.dst_ip,
-        KLASS_CODES[packet.klass],
-        packet.origin,
-        packet.udp_payload_length,
-        type_codes(packet),
-        tuple(p.version for p in packets),
-        tuple(p.dcid for p in packets),
-        tuple(p.scid for p in packets),
-        tuple(p.packet_length for p in packets),
-    )
-
 
 class CaptureTable:
     """Sanitized capture as parallel columns; append-only."""
@@ -270,7 +228,8 @@ class CaptureTable:
     # -- reading ---------------------------------------------------------
 
     def datagrams(self, start: int = 0, end: Optional[int] = None) -> Iterator[tuple]:
-        """Rows ``[start, end)`` as plain values, in :data:`DATAGRAM_FIELDS` order.
+        """Rows ``[start, end)`` as plain values, in
+        :data:`~repro.telescope.classify.DATAGRAM_FIELDS` order.
 
         The per-packet fields are parallel sequences, one entry per
         coalesced packet: ``types`` is a ``bytes`` of type codes, the
@@ -408,15 +367,14 @@ class CaptureTable:
 
 
 class ClassifiedView:
-    """:class:`ClassifiedCapture`-compatible facade over a CaptureTable.
+    """A classified capture: a CaptureTable and the stats of its build.
 
-    Exposes ``backscatter`` / ``scans`` / ``stats`` / ``__len__`` /
-    ``datagrams()`` exactly like the object pipeline's output.  The
-    analyses read ``datagrams()``, which builds no object; the split
-    lists are those of :meth:`to_classified_capture`, materialized when
-    a caller first asks for them.  ``indexed_bytes``, when the table was
-    built from a pcap, is how far into that file it covers (one past the
-    last complete record).
+    The analyses read :meth:`datagrams`, which builds no object; the
+    ``backscatter`` / ``scans`` lists of real
+    :class:`~repro.telescope.classify.CapturedPacket` s are materialized
+    when a caller first asks for them.  ``indexed_bytes``, when the table
+    was built from a pcap, is how far into that file it covers (one past
+    the last complete record).
     """
 
     def __init__(
@@ -428,33 +386,28 @@ class ClassifiedView:
         self.table = table
         self.stats = stats
         self.indexed_bytes = indexed_bytes
-        self._capture: Optional[ClassifiedCapture] = None
+        self._sides: Optional[tuple] = None
 
-    def _split(self) -> None:
-        capture = ClassifiedCapture(stats=self.stats)
-        sides = (capture.backscatter, capture.scans)  # by KLASS_CODES
-        materialize = self.table.materialize
-        for row, klass in enumerate(self.table.klass):
-            sides[klass].append(materialize(row))
-        self._capture = capture
+    def _split(self) -> Tuple[List[CapturedPacket], List[CapturedPacket]]:
+        """Every row materialized, by class (``KLASS_CODES`` order), once."""
+        if self._sides is None:
+            self._sides = ([], [])
+            materialize = self.table.materialize
+            for row, klass in enumerate(self.table.klass):
+                self._sides[klass].append(materialize(row))
+        return self._sides
 
     @property
     def backscatter(self) -> List[CapturedPacket]:
-        return self.to_classified_capture().backscatter
+        return self._split()[0]
 
     @property
     def scans(self) -> List[CapturedPacket]:
-        return self.to_classified_capture().scans
+        return self._split()[1]
 
     def __len__(self) -> int:
         return self.table.num_rows
 
     def datagrams(self) -> Iterator[tuple]:
-        """Every row as plain values (:data:`DATAGRAM_FIELDS`), in table order."""
+        """Every row as plain values (``DATAGRAM_FIELDS``), in table order."""
         return self.table.datagrams()
-
-    def to_classified_capture(self) -> ClassifiedCapture:
-        """The legacy object representation, every row materialized (once)."""
-        if self._capture is None:
-            self._split()
-        return self._capture

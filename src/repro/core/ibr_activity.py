@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.telescope.classify import CapturedPacket
+from repro.telescope.classify import CapturedPacket, datagram_values
 
 
 @dataclass
@@ -69,9 +69,6 @@ class FloodEvents:
         burst[3] += 1
         burst[4].add(dst_ip)
 
-    def add(self, packet: CapturedPacket) -> None:
-        self.add_values(packet.src_ip, packet.dst_ip, packet.origin, packet.timestamp)
-
     def events(self) -> list[FloodEvent]:
         """Every event so far, open bursts of ``min_packets`` included, by
         start time and then victim."""
@@ -97,6 +94,6 @@ def detect_flood_events(
     """Split each victim's backscatter into bursts separated by quiet gaps
     (:class:`FloodEvents` over ``packets``)."""
     events = FloodEvents(quiet_gap, min_packets)
-    for packet in packets:
-        events.add(packet)
+    for timestamp, src_ip, dst_ip, _, origin, *_ in map(datagram_values, packets):
+        events.add_values(src_ip, dst_ip, origin, timestamp)
     return events.events()

@@ -20,7 +20,10 @@ from dataclasses import dataclass, field
 
 from repro.quic.cid import mvfst
 from repro.quic.packet_type import PacketType
-from repro.telescope.classify import CapturedPacket
+from repro.telescope.classify import CapturedPacket, datagram_values
+
+#: Packet types (by value) whose SCID carries the L7LB's host ID.
+_HANDSHAKE_TYPES = {PacketType.INITIAL.value, PacketType.HANDSHAKE.value}
 
 
 def host_id_of(scid: bytes) -> int | None:
@@ -48,14 +51,15 @@ def passive_host_ids(
 ) -> dict[int, set[int]]:
     """Per-VIP host IDs observed in backscatter from ``origin``."""
     out: dict[int, set[int]] = defaultdict(set)
-    for packet in packets:
-        if packet.origin != origin:
+    for row in map(datagram_values, packets):
+        _, src_ip, _, _, source, _, types, _, _, scids, _ = row
+        if source != origin:
             continue
-        for parsed in packet.packets:
-            if parsed.packet_type in (PacketType.INITIAL, PacketType.HANDSHAKE):
-                host_id = host_id_of(parsed.scid)
+        for code, scid in zip(types, scids):
+            if code in _HANDSHAKE_TYPES:
+                host_id = host_id_of(scid)
                 if host_id is not None:
-                    out[packet.src_ip].add(host_id)
+                    out[src_ip].add(host_id)
     return dict(out)
 
 

@@ -20,7 +20,7 @@ from repro.inetdata.certs import CertificateStore
 from repro.inetdata.hypergiants import FACEBOOK, Hypergiant
 from repro.quic.cid import mvfst
 from repro.quic.packet_type import PacketType
-from repro.telescope.classify import CapturedPacket, type_codes
+from repro.telescope.classify import CapturedPacket, datagram_values
 
 #: Facebook's characteristic first-resend gap and tolerance (seconds).
 FACEBOOK_RTO = 0.4
@@ -188,15 +188,6 @@ class OffnetServers:
             record.coalesced_seen = True
         record.datagram_lengths.add(payload_length)
 
-    def add(self, packet: CapturedPacket) -> None:
-        self.add_values(
-            packet.origin,
-            packet.src_ip,
-            type_codes(packet),
-            [p.scid for p in packet.packets],
-            packet.udp_payload_length,
-        )
-
     def counts(self) -> tuple[int, int]:
         """(candidate servers, servers passing the low-host-ID test)."""
         low = sum(1 for record in self.features.values() if record.low_host_id())
@@ -209,8 +200,9 @@ def extract_features(
 ) -> dict[int, ServerFeatures]:
     """Per-server features from backscatter outside hypergiant ASes."""
     servers = OffnetServers(exclude_origins)
-    for packet in packets:
-        servers.add(packet)
+    for row in map(datagram_values, packets):
+        _, src_ip, _, _, origin, payload_length, types, _, _, scids, _ = row
+        servers.add_values(origin, src_ip, types, scids, payload_length)
     add_first_gaps(servers.features, SessionStore.from_packets(packets))
     return servers.features
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.quic.packet_type import PacketType
-from repro.telescope.classify import CapturedPacket, type_codes
+from repro.telescope.classify import CapturedPacket, datagram_values
 
 #: Table 3 row of a lone packet, indexed by :class:`PacketType` value.
 _SINGLE_CATEGORY = (
@@ -60,9 +60,6 @@ class PacketMix:
             counter = self.counts[origin] = Counter()
         counter[category] += 1
 
-    def add(self, packet: CapturedPacket) -> None:
-        self.add_values(packet.origin, type_codes(packet))
-
     def __add__(self, other: "PacketMix") -> "PacketMix":
         """The mix over both populations (Table 3: backscatter + scans)."""
         counts = {origin: Counter(counter) for origin, counter in self.counts.items()}
@@ -91,8 +88,8 @@ class PacketMix:
 def packet_mix(packets: Sequence[CapturedPacket]) -> PacketMix:
     """Compute Table 3 from classified backscatter."""
     mix = PacketMix()
-    for packet in packets:
-        mix.add(packet)
+    for _, _, _, _, origin, _, types, *_ in map(datagram_values, packets):
+        mix.add_values(origin, types)
     return mix
 
 
@@ -122,13 +119,6 @@ class LengthSignatures:
             counter = self.counts[origin] = Counter()
         counter[lengths] += 1
 
-    def add(self, packet: CapturedPacket) -> None:
-        self.add_values(
-            packet.origin,
-            type_codes(packet),
-            tuple(p.packet_length for p in packet.packets),
-        )
-
     def top(self, top: int = 7) -> dict[str, list[tuple[str, int]]]:
         return {
             origin: [
@@ -144,6 +134,6 @@ def top_length_signatures(
 ) -> dict[str, list[tuple[str, int]]]:
     """Per-origin top-N packet-length combinations (Figure 7)."""
     signatures = LengthSignatures()
-    for packet in packets:
-        signatures.add(packet)
+    for _, _, _, _, origin, _, types, *_, lengths in map(datagram_values, packets):
+        signatures.add_values(origin, types, lengths)
     return signatures.top(top)

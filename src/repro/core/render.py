@@ -96,7 +96,7 @@ class CaptureFold:
             lengths,
         ) in datagrams:
             if keyed:
-                key = (src_ip, dst_ip, scids[0], dcids[0])  # SessionStore.key_of
+                key = (src_ip, dst_ip, scids[0], dcids[0])  # session_key
             if klass:  # a scan: the client side of Table 2, and Table 3
                 if clients is not None:
                     clients.add_values(key, versions[0])
@@ -191,12 +191,11 @@ def render_analysis(capture, wanted: set) -> str:
     """Render the selected paper tables for a classified capture.
 
     ``capture`` is anything whose ``datagrams()`` yields the plain-value
-    rows of :data:`repro.capstore.table.DATAGRAM_FIELDS`: the columnar
-    :class:`~repro.capstore.ClassifiedView` that ``analyze`` and ``live``
-    hand in (cut straight from the columns, no object per row), or a
-    :class:`~repro.telescope.classify.ClassifiedCapture` of materialized
-    packets — both render byte-identically, which the equivalence tests
-    assert.  The capture is read in one pass.
+    rows of :data:`repro.telescope.classify.DATAGRAM_FIELDS`, as the
+    :class:`~repro.capstore.ClassifiedView` that ``analyze``, ``live`` and
+    :func:`~repro.telescope.classify.classify_capture` hand in does: cut
+    straight from the columns, no object per row.  The capture is read in
+    one pass.
     """
     wanted = set(wanted)
     # Table 1's RTO rows are the rto table's names.

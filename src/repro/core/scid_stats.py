@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 from repro.core.scid_entropy import NybbleCounts, NybbleMatrix
 from repro.quic.packet_type import PacketType
-from repro.telescope.classify import CapturedPacket, type_codes
+from repro.telescope.classify import CapturedPacket, datagram_values
 
 #: Packet types (by value) whose SCID is the server's own connection ID.
 _SERVER_CID_TYPES = frozenset(
@@ -87,16 +87,11 @@ class ScidTable:
                     stats = self.stats[origin] = ScidStats(origin)
                 stats.add(scid)
 
-    def add(self, packet: CapturedPacket) -> None:
-        self.add_values(
-            packet.origin, type_codes(packet), [p.scid for p in packet.packets]
-        )
-
 
 def table4(packets: Sequence[CapturedPacket]) -> dict[str, ScidStats]:
     table = ScidTable()
-    for packet in packets:
-        table.add(packet)
+    for _, _, _, _, origin, _, types, _, _, scids, _ in map(datagram_values, packets):
+        table.add_values(origin, types, scids)
     return table.stats
 
 

@@ -14,7 +14,7 @@ from functools import partial
 from typing import Iterable
 
 from repro.quic.packet_type import PacketType
-from repro.telescope.classify import CapturedPacket, type_codes
+from repro.telescope.classify import CapturedPacket, datagram_values
 
 _INITIAL = PacketType.INITIAL.value
 
@@ -59,16 +59,18 @@ class Session:
         return max(0, self.initial_datagrams - 1)
 
 
+def session_key(row: tuple) -> tuple:
+    """The session of a ``DATAGRAM_FIELDS`` row: its source, destination
+    and first packet's SCID and DCID."""
+    _, src_ip, dst_ip, *_, dcids, scids, _ = row
+    return (src_ip, dst_ip, scids[0], dcids[0])
+
+
 class SessionStore:
     """Groups captured packets into sessions."""
 
     def __init__(self) -> None:
         self._sessions: dict[tuple, Session] = {}
-
-    @staticmethod
-    def key_of(packet: CapturedPacket) -> tuple:
-        first = packet.packets[0]
-        return (packet.src_ip, packet.dst_ip, first.scid, first.dcid)
 
     def add_values(
         self,
@@ -78,10 +80,10 @@ class SessionStore:
         timestamp: float,
         types: bytes,
     ) -> Session:
-        """Append one datagram to the session ``key`` (:meth:`key_of`) names.
+        """Append one datagram to the session ``key`` (:func:`session_key`) names.
 
         ``version`` is the first packet's; ``types`` the packet type codes
-        of the datagram (:func:`~repro.telescope.classify.type_codes`).
+        of the datagram (its row's ``types``).
         """
         session = self._sessions.get(key)
         if session is None:
@@ -98,21 +100,13 @@ class SessionStore:
         session.initial_datagrams += _INITIAL in types
         return session
 
-    def add(self, packet: CapturedPacket) -> Session:
-        return self.add_values(
-            self.key_of(packet),
-            packet.origin,
-            packet.packets[0].version,
-            packet.timestamp,
-            type_codes(packet),
-        )
-
     @classmethod
     def from_packets(cls, packets: Iterable[CapturedPacket]) -> "SessionStore":
-        """Group packets into sessions (the batch form of :meth:`add`)."""
+        """Group packets into sessions (the batch form of :meth:`add_values`)."""
         store = cls()
-        for packet in packets:
-            store.add(packet)
+        for row in map(datagram_values, packets):
+            timestamp, _, _, _, origin, _, types, versions, *_ = row
+            store.add_values(session_key(row), origin, versions[0], timestamp, types)
         return store
 
     def sessions(self) -> list[Session]:

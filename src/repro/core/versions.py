@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.core.session import SessionStore
+from repro.capstore.table import ClassifiedView
+from repro.core.session import SessionStore, session_key
 from repro.quic.version import table2_bucket
-from repro.telescope.classify import ClassifiedCapture
+from repro.telescope.classify import CapturedPacket, datagram_values
 
 
 @dataclass
@@ -44,14 +46,11 @@ class VersionMix:
         self.counts: Counter = Counter()
 
     def add_values(self, key: tuple, version: int) -> None:
-        """Count the session ``key`` (``SessionStore.key_of``) on first sight,
+        """Count the session ``key`` (:func:`session_key`) on first sight,
         under the version of the datagram's first packet."""
         if key not in self.keys:
             self.keys.add(key)
             self.counts[table2_bucket(version)] += 1
-
-    def add(self, packet) -> None:
-        self.add_values(SessionStore.key_of(packet), packet.packets[0].version)
 
     def shares(self) -> VersionShares:
         return VersionShares(counts=self.counts, total=len(self.keys))
@@ -65,15 +64,16 @@ def session_shares(store: SessionStore) -> VersionShares:
     return VersionShares(counts=counts, total=len(sessions))
 
 
-def version_shares(packets) -> VersionShares:
+def version_shares(packets: Iterable[CapturedPacket]) -> VersionShares:
     """Bucket one packet population (scans or backscatter) by session."""
     mix = VersionMix()
-    for packet in packets:
-        mix.add(packet)
+    for row in map(datagram_values, packets):
+        *_, versions, _, _, _ = row
+        mix.add_values(session_key(row), versions[0])
     return mix.shares()
 
 
-def table2(capture: ClassifiedCapture) -> dict[str, VersionShares]:
+def table2(capture: ClassifiedView) -> dict[str, VersionShares]:
     """Client (scans) and server (backscatter) version shares."""
     return {
         "clients": version_shares(capture.scans),

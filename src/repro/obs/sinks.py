@@ -164,13 +164,10 @@ class RingBufferTracer(Tracer):
         return len(self._buffer)
 
     def emit(self, category: str, name: str, time: float = 0.0, **fields) -> None:
-        # Hot path: append a flat tuple; the JsonlTracer-shaped dict is only
-        # built if the event survives to a dump.
-        if self._context:
-            merged = self._context.copy()
-            merged.update(fields)
-            fields = merged
-        self._buffer.append((time, _wall.time(), category, name, fields))
+        # Hot path: append a flat tuple holding the (never mutated) scope
+        # context by reference; the JsonlTracer-shaped dict is only built
+        # if the event survives to a dump.
+        self._buffer.append((time, _wall.time(), category, name, self._context, fields))
         self.events_emitted += 1
 
     def scoped(self, **context) -> "RingBufferTracer":
@@ -183,7 +180,8 @@ class RingBufferTracer(Tracer):
 
     @staticmethod
     def _record(entry: tuple) -> dict:
-        time, wall, category, name, data = entry
+        time, wall, category, name, context, fields = entry
+        data = {**context, **fields} if context else fields
         record = {
             "time": round(time, 9),
             "wall": wall,

@@ -21,9 +21,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from repro.capstore.table import KLASS_VALUES, CaptureTable
+from repro.capstore.table import CaptureTable
 from repro.core.render import CaptureFold
 from repro.core.selectors import ANALYSIS_NAMES, FAMILIES
+from repro.telescope.classify import KLASS_VALUES
 
 #: The grammar's ``rows.*`` names -> the packet class labelling ``stream.rows``.
 _ROW_CLASSES = {"rows.backscatter": "backscatter", "rows.scans": "scan"}

@@ -2,24 +2,27 @@
 
 The vocabulary of the sanitised capture — :class:`CapturedPacket`,
 :class:`PacketClass`, :class:`SanitizationStats` (its drop reasons are
-:data:`repro.core.selectors.DROP_REASONS`) — and the object-shaped entry points over it.  The pipeline itself
-(UDP/443 → QUIC dissector → acknowledged-scanner removal → origin; the
-AEAD open this repository adds to the dissector runs for the scans the
-removal keeps) is decided in one place,
-:func:`repro.capstore.dissect.record_verdict`, which turns record bytes
-into rows of a columnar :class:`~repro.capstore.CaptureTable`;
-:func:`classify_capture` and :func:`classify_record` dissect into such a
-table and hand back its materialised view.
+:data:`repro.core.selectors.DROP_REASONS`) — and the row every analysis
+reads: :data:`DATAGRAM_FIELDS`, which a
+:class:`~repro.capstore.CaptureTable` cuts from its columns and
+:func:`datagram_values`, the one mapping from a ``CapturedPacket``, builds
+from an object.  The pipeline itself (UDP/443 → QUIC dissector →
+acknowledged-scanner removal → origin; the AEAD open this repository adds
+to the dissector runs for the scans the removal keeps) is decided in one
+place, :func:`repro.capstore.dissect.record_verdict`, which turns record
+bytes into rows of such a table; :func:`classify_capture` hands back the
+:class:`~repro.capstore.ClassifiedView` over the table it builds, and
+:func:`classify_record` one row's materialised packet.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
+    from repro.capstore.table import ClassifiedView
     from repro.inetdata.asdb import AsDatabase
     from repro.netstack.pcap import PcapRecord
     from repro.obs import Observability
@@ -53,14 +56,49 @@ class CapturedPacket:
         return len(self.packets) > 1
 
 
-def type_codes(packet) -> bytes:
-    """The packet type of each coalesced packet, one code byte apiece.
+#: The ``klass`` column's codes (``KLASS_VALUES`` is the way back).
+KLASS_CODES = {PacketClass.BACKSCATTER: 0, PacketClass.SCAN: 1}
+KLASS_VALUES = (PacketClass.BACKSCATTER, PacketClass.SCAN)
 
-    The plain-value spelling of ``[p.packet_type for p in packet.packets]``
-    that the analyses count by: hashable, and what the ``pkt_type`` column
-    of a :class:`~repro.capstore.CaptureTable` already holds.
+#: One sanitized datagram as the analyses read it: a tuple of plain
+#: values, the last five parallel over its coalesced packets.  Both row
+#: sources yield this shape — :meth:`~repro.capstore.CaptureTable.datagrams`
+#: from the columns, :func:`datagram_values` from a ``CapturedPacket``.
+DATAGRAM_FIELDS = (
+    "timestamp",
+    "src_ip",
+    "dst_ip",
+    "klass",  # KLASS_CODES: 0 backscatter, 1 scan
+    "origin",
+    "udp_payload_length",
+    "types",  # bytes: one PacketType value per packet
+    "versions",
+    "dcids",
+    "scids",
+    "packet_lengths",
+)
+
+
+def datagram_values(packet: CapturedPacket) -> tuple:
+    """``packet`` as a :data:`DATAGRAM_FIELDS` row.
+
+    The one place a ``CapturedPacket`` becomes the row the analyses
+    count: their batch forms map their packets through it.
     """
-    return bytes(p.packet_type.value for p in packet.packets)
+    packets = packet.packets
+    return (
+        packet.timestamp,
+        packet.src_ip,
+        packet.dst_ip,
+        KLASS_CODES[packet.klass],
+        packet.origin,
+        packet.udp_payload_length,
+        bytes(p.packet_type.value for p in packets),
+        tuple(p.version for p in packets),
+        tuple(p.dcid for p in packets),
+        tuple(p.scid for p in packets),
+        tuple(p.packet_length for p in packets),
+    )
 
 
 @dataclass
@@ -90,30 +128,6 @@ class SanitizationStats:
         """Fold another pass's counts into these (every field is a count)."""
         for name in vars(other):
             setattr(self, name, getattr(self, name) + getattr(other, name))
-
-
-@dataclass
-class ClassifiedCapture:
-    """Output of the sanitization pipeline."""
-
-    backscatter: list[CapturedPacket] = field(default_factory=list)
-    scans: list[CapturedPacket] = field(default_factory=list)
-    stats: SanitizationStats = field(default_factory=SanitizationStats)
-
-    def __len__(self) -> int:
-        return len(self.backscatter) + len(self.scans)
-
-    def datagrams(self):
-        """Every kept datagram as plain values, backscatter first.
-
-        The row shape the analyses fold over; see
-        :data:`repro.capstore.table.DATAGRAM_FIELDS`.
-        """
-        # capstore sits above this module (its table stores these classes).
-        from repro.capstore.table import datagram_values
-
-        return map(datagram_values, chain(self.backscatter, self.scans))
-
 
 
 def classify_record(
@@ -148,11 +162,14 @@ def classify_capture(
     acknowledged: AcknowledgedScanners | None = None,
     validate_crypto_scans: bool = True,
     obs: Observability | None = None,
-) -> ClassifiedCapture:
+) -> ClassifiedView:
     """Run the full sanitization pipeline over raw capture records.
 
     ``records`` may be any iterable, including the streaming
-    :func:`repro.netstack.pcap.iter_pcap` generator.
+    :func:`repro.netstack.pcap.iter_pcap` generator.  The result is the
+    view over the table they dissect into, as ``analyze`` reads a
+    sidecar: its ``backscatter`` / ``scans`` packets are materialised
+    when first asked for.
 
     ``validate_crypto_scans`` additionally AEAD-validates client Initials in
     scan traffic that is not from an acknowledged scanner (possible
@@ -175,4 +192,4 @@ def classify_capture(
         validate_crypto_scans=validate_crypto_scans,
         obs=obs,
     )
-    return ClassifiedView(table, stats).to_classified_capture()
+    return ClassifiedView(table, stats)

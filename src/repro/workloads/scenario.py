@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.inetdata.asdb import ISP_NETWORKS, AsDatabase, AsEntry
 from repro.inetdata.certs import CertificateStore
@@ -53,11 +54,14 @@ from repro.server.simple import SimpleQuicServer
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Network, PathModel
 from repro.telescope.acknowledged import RESEARCH_NETWORKS, AcknowledgedScanners
-from repro.telescope.classify import ClassifiedCapture, classify_capture
+from repro.telescope.classify import classify_capture
 from repro.telescope.darknet import Telescope
 from repro.tls.certs import Certificate
 from repro.workloads.attackers import AttackPlan, SpoofingAttacker
 from repro.workloads.scanners import NoiseSource, ResearchScanner, UnknownScanner
+
+if TYPE_CHECKING:
+    from repro.capstore.table import ClassifiedView
 
 _COUNTRY_CYCLE = ("US", "DE", "IN", "GB", "SG", "CA", "JP", "FR", "BR", "KR")
 
@@ -299,7 +303,7 @@ class Scenario:
         """Run the event loop to completion (all traffic + retransmissions)."""
         self.loop.run()
 
-    def classify(self) -> ClassifiedCapture:
+    def classify(self) -> ClassifiedView:
         return classify_capture(
             self.telescope.records,
             asdb=self.asdb,

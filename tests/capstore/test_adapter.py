@@ -1,5 +1,6 @@
-"""Adapter-view equivalence: every analyze table renders byte-identically
-whether it consumes the legacy object pipeline or the columnar store."""
+"""One classified capture: the view ``classify_capture`` builds from
+records is the view ``load_or_build`` gives for their pcap, and every
+analyze table renders byte-identically from either."""
 
 import pytest
 
@@ -12,7 +13,7 @@ ALL_TABLES = set(VALID_TABLES)
 
 
 @pytest.fixture(scope="module")
-def legacy(month_pcap):
+def classified(month_pcap):
     return classify_capture(
         read_pcap(month_pcap),
         asdb=default_asdb(),
@@ -28,29 +29,28 @@ def columnar(month_pcap):
 
 class TestRenderEquivalence:
     @pytest.mark.parametrize("table", sorted(ALL_TABLES))
-    def test_each_table_renders_identically(self, legacy, columnar, table):
+    def test_each_table_renders_identically(self, classified, columnar, table):
         assert render_analysis(columnar, {table}) == render_analysis(
-            legacy, {table}
+            classified, {table}
         )
 
-    def test_all_tables_at_once(self, legacy, columnar):
+    def test_all_tables_at_once(self, classified, columnar):
         assert render_analysis(columnar, ALL_TABLES) == render_analysis(
-            legacy, ALL_TABLES
+            classified, ALL_TABLES
         )
 
 
 class TestRowView:
-    def test_views_mirror_captured_packets(self, legacy, columnar):
+    def test_views_mirror_captured_packets(self, classified, columnar):
         # The split lists hold real CapturedPackets: plain equality.
         assert columnar.backscatter + columnar.scans == (
-            legacy.backscatter + legacy.scans
+            classified.backscatter + classified.scans
         )
 
-    def test_to_classified_capture_materializes_everything(self, legacy, columnar):
-        capture = columnar.to_classified_capture()
-        assert capture.backscatter == legacy.backscatter
-        assert capture.scans == legacy.scans
-        assert capture.stats == legacy.stats
+    def test_classify_capture_is_the_indexed_view(self, classified, columnar):
+        # Column for column, origins and blobs included, and every count.
+        assert classified.table == columnar.table
+        assert classified.stats == columnar.stats
 
-    def test_len_matches_legacy(self, legacy, columnar):
-        assert len(columnar) == len(legacy.backscatter) + len(legacy.scans)
+    def test_len_matches_legacy(self, classified, columnar):
+        assert len(columnar) == len(classified.backscatter) + len(classified.scans)

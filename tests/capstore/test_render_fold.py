@@ -13,7 +13,7 @@ from repro.quic.packet import PacketType, ParsedLongHeader
 from repro.quic.version import QUIC_V1
 from repro.stream.reducers import StreamAnalyses
 from repro.sweep.metrics import DEFAULT_METRICS, evaluate_metrics
-from repro.telescope.classify import CapturedPacket, ClassifiedCapture, PacketClass
+from repro.telescope.classify import CapturedPacket, PacketClass, datagram_values
 
 ALL_TABLES = set(VALID_TABLES)
 
@@ -72,6 +72,16 @@ def _datagram(index, klass, kinds):
     )
 
 
+class _Capture:
+    """Hand-made packets, read as ``render_analysis`` reads a capture."""
+
+    def __init__(self, backscatter, scans):
+        self.backscatter, self.scans = backscatter, scans
+
+    def datagrams(self):
+        return map(datagram_values, self.backscatter + self.scans)
+
+
 class TestScansStayOutOfTable1:
     """Table 1's coalescence mark reads backscatter alone; Table 3 counts
     backscatter + scans.  A scanner inside Google's AS that coalesces
@@ -80,7 +90,7 @@ class TestScansStayOutOfTable1:
     @pytest.fixture(scope="class")
     def capture(self):
         coalesced = (PacketType.INITIAL, PacketType.HANDSHAKE)
-        return ClassifiedCapture(
+        return _Capture(
             backscatter=[
                 _datagram(i, PacketClass.BACKSCATTER, (PacketType.INITIAL,))
                 for i in range(10)
@@ -105,7 +115,7 @@ class TestScansStayOutOfTable1:
 
     def test_the_mark_flips_once_the_backscatter_coalesces(self, capture):
         coalesced = (PacketType.INITIAL, PacketType.HANDSHAKE)
-        capture = ClassifiedCapture(
+        capture = _Capture(
             backscatter=capture.backscatter
             + [_datagram(200, PacketClass.BACKSCATTER, coalesced)],
             scans=capture.scans,

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capstore import build_from_records, dump_index, load_index
-from repro.capstore.table import datagram_values
+from repro.telescope.classify import datagram_values
 from repro.core.dissector import dissect_datagram
 from repro.netstack.pcap import PcapRecord
 from repro.netstack.udp import QUIC_PORT, UdpDatagram, encode_udp

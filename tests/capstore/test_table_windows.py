@@ -11,7 +11,7 @@ import pytest
 
 from repro.capstore import build_capture_table
 from repro.capstore import table as table_module
-from repro.capstore.table import datagram_values
+from repro.telescope.classify import datagram_values
 from repro.stream.reducers import StreamAnalyses
 
 WINDOW = 7

@@ -1,10 +1,9 @@
-"""IBR activity analysis and Cloudflare colo fingerprinting."""
+"""IBR activity analysis: the flood events behind a capture's backscatter."""
 
 from collections import Counter
 
 import pytest
 
-from repro.core.colo import cloudflare_colos
 from repro.core.ibr_activity import FloodEvents, detect_flood_events
 from repro.telescope.classify import CapturedPacket, PacketClass
 
@@ -78,28 +77,10 @@ class TestFloodDetection:
     def test_an_open_burst_counts_once_it_is_big_enough(self):
         events = FloodEvents(quiet_gap=60, min_packets=3)
         for t in (0.0, 1.0):
-            events.add(synth_packet(t))
+            events.add_values(1, 2, "Facebook", t)
         assert events.events() == []
-        events.add(synth_packet(2.0))
+        events.add_values(1, 2, "Facebook", 2.0)
         (open_burst,) = events.events()
-        events.add(synth_packet(500.0))  # closes it, opens a burst of one
+        events.add_values(1, 2, "Facebook", 500.0)  # closes it, opens a burst of one
         assert events.events() == [open_burst] and open_burst.packets == 3
 
-
-class TestCloudflareColos:
-    def test_colos_recovered(self, small_scenario, small_capture):
-        view = cloudflare_colos(small_capture.backscatter)
-        # The small scenario deploys 2 Cloudflare clusters = 2 colo IDs.
-        assert view.colo_count == len(small_scenario.clusters["Cloudflare"])
-        for colo, metal_count in view.metal_counts().items():
-            assert metal_count >= 1
-
-    def test_metals_bounded_by_deployment(self, small_scenario, small_capture):
-        view = cloudflare_colos(small_capture.backscatter)
-        hosts = small_scenario.clusters["Cloudflare"][0].hosts
-        for metals in view.metals_by_colo.values():
-            assert len(metals) <= len(hosts) * 2  # metal = host_id & 0xff
-
-    def test_empty_capture(self):
-        view = cloudflare_colos([])
-        assert view.colo_count == 0

@@ -19,6 +19,7 @@ the set ``CaptureFold.values`` fills.
 import os
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +31,6 @@ from repro.capstore import (
     default_asdb,
     record_verdict,
 )
-from repro.capstore.table import DATAGRAM_FIELDS, datagram_values
 from repro.cli import main
 from repro.core.ibr_activity import detect_flood_events
 from repro.core.offnet import OffnetServers, extract_features
@@ -60,9 +60,10 @@ from repro.netstack.pcap import read_pcap
 from repro.stream.reducers import StreamAnalyses
 from repro.sweep.metrics import evaluate_metrics
 from repro.telescope.classify import (
-    ClassifiedCapture,
+    DATAGRAM_FIELDS,
     PacketClass,
     SanitizationStats,
+    datagram_values,
 )
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
@@ -160,10 +161,11 @@ def _batch_state(packets):
     """The same, from the standalone batch functions over ``packets``."""
     backscatter = [p for p in packets if p.klass is PacketClass.BACKSCATTER]
     scans = [p for p in packets if p.klass is PacketClass.SCAN]
-    shares = table2(ClassifiedCapture(backscatter=backscatter, scans=scans))
+    shares = table2(SimpleNamespace(backscatter=backscatter, scans=scans))
     offnet = OffnetServers()
-    for packet in backscatter:
-        offnet.add(packet)
+    for row in map(datagram_values, backscatter):
+        _, src_ip, _, _, origin, payload_length, types, _, _, scids, _ = row
+        offnet.add_values(origin, src_ip, types, scids, payload_length)
     return {
         "clients": shares["clients"].counts,
         "servers": shares["servers"].counts,
@@ -283,7 +285,7 @@ def _batch_metrics(stats, packets):
     valued by the standalone batch functions over the objects."""
     backscatter = [p for p in packets if p.klass is PacketClass.BACKSCATTER]
     scans = [p for p in packets if p.klass is PacketClass.SCAN]
-    shares = table2(ClassifiedCapture(backscatter=backscatter, scans=scans))
+    shares = table2(SimpleNamespace(backscatter=backscatter, scans=scans))
     mix = packet_mix(backscatter + scans)
     scid_stats = table4(backscatter)
     features = extract_features(backscatter)

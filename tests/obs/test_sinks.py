@@ -154,6 +154,26 @@ class TestRingBufferTracer:
         assert [e["name"] for e in events] == ["a", "b"]
         assert events[1]["data"] == {"worker": 2, "seq": 1}
 
+    def test_dump_writes_the_bytes_a_jsonl_tracer_writes(self, monkeypatch):
+        # Nested scopes and a field overriding a scope's key merge in the
+        # JsonlTracer's key order, though the ring merges only at dump time.
+        monkeypatch.setattr("time.time", lambda: 1.5)
+        sink = io.StringIO()
+        ring = RingBufferTracer(capacity=4)
+        for tracer in (JsonlTracer(sink), ring):
+            scoped = tracer.scoped(host=3, cid="00").scoped(worker=2)
+            scoped.emit("lb", "dispatch", time=0.25, cid="ff", host=9)
+            scoped.emit("sim", "tick", time=0.5)
+            tracer.emit("sim", "run_end", time=1.0)
+        dumped = io.StringIO()
+        assert ring.dump(dumped) == 3
+        assert dumped.getvalue() == sink.getvalue()
+        assert json.loads(sink.getvalue().splitlines()[0])["data"] == {
+            "host": 9,
+            "cid": "ff",
+            "worker": 2,
+        }
+
     def test_event_without_fields_has_no_data_key(self):
         tracer = RingBufferTracer(capacity=2)
         tracer.emit("sim", "run_start", time=1.0)
