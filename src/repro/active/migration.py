@@ -44,8 +44,8 @@ def _reaches_holder(cluster, datagram, scid: bytes) -> tuple[bool, bool]:
     """``(same_host, same_worker)`` for a client datagram to ``cluster``.
 
     Every L4LB of a cluster shares one Maglev view, so the first one
-    answers for whichever the router's ECMP would pick (its ``stats``
-    count the lookup).
+    answers for whichever the router's ECMP would pick.  ``select_host``
+    only looks: the lookup counts and traces nothing.
     """
     l4lb = cluster.l4lbs[0]
     dcid = l4lb.extract_dcid(datagram)

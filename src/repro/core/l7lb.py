@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from typing import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.quic.cid import mvfst
 from repro.quic.packet_type import PacketType

@@ -10,7 +10,6 @@ QScanner verification.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Sequence
 from dataclasses import dataclass, field
 

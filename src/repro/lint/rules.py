@@ -47,6 +47,9 @@ rule id     invariant
             (whole documents), ``pool.py`` (fan-out) and ``cli.py`` (the
             error boundary); the append logs — pcaps, the JSONL trace —
             carry a pragma saying why they are written in place
+``IMP001``  a module-level import whose name the module never reads —
+            annotations, quoted ones included, count as reads;
+            ``__init__.py`` files (a package's interface) are exempt
 ==========  =============================================================
 
 Rules are small classes with an ``interests`` tuple of AST node types
@@ -538,6 +541,48 @@ class OneWayOutRule(Rule):
             )
 
 
+class UnusedImportRule(Rule):
+    """IMP001: a module-level import whose name the module never reads."""
+
+    id = "IMP001"
+    title = "unused module-level import"
+    interests = (ast.Module,)
+    _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def visit(self, node, ctx):
+        if ctx.parts[-1] == "__init__.py":
+            return  # a package's imports are its interface
+        read, hints, imports, nested = set(), [], [], set()
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+                read.add(child.id)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                if getattr(child, "module", "") != "__future__":
+                    imports.append(child)
+            elif isinstance(child, self._SCOPES):
+                nested.update(map(id, ast.walk(child)))
+            hints += [getattr(child, f, None) for f in ("annotation", "returns")]
+        for leaf in (leaf for hint in hints if hint for leaf in ast.walk(hint)):
+            if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                try:  # a quoted annotation reads the names inside it
+                    quoted = ast.parse(leaf.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+        for stmt in imports:
+            if id(stmt) in nested:
+                continue  # a function's or class's own import
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    yield self.finding(
+                        alias,
+                        ctx,
+                        "%s is imported but never read in this module; delete the "
+                        "import (a deliberate re-export says why in a pragma)" % name,
+                    )
+
+
 def default_rules() -> List[Rule]:
     """Fresh instances of every shipped rule, in id order."""
     return [
@@ -550,6 +595,7 @@ def default_rules() -> List[Rule]:
         MultiprocessingTargetRule(),
         PacketHotLoopRule(),
         OneWayOutRule(),
+        UnusedImportRule(),
     ]
 
 

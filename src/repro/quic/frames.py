@@ -8,7 +8,7 @@ implemented because CID rotation is central to the load-balancing discussion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.buffer import BufferError_, Reader, Writer
 from repro.quic.varint import encode_varint, read_varint

@@ -20,6 +20,8 @@ from typing import TYPE_CHECKING
 
 from repro.buffer import Writer
 from repro.lru import LruCache
+# repro: allow(IMP001) -- the codec re-exports the packet vocabulary with
+# PacketType; tests/integration/test_lazy_reexports.py pins it
 from repro.quic.packet_type import PACKET_LABELS, PacketType
 from repro.quic.varint import VALUE_MASK, encode_varint, varint_length
 from repro.quic.version import VERSION_NEGOTIATION

@@ -163,24 +163,6 @@ class ServerConnection:
         )
 
 
-@dataclass
-class EngineStats:
-    initials_received: int = 0
-    connections_created: int = 0
-    flights_sent: int = 0
-    retransmissions: int = 0
-    established: int = 0
-    discarded_inconsistent: int = 0
-    version_negotiations: int = 0
-    retries_sent: int = 0
-    non_quic_ignored: int = 0
-    expired: int = 0
-    short_packets_received: int = 0
-    migrations_accepted: int = 0
-    stateless_resets_sent: int = 0
-    new_cids_issued: int = 0
-
-
 class _FlightLayout:
     """Precomputed Initial+Handshake flight bytes for one flight *shape*.
 
@@ -456,7 +438,6 @@ class QuicServerEngine:
         self.worker_id = worker_id
         self.process_id = process_id
         self.certificate = certificate
-        self.stats = EngineStats()
         obs = obs or NULL_OBS
         # Per-worker scoped tracer: every event carries profile/host/worker.
         self._tracer = (
@@ -525,6 +506,7 @@ class QuicServerEngine:
         return cid in self._by_scid
 
     def _count(self, event: str) -> None:
+        """The one count of a server event: ``engine.events{event, profile}``."""
         if self._m_events is not None:
             self._m_events.inc_key((event, self.profile.name))
 
@@ -542,7 +524,6 @@ class QuicServerEngine:
         try:
             packets = decode_datagram(datagram.payload)
         except PacketParseError:
-            self.stats.non_quic_ignored += 1
             self._count("non_quic_ignored")
             return
         parsed, _raw = packets[0]
@@ -568,7 +549,7 @@ class QuicServerEngine:
             self._on_new_initial(datagram, parsed, now)
         elif parsed.packet_type is PacketType.ZERO_RTT:
             # 0-RTT without cached state: silently dropped.
-            self.stats.discarded_inconsistent += 1
+            self._count("discarded_inconsistent")
         # Handshake packets for unknown connections are dropped silently.
 
     # ----------------------------------------------------------- internals
@@ -579,26 +560,18 @@ class QuicServerEngine:
             conn.state is ConnState.ESTABLISHED
             and now - conn.last_active > self.profile.idle_timeout
         ):
-            self._drop_connection(conn)
-            self.stats.expired += 1
-            self._count("connections_expired")
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    CAT_CONNECTIVITY, "connection_expired", time=now, cid=conn.scid.hex()
-                )
+            self._expire(conn, now)
             if parsed.packet_type is PacketType.INITIAL:
                 self._on_new_initial(datagram, parsed, now)
             return
         if not conn.consistent_with(datagram, parsed.scid):
             # RFC 9000 §5.2: inconsistent packets for a known CID are
             # silently discarded.  This is the Appendix-D observable.
-            self.stats.discarded_inconsistent += 1
             self._count("discarded_inconsistent")
             return
         conn.last_active = now
         if conn.state is ConnState.AWAIT_CLIENT:
             conn.state = ConnState.ESTABLISHED
-            self.stats.established += 1
             self._count("connections_established")
             if self._tracer.enabled:
                 self._tracer.emit(
@@ -614,7 +587,6 @@ class QuicServerEngine:
             self._issue_new_cid(conn)
 
     def _on_new_initial(self, datagram: UdpDatagram, parsed, now: float) -> None:
-        self.stats.initials_received += 1
         origin_key = (datagram.src_ip, datagram.src_port, parsed.dcid)
         if origin_key in self._by_origin:
             return  # duplicate client Initial; flight already scheduled
@@ -655,7 +627,6 @@ class QuicServerEngine:
         )
         self._by_scid[scid] = conn
         self._by_origin[origin_key] = conn
-        self.stats.connections_created += 1
         self._count("connections_created")
         if self._tracer.enabled:
             self._tracer.emit(
@@ -674,23 +645,23 @@ class QuicServerEngine:
     # -------------------------------------------------------- 1-RTT traffic
     def _on_short(self, datagram: UdpDatagram, now: float) -> None:
         """Handle a 1-RTT packet: continuation, migration, or reset."""
-        self.stats.short_packets_received += 1
+        self._count("short_packets_received")
         try:
             parsed = parse_short_header(
                 datagram.payload, self.profile.cid_scheme.length
             )
         except PacketParseError:
-            self.stats.non_quic_ignored += 1
+            self._count("non_quic_ignored")
             return
         conn = self._by_scid.get(parsed.dcid)
-        if (
-            conn is None
-            or conn.state is not ConnState.ESTABLISHED
-            or now - conn.last_active > self.profile.idle_timeout
-        ):
+        if conn is not None and conn.state is ConnState.AWAIT_CLIENT:
+            # RFC 9001 §5.7: no 1-RTT before the handshake completes; the
+            # packet goes, the half-open connection stays.
+            self._count("discarded_before_handshake")
+            return
+        if conn is None or now - conn.last_active > self.profile.idle_timeout:
             if conn is not None:
-                self._drop_connection(conn)
-                self.stats.expired += 1
+                self._expire(conn, now)
             # RFC 9000 §10.3: no matching connection -> stateless reset.
             self._send_stateless_reset(datagram, parsed.dcid)
             return
@@ -700,14 +671,13 @@ class QuicServerEngine:
             )
             decode_frames(plain.payload)
         except (ProtectionError, FrameParseError):
-            self.stats.discarded_inconsistent += 1
+            self._count("discarded_inconsistent")
             return
         if (datagram.src_ip, datagram.src_port) != (conn.client_ip, conn.client_port):
             # Valid packet from a new path: connection migration.  (Path
             # validation is collapsed into immediate acceptance.)
             conn.client_ip = datagram.src_ip
             conn.client_port = datagram.src_port
-            self.stats.migrations_accepted += 1
             self._count("migrations_accepted")
             if self._tracer.enabled:
                 self._tracer.emit(
@@ -734,7 +704,6 @@ class QuicServerEngine:
             return  # astronomically unlikely collision; skip the rotation
         conn.issued_cids.append(new_cid)
         self._by_scid[new_cid] = conn
-        self.stats.new_cids_issued += 1
         self._count("new_cids_issued")
         if self._tracer.enabled:
             self._tracer.emit(
@@ -786,7 +755,6 @@ class QuicServerEngine:
         filler[0] = 0x40 | (filler[0] & 0x3F)  # looks like a short header
         token = rng.getrandbits(128).to_bytes(16, "big")
         self._reply_to(request, request.dst_ip, *_ready(bytes(filler) + token))
-        self.stats.stateless_resets_sent += 1
         self._count("stateless_resets_sent")
         if self._tracer.enabled:
             self._tracer.emit(
@@ -817,7 +785,6 @@ class QuicServerEngine:
                     )
                 return
             conn.retransmits_done += 1
-            self.stats.retransmissions += 1
             self._count("retransmissions")
             if self._tracer.enabled:
                 self._tracer.emit(
@@ -832,6 +799,15 @@ class QuicServerEngine:
             self._schedule_retransmit(conn, datagram, timeout * self.profile.rto_backoff)
 
         conn.retransmit_event = self.loop.schedule(timeout, fire)
+
+    def _expire(self, conn: ServerConnection, now: float) -> None:
+        """Forget a connection idle past the profile's timeout."""
+        self._drop_connection(conn)
+        self._count("connections_expired")
+        if self._tracer.enabled:
+            self._tracer.emit(
+                CAT_CONNECTIVITY, "connection_expired", time=now, cid=conn.scid.hex()
+            )
 
     def _drop_connection(self, conn: ServerConnection) -> None:
         self._by_scid.pop(conn.scid, None)
@@ -871,7 +847,6 @@ class QuicServerEngine:
         lengths = [length for length, _build in datagrams]
         for length, build in datagrams:
             self._reply_to(request, conn.vip, length, build)
-        self.stats.flights_sent += 1
         self._count("flights_sent")
         if self._m_datagrams is not None:
             key = (profile.name,)
@@ -909,7 +884,6 @@ class QuicServerEngine:
         self._reply_to(
             request, request.dst_ip, *_ready(encode_version_negotiation(packet))
         )
-        self.stats.version_negotiations += 1
         self._count("version_negotiations")
         if self._tracer.enabled:
             self._tracer.emit(
@@ -937,7 +911,6 @@ class QuicServerEngine:
             version=parsed.version, dcid=parsed.scid, scid=scid, retry_token=token
         )
         self._reply_to(request, request.dst_ip, *_ready(encode_retry(packet)))
-        self.stats.retries_sent += 1
         self._count("retries_sent")
         if self._tracer.enabled:
             self._tracer.emit(

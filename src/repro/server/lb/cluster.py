@@ -126,12 +126,3 @@ class FrontendCluster(Device):
 
     def total_connections(self) -> int:
         return sum(h.total_connections() for h in self.hosts)
-
-    def engine_stats(self) -> dict[str, int]:
-        """Aggregate engine counters across every materialized worker."""
-        totals: dict[str, int] = {}
-        for host in self.hosts:
-            for worker in host.workers.values():
-                for key, value in vars(worker.stats).items():
-                    totals[key] = totals.get(key, 0) + value
-        return totals

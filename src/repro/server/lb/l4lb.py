@@ -19,8 +19,6 @@ here draws from an rng at dispatch time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.netstack import encap
 from repro.netstack.udp import UdpDatagram
 from repro.obs import NULL_OBS, Observability
@@ -31,16 +29,6 @@ from repro.quic.packet import FORM_BIT, PacketParseError, parse_long_header
 from repro.server.lb.l7lb import L7LbHost
 from repro.server.lb.maglev import MaglevTable, flow_key
 from repro.server.profiles import ROUTE_CID, ROUTE_QUIC_LB
-
-
-@dataclass
-class L4Stats:
-    forwarded: int = 0
-    tunnel_bytes: int = 0
-    cid_routed: int = 0
-    tuple_routed: int = 0
-    quic_lb_routed: int = 0
-    quic_lb_fallback: int = 0
 
 
 class L4LoadBalancer:
@@ -75,7 +63,6 @@ class L4LoadBalancer:
         self.maglev = maglev or MaglevTable(
             [b"l7-%d" % h.host_id for h in hosts], table_size=table_size
         )
-        self.stats = L4Stats()
         self.quic_lb_config = quic_lb_config
         #: QUIC-LB server IDs are the hosts' host IDs.
         self._host_by_server_id = {host.host_id: host for host in hosts}
@@ -102,27 +89,23 @@ class L4LoadBalancer:
 
     def routing_key(self, datagram: UdpDatagram, dcid: bytes) -> bytes:
         if self.routing == ROUTE_CID and dcid:
-            self.stats.cid_routed += 1
             return b"cid|" + dcid[:8]
-        self.stats.tuple_routed += 1
         return flow_key(
             datagram.src_ip, datagram.src_port, datagram.dst_ip, datagram.dst_port
         )
 
     def select_host(self, datagram: UdpDatagram, dcid: bytes) -> L7LbHost:
-        """The routing decision (exposed for tests and ablations)."""
+        """The routing decision, free of side effects (probes call it too)."""
         if self.routing == ROUTE_QUIC_LB and dcid and self.quic_lb_config:
             try:
                 server_id, _nonce = quic_lb.decode(self.quic_lb_config, dcid)
                 host = self._host_by_server_id.get(server_id)
                 if host is not None:
-                    self.stats.quic_lb_routed += 1
                     return host
             except QuicLbError:
                 pass
             # Unroutable CID (e.g. the client's random first DCID): fall
             # back to consistent hashing, as the draft prescribes.
-            self.stats.quic_lb_fallback += 1
             return self.hosts[self.maglev.lookup(b"cid|" + dcid[:8])]
         return self.hosts[self.maglev.lookup(self.routing_key(datagram, dcid))]
 
@@ -135,8 +118,6 @@ class L4LoadBalancer:
         dcid = self.extract_dcid(datagram)
         host = self.select_host(datagram, dcid)
         tunneled = encap.encapsulate(datagram, self.address, host.address)
-        self.stats.forwarded += 1
-        self.stats.tunnel_bytes += len(tunneled)
         if self._m_dispatch is not None:
             self._m_dispatch.inc_key((self.name, self.routing))
         if self._tracer.enabled:

@@ -21,7 +21,7 @@ are documented here and in DESIGN.md.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.quic.cid.base import CidScheme, RandomScheme
 from repro.quic.cid.cloudflare import CloudflareScheme

@@ -48,7 +48,6 @@ import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
 
 from repro.core.selectors import validate_metric
 from repro.errors import InputFileError

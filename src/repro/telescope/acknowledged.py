@@ -9,7 +9,7 @@ question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.inetdata.radix import RadixTree
 from repro.netstack.addr import Prefix

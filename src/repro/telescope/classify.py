@@ -51,10 +51,6 @@ class CapturedPacket:
     #: "Remaining" (the spoofed telescope side carries no information).
     origin: str = "Remaining"
 
-    @property
-    def coalesced(self) -> bool:
-        return len(self.packets) > 1
-
 
 #: The ``klass`` column's codes (``KLASS_VALUES`` is the way back).
 KLASS_CODES = {PacketClass.BACKSCATTER: 0, PacketClass.SCAN: 1}

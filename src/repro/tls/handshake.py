@@ -8,7 +8,7 @@ ALPN, supported_versions, and quic_transport_parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.buffer import BufferError_, Reader, Writer
 

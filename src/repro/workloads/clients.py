@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.lru import LruCache
 from repro.netstack.udp import QUIC_PORT, UdpDatagram

@@ -5,12 +5,13 @@ import pytest
 from repro.active.migration import migration_outcomes, migration_probe, survival_rates
 from repro.active.prober import Prober
 from repro.workloads.scenario import build_lb_lab
+from tests.server.metered import engine_events, metered
 
 
 @pytest.fixture(scope="module")
 def lab():
     return build_lb_lab(
-        google_hosts=10, facebook_hosts=10, quic_lb_hosts=10, seed=5
+        google_hosts=10, facebook_hosts=10, quic_lb_hosts=10, seed=5, obs=metered()
     )
 
 
@@ -130,13 +131,13 @@ class TestStatelessReset:
         )
         prober.host.send_raw(datagram)
         prober.advance(1.0)
-        cluster = lab.clusters["Facebook"][0]
-        stats = cluster.engine_stats()
-        assert stats.get("stateless_resets_sent", 0) >= 1
+        profile = lab.clusters["Facebook"][0].profile.name
+        stats = engine_events(lab.obs, profile)
+        assert stats["stateless_resets_sent"] >= 1
 
     def test_migration_counted_by_engine(self, lab):
         prober = Prober(lab.loop, lab.network)
         outcome = migration_probe(prober, lab.vips("Google")[3])
         assert outcome.survived
-        cluster = lab.clusters["Google"][0]
-        assert cluster.engine_stats().get("migrations_accepted", 0) >= 1
+        profile = lab.clusters["Google"][0].profile.name
+        assert engine_events(lab.obs, profile)["migrations_accepted"] >= 1

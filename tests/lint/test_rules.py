@@ -51,6 +51,8 @@ class TestDET001UnseededRandom:
         findings = findings_for(
             """
             from random import randint
+
+            ROLL = randint
             """
         )
         assert [f.rule for f in findings] == ["DET001"]
@@ -358,7 +360,7 @@ class TestRuleTable:
         rows = rule_table()
         ids = [row[0] for row in rows]
         assert {"DET001", "DET002", "DET003", "DET004", "DET005",
-                "OBS001", "MP001", "PERF001", "IO001"} == set(ids)
+                "OBS001", "MP001", "PERF001", "IO001", "IMP001"} == set(ids)
         for _id, title, doc in rows:
             assert title and doc
 

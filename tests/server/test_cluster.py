@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.netstack import encap
 from repro.netstack.addr import Prefix, parse_ip
 from repro.netstack.udp import UdpDatagram
 from repro.quic.packet import parse_long_header
@@ -15,11 +16,12 @@ from repro.server.simple import SimpleQuicServer
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Network, PathModel
 from repro.workloads.clients import ClientConnection
+from tests.server.metered import engine_events, metered
 
 CLIENT = parse_ip("198.51.100.7")
 
 
-def make_cluster(profile=None, hosts=8, vips=4):
+def make_cluster(profile=None, hosts=8, vips=4, obs=None):
     loop = EventLoop()
     net = Network(loop, random.Random(2), PathModel(jitter=0.0))
     cluster = FrontendCluster(
@@ -31,6 +33,7 @@ def make_cluster(profile=None, hosts=8, vips=4):
         vip_count=vips,
         l7_host_count=hosts,
         host_id_base=100,
+        obs=obs,
     )
     net.add_device(cluster)
     return cluster, loop, net
@@ -117,11 +120,20 @@ class TestRouting:
         picks = {l4.maglev.lookup(key) for l4 in cluster.l4lbs}
         assert len(picks) == 1
 
-    def test_tunnel_stats_updated(self):
-        cluster, loop, _net = make_cluster()
+    def test_tunnel_stats_updated(self, monkeypatch):
+        tunneled = []
+        original = encap.encapsulate
+
+        def spy(*args):
+            tunneled.append(original(*args))
+            return tunneled[-1]
+
+        monkeypatch.setattr(encap, "encapsulate", spy)
+        obs = metered()
+        cluster, loop, _net = make_cluster(obs=obs)
         cluster.handle_datagram(initial_to(cluster.vips[0], 4000), 0.0)
-        assert sum(l4.stats.forwarded for l4 in cluster.l4lbs) == 1
-        assert sum(l4.stats.tunnel_bytes for l4 in cluster.l4lbs) > 1200
+        assert obs.metrics.counter("lb.dispatch", ("lb", "routing")).total() == 1
+        assert sum(len(packet) for packet in tunneled) > 1200
 
 
 class TestDirectServerReturn:
@@ -174,9 +186,10 @@ class TestWorkerState:
         assert a == b
 
     def test_engine_stats_aggregation(self):
-        cluster, _loop, _net = make_cluster()
+        obs = metered()
+        cluster, _loop, _net = make_cluster(obs=obs)
         cluster.handle_datagram(initial_to(cluster.vips[0], 4000), 0.0)
-        stats = cluster.engine_stats()
+        stats = engine_events(obs)
         assert stats["connections_created"] == 1
         assert stats["flights_sent"] == 1
 

@@ -17,12 +17,13 @@ from repro.server.profiles import (
 )
 from repro.simnet.eventloop import EventLoop
 from repro.workloads.clients import ClientConnection
+from tests.server.metered import engine_events, metered
 
 VIP = parse_ip("157.240.1.10")
 CLIENT = parse_ip("44.1.2.3")
 
 
-def make_engine(profile=None, host_id=7, worker_id=3, seed=1):
+def make_engine(profile=None, host_id=7, worker_id=3, seed=1, obs=None):
     loop = EventLoop()
     sent = []
     engine = QuicServerEngine(
@@ -32,6 +33,7 @@ def make_engine(profile=None, host_id=7, worker_id=3, seed=1):
         send=sent.append,
         host_id=host_id,
         worker_id=worker_id,
+        obs=obs,
     )
     return engine, loop, sent
 
@@ -92,21 +94,23 @@ class TestFlight:
         assert parsed.scid == conn.dcid[:8]
 
     def test_duplicate_initial_ignored(self):
-        engine, loop, sent = make_engine()
+        obs = metered()
+        engine, loop, sent = make_engine(obs=obs)
         _conn, datagram = client_initial()
         engine.on_datagram(datagram, 0.0)
         engine.on_datagram(datagram, 0.1)
-        assert engine.stats.connections_created == 1
+        assert engine_events(obs)["connections_created"] == 1
         assert len(sent) == 2
 
     def test_non_quic_ignored(self):
-        engine, loop, sent = make_engine()
+        obs = metered()
+        engine, loop, sent = make_engine(obs=obs)
         junk = UdpDatagram(
             src_ip=CLIENT, dst_ip=VIP, src_port=1, dst_port=443, payload=b"\x16\x03"
         )
         engine.on_datagram(junk, 0.0)
         assert sent == []
-        assert engine.stats.non_quic_ignored == 1
+        assert engine_events(obs)["non_quic_ignored"] == 1
 
 
 class TestCoalescence:
@@ -161,7 +165,8 @@ class TestRetransmission:
         assert len(sent) == 6  # second at 0.4 + 0.8 = 1.2 s
 
     def test_ack_cancels_retransmissions(self):
-        engine, loop, sent = make_engine()
+        obs = metered()
+        engine, loop, sent = make_engine(obs=obs)
         conn, datagram = client_initial()
         engine.on_datagram(datagram, 0.0)
         # Client answers: same 5-tuple, same client CID, DCID = server SCID.
@@ -174,8 +179,8 @@ class TestRetransmission:
         # Flight (2 datagrams) + the NEW_CONNECTION_ID 1-RTT packet; no
         # retransmissions.
         assert len(sent) == 3
-        assert engine.stats.established == 1
-        assert engine.stats.new_cids_issued == 1
+        assert engine_events(obs)["connections_established"] == 1
+        assert engine_events(obs)["new_cids_issued"] == 1
 
     def test_max_retransmits_drawn_from_profile_range(self):
         lows = set()
@@ -189,8 +194,8 @@ class TestRetransmission:
 class TestStateDiscard:
     """RFC 9000 §5.2 silent discard — the Appendix-D lever."""
 
-    def setup_established(self):
-        engine, loop, sent = make_engine()
+    def setup_established(self, obs=None):
+        engine, loop, sent = make_engine(obs=obs)
         conn, datagram = client_initial(src_port=5000)
         engine.on_datagram(datagram, 0.0)
         server_scid = parse_long_header(sent[0].payload).scid
@@ -199,36 +204,40 @@ class TestStateDiscard:
         return engine, loop, sent, server_scid
 
     def test_inconsistent_initial_silently_discarded(self):
-        engine, loop, sent, server_scid = self.setup_established()
+        obs = metered()
+        engine, loop, sent, server_scid = self.setup_established(obs)
         flights = len(sent)
         # Follow-up: different port, new client CID, same server CID.
         _c, followup = client_initial(src_port=6001, dcid=server_scid)
         engine.on_datagram(followup, 1.0)
         assert len(sent) == flights  # nothing sent back
-        assert engine.stats.discarded_inconsistent == 1
+        assert engine_events(obs)["discarded_inconsistent"] == 1
 
     def test_state_expires_after_idle_timeout(self):
-        engine, loop, sent, server_scid = self.setup_established()
+        obs = metered()
+        engine, loop, sent, server_scid = self.setup_established(obs)
         idle = engine.profile.idle_timeout
         _c, followup = client_initial(src_port=6001, dcid=server_scid)
         engine.on_datagram(followup, idle + 1.5)
         # Expired state: the follow-up starts a fresh connection.
-        assert engine.stats.expired == 1
-        assert engine.stats.connections_created == 2
+        assert engine_events(obs)["connections_expired"] == 1
+        assert engine_events(obs)["connections_created"] == 2
 
     def test_awaiting_connection_also_discards(self):
-        engine, loop, sent = make_engine()
+        obs = metered()
+        engine, loop, sent = make_engine(obs=obs)
         _conn, datagram = client_initial(src_port=5000)
         engine.on_datagram(datagram, 0.0)
         server_scid = parse_long_header(sent[0].payload).scid
         _c, followup = client_initial(src_port=6001, dcid=server_scid)
         engine.on_datagram(followup, 0.1)
-        assert engine.stats.discarded_inconsistent == 1
+        assert engine_events(obs)["discarded_inconsistent"] == 1
 
 
 class TestVersionNegotiation:
     def test_unsupported_version_triggers_vn(self):
-        engine, loop, sent = make_engine()
+        obs = metered()
+        engine, loop, sent = make_engine(obs=obs)
         _conn, datagram = client_initial(version=0xFF00007F)
         engine.on_datagram(datagram, 0.0)
         assert len(sent) == 1
@@ -237,19 +246,20 @@ class TestVersionNegotiation:
         assert set(parsed.supported_versions) == set(
             engine.profile.supported_versions
         )
-        assert engine.stats.version_negotiations == 1
+        assert engine_events(obs)["version_negotiations"] == 1
 
 
 class TestRetry:
     def test_retry_probability_one_always_retries(self):
         profile = facebook_profile()
         profile.retry_probability = 1.0
-        engine, loop, sent = make_engine(profile)
+        obs = metered()
+        engine, loop, sent = make_engine(profile, obs=obs)
         engine.on_datagram(client_initial()[1], 0.0)
         parsed = parse_long_header(sent[0].payload)
         assert parsed.packet_type is PacketType.RETRY
-        assert engine.stats.retries_sent == 1
-        assert engine.stats.connections_created == 0
+        assert engine_events(obs)["retries_sent"] == 1
+        assert engine_events(obs)["connections_created"] == 0
 
 
 class TestProfiles:

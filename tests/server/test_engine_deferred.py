@@ -192,7 +192,7 @@ def test_unrouted_replies_are_never_sealed(protect_calls, coalesced):
     assert protect_calls == []
     unrouted_state = (
         conn.next_packet_number,
-        vars(engine.stats),
+        counters["engine.events"],
         counters["transport.flight_bytes"],
         counters["transport.datagrams_sent"],
         _named(events, "rto_fired"),
@@ -203,16 +203,17 @@ def test_unrouted_replies_are_never_sealed(protect_calls, coalesced):
     assert protect_calls == []  # the tracer and the metrics read lengths only
 
     engine, conn, net, client, counters, events = _served(profile, routed=True)
-    assert len(protect_calls) == 2 * engine.stats.flights_sent > 0
+    flights = counters["engine.events"]["values"]["flights_sent|" + profile.name]
+    assert len(protect_calls) == 2 * flights > 0
     assert unrouted_state == (
         conn.next_packet_number,
-        vars(engine.stats),
+        counters["engine.events"],
         counters["transport.flight_bytes"],
         counters["transport.datagrams_sent"],
         _named(events, "rto_fired"),
         _named(events, "datagrams_sent"),
     )
-    assert conn.next_packet_number == 2 * engine.stats.flights_sent
+    assert conn.next_packet_number == 2 * flights
     # What the drop events reported is what the routed twin delivered and
     # what the engine's own flight events listed.
     delivered = [data["bytes"] for _t, data in _named(events, "packet_delivered")]

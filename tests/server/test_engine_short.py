@@ -11,12 +11,13 @@ from repro.server.engine import ConnState, QuicServerEngine
 from repro.server.profiles import facebook_profile, google_profile, quic_lb_profile
 from repro.simnet.eventloop import EventLoop
 from repro.workloads.clients import ClientConnection
+from tests.server.metered import engine_events, metered
 
 VIP = parse_ip("157.240.1.10")
 CLIENT = parse_ip("198.51.100.7")
 
 
-def establish(profile=None, seed=1):
+def establish(profile=None, seed=1, obs=None):
     """Engine with one fully established connection; returns the pieces."""
     loop = EventLoop()
     sent = []
@@ -27,6 +28,7 @@ def establish(profile=None, seed=1):
         send=sent.append,
         host_id=9,
         worker_id=2,
+        obs=obs,
     )
     connection = ClientConnection(
         rng=random.Random(99),
@@ -49,13 +51,14 @@ def establish(profile=None, seed=1):
 
 class TestContinuation:
     def test_ping_from_same_path_ponged(self):
-        engine, loop, sent, connection = establish()
+        obs = metered()
+        engine, loop, sent, connection = establish(obs=obs)
         before = len(sent)
         probe = connection.migration_datagram(5000)  # same port: no migration
         engine.on_datagram(probe, 1.0)
         assert len(sent) == before + 1
-        assert engine.stats.short_packets_received == 1
-        assert engine.stats.migrations_accepted == 0
+        assert engine_events(obs)["short_packets_received"] == 1
+        assert engine_events(obs)["migrations_accepted"] == 0
 
     def test_client_counts_pong(self):
         engine, loop, sent, connection = establish()
@@ -67,20 +70,22 @@ class TestContinuation:
 
 class TestMigration:
     def test_new_path_accepted_and_address_updated(self):
-        engine, loop, sent, connection = establish()
+        obs = metered()
+        engine, loop, sent, connection = establish(obs=obs)
         probe = connection.migration_datagram(6111)
         engine.on_datagram(probe, 1.0)
-        assert engine.stats.migrations_accepted == 1
+        assert engine_events(obs)["migrations_accepted"] == 1
         conn = engine._by_scid[connection.result.server_scid]
         assert conn.client_port == 6111
 
     def test_rotated_cid_reaches_same_connection(self):
-        engine, loop, sent, connection = establish()
+        obs = metered()
+        engine, loop, sent, connection = establish(obs=obs)
         rotated = connection.result.new_connection_ids[0]
         probe = connection.migration_datagram(6222, dcid=rotated)
         engine.on_datagram(probe, 1.0)
-        assert engine.stats.migrations_accepted == 1
-        assert engine.stats.stateless_resets_sent == 0
+        assert engine_events(obs)["migrations_accepted"] == 1
+        assert engine_events(obs)["stateless_resets_sent"] == 0
 
     def test_quic_lb_rotated_cid_decodes_host(self):
         from repro.quic.cid import quic_lb
@@ -92,13 +97,53 @@ class TestMigration:
         assert server_id == engine.host_id
 
 
+class TestBeforeHandshake:
+    def test_early_short_packet_dropped_and_handshake_survives(self):
+        """RFC 9001 §5.7: 1-RTT before the handshake completes is discarded;
+        the half-open connection stays and no reset goes out."""
+        obs = metered()
+        loop = EventLoop()
+        sent = []
+        engine = QuicServerEngine(
+            profile=facebook_profile(),
+            loop=loop,
+            rng=random.Random(1),
+            send=sent.append,
+            obs=obs,
+        )
+        connection = ClientConnection(
+            rng=random.Random(99),
+            src_ip=CLIENT,
+            src_port=5000,
+            dst_ip=VIP,
+            version=engine.profile.supported_versions[0],
+        )
+        engine.on_datagram(connection.initial_datagram(), 0.0)
+        flight = list(sent)
+        confirmation = None
+        for datagram in flight:
+            confirmation = connection.on_datagram(datagram, 0.01) or confirmation
+        engine.on_datagram(connection.migration_datagram(5000), 0.015)
+        assert sent == flight  # no stateless reset
+        engine.on_datagram(confirmation, 0.02)
+        conn = engine._by_scid[connection.result.server_scid]
+        assert conn.state is ConnState.ESTABLISHED
+        events = engine_events(obs)
+        assert events["discarded_before_handshake"] == 1
+        assert events["connections_created"] == 1
+        assert events["connections_established"] == 1
+        assert events["stateless_resets_sent"] == 0
+        assert events["connections_expired"] == 0
+
+
 class TestResets:
     def test_unknown_cid_gets_stateless_reset(self):
-        engine, loop, sent, connection = establish()
+        obs = metered()
+        engine, loop, sent, connection = establish(obs=obs)
         before = len(sent)
         probe = connection.migration_datagram(6333, dcid=b"\x13" * 8)
         engine.on_datagram(probe, 1.0)
-        assert engine.stats.stateless_resets_sent == 1
+        assert engine_events(obs)["stateless_resets_sent"] == 1
         reset = sent[before]
         # Looks like a short-header packet and ends with a 16-byte token.
         assert not reset.payload[0] & 0x80
@@ -106,31 +151,34 @@ class TestResets:
         assert len(reset.payload) >= 21
 
     def test_expired_connection_resets(self):
-        engine, loop, sent, connection = establish()
+        obs = metered()
+        engine, loop, sent, connection = establish(obs=obs)
         idle = engine.profile.idle_timeout
         probe = connection.migration_datagram(5000)
         engine.on_datagram(probe, idle + 5.0)
-        assert engine.stats.expired == 1
-        assert engine.stats.stateless_resets_sent == 1
+        assert engine_events(obs)["connections_expired"] == 1
+        assert engine_events(obs)["stateless_resets_sent"] == 1
 
     def test_garbled_short_packet_discarded_silently(self):
-        engine, loop, sent, connection = establish()
+        obs = metered()
+        engine, loop, sent, connection = establish(obs=obs)
         probe = connection.migration_datagram(5000)
         data = bytearray(probe.payload)
         data[-1] ^= 0xFF  # break the AEAD tag
         before = len(sent)
         engine.on_datagram(probe.with_payload(bytes(data)), 1.0)
         assert len(sent) == before
-        assert engine.stats.discarded_inconsistent == 1
+        assert engine_events(obs)["discarded_inconsistent"] == 1
 
     def test_no_reset_for_datagram_no_larger_than_a_reset(self):
         """RFC 9000 §10.3.3: a reset must be smaller than its trigger."""
-        engine, loop, sent, connection = establish()
+        obs = metered()
+        engine, loop, sent, connection = establish(obs=obs)
         before = len(sent)
         template = connection.migration_datagram(6333, dcid=b"\x13" * 8)
         engine.on_datagram(template.with_payload(template.payload[:22]), 1.0)
         assert len(sent) == before
-        assert engine.stats.stateless_resets_sent == 0
+        assert engine_events(obs)["stateless_resets_sent"] == 0
         engine.on_datagram(template.with_payload(template.payload[:23]), 1.0)
         assert len(sent) == before + 1
         assert len(sent[-1].payload) == 22
@@ -141,6 +189,7 @@ class TestResets:
         loop = EventLoop()
         other_vip = parse_ip("157.240.1.11")
         engines = {}
+        obs = {VIP: metered(), other_vip: metered()}
 
         def deliver(datagram):
             target = engines[datagram.dst_ip]
@@ -152,6 +201,7 @@ class TestResets:
                 loop=loop,
                 rng=random.Random(seed),
                 send=deliver,
+                obs=obs[vip],
             )
         probe = UdpDatagram(
             src_ip=other_vip,
@@ -162,9 +212,9 @@ class TestResets:
         )
         deliver(probe)
         loop.run(max_events=20)  # raises if events remain past the budget
-        assert engines[VIP].stats.stateless_resets_sent == 1
-        assert engines[other_vip].stats.stateless_resets_sent == 0
-        assert engines[other_vip].stats.short_packets_received == 1
+        assert engine_events(obs[VIP])["stateless_resets_sent"] == 1
+        assert engine_events(obs[other_vip])["stateless_resets_sent"] == 0
+        assert engine_events(obs[other_vip])["short_packets_received"] == 1
 
 
 class TestRotationBookkeeping:

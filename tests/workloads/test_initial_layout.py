@@ -43,6 +43,7 @@ from repro.workloads import clients
 from repro.workloads.attackers import AttackPlan, SpoofingAttacker
 from repro.workloads.clients import ClientConnection
 from repro.workloads.scanners import ResearchScanner, UnknownScanner
+from tests.server.metered import engine_events, metered
 
 CLIENT = parse_ip("44.1.2.3")
 VIP = parse_ip("157.240.1.10")
@@ -232,8 +233,13 @@ def test_stateless_senders_draw_and_send_as_before(monkeypatch):
 def test_handshake_completes_on_a_spliced_client_hello(name):
     profile = PROFILES[name]()
     sent = []
+    obs = metered()
     engine = QuicServerEngine(
-        profile=profile, loop=EventLoop(), rng=random.Random(5), send=sent.append
+        profile=profile,
+        loop=EventLoop(),
+        rng=random.Random(5),
+        send=sent.append,
+        obs=obs,
     )
     connection = _connection(
         77, version=profile.supported_versions[0], server_name="www.example.org"
@@ -257,7 +263,7 @@ def test_handshake_completes_on_a_spliced_client_hello(name):
         confirmation = connection.on_datagram(reply, 0.05) or confirmation
     assert connection.result.completed
     engine.on_datagram(confirmation, 0.1)
-    assert engine.stats.established == 1
+    assert engine_events(obs)["connections_established"] == 1
 
 
 def test_layout_cache_is_bounded_under_distinct_server_names():
