@@ -76,7 +76,7 @@ def run_bench():
         "min_attribution": MIN_ATTRIBUTION,
         "events": scenario.loop.events_processed,
         "unit_weight": sum(unit.weight for unit in plan_traffic_units(config)),
-        "packets_delivered": scenario.network.stats.delivered,
+        "packets_delivered": int(metrics.counter("net.delivered", ("device",)).total()),
         "speedscope": os.path.relpath(
             SPEEDSCOPE_PATH, os.path.join(os.path.dirname(__file__), os.pardir)
         ),

@@ -80,14 +80,6 @@ class ConvergenceCurve:
             return 0.0
         return self.counts[min(handshakes, len(self.counts)) - 1] / self.total
 
-    def handshakes_for_coverage(self, fraction: float) -> int | None:
-        """First handshake count reaching ``fraction`` of the final set."""
-        target = fraction * self.total
-        for i, count in enumerate(self.counts):
-            if count >= target:
-                return i + 1
-        return None
-
 
 def convergence_curve(host_id_sequence: list[int]) -> ConvergenceCurve:
     """Build the curve from the host ID of each successive handshake."""
@@ -186,25 +178,3 @@ def passive_coverage(passive_ids: set[int], active_ids: set[int]) -> float:
         return 0.0
     return len(passive_ids & active_ids) / len(active_ids)
 
-
-def workers_per_host(scids) -> dict[int, set[int]]:
-    """Worker IDs observed per host ID (mvfst encodes both).
-
-    The paper's same-instance experiment shows Facebook tracks connection
-    state per host *and* worker; this view quantifies worker counts the
-    same way host IDs quantify L7LBs.
-    """
-    out: dict[int, set[int]] = defaultdict(set)
-    for scid in scids:
-        decoded = mvfst.try_decode(scid)
-        if decoded is not None:
-            out[decoded.host_id].add(decoded.worker_id)
-    return dict(out)
-
-
-def worker_count_distribution(scids) -> dict[int, int]:
-    """Histogram: number of observed workers -> number of hosts."""
-    histogram: dict[int, int] = defaultdict(int)
-    for workers in workers_per_host(scids).values():
-        histogram[len(workers)] += 1
-    return dict(histogram)

@@ -110,7 +110,7 @@ class CaptureFold:
             if scid_table is not None:
                 scid_table.add_values(origin, types, scids)
             if sessions is not None:
-                sessions.add_values(key, origin, versions[0], timestamp, types)
+                sessions.add_values(key, origin, versions[0], timestamp)
             if signatures is not None:
                 signatures.add_values(origin, types, lengths)
             if offnet is not None:

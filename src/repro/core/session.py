@@ -13,10 +13,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable
 
-from repro.quic.packet_type import PacketType
 from repro.telescope.classify import CapturedPacket, datagram_values
-
-_INITIAL = PacketType.INITIAL.value
 
 
 @dataclass
@@ -33,8 +30,6 @@ class Session:
     #: array, not a list of float objects: a capture's sessions keep one
     #: entry per datagram.  Nothing else is kept per datagram.
     timestamps: array = field(default_factory=partial(array, "d"))
-    #: Datagrams that carried an Initial packet: one per flight.
-    initial_datagrams: int = 0
 
     @property
     def first_seen(self) -> float:
@@ -48,15 +43,6 @@ class Session:
         """Arrival times relative to the first datagram of the session."""
         first = self.first_seen
         return [t - first for t in self.timestamps]
-
-    def resend_count(self) -> int:
-        """Number of *resent* flights: flights observed after the first.
-
-        A flight is one Initial (+Handshake) response; non-coalescing
-        stacks emit two datagrams per flight, coalescing stacks one.  We
-        count flights by Initial packets (every flight leads with one).
-        """
-        return max(0, self.initial_datagrams - 1)
 
 
 def session_key(row: tuple) -> tuple:
@@ -78,12 +64,10 @@ class SessionStore:
         origin: str,
         version: int,
         timestamp: float,
-        types: bytes,
     ) -> Session:
         """Append one datagram to the session ``key`` (:func:`session_key`) names.
 
-        ``version`` is the first packet's; ``types`` the packet type codes
-        of the datagram (its row's ``types``).
+        ``version`` is the first packet's.
         """
         session = self._sessions.get(key)
         if session is None:
@@ -97,7 +81,6 @@ class SessionStore:
                 version=version,
             )
         session.timestamps.append(timestamp)
-        session.initial_datagrams += _INITIAL in types
         return session
 
     @classmethod
@@ -105,8 +88,8 @@ class SessionStore:
         """Group packets into sessions (the batch form of :meth:`add_values`)."""
         store = cls()
         for row in map(datagram_values, packets):
-            timestamp, _, _, _, origin, _, types, versions, *_ = row
-            store.add_values(session_key(row), origin, versions[0], timestamp, types)
+            timestamp, _, _, _, origin, _, _, versions, *_ = row
+            store.add_values(session_key(row), origin, versions[0], timestamp)
         return store
 
     def sessions(self) -> list[Session]:

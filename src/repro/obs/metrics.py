@@ -63,15 +63,6 @@ class Counter:
     def total(self) -> float:
         return sum(self.values.values())
 
-    def sum_where(self, **labels) -> float:
-        """Sum over label tuples matching the given subset of labels."""
-        positions = {self.label_names.index(k): str(v) for k, v in labels.items()}
-        return sum(
-            value
-            for key, value in self.values.items()
-            if all(key[i] == v for i, v in positions.items())
-        )
-
 
 class Gauge:
     """Last-written value per label tuple."""

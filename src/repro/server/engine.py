@@ -496,11 +496,6 @@ class QuicServerEngine:
             self._rotation_scheme = profile.cid_scheme
 
     # ------------------------------------------------------------------ API
-    @property
-    def connection_count(self) -> int:
-        # _by_scid may hold several aliases per connection (rotated CIDs).
-        return len(self._by_origin)
-
     def holds(self, cid: bytes) -> bool:
         """Does a 1-RTT packet to ``cid`` reach one of this engine's connections?"""
         return cid in self._by_scid
@@ -550,7 +545,9 @@ class QuicServerEngine:
         elif parsed.packet_type is PacketType.ZERO_RTT:
             # 0-RTT without cached state: silently dropped.
             self._count("discarded_inconsistent")
-        # Handshake packets for unknown connections are dropped silently.
+        else:
+            # A Handshake packet for no connection: silently dropped.
+            self._count("unknown_connection")
 
     # ----------------------------------------------------------- internals
     def _on_existing(
@@ -589,7 +586,9 @@ class QuicServerEngine:
     def _on_new_initial(self, datagram: UdpDatagram, parsed, now: float) -> None:
         origin_key = (datagram.src_ip, datagram.src_port, parsed.dcid)
         if origin_key in self._by_origin:
-            return  # duplicate client Initial; flight already scheduled
+            # Duplicate client Initial: the flight is already scheduled.
+            self._count("duplicate_initial")
+            return
         if parsed.version not in self.profile.supported_versions:
             self._send_version_negotiation(datagram, parsed)
             return

@@ -98,7 +98,11 @@ class FrontendCluster(Device):
             )
             for i in range(l4_count)
         ]
-        self.dropped_non_vip = 0
+        self._m_dropped = (
+            obs.metrics.counter("lb.dropped", ("lb", "reason"))
+            if obs.metrics is not None
+            else None
+        )
 
     # -- Device interface ----------------------------------------------------
     def prefixes(self) -> list[Prefix]:
@@ -106,7 +110,8 @@ class FrontendCluster(Device):
 
     def handle_datagram(self, datagram: UdpDatagram, now: float) -> None:
         if datagram.dst_ip not in self._vip_set:
-            self.dropped_non_vip += 1
+            if self._m_dropped is not None:
+                self._m_dropped.inc_key((self.name, "non_vip"))
             return
         l4 = self._ecmp_select(datagram)
         l4.forward(datagram, now)
@@ -123,6 +128,3 @@ class FrontendCluster(Device):
     @property
     def host_ids(self) -> list[int]:
         return [h.host_id for h in self.hosts]
-
-    def total_connections(self) -> int:
-        return sum(h.total_connections() for h in self.hosts)

@@ -96,6 +96,3 @@ class L7LbHost:
     @property
     def workers(self) -> dict[int, QuicServerEngine]:
         return self._workers
-
-    def total_connections(self) -> int:
-        return sum(w.connection_count for w in self._workers.values())

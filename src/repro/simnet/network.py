@@ -4,13 +4,13 @@ Every :class:`Device` announces one or more prefixes; the network delivers
 each :class:`UdpDatagram` to the device with the longest matching prefix
 for the destination address.  Path latency is the sum of both endpoints'
 access delays plus jitter; a global loss rate models drop on the open
-Internet.  Packets to unowned space are counted and dropped (like real
-traffic to dark space that no telescope covers).
+Internet.  Packets to unowned space are dropped (like real traffic to
+dark space that no telescope covers).
 
-Every transmit outcome — delivered, lost, unrouted — is recorded in the
-metrics registry with device and drop-reason labels, so ``repro stats``
-can account for every packet.  :class:`NetworkStats` remains as a thin
-compatibility view over those counters.
+With a metrics registry attached, every transmit outcome — delivered,
+lost, unrouted — is counted in ``net.delivered{device}`` or
+``net.dropped{reason, device}``, so ``repro stats`` can account for every
+packet.  Without one nothing is counted.
 
 Per-packet jitter and loss are not drawn from a shared rng stream but
 derived from a keyed hash of the packet itself (endpoints, send time,
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from repro.inetdata.radix import RadixTree
 from repro.netstack.addr import Prefix
 from repro.netstack.udp import UdpDatagram
-from repro.obs import NULL_OBS, MetricsRegistry, Observability
+from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_NET
 from repro.simnet.eventloop import EventLoop
 
@@ -110,33 +110,6 @@ class Device:
         self.network.transmit(self, datagram)
 
 
-class NetworkStats:
-    """Compatibility view over the ``net.delivered``/``net.dropped`` counters."""
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self._delivered = metrics.counter("net.delivered", ("device",))
-        self._dropped = metrics.counter("net.dropped", ("reason", "device"))
-
-    @property
-    def delivered(self) -> int:
-        return int(self._delivered.total())
-
-    @property
-    def dropped_loss(self) -> int:
-        return int(self._dropped.sum_where(reason=DROP_LOSS))
-
-    @property
-    def dropped_unrouted(self) -> int:
-        return int(self._dropped.sum_where(reason=DROP_NO_ROUTE))
-
-    def __repr__(self) -> str:
-        return "NetworkStats(delivered=%d, dropped_loss=%d, dropped_unrouted=%d)" % (
-            self.delivered,
-            self.dropped_loss,
-            self.dropped_unrouted,
-        )
-
-
 class Network:
     """The simulated Internet: routing table + latency + loss."""
 
@@ -151,20 +124,18 @@ class Network:
         self.rng = rng
         self.path = path or PathModel()
         self.obs = obs or NULL_OBS
-        # The network always keeps counters (NetworkStats reads them); a
-        # shared registry from ``obs`` additionally surfaces them in
-        # snapshots/exports.
-        self.metrics = self.obs.metrics if self.obs.metrics is not None else MetricsRegistry()
-        self._m_delivered = self.metrics.counter("net.delivered", ("device",))
-        self._m_dropped = self.metrics.counter("net.dropped", ("reason", "device"))
-        self.stats = NetworkStats(self.metrics)
+        metrics = self.obs.metrics
+        if metrics is not None:
+            self._m_delivered = metrics.counter("net.delivered", ("device",))
+            self._m_dropped = metrics.counter("net.dropped", ("reason", "device"))
+        else:
+            self._m_delivered = self._m_dropped = None
         # Path randomness is keyed, not streamed: one construction-time
         # draw salts a per-packet hash (see module docstring).
         self._path_salt = rng.getrandbits(64).to_bytes(8, "big")
         self._routes: RadixTree[Device] = RadixTree()
         #: ``_routes`` flattened for :meth:`route`; None after a change.
         self._intervals: tuple[list[int], list[Device | None]] | None = None
-        self._devices: list[Device] = []
 
     def _path_fractions(self, datagram: UdpDatagram) -> tuple[float, float]:
         """(loss, jitter) fractions in [0, 1), a pure function of the packet."""
@@ -193,7 +164,6 @@ class Network:
                 % (device.name, device.access_delay)
             )
         device.attach(self)
-        self._devices.append(device)
         for prefix in device.prefixes():
             self.add_route(prefix, device)
 
@@ -219,7 +189,8 @@ class Network:
         target = self.route(datagram.dst_ip)
         tracer = self.obs.tracer
         if target is None:
-            self._m_dropped.inc_key((DROP_NO_ROUTE, sender.name))
+            if self._m_dropped is not None:
+                self._m_dropped.inc_key((DROP_NO_ROUTE, sender.name))
             if tracer.enabled:
                 tracer.emit(
                     CAT_NET,
@@ -233,7 +204,8 @@ class Network:
             return
         loss_fraction, jitter_fraction = self._path_fractions(datagram)
         if self.path.loss_rate and loss_fraction < self.path.loss_rate:
-            self._m_dropped.inc_key((DROP_LOSS, target.name))
+            if self._m_dropped is not None:
+                self._m_dropped.inc_key((DROP_LOSS, target.name))
             if tracer.enabled:
                 tracer.emit(
                     CAT_NET,
@@ -248,7 +220,8 @@ class Network:
         delay = self.path.delay_for(
             jitter_fraction, sender.access_delay, target.access_delay
         )
-        self._m_delivered.inc_key((target.name,))
+        if self._m_delivered is not None:
+            self._m_delivered.inc_key((target.name,))
         if tracer.enabled:
             tracer.emit(
                 CAT_NET,
@@ -265,7 +238,3 @@ class Network:
             self.loop.schedule(
                 delay, lambda: target.handle_datagram(datagram, self.loop.now)
             )
-
-    @property
-    def devices(self) -> list[Device]:
-        return list(self._devices)

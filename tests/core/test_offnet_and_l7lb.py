@@ -132,8 +132,6 @@ class TestL7lbPrimitives:
         assert curve.coverage_at(3) == pytest.approx(0.5)
         assert curve.coverage_at(0) == 0.0
         assert curve.coverage_at(-3) == 0.0
-        assert curve.handshakes_for_coverage(0.75) == 4
-        assert curve.handshakes_for_coverage(1.01) is None
 
     def test_empty_curve(self):
         curve = ConvergenceCurve(counts=[])

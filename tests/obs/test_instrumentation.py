@@ -72,20 +72,46 @@ class TestNetworkInstrumentation:
         for _ in range(4):
             sender.send(dgram("192.0.2.1", "10.0.0.1"))
         loop.run()
-        dropped = obs.metrics.counter("net.dropped", ("reason", "device"))
-        assert dropped.sum_where(reason="loss") == 4
-        # The compatibility view reads through to the same counters.
-        assert net.stats.dropped_loss == 4
-        assert net.stats.delivered == 0
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["net.dropped"]["values"] == {"loss|r": 4}
+        assert counters["net.delivered"]["values"] == {}
 
-    def test_stats_view_without_obs(self):
+    def test_nothing_counted_without_a_registry(self):
         loop = EventLoop()
         net = Network(loop, random.Random(1), PathModel(jitter=0.0))
+        assert (net._m_delivered, net._m_dropped) == (None, None)
+        receiver = Sink("r", "10.0.0.0/8")
         sender = Sink("s", "192.0.2.0/24")
+        net.add_device(receiver)
         net.add_device(sender)
-        sender.send(dgram("192.0.2.1", "203.0.113.9"))
+        sender.send(dgram("192.0.2.1", "10.0.0.1"))  # delivered
+        sender.send(dgram("192.0.2.1", "203.0.113.9"))  # unrouted
         loop.run()
-        assert net.stats.dropped_unrouted == 1
+        assert len(receiver.received) == 1
+
+    def test_every_transmit_is_delivered_or_dropped(self, monkeypatch):
+        """The ledger of a lossy month: each transmit lands in exactly one
+        of ``net.delivered`` and ``net.dropped``."""
+        from dataclasses import replace
+
+        from repro.workloads.scenario import ScenarioConfig, build_scenario
+
+        transmits = []
+        transmit = Network.transmit
+
+        def spy(self, sender, datagram):
+            transmits.append(datagram)
+            transmit(self, sender, datagram)
+
+        monkeypatch.setattr(Network, "transmit", spy)
+        obs = Observability(metrics=MetricsRegistry())
+        config = replace(ScenarioConfig(seed=5).scaled(0.02), loss_rate=0.05)
+        build_scenario(config, obs=obs).run()
+        delivered = obs.metrics.counter("net.delivered", ("device",)).total()
+        dropped = obs.metrics.counter("net.dropped", ("reason", "device"))
+        assert {reason for reason, _device in dropped.values} == {"loss", "no_route"}
+        assert delivered > 0
+        assert len(transmits) == delivered + dropped.total()
 
 
 class TestEventLoopInstrumentation:

@@ -58,16 +58,19 @@ class TestClusterBasics:
         assert cluster.host_ids == list(range(100, 108))
 
     def test_non_vip_addresses_dropped(self):
-        cluster, loop, _net = make_cluster(vips=2)
+        obs = metered()
+        cluster, loop, _net = make_cluster(vips=2, obs=obs)
         datagram = initial_to(cluster.prefix.host(200), 4000)
         cluster.handle_datagram(datagram, 0.0)
-        assert cluster.dropped_non_vip == 1
-        assert cluster.total_connections() == 0
+        dropped = obs.metrics.counter("lb.dropped", ("lb", "reason"))
+        assert dropped.values == {("test-pop", "non_vip"): 1}
+        assert engine_events(obs)["connections_created"] == 0
 
     def test_vip_accepts_and_creates_connection(self):
-        cluster, loop, _net = make_cluster()
+        obs = metered()
+        cluster, loop, _net = make_cluster(obs=obs)
         cluster.handle_datagram(initial_to(cluster.vips[0], 4000), 0.0)
-        assert cluster.total_connections() == 1
+        assert engine_events(obs)["connections_created"] == 1
 
     def test_prefix_too_small_rejected(self):
         loop = EventLoop()
@@ -196,6 +199,7 @@ class TestWorkerState:
 
 class TestSimpleServer:
     def test_answers_on_its_address(self):
+        obs = metered()
         loop = EventLoop()
         net = Network(loop, random.Random(3), PathModel(jitter=0.0))
         address = parse_ip("87.128.1.99")
@@ -206,10 +210,11 @@ class TestSimpleServer:
             loop=loop,
             rng=random.Random(1),
             host_id=5,
+            obs=obs,
         )
         net.add_device(server)
         server.handle_datagram(initial_to(address, 4000), 0.0)
-        assert server.host.total_connections() == 1
+        assert engine_events(obs)["connections_created"] == 1
 
     def test_host_id_in_scids(self):
         loop = EventLoop()

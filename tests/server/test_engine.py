@@ -7,7 +7,13 @@ import pytest
 from repro.netstack.addr import parse_ip
 from repro.netstack.udp import UdpDatagram
 from repro.quic.cid import mvfst
-from repro.quic.packet import PacketType, decode_datagram, parse_long_header
+from repro.quic.packet import (
+    LongHeaderPacket,
+    PacketType,
+    decode_datagram,
+    encode_datagram,
+    parse_long_header,
+)
 from repro.server.engine import ConnState, QuicServerEngine
 from repro.server.profiles import (
     ServerProfile,
@@ -101,6 +107,38 @@ class TestFlight:
         engine.on_datagram(datagram, 0.1)
         assert engine_events(obs)["connections_created"] == 1
         assert len(sent) == 2
+
+    def test_silent_drops_are_counted(self):
+        """A repeated client Initial and a Handshake for no connection send
+        nothing back, and each is counted under its own reason."""
+        obs = metered()
+        engine, loop, sent = make_engine(obs=obs)
+        conn, datagram = client_initial()
+        engine.on_datagram(datagram, 0.0)
+        engine.on_datagram(datagram, 0.1)
+        stray = LongHeaderPacket(
+            packet_type=PacketType.HANDSHAKE,
+            version=conn.version,
+            dcid=bytes(8),
+            scid=conn.scid,
+            packet_number=0,
+            payload=bytes(32),
+            pn_length=1,
+        )
+        engine.on_datagram(
+            UdpDatagram(
+                src_ip=CLIENT,
+                dst_ip=VIP,
+                src_port=4242,
+                dst_port=443,
+                payload=encode_datagram([stray], conn.protection, is_server=False),
+            ),
+            0.2,
+        )
+        assert len(sent) == 2  # the first Initial's flight only
+        events = engine_events(obs)
+        assert events["duplicate_initial"] == 1
+        assert events["unknown_connection"] == 1
 
     def test_non_quic_ignored(self):
         obs = metered()

@@ -176,7 +176,7 @@ def _served(profile, routed, loss_rate=0.0):
     (conn,) = engine._by_origin.values()
     loop.run()
     events = [json.loads(line) for line in sink.getvalue().splitlines()]
-    return engine, conn, net, client, obs.metrics.snapshot()["counters"], events
+    return engine, conn, client, obs.metrics.snapshot()["counters"], events
 
 
 def _named(events, name):
@@ -188,7 +188,7 @@ def _named(events, name):
 @pytest.mark.parametrize("coalesced", (False, True), ids=("split", "coalesced"))
 def test_unrouted_replies_are_never_sealed(protect_calls, coalesced):
     profile = _profile("facebook", coalesced)
-    engine, conn, net, _client, counters, events = _served(profile, routed=False)
+    engine, conn, _client, counters, events = _served(profile, routed=False)
     assert protect_calls == []
     unrouted_state = (
         conn.next_packet_number,
@@ -199,10 +199,11 @@ def test_unrouted_replies_are_never_sealed(protect_calls, coalesced):
         _named(events, "datagrams_sent"),
     )
     dropped = [data["bytes"] for _t, data in _named(events, "packet_dropped")]
-    assert net.stats.dropped_unrouted == len(dropped) > 0
+    assert dropped
+    assert counters["net.dropped"]["values"] == {"no_route|server": len(dropped)}
     assert protect_calls == []  # the tracer and the metrics read lengths only
 
-    engine, conn, net, client, counters, events = _served(profile, routed=True)
+    engine, conn, client, counters, events = _served(profile, routed=True)
     flights = counters["engine.events"]["values"]["flights_sent|" + profile.name]
     assert len(protect_calls) == 2 * flights > 0
     assert unrouted_state == (
@@ -233,10 +234,12 @@ def test_lossy_path_drops_by_the_sealed_bytes():
     """The loss hash covers the payload, so a deferred flight must be lost
     or delivered exactly as the same bytes sent eagerly are."""
     profile = _profile("cloudflare", False)
-    _e, _c, net, client, _m, _ev = _served(profile, routed=True, loss_rate=0.5)
+    _e, _c, client, counters, _ev = _served(profile, routed=True, loss_rate=0.5)
     with frame_by_frame_flights(profile):
-        _e, _c, eager_net, eager_client, _m, _ev = _served(
+        _e, _c, eager_client, eager_counters, _ev = _served(
             profile, routed=True, loss_rate=0.5
         )
-    assert net.stats.dropped_loss == eager_net.stats.dropped_loss > 0
+    lost = counters["net.dropped"]["values"]
+    assert lost == eager_counters["net.dropped"]["values"]
+    assert lost.get("loss|client", 0) > 0
     assert client.received == eager_client.received != []

@@ -6,7 +6,7 @@ import pytest
 
 from repro.netstack.addr import Prefix, parse_ip
 from repro.netstack.udp import DeferredDatagram, UdpDatagram
-from repro.obs import JsonlTracer, Observability
+from repro.obs import JsonlTracer, MetricsRegistry, Observability
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device, Network, PathModel
 from repro.telescope.darknet import Telescope
@@ -36,9 +36,20 @@ class Echo(Sink):
 
 
 def make_net(loss=0.0, jitter=0.0):
+    """A network with a registry attached, so its transmits are counted."""
     loop = EventLoop()
-    net = Network(loop, random.Random(1), PathModel(jitter=jitter, loss_rate=loss))
+    net = Network(
+        loop,
+        random.Random(1),
+        PathModel(jitter=jitter, loss_rate=loss),
+        obs=Observability(metrics=MetricsRegistry()),
+    )
     return loop, net
+
+
+def counted(net, name):
+    """The values of ``net.delivered`` or ``net.dropped`` by snapshot key."""
+    return net.obs.metrics.snapshot()["counters"][name]["values"]
 
 
 def dgram(src, dst, payload=b"x", sport=1000, dport=443):
@@ -71,8 +82,8 @@ class TestRouting:
         net.add_device(sender)
         sender.send(dgram("192.0.2.1", "203.0.113.9"))
         loop.run()
-        assert net.stats.dropped_unrouted == 1
-        assert net.stats.delivered == 0
+        assert counted(net, "net.dropped") == {"no_route|sender": 1}
+        assert counted(net, "net.delivered") == {}
 
     def test_latency_is_positive_and_orderly(self):
         loop, net = make_net()
@@ -135,7 +146,7 @@ class TestLoss:
             sender.send(dgram("192.0.2.1", "10.0.0.1"))
         loop.run()
         assert receiver.received == []
-        assert net.stats.dropped_loss == 10
+        assert counted(net, "net.dropped") == {"loss|r": 10}
 
     def test_partial_loss(self):
         # Loss is a keyed hash of the packet, so the sample needs distinct
@@ -183,16 +194,15 @@ class TestDeferredPayload:
 
         sink = io.StringIO()
         loop = EventLoop()
-        net = Network(
-            loop, random.Random(1), obs=Observability(tracer=JsonlTracer(sink))
-        )
+        obs = Observability(tracer=JsonlTracer(sink), metrics=MetricsRegistry())
+        net = Network(loop, random.Random(1), obs=obs)
         sender = Sink("s", "192.0.2.0/24")
         net.add_device(sender)
         builds = []
         sender.send(self.deferred("203.0.113.9", b"never built", builds))
         loop.run()
         assert builds == []
-        assert net.stats.dropped_unrouted == 1
+        assert counted(net, "net.dropped") == {"no_route|s": 1}
         (event,) = [json.loads(line) for line in sink.getvalue().splitlines()]
         assert event["name"] == "packet_dropped"
         assert event["data"]["bytes"] == len(b"never built")
@@ -308,4 +318,4 @@ class TestDeliveryModes:
         # base 2 ms + two 5 ms access delays + up to 1 ms of jitter.
         assert 2.5 + 0.012 <= telescope.records[0].timestamp < 2.5 + 0.013
         assert loop.now == reactive.received[0][0]
-        assert net.stats.delivered == 2
+        assert counted(net, "net.delivered") == {"reactive": 1, "telescope": 1}

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.netstack.addr import Prefix, parse_ip
+from repro.obs import MetricsRegistry, Observability
 from repro.quic.packet import PacketType, decode_datagram, parse_long_header
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device, Network, PathModel
@@ -319,12 +320,13 @@ class TestScenarioBuilder:
             **{knob: 0 for knob in ONE_SIDED["scans-only-20220101-x0.05"]},
         )
         probes = sum(unit.count for unit in plan_traffic_units(config))
-        scenario = build_scenario(config)
+        obs = Observability(metrics=MetricsRegistry())
+        scenario = build_scenario(config, obs=obs)
         scenario.run()
         assert probes == 772
         assert scenario.loop.events_processed == probes
         assert len(scenario.telescope.records) == probes
-        assert scenario.network.stats.delivered == probes
+        assert obs.metrics.counter("net.delivered", ("device",)).total() == probes
 
     def test_small_scenario_wiring(self, small_scenario):
         scenario = small_scenario

@@ -47,6 +47,7 @@ from repro.core.l7lb import cluster_vips, convergence_curve  # noqa: E402
 from repro.core.l7lb import host_ids_from_scids, passive_coverage  # noqa: E402
 from repro.core.offnet import add_first_gaps, evaluate_classifiers  # noqa: E402
 from repro.core.render import CaptureFold  # noqa: E402
+from repro.core.summary import ECHO_DETECTED_ORIGINS  # noqa: E402
 from repro.simnet.shard import run_scenario  # noqa: E402
 from repro.sweep.metrics import evaluate_metrics  # noqa: E402
 from repro.workloads.scenario import ScenarioConfig, april_2021_config  # noqa: E402
@@ -95,6 +96,7 @@ SUBSET = "the paper counts its 7,122 passive host IDs inside its census"
 CURVE = "the paper plots the curve; it prints no end value"
 APPENDIX_D = "the paper states the outcome, not a count"
 IMMEDIATE = "the paper says 'immediately'; a follow-up is retried once a second"
+ECHOES = "the probed echo set is the one Table 1's summary assumes"
 
 #: Every capture number the paper publishes for Tables 1-4, 6, Fig. 3-5, 7
 #: and §5, the flood-events extension's, and every number of the active
@@ -107,6 +109,10 @@ TARGETS = [Target(*row) for row in (
     ("Table 1", "2022", "summary.Cloudflare.server_chosen_ids", 1, 1, 1),
     ("Table 1", "2022", "summary.Facebook.server_chosen_ids", 1, 1, 1),
     ("Table 1", "2022", "summary.Google.server_chosen_ids", 0, 0, 0),
+    # §4.2's probe behind those rows: does a VIP echo a chosen DCID?
+    ("Table 1", "lb-type", "echoes.Google", 1, 1, 1),
+    ("Table 1", "lb-type", "echoes.Facebook", 0, 0, 0),
+    ("Table 1", "lb-type", "echoes.as_summarized", None, 1, 1, ECHOES),
     ("Table 1", "2022", "summary.Cloudflare.structured_scids", 1, 1, 1),
     ("Table 1", "2022", "summary.Facebook.structured_scids", 1, 1, 1),
     ("Table 1", "2022", "summary.Google.structured_scids", 0, 0, 0),
@@ -459,13 +465,19 @@ LB_TYPE = (
     "delay.max.Facebook",
     "verdict.cid-aware.Facebook",
     "verdict.5-tuple.Facebook",
+    "echoes.Google",
+    "echoes.Facebook",
+    "echoes.as_summarized",
 )
 
 
 def lb_type_lab() -> dict:
     """Appendix D against 12 Google and 12 Facebook VIPs, a fresh lab per
     pair: the least and greatest follow-up delay [s] (``nan`` if a
-    follow-up never completed) and each verdict's share."""
+    follow-up never completed) and each verdict's share.  A further lab
+    runs §4.2's echo probe on one VIP per hypergiant: 1 if the server
+    echoed the chosen DCIDs as its SCID, and whether the echoing set is
+    the ``ECHO_DETECTED_ORIGINS`` Table 1's summary reads."""
     outcomes = {"Google": [], "Facebook": []}
     for i in range(12):
         lab = build_lb_lab(google_hosts=10, facebook_hosts=10, seed=100 + i)
@@ -485,6 +497,16 @@ def lb_type_lab() -> dict:
             values["verdict.%s.%s" % (verdict, hypergiant)] = (
                 verdicts.count(verdict) / len(verdicts)
             )
+    lab = build_lb_lab(google_hosts=10, facebook_hosts=10, seed=99)
+    prober = Prober(lab.loop, lab.network)
+    echoing = {
+        hypergiant
+        for hypergiant in outcomes
+        if prober.detect_echo_behaviour(lab.vips(hypergiant)[0])
+    }
+    for hypergiant in outcomes:
+        values["echoes." + hypergiant] = int(hypergiant in echoing)
+    values["echoes.as_summarized"] = int(echoing == ECHO_DETECTED_ORIGINS)
     return values
 
 
