@@ -16,10 +16,12 @@ order-preserving, and append-only, so a grown capture's tail extends the
 table its prefix built.
 
 Rows are written by :func:`repro.capstore.dissect.record_verdict`, straight
-from record bytes, and read back two ways.  The analyses fold over
-:meth:`CaptureTable.datagrams`, which cuts the columns into one tuple of
-plain values per row, a window of rows at a time, and builds no object;
-a test, bench or example that asks for objects gets real
+from record bytes, and read back two ways.  The analyses fold the
+columns themselves: :meth:`repro.core.render.CaptureFold.feed` slices a
+window of rows at a time and counts over the slices, so no value is
+built per row, and a (DCID, SCID) is cut from the blob
+(:meth:`CaptureTable.pair_cids`) only for a pair a count needs in bytes.
+A test, bench or example that asks for objects gets real
 :class:`~repro.telescope.classify.CapturedPacket` instances from
 :meth:`CaptureTable.materialize`.  There is no shape in between.
 """
@@ -27,9 +29,9 @@ a test, bench or example that asks for objects gets real
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from operator import add, sub
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.quic.packet_type import PacketType
 from repro.telescope.classify import (
@@ -102,11 +104,6 @@ OFFSET_COLUMNS: Tuple[Tuple[str, str], ...] = (
 #: What a sidecar stores instead of ``pkt_start``: the packets of each
 #: row, in 16 bits, as a datagram holds at most 65,527 bytes.
 COUNT_COLUMNS: Tuple[Tuple[str, str], ...] = (("pkt_count", "H"),)
-
-#: Rows :meth:`CaptureTable.datagrams` cuts at a time.  A fixed constant,
-#: not a knob: large enough that the per-window cost is lost in the rows'
-#: own, small enough that a window's values are small next to the columns.
-DATAGRAM_WINDOW = 4096
 
 _RETRY = PacketType.RETRY.value
 _VERSION_NEGOTIATION = PacketType.VERSION_NEGOTIATION.value
@@ -227,62 +224,18 @@ class CaptureTable:
 
     # -- reading ---------------------------------------------------------
 
-    def datagrams(self, start: int = 0, end: Optional[int] = None) -> Iterator[tuple]:
-        """Rows ``[start, end)`` as plain values, in
-        :data:`~repro.telescope.classify.DATAGRAM_FIELDS` order.
-
-        The per-packet fields are parallel sequences, one entry per
-        coalesced packet: ``types`` is a ``bytes`` of type codes, the
-        others are tuples, each DCID/SCID a ``bytes``.  The rows are cut
-        :data:`DATAGRAM_WINDOW` at a time, each window with C-level passes
-        over the columns and its rows out of a ``zip``: nothing runs per
-        row but the consumer, and only one window's values are held
-        however long the range.
-        """
-        end = self.num_rows if end is None else end
-        window = DATAGRAM_WINDOW
-        return chain.from_iterable(
-            self._window(at, min(at + window, end)) for at in range(start, end, window)
-        )
-
-    def _window(self, start: int, end: int) -> Iterator[tuple]:
-        """Rows ``[start, end)`` of :meth:`datagrams`, cut in one go.
-
-        A window names few pairs many times over (each retransmission of
-        a flight repeats its pair), so each distinct pair is cut from the
-        blob once, by the one loop here, and its packets share the two
-        ``bytes``.
-        """
-        first, last = self.pkt_start[start], self.pkt_start[end]
-        ids = self.cid[first:last]
-        blob, cid_start, dcid_len = self.cid_blob, self.cid_start, self.dcid_len
-        dcid_of, scid_of = {}, {}
-        for pair in dict.fromkeys(ids):
-            at = cid_start[pair]
-            mid = at + dcid_len[pair]
-            dcid_of[pair] = blob[at:mid]
-            scid_of[pair] = blob[mid : cid_start[pair + 1]]
+    def pair_cids(self, pairs: Sequence[int]) -> List[Tuple[bytes, bytes]]:
+        """``(dcid, scid)`` of each pair id in ``pairs``, cut from the blob
+        by ``map`` over the pair columns: no Python-level work per pair."""
+        blob, starts = self.cid_blob, self.cid_start
+        begins = list(map(starts.__getitem__, pairs))
+        mids = list(map(add, begins, map(self.dcid_len.__getitem__, pairs)))
+        ends = map(starts.__getitem__, map((1).__add__, pairs))
+        dcids = map(blob.__getitem__, map(slice, begins, mids))
+        scids = map(blob.__getitem__, map(slice, mids, ends))
         if type(blob) is not bytes:  # a table being built: its blob still grows
-            dcid_of = dict(zip(dcid_of, map(bytes, dcid_of.values())))
-            scid_of = dict(zip(scid_of, map(bytes, scid_of.values())))
-        bounds = [at - first for at in self.pkt_start[start : end + 1]]
-        of_row = list(map(slice, bounds, bounds[1:]))
-        per_packet = (
-            self.pkt_type[first:last].tobytes(),
-            tuple(self.pkt_version[first:last]),
-            tuple(map(dcid_of.__getitem__, ids)),
-            tuple(map(scid_of.__getitem__, ids)),
-            tuple(self.pkt_length[first:last]),
-        )
-        return zip(
-            self.ts[start:end],
-            self.src_ip[start:end],
-            self.dst_ip[start:end],
-            self.klass[start:end],
-            map(self.origins.__getitem__, self.origin_id[start:end]),
-            self.payload_len[start:end],
-            *(map(column.__getitem__, of_row) for column in per_packet),
-        )
+            dcids, scids = map(bytes, dcids), map(bytes, scids)
+        return list(zip(dcids, scids))
 
     def _packet_offsets(self) -> Tuple[array, array]:
         """``(token_start, sv_start)``: where each packet's token and versions start.
@@ -306,21 +259,19 @@ class CaptureTable:
         from repro.quic.packet import ParsedLongHeader
 
         token_start, sv_start = self._packet_offsets()
-        cid_start, cid_blob = self.cid_start, self.cid_blob
+        first, last = self.pkt_start[row], self.pkt_start[row + 1]
+        cids = self.pair_cids(self.cid[first:last])
         out: List[ParsedLongHeader] = []
-        for j in range(self.pkt_start[row], self.pkt_start[row + 1]):
+        for j, (dcid, scid) in zip(range(first, last), cids):
             kind = self.pkt_type[j]
-            pair = self.cid[j]
-            dcid_at = cid_start[pair]
-            scid_at = dcid_at + self.dcid_len[pair]
             token = bytes(self.token_blob[token_start[j] : token_start[j + 1]])
             pn_offset, length = self.pkt_pn_offset[j], self.pkt_length[j]
             out.append(
                 ParsedLongHeader(
                     packet_type=PacketType(kind),
                     version=self.pkt_version[j],
-                    dcid=bytes(cid_blob[dcid_at:scid_at]),
-                    scid=bytes(cid_blob[scid_at : cid_start[pair + 1]]),
+                    dcid=dcid,
+                    scid=scid,
                     token=b"" if kind == _RETRY else token,
                     pn_offset=pn_offset,
                     packet_length=length,
@@ -369,7 +320,7 @@ class CaptureTable:
 class ClassifiedView:
     """A classified capture: a CaptureTable and the stats of its build.
 
-    The analyses read :meth:`datagrams`, which builds no object; the
+    The analyses fold ``table``'s columns and build no object; the
     ``backscatter`` / ``scans`` lists of real
     :class:`~repro.telescope.classify.CapturedPacket` s are materialized
     when a caller first asks for them.  ``indexed_bytes``, when the table
@@ -408,6 +359,3 @@ class ClassifiedView:
     def __len__(self) -> int:
         return self.table.num_rows
 
-    def datagrams(self) -> Iterator[tuple]:
-        """Every row as plain values (``DATAGRAM_FIELDS``), in table order."""
-        return self.table.datagrams()

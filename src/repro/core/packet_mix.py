@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.quic.packet_type import PacketType
 from repro.telescope.classify import CapturedPacket, datagram_values
@@ -50,15 +50,20 @@ class PacketMix:
 
     counts: dict[str, Counter] = field(default_factory=dict)
 
-    def add_values(self, origin: str, types: bytes) -> None:
-        """Count one datagram under its origin (Version Negotiation excluded)."""
-        category = category_of(types)
-        if category == "Version Negotiation":
-            return  # the paper's table covers the four flight types
-        counter = self.counts.get(origin)
-        if counter is None:
-            counter = self.counts[origin] = Counter()
-        counter[category] += 1
+    def add_counts(self, counts: Mapping[tuple, int]) -> None:
+        """Count datagrams per ``(origin, type codes, ...)``, keys in
+        first-seen order (Version Negotiation excluded): each distinct key
+        is classified once, however many datagrams it counts.  What
+        follows the type codes is not read, so
+        :meth:`LengthSignatures.add_counts`' keys serve as they are."""
+        for (origin, types, *_), count in counts.items():
+            category = category_of(types)
+            if category == "Version Negotiation":
+                continue  # the paper's table covers the four flight types
+            counter = self.counts.get(origin)
+            if counter is None:
+                counter = self.counts[origin] = Counter()
+            counter[category] += count
 
     def __add__(self, other: "PacketMix") -> "PacketMix":
         """The mix over both populations (Table 3: backscatter + scans)."""
@@ -88,8 +93,12 @@ class PacketMix:
 def packet_mix(packets: Sequence[CapturedPacket]) -> PacketMix:
     """Compute Table 3 from classified backscatter."""
     mix = PacketMix()
-    for _, _, _, _, origin, _, types, *_ in map(datagram_values, packets):
-        mix.add_values(origin, types)
+    mix.add_counts(
+        Counter(
+            (origin, types)
+            for _, _, _, _, origin, _, types, *_ in map(datagram_values, packets)
+        )
+    )
     return mix
 
 
@@ -110,14 +119,16 @@ class LengthSignatures:
     def __init__(self) -> None:
         self.counts: dict[str, Counter] = {}
 
-    def add_values(self, origin: str, types: bytes, lengths: tuple) -> None:
-        """Count one datagram's packet lengths (Version Negotiation excluded)."""
-        if types[0] == _VERSION_NEGOTIATION:
-            return
-        counter = self.counts.get(origin)
-        if counter is None:
-            counter = self.counts[origin] = Counter()
-        counter[lengths] += 1
+    def add_counts(self, counts: Mapping[tuple[str, bytes, tuple], int]) -> None:
+        """Count datagrams per ``(origin, type codes, packet lengths)``,
+        keys in first-seen order (Version Negotiation first excluded)."""
+        for (origin, types, lengths), count in counts.items():
+            if types[0] == _VERSION_NEGOTIATION:
+                continue
+            counter = self.counts.get(origin)
+            if counter is None:
+                counter = self.counts[origin] = Counter()
+            counter[lengths] += count
 
     def top(self, top: int = 7) -> dict[str, list[tuple[str, int]]]:
         return {
@@ -134,6 +145,12 @@ def top_length_signatures(
 ) -> dict[str, list[tuple[str, int]]]:
     """Per-origin top-N packet-length combinations (Figure 7)."""
     signatures = LengthSignatures()
-    for _, _, _, _, origin, _, types, *_, lengths in map(datagram_values, packets):
-        signatures.add_values(origin, types, lengths)
+    signatures.add_counts(
+        Counter(
+            (origin, types, lengths)
+            for _, _, _, _, origin, _, types, *_, lengths in map(
+                datagram_values, packets
+            )
+        )
+    )
     return signatures.top(top)

@@ -8,11 +8,14 @@ benches and tests need not import the CLI to get at it.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
+from itertools import chain, compress, islice, repeat
+from operator import and_, sub
 
 from repro.core.packet_mix import LengthSignatures, PacketMix
 from repro.core.report import render_histogram, render_table
 from repro.core.scid_entropy import structure_of
-from repro.core.scid_stats import ScidStats, ScidTable
+from repro.core.scid_stats import SERVER_CID_MASK, ScidStats, ScidTable
 from repro.core.selectors import (
     HYPERGIANT_COLUMNS,
     ORIGINS,
@@ -26,6 +29,115 @@ from repro.core.session import SessionStore
 from repro.core.summary import resend_label, rto_label, summarize_from
 from repro.core.timing import profiles_of
 from repro.core.versions import VersionMix, session_shares
+from repro.telescope.classify import KLASS_CODES, PacketClass
+
+
+#: Rows :meth:`CaptureFold.feed` slices from the columns at a time.  A
+#: fixed constant, not a knob: large enough that the per-window cost is
+#: lost in the rows' own, small enough that one window's slices are
+#: small next to the columns.
+FOLD_WINDOW = 4096
+
+#: ``klass`` codes (0 backscatter, 1 scan) -> 1 for backscatter, by ``translate``.
+_IS_BACKSCATTER = bytes(
+    code == KLASS_CODES[PacketClass.BACKSCATTER] for code in range(256)
+)
+
+
+class _Window:
+    """Rows ``[start, end)`` of a capture table as column slices.
+
+    Each derived column is cut on first use and shared by every
+    accumulator that reads it.  Slices, ``map``, ``zip`` and ``compress``
+    over the columns build them; no Python code runs per row.
+    """
+
+    def __init__(self, table, start: int, end: int, by_bytes: bool) -> None:
+        self.table, self.start, self.end = table, start, end
+        #: Whether :attr:`keys` spell a pair as its ``(dcid, scid)``, not its id.
+        self.by_bytes = by_bytes
+        #: The scan mask (scans are klass 1) and the backscatter mask.
+        self.scan = table.klass[start:end].tobytes()
+        self.backscatter = self.scan.translate(_IS_BACKSCATTER)
+        self.scans = end - start - self.backscatter.count(1)
+        #: The window's packets are ``[first, last)`` of the packet columns.
+        self.first, self.last = table.pkt_start[start], table.pkt_start[end]
+
+    def column(self, name: str):
+        """The window's slice of a row column."""
+        return getattr(self.table, name)[self.start : self.end]
+
+    def server(self, values):
+        """The backscatter rows' entries of a row-parallel ``values``."""
+        return list(compress(values, self.backscatter)) if self.scans else values
+
+    def client(self, values):
+        """The scan rows' entries of a row-parallel ``values``."""
+        return list(compress(values, self.scan))
+
+    @cached_property
+    def origins(self) -> list:
+        return list(map(self.table.origins.__getitem__, self.column("origin_id")))
+
+    @cached_property
+    def heads(self):
+        """Each row's first packet, as an index into the packet columns."""
+        return self.table.pkt_start[self.start : self.end]
+
+    @cached_property
+    def keys(self) -> list:
+        """Each row's session: source, destination, first packet's pair."""
+        pairs = map(self.table.cid.__getitem__, self.heads)
+        if self.by_bytes:
+            pairs = list(pairs)
+            distinct = list(dict.fromkeys(pairs))
+            cids = dict(zip(distinct, self.table.pair_cids(distinct)))
+            pairs = map(cids.__getitem__, pairs)
+        return list(zip(self.column("src_ip"), self.column("dst_ip"), pairs))
+
+    @cached_property
+    def versions(self) -> list:
+        """Each row's first packet's version."""
+        return list(map(self.table.pkt_version.__getitem__, self.heads))
+
+    @cached_property
+    def cuts(self) -> list:
+        """Each row's packets, as a slice of the window's packet columns."""
+        bounds = self.table.pkt_start[self.start : self.end + 1]
+        offsets = list(map(sub, bounds, repeat(self.first)))
+        return list(map(slice, offsets, islice(offsets, 1, None)))
+
+    @cached_property
+    def types(self) -> list:
+        """Each row's packet type codes, as ``bytes``."""
+        codes = self.table.pkt_type[self.first : self.last].tobytes()
+        return list(map(codes.__getitem__, self.cuts))
+
+    @cached_property
+    def lengths(self) -> list:
+        """Each row's packet lengths, as a tuple."""
+        lengths = tuple(self.table.pkt_length[self.first : self.last])
+        return list(map(lengths.__getitem__, self.cuts))
+
+    def per_packet(self, values):
+        """A row-parallel ``values``, each entry repeated for each packet
+        of its row."""
+        if self.last - self.first == self.end - self.start:
+            return values
+        bounds = self.table.pkt_start[self.start : self.end + 1]
+        sizes = map(sub, islice(bounds, 1, None), bounds)
+        return chain.from_iterable(map(repeat, values, sizes))
+
+    def server_chosen_pairs(self) -> dict:
+        """The distinct ``(origin, pair id)`` of backscatter packets whose
+        SCID the server chose (:data:`~repro.core.scid_stats.SERVER_CID_MASK`),
+        in first-seen packet order."""
+        table, first, last = self.table, self.first, self.last
+        chosen = table.pkt_type[first:last].tobytes().translate(SERVER_CID_MASK)
+        if self.scans:
+            chosen = map(and_, chosen, self.per_packet(self.backscatter))
+        pairs = zip(self.per_packet(self.origins), table.cid[first:last])
+        return dict.fromkeys(compress(pairs, chosen))
 
 
 class CaptureFold:
@@ -47,6 +159,9 @@ class CaptureFold:
 
     def __init__(self, wanted: set) -> None:
         self.wanted = frozenset(wanted)
+        #: The table last fed, and whether session keys spell pairs in bytes.
+        self._table = None
+        self._by_bytes = False
         self.sessions = SessionStore() if wanted & {"1", "rto"} else None
         self.clients = self.servers = None
         if "2" in wanted:
@@ -73,50 +188,90 @@ class CaptureFold:
 
             self.offnet = OffnetServers()
 
-    def feed(self, datagrams) -> None:
-        """Hand each datagram (a ``DATAGRAM_FIELDS`` tuple) to each
-        accumulator that counts it, once."""
-        clients, servers = self.clients, self.servers
-        mix, scan_mix = self.mix, self.scan_mix
-        scid_table, sessions, signatures = self.scids, self.sessions, self.signatures
-        offnet, events = self.offnet, self.events
-        keyed = clients is not None or sessions is not None
-        key = None
-        for (
-            timestamp,
-            src_ip,
-            dst_ip,
-            klass,
-            origin,
-            payload_length,
-            types,
-            versions,
-            dcids,
-            scids,
-            lengths,
-        ) in datagrams:
-            if keyed:
-                key = (src_ip, dst_ip, scids[0], dcids[0])  # session_key
-            if klass:  # a scan: the client side of Table 2, and Table 3
-                if clients is not None:
-                    clients.add_values(key, versions[0])
-                if scan_mix is not None:
-                    scan_mix.add_values(origin, types)
-                continue
-            if servers is not None:
-                servers.add_values(key, versions[0])
-            if mix is not None:
-                mix.add_values(origin, types)
-            if scid_table is not None:
-                scid_table.add_values(origin, types, scids)
-            if sessions is not None:
-                sessions.add_values(key, origin, versions[0], timestamp)
-            if signatures is not None:
-                signatures.add_values(origin, types, lengths)
-            if offnet is not None:
-                offnet.add_values(origin, src_ip, types, scids, payload_length)
-            if events is not None:
-                events.add_values(src_ip, dst_ip, origin, timestamp)
+    def feed(self, table, start: int, end: int) -> None:
+        """Fold rows ``[start, end)`` of ``table`` (a
+        :class:`~repro.capstore.CaptureTable`) into each accumulator that
+        counts them, once, :data:`FOLD_WINDOW` rows at a time.
+
+        A session key names its pair by ``table``'s pair id.  Pair ids
+        are a table's own, so a fold handed a second table re-keys the
+        sessions it holds by their pairs' bytes, which every table spells
+        alike, and keys by bytes from then on.
+        """
+        if table is not self._table:
+            if self._table is not None and not self._by_bytes:
+                self._by_bytes = True
+                for keyed in (self.clients, self.servers, self.sessions):
+                    if keyed is not None:
+                        keyed.rekey(self._table.pair_cids)
+            self._table = table
+        for at in range(start, end, FOLD_WINDOW):
+            self._fold(_Window(table, at, min(at + FOLD_WINDOW, end), self._by_bytes))
+
+    def _fold(self, rows: _Window) -> None:
+        """One window: each accumulator's counts, over its side's rows."""
+        if rows.scans:  # the client side of Table 2, and Table 3
+            if self.clients is not None:
+                self.clients.add_sessions(rows.client(rows.keys), rows.client(rows.versions))
+            if self.scan_mix is not None:
+                self.scan_mix.add_counts(Counter(rows.client(zip(rows.origins, rows.types))))
+        if rows.scans == rows.end - rows.start:
+            return
+        table, server = rows.table, rows.server
+        if self.servers is not None:
+            self.servers.add_sessions(server(rows.keys), server(rows.versions))
+        if self.mix is not None or self.signatures is not None:
+            # One count serves both: Table 3 reads a key's origin and types.
+            shapes = (rows.origins, rows.types)
+            if self.signatures is not None:
+                shapes += (rows.lengths,)
+            counts = Counter(server(zip(*shapes)))
+            if self.mix is not None:
+                self.mix.add_counts(counts)
+            if self.signatures is not None:
+                self.signatures.add_counts(counts)
+        if self.scids is not None:
+            chosen = rows.server_chosen_pairs()
+            cids = table.pair_cids([pair for _, pair in chosen])
+            self.scids.add_scids(
+                (origin, scid) for (origin, _), (_, scid) in zip(chosen, cids)
+            )
+        if self.sessions is not None:
+            self.sessions.add_datagrams(
+                server(rows.keys),
+                server(rows.origins),
+                server(rows.versions),
+                server(rows.column("ts")),
+                None if rows.by_bytes else table.pair_cids,
+            )
+        if self.offnet is not None:
+            # Not on ``analyze``'s path: one call per datagram, its
+            # SCIDs cut once per distinct pair of the window.
+            pairs = table.cid[rows.first : rows.last]
+            distinct = list(dict.fromkeys(pairs))
+            scid_of = {pair: scid for pair, (_, scid) in zip(distinct, table.pair_cids(distinct))}
+            scids = tuple(map(scid_of.__getitem__, pairs))
+            for origin, src_ip, types, row_scids, length in server(
+                zip(
+                    rows.origins,
+                    rows.column("src_ip"),
+                    rows.types,
+                    map(scids.__getitem__, rows.cuts),
+                    rows.column("payload_len"),
+                )
+            ):
+                self.offnet.add_values(origin, src_ip, types, row_scids, length)
+        if self.events is not None:
+            add = self.events.add_values
+            for src_ip, dst_ip, origin, timestamp in server(
+                zip(
+                    rows.column("src_ip"),
+                    rows.column("dst_ip"),
+                    rows.origins,
+                    rows.column("ts"),
+                )
+            ):
+                add(src_ip, dst_ip, origin, timestamp)
 
     def values(self) -> dict:
         """``{name: number}`` for every name of :mod:`repro.core.selectors`'
@@ -190,17 +345,15 @@ class CaptureFold:
 def render_analysis(capture, wanted: set) -> str:
     """Render the selected paper tables for a classified capture.
 
-    ``capture`` is anything whose ``datagrams()`` yields the plain-value
-    rows of :data:`repro.telescope.classify.DATAGRAM_FIELDS`, as the
-    :class:`~repro.capstore.ClassifiedView` that ``analyze``, ``live`` and
-    :func:`~repro.telescope.classify.classify_capture` hand in does: cut
-    straight from the columns, no object per row.  The capture is read in
-    one pass.
+    ``capture`` is the :class:`~repro.capstore.ClassifiedView` that
+    ``analyze``, ``live`` and
+    :func:`~repro.telescope.classify.classify_capture` hand in; its
+    table's columns are folded in one pass, no object per row.
     """
     wanted = set(wanted)
     # Table 1's RTO rows are the rto table's names.
     found = CaptureFold(wanted | {"rto"} if "1" in wanted else wanted)
-    found.feed(capture.datagrams())
+    found.feed(capture.table, 0, capture.table.num_rows)
     values = found.values()
     parts: list[str] = []
 

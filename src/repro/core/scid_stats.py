@@ -14,14 +14,17 @@ _SERVER_CID_TYPES = frozenset(
     kind.value
     for kind in (PacketType.INITIAL, PacketType.HANDSHAKE, PacketType.RETRY)
 )
+#: ``types.translate(SERVER_CID_MASK)``: 1 for each of those types, else 0.
+SERVER_CID_MASK = bytes(code in _SERVER_CID_TYPES for code in range(256))
 
 
 class ScidStats:
     """Unique SCIDs of one origin network, absorbed one at a time.
 
-    Length and nybble counts are bumped only when a SCID is first seen,
-    so the Table 4 cell and the Figure 5 matrix are O(1) / O(positions)
-    to read at any prefix of the capture.
+    Length and nybble counts are bumped only when a SCID is first seen
+    (the nybbles in one batch per :meth:`matrix`), so the Table 4 cell
+    and the Figure 5 matrix cost nothing per datagram to read at any
+    prefix of the capture.
     """
 
     def __init__(self, origin: str, unique_scids: Iterable[bytes] = ()) -> None:
@@ -31,20 +34,29 @@ class ScidStats:
         #: what breaks a tie for the dominant length.
         self.length_counts: Counter = Counter()
         self._nybbles = NybbleCounts()
+        #: New SCIDs whose nybbles :meth:`matrix` has not counted yet.
+        self._uncounted: list[bytes] = []
         if isinstance(unique_scids, (set, frozenset)):
             # A set has no first-seen order; its hash order must not leak.
             unique_scids = sorted(unique_scids)
-        for scid in unique_scids:
-            self.add(scid)
+        self.update(unique_scids)
+
+    def update(self, scids: Iterable[bytes]) -> int:
+        """Absorb SCIDs in first-seen order; returns how many were new.
+
+        The new ones' lengths are counted in one ``Counter`` pass; their
+        nybbles wait for the next :meth:`matrix`, which counts every SCID
+        new since the last one in one batch."""
+        seen = self.unique_scids
+        new = [scid for scid in dict.fromkeys(scids) if scid not in seen]
+        seen.update(new)
+        self.length_counts.update(map(len, new))
+        self._uncounted += new
+        return len(new)
 
     def add(self, scid: bytes) -> bool:
         """Absorb one SCID; returns True when it was new."""
-        if scid in self.unique_scids:
-            return False
-        self.unique_scids.add(scid)
-        self.length_counts[len(scid)] += 1
-        self._nybbles.add(scid)
-        return True
+        return self.update((scid,)) == 1
 
     @property
     def unique_count(self) -> int:
@@ -67,6 +79,9 @@ class ScidStats:
 
     def matrix(self) -> NybbleMatrix:
         """The Figure 5 frequency matrix of the SCIDs seen so far."""
+        if self._uncounted:
+            self._nybbles.update(self._uncounted)
+            self._uncounted = []
         return self._nybbles.matrix()
 
 
@@ -78,20 +93,30 @@ class ScidTable:
     def __init__(self) -> None:
         self.stats: dict[str, ScidStats] = {}
 
-    def add_values(self, origin: str, types: bytes, scids: Sequence[bytes]) -> None:
-        """Absorb a datagram's server-chosen SCIDs (parallel type codes / SCIDs)."""
-        stats = self.stats.get(origin)
-        for code, scid in zip(types, scids):
-            if scid and code in _SERVER_CID_TYPES:
-                if stats is None:
-                    stats = self.stats[origin] = ScidStats(origin)
-                stats.add(scid)
+    def add_scids(self, scids: Iterable[tuple[str, bytes]]) -> None:
+        """Absorb ``(origin, server-chosen SCID)`` pairs in first-seen
+        order; an empty SCID names no server and is skipped."""
+        by_origin: dict[str, list[bytes]] = {}
+        for origin, scid in scids:
+            if scid:
+                by_origin.setdefault(origin, []).append(scid)
+        for origin, found in by_origin.items():
+            stats = self.stats.get(origin)
+            if stats is None:
+                stats = self.stats[origin] = ScidStats(origin)
+            stats.update(found)
 
 
 def table4(packets: Sequence[CapturedPacket]) -> dict[str, ScidStats]:
     table = ScidTable()
-    for _, _, _, _, origin, _, types, _, _, scids, _ in map(datagram_values, packets):
-        table.add_values(origin, types, scids)
+    table.add_scids(
+        (origin, scid)
+        for _, _, _, _, origin, _, types, _, _, scids, _ in map(
+            datagram_values, packets
+        )
+        for code, scid in zip(types, scids)
+        if SERVER_CID_MASK[code]
+    )
     return table.stats
 
 

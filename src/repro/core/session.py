@@ -9,9 +9,11 @@ retransmission timing by grouping backscatter on the SCID (Figure 3).
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable
+from itertools import count
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.telescope.classify import CapturedPacket, datagram_values
 
@@ -47,49 +49,83 @@ class Session:
 
 def session_key(row: tuple) -> tuple:
     """The session of a ``DATAGRAM_FIELDS`` row: its source, destination
-    and first packet's SCID and DCID."""
+    and first packet's (DCID, SCID) pair.
+
+    A capture table names the pair by its interned id instead
+    (:meth:`~repro.capstore.CaptureTable.pair_cids`); either names one
+    pair, so both group the same datagrams."""
     _, src_ip, dst_ip, *_, dcids, scids, _ = row
-    return (src_ip, dst_ip, scids[0], dcids[0])
+    return (src_ip, dst_ip, (dcids[0], scids[0]))
 
 
 class SessionStore:
-    """Groups captured packets into sessions."""
+    """Groups captured datagrams into sessions, in first-seen order."""
 
     def __init__(self) -> None:
         self._sessions: dict[tuple, Session] = {}
 
-    def add_values(
+    def add_datagrams(
         self,
-        key: tuple,
-        origin: str,
-        version: int,
-        timestamp: float,
-    ) -> Session:
-        """Append one datagram to the session ``key`` (:func:`session_key`) names.
+        keys: Sequence[tuple],
+        origins: Sequence[str],
+        versions: Sequence[int],
+        timestamps: Iterable[float],
+        pair_cids: Optional[Callable[[list], Iterable[tuple]]] = None,
+    ) -> None:
+        """Append datagrams, in capture order, to the sessions their keys name.
 
-        ``version`` is the first packet's.
+        ``keys[i]`` is ``(src_ip, dst_ip, pair)`` of datagram ``i`` and
+        the other sequences run parallel to it (``versions`` holds each
+        datagram's first packet's version).  A session new here is made
+        from its first datagram, with the ``(dcid, scid)`` that
+        ``pair_cids`` cuts for its pair, all new pairs in one call; with
+        no ``pair_cids`` the pair is that tuple itself.  Python-level
+        work runs once per distinct key: one ``dict`` pass names each
+        datagram's session by the row of its first datagram, and the
+        timestamps are appended to their sessions by ``map``.
         """
-        session = self._sessions.get(key)
-        if session is None:
-            src_ip, dst_ip, scid, dcid = key
-            session = self._sessions[key] = Session(
-                src_ip=src_ip,
-                dst_ip=dst_ip,
-                scid=scid,
-                dcid=dcid,
-                origin=origin,
-                version=version,
+        first: dict = {}
+        rows = list(map(first.setdefault, keys, count()))
+        sessions = self._sessions
+        new = [key for key in first if key not in sessions]
+        if new:
+            pairs = [pair for _, _, pair in new]
+            cids = pairs if pair_cids is None else pair_cids(pairs)
+            for key, (dcid, scid) in zip(new, cids):
+                row = first[key]
+                sessions[key] = Session(
+                    src_ip=key[0],
+                    dst_ip=key[1],
+                    scid=scid,
+                    dcid=dcid,
+                    origin=origins[row],
+                    version=versions[row],
+                )
+        stamps = {row: sessions[key].timestamps for key, row in first.items()}
+        deque(map(array.append, map(stamps.__getitem__, rows), timestamps), maxlen=0)
+
+    def rekey(self, pair_cids: Callable[[list], list]) -> None:
+        """Spell each key's pair as the ``(dcid, scid)`` ``pair_cids`` cuts."""
+        keys = list(self._sessions)
+        cids = pair_cids([pair for _, _, pair in keys])
+        self._sessions = dict(
+            zip(
+                ((src, dst, cid) for (src, dst, _), cid in zip(keys, cids)),
+                self._sessions.values(),
             )
-        session.timestamps.append(timestamp)
-        return session
+        )
 
     @classmethod
     def from_packets(cls, packets: Iterable[CapturedPacket]) -> "SessionStore":
-        """Group packets into sessions (the batch form of :meth:`add_values`)."""
+        """Group packets into sessions (the batch form of :meth:`add_datagrams`)."""
+        rows = list(map(datagram_values, packets))
         store = cls()
-        for row in map(datagram_values, packets):
-            timestamp, _, _, _, origin, _, _, versions, *_ = row
-            store.add_values(session_key(row), origin, versions[0], timestamp)
+        store.add_datagrams(
+            list(map(session_key, rows)),
+            [row[4] for row in rows],
+            [row[7][0] for row in rows],
+            [row[0] for row in rows],
+        )
         return store
 
     def sessions(self) -> list[Session]:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter, defaultdict
+from itertools import islice, repeat
+from operator import sub
 from typing import Sequence
 from dataclasses import dataclass, field
 
@@ -46,15 +48,18 @@ class TimingProfile:
 def flight_times(session: Session) -> list[float]:
     """Relative arrival time of each flight (datagrams closer than 50 ms to
     the previous flight are the same flight — e.g. Initial + Handshake)."""
-    times: list[float] = []
-    for t in session.relative_times():
-        if not times or t - times[-1] > 0.05:
+    relative = map(sub, session.timestamps, repeat(session.first_seen))
+    last = next(relative)
+    times = [last]
+    for t in relative:
+        if t - last > 0.05:
             times.append(t)
+            last = t
     return times
 
 
 def _gaps(times: list[float]) -> list[float]:
-    return [b - a for a, b in zip(times, times[1:])]
+    return list(map(sub, islice(times, 1, None), times))
 
 
 def session_gaps(session: Session) -> list[float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from repro.capstore.table import ClassifiedView
 from repro.core.session import SessionStore, session_key
@@ -36,7 +36,7 @@ class VersionMix:
     """Incremental Table 2 for one side: each session counted once.
 
     A session is bucketed by the version of its first observed datagram;
-    later datagrams of the same (src, dst, SCID, DCID) change nothing.
+    later datagrams of the same session key change nothing.
     """
 
     __slots__ = ("keys", "counts")
@@ -45,12 +45,24 @@ class VersionMix:
         self.keys: set[tuple] = set()
         self.counts: Counter = Counter()
 
-    def add_values(self, key: tuple, version: int) -> None:
-        """Count the session ``key`` (:func:`session_key`) on first sight,
-        under the version of the datagram's first packet."""
-        if key not in self.keys:
-            self.keys.add(key)
-            self.counts[table2_bucket(version)] += 1
+    def add_sessions(self, keys: Sequence[tuple], versions: Sequence[int]) -> None:
+        """Count each session ``keys`` names (:func:`session_key`, or a
+        table's ``(src_ip, dst_ip, pair id)``) on first sight, under the
+        version of its first datagram's first packet (``versions`` runs
+        parallel to ``keys``).  Python-level work runs once per new
+        session and once per distinct version."""
+        first = dict(zip(reversed(keys), reversed(versions)))
+        seen = self.keys
+        fresh = [first[key] for key in dict.fromkeys(keys) if key not in seen]
+        seen.update(first)
+        for version, count in Counter(fresh).items():
+            self.counts[table2_bucket(version)] += count
+
+    def rekey(self, pair_cids: Callable[[list], list]) -> None:
+        """Spell each key's pair as the ``(dcid, scid)`` ``pair_cids`` cuts."""
+        keys = list(self.keys)
+        cids = pair_cids([pair for _, _, pair in keys])
+        self.keys = {(src, dst, cid) for (src, dst, _), cid in zip(keys, cids)}
 
     def shares(self) -> VersionShares:
         return VersionShares(counts=self.counts, total=len(self.keys))
@@ -66,10 +78,9 @@ def session_shares(store: SessionStore) -> VersionShares:
 
 def version_shares(packets: Iterable[CapturedPacket]) -> VersionShares:
     """Bucket one packet population (scans or backscatter) by session."""
+    rows = list(map(datagram_values, packets))
     mix = VersionMix()
-    for row in map(datagram_values, packets):
-        *_, versions, _, _, _ = row
-        mix.add_values(session_key(row), versions[0])
+    mix.add_sessions(list(map(session_key, rows)), [row[7][0] for row in rows])
     return mix.shares()
 
 

@@ -62,7 +62,7 @@ class StreamAnalyses:
         """
         if end <= start:
             return 0
-        self.fold.feed(table.datagrams(start, end))
+        self.fold.feed(table, start, end)
         for code, count in Counter(table.klass[start:end]).items():
             self.rows[KLASS_VALUES[code].value] += count
         for origin_id, count in Counter(table.origin_id[start:end]).items():

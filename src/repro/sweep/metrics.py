@@ -66,7 +66,7 @@ def evaluate_metrics(
     wanted = {ANALYSIS_NAMES[name][0] for name in metrics if name in ANALYSIS_NAMES}
     if wanted:
         fold = CaptureFold(wanted)
-        fold.feed(view.datagrams())
+        fold.feed(view.table, 0, len(view))
         values.update(fold.values())
     return {
         name: _from_snapshot(name, sim_snapshot)

@@ -7,13 +7,15 @@ from itertools import combinations
 import pytest
 
 from repro.capstore import CaptureTable, ClassifiedView, load_or_build
-from repro.core.render import render_analysis
+from repro.core.render import CaptureFold, render_analysis
 from repro.core.selectors import ANALYSIS_NAMES, VALID_TABLES
 from repro.quic.packet import PacketType, ParsedLongHeader
 from repro.quic.version import QUIC_V1
 from repro.stream.reducers import StreamAnalyses
 from repro.sweep.metrics import DEFAULT_METRICS, evaluate_metrics
-from repro.telescope.classify import CapturedPacket, PacketClass, datagram_values
+from repro.telescope.classify import CapturedPacket, PacketClass
+
+from tests.capstore.handmade import table_of
 
 ALL_TABLES = set(VALID_TABLES)
 
@@ -73,13 +75,11 @@ def _datagram(index, klass, kinds):
 
 
 class _Capture:
-    """Hand-made packets, read as ``render_analysis`` reads a capture."""
+    """Hand-made packets, in a table ``render_analysis`` folds."""
 
     def __init__(self, backscatter, scans):
         self.backscatter, self.scans = backscatter, scans
-
-    def datagrams(self):
-        return map(datagram_values, self.backscatter + self.scans)
+        self.table = table_of(backscatter + scans)
 
 
 class TestScansStayOutOfTable1:
@@ -160,20 +160,20 @@ class TestOneReadOfTheColumns:
     @pytest.fixture
     def reads(self, monkeypatch):
         calls = []
-        datagrams = CaptureTable.datagrams
+        feed = CaptureFold.feed
 
-        def counted(table, *bounds):
-            calls.append(bounds)
-            return datagrams(table, *bounds)
+        def counted(fold, table, start, end):
+            calls.append((start, end))
+            return feed(fold, table, start, end)
 
-        monkeypatch.setattr(CaptureTable, "datagrams", counted)
+        monkeypatch.setattr(CaptureFold, "feed", counted)
         return calls
 
     def test_once_per_reader(self, columnar, reads):
         view = ClassifiedView(columnar.table, columnar.stats)
         rows = columnar.table.num_rows
         render_analysis(view, ALL_TABLES)
-        assert reads == [()]
+        assert reads == [(0, rows)]
         analyses = StreamAnalyses()
         analyses.feed(columnar.table, 0, rows // 2)
         analyses.feed(columnar.table, rows // 2, rows)
@@ -181,9 +181,9 @@ class TestOneReadOfTheColumns:
         assert reads[1:] == [(0, rows // 2), (rows // 2, rows)]
         del reads[:]
         evaluate_metrics(list(DEFAULT_METRICS) + ANALYSIS_METRICS, view, {})
-        assert reads == [()]
+        assert reads == [(0, rows)]
         evaluate_metrics(["scid_unique.Google"], view, {})
-        assert reads == [(), ()]
+        assert reads == [(0, rows), (0, rows)]
 
     def test_row_counts_and_registry_metrics_read_nothing(self, columnar, reads):
         view = ClassifiedView(columnar.table, columnar.stats)

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capstore import build_from_records, dump_index, load_index
-from repro.telescope.classify import datagram_values
 from repro.core.dissector import dissect_datagram
 from repro.netstack.pcap import PcapRecord
 from repro.netstack.udp import QUIC_PORT, UdpDatagram, encode_udp
@@ -110,11 +109,12 @@ def test_sidecar_round_trip(records, versionless):
         expected[row] = [replace(packet, supported_versions=())]
     loaded = _round_trip(table, stats)
     assert loaded == table
-    assert list(loaded.datagrams()) == list(table.datagrams())
+    # A loaded blob is ``bytes``, a built one a ``bytearray``: both cut the same.
+    pairs = range(table.num_pairs)
+    assert loaded.pair_cids(pairs) == table.pair_cids(pairs)
     for row, (_record, datagram) in enumerate(records):
         captured = loaded.materialize(row)
         assert captured == table.materialize(row)
-        assert list(loaded.datagrams(row, row + 1)) == [datagram_values(captured)]
         assert (captured.src_port, captured.dst_port) == (
             datagram.src_port,
             datagram.dst_port,

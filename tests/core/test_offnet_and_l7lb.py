@@ -190,7 +190,7 @@ class TestVipClustering:
             )
         )
         fold = CaptureFold({"4"})
-        fold.feed(view.datagrams())
+        fold.feed(view.table, 0, len(view))
         per_vip = passive_host_ids(small_capture.backscatter, origin="Facebook")
         assert host_ids_from_scids(
             fold.scids.stats["Facebook"].unique_scids

@@ -1,19 +1,18 @@
-"""The same numbers from either row source, for every prefix.
+"""The same numbers from the columns and from the objects, for every prefix.
 
-The analyses fold plain values that come either straight from a
-:class:`~repro.capstore.CaptureTable`'s columns (``datagrams``) or from
-``CapturedPacket`` objects (``datagram_values``); the standalone batch
-functions are a third spelling.  For the four golden scenarios and the
-hostile-pcap corpus, the three must agree accumulator by accumulator —
-``tests/stream/test_reducers.py``'s fold property, extended to
-``SessionStore``, timing, Fig. 7, the off-net servers and the flood
-events — at every
-checkpoint of a capture fed in two different batchings: the columns in
-ragged ranges, the objects one at a time.  The fold's other two readers
-are then held to the same references from outside: ``StreamAnalyses``
-for what it counts itself, ``evaluate_metrics`` name by name — every
-name of the grammar ``repro.core.selectors`` declares, which is exactly
-the set ``CaptureFold.values`` fills.
+The analyses fold a :class:`~repro.capstore.CaptureTable`'s columns
+(``CaptureFold.feed``); the standalone batch functions are the other
+spelling, over ``CapturedPacket`` objects (``datagram_values``).  For the
+four golden scenarios and the hostile-pcap corpus, the two must agree
+accumulator by accumulator — ``tests/stream/test_reducers.py``'s fold
+property, extended to ``SessionStore``, timing, Fig. 7, the off-net
+servers and the flood events — at every checkpoint of a capture fed in
+ragged ranges, and those ranges must end where one feed of the same
+prefix does.  The fold's other two readers are then held to the same
+references from outside: ``StreamAnalyses`` for what it counts itself,
+``evaluate_metrics`` name by name — every name of the grammar
+``repro.core.selectors`` declares, which is exactly the set
+``CaptureFold.values`` fills.
 """
 
 import os
@@ -60,7 +59,6 @@ from repro.netstack.pcap import read_pcap
 from repro.stream.reducers import StreamAnalyses
 from repro.sweep.metrics import evaluate_metrics
 from repro.telescope.classify import (
-    DATAGRAM_FIELDS,
     PacketClass,
     SanitizationStats,
     datagram_values,
@@ -187,32 +185,39 @@ def _batch_state(packets):
     }
 
 
+def _assert_batch_holds(state, packets):
+    """A fold's state is the batch functions' over ``packets``; Table 2's
+    session keys are the table's pair ids there, the bytes here."""
+    batch = _batch_state(packets)
+    for side in ("clients", "servers"):
+        keys, counts = state.pop(side)
+        assert counts == batch.pop(side) and len(keys) == sum(counts.values())
+    assert state == batch
+
+
 def test_reader_yields_what_the_objects_hold(sources):
+    """Any row range, whatever its offsets, folds to what the batch
+    functions compute from that range's objects."""
     table, packets = sources
-    rows = list(table.datagrams())
-    assert rows == [datagram_values(packet) for packet in packets]
-    assert all(len(row) == len(DATAGRAM_FIELDS) for row in rows)
-    # Any range is the same slice of the whole, whatever its offsets.
-    for start, end in ((0, 0), (0, 1), (1, len(rows)), (len(rows) // 3, len(rows) // 2)):
-        assert list(table.datagrams(start, end)) == rows[start:end]
+    rows = len(packets)
+    for start, end in ((0, 0), (0, 1), (1, rows), (rows // 3, rows // 2)):
+        fold = CaptureFold(ALL_SELECTORS)
+        fold.feed(table, start, end)
+        _assert_batch_holds(_fold_state(fold), packets[start:end])
 
 
 def test_render_fold_agrees_at_every_checkpoint(sources):
     table, packets = sources
-    from_columns, from_objects = CaptureFold(ALL_SELECTORS), CaptureFold(ALL_SELECTORS)
+    ragged = CaptureFold(ALL_SELECTORS)
     fed = 0
     for upto in _checkpoints(len(packets), every_prefix=len(packets) <= 32):
-        from_columns.feed(table.datagrams(fed, upto))
-        for packet in packets[fed:upto]:
-            from_objects.feed([datagram_values(packet)])
+        ragged.feed(table, fed, upto)
         fed = upto
-        state = _fold_state(from_columns)
-        assert state == _fold_state(from_objects)
-        batch = _batch_state(packets[:upto])
-        for side in ("clients", "servers"):
-            keys, counts = state.pop(side)
-            assert counts == batch.pop(side) and len(keys) == sum(counts.values())
-        assert state == batch
+        at_once = CaptureFold(ALL_SELECTORS)
+        at_once.feed(table, 0, upto)
+        state = _fold_state(ragged)
+        assert state == _fold_state(at_once)
+        _assert_batch_holds(state, packets[:upto])
 
 
 def _as_two_shards(records, cut, origins):
@@ -270,11 +275,11 @@ def test_values_names_the_whole_grammar(sources):
     """A fold's names are its selectors' families, expanded, zeros included."""
     table, _packets = sources
     everything = CaptureFold(ALL_SELECTORS)
-    everything.feed(table.datagrams())
+    everything.feed(table, 0, table.num_rows)
     assert set(everything.values()) == set(ANALYSIS_NAMES)
     for selector in {selector for selector, _ in FAMILIES.values()}:
         fold = CaptureFold({selector})
-        fold.feed(table.datagrams())
+        fold.feed(table, 0, table.num_rows)
         assert set(fold.values()) == {
             name for name, (of, _, _) in ANALYSIS_NAMES.items() if of == selector
         }

@@ -292,7 +292,7 @@ def _table6(view, certstore) -> dict:
     """Table 6's names: one fold's off-net features, with the first resend
     gaps of the same fold's one session store."""
     fold = CaptureFold({"offnet", "rto"})
-    fold.feed(view.datagrams())
+    fold.feed(view.table, 0, len(view))
     add_first_gaps(fold.offnet.features, fold.sessions)
     return {
         "%s%s.%s" % (TABLE6, scores.name, measure): getattr(scores, measure)
@@ -375,7 +375,8 @@ def hostids_lab() -> dict:
     of one VIP per on-net cluster of the same scenario."""
     scenario = run_scenario(LARGE_DEPLOYMENT)
     fold = CaptureFold({"4"})
-    fold.feed(_view(scenario).datagrams())
+    view = _view(scenario)
+    fold.feed(view.table, 0, len(view))
     passive = host_ids_from_scids(fold.scids.stats["Facebook"].unique_scids)
     prober = Prober(scenario.loop, scenario.network, suite="fast", timeout=2.0)
     census = set()
