@@ -1,5 +1,6 @@
 """What the ``bench_*.py`` scripts share: the stamp on a recorded result,
-and :func:`report`, which keeps a bench's reproduced rows.
+:func:`record`, which writes it, and :func:`report`, which keeps a
+bench's reproduced rows.
 
 A ``BENCH_*.json`` is read long after the box that produced it is gone;
 the stamp says which interpreter, how many CPUs, which commit and how
@@ -11,6 +12,7 @@ another directory's ``conftest.py`` (``benchmarks/e2e/tests/``) gets
 that one for ``import conftest``, and ``_harness`` has no such twin.
 """
 
+import json
 import os
 import platform
 import subprocess
@@ -26,6 +28,22 @@ def report(name: str, text: str) -> str:
     with open(path, "w") as fileobj:
         fileobj.write(text + "\n")
     print("\n" + text)
+    return path
+
+
+def record(name: str, results: dict, check: bool) -> str:
+    """Write a bench's results as ``BENCH_<name>.json``; returns the path.
+
+    A plain run re-records the committed baseline at the repo root.  A
+    ``--check`` run, or the pytest entry, only gates: it writes under the
+    untracked ``benchmarks/out/`` and leaves the checkout as it found it.
+    """
+    folder = OUT_DIR if check else ROOT
+    os.makedirs(folder, exist_ok=True)
+    path = os.path.join(folder, "BENCH_%s.json" % name)
+    with open(path, "w") as fileobj:
+        json.dump(results, fileobj, indent=2, sort_keys=True)
+        fileobj.write("\n")
     return path
 
 

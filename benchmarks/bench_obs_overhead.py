@@ -22,24 +22,23 @@ A live-``JsonlTracer`` arm quantifies what full tracing still costs.
 (``--profile`` has no arm: it attaches a registry, whose stage spans open
 per phase and per traffic unit, never per event, so it adds no code to
 the pump.)  Every arm must process the exact seed event count: observability may cost time but can never
-change the simulation.  Results land in ``BENCH_obs.json`` at the repo
-root (pkts/sec simulated, overhead ratios) as the perf baseline for
-later PRs.
+change the simulation.  A plain run records the results in
+``BENCH_obs.json`` at the repo root (pkts/sec simulated, overhead
+ratios), the perf baseline for later changes.
 
 Run under pytest (``pytest benchmarks/bench_obs_overhead.py``) or as a
 script — ``python benchmarks/bench_obs_overhead.py --check`` re-measures
-and exits non-zero on threshold violations (the CI gate).
+and exits non-zero on threshold violations (the CI gate).  Both write
+``benchmarks/out/BENCH_obs.json`` instead and leave the baseline alone.
 """
 
 import argparse
 import io
-import json
-import os
 import statistics
 import sys
 import time
 
-from _harness import environment_stamp, report
+from _harness import environment_stamp, record, report
 
 from repro.obs import (
     JsonlTracer,
@@ -50,7 +49,6 @@ from repro.obs import (
 )
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
-BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_obs.json")
 SIM_SCALE = 0.1
 #: Rounds of paired arms.  Fifteen: the median of five paired ratios still
 #: swung by ±10% for the disabled path on the 2-CPU box (+9.6%, −5.5%,
@@ -152,7 +150,7 @@ ARMS = {
 
 
 def run_bench():
-    """Measure every arm, persist ``BENCH_obs.json``, return the results.
+    """Measure every arm and return the results.
 
     Rounds are *interleaved* (seed, disabled, traced, … per round) and each
     overhead is the median seed-paired ratio across rounds, so slow drift in
@@ -202,9 +200,6 @@ def run_bench():
     }
     for key in ARMS:
         results[key] = _arm_summary(samples[key], delivered)
-    with open(BENCH_PATH, "w") as fileobj:
-        json.dump(results, fileobj, indent=2, sort_keys=True)
-        fileobj.write("\n")
     return results
 
 
@@ -257,6 +252,7 @@ def _check(results):
 
 def test_obs_overhead_within_budgets(benchmark):
     results = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    record("obs", results, check=True)
     report("obs_overhead", _render(results))
     failures = _check(results)
     assert not failures, "; ".join(failures)
@@ -271,6 +267,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     results = run_bench()
+    record("obs", results, args.check)
     print(_render(results))
     failures = _check(results)
     for failure in failures:

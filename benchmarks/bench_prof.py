@@ -16,12 +16,14 @@ timers — then checks that accounting:
 
 The stage clock is per stage, not per packet: attribution *inside* the
 run (crypto, network, engine) is ``benchmarks/e2e/run.py --trace 1``.
-Results land in ``BENCH_prof.json`` at the repo root (per-stage self
-times and shares, attribution ratio, and ``events`` / ``unit_weight``,
-the ratio ``repro.obs.progress.EVENTS_PER_WEIGHT`` is calibrated on) and
-the flamegraph JSON in ``benchmarks/out/prof.speedscope.json``.  Run
-under pytest or as a script — ``python benchmarks/bench_prof.py
---check`` exits non-zero on any violation (the CI gate).
+A plain run records the results in ``BENCH_prof.json`` at the repo root
+(per-stage self times and shares, attribution ratio, and ``events`` /
+``unit_weight``, the ratio ``repro.obs.progress.EVENTS_PER_WEIGHT`` is
+calibrated on); every run writes the flamegraph JSON to
+``benchmarks/out/prof.speedscope.json``.  Run under pytest or as a
+script — ``python benchmarks/bench_prof.py --check`` exits non-zero on
+any violation (the CI gate); both write ``benchmarks/out/BENCH_prof.json``
+instead and leave the baseline alone.
 """
 
 import argparse
@@ -30,7 +32,7 @@ import os
 import sys
 import time
 
-from _harness import environment_stamp, report
+from _harness import environment_stamp, record, report
 
 from repro.obs import MetricsRegistry, Observability, validate_speedscope
 from repro.obs.prof import stage_rows, to_speedscope
@@ -38,7 +40,6 @@ from repro.obs.spans import PATH_SEP
 from repro.simnet.shard import run_scenario
 from repro.workloads.scenario import ScenarioConfig, plan_traffic_units
 
-BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_prof.json")
 SPEEDSCOPE_PATH = os.path.join(
     os.path.dirname(__file__), "out", "prof.speedscope.json"
 )
@@ -49,7 +50,7 @@ REQUIRED_STAGES = ("simulate.build", "simulate.unit", "simulate.run")
 
 
 def run_bench():
-    """One profiled serial run; persists BENCH_prof.json + speedscope."""
+    """One profiled serial run; writes the speedscope, returns the results."""
     metrics = MetricsRegistry()
     obs = Observability(metrics=metrics)
     config = ScenarioConfig(seed=11).scaled(SIM_SCALE)
@@ -91,9 +92,6 @@ def run_bench():
             for row in stage_rows(timers)
         },
     }
-    with open(BENCH_PATH, "w") as fileobj:
-        json.dump(results, fileobj, indent=2, sort_keys=True)
-        fileobj.write("\n")
     return results
 
 
@@ -143,6 +141,7 @@ def _check(results):
 
 def test_prof_baseline(benchmark):
     results = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    record("prof", results, check=True)
     report("prof_baseline", _render(results))
     failures = _check(results)
     assert not failures, "; ".join(failures)
@@ -157,6 +156,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     results = run_bench()
+    record("prof", results, args.check)
     print(_render(results))
     failures = _check(results)
     for failure in failures:

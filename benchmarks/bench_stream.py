@@ -1,7 +1,7 @@
 """Streaming plane — live-vs-batch parity and incremental re-index speedup.
 
-Two arms over one simulated month, recorded in ``BENCH_stream.json`` at
-the repo root:
+Two arms over one simulated month, recorded by a plain run in
+``BENCH_stream.json`` at the repo root:
 
 * **parity** — a :class:`~repro.stream.PcapFollower` fed the capture in
   growth steps must end holding the *same* table a batch build produces
@@ -34,18 +34,18 @@ one batch build).
 
 Run under pytest (``pytest benchmarks/bench_stream.py``) or as a script —
 ``python benchmarks/bench_stream.py --check`` re-measures and exits
-non-zero on violations.  ``--scale`` overrides the default bench scale
+non-zero on violations; both write ``benchmarks/out/BENCH_stream.json``
+instead and leave the baseline alone.  ``--scale`` overrides the default bench scale
 (0.5; the REPRO_BENCH_SCALE env var is honoured too).
 """
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
 
-from _harness import environment_stamp, report
+from _harness import environment_stamp, record, report
 
 from repro.capstore import load_or_build
 from repro.cli import VALID_TABLES, main as cli_main, render_analysis
@@ -57,7 +57,6 @@ from repro.obs import MetricsRegistry, Observability
 from repro.stream.live import PcapFollower
 from repro.stream.reducers import StreamAnalyses
 
-BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_stream.json")
 DEFAULT_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 SEED = 20220101
 GROWTH_STEPS = 8
@@ -119,7 +118,7 @@ def _reducers_match_batch(analyses, view):
 
 
 def run_bench(scale=DEFAULT_SCALE):
-    """Measure both streaming arms, persist ``BENCH_stream.json``."""
+    """Measure both streaming arms and return the results."""
     results = {
         "environment": environment_stamp(),
         "scale": scale,
@@ -202,9 +201,6 @@ def run_bench(scale=DEFAULT_SCALE):
             "full_rebuild": {"seconds": round(rebuild_seconds, 3)},
         }
 
-    with open(BENCH_PATH, "w") as fileobj:
-        json.dump(results, fileobj, indent=2, sort_keys=True)
-        fileobj.write("\n")
     return results
 
 
@@ -267,6 +263,7 @@ def _check(results):
 
 def test_stream_parity_and_extend(benchmark):
     results = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    record("stream", results, check=True)
     report("stream_parity", _render(results))
     failures = _check(results)
     assert not failures, "; ".join(failures)
@@ -284,6 +281,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     results = run_bench(scale=args.scale)
+    record("stream", results, args.check)
     print(_render(results))
     failures = _check(results)
     for failure in failures:

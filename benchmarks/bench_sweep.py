@@ -1,7 +1,7 @@
 """Sweep plane — per-cell cache effectiveness on the demo grid.
 
 Three arms over ``examples/sweep_demo.json`` (a 2x2x3 grid, 12 cells),
-recorded in ``BENCH_sweep.json`` at the repo root:
+recorded by a plain run in ``BENCH_sweep.json`` at the repo root:
 
 * **cold** — every cell simulated, captured, ``.capidx``-indexed and
   evaluated from scratch;
@@ -19,7 +19,9 @@ load while a cold cell is a full discrete-event month.
 
 Run under pytest (``pytest benchmarks/bench_sweep.py``) or as a script —
 ``python benchmarks/bench_sweep.py --check`` re-measures and exits
-non-zero on violations (the CI gate).
+non-zero on violations (the CI gate); both write
+``benchmarks/out/BENCH_sweep.json`` instead and leave the baseline
+alone.
 """
 
 import argparse
@@ -30,13 +32,12 @@ import sys
 import tempfile
 import time
 
-from _harness import environment_stamp, report
+from _harness import environment_stamp, record, report
 
 from repro.obs import MetricsRegistry, Observability
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import spec_from_dict
 
-BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_sweep.json")
 SPEC_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "examples", "sweep_demo.json"
 )
@@ -60,7 +61,7 @@ def _run(doc, outdir):
 
 
 def run_bench(spec_path=SPEC_PATH):
-    """Measure all three arms, persist ``BENCH_sweep.json``."""
+    """Measure all three arms and return the results."""
     with open(spec_path) as fileobj:
         doc = json.load(fileobj)
     results = {
@@ -116,9 +117,6 @@ def run_bench(spec_path=SPEC_PATH):
             },
         }
 
-    with open(BENCH_PATH, "w") as fileobj:
-        json.dump(results, fileobj, indent=2, sort_keys=True)
-        fileobj.write("\n")
     return results
 
 
@@ -162,6 +160,7 @@ def _check(results):
 
 def test_sweep_cache(benchmark):
     results = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    record("sweep", results, check=True)
     report("sweep_cache", _render(results))
     failures = _check(results)
     assert not failures, "; ".join(failures)
@@ -177,6 +176,7 @@ def main(argv=None):
     parser.add_argument("--spec", default=SPEC_PATH, help="grid spec to sweep")
     args = parser.parse_args(argv)
     results = run_bench(spec_path=args.spec)
+    record("sweep", results, args.check)
     print(_render(results))
     failures = _check(results)
     for failure in failures:

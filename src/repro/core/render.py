@@ -1,8 +1,13 @@
-"""Text rendering of the paper's tables for one classified capture.
+"""The fold of a capture table's columns, and the paper's tables as text.
 
-``repro analyze`` and the final ``repro live`` print exactly
-:func:`render_analysis`; it lives beside the analyses it calls so
-benches and tests need not import the CLI to get at it.
+:class:`CaptureFold` is the one way rows reach the ``repro.core``
+accumulators: :meth:`CaptureFold.feed` takes a table and a row range and
+reads it :data:`FOLD_WINDOW` rows at a time as slices of the columns, so
+Python-level work runs once per distinct key — a session, a packet-type
+combination, a pair — not once per row.  ``repro analyze`` and the final
+``repro live`` print exactly :func:`render_analysis`; it lives beside
+the analyses it calls so benches and tests need not import the CLI to
+get at it.
 """
 
 from __future__ import annotations

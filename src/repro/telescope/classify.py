@@ -2,11 +2,12 @@
 
 The vocabulary of the sanitised capture — :class:`CapturedPacket`,
 :class:`PacketClass`, :class:`SanitizationStats` (its drop reasons are
-:data:`repro.core.selectors.DROP_REASONS`) — and the row every analysis
-reads: :data:`DATAGRAM_FIELDS`, which a
-:class:`~repro.capstore.CaptureTable` cuts from its columns and
-:func:`datagram_values`, the one mapping from a ``CapturedPacket``, builds
-from an object.  The pipeline itself (UDP/443 → QUIC dissector →
+:data:`repro.core.selectors.DROP_REASONS`) — and the row the analyses'
+batch functions read: :data:`DATAGRAM_FIELDS`, which
+:func:`datagram_values`, the one mapping from a ``CapturedPacket``,
+builds from an object.  A command's analyses read no rows: they fold a
+:class:`~repro.capstore.CaptureTable`'s columns
+(:meth:`repro.core.render.CaptureFold.feed`).  The pipeline itself (UDP/443 → QUIC dissector →
 acknowledged-scanner removal → origin; the AEAD open this repository adds
 to the dissector runs for the scans the removal keeps) is decided in one
 place, :func:`repro.capstore.dissect.record_verdict`, which turns record
@@ -56,10 +57,10 @@ class CapturedPacket:
 KLASS_CODES = {PacketClass.BACKSCATTER: 0, PacketClass.SCAN: 1}
 KLASS_VALUES = (PacketClass.BACKSCATTER, PacketClass.SCAN)
 
-#: One sanitized datagram as the analyses read it: a tuple of plain
-#: values, the last five parallel over its coalesced packets.  Both row
-#: sources yield this shape — :meth:`~repro.capstore.CaptureTable.datagrams`
-#: from the columns, :func:`datagram_values` from a ``CapturedPacket``.
+#: One sanitized datagram as the batch functions read it: a tuple of
+#: plain values, the last five parallel over its coalesced packets.
+#: Only :func:`datagram_values` builds it, from a ``CapturedPacket``; the
+#: fold of a capture table reads the same facts as column slices.
 DATAGRAM_FIELDS = (
     "timestamp",
     "src_ip",

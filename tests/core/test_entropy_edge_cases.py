@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core.scid_entropy import (
     chi_square_uniformity,
     is_structured,

@@ -175,7 +175,7 @@ def test_each_case_counts_as_the_paper_does(table, small_window):
     assert stats["Remaining"].unique_scids == {CLIENT_SCID, b"\x9b" * 6}
     # The lone VN is in no category; the VN-first pair is "Coalesced other".
     assert values["packet_mix.Google.Coalesced Initial & Handshake"] == 1
-    assert sum(values["packet_mix.Google.%s" % c] for c in ("Initial", "0-RTT")) == 4
+    assert values["packet_mix.Google.Initial"] + values["packet_mix.Google.0-RTT"] == 4
     assert values["packet_mix.Remaining.Coalesced other"] == 1
     tops = fold.signatures.top()
     assert tops["Facebook"] == [("1232", 3), ("1200", 3)]

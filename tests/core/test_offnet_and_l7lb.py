@@ -20,7 +20,6 @@ from repro.core.offnet import (
     extract_features,
 )
 from repro.core.render import CaptureFold
-from repro.inetdata.hypergiants import FACEBOOK
 from repro.quic.cid.mvfst import MvfstCid
 
 

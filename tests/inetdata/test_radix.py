@@ -3,7 +3,6 @@
 import random
 from bisect import bisect_right
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.inetdata.radix import RadixTree

@@ -1,7 +1,6 @@
 """The ``repro lint`` CLI surface: exit codes, reporters, baseline flags."""
 
 import json
-import os
 import textwrap
 
 import pytest

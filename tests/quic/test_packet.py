@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.quic.crypto.suites import FastProtection, Rfc9001Protection
+from repro.quic.crypto.suites import FastProtection
 from repro.quic.packet import (
     MIN_INITIAL_DATAGRAM,
     LongHeaderPacket,

@@ -6,10 +6,8 @@ import pytest
 
 from repro.netstack import encap
 from repro.netstack.addr import Prefix, parse_ip
-from repro.netstack.udp import UdpDatagram
 from repro.quic.packet import parse_long_header
 from repro.server.lb.cluster import FrontendCluster
-from repro.server.lb.l4lb import L4LoadBalancer
 from repro.server.lb.l7lb import L7LbHost
 from repro.server.profiles import facebook_profile, google_profile
 from repro.server.simple import SimpleQuicServer

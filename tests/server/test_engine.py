@@ -14,9 +14,8 @@ from repro.quic.packet import (
     encode_datagram,
     parse_long_header,
 )
-from repro.server.engine import ConnState, QuicServerEngine
+from repro.server.engine import QuicServerEngine
 from repro.server.profiles import (
-    ServerProfile,
     cloudflare_profile,
     facebook_profile,
     google_profile,

@@ -2,11 +2,8 @@
 
 import random
 
-import pytest
-
 from repro.netstack.addr import parse_ip
 from repro.netstack.udp import UdpDatagram
-from repro.quic.packet import parse_long_header
 from repro.server.engine import ConnState, QuicServerEngine
 from repro.server.profiles import facebook_profile, google_profile, quic_lb_profile
 from repro.simnet.eventloop import EventLoop

@@ -7,8 +7,6 @@ same capture.
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 

@@ -2,8 +2,6 @@
 
 import os
 
-import pytest
-
 from repro.capstore import build_capture_table
 from repro.capstore.cache import load_or_build
 from repro.netstack.pcap import GLOBAL_HEADER_SIZE, scan_pcap_offsets

@@ -1,6 +1,5 @@
 """The follow-a-file primitive: JSONL tailing."""
 
-import json
 import os
 
 from repro.stream.tail import JsonlTail

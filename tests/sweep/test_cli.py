@@ -2,7 +2,6 @@
 
 import copy
 import json
-import os
 
 import pytest
 

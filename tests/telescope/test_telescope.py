@@ -8,7 +8,7 @@ from bisect import bisect_left
 import pytest
 
 from repro.core.dissector import dissect_datagram
-from repro.inetdata.asdb import AsDatabase, AsEntry
+from repro.inetdata.asdb import AsDatabase
 from repro.netstack.addr import Prefix, parse_ip
 from repro.netstack.pcap import PcapReader, PcapRecord, record_sort_key, split_timestamp
 from repro.netstack.udp import UdpDatagram, encode_udp

@@ -7,7 +7,7 @@ import pytest
 
 from repro.netstack.addr import Prefix, parse_ip
 from repro.obs import MetricsRegistry, Observability
-from repro.quic.packet import PacketType, decode_datagram, parse_long_header
+from repro.quic.packet import PacketType, parse_long_header
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device, Network, PathModel
 from repro.telescope.darknet import Telescope

@@ -4,7 +4,7 @@
 The telescope spools every record once it is final, so a serial
 ``repro simulate`` holds the records in flight, not the pcap; ``index``
 and ``analyze`` hold the sidecar's columns once, plus their accumulators
-and one window of rows.  This checker runs the pipeline twice, at
+and the column slices of the one window the fold reads at a time.  This checker runs the pipeline twice, at
 ``--scale 0.25`` and at ``--scale 1`` (a pcap about four times larger):
 ``simulate``, then ``index`` and ``analyze --tables 1 2 3 4 rto lengths``
 on its pcap, each a child process whose peak resident set it reads
