@@ -216,10 +216,11 @@ class CaptureFold:
     def _fold(self, rows: _Window) -> None:
         """One window: each accumulator's counts, over its side's rows."""
         if rows.scans:  # the client side of Table 2, and Table 3
+            client = rows.client
             if self.clients is not None:
-                self.clients.add_sessions(rows.client(rows.keys), rows.client(rows.versions))
+                self.clients.add_sessions(client(rows.keys), client(rows.versions))
             if self.scan_mix is not None:
-                self.scan_mix.add_counts(Counter(rows.client(zip(rows.origins, rows.types))))
+                self.scan_mix.add_counts(Counter(client(zip(rows.origins, rows.types))))
         if rows.scans == rows.end - rows.start:
             return
         table, server = rows.table, rows.server
@@ -254,8 +255,8 @@ class CaptureFold:
             # SCIDs cut once per distinct pair of the window.
             pairs = table.cid[rows.first : rows.last]
             distinct = list(dict.fromkeys(pairs))
-            scid_of = {pair: scid for pair, (_, scid) in zip(distinct, table.pair_cids(distinct))}
-            scids = tuple(map(scid_of.__getitem__, pairs))
+            cids = dict(zip(distinct, table.pair_cids(distinct)))
+            scids = tuple(cids[pair][1] for pair in pairs)
             for origin, src_ip, types, row_scids, length in server(
                 zip(
                     rows.origins,

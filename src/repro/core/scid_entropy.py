@@ -80,7 +80,8 @@ class NybbleCounts:
         lengths = list(map(len, scids))
         counts, totals = self._counts, self._totals
         for at in range(max(lengths, default=0)):
-            column = bytes(map(itemgetter(at), compress(scids, map(at.__lt__, lengths))))
+            long_enough = compress(scids, map(at.__lt__, lengths))
+            column = bytes(map(itemgetter(at), long_enough))
             if len(counts) < 2 * at + 2:  # the first SCID this long
                 counts += ([0] * 16, [0] * 16)
                 totals += (0, 0)
@@ -101,15 +102,6 @@ class NybbleCounts:
             sample_size=self.sample_size,
             position_totals=list(self._totals),
         )
-
-
-def nybbles(scid: bytes) -> list[int]:
-    """Split a connection ID into its nybble sequence (high nybble first)."""
-    out = []
-    for byte in scid:
-        out.append(byte >> 4)
-        out.append(byte & 0x0F)
-    return out
 
 
 def nybble_matrix(scids: set[bytes] | list[bytes]) -> NybbleMatrix:

@@ -118,14 +118,14 @@ class SessionStore:
     @classmethod
     def from_packets(cls, packets: Iterable[CapturedPacket]) -> "SessionStore":
         """Group packets into sessions (the batch form of :meth:`add_datagrams`)."""
-        rows = list(map(datagram_values, packets))
         store = cls()
-        store.add_datagrams(
-            list(map(session_key, rows)),
-            [row[4] for row in rows],
-            [row[7][0] for row in rows],
-            [row[0] for row in rows],
-        )
+        rows = list(map(datagram_values, packets))
+        if rows:
+            timestamps, _, _, _, origins, _, _, versions, *_ = zip(*rows)
+            firsts = [packet_versions[0] for packet_versions in versions]
+            store.add_datagrams(
+                list(map(session_key, rows)), origins, firsts, timestamps
+            )
         return store
 
     def sessions(self) -> list[Session]:

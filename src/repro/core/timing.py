@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter, defaultdict
-from itertools import islice, repeat
-from operator import sub
 from typing import Sequence
 from dataclasses import dataclass, field
 
@@ -48,18 +46,15 @@ class TimingProfile:
 def flight_times(session: Session) -> list[float]:
     """Relative arrival time of each flight (datagrams closer than 50 ms to
     the previous flight are the same flight — e.g. Initial + Handshake)."""
-    relative = map(sub, session.timestamps, repeat(session.first_seen))
-    last = next(relative)
-    times = [last]
-    for t in relative:
-        if t - last > 0.05:
+    times: list[float] = []
+    for t in session.relative_times():
+        if not times or t - times[-1] > 0.05:
             times.append(t)
-            last = t
     return times
 
 
 def _gaps(times: list[float]) -> list[float]:
-    return list(map(sub, islice(times, 1, None), times))
+    return [b - a for a, b in zip(times, times[1:])]
 
 
 def session_gaps(session: Session) -> list[float]:

@@ -80,7 +80,8 @@ def version_shares(packets: Iterable[CapturedPacket]) -> VersionShares:
     """Bucket one packet population (scans or backscatter) by session."""
     rows = list(map(datagram_values, packets))
     mix = VersionMix()
-    mix.add_sessions(list(map(session_key, rows)), [row[7][0] for row in rows])
+    firsts = [versions[0] for _, _, _, _, _, _, _, versions, *_ in rows]
+    mix.add_sessions(list(map(session_key, rows)), firsts)
     return mix.shares()
 
 

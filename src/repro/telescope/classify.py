@@ -7,11 +7,12 @@ batch functions read: :data:`DATAGRAM_FIELDS`, which
 :func:`datagram_values`, the one mapping from a ``CapturedPacket``,
 builds from an object.  A command's analyses read no rows: they fold a
 :class:`~repro.capstore.CaptureTable`'s columns
-(:meth:`repro.core.render.CaptureFold.feed`).  The pipeline itself (UDP/443 → QUIC dissector →
-acknowledged-scanner removal → origin; the AEAD open this repository adds
-to the dissector runs for the scans the removal keeps) is decided in one
-place, :func:`repro.capstore.dissect.record_verdict`, which turns record
-bytes into rows of such a table; :func:`classify_capture` hands back the
+(:meth:`repro.core.render.CaptureFold.feed`).  The pipeline itself
+(UDP/443 → QUIC dissector → acknowledged-scanner removal → origin; the
+AEAD open this repository adds to the dissector runs for the scans the
+removal keeps) is decided in one place,
+:func:`repro.capstore.dissect.record_verdict`, which turns record bytes
+into rows of such a table; :func:`classify_capture` hands back the
 :class:`~repro.capstore.ClassifiedView` over the table it builds, and
 :func:`classify_record` one row's materialised packet.
 """

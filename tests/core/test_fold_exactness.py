@@ -9,7 +9,8 @@ first-seen order only the whole capture shows.  With the fold window
 shrunk to four rows, feeding the table in one call, split at every
 window boundary and one row either side, or split inside a session must
 leave the same state, and that state is what the batch functions
-compute from the objects.
+compute from the objects.  The same holds with the module's window,
+which takes the whole capture at once.
 """
 
 from itertools import pairwise
@@ -21,7 +22,7 @@ from repro.core.render import CaptureFold
 from repro.core.selectors import ANALYSIS_NAMES
 from repro.core.session import SessionStore
 from repro.quic.packet import PacketType, ParsedLongHeader
-from repro.quic.version import QUIC_V1
+from repro.quic.version import DRAFT_29, MVFST_2, QUIC_V1
 from repro.telescope.classify import CapturedPacket, PacketClass, SanitizationStats
 
 from tests.capstore.handmade import table_of
@@ -34,11 +35,11 @@ ZERO_RTT, VN = PacketType.ZERO_RTT, PacketType.VERSION_NEGOTIATION
 BACKSCATTER, SCAN = PacketClass.BACKSCATTER, PacketClass.SCAN
 
 
-def _header(kind, dcid, scid, length=1200):
+def _header(kind, dcid, scid, length=1200, version=QUIC_V1.value):
     negotiation = kind is VN
     return ParsedLongHeader(
         packet_type=kind,
-        version=0 if negotiation else QUIC_V1.value,
+        version=0 if negotiation else version,
         dcid=dcid,
         scid=scid,
         token=b"",
@@ -64,64 +65,93 @@ def _datagram(timestamp, klass, origin, src_ip, *headers):
     )
 
 
-GOOGLE, FACEBOOK, CLOUDFLARE = 0x8EFA0001, 0x9DF00001, 0x68100001
-SCID_8, SCID_4 = b"\x8a" * 8, b"\x44" * 4
-SHARED_SCID, CLIENT_SCID = b"\xfb" * 8, b"\xc1" * 5
+#: One backscatter source per origin; scans come from addresses of their own.
+SERVERS = {
+    "Google": 0x8EFA0001,
+    "Facebook": 0x9DF00001,
+    "Cloudflare": 0x68100001,
+    "Remaining": 0x0B000001,
+}
+
+
+def _backscatter(timestamp, origin, *headers):
+    return _datagram(timestamp, BACKSCATTER, origin, SERVERS[origin], *headers)
+
+
+def _scan(timestamp, src_ip, *headers):
+    return _datagram(timestamp, SCAN, "Remaining", src_ip, *headers)
+
+
+def _cid(byte, length=8):
+    return bytes((byte,)) * length
+
+
+SCID_8, SCID_4 = _cid(0x8A), _cid(0x44, 4)
+SHARED_SCID, CLIENT_SCID = _cid(0xFB), _cid(0xC1, 5)
 
 #: In capture order; the comments name what each row is there for.
 PACKETS = [
     # A scan's pair, seen again below in a server Initial.
-    _datagram(0.0, SCAN, "Remaining", 0x0A000001, _header(INITIAL, b"\xd1" * 8, CLIENT_SCID)),
+    _scan(0.0, 0x0A000001, _header(INITIAL, _cid(0xD1), CLIENT_SCID)),
+    # Two sessions that change version: each counts under its first one.
+    _scan(
+        0.05,
+        0x0A000003,
+        _header(INITIAL, _cid(0xD4), _cid(0xC4, 5), version=DRAFT_29.value),
+    ),
+    _backscatter(
+        0.06, "Facebook", _header(INITIAL, _cid(0xF5), _cid(0xF6), 1252, MVFST_2.value)
+    ),
     # Google's 4-byte SCID, first in a 0-RTT packet: not the server's choice.
-    _datagram(0.1, BACKSCATTER, "Google", GOOGLE, _header(ZERO_RTT, b"\xc1" * 8, SCID_4)),
+    _backscatter(0.1, "Google", _header(ZERO_RTT, _cid(0xC1), SCID_4)),
     # VN first: out of Table 3 and Fig. 7; its SCID is not the server's.
-    _datagram(0.2, BACKSCATTER, "Google", GOOGLE, _header(VN, b"\xc2" * 8, b"\x8b" * 8, 40)),
+    _backscatter(0.2, "Google", _header(VN, _cid(0xC2), _cid(0x8B), 40)),
     # Coalesced Initial & Handshake: Google's 8-byte SCID, eligible first.
-    _datagram(
+    _backscatter(
         0.3,
-        BACKSCATTER,
         "Google",
-        GOOGLE,
-        _header(INITIAL, b"\xc3" * 8, SCID_8),
-        _header(HANDSHAKE, b"\xc3" * 8, SCID_8, 1000),
+        _header(INITIAL, _cid(0xC3), SCID_8),
+        _header(HANDSHAKE, _cid(0xC3), SCID_8, 1000),
     ),
     # The 0-RTT pair again, now in a server Initial: a tie of one 8-byte
     # and one 4-byte SCID, which the 8-byte one wins by being seen first.
-    _datagram(0.4, BACKSCATTER, "Google", GOOGLE, _header(INITIAL, b"\xc1" * 8, SCID_4)),
+    _backscatter(0.4, "Google", _header(INITIAL, _cid(0xC1), SCID_4)),
     # One SCID under two DCIDs: one unique SCID, two sessions.
-    _datagram(0.5, BACKSCATTER, "Facebook", FACEBOOK, _header(INITIAL, b"\xf1" * 8, SHARED_SCID, 1232)),
-    _datagram(0.6, BACKSCATTER, "Facebook", FACEBOOK, _header(INITIAL, b"\xf2" * 8, SHARED_SCID, 1232)),
+    _backscatter(0.5, "Facebook", _header(INITIAL, _cid(0xF1), SHARED_SCID, 1232)),
+    _backscatter(0.6, "Facebook", _header(INITIAL, _cid(0xF2), SHARED_SCID, 1232)),
     # An empty SCID: a session, but nothing for Table 4.
-    _datagram(0.7, BACKSCATTER, "Cloudflare", CLOUDFLARE, _header(INITIAL, b"\xe1" * 8, b"")),
+    _backscatter(0.7, "Cloudflare", _header(INITIAL, _cid(0xE1), b"")),
     # The scan's pair in a server Initial: its SCID counts from here.
-    _datagram(0.8, BACKSCATTER, "Remaining", 0x0B000001, _header(INITIAL, b"\xd1" * 8, CLIENT_SCID)),
+    _backscatter(0.8, "Remaining", _header(INITIAL, _cid(0xD1), CLIENT_SCID)),
     # A coalesced VN-first datagram: "Coalesced other" in Table 3, not in
     # Fig. 7, and only its Initial's SCID counts.
-    _datagram(
+    _backscatter(
         0.9,
-        BACKSCATTER,
         "Remaining",
-        0x0B000001,
-        _header(VN, b"\xd2" * 8, b"\x9a" * 8, 40),
-        _header(INITIAL, b"\xd2" * 8, b"\x9b" * 6),
+        _header(VN, _cid(0xD2), _cid(0x9A), 40),
+        _header(INITIAL, _cid(0xD2), _cid(0x9B, 6)),
     ),
     # Resends of the coalesced session, across windows.
-    _datagram(1.3, BACKSCATTER, "Google", GOOGLE, _header(INITIAL, b"\xc3" * 8, SCID_8)),
+    _backscatter(1.3, "Google", _header(INITIAL, _cid(0xC3), SCID_8)),
     # Facebook's Fig. 7 tie, three each: 1232 seen first (above), but
     # 1200 first and most often in the last window they share.
-    _datagram(1.45, BACKSCATTER, "Facebook", FACEBOOK, _header(INITIAL, b"\xf3" * 8, b"\xfc" * 8)),
-    _datagram(1.5, BACKSCATTER, "Facebook", FACEBOOK, _header(INITIAL, b"\xf3" * 8, b"\xfc" * 8)),
-    _datagram(1.6, BACKSCATTER, "Facebook", FACEBOOK, _header(INITIAL, b"\xf1" * 8, SHARED_SCID, 1232)),
-    _datagram(1.7, BACKSCATTER, "Facebook", FACEBOOK, _header(INITIAL, b"\xf3" * 8, b"\xfc" * 8)),
-    _datagram(3.3, BACKSCATTER, "Google", GOOGLE, _header(INITIAL, b"\xc3" * 8, SCID_8)),
-    _datagram(3.4, SCAN, "Remaining", 0x0A000002, _header(INITIAL, b"\xd3" * 8, b"\xc2" * 5)),
+    _backscatter(1.45, "Facebook", _header(INITIAL, _cid(0xF3), _cid(0xFC))),
+    _backscatter(1.5, "Facebook", _header(INITIAL, _cid(0xF3), _cid(0xFC))),
+    _backscatter(1.6, "Facebook", _header(INITIAL, _cid(0xF1), SHARED_SCID, 1232)),
+    _backscatter(1.7, "Facebook", _header(INITIAL, _cid(0xF3), _cid(0xFC))),
+    _backscatter(3.3, "Google", _header(INITIAL, _cid(0xC3), SCID_8)),
+    _scan(3.4, 0x0A000002, _header(INITIAL, _cid(0xD3), _cid(0xC2, 5))),
+    _scan(3.5, 0x0A000003, _header(INITIAL, _cid(0xD4), _cid(0xC4, 5))),
+    _backscatter(3.6, "Facebook", _header(INITIAL, _cid(0xF5), _cid(0xF6), 1252)),
 ]
-INSIDE_A_SESSION = 6  # between the coalesced session's first datagram and its resends
+INSIDE_A_SESSION = 8  # between the coalesced session's first datagram and its resends
 
 
-@pytest.fixture
-def small_window(monkeypatch):
-    monkeypatch.setattr(render, "FOLD_WINDOW", WINDOW)
+@pytest.fixture(params=[WINDOW, render.FOLD_WINDOW], ids=["small", "module"])
+def small_window(request, monkeypatch):
+    """Four rows a window, and the module's own: one window for the whole
+    capture, where only the order inside a window can break a tie."""
+    monkeypatch.setattr(render, "FOLD_WINDOW", request.param)
 
 
 @pytest.fixture(scope="module")
@@ -167,21 +197,25 @@ def test_the_fold_is_the_batch_functions(table, small_window):
 def test_each_case_counts_as_the_paper_does(table, small_window):
     fold = _fed(table, [INSIDE_A_SESSION])
     values, stats = fold.values(), fold.scids.stats
-    # Eligible first: the 8-byte SCID, then the 4-byte one its 0-RTT named earlier.
+    # Eligible first: the 8-byte SCID, then the 4-byte one a 0-RTT named earlier.
     assert list(stats["Google"].length_counts.items()) == [(8, 1), (4, 1)]
     assert values["scid_dominant_len.Google"] == 8
-    assert values["scid_unique.Facebook"] == 2  # the shared SCID once
-    assert values["scid_unique.Cloudflare"] == 0 and values["rto.sessions.Cloudflare"] == 1
-    assert stats["Remaining"].unique_scids == {CLIENT_SCID, b"\x9b" * 6}
+    # The SCID shared by two DCIDs counts once.
+    assert stats["Facebook"].unique_scids == {SHARED_SCID, _cid(0xFC), _cid(0xF6)}
+    assert values["scid_unique.Cloudflare"] == 0
+    assert values["rto.sessions.Cloudflare"] == 1
+    assert stats["Remaining"].unique_scids == {CLIENT_SCID, _cid(0x9B, 6)}
     # The lone VN is in no category; the VN-first pair is "Coalesced other".
     assert values["packet_mix.Google.Coalesced Initial & Handshake"] == 1
     assert values["packet_mix.Google.Initial"] + values["packet_mix.Google.0-RTT"] == 4
     assert values["packet_mix.Remaining.Coalesced other"] == 1
     tops = fold.signatures.top()
-    assert tops["Facebook"] == [("1232", 3), ("1200", 3)]
+    assert tops["Facebook"] == [("1232", 3), ("1200", 3), ("1252", 2)]
     assert [label for label, _ in tops["Remaining"]] == ["1200"]  # not the VN-first one
     # The 0-RTT and the later Initial are one session; the VN is one more.
     assert values["rto.sessions.Google"] == 3
+    assert values["sessions.clients.draft-29"] == 1
+    assert values["sessions.servers.Facebook mvfst 2"] == 1
 
 
 def test_a_second_table_folds_as_one(table, small_window):

@@ -12,7 +12,6 @@ from repro.core.scid_entropy import (
     chi_square_uniformity,
     is_structured,
     nybble_matrix,
-    nybbles,
 )
 from repro.core.scid_stats import ScidStats, table4
 from repro.core.summary import summarize
@@ -89,9 +88,6 @@ class TestScidAccumulator:
 
 
 class TestNybbles:
-    def test_nybble_split(self):
-        assert nybbles(b"\xab\x01") == [0xA, 0xB, 0x0, 0x1]
-
     def test_matrix_rows_sum_to_one(self):
         rng = random.Random(1)
         scids = {rng.getrandbits(64).to_bytes(8, "big") for _ in range(200)}
