@@ -12,10 +12,11 @@ get at it.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import and_, sub
+from operator import and_, itemgetter, mul, sub
 
 from repro.core.packet_mix import LengthSignatures, PacketMix
 from repro.core.report import render_histogram, render_table
@@ -106,31 +107,32 @@ class _Window:
         return list(map(self.table.pkt_version.__getitem__, self.heads))
 
     @cached_property
-    def cuts(self) -> list:
-        """Each row's packets, as a slice of the window's packet columns."""
+    def offsets(self) -> list:
+        """Where each row's packets start in the window's packet columns,
+        and where the last row's end."""
         bounds = self.table.pkt_start[self.start : self.end + 1]
-        offsets = list(map(sub, bounds, repeat(self.first)))
-        return list(map(slice, offsets, islice(offsets, 1, None)))
+        return list(map(sub, bounds, repeat(self.first)))
 
     @cached_property
-    def types(self) -> list:
-        """Each row's packet type codes, as ``bytes``."""
-        codes = self.table.pkt_type[self.first : self.last].tobytes()
-        return list(map(codes.__getitem__, self.cuts))
-
-    @cached_property
-    def lengths(self) -> list:
-        """Each row's packet lengths, as a tuple."""
-        lengths = tuple(self.table.pkt_length[self.first : self.last])
-        return list(map(lengths.__getitem__, self.cuts))
+    def shapes(self) -> list:
+        """Each row's packets as one ``bytes``, three per packet: its type
+        code and the two bytes of its length.  Table 3 and Fig. 7 count
+        rows by it (:func:`_split_shapes`)."""
+        table, first, last = self.table, self.first, self.last
+        blob = bytearray(3 * (last - first))
+        blob[0::3] = table.pkt_type[first:last].tobytes()
+        lengths = table.pkt_length[first:last].tobytes()
+        blob[1::3], blob[2::3] = lengths[0::2], lengths[1::2]
+        blob = bytes(blob)
+        at = list(map(mul, self.offsets, repeat(3)))
+        return list(map(blob.__getitem__, map(slice, at, islice(at, 1, None))))
 
     def per_packet(self, values):
         """A row-parallel ``values``, each entry repeated for each packet
         of its row."""
         if self.last - self.first == self.end - self.start:
             return values
-        bounds = self.table.pkt_start[self.start : self.end + 1]
-        sizes = map(sub, islice(bounds, 1, None), bounds)
+        sizes = map(sub, islice(self.offsets, 1, None), self.offsets)
         return chain.from_iterable(map(repeat, values, sizes))
 
     def server_chosen_pairs(self) -> dict:
@@ -143,6 +145,17 @@ class _Window:
             chosen = map(and_, chosen, self.per_packet(self.backscatter))
         pairs = zip(self.per_packet(self.origins), table.cid[first:last])
         return dict.fromkeys(compress(pairs, chosen))
+
+
+def _split_shapes(counts: Counter) -> dict:
+    """``{(origin, types, lengths): count}`` of a count of ``(origin,
+    shape)`` keys (:attr:`_Window.shapes`), in the same order."""
+    out = {}
+    for (origin, shape), count in counts.items():
+        lengths = bytearray(len(shape) // 3 * 2)
+        lengths[0::2], lengths[1::2] = shape[1::3], shape[2::3]
+        out[origin, shape[0::3], tuple(array("H", lengths))] = count
+    return out
 
 
 class CaptureFold:
@@ -220,7 +233,8 @@ class CaptureFold:
             if self.clients is not None:
                 self.clients.add_sessions(client(rows.keys), client(rows.versions))
             if self.scan_mix is not None:
-                self.scan_mix.add_counts(Counter(client(zip(rows.origins, rows.types))))
+                shapes = Counter(client(zip(rows.origins, rows.shapes)))
+                self.scan_mix.add_counts(_split_shapes(shapes))
         if rows.scans == rows.end - rows.start:
             return
         table, server = rows.table, rows.server
@@ -228,10 +242,7 @@ class CaptureFold:
             self.servers.add_sessions(server(rows.keys), server(rows.versions))
         if self.mix is not None or self.signatures is not None:
             # One count serves both: Table 3 reads a key's origin and types.
-            shapes = (rows.origins, rows.types)
-            if self.signatures is not None:
-                shapes += (rows.lengths,)
-            counts = Counter(server(zip(*shapes)))
+            counts = _split_shapes(Counter(server(zip(rows.origins, rows.shapes))))
             if self.mix is not None:
                 self.mix.add_counts(counts)
             if self.signatures is not None:
@@ -253,20 +264,17 @@ class CaptureFold:
         if self.offnet is not None:
             # Not on ``analyze``'s path: one call per datagram, its
             # SCIDs cut once per distinct pair of the window.
-            pairs = table.cid[rows.first : rows.last]
+            pairs, at = table.cid[rows.first : rows.last], rows.offsets
             distinct = list(dict.fromkeys(pairs))
             cids = dict(zip(distinct, table.pair_cids(distinct)))
             scids = tuple(cids[pair][1] for pair in pairs)
-            for origin, src_ip, types, row_scids, length in server(
-                zip(
-                    rows.origins,
-                    rows.column("src_ip"),
-                    rows.types,
-                    map(scids.__getitem__, rows.cuts),
-                    rows.column("payload_len"),
-                )
+            row_scids = map(scids.__getitem__, map(slice, at, islice(at, 1, None)))
+            row_types = map(itemgetter(slice(None, None, 3)), rows.shapes)
+            src_ips, lengths = rows.column("src_ip"), rows.column("payload_len")
+            for datagram in server(
+                zip(rows.origins, src_ips, row_types, row_scids, lengths)
             ):
-                self.offnet.add_values(origin, src_ip, types, row_scids, length)
+                self.offnet.add_values(*datagram)
         if self.events is not None:
             add = self.events.add_values
             for src_ip, dst_ip, origin, timestamp in server(
