@@ -94,7 +94,6 @@ def summarize_from(
         stats = scids.get(origin)
         origin_scids = stats.unique_scids if stats else set()
         structured = structured_by_origin.get(origin, False)
-        host_ids = host_ids_from_scids(origin_scids)
         timing: TimingProfile | None = timings.get(origin)
         out[origin] = DeploymentSummary(
             origin=origin,
@@ -106,7 +105,7 @@ def summarize_from(
             # connections (random values would almost never collide).
             l7_load_balancers=structured
             and origin not in echo_detected_origins
-            and _host_ids_repeat(origin_scids, host_ids),
+            and _host_ids_repeat(origin_scids, host_ids_from_scids(origin_scids)),
             initial_rto=timing.initial_rto if timing else None,
             resend_range=timing.resend_range if timing else None,
         )
