@@ -1,8 +1,8 @@
 """The paper's headline numbers, kept up to date while a capture grows.
 
 :class:`StreamAnalyses` is one reader of
-:class:`~repro.core.render.CaptureFold` — the loop that hands each row
-to each ``repro.core`` accumulator, the same one ``repro analyze``
+:class:`~repro.core.render.CaptureFold` — the fold of a table's columns
+into each ``repro.core`` accumulator, the same one ``repro analyze``
 renders from — over the selectors the dashboard shows: Table 2's version
 mix per side, Table 3's packet mix, Table 4 / Figure 5's SCIDs and
 Table 6's off-net servers.  It feeds the fold each newly appended
