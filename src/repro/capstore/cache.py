@@ -314,7 +314,7 @@ def write_sidecar(pcap_path: str, payload: IndexPayload, cursor: PcapCursor) -> 
     Failure to write (read-only directory) downgrades to a warning.
     """
     index_path = sidecar_path(pcap_path)
-    payload.source = source = prefix_fingerprint(
+    source = prefix_fingerprint(
         pcap_path,
         cursor.offset,
         records=payload.stats.total_records,

@@ -62,10 +62,9 @@ import json
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 from operator import gt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.atomic import atomic_output
 from repro.capstore.table import (
@@ -112,8 +111,7 @@ class SidecarCorrupt(CapIndexError):
     """Raised on a sidecar whose bytes fail a checksum or are cut short."""
 
 
-@dataclass
-class IndexPayload:
+class IndexPayload(NamedTuple):
     """A deserialized sidecar: the table plus its provenance."""
 
     table: CaptureTable

@@ -5,8 +5,12 @@ command — its arguments, the shared flags it inherits, and its handler
 as a ``"module:function"`` string — and :func:`main` imports the one
 module the parsed command names (``repro.commands`` explains the
 families), so ``repro analyze`` never loads the simulator and ``repro
-lint`` never loads the dissector.  README § CLI lists what each command
-does; ``repro <command> --help`` is the reference for its flags.
+lint`` never loads the dissector.  ``main`` builds the arguments of the
+one command ``argv`` names (of the whole family for ``trace`` and
+``sweep``) and declares the others by name and help only, so usage and
+error lines still list every command; no arguments, ``-h`` or an
+unknown command get the full table.  README § CLI lists what each
+command does; ``repro <command> --help`` is the reference for its flags.
 
 ``main`` is also the one error boundary: every failure — a file that is
 missing, unreadable or not what it has to be, flags that contradict each
@@ -66,12 +70,12 @@ def _workers_or_auto(value: str):
     return value if value == "auto" else _positive_int(value)
 
 
-def _observability_flags() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+def _observability_flags() -> dict[str, argparse.ArgumentParser]:
     """The nine observability flags, each declared once, as parent parsers.
 
-    ``(obs, obs_prom)``: the seven tracing / metrics / profiling flags,
-    and the same plus the two Prometheus publishers.  A command
-    inherits one of the two or neither.
+    ``"obs"``: the seven tracing / metrics / profiling flags;
+    ``"obs_prom"``: the same plus the two Prometheus publishers.  A
+    command inherits one of the two or neither.
     """
     obs = argparse.ArgumentParser(add_help=False)
     obs.add_argument(
@@ -134,7 +138,7 @@ def _observability_flags() -> tuple[argparse.ArgumentParser, argparse.ArgumentPa
         metavar="PORT",
         help="serve live /metrics on PORT while the command runs (0 = ephemeral)",
     )
-    return obs, obs_prom
+    return {"obs": obs, "obs_prom": obs_prom}
 
 
 # ---------------------------------------------------------------------------
@@ -147,30 +151,68 @@ def _arg(*flags, **options):
     return flags, options
 
 
-def _command(commands, name, handler, arguments, inherit=None, **options):
-    """Declare one command: its own arguments, inherited flags, handler.
+class _Commands:
+    """One level of the command table: ``repro <name>`` or ``repro trace <name>``.
 
-    argparse lists what a parser inherits *before* what is added to it,
-    so a command's own arguments travel through a parent too, ahead of
-    the shared one: ``--help`` keeps them on top.
+    Every command of the level is declared by name and help, so usage and
+    error lines list them all.  Only ``command`` — every command when it
+    is ``None`` — gets its arguments, inherited flags and handler.
     """
-    own = argparse.ArgumentParser(add_help=False)
-    for flags, argument_options in arguments:
-        own.add_argument(*flags, **argument_options)
-    parents = [own] if inherit is None else [own, inherit]
-    parser = commands.add_parser(name, parents=parents, **options)
-    # prog is the full "repro sweep run": what an error line starts with.
-    parser.set_defaults(handler=handler, prog=parser.prog)
-    return parser
+
+    def __init__(self, subparsers, command, flags) -> None:
+        #: ``None`` under a family declared bare: nothing below it is declared.
+        self._subparsers = subparsers
+        self._command = command
+        #: The observability parents, built on first use.
+        self._flags = flags
+
+    def _builds(self, name: str) -> bool:
+        return self._command in (None, name)
+
+    def add(self, name, handler, arguments, inherit=None, **options):
+        """Declare one command: its own arguments, inherited flags, handler.
+
+        argparse lists what a parser inherits *before* what is added to
+        it, so a command's own arguments travel through a parent too,
+        ahead of the shared one: ``--help`` keeps them on top.
+        """
+        if self._subparsers is None:
+            return
+        if not self._builds(name):
+            self._subparsers.add_parser(name, **options)
+            return
+        own = argparse.ArgumentParser(add_help=False)
+        for flags, argument_options in arguments:
+            own.add_argument(*flags, **argument_options)
+        parents = [own] if inherit is None else [own, self._flags()[inherit]]
+        parser = self._subparsers.add_parser(name, parents=parents, **options)
+        # prog is the full "repro sweep run": what an error line starts with.
+        parser.set_defaults(handler=handler, prog=parser.prog)
+
+    def family(self, name, dest, **options) -> "_Commands":
+        """Declare a command with subcommands (``trace``, ``sweep``): all of
+        them are built when the family is."""
+        parser = self._subparsers.add_parser(name, **options)
+        if not self._builds(name):
+            return _Commands(None, None, self._flags)
+        subparsers = parser.add_subparsers(dest=dest, required=True)
+        return _Commands(subparsers, None, self._flags)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``repro``: every command, or the one ``argv`` names.
+
+    With ``command`` (``argv[0]``), only that command — for ``trace`` and
+    ``sweep`` the whole family — gets its arguments; the others are
+    declared by name and help.  A ``command`` that is no command's name
+    (``-h``, a typo) gets the full table, like no ``command`` at all.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Passive measurement toolchain for QUIC deployments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    obs, obs_prom = _observability_flags()
+    top = _Commands(sub, command, functools.cache(_observability_flags))
     tables = " ".join(VALID_TABLES)
     no_cache = _arg(
         "--no-cache",
@@ -178,12 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore and do not write the .capidx sidecar index",
     )
 
-    _command(
-        sub,
+    top.add(
         "simulate",
         "repro.commands.simulate:cmd_simulate",
         help="simulate a month, write pcap",
-        inherit=obs_prom,
+        inherit="obs_prom",
         arguments=[
             _arg("output", help="pcap file to write"),
             _arg("--year", type=int, choices=(2021, 2022), default=2022),
@@ -202,12 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         ],
     )
-    _command(
-        sub,
+    top.add(
         "classify",
         "repro.commands.capture:cmd_classify",
         help="sanitize a pcap, print stats",
-        inherit=obs,
+        inherit="obs",
         arguments=[
             _arg("pcap"),
             _arg(
@@ -218,12 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
             no_cache,
         ],
     )
-    _command(
-        sub,
+    top.add(
         "analyze",
         "repro.commands.analyze:cmd_analyze",
         help="reproduce tables from a pcap",
-        inherit=obs,
+        inherit="obs",
         arguments=[
             _arg("pcap", help="capture to analyze"),
             _arg(
@@ -236,13 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
             no_cache,
         ],
     )
-    _command(
-        sub,
+    top.add(
         "live",
         "repro.commands.live:cmd_live",
         help="follow a growing capture: online analyses, live dashboard, "
         "Prometheus gauges, batch-identical final render",
-        inherit=obs_prom,
+        inherit="obs_prom",
         arguments=[
             _arg("pcap", help="capture to follow"),
             _arg(
@@ -279,12 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         ],
     )
-    _command(
-        sub,
+    top.add(
         "index",
         "repro.commands.capture:cmd_index",
         help="prebuild or inspect the .capidx analysis index",
-        inherit=obs,
+        inherit="obs",
         arguments=[
             _arg("pcap", help="pcap to index"),
             _arg(
@@ -299,12 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         ],
     )
-    _command(
-        sub,
+    top.add(
         "probe",
         "repro.commands.simulate:cmd_probe",
         help="run active experiments against a lab",
-        inherit=obs_prom,
+        inherit="obs_prom",
         arguments=[
             _arg("experiment", choices=("enumerate", "lb-type", "migration")),
             _arg("--hosts", type=int, default=12),
@@ -312,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
             _arg("--seed", type=int, default=7),
         ],
     )
-    _command(
-        sub,
+    top.add(
         "stats",
         "repro.commands.observe:cmd_stats",
         help="pretty-print a --metrics snapshot, or diff two",
@@ -328,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
 
-    trace = sub.add_parser("trace", help="inspect qlog-style JSONL traces")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    _command(
-        trace_sub,
+    trace = top.family(
+        "trace", "trace_command", help="inspect qlog-style JSONL traces"
+    )
+    trace.add(
         "summarize",
         "repro.commands.observe:cmd_trace_summarize",
         help="per-category counts and top event names",
@@ -340,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
             _arg("--top", type=int, default=15, help="how many event types to list"),
         ],
     )
-    _command(
-        trace_sub,
+    trace.add(
         "merge",
         "repro.commands.observe:cmd_trace_merge",
         help="k-way-merge per-worker span streams into one canonical "
@@ -351,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
             _arg("inputs", nargs="+", help="per-worker traces (FILE.worker<k>)"),
         ],
     )
-    _command(
-        trace_sub,
+    trace.add(
         "tail",
         "repro.commands.observe:cmd_trace_tail",
         help="follow a growing JSONL trace (tail -f with torn-line safety)",
@@ -380,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
 
-    _command(
-        sub,
+    top.add(
         "progress",
         "repro.commands.observe:cmd_progress",
         help="render the heartbeat table of a simulate or sweep run",
@@ -407,15 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
 
-    sweep = sub.add_parser("sweep", help="deterministic parameter-grid experiments")
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-    _command(
-        sweep_sub,
+    sweep = top.family(
+        "sweep", "sweep_command", help="deterministic parameter-grid experiments"
+    )
+    sweep.add(
         "run",
         "repro.commands.sweep:cmd_sweep_run",
         help="expand a grid spec into cells, simulate each at most once, "
         "write manifest + heatmap-ready long-form CSV/JSON",
-        inherit=obs_prom,
+        inherit="obs_prom",
         arguments=[
             _arg("spec", help="grid spec file (JSON; TOML on Python >= 3.11)"),
             _arg(
@@ -444,16 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         ],
     )
-    _command(
-        sweep_sub,
+    sweep.add(
         "status",
         "repro.commands.sweep:cmd_sweep_status",
         help="per-cell state of a sweep directory (live heartbeats while "
         "cells are pending)",
         arguments=[_arg("outdir", help="sweep output directory")],
     )
-    _command(
-        sweep_sub,
+    sweep.add(
         "render",
         "repro.commands.sweep:cmd_sweep_render",
         help="terminal heatmap of one metric over two axes (+ CSV export)",
@@ -481,8 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
 
-    _command(
-        sub,
+    top.add(
         "lint",
         "repro.commands.lint:cmd_lint",
         help="static determinism/invariant analysis over Python sources",
@@ -522,6 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         ],
     )
+    if command is not None and command not in sub.choices:
+        return build_parser()
     return parser
 
 
@@ -543,7 +574,8 @@ def _quiet_terminated(report, unraisable):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     module, _, function = args.handler.partition(":")
     handler = getattr(importlib.import_module(module), function)
     try:

@@ -10,7 +10,6 @@ from distinct padding policies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -44,11 +43,13 @@ def category_of(types: bytes) -> str:
     return _SINGLE_CATEGORY[types[0]]
 
 
-@dataclass
 class PacketMix:
     """Per-origin datagram category shares."""
 
-    counts: dict[str, Counter] = field(default_factory=dict)
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict[str, Counter] | None = None) -> None:
+        self.counts = {} if counts is None else counts
 
     def add_counts(self, counts: Mapping[tuple, int]) -> None:
         """Count datagrams per ``(origin, type codes, ...)``, keys in

@@ -259,7 +259,6 @@ class CaptureFold:
                 server(rows.origins),
                 server(rows.versions),
                 server(rows.column("ts")),
-                None if rows.by_bytes else table.pair_cids,
             )
         if self.offnet is not None:
             # Not on ``analyze``'s path: one call per datagram, its

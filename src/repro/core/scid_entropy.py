@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Sequence
@@ -22,19 +21,25 @@ _HIGH = bytes(byte >> 4 for byte in range(256))
 _LOW = bytes(byte & 0x0F for byte in range(256))
 
 
-@dataclass
 class NybbleMatrix:
     """Relative frequency of each nybble value at each position."""
 
-    #: ``freq[position][value]`` — positions × 16 relative frequencies.
-    freq: list[list[float]]
-    sample_size: int
-    #: SCIDs contributing to each position (shorter IDs skip tail positions).
-    position_totals: list[int] = None  # type: ignore[assignment]
+    __slots__ = ("freq", "sample_size", "position_totals")
 
-    def __post_init__(self) -> None:
-        if self.position_totals is None:
-            self.position_totals = [self.sample_size] * len(self.freq)
+    def __init__(
+        self,
+        freq: list[list[float]],
+        sample_size: int,
+        position_totals: list[int] | None = None,
+    ) -> None:
+        #: ``freq[position][value]`` — positions × 16 relative frequencies.
+        self.freq = freq
+        self.sample_size = sample_size
+        #: SCIDs contributing to each position (shorter IDs skip tail
+        #: positions); by default every SCID reaches every position.
+        if position_totals is None:
+            position_totals = [sample_size] * len(freq)
+        self.position_totals = position_totals
 
     @property
     def positions(self) -> int:

@@ -10,28 +10,27 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from functools import partial
 from itertools import count
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.telescope.classify import CapturedPacket, datagram_values
 
 
-@dataclass
-class Session:
-    """All telescope datagrams belonging to one QUIC connection."""
+class Session(NamedTuple):
+    """All telescope datagrams belonging to one QUIC connection.
+
+    Its fields are set once, by the datagram that opens the session;
+    later datagrams only append to :attr:`timestamps`.
+    """
 
     src_ip: int
     dst_ip: int
-    scid: bytes
-    dcid: bytes
     origin: str
     version: int
     #: Datagram arrival timestamps, in observation order, as a typed
     #: array, not a list of float objects: a capture's sessions keep one
     #: entry per datagram.  Nothing else is kept per datagram.
-    timestamps: array = field(default_factory=partial(array, "d"))
+    timestamps: array
 
     @property
     def first_seen(self) -> float:
@@ -70,38 +69,28 @@ class SessionStore:
         origins: Sequence[str],
         versions: Sequence[int],
         timestamps: Iterable[float],
-        pair_cids: Optional[Callable[[list], Iterable[tuple]]] = None,
     ) -> None:
         """Append datagrams, in capture order, to the sessions their keys name.
 
         ``keys[i]`` is ``(src_ip, dst_ip, pair)`` of datagram ``i`` and
         the other sequences run parallel to it (``versions`` holds each
         datagram's first packet's version).  A session new here is made
-        from its first datagram, with the ``(dcid, scid)`` that
-        ``pair_cids`` cuts for its pair, all new pairs in one call; with
-        no ``pair_cids`` the pair is that tuple itself.  Python-level
-        work runs once per distinct key: one ``dict`` pass names each
-        datagram's session by the row of its first datagram, and the
-        timestamps are appended to their sessions by ``map``.
+        from its first datagram.  Python-level work runs once per
+        distinct key: one ``dict`` pass names each datagram's session by
+        the row of its first datagram, and the timestamps are appended to
+        their sessions by ``map``.
         """
         first: dict = {}
         rows = list(map(first.setdefault, keys, count()))
         sessions = self._sessions
-        new = [key for key in first if key not in sessions]
-        if new:
-            pairs = [pair for _, _, pair in new]
-            cids = pairs if pair_cids is None else pair_cids(pairs)
-            for key, (dcid, scid) in zip(new, cids):
-                row = first[key]
-                sessions[key] = Session(
-                    src_ip=key[0],
-                    dst_ip=key[1],
-                    scid=scid,
-                    dcid=dcid,
-                    origin=origins[row],
-                    version=versions[row],
+        stamps = {}
+        for key, row in first.items():
+            session = sessions.get(key)
+            if session is None:
+                session = sessions[key] = Session(
+                    key[0], key[1], origins[row], versions[row], array("d")
                 )
-        stamps = {row: sessions[key].timestamps for key, row in first.items()}
+            stamps[row] = session.timestamps
         deque(map(array.append, map(stamps.__getitem__, rows), timestamps), maxlen=0)
 
     def rekey(self, pair_cids: Callable[[list], list]) -> None:

@@ -8,14 +8,12 @@ paper's headline table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.core.packet_mix import PacketMix, packet_mix
 from repro.core.scid_entropy import is_structured
 from repro.core.scid_stats import ScidStats, table4
 from repro.core.selectors import HYPERGIANT_COLUMNS
-from repro.core.l7lb import host_ids_from_scids
 from repro.core.timing import TimingProfile, timing_profiles
 from repro.telescope.classify import CapturedPacket
 
@@ -23,8 +21,7 @@ from repro.telescope.classify import CapturedPacket
 ECHO_DETECTED_ORIGINS = frozenset({"Google"})
 
 
-@dataclass
-class DeploymentSummary:
+class DeploymentSummary(NamedTuple):
     """One column of Table 1."""
 
     origin: str
@@ -105,21 +102,27 @@ def summarize_from(
             # connections (random values would almost never collide).
             l7_load_balancers=structured
             and origin not in echo_detected_origins
-            and _host_ids_repeat(origin_scids, host_ids_from_scids(origin_scids)),
+            and _host_ids_repeat(origin_scids),
             initial_rto=timing.initial_rto if timing else None,
             resend_range=timing.resend_range if timing else None,
         )
     return out
 
 
-def _host_ids_repeat(scids: set, host_ids: set, domain: int = 1 << 16) -> bool:
-    """True if far fewer distinct host IDs appear than random IDs would.
+def _host_ids_repeat(scids: set, domain: int = 1 << 16) -> bool:
+    """True if far fewer distinct host IDs decode from ``scids`` than
+    random IDs would give.
 
     With ``n`` samples drawn uniformly from a 16-bit space, the expected
     number of distinct values is ``domain * (1 - (1 - 1/domain)**n)`` — for
     telescope-scale ``n`` this is ~n.  Genuine host IDs (a few hundred
     machines serving thousands of connections) fall far below that.
+
+    The CID decoders load here, for a structured origin only.
     """
+    from repro.core.l7lb import host_ids_from_scids
+
+    host_ids = host_ids_from_scids(scids)
     decodable = sum(1 for s in scids if len(s) == 8)
     if decodable < 16 or len(host_ids) < 2:
         return False

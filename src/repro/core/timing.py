@@ -13,24 +13,50 @@ flight until it gives up.  From the per-session arrival times we estimate
 
 from __future__ import annotations
 
-import statistics
-from collections import Counter, defaultdict
+from collections import Counter
+from itertools import repeat
+from operator import sub
 from typing import Sequence
-from dataclasses import dataclass, field
 
 from repro.core.session import Session, SessionStore
 from repro.telescope.classify import CapturedPacket
 
+#: Datagrams closer than this to the start of the current flight belong
+#: to it (e.g. an Initial and its Handshake).
+FLIGHT_WINDOW = 0.05
 
-@dataclass
+
 class TimingProfile:
     """Estimated retransmission configuration of one origin network."""
 
-    origin: str
-    sessions: int
-    initial_rto: float | None
-    backoff_factor: float | None
-    resend_counts: Counter = field(default_factory=Counter)
+    __slots__ = ("origin", "sessions", "initial_rto", "backoff_factor", "resend_counts")
+
+    def __init__(
+        self,
+        origin: str,
+        sessions: int,
+        initial_rto: float | None,
+        backoff_factor: float | None,
+        resend_counts: Counter | None = None,
+    ) -> None:
+        self.origin = origin
+        self.sessions = sessions
+        self.initial_rto = initial_rto
+        self.backoff_factor = backoff_factor
+        self.resend_counts = Counter() if resend_counts is None else resend_counts
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "TimingProfile(%s)" % ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._fields())
+        )
 
     @property
     def resend_range(self) -> tuple[int, int] | None:
@@ -48,7 +74,7 @@ def flight_times(session: Session) -> list[float]:
     the previous flight are the same flight — e.g. Initial + Handshake)."""
     times: list[float] = []
     for t in session.relative_times():
-        if not times or t - times[-1] > 0.05:
+        if not times or t - times[-1] > FLIGHT_WINDOW:
             times.append(t)
     return times
 
@@ -73,44 +99,57 @@ def estimate_rto(first_gaps: list[float]) -> float | None:
     bins = Counter(round(gap / 0.05) for gap in first_gaps)
     top_bin, _count = bins.most_common(1)[0]
     in_bin = [g for g in first_gaps if round(g / 0.05) == top_bin]
-    return statistics.median(in_bin)
+    return _median(in_bin)
 
 
-def _backoff(gaps: list[float]) -> float | None:
-    if len(gaps) < 2:
-        return None
-    ratios = [b / a for a, b in zip(gaps, gaps[1:]) if a > 0]
-    return statistics.median(ratios) if ratios else None
+def _median(values: list[float]) -> float:
+    """``statistics.median`` of a non-empty list, by the same arithmetic:
+    the middle value, or the mean of the two middle values."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 def profiles_of(store: SessionStore) -> dict[str, TimingProfile]:
-    """Per-origin timing profiles of already grouped backscatter sessions."""
-    by_origin: dict[str, list[Session]] = defaultdict(list)
-    for session in store.sessions():
-        by_origin[session.origin].append(session)
+    """Per-origin timing profiles of already grouped backscatter sessions.
 
-    profiles: dict[str, TimingProfile] = {}
-    for origin, sessions in by_origin.items():
-        first_gaps: list[float] = []
-        backoffs: list[float] = []
-        resend_counts: Counter = Counter()
-        for session in sessions:
-            times = flight_times(session)
-            gaps = _gaps(times)
-            if gaps:
-                first_gaps.append(gaps[0])
-            backoff = _backoff(gaps)
-            if backoff is not None:
-                backoffs.append(backoff)
-            resend_counts[len(times) - 1] += 1
-        profiles[origin] = TimingProfile(
+    One pass over each session's arrival times finds its flights (as
+    :func:`flight_times` does), the gap before its first resend and the
+    ratio of each gap to the one before; a session's backoff is the
+    median of its ratios, an origin's the median of its sessions'.
+    """
+    found: dict[str, tuple] = {}
+    for session in store.sessions():
+        origin = session.origin
+        if origin not in found:
+            found[origin] = ([], [], Counter())
+        first_gaps, backoffs, resend_counts = found[origin]
+        stamps = session.timestamps
+        flight = 0.0  # when the current flight started, relative to the first
+        gap = None
+        ratios = []
+        for t in map(sub, stamps, repeat(stamps[0])):
+            if t - flight > FLIGHT_WINDOW:
+                if gap is None:
+                    first_gaps.append(t - flight)
+                else:
+                    ratios.append((t - flight) / gap)
+                gap, flight = t - flight, t
+        if ratios:
+            backoffs.append(_median(ratios))
+        resend_counts[0 if gap is None else len(ratios) + 1] += 1
+    return {
+        origin: TimingProfile(
             origin=origin,
-            sessions=len(sessions),
+            sessions=sum(resend_counts.values()),  # one count per session
             initial_rto=estimate_rto(first_gaps),
-            backoff_factor=statistics.median(backoffs) if backoffs else None,
+            backoff_factor=_median(backoffs) if backoffs else None,
             resend_counts=resend_counts,
         )
-    return profiles
+        for origin, (first_gaps, backoffs, resend_counts) in found.items()
+    }
 
 
 def timing_profiles(packets: Sequence[CapturedPacket]) -> dict[str, TimingProfile]:

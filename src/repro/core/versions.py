@@ -10,8 +10,7 @@ two sides *agreed on*, not merely offered.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.capstore.table import ClassifiedView
 from repro.core.session import SessionStore, session_key
@@ -19,8 +18,7 @@ from repro.quic.version import table2_bucket
 from repro.telescope.classify import CapturedPacket, datagram_values
 
 
-@dataclass
-class VersionShares:
+class VersionShares(NamedTuple):
     """Session shares per Table 2 bucket, for one side of the traffic."""
 
     counts: Counter

@@ -8,11 +8,10 @@ knows how to classify an arbitrary 32-bit version value into those buckets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class QuicVersion:
+class QuicVersion(NamedTuple):
     """A known QUIC version number and its display metadata."""
 
     value: int

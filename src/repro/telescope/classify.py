@@ -20,8 +20,7 @@ into rows of such a table; :func:`classify_capture` hands back the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from repro.capstore.table import ClassifiedView
@@ -37,8 +36,7 @@ class PacketClass(enum.Enum):
     SCAN = "scan"
 
 
-@dataclass
-class CapturedPacket:
+class CapturedPacket(NamedTuple):
     """One sanitized QUIC datagram seen by the telescope."""
 
     timestamp: float
@@ -99,15 +97,50 @@ def datagram_values(packet: CapturedPacket) -> tuple:
     )
 
 
-@dataclass
 class SanitizationStats:
-    total_records: int = 0
-    non_udp: int = 0
-    non_port_443: int = 0
-    failed_dissection: int = 0
-    acknowledged_scanner: int = 0
-    backscatter: int = 0
-    scans: int = 0
+    """The counts of one sanitisation pass: records seen, dropped per
+    reason, kept per class."""
+
+    __slots__ = (
+        "total_records",
+        "non_udp",
+        "non_port_443",
+        "failed_dissection",
+        "acknowledged_scanner",
+        "backscatter",
+        "scans",
+    )
+
+    def __init__(
+        self,
+        total_records: int = 0,
+        non_udp: int = 0,
+        non_port_443: int = 0,
+        failed_dissection: int = 0,
+        acknowledged_scanner: int = 0,
+        backscatter: int = 0,
+        scans: int = 0,
+    ) -> None:
+        self.total_records = total_records
+        self.non_udp = non_udp
+        self.non_port_443 = non_port_443
+        self.failed_dissection = failed_dissection
+        self.acknowledged_scanner = acknowledged_scanner
+        self.backscatter = backscatter
+        self.scans = scans
+
+    def _counts(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._counts() == other._counts()
+
+    def __repr__(self) -> str:
+        return "SanitizationStats(%s)" % ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._counts())
+        )
 
     @property
     def removed(self) -> int:
@@ -124,7 +157,7 @@ class SanitizationStats:
 
     def add(self, other: "SanitizationStats") -> None:
         """Fold another pass's counts into these (every field is a count)."""
-        for name in vars(other):
+        for name in self.__slots__:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 

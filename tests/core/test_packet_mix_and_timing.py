@@ -1,12 +1,23 @@
 """Table 3 / Figure 7 (packet mix) and Figures 3 / 4 (timing)."""
 
+import statistics
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.core.packet_mix import (
     packet_mix,
     top_length_signatures,
 )
-from repro.core.timing import estimate_rto, timing_profiles
+from repro.core.session import SessionStore
+from repro.core.timing import (
+    _median,
+    estimate_rto,
+    profiles_of,
+    session_gaps,
+    timing_profiles,
+)
 
 
 class TestPacketMix:
@@ -115,3 +126,41 @@ class TestTiming:
     def test_estimate_rto_mode(self):
         gaps = [0.41, 0.39, 0.4, 0.42, 1.0]
         assert estimate_rto(gaps) == pytest.approx(0.4, abs=0.03)
+
+    def test_one_pass_profiles_are_the_per_session_passes(self, small_capture):
+        """``profiles_of`` folds flights, first gap and backoff ratios into
+        one pass per session; the separate passes are the reference."""
+        store = SessionStore.from_packets(small_capture.backscatter)
+        profiles = profiles_of(store)
+        assert sorted(profiles) == sorted({s.origin for s in store.sessions()})
+        for origin, profile in profiles.items():
+            first_gaps, backoffs, resends = [], [], Counter()
+            for session in store.by_origin(origin):
+                gaps = session_gaps(session)
+                first_gaps += gaps[:1]
+                ratios = [b / a for a, b in zip(gaps, gaps[1:])]
+                if ratios:
+                    backoffs.append(statistics.median(ratios))
+                resends[len(gaps)] += 1
+            assert (
+                profile.sessions,
+                profile.initial_rto,
+                profile.backoff_factor,
+                profile.resend_counts,
+            ) == (
+                sum(resends.values()),
+                estimate_rto(first_gaps),
+                statistics.median(backoffs) if backoffs else None,
+                resends,
+            )
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(_FINITE, min_size=1, max_size=40))
+@example([0.25])
+@example([0.5, 0.25])
+def test_median_is_the_statistics_median(values):
+    """Odd and even lengths: the middle value, or the mean of the two."""
+    assert _median(values) == statistics.median(values)

@@ -15,12 +15,14 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from fnmatch import fnmatch
 
 import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.workloads.scenario import ScenarioConfig, build_scenario
 from tests.sweep.conftest import MICRO
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -72,7 +74,27 @@ ANALYSIS_MODULES = (
     "repro.core.packet_mix",
     "repro.core.scid_stats",
     "repro.core.scid_entropy",
+)
+
+#: What a warm ``analyze`` of a capture with no structured origin leaves
+#: unloaded, beyond what a bare interpreter loads: the read path's types
+#: are named tuples and slotted classes, its medians its own, and the CID
+#: decoders load only to decode a structured origin's host IDs.
+STARTUP_FORBIDDEN = (
+    "dataclasses",
+    "inspect",
+    "statistics",
     "repro.core.l7lb",
+    "repro.quic.cid*",
+)
+
+#: The ``attacks_*`` knobs: zero them all and a scenario sends scans only.
+ATTACK_KNOBS = (
+    "attacks_facebook",
+    "attacks_google",
+    "attacks_cloudflare",
+    "attacks_offnet",
+    "attacks_remaining",
 )
 
 _CHILD = """
@@ -96,6 +118,33 @@ def _modules_after(argv):
     report = json.loads(child.stdout)
     assert report["status"] == 0, child.stderr
     return report["modules"]
+
+
+def _bare_modules():
+    """``sys.modules`` of a fresh interpreter that imports what ``_CHILD``
+    imports besides ``repro``."""
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import contextlib, io, json, sys; json.dump(sorted(sys.modules), sys.stdout)",
+        ],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(child.stdout)
+
+
+def _startup_crossings(modules):
+    bare = set(_bare_modules())
+    return [
+        name
+        for name in modules
+        if name not in bare
+        and any(fnmatch(name, pattern) for pattern in STARTUP_FORBIDDEN)
+    ]
 
 
 def _crossings(modules):
@@ -134,6 +183,23 @@ def cold_then_warm(tiny_pcap, tmp_path_factory):
     return cold, warm
 
 
+@pytest.fixture(scope="module")
+def scans_only_warm(tmp_path_factory):
+    """``sys.modules`` after a warm ``analyze`` of a scans-only capture."""
+    config = replace(
+        ScenarioConfig(seed=5).scaled(0.01), **{knob: 0 for knob in ATTACK_KNOBS}
+    )
+    scenario = build_scenario(config)
+    scenario.run()
+    pcap = str(tmp_path_factory.mktemp("scans") / "scans.pcap")
+    with open(pcap, "wb") as fileobj:
+        scenario.telescope.write_pcap(fileobj)
+    assert main(["index", pcap]) == 0
+    return _modules_after(
+        ["analyze", pcap, "--tables", "1", "2", "3", "4", "rto", "lengths"]
+    )
+
+
 class TestReadSideBoundary:
     def test_cold_index_warm_analyze_and_classify_load_no_write_side(self, tiny_pcap):
         assert not os.path.exists(tiny_pcap + ".capidx")
@@ -168,6 +234,18 @@ class TestReadSideBoundary:
         crossings = _read_path_crossings(cold)
         assert "repro.capstore.dissect" in crossings
         assert "repro.quic.crypto.suites" in crossings
+
+    def test_warm_analyze_of_scans_pays_no_dataclasses_or_cid_decoders(
+        self, scans_only_warm
+    ):
+        assert "repro.core.summary" in scans_only_warm
+        assert _startup_crossings(scans_only_warm) == []
+
+    def test_the_startup_check_can_fail(self, cold_then_warm):
+        # The month's Facebook SCIDs are structured: Table 1 decodes their
+        # host IDs, so the same probe must see the decoders load.
+        _cold, warm = cold_then_warm
+        assert "repro.core.l7lb" in _startup_crossings(warm)
 
     def test_cold_index_and_classify_load_no_analysis(self, cold_then_warm, tiny_pcap):
         cold, _warm = cold_then_warm
@@ -319,6 +397,27 @@ def _leaf_parsers(parser, path=()):
 
 _LEAVES = dict(_leaf_parsers(build_parser()))
 
+#: One argv per leaf command, with its own and inherited flags.
+_SAMPLE_ARGV = {
+    "simulate": ["simulate", "o.pcap", "--scale", "0.1", "--workers", "auto",
+                 "--trace", "t.jsonl", "--prom-port", "0"],
+    "classify": ["classify", "x.pcap", "--json", "--no-cache"],
+    "analyze": ["analyze", "x.pcap", "--tables", "1", "rto", "--metrics", "m.json"],
+    "live": ["live", "x.pcap", "--interval", "0", "--exit-idle", "1", "--quiet",
+             "--prom-file", "p.prom"],
+    "index": ["index", "x.pcap", "--info", "--profile"],
+    "probe": ["probe", "enumerate", "--hosts", "4", "--trace-sample", "3"],
+    "stats": ["stats", "--diff", "a.json", "b.json"],
+    "trace summarize": ["trace", "summarize", "t.jsonl", "--top", "3"],
+    "trace merge": ["trace", "merge", "out.jsonl", "a.jsonl", "b.jsonl"],
+    "trace tail": ["trace", "tail", "t.jsonl", "--raw", "--exit-idle", "2"],
+    "progress": ["progress", "out.pcap", "--follow"],
+    "sweep run": ["sweep", "run", "grid.json", "--workers", "2", "--quiet"],
+    "sweep status": ["sweep", "status", "grid.sweep"],
+    "sweep render": ["sweep", "render", "grid.sweep", "--fix", "a=1", "--csv", "g.csv"],
+    "lint": ["lint", "src", "--json", "--baseline", "b.json"],
+}
+
 
 class TestParserTable:
     def test_every_documented_command_is_a_row(self):
@@ -347,3 +446,38 @@ class TestParserTable:
         assert repro.cli.render_analysis is repro.core.render.render_analysis
         assert repro.commands.analyze.render_analysis is repro.cli.render_analysis
         assert repro.commands.live.render_analysis is repro.cli.render_analysis
+
+    def test_every_leaf_has_a_sample_argv(self):
+        assert sorted(_SAMPLE_ARGV) == sorted(_LEAVES)
+
+
+class TestOneCommandParser:
+    """``main`` builds the arguments of the command ``argv`` names only;
+    what the user sees is what the full table gives."""
+
+    @pytest.mark.parametrize("command", sorted(_LEAVES))
+    def test_help_is_the_full_tables(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = build_parser(command.split()[0])
+        one = dict(_leaf_parsers(parser))
+        assert one[command].format_help() == _LEAVES[command].format_help()
+        assert parser.format_help() == build_parser().format_help()
+
+    @pytest.mark.parametrize("command", sorted(_SAMPLE_ARGV))
+    def test_namespace_is_the_full_tables(self, command):
+        argv = _SAMPLE_ARGV[command]
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bogus"], ["analyze", "--bogus"], ["analyze"], ["analyze", "x.pcap", "--bogus"]],
+    )
+    def test_usage_errors_are_the_full_tables(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr().err
+        with pytest.raises(SystemExit) as one:
+            main(argv)
+        assert (one.value.code, capsys.readouterr().err) == (full.value.code, expected)
+        assert expected.startswith("usage: repro")

@@ -136,7 +136,11 @@ def repro_argv(command: str) -> List[str]:
 
 
 def parses(argv: List[str]) -> Tuple[bool, str]:
-    """Does the real CLI grammar accept ``argv``?  (ok, error text)."""
+    """Does the real CLI grammar accept ``argv``?  (ok, error text).
+
+    The grammar is the parser ``repro.cli.main`` builds for ``argv``:
+    the named command's arguments, every other command by name.
+    """
     from repro.cli import build_parser
 
     stderr = io.StringIO()
@@ -144,7 +148,7 @@ def parses(argv: List[str]) -> Tuple[bool, str]:
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(
             io.StringIO()
         ):
-            build_parser().parse_args(argv)
+            build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:  # argparse reports errors by exiting
         if exc.code not in (0, None):
             message = stderr.getvalue().strip().splitlines()
