@@ -51,7 +51,8 @@ def _flatten_snapshot(snapshot: dict) -> dict:
 
 
 def _format_delta_value(value: float) -> str:
-    if value == int(value):
+    # Two finite values near the float limit can differ by ``inf``.
+    if isinstance(value, int) or value.is_integer():
         return "%+d" % value if value else "0"
     return "%+.3f" % value
 

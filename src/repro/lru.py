@@ -10,7 +10,7 @@ hit and a rebuild give the same bytes and the cache only bounds memory.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, TypeVar
+from typing import Any, Callable, TypeVar
 
 _T = TypeVar("_T")
 _MISSING = object()
@@ -41,8 +41,12 @@ class LruCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def get_or_build(self, key, factory: Callable[[], _T]) -> _T:
-        """Return the cached value for ``key``, building it on a miss."""
+    def get_or_build(self, key, build: Callable[..., _T], *args: Any) -> _T:
+        """Return the cached value for ``key``; on a miss, ``build(*args)``.
+
+        The builder and its arguments are passed as they are, so a hit —
+        the common case — creates no closure to throw away.
+        """
         data = self._data
         value = data.get(key, _MISSING)
         if value is not _MISSING:
@@ -50,7 +54,7 @@ class LruCache:
             data.move_to_end(key)  # most recently used sits last
             return value
         self.misses += 1
-        value = factory()
+        value = build(*args)
         data[key] = value
         if len(data) > self.maxsize:
             data.popitem(last=False)

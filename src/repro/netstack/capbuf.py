@@ -3,14 +3,15 @@
 A month of backscatter is hundreds of thousands of packets, so the
 telescope keeps no object per packet: :class:`CaptureBuffer` holds the
 records still in flight as pcap records in one contiguous ``bytearray``
-— the 16-byte record header is packed at commit, the IPv4/UDP encoder
-writes the packet straight behind it (see
-:func:`repro.netstack.udp.encode_udp_into`) — with parallel key /
-offset columns that keep them in capture order: the canonical
+— one :meth:`CaptureBuffer.append` per record packs the 16-byte record
+header and copies the packet behind it, in pieces as the caller has them
+(the telescope's IPv4/UDP header and the datagram's payload, see
+:func:`repro.netstack.udp.ip_udp_header`) — with parallel key / offset
+columns that keep them in capture order: the canonical
 :func:`~repro.netstack.pcap.record_sort_key`, microsecond timestamp
-then packet bytes.  The order is decided once, at commit, so every
-producer — serial ``simulate``, shard workers, sweep cells — writes the
-same bytes for the same records.
+then packet bytes.  The order is decided once, as a record is appended,
+so every producer — serial ``simulate``, shard workers, sweep cells —
+writes the same bytes for the same records.
 
 Once a record is *final* — stamped in a microsecond below a watermark
 its producer promises no later arrival will undercut (the telescope's is
@@ -55,8 +56,7 @@ from repro.netstack.pcap import (
 #: is one big ``write`` every ~1,500 packets, small next to the capture.
 SPOOL_AFTER = 1 << 20
 
-_HEADER_ROOM = bytes(RECORD_HEADER.size)
-_pack_header = RECORD_HEADER.pack_into
+_pack_header = RECORD_HEADER.pack
 _unpack_header = struct.Struct("<III").unpack_from  # ts_sec, ts_usec, incl_len
 
 
@@ -158,65 +158,52 @@ class CaptureBuffer:
     def __len__(self) -> int:
         return self._spooled + len(self.keys)
 
-    def reserve(self) -> int:
-        """Make room for a record header; returns where it starts.
+    def append(self, timestamp: float, data: bytes, payload: bytes = b"") -> None:
+        """Append one packet, ``data`` followed by ``payload``.
 
-        The packet's bytes go to the end of ``data`` right after, and
-        :meth:`commit` then stamps the header in front of them.
-        """
-        start = len(self.data)
-        self.data += _HEADER_ROOM
-        return start
-
-    def append(self, timestamp: float, data: bytes) -> None:
-        """Append one already-encoded packet."""
-        if len(data) > SNAPLEN:
-            raise ValueError(
-                "a capture record holds at most %d bytes (got %d)" % (SNAPLEN, len(data))
-            )
-        start = self.reserve()
-        self.data += data
-        self.commit(timestamp, start)
-
-    def commit(self, timestamp: float, start: int) -> None:
-        """Record the packet written behind the header :meth:`reserve` made.
-
-        The pending records stay in capture order, microsecond key first,
-        packet bytes among equal keys: a packet committed ahead of an
-        earlier-stamped one (the telescope is handed arrivals at transmit
-        time) is moved in front of it, a few records back at most.  A
+        An encapsulating caller hands over its header and the payload as
+        they are, so the packet is copied once, into the buffer.  The
+        pending records stay in capture order, microsecond key first,
+        packet bytes among equal keys: a packet appended after a
+        later-stamped one (the telescope is handed arrivals at transmit
+        time) goes in front of it, a few records back at most.  A
         timestamp below a watermark already released raises
         ``ValueError`` and leaves the buffer as it was: it would belong
         in front of spooled records.
         """
+        length = len(data) + len(payload)
+        if length > SNAPLEN:
+            raise ValueError(
+                "a capture record holds at most %d bytes (got %d)" % (SNAPLEN, length)
+            )
         ts_sec, ts_usec = split_timestamp(timestamp)
         key = ts_sec * 1_000_000 + ts_usec
         keys = self.keys
-        data = self.data
         at = len(keys)
         while at and keys[at - 1] > key:
             at -= 1
         if at and keys[at - 1] == key:
-            packet = data[start + RECORD_HEADER.size :]
+            packet = data + payload
             while at and keys[at - 1] == key and self._packet(at - 1) > packet:
                 at -= 1
         if not at and timestamp < self._released:
-            del data[start:]
             raise ValueError(
                 "capture timestamp %r is below the released watermark %r"
                 % (timestamp, self._released)
             )
-        length = len(data) - start - RECORD_HEADER.size
-        _pack_header(data, start, ts_sec, ts_usec, length, length)
+        header = _pack_header(ts_sec, ts_usec, length, length)
+        buf = self.data
         offsets = self.offsets
         if at == len(keys):
             keys.append(key)
-            offsets.append(self.released_bytes + start)
+            offsets.append(self.released_bytes + len(buf))
+            buf += header
+            buf += data
+            buf += payload
             return
-        record = data[start:]
-        del data[start:]
+        record = b"".join((header, data, payload))
         into = offsets[at]
-        data[into - self.released_bytes : into - self.released_bytes] = record
+        buf[into - self.released_bytes : into - self.released_bytes] = record
         for later in range(at, len(offsets)):
             offsets[later] += len(record)
         keys.insert(at, key)
@@ -226,8 +213,8 @@ class CaptureBuffer:
         """Spool every pending record keyed below ``watermark``'s microsecond.
 
         The caller promises that nothing stamped below ``watermark`` will
-        be committed any more (:meth:`commit` enforces it), and
-        :func:`split_timestamp` never decreases, so no later commit can
+        be appended any more (:meth:`append` enforces it), and
+        :func:`split_timestamp` never decreases, so no later append can
         tie a spooled record's key, let alone sort in front of it.  The
         records released are a prefix of ``data``, so this is one
         ``write``.
@@ -291,7 +278,7 @@ class CaptureBuffer:
         """The capture as a pcap, in
         :func:`~repro.netstack.pcap.record_sort_key` order.
 
-        The order was settled at commit, so this is the global header and
+        The order was settled at append, so this is the global header and
         a copy of the spool and of the in-memory tail.
         """
         PcapWriter(fileobj)  # the global header

@@ -123,7 +123,7 @@ class DeferredDatagram(UdpDatagram):
 _IP_UDP_HEADER = struct.Struct("!BBHHHBBHIIHHHH")
 
 
-def _header(flow, payload: bytes) -> bytes:
+def ip_udp_header(flow, payload: bytes) -> bytes:
     """The 28 IPv4+UDP header bytes in front of ``payload``, one ``pack``.
 
     ``flow`` is anything with a datagram's address, port and TTL fields.
@@ -192,24 +192,24 @@ class FlowTemplate:
 
     def encode(self, payload: bytes) -> bytes:
         """Serialize one packet of this flow."""
-        return _header(self, payload) + payload
+        return ip_udp_header(self, payload) + payload
 
     def encode_into(self, out: bytearray, payload: bytes) -> None:
         """Append one packet of this flow to ``out`` (no final copy)."""
-        out += _header(self, payload)
+        out += ip_udp_header(self, payload)
         out += payload
 
 
 def encode_udp(datagram: UdpDatagram) -> bytes:
     """Serialize the full IPv4+UDP packet with both checksums."""
     payload = datagram.payload
-    return _header(datagram, payload) + payload
+    return ip_udp_header(datagram, payload) + payload
 
 
 def encode_udp_into(out: bytearray, datagram: UdpDatagram) -> None:
     """Append the serialized packet to ``out`` (the capture buffer's path)."""
     payload = datagram.payload
-    out += _header(datagram, payload)
+    out += ip_udp_header(datagram, payload)
     out += payload
 
 

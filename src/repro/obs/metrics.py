@@ -22,6 +22,7 @@ calls per pipeline stage, keyed by the stage's ``/``-joined span path
 from __future__ import annotations
 
 import json
+import sys
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.atomic import atomic_output
@@ -286,13 +287,71 @@ class MetricsRegistry:
             fileobj.write(self.to_json() + "\n")
 
 
+def _is_number(value: object) -> bool:
+    # Not a bool (an int to Python), and finite: JSON's NaN, Infinity and
+    # 1e999 parse, but no table can format or subtract them.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _snapshot_problem(snapshot: object) -> Optional[str]:
+    """Why ``snapshot`` is not shaped as :meth:`MetricsRegistry.snapshot`
+    writes it, as far as ``repro stats`` reads it; None when it is.
+
+    Every section is optional (``{}`` is an empty snapshot) and keys no
+    reader looks at are ignored.
+    """
+    if not isinstance(snapshot, dict):
+        return "a JSON %s, not an object" % type(snapshot).__name__
+    for section in ("counters", "gauges", "histograms", "timers"):
+        entries = snapshot.get(section, {})
+        if not isinstance(entries, dict):
+            return "%r is not an object" % section
+        for name, body in entries.items():
+            where = "%s %r" % (section, name)
+            if not isinstance(body, dict):
+                return where + " is not an object"
+            if section == "timers":
+                if not (_is_number(body.get("seconds")) and _is_number(body.get("calls"))):
+                    return where + " lacks a numeric 'seconds' or 'calls'"
+                continue
+            labels, values = body.get("label_names"), body.get("values")
+            if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+                return where + ": 'label_names' is not a list of strings"
+            if not isinstance(values, dict):
+                return where + ": 'values' is not an object"
+            if section != "histograms":
+                if not all(_is_number(value) for value in values.values()):
+                    return where + ": a value is not a finite number"
+                continue
+            if not isinstance(body.get("buckets"), list):
+                return where + ": 'buckets' is not a list"
+            for series in values.values():
+                if not (
+                    isinstance(series, dict)
+                    and isinstance(series.get("counts"), list)
+                    and all(_is_number(count) for count in series["counts"])
+                    and _is_number(series.get("count"))
+                    and _is_number(series.get("sum"))
+                ):
+                    return where + ": a series lacks numeric 'counts', 'count' or 'sum'"
+    return None
+
+
 def load_snapshot(path: str) -> dict:
-    """Read back a snapshot written by :meth:`MetricsRegistry.write`."""
+    """Read back a snapshot written by :meth:`MetricsRegistry.write`.
+
+    A file that is not JSON, or JSON of another shape, raises
+    :class:`~repro.errors.InputFileError` naming the path.
+    """
     with open(path) as fileobj:
         try:
-            return json.load(fileobj)
+            snapshot = json.load(fileobj)
         except json.JSONDecodeError as exc:
             raise InputFileError(
                 "%s: invalid snapshot JSON at line %d (truncated write?)"
                 % (path, exc.lineno)
             ) from None
+    problem = _snapshot_problem(snapshot)
+    if problem is not None:
+        raise InputFileError("%s: not a metrics snapshot: %s" % (path, problem))
+    return snapshot

@@ -26,12 +26,17 @@ IPAD = bytes(x ^ 0x36 for x in range(256))
 OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
-def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256 of one message under a key used this once."""
+def hmac_sha256(key: bytes, *message: bytes) -> bytes:
+    """HMAC-SHA256 under a key used this once.
+
+    The message is the concatenation of the ``message`` parts, joined
+    once behind the inner pad: a caller with a message in pieces (a
+    nonce, a header, a ciphertext) passes them as they are.
+    """
     if len(key) > _BLOCK_LEN:
         key = sha256(key).digest()
     key = key.ljust(_BLOCK_LEN, b"\x00")
-    inner = sha256(key.translate(IPAD) + message).digest()
+    inner = sha256(b"".join((key.translate(IPAD), *message))).digest()
     return sha256(key.translate(OPAD) + inner).digest()
 
 

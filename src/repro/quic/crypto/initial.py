@@ -12,7 +12,10 @@ every caller reads one direction only — a dissector authenticates
 client Initials, a spoofing client seals them — so :func:`derive_initial_keys`
 runs the Extract alone and :class:`InitialKeys` expands a direction the
 first time it is read: 5 HMACs for a one-sided user, 9 for the server
-engine, which needs both.  Almost every DCID is seen once (scanners,
+engine, which needs both.  A sender that seals one Initial and keeps
+nothing — a scanner, a spoofing attacker — calls :func:`initial_direction`
+for its direction's bytes and builds no key object at all; both run
+:func:`expand_direction`.  Almost every DCID is seen once (scanners,
 spoofed floods), so nothing caches the schedule; it runs on ``hashlib``.
 """
 
@@ -125,6 +128,27 @@ _V1_LABELS = _initial_labels("quic")
 _V2_LABELS = _initial_labels("quicv2")
 
 
+def expand_direction(
+    initial_secret: bytes, labels: _InitialLabels, is_server: bool
+) -> tuple[bytes, bytes, bytes]:
+    """``(key, iv, hp)`` of one direction: its four HKDF-Expand-Labels.
+
+    Each HMAC-SHA256 (RFC 2104) is written out as its two hashes: a
+    32-byte secret zero-padded to the block, XORed into the pads.
+    """
+    key = initial_secret.ljust(64, b"\x00")
+    inner = sha256(
+        key.translate(IPAD) + (labels.server_in if is_server else labels.client_in)
+    ).digest()
+    key = sha256(key.translate(OPAD) + inner).digest().ljust(64, b"\x00")
+    ipad, opad = key.translate(IPAD), key.translate(OPAD)
+    return (
+        sha256(opad + sha256(ipad + labels.key).digest()).digest()[:16],
+        sha256(opad + sha256(ipad + labels.iv).digest()).digest()[:12],
+        sha256(opad + sha256(ipad + labels.hp).digest()).digest()[:16],
+    )
+
+
 class InitialKeys:
     """Both directions of Initial key material for one connection.
 
@@ -148,19 +172,10 @@ class InitialKeys:
 
     def __getattr__(self, name: str) -> DirectionKeys:
         # Reached only while the slot ``name`` is empty: expand it, once.
-        # Each HMAC-SHA256 (RFC 2104) is written out as its two hashes:
-        # a 32-byte secret zero-padded to the block, XORed into the pads.
         if name not in ("client", "server"):
             raise AttributeError(name)
-        labels = self.labels
-        key = self.initial_secret.ljust(64, b"\x00")
-        inner = sha256(key.translate(IPAD) + getattr(labels, name + "_in")).digest()
-        key = sha256(key.translate(OPAD) + inner).digest().ljust(64, b"\x00")
-        ipad, opad = key.translate(IPAD), key.translate(OPAD)
         keys = DirectionKeys(
-            sha256(opad + sha256(ipad + labels.key).digest()).digest()[:16],
-            sha256(opad + sha256(ipad + labels.iv).digest()).digest()[:12],
-            sha256(opad + sha256(ipad + labels.hp).digest()).digest()[:16],
+            *expand_direction(self.initial_secret, self.labels, name == "server")
         )
         setattr(self, name, keys)
         return keys
@@ -169,13 +184,30 @@ class InitialKeys:
         return self.server if is_server else self.client
 
 
+def _extract(version: int, client_dcid: bytes) -> tuple[bytes, _InitialLabels]:
+    """HKDF-Extract of the Initial secret, and the version's label set."""
+    return (
+        hkdf_extract(initial_salt(version), client_dcid),
+        _V2_LABELS if version == quic_version.QUIC_V2.value else _V1_LABELS,
+    )
+
+
 def derive_initial_keys(version: int, client_dcid: bytes) -> InitialKeys:
     """Start the RFC 9001 §5.2 schedule: HKDF-Extract of the Initial secret.
 
     The per-direction Expand-Labels run when :attr:`InitialKeys.client`
     or :attr:`InitialKeys.server` is first read.
     """
-    return InitialKeys(
-        hkdf_extract(initial_salt(version), client_dcid),
-        _V2_LABELS if version == quic_version.QUIC_V2.value else _V1_LABELS,
-    )
+    return InitialKeys(*_extract(version, client_dcid))
+
+
+def initial_direction(
+    version: int, client_dcid: bytes, is_server: bool = False
+) -> tuple[bytes, bytes, bytes]:
+    """``(key, iv, hp)`` of one direction, with no key object: 5 HMACs.
+
+    The bytes :func:`derive_initial_keys` gives that direction, for a
+    sender that seals one packet through a suite's ``seal`` and keeps
+    nothing.
+    """
+    return expand_direction(*_extract(version, client_dcid), is_server)

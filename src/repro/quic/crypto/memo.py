@@ -33,12 +33,12 @@ _GCM_CACHE = LruCache(1024)
 
 def cached_aes(key: bytes) -> AES128:
     """Memoized AES-128 key-schedule expansion per 16-byte key."""
-    return _AES_CACHE.get_or_build(key, lambda: AES128(key))
+    return _AES_CACHE.get_or_build(key, AES128, key)
 
 
 def cached_gcm(key: bytes) -> AesGcm:
     """Memoized AES-GCM instance (round keys + GHASH tables) per key."""
-    return _GCM_CACHE.get_or_build(key, lambda: AesGcm(key))
+    return _GCM_CACHE.get_or_build(key, AesGcm, key)
 
 
 def clear_crypto_memos() -> None:

@@ -12,6 +12,13 @@ AEAD and the mask primitive:
   SHA-256 mask.  Structurally identical packets (same lengths, same header
   bits, same failure modes) at ~100x the speed, used for bulk simulation.
 
+Every suite's :meth:`~PacketProtection.seal` protects one packet under one
+direction's raw key bytes, with no key object.  A suite's ``protect`` runs
+the same code on a direction of its connection's schedule; a sender that
+seals one Initial and keeps nothing
+(``repro.workloads.clients.stateless_initial``) calls ``seal`` on
+:func:`~repro.quic.crypto.initial.initial_direction`'s bytes.
+
 A dissector can tell which suite protected a packet only by attempting to
 open it — the same situation a telescope faces with unknown stacks.  Its
 attempt is :meth:`PacketProtection.unprotect` with ``decrypt=False``: the
@@ -43,7 +50,8 @@ class ProtectionError(ValueError):
 class PacketProtection:
     """Base driver for Initial packet protection.
 
-    Subclasses provide ``_seal``, ``_verify``, ``_open`` and ``_hp_mask``;
+    Subclasses provide ``_seal``, ``_verify``, ``_open`` and ``_hp_mask``,
+    each over raw key bytes (the AEAD key, or the header-protection key);
     the driver implements the byte-level header protection dance shared by
     all suites.  A suite writes its tag check once, in ``_verify``, and its
     ``_open`` runs that check before it decrypts.
@@ -64,19 +72,66 @@ class PacketProtection:
         self.keys: InitialKeys = keys
 
     # -- primitives supplied by subclasses ---------------------------------
-    def _seal(self, keys: DirectionKeys, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+    @staticmethod
+    def _seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
         raise NotImplementedError
 
-    def _verify(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
+    @staticmethod
+    def _verify(key: bytes, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
         raise NotImplementedError
 
-    def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
+    @staticmethod
+    def _open(key: bytes, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
         raise NotImplementedError
 
-    def _hp_mask(self, keys: DirectionKeys, sample: bytes) -> bytes:
+    @staticmethod
+    def _hp_mask(hp: bytes, sample: bytes) -> bytes:
         raise NotImplementedError
 
     # -- driver -------------------------------------------------------------
+    @classmethod
+    def _drive(
+        cls,
+        key: bytes,
+        nonce: bytes,
+        hp: bytes,
+        header: bytes,
+        payload: bytes,
+        padding: int = 0,
+    ) -> bytes:
+        """The generic driver over the suite's primitives (see :meth:`seal`).
+
+        :meth:`protect` calls it by this name, so a suite that overrides
+        ``seal`` with a fused form is still held to it by
+        ``PacketProtection.protect(suite_instance, …)``.
+        """
+        pn_length = (header[0] & 0x03) + 1
+        pn_offset = len(header) - pn_length
+        if padding:
+            payload += bytes(padding)
+        sealed = cls._seal(key, nonce, payload, header)
+        packet = bytearray(header + sealed)
+        sample_start = pn_offset + SAMPLE_OFFSET
+        sample = bytes(packet[sample_start : sample_start + SAMPLE_LENGTH])
+        if len(sample) != SAMPLE_LENGTH:
+            raise ProtectionError("packet too short to sample for header protection")
+        mask = cls._hp_mask(hp, sample)
+        packet[0] ^= mask[0] & (0x0F if packet[0] & 0x80 else 0x1F)
+        for i in range(pn_length):
+            packet[pn_offset + i] ^= mask[1 + i]
+        return bytes(packet)
+
+    #: ``seal(key, nonce, hp, header, payload, padding=0)``: protect one
+    #: packet under one direction's AEAD key, nonce (its IV XORed with the
+    #: packet number; packet 0's is the IV) and header-protection key.
+    #: ``header`` is the complete unprotected header *including* the encoded
+    #: packet-number field as its trailing bytes; the packet-number length
+    #: is taken from the two low bits of the first header byte (RFC 9000
+    #: §17.2).  The plaintext is ``payload`` followed by ``padding`` zero
+    #: bytes (PADDING frames), which a caller that knows their count need
+    #: not build.  Returns header-protected header || sealed payload.
+    seal = _drive
+
     def protect(
         self,
         is_server: bool,
@@ -85,32 +140,12 @@ class PacketProtection:
         payload: bytes,
         padding: int = 0,
     ) -> bytes:
-        """Protect one packet.
-
-        ``header`` is the complete unprotected header *including* the encoded
-        packet-number field as its trailing bytes; the packet-number length is
-        taken from the two low bits of the first header byte (RFC 9000 §17.2).
-        The plaintext is ``payload`` followed by ``padding`` zero bytes (PADDING
-        frames), which a caller that knows their count need not build.
-        Returns header-protected header || sealed payload.
-        """
+        """Protect one packet under this connection's ``is_server`` direction
+        (see :meth:`seal` for ``header``, ``payload`` and ``padding``)."""
         keys = self.keys.for_sender(is_server)
-        pn_length = (header[0] & 0x03) + 1
-        pn_offset = len(header) - pn_length
-        nonce = keys.nonce(packet_number)
-        if padding:
-            payload += bytes(padding)
-        sealed = self._seal(keys, nonce, payload, header)
-        packet = bytearray(header + sealed)
-        sample_start = pn_offset + SAMPLE_OFFSET
-        sample = bytes(packet[sample_start : sample_start + SAMPLE_LENGTH])
-        if len(sample) != SAMPLE_LENGTH:
-            raise ProtectionError("packet too short to sample for header protection")
-        mask = self._hp_mask(keys, sample)
-        packet[0] ^= mask[0] & (0x0F if packet[0] & 0x80 else 0x1F)
-        for i in range(pn_length):
-            packet[pn_offset + i] ^= mask[1 + i]
-        return bytes(packet)
+        return self._drive(
+            keys.key, keys.nonce(packet_number), keys.hp, header, payload, padding
+        )
 
     def unprotect(
         self,
@@ -137,11 +172,11 @@ class PacketProtection:
         )
         nonce = keys.nonce(packet_number)
         if not decrypt:
-            if not self._verify(keys, nonce, sealed, header):
+            if not self._verify(keys.key, nonce, sealed, header):
                 raise ProtectionError("AEAD tag mismatch")
             return None, packet_number, pn_length
         try:
-            plaintext = self._open(keys, nonce, sealed, header)
+            plaintext = self._open(keys.key, nonce, sealed, header)
         except AuthenticationError as exc:
             raise ProtectionError(str(exc)) from exc
         return plaintext, packet_number, pn_length
@@ -159,7 +194,7 @@ class PacketProtection:
         sample = packet[sample_start : sample_start + SAMPLE_LENGTH]
         if len(sample) != SAMPLE_LENGTH:
             raise ProtectionError("truncated packet: no header-protection sample")
-        mask = self._hp_mask(keys, sample)
+        mask = self._hp_mask(keys.hp, sample)
         first = packet[0] ^ (mask[0] & (0x0F if packet[0] & 0x80 else 0x1F))
         pn_length = (first & 0x03) + 1
         pn_bytes = bytearray(packet[pn_offset : pn_offset + pn_length])
@@ -196,17 +231,21 @@ class Rfc9001Protection(PacketProtection):
     # DCID — or a dissector re-opening what the engine sealed — expand
     # each key exactly once.
 
-    def _seal(self, keys: DirectionKeys, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
-        return cached_gcm(keys.key).seal(nonce, plaintext, aad)
+    @staticmethod
+    def _seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+        return cached_gcm(key).seal(nonce, plaintext, aad)
 
-    def _verify(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
-        return cached_gcm(keys.key).verify(nonce, sealed, aad)
+    @staticmethod
+    def _verify(key: bytes, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
+        return cached_gcm(key).verify(nonce, sealed, aad)
 
-    def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
-        return cached_gcm(keys.key).open(nonce, sealed, aad)
+    @staticmethod
+    def _open(key: bytes, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
+        return cached_gcm(key).open(nonce, sealed, aad)
 
-    def _hp_mask(self, keys: DirectionKeys, sample: bytes) -> bytes:
-        return cached_aes(keys.hp).encrypt_block(sample)[:5]
+    @staticmethod
+    def _hp_mask(hp: bytes, sample: bytes) -> bytes:
+        return cached_aes(hp).encrypt_block(sample)[:5]
 
 
 class FastProtection(PacketProtection):
@@ -227,43 +266,39 @@ class FastProtection(PacketProtection):
     def _xor(data: bytes, stream: bytes) -> bytes:
         # Whole-buffer XOR via big-int arithmetic: one C-level operation
         # instead of a per-byte generator.  Every byte, PADDING included:
-        # the reference the fused ``protect`` below is held to.
+        # the reference the fused :meth:`seal` is held to.
         return (
             int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
         ).to_bytes(len(data), "big")
 
-    def _seal(self, keys: DirectionKeys, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
-        stream = self._keystream(keys.key, nonce, len(plaintext))
-        ciphertext = self._xor(plaintext, stream)
-        tag = hmac_sha256(keys.key, nonce + aad + ciphertext)
-        return ciphertext + tag[:TAG_LENGTH]
+    @classmethod
+    def _seal(cls, key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+        ciphertext = cls._xor(plaintext, cls._keystream(key, nonce, len(plaintext)))
+        return ciphertext + hmac_sha256(key, nonce, aad, ciphertext)[:TAG_LENGTH]
 
-    def protect(
-        self,
-        is_server: bool,
+    @staticmethod
+    def seal(
+        key: bytes,
+        nonce: bytes,
+        hp: bytes,
         header: bytes,
-        packet_number: int,
         payload: bytes,
         padding: int = 0,
     ) -> bytes:
-        """Fused seal + header protection.
+        """The driver, fused into straight-line code.
 
-        Byte-identical to the base driver (the suite tests hold it to
-        ``PacketProtection.protect``, the reference); it exists to collapse
-        the five Python-level calls per packet — for_sender, _seal,
-        _keystream, _xor, _hp_mask — into straight-line code, and to XOR
+        Byte-identical to ``PacketProtection._drive`` over the suite's
+        primitives (the suite tests hold it to ``PacketProtection.protect``,
+        the reference); it collapses the driver's calls into one, and XORs
         only ``payload``: under the ``padding`` the ciphertext *is* the
         keystream.
         """
-        keys = self.keys.server if is_server else self.keys.client
-        key = keys.key
-        nonce = (keys.iv_int ^ packet_number).to_bytes(12, "big")
         body = len(payload)
         stream = hashlib.shake_256(key + nonce).digest(body + padding)
         ciphertext = (
             int.from_bytes(payload, "big") ^ int.from_bytes(stream[:body], "big")
         ).to_bytes(body, "big") + stream[body:]
-        tag = hmac_sha256(key, nonce + header + ciphertext)[:TAG_LENGTH]
+        tag = hmac_sha256(key, nonce, header, ciphertext)[:TAG_LENGTH]
         pn_length = (header[0] & 0x03) + 1
         pn_offset = len(header) - pn_length
         # The sample window opens SAMPLE_OFFSET past the packet-number offset:
@@ -274,29 +309,49 @@ class FastProtection(PacketProtection):
             sample = (ciphertext + tag)[first : first + SAMPLE_LENGTH]
         if len(sample) != SAMPLE_LENGTH:
             raise ProtectionError("packet too short to sample for header protection")
-        mask = hashlib.sha256(keys.hp + sample).digest()
+        mask = hashlib.sha256(hp + sample).digest()
         masked = bytearray(header)
         masked[0] ^= mask[0] & (0x0F if header[0] & 0x80 else 0x1F)
         for i in range(pn_length):
             masked[pn_offset + i] ^= mask[1 + i]
         return b"".join((masked, ciphertext, tag))
 
-    def _verify(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
+    def protect(
+        self,
+        is_server: bool,
+        header: bytes,
+        packet_number: int,
+        payload: bytes,
+        padding: int = 0,
+    ) -> bytes:
+        keys = self.keys.server if is_server else self.keys.client
+        return self.seal(
+            keys.key,
+            (keys.iv_int ^ packet_number).to_bytes(12, "big"),
+            keys.hp,
+            header,
+            payload,
+            padding,
+        )
+
+    @staticmethod
+    def _verify(key: bytes, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
         if len(sealed) < TAG_LENGTH:
             return False
         ciphertext, tag = sealed[:-TAG_LENGTH], sealed[-TAG_LENGTH:]
-        expected = hmac_sha256(keys.key, nonce + aad + ciphertext)[:TAG_LENGTH]
+        expected = hmac_sha256(key, nonce + aad + ciphertext)[:TAG_LENGTH]
         return hmac.compare_digest(tag, expected)
 
-    def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
-        if not self._verify(keys, nonce, sealed, aad):
+    @classmethod
+    def _open(cls, key: bytes, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
+        if not cls._verify(key, nonce, sealed, aad):
             raise AuthenticationError("tag mismatch")
         ciphertext = sealed[:-TAG_LENGTH]
-        stream = self._keystream(keys.key, nonce, len(ciphertext))
-        return self._xor(ciphertext, stream)
+        return cls._xor(ciphertext, cls._keystream(key, nonce, len(ciphertext)))
 
-    def _hp_mask(self, keys: DirectionKeys, sample: bytes) -> bytes:
-        return hashlib.sha256(keys.hp + sample).digest()[:5]
+    @staticmethod
+    def _hp_mask(hp: bytes, sample: bytes) -> bytes:
+        return hashlib.sha256(hp + sample).digest()[:5]
 
 
 class NullProtection(PacketProtection):
@@ -322,21 +377,28 @@ class NullProtection(PacketProtection):
             version, client_dcid, self._UNUSED_KEYS if keys is None else keys
         )
 
-    def _seal(self, keys: DirectionKeys, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+    @staticmethod
+    def _seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
         return plaintext + b"\x00" * TAG_LENGTH
 
-    def _verify(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
+    @staticmethod
+    def _verify(key: bytes, nonce: bytes, sealed: bytes, aad: bytes) -> bool:
         return len(sealed) >= TAG_LENGTH
 
-    def _open(self, keys: DirectionKeys, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
-        if not self._verify(keys, nonce, sealed, aad):
+    @classmethod
+    def _open(cls, key: bytes, nonce: bytes, sealed: bytes, aad: bytes) -> bytes:
+        if not cls._verify(key, nonce, sealed, aad):
             raise AuthenticationError("ciphertext shorter than tag")
         return sealed[:-TAG_LENGTH]
 
     # The all-zero mask leaves the header untouched, so the whole driver
     # dance collapses; overriding it removes the remaining per-packet cost.
-    def protect(self, is_server, header, packet_number, payload, padding=0):  # noqa: D102
+    @staticmethod
+    def seal(key, nonce, hp, header, payload, padding=0):  # noqa: D102
         return header + payload + bytes(padding + TAG_LENGTH)
+
+    def protect(self, is_server, header, packet_number, payload, padding=0):  # noqa: D102
+        return self.seal(b"", b"", b"", header, payload, padding)
 
     def _unmask(self, from_server, packet, pn_offset, largest_pn):
         # No mask to remove: the header is as sent.

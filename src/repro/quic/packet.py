@@ -257,14 +257,12 @@ def packet_template(
 ) -> PacketTemplate:
     """Fetch (or build) the cached template for one long-header shape."""
     key = (packet_type, version, dcid_len, scid_len, token_len, payload_len, pn_length)
-    return _PACKET_TEMPLATES.get_or_build(
-        key, lambda: PacketTemplate(*key)
-    )
+    return _PACKET_TEMPLATES.get_or_build(key, PacketTemplate, *key)
 
 
 def short_packet_template(pn_length: int, spin_bit: bool) -> ShortPacketTemplate:
     return _SHORT_TEMPLATES.get_or_build(
-        (pn_length, spin_bit), lambda: ShortPacketTemplate(pn_length, spin_bit)
+        (pn_length, spin_bit), ShortPacketTemplate, pn_length, spin_bit
     )
 
 

@@ -837,7 +837,7 @@ class QuicServerEngine:
                        p.handshake_datagram_size, p.coalesced_datagram_size,
                        self._handshake_payload_bytes(), *shape)
                 layout = self._flight_layouts[shape] = _LAYOUTS.get_or_build(
-                    key, lambda: _FlightLayout(*key)
+                    key, _FlightLayout, *key
                 )
             flight = conn.flight_layout = layout.bind(conn)
         rng = conn.rng if conn.rng is not None else self.rng

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time as _wall
 from typing import Callable, Optional
 
@@ -60,7 +61,9 @@ class EventLoop:
 
     The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so
     ``heapq`` orders entries by comparing a float and an int in C and
-    never reaches the :class:`Event`.
+    never reaches the :class:`Event`.  :meth:`_dispatch` is the one loop
+    that fires events; :meth:`run`, :meth:`step` and :meth:`run_until`
+    hand it a budget and a time limit.
     """
 
     def __init__(
@@ -127,17 +130,35 @@ class EventLoop:
             heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
+    def _dispatch(self, budget: float = math.inf, until: float = math.inf) -> int:
+        """Fire live events in order, at most ``budget`` of them, none
+        stamped after ``until``; returns how many fired.
+
+        The one event loop: no method call per event, and
+        ``events_processed`` is brought up to date once, on the way out
+        (a callback that raises leaves it counting the events that
+        completed).
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        fired = 0
+        try:
+            while heap and fired < budget:
+                if heap[0][0] > until:
+                    break
+                time, _seq, event = pop(heap)
+                if event.cancelled:
+                    continue
+                self.now = time
+                event.callback()
+                fired += 1
+        finally:
+            self.events_processed += fired
+        return fired
+
     def step(self) -> bool:
         """Execute the next event; returns False if the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            if event.cancelled:
-                continue
-            self.now = event.time
-            event.callback()
-            self.events_processed += 1
-            return True
-        return False
+        return self._dispatch(1) == 1
 
     def run(self, max_events: int = 0) -> None:
         """Drain the queue (optionally bounded by ``max_events``).
@@ -150,19 +171,22 @@ class EventLoop:
         if obs.enabled or self.on_progress is not None:
             self._run_instrumented(max_events)
             return
-        count = 0
-        while self.step():
-            count += 1
-            if max_events and count >= max_events:
-                if self.peek_time() is not None:
-                    raise RuntimeError(
-                        "event budget of %d exhausted; runaway simulation?"
-                        % max_events
-                    )
-                break
+        if max_events:
+            if self._dispatch(max_events) == max_events and self.peek_time() is not None:
+                raise RuntimeError(
+                    "event budget of %d exhausted; runaway simulation?" % max_events
+                )
+        else:
+            self._dispatch()
 
     def _run_instrumented(self, max_events: int) -> None:
-        """``run`` with tracing and queue-depth/throughput metrics."""
+        """``run`` with tracing and queue-depth/throughput metrics.
+
+        Events are dispatched in chunks that end on every count the depth
+        sample and the progress hook wait for (a multiple of
+        ``2**min(shift, 12)``), so both fire after the very event they
+        did when counted one event at a time.
+        """
         obs = self.obs
         tracer = obs.tracer
         metrics = obs.metrics
@@ -182,14 +206,20 @@ class EventLoop:
         count = 0
         sample_mask = (1 << self.queue_depth_sample_shift) - 1
         progress = self.on_progress
+        chunk = 1 << min(self.queue_depth_sample_shift, 12)
+        budget = max_events or math.inf
         exhausted = False
-        while self.step():
-            count += 1
+        while True:
+            want = min(chunk, budget - count)
+            fired = self._dispatch(want)
+            count += fired
+            if fired < want:
+                break  # drained
             if depth_hist is not None and not count & sample_mask:
                 depth_hist.observe_key((), len(self._heap))
             if progress is not None and not count & 4095:
                 progress(count)
-            if max_events and count >= max_events:
+            if count >= budget:
                 exhausted = self.peek_time() is not None
                 break
         # repro: allow(DET002) -- closes the obs-gauge interval opened above
@@ -217,9 +247,5 @@ class EventLoop:
 
     def run_until(self, time: float) -> None:
         """Process events with timestamps <= ``time``; advance now to it."""
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > time:
-                break
-            self.step()
+        self._dispatch(until=time)
         self.now = max(self.now, time)

@@ -28,7 +28,7 @@ delay is already known (the keyed hash again: nothing that happens in
 between can change it), it may not send, so the early hand-over is
 invisible to the rest of the simulation, and half the events of a month
 go away.  The sink sees arrivals in transmit order and sorts them back
-(:meth:`repro.netstack.capbuf.CaptureBuffer.commit`).
+(:meth:`repro.netstack.capbuf.CaptureBuffer.append`).
 """
 
 from __future__ import annotations
@@ -137,26 +137,6 @@ class Network:
         #: ``_routes`` flattened for :meth:`route`; None after a change.
         self._intervals: tuple[list[int], list[Device | None]] | None = None
 
-    def _path_fractions(self, datagram: UdpDatagram) -> tuple[float, float]:
-        """(loss, jitter) fractions in [0, 1), a pure function of the packet."""
-        hasher = hashlib.blake2b(
-            b"%b%d|%d|%d|%d|%b|" % (
-                self._path_salt,
-                datagram.src_ip,
-                datagram.dst_ip,
-                datagram.src_port,
-                datagram.dst_port,
-                repr(self.loop.now).encode(),
-            ),
-            digest_size=16,
-        )
-        hasher.update(datagram.payload)
-        digest = hasher.digest()
-        return (
-            int.from_bytes(digest[:8], "big") / 2**64,
-            int.from_bytes(digest[8:], "big") / 2**64,
-        )
-
     def add_device(self, device: Device) -> None:
         if device.access_delay < 0:
             raise ValueError(
@@ -202,23 +182,42 @@ class Network:
                     bytes=datagram.payload_length,
                 )
             return
-        loss_fraction, jitter_fraction = self._path_fractions(datagram)
-        if self.path.loss_rate and loss_fraction < self.path.loss_rate:
+        # The packet's fate: loss and jitter fractions in [0, 1), the two
+        # halves of a keyed hash of the packet (see the module docstring).
+        now = self.loop.now
+        hasher = hashlib.blake2b(
+            b"%b%d|%d|%d|%d|%b|" % (
+                self._path_salt,
+                datagram.src_ip,
+                datagram.dst_ip,
+                datagram.src_port,
+                datagram.dst_port,
+                repr(now).encode(),
+            ),
+            digest_size=16,
+        )
+        hasher.update(datagram.payload)
+        digest = hasher.digest()
+        path = self.path
+        loss_rate = path.loss_rate
+        if loss_rate and int.from_bytes(digest[:8], "big") / 2**64 < loss_rate:
             if self._m_dropped is not None:
                 self._m_dropped.inc_key((DROP_LOSS, target.name))
             if tracer.enabled:
                 tracer.emit(
                     CAT_NET,
                     "packet_dropped",
-                    time=self.loop.now,
+                    time=now,
                     reason=DROP_LOSS,
                     src_device=sender.name,
                     dst_device=target.name,
                     bytes=len(datagram.payload),
                 )
             return
-        delay = self.path.delay_for(
-            jitter_fraction, sender.access_delay, target.access_delay
+        delay = path.delay_for(
+            int.from_bytes(digest[8:], "big") / 2**64,
+            sender.access_delay,
+            target.access_delay,
         )
         if self._m_delivered is not None:
             self._m_delivered.inc_key((target.name,))
@@ -226,14 +225,14 @@ class Network:
             tracer.emit(
                 CAT_NET,
                 "packet_delivered",
-                time=self.loop.now,
+                time=now,
                 src_device=sender.name,
                 dst_device=target.name,
                 delay=round(delay, 6),
                 bytes=len(datagram.payload),
             )
         if target.passive:
-            target.handle_datagram(datagram, self.loop.now + delay)
+            target.handle_datagram(datagram, now + delay)
         else:
             self.loop.schedule(
                 delay, lambda: target.handle_datagram(datagram, self.loop.now)

@@ -12,7 +12,7 @@ and once the pending bytes pass :data:`~repro.netstack.capbuf.SPOOL_AFTER`
 the records stamped below the event loop's clock — final, because every
 later arrival is stamped ``now + delay`` with ``delay >= 0`` — go to the
 buffer's anonymous spool.  The buffer keeps the canonical capture order
-as it commits, so :meth:`Telescope.write_pcap` is one copy of the spool
+as records are appended, so :meth:`Telescope.write_pcap` is one copy of the spool
 and the in-flight tail, and ``records`` is what a reader of that pcap
 reads back.
 """
@@ -23,7 +23,7 @@ from typing import BinaryIO
 
 from repro.netstack.addr import Prefix
 from repro.netstack.capbuf import SPOOL_AFTER, CaptureBuffer
-from repro.netstack.udp import QUIC_PORT, UdpDatagram, encode_udp_into
+from repro.netstack.udp import QUIC_PORT, UdpDatagram, ip_udp_header
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_TELESCOPE
 from repro.simnet.network import Device
@@ -74,14 +74,12 @@ class Telescope(Device):
         return [self.prefix]
 
     def handle_datagram(self, datagram: UdpDatagram, now: float) -> None:
-        # Encapsulate straight into the contiguous capture buffer, behind
-        # room for the pcap record header (the encoder appends IP/UDP
-        # header + payload with no whole-packet intermediate), then commit
-        # the header and the ts/offset columns.
+        # One append per record: the IP/UDP header and the payload go into
+        # the contiguous capture buffer behind the pcap record header, with
+        # no whole-packet intermediate.
         capture = self.capture
-        start = capture.reserve()
-        encode_udp_into(capture.data, datagram)
-        capture.commit(now, start)
+        payload = datagram.payload
+        capture.append(now, ip_udp_header(datagram, payload), payload)
         if len(capture.data) > SPOOL_AFTER and self.network is not None:
             # Arrivals yet to come are stamped at or after the loop's
             # clock (path delays are >= 0): what lies below it is final.

@@ -1,9 +1,10 @@
 """Client-side QUIC: the client Initial, connection objects, a host device.
 
-The client Initial has one implementation, :func:`_sealed_initial` (a
-splice into the :class:`_InitialLayout` of its shape, then the seal), and
-two callers.  :func:`stateless_initial` is for senders that never read a
-reply — the scanners and the spoofing attacker — and keeps nothing.
+The client Initial has one implementation, :func:`_initial_plaintext` (a
+splice into the :class:`_InitialLayout` of its shape), and two sealers.
+:func:`stateless_initial` is for senders that never read a reply — the
+scanners and the spoofing attacker — and keeps nothing: it derives the
+client direction's key bytes alone and hands them to the suite's ``seal``.
 :class:`ClientConnection` drives one handshake: it emits that Initial,
 unprotects the server's flight (possible because Initial keys derive
 from the client's own DCID), extracts the server's SCID, transport
@@ -21,6 +22,7 @@ from typing import Optional
 
 from repro.lru import LruCache
 from repro.netstack.udp import QUIC_PORT, UdpDatagram
+from repro.quic.crypto.initial import initial_direction
 from repro.quic.crypto.suites import TAG_LENGTH, ProtectionError, suite_by_name
 from repro.quic.frames import (
     AckFrame,
@@ -129,17 +131,23 @@ class _InitialLayout:
 _INITIAL_LAYOUTS = LruCache(256)
 
 
-def _sealed_initial(
-    protection, rng: random.Random, version: int, dcid: bytes, scid: bytes,
-    server_name: str, pad_to: int,
-) -> bytes:
-    """The client Initial: draw the ClientHello random, splice the shape's layout, seal."""
+def _initial_plaintext(
+    rng: random.Random, version: int, dcid: bytes, scid: bytes, server_name: str,
+    pad_to: int,
+) -> tuple[bytes, bytes, int]:
+    """The client Initial before its seal: ``(header, payload, padding)``.
+
+    Draws the ClientHello random and splices the shape's layout; packet
+    number 0.
+    """
     random32 = rng.getrandbits(256).to_bytes(32, "big")
     shape = (version, len(dcid), len(scid), server_name, pad_to)
-    layout = _INITIAL_LAYOUTS.get_or_build(shape, lambda: _InitialLayout(*shape))
-    payload = b"".join((layout.prefix, random32, layout.mid, scid, layout.suffix))
-    header = layout.template.render(dcid, scid, 0)
-    return protection.protect(False, header, 0, payload, layout.padding)
+    layout = _INITIAL_LAYOUTS.get_or_build(shape, _InitialLayout, *shape)
+    return (
+        layout.template.render(dcid, scid, 0),
+        b"".join((layout.prefix, random32, layout.mid, scid, layout.suffix)),
+        layout.padding,
+    )
 
 
 def weighted_versions(pairs: tuple[tuple[int, float], ...]) -> tuple[list[int], list[float]]:
@@ -159,12 +167,17 @@ def stateless_initial(
     """A fresh client Initial from a sender that will never read a reply.
 
     Draws DCID, SCID and random in the order a :class:`ClientConnection`
-    does, derives the keys, seals, and keeps nothing.
+    does and seals the same bytes, from the client direction's keys alone:
+    no protection or key object is built, and nothing is kept.
     """
     dcid = rng.getrandbits(8 * dcid_length).to_bytes(dcid_length, "big")
     scid = rng.getrandbits(64).to_bytes(8, "big")
-    protection = suite_by_name(suite)(version, dcid)
-    return _sealed_initial(protection, rng, version, dcid, scid, server_name, pad_to)
+    key, iv, hp = initial_direction(version, dcid)
+    header, payload, padding = _initial_plaintext(
+        rng, version, dcid, scid, server_name, pad_to
+    )
+    # Packet number 0: the nonce is the IV itself.
+    return suite_by_name(suite).seal(key, iv, hp, header, payload, padding)
 
 
 @dataclass
@@ -226,11 +239,13 @@ class ClientConnection:
     def initial_datagram(self, now: float = 0.0) -> UdpDatagram:
         """The first flight: a padded Initial carrying the ClientHello."""
         self.sent_at = now
-        payload = _sealed_initial(
-            self.protection, self.rng, self.version, self.dcid, self.scid,
-            self.server_name, self.pad_to,
+        header, payload, padding = _initial_plaintext(
+            self.rng, self.version, self.dcid, self.scid, self.server_name, self.pad_to
         )
-        return UdpDatagram(self.src_ip, self.dst_ip, self.src_port, self.dst_port, payload)
+        return UdpDatagram(
+            self.src_ip, self.dst_ip, self.src_port, self.dst_port,
+            self.protection.protect(False, header, 0, payload, padding),
+        )
 
     # -- inbound -----------------------------------------------------------
     def on_datagram(self, datagram: UdpDatagram, now: float = 0.0) -> Optional[UdpDatagram]:

@@ -246,6 +246,32 @@ class TestOneLineErrors:
             % bad
         )
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("[1, 2, 3]", "a JSON list, not an object"),
+            ('{"counters": {"x": "y"}}', "counters 'x' is not an object"),
+            (
+                '{"timers": {"run": {"seconds": NaN, "calls": 1}}}',
+                "timers 'run' lacks a numeric 'seconds' or 'calls'",
+            ),
+        ],
+        ids=["list", "counter-not-an-object", "nan-seconds"],
+    )
+    @pytest.mark.parametrize("diff", [False, True], ids=["stats", "diff"])
+    def test_stats_json_that_is_not_a_snapshot(self, text, reason, diff, tmp_path, capsys):
+        good = str(tmp_path / "a.json")
+        bad = str(tmp_path / "b.json")
+        with open(good, "w") as fileobj:
+            fileobj.write("{}")
+        with open(bad, "w") as fileobj:
+            fileobj.write(text)
+        argv = ["stats", "--diff", good, bad] if diff else ["stats", bad]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "repro stats: %s: not a metrics snapshot: %s\n" % (bad, reason)
+        )
+
     def test_trace_summarize_missing_file(self, tmp_path, capsys):
         gone = str(tmp_path / "gone.jsonl")
         assert main(["trace", "summarize", gone]) == 2

@@ -481,3 +481,68 @@ def test_shard_reader_never_buffers_on_a_headers_say_so(hostile_capture, tmp_pat
         tracemalloc.stop()
     assert str(excinfo.value) == shards[1] + ": truncated pcap record body"
     assert peak < 8 * pcap_module.WALK_CHUNK
+
+
+# ---------------------------------------------------------------------------
+# Whole artefacts: any JSON against ``repro stats``
+# ---------------------------------------------------------------------------
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+#: Keys a snapshot's readers look up, so that the structures drawn come
+#: close to a snapshot often, not only by chance.
+_SNAPSHOT_KEYS = st.sampled_from(
+    ("label_names", "values", "buckets", "counts", "count", "sum", "seconds", "calls", "")
+)
+_NEAR_SNAPSHOT = st.dictionaries(
+    st.sampled_from(("counters", "gauges", "histograms", "timers")),
+    st.dictionaries(
+        st.text(max_size=3),
+        st.dictionaries(
+            _SNAPSHOT_KEYS,
+            _JSON | st.dictionaries(_SNAPSHOT_KEYS, _JSON, max_size=3),
+            max_size=5,
+        )
+        | _JSON,
+        max_size=2,
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=_JSON | _NEAR_SNAPSHOT, second=_JSON | _NEAR_SNAPSHOT)
+def test_stats_answers_any_json_without_a_traceback(first, second):
+    """``stats FILE`` and ``stats --diff A B`` on any JSON: a rendering
+    (0), "nothing to show" (1) or one ``repro stats: <path>: …`` line (2)."""
+    import contextlib
+    import io
+    import json
+    import tempfile
+
+    from repro.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for index, value in enumerate((first, second)):
+            paths.append(os.path.join(tmp, "%d.json" % index))
+            with open(paths[-1], "w") as fileobj:
+                json.dump(value, fileobj)
+        for argv in (["stats", paths[0]], ["stats", "--diff", *paths]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(argv)
+            assert status in (0, 1, 2), status
+            if status == 2:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("repro stats: %s/" % tmp)
+                assert err.getvalue().count("\n") == 1
+            else:
+                assert err.getvalue() == ""

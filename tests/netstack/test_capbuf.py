@@ -32,6 +32,7 @@ from repro.netstack.udp import (
     decode_udp,
     encode_udp,
     encode_udp_into,
+    ip_udp_header,
 )
 
 
@@ -87,8 +88,9 @@ def _payloads(draw):
 
 
 class TestFlowTemplateParity:
-    """``encode_udp`` / ``encode_udp_into`` / :class:`FlowTemplate` are one
-    flat encoder, held to the Writer-based reference above."""
+    """``ip_udp_header`` / ``encode_udp`` / ``encode_udp_into`` /
+    :class:`FlowTemplate` are one flat encoder, held to the Writer-based
+    reference above."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -105,6 +107,7 @@ class TestFlowTemplateParity:
         datagram = UdpDatagram(src_ip, dst_ip, src_port, dst_port, payload, ttl)
         encoded = encode_udp(datagram)
         assert encoded == _encode_udp_rebuild(datagram)
+        assert ip_udp_header(datagram, payload) + payload == encoded
         appended = bytearray(b"prefix")
         encode_udp_into(appended, datagram)
         assert appended == b"prefix" + encoded
@@ -197,12 +200,12 @@ class TestCaptureBuffer:
         with pytest.raises(IndexError):
             buffer.record(2)
 
-    def test_commit_after_in_place_encode(self):
+    def test_append_of_a_header_and_its_payload(self):
+        """The telescope's call: the IP/UDP header and the payload, unjoined."""
         buffer = CaptureBuffer()
-        start = buffer.reserve()
-        encode_udp_into(buffer.data, _datagram(b"direct"))
-        buffer.commit(3.0, start)
-        assert buffer.record(0).data == encode_udp(_datagram(b"direct"))
+        datagram = _datagram(b"direct")
+        buffer.append(3.0, ip_udp_header(datagram, datagram.payload), datagram.payload)
+        assert buffer.record(0).data == encode_udp(datagram)
         assert buffer.record(0).timestamp == 3.0
 
     def test_records_view_sequence_protocol(self):

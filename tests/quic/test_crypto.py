@@ -16,7 +16,12 @@ from repro.quic.crypto.hkdf import (
     hmac_sha256,
 )
 from repro.quic.crypto import initial
-from repro.quic.crypto.initial import INITIAL_SALTS, derive_initial_keys, initial_salt
+from repro.quic.crypto.initial import (
+    INITIAL_SALTS,
+    derive_initial_keys,
+    initial_direction,
+    initial_salt,
+)
 from repro.quic.version import QUIC_V2
 
 
@@ -359,6 +364,60 @@ class TestInitialKeys:
         for side in ("client", "server"):
             direction = getattr(keys, side)
             assert (direction.key, direction.iv, direction.hp) == expected[side]
+
+    @pytest.mark.parametrize(
+        "version, is_server, expected",
+        [
+            (1, False, ("1f369613dd76d5467730efcbe3b1a22d",
+                        "fa044b2f42a3fd3b46fb255c",
+                        "9f50449e04a0e810283a1e9933adedd2")),
+            (1, True, ("cf3a5331653c364c88f0f379b6067e37",
+                       "0ac1493ca1905853b0bba03e",
+                       "c206b8d9b9f0f37644430b490eeaa314")),
+            (0x6B3343CF, False, ("8b1a0bc121284290a29e0971b5cd045d",
+                                 "91f73e2351d8fa91660e909f",
+                                 "45b95e15235d6f45a6b19cbcb0294ba9")),
+            (0x6B3343CF, True, ("82db637861d55e1d011f19ea71d5d2a7",
+                                "dd13c276499c0249d3310652",
+                                "edf6d05c83121201b436e16877593c3a")),
+        ],
+        ids=["rfc9001-client", "rfc9001-server", "rfc9369-client", "rfc9369-server"],
+    )
+    def test_one_direction_against_the_appendix_vectors(self, version, is_server, expected):
+        """RFC 9001 A.1 and RFC 9369 A.1, one direction with no key object."""
+        assert tuple(
+            part.hex() for part in initial_direction(version, self.DCID, is_server)
+        ) == expected
+
+    def test_one_direction_costs_the_extract_and_its_four_expands(self, monkeypatch):
+        extracts, hashes = [], []
+        real_digest = HmacSha256.digest
+
+        def keyed_digest(self, message):
+            extracts.append(message)
+            return real_digest(self, message)
+
+        def counted_sha256(data):
+            hashes.append(data)
+            return sha256(data)
+
+        monkeypatch.setattr(HmacSha256, "digest", keyed_digest)
+        monkeypatch.setattr(initial, "sha256", counted_sha256)
+        initial_direction(1, self.DCID)
+        assert len(extracts) + len(hashes) // 2 == 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        version=st.sampled_from(_SCHEDULE_VERSIONS),
+        dcid=st.binary(max_size=20),
+    )
+    def test_one_direction_equals_the_schedule_object(self, version, dcid):
+        """``initial_direction`` gives each direction ``InitialKeys`` expands."""
+        keys = derive_initial_keys(version, dcid)
+        for is_server, direction in ((False, keys.client), (True, keys.server)):
+            assert initial_direction(version, dcid, is_server) == (
+                direction.key, direction.iv, direction.hp
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(

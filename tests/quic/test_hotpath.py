@@ -82,7 +82,7 @@ class TestLruCache:
         cache = LruCache(maxsize)
         order, hits, misses = [], 0, 0  # least recently used first
         for step, key in enumerate(keys):
-            value = cache.get_or_build(key, lambda: (key, step))
+            value = cache.get_or_build(key, tuple, (key, step))
             cached = [entry for entry in order if entry[0] == key]
             if cached:
                 hits += 1
@@ -96,6 +96,32 @@ class TestLruCache:
             assert value == order[-1]
             assert list(cache._data.values()) == order
             assert (cache.hits, cache.misses, len(cache)) == (hits, misses, len(order))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maxsize=st.integers(1, 6),
+        keys=st.lists(st.integers(0, 9), max_size=80),
+    )
+    def test_a_hit_never_calls_the_builder(self, maxsize, keys):
+        """The builder runs once per miss, with the arguments passed beside
+        it, and the recency order is the zero-argument form's."""
+        cache, closures = LruCache(maxsize), LruCache(maxsize)
+        built = []
+
+        def build(key, step):
+            built.append(key)
+            return (key, step)
+
+        for step, key in enumerate(keys):
+            hits, before = cache.hits, len(built)
+            value = cache.get_or_build(key, build, key, step)
+            if cache.hits > hits:
+                assert len(built) == before and value[1] < step
+            else:
+                assert built[before:] == [key] and value == (key, step)
+            assert value == closures.get_or_build(key, lambda: (key, step))
+            assert list(cache._data.items()) == list(closures._data.items())
+        assert (cache.hits, cache.misses) == (closures.hits, closures.misses)
 
 
 class TestCryptoMemoParity:

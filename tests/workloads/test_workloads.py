@@ -4,10 +4,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netstack.addr import Prefix, parse_ip
 from repro.obs import MetricsRegistry, Observability
 from repro.quic.packet import PacketType, parse_long_header
+from repro.quic.version import DRAFT_29, QUIC_V1, QUIC_V2
 from repro.simnet.eventloop import EventLoop
 from repro.simnet.network import Device, Network, PathModel
 from repro.telescope.darknet import Telescope
@@ -123,6 +125,46 @@ class TestStatelessInitial:
             0xFACEB002,
             "example.org",
             dcid_length=dcid_length,
+        ) == connection.initial_datagram().payload
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        suite=st.sampled_from(("fast", "rfc9001", "null")),
+        version=st.sampled_from(
+            (
+                QUIC_V1.value,
+                QUIC_V2.value,  # its own salt and key/iv/hp labels
+                DRAFT_29.value,
+                0xFACEB002,  # mvfst: the draft-29 salt
+                0x1A2A3A4A,  # GREASE, as the research scanner sends
+                0xFF00007F,  # the attackers' bogus draft
+            )
+        ),
+        dcid_length=st.integers(0, 20),
+        pad_to=st.sampled_from((0, 1200)),
+        server_name=st.sampled_from(("", "example.org", "www.facebook.com")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_suite_and_shape_seals_what_a_connection_would(
+        self, suite, version, dcid_length, pad_to, server_name, seed
+    ):
+        """The one-shot seal (client keys alone, the suite's ``seal``)
+        against the connection's (a ``PacketProtection`` and its schedule)."""
+        rng = random.Random(seed)
+        connection = ClientConnection(
+            rng=rng,
+            src_ip=1,
+            src_port=2,
+            dst_ip=3,
+            version=version,
+            server_name=server_name,
+            dcid=rng.getrandbits(8 * dcid_length).to_bytes(dcid_length, "big"),
+            suite=suite,
+            pad_to=pad_to,
+        )
+        assert stateless_initial(
+            random.Random(seed), suite, version, server_name, pad_to, dcid_length
         ) == connection.initial_datagram().payload
 
 
