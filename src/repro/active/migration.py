@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.active.prober import Prober
+from repro.server.lb.l4lb import extract_dcid
 
 
 @dataclass
@@ -48,7 +49,7 @@ def _reaches_holder(cluster, datagram, scid: bytes) -> tuple[bool, bool]:
     only looks: the lookup counts and traces nothing.
     """
     l4lb = cluster.l4lbs[0]
-    dcid = l4lb.extract_dcid(datagram)
+    dcid = extract_dcid(datagram, l4lb.cid_length)
     host = l4lb.select_host(datagram, dcid)
     engine = host.workers.get(host.select_worker_id(datagram, dcid))
     same_host = any(worker.holds(scid) for worker in host.workers.values())

@@ -1,7 +1,8 @@
-"""Cursor-based binary reader/writer used by every codec in the library.
+"""Cursor-based binary reader/writer for the QUIC and TLS codecs.
 
-QUIC, IPv4, UDP, pcap, and the TLS mini-stack all serialize through these two
-classes so bounds checking and error reporting are uniform.
+The QUIC codecs and the TLS mini-stack serialize through these two classes
+so bounds checking and error reporting are uniform; the IPv4/UDP and pcap
+headers are fixed-layout ``struct`` packs instead.
 """
 
 from __future__ import annotations
@@ -110,14 +111,3 @@ class Writer:
 
     def getvalue(self) -> bytes:
         return bytes(self.buf)
-
-
-def hexdump(data: bytes, width: int = 16) -> str:
-    """Render ``data`` as a classic offset/hex/ascii dump (debugging aid)."""
-    lines = []
-    for offset in range(0, len(data), width):
-        chunk = data[offset : offset + width]
-        hexpart = " ".join("%02x" % b for b in chunk)
-        asciipart = "".join(chr(b) if 32 <= b < 127 else "." for b in chunk)
-        lines.append("%08x  %-*s  %s" % (offset, width * 3 - 1, hexpart, asciipart))
-    return "\n".join(lines)

@@ -29,11 +29,6 @@ class GeoAggregation:
             if values
         }
 
-    def clusters_per_continent(self) -> dict[str, int]:
-        return {
-            continent: len(values) for continent, values in self.by_continent.items()
-        }
-
 
 def aggregate_clusters(
     cluster_sizes: dict[int, int], geodb: GeoDatabase

@@ -83,15 +83,8 @@ class AsDatabase:
         starts, entries = self._trie.flatten()
         return starts, [_origin_label(entry) for entry in entries]
 
-    def asn_of(self, address: int) -> int | None:
-        entry = self.lookup(address)
-        return entry.asn if entry else None
-
     def entries(self) -> list[AsEntry]:
         return sorted(self._entries.values(), key=lambda e: e.asn)
-
-    def prefixes_of(self, asn: int) -> list[Prefix]:
-        return [p for p, e in self._trie.items() if e.asn == asn]
 
     @classmethod
     def with_hypergiants(cls) -> "AsDatabase":

@@ -52,10 +52,3 @@ HYPERGIANTS: dict[str, Hypergiant] = {
 #: Display order used by the paper's tables.
 TABLE_ORDER = ("Cloudflare", "Facebook", "Google")
 REMAINING = "Remaining"
-
-
-def by_asn(asn: int) -> Hypergiant | None:
-    for hg in HYPERGIANTS.values():
-        if hg.asn == asn:
-            return hg
-    return None

@@ -161,7 +161,7 @@ class CaptureBuffer:
     def append(self, timestamp: float, data: bytes, payload: bytes = b"") -> None:
         """Append one packet, ``data`` followed by ``payload``.
 
-        An encapsulating caller hands over its header and the payload as
+        A serializing caller hands over its header and the payload as
         they are, so the packet is copied once, into the buffer.  The
         pending records stay in capture order, microsecond key first,
         packet bytes among equal keys: a packet appended after a

@@ -1,15 +1,15 @@
-"""IPv4 header encoding/decoding (RFC 791), options-free."""
+"""IPv4 header decoding (RFC 791), options-free.
+
+The header is written in one ``pack`` with the UDP header in front of
+each captured payload: :func:`repro.netstack.udp.ip_udp_header`.
+"""
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
 
-from repro.buffer import Writer
-from repro.netstack.checksum import internet_checksum
-
 PROTO_ICMP = 1
-PROTO_IPIP = 4  # IP-in-IP encapsulation, used by the L4LB tunnel
 PROTO_TCP = 6
 PROTO_UDP = 17
 
@@ -31,29 +31,7 @@ class IPv4Header:
     identification: int = 0
     dscp_ecn: int = 0
     flags_fragment: int = 0x4000  # don't-fragment, offset 0
-    total_length: int = 0  # filled in by encode_ipv4
-
-
-def encode_ipv4(header: IPv4Header, payload: bytes) -> bytes:
-    """Serialize header+payload with a correct header checksum."""
-    total_length = HEADER_LENGTH + len(payload)
-    if total_length > 0xFFFF:
-        raise IpParseError("IPv4 packet too large: %d bytes" % total_length)
-    writer = Writer()
-    writer.write_u8(0x45)  # version 4, IHL 5
-    writer.write_u8(header.dscp_ecn)
-    writer.write_u16(total_length)
-    writer.write_u16(header.identification)
-    writer.write_u16(header.flags_fragment)
-    writer.write_u8(header.ttl)
-    writer.write_u8(header.protocol)
-    writer.write_u16(0)  # checksum placeholder
-    writer.write_u32(header.src)
-    writer.write_u32(header.dst)
-    raw = bytearray(writer.getvalue())
-    checksum = internet_checksum(bytes(raw))
-    raw[10:12] = checksum.to_bytes(2, "big")
-    return bytes(raw) + payload
+    total_length: int = 0
 
 
 def scan_ipv4(data: bytes, start: int, end: int) -> tuple:

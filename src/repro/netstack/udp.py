@@ -129,9 +129,10 @@ def ip_udp_header(flow, payload: bytes) -> bytes:
     ``flow`` is anything with a datagram's address, port and TTL fields.
     Both RFC 1071 checksums come from the fields: 2**16 ≡ 1 (mod 0xFFFF),
     so a ones-complement word sum is the plain sum reduced mod 0xFFFF and
-    the payload's words are the payload read as one big-endian integer
-    (see :mod:`repro.netstack.checksum`).  The field-by-field encoder
-    this replaced is the reference in ``tests/netstack/test_capbuf.py``.
+    the payload's words are the payload read as one big-endian integer.
+    The field-by-field encoder this replaced, with its RFC 1071 checksum
+    and IPv4 header writer, is the reference in
+    ``tests/netstack/test_capbuf.py``.
     """
     length = len(payload)
     udp_length = HEADER_LENGTH + length
@@ -172,7 +173,7 @@ def ip_udp_header(flow, payload: bytes) -> bytes:
 
 
 class FlowTemplate:
-    """One flow's endpoints and TTL, for encapsulating payload after payload.
+    """One flow's endpoints and TTL, for serializing payload after payload.
 
     A thin holder over the flat encoder.  It precomputes nothing: one
     ``pack`` is cheaper than patching a per-flow header skeleton even on

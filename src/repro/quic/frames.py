@@ -52,9 +52,6 @@ class AckFrame:
     ranges: tuple[AckRange, ...] = ()
     type_byte = 0x02
 
-    def acknowledges(self, packet_number: int) -> bool:
-        return any(r.smallest <= packet_number <= r.largest for r in self.ranges)
-
 
 @dataclass(frozen=True)
 class CryptoFrame:

@@ -1,4 +1,4 @@
-"""Load-balancer fabric: Maglev hashing, L4 ECMP + tunneling, L7 hosts."""
+"""Load-balancer fabric: ECMP, L4 Maglev routing, direct-server-return L7 hosts."""
 
 from repro.server.lb.maglev import MaglevTable
 from repro.server.lb.l7lb import L7LbHost

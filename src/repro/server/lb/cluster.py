@@ -76,7 +76,6 @@ class FrontendCluster(Device):
                 rng=rng,
                 send=self.send,  # direct server return: straight to the network
                 certificate=certificate,
-                address=prefix.host(prefix.size - 2) ,  # shared DSR address
                 obs=obs,
             )
             for i in range(l7_host_count)
@@ -88,7 +87,6 @@ class FrontendCluster(Device):
         self.l4lbs: list[L4LoadBalancer] = [
             L4LoadBalancer(
                 name="%s-l4-%d" % (name, i),
-                address=prefix.host(prefix.size - 2),
                 hosts=self.hosts,
                 routing=profile.routing,
                 maglev=shared_maglev,

@@ -1,10 +1,12 @@
-"""Layer-4 load balancer: Maglev over L7 hosts, IP-in-IP tunneling.
+"""Layer-4 load balancer: Maglev routing over L7 hosts.
 
 Katran-style: the L4LB does not terminate anything.  It picks an L7 host —
 by consistent-hashing the 5-tuple (Facebook-style), the first 8 bytes of
 the destination connection ID (CID-aware, Google-style), or by decoding a
-QUIC-LB routable CID (the IETF draft) — and tunnels the client packet to
-that host unchanged.
+QUIC-LB routable CID (the IETF draft) — and hands that host the client's
+datagram unchanged.  The host answers the client directly (direct server
+return), so replies never pass back through the L4LB.  Only the routing
+decision shapes what a telescope sees: which host and worker answer.
 
 Routing 1-RTT (short-header) packets requires knowing the CID length the
 deployment uses: short headers do not carry it (paper §2.2), which is why
@@ -19,7 +21,6 @@ here draws from an rng at dispatch time.
 
 from __future__ import annotations
 
-from repro.netstack import encap
 from repro.netstack.udp import UdpDatagram
 from repro.obs import NULL_OBS, Observability
 from repro.obs.trace import CAT_LB
@@ -31,13 +32,32 @@ from repro.server.lb.maglev import MaglevTable, flow_key
 from repro.server.profiles import ROUTE_CID, ROUTE_QUIC_LB
 
 
+def extract_dcid(datagram: UdpDatagram, cid_length: int) -> bytes:
+    """Best-effort DCID of a client datagram (empty on failure).
+
+    Long headers self-describe their CID lengths; short headers are
+    sliced at the deployment's ``cid_length``.  A malformed long header
+    gives ``b""``, which routes on the 5-tuple.
+    """
+    payload = datagram.payload
+    if not payload:
+        return b""
+    if payload[0] & FORM_BIT:
+        try:
+            return parse_long_header(payload).dcid
+        except PacketParseError:
+            return b""
+    if len(payload) >= 1 + cid_length:
+        return payload[1 : 1 + cid_length]
+    return b""
+
+
 class L4LoadBalancer:
     """One L4LB instance; all instances of a cluster share the Maglev view."""
 
     def __init__(
         self,
         name: str,
-        address: int,
         hosts: list[L7LbHost],
         routing: str,
         table_size: int = 1021,
@@ -56,7 +76,6 @@ class L4LoadBalancer:
             else None
         )
         self.name = name
-        self.address = address
         self.hosts = hosts
         self.routing = routing
         self.cid_length = cid_length
@@ -68,24 +87,6 @@ class L4LoadBalancer:
         self._host_by_server_id = {host.host_id: host for host in hosts}
         if routing == ROUTE_QUIC_LB and quic_lb_config is None:
             raise ValueError("QUIC-LB routing requires a QuicLbConfig")
-
-    def extract_dcid(self, datagram: UdpDatagram) -> bytes:
-        """Best-effort DCID (empty on failure).
-
-        Long headers self-describe their CID lengths; short headers are
-        sliced at the configured deployment CID length.
-        """
-        payload = datagram.payload
-        if not payload:
-            return b""
-        if payload[0] & FORM_BIT:
-            try:
-                return parse_long_header(payload).dcid
-            except PacketParseError:
-                return b""
-        if len(payload) >= 1 + self.cid_length:
-            return payload[1 : 1 + self.cid_length]
-        return b""
 
     def routing_key(self, datagram: UdpDatagram, dcid: bytes) -> bytes:
         if self.routing == ROUTE_CID and dcid:
@@ -110,14 +111,9 @@ class L4LoadBalancer:
         return self.hosts[self.maglev.lookup(self.routing_key(datagram, dcid))]
 
     def forward(self, datagram: UdpDatagram, now: float) -> L7LbHost:
-        """Tunnel ``datagram`` to the selected host; returns that host.
-
-        The IP-in-IP round trip is performed for real so the tunnel path is
-        exercised; the host then handles the decapsulated inner packet.
-        """
-        dcid = self.extract_dcid(datagram)
+        """Hand ``datagram`` to the selected host; returns that host."""
+        dcid = extract_dcid(datagram, self.cid_length)
         host = self.select_host(datagram, dcid)
-        tunneled = encap.encapsulate(datagram, self.address, host.address)
         if self._m_dispatch is not None:
             self._m_dispatch.inc_key((self.name, self.routing))
         if self._tracer.enabled:
@@ -131,6 +127,5 @@ class L4LoadBalancer:
                 dcid=dcid.hex(),
                 src_ip=datagram.src_ip,
             )
-        _src, _dst, inner = encap.decapsulate(tunneled)
-        host.handle(inner, dcid, now)
+        host.handle(datagram, dcid, now)
         return host

@@ -43,12 +43,10 @@ class L7LbHost:
         rng: random.Random,
         send: Callable[[UdpDatagram], None],
         certificate: Certificate | None = None,
-        address: int = 0,
         obs: Observability | None = None,
     ) -> None:
         self.host_id = host_id
         self.profile = profile
-        self.address = address  # internal (tunnel) address of the host
         self._loop = loop
         self._send = send
         self._certificate = certificate

@@ -12,6 +12,7 @@ import random
 from repro.netstack.addr import Prefix
 from repro.netstack.udp import UdpDatagram
 from repro.obs import Observability
+from repro.server.lb.l4lb import extract_dcid
 from repro.server.lb.l7lb import L7LbHost
 from repro.server.profiles import ServerProfile
 from repro.simnet.eventloop import EventLoop
@@ -45,7 +46,6 @@ class SimpleQuicServer(Device):
             rng=rng,
             send=self.send,
             certificate=certificate,
-            address=address,
             obs=obs,
         )
 
@@ -53,24 +53,10 @@ class SimpleQuicServer(Device):
         return [self._prefix]
 
     def handle_datagram(self, datagram: UdpDatagram, now: float) -> None:
-        dcid = _extract_dcid(datagram, self.profile.cid_scheme.length)
+        dcid = extract_dcid(datagram, self.profile.cid_scheme.length)
         self.host.handle(datagram, dcid, now)
 
 
 def _mask(length: int) -> int:
     return ((1 << length) - 1) << (32 - length) if length else 0
 
-
-def _extract_dcid(datagram: UdpDatagram, cid_length: int) -> bytes:
-    from repro.quic.packet import FORM_BIT, PacketParseError, parse_long_header
-
-    payload = datagram.payload
-    if not payload:
-        return b""
-    if not payload[0] & FORM_BIT:
-        # 1-RTT: slice at the deployment's configured CID length.
-        return payload[1 : 1 + cid_length] if len(payload) > cid_length else b""
-    try:
-        return parse_long_header(payload).dcid
-    except PacketParseError:
-        return b""

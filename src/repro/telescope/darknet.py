@@ -6,7 +6,7 @@ backscatter: server replies to attack traffic whose spoofed sources fell
 inside the prefix.  Captures serialize to standard pcap for external
 tooling and deserialize back for the analysis pipeline.
 
-The capture is not held in memory: each packet is encapsulated straight
+The capture is not held in memory: each packet is serialized straight
 into a :class:`~repro.netstack.capbuf.CaptureBuffer` as a pcap record,
 and once the pending bytes pass :data:`~repro.netstack.capbuf.SPOOL_AFTER`
 the records stamped below the event loop's clock — final, because every

@@ -30,7 +30,6 @@ class TestAggregation:
         assert medians["Asia"] == pytest.approx(455)
         assert medians["Europe"] == 340
         assert medians["North America"] == 290
-        assert agg.clusters_per_continent()["Asia"] == 2
 
     def test_asia_ordering_like_paper(self):
         """Figure 6's headline: Asia's median exceeds EU's exceeds NA's."""

@@ -10,7 +10,6 @@ from repro.inetdata.hypergiants import (
     FACEBOOK,
     GOOGLE,
     HYPERGIANTS,
-    by_asn,
 )
 from repro.netstack.addr import parse_ip
 from repro.tls.certs import Certificate
@@ -21,10 +20,6 @@ class TestHypergiants:
         assert FACEBOOK.asn == 32934
         assert GOOGLE.asn == 15169
         assert CLOUDFLARE.asn == 13335
-
-    def test_by_asn(self):
-        assert by_asn(32934) is FACEBOOK
-        assert by_asn(64512) is None
 
     def test_registry(self):
         assert set(HYPERGIANTS) == {"Facebook", "Google", "Cloudflare"}
@@ -42,7 +37,6 @@ class TestAsDatabase:
         db = AsDatabase.with_hypergiants()
         db.register("87.128.0.0/16", AsEntry(3320, "ISP-DE", category="isp"))
         assert db.origin_name(parse_ip("87.128.5.5")) == "Remaining"
-        assert db.asn_of(parse_ip("87.128.5.5")) == 3320
 
     def test_longest_prefix_wins(self):
         db = AsDatabase.with_hypergiants()
@@ -56,10 +50,6 @@ class TestAsDatabase:
         db = AsDatabase.with_hypergiants()
         assert "AS32934" in db.describe(parse_ip("157.240.1.1"))
         assert "unrouted" in db.describe(parse_ip("203.0.113.9"))
-
-    def test_prefixes_of(self):
-        db = AsDatabase.with_hypergiants()
-        assert len(db.prefixes_of(FACEBOOK.asn)) == len(FACEBOOK.prefixes)
 
 
 class TestGeoDatabase:

@@ -213,3 +213,26 @@ def test_golden_holds_under_another_hash_seed(tmp_path):
         _digest(analyzed.stdout),
         _sidecar_fields(pcap),
     ) == GOLDEN[case]
+
+
+def test_month_serializes_only_at_the_telescope(tmp_path, monkeypatch):
+    """The fabric hands datagrams on as objects: with the whole-packet
+    codecs made to raise, the month still writes its golden bytes."""
+    import repro.workloads.scenario  # noqa: F401  (the fabric, loaded unpatched)
+    from repro.netstack import ip, udp
+
+    codecs = (udp.encode_udp, udp.decode_udp, ip.decode_ipv4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a datagram was serialized off the telescope path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "repro":
+            continue
+        for codec in codecs:
+            if getattr(module, codec.__name__, None) is codec:
+                monkeypatch.setattr(module, codec.__name__, refuse)
+    case = "month-20220101-x0.02"
+    pcap = tmp_path / "m.pcap"
+    assert main(["simulate", str(pcap), *MONTHS[case]]) == 0
+    assert _file_digest(pcap) == GOLDEN[case][0]

@@ -3,7 +3,9 @@
 ``repro.netstack.udp`` encapsulates with one ``struct.pack``.  The
 Writer-based encoder it replaced survives here, and only here, as
 ``_encode_udp_rebuild``: the reference every encoder entry point is held
-to byte for byte.
+to byte for byte.  Its RFC 1071 checksum (``internet_checksum``,
+``verify_checksum``) and IPv4 header writer (``encode_ipv4``) live here
+too; ``test_ip_udp`` tests them and builds raw packets with them.
 """
 
 import io
@@ -14,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.buffer import Writer
 from repro.netstack.capbuf import CaptureBuffer
-from repro.netstack.checksum import internet_checksum, verify_checksum
-from repro.netstack.ip import PROTO_UDP, IPv4Header, IpParseError, encode_ipv4
+from repro.netstack.ip import HEADER_LENGTH as IP_HEADER_LENGTH
+from repro.netstack.ip import PROTO_UDP, IPv4Header, IpParseError
 from repro.netstack.pcap import (
     PcapReader,
     PcapRecord,
@@ -34,6 +36,53 @@ from repro.netstack.udp import (
     encode_udp_into,
     ip_udp_header,
 )
+
+
+def _folded_sum(data: bytes, initial: int = 0) -> int:
+    """End-around-carry sum of ``initial`` and the big-endian 16-bit words.
+
+    2**16 ≡ 1 (mod 0xFFFF), so the whole buffer read as one big-endian
+    integer is congruent to the sum of its words, and the remainder *is*
+    the carry-folded sum — except that folding a non-zero total never
+    yields 0 (it stops at 0xFFFF, ones-complement's other zero).
+    """
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = initial + int.from_bytes(data, "big")
+    folded = total % 0xFFFF
+    return 0xFFFF if total and not folded else folded
+
+
+def internet_checksum(data: bytes, initial: int = 0) -> int:
+    """Compute the 16-bit Internet checksum over ``data``."""
+    return ~_folded_sum(data, initial) & 0xFFFF
+
+
+def verify_checksum(data: bytes) -> bool:
+    """True if ``data`` (checksum field included) sums to 0xFFFF."""
+    return _folded_sum(data) == 0xFFFF
+
+
+def encode_ipv4(header: IPv4Header, payload: bytes) -> bytes:
+    """Serialize header+payload with a correct header checksum."""
+    total_length = IP_HEADER_LENGTH + len(payload)
+    if total_length > 0xFFFF:
+        raise IpParseError("IPv4 packet too large: %d bytes" % total_length)
+    writer = Writer()
+    writer.write_u8(0x45)  # version 4, IHL 5
+    writer.write_u8(header.dscp_ecn)
+    writer.write_u16(total_length)
+    writer.write_u16(header.identification)
+    writer.write_u16(header.flags_fragment)
+    writer.write_u8(header.ttl)
+    writer.write_u8(header.protocol)
+    writer.write_u16(0)  # checksum placeholder
+    writer.write_u32(header.src)
+    writer.write_u32(header.dst)
+    raw = bytearray(writer.getvalue())
+    checksum = internet_checksum(bytes(raw))
+    raw[10:12] = checksum.to_bytes(2, "big")
+    return bytes(raw) + payload
 
 
 def _encode_udp_rebuild(datagram: UdpDatagram) -> bytes:

@@ -1,18 +1,10 @@
-"""IPv4/UDP codecs, checksums, and IP-in-IP encapsulation."""
+"""IPv4/UDP codecs and the RFC 1071 checksum reference."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netstack.addr import parse_ip
-from repro.netstack.checksum import internet_checksum, verify_checksum
-from repro.netstack.encap import EncapError, decapsulate, encapsulate
-from repro.netstack.ip import (
-    IPv4Header,
-    IpParseError,
-    PROTO_UDP,
-    decode_ipv4,
-    encode_ipv4,
-)
+from repro.netstack.ip import IPv4Header, IpParseError, PROTO_UDP, decode_ipv4
 from repro.netstack.udp import (
     DeferredDatagram,
     UdpDatagram,
@@ -20,6 +12,7 @@ from repro.netstack.udp import (
     decode_udp,
     encode_udp,
 )
+from tests.netstack.test_capbuf import encode_ipv4, internet_checksum, verify_checksum
 
 
 class TestChecksum:
@@ -214,27 +207,6 @@ class TestDeferredDatagram:
         with pytest.raises(RuntimeError):
             datagram.payload
         assert datagram.payload == b"ok"
-
-
-class TestEncap:
-    def test_roundtrip(self):
-        inner = UdpDatagram(
-            src_ip=parse_ip("198.51.100.1"),
-            dst_ip=parse_ip("157.240.1.10"),
-            src_port=40000,
-            dst_port=443,
-            payload=b"initial",
-        )
-        tunneled = encapsulate(inner, parse_ip("10.1.0.1"), parse_ip("10.1.0.99"))
-        src, dst, decoded = decapsulate(tunneled)
-        assert src == parse_ip("10.1.0.1")
-        assert dst == parse_ip("10.1.0.99")
-        assert decoded == inner
-
-    def test_rejects_plain_packet(self):
-        inner = UdpDatagram(src_ip=1, dst_ip=2, src_port=3, dst_port=4, payload=b"")
-        with pytest.raises(EncapError):
-            decapsulate(encode_udp(inner))
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.buffer import BufferError_, Reader, Writer, hexdump
+from repro.buffer import BufferError_, Reader, Writer
 
 
 class TestReader:
@@ -58,22 +58,6 @@ class TestWriter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Writer().write_u32(-1)
-
-
-class TestHexdump:
-    def test_shape(self):
-        dump = hexdump(bytes(range(20)))
-        lines = dump.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("00000000")
-        assert lines[1].startswith("00000010")
-
-    def test_printable_ascii_column(self):
-        dump = hexdump(b"AB\x00")
-        assert "AB." in dump
-
-    def test_empty(self):
-        assert hexdump(b"") == ""
 
 
 @given(st.lists(st.integers(min_value=0, max_value=0xFFFF), max_size=20))

@@ -46,12 +46,6 @@ class TestAck:
         decoded = decode_frames(encode_frames([frame]))[0]
         assert set(decoded.ranges) == set(frame.ranges)
 
-    def test_acknowledges(self):
-        frame = AckFrame(largest_acked=10, ranges=(AckRange(5, 10), AckRange(0, 2)))
-        assert frame.acknowledges(7)
-        assert frame.acknowledges(0)
-        assert not frame.acknowledges(3)
-
     def test_inverted_range_rejected(self):
         with pytest.raises(FrameParseError):
             AckRange(10, 5)

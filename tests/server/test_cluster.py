@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from repro.netstack import encap
 from repro.netstack.addr import Prefix, parse_ip
 from repro.quic.packet import parse_long_header
+from repro.server.engine import QuicServerEngine
 from repro.server.lb.cluster import FrontendCluster
+from repro.server.lb.l4lb import extract_dcid
 from repro.server.lb.l7lb import L7LbHost
 from repro.server.profiles import facebook_profile, google_profile
 from repro.server.simple import SimpleQuicServer
 from repro.simnet.eventloop import EventLoop
-from repro.simnet.network import Network, PathModel
+from repro.simnet.network import Device, Network, PathModel
 from repro.workloads.clients import ClientConnection
 from tests.server.metered import engine_events, metered
 
@@ -47,6 +48,20 @@ def initial_to(vip, src_port, version=1, dcid=None):
         dcid=dcid,
     )
     return connection.initial_datagram()
+
+
+class _ClientDevice(Device):
+    """The client's /32: records what the servers send it."""
+
+    def __init__(self, received):
+        super().__init__("client")
+        self.received = received
+
+    def prefixes(self):
+        return [Prefix(CLIENT, 32)]
+
+    def handle_datagram(self, datagram, now):
+        self.received.append(datagram)
 
 
 class TestClusterBasics:
@@ -98,7 +113,7 @@ class TestRouting:
         vip = cluster.vips[0]
         datagram = initial_to(vip, 3333)
         l4 = cluster.l4lbs[0]
-        dcid = l4.extract_dcid(datagram)
+        dcid = extract_dcid(datagram, l4.cid_length)
         key_a = l4.routing_key(datagram, dcid)
         key_b = l4.routing_key(datagram, dcid)
         assert key_a == key_b
@@ -121,41 +136,35 @@ class TestRouting:
         picks = {l4.maglev.lookup(key) for l4 in cluster.l4lbs}
         assert len(picks) == 1
 
-    def test_tunnel_stats_updated(self, monkeypatch):
-        tunneled = []
-        original = encap.encapsulate
+    def test_host_handles_the_datagram_it_was_handed(self, monkeypatch):
+        """The fabric routes; it does not re-serialize or copy the datagram."""
+        handled = []
+        on_datagram = QuicServerEngine.on_datagram
 
-        def spy(*args):
-            tunneled.append(original(*args))
-            return tunneled[-1]
+        def spy(engine, datagram, now):
+            handled.append(datagram)
+            return on_datagram(engine, datagram, now)
 
-        monkeypatch.setattr(encap, "encapsulate", spy)
+        monkeypatch.setattr(QuicServerEngine, "on_datagram", spy)
         obs = metered()
-        cluster, loop, _net = make_cluster(obs=obs)
-        cluster.handle_datagram(initial_to(cluster.vips[0], 4000), 0.0)
+        cluster, loop, net = make_cluster(obs=obs)
+        received = []
+        net.add_device(_ClientDevice(received))
+        vip = cluster.vips[0]
+        datagram = initial_to(vip, 4000)
+        cluster.handle_datagram(datagram, 0.0)
+        assert len(handled) == 1 and handled[0] is datagram
         assert obs.metrics.counter("lb.dispatch", ("lb", "routing")).total() == 1
-        assert sum(len(packet) for packet in tunneled) > 1200
+        loop.run_until(0.1)
+        assert received
+        assert all(d.src_ip == vip for d in received)
 
 
 class TestDirectServerReturn:
     def test_reply_comes_from_vip(self):
         cluster, loop, net = make_cluster()
-
         received = []
-
-        class Client:
-            pass
-
-        from repro.simnet.network import Device
-
-        class ClientDev(Device):
-            def prefixes(self):
-                return [Prefix(CLIENT, 32)]
-
-            def handle_datagram(self, datagram, now):
-                received.append(datagram)
-
-        net.add_device(ClientDev("client"))
+        net.add_device(_ClientDevice(received))
         vip = cluster.vips[1]
         cluster.handle_datagram(initial_to(vip, 7777), 0.0)
         loop.run_until(0.1)
